@@ -43,7 +43,8 @@ from repro.core.range_enforcer import EnforcementResult, RangeEnforcer
 from repro.core.sampling import (
     PartitionedSample,
     partition_and_sample,
-    partition_of,
+    partition_ids_of,
+    record_fingerprints,
 )
 from repro.dp.budget import PrivacyAccountant
 from repro.dp.mechanisms import GaussianMechanism, LaplaceMechanism
@@ -252,7 +253,7 @@ class _IncrementalState:
         query: MapReduceQuery,
         tables: Tables,
         records: List[Any],
-        partition_ids: List[int],
+        partition_ids: np.ndarray,
         cache_rdd_id: int,
     ):
         self.query = query
@@ -575,7 +576,9 @@ class UPASession:
         if not new_records:
             raise DPError("append() needs at least one record")
         incr.records.extend(new_records)
-        incr.partition_ids.extend(partition_of(r) for r in new_records)
+        incr.partition_ids = np.concatenate(
+            [incr.partition_ids, partition_ids_of(new_records)]
+        )
         incr.expected_len = len(incr.records)
         incr.primed = True
         self.engine.metrics.incr(MetricsRegistry.INCR_APPENDS)
@@ -605,7 +608,7 @@ class UPASession:
                 f"({len(incr.records)} records)"
             )
         del incr.records[:count]
-        del incr.partition_ids[:count]
+        incr.partition_ids = incr.partition_ids[count:]
         incr.base_offset += count
         incr.expected_len = len(incr.records)
         incr.primed = True
@@ -789,19 +792,18 @@ class UPASession:
                    epsilon: float) -> tuple:
         """Identity of a submission: query name + dataset fingerprint.
 
+        The dataset fingerprint is the record count and the records'
+        content fingerprints summed mod 2**64.
+
         Releasing the *same* noisy answer for the same submission is
         standard DP practice (no new information leaves the curator).
         Two queries with the same name but different logic would collide
         — names are unique in the workload registry, and ad-hoc queries
         get their SQL text as the name.
         """
-        from repro.core.sampling import record_fingerprint
-
+        records = tables[query.protected_table]
         dataset_print = (
-            len(tables[query.protected_table]),
-            sum(
-                record_fingerprint(r) for r in tables[query.protected_table]
-            ),
+            len(records), int(record_fingerprints(records).sum()),
         )
         return (query.name, epsilon, dataset_print)
 
@@ -889,6 +891,7 @@ class UPASession:
             sample = partition_and_sample(
                 query, tables, self.config.sample_size, rng,
                 partition_ids=incr.partition_ids if use_incr else None,
+                tracer=tracer,
             )
             sample_span.set_attribute("sampled", sample.sample_size)
             sample_span.set_attribute("incremental", bool(use_incr))
@@ -1017,14 +1020,12 @@ class UPASession:
         delta_fraction = mapped / total if total else 0.0
         metrics.set_gauge(MetricsRegistry.INCR_DELTA_FRACTION, delta_fraction)
 
-        # Split into the S' element lists, mirroring how
-        # partition_and_sample splits the records themselves — same
-        # order, same partitions, minus the sampled indices.
-        sampled_set = set(sample.sampled_indices)
-        remaining: Tuple[List[Any], List[Any]] = ([], [])
-        for i, pid in enumerate(sample.partition_ids):
-            if i not in sampled_set:
-                remaining[pid].append(elements[i])
+        # Split into the S' element lists exactly as
+        # partition_and_sample split the records themselves.
+        remaining = tuple(
+            [elements[i] for i in indices.tolist()]
+            for indices in sample.remaining_indices
+        )
         stats = {
             "blocks_reused": hits,
             "blocks_recomputed": misses,

@@ -1,9 +1,15 @@
 """Tests for Partition & Sample and for sensitivity inference."""
 
+import datetime
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import DPError
 from repro.core.inference import (
@@ -14,9 +20,12 @@ from repro.core.inference import (
 from repro.core.query import MapReduceQuery
 from repro.core.sampling import (
     partition_and_sample,
+    partition_ids_of,
     partition_of,
     record_fingerprint,
+    record_fingerprints,
 )
+from repro.workloads import workload_by_name
 
 
 class _IdentityQuery(MapReduceQuery):
@@ -54,6 +63,16 @@ class TestPartitionAndSample:
         assert sorted(r["v"] for r in merged) == sorted(
             r["v"] for r in tables["vals"]
         )
+
+    def test_partitions_keep_table_order(self):
+        records = _tables()["vals"]
+        sample = partition_and_sample(
+            _IdentityQuery(), {"vals": records}, 50, random.Random(0)
+        )
+        for p in (0, 1):
+            assert sample.partitions[p] == [
+                r for r, pid in zip(records, sample.partition_ids) if pid == p
+            ]
 
     def test_partition_is_stable_per_record(self):
         record = {"v": 3.0}
@@ -120,6 +139,118 @@ class TestPartitionAndSample:
         )
         sizes = [len(p) for p in sample.partitions]
         assert min(sizes) > 0.35 * sum(sizes)
+
+
+_scalars = st.one_of(
+    st.integers(),  # unbounded: also beyond int64
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, float("nan")]),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.dates(),
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple), st.lists(inner, max_size=2)
+    ),
+    max_leaves=6,
+)
+#: keys drawn per row, so some rows miss keys others have, and every
+#: column mixes value types.
+_rows = st.lists(
+    st.dictionaries(st.sampled_from("abcd"), _values, max_size=4),
+    min_size=1, max_size=8,
+)
+
+
+class TestFingerprintContract:
+    """A fingerprint is a pure function of the record's content."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rows, st.data())
+    def test_batch_equals_one_by_one(self, rows, data):
+        batch = record_fingerprints(rows).tolist()
+        assert batch == [record_fingerprint(r) for r in rows]
+        # ... whichever other records are hashed alongside, in any order.
+        picks = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=8))
+        assert record_fingerprints([rows[i] for i in picks]).tolist() == [
+            batch[i] for i in picks
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(_rows)
+    def test_key_order_insensitive(self, rows):
+        reversed_rows = [dict(reversed(list(r.items()))) for r in rows]
+        assert (
+            record_fingerprints(reversed_rows).tolist()
+            == record_fingerprints(rows).tolist()
+        )
+        # One reordered row among rows in the original order.
+        mixed = reversed_rows[:1] + rows[1:]
+        assert (
+            record_fingerprints(mixed).tolist()
+            == record_fingerprints(rows).tolist()
+        )
+
+    def test_type_is_content(self):
+        values = [1, 1.0, True, "1", (1,), [1], None,
+                  datetime.date.fromordinal(1), 2 ** 64 + 1, -0.0, 0.0]
+        prints = record_fingerprints([{"v": v} for v in values]).tolist()
+        assert len(set(prints)) == len(values)
+        assert record_fingerprint({"v": 1}) != record_fingerprint({"w": 1})
+        assert record_fingerprint({"v": 1}) != record_fingerprint(
+            {"v": 1, "w": None}
+        )
+
+    def test_independent_of_process_and_hash_seed(self):
+        rows = [
+            {"s": word, "n": i, "d": datetime.date(2020, 1, 1 + i),
+             "m": (word, i) if i % 2 else float(i)}
+            for i, word in enumerate("the quick brown fox jumps".split())
+        ]
+        rows.append({"n": None})
+        script = (
+            "import datetime\n"
+            "from repro.core.sampling import record_fingerprints\n"
+            f"print(record_fingerprints({rows!r}).tolist())\n"
+        )
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=60,
+            ).stdout)
+        assert outputs == {f"{record_fingerprints(rows).tolist()}\n"}
+
+    @pytest.mark.parametrize("name", [  # one workload per protected table
+        "tpch1", "tpch4", "tpch13", "tpch16", "tpch21", "tpch11", "kmeans",
+    ])
+    def test_partitions_balanced_on_workload_tables(self, name):
+        workload = workload_by_name(name)
+        scale = 8_000 if name == "kmeans" else 20_000
+        records = workload.make_tables(scale, 3)[workload.query.protected_table]
+        assert 0.4 <= partition_ids_of(records).mean() <= 0.6
+
+    def test_one_field_changes_the_fingerprint(self):
+        workload = workload_by_name("tpch6")
+        rows = workload.make_tables(2_000, 11)["lineitem"]
+        prints = record_fingerprints(rows)
+        bump = {
+            int: lambda v: v + 1,
+            float: lambda v: float(np.nextafter(v, np.inf)),
+            str: lambda v: v + " ",
+            datetime.date: lambda v: v + datetime.timedelta(days=1),
+        }
+        for column in rows[0]:
+            changed = [
+                {**r, column: bump[type(r[column])](r[column])} for r in rows
+            ]
+            assert (record_fingerprints(changed) != prints).all(), column
 
 
 class TestRangeInference:

@@ -85,8 +85,22 @@ class TestGoldenUPA:
         assert result.inferred_range.upper[0] == 2001.0
 
     def test_partition_split_stable(self, tables):
-        from repro.core.sampling import partition_of
+        """The content-hash values are a contract (DESIGN.md section 5):
+        a change here moves every record's partition."""
+        from repro.core.sampling import partition_of, record_fingerprints
 
-        split = [partition_of(r) for r in tables["lineitem"][:10]]
-        assert split == [partition_of(r) for r in tables["lineitem"][:10]]
-        assert set(split) <= {0, 1}
+        rows = tables["lineitem"][:10]
+        assert record_fingerprints(rows).tolist() == [
+            0x4138360F5246A1BC, 0x3C13BA78D249D31D, 0x00937249B59F40F7,
+            0xBAEC2BC483C78EB2, 0xD8B27C5F5AFBCB11, 0xAFB034CF7B3BBAC1,
+            0x8B4E4F45E265B8DE, 0x50F9251A86A52CF5, 0xE4D488BB0A93686F,
+            0xDBA09B8961BF976C,
+        ]
+        assert [partition_of(r) for r in rows] == [
+            0, 1, 1, 0, 1, 1, 0, 1, 1, 0,
+        ]
+        point = make_life_science_tables(
+            LifeScienceConfig(num_records=100, dim=2, num_clusters=2, seed=5)
+        )["points"][0]
+        assert record_fingerprints([point]).tolist() == [0xA7F43E2B31D0076D]
+        assert partition_of(point) == 1

@@ -577,6 +577,17 @@ class TestSessionObservability:
         for span in tracer.phase_spans():
             assert span.parent_id == run.span_id
 
+    def test_sampling_steps_nest_under_partition_sample(
+        self, observed_session
+    ):
+        _, tracer, _, _, _ = observed_session
+        phase = tracer.find("phase:partition_sample")[0]
+        steps = [s for s in tracer.spans() if s.parent_id == phase.span_id]
+        assert [s.name for s in steps] == [
+            "sampling.fingerprint", "sampling.split",
+            "sampling.domain_sample",
+        ]
+
     def test_engine_jobs_nest_under_map_phase(self, observed_session):
         _, tracer, _, _, _ = observed_session
         map_phase = tracer.find("phase:map")[0]
