@@ -88,6 +88,18 @@ def sequential_sum(stacked: np.ndarray, zero: Any) -> Any:
     return np.cumsum(stacked, axis=0)[-1]
 
 
+def sequential_dot(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """``rows @ vector`` with each row's products summed left to right.
+
+    BLAS ``gemv`` picks its blocking by the matrix shape, so a row's
+    dot product can change in the last bit with the rows batched beside
+    it; a ``map_batch`` must be row-stable (see
+    :class:`~repro.core.query.MapReduceQuery`), and elementwise
+    products folded by ``np.cumsum`` are.
+    """
+    return np.cumsum(rows * vector, axis=1)[:, -1]
+
+
 class ScalarSumBatch:
     """Batched protocol for queries whose monoid is scalar ``+``.
 

@@ -58,6 +58,17 @@ def overrides_batch_kernels(query_or_cls: Any) -> bool:
     )
 
 
+def _same_bits(a: Any, b: Any) -> bool:
+    """Exact equality of two monoid elements (numeric ones bit for bit)."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same_bits, a, b))
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype.kind in "biuf" and b.dtype.kind in "biuf":
+        a, b = a.astype(float), b.astype(float)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return bool(np.array_equal(a, b))
+
+
 class QueryOutput:
     """Normalizes query outputs to float vectors.
 
@@ -164,13 +175,17 @@ class MapReduceQuery:
     # * a tuple of stacked ndarrays, one per slot of a tuple element
     #   (KMeans: ``(counts (n, k), sums (n, k, dim))``).
     #
-    # The structural helpers (batch_length/batch_select/iter_batch/
-    # batch_stack) understand all three layouts, so a subclass normally
-    # overrides only the kernels in ``BATCH_METHODS``.  Every default
-    # below loops over the scalar methods, so existing queries keep
-    # working unchanged; overridden kernels must return values
-    # ``allclose`` to the scalar path (guarded by ``validate_monoid``
-    # and upalint's UPA010).
+    # The structural helpers (batch_length/batch_select/batch_concat/
+    # iter_batch/batch_stack) understand all three layouts, so a
+    # subclass normally overrides only the kernels in ``BATCH_METHODS``.
+    # Every default below loops over the scalar methods, so existing
+    # queries keep working unchanged; overridden kernels must return
+    # values ``allclose`` to the scalar path, and ``map_batch`` must be
+    # **row-stable** — element i depends on record i alone, bit for
+    # bit, because the session maps one record under several batch
+    # boundaries (engine slices, cached blocks, S) and releases must
+    # not depend on which (guarded by ``validate_monoid`` and upalint's
+    # UPA010).
 
     def map_batch(self, records: Sequence[Row], aux: Any) -> Any:
         """Mapper over a record sequence -> batch of monoid elements."""
@@ -231,9 +246,36 @@ class MapReduceQuery:
 
     @staticmethod
     def _select_part(part: Any, indices: Sequence[int]) -> Any:
+        if isinstance(indices, range) and indices.step == 1 \
+                and indices.start >= 0:
+            # A contiguous run is a slice (of an ndarray: a view).
+            return part[indices.start:indices.stop]
         if isinstance(part, np.ndarray):
             return part[np.asarray(indices, dtype=int)]
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()
         return [part[i] for i in indices]
+
+    def batch_concat(self, batches: Sequence[Any]) -> Any:
+        """One batch holding the elements of ``batches``, in order.
+
+        Inverse of slicing with :meth:`batch_select`; the batches (at
+        least one, zero-length ones allowed) share a layout.
+        """
+        if len(batches) == 1:
+            return batches[0]
+        if isinstance(batches[0], tuple):
+            return tuple(
+                self._concat_parts([batch[j] for batch in batches])
+                for j in range(len(batches[0]))
+            )
+        return self._concat_parts(batches)
+
+    @staticmethod
+    def _concat_parts(parts: Sequence[Any]) -> Any:
+        if isinstance(parts[0], np.ndarray):
+            return np.concatenate(parts)
+        return [element for part in parts for element in part]
 
     def iter_batch(self, elements: Any) -> Iterable[Any]:
         """Yield the scalar monoid elements of a batch, in order."""
@@ -337,7 +379,9 @@ class MapReduceQuery:
         The scalar reference is the base-class default implementation
         (which loops over map_record/combine/finalize), so a subclass
         kernel that diverges from its own scalar monoid is caught here
-        even when both are internally consistent.
+        even when both are internally consistent.  ``map_batch`` is
+        also checked for row stability: each element must equal, bit
+        for bit, the one its record maps to in a batch of its own.
         """
         base = MapReduceQuery
         batch = self.map_batch(records, aux)
@@ -348,6 +392,13 @@ class MapReduceQuery:
                 f"query {self.name!r}: map_batch returned {n} elements "
                 f"for {len(ref_batch)} records"
             )
+        for record, element in zip(records, self.iter_batch(batch)):
+            (alone,) = self.iter_batch(self.map_batch([record], aux))
+            if not _same_bits(element, alone):
+                raise QueryShapeError(
+                    f"query {self.name!r}: map_batch is not row-stable "
+                    "(an element depends on the records mapped with it)"
+                )
         total = self.finalize(self.fold_batch(batch), aux)
         ref_total = self.finalize(base.fold_batch(self, ref_batch), aux)
         if not np.allclose(total, ref_total):

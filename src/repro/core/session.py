@@ -55,13 +55,15 @@ from repro.obs.report import run_header
 from repro.obs.tracing import NULL_SPAN, NULL_TRACER, Tracer, get_tracer
 
 
-class _RecordMapper:
-    """The phase-2 mapper: ``query.map_record`` with broadcast aux.
+class _MapFoldSlice:
+    """Phase-2 task over one engine slice of S' records.
 
-    A module-level class rather than a local closure so process-backend
-    tasks can pickle it and run the parallel-map jobs in worker
-    processes (a local function can never cross the boundary, which
-    used to force every session job onto the fallback path).
+    Maps the slice through ``query.map_batch`` (broadcast aux) and folds
+    it with ``query.fold_batch``: one partial aggregate per slice, none
+    for an empty slice.  A module-level class rather than a local
+    closure so process-backend tasks can pickle it (a local function
+    can never cross the boundary, which would force every session job
+    onto the fallback path).
     """
 
     __slots__ = ("query", "aux")
@@ -70,8 +72,33 @@ class _RecordMapper:
         self.query = query
         self.aux = aux
 
-    def __call__(self, record):
-        return self.query.map_record(record, self.aux.value)
+    def __call__(self, records):
+        records = list(records)
+        if not records:
+            return ()
+        query = self.query
+        return (query.fold_batch(query.map_batch(records, self.aux.value)),)
+
+
+class _FoldSlice:
+    """Phase-2 task over one engine slice of S' that is already mapped.
+
+    The incremental path hands each task its slice as one cached
+    ``map_batch`` batch; like :class:`_MapFoldSlice` it yields one
+    partial aggregate, none for an empty slice.
+    """
+
+    __slots__ = ("query",)
+
+    def __init__(self, query: "MapReduceQuery"):
+        self.query = query
+
+    def __call__(self, batches):
+        query = self.query
+        return [
+            query.fold_batch(batch) for batch in batches
+            if query.batch_length(batch)
+        ]
 
 
 @dataclass(frozen=True)
@@ -223,7 +250,7 @@ class _PipelineState:
         return True
 
 
-#: records per cached element block.  Blocks use *absolute* record
+#: records per cached ``map_batch`` block.  Blocks use *absolute* record
 #: indexing (index since the session first saw the table), so retire()
 #: — a prefix deletion — leaves every untouched block addressable and
 #: only boundary blocks are remapped.
@@ -236,11 +263,11 @@ class _IncrementalState:
     One instance describes the *last* submission: which query ran over
     which table object, the content-hash partition id of every record
     (so only appended records are fingerprinted), and the block-store
-    namespace holding the cached ``map_record`` element blocks.  The
-    per-run sample S is redrawn every release, so per-partition
-    *aggregates* are never reusable — the cache instead holds the
-    mapped elements and replays the identical fold, which is what makes
-    an incremental release bitwise-equal to a cold one.
+    namespace holding the cached ``map_batch`` blocks.  The per-run
+    sample S is redrawn every release, so per-partition *aggregates*
+    are never reusable — the cache instead holds the mapped elements
+    and replays the identical fold, which is what makes an incremental
+    release bitwise-equal to a cold one.
     """
 
     __slots__ = (
@@ -517,7 +544,15 @@ class UPASession:
             with tracer.span("phase:noise") if tracer.enabled \
                     else NULL_SPAN as noise_span:
                 partition_outputs = reduced.state.partition_outputs()
-                enforcement = self.enforcer.enforce(reduced.state, inferred)
+                with tracer.span(
+                    "phase:enforce", registry=len(self.enforcer),
+                ) if tracer.enabled else NULL_SPAN as enforce_span:
+                    enforcement = self.enforcer.enforce(
+                        reduced.state, inferred
+                    )
+                    enforce_span.set_attribute(
+                        "matched_prior", enforcement.matched_prior
+                    )
                 noisy = self._randomize(
                     enforcement.output, inferred.local_sensitivity, epsilon
                 )
@@ -566,8 +601,8 @@ class UPASession:
         cold run, and under fixed seeds the output is bitwise identical
         to re-running the query cold over the grown table.  What the
         incremental path saves is recomputation — cached content-hash
-        partition ids and ``map_record`` element blocks mean only the
-        appended records are fingerprinted and mapped (for queries with
+        partition ids and ``map_batch`` blocks mean only the appended
+        records are fingerprinted and mapped (for queries with
         ``incremental_safe``; others recompute elements but still skip
         nothing else of the pipeline).
         """
@@ -896,20 +931,20 @@ class UPASession:
             sample_span.set_attribute("sampled", sample.sample_size)
             sample_span.set_attribute("incremental", bool(use_incr))
         aux = query.build_aux(tables)
-        remaining_elements = None
+        remaining_slices = None
         self._last_incremental = None
         if use_incr:
             with tracer.span(
                 "phase:incremental_delta", query=query.name,
             ) if tracer.enabled else NULL_SPAN as delta_span:
-                remaining_elements, stats = self._incremental_elements(
+                remaining_slices, stats = self._incremental_elements(
                     incr, query, aux, sample
                 )
                 self._last_incremental = stats
                 for key, value in stats.items():
                     delta_span.set_attribute(key, value)
         state, removal, addition, plain = self._reduce_phase(
-            query, aux, sample, rng, remaining_elements
+            query, aux, sample, rng, remaining_slices
         )
         population = len(tables[query.protected_table]) + sample.sample_size
         self._remember_run(query, tables, sample)
@@ -951,12 +986,15 @@ class UPASession:
         aux: Any,
         sample: PartitionedSample,
     ) -> Tuple[Tuple[List[Any], List[Any]], dict]:
-        """Assemble the mapped elements of S' from cached blocks.
+        """Assemble the mapped batch of S' from cached blocks.
 
-        Element blocks live in the engine's block store, keyed by
-        ``(cache namespace, absolute block index)`` and tagged with the
-        engine's :meth:`~repro.engine.context.EngineContext.cache_epoch`
-        — a block written before a backend switch, worker respawn or
+        Returns, per partition, S' cut into the engine slices of
+        :meth:`_reduce_phase`, each slice one ``map_batch`` batch.
+
+        Blocks live in the engine's block store, keyed by ``(cache
+        namespace, absolute block index)`` and tagged with the engine's
+        :meth:`~repro.engine.context.EngineContext.cache_epoch` — a
+        block written before a backend switch, worker respawn or
         ``stop()`` reads as a miss and is remapped, never merged stale.
         Only ``incremental_safe`` queries reuse blocks; others (aux
         reads the protected table, so old elements may be wrong under
@@ -975,44 +1013,39 @@ class UPASession:
         base = incr.base_offset
         total = len(records)
         size = incr.block_records
-        elements: List[Any] = []
+        pieces: List[Any] = []
         hits = misses = reused = mapped = 0
         for b in range(base // size, (base + total - 1) // size + 1):
             lo = max(b * size, base)
             hi = min((b + 1) * size, base + total)
             key = (incr.cache_rdd_id, b)
             stored = store.get_tagged(key, epoch) if cacheable else None
-            if stored is not None:
-                abs_start, cached = stored
-                covered = abs_start + len(cached)
-                if abs_start <= lo and covered >= hi:
-                    elements.extend(cached[lo - abs_start:hi - abs_start])
-                    hits += 1
-                    reused += hi - lo
-                    continue
-                if abs_start <= lo < covered:
-                    # Tail block grown by append(): reuse the cached
-                    # prefix, map only the new records.
-                    elements.extend(cached[lo - abs_start:])
-                    fresh = [
-                        query.map_record(records[i - base], aux)
-                        for i in range(covered, hi)
-                    ]
-                    elements.extend(fresh)
-                    reused += covered - lo
-                    mapped += hi - covered
-                    misses += 1
-                    store.put_tagged(key, epoch, (abs_start, cached + fresh))
-                    continue
+            start, cached = stored or (lo, None)
+            covered = start
+            if cached is not None:
+                covered += query.batch_length(cached)
+            if not start <= lo < covered:
+                start, cached, covered = lo, None, lo
+            # The cached batch holds the elements of [start, covered);
+            # the window wants [lo, hi) — retire() may have cut into the
+            # block's head, append() may have grown past its tail.
+            kept = min(covered, hi)
+            if kept > lo:
+                reused += kept - lo
+                pieces.append(
+                    query.batch_select(cached, range(lo - start, kept - start))
+                )
+            if kept == hi:
+                hits += 1
+                continue
             misses += 1
-            fresh = [
-                query.map_record(records[i - base], aux)
-                for i in range(lo, hi)
-            ]
-            mapped += hi - lo
-            elements.extend(fresh)
+            mapped += hi - kept
+            fresh = query.map_batch(records[kept - base:hi - base], aux)
+            pieces.append(fresh)
             if cacheable:
-                store.put_tagged(key, epoch, (lo, fresh))
+                if cached is not None:
+                    fresh = query.batch_concat([cached, fresh])
+                store.put_tagged(key, epoch, (start, fresh))
         metrics.incr(MetricsRegistry.INCR_BLOCK_HITS, hits)
         metrics.incr(MetricsRegistry.INCR_BLOCK_MISSES, misses)
         metrics.incr(MetricsRegistry.INCR_RECORDS_REUSED, reused)
@@ -1020,10 +1053,20 @@ class UPASession:
         delta_fraction = mapped / total if total else 0.0
         metrics.set_gauge(MetricsRegistry.INCR_DELTA_FRACTION, delta_fraction)
 
-        # Split into the S' element lists exactly as
-        # partition_and_sample split the records themselves.
+        # Take S' out of the window exactly as partition_and_sample
+        # split the records themselves, in the slices the engine cuts a
+        # cold run's S' into.
+        window = query.batch_concat(pieces)
+        parts = max(1, self.config.engine_partitions)
         remaining = tuple(
-            [elements[i] for i in indices.tolist()]
+            [
+                query.batch_select(
+                    window,
+                    indices[k * len(indices) // parts:
+                            (k + 1) * len(indices) // parts],
+                )
+                for k in range(parts)
+            ]
             for indices in sample.remaining_indices
         )
         stats = {
@@ -1060,44 +1103,36 @@ class UPASession:
         aux: Any,
         sample: PartitionedSample,
         rng: random.Random,
-        remaining_elements: Optional[Tuple[List[Any], List[Any]]] = None,
+        remaining_slices: Optional[Tuple[List[Any], List[Any]]] = None,
     ) -> Tuple[_PipelineState, np.ndarray, np.ndarray, np.ndarray]:
         tracer = self.tracer
         metrics = self.engine.metrics
-        with tracer.span("phase:map", query=query.name) if tracer.enabled \
-                else NULL_SPAN:
-            mapper = None
-
+        parts = max(1, self.config.engine_partitions)
+        with tracer.span(
+            "phase:map", query=query.name,
+            records=sum(map(len, sample.remaining_indices)), slices=2 * parts,
+        ) if tracer.enabled else NULL_SPAN:
             # Parallel Map + per-partition reduce of S' (ReduceByPar,
-            # Alg.1 l.7).
-            r_sprime_parts: List[Any] = []
-            if remaining_elements is not None:
-                # Incremental fast path: S' is already mapped (cached
-                # element blocks).  Feeding the elements through the
-                # same parallelize + aggregate pipeline reproduces the
-                # cold run's partition slicing and fold order exactly,
-                # so the per-partition aggregates are bitwise equal.
-                for p in range(2):
-                    rdd = self.engine.parallelize(
-                        remaining_elements[p],
-                        max(1, self.config.engine_partitions),
-                    )
-                    r_sprime_parts.append(
-                        rdd.aggregate(query.zero(), query.combine,
-                                      query.combine)
-                    )
+            # Alg.1 l.7): the engine cuts each partition's S' into
+            # ``parts`` slices and every slice is one task returning
+            # fold_batch(map_batch(slice)); aggregate() combines the
+            # partials in slice order.
+            if remaining_slices is None:
+                task = _MapFoldSlice(query, self.engine.broadcast(aux))
+                sprime = sample.remaining
             else:
-                aux_b = self.engine.broadcast(aux)
-                mapper = _RecordMapper(query, aux_b)
-                for p in range(2):
-                    rdd = self.engine.parallelize(
-                        sample.remaining[p],
-                        max(1, self.config.engine_partitions),
-                    )
-                    r_sprime_parts.append(
-                        rdd.map(mapper).aggregate(query.zero(), query.combine,
-                                                  query.combine)
-                    )
+                # Incremental fast path: S' is already mapped (cached
+                # blocks) and cut at the same boundaries, one batch per
+                # engine partition, so the per-partition aggregates are
+                # bitwise equal to a cold run's.
+                task = _FoldSlice(query)
+                sprime = remaining_slices
+            r_sprime_parts: List[Any] = [
+                self.engine.parallelize(part, parts)
+                .map_partitions(task)
+                .aggregate(query.zero(), query.combine, query.combine)
+                for part in sprime
+            ]
             r_sprime = query.combine(r_sprime_parts[0], r_sprime_parts[1])
 
             # S and S-bar are small (n records each) and already live on
@@ -1126,7 +1161,7 @@ class UPASession:
                 )
             else:
                 removal = self._removal_outputs_naive(
-                    query, aux, sample, mapped_s, mapper
+                    query, aux, sample, mapped_s
                 )
             if query.batch_length(mapped_sbar) > 0:
                 addition = np.asarray(
@@ -1165,7 +1200,7 @@ class UPASession:
 
     def _removal_outputs_naive(
         self, query: MapReduceQuery, aux: Any, sample: PartitionedSample,
-        mapped_s: Any, mapper,
+        mapped_s: Any,
     ) -> np.ndarray:
         """Ablation: re-reduce the whole dataset for every neighbour.
 
@@ -1177,10 +1212,9 @@ class UPASession:
         """
         all_mapped = []
         for p in range(2):
-            rdd = self.engine.parallelize(
-                sample.remaining[p], max(1, self.config.engine_partitions)
+            all_mapped.extend(
+                query.iter_batch(query.map_batch(sample.remaining[p], aux))
             )
-            all_mapped.extend(rdd.map(mapper).collect())
         base_count = len(all_mapped)
         all_mapped.extend(query.iter_batch(mapped_s))
         rows = []

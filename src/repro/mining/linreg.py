@@ -21,7 +21,7 @@ from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import leave_one_out, sequential_sum
+from repro.core.batch import leave_one_out, sequential_dot, sequential_sum
 from repro.core.query import MapReduceQuery, Row, Tables
 from repro.mining.datasets import LifeScienceConfig, domain_point
 
@@ -92,7 +92,9 @@ class LinearRegressionQuery(MapReduceQuery):
             return (np.zeros((0, self.output_dim)), np.zeros(0))
         extended = extended_features(records)
         labels = np.asarray([r["label"] for r in records], dtype=float)
-        residuals = extended @ np.asarray(aux, dtype=float) - labels
+        residuals = (
+            sequential_dot(extended, np.asarray(aux, dtype=float)) - labels
+        )
         return (residuals[:, None] * extended, np.ones(len(records)))
 
     def prefix_suffix_batch(self, elements):

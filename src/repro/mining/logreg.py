@@ -14,7 +14,7 @@ from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import leave_one_out, sequential_sum
+from repro.core.batch import leave_one_out, sequential_dot, sequential_sum
 from repro.core.query import MapReduceQuery, Row, Tables
 from repro.mining.datasets import LifeScienceConfig, domain_point
 from repro.mining.linreg import extended_features
@@ -103,7 +103,9 @@ class LogisticRegressionQuery(MapReduceQuery):
         if not records:
             return (np.zeros((0, self.output_dim)), np.zeros(0))
         extended = extended_features(records)
-        predictions = _sigmoid_batch(extended @ np.asarray(aux, dtype=float))
+        predictions = _sigmoid_batch(
+            sequential_dot(extended, np.asarray(aux, dtype=float))
+        )
         targets = np.asarray(
             [self._target(r) for r in records], dtype=float
         )

@@ -24,25 +24,22 @@ from repro.obs.ledger import LedgerEntry, PrivacyLedger
 from repro.obs.tracing import Tracer
 
 #: canonical pipeline-phase order (paper Figure 1) — the phases every
-#: cold run emits exactly once.
+#: cold run emits exactly once.  ``phase:enforce`` (RANGE ENFORCER) runs
+#: nested inside ``phase:noise``, so its time is part of that row too.
 PHASE_ORDER = (
     "phase:partition_sample",
     "phase:map",
     "phase:reduce",
     "phase:inference",
     "phase:noise",
+    "phase:enforce",
 )
 
 #: PHASE_ORDER plus optional phases that only some runs emit
 #: (``phase:incremental_delta`` appears on append/retire releases);
 #: used to sort phase tables without changing the cold-run contract.
 FULL_PHASE_ORDER = (
-    "phase:partition_sample",
-    "phase:incremental_delta",
-    "phase:map",
-    "phase:reduce",
-    "phase:inference",
-    "phase:noise",
+    PHASE_ORDER[0], "phase:incremental_delta", *PHASE_ORDER[1:],
 )
 
 

@@ -9,6 +9,13 @@ Linear Regression) plus Logistic Regression and a sqlbridge-compiled
 query, across batch sizes including the empty batch, and then compare
 two full UPA sessions — one batched, one forced through the scalar
 defaults — end to end.
+
+Phase 2 maps and folds S' through the same kernels, one call per engine
+slice (cold) or per cached block (``append``/``retire``), so the file
+also pins what that rests on: ``map_batch`` is row-stable, the
+structural helpers round-trip, an empty slice folds to ``zero()``, and
+every slice's partial aggregate equals the scalar fold of its records
+bit for bit on all three backends.
 """
 
 from __future__ import annotations
@@ -17,9 +24,18 @@ from typing import Any, List, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.config import EngineConfig
+from repro.common.errors import DPError, QueryShapeError
+from repro.core import session as session_mod
+from repro.core.grouped import GroupSliceQuery
 from repro.core.query import BATCH_METHODS, MapReduceQuery, Tables
 from repro.core.session import UPAConfig, UPASession
+from repro.core.sqlbridge import compile_sql
+from repro.engine.context import EngineContext
+from repro.engine.metrics import MetricsRegistry
 from repro.mining import (
     KMeansQuery,
     LifeScienceConfig,
@@ -28,7 +44,9 @@ from repro.mining import (
 )
 from repro.mining.logreg import LogisticRegressionQuery
 from repro.tpch import TPCHConfig, TPCHGenerator
+from repro.tpch.queries import base as samplers
 from repro.tpch.workload import all_queries as tpch_queries
+from repro.workloads import all_workloads, workload_by_name
 
 BATCH_SIZES = (0, 1, 17, 256)
 
@@ -168,13 +186,13 @@ class TestKernelEquivalence:
                 aux,
             )
             assert np.asarray(out).shape == (0, query.output_dim), query.name
-            # The empty fold is the monoid identity.
-            folded = query.finalize(query.fold_batch(batch), aux)
-            identity = query.finalize(query.zero(), aux)
-            np.testing.assert_allclose(
-                np.asarray(folded, dtype=float),
-                np.asarray(identity, dtype=float),
-            )
+            # The empty fold is the monoid identity, bit for bit, and
+            # stays it when a task's zero is combined in front.
+            folded = query.fold_batch(batch)
+            assert _bits(folded) == _bits(query.zero()), query.name
+            assert _bits(query.combine(query.zero(), folded)) == _bits(
+                query.zero()
+            ), query.name
 
     def test_validate_monoid_cross_checks_batch_kernels(
         self, big_tpch_tables, big_ml_tables
@@ -186,7 +204,6 @@ class TestKernelEquivalence:
     def test_validate_monoid_rejects_broken_batch_kernel(
         self, big_tpch_tables
     ):
-        from repro.common.errors import QueryShapeError
         from repro.tpch import query_by_name
 
         broken_cls = type(
@@ -203,8 +220,6 @@ class TestKernelEquivalence:
             broken.validate_monoid(big_tpch_tables)
 
     def test_sqlbridge_compiled_query_batches(self, big_tpch_tables):
-        from repro.core.sqlbridge import compile_sql
-
         query = compile_sql(
             "SELECT SUM(l_quantity) FROM lineitem WHERE l_discount >= 0.02",
             big_tpch_tables,
@@ -307,3 +322,333 @@ class TestSessionEquivalence:
         )
         assert result.sample_size == 3
         assert result.removal_outputs.shape == (3, 1)
+
+
+def _bits(value: Any) -> Any:
+    """A monoid element/aggregate as comparable bytes (tuples per slot)."""
+    if isinstance(value, tuple):
+        return tuple(_bits(slot) for slot in value)
+    array = np.asarray(value, dtype=float)
+    return (array.shape, array.tobytes())
+
+
+class TestRowStability:
+    """Element i of ``map_batch`` depends on record i alone, bit for bit."""
+
+    def _queries(self, tpch_tables, ml_tables):
+        pairs = _all_queries(tpch_tables, ml_tables)
+        # Non-zero weights: the dot product is no longer 0 * x, so a
+        # shape-dependent BLAS blocking would show.
+        weights = np.random.default_rng(5).normal(size=5)
+        pairs.append(
+            (LinearRegressionQuery(dim=4, initial_weights=weights), ml_tables)
+        )
+        pairs.append(
+            (LogisticRegressionQuery(dim=4, initial_weights=weights),
+             ml_tables)
+        )
+        return pairs
+
+    def test_element_does_not_depend_on_batch(
+        self, big_tpch_tables, big_ml_tables
+    ):
+        for query, tables in self._queries(big_tpch_tables, big_ml_tables):
+            records = tables[query.protected_table][:300]
+            aux = query.build_aux(tables)
+            whole = list(query.iter_batch(query.map_batch(records, aux)))
+            for cut in (1, 7, 64):
+                pieces = [
+                    element
+                    for lo in range(0, len(records), cut)
+                    for element in query.iter_batch(
+                        query.map_batch(records[lo:lo + cut], aux)
+                    )
+                ]
+                assert [_bits(e) for e in pieces] == [
+                    _bits(e) for e in whole
+                ], (query.name, cut)
+            query.validate_monoid(tables)
+
+    def test_validate_monoid_rejects_row_unstable_kernel(
+        self, big_ml_tables
+    ):
+        class GemvRegression(LinearRegressionQuery):
+            """map_batch whose elements feel the size of their batch."""
+
+            def map_batch(self, records, aux):
+                gradients, counts = super().map_batch(records, aux)
+                return (gradients * (1.0 + 1e-15 * len(records)), counts)
+
+        weights = np.random.default_rng(5).normal(size=5)
+        query = GemvRegression(dim=4, initial_weights=weights)
+        with pytest.raises(QueryShapeError, match="row-stable"):
+            query.validate_monoid(big_ml_tables)
+
+
+class _ListQuery(MapReduceQuery):
+    """Generic-list layout: no batch kernel overridden, int elements."""
+
+    name = "ints"
+    protected_table = "t"
+
+    def map_record(self, record, aux):
+        return record["v"]
+
+    def zero(self):
+        return 0
+
+    def combine(self, a, b):
+        return a + b
+
+    def finalize(self, agg, aux):
+        return np.asarray([float(agg)])
+
+
+def _make_batch(layout: str, values: List[int]) -> Any:
+    """``values`` as a batch in one of the three canonical layouts."""
+    if layout == "list":
+        return list(values)
+    array = np.asarray(values, dtype=float)
+    if layout == "array":
+        return array
+    return (array, np.stack([array, -array], axis=1).reshape(-1, 2, 1))
+
+
+class TestBatchStructure:
+    """batch_concat / batch_select / slicing round-trip in every layout."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.sampled_from(["list", "array", "tuple"]),
+        lengths=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_concat_select_round_trip(self, layout, lengths, data):
+        query = _ListQuery()
+        values = list(range(sum(lengths)))
+        parts, start = [], 0
+        for length in lengths:
+            parts.append(_make_batch(layout, values[start:start + length]))
+            start += length
+        whole = query.batch_concat(parts)
+        assert query.batch_length(whole) == len(values)
+        expected = [_bits(e) for e in
+                    query.iter_batch(_make_batch(layout, values))]
+        assert [_bits(e) for e in query.iter_batch(whole)] == expected
+        lo = data.draw(st.integers(0, len(values)))
+        hi = data.draw(st.integers(lo, len(values)))
+        for indices in (range(lo, hi), np.arange(lo, hi)):
+            piece = query.batch_select(whole, indices)
+            assert query.batch_length(piece) == hi - lo
+            assert [_bits(e) for e in query.iter_batch(piece)] \
+                == expected[lo:hi]
+        # Cutting at the part boundaries gives the parts back.
+        start = 0
+        for part, length in zip(parts, lengths):
+            piece = query.batch_select(whole, range(start, start + length))
+            assert [_bits(e) for e in query.iter_batch(piece)] == [
+                _bits(e) for e in query.iter_batch(part)
+            ]
+            start += length
+
+    @pytest.mark.parametrize("layout", ["list", "array", "tuple"])
+    def test_concat_of_one_part_is_the_part(self, layout):
+        part = _make_batch(layout, [3, 1, 2])
+        assert _ListQuery().batch_concat([part]) is part
+
+
+class TestZeroCombinedInFront:
+    """A task's ``zero (+) fold_batch(slice)`` is the slice's scalar fold."""
+
+    def test_negative_zero_and_int_counts_fold_like_the_scalar_path(self):
+        from repro.tpch import query_by_name
+
+        scalar_sum = query_by_name("tpch6")
+        for elements in ([-0.0], [-0.0, -0.0], [-0.0, 2.5], [0.0, -0.0]):
+            batch = np.asarray(elements, dtype=float)
+            assert _bits(
+                scalar_sum.combine(scalar_sum.zero(),
+                                   scalar_sum.fold_batch(batch))
+            ) == _bits(scalar_sum.fold(elements)), elements
+        generic = _ListQuery()
+        assert generic.fold_batch(generic.map_batch([], None)) == 0
+        partial = generic.combine(generic.zero(), generic.fold_batch([2, 3]))
+        assert partial == 5 and isinstance(partial, int)
+        linreg = LinearRegressionQuery(dim=2)
+        mapped = [
+            (np.asarray([-0.0, 1.0, -0.0]), 1),
+            (np.asarray([-0.0, 2.0, 0.0]), 1),
+        ]
+        batch = linreg.batch_stack(mapped)
+        assert _bits(
+            linreg.combine(linreg.zero(), linreg.fold_batch(batch))
+        ) == _bits(linreg.fold(mapped))
+
+
+def _spy_phase2(monkeypatch):
+    """Record, per release, what phase 2 mapped and what its tasks returned.
+
+    Each entry is ``(query, aux, sample, incremental, jobs)`` where
+    ``jobs`` holds the scheduler's per-slice results of the two S'
+    jobs, in partition order.
+    """
+    captured: list = []
+    reduce_phase = UPASession._reduce_phase
+
+    def spy(self, query, aux, sample, rng, remaining_slices=None):
+        scheduler = self.engine.scheduler
+        run_job = scheduler.run_job
+        jobs: list = []
+
+        def recording(rdd, func, partitions=None):
+            results = run_job(rdd, func, partitions)
+            jobs.append(results)
+            return results
+
+        scheduler.run_job = recording
+        try:
+            out = reduce_phase(self, query, aux, sample, rng,
+                               remaining_slices)
+        finally:
+            del scheduler.run_job
+        captured.append(
+            (query, aux, sample, remaining_slices is not None, jobs)
+        )
+        return out
+
+    monkeypatch.setattr(UPASession, "_reduce_phase", spy)
+    return captured
+
+
+def _assert_slices_match_scalar_fold(entry, parts: int) -> None:
+    """Every slice's partial == fold(map_record(r) for r in slice), bitwise."""
+    query, aux, sample, _incremental, jobs = entry
+    assert len(jobs) == 2, query.name
+    for records, partials in zip(sample.remaining, jobs):
+        assert len(partials) == parts
+        total = len(records)
+        for k, partial in enumerate(partials):
+            piece = records[k * total // parts:(k + 1) * total // parts]
+            reference = query.fold(query.map_record(r, aux) for r in piece)
+            assert _bits(partial) == _bits(reference), (query.name, k)
+
+
+def _release(step) -> None:
+    """Run one release; RANGE ENFORCER may dead-end on tiny tables.
+
+    Phase 2 has run (and been recorded) by then, and the incremental
+    state is already refreshed, so the sequence goes on.
+    """
+    try:
+        step()
+    except DPError as exc:
+        assert "RANGE ENFORCER" in str(exc)
+
+
+class TestSlicedPhase2:
+    """R(M(S')) one task per engine slice == the per-record fold, bitwise."""
+
+    PARTS = 3
+
+    @pytest.mark.parametrize("backend", ["inline", "threads", "processes"])
+    @pytest.mark.parametrize("name", [w.name for w in all_workloads()])
+    def test_cold_append_retire_slices_bitwise(
+        self, monkeypatch, name, backend
+    ):
+        # Small blocks: the base spans several, each append grows the
+        # tail block, and retire(20) drops block 0 and cuts block 1.
+        monkeypatch.setattr(session_mod, "_INCR_BLOCK_RECORDS", 16)
+        captured = _spy_phase2(monkeypatch)
+        workload = workload_by_name(name)
+        tables = workload.make_tables(1200, 11)
+        protected = workload.query.protected_table
+        rows = tables[protected]
+        held = max(4, len(rows) // 8)
+        tables[protected] = list(rows[:-held])
+        engine = EngineContext(EngineConfig(
+            backend=backend, max_workers=2, default_parallelism=self.PARTS,
+        ))
+        session = UPASession(
+            UPAConfig(sample_size=12, seed=77, engine_partitions=self.PARTS),
+            engine=engine,
+        )
+        try:
+            _release(lambda: session.run(workload.query, tables))
+            _release(lambda: session.append(rows[-held:-held // 2]))
+            _release(lambda: session.append(rows[-held // 2:]))
+            _release(lambda: session.retire(20))
+        finally:
+            engine.stop()
+        assert [entry[3] for entry in captured] == [False, True, True, True]
+        for entry in captured:
+            _assert_slices_match_scalar_fold(entry, self.PARTS)
+        stats = session._last_incremental
+        assert stats["records_mapped"] + stats["records_reused"] == len(
+            tables[protected]
+        )
+        if workload.query.incremental_safe:
+            assert stats["records_mapped"] == 0  # retire maps nothing
+        assert engine.metrics.get(MetricsRegistry.PROCESS_FALLBACKS) == 0
+
+
+class TestEmptyAndShortSPrime:
+    """|x| <= n leaves S' empty; few records leave some slices empty."""
+
+    def _queries(self, tables, ml_tables):
+        pairs = [(w.query, tables if w.query.protected_table in tables
+                  else ml_tables) for w in all_workloads()]
+        pairs.append((
+            compile_sql(
+                "SELECT SUM(l_quantity) FROM lineitem "
+                "WHERE l_discount >= 0.02",
+                tables, "lineitem",
+                domain_sampler=samplers.random_lineitem,
+            ),
+            tables,
+        ))
+        pairs.append((
+            GroupSliceQuery(
+                "by_flag", "lineitem", "R",
+                lambda r: r["l_returnflag"], None, samplers.random_lineitem,
+            ),
+            tables,
+        ))
+        return pairs
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 5])
+    @pytest.mark.parametrize("spare", [0, 3])
+    def test_slices_and_outputs(
+        self, monkeypatch, big_tpch_tables, big_ml_tables, parts, spare
+    ):
+        captured = _spy_phase2(monkeypatch)
+        sample_size = 25
+        for query, source in self._queries(big_tpch_tables, big_ml_tables):
+            tables = dict(source)
+            tables[query.protected_table] = source[query.protected_table][
+                :sample_size + spare
+            ]
+            size = len(tables[query.protected_table])
+            result = UPASession(UPAConfig(
+                sample_size=sample_size, seed=9, engine_partitions=parts,
+            )).run(query, tables, epsilon=0.5)
+            entry = captured[-1]
+            assert sum(map(len, entry[2].remaining)) == (
+                spare if size > sample_size else 0
+            )
+            _assert_slices_match_scalar_fold(entry, parts)
+            if not spare:
+                # f(x) is then the fold of S alone: 0 (+) 0 (+) fold(S).
+                aux = query.build_aux(tables)
+                assert result.sample_size == size
+                assert _bits(result.plain_output) == _bits(query.finalize(
+                    query.combine(
+                        query.combine(query.zero(), query.zero()),
+                        query.fold_batch(
+                            query.map_batch(entry[2].sampled, aux)
+                        ),
+                    ),
+                    aux,
+                )), query.name
+            assert result.removal_outputs.shape == (
+                result.sample_size, query.output_dim
+            )

@@ -566,7 +566,7 @@ def observed_session():
 
 
 class TestSessionObservability:
-    def test_all_five_phases_traced(self, observed_session):
+    def test_all_phases_traced(self, observed_session):
         _, tracer, _, _, _ = observed_session
         phase_names = [s.name for s in tracer.phase_spans()]
         assert phase_names == list(PHASE_ORDER)
@@ -575,7 +575,24 @@ class TestSessionObservability:
         _, tracer, _, _, _ = observed_session
         run = tracer.find("upa.run")[0]
         for span in tracer.phase_spans():
-            assert span.parent_id == run.span_id
+            if span.name != "phase:enforce":
+                assert span.parent_id == run.span_id
+
+    def test_enforce_nests_under_noise(self, observed_session):
+        session, tracer, _, result, _ = observed_session
+        (noise,) = tracer.find("phase:noise")
+        (enforce,) = tracer.find("phase:enforce")
+        assert enforce.parent_id == noise.span_id
+        assert noise.start <= enforce.start and enforce.end <= noise.end
+        assert enforce.attributes["registry"] == 0
+        assert (enforce.attributes["matched_prior"]
+                == result.enforcement.matched_prior)
+        # phase:map says how much work the engine's slice tasks did.
+        (map_phase,) = tracer.find("phase:map")
+        assert map_phase.attributes["slices"] == (
+            2 * session.config.engine_partitions
+        )
+        assert map_phase.attributes["records"] + result.sample_size == 300
 
     def test_sampling_steps_nest_under_partition_sample(
         self, observed_session
@@ -719,7 +736,7 @@ class TestObservedRun:
             tracer, session.engine.metrics.snapshot(), ledger
         )
         payload = json.loads(observed.render_json())
-        assert len(payload["phases"]) == 5
+        assert len(payload["phases"]) == len(PHASE_ORDER)
         assert payload["ledger"]["totals"]["entries"] == 2
 
     def test_from_artifacts_round_trip(self, tmp_path, observed_session):
@@ -828,7 +845,7 @@ class TestObservabilityCLI:
             "--ledger", str(ledger_path), "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["phases"]) == 5
+        assert len(payload["phases"]) == len(PHASE_ORDER)
 
     def test_report_requires_artifacts(self, capsys):
         assert main(["report"]) == 2
