@@ -1,7 +1,7 @@
 """Digests of everything a release computes, to compare two source trees.
 
-A change that claims "released values unchanged" runs this once per
-tree and compares the outputs::
+A change that claims "released values unchanged", or that a move is
+confined to some fields, runs this once per tree and compares::
 
     PYTHONPATH=/path/to/parent/src python benchmarks/release_digests.py > a.json
     PYTHONPATH=src python benchmarks/release_digests.py --against a.json
@@ -9,12 +9,13 @@ tree and compares the outputs::
 For each of the nine workloads (scale 4000, data seed 11, session seed
 77, n = 200 — the golden seeds) and ``engine_partitions`` 1, 2 and 3 it
 runs one session through a cold ``run``, two ``append``s and a
-``retire`` and hashes the bytes of ``noisy_output``, ``raw_output``,
-``plain_output``, both sensitivities, the inferred range (lower, upper,
-mean, std), the removal and addition outputs and both
-``partition_outputs``.  A release RANGE ENFORCER refuses is recorded as
-``"DPError"`` (it must be refused in both trees).  ``--against`` exits
-1 and names the releases that differ.
+``retire`` and hashes, **one digest per field**, what phase 1 drew
+(``sampled_indices``, ``partition_ids``) and what the release computed
+(the names in ``RESULT_FIELDS``).  A release RANGE ENFORCER refuses has
+``"DPError"`` for every result field (phase 1 ran, so its two fields
+are still digested).  ``--against`` names the releases that differ and
+their fields, counts the identical releases per field, and exits 1 on
+any difference.
 """
 
 from __future__ import annotations
@@ -26,55 +27,83 @@ import sys
 
 import numpy as np
 
+import repro.core.session as session_mod
 from repro.common.errors import DPError
 from repro.core import UPAConfig, UPASession
 from repro.workloads import all_workloads
 
 SCALE, DATA_SEED, SESSION_SEED, SAMPLE_SIZE = 4000, 11, 77, 200
 
+SAMPLE_FIELDS = ("sampled_indices", "partition_ids")
+RESULT_FIELDS = (
+    "plain_output", "removal_outputs", "partition_outputs",
+    "addition_outputs", "inferred_range", "local_sensitivity",
+    "estimated_local_sensitivity", "raw_output", "noisy_output",
+)
 
-def digest(result) -> str:
-    inferred = result.inferred_range
+
+def _digest(*values) -> str:
     h = hashlib.sha256()
-    for value in (
-        result.noisy_output, result.raw_output, result.plain_output,
-        result.local_sensitivity, result.estimated_local_sensitivity,
-        inferred.lower, inferred.upper, inferred.mean, inferred.std,
-        result.removal_outputs, result.addition_outputs,
-        *result.partition_outputs,
-    ):
+    for value in values:
         h.update(np.ascontiguousarray(value, dtype=float).tobytes())
     return h.hexdigest()[:16]
 
 
+def digest(sample, result) -> dict:
+    """Field -> digest of one release (``result`` None: it was refused)."""
+    out = {name: _digest(getattr(sample, name)) for name in SAMPLE_FIELDS}
+    for name in RESULT_FIELDS:
+        if result is None:
+            out[name] = "DPError"
+            continue
+        value = getattr(result, name)
+        if name == "inferred_range":
+            value = (value.lower, value.upper, value.mean, value.std)
+        out[name] = _digest(*(value if isinstance(value, tuple) else (value,)))
+    return out
+
+
 def release_digests() -> dict:
     out = {}
-    for workload in all_workloads():
-        tables = workload.make_tables(SCALE, DATA_SEED)
-        protected = workload.query.protected_table
-        rows = tables[protected]
-        held = max(2, len(rows) // 10)
-        for parts in (1, 2, 3):
-            base = dict(tables)
-            base[protected] = [dict(row) for row in rows[:-held]]
-            session = UPASession(UPAConfig(
-                sample_size=SAMPLE_SIZE, seed=SESSION_SEED,
-                engine_partitions=parts,
-            ))
-            steps = {
-                "cold": lambda: session.run(workload.query, base, 0.5),
-                "append1": lambda: session.append(
-                    [dict(row) for row in rows[-held:-held // 2]], 0.5),
-                "append2": lambda: session.append(
-                    [dict(row) for row in rows[-held // 2:]], 0.5),
-                "retire": lambda: session.retire(max(1, held // 3), 0.5),
-            }
-            for step, release in steps.items():
-                try:
-                    value = digest(release())
-                except DPError:
-                    value = "DPError"
-                out[f"{workload.name}/parts{parts}/{step}"] = value
+    last = {}  # the latest release's PartitionedSample
+    partition_and_sample = session_mod.partition_and_sample
+
+    def recording(*args, **kwargs):
+        last["sample"] = partition_and_sample(*args, **kwargs)
+        return last["sample"]
+
+    session_mod.partition_and_sample = recording
+    try:
+        for workload in all_workloads():
+            tables = workload.make_tables(SCALE, DATA_SEED)
+            protected = workload.query.protected_table
+            rows = tables[protected]
+            held = max(2, len(rows) // 10)
+            for parts in (1, 2, 3):
+                base = dict(tables)
+                base[protected] = [dict(row) for row in rows[:-held]]
+                session = UPASession(UPAConfig(
+                    sample_size=SAMPLE_SIZE, seed=SESSION_SEED,
+                    engine_partitions=parts,
+                ))
+                steps = {
+                    "cold": lambda: session.run(workload.query, base, 0.5),
+                    "append1": lambda: session.append(
+                        [dict(row) for row in rows[-held:-held // 2]], 0.5),
+                    "append2": lambda: session.append(
+                        [dict(row) for row in rows[-held // 2:]], 0.5),
+                    "retire": lambda: session.retire(max(1, held // 3), 0.5),
+                }
+                for step, release in steps.items():
+                    try:
+                        result = release()
+                    except DPError:
+                        result = None
+                    out[f"{workload.name}/parts{parts}/{step}"] = digest(
+                        last["sample"], result
+                    )
+    finally:
+        session_mod.partition_and_sample = partition_and_sample
     return out
 
 
@@ -88,14 +117,20 @@ def main() -> int:
         return 0
     with open(args.against) as handle:
         other = json.load(handle)
-    differing = sorted(
-        key for key in digests.keys() | other.keys()
-        if digests.get(key) != other.get(key)
-    )
-    for key in differing:
-        print(f"differs: {key}: {other.get(key)} -> {digests.get(key)}")
-    print(f"{len(digests) - len(differing)} of {len(digests)} releases "
-          "identical")
+    fields = SAMPLE_FIELDS + RESULT_FIELDS
+    identical = dict.fromkeys(fields, 0)
+    differing = 0
+    for key in sorted(digests.keys() | other.keys()):
+        mine, theirs = digests.get(key, {}), other.get(key, {})
+        moved = [f for f in fields if mine.get(f) != theirs.get(f)]
+        for field in fields:
+            identical[field] += field not in moved
+        if moved:
+            differing += 1
+            print(f"differs: {key}: {', '.join(moved)}")
+    for field in fields:
+        print(f"{field}: {identical[field]} of {len(digests)} identical")
+    print(f"{len(digests) - differing} of {len(digests)} releases identical")
     return 1 if differing else 0
 
 

@@ -105,9 +105,9 @@ def _measure(workload: Workload) -> Dict[str, Any]:
     aux = query.build_aux(tables)
     records = tables[query.protected_table][:N]
     rng = make_rng(SEED, f"bench-neighbours-{workload.name}")
-    extra_records = [
-        query.sample_domain_record(rng, tables) for _ in range(len(records))
-    ]
+    extra_records = list(
+        query.sample_domain_batch(rng, tables, len(records))
+    )
 
     scalar_out = _scalar_neighbours(query, records, extra_records, aux)
     batched_out = _batched_neighbours(query, records, extra_records, aux)

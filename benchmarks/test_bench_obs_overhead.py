@@ -432,9 +432,9 @@ def _measure(name: str) -> Dict[str, Any]:
     aux = query.build_aux(tables)
     records = tables[query.protected_table][:N]
     rng = make_rng(SEED, f"bench-obs-{name}")
-    extra_records = [
-        query.sample_domain_record(rng, tables) for _ in range(len(records))
-    ]
+    extra_records = list(
+        query.sample_domain_batch(rng, tables, len(records))
+    )
 
     # Correctness first: tracing must not perturb outputs.
     bare_out = _neighbours_bare(query, records, extra_records, aux)

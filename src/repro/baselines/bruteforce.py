@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -105,10 +105,7 @@ def _exact_local_sensitivity(
         removal_outputs = np.empty((0, query.output_dim))
 
     rng = make_rng(seed, "bruteforce-additions")
-    added_records: List = [
-        query.sample_domain_record(rng, tables)
-        for _ in range(addition_samples)
-    ]
+    added_records = query.sample_domain_batch(rng, tables, addition_samples)
     if added_records:
         extras = query.map_batch(added_records, aux)
         addition_outputs = np.asarray(

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.common.errors import DPError
 from repro.core.batch import ScalarSumBatch
-from repro.core.query import MapReduceQuery, Row, Tables
+from repro.core.query import MapReduceQuery, Row, Tables, sample_batch
 from repro.core.session import UPAConfig, UPASession
 
 GroupOf = Callable[[Row], Hashable]
@@ -71,6 +71,10 @@ class GroupSliceQuery(ScalarSumBatch, MapReduceQuery):
 
     def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
         return self._domain_sampler(rng, tables)
+
+    def sample_domain_batch(self, rng: random.Random, tables: Tables,
+                            n: int) -> Sequence[Row]:
+        return sample_batch(self._domain_sampler, rng, tables, n)
 
 
 @dataclass

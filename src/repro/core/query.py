@@ -22,12 +22,14 @@ whatever lookup structures the mapper needs from them.
 
 from __future__ import annotations
 
+import functools
 import random
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Sequence
 
 import numpy as np
 
 from repro.common.errors import QueryShapeError
+from repro.engine.columnar import ColumnarPartition
 
 Row = Dict[str, Any]
 Tables = Dict[str, List[Row]]
@@ -67,6 +69,50 @@ def _same_bits(a: Any, b: Any) -> bool:
         a, b = a.astype(float), b.astype(float)
         return a.shape == b.shape and a.tobytes() == b.tobytes()
     return bool(np.array_equal(a, b))
+
+
+class BatchSampler:
+    """A domain sampler defined once, column-wise.
+
+    Wraps ``columns(gen, context, n) -> {column: n values}``, where
+    ``gen`` is a :class:`numpy.random.Generator` and ``context`` is
+    whatever the sampler draws against (the tables, a dataset config).
+    The wrapper is the plain per-record callable ``(rng, context) ->
+    Row`` that ``domain_sampler=`` arguments take, and carries the
+    batch form on the same object: ``batch(rng, context, n)`` seeds one
+    generator with a single draw from the run's ``random.Random`` and
+    returns the columns as a :class:`ColumnarPartition`, so a batch is
+    a pure function of (rng state, context, n) and the one-row call is
+    its ``n = 1`` case.  *Which* values a batch takes is not pinned
+    across versions (DESIGN.md section 5, item 7).
+    """
+
+    def __init__(
+        self,
+        columns: Callable[[np.random.Generator, Any, int], Dict[str, Any]],
+    ):
+        self._columns = columns
+        functools.update_wrapper(self, columns)
+
+    def batch(self, rng: random.Random, context: Any,
+              n: int) -> ColumnarPartition:
+        gen = np.random.default_rng(rng.getrandbits(64))
+        return ColumnarPartition(self._columns(gen, context, n), length=n)
+
+    def __call__(self, rng: random.Random, context: Any) -> Row:
+        return self.batch(rng, context, 1).row(0)
+
+    def __reduce__(self) -> str:
+        # By name, like the module-level function it wraps.
+        return self.__qualname__
+
+
+def sample_batch(sampler: Callable[[random.Random, Any], Row],
+                 rng: random.Random, context: Any, n: int) -> Sequence[Row]:
+    """``n`` draws of a per-record sampler: its batch form if it has one."""
+    if isinstance(sampler, BatchSampler):
+        return sampler.batch(rng, context, n)
+    return [sampler(rng, context) for _ in range(n)]
 
 
 class QueryOutput:
@@ -310,6 +356,17 @@ class MapReduceQuery:
     def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
         """A plausible new record of the protected table (for +1 neighbours)."""
         raise NotImplementedError
+
+    def sample_domain_batch(self, rng: random.Random, tables: Tables,
+                            n: int) -> Sequence[Row]:
+        """The ``n`` domain records of one release (S-bar), as a row batch.
+
+        Called once per release.  Any row batch ``map_batch`` accepts
+        will do; queries over a :class:`BatchSampler` return its
+        columns, everything else gets one ``sample_domain_record`` call
+        per record.
+        """
+        return sample_batch(self.sample_domain_record, rng, tables, n)
 
     # ------------------------------------------------------------------
     # Driver-side helpers (used by baselines and tests)

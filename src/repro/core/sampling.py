@@ -9,7 +9,7 @@ untouched partition.
 From the partitioned records UPA uniformly samples ``n`` *differing
 records* S (the records whose removal is simulated); the rest is S'.
 It also samples ``n`` records from the domain D that are *not* in x
-(via the query's ``sample_domain_record``) for the "+1 record"
+(one ``sample_domain_batch`` call on the query) for the "+1 record"
 neighbours.
 """
 
@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.common.errors import DPError
 from repro.core.query import MapReduceQuery, Row, Tables
+from repro.engine.columnar import ColumnarPartition
 from repro.obs.tracing import NULL_TRACER, Tracer
 
 # Content hashing.  A record's fingerprint is a pure function of its
@@ -194,24 +195,25 @@ class PartitionedSample:
     """Output of Partition & Sample.
 
     Attributes:
+        records: the protected table the sample was drawn from.
         sampled: the n differing records S (in sample order).
         sampled_partitions: partition id of each sampled record.
-        remaining: S' = x \\ S, per partition, original order preserved.
-        domain_samples: n records from D but not in x.
+        domain_samples: n records from D but not in x, as the row batch
+            the query's ``sample_domain_batch`` returned.
         partition_ids: partition id of *every* record, in table order
             (a uint8 array).  Partitioning is content-hashed and records
             are immutable within the session contract, so the
             incremental path caches it across runs and only hashes
             appended records.
         sampled_indices: table-order indices of the sampled records.
-        remaining_indices: table-order indices of ``remaining``, per
+        remaining_indices: table-order indices of S' = x \\ S, per
             partition.
     """
 
+    records: Sequence[Row]
     sampled: List[Row]
     sampled_partitions: List[int]
-    remaining: Tuple[List[Row], List[Row]]
-    domain_samples: List[Row]
+    domain_samples: Sequence[Row]
     partition_ids: np.ndarray
     sampled_indices: List[int]
     remaining_indices: Tuple[np.ndarray, np.ndarray]
@@ -221,17 +223,28 @@ class PartitionedSample:
         return len(self.sampled)
 
     @cached_property
+    def remaining(self) -> Tuple[List[Row], List[Row]]:
+        """S' = x \\ S, per partition, original order preserved.
+
+        Taken on first access: an incremental release folds cached
+        blocks by ``remaining_indices`` and never reads the rows.
+        """
+        records = self.records
+        return tuple(
+            [records[i] for i in indices.tolist()]
+            for indices in self.remaining_indices
+        )
+
+    @cached_property
     def partitions(self) -> Tuple[List[Row], List[Row]]:
         """Records of x1 and x2, original order preserved.
 
         Nothing in the pipeline reads it (S and S' are what the phases
-        consume), so it is merged back from them on first access.
+        consume).
         """
-        rows = dict(zip(self.sampled_indices, self.sampled))
-        for indices, part in zip(self.remaining_indices, self.remaining):
-            rows.update(zip(indices.tolist(), part))
+        records, ids = self.records, self.partition_ids
         return tuple(
-            [rows[i] for i in np.flatnonzero(self.partition_ids == p).tolist()]
+            [records[i] for i in np.flatnonzero(ids == p).tolist()]
             for p in (0, 1)
         )
 
@@ -282,19 +295,16 @@ def partition_and_sample(
         remaining_indices = tuple(
             np.flatnonzero(unsampled & (partition_ids == p)) for p in (0, 1)
         )
-        remaining = tuple(
-            [records[i] for i in indices.tolist()]
-            for indices in remaining_indices
-        )
 
-    with tracer.span("sampling.domain_sample"):
-        domain_samples = [
-            query.sample_domain_record(rng, tables) for _ in range(n)
-        ]
+    with tracer.span("sampling.domain_sample", records=n) as span:
+        domain_samples = query.sample_domain_batch(rng, tables, n)
+        span.set_attribute(
+            "batched", isinstance(domain_samples, ColumnarPartition)
+        )
     return PartitionedSample(
+        records=records,
         sampled=sampled,
         sampled_partitions=sampled_parts,
-        remaining=remaining,
         domain_samples=domain_samples,
         partition_ids=partition_ids,
         sampled_indices=sampled_indices,

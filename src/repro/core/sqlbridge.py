@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.common.errors import QueryShapeError
 from repro.core.batch import ScalarSumBatch
-from repro.core.query import MapReduceQuery, Row, Tables
+from repro.core.query import MapReduceQuery, Row, Tables, sample_batch
 from repro.engine.metrics import MetricsRegistry
 from repro.sql.compiler import (
     compile_expression,
@@ -397,14 +397,21 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
     def finalize(self, agg: float, aux: Any) -> np.ndarray:
         return np.asarray([float(agg)], dtype=float)
 
-    def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
+    def _sampler(self) -> DomainSampler:
         if self._domain_sampler is None:
             raise QueryShapeError(
                 f"query {self.name!r} has no domain sampler; pass "
                 "domain_sampler= to compile_plan/compile_sql to enable "
                 "'+1 record' neighbours"
             )
-        return self._domain_sampler(rng, tables)
+        return self._domain_sampler
+
+    def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
+        return self._sampler()(rng, tables)
+
+    def sample_domain_batch(self, rng: random.Random, tables: Tables,
+                            n: int) -> Sequence[Row]:
+        return sample_batch(self._sampler(), rng, tables, n)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ one heap-allocated ``dict`` per record, one boxed object per field.
   (``'d'``/``'q'``/``'b'``) by default, promoted to numpy arrays when
   numpy is importable (``numpy_column`` is then zero-copy);
 * everything else (dates, strings, None-bearing columns) stays in a
-  plain object list;
+  plain object list; a 2-D numpy buffer is a column of fixed-width
+  vectors, boxed as one tuple per row;
 * ``slice()`` is zero-copy for numpy-backed columns (views) and
   buffer-protocol cheap for ``array`` columns (``memoryview`` slices);
 * the row adapters (``iter_rows`` / ``__iter__`` / ``__getitem__``)
@@ -256,9 +257,9 @@ class ColumnarPartition:
     def iter_rows(self) -> Iterator[Row]:
         """Yield dict rows; the adapter row-oriented operators consume."""
         names = self.names
-        columns = [self._columns[n] for n in names]
+        columns = [_python_values(self._columns[n]) for n in names]
         for values in zip(*columns):
-            yield dict(zip(names, (_unbox(v) for v in values)))
+            yield dict(zip(names, values))
         if not names:  # zero columns still yields len() empty rows
             for _ in range(self._length):
                 yield {}
@@ -272,7 +273,8 @@ class ColumnarPartition:
         if not 0 <= index < self._length:
             raise IndexError(index)
         return {
-            name: _unbox(self._columns[name][index]) for name in self.names
+            name: _python_values(self._columns[name][index:index + 1])[0]
+            for name in self.names
         }
 
     # ------------------------------------------------------------------
@@ -320,11 +322,16 @@ class ColumnarPartition:
         )
 
 
-def _unbox(value: Any) -> Any:
-    """Convert numpy scalars back to Python numbers when boxing rows."""
-    if _np is not None and isinstance(value, _np.generic):
-        return value.item()
-    return value
+def _python_values(buf: Any) -> Any:
+    """A column's values as the Python objects rows are boxed from.
+
+    numpy scalars become Python numbers (one ``tolist`` per column, not
+    one ``item`` per value); a row of a 2-D column becomes a tuple.
+    """
+    if _np is not None and isinstance(buf, _np.ndarray):
+        values = buf.tolist()
+        return list(map(tuple, values)) if buf.ndim > 1 else values
+    return buf
 
 
 def _rebuild_partition(columns, length, names, version=0):

@@ -15,7 +15,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.common.rng import make_numpy_rng
-from repro.core.query import Row, Tables
+from repro.core.query import BatchSampler, Row, Tables
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,15 @@ def make_life_science_tables(config: LifeScienceConfig) -> Tables:
     return {"points": rows}
 
 
-def domain_point(rng, config: LifeScienceConfig) -> Row:
-    """A fresh record from the same domain (for +1 neighbours).
+@BatchSampler
+def domain_point(gen: np.random.Generator, config: LifeScienceConfig,
+                 n: int) -> Dict[str, np.ndarray]:
+    """Fresh records from the same domain (for +1 neighbours).
 
-    Uses plain :mod:`random` (the sampler interface passes a
-    random.Random), drawing from the bounding box of the mixture.
+    Uniform over the bounding box of the mixture; ``features`` is one
+    ``(n, dim)`` column, which the mining kernels read without boxing.
     """
-    point = [rng.uniform(-13.0, 13.0) for _ in range(config.dim)]
-    label = rng.uniform(-40.0, 40.0)
-    return {"features": tuple(point), "label": label}
+    return {
+        "features": gen.uniform(-13.0, 13.0, size=(n, config.dim)),
+        "label": gen.uniform(-40.0, 40.0, size=n),
+    }

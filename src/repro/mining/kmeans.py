@@ -21,7 +21,7 @@ from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import leave_one_out, sequential_sum
+from repro.core.batch import column_values, leave_one_out, sequential_sum
 from repro.core.query import MapReduceQuery, Row, Tables
 from repro.mining.datasets import LifeScienceConfig, domain_point
 
@@ -120,7 +120,7 @@ class KMeansQuery(MapReduceQuery):
         sums = np.zeros((n, self.num_clusters, self.dim))
         if n == 0:
             return (counts, sums)
-        points = np.asarray([r["features"] for r in records], dtype=float)
+        points = column_values(records, "features")
         diffs = points[:, None, :] - np.asarray(aux, dtype=float)[None, :, :]
         distances = np.sqrt(np.sum(diffs * diffs, axis=-1))
         nearest = np.argmin(distances, axis=1)
@@ -162,6 +162,10 @@ class KMeansQuery(MapReduceQuery):
 
     def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
         return domain_point(rng, self._dataset_config)
+
+    def sample_domain_batch(self, rng: random.Random, tables: Tables,
+                            n: int) -> Sequence[Row]:
+        return domain_point.batch(rng, self._dataset_config, n)
 
     # -- convenience: full clustering loop ----------------------------------
 

@@ -21,14 +21,19 @@ from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import leave_one_out, sequential_dot, sequential_sum
+from repro.core.batch import (
+    column_values,
+    leave_one_out,
+    sequential_dot,
+    sequential_sum,
+)
 from repro.core.query import MapReduceQuery, Row, Tables
 from repro.mining.datasets import LifeScienceConfig, domain_point
 
 
 def extended_features(records: Sequence[Row]) -> np.ndarray:
     """Stack records' feature vectors with the bias column appended."""
-    features = np.asarray([r["features"] for r in records], dtype=float)
+    features = column_values(records, "features")
     return np.concatenate([features, np.ones((len(records), 1))], axis=1)
 
 
@@ -91,7 +96,7 @@ class LinearRegressionQuery(MapReduceQuery):
         if not records:
             return (np.zeros((0, self.output_dim)), np.zeros(0))
         extended = extended_features(records)
-        labels = np.asarray([r["label"] for r in records], dtype=float)
+        labels = column_values(records, "label")
         residuals = (
             sequential_dot(extended, np.asarray(aux, dtype=float)) - labels
         )
@@ -136,6 +141,10 @@ class LinearRegressionQuery(MapReduceQuery):
 
     def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
         return domain_point(rng, self._dataset_config)
+
+    def sample_domain_batch(self, rng: random.Random, tables: Tables,
+                            n: int) -> Sequence[Row]:
+        return domain_point.batch(rng, self._dataset_config, n)
 
     # -- convenience: full (non-private) training loop ---------------------
 

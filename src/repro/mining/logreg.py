@@ -14,7 +14,12 @@ from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import leave_one_out, sequential_dot, sequential_sum
+from repro.core.batch import (
+    column_values,
+    leave_one_out,
+    sequential_dot,
+    sequential_sum,
+)
 from repro.core.query import MapReduceQuery, Row, Tables
 from repro.mining.datasets import LifeScienceConfig, domain_point
 from repro.mining.linreg import extended_features
@@ -106,9 +111,9 @@ class LogisticRegressionQuery(MapReduceQuery):
         predictions = _sigmoid_batch(
             sequential_dot(extended, np.asarray(aux, dtype=float))
         )
-        targets = np.asarray(
-            [self._target(r) for r in records], dtype=float
-        )
+        targets = (
+            column_values(records, "label") > self.label_threshold
+        ).astype(float)
         return ((predictions - targets)[:, None] * extended,
                 np.ones(len(records)))
 
@@ -151,6 +156,10 @@ class LogisticRegressionQuery(MapReduceQuery):
 
     def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
         return domain_point(rng, self._dataset_config)
+
+    def sample_domain_batch(self, rng: random.Random, tables: Tables,
+                            n: int) -> Sequence[Row]:
+        return domain_point.batch(rng, self._dataset_config, n)
 
     # -- reference training / metrics ---------------------------------------
 

@@ -35,6 +35,10 @@ PHASE_ORDER = (
     "phase:enforce",
 )
 
+#: the child of ``phase:partition_sample`` that draws S-bar; its
+#: ``records`` / ``batched`` attributes get their own report line.
+DOMAIN_SAMPLE_SPAN = "sampling.domain_sample"
+
 #: PHASE_ORDER plus optional phases that only some runs emit
 #: (``phase:incremental_delta`` appears on append/retire releases);
 #: used to sort phase tables without changing the cold-run contract.
@@ -167,6 +171,9 @@ class ObservedRun:
     #: reloaded from a ``--timeseries`` JSONL artifact. None when the
     #: run was not sampled.
     timeseries: Optional[Any] = None
+    #: attributes of every ``sampling.domain_sample`` span: how many
+    #: S-bar records each release drew, and whether as one column batch.
+    domain_sampling: List[Dict[str, Any]] = field(default_factory=list)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -181,10 +188,14 @@ class ObservedRun:
     ) -> "ObservedRun":
         header: Dict[str, Any] = {}
         durations: List[Tuple[str, float]] = []
+        domain_sampling: List[Dict[str, Any]] = []
         if tracer is not None:
             header.update(tracer.header)
             spans = sorted(tracer.spans(), key=lambda s: s.start)
             durations = [(s.name, s.duration) for s in spans]
+            domain_sampling = [
+                s.attributes for s in spans if s.name == DOMAIN_SAMPLE_SPAN
+            ]
         entries: List[LedgerEntry] = []
         totals: Dict[str, float] = {}
         if ledger is not None:
@@ -203,7 +214,7 @@ class ObservedRun:
 
             workers = worker_table(metrics)
         return cls(header, durations, metrics, entries, totals,
-                   alerts, profile, workers, timeseries)
+                   alerts, profile, workers, timeseries, domain_sampling)
 
     @classmethod
     def from_artifacts(
@@ -215,6 +226,7 @@ class ObservedRun:
     ) -> "ObservedRun":
         header: Dict[str, Any] = {}
         durations: List[Tuple[str, float]] = []
+        domain_sampling: List[Dict[str, Any]] = []
         workers: List[Dict[str, Any]] = []
         if trace_path is not None:
             with open(trace_path, "r", encoding="utf-8") as handle:
@@ -227,6 +239,10 @@ class ObservedRun:
             )
             durations = [
                 (e["name"], float(e.get("dur", 0.0)) / 1e6) for e in events
+            ]
+            domain_sampling = [
+                e.get("args") or {} for e in events
+                if e["name"] == DOMAIN_SAMPLE_SPAN
             ]
             workers = _workers_from_trace_events(events)
         entries: List[LedgerEntry] = []
@@ -256,7 +272,7 @@ class ObservedRun:
             for key, value in timeseries.header.items():
                 header.setdefault(key, value)
         return cls(header, durations, None, entries, totals,
-                   alerts, profile, workers, timeseries)
+                   alerts, profile, workers, timeseries, domain_sampling)
 
     # -- breakdowns ---------------------------------------------------
     def phase_stats(self) -> List[SpanStat]:
@@ -325,12 +341,22 @@ class ObservedRun:
             })
         return rows
 
+    def domain_sampling_summary(self) -> Dict[str, int]:
+        """Releases traced, S-bar records drawn, releases that batched."""
+        drawn = self.domain_sampling
+        return {
+            "releases": len(drawn),
+            "records": sum(int(a.get("records", 0)) for a in drawn),
+            "batched": sum(1 for a in drawn if a.get("batched")),
+        }
+
     # -- rendering ----------------------------------------------------
     def to_dict(self) -> dict:
         return {
             "header": dict(self.header),
             "phases": [s.to_dict() for s in self.phase_stats()],
             "spans": [s.to_dict() for s in self.span_stats()],
+            "domain_sampling": self.domain_sampling_summary(),
             "metrics": self.metrics.to_dict() if self.metrics else None,
             "ledger": {
                 "totals": dict(self.ledger_totals),
@@ -383,6 +409,13 @@ class ObservedRun:
         if other:
             sections.append(
                 "other spans:\n" + format_table(headers, _stat_rows(other))
+            )
+        if self.domain_sampling:
+            drawn = self.domain_sampling_summary()
+            sections.append(
+                f"domain sampling: {drawn['records']} S-bar records over "
+                f"{drawn['releases']} releases, {drawn['batched']} of them "
+                "as one column batch"
             )
         counters = self.counter_values()
         if counters:

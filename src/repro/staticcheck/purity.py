@@ -211,8 +211,9 @@ def _check_nondeterminism(src: _MethodSource) -> Iterable[Diagnostic]:
                 file=src.file,
                 line=src.line_of(node),
                 obj=src.owner_name,
-                hint="move randomness to sample_domain_record() or "
-                "inject it through the dataset, never the monoid",
+                hint="move randomness to sample_domain_record() / "
+                "sample_domain_batch() or inject it through the dataset, "
+                "never the monoid",
                 pass_name=PASS,
             )
 

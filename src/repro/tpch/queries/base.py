@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import datetime
 import random
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.batch import ScalarSumBatch
-from repro.core.query import MapReduceQuery, Row, Tables
+from repro.core.query import BatchSampler, MapReduceQuery, Row, Tables
 from repro.tpch.datagen import NATION_NAMES, PRIORITIES, SHIPMODES
 
 
@@ -25,11 +25,14 @@ class TPCHQuery(ScalarSumBatch, MapReduceQuery):
         query_type: 'count' or 'arithmetic' (Table II).
         flex_supported: whether FLEX's static analysis applies
             (count-type queries only).
+        domain_sampler: the protected table's sampler (one of the
+            ``random_*`` below), for the "+1 record" neighbours.
     """
 
     query_type: str = "count"
     flex_supported: bool = True
     output_dim = 1
+    domain_sampler: BatchSampler
 
     def sql_text(self) -> str:
         """The query as SQL text for :meth:`repro.sql.SQLSession.sql`."""
@@ -50,122 +53,162 @@ class TPCHQuery(ScalarSumBatch, MapReduceQuery):
     def finalize(self, agg: float, aux: Any) -> np.ndarray:
         return np.asarray([float(agg)], dtype=float)
 
+    def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
+        return self.domain_sampler(rng, tables)
 
-_MAX_KEY_CACHE: Dict[tuple, int] = {}
+    def sample_domain_batch(self, rng: random.Random, tables: Tables,
+                            n: int) -> Sequence[Row]:
+        return self.domain_sampler.batch(rng, tables, n)
+
+
+# Domain samplers: n plausible new rows of one table, column by column.
+# Integer and float columns are numpy arrays, the rest plain lists, so
+# a batch boxes into rows with the table's own value types.
 
 
 def max_key(rows: List[Row], column: str, default: int = 0) -> int:
-    """Largest value of an integer key column (for fresh-key sampling).
-
-    Memoized per (table identity, length, column) — domain samplers call
-    this once per sampled record, and the table does not change during
-    a run.
-    """
-    if not rows:
-        return default
-    cache_key = (id(rows), len(rows), column)
-    cached = _MAX_KEY_CACHE.get(cache_key)
-    if cached is None:
-        cached = max(row[column] for row in rows)
-        if len(_MAX_KEY_CACHE) > 4096:
-            _MAX_KEY_CACHE.clear()
-        _MAX_KEY_CACHE[cache_key] = cached
-    return cached
+    """Largest value of an integer key column (``default`` if no rows)."""
+    return max((row[column] for row in rows), default=default)
 
 
-def random_lineitem(rng: random.Random, tables: Tables) -> Row:
-    """A plausible new lineitem row (attached to an existing order)."""
-    orders = tables["orders"]
-    order = orders[rng.randrange(len(orders))] if orders else {"o_orderkey": 1}
-    base = order.get("o_orderdate", datetime.date(1995, 6, 1))
-    ship = base + datetime.timedelta(days=rng.randrange(1, 121))
-    quantity = float(rng.randrange(1, 51))
-    n_parts = max_key(tables.get("part", []), "p_partkey", 100)
-    n_suppliers = max_key(tables.get("supplier", []), "s_suppkey", 20)
+def _existing_keys(gen: np.random.Generator, tables: Tables, table: str,
+                   column: str, default: int, n: int) -> np.ndarray:
+    """Keys uniform on 1..max of ``table.column`` (1..default if absent)."""
+    return 1 + gen.integers(
+        max_key(tables.get(table, []), column, default), size=n
+    )
+
+
+def _fresh_keys(gen: np.random.Generator, rows: List[Row], column: str,
+                n: int) -> np.ndarray:
+    """Keys above every key in ``rows``, so nothing references them."""
+    return max_key(rows, column) + 1 + gen.integers(1000, size=n)
+
+
+def _choices(gen: np.random.Generator, options: Sequence[Any],
+             n: int) -> List[Any]:
+    return [options[i] for i in gen.integers(len(options), size=n).tolist()]
+
+
+def _dates(ordinals: np.ndarray) -> List[datetime.date]:
+    return list(map(datetime.date.fromordinal, ordinals.tolist()))
+
+
+@BatchSampler
+def random_lineitem(gen: np.random.Generator, tables: Tables,
+                    n: int) -> Dict[str, Any]:
+    """Plausible new lineitem rows (each attached to an existing order)."""
+    orders = tables["orders"] or [{"o_orderkey": 1}]
+    picked = [orders[i] for i in gen.integers(len(orders), size=n).tolist()]
+    default_date = datetime.date(1995, 6, 1)
+    base = np.fromiter(
+        (o.get("o_orderdate", default_date).toordinal() for o in picked),
+        dtype=np.int64, count=n,
+    )
+    ship = base + gen.integers(1, 121, size=n)
+    quantity = gen.integers(1, 51, size=n).astype(float)
     return {
-        "l_orderkey": order["o_orderkey"],
-        "l_linenumber": 999,
-        "l_partkey": 1 + rng.randrange(n_parts),
-        "l_suppkey": 1 + rng.randrange(n_suppliers),
+        "l_orderkey": np.fromiter(
+            (o["o_orderkey"] for o in picked), dtype=np.int64, count=n
+        ),
+        "l_linenumber": np.full(n, 999),
+        "l_partkey": _existing_keys(gen, tables, "part", "p_partkey", 100, n),
+        "l_suppkey": _existing_keys(
+            gen, tables, "supplier", "s_suppkey", 20, n
+        ),
         "l_quantity": quantity,
-        "l_extendedprice": round(quantity * rng.uniform(900.0, 1100.0), 2),
-        "l_discount": round(rng.randrange(0, 11) / 100.0, 2),
-        "l_tax": round(rng.randrange(0, 9) / 100.0, 2),
-        "l_returnflag": rng.choice(["A", "N", "R"]),
-        "l_linestatus": rng.choice(["F", "O"]),
-        "l_shipdate": ship,
-        "l_commitdate": base + datetime.timedelta(days=rng.randrange(60, 151)),
-        "l_receiptdate": ship + datetime.timedelta(days=rng.randrange(1, 31)),
-        "l_shipmode": rng.choice(SHIPMODES),
-    }
-
-
-def random_order(rng: random.Random, tables: Tables) -> Row:
-    """A new order with a fresh orderkey (so it has no lineitems)."""
-    n_customers = max_key(tables.get("customer", []), "c_custkey", 100)
-    start = datetime.date(1992, 1, 1)
-    special = rng.random() < 0.15
-    return {
-        "o_orderkey": max_key(tables["orders"], "o_orderkey") + 1 + rng.randrange(1000),
-        "o_custkey": 1 + rng.randrange(n_customers),
-        "o_orderstatus": rng.choice(["F", "F", "O", "P"]),
-        "o_orderdate": start + datetime.timedelta(days=rng.randrange(2557)),
-        "o_orderpriority": rng.choice(PRIORITIES),
-        "o_comment": (
-            "was told to expedite the special packages and requests"
-            if special
-            else "ordinary pending packages sleep furiously"
+        "l_extendedprice": np.round(
+            quantity * gen.uniform(900.0, 1100.0, size=n), 2
         ),
+        "l_discount": gen.integers(0, 11, size=n) / 100.0,
+        "l_tax": gen.integers(0, 9, size=n) / 100.0,
+        "l_returnflag": _choices(gen, ["A", "N", "R"], n),
+        "l_linestatus": _choices(gen, ["F", "O"], n),
+        "l_shipdate": _dates(ship),
+        "l_commitdate": _dates(base + gen.integers(60, 151, size=n)),
+        "l_receiptdate": _dates(ship + gen.integers(1, 31, size=n)),
+        "l_shipmode": _choices(gen, SHIPMODES, n),
     }
 
 
-def random_customer(rng: random.Random, tables: Tables) -> Row:
-    """A new customer with a fresh custkey (so it has no orders)."""
-    key = max_key(tables["customer"], "c_custkey") + 1 + rng.randrange(1000)
+@BatchSampler
+def random_order(gen: np.random.Generator, tables: Tables,
+                 n: int) -> Dict[str, Any]:
+    """New orders with fresh orderkeys (so they have no lineitems)."""
+    start = datetime.date(1992, 1, 1).toordinal()
     return {
-        "c_custkey": key,
-        "c_name": f"Customer#{key:09d}",
-        "c_nationkey": rng.randrange(len(NATION_NAMES)),
-        "c_mktsegment": "BUILDING",
-    }
-
-
-def random_part(rng: random.Random, tables: Tables) -> Row:
-    """A new part with a fresh partkey (so it has no partsupp rows)."""
-    key = max_key(tables["part"], "p_partkey") + 1 + rng.randrange(1000)
-    return {
-        "p_partkey": key,
-        "p_name": f"part {key}",
-        "p_brand": f"Brand#{rng.randrange(1, 6)}{rng.randrange(1, 6)}",
-        "p_type": "STANDARD ANODIZED TIN",
-        "p_size": rng.randrange(1, 51),
-    }
-
-
-def random_partsupp(rng: random.Random, tables: Tables) -> Row:
-    """A new partsupp row over existing part/supplier keys."""
-    n_parts = max_key(tables.get("part", []), "p_partkey", 100)
-    n_suppliers = max_key(tables.get("supplier", []), "s_suppkey", 20)
-    return {
-        "ps_partkey": 1 + rng.randrange(n_parts),
-        "ps_suppkey": 1 + rng.randrange(n_suppliers),
-        "ps_availqty": rng.randrange(1, 10_000),
-        "ps_supplycost": round(rng.uniform(1.0, 1000.0), 2),
-    }
-
-
-def random_supplier(rng: random.Random, tables: Tables) -> Row:
-    """A new supplier with a fresh suppkey (so it has no lineitems)."""
-    key = max_key(tables["supplier"], "s_suppkey") + 1 + rng.randrange(1000)
-    complaint = rng.random() < 0.05
-    return {
-        "s_suppkey": key,
-        "s_name": f"Supplier#{key:09d}",
-        "s_nationkey": rng.randrange(len(NATION_NAMES)),
-        "s_acctbal": round(rng.uniform(-999.99, 9999.99), 2),
-        "s_comment": (
-            "slow delivery: Customer unhappy Complaints pending"
-            if complaint
-            else "dependable deliveries, quiet accounts"
+        "o_orderkey": _fresh_keys(gen, tables["orders"], "o_orderkey", n),
+        "o_custkey": _existing_keys(
+            gen, tables, "customer", "c_custkey", 100, n
         ),
+        "o_orderstatus": _choices(gen, ["F", "F", "O", "P"], n),
+        "o_orderdate": _dates(start + gen.integers(2557, size=n)),
+        "o_orderpriority": _choices(gen, PRIORITIES, n),
+        "o_comment": np.where(
+            gen.random(n) < 0.15,
+            "was told to expedite the special packages and requests",
+            "ordinary pending packages sleep furiously",
+        ).tolist(),
+    }
+
+
+@BatchSampler
+def random_customer(gen: np.random.Generator, tables: Tables,
+                    n: int) -> Dict[str, Any]:
+    """New customers with fresh custkeys (so they have no orders)."""
+    keys = _fresh_keys(gen, tables["customer"], "c_custkey", n)
+    return {
+        "c_custkey": keys,
+        "c_name": [f"Customer#{key:09d}" for key in keys.tolist()],
+        "c_nationkey": gen.integers(len(NATION_NAMES), size=n),
+        "c_mktsegment": ["BUILDING"] * n,
+    }
+
+
+@BatchSampler
+def random_part(gen: np.random.Generator, tables: Tables,
+                n: int) -> Dict[str, Any]:
+    """New parts with fresh partkeys (so they have no partsupp rows)."""
+    keys = _fresh_keys(gen, tables["part"], "p_partkey", n)
+    return {
+        "p_partkey": keys,
+        "p_name": [f"part {key}" for key in keys.tolist()],
+        "p_brand": [
+            f"Brand#{a}{b}"
+            for a, b in gen.integers(1, 6, size=(n, 2)).tolist()
+        ],
+        "p_type": ["STANDARD ANODIZED TIN"] * n,
+        "p_size": gen.integers(1, 51, size=n),
+    }
+
+
+@BatchSampler
+def random_partsupp(gen: np.random.Generator, tables: Tables,
+                    n: int) -> Dict[str, Any]:
+    """New partsupp rows over existing part/supplier keys."""
+    return {
+        "ps_partkey": _existing_keys(gen, tables, "part", "p_partkey", 100, n),
+        "ps_suppkey": _existing_keys(
+            gen, tables, "supplier", "s_suppkey", 20, n
+        ),
+        "ps_availqty": gen.integers(1, 10_000, size=n),
+        "ps_supplycost": np.round(gen.uniform(1.0, 1000.0, size=n), 2),
+    }
+
+
+@BatchSampler
+def random_supplier(gen: np.random.Generator, tables: Tables,
+                    n: int) -> Dict[str, Any]:
+    """New suppliers with fresh suppkeys (so they have no lineitems)."""
+    keys = _fresh_keys(gen, tables["supplier"], "s_suppkey", n)
+    return {
+        "s_suppkey": keys,
+        "s_name": [f"Supplier#{key:09d}" for key in keys.tolist()],
+        "s_nationkey": gen.integers(len(NATION_NAMES), size=n),
+        "s_acctbal": np.round(gen.uniform(-999.99, 9999.99, size=n), 2),
+        "s_comment": np.where(
+            gen.random(n) < 0.05,
+            "slow delivery: Customer unhappy Complaints pending",
+            "dependable deliveries, quiet accounts",
+        ).tolist(),
     }

@@ -18,7 +18,6 @@ scalar forms of the official queries:
 from __future__ import annotations
 
 import datetime
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Set
@@ -47,6 +46,7 @@ class Q12(TPCHQuery):
 
     name = "tpch12"
     protected_table = "orders"
+    domain_sampler = random_order
     query_type = "count"
     flex_supported = False  # SUM(CASE ...) is outside FLEX's fragment
 
@@ -92,9 +92,6 @@ class Q12(TPCHQuery):
             return 0.0
         return float(aux.qualifying_lineitems.get(record["o_orderkey"], 0))
 
-    def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
-        return random_order(rng, tables)
-
 
 @dataclass
 class _Q14Aux:
@@ -106,6 +103,7 @@ class Q14(TPCHQuery):
 
     name = "tpch14"
     protected_table = "lineitem"
+    domain_sampler = random_lineitem
     query_type = "arithmetic"
     flex_supported = False
 
@@ -151,9 +149,6 @@ class Q14(TPCHQuery):
         if record["l_partkey"] not in aux.promo_partkeys:
             return 0.0
         return record["l_extendedprice"] * (1 - record["l_discount"])
-
-    def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
-        return random_lineitem(rng, tables)
 
 
 def extension_queries():

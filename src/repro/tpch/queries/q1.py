@@ -7,7 +7,6 @@ UPA's only error is distribution-fit noise.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Sequence
 
 import numpy as np
@@ -22,6 +21,7 @@ class Q1(TPCHQuery):
 
     name = "tpch1"
     protected_table = "lineitem"
+    domain_sampler = random_lineitem
     query_type = "count"
     flex_supported = True
 
@@ -39,6 +39,3 @@ class Q1(TPCHQuery):
 
     def map_batch(self, records: Sequence[Row], aux: Any) -> np.ndarray:
         return np.ones(len(records), dtype=float)
-
-    def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
-        return random_lineitem(rng, tables)

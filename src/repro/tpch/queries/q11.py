@@ -9,7 +9,6 @@ continuous component.  FLEX does not support SUM (Table II).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Set
 
@@ -31,6 +30,7 @@ class Q11(TPCHQuery):
 
     name = "tpch11"
     protected_table = "partsupp"
+    domain_sampler = random_partsupp
     query_type = "arithmetic"
     flex_supported = False
 
@@ -69,6 +69,3 @@ class Q11(TPCHQuery):
         if record["ps_suppkey"] in aux.german_suppkeys:
             return record["ps_supplycost"] * record["ps_availqty"]
         return 0.0
-
-    def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
-        return random_partsupp(rng, tables)

@@ -10,7 +10,6 @@ multiplies worst-case frequencies.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict
@@ -33,6 +32,7 @@ class Q13(TPCHQuery):
 
     name = "tpch13"
     protected_table = "customer"
+    domain_sampler = random_customer
     query_type = "count"
     flex_supported = True
 
@@ -62,6 +62,3 @@ class Q13(TPCHQuery):
 
     def map_record(self, record: Row, aux: _Aux) -> float:
         return float(aux.order_counts.get(record["c_custkey"], 0))
-
-    def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
-        return random_customer(rng, tables)

@@ -10,7 +10,6 @@ multiple Filter + Join operators.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict
@@ -36,6 +35,7 @@ class Q16(TPCHQuery):
 
     name = "tpch16"
     protected_table = "part"
+    domain_sampler = random_part
     query_type = "count"
     flex_supported = True
 
@@ -86,6 +86,3 @@ class Q16(TPCHQuery):
         if record["p_size"] not in _SIZES:
             return 0.0
         return float(aux.ok_partsupp_counts.get(record["p_partkey"], 0))
-
-    def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
-        return random_part(rng, tables)

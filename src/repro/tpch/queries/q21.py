@@ -12,7 +12,6 @@ compounds across 5 join-like operators and 3 filters).
 
 from __future__ import annotations
 
-import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Dict, Set
@@ -36,6 +35,7 @@ class Q21(TPCHQuery):
 
     name = "tpch21"
     protected_table = "supplier"
+    domain_sampler = random_supplier
     query_type = "count"
     flex_supported = True
 
@@ -122,6 +122,3 @@ class Q21(TPCHQuery):
         if aux.nation_names.get(record["s_nationkey"]) != _NATION:
             return 0.0
         return float(aux.qualifying_counts.get(record["s_suppkey"], 0))
-
-    def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
-        return random_supplier(rng, tables)

@@ -11,7 +11,6 @@ skew), which is what FLEX's max-frequency analysis overestimates.
 from __future__ import annotations
 
 import datetime
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict
@@ -35,6 +34,7 @@ class Q4(TPCHQuery):
 
     name = "tpch4"
     protected_table = "orders"
+    domain_sampler = random_order
     query_type = "count"
     flex_supported = True
 
@@ -69,6 +69,3 @@ class Q4(TPCHQuery):
         if _DATE_LO <= record["o_orderdate"] < _DATE_HI:
             return float(aux.late_counts.get(record["o_orderkey"], 0))
         return 0.0
-
-    def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
-        return random_order(rng, tables)

@@ -9,7 +9,6 @@ continuous and wide-ranging, the canonical "arithmetic" case.
 from __future__ import annotations
 
 import datetime
-import random
 from typing import Any, Sequence
 
 import numpy as np
@@ -29,6 +28,7 @@ class Q6(TPCHQuery):
 
     name = "tpch6"
     protected_table = "lineitem"
+    domain_sampler = random_lineitem
     query_type = "arithmetic"
     flex_supported = False
 
@@ -85,6 +85,3 @@ class Q6(TPCHQuery):
             & (quantity < 40)
         )
         return np.where(selected, price * discount, 0.0)
-
-    def sample_domain_record(self, rng: random.Random, tables: Tables) -> Row:
-        return random_lineitem(rng, tables)

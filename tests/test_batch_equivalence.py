@@ -511,6 +511,9 @@ def _spy_phase2(monkeypatch):
                                remaining_slices)
         finally:
             del scheduler.run_job
+        # ``remaining`` is taken lazily from the live table, which the
+        # next append()/retire() mutates: take it within the release.
+        assert len(sample.remaining) == 2
         captured.append(
             (query, aux, sample, remaining_slices is not None, jobs)
         )

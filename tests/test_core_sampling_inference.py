@@ -1,7 +1,9 @@
 """Tests for Partition & Sample and for sensitivity inference."""
 
 import datetime
+import hashlib
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -10,8 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+import repro.core.session as session_mod
+from repro.baselines.bruteforce import exact_local_sensitivity
+from repro.common.config import EngineConfig
 from repro.common.errors import DPError
+from repro.common.rng import make_rng
 from repro.core.inference import (
     InferenceConfig,
     infer_local_sensitivity,
@@ -25,7 +32,13 @@ from repro.core.sampling import (
     record_fingerprint,
     record_fingerprints,
 )
-from repro.workloads import workload_by_name
+from repro.core.session import UPAConfig, UPASession
+from repro.engine.columnar import ColumnarPartition
+from repro.engine.context import EngineContext
+from repro.mining.datasets import LifeScienceConfig, domain_point
+from repro.tpch.datagen import NATION_NAMES, PRIORITIES, SHIPMODES
+from repro.tpch.queries import base as samplers
+from repro.workloads import all_workloads, workload_by_name
 
 
 class _IdentityQuery(MapReduceQuery):
@@ -96,6 +109,7 @@ class TestPartitionAndSample:
         )
         assert sample.sample_size == 10
         assert sample.remaining == ([], [])
+        assert len(sample.domain_samples) == 10
 
     def test_sampled_plus_remaining_is_everything(self):
         tables = _tables(200)
@@ -251,6 +265,348 @@ class TestFingerprintContract:
                 {**r, column: bump[type(r[column])](r[column])} for r in rows
             ]
             assert (record_fingerprints(changed) != prints).all(), column
+
+
+_ML_CONFIG = LifeScienceConfig(num_records=800, dim=3, num_clusters=2, seed=5)
+#: protected table -> (its sampler, the fixture holding the table).
+_SAMPLERS = {
+    "lineitem": (samplers.random_lineitem, "tpch_tables"),
+    "orders": (samplers.random_order, "tpch_tables"),
+    "customer": (samplers.random_customer, "tpch_tables"),
+    "part": (samplers.random_part, "tpch_tables"),
+    "partsupp": (samplers.random_partsupp, "tpch_tables"),
+    "supplier": (samplers.random_supplier, "tpch_tables"),
+    "points": (domain_point, "ml_tables"),
+}
+
+
+@pytest.fixture(params=sorted(_SAMPLERS))
+def sampler_case(request):
+    """(sampler, what it draws against, the protected table's rows)."""
+    sampler, fixture = _SAMPLERS[request.param]
+    tables = request.getfixturevalue(fixture)
+    context = _ML_CONFIG if request.param == "points" else tables
+    return sampler, context, tables[request.param]
+
+
+def _batch_digest(name: str, scale: int, data_seed: int, seed: int,
+                  run: int, n: int) -> str:
+    """sha256 of the S-bar the ``run``-th release of a session draws."""
+    workload = workload_by_name(name)
+    sample = partition_and_sample(
+        workload.query, workload.make_tables(scale, data_seed), n,
+        make_rng(seed, f"upa-run-{run}"),
+    )
+    return hashlib.sha256(
+        repr(sample.domain_samples.rows()).encode()
+    ).hexdigest()
+
+
+class TestDomainSamplerContract:
+    """S-bar is one column batch, a pure function of (seed, run, tables, n)."""
+
+    def test_one_row_call_is_the_batch_of_one(self, sampler_case):
+        sampler, context, _ = sampler_case
+        one, batch = random.Random(5), random.Random(5)
+        assert sampler(one, context) == sampler.batch(batch, context, 1).row(0)
+        # ... and both took one draw from the run's rng.
+        assert one.getstate() == batch.getstate()
+        assert one.getstate() != random.Random(5).getstate()
+
+    def test_pickles_by_name(self, sampler_case):
+        # ... like the module-level function it replaced: a compiled SQL
+        # query carries its sampler to the process backend's workers.
+        sampler, _, _ = sampler_case
+        assert pickle.loads(pickle.dumps(sampler)) is sampler
+
+    @pytest.mark.parametrize("name", ["tpch4", "tpch6", "kmeans"])
+    def test_same_seed_run_tables_n_same_batch(self, name):
+        args = (name, 600, 11, 77, 2, 40)
+        mine = _batch_digest(*args)
+        assert mine == _batch_digest(*args)
+        assert mine != _batch_digest(name, 600, 11, 77, 3, 40)
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+            "from test_core_sampling_inference import _batch_digest\n"
+            f"print(_batch_digest(*{args!r}))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="4",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        theirs = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        ).stdout.strip()
+        assert theirs == mine
+
+    def test_rows_fingerprint_like_table_rows(self, sampler_case):
+        sampler, context, table = sampler_case
+        batch = sampler.batch(random.Random(2), context, 40)
+        assert isinstance(batch, ColumnarPartition) and len(batch) == 40
+        model = table[0]
+        for row in batch:
+            assert set(row) == set(model)
+            for column, value in row.items():
+                assert type(value) is type(model[column]), column
+                if isinstance(value, tuple):
+                    assert len(value) == len(model[column])
+                    assert all(type(v) is float for v in value)
+        assert record_fingerprints(batch).tolist() == [
+            record_fingerprint(row) for row in batch.rows()
+        ]
+
+    @pytest.mark.parametrize("name", [w.name for w in all_workloads()])
+    def test_columns_map_like_rows(self, name):
+        workload = workload_by_name(name)
+        tables = workload.make_tables(600, 11)
+        query = workload.query
+        aux = query.build_aux(tables)
+        batch = query.sample_domain_batch(random.Random(3), tables, 30)
+        columns = list(query.iter_batch(query.map_batch(batch, aux)))
+        boxed = list(query.iter_batch(query.map_batch(batch.rows(), aux)))
+        assert len(columns) == 30
+        for a, b in zip(columns, boxed):
+            for x, y in zip(a if isinstance(a, tuple) else (a,),
+                            b if isinstance(b, tuple) else (b,)):
+                assert np.asarray(x, float).tobytes() == \
+                    np.asarray(y, float).tobytes()
+
+    def test_lineitem_support(self, tpch_tables):
+        n = 3000
+        batch = samplers.random_lineitem.batch(random.Random(1), tpch_tables, n)
+        col = batch.column
+        order_dates = {
+            o["o_orderkey"]: o["o_orderdate"] for o in tpch_tables["orders"]
+        }
+        assert set(col("l_orderkey").tolist()) <= set(order_dates)
+        assert set(col("l_linenumber").tolist()) == {999}
+        assert set(col("l_quantity").tolist()) == {float(q) for q in range(1, 51)}
+        assert set(col("l_discount").tolist()) == {k / 100.0 for k in range(11)}
+        assert set(col("l_tax").tolist()) == {k / 100.0 for k in range(9)}
+        unit_price = col("l_extendedprice") / col("l_quantity")
+        assert 899.99 < unit_price.min() and unit_price.max() < 1100.01
+        assert np.array_equal(
+            col("l_extendedprice"), np.round(col("l_extendedprice"), 2)
+        )
+        for key, table, column in (("l_partkey", "part", "p_partkey"),
+                                   ("l_suppkey", "supplier", "s_suppkey")):
+            top = max(row[column] for row in tpch_tables[table])
+            assert 1 <= col(key).min() and col(key).max() <= top
+        assert set(col("l_returnflag")) == {"A", "N", "R"}
+        assert set(col("l_linestatus")) == {"F", "O"}
+        assert set(col("l_shipmode")) == set(SHIPMODES)
+        base = [order_dates[key] for key in col("l_orderkey").tolist()]
+        offsets = {
+            "ship": {(s - b).days for s, b in zip(col("l_shipdate"), base)},
+            "commit": {(c - b).days for c, b in zip(col("l_commitdate"), base)},
+            "receipt": {
+                (r - s).days
+                for r, s in zip(col("l_receiptdate"), col("l_shipdate"))
+            },
+        }
+        assert offsets["ship"] == set(range(1, 121))
+        assert offsets["commit"] == set(range(60, 151))
+        assert offsets["receipt"] == set(range(1, 31))
+
+    @pytest.mark.parametrize("table, key, name", [
+        ("orders", "o_orderkey", None),
+        ("customer", "c_custkey", ("c_name", "Customer#{:09d}")),
+        ("part", "p_partkey", ("p_name", "part {}")),
+        ("supplier", "s_suppkey", ("s_name", "Supplier#{:09d}")),
+    ])
+    def test_fresh_keys_are_above_every_key_in_x(
+        self, tpch_tables, table, key, name
+    ):
+        sampler, _ = _SAMPLERS[table]
+        batch = sampler.batch(random.Random(1), tpch_tables, 2000)
+        top = max(row[key] for row in tpch_tables[table])
+        keys = batch.column(key)
+        assert top < keys.min() and keys.max() <= top + 1000
+        assert len(set(keys.tolist())) > 800  # spread over the 1000 slots
+        if name is not None:
+            column, pattern = name
+            assert batch.column(column) == [
+                pattern.format(k) for k in keys.tolist()
+            ]
+
+    def test_remaining_column_supports(self, tpch_tables, ml_tables):
+        n = 2000
+        rng = random.Random(1)
+
+        def top(table, column):
+            return max(row[column] for row in tpch_tables[table])
+
+        orders = samplers.random_order.batch(rng, tpch_tables, n)
+        custkeys = orders.column("o_custkey")
+        assert 1 <= custkeys.min()
+        assert custkeys.max() <= top("customer", "c_custkey")
+        assert set(orders.column("o_orderstatus")) == {"F", "O", "P"}
+        assert set(orders.column("o_orderpriority")) == set(PRIORITIES)
+        dates = orders.column("o_orderdate")
+        assert datetime.date(1992, 1, 1) <= min(dates)
+        assert max(dates) <= datetime.date(1998, 12, 31)
+        special = [c for c in orders.column("o_comment") if "special" in c]
+        assert 0.10 < len(special) / n < 0.20
+        assert len(set(orders.column("o_comment"))) == 2
+
+        customers = samplers.random_customer.batch(rng, tpch_tables, n)
+        assert set(customers.column("c_nationkey").tolist()) == set(
+            range(len(NATION_NAMES))
+        )
+        assert set(customers.column("c_mktsegment")) == {"BUILDING"}
+
+        parts = samplers.random_part.batch(rng, tpch_tables, n)
+        assert set(parts.column("p_size").tolist()) == set(range(1, 51))
+        assert set(parts.column("p_brand")) == {
+            f"Brand#{a}{b}" for a in range(1, 6) for b in range(1, 6)
+        }
+        assert set(parts.column("p_type")) == {"STANDARD ANODIZED TIN"}
+
+        partsupp = samplers.random_partsupp.batch(rng, tpch_tables, n)
+        for key, table, column in (("ps_partkey", "part", "p_partkey"),
+                                   ("ps_suppkey", "supplier", "s_suppkey")):
+            keys = partsupp.column(key)
+            assert 1 <= keys.min() and keys.max() <= top(table, column)
+        qty = partsupp.column("ps_availqty")
+        assert 1 <= qty.min() and qty.max() <= 9999
+        cost = partsupp.column("ps_supplycost")
+        assert 1.0 <= cost.min() and cost.max() <= 1000.0
+        assert np.array_equal(cost, np.round(cost, 2))
+
+        suppliers = samplers.random_supplier.batch(rng, tpch_tables, n)
+        assert set(suppliers.column("s_nationkey").tolist()) == set(
+            range(len(NATION_NAMES))
+        )
+        balance = suppliers.column("s_acctbal")
+        assert -999.99 <= balance.min() and balance.max() <= 9999.99
+        complaints = [
+            c for c in suppliers.column("s_comment") if "Complaints" in c
+        ]
+        assert 0.02 < len(complaints) / n < 0.09
+
+        points = domain_point.batch(rng, _ML_CONFIG, n)
+        features = points.column("features")
+        assert features.shape == (n, _ML_CONFIG.dim)
+        assert -13.0 <= features.min() and features.max() <= 13.0
+        labels = points.column("label")
+        assert -40.0 <= labels.min() and labels.max() <= 40.0
+
+    def test_columns_are_uniform(self, tpch_tables):
+        # Fixed seeds: these p-values are constants, not flaky draws.
+        lineitems = samplers.random_lineitem.batch(
+            random.Random(8), tpch_tables, 5000
+        )
+        counts = np.bincount(
+            lineitems.column("l_quantity").astype(int), minlength=51
+        )[1:]
+        assert stats.chisquare(counts).pvalue > 0.01
+        labels = domain_point.batch(random.Random(8), _ML_CONFIG, 5000)
+        assert stats.kstest(
+            labels.column("label"), "uniform", args=(-40.0, 80.0)
+        ).pvalue > 0.01
+
+    def test_empty_batch(self, sampler_case):
+        sampler, context, table = sampler_case
+        batch = sampler.batch(random.Random(0), context, 0)
+        assert len(batch) == 0 and batch.rows() == []
+        assert set(batch.names) == set(table[0])
+
+    @pytest.mark.parametrize("name", ["tpch6", "tpch13", "kmeans"])
+    def test_no_addition_neighbours(self, name):
+        workload = workload_by_name(name)
+        tables = workload.make_tables(400, 11)
+        result = exact_local_sensitivity(
+            workload.query, tables, addition_samples=0, max_removals=20
+        )
+        assert result.addition_outputs.shape == (0, workload.query.output_dim)
+
+    def test_per_record_samplers_take_the_default_loop(self):
+        # A query that only has sample_domain_record ...
+        tables = _tables(300)
+        sample = partition_and_sample(
+            _IdentityQuery(), tables, 25, random.Random(4)
+        )
+        assert isinstance(sample.domain_samples, list)
+        assert len(sample.domain_samples) == 25
+        result = UPASession(UPAConfig(sample_size=25, seed=4)).run(
+            _IdentityQuery(), tables, epsilon=0.5
+        )
+        assert result.addition_outputs.shape == (25, 1)
+        # ... and a lambda handed to run_sql.
+        calls = []
+
+        def sampler(rng, _tables):
+            calls.append(1)
+            return {"v": float(rng.randrange(10_000, 20_000))}
+
+        result = UPASession(UPAConfig(sample_size=25, seed=4)).run_sql(
+            "SELECT SUM(v) AS s FROM vals", tables, "vals", epsilon=0.5,
+            domain_sampler=sampler,
+        )
+        assert len(calls) == 25
+        assert result.addition_outputs.min() >= result.plain_output[0] + 10_000
+
+    def test_backends_agree_bitwise(self):
+        fields = ("noisy_output", "raw_output", "plain_output",
+                  "removal_outputs", "addition_outputs")
+        releases = {}
+        for backend in ("inline", "threads", "processes"):
+            engine = EngineContext(EngineConfig(
+                backend=backend, max_workers=2, default_parallelism=2,
+            ))
+            try:
+                for workload in all_workloads():
+                    tables = workload.make_tables(1200, 11)
+                    session = UPASession(
+                        UPAConfig(sample_size=50, seed=77), engine=engine
+                    )
+                    result = session.run(workload.query, tables, epsilon=0.5)
+                    releases[backend, workload.name] = b"".join(
+                        np.asarray(getattr(result, f), float).tobytes()
+                        for f in fields
+                    ) + np.float64(result.local_sensitivity).tobytes()
+            finally:
+                engine.stop()
+        for workload in all_workloads():
+            assert len({
+                releases[backend, workload.name]
+                for backend in ("inline", "threads", "processes")
+            }) == 1, workload.name
+
+    def test_fresh_keys_follow_append_and_retire(self, monkeypatch):
+        """max_key was memoised by (id(rows), len(rows)): after append(k)
+        and retire(k) the table has its old length and a new maximum."""
+        samples = []
+        real = session_mod.partition_and_sample
+
+        def spy(*args, **kwargs):
+            samples.append(real(*args, **kwargs))
+            return samples[-1]
+
+        monkeypatch.setattr(session_mod, "partition_and_sample", spy)
+        workload = workload_by_name("tpch4")
+        tables = workload.make_tables(4000, 11)
+        orders = tables["orders"]
+        held = orders[-50:]
+        del orders[-50:]
+        assert max(o["o_orderkey"] for o in held) > max(
+            o["o_orderkey"] for o in orders
+        )
+        session = UPASession(UPAConfig(sample_size=500, seed=77))
+        steps = (
+            lambda: session.run(workload.query, tables, epsilon=0.5),
+            lambda: session.append(held, epsilon=0.5),
+            lambda: session.retire(50, epsilon=0.5),
+        )
+        for step in steps:
+            try:
+                step()
+            except DPError as exc:  # S-bar is drawn before enforcement
+                assert "RANGE ENFORCER" in str(exc)
+            in_x = {o["o_orderkey"] for o in orders}
+            fresh = samples[-1].domain_samples.column("o_orderkey").tolist()
+            assert len(fresh) == 500 and not in_x & set(fresh)
+        assert len(samples) == 3
 
 
 class TestRangeInference:

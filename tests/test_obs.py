@@ -604,6 +604,25 @@ class TestSessionObservability:
             "sampling.fingerprint", "sampling.split",
             "sampling.domain_sample",
         ]
+        # S-bar came from the query's batch sampler, in one call.
+        assert steps[-1].attributes == {"records": 50, "batched": True}
+        report = ObservedRun.from_live(tracer=tracer)
+        assert report.domain_sampling_summary() == {
+            "releases": 1, "records": 50, "batched": 1,
+        }
+        assert "50 S-bar records over 1 releases" in report.render_text()
+
+    def test_per_record_sampler_is_not_batched(self):
+        from repro.core.session import UPAConfig, UPASession
+
+        tracer = Tracer()
+        UPASession(UPAConfig(sample_size=20, seed=3), tracer=tracer).run_sql(
+            "SELECT SUM(v) AS s FROM vals",
+            {"vals": [{"v": float(i)} for i in range(100)]}, "vals",
+            epsilon=0.5, domain_sampler=lambda rng, _t: {"v": rng.random()},
+        )
+        (span,) = tracer.find("sampling.domain_sample")
+        assert span.attributes == {"records": 20, "batched": False}
 
     def test_engine_jobs_nest_under_map_phase(self, observed_session):
         _, tracer, _, _, _ = observed_session
