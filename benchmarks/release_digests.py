@@ -11,11 +11,14 @@ For each of the nine workloads (scale 4000, data seed 11, session seed
 runs one session through a cold ``run``, two ``append``s and a
 ``retire`` and hashes, **one digest per field**, what phase 1 drew
 (``sampled_indices``, ``partition_ids``) and what the release computed
-(the names in ``RESULT_FIELDS``).  A release RANGE ENFORCER refuses has
-``"DPError"`` for every result field (phase 1 ran, so its two fields
-are still digested).  ``--against`` names the releases that differ and
-their fields, counts the identical releases per field, and exits 1 on
-any difference.
+(the names in ``RESULT_FIELDS``, the last three of them RANGE
+ENFORCER's decisions).  The ``resubmit`` lane then puts those decisions
+against a deep registry: ``tpch13`` and ``tpch16``, each submitted 40
+times to one session, alternately on x and on x minus its last record.
+A release RANGE ENFORCER refuses has ``"DPError"`` for every result
+field (phase 1 ran, so its two fields are still digested).
+``--against`` names the releases that differ and their fields, counts
+the identical releases per field, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -30,16 +33,18 @@ import numpy as np
 import repro.core.session as session_mod
 from repro.common.errors import DPError
 from repro.core import UPAConfig, UPASession
-from repro.workloads import all_workloads
+from repro.workloads import all_workloads, workload_by_name
 
 SCALE, DATA_SEED, SESSION_SEED, SAMPLE_SIZE = 4000, 11, 77, 200
+RESUBMIT_WORKLOADS, RESUBMIT_DEPTH = ("tpch13", "tpch16"), 40
 
 SAMPLE_FIELDS = ("sampled_indices", "partition_ids")
+ENFORCEMENT_FIELDS = ("matched_prior", "records_removed", "clamped")
 RESULT_FIELDS = (
     "plain_output", "removal_outputs", "partition_outputs",
     "addition_outputs", "inferred_range", "local_sensitivity",
     "estimated_local_sensitivity", "raw_output", "noisy_output",
-)
+) + ENFORCEMENT_FIELDS
 
 
 def _digest(*values) -> str:
@@ -56,7 +61,9 @@ def digest(sample, result) -> dict:
         if result is None:
             out[name] = "DPError"
             continue
-        value = getattr(result, name)
+        value = getattr(
+            result.enforcement if name in ENFORCEMENT_FIELDS else result, name
+        )
         if name == "inferred_range":
             value = (value.lower, value.upper, value.mean, value.std)
         out[name] = _digest(*(value if isinstance(value, tuple) else (value,)))
@@ -71,6 +78,13 @@ def release_digests() -> dict:
     def recording(*args, **kwargs):
         last["sample"] = partition_and_sample(*args, **kwargs)
         return last["sample"]
+
+    def release(key, call):
+        try:
+            result = call()
+        except DPError:
+            result = None
+        out[key] = digest(last["sample"], result)
 
     session_mod.partition_and_sample = recording
     try:
@@ -94,14 +108,23 @@ def release_digests() -> dict:
                         [dict(row) for row in rows[-held // 2:]], 0.5),
                     "retire": lambda: session.retire(max(1, held // 3), 0.5),
                 }
-                for step, release in steps.items():
-                    try:
-                        result = release()
-                    except DPError:
-                        result = None
-                    out[f"{workload.name}/parts{parts}/{step}"] = digest(
-                        last["sample"], result
-                    )
+                for step, call in steps.items():
+                    release(f"{workload.name}/parts{parts}/{step}", call)
+        for name in RESUBMIT_WORKLOADS:
+            workload = workload_by_name(name)
+            tables = workload.make_tables(SCALE, DATA_SEED)
+            protected = workload.query.protected_table
+            minus_one = dict(tables)
+            minus_one[protected] = tables[protected][:-1]
+            session = UPASession(UPAConfig(
+                sample_size=SAMPLE_SIZE, seed=SESSION_SEED,
+            ))
+            for submission in range(RESUBMIT_DEPTH):
+                submitted = minus_one if submission % 2 else tables
+                release(
+                    f"resubmit/{name}/{submission:02d}",
+                    lambda: session.run(workload.query, submitted, 0.5),
+                )
     finally:
         session_mod.partition_and_sample = partition_and_sample
     return out

@@ -22,21 +22,13 @@ sensitivity upper-bounds the true one:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
 from repro.common.errors import DPError
 from repro.core.inference import InferredRange
-
-
-@dataclass
-class _RegisteredQuery:
-    """Partition outputs and range of a previously answered query."""
-
-    partition_outputs: Tuple[np.ndarray, np.ndarray]
-    range: InferredRange
 
 
 class EnforcerRuntime(Protocol):
@@ -62,67 +54,131 @@ class EnforcementResult:
         records_removed: how many records were removed to break the match.
         clamped: the output fell outside the inferred range and was
             replaced by an in-range random value.
+        sweeps: vectorised passes over the registry this submission
+            took (one per matched prior, plus the pass that found no
+            further match; 0 against an empty registry).
     """
 
     output: np.ndarray
     matched_prior: bool
     records_removed: int
     clamped: bool
+    sweeps: int = 0
+
+
+class _ShapeRegistry:
+    """The prior submissions of one output shape, in registration order.
+
+    ``rows[i, p]`` is partition ``p``'s flattened output of the i-th of
+    them and ``ids[i]`` its position among all registered submissions.
+    ``rows`` has spare capacity past ``len(ids)`` and doubles when full.
+    """
+
+    __slots__ = ("rows", "ids")
+
+    def __init__(self, width: int):
+        self.rows = np.empty((16, 2, width))
+        self.ids: List[int] = []
+
+    def append(self, outputs: np.ndarray, submission: int) -> None:
+        count = len(self.ids)
+        if count == len(self.rows):
+            grown = np.empty((2 * count,) + self.rows.shape[1:])
+            grown[:count] = self.rows
+            self.rows = grown
+        self.rows[count] = outputs
+        self.ids.append(submission)
 
 
 class RangeEnforcer:
     """Cross-query registry implementing Algorithm 2.
 
     One enforcer instance guards one dataset; UPA sessions share it
-    across submissions.
+    across submissions.  The registry holds only what Algorithm 2
+    compares — every prior submission's two partition outputs — as one
+    stacked float array per output shape, so a submission is compared
+    with all its priors by one ``np.isclose`` per pass (DESIGN.md
+    section 5 item 8) instead of one call per prior.
     """
 
     def __init__(self, rng: Optional[random.Random] = None,
                  equality_rtol: float = 1e-9):
-        self._registry: List[_RegisteredQuery] = []
+        self._by_shape: Dict[Tuple[int, ...], _ShapeRegistry] = {}
+        self._count = 0
         self._rng = rng or random.Random(0)
         self._rtol = equality_rtol
 
     def __len__(self) -> int:
-        return len(self._registry)
+        return self._count
 
-    def _same(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """Partition-output equality (floats: tolerance-based).
+    def _neighbouring(self, rows: np.ndarray,
+                      current: np.ndarray) -> np.ndarray:
+        """Per prior in ``rows``: fewer than two partition outputs differ.
 
         The paper compares outputs exactly; identical computations give
         bitwise-identical floats, but we allow a tiny relative
         tolerance so re-orderings inside the engine cannot mask a
-        genuine match.
+        genuine match.  ``isclose`` scales the tolerance by its second
+        argument, so the prior goes first and ``current`` second.
         """
-        if a.shape != b.shape:
-            return False
-        return bool(np.allclose(a, b, rtol=self._rtol, atol=0.0))
+        same = np.isclose(rows, current, rtol=self._rtol, atol=0.0)
+        return same.all(axis=2).any(axis=1)
+
+    @staticmethod
+    def _read(runtime: EnforcerRuntime,
+              shape: Optional[Tuple[int, ...]] = None,
+              ) -> Tuple[Tuple[int, ...], np.ndarray]:
+        """The runtime's partition outputs: their shape, and a (2, d) array."""
+        first, second = map(np.asarray, runtime.partition_outputs())
+        if first.shape != second.shape or shape not in (None, first.shape):
+            raise ValueError(
+                "partition outputs of one submission must share one shape, "
+                f"got {first.shape} and {second.shape}"
+                + ("" if shape is None else f" after {shape}")
+            )
+        return first.shape, np.concatenate(
+            (first, second), axis=None, dtype=float
+        ).reshape(2, -1)
 
     def enforce(self, runtime: EnforcerRuntime,
                 inferred: InferredRange) -> EnforcementResult:
-        """Run Algorithm 2 for one submission and register it."""
-        matched = False
-        removed = 0
-        current = runtime.partition_outputs()
+        """Run Algorithm 2 for one submission and register it.
 
-        for prior in self._registry:
-            diff_num = sum(
-                0 if self._same(prior.partition_outputs[j], current[j]) else 1
-                for j in range(2)
-            )
-            while diff_num < 2:
-                matched = True
+        Priors of another output shape never match and are not looked
+        at.  Over the others, each sweep finds the first prior at or
+        after ``pos`` that ``current`` is neighbouring to, the removal
+        loop runs against that prior alone, and the next sweep starts
+        behind it with the new ``current`` — the decisions, runtime
+        calls and rng draws of visiting the priors one by one.
+        """
+        removed = 0
+        sweeps = 0
+        shape, current = self._read(runtime)
+        priors = self._by_shape.get(shape)
+        count = len(priors.ids) if priors is not None else 0
+        pos = 0
+        while pos < count:
+            sweeps += 1
+            neighbouring = self._neighbouring(priors.rows[pos:count], current)
+            if not neighbouring.any():
+                break
+            pos += int(neighbouring.argmax())
+            prior = priors.rows[pos:pos + 1]
+            while True:
                 if not runtime.remove_two_records():
                     raise DPError(
                         "RANGE ENFORCER exhausted sampled records while "
-                        "separating neighbouring submissions"
+                        "separating neighbouring submissions: after "
+                        f"removing {removed} records the submission still "
+                        "looks neighbouring to registered submission "
+                        f"{priors.ids[pos]} of {self._count}, and fewer "
+                        "than two sampled records are left"
                     )
                 removed += 2
-                current = runtime.partition_outputs()
-                diff_num = sum(
-                    0 if self._same(prior.partition_outputs[j], current[j]) else 1
-                    for j in range(2)
-                )
+                current = self._read(runtime, shape)[1]
+                if not self._neighbouring(prior, current)[0]:
+                    break
+            pos += 1
 
         output = runtime.final_output()
         clamped = not inferred.contains(output)
@@ -132,19 +188,19 @@ class RangeEnforcer:
                 [self._rng.random() for _ in range(span.shape[0])]
             ) * span
 
-        self._registry.append(
-            _RegisteredQuery(
-                partition_outputs=(current[0].copy(), current[1].copy()),
-                range=inferred,
-            )
-        )
+        if priors is None:
+            priors = self._by_shape[shape] = _ShapeRegistry(current.shape[1])
+        priors.append(current, self._count)
+        self._count += 1
         return EnforcementResult(
             output=output,
-            matched_prior=matched,
+            matched_prior=removed > 0,
             records_removed=removed,
             clamped=clamped,
+            sweeps=sweeps,
         )
 
     def reset(self) -> None:
         """Forget all registered queries (new dataset / new epoch)."""
-        self._registry.clear()
+        self._by_shape.clear()
+        self._count = 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -207,27 +207,38 @@ class _PipelineState:
 
     def __init__(self, query: MapReduceQuery, aux: Any,
                  r_sprime_parts: List[Any], mapped_samples: Any,
-                 sample_partitions: List[int], rng: random.Random):
+                 sample_partitions: Sequence[int], rng: random.Random):
         self._query = query
         self._aux = aux
         self._r_sprime_parts = r_sprime_parts
         self._mapped = mapped_samples
-        self._parts = list(sample_partitions)
+        self._parts = np.asarray(sample_partitions, dtype=int)
         self._rng = rng
+        #: f(x1), f(x2) over the current samples; None once a removal
+        #: has made them stale.
+        self._partition_outputs: Optional[
+            Tuple[np.ndarray, np.ndarray]
+        ] = None
 
     def _fold_samples_in(self, partition: int) -> Any:
         query = self._query
-        indices = [i for i, p in enumerate(self._parts) if p == partition]
+        indices = np.flatnonzero(self._parts == partition)
         return query.fold_batch(query.batch_select(self._mapped, indices))
 
     def partition_outputs(self) -> Tuple[np.ndarray, np.ndarray]:
-        query = self._query
-        aggs = [
-            query.combine(self._r_sprime_parts[p], self._fold_samples_in(p))
-            for p in range(2)
-        ]
-        outs = query.finalize_batch(query.batch_stack(aggs), self._aux)
-        return (np.asarray(outs[0]), np.asarray(outs[1]))
+        if self._partition_outputs is None:
+            query = self._query
+            aggs = [
+                query.combine(
+                    self._r_sprime_parts[p], self._fold_samples_in(p)
+                )
+                for p in range(2)
+            ]
+            outs = query.finalize_batch(query.batch_stack(aggs), self._aux)
+            self._partition_outputs = (
+                np.asarray(outs[0]), np.asarray(outs[1])
+            )
+        return self._partition_outputs
 
     def final_aggregate(self) -> Any:
         query = self._query
@@ -241,12 +252,12 @@ class _PipelineState:
         query = self._query
         if query.batch_length(self._mapped) < 2:
             return False
-        keep = list(range(query.batch_length(self._mapped)))
+        keep = np.arange(query.batch_length(self._mapped))
         for _ in range(2):
-            idx = self._rng.randrange(len(keep))
-            del keep[idx]
-            del self._parts[idx]
+            keep = np.delete(keep, self._rng.randrange(len(keep)))
+        self._parts = self._parts[keep]
         self._mapped = query.batch_select(self._mapped, keep)
+        self._partition_outputs = None
         return True
 
 
@@ -552,6 +563,10 @@ class UPASession:
                     )
                     enforce_span.set_attribute(
                         "matched_prior", enforcement.matched_prior
+                    )
+                    enforce_span.set_attribute("sweeps", enforcement.sweeps)
+                    enforce_span.set_attribute(
+                        "records_removed", enforcement.records_removed
                     )
                 noisy = self._randomize(
                     enforcement.output, inferred.local_sensitivity, epsilon

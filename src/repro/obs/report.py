@@ -39,6 +39,10 @@ PHASE_ORDER = (
 #: ``records`` / ``batched`` attributes get their own report line.
 DOMAIN_SAMPLE_SPAN = "sampling.domain_sample"
 
+#: RANGE ENFORCER's span; its ``registry`` / ``sweeps`` /
+#: ``records_removed`` attributes get their own report line.
+ENFORCE_SPAN = "phase:enforce"
+
 #: PHASE_ORDER plus optional phases that only some runs emit
 #: (``phase:incremental_delta`` appears on append/retire releases);
 #: used to sort phase tables without changing the cold-run contract.
@@ -174,6 +178,10 @@ class ObservedRun:
     #: attributes of every ``sampling.domain_sample`` span: how many
     #: S-bar records each release drew, and whether as one column batch.
     domain_sampling: List[Dict[str, Any]] = field(default_factory=list)
+    #: attributes of every ``phase:enforce`` span: the registry length
+    #: each release was compared against, the sweeps that took and the
+    #: records it removed.
+    enforcement: List[Dict[str, Any]] = field(default_factory=list)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -189,12 +197,16 @@ class ObservedRun:
         header: Dict[str, Any] = {}
         durations: List[Tuple[str, float]] = []
         domain_sampling: List[Dict[str, Any]] = []
+        enforcement: List[Dict[str, Any]] = []
         if tracer is not None:
             header.update(tracer.header)
             spans = sorted(tracer.spans(), key=lambda s: s.start)
             durations = [(s.name, s.duration) for s in spans]
             domain_sampling = [
                 s.attributes for s in spans if s.name == DOMAIN_SAMPLE_SPAN
+            ]
+            enforcement = [
+                s.attributes for s in spans if s.name == ENFORCE_SPAN
             ]
         entries: List[LedgerEntry] = []
         totals: Dict[str, float] = {}
@@ -214,7 +226,8 @@ class ObservedRun:
 
             workers = worker_table(metrics)
         return cls(header, durations, metrics, entries, totals,
-                   alerts, profile, workers, timeseries, domain_sampling)
+                   alerts, profile, workers, timeseries, domain_sampling,
+                   enforcement)
 
     @classmethod
     def from_artifacts(
@@ -227,6 +240,7 @@ class ObservedRun:
         header: Dict[str, Any] = {}
         durations: List[Tuple[str, float]] = []
         domain_sampling: List[Dict[str, Any]] = []
+        enforcement: List[Dict[str, Any]] = []
         workers: List[Dict[str, Any]] = []
         if trace_path is not None:
             with open(trace_path, "r", encoding="utf-8") as handle:
@@ -243,6 +257,10 @@ class ObservedRun:
             domain_sampling = [
                 e.get("args") or {} for e in events
                 if e["name"] == DOMAIN_SAMPLE_SPAN
+            ]
+            enforcement = [
+                e.get("args") or {} for e in events
+                if e["name"] == ENFORCE_SPAN
             ]
             workers = _workers_from_trace_events(events)
         entries: List[LedgerEntry] = []
@@ -272,7 +290,8 @@ class ObservedRun:
             for key, value in timeseries.header.items():
                 header.setdefault(key, value)
         return cls(header, durations, None, entries, totals,
-                   alerts, profile, workers, timeseries, domain_sampling)
+                   alerts, profile, workers, timeseries, domain_sampling,
+                   enforcement)
 
     # -- breakdowns ---------------------------------------------------
     def phase_stats(self) -> List[SpanStat]:
@@ -350,6 +369,20 @@ class ObservedRun:
             "batched": sum(1 for a in drawn if a.get("batched")),
         }
 
+    def enforcement_summary(self) -> Dict[str, int]:
+        """Releases traced, deepest registry, sweeps and removals summed."""
+        enforced = self.enforcement
+        return {
+            "releases": len(enforced),
+            "registry": max(
+                (int(a.get("registry", 0)) for a in enforced), default=0
+            ),
+            "sweeps": sum(int(a.get("sweeps", 0)) for a in enforced),
+            "records_removed": sum(
+                int(a.get("records_removed", 0)) for a in enforced
+            ),
+        }
+
     # -- rendering ----------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -357,6 +390,7 @@ class ObservedRun:
             "phases": [s.to_dict() for s in self.phase_stats()],
             "spans": [s.to_dict() for s in self.span_stats()],
             "domain_sampling": self.domain_sampling_summary(),
+            "enforcement": self.enforcement_summary(),
             "metrics": self.metrics.to_dict() if self.metrics else None,
             "ledger": {
                 "totals": dict(self.ledger_totals),
@@ -416,6 +450,14 @@ class ObservedRun:
                 f"domain sampling: {drawn['records']} S-bar records over "
                 f"{drawn['releases']} releases, {drawn['batched']} of them "
                 "as one column batch"
+            )
+        if self.enforcement:
+            enforced = self.enforcement_summary()
+            sections.append(
+                f"range enforcer: {enforced['releases']} releases against "
+                f"a registry of up to {enforced['registry']} submissions, "
+                f"{enforced['sweeps']} sweeps, "
+                f"{enforced['records_removed']} records removed"
             )
         counters = self.counter_values()
         if counters:

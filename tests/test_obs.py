@@ -587,12 +587,47 @@ class TestSessionObservability:
         assert enforce.attributes["registry"] == 0
         assert (enforce.attributes["matched_prior"]
                 == result.enforcement.matched_prior)
+        # nothing registered yet: no sweep, nothing removed.
+        assert enforce.attributes["sweeps"] == 0
+        assert enforce.attributes["records_removed"] == 0
+        report = ObservedRun.from_live(tracer=tracer)
+        assert report.enforcement_summary() == {
+            "releases": 1, "registry": 0, "sweeps": 0, "records_removed": 0,
+        }
+        assert "1 releases against a registry of up to 0" in (
+            report.render_text()
+        )
         # phase:map says how much work the engine's slice tasks did.
         (map_phase,) = tracer.find("phase:map")
         assert map_phase.attributes["slices"] == (
             2 * session.config.engine_partitions
         )
         assert map_phase.attributes["records"] + result.sample_size == 300
+
+    def test_enforce_span_counts_sweeps_and_removals(self):
+        from repro.core.session import UPAConfig, UPASession
+        from repro.workloads import workload_by_name
+
+        workload = workload_by_name("tpch1")
+        tables = workload.make_tables(300, 0)
+        minus_one = dict(tables)
+        minus_one["lineitem"] = tables["lineitem"][:-1]
+        tracer = Tracer()
+        session = UPASession(UPAConfig(sample_size=50, seed=1), tracer=tracer)
+        session.run(workload.query, tables, epsilon=0.5)
+        result = session.run(workload.query, minus_one, epsilon=0.5)
+        _, enforce = tracer.find("phase:enforce")
+        removed = result.enforcement.records_removed
+        assert removed >= 2
+        assert enforce.attributes == {
+            "registry": 1, "matched_prior": True,
+            "sweeps": result.enforcement.sweeps, "records_removed": removed,
+        }
+        assert enforce.attributes["sweeps"] >= 1
+        assert (
+            f"2 releases against a registry of up to 1 submissions, "
+            f"{result.enforcement.sweeps} sweeps, {removed} records removed"
+        ) in ObservedRun.from_live(tracer=tracer).render_text()
 
     def test_sampling_steps_nest_under_partition_sample(
         self, observed_session
