@@ -35,16 +35,18 @@ def column_values(
 ) -> np.ndarray:
     """One column of a record batch as a numpy array.
 
-    Handles both layouts a ``map_batch`` may receive: a
-    :class:`~repro.engine.columnar.ColumnarPartition` hands back its
-    column buffer directly (zero-copy for numeric columns — no per-row
-    dict is ever built), while a plain row sequence gathers the field
+    Handles both layouts a ``map_batch`` may receive: a batch with a
+    ``numpy_column`` (:class:`~repro.engine.columnar.ColumnarPartition`,
+    the session's :class:`~repro.core.sampling.RecordView`) hands back
+    its column buffer directly (zero-copy for numeric columns — no
+    per-row dict is ever built), while a plain row sequence — or a view
+    answering None, it has no buffer for the column — gathers the field
     from each dict.  ``dtype=None`` keeps native values as an object
     array (dates, strings, ``None``-bearing columns).
     """
     column = getattr(records, "numpy_column", None)
-    if column is not None:
-        values = column(name)
+    values = column(name) if column is not None else None
+    if values is not None:
         if dtype is not None and values.dtype != np.dtype(dtype):
             values = values.astype(dtype)
         return values

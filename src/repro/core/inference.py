@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from repro.common.errors import DPError
 
@@ -167,7 +167,7 @@ def infer_local_sensitivity(
         level = min(level, config.percentile_low / 100.0)
     else:
         level = config.percentile_low / 100.0
-    z = float(stats.norm.ppf(1.0 - level))
+    z = float(ndtri(1.0 - level))  # norm.ppf's kernel, minus its checks
     estimate = mean + z * std
     if config.envelope:
         estimate = max(estimate, float(deltas.max()))
@@ -202,7 +202,7 @@ def infer_output_range(
         level = min(level, config.percentile_low / 100.0)
     else:
         level = config.percentile_low / 100.0
-    z = float(stats.norm.ppf(1.0 - level))
+    z = float(ndtri(1.0 - level))  # norm.ppf's kernel, minus its checks
 
     lower = mean - z * std
     upper = mean + z * std

@@ -19,14 +19,23 @@ import random
 import zlib
 from dataclasses import dataclass
 from datetime import date
-from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.common.errors import DPError
 from repro.core.query import MapReduceQuery, Row, Tables
-from repro.engine.columnar import ColumnarPartition
+from repro.engine.columnar import ColumnarPartition, gather_columns
 from repro.obs.tracing import NULL_TRACER, Tracer
 
 # Content hashing.  A record's fingerprint is a pure function of its
@@ -58,15 +67,19 @@ def _mix(h: np.ndarray) -> np.ndarray:
 
 
 def _hash_grouped(items: Sequence[Any], group_of: Callable[[Any], Any],
-                  hasher: Callable[[list], np.ndarray]) -> np.ndarray:
-    """Hash ``items`` one ``group_of`` group at a time, in item order."""
+                  hasher: Callable[[list], Tuple[np.ndarray, Any]]
+                  ) -> Tuple[np.ndarray, None]:
+    """Hash ``items`` one ``group_of`` group at a time, in item order.
+
+    The groups' buffers are dropped: no one array holds the column.
+    """
     groups: Dict[Any, List[int]] = {}
     for i, item in enumerate(items):
         groups.setdefault(group_of(item), []).append(i)
     out = np.empty(len(items), dtype=_U64)
     for indices in groups.values():
-        out[indices] = hasher([items[i] for i in indices])
-    return out
+        out[indices] = hasher([items[i] for i in indices])[0]
+    return out, None
 
 
 def _crc32s(texts: List[str]) -> np.ndarray:
@@ -80,9 +93,17 @@ def _fits_int64(value: int) -> bool:
     return _INT64_MIN <= value <= _INT64_MAX
 
 
-def _hash_ints(values: List[int]) -> np.ndarray:
+# Every hasher returns (one uint64 per value, the buffer it hashed
+# from).  A buffer exists only for a column of one exact type — the
+# int64 / float64 array, the (n, d) float64 array of equal-width float
+# tuples, the value list itself for dates and strings — and is what
+# RecordView.numpy_column indexes; the values, never the buffer, define
+# the hash (DESIGN.md section 5).
+
+
+def _hash_ints(values: List[int]) -> Tuple[np.ndarray, Any]:
     try:
-        return np.array(values, dtype=np.int64).view(_U64) ^ _INT
+        buffer = np.array(values, dtype=np.int64)
     except OverflowError:
         # Ints beyond int64 hash by repr; the rest keep their pattern.
         return _hash_grouped(
@@ -91,84 +112,110 @@ def _hash_ints(values: List[int]) -> np.ndarray:
                 _hash_ints(ints) if _fits_int64(ints[0]) else _hash_other(ints)
             ),
         )
+    return buffer.view(_U64) ^ _INT, buffer
 
 
-def _hash_floats(values: List[float]) -> np.ndarray:
-    return np.array(values, dtype=np.float64).view(_U64) ^ _FLOAT
+def _hash_floats(values: List[float]) -> Tuple[np.ndarray, np.ndarray]:
+    buffer = np.array(values, dtype=np.float64)
+    return buffer.view(_U64) ^ _FLOAT, buffer
 
 
-def _hash_dates(values: List[date]) -> np.ndarray:
+def _hash_dates(values: List[date]) -> Tuple[np.ndarray, list]:
     ordinals = np.fromiter(
         map(date.toordinal, values), dtype=_U64, count=len(values)
     )
-    return ordinals ^ _DATE
+    return ordinals ^ _DATE, values
 
 
-def _hash_strs(values: List[str]) -> np.ndarray:
+def _hash_strs(values: List[str]) -> Tuple[np.ndarray, list]:
     distinct = list(set(values))
     memo = dict(zip(distinct, _crc32s(distinct).tolist()))
     crcs = np.fromiter(
         map(memo.__getitem__, values), dtype=_U64, count=len(values)
     )
-    return crcs ^ _STR
+    return crcs ^ _STR, values
 
 
-def _hash_tuples(values: List[tuple]) -> np.ndarray:
+def _hash_tuples(values: List[tuple]) -> Tuple[np.ndarray, Any]:
     if len(set(map(len, values))) > 1:
         return _hash_grouped(values, len, _hash_tuples)
     width = len(values[0])
     h = np.full(len(values), _TUPLE + _U64(width), dtype=_U64)
+    flat = list(chain.from_iterable(values))
+    if set(map(type, flat)) == {float}:
+        # A vector column (``features``): one conversion, hashed
+        # position by position like any other tuple.
+        buffer = np.array(flat, dtype=np.float64).reshape(-1, width)
+        for position in (buffer.view(_U64) ^ _FLOAT).T:
+            h ^= position
+            _mix(h)
+        return h, buffer
     for position in zip(*values):
-        h ^= _hash_values(list(position))
+        h ^= _hash_values(list(position))[0]
         _mix(h)
-    return h
+    return h, None
 
 
-def _hash_other(values: list) -> np.ndarray:
+def _hash_other(values: list) -> Tuple[np.ndarray, None]:
     """Per-value fallback (None, bool, huge ints, lists, ...): crc32 of repr."""
-    return _crc32s([repr(v) for v in values]) ^ _OTHER
+    return _crc32s([repr(v) for v in values]) ^ _OTHER, None
 
 
-_HASHERS: Dict[type, Callable[[list], np.ndarray]] = {
+_HASHERS: Dict[type, Callable[[list], Tuple[np.ndarray, Any]]] = {
     int: _hash_ints, float: _hash_floats, date: _hash_dates,
     str: _hash_strs, tuple: _hash_tuples,
 }
 
 
-def _hash_values(values: list) -> np.ndarray:
-    """One ``uint64`` per value of a non-empty column."""
+def _hash_values(values: list) -> Tuple[np.ndarray, Any]:
+    """One ``uint64`` per value of a non-empty column, and its buffer."""
     types = set(map(type, values))
     if len(types) > 1:
         return _hash_grouped(values, type, _hash_values)
     return _HASHERS.get(types.pop(), _hash_other)(values)
 
 
-def record_fingerprints(records: Sequence[Row]) -> np.ndarray:
-    """Stable content hash of every record: one ``uint64`` each.
+def fingerprint_columns(
+    records: Sequence[Row],
+) -> Tuple[np.ndarray, Dict[Any, Any]]:
+    """Stable content hash of every record, and the column buffers.
 
-    The table is hashed column-wise — each column gathered once and
-    hashed by value type with numpy, the column hashes chained in
-    sorted-key order with the key's own hash — which is what keeps
-    fingerprinting off UPA's per-record hot path.
+    The table is hashed column-wise — the columns gathered once
+    (:func:`~repro.engine.columnar.gather_columns`) and each hashed by
+    value type with numpy, the column hashes chained in sorted-key
+    order with the key's own hash — which is what keeps fingerprinting
+    off UPA's per-record hot path.  The second result maps a column's
+    key to the buffer its hasher built, for the columns that have one;
+    a release reads its columns from there instead of gathering the
+    rows again.
     """
     if not records:
-        return np.empty(0, dtype=_U64)
+        return np.empty(0, dtype=_U64), {}
     keys = sorted(records[0])
     columns = None
     if len(set(map(len, records))) == 1:
         try:
-            columns = [[record[key] for record in records] for key in keys]
+            columns = gather_columns(records, keys)
         except KeyError:
             pass
     if columns is None:
         # Rows with different key sets: hash each key set's rows apart.
-        return _hash_grouped(records, frozenset, record_fingerprints)
+        return _hash_grouped(records, frozenset, fingerprint_columns)[0], {}
     h = np.full(len(records), len(keys), dtype=_U64)
+    buffers = {}
     for key, column in zip(keys, columns):
         h += _U64(zlib.crc32(repr(key).encode("utf-8", "surrogatepass")))
-        h ^= _hash_values(column)
+        hashes, buffer = _hash_values(column)
+        h ^= hashes
         _mix(h)
-    return h
+        if buffer is not None:
+            buffers[key] = buffer
+    return h, buffers
+
+
+def record_fingerprints(records: Sequence[Row]) -> np.ndarray:
+    """Stable content hash of every record: one ``uint64`` each."""
+    return fingerprint_columns(records)[0]
 
 
 def record_fingerprint(record: Row) -> int:
@@ -185,9 +232,79 @@ def partition_of(record: Row, num_partitions: int = 2) -> int:
     return record_fingerprint(record) % num_partitions
 
 
+def partition_id_bits(fingerprints: np.ndarray) -> np.ndarray:
+    """The two-partition id of every fingerprint: its low bit, as uint8."""
+    return (fingerprints & _U64(1)).astype(np.uint8)
+
+
 def partition_ids_of(records: Sequence[Row]) -> np.ndarray:
     """:func:`partition_of` (two partitions) of every record, as uint8."""
-    return (record_fingerprints(records) & _U64(1)).astype(np.uint8)
+    return partition_id_bits(record_fingerprints(records))
+
+
+class RecordView:
+    """Some records of a table, by position: rows and columns at once.
+
+    ``rows`` is the caller's own row sequence and ``indices`` the
+    table positions the view holds, in order.  Iterating (or indexing)
+    yields the caller's dict objects themselves, so a row mapper pays
+    nothing for the indirection; ``numpy_column`` — the hook
+    :func:`repro.core.batch.column_values` probes — answers from the
+    release's shared column ``buffers`` instead of gathering the rows
+    again.  A slice is a view over the same rows and buffers.
+    """
+
+    __slots__ = ("_rows", "_indices", "_buffers")
+
+    def __init__(self, rows: Sequence[Row], indices: np.ndarray,
+                 buffers: Dict[Any, Any]):
+        self._rows = rows
+        self._indices = indices
+        self._buffers = buffers
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __iter__(self) -> Iterator[Row]:
+        return map(self._rows.__getitem__, self._indices.tolist())
+
+    def __getitem__(self, item):
+        if isinstance(item, slice):
+            return RecordView(self._rows, self._indices[item], self._buffers)
+        return self._rows[self._indices[item]]
+
+    def numpy_column(self, name: Any) -> Optional[np.ndarray]:
+        """The view's values of one column, or None if it has no buffer.
+
+        None sends ``column_values`` to its row gather: the column is
+        heterogeneous, or nothing was hashed this release (the
+        incremental path).
+        """
+        buffer = self._buffers.get(name)
+        if buffer is None:
+            return None
+        if not isinstance(buffer, np.ndarray):
+            # A date / str column, boxed on first request.  Two threads
+            # may both box it; either array serves every later reader.
+            buffer = self._buffers[name] = np.array(buffer, dtype=object)
+        return buffer[self._indices]
+
+    def __reduce__(self):
+        # A task ships its own rows and its own slice of each buffer,
+        # not the table.
+        indices = self._indices
+        positions = indices.tolist()
+        buffers = {
+            name: (
+                buffer[indices] if isinstance(buffer, np.ndarray)
+                else list(map(buffer.__getitem__, positions))
+            )
+            for name, buffer in self._buffers.items()
+        }
+        return (
+            RecordView,
+            (list(self), np.arange(len(positions)), buffers),
+        )
 
 
 @dataclass
@@ -196,7 +313,6 @@ class PartitionedSample:
 
     Attributes:
         records: the protected table the sample was drawn from.
-        sampled: the n differing records S (in sample order).
         sampled_partitions: partition id of each sampled record.
         domain_samples: n records from D but not in x, as the row batch
             the query's ``sample_domain_batch`` returned.
@@ -208,45 +324,65 @@ class PartitionedSample:
         sampled_indices: table-order indices of the sampled records.
         remaining_indices: table-order indices of S' = x \\ S, per
             partition.
+        buffers: the column buffers the hash built, by column key;
+            empty when ``partition_ids`` was supplied without them.
+            They live as long as the sample does: one release.
+
+    ``sampled``, ``remaining`` and ``partitions`` are
+    :class:`RecordView`s over ``records``: they read the live table, so
+    take what you need from them before it is mutated.
     """
 
     records: Sequence[Row]
-    sampled: List[Row]
     sampled_partitions: List[int]
     domain_samples: Sequence[Row]
     partition_ids: np.ndarray
     sampled_indices: List[int]
     remaining_indices: Tuple[np.ndarray, np.ndarray]
+    buffers: Dict[Any, Any]
 
     @property
     def sample_size(self) -> int:
-        return len(self.sampled)
+        return len(self.sampled_indices)
 
-    @cached_property
-    def remaining(self) -> Tuple[List[Row], List[Row]]:
-        """S' = x \\ S, per partition, original order preserved.
+    def _view(self, indices: np.ndarray) -> RecordView:
+        return RecordView(self.records, indices, self.buffers)
 
-        Taken on first access: an incremental release folds cached
-        blocks by ``remaining_indices`` and never reads the rows.
-        """
-        records = self.records
-        return tuple(
-            [records[i] for i in indices.tolist()]
-            for indices in self.remaining_indices
-        )
+    @property
+    def sampled(self) -> RecordView:
+        """The n differing records S, in table order."""
+        return self._view(np.asarray(self.sampled_indices, dtype=np.intp))
 
-    @cached_property
-    def partitions(self) -> Tuple[List[Row], List[Row]]:
+    @property
+    def remaining(self) -> Tuple[RecordView, RecordView]:
+        """S' = x \\ S, per partition, original order preserved."""
+        return tuple(map(self._view, self.remaining_indices))
+
+    @property
+    def partitions(self) -> Tuple[RecordView, RecordView]:
         """Records of x1 and x2, original order preserved.
 
         Nothing in the pipeline reads it (S and S' are what the phases
         consume).
         """
-        records, ids = self.records, self.partition_ids
-        return tuple(
-            [records[i] for i in np.flatnonzero(ids == p).tolist()]
-            for p in (0, 1)
+        ids = self.partition_ids
+        return tuple(self._view(np.flatnonzero(ids == p)) for p in (0, 1))
+
+
+def protected_records(query: MapReduceQuery, tables: Tables) -> Sequence[Row]:
+    """The query's protected table, which must be there and non-empty."""
+    records = tables.get(query.protected_table)
+    if records is None:
+        raise DPError(
+            f"protected table {query.protected_table!r} is not among the "
+            f"submitted tables {sorted(tables)}"
         )
+    if not records:
+        raise DPError(
+            f"protected table {query.protected_table!r} is empty; "
+            "nothing to protect"
+        )
+    return records
 
 
 def partition_and_sample(
@@ -256,6 +392,7 @@ def partition_and_sample(
     rng: random.Random,
     partition_ids: Optional[np.ndarray] = None,
     tracer: Tracer = NULL_TRACER,
+    buffers: Optional[Dict[Any, Any]] = None,
 ) -> PartitionedSample:
     """Run Partition & Sample for ``query`` over its protected table.
 
@@ -267,19 +404,17 @@ def partition_and_sample(
     partition of every record (one id per record, table order) so
     incremental runs skip re-fingerprinting the whole table; content
     hashing is deterministic, so the output is bitwise identical either
-    way.  An enabled ``tracer`` gets one child span per step.
+    way.  A caller that hashed the table itself this release passes the
+    ``buffers`` of :func:`fingerprint_columns` along with the ids.  An
+    enabled ``tracer`` gets one child span per step.
     """
-    records = tables[query.protected_table]
-    if not records:
-        raise DPError(
-            f"protected table {query.protected_table!r} is empty; "
-            "nothing to protect"
-        )
+    records = protected_records(query, tables)
     n = min(sample_size, len(records))
 
     with tracer.span("sampling.fingerprint"):
         if partition_ids is None:
-            partition_ids = partition_ids_of(records)
+            fingerprints, buffers = fingerprint_columns(records)
+            partition_ids = partition_id_bits(fingerprints)
         elif len(partition_ids) != len(records):
             raise DPError(
                 f"partition_ids has {len(partition_ids)} entries for "
@@ -288,7 +423,6 @@ def partition_and_sample(
 
     with tracer.span("sampling.split"):
         sampled_indices = sorted(rng.sample(range(len(records)), n))
-        sampled = [records[i] for i in sampled_indices]
         sampled_parts = partition_ids[sampled_indices].tolist()
         unsampled = np.ones(len(records), dtype=bool)
         unsampled[sampled_indices] = False
@@ -303,10 +437,10 @@ def partition_and_sample(
         )
     return PartitionedSample(
         records=records,
-        sampled=sampled,
         sampled_partitions=sampled_parts,
         domain_samples=domain_samples,
         partition_ids=partition_ids,
         sampled_indices=sampled_indices,
         remaining_indices=remaining_indices,
+        buffers=buffers or {},
     )

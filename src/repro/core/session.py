@@ -42,9 +42,11 @@ from repro.core.query import MapReduceQuery, Tables
 from repro.core.range_enforcer import EnforcementResult, RangeEnforcer
 from repro.core.sampling import (
     PartitionedSample,
+    fingerprint_columns,
     partition_and_sample,
+    partition_id_bits,
     partition_ids_of,
-    record_fingerprints,
+    protected_records,
 )
 from repro.dp.budget import PrivacyAccountant
 from repro.dp.mechanisms import GaussianMechanism, LaplaceMechanism
@@ -58,12 +60,14 @@ from repro.obs.tracing import NULL_SPAN, NULL_TRACER, Tracer, get_tracer
 class _MapFoldSlice:
     """Phase-2 task over one engine slice of S' records.
 
-    Maps the slice through ``query.map_batch`` (broadcast aux) and folds
-    it with ``query.fold_batch``: one partial aggregate per slice, none
-    for an empty slice.  A module-level class rather than a local
-    closure so process-backend tasks can pickle it (a local function
-    can never cross the boundary, which would force every session job
-    onto the fallback path).
+    The engine hands the task its slice as one
+    :class:`~repro.core.sampling.RecordView`; it is mapped through
+    ``query.map_batch`` (broadcast aux) and folded with
+    ``query.fold_batch``: one partial aggregate per slice, none for an
+    empty slice.  A module-level class rather than a local closure so
+    process-backend tasks can pickle it (a local function can never
+    cross the boundary, which would force every session job onto the
+    fallback path).
     """
 
     __slots__ = ("query", "aux")
@@ -72,12 +76,12 @@ class _MapFoldSlice:
         self.query = query
         self.aux = aux
 
-    def __call__(self, records):
-        records = list(records)
-        if not records:
-            return ()
-        query = self.query
-        return (query.fold_batch(query.map_batch(records, self.aux.value)),)
+    def __call__(self, slices):
+        query, aux = self.query, self.aux.value
+        return [
+            query.fold_batch(query.map_batch(records, aux))
+            for records in slices if len(records)
+        ]
 
 
 class _FoldSlice:
@@ -99,6 +103,14 @@ class _FoldSlice:
             query.fold_batch(batch) for batch in batches
             if query.batch_length(batch)
         ]
+
+
+def _engine_slices(total: int, parts: int) -> List[Tuple[int, int]]:
+    """The ``parts`` even [lo, hi) cuts of ``total`` records, in order —
+    where ``ParallelCollectionRDD`` would cut them."""
+    return [
+        (k * total // parts, (k + 1) * total // parts) for k in range(parts)
+    ]
 
 
 @dataclass(frozen=True)
@@ -497,6 +509,9 @@ class UPASession:
             raise DPError(
                 f"epsilon must be positive and finite, got {epsilon}"
             )
+        # A refused submission must cost nothing: the table is checked
+        # before the accountant is charged.
+        records = protected_records(query, tables)
         if self.config.strict:
             self._static_gate(query)
         if self.config.validate_queries or self.config.strict:
@@ -507,9 +522,13 @@ class UPASession:
             # one tracer sees the pipeline end to end.
             self.engine.install_tracer(tracer)
         self._last_incremental = None
-        cache_key = None
+        cache_key = hashed = None
         if self.config.answer_cache:
-            cache_key = self._cache_key(query, tables, epsilon)
+            # The one hash of this release: the cache key reads the
+            # fingerprints, phase 1 their low bits and the buffers.
+            fingerprints, buffers = fingerprint_columns(records)
+            hashed = (partition_id_bits(fingerprints), buffers)
+            cache_key = self._cache_key(query, fingerprints, epsilon)
             cached = self._answer_cache.get(cache_key)
             if cached is not None:
                 self.engine.metrics.incr("answer_cache_hits")
@@ -535,7 +554,7 @@ class UPASession:
             else NULL_SPAN
         )
         with run_span, Timer() as timer:
-            reduced = self._sample_and_reduce(query, tables)
+            reduced = self._sample_and_reduce(query, tables, hashed)
             neighbours = reduced.neighbours
             with tracer.span("phase:inference") if tracer.enabled \
                     else NULL_SPAN as inference_span:
@@ -838,12 +857,12 @@ class UPASession:
         self._lint_cleared.add(key)
 
     @staticmethod
-    def _cache_key(query: MapReduceQuery, tables: Tables,
+    def _cache_key(query: MapReduceQuery, fingerprints: np.ndarray,
                    epsilon: float) -> tuple:
         """Identity of a submission: query name + dataset fingerprint.
 
         The dataset fingerprint is the record count and the records'
-        content fingerprints summed mod 2**64.
+        content ``fingerprints`` summed mod 2**64.
 
         Releasing the *same* noisy answer for the same submission is
         standard DP practice (no new information leaves the curator).
@@ -851,10 +870,7 @@ class UPASession:
         — names are unique in the workload registry, and ad-hoc queries
         get their SQL text as the name.
         """
-        records = tables[query.protected_table]
-        dataset_print = (
-            len(records), int(record_fingerprints(records).sum()),
-        )
+        dataset_print = (len(fingerprints), int(fingerprints.sum()))
         return (query.name, epsilon, dataset_print)
 
     def run_sql(
@@ -912,12 +928,16 @@ class UPASession:
             reduced.neighbours, reduced.population, self.config.inference
         )
 
-    def _sample_and_reduce(self, query: MapReduceQuery,
-                           tables: Tables) -> _ReducedRun:
+    def _sample_and_reduce(
+        self, query: MapReduceQuery, tables: Tables,
+        hashed: Optional[Tuple[np.ndarray, dict]] = None,
+    ) -> _ReducedRun:
         """Shared preamble of :meth:`run` and :meth:`infer_sensitivity`.
 
         Draws the per-run RNG, partitions & samples, builds aux, and
-        runs the union-preserving reduce phase.
+        runs the union-preserving reduce phase.  ``hashed`` is the
+        (partition ids, column buffers) of a table :meth:`run` already
+        hashed this release.
         """
         self._run_counter += 1
         tracer = self.tracer
@@ -938,10 +958,14 @@ class UPASession:
             "phase:partition_sample", query=query.name,
             sample_size=self.config.sample_size,
         ) if tracer.enabled else NULL_SPAN as sample_span:
+            if hashed is not None:
+                partition_ids, buffers = hashed
+            else:
+                partition_ids = incr.partition_ids if use_incr else None
+                buffers = None
             sample = partition_and_sample(
                 query, tables, self.config.sample_size, rng,
-                partition_ids=incr.partition_ids if use_incr else None,
-                tracer=tracer,
+                partition_ids=partition_ids, tracer=tracer, buffers=buffers,
             )
             sample_span.set_attribute("sampled", sample.sample_size)
             sample_span.set_attribute("incremental", bool(use_incr))
@@ -1075,12 +1099,8 @@ class UPASession:
         parts = max(1, self.config.engine_partitions)
         remaining = tuple(
             [
-                query.batch_select(
-                    window,
-                    indices[k * len(indices) // parts:
-                            (k + 1) * len(indices) // parts],
-                )
-                for k in range(parts)
+                query.batch_select(window, indices[lo:hi])
+                for lo, hi in _engine_slices(len(indices), parts)
             ]
             for indices in sample.remaining_indices
         )
@@ -1128,13 +1148,17 @@ class UPASession:
             records=sum(map(len, sample.remaining_indices)), slices=2 * parts,
         ) if tracer.enabled else NULL_SPAN:
             # Parallel Map + per-partition reduce of S' (ReduceByPar,
-            # Alg.1 l.7): the engine cuts each partition's S' into
-            # ``parts`` slices and every slice is one task returning
-            # fold_batch(map_batch(slice)); aggregate() combines the
-            # partials in slice order.
+            # Alg.1 l.7): each partition's S' is cut into ``parts``
+            # slices, the engine gets one element per slice and every
+            # slice is one task returning fold_batch(map_batch(slice));
+            # aggregate() combines the partials in slice order.
             if remaining_slices is None:
                 task = _MapFoldSlice(query, self.engine.broadcast(aux))
-                sprime = sample.remaining
+                sprime = [
+                    [part[lo:hi]
+                     for lo, hi in _engine_slices(len(part), parts)]
+                    for part in sample.remaining
+                ]
             else:
                 # Incremental fast path: S' is already mapped (cached
                 # blocks) and cut at the same boundaries, one batch per

@@ -20,6 +20,7 @@ bit for bit on all three backends.
 
 from __future__ import annotations
 
+import random
 from typing import Any, List, Tuple
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.common.errors import DPError, QueryShapeError
 from repro.core import session as session_mod
 from repro.core.grouped import GroupSliceQuery
 from repro.core.query import BATCH_METHODS, MapReduceQuery, Tables
+from repro.core.sampling import partition_and_sample
 from repro.core.session import UPAConfig, UPASession
 from repro.core.sqlbridge import compile_sql
 from repro.engine.context import EngineContext
@@ -488,9 +490,10 @@ class TestZeroCombinedInFront:
 def _spy_phase2(monkeypatch):
     """Record, per release, what phase 2 mapped and what its tasks returned.
 
-    Each entry is ``(query, aux, sample, incremental, jobs)`` where
-    ``jobs`` holds the scheduler's per-slice results of the two S'
-    jobs, in partition order.
+    Each entry is ``(query, aux, sample, incremental, jobs, remaining)``
+    where ``jobs`` holds the scheduler's per-slice results of the two
+    S' jobs, in partition order, and ``remaining`` the rows of S' per
+    partition.
     """
     captured: list = []
     reduce_phase = UPASession._reduce_phase
@@ -511,12 +514,12 @@ def _spy_phase2(monkeypatch):
                                remaining_slices)
         finally:
             del scheduler.run_job
-        # ``remaining`` is taken lazily from the live table, which the
-        # next append()/retire() mutates: take it within the release.
-        assert len(sample.remaining) == 2
-        captured.append(
-            (query, aux, sample, remaining_slices is not None, jobs)
-        )
+        # ``remaining`` are views of the live table, which the next
+        # append()/retire() mutates: take the rows within the release.
+        captured.append((
+            query, aux, sample, remaining_slices is not None, jobs,
+            [list(part) for part in sample.remaining],
+        ))
         return out
 
     monkeypatch.setattr(UPASession, "_reduce_phase", spy)
@@ -525,9 +528,9 @@ def _spy_phase2(monkeypatch):
 
 def _assert_slices_match_scalar_fold(entry, parts: int) -> None:
     """Every slice's partial == fold(map_record(r) for r in slice), bitwise."""
-    query, aux, sample, _incremental, jobs = entry
+    query, aux, _sample, _incremental, jobs, remaining = entry
     assert len(jobs) == 2, query.name
-    for records, partials in zip(sample.remaining, jobs):
+    for records, partials in zip(remaining, jobs):
         assert len(partials) == parts
         total = len(records)
         for k, partial in enumerate(partials):
@@ -594,29 +597,31 @@ class TestSlicedPhase2:
         assert engine.metrics.get(MetricsRegistry.PROCESS_FALLBACKS) == 0
 
 
+def _release_queries(tables, ml_tables):
+    """The nine workloads, a compiled SQL query and a group slice."""
+    pairs = [(w.query, tables if w.query.protected_table in tables
+              else ml_tables) for w in all_workloads()]
+    pairs.append((
+        compile_sql(
+            "SELECT SUM(l_quantity) FROM lineitem "
+            "WHERE l_discount >= 0.02",
+            tables, "lineitem",
+            domain_sampler=samplers.random_lineitem,
+        ),
+        tables,
+    ))
+    pairs.append((
+        GroupSliceQuery(
+            "by_flag", "lineitem", "R",
+            lambda r: r["l_returnflag"], None, samplers.random_lineitem,
+        ),
+        tables,
+    ))
+    return pairs
+
+
 class TestEmptyAndShortSPrime:
     """|x| <= n leaves S' empty; few records leave some slices empty."""
-
-    def _queries(self, tables, ml_tables):
-        pairs = [(w.query, tables if w.query.protected_table in tables
-                  else ml_tables) for w in all_workloads()]
-        pairs.append((
-            compile_sql(
-                "SELECT SUM(l_quantity) FROM lineitem "
-                "WHERE l_discount >= 0.02",
-                tables, "lineitem",
-                domain_sampler=samplers.random_lineitem,
-            ),
-            tables,
-        ))
-        pairs.append((
-            GroupSliceQuery(
-                "by_flag", "lineitem", "R",
-                lambda r: r["l_returnflag"], None, samplers.random_lineitem,
-            ),
-            tables,
-        ))
-        return pairs
 
     @pytest.mark.parametrize("parts", [1, 2, 3, 5])
     @pytest.mark.parametrize("spare", [0, 3])
@@ -625,7 +630,7 @@ class TestEmptyAndShortSPrime:
     ):
         captured = _spy_phase2(monkeypatch)
         sample_size = 25
-        for query, source in self._queries(big_tpch_tables, big_ml_tables):
+        for query, source in _release_queries(big_tpch_tables, big_ml_tables):
             tables = dict(source)
             tables[query.protected_table] = source[query.protected_table][
                 :sample_size + spare
@@ -635,7 +640,7 @@ class TestEmptyAndShortSPrime:
                 sample_size=sample_size, seed=9, engine_partitions=parts,
             )).run(query, tables, epsilon=0.5)
             entry = captured[-1]
-            assert sum(map(len, entry[2].remaining)) == (
+            assert sum(map(len, entry[5])) == (
                 spare if size > sample_size else 0
             )
             _assert_slices_match_scalar_fold(entry, parts)
@@ -655,3 +660,64 @@ class TestEmptyAndShortSPrime:
             assert result.removal_outputs.shape == (
                 result.sample_size, query.output_dim
             )
+
+
+class TestViewsMapLikeRows:
+    """Phase 2 maps ``RecordView``s: same bits as mapping their rows."""
+
+    def test_map_batch_of_a_view_is_map_batch_of_its_rows(
+        self, big_tpch_tables, big_ml_tables
+    ):
+        for query, tables in _release_queries(big_tpch_tables, big_ml_tables):
+            sample = partition_and_sample(
+                query, tables, 40, random.Random(8)
+            )
+            aux = query.build_aux(tables)
+            views = (
+                sample.sampled, sample.remaining[0],
+                sample.remaining[1][5:90], sample.sampled[3:3],
+            )
+            for view in views:
+                mapped = query.map_batch(view, aux)
+                rows = query.map_batch(list(view), aux)
+                assert query.batch_length(mapped) == len(view)
+                assert [_bits(e) for e in query.iter_batch(mapped)] == [
+                    _bits(e) for e in query.iter_batch(rows)
+                ], query.name
+                assert _bits(query.fold_batch(mapped)) == _bits(
+                    query.fold_batch(rows)
+                ), query.name
+
+    @pytest.mark.parametrize("name", ["kmeans", "linreg"])
+    def test_append_has_no_buffers_and_gathers_the_rows(
+        self, monkeypatch, name
+    ):
+        """The ids are cached, nothing is hashed, ``features`` has no
+        (n, d) buffer: ``column_values`` reads the rows, same bits."""
+        samples = []
+        real = session_mod.partition_and_sample
+
+        def spy(*args, **kwargs):
+            samples.append(real(*args, **kwargs))
+            return samples[-1]
+
+        monkeypatch.setattr(session_mod, "partition_and_sample", spy)
+        workload = workload_by_name(name)
+        rows = workload.make_tables(900, 11)["points"]
+        config = UPAConfig(sample_size=60, seed=5)
+        grown = UPASession(config)
+        grown.run(workload.query, {"points": list(rows[:800])}, epsilon=0.5)
+        appended = grown.append(rows[800:], epsilon=0.5)
+        cold = UPASession(config)
+        cold.run(workload.query, {"points": list(rows[:800])}, epsilon=0.5)
+        rerun = cold.run(workload.query, {"points": list(rows)}, epsilon=0.5)
+        assert [sorted(sample.buffers) for sample in samples] == [
+            ["features", "label"], [], ["features", "label"],
+            ["features", "label"],
+        ]
+        assert samples[1].sampled.numpy_column("features") is None
+        for field in ("noisy_output", "plain_output", "removal_outputs",
+                      "addition_outputs", "partition_outputs"):
+            assert _bits(getattr(appended, field)) == _bits(
+                getattr(rerun, field)
+            ), field

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import DPError, PrivacyBudgetExceeded
+import repro.core.sampling as sampling_mod
+import repro.core.session as session_mod
 from repro.core import UPAConfig, UPASession
 from repro.core.inference import InferenceConfig, infer_output_range
 from repro.core.query import MapReduceQuery
@@ -15,6 +17,7 @@ from repro.core.range_enforcer import EnforcementResult, RangeEnforcer
 from repro.core.session import _PipelineState
 from repro.dp.budget import PrivacyAccountant
 from repro.engine.metrics import MetricsRegistry
+from repro.obs.ledger import PrivacyLedger
 from repro.tpch import TPCHConfig, TPCHGenerator
 from repro.tpch.workload import query_by_name
 
@@ -560,6 +563,56 @@ class TestUPASession:
         session.run(query_by_name("tpch1"), small_tables, epsilon=0.1)
         with pytest.raises(PrivacyBudgetExceeded):
             session.run(query_by_name("tpch1"), small_tables, epsilon=0.1)
+
+    @pytest.mark.parametrize("answer_cache", [False, True])
+    @pytest.mark.parametrize("tables", [{"lineitem": []}, {}])
+    def test_refused_table_costs_nothing(self, tables, answer_cache):
+        """An empty or absent protected table is refused before ε is
+        charged: accountant, ledger and enforcer registry stay as is."""
+        accountant = PrivacyAccountant(total_epsilon=1.0)
+        ledger = PrivacyLedger()
+        session = UPASession(
+            UPAConfig(sample_size=50, seed=0, answer_cache=answer_cache),
+            accountant=accountant, ledger=ledger,
+        )
+        with pytest.raises(DPError, match="protected table 'lineitem'"):
+            session.run(query_by_name("tpch6"), tables, epsilon=0.1)
+        assert accountant.spent() == (0.0, 0.0)
+        assert len(ledger) == 0
+        assert len(session.enforcer) == 0
+        assert session._answer_cache == {}
+
+    def test_answer_cache_hashes_the_table_once(
+        self, small_tables, monkeypatch
+    ):
+        """A miss hashed it for the cache key and again in phase 1."""
+        calls = []
+        real = sampling_mod.fingerprint_columns
+
+        def counting(records):
+            calls.append(len(records))
+            return real(records)
+
+        monkeypatch.setattr(sampling_mod, "fingerprint_columns", counting)
+        monkeypatch.setattr(session_mod, "fingerprint_columns", counting)
+        query = query_by_name("tpch6")
+        rows = len(small_tables["lineitem"])
+        cached = UPASession(
+            UPAConfig(sample_size=50, seed=0, answer_cache=True)
+        )
+        first = cached.run(query, small_tables, epsilon=0.5)
+        assert calls == [rows]
+        assert cached.run(query, small_tables, epsilon=0.5) is first
+        assert calls == [rows, rows]  # a hit: the key alone
+        del calls[:]
+        plain = UPASession(UPAConfig(sample_size=50, seed=0)).run(
+            query, small_tables, epsilon=0.5
+        )
+        assert calls == [rows]
+        np.testing.assert_array_equal(first.noisy_output, plain.noisy_output)
+        np.testing.assert_array_equal(
+            first.removal_outputs, plain.removal_outputs
+        )
 
     def test_smaller_epsilon_noisier(self, small_tables):
         query = query_by_name("tpch6")

@@ -7,18 +7,22 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtri
 
+import repro.core.sampling as sampling_mod
 import repro.core.session as session_mod
 from repro.baselines.bruteforce import exact_local_sensitivity
 from repro.common.config import EngineConfig
 from repro.common.errors import DPError
 from repro.common.rng import make_rng
+from repro.core.batch import column_values
 from repro.core.inference import (
     InferenceConfig,
     infer_local_sensitivity,
@@ -26,6 +30,7 @@ from repro.core.inference import (
 )
 from repro.core.query import MapReduceQuery
 from repro.core.sampling import (
+    fingerprint_columns,
     partition_and_sample,
     partition_ids_of,
     partition_of,
@@ -33,7 +38,7 @@ from repro.core.sampling import (
     record_fingerprints,
 )
 from repro.core.session import UPAConfig, UPASession
-from repro.engine.columnar import ColumnarPartition
+from repro.engine.columnar import ColumnarPartition, gather_columns
 from repro.engine.context import EngineContext
 from repro.mining.datasets import LifeScienceConfig, domain_point
 from repro.tpch.datagen import NATION_NAMES, PRIORITIES, SHIPMODES
@@ -72,7 +77,7 @@ class TestPartitionAndSample:
         sample = partition_and_sample(
             _IdentityQuery(), tables, 50, random.Random(0)
         )
-        merged = sample.partitions[0] + sample.partitions[1]
+        merged = [*sample.partitions[0], *sample.partitions[1]]
         assert sorted(r["v"] for r in merged) == sorted(
             r["v"] for r in tables["vals"]
         )
@@ -83,7 +88,7 @@ class TestPartitionAndSample:
             _IdentityQuery(), {"vals": records}, 50, random.Random(0)
         )
         for p in (0, 1):
-            assert sample.partitions[p] == [
+            assert list(sample.partitions[p]) == [
                 r for r, pid in zip(records, sample.partition_ids) if pid == p
             ]
 
@@ -108,7 +113,7 @@ class TestPartitionAndSample:
             _IdentityQuery(), _tables(10), 1000, random.Random(1)
         )
         assert sample.sample_size == 10
-        assert sample.remaining == ([], [])
+        assert [len(part) for part in sample.remaining] == [0, 0]
         assert len(sample.domain_samples) == 10
 
     def test_sampled_plus_remaining_is_everything(self):
@@ -118,9 +123,8 @@ class TestPartitionAndSample:
         )
         reunion = sorted(
             r["v"]
-            for r in sample.sampled
-            + sample.remaining[0]
-            + sample.remaining[1]
+            for r in (*sample.sampled, *sample.remaining[0],
+                      *sample.remaining[1])
         )
         assert reunion == [float(i) for i in range(200)]
 
@@ -144,7 +148,7 @@ class TestPartitionAndSample:
         b = partition_and_sample(
             _IdentityQuery(), _tables(), 20, random.Random(9)
         )
-        assert a.sampled == b.sampled
+        assert list(a.sampled) == list(b.sampled)
         assert a.domain_samples == b.domain_samples
 
     def test_partitions_roughly_balanced(self):
@@ -265,6 +269,332 @@ class TestFingerprintContract:
                 {**r, column: bump[type(r[column])](r[column])} for r in rows
             ]
             assert (record_fingerprints(changed) != prints).all(), column
+
+
+#: one strategy per column: a column of one exact type, or mixed.
+_float_vectors = st.lists(
+    st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=3,
+).map(tuple)
+_column_values = st.sampled_from([
+    st.integers(-5, 5),
+    st.integers(),  # some beyond int64
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.one_of(st.integers(-5, 5), st.floats(allow_nan=False)),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.text(min_size=1, max_size=4),
+    st.dates(),
+    _float_vectors,
+    st.lists(st.integers(-3, 3), min_size=2, max_size=2).map(tuple),
+    st.lists(_scalars, max_size=3).map(tuple),  # differing widths
+    _values,
+])
+
+
+@st.composite
+def _uniform_tables(draw):
+    """Rows that share one key set, each in its own insertion order."""
+    # One column to twelve: either side of gather_columns' width rule.
+    keys = draw(st.lists(
+        st.sampled_from("abcdefghijkl"), min_size=1, max_size=12,
+        unique=True,
+    ))
+    strategies = {key: draw(_column_values) for key in keys}
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        order = draw(st.permutations(keys))
+        rows.append({key: draw(strategies[key]) for key in order})
+    return rows
+
+
+def _oracle(rows):
+    return [record_fingerprint(row) for row in rows]
+
+
+class TestOnePassGather:
+    """The table is read once: ``gather_columns`` + the typed hashers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_uniform_tables())
+    def test_one_pass_is_the_per_key_transposition(self, rows):
+        names = sorted(rows[0])
+        assert gather_columns(rows, names) == [
+            [row[name] for row in rows] for name in names
+        ]
+        fingerprints, buffers = fingerprint_columns(rows)
+        assert fingerprints.tolist() == _oracle(rows)
+        for name, buffer in buffers.items():
+            column = [row[name] for row in rows]
+            if isinstance(buffer, np.ndarray):
+                kinds = {int: np.int64, float: np.float64,
+                         tuple: np.float64}
+                assert buffer.dtype == kinds[type(column[0])]
+                assert _bits(buffer.tolist()) == _bits(column)
+            else:  # a date / str column hands back its own values
+                assert type(column[0]) in (str, datetime.date)
+                assert all(a is b for a, b in zip(buffer, column))
+
+    @pytest.mark.parametrize("values", [
+        ["abc", "de", ""],  # a bare itemgetter value fed to chain
+        ["a", "b", "c"],  # ... is iterated, silently: one char per row
+        [(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)],
+        [("x", 1), ("y", 2), ("z", 3)],
+        [(), (), ()],
+    ])
+    def test_one_key_table_keeps_its_values_whole(self, values):
+        rows = [{"only": value} for value in values]
+        assert gather_columns(rows, ["only"]) == [values]
+        assert record_fingerprints(rows).tolist() == _oracle(rows)
+        assert len(set(_oracle(rows))) == len(set(values))
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 14])
+    def test_narrow_and_wide_tables_gather_alike(self, width):
+        # Below _ONE_PASS_MIN_WIDTH a pass per column, from it one pass
+        # per table; str values, which a flattening bug would split.
+        names = [f"c{j}" for j in range(width)]
+        rows = [
+            {name: f"{name}-{i}" * (i % 3) for name in names}
+            for i in range(11)
+        ]
+        assert gather_columns(rows, names) == [
+            [row[name] for row in rows] for name in names
+        ]
+        assert gather_columns(rows, names[::-1])[0] == [
+            row[names[-1]] for row in rows
+        ]
+        assert record_fingerprints(rows).tolist() == _oracle(rows)
+        with pytest.raises(KeyError):
+            gather_columns(rows + [{"c0": "x"}], names + ["other"])
+
+    def test_rows_in_different_insertion_order(self):
+        rows = [{"a": 1, "b": "x", "c": 2.5}, {"c": 3.5, "a": 2, "b": "y"},
+                {"b": "z", "c": 4.5, "a": 3}]
+        assert gather_columns(rows, ["a", "b", "c"]) == [
+            [1, 2, 3], ["x", "y", "z"], [2.5, 3.5, 4.5],
+        ]
+        fingerprints, buffers = fingerprint_columns(rows)
+        assert fingerprints.tolist() == _oracle(rows)
+        assert buffers["a"].tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("rows", [
+        [{"a": 1, "b": 2}, {"a": 1, "c": 2}],  # same width: KeyError
+        [{"a": 1, "b": 2}, {"a": 1}],  # a row missing a key
+        [{"a": 1}, {"a": 1, "b": 2}, {"a": 3}],  # a row with an extra key
+        [dict.fromkeys("abcdefghi", 1),  # ... and from the one-pass gather
+         dict.fromkeys("abcdefghj", 1)],
+    ])
+    def test_other_key_sets_reach_the_grouped_hash(self, rows, monkeypatch):
+        grouped = []
+        real = sampling_mod._hash_grouped
+
+        def spy(items, group_of, hasher):
+            grouped.append(group_of)
+            return real(items, group_of, hasher)
+
+        monkeypatch.setattr(sampling_mod, "_hash_grouped", spy)
+        fingerprints, buffers = fingerprint_columns(rows)
+        assert frozenset in grouped
+        assert buffers == {}
+        assert fingerprints.tolist() == _oracle(rows)
+
+    @pytest.mark.parametrize("values, buffer", [
+        ([1, 2, 3], np.int64),
+        ([1.5, -0.0, float("nan")], np.float64),
+        ([1, 2.0, 3], None),  # mixed: 1 and 1.0 hash apart, no one array
+        ([True, False, True], None),
+        ([None, None], None),
+        ([1, 2 ** 70, -2 ** 63], None),  # beyond int64
+        ([(1.0, 2.0), (3.0, 4.0)], np.float64),
+        ([(1.0,), (2.0, 3.0)], None),  # differing widths
+        ([(1, 2), (3, 4)], None),  # an int vector is not a float buffer
+        ([(1.0, 2), (3.0, 4)], None),
+        (["x", "y"], list),
+        ([datetime.date(2020, 1, 1), datetime.date(2021, 2, 3)], list),
+    ])
+    def test_a_buffer_exists_only_for_an_exact_type_column(
+        self, values, buffer
+    ):
+        rows = [{"k": 0.5, "v": value} for value in values]
+        fingerprints, buffers = fingerprint_columns(rows)
+        assert fingerprints.tolist() == _oracle(rows)
+        assert buffers["k"].dtype == np.float64
+        if buffer is None:
+            assert "v" not in buffers
+        elif buffer is list:
+            assert buffers["v"] == values
+        else:
+            assert buffers["v"].dtype == buffer
+            assert buffers["v"].shape[0] == len(values)
+
+    def test_empty_table(self):
+        fingerprints, buffers = fingerprint_columns([])
+        assert fingerprints.shape == (0,) and fingerprints.dtype == np.uint64
+        assert buffers == {}
+        assert gather_columns([], ["a", "b"]) == [[], []]
+        assert gather_columns([], ["a"]) == [[]]
+        assert gather_columns([{}, {}], []) == []
+
+    def test_columnar_from_rows_is_the_same_gather(self, tpch_tables):
+        rows = tpch_tables["lineitem"][:50]
+        block = ColumnarPartition.from_rows(rows)
+        assert block.rows() == rows
+        assert ColumnarPartition.from_rows(
+            [{"s": "abc"}, {"s": "de"}]
+        ).column("s") == ["abc", "de"]
+        with pytest.raises(KeyError):
+            ColumnarPartition.from_rows([{"a": 1, "b": 2}, {"a": 1}])
+
+
+def _flatten(values):
+    for value in values:
+        if isinstance(value, (tuple, list)):
+            yield from _flatten(value)
+        else:
+            yield value
+
+
+def _bits(values):
+    """Floats by bit pattern (nan == nan, 0.0 != -0.0), the rest as is."""
+    return [
+        np.float64(v).tobytes() if isinstance(v, float) else v
+        for v in _flatten(values)
+    ]
+
+
+def _sample_of(name, tables, n=40, **kwargs):
+    query = workload_by_name(name).query
+    return partition_and_sample(query, tables, n, random.Random(6), **kwargs)
+
+
+class TestRecordViews:
+    """S, S' and the partitions are index views over the caller's rows."""
+
+    def test_views_yield_the_callers_own_dicts(self, tpch_tables):
+        records = tpch_tables["lineitem"]
+        sample = _sample_of("tpch6", tpch_tables)
+        views = (sample.sampled, *sample.remaining, *sample.partitions)
+        positions = (
+            sample.sampled_indices, *sample.remaining_indices,
+            *(np.flatnonzero(sample.partition_ids == p) for p in (0, 1)),
+        )
+        for view, indices in zip(views, positions):
+            assert len(view) == len(indices)
+            for row, i in zip(view, indices):
+                assert row is records[i]
+            assert view[0] is records[indices[0]]
+            assert view[-1] is records[indices[-1]]
+            piece = view[3:11]
+            assert len(piece) == 8
+            assert all(a is b for a, b in zip(piece, list(view)[3:11]))
+        assert sum(map(len, sample.remaining)) + sample.sample_size == len(
+            records
+        )
+        empty = sample.sampled[5:5]
+        assert len(empty) == 0 and not empty and list(empty) == []
+
+    @pytest.mark.parametrize("name, column, dtype", [
+        ("tpch6", "l_extendedprice", float),
+        ("tpch6", "l_orderkey", float),  # an int64 buffer, cast on the way
+        ("tpch6", "l_shipdate", None),
+        ("tpch6", "l_shipmode", None),
+        ("kmeans", "features", float),  # one (n, d) buffer
+        ("kmeans", "label", float),
+    ])
+    def test_numpy_column_is_the_row_gather(
+        self, tpch_tables, ml_tables, name, column, dtype
+    ):
+        tables = ml_tables if name == "kmeans" else tpch_tables
+        sample = _sample_of(name, tables)
+        assert column in sample.buffers
+        for view in (sample.sampled, sample.remaining[1][7:60],
+                     sample.partitions[0]):
+            mine = column_values(view, column, dtype)
+            rows = column_values(list(view), column, dtype)
+            assert mine.shape == rows.shape and len(mine) == len(view)
+            if dtype is None:
+                assert mine.dtype == object and mine.tolist() == rows.tolist()
+            else:
+                assert mine.dtype == rows.dtype
+                assert mine.tobytes() == rows.tobytes()
+
+    def test_no_buffer_falls_back_to_the_rows(self, ml_tables):
+        # ... for a heterogeneous column,
+        mixed = {"points": [
+            {"features": (1.0, 2), "label": 1},
+            {"features": (3.0, 4), "label": 2.5},
+            {"features": (5.0, 6), "label": 3},
+        ]}
+        sample = _sample_of("kmeans", mixed)
+        assert sample.buffers == {}
+        assert sample.sampled.numpy_column("features") is None
+        assert column_values(sample.sampled, "features").tolist() == [
+            [1.0, 2.0], [3.0, 4.0], [5.0, 6.0],
+        ]
+        assert column_values(sample.sampled, "label").tolist() == [
+            1.0, 2.5, 3.0,
+        ]
+        # ... and when the ids arrive precomputed and nothing was hashed.
+        ids = partition_ids_of(ml_tables["points"])
+        sample = _sample_of("kmeans", ml_tables, partition_ids=ids)
+        assert sample.buffers == {}
+        hashed = _sample_of("kmeans", ml_tables)
+        assert column_values(sample.sampled, "features").tobytes() == \
+            column_values(hashed.sampled, "features").tobytes()
+
+    def test_a_view_pickles_as_its_own_rows_and_buffer_slices(
+        self, tpch_tables
+    ):
+        records = tpch_tables["lineitem"]
+        sample = _sample_of("tpch6", tpch_tables)
+        view = sample.remaining[0][10:30]
+        view.numpy_column("l_shipdate")  # boxed or not, it ships its slice
+        payload = pickle.dumps(view)
+        assert len(payload) < len(pickle.dumps(records)) / 20
+        clone = pickle.loads(payload)
+        assert list(clone) == list(view) and len(clone) == 20
+        for column, dtype in (
+            ("l_extendedprice", float), ("l_orderkey", float),
+            ("l_shipdate", None), ("l_shipmode", None),
+        ):
+            shipped = clone.numpy_column(column)
+            assert len(shipped) == 20
+            assert column_values(clone, column, dtype).tolist() == \
+                column_values(view, column, dtype).tolist()
+
+    def test_boxing_a_column_twice_under_threads_is_harmless(
+        self, tpch_tables
+    ):
+        expected = [
+            [row["l_shipdate"] for row in part]
+            for part in _sample_of("tpch6", tpch_tables).remaining
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                sample = _sample_of("tpch6", tpch_tables)  # unboxed again
+                views = sample.remaining
+                results = [None] * 8
+                barrier = threading.Barrier(len(results))
+
+                def read(k):
+                    barrier.wait(timeout=10)
+                    results[k] = views[k % 2].numpy_column("l_shipdate")
+
+                threads = [
+                    threading.Thread(target=read, args=(k,))
+                    for k in range(len(results))
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                for k, column in enumerate(results):
+                    assert column.tolist() == expected[k % 2]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 _ML_CONFIG = LifeScienceConfig(num_records=800, dim=3, num_clusters=2, seed=5)
@@ -676,6 +1006,25 @@ class TestRangeInference:
         inferred = infer_output_range(outputs, 100)
         assert inferred.max_deviation(np.array([10.0])) == pytest.approx(10.0)
         assert inferred.max_deviation(np.array([5.0])) == pytest.approx(5.0)
+
+    def test_tail_quantile_is_norm_ppf_bit_for_bit(self):
+        """``ndtri`` replaced ``stats.norm.ppf``: same bits at every
+        level a release can ask for."""
+        levels = {p / 100.0 for p in (InferenceConfig().percentile_low,
+                                      0.5, 2.5, 5.0)}
+        levels |= {1.0 / (2.0 * population) for population in
+                   (2, 3, 10, 999, 8_000, 10_000, 20_001, 10**6, 10**9)}
+        for level in sorted(levels):
+            assert np.float64(ndtri(1.0 - level)).tobytes() == np.float64(
+                stats.norm.ppf(1.0 - level)
+            ).tobytes(), level
+        outputs = np.random.default_rng(7).normal(3.0, 2.0, size=(400, 2))
+        config = InferenceConfig(envelope=False, discrete_fallback=False)
+        inferred = infer_output_range(outputs, 12_345, config)
+        z = stats.norm.ppf(1.0 - 1.0 / (2.0 * 12_345))
+        assert inferred.upper.tobytes() == (
+            outputs.mean(axis=0) + z * outputs.std(axis=0)
+        ).tobytes()
 
     def test_empty_rejected(self):
         with pytest.raises(DPError):

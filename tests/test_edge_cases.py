@@ -110,7 +110,7 @@ class TestSamplingBoundaries:
             _TinyQuery(), _tables(range(20)), 20, random.Random(0)
         )
         assert sample.sample_size == 20
-        assert sample.remaining == ([], [])
+        assert [len(part) for part in sample.remaining] == [0, 0]
 
 
 class TestInferenceBoundaries:
