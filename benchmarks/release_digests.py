@@ -9,14 +9,19 @@ confined to some fields, runs this once per tree and compares::
 For each of the nine workloads (scale 4000, data seed 11, session seed
 77, n = 200 — the golden seeds) and ``engine_partitions`` 1, 2 and 3 it
 runs one session through a cold ``run``, two ``append``s and a
-``retire`` and hashes, **one digest per field**, what phase 1 drew
-(``sampled_indices``, ``partition_ids``) and what the release computed
-(the names in ``RESULT_FIELDS``, the last three of them RANGE
-ENFORCER's decisions).  The ``resubmit`` lane then puts those decisions
-against a deep registry: ``tpch13`` and ``tpch16``, each submitted 40
-times to one session, alternately on x and on x minus its last record.
-A release RANGE ENFORCER refuses has ``"DPError"`` for every result
-field (phase 1 ran, so its two fields are still digested).
+``retire`` (108 releases) and hashes, **one digest per field**, what
+phase 1 drew (``sampled_indices``, ``partition_ids``) and what the
+release computed (the names in ``RESULT_FIELDS``, the last three of
+them RANGE ENFORCER's decisions).  The ``resubmit`` lane then puts
+those decisions against a deep registry: ``tpch13`` and ``tpch16``,
+each submitted 40 times to one session, alternately on x and on x minus
+its last record (80 releases).  The ``sql`` lane sends SQL *text*
+through the same four steps, the cold one a ``run_sql``: the four
+queries of ``examples/ad_hoc_sql.py`` and the ``sql_text()`` of every
+workload the bridge accepts (the seven TPC-H ones) — 132 releases whose
+every value went through ``core.sqlbridge``'s compiled plan.  A release
+RANGE ENFORCER refuses has ``"DPError"`` for every result field (phase
+1 ran, so its two fields are still digested).
 ``--against`` names the releases that differ and their fields, counts
 the identical releases per field, and exits 1 on any difference.
 """
@@ -25,14 +30,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
 import repro.core.session as session_mod
-from repro.common.errors import DPError
+from repro.common.errors import DPError, QueryShapeError
 from repro.core import UPAConfig, UPASession
+from repro.core.sqlbridge import compile_sql
 from repro.workloads import all_workloads, workload_by_name
 
 SCALE, DATA_SEED, SESSION_SEED, SAMPLE_SIZE = 4000, 11, 77, 200
@@ -70,6 +78,29 @@ def digest(sample, result) -> dict:
     return out
 
 
+def _sql_queries(tables) -> list:
+    """(label, text, protected table, domain sampler) of the sql lane."""
+    path = Path(__file__).resolve().parent.parent / "examples/ad_hoc_sql.py"
+    spec = importlib.util.spec_from_file_location("ad_hoc_sql", path)
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    queries = [
+        (f"adhoc{i}", text, protected, sampler)
+        for i, (text, protected, sampler) in enumerate(example.QUERIES)
+    ]
+    for workload in all_workloads():
+        query = workload.query
+        try:
+            text = query.sql_text()
+            compile_sql(text, tables, query.protected_table)
+        except (AttributeError, QueryShapeError):
+            continue  # no SQL form, or one the bridge refuses
+        queries.append(
+            (workload.name, text, query.protected_table, query.domain_sampler)
+        )
+    return queries
+
+
 def release_digests() -> dict:
     out = {}
     last = {}  # the latest release's PartitionedSample
@@ -86,30 +117,39 @@ def release_digests() -> dict:
             result = None
         out[key] = digest(last["sample"], result)
 
+    def four_steps(lane, tables, protected, cold):
+        """``cold(session, base)``, two appends and a retire, at
+        ``engine_partitions`` 1, 2 and 3."""
+        rows = tables[protected]
+        held = max(2, len(rows) // 10)
+        for parts in (1, 2, 3):
+            base = dict(tables)
+            base[protected] = [dict(row) for row in rows[:-held]]
+            session = UPASession(UPAConfig(
+                sample_size=SAMPLE_SIZE, seed=SESSION_SEED,
+                engine_partitions=parts,
+            ))
+            steps = {
+                "cold": lambda: cold(session, base),
+                "append1": lambda: session.append(
+                    [dict(row) for row in rows[-held:-held // 2]], 0.5),
+                "append2": lambda: session.append(
+                    [dict(row) for row in rows[-held // 2:]], 0.5),
+                "retire": lambda: session.retire(max(1, held // 3), 0.5),
+            }
+            for step, call in steps.items():
+                release(f"{lane}/parts{parts}/{step}", call)
+
     session_mod.partition_and_sample = recording
     try:
         for workload in all_workloads():
-            tables = workload.make_tables(SCALE, DATA_SEED)
-            protected = workload.query.protected_table
-            rows = tables[protected]
-            held = max(2, len(rows) // 10)
-            for parts in (1, 2, 3):
-                base = dict(tables)
-                base[protected] = [dict(row) for row in rows[:-held]]
-                session = UPASession(UPAConfig(
-                    sample_size=SAMPLE_SIZE, seed=SESSION_SEED,
-                    engine_partitions=parts,
-                ))
-                steps = {
-                    "cold": lambda: session.run(workload.query, base, 0.5),
-                    "append1": lambda: session.append(
-                        [dict(row) for row in rows[-held:-held // 2]], 0.5),
-                    "append2": lambda: session.append(
-                        [dict(row) for row in rows[-held // 2:]], 0.5),
-                    "retire": lambda: session.retire(max(1, held // 3), 0.5),
-                }
-                for step, call in steps.items():
-                    release(f"{workload.name}/parts{parts}/{step}", call)
+            four_steps(
+                workload.name,
+                workload.make_tables(SCALE, DATA_SEED),
+                workload.query.protected_table,
+                lambda session, base, query=workload.query:
+                    session.run(query, base, 0.5),
+            )
         for name in RESUBMIT_WORKLOADS:
             workload = workload_by_name(name)
             tables = workload.make_tables(SCALE, DATA_SEED)
@@ -125,6 +165,16 @@ def release_digests() -> dict:
                     f"resubmit/{name}/{submission:02d}",
                     lambda: session.run(workload.query, submitted, 0.5),
                 )
+        tables = workload_by_name("tpch1").make_tables(SCALE, DATA_SEED)
+        for label, text, protected, sampler in _sql_queries(tables):
+            four_steps(
+                f"sql/{label}", tables, protected,
+                lambda session, base, text=text, protected=protected,
+                sampler=sampler: session.run_sql(
+                    text, base, protected_table=protected, epsilon=0.5,
+                    domain_sampler=sampler,
+                ),
+            )
     finally:
         session_mod.partition_and_sample = partition_and_sample
     return out

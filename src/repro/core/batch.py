@@ -107,9 +107,12 @@ class ScalarSumBatch:
 
     Mix into any :class:`~repro.core.query.MapReduceQuery` subclass with
     ``zero() == 0.0`` and ``combine(a, b) == a + b``; the batch layout
-    is a float64 ndarray of shape ``(n,)``.  ``map_batch`` still calls
-    ``map_record`` per row (mappers are usually aux-lookup bound);
-    subclasses with columnar inputs override it (see TPC-H Q1/Q6).
+    is a float64 ndarray of shape ``(n,)``.  The ``map_batch`` here is
+    the fallback — ``map_record`` per row — for a query that defines
+    nothing better; the seven TPC-H workloads override it with a mapper over
+    :func:`column_values` columns, and
+    :class:`~repro.core.sqlbridge.CompiledSQLQuery` with its plan run
+    over column blocks.
     """
 
     def map_batch(self, records: Sequence[Row], aux: Any) -> np.ndarray:

@@ -859,19 +859,21 @@ class UPASession:
     @staticmethod
     def _cache_key(query: MapReduceQuery, fingerprints: np.ndarray,
                    epsilon: float) -> tuple:
-        """Identity of a submission: query name + dataset fingerprint.
+        """Identity of a submission: what is computed, on which dataset.
 
         The dataset fingerprint is the record count and the records'
         content ``fingerprints`` summed mod 2**64.
 
         Releasing the *same* noisy answer for the same submission is
         standard DP practice (no new information leaves the curator).
-        Two queries with the same name but different logic would collide
-        — names are unique in the workload registry, and ad-hoc queries
-        get their SQL text as the name.
+        A query compiled from SQL is identified by its
+        ``plan_fingerprint`` — its display name is a truncated text (or
+        ``compile_plan``'s default) that distinct queries share — and a
+        hand-written query by its name, unique in the workload registry.
         """
         dataset_print = (len(fingerprints), int(fingerprints.sum()))
-        return (query.name, epsilon, dataset_print)
+        identity = getattr(query, "plan_fingerprint", query.name)
+        return (identity, epsilon, dataset_print)
 
     def run_sql(
         self,

@@ -13,15 +13,17 @@ The compiler splits the logical plan at the protected table:
   are evaluated once (through the ordinary SQL executor) and, where a
   join needs them, turned into hash indexes on the join key;
 * the path from the protected table's scan to the aggregate is
-  **dynamic** — it is compiled into a small interpreter that, given one
-  protected record, produces that record's joined/filtered rows in
-  O(matches) and folds them with the aggregate.
+  **dynamic** — it is compiled into a plan over column blocks that,
+  given a batch of protected records, produces every record's
+  joined/filtered rows (filter masks, key-array joins) and folds them
+  per record with the aggregate.
 
-``contribution(record) = aggregate(dynamic_rows([record]))`` is then a
-valid Mapper for UPA, and the reducer is scalar addition — exactly the
-monoid UPA's reuse requires.  Non-linear shapes (self-joins on the
-protected table, EXISTS over it, GROUP BY, DISTINCT, AVG/MIN/MAX) are
-rejected with :class:`repro.common.errors.QueryShapeError`.
+``contribution(record) = aggregate(dynamic_rows([record]))`` — element
+i of ``map_batch`` — is then a valid Mapper for UPA, and the reducer is
+scalar addition — exactly the monoid UPA's reuse requires.  Non-linear
+shapes (self-joins on the protected table, EXISTS over it, GROUP BY,
+DISTINCT, AVG/MIN/MAX) are rejected with
+:class:`repro.common.errors.QueryShapeError`.
 
 Example:
     >>> from repro.core.sqlbridge import compile_sql
@@ -39,14 +41,25 @@ from __future__ import annotations
 
 import random
 import threading
-from collections import OrderedDict, defaultdict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from itertools import count, repeat
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.common.errors import QueryShapeError
-from repro.core.batch import ScalarSumBatch
+from repro.common.errors import AnalysisError, QueryShapeError
+from repro.core.batch import ScalarSumBatch, column_values
 from repro.core.query import MapReduceQuery, Row, Tables, sample_batch
+from repro.engine.columnar import gather_columns
 from repro.engine.metrics import MetricsRegistry
 from repro.sql.compiler import (
     compile_expression,
@@ -68,24 +81,83 @@ from repro.sql.logical import (
     Scan,
     Sort,
 )
+from repro.sql.vectorized import block_mask, block_value
 
 DomainSampler = Callable[[random.Random, Tables], Row]
 
 
 # ---------------------------------------------------------------------------
-# Dynamic-path interpreter nodes
+# Dynamic-path nodes
 # ---------------------------------------------------------------------------
+#
+# Every node answers two ways.  ``block(batch)`` is the production
+# path: the whole record batch flows through the plan as columns, and
+# the aggregate folds each record's rows by ``origin``.  ``rows([r])``
+# is the row interpreter — one record, dict rows — kept as the scalar
+# reference (``map_record``) that ``output``, ``validate_monoid`` and
+# the equivalence tests hold the batch path to, bit for bit.
+
+
+class _Block:
+    """Rows of the dynamic path as columns, loaded when first read.
+
+    ``origin[i]`` is the position in the mapped batch of the record
+    row i derives from; every node keeps it non-decreasing, so a
+    record's rows stay in the order the row interpreter emits them.
+    ``load(name)`` produces a column (``KeyError`` if the rows have no
+    such column); a plan therefore gathers only the columns it reads.
+    """
+
+    __slots__ = ("origin", "_load", "_columns")
+
+    def __init__(self, origin: np.ndarray,
+                 load: Callable[[str], np.ndarray]):
+        self.origin = origin
+        self._load = load
+        self._columns: Dict[str, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.origin)
+
+    def numpy_column(self, name: str) -> np.ndarray:
+        column = self._columns.get(name)
+        if column is None:
+            try:
+                column = self._columns[name] = self._load(name)
+            except KeyError:
+                raise AnalysisError(
+                    f"column {name!r} not in the rows on the protected path"
+                ) from None
+        return column
+
+    def take(self, index: np.ndarray) -> "_Block":
+        """The rows at ``index`` (ascending positions in this block)."""
+        return _Block(
+            self.origin[index],
+            lambda name: self.numpy_column(name)[index],
+        )
 
 
 class _DynamicNode:
-    """A plan fragment evaluated per protected record."""
+    """A plan fragment over the protected table's records."""
+
+    def block(self, batch: Sequence[Row]) -> _Block:
+        """The fragment's rows for a whole batch of records."""
+        raise NotImplementedError
 
     def rows(self, inputs: List[Row]) -> List[Row]:
+        """The fragment's rows, by the row interpreter."""
         raise NotImplementedError
 
 
 class _DynScan(_DynamicNode):
     """The protected table's scan: passes the probe record(s) through."""
+
+    def block(self, batch: Sequence[Row]) -> _Block:
+        return _Block(
+            np.arange(len(batch)),
+            lambda name: column_values(batch, name, dtype=None),
+        )
 
     def rows(self, inputs: List[Row]) -> List[Row]:
         return inputs
@@ -94,7 +166,12 @@ class _DynScan(_DynamicNode):
 class _DynFilter(_DynamicNode):
     def __init__(self, child: _DynamicNode, condition: Expression):
         self._child = child
+        self._mask = block_mask(condition)
         self._condition = compile_predicate(condition)
+
+    def block(self, batch: Sequence[Row]) -> _Block:
+        child = self._child.block(batch)
+        return child.take(np.flatnonzero(self._mask(child)))
 
     def rows(self, inputs: List[Row]) -> List[Row]:
         return list(filter(self._condition, self._child.rows(inputs)))
@@ -103,26 +180,144 @@ class _DynFilter(_DynamicNode):
 class _DynProject(_DynamicNode):
     def __init__(self, child: _DynamicNode, exprs: Sequence[Expression]):
         self._child = child
+        self._values = [(e.output_name(), block_value(e)) for e in exprs]
         self._project = compile_projection(exprs)
+
+    def block(self, batch: Sequence[Row]) -> _Block:
+        child = self._child.block(batch)
+        columns = {name: value(child) for name, value in self._values}
+        return _Block(child.origin, columns.__getitem__)
 
     def rows(self, inputs: List[Row]) -> List[Row]:
         return list(map(self._project, self._child.rows(inputs)))
 
 
+def _row_key(exprs: Sequence[Expression]) -> Callable[[Row], Any]:
+    """A dict row's join key: the value itself for one key expression,
+    a tuple for several."""
+    if len(exprs) == 1:
+        return compile_expression(exprs[0])
+    return compile_key(exprs)
+
+
+def _block_keys(exprs: Sequence[Expression]) -> Callable[[_Block], list]:
+    """:func:`_row_key` of every row of a block."""
+    values = [block_value(expr) for expr in exprs]
+    if len(values) == 1:
+        return lambda block: values[0](block).tolist()
+    return lambda block: list(
+        zip(*(value(block).tolist() for value in values))
+    )
+
+
 class _StaticIndex:
-    """Hash index of a pre-materialized static relation on its join key."""
+    """Hash index of a pre-materialized static relation on its join key.
+
+    The relation is held once, as the executor's row list; a key's
+    bucket is the ids of its rows in relation order, all buckets laid
+    end to end in ``row_ids`` (bucket ``slot`` is ``row_ids[starts[slot]
+    : starts[slot] + counts[slot]]``).  Bucket order decides float
+    summation order downstream, so both probes keep it.
+    """
 
     def __init__(self, rows: List[Row], key_exprs: Sequence[Expression]):
-        key_of = compile_key(key_exprs)
-        self.buckets: Dict[Tuple, List[Row]] = defaultdict(list)
-        for row in rows:
-            self.buckets[key_of(row)].append(row)
+        self.rows = rows
+        #: the relation's columns, gathered when a plan first reads one.
+        #: Two threads may both gather; either array serves every reader.
+        self._columns: Dict[str, np.ndarray] = {}
+        n = len(rows)
+        keys = _block_keys(key_exprs)(_Block(np.arange(n), self.column))
+        #: key -> slot, slots numbered in first-seen key order.
+        self.slots = dict(zip(dict.fromkeys(keys), count()))
+        slot_of_row = np.fromiter(
+            map(self.slots.__getitem__, keys), dtype=np.intp, count=n
+        )
+        self.counts = np.bincount(slot_of_row, minlength=len(self.slots))
+        self.starts = np.cumsum(self.counts) - self.counts
+        # Row ids by (slot, row id): a stable sort of ``slot_of_row``.
+        self.row_ids = np.sort(slot_of_row * n + np.arange(n)) % max(n, 1)
 
-    def probe(self, key: Tuple) -> List[Row]:
-        return self.buckets.get(key, [])
+    def column(self, name: str) -> np.ndarray:
+        column = self._columns.get(name)
+        if column is None:
+            column = np.empty(len(self.rows), dtype=object)
+            column[:] = gather_columns(self.rows, [name])[0]
+            self._columns[name] = column
+        return column
+
+    def probe(self, key: Any) -> List[Row]:
+        """The rows of ``key``'s bucket (the row interpreter's probe)."""
+        slot = self.slots.get(key)
+        if slot is None:
+            return []
+        start = self.starts[slot]
+        ids = self.row_ids[start:start + self.counts[slot]]
+        return [self.rows[row_id] for row_id in ids.tolist()]
+
+    def lookup(self, keys: list) -> np.ndarray:
+        """The bucket slot of each key (-1: no bucket), one dict pass."""
+        return np.fromiter(
+            map(self.slots.get, keys, repeat(-1)), dtype=np.intp,
+            count=len(keys),
+        )
+
+    def expand(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every (probe position, static row id) match of ``slots``:
+        probe positions ascending, a probe's matches in bucket order."""
+        hits = np.flatnonzero(slots >= 0)
+        slots = slots[hits]
+        counts = self.counts[slots]
+        probe = np.repeat(hits, counts)
+        first = np.cumsum(counts) - counts
+        within = np.arange(len(probe)) - np.repeat(first, counts)
+        return probe, self.row_ids[np.repeat(self.starts[slots], counts)
+                                   + within]
 
 
-class _DynJoinStatic(_DynamicNode):
+class _StaticJoin(_DynamicNode):
+    """A dynamic child probing an indexed static side.
+
+    ``static_columns`` maps a merged row's column name to the static
+    column it reads; every other name reads the child's row.
+    """
+
+    def __init__(
+        self,
+        child: _DynamicNode,
+        child_keys: Sequence[Expression],
+        index: _StaticIndex,
+        residual: Optional[Expression],
+        static_columns: Dict[str, str],
+    ):
+        self._child = child
+        self._key_of = _row_key(child_keys)
+        self._keys = _block_keys(child_keys)
+        self._index = index
+        self._residual = (
+            compile_predicate(residual) if residual is not None else None
+        )
+        self._residual_mask = (
+            block_mask(residual) if residual is not None else None
+        )
+        self._static_columns = static_columns
+
+    def _merged(self, child: _Block,
+                slots: np.ndarray) -> Tuple[np.ndarray, _Block]:
+        """The merged row of every match, residual not yet applied, and
+        the position in ``child`` of the row each one extends."""
+        probe, row_ids = self._index.expand(slots)
+        index, static_columns = self._index, self._static_columns
+
+        def load(name: str) -> np.ndarray:
+            source = static_columns.get(name)
+            if source is not None:
+                return index.column(source)[row_ids]
+            return child.numpy_column(name)[probe]
+
+        return probe, _Block(child.origin[probe], load)
+
+
+class _DynJoinStatic(_StaticJoin):
     """Inner equi-join of the dynamic side against an indexed static side."""
 
     def __init__(
@@ -131,17 +326,25 @@ class _DynJoinStatic(_DynamicNode):
         child_keys: Sequence[Expression],
         index: _StaticIndex,
         residual: Optional[Expression],
-        residual_prefix: str,
         dynamic_is_left: bool,
+        static_names: Sequence[str],
     ):
-        self._child = child
-        self._key_of = compile_key(child_keys)
-        self._index = index
-        self._residual = (
-            compile_predicate(residual) if residual is not None else None
+        # Join refuses sides that share a column name, so which side a
+        # merged row's column comes from does not depend on the order.
+        super().__init__(
+            child, child_keys, index, residual,
+            {name: name for name in static_names},
         )
-        self._prefix = residual_prefix
         self._dynamic_is_left = dynamic_is_left
+
+    def block(self, batch: Sequence[Row]) -> _Block:
+        child = self._child.block(batch)
+        merged = self._merged(
+            child, self._index.lookup(self._keys(child))
+        )[1]
+        if self._residual_mask is None:
+            return merged
+        return merged.take(np.flatnonzero(self._residual_mask(merged)))
 
     def rows(self, inputs: List[Row]) -> List[Row]:
         out: List[Row] = []
@@ -160,7 +363,7 @@ class _DynJoinStatic(_DynamicNode):
         return out
 
 
-class _DynSemiAnti(_DynamicNode):
+class _DynSemiAnti(_StaticJoin):
     """Semi/anti join of the dynamic side against an indexed static side."""
 
     def __init__(
@@ -171,17 +374,28 @@ class _DynSemiAnti(_DynamicNode):
         want_match: bool,
         residual: Optional[Expression],
         prefix: str,
+        static_names: Sequence[str],
     ):
-        self._child = child
-        self._key_of = compile_key(child_keys)
-        self._index = index
-        self._want_match = want_match
-        self._residual = (
-            compile_predicate(residual) if residual is not None else None
+        # The residual sees the static side's columns under ``prefix``.
+        super().__init__(
+            child, child_keys, index, residual,
+            {prefix + name: name for name in static_names},
         )
+        self._want_match = want_match
         self._prefix = prefix
 
-    def _matches(self, row: Row) -> bool:
+    def block(self, batch: Sequence[Row]) -> _Block:
+        child = self._child.block(batch)
+        slots = self._index.lookup(self._keys(child))
+        if self._residual_mask is None:
+            matched = slots >= 0
+        else:
+            probe, merged = self._merged(child, slots)
+            matched = np.zeros(len(child), dtype=bool)
+            matched[probe[self._residual_mask(merged)]] = True
+        return child.take(np.flatnonzero(matched == self._want_match))
+
+    def _row_matches(self, row: Row) -> bool:
         candidates = self._index.probe(self._key_of(row))
         if self._residual is None:
             return bool(candidates)
@@ -196,7 +410,7 @@ class _DynSemiAnti(_DynamicNode):
     def rows(self, inputs: List[Row]) -> List[Row]:
         return [
             row for row in self._child.rows(inputs)
-            if self._matches(row) == self._want_match
+            if self._row_matches(row) == self._want_match
         ]
 
 
@@ -283,6 +497,7 @@ class _Compiler:
                 want_match=(plan.how == "semi"),
                 residual=plan.residual,
                 prefix=Join.RESIDUAL_RIGHT_PREFIX,
+                static_names=plan.right.schema.names,
             )
 
         if plan.how == "left" and right_dyn:
@@ -297,19 +512,19 @@ class _Compiler:
             )
 
         if left_dyn:
-            child = self.compile(plan.left)
+            dynamic_side, static_side = plan.left, plan.right
             child_keys = [lk for lk, _rk in plan.keys]
-            static_side, static_keys = plan.right, [rk for _lk, rk in plan.keys]
+            static_keys = [rk for _lk, rk in plan.keys]
         else:
-            child = self.compile(plan.right)
+            dynamic_side, static_side = plan.right, plan.left
             child_keys = [rk for _lk, rk in plan.keys]
-            static_side, static_keys = plan.left, [lk for lk, _rk in plan.keys]
+            static_keys = [lk for lk, _rk in plan.keys]
         index = _StaticIndex(self.static_rows(static_side), static_keys)
         return _DynJoinStatic(
-            child, child_keys, index,
+            self.compile(dynamic_side), child_keys, index,
             residual=plan.residual,
-            residual_prefix=Join.RESIDUAL_RIGHT_PREFIX,
             dynamic_is_left=left_dyn,
+            static_names=static_side.schema.names,
         )
 
 
@@ -341,8 +556,10 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
     compile time; neighbouring datasets may vary the *protected* table
     freely (that is the whole point), but the other tables are fixed —
     the same assumption every hand-written workload makes.  COUNT/SUM
-    reducers are scalar addition, so the vectorized batch kernels come
-    from :class:`~repro.core.batch.ScalarSumBatch`.
+    reducers are scalar addition, so the fold kernels come from
+    :class:`~repro.core.batch.ScalarSumBatch`; ``map_batch`` runs the
+    compiled plan over the batch as column blocks, and ``map_record``
+    (the row interpreter) is the scalar reference it equals bit for bit.
     """
 
     output_dim = 1
@@ -354,14 +571,25 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
         dynamic: _DynamicNode,
         spec: AggregateSpec,
         domain_sampler: Optional[DomainSampler],
+        fingerprint: str,
     ):
         self.name = name
         self.protected_table = protected_table
+        #: what the query computes, as opposed to what it is called: two
+        #: queries with equal fingerprints release the same thing.  An
+        #: opaque node fingerprints by id(), which a later plan may
+        #: reuse, so such a query equals only itself.
+        self.plan_fingerprint: Hashable = (
+            self if "(opaque" in fingerprint
+            else (protected_table, fingerprint)
+        )
         self._dynamic = dynamic
         self._spec = spec
-        self._value_fn = (
-            compile_expression(spec.expr) if spec.expr is not None else None
-        )
+        if spec.expr is None:
+            self._value_fn = self._value = None
+        else:
+            self._value_fn = compile_expression(spec.expr)
+            self._value = block_value(spec.expr)
         self._domain_sampler = domain_sampler
 
     # -- monoid -------------------------------------------------------------
@@ -369,7 +597,34 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
     def build_aux(self, tables: Tables) -> Any:
         return None
 
+    def map_batch(self, records: Sequence[Row], aux: Any) -> np.ndarray:
+        """Every record's contribution, from one pass over the plan.
+
+        ``np.bincount`` adds a record's rows to its slot in row order,
+        starting from 0.0 — the additions :meth:`contribution` performs,
+        in the same order, so each element has the same bits.
+        """
+        block = self._dynamic.block(records)
+        origin, weights = block.origin, None
+        if self._value is not None:
+            values = self._value(block)
+            summed = self._spec.func == "sum"
+            if values.dtype == object:
+                present = np.not_equal(values, None)
+                origin, values = origin[present], values[present]
+                if summed:
+                    # Python's ``0.0 + value``: text raises here as it
+                    # does there, instead of being parsed as a number.
+                    values = np.add(0.0, values)
+            if summed:
+                weights = np.asarray(values, dtype=float)
+        return np.bincount(
+            origin, weights=weights, minlength=len(records)
+        ).astype(float, copy=False)
+
     def contribution(self, record: Row) -> float:
+        """One record's contribution, by the row interpreter: the
+        scalar reference :meth:`map_batch` is held to."""
         rows = self._dynamic.rows([record])
         value_fn = self._value_fn
         if self._spec.func == "count":
@@ -509,7 +764,8 @@ def compile_plan(
         )
     dynamic = _compile_dynamic(child, tables, protected_table, engine)
     return CompiledSQLQuery(
-        name, protected_table, dynamic, aggregate.aggregates[0], domain_sampler
+        name, protected_table, dynamic, aggregate.aggregates[0],
+        domain_sampler, plan_fingerprint(plan),
     )
 
 

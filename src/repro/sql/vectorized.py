@@ -1,39 +1,66 @@
-"""Vectorized predicate compilation over columnar partition blocks.
+"""Vectorized expression compilation over column blocks.
 
-:func:`compile_mask` turns a supported predicate
-:class:`~repro.sql.expr.Expression` into a function
-``block -> bool ndarray`` evaluated whole-column at a time over a
-:class:`~repro.engine.columnar.ColumnarPartition` — no per-row dict is
-ever built.  The supported subset is the one filters in the TPC-H
-workloads actually use: comparisons, ``and``/``or``/``not``, and
-arithmetic over columns and literals.  Anything else (LIKE, IN,
-IS NULL, CASE, function calls) returns ``None`` and the executor keeps
-the row-at-a-time compiled path for that predicate.
+A *block* is anything with ``len()`` and ``numpy_column(name)`` — a
+:class:`~repro.engine.columnar.ColumnarPartition`, or the column blocks
+the SQL bridge maps a record batch through.  Two entry levels:
+
+* :func:`compile_mask` turns a predicate
+  :class:`~repro.sql.expr.Expression` of the ufunc subset —
+  comparisons, ``and``/``or``/``not``, arithmetic over columns and
+  literals — into ``block -> bool ndarray``, and returns ``None`` for
+  anything else (LIKE, IN, IS NULL, CASE, function calls): the physical
+  executor keeps its own row-at-a-time path for those.
+* :func:`block_mask` / :func:`block_value` compile *any* expression
+  and promise the row answer.  A node with no ufunc runs its
+  :mod:`~repro.sql.compiler` closure row by row over just the columns
+  it references, and the ufunc tree is guarded: where evaluating whole
+  columns eagerly could differ from evaluating one row lazily (a zero
+  divisor an ``and`` would have short-circuited past, ``int64``
+  arithmetic that could wrap, operands numpy cannot compare) the
+  expression is re-evaluated by its closure, which returns — or raises
+  — exactly what the row interpreter does.
 
 Semantics mirror ``Expression.eval`` exactly, including the SQL-NULL
 rules (comparison with ``None`` is False, arithmetic with ``None`` is
-``None``): numeric columns are evaluated with numpy ufuncs — which
-produce bit-identical float64 results to the per-row Python operators —
-while object columns (dates, strings, anything holding ``None``) drop
-to a guarded per-value loop over just that column.  The guarded loop
-still avoids the expensive part of row execution, the dict boxing.
+``None``): ``int64``/``float64`` columns are evaluated with numpy
+ufuncs — which produce bit-identical float64 results to the per-row
+Python operators — and object columns (dates, strings) with numpy's
+object ufuncs, which apply the Python operator to each value at C
+speed.  Only an object column that actually holds ``None`` drops to a
+guarded per-value loop.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Callable, Optional
 
 import numpy as np
 
-from repro.engine.columnar import ColumnarPartition
-from repro.sql.expr import BinaryOp, Column, Expression, Literal, UnaryOp
+from repro.sql.compiler import (
+    CompiledExpression,
+    compile_expression,
+    compile_predicate,
+)
+from repro.sql.expr import (
+    Alias,
+    BinaryOp,
+    Column,
+    Expression,
+    Literal,
+    UnaryOp,
+)
 
-MaskFn = Callable[[ColumnarPartition], np.ndarray]
-ValueFn = Callable[[ColumnarPartition], Any]
+MaskFn = Callable[[Any], np.ndarray]
+ValueFn = Callable[[Any], Any]
 
 
 class _NotVectorizable(Exception):
-    """Internal: this expression is outside the supported subset."""
+    """Internal: this expression is outside the ufunc subset."""
+
+
+class _Inexact(Exception):
+    """Internal: numpy arithmetic here could differ from Python's."""
 
 
 _NUMPY_CMP = {
@@ -68,13 +95,97 @@ _PY_ARITH = {
     "/": lambda a, b: a / b,
 }
 
+#: the dtypes whose numpy arithmetic is Python's, value for value.
+_EXACT_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
+_INT64_MAX = (1 << 63) - 1
+#: largest magnitude below which every int is a float64.
+_FLOAT_EXACT_INT = 1 << 53
+
 
 def compile_mask(expr: Expression) -> Optional[MaskFn]:
-    """A ``block -> bool ndarray`` evaluator, or None if unsupported."""
+    """A ``block -> bool ndarray`` of ufuncs alone, or None if the
+    predicate has a node outside the ufunc subset."""
     try:
-        return _compile_bool(expr)
+        return _compile_bool(expr, total=False)
     except _NotVectorizable:
         return None
+
+
+def block_mask(expr: Expression) -> MaskFn:
+    """``block -> bool ndarray`` for any predicate: element i is
+    ``bool(expr.eval(row i))``."""
+    return _guarded(_compile_bool(expr, total=True), expr, mask=True)
+
+
+def block_value(expr: Expression) -> Callable[[Any], np.ndarray]:
+    """``block -> ndarray`` (one value per row, ``None`` for NULL) for
+    any expression: element i is ``expr.eval(row i)``."""
+    return _guarded(_compile_value(expr, total=True), expr, mask=False)
+
+
+# ----------------------------------------------------------------------
+# Row answers for what has no ufunc, or where the ufunc may not be exact
+# ----------------------------------------------------------------------
+
+
+class _Rowwise:
+    """An expression's compiled closure — its truth value if ``mask``,
+    else its value — row by row over the columns it references."""
+
+    __slots__ = ("names", "fn", "dtype")
+
+    def __init__(self, expr: Expression, mask: bool):
+        self.names = tuple(sorted(expr.references()))
+        self.fn = (compile_predicate if mask else compile_expression)(expr)
+        self.dtype = bool if mask else object
+
+    def __call__(self, block: Any) -> np.ndarray:
+        n = len(block)
+        names = self.names
+        if names:
+            columns = [block.numpy_column(name).tolist() for name in names]
+            rows: Any = map(dict, map(zip, repeat(names), zip(*columns)))
+        else:
+            rows = repeat({}, n)
+        return np.fromiter(map(self.fn, rows), dtype=self.dtype, count=n)
+
+
+class _Guarded:
+    """The ufunc tree, or the row closure where the tree cannot promise
+    the row answer (see the module docstring)."""
+
+    __slots__ = ("fast", "exact")
+
+    def __init__(self, fast: Callable, exact: _Rowwise):
+        self.fast = fast
+        self.exact = exact
+
+    def __call__(self, block: Any) -> np.ndarray:
+        try:
+            with np.errstate(all="ignore"):
+                return _as_column(self.fast(block), len(block))
+        except (_Inexact, TypeError, OverflowError, ZeroDivisionError):
+            return self.exact(block)
+
+
+def _guarded(fast: Callable, expr: Expression,
+             mask: bool) -> Callable[[Any], np.ndarray]:
+    if isinstance(fast, _Rowwise):
+        return fast
+    return _Guarded(fast, _Rowwise(expr, mask))
+
+
+def _as_column(value: Any, n: int) -> np.ndarray:
+    """A scalar (a literal, a folded constant) as n values."""
+    if isinstance(value, np.ndarray):
+        return value
+    if type(value) is float or (
+        type(value) is int and -_INT64_MAX <= value <= _INT64_MAX
+    ):
+        return np.full(n, value)
+    out = np.empty(n, dtype=object)
+    out[:] = [value] * n
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -82,18 +193,31 @@ def compile_mask(expr: Expression) -> Optional[MaskFn]:
 # ----------------------------------------------------------------------
 
 
-def _compile_bool(expr: Expression) -> MaskFn:
+def _unwrap(expr: Expression) -> Expression:
+    """``expr`` without the wrappers that do not change its value."""
+    while isinstance(expr, (Alias, CompiledExpression)):
+        expr = expr.child if isinstance(expr, Alias) else expr.expr
+    return expr
+
+
+def _compile_bool(expr: Expression, total: bool) -> MaskFn:
+    expr = _unwrap(expr)
     if isinstance(expr, BinaryOp):
         if expr.op == "and":
-            return _AndMask(_compile_bool(expr.left), _compile_bool(expr.right))
+            return _AndMask(_compile_bool(expr.left, total),
+                            _compile_bool(expr.right, total))
         if expr.op == "or":
-            return _OrMask(_compile_bool(expr.left), _compile_bool(expr.right))
+            return _OrMask(_compile_bool(expr.left, total),
+                           _compile_bool(expr.right, total))
         if expr.op in _NUMPY_CMP:
             return _CompareMask(
-                _compile_value(expr.left), _compile_value(expr.right), expr.op
+                _compile_value(expr.left, total),
+                _compile_value(expr.right, total), expr.op,
             )
     if isinstance(expr, UnaryOp) and expr.op == "not":
-        return _NotMask(_compile_bool(expr.operand))
+        return _NotMask(_compile_bool(expr.operand, total))
+    if total:
+        return _Rowwise(expr, mask=True)
     raise _NotVectorizable(type(expr).__name__)
 
 
@@ -103,7 +227,7 @@ class _AndMask:
     def __init__(self, left: MaskFn, right: MaskFn):
         self.left, self.right = left, right
 
-    def __call__(self, block: ColumnarPartition) -> np.ndarray:
+    def __call__(self, block: Any) -> np.ndarray:
         return self.left(block) & self.right(block)
 
 
@@ -113,7 +237,7 @@ class _OrMask:
     def __init__(self, left: MaskFn, right: MaskFn):
         self.left, self.right = left, right
 
-    def __call__(self, block: ColumnarPartition) -> np.ndarray:
+    def __call__(self, block: Any) -> np.ndarray:
         return self.left(block) | self.right(block)
 
 
@@ -123,7 +247,7 @@ class _NotMask:
     def __init__(self, operand: MaskFn):
         self.operand = operand
 
-    def __call__(self, block: ColumnarPartition) -> np.ndarray:
+    def __call__(self, block: Any) -> np.ndarray:
         return ~self.operand(block)
 
 
@@ -135,10 +259,12 @@ class _CompareMask:
     def __init__(self, left: ValueFn, right: ValueFn, op: str):
         self.left, self.right, self.op = left, right, op
 
-    def __call__(self, block: ColumnarPartition) -> np.ndarray:
+    def __call__(self, block: Any) -> np.ndarray:
         a = self.left(block)
         b = self.right(block)
-        if _is_object(a) or _is_object(b) or a is None or b is None:
+        if a is None or b is None:
+            return np.zeros(len(block), dtype=bool)
+        if _has_null(a) or _has_null(b):
             cmp = _PY_CMP[self.op]
             out = np.empty(len(block), dtype=bool)
             for i, (x, y) in enumerate(_pairs(a, b, len(block))):
@@ -146,7 +272,10 @@ class _CompareMask:
                     False if x is None or y is None else bool(cmp(x, y))
                 )
             return out
-        return _NUMPY_CMP[self.op](a, b)
+        out = _NUMPY_CMP[self.op](a, b)
+        if out.ndim == 0:  # two scalars
+            return np.full(len(block), bool(out))
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -154,17 +283,21 @@ class _CompareMask:
 # ----------------------------------------------------------------------
 
 
-def _compile_value(expr: Expression) -> ValueFn:
+def _compile_value(expr: Expression, total: bool) -> ValueFn:
+    expr = _unwrap(expr)
     if isinstance(expr, Column):
         return _ColumnValue(expr.name)
     if isinstance(expr, Literal):
         return _LiteralValue(expr.value)
     if isinstance(expr, BinaryOp) and expr.op in _NUMPY_ARITH:
         return _ArithValue(
-            _compile_value(expr.left), _compile_value(expr.right), expr.op
+            _compile_value(expr.left, total),
+            _compile_value(expr.right, total), expr.op, total,
         )
     if isinstance(expr, UnaryOp) and expr.op == "-":
-        return _NegValue(_compile_value(expr.operand))
+        return _NegValue(_compile_value(expr.operand, total))
+    if total:
+        return _Rowwise(expr, mask=False)
     raise _NotVectorizable(type(expr).__name__)
 
 
@@ -174,8 +307,13 @@ class _ColumnValue:
     def __init__(self, name: str):
         self.name = name
 
-    def __call__(self, block: ColumnarPartition):
-        return block.numpy_column(self.name)
+    def __call__(self, block: Any) -> np.ndarray:
+        column = block.numpy_column(self.name)
+        if column.dtype in _EXACT_DTYPES or column.dtype == object:
+            return column
+        # bool, unsigned, narrow or string dtypes: numpy's operators
+        # are not Python's on these, the boxed values' are.
+        return column.astype(object)
 
 
 class _LiteralValue:
@@ -184,30 +322,53 @@ class _LiteralValue:
     def __init__(self, value: Any):
         self.value = value
 
-    def __call__(self, _block: ColumnarPartition):
+    def __call__(self, _block: Any) -> Any:
         return self.value
 
 
 class _ArithValue:
-    """Arithmetic with SQL-NULL semantics (NULL propagates)."""
+    """Arithmetic with SQL-NULL semantics (NULL propagates).
 
-    __slots__ = ("left", "right", "op")
+    ``exact`` refuses (:class:`_Inexact`) what numpy would compute
+    differently from Python: a zero divisor, ``int64`` results that
+    could wrap, int division beyond float64's exact integers.
+    """
 
-    def __init__(self, left: ValueFn, right: ValueFn, op: str):
-        self.left, self.right, self.op = left, right, op
+    __slots__ = ("left", "right", "op", "exact")
 
-    def __call__(self, block: ColumnarPartition):
+    def __init__(self, left: ValueFn, right: ValueFn, op: str, exact: bool):
+        self.left, self.right, self.op, self.exact = left, right, op, exact
+
+    def __call__(self, block: Any) -> Any:
         a = self.left(block)
         b = self.right(block)
         if a is None or b is None:
             return None
-        if _is_object(a) or _is_object(b):
+        if _has_null(a) or _has_null(b):
             arith = _PY_ARITH[self.op]
             out = np.empty(len(block), dtype=object)
             for i, (x, y) in enumerate(_pairs(a, b, len(block))):
                 out[i] = None if x is None or y is None else arith(x, y)
             return out
+        if self.exact and not (_is_object(a) or _is_object(b)):
+            self._check(a, b)
         return _NUMPY_ARITH[self.op](a, b)
+
+    def _check(self, a: Any, b: Any) -> None:
+        op = self.op
+        if op == "/" and not np.all(b):
+            raise _Inexact("zero divisor")
+        bound_a, bound_b = _int_bound(a), _int_bound(b)
+        if bound_a is None or bound_b is None:
+            return
+        if op == "/":
+            reach, limit = max(bound_a, bound_b), _FLOAT_EXACT_INT
+        elif op == "*":
+            reach, limit = bound_a * bound_b, _INT64_MAX
+        else:
+            reach, limit = bound_a + bound_b, _INT64_MAX
+        if reach > limit:
+            raise _Inexact("int64 arithmetic could wrap")
 
 
 class _NegValue:
@@ -216,11 +377,11 @@ class _NegValue:
     def __init__(self, operand: ValueFn):
         self.operand = operand
 
-    def __call__(self, block: ColumnarPartition):
+    def __call__(self, block: Any) -> Any:
         value = self.operand(block)
         if value is None:
             return None
-        if _is_object(value):
+        if _has_null(value):
             out = np.empty(len(value), dtype=object)
             for i, x in enumerate(value):
                 out[i] = None if x is None else -x
@@ -235,6 +396,24 @@ class _NegValue:
 
 def _is_object(value: Any) -> bool:
     return isinstance(value, np.ndarray) and value.dtype == object
+
+
+def _has_null(value: Any) -> bool:
+    """Whether an operand is an object column holding a ``None``."""
+    return _is_object(value) and bool(np.equal(value, None).any())
+
+
+def _int_bound(value: Any) -> Optional[int]:
+    """Largest magnitude of an integer operand; None for a float one."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind != "i":
+            return None
+        if not value.size:
+            return 0
+        return max(abs(int(value.min())), abs(int(value.max())))
+    if type(value) is int:
+        return abs(value)
+    return None
 
 
 def _pairs(a: Any, b: Any, n: int):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import datetime
 import random
-from typing import Any, Dict, List, Sequence
+from itertools import repeat
+from typing import Any, Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -18,8 +19,9 @@ class TPCHQuery(ScalarSumBatch, MapReduceQuery):
 
     All seven queries share the scalar-sum monoid, so the vectorized
     batch kernels come from :class:`~repro.core.batch.ScalarSumBatch`;
-    queries whose mapper is itself columnar (Q1, Q6) additionally
-    override ``map_batch``.
+    the seven workload queries override ``map_batch`` with a columnar
+    mapper (the join queries look their aux up in one C-level pass per
+    batch).
 
     Attributes:
         query_type: 'count' or 'arithmetic' (Table II).
@@ -59,6 +61,20 @@ class TPCHQuery(ScalarSumBatch, MapReduceQuery):
     def sample_domain_batch(self, rng: random.Random, tables: Tables,
                             n: int) -> Sequence[Row]:
         return self.domain_sampler.batch(rng, tables, n)
+
+
+def each(fn: Callable[..., Any], values: np.ndarray, *args: Any,
+         dtype: Any = bool) -> np.ndarray:
+    """``fn(value, *args)`` of every value: one C-level pass."""
+    return np.fromiter(
+        map(fn, values.tolist(), *map(repeat, args)), dtype=dtype,
+        count=len(values),
+    )
+
+
+def lookup_counts(counts: Dict[Any, int], keys: np.ndarray) -> np.ndarray:
+    """``float(counts.get(key, 0))`` of every key."""
+    return each(counts.get, keys, 0, dtype=float)
 
 
 # Domain samplers: n plausible new rows of one table, column by column.

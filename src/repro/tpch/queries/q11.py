@@ -10,12 +10,15 @@ continuous component.  FLEX does not support SUM (Table II).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Set
+from typing import Any, Sequence, Set
 
+import numpy as np
+
+from repro.core.batch import column_values
 from repro.core.query import Row, Tables
 from repro.sql.expr import col, lit
 from repro.sql.functions import sum_
-from repro.tpch.queries.base import TPCHQuery, random_partsupp
+from repro.tpch.queries.base import TPCHQuery, each, random_partsupp
 
 _NATION = "GERMANY"
 
@@ -69,3 +72,14 @@ class Q11(TPCHQuery):
         if record["ps_suppkey"] in aux.german_suppkeys:
             return record["ps_supplycost"] * record["ps_availqty"]
         return 0.0
+
+    def map_batch(self, records: Sequence[Row], aux: _Aux) -> np.ndarray:
+        german = each(
+            aux.german_suppkeys.__contains__,
+            column_values(records, "ps_suppkey", dtype=None),
+        )
+        value = (
+            column_values(records, "ps_supplycost")
+            * column_values(records, "ps_availqty")
+        )
+        return np.where(german, value, 0.0)

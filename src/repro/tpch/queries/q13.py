@@ -12,12 +12,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
+import numpy as np
+
+from repro.core.batch import column_values
 from repro.core.query import Row, Tables
 from repro.sql.expr import col
 from repro.sql.functions import count_star
-from repro.tpch.queries.base import TPCHQuery, random_customer
+from repro.tpch.queries.base import (
+    TPCHQuery,
+    lookup_counts,
+    random_customer,
+)
 
 _PATTERN = "%special%requests%"
 
@@ -62,3 +69,8 @@ class Q13(TPCHQuery):
 
     def map_record(self, record: Row, aux: _Aux) -> float:
         return float(aux.order_counts.get(record["c_custkey"], 0))
+
+    def map_batch(self, records: Sequence[Row], aux: _Aux) -> np.ndarray:
+        return lookup_counts(
+            aux.order_counts, column_values(records, "c_custkey", dtype=None)
+        )

@@ -12,12 +12,20 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
+import numpy as np
+
+from repro.core.batch import column_values
 from repro.core.query import Row, Tables
 from repro.sql.expr import col, lit
 from repro.sql.functions import count_star
-from repro.tpch.queries.base import TPCHQuery, random_part
+from repro.tpch.queries.base import (
+    TPCHQuery,
+    each,
+    lookup_counts,
+    random_part,
+)
 
 _SIZES = [49, 14, 23, 45, 19, 3, 36, 9]
 _BAD_BRAND = "Brand#45"
@@ -86,3 +94,18 @@ class Q16(TPCHQuery):
         if record["p_size"] not in _SIZES:
             return 0.0
         return float(aux.ok_partsupp_counts.get(record["p_partkey"], 0))
+
+    def map_batch(self, records: Sequence[Row], aux: _Aux) -> np.ndarray:
+        brand = column_values(records, "p_brand", dtype=None)
+        kind = column_values(records, "p_type", dtype=None)
+        size = column_values(records, "p_size", dtype=None)
+        selected = (
+            (brand != _BAD_BRAND)
+            & ~each(str.startswith, kind, _BAD_TYPE_PREFIX[:-1])
+            & each(_SIZES.__contains__, size)
+        )
+        counts = lookup_counts(
+            aux.ok_partsupp_counts,
+            column_values(records, "p_partkey", dtype=None),
+        )
+        return np.where(selected, counts, 0.0)

@@ -14,12 +14,20 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Dict, Set
+from typing import Dict, Sequence, Set
 
+import numpy as np
+
+from repro.core.batch import column_values
 from repro.core.query import Row, Tables
 from repro.sql.expr import col, lit
 from repro.sql.functions import count_star
-from repro.tpch.queries.base import TPCHQuery, random_supplier
+from repro.tpch.queries.base import (
+    TPCHQuery,
+    each,
+    lookup_counts,
+    random_supplier,
+)
 
 _NATION = "SAUDI ARABIA"
 
@@ -122,3 +130,17 @@ class Q21(TPCHQuery):
         if aux.nation_names.get(record["s_nationkey"]) != _NATION:
             return 0.0
         return float(aux.qualifying_counts.get(record["s_suppkey"], 0))
+
+    def map_batch(self, records: Sequence[Row], aux: _Aux) -> np.ndarray:
+        nation_keys = {
+            key for key, name in aux.nation_names.items() if name == _NATION
+        }
+        in_nation = each(
+            nation_keys.__contains__,
+            column_values(records, "s_nationkey", dtype=None),
+        )
+        counts = lookup_counts(
+            aux.qualifying_counts,
+            column_values(records, "s_suppkey", dtype=None),
+        )
+        return np.where(in_nation, counts, 0.0)

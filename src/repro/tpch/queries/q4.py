@@ -13,12 +13,15 @@ from __future__ import annotations
 import datetime
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Sequence
 
+import numpy as np
+
+from repro.core.batch import column_values
 from repro.core.query import Row, Tables
 from repro.sql.expr import col, lit
 from repro.sql.functions import count_star
-from repro.tpch.queries.base import TPCHQuery, random_order
+from repro.tpch.queries.base import TPCHQuery, lookup_counts, random_order
 
 _DATE_LO = datetime.date(1993, 1, 1)
 _DATE_HI = datetime.date(1994, 1, 1)
@@ -69,3 +72,11 @@ class Q4(TPCHQuery):
         if _DATE_LO <= record["o_orderdate"] < _DATE_HI:
             return float(aux.late_counts.get(record["o_orderkey"], 0))
         return 0.0
+
+    def map_batch(self, records: Sequence[Row], aux: _Aux) -> np.ndarray:
+        dates = column_values(records, "o_orderdate", dtype=None)
+        counts = lookup_counts(
+            aux.late_counts, column_values(records, "o_orderkey", dtype=None)
+        )
+        in_window = (dates >= _DATE_LO) & (dates < _DATE_HI)
+        return np.where(in_window, counts, 0.0)

@@ -326,6 +326,15 @@ class TestSessionEquivalence:
         assert result.removal_outputs.shape == (3, 1)
 
 
+def _compiled_join(tables: Tables) -> MapReduceQuery:
+    """A sqlbridge query with a one-to-many join and a float SUM."""
+    return compile_sql(
+        "SELECT SUM(o_orderkey * 0.1) AS s FROM customer, orders "
+        "WHERE c_custkey = o_custkey AND o_orderstatus <> 'P'",
+        tables, "customer", domain_sampler=samplers.random_customer,
+    )
+
+
 def _bits(value: Any) -> Any:
     """A monoid element/aggregate as comparable bytes (tuples per slot)."""
     if isinstance(value, tuple):
@@ -349,6 +358,9 @@ class TestRowStability:
             (LogisticRegressionQuery(dim=4, initial_weights=weights),
              ml_tables)
         )
+        # A compiled plan: each customer's orders are summed by
+        # np.bincount, whose slots must not feel their neighbours.
+        pairs.append((_compiled_join(tpch_tables), tpch_tables))
         return pairs
 
     def test_element_does_not_depend_on_batch(
@@ -595,6 +607,36 @@ class TestSlicedPhase2:
         if workload.query.incremental_safe:
             assert stats["records_mapped"] == 0  # retire maps nothing
         assert engine.metrics.get(MetricsRegistry.PROCESS_FALLBACKS) == 0
+
+    @pytest.mark.parametrize("backend", ["inline", "threads", "processes"])
+    def test_compiled_sql_slices_bitwise(self, monkeypatch, backend):
+        """A sqlbridge query through the same four steps.  Its compiled
+        closures do not pickle, so ``processes`` runs its tasks on the
+        fallback path — same slices, same bits."""
+        monkeypatch.setattr(session_mod, "_INCR_BLOCK_RECORDS", 16)
+        captured = _spy_phase2(monkeypatch)
+        tables = workload_by_name("tpch13").make_tables(2400, 11)
+        rows = tables["customer"]
+        held = max(4, len(rows) // 8)
+        tables["customer"] = list(rows[:-held])
+        query = _compiled_join(tables)
+        engine = EngineContext(EngineConfig(
+            backend=backend, max_workers=2, default_parallelism=self.PARTS,
+        ))
+        session = UPASession(
+            UPAConfig(sample_size=12, seed=77, engine_partitions=self.PARTS),
+            engine=engine,
+        )
+        try:
+            _release(lambda: session.run(query, tables))
+            _release(lambda: session.append(rows[-held:-held // 2]))
+            _release(lambda: session.append(rows[-held // 2:]))
+            _release(lambda: session.retire(20))
+        finally:
+            engine.stop()
+        assert [entry[3] for entry in captured] == [False, True, True, True]
+        for entry in captured:
+            _assert_slices_match_scalar_fold(entry, self.PARTS)
 
 
 def _release_queries(tables, ml_tables):

@@ -5,15 +5,23 @@ physical executor must match a straight-line Python reference for
 randomized filter/project/aggregate pipelines, and the expression
 compiler (repro.sql.compiler) must agree with interpreted ``eval``
 *exactly* — value, None-ness and raised-exception behaviour — on
-randomized expression trees over rows containing NULLs.
+randomized expression trees over rows containing NULLs.  The same
+exactness is then required of whole-column evaluation
+(``repro.sql.vectorized``) and of the SQL bridge's compiled plans, whose
+``map_batch`` must be ``map_record`` of every record bit for bit.
 """
 
 from typing import List
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import column_values
+from repro.core.sampling import RecordView, fingerprint_columns
+from repro.core.sqlbridge import compile_plan
+from repro.engine.columnar import ColumnarPartition
 from repro.sql import SQLSession, col, count_star, sum_
 from repro.sql.compiler import compile_expression, compile_predicate
 from repro.sql.expr import (
@@ -27,6 +35,9 @@ from repro.sql.expr import (
     UnaryOp,
     lit,
 )
+from repro.sql.functions import count
+from repro.sql.logical import Join
+from repro.sql.vectorized import block_mask, block_value
 
 ROWS = st.lists(
     st.fixed_dictionaries(
@@ -249,3 +260,210 @@ class TestCompilerEquivalence:
         compiled = run()
         interpreted = run(compile_expressions=False)
         assert compiled == interpreted
+
+
+# ---------------------------------------------------------------------------
+# Column-block evaluation: repro.sql.vectorized and the SQL bridge's plans
+# ---------------------------------------------------------------------------
+
+
+class _RowsBlock:
+    """The minimal block: rows as object columns gathered on demand."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def numpy_column(self, name):
+        return column_values(self.rows, name, dtype=None)
+
+
+def _row_outcomes(fn, rows):
+    """Per-row (value, type), or the type the first failing row raises."""
+    out = []
+    for row in rows:
+        try:
+            value = fn(row)
+        except Exception as exc:  # noqa: BLE001 — parity includes errors
+            return ("raise", type(exc))
+        out.append((value, type(value)))
+    return out
+
+
+def _block_outcomes(fn, block):
+    try:
+        values = fn(block)
+    except Exception as exc:  # noqa: BLE001 — parity includes errors
+        return ("raise", type(exc))
+    assert isinstance(values, np.ndarray) and len(values) == len(block)
+    return [(value, type(value)) for value in values.tolist()]
+
+
+class TestBlockExpressions:
+    """``block_value`` / ``block_mask`` give the row answer — value,
+    None-ness, type and raised exception — whatever the expression."""
+
+    @given(rows=st.lists(NULLABLE_ROWS, max_size=12), expr=expressions())
+    @settings(max_examples=300, deadline=None)
+    def test_block_value_matches_eval(self, rows, expr):
+        assert _block_outcomes(block_value(expr), _RowsBlock(rows)) == (
+            _row_outcomes(expr.eval, rows)
+        )
+
+    @given(rows=st.lists(NULLABLE_ROWS, max_size=12), expr=expressions())
+    @settings(max_examples=300, deadline=None)
+    def test_block_mask_matches_truthiness(self, rows, expr):
+        assert _block_outcomes(block_mask(expr), _RowsBlock(rows)) == (
+            _row_outcomes(lambda row: bool(expr.eval(row)), rows)
+        )
+
+    @given(rows=ROWS.filter(bool), predicate=predicates(),
+           value=st.sampled_from(["+", "-", "*", "/"]))
+    @settings(max_examples=150, deadline=None)
+    def test_typed_columns_match_eval(self, rows, predicate, value):
+        """The ufunc subset over typed (int64) buffers, the layout of a
+        hashed table and of S-bar."""
+        block = ColumnarPartition.from_rows(rows)
+        assert block.numpy_column("a").dtype == np.int64
+        assert _block_outcomes(block_mask(predicate), block) == (
+            _row_outcomes(lambda row: bool(predicate.eval(row)), rows)
+        )
+        arithmetic = BinaryOp(value, col("a") * lit(3), col("b"))
+        assert _block_outcomes(block_value(arithmetic), block) == (
+            _row_outcomes(arithmetic.eval, rows)
+        )
+
+
+#: the static side of the generated joins: names disjoint from a/b/c.
+STATIC_ROWS = st.lists(
+    st.fixed_dictionaries(
+        {
+            "da": st.one_of(st.none(), st.integers(-10, 10)),
+            "db": st.one_of(st.none(), st.integers(-3, 3)),
+            "dc": st.one_of(st.none(), st.sampled_from(["x", "yy", ""])),
+        }
+    ),
+    max_size=12,
+)
+
+_NUMERIC = st.sampled_from([
+    col("a"), col("b"), col("a") * col("b"), col("a") + lit(2),
+    -col("b"), col("a") * lit(0.5), lit(1),
+])
+
+_SHAPES = (
+    "filter", "project", "join-left", "join-right", "semi", "anti",
+    "semi-residual", "anti-residual",
+)
+
+
+def _correlated(prefix: str):
+    """Residual conjuncts that read the static side (under ``prefix``)
+    against the probing row."""
+    da, db, dc = (col(prefix + name) for name in ("da", "db", "dc"))
+    return st.sampled_from([
+        da > col("a"), dc == col("c"), db.is_null(), da * col("b") != lit(0),
+        db + col("b") < lit(2), dc.like("x%") | (da <= col("b")),
+    ])
+
+
+@st.composite
+def bridge_plans(draw):
+    """(tables, plan) of a random query of every shape the bridge
+    compiles, over NULL-bearing tables."""
+    tables = {
+        "t": draw(st.lists(NULLABLE_ROWS, min_size=1, max_size=14)),
+        "d": draw(STATIC_ROWS),
+    }
+    session = SQLSession()
+    for name, rows in tables.items():
+        # A table registers with its first row's names; an empty static
+        # side still needs them.
+        session.create_table(
+            name, rows or [{"da": None, "db": None, "dc": None}]
+        )
+    if not tables["d"]:
+        tables["d"] = session.table("d").collect()
+    t, d = session.table("t"), session.table("d")
+    condition = draw(expressions(depth=2))
+    shape = draw(st.sampled_from(_SHAPES))
+    on = [draw(st.sampled_from([("a", "da"), ("b", "db"), ("c", "dc")]))]
+    if draw(st.booleans()):
+        on.append(("b", "db"))
+    prefix = Join.RESIDUAL_RIGHT_PREFIX
+    residual = BinaryOp(
+        draw(st.sampled_from(["and", "or"])),
+        draw(_correlated(prefix)), draw(expressions(depth=1)),
+    )
+    if shape == "filter":
+        frame = t.filter(condition)
+    elif shape == "project":
+        frame = t.select(
+            condition.alias("c"), col("b"), (col("a") * lit(2)).alias("a"),
+        )
+    elif shape == "join-left":
+        frame = t.join(d, on=on, residual=draw(expressions(depth=1)))
+        frame = frame.filter(col("db").is_not_null() | condition)
+    elif shape == "join-right":
+        frame = d.join(t, on=[(right, left) for left, right in on])
+    elif shape in ("semi", "anti"):
+        frame = t.filter(condition).join(d, on=on, how=shape)
+    else:
+        frame = t.join(d, on=on, how=shape.split("-")[0], residual=residual)
+    aggregate = draw(st.sampled_from(["count*", "count", "sum"]))
+    if aggregate == "count*":
+        spec = count_star("n")
+    elif aggregate == "count":
+        spec = count(draw(expressions(depth=1)), "n")
+    else:
+        spec = sum_(draw(_NUMERIC), "n")
+    return tables, frame.agg(spec).plan
+
+
+class TestBridgeBatchEvaluation:
+    """``CompiledSQLQuery.map_batch`` is ``map_record`` of every record,
+    bit for bit, for every plan shape and batch layout."""
+
+    @given(case=bridge_plans())
+    @settings(max_examples=250, deadline=None)
+    def test_map_batch_is_map_record_bitwise(self, case):
+        tables, plan = case
+        query = compile_plan(plan, tables, "t")
+        rows = tables["t"]
+        reference = _row_outcomes(
+            lambda row: query.map_record(row, None), rows
+        )
+        _fingerprints, buffers = fingerprint_columns(rows)
+        everything = np.arange(len(rows))
+        layouts = {
+            "list": rows,
+            "view+buffers": RecordView(rows, everything, buffers),
+            "view-no-buffers": RecordView(rows, everything, {}),
+            "columnar": ColumnarPartition.from_rows(rows),
+        }
+        for layout, batch in layouts.items():
+            try:
+                mapped = query.map_batch(batch, None)
+            except Exception as exc:  # noqa: BLE001 — parity includes errors
+                # Some record raises in the row interpreter too (it
+                # meets records one at a time, the plan stage by stage,
+                # so *which* error comes first may differ).
+                assert reference[0] == "raise", (layout, exc)
+                continue
+            assert reference[0] != "raise", layout
+            expected = np.asarray([value for value, _ in reference])
+            assert mapped.dtype == np.float64, layout
+            assert (
+                mapped.view(np.uint64) == expected.view(np.uint64)
+            ).all(), layout
+        if reference[0] != "raise":
+            # Row-stable: element i is record i's, under any slicing.
+            cut = max(1, len(rows) // 3)
+            pieces = np.concatenate([
+                query.map_batch(rows[lo:lo + cut], None)
+                for lo in range(0, len(rows), cut)
+            ])
+            assert pieces.tobytes() == query.map_batch(rows, None).tobytes()
+            assert len(query.map_batch([], None)) == 0
