@@ -19,7 +19,19 @@ its last record (80 releases).  The ``sql`` lane sends SQL *text*
 through the same four steps, the cold one a ``run_sql``: the four
 queries of ``examples/ad_hoc_sql.py`` and the ``sql_text()`` of every
 workload the bridge accepts (the seven TPC-H ones) — 132 releases whose
-every value went through ``core.sqlbridge``'s compiled plan.  A release
+every value went through ``core.sqlbridge``'s compiled plan.  The
+``shared`` lane is a pair of sessions per workload and
+``engine_partitions``: ``hit`` is handed the same list objects on every
+submission (x, x minus its last record, x again, two ``append``s, a
+``retire``), so it releases from its registered tables and kept aux
+(``core.table``); ``miss`` gets a record-by-record copy of the
+protected table and new public lists each time, so it finds nothing
+registered (324 releases).  Its ``cross`` pairs hand one tables dict to
+``tpch13`` (protects ``customer``, counts ``orders``) and ``tpch4``
+(protects ``orders``) in turn, so ``append`` / ``retire`` under one
+query move a list the other's kept aux was built from (42 releases).
+The two must agree release by release —
+checked on every invocation, exit 1 if not.  A release
 RANGE ENFORCER refuses has ``"DPError"`` for every result field (phase
 1 ran, so its two fields are still digested).
 ``--against`` names the releases that differ and their fields, counts
@@ -140,6 +152,75 @@ def release_digests() -> dict:
             for step, call in steps.items():
                 release(f"{lane}/parts{parts}/{step}", call)
 
+    def shared_pair(workload, parts):
+        """The ``shared`` lane of one workload: what ``hit`` submits as
+        the same objects, ``miss`` submits as copies."""
+        query = workload.query
+        protected = query.protected_table
+        generated = workload.make_tables(SCALE, DATA_SEED)
+        rows = generated[protected]
+        held = max(2, len(rows) // 10)
+        x = dict(generated)
+        x[protected] = rows[:-held]
+        minus = dict(x)
+        minus[protected] = x[protected][:-1]
+        hit, miss = session_pair(parts)
+        paired(f"shared/{workload.name}/parts{parts}", miss, {
+            "x": (query, x, lambda: hit.run(query, x, 0.5)),
+            "minus": (query, minus, lambda: hit.run(query, minus, 0.5)),
+            "x-again": (query, x, lambda: hit.run(query, x, 0.5)),
+            "append1": (query, x, lambda: hit.append(
+                [dict(row) for row in rows[-held:-held // 2]], 0.5)),
+            "append2": (query, x, lambda: hit.append(
+                [dict(row) for row in rows[-held // 2:]], 0.5)),
+            "retire": (query, x, lambda: hit.retire(max(1, held // 3), 0.5)),
+        })
+
+    def cross_pair(parts):
+        """One tables dict under two queries: ``orders`` is public to
+        tpch13 and protected — appended to, retired from — under tpch4."""
+        q13 = workload_by_name("tpch13").query
+        q4 = workload_by_name("tpch4").query
+        x = workload_by_name("tpch4").make_tables(SCALE, DATA_SEED)
+        orders = x["orders"]
+        held = [dict(row) for row in orders[-len(orders) // 10:]]
+        del orders[-len(held):]
+        hit, miss = session_pair(parts)
+        paired(f"shared/cross/parts{parts}", miss, {
+            "q13": (q13, x, lambda: hit.run(q13, x, 0.5)),
+            "q4": (q4, x, lambda: hit.run(q4, x, 0.5)),
+            "q4-append": (q4, x, lambda: hit.append(held, 0.5)),
+            "q13-grown": (q13, x, lambda: hit.run(q13, x, 0.5)),
+            "q4-again": (q4, x, lambda: hit.run(q4, x, 0.5)),
+            "q4-retire": (q4, x, lambda: hit.retire(len(held), 0.5)),
+            "q13-same-length": (q13, x, lambda: hit.run(q13, x, 0.5)),
+        })
+
+    def session_pair(parts):
+        config = UPAConfig(
+            sample_size=SAMPLE_SIZE, seed=SESSION_SEED,
+            engine_partitions=parts,
+        )
+        return UPASession(config), UPASession(config)
+
+    def paired(lane, miss, steps):
+        """Each step of the ``hit`` session, then the same submission
+        as copies to ``miss``."""
+        for step, (query, submitted, call) in steps.items():
+            release(f"{lane}/hit/{step}", call)
+            # append() and retire() have moved the hit session's
+            # protected list by now.
+            copies = {
+                name: (
+                    [dict(row) for row in records]
+                    if name == query.protected_table else list(records)
+                )
+                for name, records in submitted.items()
+            }
+            release(
+                f"{lane}/miss/{step}", lambda: miss.run(query, copies, 0.5),
+            )
+
     session_mod.partition_and_sample = recording
     try:
         for workload in all_workloads():
@@ -165,6 +246,11 @@ def release_digests() -> dict:
                     f"resubmit/{name}/{submission:02d}",
                     lambda: session.run(workload.query, submitted, 0.5),
                 )
+        for workload in all_workloads():
+            for parts in (1, 2, 3):
+                shared_pair(workload, parts)
+        for parts in (1, 2, 3):
+            cross_pair(parts)
         tables = workload_by_name("tpch1").make_tables(SCALE, DATA_SEED)
         for label, text, protected, sampler in _sql_queries(tables):
             four_steps(
@@ -180,14 +266,25 @@ def release_digests() -> dict:
     return out
 
 
+def shared_lane_differences(digests: dict) -> list:
+    """The ``shared`` releases whose hit and miss sessions disagree."""
+    return [
+        key for key, mine in sorted(digests.items())
+        if "/hit/" in key and mine != digests[key.replace("/hit/", "/miss/")]
+    ]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", help="digest JSON of the other tree")
     args = parser.parse_args()
     digests = release_digests()
+    unshared = shared_lane_differences(digests)
+    for key in unshared:
+        print(f"hit differs from miss: {key}", file=sys.stderr)
     if args.against is None:
         json.dump(digests, sys.stdout, indent=0, sort_keys=True)
-        return 0
+        return 1 if unshared else 0
     with open(args.against) as handle:
         other = json.load(handle)
     fields = SAMPLE_FIELDS + RESULT_FIELDS
@@ -204,7 +301,7 @@ def main() -> int:
     for field in fields:
         print(f"{field}: {identical[field]} of {len(digests)} identical")
     print(f"{len(digests) - differing} of {len(digests)} releases identical")
-    return 1 if differing else 0
+    return 1 if differing or unshared else 0
 
 
 if __name__ == "__main__":

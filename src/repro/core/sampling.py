@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from datetime import date
 from itertools import chain
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -37,6 +38,9 @@ from repro.common.errors import DPError
 from repro.core.query import MapReduceQuery, Row, Tables
 from repro.engine.columnar import ColumnarPartition, gather_columns
 from repro.obs.tracing import NULL_TRACER, Tracer
+
+if TYPE_CHECKING:
+    from repro.core.table import ProtectedTable
 
 # Content hashing.  A record's fingerprint is a pure function of its
 # key -> value content: independent of key order, of the process and
@@ -277,8 +281,7 @@ class RecordView:
         """The view's values of one column, or None if it has no buffer.
 
         None sends ``column_values`` to its row gather: the column is
-        heterogeneous, or nothing was hashed this release (the
-        incremental path).
+        heterogeneous.
         """
         buffer = self._buffers.get(name)
         if buffer is None:
@@ -312,41 +315,48 @@ class PartitionedSample:
     """Output of Partition & Sample.
 
     Attributes:
-        records: the protected table the sample was drawn from.
+        table: the registered protected table the sample was drawn
+            from: its rows, their partition ids and the column buffers
+            the hash built (:class:`~repro.core.table.ProtectedTable`).
         sampled_partitions: partition id of each sampled record.
         domain_samples: n records from D but not in x, as the row batch
             the query's ``sample_domain_batch`` returned.
-        partition_ids: partition id of *every* record, in table order
-            (a uint8 array).  Partitioning is content-hashed and records
-            are immutable within the session contract, so the
-            incremental path caches it across runs and only hashes
-            appended records.
         sampled_indices: table-order indices of the sampled records.
         remaining_indices: table-order indices of S' = x \\ S, per
             partition.
-        buffers: the column buffers the hash built, by column key;
-            empty when ``partition_ids`` was supplied without them.
-            They live as long as the sample does: one release.
 
     ``sampled``, ``remaining`` and ``partitions`` are
-    :class:`RecordView`s over ``records``: they read the live table, so
-    take what you need from them before it is mutated.
+    :class:`RecordView`s over the table's live rows and buffers: take
+    what you need from them before ``append()`` / ``retire()`` move it.
     """
 
-    records: Sequence[Row]
+    table: "ProtectedTable"
     sampled_partitions: List[int]
     domain_samples: Sequence[Row]
-    partition_ids: np.ndarray
     sampled_indices: List[int]
     remaining_indices: Tuple[np.ndarray, np.ndarray]
-    buffers: Dict[Any, Any]
+
+    @property
+    def records(self) -> Sequence[Row]:
+        """The protected table's rows."""
+        return self.table.rows
+
+    @property
+    def partition_ids(self) -> np.ndarray:
+        """Partition id of *every* record, in table order (uint8)."""
+        return self.table.partition_ids
+
+    @property
+    def buffers(self) -> Dict[Any, Any]:
+        """The table's column buffers, by column key."""
+        return self.table.buffers
 
     @property
     def sample_size(self) -> int:
         return len(self.sampled_indices)
 
     def _view(self, indices: np.ndarray) -> RecordView:
-        return RecordView(self.records, indices, self.buffers)
+        return RecordView(self.table.rows, indices, self.table.buffers)
 
     @property
     def sampled(self) -> RecordView:
@@ -365,7 +375,7 @@ class PartitionedSample:
         Nothing in the pipeline reads it (S and S' are what the phases
         consume).
         """
-        ids = self.partition_ids
+        ids = self.table.partition_ids
         return tuple(self._view(np.flatnonzero(ids == p)) for p in (0, 1))
 
 
@@ -390,9 +400,8 @@ def partition_and_sample(
     tables: Tables,
     sample_size: int,
     rng: random.Random,
-    partition_ids: Optional[np.ndarray] = None,
+    table: Optional["ProtectedTable"] = None,
     tracer: Tracer = NULL_TRACER,
-    buffers: Optional[Dict[Any, Any]] = None,
 ) -> PartitionedSample:
     """Run Partition & Sample for ``query`` over its protected table.
 
@@ -400,26 +409,27 @@ def partition_and_sample(
     is sampled (the paper: n is lowered to |x|, giving the *exact*
     neighbour set).
 
-    ``partition_ids`` optionally supplies the precomputed content-hash
-    partition of every record (one id per record, table order) so
-    incremental runs skip re-fingerprinting the whole table; content
-    hashing is deterministic, so the output is bitwise identical either
-    way.  A caller that hashed the table itself this release passes the
-    ``buffers`` of :func:`fingerprint_columns` along with the ids.  An
-    enabled ``tracer`` gets one child span per step.
+    ``table`` is the protected table as a session registered it, now or
+    on an earlier release; a caller without a session passes none and
+    the rows are hashed here.  Content hashing is deterministic, so the
+    output is bitwise identical either way.  An enabled ``tracer`` gets
+    one child span per step.
     """
     records = protected_records(query, tables)
     n = min(sample_size, len(records))
 
-    with tracer.span("sampling.fingerprint"):
-        if partition_ids is None:
-            fingerprints, buffers = fingerprint_columns(records)
-            partition_ids = partition_id_bits(fingerprints)
-        elif len(partition_ids) != len(records):
-            raise DPError(
-                f"partition_ids has {len(partition_ids)} entries for "
-                f"{len(records)} records"
-            )
+    if table is None:
+        # Imported late: core.table hashes with this module's functions.
+        from repro.core.table import ProtectedTable
+
+        with tracer.span("sampling.fingerprint"):
+            table = ProtectedTable(records)
+    elif table.rows is not records:
+        raise DPError(
+            "the registered table is not the submitted "
+            f"{query.protected_table!r} list"
+        )
+    partition_ids = table.partition_ids
 
     with tracer.span("sampling.split"):
         sampled_indices = sorted(rng.sample(range(len(records)), n))
@@ -436,11 +446,9 @@ def partition_and_sample(
             "batched", isinstance(domain_samples, ColumnarPartition)
         )
     return PartitionedSample(
-        records=records,
+        table=table,
         sampled_partitions=sampled_parts,
         domain_samples=domain_samples,
-        partition_ids=partition_ids,
         sampled_indices=sampled_indices,
         remaining_indices=remaining_indices,
-        buffers=buffers or {},
     )

@@ -42,12 +42,10 @@ from repro.core.query import MapReduceQuery, Tables
 from repro.core.range_enforcer import EnforcementResult, RangeEnforcer
 from repro.core.sampling import (
     PartitionedSample,
-    fingerprint_columns,
     partition_and_sample,
-    partition_id_bits,
-    partition_ids_of,
     protected_records,
 )
+from repro.core.table import ProtectedTable, TableRegistry
 from repro.dp.budget import PrivacyAccountant
 from repro.dp.mechanisms import GaussianMechanism, LaplaceMechanism
 from repro.engine.context import EngineContext
@@ -281,39 +279,34 @@ _INCR_BLOCK_RECORDS = 4096
 
 
 class _IncrementalState:
-    """Bookkeeping the append()/retire() fast path carries between runs.
+    """The block-store cursor append()/retire() carry between runs.
 
     One instance describes the *last* submission: which query ran over
-    which table object, the content-hash partition id of every record
-    (so only appended records are fingerprinted), and the block-store
-    namespace holding the cached ``map_batch`` blocks.  The per-run
-    sample S is redrawn every release, so per-partition *aggregates*
-    are never reusable — the cache instead holds the mapped elements
-    and replays the identical fold, which is what makes an incremental
-    release bitwise-equal to a cold one.
+    which tables, the registered protected table among them, and the
+    block-store namespace holding the cached ``map_batch`` blocks.  The
+    per-run sample S is redrawn every release, so per-partition
+    *aggregates* are never reusable — the cache instead holds the
+    mapped elements and replays the identical fold, which is what makes
+    an incremental release bitwise-equal to a cold one.
     """
 
     __slots__ = (
-        "query", "tables", "records", "expected_len", "partition_ids",
-        "base_offset", "cache_rdd_id", "epoch", "block_records", "primed",
+        "query", "tables", "table", "base_offset", "cache_rdd_id", "epoch",
+        "block_records", "primed",
     )
 
     def __init__(
         self,
         query: MapReduceQuery,
         tables: Tables,
-        records: List[Any],
-        partition_ids: np.ndarray,
+        table: ProtectedTable,
         cache_rdd_id: int,
     ):
         self.query = query
         self.tables = tables
-        #: the live protected-table list, identity-checked each run so
-        #: any mutation outside append()/retire() forces a cold run.
-        self.records = records
-        self.expected_len = len(records)
-        self.partition_ids = partition_ids
-        #: absolute index of records[0] (grows with every retire()).
+        self.table = table
+        #: absolute index of the table's first row (grows with every
+        #: retire()).
         self.base_offset = 0
         self.cache_rdd_id = cache_rdd_id
         #: engine cache epoch the blocks were written under; a mismatch
@@ -325,14 +318,13 @@ class _IncrementalState:
         #: unchanged.
         self.primed = False
 
-    def matches(self, query: MapReduceQuery, tables: Tables) -> bool:
-        """True iff this state still describes the submission."""
-        records = tables.get(query.protected_table)
+    def matches(self, query: MapReduceQuery, tables: Tables,
+                table: ProtectedTable) -> bool:
+        """True iff the blocks still describe the submission."""
         return (
             query is self.query
             and tables is self.tables
-            and records is self.records
-            and len(records) == self.expected_len
+            and table is self.table
         )
 
 
@@ -376,6 +368,8 @@ class UPASession:
         self.ledger = ledger
         self._run_counter = 0
         self._answer_cache: dict = {}
+        #: the protected tables (and public-side aux) already seen.
+        self._tables = TableRegistry()
         #: last-run bookkeeping backing append()/retire(); None until
         #: the first run() completes.
         self._incr: Optional[_IncrementalState] = None
@@ -522,13 +516,12 @@ class UPASession:
             # one tracer sees the pipeline end to end.
             self.engine.install_tracer(tracer)
         self._last_incremental = None
-        cache_key = hashed = None
+        cache_key = found = None
         if self.config.answer_cache:
-            # The one hash of this release: the cache key reads the
-            # fingerprints, phase 1 their low bits and the buffers.
-            fingerprints, buffers = fingerprint_columns(records)
-            hashed = (partition_id_bits(fingerprints), buffers)
-            cache_key = self._cache_key(query, fingerprints, epsilon)
+            # The key reads the table's stored fingerprints, so the
+            # release's one lookup happens here instead of in phase 1.
+            found = self._lookup(records)
+            cache_key = self._cache_key(query, found[0], epsilon)
             cached = self._answer_cache.get(cache_key)
             if cached is not None:
                 self.engine.metrics.incr("answer_cache_hits")
@@ -554,7 +547,7 @@ class UPASession:
             else NULL_SPAN
         )
         with run_span, Timer() as timer:
-            reduced = self._sample_and_reduce(query, tables, hashed)
+            reduced = self._sample_and_reduce(query, tables, found)
             neighbours = reduced.neighbours
             with tracer.span("phase:inference") if tracer.enabled \
                     else NULL_SPAN as inference_span:
@@ -644,11 +637,7 @@ class UPASession:
         new_records = list(records)
         if not new_records:
             raise DPError("append() needs at least one record")
-        incr.records.extend(new_records)
-        incr.partition_ids = np.concatenate(
-            [incr.partition_ids, partition_ids_of(new_records)]
-        )
-        incr.expected_len = len(incr.records)
+        incr.table.append(new_records)
         incr.primed = True
         self.engine.metrics.incr(MetricsRegistry.INCR_APPENDS)
         return self.run(incr.query, incr.tables, epsilon)
@@ -671,15 +660,13 @@ class UPASession:
             raise DPError(
                 f"retire() count must be a positive int, got {count!r}"
             )
-        if count >= len(incr.records):
+        if count >= len(incr.table.rows):
             raise DPError(
                 f"retire({count}) would empty the protected table "
-                f"({len(incr.records)} records)"
+                f"({len(incr.table.rows)} records)"
             )
-        del incr.records[:count]
-        incr.partition_ids = incr.partition_ids[count:]
+        incr.table.retire(count)
         incr.base_offset += count
-        incr.expected_len = len(incr.records)
         incr.primed = True
         self.engine.metrics.incr(MetricsRegistry.INCR_RETIRES)
         return self.run(incr.query, incr.tables, epsilon)
@@ -737,8 +724,9 @@ class UPASession:
             raise DPError(
                 f"{op}() requires a completed run() on this session first"
             )
-        table = incr.tables.get(incr.query.protected_table)
-        if table is not incr.records or len(table) != incr.expected_len:
+        if not incr.table.matches(
+            incr.tables.get(incr.query.protected_table)
+        ):
             raise DPError(
                 f"{op}(): the protected table changed outside "
                 "append()/retire(); submit it through run() again"
@@ -857,12 +845,12 @@ class UPASession:
         self._lint_cleared.add(key)
 
     @staticmethod
-    def _cache_key(query: MapReduceQuery, fingerprints: np.ndarray,
+    def _cache_key(query: MapReduceQuery, table: ProtectedTable,
                    epsilon: float) -> tuple:
         """Identity of a submission: what is computed, on which dataset.
 
         The dataset fingerprint is the record count and the records'
-        content ``fingerprints`` summed mod 2**64.
+        content fingerprints summed mod 2**64.
 
         Releasing the *same* noisy answer for the same submission is
         standard DP practice (no new information leaves the curator).
@@ -871,9 +859,8 @@ class UPASession:
         ``compile_plan``'s default) that distinct queries share — and a
         hand-written query by its name, unique in the workload registry.
         """
-        dataset_print = (len(fingerprints), int(fingerprints.sum()))
         identity = getattr(query, "plan_fingerprint", query.name)
-        return (identity, epsilon, dataset_print)
+        return (identity, epsilon, table.dataset_print())
 
     def run_sql(
         self,
@@ -930,48 +917,62 @@ class UPASession:
             reduced.neighbours, reduced.population, self.config.inference
         )
 
+    def _lookup(self, records: List[Any]) -> Tuple[ProtectedTable, bool]:
+        """The session's table of ``records`` and whether it was already
+        registered — the one find-or-register of a release."""
+        table, registered = self._tables.lookup(records)
+        self.engine.metrics.incr(
+            MetricsRegistry.TABLE_REUSES if registered
+            else MetricsRegistry.TABLE_REGISTRATIONS
+        )
+        return table, registered
+
     def _sample_and_reduce(
         self, query: MapReduceQuery, tables: Tables,
-        hashed: Optional[Tuple[np.ndarray, dict]] = None,
+        found: Optional[Tuple[ProtectedTable, bool]] = None,
     ) -> _ReducedRun:
         """Shared preamble of :meth:`run` and :meth:`infer_sensitivity`.
 
-        Draws the per-run RNG, partitions & samples, builds aux, and
-        runs the union-preserving reduce phase.  ``hashed`` is the
-        (partition ids, column buffers) of a table :meth:`run` already
-        hashed this release.
+        Draws the per-run RNG, partitions & samples the session's table
+        of the protected list, builds aux, and runs the
+        union-preserving reduce phase.  ``found`` is the
+        :meth:`_lookup` :meth:`run` already made for its answer-cache
+        key.
         """
         self._run_counter += 1
         tracer = self.tracer
+        metrics = self.engine.metrics
         rng = make_rng(self.config.seed, f"upa-run-{self._run_counter}")
-        incr = self._incr
-        use_incr = (
-            incr is not None
-            and incr.primed
-            and self.config.reuse_intermediate
-            and incr.matches(query, tables)
-        )
-        if incr is not None and incr.primed and not use_incr:
-            # The cached state no longer describes this submission
-            # (different query, externally mutated table, or the
-            # no-reuse ablation): run cold and rebuild below.
-            self.engine.metrics.incr(MetricsRegistry.INCR_INVALIDATIONS)
         with tracer.span(
             "phase:partition_sample", query=query.name,
             sample_size=self.config.sample_size,
         ) if tracer.enabled else NULL_SPAN as sample_span:
-            if hashed is not None:
-                partition_ids, buffers = hashed
-            else:
-                partition_ids = incr.partition_ids if use_incr else None
-                buffers = None
+            with tracer.span("sampling.fingerprint"):
+                table, registered = found or self._lookup(
+                    protected_records(query, tables)
+                )
+            incr = self._incr
+            use_incr = (
+                incr is not None
+                and incr.primed
+                and self.config.reuse_intermediate
+                and incr.matches(query, tables, table)
+            )
+            if incr is not None and incr.primed and not use_incr:
+                # The cached state no longer describes this submission
+                # (different query, externally mutated table, or the
+                # no-reuse ablation): run cold and rebuild below.
+                metrics.incr(MetricsRegistry.INCR_INVALIDATIONS)
             sample = partition_and_sample(
                 query, tables, self.config.sample_size, rng,
-                partition_ids=partition_ids, tracer=tracer, buffers=buffers,
+                table=table, tracer=tracer,
             )
             sample_span.set_attribute("sampled", sample.sample_size)
             sample_span.set_attribute("incremental", bool(use_incr))
-        aux = query.build_aux(tables)
+            sample_span.set_attribute("registered", registered)
+        aux, kept = self._tables.aux(query, tables)
+        if kept:
+            metrics.incr(MetricsRegistry.AUX_REUSES)
         remaining_slices = None
         self._last_incremental = None
         if use_incr:
@@ -987,8 +988,8 @@ class UPASession:
         state, removal, addition, plain = self._reduce_phase(
             query, aux, sample, rng, remaining_slices
         )
-        population = len(tables[query.protected_table]) + sample.sample_size
-        self._remember_run(query, tables, sample)
+        population = len(sample.records) + sample.sample_size
+        self._remember_run(query, tables, table)
         return _ReducedRun(
             state=state,
             removal=removal,
@@ -999,25 +1000,21 @@ class UPASession:
         )
 
     def _remember_run(
-        self, query: MapReduceQuery, tables: Tables,
-        sample: PartitionedSample,
+        self, query: MapReduceQuery, tables: Tables, table: ProtectedTable,
     ) -> None:
         """Refresh append()/retire() bookkeeping after a run.
 
-        A matching state continues (append() already maintained its
-        partition ids); anything else — first run, new query, new
-        tables — replaces the state and evicts the old element blocks.
-        The partition ids were computed by this run regardless, so the
-        cold path's cost profile is unchanged.
+        A matching cursor continues; anything else — first run, new
+        query, new tables, a table registered afresh — replaces it and
+        evicts the old element blocks.
         """
         incr = self._incr
-        if incr is not None and incr.matches(query, tables):
+        if incr is not None and incr.matches(query, tables, table):
             return
         if incr is not None:
             self.engine.block_store.evict_rdd(incr.cache_rdd_id)
         self._incr = _IncrementalState(
-            query, tables, tables[query.protected_table],
-            sample.partition_ids, self.engine.reserve_cache_id(),
+            query, tables, table, self.engine.reserve_cache_id(),
         )
 
     def _incremental_elements(
@@ -1045,7 +1042,7 @@ class UPASession:
         engine = self.engine
         metrics = engine.metrics
         store = engine.block_store
-        records = incr.records
+        records = incr.table.rows
         cacheable = query.incremental_safe
         epoch = engine.cache_epoch()
         if incr.epoch is not None and epoch != incr.epoch:

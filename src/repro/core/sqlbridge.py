@@ -59,6 +59,7 @@ import numpy as np
 from repro.common.errors import AnalysisError, QueryShapeError
 from repro.core.batch import ScalarSumBatch, column_values
 from repro.core.query import MapReduceQuery, Row, Tables, sample_batch
+from repro.core.table import FixedLists
 from repro.engine.columnar import gather_columns
 from repro.engine.metrics import MetricsRegistry
 from repro.sql.compiler import (
@@ -678,11 +679,12 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
 # compile_plan for the same plan against the same tables.  The expensive
 # parts — static subtree execution and index construction — depend only
 # on the plan shape and the *non-protected* tables, so those are cached
-# here keyed by the canonical plan fingerprint.  Entries hold strong
-# references to the static row lists and hits require object identity,
-# so a recycled id() can never alias a stale entry; mutating a static
-# table in place is outside the bridge's contract (non-protected tables
-# are fixed, the same assumption every hand-written workload makes).
+# here keyed by the canonical plan fingerprint.  Entries hold the
+# static row lists as core.table.FixedLists and a hit requires the same
+# list objects with their rows as they were (DESIGN.md section 5,
+# item 9 — the session keeps build_aux results by the same guard): a
+# recycled id() can never alias a stale entry, and a list a session's
+# append() / retire() grew under another query is compiled again.
 
 _BRIDGE_CACHE_SIZE = 64
 _bridge_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -711,8 +713,8 @@ def _compile_dynamic(
         with _bridge_lock:
             entry = _bridge_cache.get(key)
         if entry is not None:
-            dynamic, static_rows = entry
-            if all(tables[n] is static_rows[n] for n in static_names):
+            dynamic, fixed = entry
+            if fixed.unchanged({n: tables[n] for n in static_names}):
                 if metrics is not None:
                     metrics.incr(MetricsRegistry.SQL_PLAN_CACHE_HITS)
                 return dynamic
@@ -724,7 +726,7 @@ def _compile_dynamic(
         with _bridge_lock:
             _bridge_cache[key] = (
                 dynamic,
-                {n: tables[n] for n in static_names},
+                FixedLists({n: tables[n] for n in static_names}),
             )
             while len(_bridge_cache) > _BRIDGE_CACHE_SIZE:
                 _bridge_cache.popitem(last=False)

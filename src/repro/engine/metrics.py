@@ -211,6 +211,13 @@ class MetricsRegistry:
     #: incremental release (1.0 = effectively a cold run).
     INCR_DELTA_FRACTION = "incremental.delta_fraction"
 
+    #: Counter names of the session's table registry (core.table):
+    #: protected lists hashed at first sight, phase 1s released from a
+    #: registered table, build_aux results read back instead of rebuilt.
+    TABLE_REGISTRATIONS = "table.registrations"
+    TABLE_REUSES = "table.reuses"
+    AUX_REUSES = "aux.reuses"
+
     #: Counter/gauge names recorded per DP release by UPASession so the
     #: time-series store (repro.obs.timeseries) can derive rates and the
     #: windowed alert rules can forecast budget exhaustion.  The epsilon

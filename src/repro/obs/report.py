@@ -19,7 +19,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro._version import __version__
-from repro.engine.metrics import HistogramSummary, MetricsSnapshot, percentile
+from repro.engine.metrics import (
+    HistogramSummary,
+    MetricsRegistry,
+    MetricsSnapshot,
+    percentile,
+)
 from repro.obs.ledger import LedgerEntry, PrivacyLedger
 from repro.obs.tracing import Tracer
 
@@ -38,6 +43,10 @@ PHASE_ORDER = (
 #: the child of ``phase:partition_sample`` that draws S-bar; its
 #: ``records`` / ``batched`` attributes get their own report line.
 DOMAIN_SAMPLE_SPAN = "sampling.domain_sample"
+
+#: phase 1's span; its ``registered`` attribute (released from a table
+#: the session had registered) is counted on that same report line.
+PARTITION_SAMPLE_SPAN = "phase:partition_sample"
 
 #: RANGE ENFORCER's span; its ``registry`` / ``sweeps`` /
 #: ``records_removed`` attributes get their own report line.
@@ -182,6 +191,8 @@ class ObservedRun:
     #: each release was compared against, the sweeps that took and the
     #: records it removed.
     enforcement: List[Dict[str, Any]] = field(default_factory=list)
+    #: attributes of every ``phase:partition_sample`` span.
+    partition_sampling: List[Dict[str, Any]] = field(default_factory=list)
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -198,6 +209,7 @@ class ObservedRun:
         durations: List[Tuple[str, float]] = []
         domain_sampling: List[Dict[str, Any]] = []
         enforcement: List[Dict[str, Any]] = []
+        partition_sampling: List[Dict[str, Any]] = []
         if tracer is not None:
             header.update(tracer.header)
             spans = sorted(tracer.spans(), key=lambda s: s.start)
@@ -207,6 +219,10 @@ class ObservedRun:
             ]
             enforcement = [
                 s.attributes for s in spans if s.name == ENFORCE_SPAN
+            ]
+            partition_sampling = [
+                s.attributes for s in spans
+                if s.name == PARTITION_SAMPLE_SPAN
             ]
         entries: List[LedgerEntry] = []
         totals: Dict[str, float] = {}
@@ -227,7 +243,7 @@ class ObservedRun:
             workers = worker_table(metrics)
         return cls(header, durations, metrics, entries, totals,
                    alerts, profile, workers, timeseries, domain_sampling,
-                   enforcement)
+                   enforcement, partition_sampling)
 
     @classmethod
     def from_artifacts(
@@ -241,6 +257,7 @@ class ObservedRun:
         durations: List[Tuple[str, float]] = []
         domain_sampling: List[Dict[str, Any]] = []
         enforcement: List[Dict[str, Any]] = []
+        partition_sampling: List[Dict[str, Any]] = []
         workers: List[Dict[str, Any]] = []
         if trace_path is not None:
             with open(trace_path, "r", encoding="utf-8") as handle:
@@ -261,6 +278,10 @@ class ObservedRun:
             enforcement = [
                 e.get("args") or {} for e in events
                 if e["name"] == ENFORCE_SPAN
+            ]
+            partition_sampling = [
+                e.get("args") or {} for e in events
+                if e["name"] == PARTITION_SAMPLE_SPAN
             ]
             workers = _workers_from_trace_events(events)
         entries: List[LedgerEntry] = []
@@ -291,7 +312,7 @@ class ObservedRun:
                 header.setdefault(key, value)
         return cls(header, durations, None, entries, totals,
                    alerts, profile, workers, timeseries, domain_sampling,
-                   enforcement)
+                   enforcement, partition_sampling)
 
     # -- breakdowns ---------------------------------------------------
     def phase_stats(self) -> List[SpanStat]:
@@ -361,12 +382,16 @@ class ObservedRun:
         return rows
 
     def domain_sampling_summary(self) -> Dict[str, int]:
-        """Releases traced, S-bar records drawn, releases that batched."""
+        """Releases traced, S-bar records drawn, releases that batched,
+        releases sampled from a table the session had registered."""
         drawn = self.domain_sampling
         return {
             "releases": len(drawn),
             "records": sum(int(a.get("records", 0)) for a in drawn),
             "batched": sum(1 for a in drawn if a.get("batched")),
+            "registered": sum(
+                1 for a in self.partition_sampling if a.get("registered")
+            ),
         }
 
     def enforcement_summary(self) -> Dict[str, int]:
@@ -446,11 +471,20 @@ class ObservedRun:
             )
         if self.domain_sampling:
             drawn = self.domain_sampling_summary()
-            sections.append(
+            line = (
                 f"domain sampling: {drawn['records']} S-bar records over "
                 f"{drawn['releases']} releases, {drawn['batched']} of them "
-                "as one column batch"
+                f"as one column batch, {drawn['registered']} of them from "
+                "a registered table"
             )
+            if self.metrics is not None:
+                line += " (" + " ".join(
+                    f"{name}={self.metrics.get(name):g}"
+                    for name in (MetricsRegistry.TABLE_REGISTRATIONS,
+                                 MetricsRegistry.TABLE_REUSES,
+                                 MetricsRegistry.AUX_REUSES)
+                ) + ")"
+            sections.append(line)
         if self.enforcement:
             enforced = self.enforcement_summary()
             sections.append(

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from repro.common.config import EngineConfig
 from repro.common.errors import DPError, QueryShapeError
 from repro.core import session as session_mod
+from repro.core.batch import column_values
 from repro.core.grouped import GroupSliceQuery
 from repro.core.query import BATCH_METHODS, MapReduceQuery, Tables
 from repro.core.sampling import partition_and_sample
@@ -731,11 +732,10 @@ class TestViewsMapLikeRows:
                 ), query.name
 
     @pytest.mark.parametrize("name", ["kmeans", "linreg"])
-    def test_append_has_no_buffers_and_gathers_the_rows(
-        self, monkeypatch, name
-    ):
-        """The ids are cached, nothing is hashed, ``features`` has no
-        (n, d) buffer: ``column_values`` reads the rows, same bits."""
+    def test_append_keeps_the_buffers(self, monkeypatch, name):
+        """Only the appended rows are hashed; the table's buffers grow
+        by theirs, so S reads ``features`` from the (n, d) buffer as on
+        a cold run: same bits as the row gather."""
         samples = []
         real = session_mod.partition_and_sample
 
@@ -754,10 +754,16 @@ class TestViewsMapLikeRows:
         cold.run(workload.query, {"points": list(rows[:800])}, epsilon=0.5)
         rerun = cold.run(workload.query, {"points": list(rows)}, epsilon=0.5)
         assert [sorted(sample.buffers) for sample in samples] == [
-            ["features", "label"], [], ["features", "label"],
-            ["features", "label"],
-        ]
-        assert samples[1].sampled.numpy_column("features") is None
+            ["features", "label"]
+        ] * 4
+        assert samples[1].table is samples[0].table
+        for column in ("features", "label"):
+            assert _bits(samples[1].sampled.numpy_column(column)) == _bits(
+                column_values(list(samples[1].sampled), column)
+            )
+            assert _bits(samples[1].buffers[column]) == _bits(
+                samples[3].buffers[column]
+            )
         for field in ("noisy_output", "plain_output", "removal_outputs",
                       "addition_outputs", "partition_outputs"):
             assert _bits(getattr(appended, field)) == _bits(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.common.errors import DPError, PrivacyBudgetExceeded
 import repro.core.sampling as sampling_mod
-import repro.core.session as session_mod
 from repro.core import UPAConfig, UPASession
 from repro.core.inference import InferenceConfig, infer_output_range
 from repro.core.query import MapReduceQuery
@@ -582,10 +581,12 @@ class TestUPASession:
         assert len(session.enforcer) == 0
         assert session._answer_cache == {}
 
-    def test_answer_cache_hashes_the_table_once(
+    def test_answer_cache_hashes_a_table_once_per_session(
         self, small_tables, monkeypatch
     ):
-        """A miss hashed it for the cache key and again in phase 1."""
+        """The key reads the registered table's stored fingerprints:
+        one hash for k identical submissions, and every hit still
+        writes its zero-epsilon ledger row."""
         calls = []
         real = sampling_mod.fingerprint_columns
 
@@ -594,16 +595,26 @@ class TestUPASession:
             return real(records)
 
         monkeypatch.setattr(sampling_mod, "fingerprint_columns", counting)
-        monkeypatch.setattr(session_mod, "fingerprint_columns", counting)
         query = query_by_name("tpch6")
         rows = len(small_tables["lineitem"])
+        ledger = PrivacyLedger()
         cached = UPASession(
-            UPAConfig(sample_size=50, seed=0, answer_cache=True)
+            UPAConfig(sample_size=50, seed=0, answer_cache=True),
+            ledger=ledger,
         )
         first = cached.run(query, small_tables, epsilon=0.5)
+        for _ in range(3):
+            assert cached.run(query, small_tables, epsilon=0.5) is first
         assert calls == [rows]
-        assert cached.run(query, small_tables, epsilon=0.5) is first
-        assert calls == [rows, rows]  # a hit: the key alone
+        assert [
+            (entry.cache_hit, entry.epsilon_charged)
+            for entry in ledger.entries()
+        ] == [(False, 0.5)] + [(True, 0.0)] * 3
+        metrics = cached.engine.metrics
+        assert metrics.get("answer_cache_hits") == 3
+        assert metrics.get(MetricsRegistry.TABLE_REGISTRATIONS) == 1
+        # the first release paid the hash: only the hits reused it.
+        assert metrics.get(MetricsRegistry.TABLE_REUSES) == 3
         del calls[:]
         plain = UPASession(UPAConfig(sample_size=50, seed=0)).run(
             query, small_tables, epsilon=0.5

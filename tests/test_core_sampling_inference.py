@@ -534,13 +534,24 @@ class TestRecordViews:
         assert column_values(sample.sampled, "label").tolist() == [
             1.0, 2.5, 3.0,
         ]
-        # ... and when the ids arrive precomputed and nothing was hashed.
-        ids = partition_ids_of(ml_tables["points"])
-        sample = _sample_of("kmeans", ml_tables, partition_ids=ids)
-        assert sample.buffers == {}
+
+    def test_a_registered_table_is_sampled_without_hashing(
+        self, ml_tables, monkeypatch
+    ):
         hashed = _sample_of("kmeans", ml_tables)
-        assert column_values(sample.sampled, "features").tobytes() == \
-            column_values(hashed.sampled, "features").tobytes()
+        monkeypatch.setattr(
+            sampling_mod, "fingerprint_columns",
+            lambda records: pytest.fail("hashed a registered table"),
+        )
+        sample = _sample_of("kmeans", ml_tables, table=hashed.table)
+        assert sample.table is hashed.table
+        assert sample.sampled_indices == hashed.sampled_indices
+        assert sample.buffers is hashed.buffers
+        with pytest.raises(DPError, match="not the submitted 'points'"):
+            _sample_of(
+                "kmeans", {"points": list(ml_tables["points"])},
+                table=hashed.table,
+            )
 
     def test_a_view_pickles_as_its_own_rows_and_buffer_slices(
         self, tpch_tables

@@ -458,6 +458,44 @@ class TestBatchEvaluator:
             query.map_batch(stray, None)
 
 
+class TestCompileCacheGuardsItsStaticLists:
+    def test_a_static_list_grown_by_append_is_compiled_again(self):
+        """``b`` is static when ``a`` is protected and protected the
+        other way round, so the session's own append() grows the list
+        the cached join index was built from; list identity alone
+        released 8 572 joined rows where there are 9 862."""
+        text = "SELECT COUNT(*) AS n FROM a, b WHERE k = bk"
+        tables = {
+            "a": [{"k": i % 7, "v": float(i)} for i in range(300)],
+            "b": [{"bk": i % 7, "w": float(i)} for i in range(200)],
+        }
+        samplers = {
+            "a": lambda rng, _t: {"k": rng.randrange(7), "v": rng.random()},
+            "b": lambda rng, _t: {"bk": rng.randrange(7), "w": rng.random()},
+        }
+        session = UPASession(UPAConfig(sample_size=40, seed=3))
+
+        def release(protected):
+            return session.run_sql(
+                text, tables, protected, epsilon=0.5,
+                domain_sampler=samplers[protected],
+            )
+
+        def joined():
+            return sum(
+                1 for left in tables["a"] for right in tables["b"]
+                if left["k"] == right["bk"]
+            )
+
+        assert release("a").plain_output[0] == joined() == 8572
+        release("b")
+        session.append([{"bk": 2, "w": float(j)} for j in range(30)], 0.5)
+        assert release("a").plain_output[0] == joined() == 9862
+        hits = session.engine.metrics.get("sql.plan_cache.hits")
+        assert release("a").plain_output[0] == 9862
+        assert session.engine.metrics.get("sql.plan_cache.hits") == hits + 1
+
+
 class TestAnswerCacheIdentity:
     """The answer cache is keyed on what a query computes, not its name."""
 

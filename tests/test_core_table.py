@@ -1,0 +1,547 @@
+"""Tests for ``core.table``: a protected table registered once.
+
+Two contracts.  ``ProtectedTable.append`` / ``retire`` leave exactly
+what hashing the grown or shrunk rows afresh would give.  And a session
+that finds its tables and aux registered releases the same bits as one
+that is handed a fresh copy of every table on every submission — "hit
+is miss", for all nine workloads.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from datetime import date
+
+import numpy as np
+import pytest
+
+import repro.core.sampling as sampling_mod
+from repro.common.errors import DPError
+from repro.core.session import UPAConfig, UPAResult, UPASession
+from repro.core.table import (
+    REGISTRY_BOUND,
+    FixedLists,
+    ProtectedTable,
+    TableRegistry,
+)
+from repro.engine.metrics import MetricsRegistry
+from repro.obs.report import ObservedRun
+from repro.obs.tracing import Tracer
+from repro.workloads import all_workloads, workload_by_name
+
+SEED = 11
+SAMPLE = 60
+
+
+def _rows(lo, hi, **override):
+    return [
+        {
+            "k": i, "price": i * 1.25, "day": date.fromordinal(730_000 + i),
+            "flag": "NR"[i % 2], "vec": (float(i), i / 7.0),
+            **{name: make(i) for name, make in override.items()},
+        }
+        for i in range(lo, hi)
+    ]
+
+
+def _assert_same_state(table, fresh):
+    assert table.rows == fresh.rows == table.snapshot
+    assert table.fingerprints.tobytes() == fresh.fingerprints.tobytes()
+    assert table.partition_ids.tobytes() == fresh.partition_ids.tobytes()
+    assert table.dataset_print() == fresh.dataset_print()
+    assert sorted(table.buffers) == sorted(fresh.buffers)
+    for key, buffer in table.buffers.items():
+        expected = fresh.buffers[key]
+        if isinstance(expected, np.ndarray):
+            assert buffer.dtype == expected.dtype
+            assert buffer.tobytes() == expected.tobytes()
+        else:
+            assert list(buffer) == expected
+
+
+class TestProtectedTable:
+    def test_append_and_retire_equal_a_fresh_hash(self):
+        table = ProtectedTable(_rows(0, 50))
+        assert sorted(table.buffers) == ["day", "flag", "k", "price", "vec"]
+        table.append(_rows(50, 70))
+        _assert_same_state(table, ProtectedTable(_rows(0, 70)))
+        table.retire(30)
+        _assert_same_state(table, ProtectedTable(_rows(30, 70)))
+        table.append(_rows(70, 71))
+        _assert_same_state(table, ProtectedTable(_rows(30, 71)))
+
+    def test_only_the_appended_rows_are_hashed(self, monkeypatch):
+        table = ProtectedTable(_rows(0, 50))
+        hashed = []
+        real = sampling_mod.fingerprint_columns
+        monkeypatch.setattr(
+            sampling_mod, "fingerprint_columns",
+            lambda records: hashed.append(len(records)) or real(records),
+        )
+        table.append(_rows(50, 58))
+        table.retire(5)
+        assert hashed == [8]
+
+    def test_a_boxed_column_grows_boxed(self):
+        """A view that read a date column left it as an object array."""
+        table = ProtectedTable(_rows(0, 20))
+        table.buffers["day"] = np.array(table.buffers["day"], dtype=object)
+        table.append(_rows(20, 25))
+        table.retire(3)
+        assert table.buffers["day"].dtype == object
+        assert table.buffers["day"].tolist() == [
+            row["day"] for row in _rows(3, 25)
+        ]
+        assert isinstance(table.buffers["flag"], list)
+
+    @pytest.mark.parametrize("column, make", [
+        ("k", float),                       # int64 column, float chunk
+        ("price", lambda i: "free"),        # float column, str chunk
+        ("day", lambda i: str(i)),          # date column, str chunk
+        ("vec", lambda i: (1.0, 2.0, 3.0)),  # another width
+        ("vec", lambda i: (1.0, i)),        # no buffer in the chunk
+        ("flag", lambda i: None if i % 2 else "N"),  # mixed chunk
+    ])
+    def test_a_chunk_of_another_kind_drops_the_columns_buffer(
+        self, column, make
+    ):
+        table = ProtectedTable(_rows(0, 30))
+        chunk = _rows(30, 40, **{column: make})
+        table.append(chunk)
+        fresh = ProtectedTable(_rows(0, 30) + chunk)
+        assert column not in table.buffers and column not in fresh.buffers
+        _assert_same_state(table, fresh)
+
+    def test_matches_its_own_unchanged_list_only(self):
+        rows = _rows(0, 40)
+        table = ProtectedTable(rows)
+        assert table.matches(rows)
+        assert not table.matches(list(rows))
+        rows[3], rows[4] = rows[4], rows[3]  # reordered
+        assert not table.matches(rows)
+        rows[3], rows[4] = rows[4], rows[3]
+        assert table.matches(rows)
+        rows[7] = dict(rows[7])  # an equal row hashes the same
+        assert table.matches(rows)
+        rows[7] = dict(rows[8])  # replaced, same length
+        assert not table.matches(rows)
+        rows[7] = table.snapshot[7]
+        rows.append(rows[0])
+        assert not table.matches(rows)
+        del rows[-2:]
+        assert not table.matches(rows)
+
+
+class TestTableRegistry:
+    def test_keeps_the_most_recent_tables(self):
+        registry = TableRegistry()
+        lists = [_rows(0, 5) for _ in range(REGISTRY_BOUND + 1)]
+        tables = []
+        for rows in lists:
+            table, registered = registry.lookup(rows)
+            assert table.rows is rows and not registered
+            tables.append(table)
+        # lists[0] was evicted; finding lists[1] makes it the most
+        # recent, so one more registration evicts lists[2] instead.
+        assert registry.lookup(lists[1]) == (tables[1], True)
+        registry.lookup(_rows(0, 5))
+        assert registry.lookup(lists[1]) == (tables[1], True)
+        again, registered = registry.lookup(lists[2])
+        assert again is not tables[2] and not registered
+
+    def test_a_changed_list_is_registered_afresh(self):
+        registry = TableRegistry()
+        rows = _rows(0, 5)
+        first, _ = registry.lookup(rows)
+        rows[0] = dict(rows[1])
+        second, registered = registry.lookup(rows)
+        assert second is not first and not registered
+        assert second.snapshot == rows
+        assert registry.lookup(rows) == (second, True)
+        assert len(registry._tables) == 1  # the stale entry went
+
+
+class TestFixedLists:
+    def test_unchanged_means_the_same_objects_with_the_same_rows(self):
+        orders, parts = _rows(0, 6), _rows(0, 3)
+        fixed = FixedLists({"orders": orders, "parts": parts})
+        assert fixed.unchanged({"orders": orders, "parts": parts})
+        assert not fixed.unchanged({"orders": orders})
+        assert not fixed.unchanged({"orders": list(orders), "parts": parts})
+        other = _rows(9, 10)[0]
+        orders.append(other)  # grown in place: the same object
+        assert not fixed.unchanged({"orders": orders, "parts": parts})
+        del orders[0], orders[-1]
+        orders.insert(0, other)  # the same length again
+        assert not fixed.unchanged({"orders": orders, "parts": parts})
+
+
+# ---------------------------------------------------------------------------
+# Sessions
+# ---------------------------------------------------------------------------
+
+RESULT_FIELDS = [
+    f.name for f in dataclasses.fields(UPAResult)
+    if f.name not in ("elapsed_seconds", "metrics")
+]
+
+
+def _flat(value):
+    if dataclasses.is_dataclass(value):
+        return [_flat(v) for v in dataclasses.astuple(value)]
+    if isinstance(value, tuple):
+        return [_flat(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    return value
+
+
+def _assert_identical(hit, miss, step):
+    for name in RESULT_FIELDS:
+        assert _flat(getattr(hit, name)) == _flat(getattr(miss, name)), (
+            step, name,
+        )
+
+
+def _release(call):
+    """The release, or the RANGE ENFORCER refusal it ended in."""
+    try:
+        return call()
+    except DPError as exc:
+        assert "RANGE ENFORCER" in str(exc)
+        return None
+
+
+def _count_build_aux(monkeypatch, query):
+    calls = []
+    real = type(query).build_aux
+
+    def counting(self, tables):
+        calls.append(tables)
+        return real(self, tables)
+
+    monkeypatch.setattr(type(query), "build_aux", counting)
+    return calls
+
+
+class TestHitIsMiss:
+    """One session is handed the same list objects, so the registry and
+    the kept aux serve it; the other gets a record-by-record copy of
+    the protected table and new public lists on every submission, so
+    nothing is ever found.  Same seeds, same sequence: same results."""
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("name", [w.name for w in all_workloads()])
+    def test_identical_results_field_by_field(self, name, parts):
+        workload = workload_by_name(name)
+        query = workload.query
+        protected = query.protected_table
+        generated = workload.make_tables(400, SEED)
+        rows = generated[protected]
+        held = max(4, len(rows) // 10)
+        chunks = [
+            rows[-held:-held // 2], rows[-held // 2:],
+        ]
+        x = dict(generated)
+        x[protected] = rows[:-held]
+        minus = dict(x)
+        minus[protected] = x[protected][:-1]
+
+        def copied(tables):
+            return {
+                table: (
+                    [dict(row) for row in records] if table == protected
+                    else list(records)
+                )
+                for table, records in tables.items()
+            }
+
+        config = UPAConfig(
+            sample_size=SAMPLE, seed=SEED, engine_partitions=parts,
+        )
+        hit, miss = UPASession(config), UPASession(config)
+        retire_n = max(1, held // 3)
+        steps = [
+            ("run x", x, lambda: hit.run(query, x, 0.5)),
+            ("run x-1", minus, lambda: hit.run(query, minus, 0.5)),
+            ("run x again", x, lambda: hit.run(query, x, 0.5)),
+            ("append", x, lambda: hit.append(list(chunks[0]), 0.5)),
+            ("append again", x, lambda: hit.append(list(chunks[1]), 0.5)),
+            ("retire", x, lambda: hit.retire(retire_n, 0.5)),
+            ("run x-1 again", minus, lambda: hit.run(query, minus, 0.5)),
+            ("run grown x", x, lambda: hit.run(query, x, 0.5)),
+        ]
+        for step, submitted, call in steps:
+            released = _release(call)
+            # The hit session's lists are the state to mirror: append()
+            # and retire() have moved x[protected] by now.
+            mirrored = _release(
+                lambda: miss.run(query, copied(submitted), 0.5)
+            )
+            assert (released is None) == (mirrored is None), step
+            if released is not None:
+                _assert_identical(released, mirrored, step)
+        metrics = hit.engine.metrics
+        assert metrics.get(MetricsRegistry.TABLE_REGISTRATIONS) == 2
+        assert metrics.get(MetricsRegistry.TABLE_REUSES) == len(steps) - 2
+        assert metrics.get(MetricsRegistry.AUX_REUSES) == (
+            0 if query.aux_reads_protected else len(steps) - 1
+        )
+        cold = miss.engine.metrics
+        assert cold.get(MetricsRegistry.TABLE_REGISTRATIONS) == len(steps)
+        assert cold.get(MetricsRegistry.TABLE_REUSES) == 0
+        # Aux is kept per public tables, and linreg has none to copy.
+        assert cold.get(MetricsRegistry.AUX_REUSES) == (
+            len(steps) - 1 if name == "linreg" else 0
+        )
+
+
+class TestAuxIsKeptPerPublicTables:
+    def _session(self):
+        return UPASession(UPAConfig(sample_size=SAMPLE, seed=SEED))
+
+    def test_built_once_for_the_same_public_tables(self, monkeypatch):
+        workload = workload_by_name("tpch13")
+        tables = workload.make_tables(400, SEED)
+        minus = dict(tables)
+        minus["customer"] = tables["customer"][:-1]
+        calls = _count_build_aux(monkeypatch, workload.query)
+        session = self._session()
+        for submitted in (tables, minus, tables, minus):
+            _release(lambda: session.run(workload.query, submitted, 0.5))
+        assert len(calls) == 1
+        assert session.engine.metrics.get(MetricsRegistry.AUX_REUSES) == 3
+
+    def test_a_swapped_public_table_rebuilds_it(self, monkeypatch):
+        workload = workload_by_name("tpch13")
+        tables = workload.make_tables(400, SEED)
+        calls = _count_build_aux(monkeypatch, workload.query)
+        session = self._session()
+        first = session.run(workload.query, tables, 0.5)
+        swapped = dict(tables)
+        swapped["orders"] = tables["orders"][: len(tables["orders"]) // 2]
+        second = session.run(workload.query, swapped, 0.5)
+        assert len(calls) == 2
+        assert second.plain_output[0] < first.plain_output[0]
+        np.testing.assert_array_equal(
+            second.plain_output, session.run_vanilla(workload.query, swapped)[0]
+        )
+
+    def test_a_public_list_grown_by_append_rebuilds_it(self):
+        """``orders`` is public to tpch13 and protected under tpch4, so
+        the session's own append() grows the list tpch13's aux was
+        counted from; list identity alone served the old counts."""
+        q13 = workload_by_name("tpch13").query
+        q4 = workload_by_name("tpch4").query
+        generated = workload_by_name("tpch4").make_tables(400, SEED)
+        orders = generated["orders"]
+        new_orders, more_orders = orders[-60:-30], orders[-30:]
+        del orders[-60:]
+
+        def copied():
+            return {name: list(rows) for name, rows in generated.items()}
+
+        config = UPAConfig(sample_size=SAMPLE, seed=SEED)
+        session, fresh = UPASession(config), UPASession(config)
+        steps = [
+            (q13, lambda: session.run(q13, generated, 0.5)),
+            (q4, lambda: session.run(q4, generated, 0.5)),
+            (q4, lambda: session.append(new_orders, 0.5)),
+            (q13, lambda: session.run(q13, generated, 0.5)),
+            # ... and back to the same length: retire what was appended.
+            (q4, lambda: session.run(q4, generated, 0.5)),
+            (q4, lambda: session.append(more_orders, 0.5)),
+            (q4, lambda: session.retire(len(more_orders), 0.5)),
+            (q13, lambda: session.run(q13, generated, 0.5)),
+        ]
+        for step, (query, call) in enumerate(steps):
+            released = _release(call)
+            mirrored = _release(lambda: fresh.run(query, copied(), 0.5))
+            assert (released is None) == (mirrored is None), step
+            if released is not None:
+                _assert_identical(released, mirrored, step)
+        # q13's aux was never served from before a change to ``orders``
+        # (q4's own aux reads lineitem, which nothing moved).
+        assert session.engine.metrics.get(MetricsRegistry.AUX_REUSES) == 4
+
+    def test_another_query_object_builds_its_own(self, monkeypatch):
+        tables = workload_by_name("tpch13").make_tables(400, SEED)
+        queries = [workload_by_name("tpch13").query for _ in range(2)]
+        calls = _count_build_aux(monkeypatch, queries[0])
+        session = self._session()
+        for query in queries:
+            _release(lambda: session.run(query, tables, 0.5))
+        assert len(calls) == 2
+
+    def test_aux_that_reads_the_protected_table_is_never_kept(
+        self, monkeypatch
+    ):
+        workload = workload_by_name("kmeans")
+        assert workload.query.aux_reads_protected
+        tables = workload.make_tables(400, SEED)
+        calls = _count_build_aux(monkeypatch, workload.query)
+        session = self._session()
+        for _ in range(3):
+            session.run(workload.query, tables, 0.5)
+        assert len(calls) == 3
+        assert session.engine.metrics.get(MetricsRegistry.AUX_REUSES) == 0
+        assert session.engine.metrics.get(MetricsRegistry.TABLE_REUSES) == 2
+
+    def test_run_vanilla_builds_its_own(self, monkeypatch):
+        workload = workload_by_name("tpch13")
+        tables = workload.make_tables(400, SEED)
+        calls = _count_build_aux(monkeypatch, workload.query)
+        session = self._session()
+        session.run(workload.query, tables, 0.5)
+        before = session.engine.metrics.snapshot()
+        for _ in range(2):
+            session.run_vanilla(workload.query, tables)
+        assert len(calls) == 3
+        moved = session.engine.metrics.snapshot().diff(before)
+        for counter in (MetricsRegistry.TABLE_REGISTRATIONS,
+                        MetricsRegistry.TABLE_REUSES,
+                        MetricsRegistry.AUX_REUSES):
+            assert moved.get(counter) == 0
+
+
+class TestTablesAreValues:
+    def _primed(self):
+        """tpch6 run and appended to once; a filtered-out row of the
+        base, a contributing row, and one more chunk to append."""
+        workload = workload_by_name("tpch6")
+        query = workload.query
+        tables = workload.make_tables(4400, SEED)
+        rows = tables["lineitem"]
+        held = rows[-200:]
+        del rows[-200:]
+        victim = next(
+            i for i, row in enumerate(rows)
+            if query.map_record(row, None) == 0.0
+        )
+        other = next(
+            row for row in rows if query.map_record(row, None) > 0.0
+        )
+        session = UPASession(UPAConfig(sample_size=100, seed=SEED))
+        session.run(query, tables, 0.5)
+        session.append(held[:100], 0.5)
+        return session, query, tables, victim, other, held[100:]
+
+    def test_a_replaced_row_of_equal_length_is_not_released_stale(self):
+        """identity + length alone kept the replaced row's cached block
+        and partition id: plain_output 271 519.35 against 272 344.75."""
+        session, query, tables, victim, other, chunk = self._primed()
+        rows = tables["lineitem"]
+        rows[victim] = dict(other)
+        with pytest.raises(DPError, match="changed outside"):
+            session.append(chunk, 0.5)
+        with pytest.raises(DPError, match="changed outside"):
+            session.retire(10, 0.5)
+        metrics = session.engine.metrics
+        invalidations = metrics.get(MetricsRegistry.INCR_INVALIDATIONS)
+        registrations = metrics.get(MetricsRegistry.TABLE_REGISTRATIONS)
+        result = session.run(query, tables, 0.5)
+        assert session._last_incremental is None  # ran cold
+        assert metrics.get(
+            MetricsRegistry.INCR_INVALIDATIONS
+        ) == invalidations + 1
+        assert metrics.get(
+            MetricsRegistry.TABLE_REGISTRATIONS
+        ) == registrations + 1
+        fresh = UPASession(UPAConfig(sample_size=100, seed=SEED))
+        expected = fresh.run_vanilla(
+            query, {**tables, "lineitem": [dict(row) for row in rows]}
+        )[0]
+        # (the stale answer was off by 3e-3; vanilla folds in another
+        # order, so the last bits may differ)
+        np.testing.assert_allclose(result.plain_output, expected, rtol=1e-9)
+        # ... and the session carries on from the re-registered table.
+        appended = session.append(chunk, 0.5)
+        np.testing.assert_allclose(
+            appended.plain_output, fresh.run_vanilla(query, tables)[0],
+            rtol=1e-9,
+        )
+
+    def test_swapped_rows_run_cold(self):
+        session, query, tables, victim, _other, _chunk = self._primed()
+        rows = tables["lineitem"]
+        rows[victim], rows[victim + 1] = rows[victim + 1], rows[victim]
+        session.run(query, tables, 0.5)
+        assert session._last_incremental is None
+
+    def test_eviction_beyond_the_bound_runs_cold(self):
+        session, query, tables, _victim, _other, chunk = self._primed()
+        namespace = session._incr.cache_rdd_id
+        store = session.engine.block_store
+        assert store.contains((namespace, 0))
+        others = [
+            {**tables, "lineitem": tables["lineitem"][:-300 * (k + 1)]}
+            for k in range(REGISTRY_BOUND)
+        ]
+        for submitted in others:
+            session.run(query, submitted, 0.5)
+        assert not store.contains((namespace, 0))
+        metrics = session.engine.metrics
+        registrations = metrics.get(MetricsRegistry.TABLE_REGISTRATIONS)
+        reuses = metrics.get(MetricsRegistry.TABLE_REUSES)
+        session.run(query, tables, 0.5)
+        assert session._last_incremental is None
+        assert metrics.get(
+            MetricsRegistry.TABLE_REGISTRATIONS
+        ) == registrations + 1
+        assert metrics.get(MetricsRegistry.TABLE_REUSES) == reuses
+        session.append(chunk, 0.5)  # primes the new registration
+        assert session._last_incremental["records_reused"] == 0
+
+
+class TestObservability:
+    def test_a_first_release_under_answer_cache_reused_nothing(self):
+        """The table is registered for the cache key before phase 1
+        runs; the span and the counter still say this release hashed."""
+        workload = workload_by_name("tpch6")
+        tables = workload.make_tables(400, SEED)
+        tracer = Tracer()
+        session = UPASession(
+            UPAConfig(sample_size=SAMPLE, seed=SEED, answer_cache=True),
+            tracer=tracer,
+        )
+        session.run(workload.query, tables, 0.5)
+        session.run(workload.query, tables, 0.4)  # another key: no hit
+        assert [
+            span.attributes["registered"]
+            for span in tracer.find("phase:partition_sample")
+        ] == [False, True]
+        metrics = session.engine.metrics
+        assert metrics.get(MetricsRegistry.TABLE_REGISTRATIONS) == 1
+        assert metrics.get(MetricsRegistry.TABLE_REUSES) == 1
+
+    def test_the_partition_sample_span_says_registered(self):
+        workload = workload_by_name("tpch13")
+        tables = workload.make_tables(400, SEED)
+        minus = dict(tables)
+        minus["customer"] = tables["customer"][:-1]
+        tracer = Tracer()
+        session = UPASession(
+            UPAConfig(sample_size=SAMPLE, seed=SEED), tracer=tracer,
+        )
+        for submitted in (tables, minus, tables, minus):
+            _release(lambda: session.run(workload.query, submitted, 0.5))
+        spans = [
+            span for span in tracer.spans()
+            if span.name == "phase:partition_sample"
+        ]
+        assert [span.attributes["registered"] for span in spans] == [
+            False, False, True, True,
+        ]
+        report = ObservedRun.from_live(
+            tracer=tracer, metrics=session.engine.metrics.snapshot(),
+        )
+        assert report.domain_sampling_summary()["registered"] == 2
+        assert report.to_dict()["domain_sampling"]["registered"] == 2
+        line = next(
+            line for line in report.render_text().splitlines()
+            if line.startswith("domain sampling:")
+        )
+        assert "2 of them from a registered table" in line
+        assert (
+            "table.registrations=2 table.reuses=2 aux.reuses=3" in line
+        )

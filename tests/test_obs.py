@@ -642,8 +642,10 @@ class TestSessionObservability:
         # S-bar came from the query's batch sampler, in one call.
         assert steps[-1].attributes == {"records": 50, "batched": True}
         report = ObservedRun.from_live(tracer=tracer)
+        # This release registered the table (for its answer-cache key,
+        # before phase 1 ran): it reused nothing.
         assert report.domain_sampling_summary() == {
-            "releases": 1, "records": 50, "batched": 1,
+            "releases": 1, "records": 50, "batched": 1, "registered": 0,
         }
         assert "50 S-bar records over 1 releases" in report.render_text()
 
