@@ -533,7 +533,9 @@ class UPASession:
                 return cached
         delta = self.config.delta if self.config.mechanism == "gaussian" else 0.0
         if self.accountant is not None:
-            self.accountant.charge(epsilon, delta=delta, label=query.name)
+            # Only asked here; the charge lands at the commit point
+            # below, so a submission RANGE ENFORCER refuses is free.
+            self.accountant.require(epsilon, delta=delta)
 
         metrics_before = self.engine.metrics.snapshot()
 
@@ -570,15 +572,28 @@ class UPASession:
                 with tracer.span(
                     "phase:enforce", registry=len(self.enforcer),
                 ) if tracer.enabled else NULL_SPAN as enforce_span:
-                    enforcement = self.enforcer.enforce(
-                        reduced.state, inferred
-                    )
+                    try:
+                        enforcement = self.enforcer.enforce(
+                            reduced.state, inferred
+                        )
+                    except DPError:
+                        self._record_refusal(
+                            query, inferred, estimated_ls,
+                            reduced.sample.sample_size,
+                        )
+                        raise
                     enforce_span.set_attribute(
                         "matched_prior", enforcement.matched_prior
                     )
                     enforce_span.set_attribute("sweeps", enforcement.sweeps)
                     enforce_span.set_attribute(
                         "records_removed", enforcement.records_removed
+                    )
+                # The commit point: the submission will be answered and
+                # no noise has been drawn for it yet.
+                if self.accountant is not None:
+                    self.accountant.charge(
+                        epsilon, delta=delta, label=query.name
                     )
                 noisy = self._randomize(
                     enforcement.output, inferred.local_sensitivity, epsilon
@@ -743,6 +758,55 @@ class UPASession:
         cache_hit: bool,
     ) -> None:
         """Append one audit entry for a release (or cached re-release)."""
+        enforcement = result.enforcement
+        self._append_ledger(
+            query, result.inferred_range,
+            epsilon_charged=epsilon_charged,
+            delta=delta,
+            sample_size=result.sample_size,
+            local_sensitivity=result.local_sensitivity,
+            estimated_local_sensitivity=result.estimated_local_sensitivity,
+            clamped=enforcement.clamped,
+            matched_prior=enforcement.matched_prior,
+            records_removed=enforcement.records_removed,
+            cache_hit=cache_hit,
+            elapsed_seconds=result.elapsed_seconds,
+        )
+
+    def _record_refusal(
+        self,
+        query: MapReduceQuery,
+        inferred: InferredRange,
+        estimated_ls: float,
+        sample_size: int,
+    ) -> None:
+        """Append the audit entry of a submission RANGE ENFORCER refused.
+
+        It ran out of sampled records separating the submission from a
+        prior one (so a prior matched); nothing was released, nothing
+        is charged, and the row carries the fit the refusal was made
+        under.
+        """
+        self._append_ledger(
+            query, inferred,
+            epsilon_charged=0.0,
+            delta=0.0,
+            sample_size=sample_size,
+            local_sensitivity=inferred.local_sensitivity,
+            estimated_local_sensitivity=estimated_ls,
+            clamped=False,
+            matched_prior=True,
+            records_removed=0,
+            refused=True,
+        )
+
+    def _append_ledger(
+        self,
+        query: MapReduceQuery,
+        inferred: InferredRange,
+        **fields: Any,
+    ) -> None:
+        """Refresh the ledger header and append one entry."""
         ledger = self.ledger
         if ledger is None:
             return
@@ -787,28 +851,17 @@ class UPASession:
         if self.accountant is not None:
             spent = float(self.accountant.spent()[0])
             remaining = float(self.accountant.remaining_epsilon())
-        inferred = result.inferred_range
-        enforcement = result.enforcement
         ledger.append(make_entry(
             sequence=ledger.next_sequence(),
             query=query.name,
-            epsilon_charged=epsilon_charged,
-            delta=delta,
             mechanism=self.config.mechanism,
-            sample_size=result.sample_size,
             mean=inferred.mean,
             std=inferred.std,
             lower=inferred.lower,
             upper=inferred.upper,
-            local_sensitivity=result.local_sensitivity,
-            estimated_local_sensitivity=result.estimated_local_sensitivity,
-            clamped=enforcement.clamped,
-            matched_prior=enforcement.matched_prior,
-            records_removed=enforcement.records_removed,
             accountant_spent_epsilon=spent,
             accountant_remaining_epsilon=remaining,
-            cache_hit=cache_hit,
-            elapsed_seconds=result.elapsed_seconds,
+            **fields,
         ))
 
     def _static_gate(self, query: MapReduceQuery) -> None:

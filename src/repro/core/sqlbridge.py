@@ -107,15 +107,19 @@ class _Block:
     record's rows stay in the order the row interpreter emits them.
     ``load(name)`` produces a column (``KeyError`` if the rows have no
     such column); a plan therefore gathers only the columns it reads.
+    ``null_scans`` is :mod:`repro.sql.vectorized`'s memory of which
+    columns hold a ``None``: it lives as long as the loaded columns do,
+    so a column is scanned once per block, not once per node reading it.
     """
 
-    __slots__ = ("origin", "_load", "_columns")
+    __slots__ = ("origin", "_load", "_columns", "null_scans")
 
     def __init__(self, origin: np.ndarray,
                  load: Callable[[str], np.ndarray]):
         self.origin = origin
         self._load = load
         self._columns: Dict[str, np.ndarray] = {}
+        self.null_scans: Dict[str, bool] = {}
 
     def __len__(self) -> int:
         return len(self.origin)

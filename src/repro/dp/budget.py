@@ -63,15 +63,29 @@ class PrivacyAccountant:
     def remaining_delta(self) -> float:
         return self.total_delta - self.spent()[1]
 
+    def _require_locked(self, epsilon: float, delta: float) -> None:
+        """Raise unless the balance covers the spend; caller holds the lock."""
+        spent_eps, spent_delta = self._spent_locked()
+        if spent_eps + epsilon > self.total_epsilon + 1e-12:
+            raise PrivacyBudgetExceeded(epsilon, self.total_epsilon - spent_eps)
+        if spent_delta + delta > self.total_delta + 1e-15:
+            raise PrivacyBudgetExceeded(delta, self.total_delta - spent_delta)
+
+    def require(self, epsilon: float, delta: float = 0.0) -> None:
+        """Raise what :meth:`charge` would raise, recording nothing.
+
+        A release asks this before it does any work and charges only
+        once it is certain to answer, so a refused submission is free.
+        """
+        _validate(epsilon, delta, what="charged")
+        with self._lock:
+            self._require_locked(epsilon, delta)
+
     def charge(self, epsilon: float, delta: float = 0.0, label: str = "") -> None:
         """Record a query's spend; raises if the budget would be exceeded."""
         _validate(epsilon, delta, what="charged")
         with self._lock:
-            spent_eps, spent_delta = self._spent_locked()
-            if spent_eps + epsilon > self.total_epsilon + 1e-12:
-                raise PrivacyBudgetExceeded(epsilon, self.total_epsilon - spent_eps)
-            if spent_delta + delta > self.total_delta + 1e-15:
-                raise PrivacyBudgetExceeded(delta, self.total_delta - spent_delta)
+            self._require_locked(epsilon, delta)
             self._charges.append(_Charge(epsilon, delta, label))
 
     def history(self) -> List[Tuple[float, float, str]]:

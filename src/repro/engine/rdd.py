@@ -30,7 +30,6 @@ from typing import (
 from repro.common.errors import EngineError
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.partitioner import HashPartitioner, Partitioner, RangePartitioner
-from repro.engine.procpool import ProcessUnsupported
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -100,12 +99,17 @@ class RDD:
             cached = self.context.block_store.get((self.rdd_id, split))
             if cached is not None:
                 return cached, []
+            from repro.engine.procpool import ProcessUnsupported
+
             raise ProcessUnsupported(
                 f"persisted partition ({self.rdd_id}, {split}) not yet cached"
             )
         return self._process_plan_uncached(split)
 
     def _process_plan_uncached(self, split: int):
+        # only procpool.build_process_task asks for a plan
+        from repro.engine.procpool import ProcessUnsupported
+
         raise ProcessUnsupported(
             f"{type(self).__name__} has no process plan"
         )

@@ -29,7 +29,10 @@ for every job after, because spawning a pool per job costs
 thread/process creation on every engine round-trip — measurable when a
 session issues thousands of small jobs, ruinous for processes.
 ``EngineContext.stop()`` shuts them down; a later job transparently
-recreates them.
+recreates them.  What only the ``processes`` backend runs
+(``multiprocessing``, :mod:`repro.engine.procpool`,
+:mod:`repro.obs.crossproc`) is imported by the first job that takes
+that path, so an ``inline`` release never loads it (DESIGN.md §7).
 
 Nested jobs always run inline, whatever the backend: on the driver a
 task-thread running a job (``self._local.in_task``) must not re-enter
@@ -40,32 +43,43 @@ created inside the worker must not fan out into pools of its own.
 
 from __future__ import annotations
 
-import multiprocessing
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, TypeVar
+from concurrent.futures import ThreadPoolExecutor
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 from repro.common.errors import TaskFailedError
 from repro.common.timing import Timer
 from repro.engine.events import JobEvent, JobListener
 from repro.engine.fault import FaultInjector, InjectedFault
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.procpool import (
-    ProcessUnsupported,
-    build_process_task,
-    dumps_task,
-    in_worker,
-    run_payload,
-    worker_initializer,
-)
-from repro.obs.crossproc import SpanContext, merge_telemetry
 from repro.obs.tracing import NULL_SPAN, NULL_TRACER, Tracer, task_contexts
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 T = TypeVar("T")
 U = TypeVar("U")
+
+
+def _in_worker() -> bool:
+    """Is this process a pool worker?
+
+    ``procpool.worker_initializer`` is what marks one, so a process
+    that never loaded :mod:`repro.engine.procpool` is a driver.
+    """
+    procpool = sys.modules.get("repro.engine.procpool")
+    return procpool is not None and procpool.in_worker()
 
 
 class TaskScheduler:
@@ -129,6 +143,11 @@ class TaskScheduler:
 
     def _process_executor(self) -> ProcessPoolExecutor:
         """The persistent process pool, created lazily on first use."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.engine.procpool import worker_initializer
+
         with self._pool_lock:
             if self._proc_pool is None:
                 mp_context = multiprocessing.get_context(self._start_method)
@@ -203,10 +222,17 @@ class TaskScheduler:
             else NULL_SPAN
         )
         mode = self._backend
-        if in_task or in_worker() or len(partitions) <= 1:
+        if in_task or _in_worker() or len(partitions) <= 1:
             mode = "inline"
         payloads: Optional[Dict[int, bytes]] = None
         if mode == "processes":
+            from repro.engine.procpool import (
+                ProcessUnsupported,
+                build_process_task,
+                dumps_task,
+            )
+            from repro.obs.crossproc import SpanContext
+
             span_context = None
             if tracer.enabled:
                 profiler = self.profiler
@@ -323,6 +349,11 @@ class TaskScheduler:
         one charged a retry; the rest are innocent bystanders and keep
         their attempt budget.
         """
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.engine.procpool import run_payload
+        from repro.obs.crossproc import merge_telemetry
+
         results: Dict[int, U] = {}
         attempts = {split: 0 for split in partitions}
         pending = list(partitions)

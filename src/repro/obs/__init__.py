@@ -34,122 +34,97 @@ Live-monitoring pillars (same doc, "Live monitoring"):
 * :mod:`repro.obs.watch` — pure terminal rendering for ``repro
   watch`` (unicode sparklines over ``/timeseries`` payloads).
 
+A surface loads on first use: the package imports none of its
+submodules, and ``repro.obs.X`` / ``from repro.obs import X`` import
+the one submodule that defines ``X`` (PEP 562).  A release needs
+``tracing``, ``ledger`` and ``report`` only, so the HTTP server, the
+exporters, the profiler and the alert engine cost nothing until a
+caller asks for them (DESIGN.md §7 has the layering rule).
+
 Observer code must never influence query outputs: calling into this
 package from a mapper/reducer is flagged by upalint (UPA011), and
 starting a server/profiler there by UPA013.
 """
 
-from repro.obs.alerts import (
-    Alert,
-    AlertEngine,
-    AlertRule,
-    BudgetBurnRule,
-    ClampRateRule,
-    GaugeThresholdRule,
-    RateRule,
-    SensitivityDriftRule,
-    TrendRule,
-    WorkerRssRule,
-    WorkerStarvationRule,
-    default_rules,
-)
-from repro.obs.crossproc import (
-    SpanContext,
-    WorkerTelemetry,
-    merge_telemetry,
-    worker_table,
-)
-from repro.obs.exporters import (
-    labeled_name,
-    render_dashboard,
-    render_otlp_metrics,
-    render_otlp_spans,
-    render_prometheus,
-    sanitize_metric_name,
-    sparkline_svg,
-    split_labeled_name,
-)
-from repro.obs.ledger import LedgerEntry, PrivacyLedger, make_entry
-from repro.obs.profiler import (
-    SamplingProfiler,
-    parse_collapsed,
-    span_table_from_collapsed,
-)
-from repro.obs.report import ObservedRun, SpanStat, run_header
-from repro.obs.server import ObservabilityServer
-from repro.obs.timeseries import (
-    KEY_SERIES,
-    TIMESERIES_FORMAT,
-    TimeSeriesStore,
-    forecast_exhaustion,
-    least_squares_slope,
-    order_series,
-)
-from repro.obs.watch import render_watch, spark
-from repro.obs.tracing import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    active_span_chain,
-    current_span,
-    get_tracer,
-    set_tracer,
-    trace,
-    use_tracer,
-)
+import importlib
 
-__all__ = [
-    "Alert",
-    "AlertEngine",
-    "AlertRule",
-    "BudgetBurnRule",
-    "ClampRateRule",
-    "GaugeThresholdRule",
-    "KEY_SERIES",
-    "LedgerEntry",
-    "NULL_TRACER",
-    "NullTracer",
-    "ObservabilityServer",
-    "ObservedRun",
-    "PrivacyLedger",
-    "RateRule",
-    "SamplingProfiler",
-    "SensitivityDriftRule",
-    "Span",
-    "SpanContext",
-    "SpanStat",
-    "TIMESERIES_FORMAT",
-    "TimeSeriesStore",
-    "Tracer",
-    "TrendRule",
-    "WorkerRssRule",
-    "WorkerStarvationRule",
-    "WorkerTelemetry",
-    "active_span_chain",
-    "current_span",
-    "default_rules",
-    "forecast_exhaustion",
-    "get_tracer",
-    "labeled_name",
-    "least_squares_slope",
-    "make_entry",
-    "merge_telemetry",
-    "order_series",
-    "parse_collapsed",
-    "render_dashboard",
-    "render_otlp_metrics",
-    "render_otlp_spans",
-    "render_prometheus",
-    "render_watch",
-    "run_header",
-    "sanitize_metric_name",
-    "set_tracer",
-    "spark",
-    "span_table_from_collapsed",
-    "sparkline_svg",
-    "split_labeled_name",
-    "trace",
-    "use_tracer",
-    "worker_table",
-]
+#: submodule -> the public names it defines; ``__all__`` is their union.
+_EXPORTS = {
+    "alerts": (
+        "Alert",
+        "AlertEngine",
+        "AlertRule",
+        "BudgetBurnRule",
+        "ClampRateRule",
+        "GaugeThresholdRule",
+        "RateRule",
+        "SensitivityDriftRule",
+        "TrendRule",
+        "WorkerRssRule",
+        "WorkerStarvationRule",
+        "default_rules",
+    ),
+    "crossproc": (
+        "SpanContext",
+        "WorkerTelemetry",
+        "merge_telemetry",
+        "worker_table",
+    ),
+    "exporters": (
+        "labeled_name",
+        "render_dashboard",
+        "render_otlp_metrics",
+        "render_otlp_spans",
+        "render_prometheus",
+        "sanitize_metric_name",
+        "sparkline_svg",
+        "split_labeled_name",
+    ),
+    "ledger": ("LedgerEntry", "PrivacyLedger", "make_entry"),
+    "profiler": (
+        "SamplingProfiler",
+        "parse_collapsed",
+        "span_table_from_collapsed",
+    ),
+    "report": ("ObservedRun", "SpanStat", "run_header"),
+    "server": ("ObservabilityServer",),
+    "timeseries": (
+        "KEY_SERIES",
+        "TIMESERIES_FORMAT",
+        "TimeSeriesStore",
+        "forecast_exhaustion",
+        "least_squares_slope",
+        "order_series",
+    ),
+    "tracing": (
+        "NULL_TRACER",
+        "NullTracer",
+        "Span",
+        "Tracer",
+        "active_span_chain",
+        "current_span",
+        "get_tracer",
+        "set_tracer",
+        "trace",
+        "use_tracer",
+    ),
+    "watch": ("render_watch", "spark"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    owner = _OWNER.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{owner}"), name)
+    globals()[name] = value  # later reads skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _OWNER.keys())

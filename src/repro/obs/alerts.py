@@ -112,8 +112,9 @@ class AlertRule:
 
 
 def _charged(history: Sequence[LedgerEntry]) -> List[LedgerEntry]:
-    """Entries that actually spent budget (cache hits charge nothing)."""
-    return [e for e in history if not e.cache_hit]
+    """Entries that actually spent budget (cache hits and refused
+    submissions charge nothing)."""
+    return [e for e in history if not (e.cache_hit or e.refused)]
 
 
 @dataclass
@@ -181,7 +182,7 @@ class BudgetBurnRule(AlertRule):
         )
 
     def on_entry(self, entry, history, accountant):
-        if entry.cache_hit:
+        if entry.cache_hit or entry.refused:
             return None
         remaining: Optional[float] = None
         total: Optional[float] = None
@@ -237,7 +238,7 @@ class SensitivityDriftRule(AlertRule):
     name: str = "sensitivity-drift"
 
     def on_entry(self, entry, history, accountant):
-        if entry.cache_hit:
+        if entry.cache_hit or entry.refused:
             return None
         prior = [
             e for e in _charged(history[:-1]) if e.query == entry.query

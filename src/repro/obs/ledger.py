@@ -7,7 +7,8 @@ inspectability more important, not less.  The ledger records, per
 sigma) per output coordinate, the inferred output range ``O_f``, the
 local sensitivity the mechanism was calibrated to, what RANGE ENFORCER
 did (clamping, repeated-query matches, record removals), the epsilon
-charged against the accountant's balance, and answer-cache hits.
+charged against the accountant's balance, answer-cache hits, and the
+submissions RANGE ENFORCER refused (``refused``, nothing charged).
 
 The ledger is **append-only**: entries can be recorded and read, never
 edited or removed (``clear`` does not exist by design).  It serializes
@@ -84,6 +85,9 @@ class LedgerEntry:
     accountant_remaining_epsilon: Optional[float] = None
     #: the answer came from the repeat-submission cache (no new spend).
     cache_hit: bool = False
+    #: RANGE ENFORCER ran out of sampled records separating this
+    #: submission from a prior one: nothing was released or charged.
+    refused: bool = False
     elapsed_seconds: float = 0.0
     unix_time: float = field(default_factory=time.time)
 
@@ -203,6 +207,7 @@ class PrivacyLedger:
             "matched_prior": sum(1 for e in entries if e.matched_prior),
             "records_removed": sum(e.records_removed for e in entries),
             "cache_hits": sum(1 for e in entries if e.cache_hit),
+            "refused": sum(1 for e in entries if e.refused),
         }
 
     # -- serialization -----------------------------------------------
@@ -315,6 +320,7 @@ def make_entry(
     accountant_spent_epsilon: Optional[float] = None,
     accountant_remaining_epsilon: Optional[float] = None,
     cache_hit: bool = False,
+    refused: bool = False,
     elapsed_seconds: float = 0.0,
 ) -> LedgerEntry:
     """Build a :class:`LedgerEntry`, normalizing numpy arrays to tuples."""
@@ -337,5 +343,6 @@ def make_entry(
         accountant_spent_epsilon=accountant_spent_epsilon,
         accountant_remaining_epsilon=accountant_remaining_epsilon,
         cache_hit=bool(cache_hit),
+        refused=bool(refused),
         elapsed_seconds=float(elapsed_seconds),
     )

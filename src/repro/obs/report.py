@@ -578,6 +578,7 @@ class ObservedRun:
                 [e.sequence, e.query, f"{e.epsilon_charged:g}",
                  f"{e.local_sensitivity:g}",
                  "cache" if e.cache_hit else
+                 "refused" if e.refused else
                  ("clamped" if e.clamped else "ok"),
                  e.records_removed]
                 for e in self.ledger_entries

@@ -264,7 +264,8 @@ class _CompareMask:
         b = self.right(block)
         if a is None or b is None:
             return np.zeros(len(block), dtype=bool)
-        if _has_null(a) or _has_null(b):
+        if (_operand_has_null(self.left, block, a)
+                or _operand_has_null(self.right, block, b)):
             cmp = _PY_CMP[self.op]
             out = np.empty(len(block), dtype=bool)
             for i, (x, y) in enumerate(_pairs(a, b, len(block))):
@@ -344,7 +345,8 @@ class _ArithValue:
         b = self.right(block)
         if a is None or b is None:
             return None
-        if _has_null(a) or _has_null(b):
+        if (_operand_has_null(self.left, block, a)
+                or _operand_has_null(self.right, block, b)):
             arith = _PY_ARITH[self.op]
             out = np.empty(len(block), dtype=object)
             for i, (x, y) in enumerate(_pairs(a, b, len(block))):
@@ -381,7 +383,7 @@ class _NegValue:
         value = self.operand(block)
         if value is None:
             return None
-        if _has_null(value):
+        if _operand_has_null(self.operand, block, value):
             out = np.empty(len(value), dtype=object)
             for i, x in enumerate(value):
                 out[i] = None if x is None else -x
@@ -401,6 +403,25 @@ def _is_object(value: Any) -> bool:
 def _has_null(value: Any) -> bool:
     """Whether an operand is an object column holding a ``None``."""
     return _is_object(value) and bool(np.equal(value, None).any())
+
+
+def _operand_has_null(operand: ValueFn, block: Any, value: Any) -> bool:
+    """:func:`_has_null` of ``value = operand(block)``.
+
+    A column read off a block that keeps ``null_scans`` (the SQL
+    bridge's) is scanned for ``None`` once per block, not once per node
+    reading it: ``d >= lo AND d < hi`` reads ``d`` twice.
+    """
+    scans = (
+        getattr(block, "null_scans", None)
+        if type(operand) is _ColumnValue else None
+    )
+    if scans is None:
+        return _has_null(value)
+    known = scans.get(operand.name)
+    if known is None:
+        known = scans[operand.name] = _has_null(value)
+    return known
 
 
 def _int_bound(value: Any) -> Optional[int]:

@@ -19,6 +19,7 @@ from repro.engine.metrics import MetricsRegistry
 from repro.obs.ledger import PrivacyLedger
 from repro.tpch import TPCHConfig, TPCHGenerator
 from repro.tpch.workload import query_by_name
+from repro.workloads import workload_by_name
 
 
 class _FakeRuntime:
@@ -580,6 +581,57 @@ class TestUPASession:
         assert len(ledger) == 0
         assert len(session.enforcer) == 0
         assert session._answer_cache == {}
+
+    def test_refused_release_costs_nothing_and_is_logged(self):
+        """The benchmarks/e2e/README.md reproducer: tpch21 resubmitted on
+        x and x minus its last record dead-ends RANGE ENFORCER.  Epsilon
+        is charged at the commit point, so accountant and ledger agree
+        and every refusal leaves a zero-epsilon ``refused`` row."""
+        workload = workload_by_name("tpch21")
+        tables = workload.make_tables(20_000, 3)
+        query = workload.query
+        minus_one = dict(tables)
+        minus_one[query.protected_table] = tables[query.protected_table][:-1]
+        accountant = PrivacyAccountant(total_epsilon=1e9)
+        ledger = PrivacyLedger()
+        session = UPASession(
+            UPAConfig(sample_size=1000, epsilon=0.1, seed=3),
+            accountant=accountant, ledger=ledger,
+        )
+        released = 0
+        for i in range(20):
+            try:
+                session.run(query, tables if i % 2 == 0 else minus_one)
+                released += 1
+            except DPError as error:
+                assert "exhausted sampled records" in str(error)
+        assert released == 5
+        refused = [entry for entry in ledger if entry.refused]
+        assert len(ledger) == 20 and len(refused) == 15
+        assert all(
+            entry.epsilon_charged == 0.0 and entry.matched_prior
+            for entry in refused
+        )
+        spent = accountant.spent()[0]
+        assert spent == pytest.approx(0.5)
+        assert spent == pytest.approx(ledger.totals()["epsilon_charged"])
+        assert accountant.describe()["queries"] == len(session.enforcer) == 5
+        assert refused[-1].accountant_spent_epsilon == pytest.approx(0.5)
+
+    def test_unaffordable_release_is_refused_before_any_work(
+        self, small_tables
+    ):
+        """The up-front balance check registers nothing with the
+        enforcer and draws nothing from the session's rng."""
+        accountant = PrivacyAccountant(total_epsilon=0.05)
+        session = UPASession(
+            UPAConfig(sample_size=50, seed=0), accountant=accountant
+        )
+        with pytest.raises(PrivacyBudgetExceeded):
+            session.run(query_by_name("tpch1"), small_tables, epsilon=0.1)
+        assert len(session.enforcer) == 0
+        assert session.engine.metrics.get(MetricsRegistry.JOBS) == 0
+        assert accountant.spent() == (0.0, 0.0)
 
     def test_answer_cache_hashes_a_table_once_per_session(
         self, small_tables, monkeypatch

@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
-from scipy.special import ndtri
 
 import repro.core.sampling as sampling_mod
 import repro.core.session as session_mod
@@ -27,6 +25,7 @@ from repro.core.inference import (
     InferenceConfig,
     infer_local_sensitivity,
     infer_output_range,
+    ndtri,
 )
 from repro.core.query import MapReduceQuery
 from repro.core.sampling import (
@@ -834,6 +833,7 @@ class TestDomainSamplerContract:
 
     def test_columns_are_uniform(self, tpch_tables):
         # Fixed seeds: these p-values are constants, not flaky draws.
+        stats = pytest.importorskip("scipy.stats")
         lineitems = samplers.random_lineitem.batch(
             random.Random(8), tpch_tables, 5000
         )
@@ -1021,6 +1021,7 @@ class TestRangeInference:
     def test_tail_quantile_is_norm_ppf_bit_for_bit(self):
         """``ndtri`` replaced ``stats.norm.ppf``: same bits at every
         level a release can ask for."""
+        stats = pytest.importorskip("scipy.stats")
         levels = {p / 100.0 for p in (InferenceConfig().percentile_low,
                                       0.5, 2.5, 5.0)}
         levels |= {1.0 / (2.0 * population) for population in

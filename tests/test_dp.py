@@ -112,6 +112,19 @@ class TestAccountant:
             pass
         assert acct.remaining_epsilon() == pytest.approx(0.1)
 
+    def test_require_raises_what_charge_would_and_records_nothing(self):
+        acct = PrivacyAccountant(total_epsilon=0.5, total_delta=1e-5)
+        acct.require(0.5, delta=1e-5)
+        assert acct.spent() == (0.0, 0.0) and acct.history() == []
+        acct.charge(0.4)
+        with pytest.raises(PrivacyBudgetExceeded):
+            acct.require(0.2)
+        with pytest.raises(PrivacyBudgetExceeded):
+            acct.require(0.1, delta=2e-5)
+        with pytest.raises(DPError):
+            acct.require(0.0)
+        assert acct.remaining_epsilon() == pytest.approx(0.1)
+
     def test_delta_budget(self):
         acct = PrivacyAccountant(total_epsilon=10.0, total_delta=1e-5)
         acct.charge(1.0, delta=5e-6)

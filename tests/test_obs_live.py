@@ -129,7 +129,7 @@ def _http_get(port, path):
 
 
 def _entry(seq, query="q", eps=0.1, sens=1.0, clamped=False,
-           cache_hit=False, remaining=None):
+           cache_hit=False, remaining=None, refused=False):
     return make_entry(
         sequence=seq, query=query, epsilon_charged=eps, delta=0.0,
         mechanism="laplace", sample_size=10, mean=[0.0], std=[1.0],
@@ -137,6 +137,7 @@ def _entry(seq, query="q", eps=0.1, sens=1.0, clamped=False,
         estimated_local_sensitivity=sens, clamped=clamped,
         matched_prior=False, records_removed=0,
         accountant_remaining_epsilon=remaining, cache_hit=cache_hit,
+        refused=refused,
     )
 
 
@@ -505,6 +506,21 @@ class TestAlertRules:
         history = [_entry(i, clamped=True, cache_hit=True)
                    for i in range(10)]
         assert rule.on_entry(history[-1], history, None) is None
+
+    def test_refused_submissions_do_not_count(self):
+        """A refused row spent nothing and released nothing: the rules
+        treat it as they treat a cache hit."""
+        history = [_entry(i, eps=0.3, remaining=0.1) for i in range(5)]
+        refused = _entry(5, eps=0.0, sens=1e6, remaining=0.1, refused=True)
+        history.append(refused)
+        for rule in (BudgetBurnRule(), SensitivityDriftRule()):
+            assert rule.on_entry(refused, history, None) is None
+        clamps = [_entry(i, clamped=True, refused=True) for i in range(10)]
+        assert ClampRateRule().on_entry(clamps[-1], clamps, None) is None
+        ledger = PrivacyLedger()
+        ledger.append(refused)
+        assert ledger.totals()["refused"] == 1
+        assert refused.to_dict()["refused"] is True
 
     def test_gauge_threshold_dedupes_on_metrics_tick(self):
         engine = AlertEngine(rules=[

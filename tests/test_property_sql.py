@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.batch import column_values
 from repro.core.sampling import RecordView, fingerprint_columns
-from repro.core.sqlbridge import compile_plan
+from repro.core.sqlbridge import _Block, compile_plan
 from repro.engine.columnar import ColumnarPartition
 from repro.sql import SQLSession, col, count_star, sum_
 from repro.sql.compiler import compile_expression, compile_predicate
@@ -318,6 +318,47 @@ class TestBlockExpressions:
         assert _block_outcomes(block_mask(expr), _RowsBlock(rows)) == (
             _row_outcomes(lambda row: bool(expr.eval(row)), rows)
         )
+
+    @given(rows=st.lists(NULLABLE_ROWS, max_size=12), expr=expressions())
+    @settings(max_examples=150, deadline=None)
+    def test_bridge_block_matches_eval(self, rows, expr):
+        """The SQL bridge's block remembers whether a column holds a
+        None; the answers are the ones a rescan per node gives."""
+        block = _Block(
+            np.arange(len(rows)),
+            lambda name: column_values(rows, name, dtype=None),
+        )
+        assert _block_outcomes(block_value(expr), block) == (
+            _row_outcomes(expr.eval, rows)
+        )
+        assert _block_outcomes(block_mask(expr), block) == (
+            _row_outcomes(lambda row: bool(expr.eval(row)), rows)
+        )
+
+    @pytest.mark.parametrize("hole", [None, 7])
+    def test_bridge_block_scans_a_column_for_none_once(
+        self, hole, monkeypatch
+    ):
+        rows = [{"d": value} for value in (3, 9, hole, 12, 5)]
+        window = (col("d") >= lit(4)) & (col("d") < lit(10))
+        scans = []
+        real = np.equal
+
+        def counting(a, b, *args, **kwargs):
+            if b is None:
+                scans.append(len(a))
+            return real(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "equal", counting)
+        mask = block_mask(window)
+        expected = [bool(window.eval(row)) for row in rows]
+        assert mask(_RowsBlock(rows)).tolist() == expected
+        assert scans == [5, 5]  # a block with no memory: once per node
+        block = _Block(
+            np.arange(5), lambda name: column_values(rows, name, dtype=None)
+        )
+        assert mask(block).tolist() == expected
+        assert scans == [5, 5, 5]
 
     @given(rows=ROWS.filter(bool), predicate=predicates(),
            value=st.sampled_from(["+", "-", "*", "/"]))
