@@ -1,8 +1,8 @@
 """Incremental session sweep: primed ``append()`` vs a cold re-run.
 
-For each swept row count and executor backend the harness builds a
-tpch6 dataset, holds back ~1% of the protected table, and runs two
-sessions with identical seeds side by side:
+For each swept row count the harness builds a tpch6 dataset, holds
+back ~1% of the protected table, and runs two sessions with identical
+seeds side by side:
 
 * the *incremental* session releases via ``run`` then two ``append``
   calls (the first append primes the element-block cache, the second is
@@ -16,10 +16,9 @@ the cold re-run of the identical release.  Bitwise equivalence
 (``max_abs_diff == 0.0`` across noisy/plain/removal/addition outputs)
 is asserted unconditionally at every sweep point — the incremental
 path may only skip recomputation, never change results.  The speedup
-gate (default ``>= 5x``) follows ``BENCH_backend``'s convention: it is
-enforced only when ``os.cpu_count() >= 4`` and the point has
-``rows >= 10_000``; smaller machines record honest numbers and report
-the gate as skipped.
+gate (default ``>= 5x``) is enforced only when ``os.cpu_count() >= 4``
+and the point has ``rows >= 10_000``; smaller machines record honest
+numbers and report the gate as skipped.
 
 Writes ``BENCH_incremental.json`` at the repo root (override with
 ``BENCH_INCR_OUTPUT``).
@@ -51,9 +50,7 @@ from typing import Any, Dict, List
 
 from benchmarks.conftest import emit_report
 from repro.analysis import format_table
-from repro.common.config import EngineConfig
 from repro.core.session import UPAConfig, UPASession
-from repro.engine.context import EngineContext
 from repro.workloads import workload_by_name
 
 ROWS = [
@@ -72,7 +69,6 @@ OUTPUT = os.environ.get(
 SEED = 11
 WORKLOAD = "tpch6"
 DELTA_FRACTION = 0.01
-BACKENDS = ("threads", "processes")
 
 GATE_MIN_ROWS = 10_000
 GATE_MIN_CPUS = 4
@@ -97,13 +93,7 @@ def _max_abs_diff(a, b) -> float:
     return worst
 
 
-def _engine(backend: str) -> EngineContext:
-    return EngineContext(
-        EngineConfig(backend=backend, max_workers=4, default_parallelism=4)
-    )
-
-
-def _experiment(rows: int, backend: str) -> Dict[str, Any]:
+def _experiment(rows: int) -> Dict[str, Any]:
     """One paired run; returns timings for release #3 on both paths."""
     workload = workload_by_name(WORKLOAD)
     protected = workload.query.protected_table
@@ -114,69 +104,56 @@ def _experiment(rows: int, backend: str) -> Dict[str, Any]:
     del records[-delta_n:]
     half = delta_n // 2
 
-    incr = UPASession(
-        UPAConfig(seed=SEED, sample_size=SAMPLE), engine=_engine(backend)
-    )
-    cold = UPASession(
-        UPAConfig(seed=SEED, sample_size=SAMPLE), engine=_engine(backend)
-    )
-    try:
-        tab_i = dict(tables)
-        tab_i[protected] = list(records)
-        tab_c = dict(tables)
-        tab_c[protected] = list(records)
+    incr = UPASession(UPAConfig(seed=SEED, sample_size=SAMPLE))
+    cold = UPASession(UPAConfig(seed=SEED, sample_size=SAMPLE))
+    tab_i = dict(tables)
+    tab_i[protected] = list(records)
+    tab_c = dict(tables)
+    tab_c[protected] = list(records)
 
-        incr.run(workload.query, tab_i)
-        cold.run(workload.query, tab_c)
-        incr.append(delta[:half])  # primes the element-block cache
-        tab_c[protected].extend(delta[:half])
-        cold.run(workload.query, tab_c)
+    incr.run(workload.query, tab_i)
+    cold.run(workload.query, tab_c)
+    incr.append(delta[:half])  # primes the element-block cache
+    tab_c[protected].extend(delta[:half])
+    cold.run(workload.query, tab_c)
 
-        start = time.perf_counter()
-        r_i = incr.append(delta[half:])
-        append_seconds = time.perf_counter() - start
-        tab_c[protected].extend(delta[half:])
-        start = time.perf_counter()
-        r_c = cold.run(workload.query, tab_c)
-        cold_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    r_i = incr.append(delta[half:])
+    append_seconds = time.perf_counter() - start
+    tab_c[protected].extend(delta[half:])
+    start = time.perf_counter()
+    r_c = cold.run(workload.query, tab_c)
+    cold_seconds = time.perf_counter() - start
 
-        stats = incr._last_incremental or {}
-        return {
-            "append_seconds": append_seconds,
-            "cold_seconds": cold_seconds,
-            "max_abs_diff": _max_abs_diff(r_i, r_c),
-            "delta_fraction": stats.get("delta_fraction", 1.0),
-            "records_reused": stats.get("records_reused", 0),
-            "appended_rows": delta_n - half,
-            "base_rows": len(records) + half,
-        }
-    finally:
-        incr.engine.stop()
-        cold.engine.stop()
+    stats = incr._last_incremental or {}
+    return {
+        "append_seconds": append_seconds,
+        "cold_seconds": cold_seconds,
+        "max_abs_diff": _max_abs_diff(r_i, r_c),
+        "delta_fraction": stats.get("delta_fraction", 1.0),
+        "records_reused": stats.get("records_reused", 0),
+        "appended_rows": delta_n - half,
+        "base_rows": len(records) + half,
+    }
 
 
 def _sweep() -> List[Dict[str, Any]]:
     entries: List[Dict[str, Any]] = []
     for rows in ROWS:
-        for backend in BACKENDS:
-            best: Dict[str, Any] = {}
-            worst_diff = 0.0
-            for _ in range(REPEATS):
-                trial = _experiment(rows, backend)
-                worst_diff = max(worst_diff, trial["max_abs_diff"])
-                if (
-                    not best
-                    or trial["append_seconds"] < best["append_seconds"]
-                ):
-                    best = trial
-            entry = dict(best)
-            entry["max_abs_diff"] = worst_diff
-            entry["rows"] = rows
-            entry["backend"] = backend
-            entry["speedup_vs_cold"] = entry["cold_seconds"] / max(
-                entry["append_seconds"], 1e-12
-            )
-            entries.append(entry)
+        best: Dict[str, Any] = {}
+        worst_diff = 0.0
+        for _ in range(REPEATS):
+            trial = _experiment(rows)
+            worst_diff = max(worst_diff, trial["max_abs_diff"])
+            if not best or trial["append_seconds"] < best["append_seconds"]:
+                best = trial
+        entry = dict(best)
+        entry["max_abs_diff"] = worst_diff
+        entry["rows"] = rows
+        entry["speedup_vs_cold"] = entry["cold_seconds"] / max(
+            entry["append_seconds"], 1e-12
+        )
+        entries.append(entry)
     return entries
 
 
@@ -223,7 +200,6 @@ def test_bench_incremental():
     table_rows = [
         [
             e["rows"],
-            e["backend"],
             e["appended_rows"],
             f"{e['append_seconds'] * 1e3:.2f}",
             f"{e['cold_seconds'] * 1e3:.2f}",
@@ -234,7 +210,7 @@ def test_bench_incremental():
         for e in sweep
     ]
     report = format_table(
-        ["rows", "backend", "appended", "append (ms)", "cold (ms)",
+        ["rows", "appended", "append (ms)", "cold (ms)",
          "speedup", "delta_frac", "max_abs_diff"],
         table_rows,
     )

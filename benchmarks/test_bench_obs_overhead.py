@@ -26,20 +26,11 @@ ledger, alert engine, a sampling profiler, and a Prometheus render per
 run (one scrape's worth of work) must stay within 5 % of a bare
 session run.
 
-A third test repeats the live-vs-bare comparison with
-``backend="processes"``: the live run additionally ships a
-:class:`~repro.obs.crossproc.SpanContext` inside every task payload
-and piggybacks each worker's telemetry delta on its result tuple, so
-the measured gap is exactly the cross-process telemetry cost (the
-design motivation for piggybacking over a dedicated IPC channel —
-there is no second queue to pay for).  Same 5 % bound.
-
-A fourth test holds *continuous monitoring* to the bound: a session
+A third test holds *continuous monitoring* to the bound: a session
 run with a :class:`~repro.obs.timeseries.TimeSeriesStore` attached —
 per-release ticks, windowed alert evaluation, and the wall-clock
 sampler thread running at an aggressive 50 ms interval (20× the
-default rate) — must stay within 5 % of a bare run, on both the
-threads and the processes backends.
+default rate) — must stay within 5 % of a bare run.
 
 Writes ``BENCH_obs_overhead.json`` at the repo root (override with
 ``BENCH_OBS_OUTPUT``).  Knobs:
@@ -247,53 +238,8 @@ def _timed_session_runs(workload, tables) -> Dict[str, float]:
     return _interleaved_best(bare_once, live_once)
 
 
-def _timed_processes_runs(workload, tables) -> Dict[str, float]:
-    """Best-of interleaved bare/live batches on one warm process pool.
-
-    The worker pool is spawned and warmed *outside* the timed region —
-    pool startup costs tens of milliseconds with real OS jitter, which
-    would drown the signal.  The live-vs-bare gap then isolates what
-    the telemetry piggyback adds per run: SpanContext pickling per
-    task, worker-side span/metric bookkeeping, the shipped delta, and
-    the driver-side merge.
-    """
-    from repro.common.config import EngineConfig
-    from repro.core.session import UPAConfig, UPASession
-    from repro.engine.context import EngineContext
-    from repro.obs.exporters import render_prometheus
-    from repro.obs.ledger import PrivacyLedger
-
-    engine = EngineContext(EngineConfig(backend="processes",
-                                        max_workers=2))
-    try:
-        # Spawn and warm the pool (first job forks the workers).
-        engine.parallelize(range(4), 2).map(abs).collect()
-
-        def bare_once():
-            session = UPASession(
-                UPAConfig(epsilon=0.1, sample_size=N, seed=SEED),
-                engine=engine,
-            )
-            session.run(workload.query, tables)
-
-        def live_once():
-            session = UPASession(
-                UPAConfig(epsilon=0.1, sample_size=N, seed=SEED),
-                engine=engine,
-                tracer=Tracer(),
-                ledger=PrivacyLedger(),
-            )
-            session.attach_alerts()
-            session.run(workload.query, tables)
-            render_prometheus(engine.metrics.snapshot())
-
-        return _interleaved_best(bare_once, live_once)
-    finally:
-        engine.stop()
-
-
-def _timed_sampling_runs(workload, tables, backend: str) -> Dict[str, float]:
-    """Interleaved bare/sampled per-run wall times on one warm pool.
+def _timed_sampling_runs(workload, tables) -> Dict[str, float]:
+    """Interleaved bare/sampled per-run wall times of session runs.
 
     The sampled path wires continuous monitoring exactly the way
     ``repro run --timeseries --serve`` does: ``attach_timeseries``
@@ -301,68 +247,38 @@ def _timed_sampling_runs(workload, tables, backend: str) -> Dict[str, float]:
     session, every release ticks it deterministically, and the daemon
     sampler adds wall-clock ticks at ``SAMPLING_INTERVAL``.
     """
-    from repro.common.config import EngineConfig
     from repro.core.session import UPAConfig, UPASession
-    from repro.engine.context import EngineContext
 
-    engine = EngineContext(EngineConfig(backend=backend, max_workers=2))
-    try:
-        # Spawn and warm the pool outside the timed region.
-        engine.parallelize(range(4), 2).map(abs).collect()
+    def bare_once():
+        session = UPASession(
+            UPAConfig(epsilon=0.1, sample_size=N, seed=SEED)
+        )
+        session.run(workload.query, tables)
 
-        def bare_once():
-            session = UPASession(
-                UPAConfig(epsilon=0.1, sample_size=N, seed=SEED),
-                engine=engine,
-            )
+    def live_once():
+        session = UPASession(
+            UPAConfig(epsilon=0.1, sample_size=N, seed=SEED)
+        )
+        store = session.attach_timeseries(
+            interval=SAMPLING_INTERVAL, start=True
+        )
+        try:
             session.run(workload.query, tables)
+        finally:
+            store.stop()
 
-        def live_once():
-            session = UPASession(
-                UPAConfig(epsilon=0.1, sample_size=N, seed=SEED),
-                engine=engine,
-            )
-            store = session.attach_timeseries(
-                interval=SAMPLING_INTERVAL, start=True
-            )
-            try:
-                session.run(workload.query, tables)
-            finally:
-                store.stop()
-
-        return _interleaved_best(bare_once, live_once)
-    finally:
-        engine.stop()
+    return _interleaved_best(bare_once, live_once)
 
 
-def _measure_sampling(name: str, backend: str) -> Dict[str, Any]:
+def _measure_sampling(name: str) -> Dict[str, Any]:
     workload = workload_by_name(name)
     tables = cached_tables(workload, SCALE, seed=SEED)
-    timing = _timed_sampling_runs(workload, tables, backend)
+    timing = _timed_sampling_runs(workload, tables)
     bare, live = timing["bare"], timing["live"]
     added = max(0.0, live - bare)
     return {
         "n": N,
-        "backend": backend,
         "sampling_interval_seconds": SAMPLING_INTERVAL,
-        "runs_per_sample": RUNS_PER_SAMPLE,
-        "repeats": LIVE_REPEATS,
-        "bare_run_seconds": bare,
-        "live_run_seconds": live,
-        "added_seconds": added,
-        "live_overhead": added / bare,
-    }
-
-
-def _measure_processes(name: str) -> Dict[str, Any]:
-    workload = workload_by_name(name)
-    tables = cached_tables(workload, SCALE, seed=SEED)
-    timing = _timed_processes_runs(workload, tables)
-    bare, live = timing["bare"], timing["live"]
-    added = max(0.0, live - bare)
-    return {
-        "n": N,
-        "backend": "processes",
         "runs_per_sample": RUNS_PER_SAMPLE,
         "repeats": LIVE_REPEATS,
         "bare_run_seconds": bare,
@@ -560,28 +476,21 @@ def test_bench_timeseries_sampling_overhead():
 
     Gates the tentpole promise that the time-series layer is pure
     observation: read-only snapshot sampling plus ring-buffer appends,
-    off the release path's critical sections, on both thread and
-    process pools.
+    off the release path's critical sections.
     """
-    results: Dict[str, Dict[str, Any]] = {}
+    results = _measure_with_retry(_measure_sampling, WORKLOADS,
+                                  MAX_SAMPLING_OVERHEAD)
     rows: List[list] = []
-    for backend in ("threads", "processes"):
-        measured = _measure_with_retry(
-            lambda name, backend=backend: _measure_sampling(name, backend),
-            WORKLOADS, MAX_SAMPLING_OVERHEAD,
+    for name, entry in results.items():
+        rows.append(
+            [
+                name,
+                entry["n"],
+                f"{entry['bare_run_seconds'] * 1000:.3f}",
+                f"{entry['live_run_seconds'] * 1000:.3f}",
+                f"{entry['live_overhead'] * 100:+.3f}%",
+            ]
         )
-        results[backend] = measured
-        for name, entry in measured.items():
-            rows.append(
-                [
-                    name,
-                    backend,
-                    entry["n"],
-                    f"{entry['bare_run_seconds'] * 1000:.3f}",
-                    f"{entry['live_run_seconds'] * 1000:.3f}",
-                    f"{entry['live_overhead'] * 100:+.3f}%",
-                ]
-            )
 
     # Merge into the same artifact as the other overhead tests.
     output = os.path.abspath(OUTPUT)
@@ -597,62 +506,13 @@ def test_bench_timeseries_sampling_overhead():
         handle.write("\n")
 
     report = format_table(
-        ["query", "backend", "n", "bare run (ms)", "sampled run (ms)",
+        ["query", "n", "bare run (ms)", "sampled run (ms)",
          "sampling ovh"],
         rows,
     )
     report += f"\n\n(JSON written to {output})"
     emit_report("bench_obs_overhead_sampling", report)
 
-    for backend, measured in results.items():
-        for name, entry in measured.items():
-            assert entry["live_overhead"] < MAX_SAMPLING_OVERHEAD, (
-                backend, name, entry,
-            )
-
-
-def test_bench_processes_backend_live_overhead():
-    """Cross-process telemetry must cost < 5 % of a bare processes run.
-
-    This is the measured form of the piggyback-vs-queue design claim:
-    worker telemetry rides the existing result tuples, so turning the
-    full live stack on over ``backend="processes"`` adds only
-    serialization and merge work — no second channel, no extra
-    round-trips.
-    """
-    results = _measure_with_retry(_measure_processes, WORKLOADS,
-                                  MAX_LIVE_OVERHEAD)
-    rows: List[list] = []
     for name, entry in results.items():
-        rows.append(
-            [
-                name,
-                entry["n"],
-                f"{entry['bare_run_seconds'] * 1000:.3f}",
-                f"{entry['live_run_seconds'] * 1000:.3f}",
-                f"{entry['live_overhead'] * 100:+.3f}%",
-            ]
-        )
+        assert entry["live_overhead"] < MAX_SAMPLING_OVERHEAD, (name, entry)
 
-    # Merge into the same artifact as the other two overhead tests.
-    output = os.path.abspath(OUTPUT)
-    payload: Dict[str, Any] = {}
-    if os.path.exists(output):
-        with open(output, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    payload.setdefault("benchmark", "disabled_tracer_overhead")
-    payload["max_live_overhead"] = MAX_LIVE_OVERHEAD
-    payload["processes_live"] = results
-    with open(output, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    report = format_table(
-        ["query", "n", "bare run (ms)", "live run (ms)", "live ovh"],
-        rows,
-    )
-    report += f"\n\n(JSON written to {output})"
-    emit_report("bench_obs_overhead_processes", report)
-
-    for name, entry in results.items():
-        assert entry["live_overhead"] < MAX_LIVE_OVERHEAD, (name, entry)

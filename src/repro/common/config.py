@@ -6,11 +6,8 @@ once a context is created.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
-
-#: executor backends the scheduler knows how to run jobs on.
-EXECUTOR_BACKENDS = ("inline", "threads", "processes")
 
 
 @dataclass(frozen=True)
@@ -22,29 +19,6 @@ class EngineConfig:
             not specify one.
         max_task_retries: how many times a failed task is retried before
             the job is aborted (lineage makes retries cheap).
-        backend: executor backend for partition tasks —
-
-            * ``"inline"`` (default): tasks run sequentially on the
-              calling thread;
-            * ``"threads"``: a persistent thread pool.  The engine is
-              pure Python, so threads mostly model concurrency (they
-              matter for fault-injection tests) — the GIL serializes
-              interpreter work;
-            * ``"processes"``: a persistent ``ProcessPoolExecutor``.
-              Workers receive pickled task closures (base partition
-              records plus the narrow operator chain), so jobs whose
-              functions or lineage cannot cross a process boundary
-              transparently fall back to the thread/inline path (the
-              ``process_fallbacks`` counter records when).
-
-        use_threads: legacy spelling of ``backend="threads"``; kept so
-            existing configs keep working.  Ignored when ``backend`` is
-            set to anything other than ``"inline"``.
-        max_workers: pool size when ``backend`` is threads or processes.
-        process_start_method: multiprocessing start method for the
-            process backend (``"fork"``/``"spawn"``/``"forkserver"``);
-            None uses the platform default.  CI runs the suite under
-            ``"spawn"`` so macOS/Windows semantics are covered on Linux.
         cache_capacity_blocks: maximum number of partition blocks kept by
             the block store before LRU eviction.
         shuffle_record_cost: simulated network cost (abstract units) per
@@ -56,35 +30,10 @@ class EngineConfig:
 
     default_parallelism: int = 4
     max_task_retries: int = 3
-    backend: str = "inline"
-    use_threads: bool = False
-    max_workers: int = 4
-    process_start_method: Optional[str] = None
     cache_capacity_blocks: int = 4096
     shuffle_record_cost: float = 1.0
     broadcast_record_cost: float = 0.05
     seed: Optional[int] = 0
-
-    def __post_init__(self) -> None:
-        if self.backend not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"unknown executor backend {self.backend!r}; "
-                f"expected one of {EXECUTOR_BACKENDS}"
-            )
-        if self.process_start_method not in (
-            None, "fork", "spawn", "forkserver"
-        ):
-            raise ValueError(
-                "process_start_method must be one of fork/spawn/"
-                f"forkserver, got {self.process_start_method!r}"
-            )
-
-    @property
-    def effective_backend(self) -> str:
-        """The backend after legacy ``use_threads`` resolution."""
-        if self.backend == "inline" and self.use_threads:
-            return "threads"
-        return self.backend
 
     def with_overrides(self, **kwargs) -> "EngineConfig":
         """Return a copy with the given fields replaced."""

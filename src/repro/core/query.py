@@ -102,10 +102,6 @@ class BatchSampler:
     def __call__(self, rng: random.Random, context: Any) -> Row:
         return self.batch(rng, context, 1).row(0)
 
-    def __reduce__(self) -> str:
-        # By name, like the module-level function it wraps.
-        return self.__qualname__
-
 
 def sample_batch(sampler: Callable[[random.Random, Any], Row],
                  rng: random.Random, context: Any, n: int) -> Sequence[Row]:

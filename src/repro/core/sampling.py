@@ -292,23 +292,6 @@ class RecordView:
             buffer = self._buffers[name] = np.array(buffer, dtype=object)
         return buffer[self._indices]
 
-    def __reduce__(self):
-        # A task ships its own rows and its own slice of each buffer,
-        # not the table.
-        indices = self._indices
-        positions = indices.tolist()
-        buffers = {
-            name: (
-                buffer[indices] if isinstance(buffer, np.ndarray)
-                else list(map(buffer.__getitem__, positions))
-            )
-            for name, buffer in self._buffers.items()
-        }
-        return (
-            RecordView,
-            (list(self), np.arange(len(positions)), buffers),
-        )
-
 
 @dataclass
 class PartitionedSample:

@@ -62,10 +62,7 @@ class _MapFoldSlice:
     :class:`~repro.core.sampling.RecordView`; it is mapped through
     ``query.map_batch`` (broadcast aux) and folded with
     ``query.fold_batch``: one partial aggregate per slice, none for an
-    empty slice.  A module-level class rather than a local closure so
-    process-backend tasks can pickle it (a local function can never
-    cross the boundary, which would force every session job onto the
-    fallback path).
+    empty slice.
     """
 
     __slots__ = ("query", "aux")
@@ -291,8 +288,8 @@ class _IncrementalState:
     """
 
     __slots__ = (
-        "query", "tables", "table", "base_offset", "cache_rdd_id", "epoch",
-        "block_records", "primed",
+        "query", "tables", "table", "base_offset", "cache_rdd_id",
+        "stop_generation", "block_records", "primed",
     )
 
     def __init__(
@@ -309,9 +306,9 @@ class _IncrementalState:
         #: retire()).
         self.base_offset = 0
         self.cache_rdd_id = cache_rdd_id
-        #: engine cache epoch the blocks were written under; a mismatch
-        #: (stop(), backend switch, worker respawn) invalidates them.
-        self.epoch: Any = None
+        #: engine stop generation the blocks were written under; a
+        #: stop() since (which dropped them) counts an invalidation.
+        self.stop_generation: Optional[int] = None
         self.block_records = _INCR_BLOCK_RECORDS
         #: set by the first append()/retire(); plain repeated run()
         #: calls stay on the cold path so their cost profile is
@@ -503,6 +500,8 @@ class UPASession:
             raise DPError(
                 f"epsilon must be positive and finite, got {epsilon}"
             )
+        if self.config.mechanism == "gaussian":
+            GaussianMechanism.check_parameters(epsilon, self.config.delta)
         # A refused submission must cost nothing: the table is checked
         # before the accountant is charged.
         records = protected_records(query, tables)
@@ -533,8 +532,9 @@ class UPASession:
                 return cached
         delta = self.config.delta if self.config.mechanism == "gaussian" else 0.0
         if self.accountant is not None:
-            # Only asked here; the charge lands at the commit point
-            # below, so a submission RANGE ENFORCER refuses is free.
+            # Only asked here; the charge lands once the release is
+            # certain, below, so a submission that fails or that RANGE
+            # ENFORCER refuses is free.
             self.accountant.require(epsilon, delta=delta)
 
         metrics_before = self.engine.metrics.snapshot()
@@ -577,6 +577,10 @@ class UPASession:
                             reduced.state, inferred
                         )
                     except DPError:
+                        # A refusal is an outcome like a release: it is
+                        # logged (at zero epsilon) and the append cursor
+                        # follows it.
+                        self._remember_run(query, tables, reduced.sample.table)
                         self._record_refusal(
                             query, inferred, estimated_ls,
                             reduced.sample.sample_size,
@@ -589,12 +593,9 @@ class UPASession:
                     enforce_span.set_attribute(
                         "records_removed", enforcement.records_removed
                     )
-                # The commit point: the submission will be answered and
-                # no noise has been drawn for it yet.
-                if self.accountant is not None:
-                    self.accountant.charge(
-                        epsilon, delta=delta, label=query.name
-                    )
+                # The commit point: RANGE ENFORCER has registered the
+                # submission.  Only the noise draw can fail after it,
+                # and it runs before epsilon is charged.
                 noisy = self._randomize(
                     enforcement.output, inferred.local_sensitivity, epsilon
                 )
@@ -620,6 +621,11 @@ class UPASession:
             elapsed_seconds=timer.elapsed,
             metrics=metrics,
         )
+        # The release is certain: charge it, move the append cursor,
+        # cache and log it together.
+        if self.accountant is not None:
+            self.accountant.charge(epsilon, delta=delta, label=query.name)
+        self._remember_run(query, tables, reduced.sample.table)
         if cache_key is not None:
             self._answer_cache[cache_key] = result
         self._record_ledger(
@@ -819,10 +825,6 @@ class UPASession:
         ))
         # The CLI pre-fills the header at construction, so these
         # counters must be refreshed on every release, not ensure'd.
-        # The execution backend travels in the header too: an audit of
-        # a processes-backend run must be distinguishable from a
-        # threads run (the DP outputs are bitwise identical, the
-        # operational story is not).
         incremental = self._last_incremental
         ledger.update_header(
             sql_plan_cache_hits=int(
@@ -834,8 +836,6 @@ class UPASession:
             sql_plan_cache_evictions=int(
                 metrics.get(MetricsRegistry.SQL_PLAN_CACHE_EVICTIONS)
             ),
-            backend=self.engine.scheduler.backend,
-            max_workers=self.engine.config.max_workers,
             incremental=incremental is not None,
             incremental_blocks_reused=(
                 int(incremental["blocks_reused"]) if incremental else 0
@@ -1042,7 +1042,6 @@ class UPASession:
             query, aux, sample, rng, remaining_slices
         )
         population = len(sample.records) + sample.sample_size
-        self._remember_run(query, tables, table)
         return _ReducedRun(
             state=state,
             removal=removal,
@@ -1055,7 +1054,7 @@ class UPASession:
     def _remember_run(
         self, query: MapReduceQuery, tables: Tables, table: ProtectedTable,
     ) -> None:
-        """Refresh append()/retire() bookkeeping after a run.
+        """Refresh append()/retire() bookkeeping after a release.
 
         A matching cursor continues; anything else — first run, new
         query, new tables, a table registered afresh — replaces it and
@@ -1083,10 +1082,8 @@ class UPASession:
         :meth:`_reduce_phase`, each slice one ``map_batch`` batch.
 
         Blocks live in the engine's block store, keyed by ``(cache
-        namespace, absolute block index)`` and tagged with the engine's
-        :meth:`~repro.engine.context.EngineContext.cache_epoch` — a
-        block written before a backend switch, worker respawn or
-        ``stop()`` reads as a miss and is remapped, never merged stale.
+        namespace, absolute block index)``; ``stop()`` clears the store,
+        so a block is never read across a stop and is remapped instead.
         Only ``incremental_safe`` queries reuse blocks; others (aux
         reads the protected table, so old elements may be wrong under
         the new aux) remap everything each release, which still yields
@@ -1097,10 +1094,10 @@ class UPASession:
         store = engine.block_store
         records = incr.table.rows
         cacheable = query.incremental_safe
-        epoch = engine.cache_epoch()
-        if incr.epoch is not None and epoch != incr.epoch:
+        generation = engine.stop_generation
+        if incr.stop_generation not in (None, generation):
             metrics.incr(MetricsRegistry.INCR_INVALIDATIONS)
-        incr.epoch = epoch
+        incr.stop_generation = generation
         base = incr.base_offset
         total = len(records)
         size = incr.block_records
@@ -1110,7 +1107,7 @@ class UPASession:
             lo = max(b * size, base)
             hi = min((b + 1) * size, base + total)
             key = (incr.cache_rdd_id, b)
-            stored = store.get_tagged(key, epoch) if cacheable else None
+            stored = store.get(key) if cacheable else None
             start, cached = stored or (lo, None)
             covered = start
             if cached is not None:
@@ -1136,7 +1133,7 @@ class UPASession:
             if cacheable:
                 if cached is not None:
                     fresh = query.batch_concat([cached, fresh])
-                store.put_tagged(key, epoch, (start, fresh))
+                store.put(key, (start, fresh))
         metrics.incr(MetricsRegistry.INCR_BLOCK_HITS, hits)
         metrics.incr(MetricsRegistry.INCR_BLOCK_MISSES, misses)
         metrics.incr(MetricsRegistry.INCR_RECORDS_REUSED, reused)

@@ -69,13 +69,18 @@ class GaussianMechanism:
     """
 
     def __init__(self, epsilon: float, delta: float, seed: Optional[int] = None):
+        self.check_parameters(epsilon, delta)
+        self.epsilon = epsilon
+        self.delta = delta
+        self._rng = make_numpy_rng(seed, "gaussian-mechanism")
+
+    @staticmethod
+    def check_parameters(epsilon: float, delta: float) -> None:
+        """Raise :class:`DPError` unless (epsilon, delta) is valid here."""
         if not 0 < epsilon < 1:
             raise DPError(f"Gaussian mechanism requires 0 < epsilon < 1, got {epsilon}")
         if not 0 < delta < 1:
             raise DPError(f"delta must be in (0, 1), got {delta}")
-        self.epsilon = epsilon
-        self.delta = delta
-        self._rng = make_numpy_rng(seed, "gaussian-mechanism")
 
     def sigma(self, sensitivity: float) -> float:
         if sensitivity < 0:

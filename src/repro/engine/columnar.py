@@ -22,10 +22,6 @@ to any ``map_batch`` kernel or ``map_partitions`` function written
 against row sequences; kernels that know about columns call
 ``column``/``numpy_column`` and skip boxing entirely (see
 ``repro.core.batch.column_values``).
-
-Partitions pickle by column buffer — not row-by-row — which is what
-makes them the natural shipping format for the process executor
-backend (``EngineConfig(backend="processes")``).
 """
 
 from __future__ import annotations
@@ -116,19 +112,13 @@ class ColumnarPartition:
 
     Attributes:
         names: column names, in stable (first-row) order.
-        version: partition-version tag.  Structural operations (slice/
-            select/take/compress) and pickling preserve it; callers that
-            cache derived blocks (see ``BlockStore.put_tagged``) bump it
-            when the underlying table is re-registered so stale cached
-            partitions read as misses instead of being merged.
     """
 
-    __slots__ = ("_columns", "names", "_length", "version")
+    __slots__ = ("_columns", "names", "_length")
 
     def __init__(self, columns: Dict[str, Any], length: Optional[int] = None,
-                 names: Optional[Sequence[str]] = None, version: int = 0):
+                 names: Optional[Sequence[str]] = None):
         self._columns = dict(columns)
-        self.version = int(version)
         self.names: Tuple[str, ...] = tuple(
             names if names is not None else columns.keys()
         )
@@ -168,13 +158,6 @@ class ColumnarPartition:
             for name, values in zip(names, gather_columns(rows, names))
         }
         return cls(columns, length=len(rows), names=names)
-
-    def with_version(self, version: int) -> "ColumnarPartition":
-        """The same partition (shared buffers) under a new version tag."""
-        return ColumnarPartition(
-            self._columns, length=self._length, names=self.names,
-            version=version,
-        )
 
     @classmethod
     def empty_like(cls, other: "ColumnarPartition") -> "ColumnarPartition":
@@ -227,7 +210,6 @@ class ColumnarPartition:
         }
         return ColumnarPartition(
             columns, length=max(0, stop - start), names=self.names,
-            version=self.version,
         )
 
     def select(
@@ -243,7 +225,6 @@ class ColumnarPartition:
             {out: self._columns[src] for out, src in names},
             length=self._length,
             names=[out for out, _src in names],
-            version=self.version,
         )
 
     def take(self, indices: Sequence[int]) -> "ColumnarPartition":
@@ -257,8 +238,7 @@ class ColumnarPartition:
                 columns[name] = type(buf)(
                     buf.typecode, [buf[i] for i in idx]
                 ) if isinstance(buf, array) else [buf[i] for i in idx]
-        return ColumnarPartition(columns, length=len(idx), names=self.names,
-                                 version=self.version)
+        return ColumnarPartition(columns, length=len(idx), names=self.names)
 
     def compress(self, mask: Any) -> "ColumnarPartition":
         """Keep rows where ``mask`` (boolean array/sequence) is true."""
@@ -274,7 +254,6 @@ class ColumnarPartition:
                     ]
             return ColumnarPartition(
                 columns, length=int(mask.sum()), names=self.names,
-                version=self.version,
             )
         keep = [i for i, flag in enumerate(mask) if flag]
         return self.take(keep)
@@ -328,22 +307,6 @@ class ColumnarPartition:
             return self.slice(start, stop)
         return self.row(int(item))
 
-    # ------------------------------------------------------------------
-    # Pickling (column buffers cross the process boundary whole)
-    # ------------------------------------------------------------------
-
-    def __reduce__(self):
-        # numpy views pickle their base array unless materialized; keep
-        # the payload tight by letting numpy contiguous-copy on demand.
-        columns = {}
-        for name, buf in self._columns.items():
-            if _np is not None and isinstance(buf, _np.ndarray) \
-                    and buf.base is not None:
-                buf = buf.copy()
-            columns[name] = buf
-        return (_rebuild_partition,
-                (columns, self._length, self.names, self.version))
-
     def __repr__(self) -> str:
         return (
             f"<ColumnarPartition rows={self._length} "
@@ -361,11 +324,6 @@ def _python_values(buf: Any) -> Any:
         values = buf.tolist()
         return list(map(tuple, values)) if buf.ndim > 1 else values
     return buf
-
-
-def _rebuild_partition(columns, length, names, version=0):
-    return ColumnarPartition(columns, length=length, names=names,
-                             version=version)
 
 
 def as_rows(records: Any) -> Sequence[Row]:

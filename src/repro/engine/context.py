@@ -38,19 +38,12 @@ class EngineContext:
         self.metrics = MetricsRegistry()
         self.block_store = BlockStore(self.config.cache_capacity_blocks, self.metrics)
         self.scheduler = TaskScheduler(
-            self.metrics,
-            max_task_retries=self.config.max_task_retries,
-            backend=self.config.effective_backend,
-            max_workers=self.config.max_workers,
-            process_start_method=self.config.process_start_method,
+            self.metrics, max_task_retries=self.config.max_task_retries
         )
         self.shuffle_manager = ShuffleManager(self)
         #: span tracer shared with the scheduler and shuffle manager
         #: (disabled by default; see install_tracer).
         self.tracer = self.scheduler.tracer
-        #: sampling profiler shared with the scheduler (None unless
-        #: install_profiler ran; workers mirror it when live).
-        self.profiler = None
         #: live introspection server, if serve() started one.
         self.obs_server = None
         #: time-series store sampling this engine's metrics (None
@@ -58,9 +51,9 @@ class EngineContext:
         self.timeseries = None
         self._rdd_ids = itertools.count(1)
         self._lock = threading.Lock()
-        #: bumped by every stop(); part of cache_epoch() so derived
-        #: caches (incremental partials) cannot survive a lifecycle
-        #: clear-and-restart unnoticed.
+        #: bumped by every stop(); a cache of derived data (the
+        #: incremental session's element blocks) compares it to tell a
+        #: stop() between its releases.
         self._stop_generation = 0
 
     def _next_rdd_id(self) -> int:
@@ -98,7 +91,7 @@ class EngineContext:
         (boxing lazily per partition), but stores data column-major —
         ``map_partitions`` functions and batch kernels that understand
         :class:`~repro.engine.columnar.ColumnarPartition` skip per-row
-        boxing, and the process backend ships whole column buffers.
+        boxing.
         """
         from repro.engine.rdd import ColumnarCollectionRDD
 
@@ -177,19 +170,6 @@ class EngineContext:
             return
         self.timeseries = store
 
-    def install_profiler(self, profiler) -> None:
-        """Install (or clear, with None) a sampling profiler.
-
-        The scheduler reads it when shipping process tasks: while the
-        profiler is running, workers mirror its sampling rate and ship
-        their collapsed stacks back with each task result, merged into
-        this profiler's aggregate (see :mod:`repro.obs.crossproc`).
-        Thread/inline backends need no wiring — the profiler sees
-        their frames directly.
-        """
-        self.profiler = profiler
-        self.scheduler.profiler = profiler
-
     @property
     def job_listener(self):
         """The installed job event listener, if any."""
@@ -199,23 +179,6 @@ class EngineContext:
     def stop_generation(self) -> int:
         """How many times this context has been stop()ped."""
         return self._stop_generation
-
-    def cache_epoch(self) -> tuple:
-        """Version tag for caches of *derived* engine data.
-
-        Combines the stop generation, the executor backend and the
-        worker-respawn count: any of them changing means partials
-        computed under the old execution regime must not be merged
-        with new ones (a respawned process pool, a backend switch or a
-        stopped-and-restarted context may have lost or changed ambient
-        state).  Callers stamp cached blocks with this tuple via
-        :meth:`BlockStore.put_tagged` and a mismatch reads as a miss.
-        """
-        return (
-            self._stop_generation,
-            self.scheduler.backend,
-            int(self.metrics.get(MetricsRegistry.WORKER_RESPAWNS)),
-        )
 
     def clear_shuffle_state(self) -> None:
         """Drop stored shuffle outputs (frees memory between experiments)."""
@@ -253,20 +216,19 @@ class EngineContext:
     def stop(self) -> None:
         """Release engine resources (idempotent).
 
-        Shuts down the scheduler's persistent worker pools and drops
-        stored shuffle outputs *and* cached partition blocks — a
-        stopped context must not keep partition data alive between
-        experiments.  The context remains usable: a later job lazily
-        recreates the pools and repopulates caches from lineage,
-        mirroring how ``SparkContext`` users call ``stop()`` when an
-        application finishes.
+        Stops the live server and time-series sampler and drops stored
+        shuffle outputs *and* cached partition blocks — a stopped
+        context must not keep partition data alive between
+        experiments.  The context remains usable: a later job
+        repopulates caches from lineage, mirroring how
+        ``SparkContext`` users call ``stop()`` when an application
+        finishes.
         """
         if self.obs_server is not None:
             self.obs_server.stop()
             self.obs_server = None
         if self.timeseries is not None:
             self.timeseries.stop()
-        self.scheduler.shutdown()
         self.shuffle_manager.clear()
         self.block_store.clear()
         self._stop_generation += 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -173,11 +173,6 @@ class MetricsRegistry:
     BROADCASTS = "broadcasts"
     BROADCAST_RECORDS = "broadcast_records"
     NETWORK_COST = "simulated_network_cost"
-    #: process-backend jobs that fell back to the thread/inline path
-    #: (unpicklable closure, shuffle lineage, uncached persisted parent).
-    PROCESS_FALLBACKS = "process_fallbacks"
-    #: process pools respawned after a worker died (BrokenProcessPool).
-    WORKER_RESPAWNS = "worker_respawns"
 
     #: Counter names used by the SQL layer (plan cache + join planning).
     SQL_PLAN_CACHE_HITS = "sql.plan_cache.hits"
@@ -313,32 +308,3 @@ class MetricsRegistry:
             return 0.0
         return hits / total
 
-
-#: sink for recordings made when no ambient registry is installed — a
-#: process worker running an *untraced* task keeps working, its counts
-#: simply are not shipped anywhere.
-_DISCARD = MetricsRegistry()
-_ambient_metrics: Optional[MetricsRegistry] = None
-
-
-def ambient_metrics() -> MetricsRegistry:
-    """The ambient registry of the current process.
-
-    On the driver this is normally unset (engine components hold their
-    registry directly).  Inside a process worker running a traced task,
-    :mod:`repro.obs.crossproc` installs the worker-local registry here
-    so instrumented code that crossed the pickle boundary *without* its
-    registry (e.g. columnar scan counters) can rebind and keep
-    counting; the per-task delta is then shipped back to the driver.
-    """
-    return _ambient_metrics if _ambient_metrics is not None else _DISCARD
-
-
-def set_ambient_metrics(
-    registry: Optional[MetricsRegistry],
-) -> Optional[MetricsRegistry]:
-    """Install the ambient registry; returns the previous one."""
-    global _ambient_metrics
-    previous = _ambient_metrics
-    _ambient_metrics = registry
-    return previous

@@ -79,41 +79,6 @@ class RDD:
         store.put(block_id, records)
         return iter(records)
 
-    def _process_plan(self, split: int):
-        """``(base records, narrow op chain)`` for a process worker.
-
-        The plan is everything a worker needs to recompute this
-        partition without the driver's object graph: the source
-        records plus the ``(split, f)`` pairs of narrow operators above
-        them (see :mod:`repro.engine.procpool`).  A persisted partition
-        ships its cached block when one exists; a cache *miss* is
-        unsupported — the driver must compute it so the block store is
-        populated (workers have no way to write back).
-
-        Raises:
-            ProcessUnsupported: when this lineage cannot be rebuilt
-                in-worker (shuffle input, uncached persisted data,
-                coalesced partitions).
-        """
-        if self._persisted:
-            cached = self.context.block_store.get((self.rdd_id, split))
-            if cached is not None:
-                return cached, []
-            from repro.engine.procpool import ProcessUnsupported
-
-            raise ProcessUnsupported(
-                f"persisted partition ({self.rdd_id}, {split}) not yet cached"
-            )
-        return self._process_plan_uncached(split)
-
-    def _process_plan_uncached(self, split: int):
-        # only procpool.build_process_task asks for a plan
-        from repro.engine.procpool import ProcessUnsupported
-
-        raise ProcessUnsupported(
-            f"{type(self).__name__} has no process plan"
-        )
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
@@ -135,19 +100,25 @@ class RDD:
 
     def map(self, f: Callable[[T], U]) -> "RDD":
         """Apply ``f`` to every record."""
-        return MapPartitionsRDD(self, _MapFunction(f))
+        return MapPartitionsRDD(
+            self, lambda _split, it: (f(rec) for rec in it)
+        )
 
     def flat_map(self, f: Callable[[T], Iterable[U]]) -> "RDD":
         """Apply ``f`` and flatten the resulting iterables."""
-        return MapPartitionsRDD(self, _FlatMapFunction(f))
+        return MapPartitionsRDD(
+            self, lambda _split, it: (out for rec in it for out in f(rec))
+        )
 
     def filter(self, predicate: Callable[[T], bool]) -> "RDD":
         """Keep records where ``predicate`` is true."""
-        return MapPartitionsRDD(self, _FilterFunction(predicate))
+        return MapPartitionsRDD(
+            self, lambda _split, it: (rec for rec in it if predicate(rec))
+        )
 
     def map_partitions(self, f: Callable[[Iterator[T]], Iterable[U]]) -> "RDD":
         """Apply ``f`` to each whole partition iterator."""
-        return MapPartitionsRDD(self, _MapPartitionsFunction(f))
+        return MapPartitionsRDD(self, lambda _split, it: f(it))
 
     def map_partitions_with_index(
         self, f: Callable[[int, Iterator[T]], Iterable[U]]
@@ -157,11 +128,11 @@ class RDD:
 
     def glom(self) -> "RDD":
         """Turn each partition into a single list record."""
-        return MapPartitionsRDD(self, _GlomFunction())
+        return MapPartitionsRDD(self, lambda _split, it: iter([list(it)]))
 
     def key_by(self, f: Callable[[T], K]) -> "RDD":
         """Produce ``(f(rec), rec)`` pairs."""
-        return self.map(_KeyByFunction(f))
+        return self.map(lambda rec: (f(rec), rec))
 
     def union(self, other: "RDD") -> "RDD":
         """Concatenate two RDDs (no shuffle; partitions are appended)."""
@@ -179,7 +150,15 @@ class RDD:
         """Bernoulli-sample records with probability ``fraction``."""
         if not 0.0 <= fraction <= 1.0:
             raise EngineError(f"sample fraction must be in [0,1], got {fraction}")
-        return MapPartitionsRDD(self, _SampleFunction(fraction, seed, self.rdd_id))
+        rdd_id = self.rdd_id
+
+        def sample_split(split: int, it: Iterator) -> Iterator:
+            from repro.common.rng import make_rng
+
+            rng = make_rng(seed, f"sample-{rdd_id}-{split}")
+            return (rec for rec in it if rng.random() < fraction)
+
+        return MapPartitionsRDD(self, sample_split)
 
     def zip_with_index(self) -> "RDD":
         """Pair each record with a global 0-based index (triggers a job)."""
@@ -187,7 +166,12 @@ class RDD:
         offsets = [0]
         for size in sizes[:-1]:
             offsets.append(offsets[-1] + size)
-        return MapPartitionsRDD(self, _IndexerFunction(offsets))
+        return MapPartitionsRDD(
+            self,
+            lambda split, it: (
+                (rec, offsets[split] + i) for i, rec in enumerate(it)
+            ),
+        )
 
     def repartition(self, num_partitions: int) -> "RDD":
         """Redistribute records across ``num_partitions`` via a shuffle."""
@@ -414,14 +398,23 @@ class RDD:
             if needed <= 0:
                 break
             chunk = self.context.scheduler.run_job(
-                self, _TakeJob(needed), partitions=[split]
+                self, lambda it, n=needed: list(_take_iter(it, n)),
+                partitions=[split],
             )[0]
             out.extend(chunk)
         return out[:n]
 
     def reduce(self, f: Callable[[T, T], T]) -> T:
         """Combine all records with a commutative, associative ``f``."""
-        partials = self.context.scheduler.run_job(self, _ReduceJob(f))
+        def reduce_partition(it: Iterator) -> Tuple[bool, Any]:
+            acc = None
+            seen = False
+            for rec in it:
+                acc = rec if not seen else f(acc, rec)
+                seen = True
+            return (seen, acc)
+
+        partials = self.context.scheduler.run_job(self, reduce_partition)
         acc = None
         seen = False
         for has, part in partials:
@@ -439,7 +432,9 @@ class RDD:
         Like Spark, the zero value is cloned per task so mutable
         accumulators (lists, StatCounter, ...) are safe.
         """
-        partials = self.context.scheduler.run_job(self, _FoldJob(zero, f))
+        partials = self.context.scheduler.run_job(
+            self, lambda it: _fold_iter(it, copy.deepcopy(zero), f)
+        )
         acc = copy.deepcopy(zero)
         for part in partials:
             acc = f(acc, part)
@@ -452,7 +447,9 @@ class RDD:
 
         The zero value is cloned per task (see :meth:`fold`).
         """
-        partials = self.context.scheduler.run_job(self, _FoldJob(zero, seq_op))
+        partials = self.context.scheduler.run_job(
+            self, lambda it: _fold_iter(it, copy.deepcopy(zero), seq_op)
+        )
         acc = copy.deepcopy(zero)
         for part in partials:
             acc = comb_op(acc, part)
@@ -496,19 +493,15 @@ class RDD:
 
     def top(self, n: int, key: Optional[Callable[[T], Any]] = None) -> List[T]:
         """The ``n`` largest records (by optional key), descending."""
-        partials = self.context.scheduler.run_job(self, _TopJob(n, key))
+        partials = self.context.scheduler.run_job(
+            self, lambda it: heapq.nlargest(n, it, key=key)
+        )
         merged = [rec for chunk in partials for rec in chunk]
         return heapq.nlargest(n, merged, key=key)
 
     def foreach(self, f: Callable[[T], None]) -> None:
-        """Run ``f`` on every record for its side effects (e.g. accumulators).
-
-        Side effects mutate driver-side objects, so foreach always runs
-        on the driver: the scheduler's process backend cannot ship it
-        (the closure would mutate a worker's copy), and the pickling
-        fallback guarantees it never silently does.
-        """
-        self.context.scheduler.run_job(self, _ForeachJob(f))
+        """Run ``f`` on every record for its side effects (accumulators)."""
+        self.context.scheduler.run_job(self, lambda it: _consume(it, f))
 
     def checkpoint(self) -> "RDD":
         """Materialize this RDD now and truncate its lineage.
@@ -669,201 +662,6 @@ def _stat_comb(a: "StatCounter", b: "StatCounter") -> "StatCounter":
     return a
 
 
-# ----------------------------------------------------------------------
-# Picklable operator adapters and job functions.
-#
-# Transformations and actions used to capture their user function in a
-# lambda, which pins every lineage to the driver: lambdas (and the
-# closures they capture) cannot cross a process boundary with stdlib
-# pickle.  These small classes carry the same behaviour as instances —
-# picklable exactly when the wrapped user function is — so a lineage
-# built from picklable functions ships whole to a process worker, and
-# one built from closures falls back to the thread/inline path at the
-# single pickle call in the scheduler (no behaviour change either way).
-# ----------------------------------------------------------------------
-
-
-class _MapFunction:
-    """``rdd.map(f)`` as a (split, iterator) partition function."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f: Callable):
-        self.f = f
-
-    def __call__(self, _split: int, it: Iterator) -> Iterator:
-        f = self.f
-        return (f(rec) for rec in it)
-
-
-class _FlatMapFunction:
-    """``rdd.flat_map(f)`` as a partition function."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f: Callable):
-        self.f = f
-
-    def __call__(self, _split: int, it: Iterator) -> Iterator:
-        f = self.f
-        return (out for rec in it for out in f(rec))
-
-
-class _FilterFunction:
-    """``rdd.filter(predicate)`` as a partition function."""
-
-    __slots__ = ("predicate",)
-
-    def __init__(self, predicate: Callable):
-        self.predicate = predicate
-
-    def __call__(self, _split: int, it: Iterator) -> Iterator:
-        predicate = self.predicate
-        return (rec for rec in it if predicate(rec))
-
-
-class _MapPartitionsFunction:
-    """``rdd.map_partitions(f)`` — drops the split index."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f: Callable):
-        self.f = f
-
-    def __call__(self, _split: int, it: Iterator) -> Iterable:
-        return self.f(it)
-
-
-class _GlomFunction:
-    """``rdd.glom()`` — one list record per partition."""
-
-    def __call__(self, _split: int, it: Iterator) -> Iterator:
-        return iter([list(it)])
-
-
-class _KeyByFunction:
-    """``rdd.key_by(f)`` record mapper: ``rec -> (f(rec), rec)``."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f: Callable):
-        self.f = f
-
-    def __call__(self, rec):
-        return (self.f(rec), rec)
-
-
-class _SampleFunction:
-    """``rdd.sample(fraction, seed)`` — per-split deterministic RNG."""
-
-    __slots__ = ("fraction", "seed", "rdd_id")
-
-    def __init__(self, fraction: float, seed: int, rdd_id: int):
-        self.fraction = fraction
-        self.seed = seed
-        self.rdd_id = rdd_id
-
-    def __call__(self, split: int, it: Iterator) -> Iterator:
-        from repro.common.rng import make_rng
-
-        rng = make_rng(self.seed, f"sample-{self.rdd_id}-{split}")
-        fraction = self.fraction
-        return (rec for rec in it if rng.random() < fraction)
-
-
-class _IndexerFunction:
-    """``rdd.zip_with_index()`` — global index from per-split offsets."""
-
-    __slots__ = ("offsets",)
-
-    def __init__(self, offsets: List[int]):
-        self.offsets = offsets
-
-    def __call__(self, split: int, it: Iterator) -> Iterator:
-        offset = self.offsets[split]
-        return ((rec, offset + i) for i, rec in enumerate(it))
-
-
-class _TakeJob:
-    """Job function for ``take``: first ``n`` records of a partition."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __call__(self, it: Iterator) -> List:
-        return list(_take_iter(it, self.n))
-
-
-class _ReduceJob:
-    """Job function for ``reduce``: ``(seen, partial)`` per partition."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f: Callable):
-        self.f = f
-
-    def __call__(self, it: Iterator) -> Tuple[bool, Any]:
-        f = self.f
-        acc = None
-        seen = False
-        for rec in it:
-            acc = rec if not seen else f(acc, rec)
-            seen = True
-        return (seen, acc)
-
-
-class _FoldJob:
-    """Job function for ``fold``/``aggregate``.
-
-    The zero value is deep-copied per task so mutable accumulators
-    (lists, StatCounter, ...) are safe — and, on the process backend,
-    each worker naturally folds into its own copy.
-    """
-
-    __slots__ = ("zero", "op")
-
-    def __init__(self, zero, op: Callable):
-        self.zero = zero
-        self.op = op
-
-    def __call__(self, it: Iterator):
-        return _fold_iter(it, copy.deepcopy(self.zero), self.op)
-
-
-class _TopJob:
-    """Job function for ``top``: per-partition n-largest."""
-
-    __slots__ = ("n", "key")
-
-    def __init__(self, n: int, key: Optional[Callable]):
-        self.n = n
-        self.key = key
-
-    def __call__(self, it: Iterator) -> List:
-        return heapq.nlargest(self.n, it, key=self.key)
-
-
-class _ForeachJob:
-    """Job function for ``foreach`` — deliberately driver-only.
-
-    ``foreach`` exists for side effects on driver state (accumulators,
-    collectors); shipping it to a process worker would mutate a copy
-    and silently drop the effects.  Refusing to pickle routes the job
-    down the scheduler's thread/inline fallback.
-    """
-
-    def __init__(self, f: Callable):
-        self.f = f
-
-    def __call__(self, it: Iterator) -> None:
-        _consume(it, self.f)
-
-    def __reduce__(self):
-        raise TypeError("foreach jobs must run on the driver")
-
-
 class ParallelCollectionRDD(RDD):
     """An RDD over an in-memory sequence, split into even slices."""
 
@@ -879,16 +677,6 @@ class ParallelCollectionRDD(RDD):
         self.context.metrics.incr(MetricsRegistry.RECORDS_READ, end - start)
         return iter(self._data[start:end])
 
-    def _process_plan_uncached(self, split: int):
-        total = len(self._data)
-        parts = self.num_partitions
-        start = (split * total) // parts
-        end = ((split + 1) * total) // parts
-        # Metric parity with compute(): read accounting stays on the
-        # driver (workers have their own, unobserved registries).
-        self.context.metrics.incr(MetricsRegistry.RECORDS_READ, end - start)
-        return self._data[start:end], []
-
 
 class ColumnarCollectionRDD(RDD):
     """An RDD over pre-transposed :class:`ColumnarPartition` blocks.
@@ -897,8 +685,6 @@ class ColumnarCollectionRDD(RDD):
     adapter), so every row-oriented operator works unchanged; columnar
     consumers call :meth:`block` — or use :meth:`blocks_rdd`, whose
     partitions each yield the raw block — and skip boxing entirely.
-    Blocks pickle by column buffer, making this the cheapest source for
-    the process backend.
     """
 
     def __init__(self, context, blocks: Sequence["ColumnarPartition"]):
@@ -936,11 +722,6 @@ class ColumnarCollectionRDD(RDD):
         self.context.metrics.incr(MetricsRegistry.RECORDS_READ, len(block))
         return block.iter_rows()
 
-    def _process_plan_uncached(self, split: int):
-        block = self._blocks[split]
-        self.context.metrics.incr(MetricsRegistry.RECORDS_READ, len(block))
-        return block, []
-
 
 class ColumnarBlocksRDD(RDD):
     """Each partition yields exactly one record: its ColumnarPartition.
@@ -962,11 +743,6 @@ class ColumnarBlocksRDD(RDD):
         self.context.metrics.incr(MetricsRegistry.RECORDS_READ, len(block))
         return iter([block])
 
-    def _process_plan_uncached(self, split: int):
-        block = self._blocks[split]
-        self.context.metrics.incr(MetricsRegistry.RECORDS_READ, len(block))
-        return [block], []
-
 
 class MapPartitionsRDD(RDD):
     """Narrow transformation: a function of (split, parent iterator)."""
@@ -978,10 +754,6 @@ class MapPartitionsRDD(RDD):
 
     def compute(self, split: int) -> Iterator:
         return iter(self._f(split, self._parent.iterator(split)))
-
-    def _process_plan_uncached(self, split: int):
-        base, ops = self._parent._process_plan(split)
-        return base, ops + [(split, self._f)]
 
 
 class UnionRDD(RDD):
@@ -996,13 +768,6 @@ class UnionRDD(RDD):
         for parent in self._parents:
             if split < parent.num_partitions:
                 return parent.iterator(split)
-            split -= parent.num_partitions
-        raise EngineError(f"split {split} out of range for UnionRDD")
-
-    def _process_plan_uncached(self, split: int):
-        for parent in self._parents:
-            if split < parent.num_partitions:
-                return parent._process_plan(split)
             split -= parent.num_partitions
         raise EngineError(f"split {split} out of range for UnionRDD")
 

@@ -37,8 +37,7 @@ class ShuffleManager:
     """Executes shuffles and stores their outputs per reduce partition.
 
     Outputs are kept until :meth:`clear`; a shuffle is executed at most
-    once per ``shuffle_id`` (concurrent requests are serialized by a
-    lock, since reduce tasks may run on threads).
+    once per ``shuffle_id`` (requests are serialized by a lock).
     """
 
     def __init__(self, context):
@@ -198,14 +197,7 @@ class CoGroupedRDD(RDD):
 
 
 class _ShuffleMapTask:
-    """Map-side shuffle task: bucket (and optionally combine) pairs.
-
-    A plain class rather than a closure so the task is picklable when
-    the partitioner and aggregator functions are — the process backend
-    can then run map-side bucketing in workers; lambda-built
-    aggregators (most ``reduce_by_key`` call sites) still fall back to
-    the thread/inline path via the scheduler's pickle check.
-    """
+    """Map-side shuffle task: bucket (and optionally combine) pairs."""
 
     __slots__ = ("partitioner", "aggregator", "num_out")
 

@@ -18,24 +18,6 @@ from repro.engine.metrics import MetricsRegistry
 BlockId = Tuple[int, int]  # (rdd_id, partition_index)
 
 
-class _TaggedBlock:
-    """A block payload stamped with a version tag.
-
-    Tagged blocks are how callers that cache *derived* data (the
-    incremental session's mapped-element blocks, columnar partition
-    caches) invalidate on epoch changes: a ``get_tagged`` with a
-    different tag behaves exactly like a miss and drops the stale
-    entry, so a stale partial can never be merged after a backend
-    switch or worker respawn.
-    """
-
-    __slots__ = ("tag", "payload")
-
-    def __init__(self, tag, payload):
-        self.tag = tag
-        self.payload = payload
-
-
 class BlockStore:
     """Thread-safe LRU store of partition blocks."""
 
@@ -51,9 +33,7 @@ class BlockStore:
         """Return the cached block, or None on miss; updates LRU order."""
         with self._lock:
             block = self._blocks.get(block_id)
-            if block is None or isinstance(block, _TaggedBlock):
-                # tagged blocks are only reachable via get_tagged —
-                # an untagged read must never see versioned payloads.
+            if block is None:
                 self._metrics.incr(MetricsRegistry.CACHE_MISSES)
                 return None
             self._blocks.move_to_end(block_id)
@@ -64,33 +44,6 @@ class BlockStore:
         """Insert a block, evicting LRU blocks past capacity."""
         with self._lock:
             self._blocks[block_id] = records
-            self._blocks.move_to_end(block_id)
-            while len(self._blocks) > self._capacity:
-                self._blocks.popitem(last=False)
-                self._metrics.incr(MetricsRegistry.CACHE_EVICTIONS)
-
-    def get_tagged(self, block_id: BlockId, tag) -> Optional[List]:
-        """Return a tagged block's payload iff its tag matches.
-
-        A present block with a *different* tag is dropped and counted
-        as a miss — version tags exist so stale derived data is
-        unreachable the instant its epoch moves on.
-        """
-        with self._lock:
-            entry = self._blocks.get(block_id)
-            if isinstance(entry, _TaggedBlock) and entry.tag == tag:
-                self._blocks.move_to_end(block_id)
-                self._metrics.incr(MetricsRegistry.CACHE_HITS)
-                return entry.payload
-            if entry is not None:
-                del self._blocks[block_id]
-            self._metrics.incr(MetricsRegistry.CACHE_MISSES)
-            return None
-
-    def put_tagged(self, block_id: BlockId, tag, payload: List) -> None:
-        """Insert a version-tagged block (same LRU policy as ``put``)."""
-        with self._lock:
-            self._blocks[block_id] = _TaggedBlock(tag, payload)
             self._blocks.move_to_end(block_id)
             while len(self._blocks) > self._capacity:
                 self._blocks.popitem(last=False)

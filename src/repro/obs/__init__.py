@@ -22,11 +22,6 @@ Live-monitoring pillars (same doc, "Live monitoring"):
   and metrics scrapes.
 * :mod:`repro.obs.profiler` — the span-attributing
   :class:`SamplingProfiler` with collapsed-stack export.
-* :mod:`repro.obs.crossproc` — cross-process telemetry for
-  ``backend="processes"``: span parentage shipped down to workers
-  (:class:`SpanContext`), worker spans/metrics/profiles piggybacked
-  back (:class:`WorkerTelemetry`) and merged under ``worker=<pid>``
-  labels.
 * :mod:`repro.obs.timeseries` — the bounded :class:`TimeSeriesStore`
   ring buffers behind continuous monitoring: sampled metric history,
   counter→rate derivation, exhaustion forecasts and the JSONL
@@ -60,25 +55,15 @@ _EXPORTS = {
         "RateRule",
         "SensitivityDriftRule",
         "TrendRule",
-        "WorkerRssRule",
-        "WorkerStarvationRule",
         "default_rules",
     ),
-    "crossproc": (
-        "SpanContext",
-        "WorkerTelemetry",
-        "merge_telemetry",
-        "worker_table",
-    ),
     "exporters": (
-        "labeled_name",
         "render_dashboard",
         "render_otlp_metrics",
         "render_otlp_spans",
         "render_prometheus",
         "sanitize_metric_name",
         "sparkline_svg",
-        "split_labeled_name",
     ),
     "ledger": ("LedgerEntry", "PrivacyLedger", "make_entry"),
     "profiler": (

@@ -32,8 +32,8 @@ runs it on every store tick once :meth:`AlertEngine.attach_timeseries`
 is wired (``UPASession.attach_timeseries`` does this), which is how a
 continuous ``append``/``retire`` session gets its budget exhaustion
 *forecast in seconds* (windowed :class:`BudgetBurnRule`), clamp-rate
-spike detection (:class:`RateRule`) and sensitivity/worker-RSS growth
-trends (:class:`TrendRule`).
+spike detection (:class:`RateRule`) and sensitivity growth trends
+(:class:`TrendRule`).
 """
 
 from __future__ import annotations
@@ -317,13 +317,11 @@ class ClampRateRule(AlertRule):
 class RateRule(AlertRule):
     """Windowed rule: counter rate over a sliding window exceeds a cap.
 
-    ``metric`` matches an exact series name or a labelled family base
-    (``release.clamps`` and ``tasks_run#worker=123`` style alike); with
-    several matching series the worst offender is named.  The default
-    instance in :func:`default_rules` watches RANGE ENFORCER's clamp
-    counter — a clamp *spike* (many clamps per second) is a different
-    signal from :class:`ClampRateRule`'s clamp *fraction* and catches a
-    burst of tight-range releases inside an otherwise healthy history.
+    The default instance in :func:`default_rules` watches RANGE
+    ENFORCER's clamp counter — a clamp *spike* (many clamps per second)
+    is a different signal from :class:`ClampRateRule`'s clamp
+    *fraction* and catches a burst of tight-range releases inside an
+    otherwise healthy history.
     """
 
     metric: str = ""
@@ -334,37 +332,24 @@ class RateRule(AlertRule):
     name: str = "rate"
 
     def on_window(self, store, now):
-        from repro.obs.exporters import split_labeled_name
-
-        worst: Optional[tuple] = None
-        for raw in store.names():
-            base, _ = split_labeled_name(raw)
-            if raw != self.metric and base != self.metric:
-                continue
-            pts = store.points(
-                raw, since=now - self.window_seconds, until=now
-            )
-            if len(pts) < self.min_points:
-                continue
-            rate = store.rate(raw, window=self.window_seconds, now=now)
-            if rate is None or rate <= self.max_rate_per_second:
-                continue
-            if worst is None or rate > worst[1]:
-                worst = (raw, rate)
-        if worst is None:
+        pts = store.points(
+            self.metric, since=now - self.window_seconds, until=now
+        )
+        if len(pts) < self.min_points:
             return None
-        series, rate = worst
+        rate = store.rate(self.metric, window=self.window_seconds, now=now)
+        if rate is None or rate <= self.max_rate_per_second:
+            return None
         return Alert(
             rule=self.name,
             severity=self.severity,
             message=(
-                f"rate spike on {series}: {rate:g}/s over the trailing "
-                f"{self.window_seconds:g}s exceeds "
+                f"rate spike on {self.metric}: {rate:g}/s over the "
+                f"trailing {self.window_seconds:g}s exceeds "
                 f"{self.max_rate_per_second:g}/s"
             ),
             context={
                 "metric": self.metric,
-                "series": series,
                 "rate_per_second": rate,
                 "max_rate_per_second": self.max_rate_per_second,
                 "window_seconds": self.window_seconds,
@@ -377,12 +362,10 @@ class RateRule(AlertRule):
 class TrendRule(AlertRule):
     """Windowed rule: least-squares slope over a window exceeds a cap.
 
-    ``metric`` matches exact names or labelled family bases (so one
-    rule covers every ``worker_rss_kb#worker=<pid>`` series).  With
-    ``relative=True`` the slope is divided by the window's mean value,
-    making the threshold a *fractional growth rate per second* — the
-    scale-free form suits sensitivity drift, where absolute magnitudes
-    are query-dependent.  Fires on the worst offending series.
+    With ``relative=True`` the slope is divided by the window's mean
+    value, making the threshold a *fractional growth rate per second* —
+    the scale-free form suits sensitivity drift, where absolute
+    magnitudes are query-dependent.
     """
 
     metric: str = ""
@@ -394,45 +377,32 @@ class TrendRule(AlertRule):
     name: str = "trend"
 
     def on_window(self, store, now):
-        from repro.obs.exporters import split_labeled_name
-
-        worst: Optional[tuple] = None
-        for raw in store.names():
-            base, _ = split_labeled_name(raw)
-            if raw != self.metric and base != self.metric:
-                continue
-            pts = store.points(
-                raw, since=now - self.window_seconds, until=now
-            )
-            if len(pts) < self.min_points:
-                continue
-            slope = least_squares_slope(pts)
-            if slope is None:
-                continue
-            if self.relative:
-                mean = sum(v for _, v in pts) / len(pts)
-                if mean == 0.0:
-                    continue
-                slope = slope / abs(mean)
-            if slope <= self.max_slope_per_second:
-                continue
-            if worst is None or slope > worst[1]:
-                worst = (raw, slope)
-        if worst is None:
+        pts = store.points(
+            self.metric, since=now - self.window_seconds, until=now
+        )
+        if len(pts) < self.min_points:
             return None
-        series, slope = worst
+        slope = least_squares_slope(pts)
+        if slope is None:
+            return None
+        if self.relative:
+            mean = sum(v for _, v in pts) / len(pts)
+            if mean == 0.0:
+                return None
+            slope = slope / abs(mean)
+        if slope <= self.max_slope_per_second:
+            return None
         unit = "fraction/s" if self.relative else "units/s"
         return Alert(
             rule=self.name,
             severity=self.severity,
             message=(
-                f"upward trend on {series}: slope {slope:g} {unit} over "
-                f"the trailing {self.window_seconds:g}s exceeds "
+                f"upward trend on {self.metric}: slope {slope:g} {unit} "
+                f"over the trailing {self.window_seconds:g}s exceeds "
                 f"{self.max_slope_per_second:g} {unit}"
             ),
             context={
                 "metric": self.metric,
-                "series": series,
                 "slope_per_second": slope,
                 "max_slope_per_second": self.max_slope_per_second,
                 "window_seconds": self.window_seconds,
@@ -468,127 +438,25 @@ class GaugeThresholdRule(AlertRule):
         )
 
 
-@dataclass
-class WorkerStarvationRule(AlertRule):
-    """Process backend configured, but all work falls back to the driver.
-
-    Fires on a metrics tick when at least ``min_fallbacks`` jobs have
-    taken the fallback path while **no** worker has completed a single
-    task (every ``worker_tasks_completed`` gauge absent or zero).  That
-    combination means the pool is spawned and idle — typically every
-    shipped lineage has an unpicklable closure — and the operator is
-    paying process-pool overhead for thread-path throughput.  Silent on
-    thread/inline sessions: the ``process_fallbacks`` counter only
-    exists once a processes-backend scheduler is constructed.
-    """
-
-    min_fallbacks: float = 1.0
-    name: str = "worker-starvation"
-
-    def on_metrics(self, snapshot):
-        from repro.obs.crossproc import WORKER_TASKS_COMPLETED
-        from repro.obs.exporters import split_labeled_name
-
-        fallbacks = snapshot.counters.get("process_fallbacks")
-        if fallbacks is None or fallbacks < self.min_fallbacks:
-            return None
-        completed = 0.0
-        for raw, value in snapshot.gauges.items():
-            base, labels = split_labeled_name(raw)
-            if base == WORKER_TASKS_COMPLETED and labels:
-                completed += value
-        if completed > 0:
-            return None
-        return Alert(
-            rule=self.name,
-            severity="warning",
-            message=(
-                f"process workers are starving: {fallbacks:g} job(s) fell "
-                "back to the thread/inline path and no worker has "
-                "completed a task — shipped lineages are not crossing "
-                "the process boundary"
-            ),
-            context={
-                "process_fallbacks": fallbacks,
-                "worker_tasks_completed": completed,
-            },
-        )
-
-
-@dataclass
-class WorkerRssRule(AlertRule):
-    """Fire when any worker's rss gauge exceeds ``max_rss_kb``.
-
-    A label-aware :class:`GaugeThresholdRule`: the per-worker
-    ``worker_rss_kb`` gauges carry a ``worker=<pid>`` label, so the
-    rule scans every series of the family and names the worst offender.
-    The default threshold (4 GiB) is deliberately generous — the rule
-    exists to catch a leaking worker, not to police normal footprints.
-    """
-
-    max_rss_kb: float = 4.0 * 1024 * 1024
-    name: str = "worker-rss"
-
-    def on_metrics(self, snapshot):
-        from repro.obs.crossproc import WORKER_RSS_KB
-        from repro.obs.exporters import split_labeled_name
-
-        worst: Optional[tuple] = None
-        for raw, value in snapshot.gauges.items():
-            base, labels = split_labeled_name(raw)
-            if base != WORKER_RSS_KB or not labels:
-                continue
-            if value > self.max_rss_kb and (
-                worst is None or value > worst[1]
-            ):
-                worst = (labels.get("worker", "?"), value)
-        if worst is None:
-            return None
-        pid, rss = worst
-        return Alert(
-            rule=self.name,
-            severity="warning",
-            message=(
-                f"worker {pid} rss {rss:g} kB exceeds the configured "
-                f"threshold {self.max_rss_kb:g} kB"
-            ),
-            context={"worker": pid, "rss_kb": rss,
-                     "max_rss_kb": self.max_rss_kb},
-        )
-
-
 def default_rules() -> List[AlertRule]:
     """The rules every monitored session should run.
 
     The ledger-driven trio (budget burn, sensitivity drift, clamp
-    rate) plus the process-worker health pair — the latter are silent
-    no-ops unless a processes-backend session is actually running —
-    and two windowed rules that only evaluate once a time-series store
-    is attached: a clamp-rate spike detector and a worker-RSS growth
-    trend (sustained > 1 MiB/s over two minutes means a leaking
-    worker, not a working set).  Sensitivity-drift trends are left to
-    explicit :class:`TrendRule` instances because a useful relative
-    threshold is workload-specific.
+    rate) and a windowed clamp-rate spike detector that only evaluates
+    once a time-series store is attached.  Sensitivity-drift trends are
+    left to explicit :class:`TrendRule` instances because a useful
+    relative threshold is workload-specific.
     """
     return [
         BudgetBurnRule(),
         SensitivityDriftRule(),
         ClampRateRule(),
-        WorkerStarvationRule(),
-        WorkerRssRule(),
         RateRule(
             metric=MetricsRegistry.RELEASE_CLAMPS,
             max_rate_per_second=1.0,
             window_seconds=60.0,
             min_points=3,
             name="clamp-spike",
-        ),
-        TrendRule(
-            metric="worker_rss_kb",
-            max_slope_per_second=1024.0,
-            window_seconds=120.0,
-            min_points=5,
-            name="worker-rss-growth",
         ),
     ]
 
@@ -668,7 +536,7 @@ class AlertEngine:
     ) -> List[Alert]:
         """Evaluate windowed rules against the store as of ``now``.
 
-        Deduplicated per (rule, metric, series) — the *condition*, not
+        Deduplicated per (rule, metric) — the *condition*, not
         the message, because windowed messages embed numbers that churn
         every tick.  A rule that keeps being true therefore fires once,
         same philosophy as the metrics-tick dedupe.
@@ -679,11 +547,7 @@ class AlertEngine:
             alert = rule.on_window(store, t)
             if alert is None:
                 continue
-            key = (
-                alert.rule,
-                alert.context.get("metric", ""),
-                alert.context.get("series", ""),
-            )
+            key = (alert.rule, alert.context.get("metric", ""))
             with self._lock:
                 if key in self._window_fired:
                     continue

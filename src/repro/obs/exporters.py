@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Tuple
 
 from repro.engine.metrics import HistogramSummary, MetricsSnapshot
 from repro.obs.tracing import Tracer
@@ -59,59 +59,6 @@ def sanitize_metric_name(name: str, namespace: str = "") -> str:
     if not _VALID_NAME.match(cleaned):
         cleaned = f"_{cleaned}"
     return cleaned
-
-
-def labeled_name(name: str, **labels: Any) -> str:
-    """Encode labels into a registry metric name: ``base#k=v,k2=v2``.
-
-    The :class:`~repro.engine.metrics.MetricsRegistry` keys series by a
-    flat string, so labelled series (per-worker task histograms, rss
-    gauges) are stored under a structured name the exporters decode
-    with :func:`split_labeled_name`.  Label keys are sorted so the same
-    label set always produces the same series.  Keys and values must
-    not contain ``#``, ``,`` or ``=`` (PIDs and short identifiers, the
-    intended values, never do).
-    """
-    if not labels:
-        return name
-    rendered = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
-    return f"{name}#{rendered}"
-
-
-def split_labeled_name(raw: str) -> Tuple[str, Optional[Dict[str, str]]]:
-    """Decode :func:`labeled_name`: ``(base, labels-or-None)``.
-
-    Tolerant of malformed label text (pairs without ``=`` are
-    dropped; no valid pair at all degrades to unlabelled).
-    """
-    base, sep, label_text = raw.partition("#")
-    if not sep:
-        return raw, None
-    labels: Dict[str, str] = {}
-    for pair in label_text.split(","):
-        key, eq, value = pair.partition("=")
-        if eq and key:
-            labels[key] = value
-    return base, (labels or None)
-
-
-def _group_families(
-    names: Iterable[str],
-) -> List[Tuple[str, List[Tuple[Optional[Dict[str, str]], str]]]]:
-    """Group raw registry names into metric families by base name.
-
-    Returns ``(base, [(labels, raw_name), ...])`` sorted by base, with
-    the unlabelled member (if any) first in each family — so a family
-    renders under one ``# TYPE`` header regardless of how many worker
-    labels it carries.
-    """
-    families: Dict[str, List[Tuple[Optional[Dict[str, str]], str]]] = {}
-    for raw in names:
-        base, labels = split_labeled_name(raw)
-        families.setdefault(base, []).append((labels, raw))
-    for members in families.values():
-        members.sort(key=lambda member: (member[0] is not None, member[1]))
-    return sorted(families.items())
 
 
 def sanitize_label_name(name: str) -> str:
@@ -188,49 +135,36 @@ def render_prometheus(
     registry.  Ends with the grammar's required trailing newline.
     """
     lines: List[str] = []
-    for base, members in _group_families(snapshot.counters):
+    for base in sorted(snapshot.counters):
         name = sanitize_metric_name(base, namespace)
         if not name.endswith("_total"):
             name += "_total"
         lines.extend(prometheus_block(
             name, "counter", f"Engine counter {base}.",
-            [
-                ("", labels, snapshot.counters[raw])
-                for labels, raw in members
-            ],
+            [("", None, snapshot.counters[base])],
         ))
-    for base, members in _group_families(snapshot.gauges):
+    for base in sorted(snapshot.gauges):
         lines.extend(prometheus_block(
             sanitize_metric_name(base, namespace), "gauge",
             f"Engine gauge {base}.",
-            [
-                ("", labels, snapshot.gauges[raw])
-                for labels, raw in members
-            ],
+            [("", None, snapshot.gauges[base])],
         ))
-    for base, members in _group_families(snapshot.histograms):
+    for base in sorted(snapshot.histograms):
         name = sanitize_metric_name(base, namespace)
-        samples: List[Tuple[str, Optional[Mapping[str, str]], float]] = []
-        stddev_samples: List[
-            Tuple[str, Optional[Mapping[str, str]], float]
-        ] = []
-        for labels, raw in members:
-            summary = snapshot.summary(raw)
-            samples.extend(
-                ("", {"quantile": q, **(labels or {})},
-                 getattr(summary, attr))
-                for q, attr in SUMMARY_QUANTILES
-            )
-            samples.append(("_sum", labels, summary.mean * summary.count))
-            samples.append(("_count", labels, float(summary.count)))
-            stddev_samples.append(("", labels, summary.stddev))
+        summary = snapshot.summary(base)
+        samples: List[Tuple[str, Optional[Mapping[str, str]], float]] = [
+            ("", {"quantile": q}, getattr(summary, attr))
+            for q, attr in SUMMARY_QUANTILES
+        ]
+        samples.append(("_sum", None, summary.mean * summary.count))
+        samples.append(("_count", None, float(summary.count)))
         lines.extend(prometheus_block(
             name, "summary", f"Engine histogram {base}.", samples
         ))
         lines.extend(prometheus_block(
             f"{name}_stddev", "gauge",
             f"Population standard deviation of histogram {base}.",
-            stddev_samples,
+            [("", None, summary.stddev)],
         ))
     for block in extra_blocks or ():
         lines.extend(block)
@@ -285,48 +219,32 @@ def render_otlp_metrics(
     ``gauge`` metrics, histograms become ``summary`` metrics carrying
     the same quantiles the Prometheus exposition exports.
     """
-    def _point(labels: Optional[Mapping[str, str]], body: dict) -> dict:
-        if labels:
-            return {"attributes": _otlp_attributes(labels), **body}
-        return body
-
     metrics: List[dict] = []
-    for base, members in _group_families(snapshot.counters):
+    for base in sorted(snapshot.counters):
         metrics.append({
             "name": base,
             "sum": {
                 "isMonotonic": True,
                 "aggregationTemporality":
                     "AGGREGATION_TEMPORALITY_CUMULATIVE",
-                "dataPoints": [
-                    _point(labels, {"asDouble": snapshot.counters[raw]})
-                    for labels, raw in members
-                ],
+                "dataPoints": [{"asDouble": snapshot.counters[base]}],
             },
         })
-    for base, members in _group_families(snapshot.gauges):
+    for base in sorted(snapshot.gauges):
         metrics.append({
             "name": base,
-            "gauge": {
-                "dataPoints": [
-                    _point(labels, {"asDouble": snapshot.gauges[raw]})
-                    for labels, raw in members
-                ],
-            },
+            "gauge": {"dataPoints": [{"asDouble": snapshot.gauges[base]}]},
         })
-    for base, members in _group_families(snapshot.histograms):
-        points = []
-        for labels, raw in members:
-            summary: HistogramSummary = snapshot.summary(raw)
-            points.append(_point(labels, {
-                "count": summary.count,
-                "sum": summary.mean * summary.count,
-                "quantileValues": [
-                    {"quantile": float(q), "value": getattr(summary, a)}
-                    for q, a in SUMMARY_QUANTILES
-                ],
-            }))
-        metrics.append({"name": base, "summary": {"dataPoints": points}})
+    for base in sorted(snapshot.histograms):
+        summary: HistogramSummary = snapshot.summary(base)
+        metrics.append({"name": base, "summary": {"dataPoints": [{
+            "count": summary.count,
+            "sum": summary.mean * summary.count,
+            "quantileValues": [
+                {"quantile": float(q), "value": getattr(summary, a)}
+                for q, a in SUMMARY_QUANTILES
+            ],
+        }]}})
     return _otlp_envelope(
         "resourceMetrics", "scopeMetrics", "metrics", metrics, resource
     )

@@ -15,14 +15,6 @@ edited or removed (``clear`` does not exist by design).  It serializes
 to JSONL — a self-describing header line followed by one JSON object
 per entry — and is queryable in-process for tests and ``repro
 report``.
-
-The header also records the *execution* context of the run: alongside
-the DP configuration (epsilon, n, seed, mechanism), ``UPASession``
-refreshes ``backend`` (inline/threads/processes, after legacy
-resolution) and ``max_workers`` on every release, so an auditor
-reading a ledger can tell a multi-process run from a single-threaded
-one — the accounting is identical, the operational blast radius is
-not.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ import os
 import sys
 import threading
 from collections import Counter
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.tracing import active_span_chain
 
@@ -190,38 +190,6 @@ class SamplingProfiler:
     def write_collapsed(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.collapsed_stacks())
-
-    def merge_stacks(
-        self, stacks: Mapping[Sequence[str], int]
-    ) -> int:
-        """Merge collapsed stacks sampled elsewhere (a process worker).
-
-        ``stacks`` maps frame tuples — the same shape :meth:`stacks`
-        returns — to sample counts.  Counts add into this profiler's
-        aggregate, and span attribution is recomputed per stack the way
-        :func:`span_table_from_collapsed` does: the sample goes to the
-        innermost frame of the leading span chain (frames without a
-        ``name (file:line)`` suffix).  Merging is commutative, so the
-        order worker deltas arrive in does not matter.  Returns the
-        number of samples merged.
-        """
-        merged = 0
-        with self._lock:
-            for frames, count in stacks.items():
-                if not frames or count <= 0:
-                    continue
-                key = tuple(frames)
-                span = None
-                for frame in key:
-                    if frame.endswith(")") and " (" in frame:
-                        break
-                    span = frame
-                self._stacks[key] += count
-                self._samples_total += count
-                if span is not None:
-                    self._span_samples[span] += count
-                merged += count
-        return merged
 
     def reset(self) -> None:
         with self._lock:

@@ -76,41 +76,6 @@ def run_header(**extra: Any) -> Dict[str, Any]:
     return header
 
 
-def _workers_from_trace_events(
-    events: Sequence[Dict[str, Any]],
-) -> List[Dict[str, Any]]:
-    """Per-worker rows recovered from archived Chrome-trace events.
-
-    ``engine.task`` spans merged from process workers carry the worker
-    pid in their ``worker`` attribute (landing in the event's ``args``).
-    A trace has no rss/uptime gauges, so artifact-derived rows hold
-    what the spans preserve: task count and task-seconds summary.
-    """
-    per_worker: Dict[str, List[float]] = {}
-    for event in events:
-        if event.get("name") != "engine.task":
-            continue
-        args = event.get("args") or {}
-        worker = args.get("worker")
-        if worker is None:
-            continue
-        per_worker.setdefault(str(worker), []).append(
-            float(event.get("dur", 0.0)) / 1e6
-        )
-    return [
-        {
-            "worker": pid,
-            "tasks_completed": float(len(durations)),
-            "task_seconds": HistogramSummary.from_values(
-                durations
-            ).to_dict(),
-        }
-        for pid, durations in sorted(
-            per_worker.items(), key=lambda kv: (len(kv[0]), kv[0])
-        )
-    ]
-
-
 @dataclass(frozen=True)
 class SpanStat:
     """Aggregate of every span sharing one name."""
@@ -175,10 +140,6 @@ class ObservedRun:
     alerts: List[Dict[str, Any]] = field(default_factory=list)
     #: profiler (span, samples, estimated seconds) self-time rows.
     profile: List[Tuple[str, int, float]] = field(default_factory=list)
-    #: per-worker health rows (processes backend; see
-    #: :func:`repro.obs.crossproc.worker_table`). Empty for
-    #: thread/inline runs.
-    workers: List[Dict[str, Any]] = field(default_factory=list)
     #: sampled metric history (a
     #: :class:`~repro.obs.timeseries.TimeSeriesStore`), live or
     #: reloaded from a ``--timeseries`` JSONL artifact. None when the
@@ -236,13 +197,8 @@ class ObservedRun:
         profile: List[Tuple[str, int, float]] = []
         if profiler is not None:
             profile = profiler.span_table()
-        workers: List[Dict[str, Any]] = []
-        if metrics is not None:
-            from repro.obs.crossproc import worker_table
-
-            workers = worker_table(metrics)
         return cls(header, durations, metrics, entries, totals,
-                   alerts, profile, workers, timeseries, domain_sampling,
+                   alerts, profile, timeseries, domain_sampling,
                    enforcement, partition_sampling)
 
     @classmethod
@@ -258,7 +214,6 @@ class ObservedRun:
         domain_sampling: List[Dict[str, Any]] = []
         enforcement: List[Dict[str, Any]] = []
         partition_sampling: List[Dict[str, Any]] = []
-        workers: List[Dict[str, Any]] = []
         if trace_path is not None:
             with open(trace_path, "r", encoding="utf-8") as handle:
                 trace = json.load(handle)
@@ -283,7 +238,6 @@ class ObservedRun:
                 e.get("args") or {} for e in events
                 if e["name"] == PARTITION_SAMPLE_SPAN
             ]
-            workers = _workers_from_trace_events(events)
         entries: List[LedgerEntry] = []
         totals: Dict[str, float] = {}
         alerts: List[Dict[str, Any]] = []
@@ -311,7 +265,7 @@ class ObservedRun:
             for key, value in timeseries.header.items():
                 header.setdefault(key, value)
         return cls(header, durations, None, entries, totals,
-                   alerts, profile, workers, timeseries, domain_sampling,
+                   alerts, profile, timeseries, domain_sampling,
                    enforcement, partition_sampling)
 
     # -- breakdowns ---------------------------------------------------
@@ -426,7 +380,6 @@ class ObservedRun:
                 {"span": span, "samples": samples, "seconds": seconds}
                 for span, samples, seconds in self.profile
             ],
-            "workers": [dict(w) for w in self.workers],
             "timeseries": {
                 "ticks": len(self.timeseries.tick_times()),
                 "trends": [dict(r) for r in self.timeseries_trends()],
@@ -511,25 +464,6 @@ class ObservedRun:
                 "metric histograms:\n" + format_table(
                     ["histogram", "count", "min", "mean", "p50", "p90",
                      "p99", "max"], rows)
-            )
-        if self.workers:
-            rows = []
-            for w in self.workers:
-                tasks = w.get("task_seconds") or {}
-                rows.append([
-                    w.get("worker", "?"),
-                    f"{w.get('tasks_completed', 0):g}",
-                    f"{tasks.get('count', 0):g}",
-                    f"{tasks.get('mean', 0.0) * 1000:.2f}",
-                    f"{tasks.get('p90', 0.0) * 1000:.2f}",
-                    f"{w['rss_kb']:g}" if "rss_kb" in w else "-",
-                    f"{w['uptime_seconds']:.1f}"
-                    if "uptime_seconds" in w else "-",
-                ])
-            sections.append(
-                "worker processes:\n" + format_table(
-                    ["worker", "tasks", "task obs", "mean ms", "p90 ms",
-                     "rss kB", "uptime s"], rows)
             )
         if self.profile:
             rows = [

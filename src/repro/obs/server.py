@@ -20,15 +20,10 @@ endpoint    serves
              (``?format=otlp`` for OTLP-style spans)
 ``/budget``  per-accountant balance snapshots
 ``/profile`` the sampling profiler's collapsed stacks so far
-``/workers`` per-worker health JSON (processes backend): pid, rss,
-             uptime, tasks completed, task-seconds summary — derived
-             from the ``worker``-labelled series the cross-process
-             telemetry merge records (:mod:`repro.obs.crossproc`)
 ``/timeseries`` sampled metric history from the attached
              :class:`~repro.obs.timeseries.TimeSeriesStore`;
-             ``?series=a,b`` filters (exact names or labelled-family
-             bases), ``?since=T`` bounds, ``?step=S`` resamples,
-             ``?window=W`` sets the rate window
+             ``?series=a,b`` filters by name, ``?since=T`` bounds,
+             ``?step=S`` resamples, ``?window=W`` sets the rate window
 ``/dashboard`` self-contained HTML over the same store: inline-SVG
              sparklines, alert badges, budget forecast; auto-refreshes
              (``?refresh=S``, ``0`` disables)
@@ -275,8 +270,6 @@ class ObservabilityServer:
                 return self._budget()
             if path == "/profile":
                 return self._profile()
-            if path == "/workers":
-                return self._workers()
             if path == "/timeseries":
                 return self._timeseries(params)
             if path == "/dashboard":
@@ -299,7 +292,6 @@ class ObservabilityServer:
             ),
             "/budget": bool(self.accountants),
             "/profile": self.profiler is not None,
-            "/workers": self.metrics is not None,
             "/timeseries": self.timeseries is not None,
             "/dashboard": self.timeseries is not None,
         }
@@ -434,18 +426,6 @@ class ObservabilityServer:
                     b"no profiler attached\n")
         body = self.profiler.collapsed_stacks()
         return 200, "text/plain; charset=utf-8", body.encode("utf-8")
-
-    def _workers(self) -> _Response:
-        if self.metrics is None:
-            return (404, "text/plain; charset=utf-8",
-                    b"no metrics registry attached\n")
-        from repro.obs.crossproc import worker_table
-
-        workers = worker_table(self.metrics.snapshot())
-        return _json_response({
-            "workers": workers,
-            "count": len(workers),
-        })
 
     def _timeseries_params(
         self, params: Dict[str, List[str]]

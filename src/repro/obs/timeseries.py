@@ -4,9 +4,8 @@ Everything in :mod:`repro.obs` up to here is snapshot-shaped: a
 ``/metrics`` scrape, a ledger entry, a report section all describe one
 instant.  A long-running session (``UPASession.append``/``retire``)
 needs the *time* dimension — how fast is epsilon being charged, is
-sensitivity drifting, is a worker's RSS growing — so the alert rules can
-forecast budget exhaustion before it happens instead of observing it
-after.
+sensitivity drifting — so the alert rules can forecast budget
+exhaustion before it happens instead of observing it after.
 
 :class:`TimeSeriesStore` samples a :class:`~repro.engine.metrics.MetricsRegistry`
 into bounded per-series ring buffers:
@@ -60,8 +59,7 @@ from repro.engine.metrics import HistogramSummary, MetricsRegistry
 TIMESERIES_FORMAT = "upa-timeseries/1"
 
 #: the series an operator watches first — the dashboard and ``repro
-#: watch`` lead with these (family bases match their labelled members),
-#: then append whatever else the store holds.
+#: watch`` lead with these, then append whatever else the store holds.
 KEY_SERIES: Tuple[str, ...] = (
     MetricsRegistry.RELEASES,
     MetricsRegistry.RELEASE_EPSILON,
@@ -72,7 +70,6 @@ KEY_SERIES: Tuple[str, ...] = (
     MetricsRegistry.INCR_RECORDS_REUSED,
     MetricsRegistry.JOBS,
     MetricsRegistry.TASKS,
-    "worker_rss_kb",
 )
 
 COUNTER = "counter"
@@ -405,23 +402,18 @@ class TimeSeriesStore:
     ) -> dict:
         """JSON-ready dict for ``/timeseries`` and ``repro watch``.
 
-        ``series`` filters by exact name or by labelled-family base
-        (``worker_rss_kb`` matches ``worker_rss_kb#worker=123``);
-        ``step`` resamples each series to at most one point per
-        ``step`` seconds (last value wins — cheap, monotone-safe).
+        ``series`` filters by exact name; ``step`` resamples each
+        series to at most one point per ``step`` seconds (last value
+        wins — cheap, monotone-safe).
         """
-        from repro.obs.exporters import split_labeled_name
-
         end = self._resolve_now(now)
         wanted = None
         if series:
             wanted = {s.strip() for s in series if s and s.strip()}
         out: Dict[str, dict] = {}
         for name in self.names():
-            if wanted is not None:
-                base, _ = split_labeled_name(name)
-                if name not in wanted and base not in wanted:
-                    continue
+            if wanted is not None and name not in wanted:
+                continue
             pts = self.points(name, since=since, until=end)
             if not pts:
                 continue
@@ -654,18 +646,11 @@ def forecast_exhaustion(
 def order_series(
     names: Iterable[str], key_series: Sequence[str] = KEY_SERIES
 ) -> List[str]:
-    """Order ``names`` with the key series (and their labelled family
-    members) first, everything else alphabetically after."""
-    from repro.obs.exporters import split_labeled_name
-
-    names = list(names)
-    leading: List[str] = []
-    for key in key_series:
-        for name in sorted(names):
-            base, _ = split_labeled_name(name)
-            if (name == key or base == key) and name not in leading:
-                leading.append(name)
-    trailing = sorted(n for n in names if n not in leading)
+    """Order ``names`` with the key series first, everything else
+    alphabetically after."""
+    names = set(names)
+    leading = [key for key in dict.fromkeys(key_series) if key in names]
+    trailing = sorted(names.difference(leading))
     return leading + trailing
 
 

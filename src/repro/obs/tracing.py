@@ -33,7 +33,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 #: innermost live span of the *current* logical context (task, thread).
 _current_span: contextvars.ContextVar[Optional["Span"]] = contextvars.ContextVar(
@@ -170,10 +170,6 @@ class Tracer:
         self._spans: List[Span] = []
         self._ids = itertools.count(1)
         self._epoch = time.perf_counter()
-        #: wall-clock time of the epoch, so spans recorded against a
-        #: *different* tracer (a process worker's) can be rebased onto
-        #: this tracer's timeline (see :meth:`merge_foreign_spans`).
-        self.wall_epoch = time.time()
         #: self-describing metadata embedded in every export.
         self.header: Dict[str, Any] = dict(header or {})
 
@@ -215,50 +211,6 @@ class Tracer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)
-
-    def merge_foreign_spans(
-        self,
-        spans: Sequence[Dict[str, Any]],
-        parent_id: Optional[int] = None,
-        wall_epoch: Optional[float] = None,
-    ) -> List[Span]:
-        """Adopt spans recorded by another tracer (a process worker's).
-
-        ``spans`` are :meth:`Span.to_dict` dicts — the cross-process
-        wire format.  Foreign span ids come from the *worker's* id
-        counter and would collide with this tracer's, so every id is
-        remapped through a fresh allocation here; parent links between
-        the foreign spans are preserved through the same map, and
-        foreign roots are re-parented under ``parent_id`` (typically
-        the coordinator's ``engine.job`` span).  ``wall_epoch`` is the
-        worker tracer's wall-clock epoch: start times are rebased by
-        the epoch difference so merged spans sit correctly on this
-        tracer's timeline.  Returns the adopted spans.
-        """
-        if not spans:
-            return []
-        offset = 0.0
-        if wall_epoch is not None:
-            offset = wall_epoch - self.wall_epoch
-        # Pass 1: allocate local ids for every foreign id, so forward
-        # parent references (child recorded before parent) resolve.
-        id_map = {s["span_id"]: next(self._ids) for s in spans}
-        adopted: List[Span] = []
-        for raw in spans:
-            foreign_parent = raw.get("parent_id")
-            span = Span(
-                self, raw["name"], id_map[raw["span_id"]],
-                id_map.get(foreign_parent, parent_id)
-                if foreign_parent is not None else parent_id,
-                raw.get("attributes"),
-            )
-            span.thread = raw.get("thread", "worker")
-            span.start = raw["start_seconds"] + offset
-            span.end = span.start + raw["duration_seconds"]
-            adopted.append(span)
-        with self._lock:
-            self._spans.extend(adopted)
-        return adopted
 
     # -- exports -----------------------------------------------------
     def to_dict(self) -> dict:
@@ -324,9 +276,6 @@ class NullTracer(Tracer):
 
     def span(self, name: str, **attributes: Any):  # type: ignore[override]
         return NULL_SPAN
-
-    def merge_foreign_spans(self, spans, parent_id=None, wall_epoch=None):
-        return []
 
     def _record(self, span: Span) -> None:  # pragma: no cover - unused
         pass
@@ -446,13 +395,3 @@ def trace(name: str = "", **attributes: Any) -> _TraceHelper:
     against the ambient tracer; free when tracing is disabled."""
     return _TraceHelper(name, attributes)
 
-
-def task_contexts(n: int) -> List[contextvars.Context]:
-    """``n`` copies of the caller's context, one per pool task.
-
-    ``ThreadPoolExecutor`` workers do not inherit the submitter's
-    contextvars, so spans created inside tasks would lose their parent
-    link.  A :class:`contextvars.Context` cannot be entered twice
-    concurrently, hence one copy per task rather than one shared copy.
-    """
-    return [contextvars.copy_context() for _ in range(n)]

@@ -1,6 +1,6 @@
 """``upalint``: static safety analysis for UPA queries, plans, budgets.
 
-Five diagnostics-producing passes (surfaced as ``repro lint`` and as
+Four diagnostics-producing passes (surfaced as ``repro lint`` and as
 the strict-mode registration gate in :class:`repro.core.UPASession`):
 
 * :mod:`repro.staticcheck.purity` — AST purity checks on every
@@ -11,10 +11,7 @@ the strict-mode registration gate in :class:`repro.core.UPASession`):
 * :mod:`repro.staticcheck.budgetflow` — budget accounting checks over
   entry-point scripts (UPA201–UPA203);
 * :mod:`repro.staticcheck.taint` — interprocedural taint tracking from
-  protected tables to release sinks (UPA301–UPA305);
-* :mod:`repro.staticcheck.pickleability` — will the query's monoid
-  methods survive stdlib pickle when the process executor backend
-  ships them to workers (UPA014)?  See ``docs/performance.md``.
+  protected tables to release sinks (UPA301–UPA305).
 
 The flow-sensitive passes share one dataflow framework: a CFG builder
 (:mod:`repro.staticcheck.cfg`) and a worklist fixed-point engine
@@ -58,9 +55,6 @@ from repro.staticcheck.diagnostics import (
     render_json,
     render_text,
 )
-from repro.staticcheck.pickleability import (
-    check_query as check_query_pickleability,
-)
 from repro.staticcheck.purity import check_query
 from repro.staticcheck.sarif import render_sarif
 from repro.staticcheck.stability import StabilityReport, check_plan
@@ -90,7 +84,6 @@ __all__ = [
     "check_file_taint",
     "check_plan",
     "check_query",
-    "check_query_pickleability",
     "check_query_taint",
     "check_source",
     "check_source_taint",

@@ -25,7 +25,6 @@ from repro.staticcheck.diagnostics import (
 )
 from repro.staticcheck import (
     budgetflow,
-    pickleability,
     purity,
     stability,
     taint,
@@ -100,10 +99,8 @@ def lint_query(
     tables: Optional[dict] = None,
     include_plan: bool = True,
 ) -> List[Diagnostic]:
-    """Purity + pickleability + taint passes (always) + plan pass
-    (when available)."""
+    """Purity + taint passes (always) + plan pass (when available)."""
     diagnostics = purity.check_query(query)
-    diagnostics.extend(pickleability.check_query(query))
     diagnostics.extend(taint.check_query_methods(query))
     if include_plan and hasattr(query, "dataframe"):
         try:

@@ -141,19 +141,6 @@ CODE_REGISTRY: Dict[str, CodeInfo] = {
             "mapper or reducer.",
         ),
         CodeInfo(
-            "UPA014", "unpicklable-capture-in-monoid", Severity.WARNING,
-            "A monoid method (or batched kernel) captures state the "
-            "process executor backend cannot pickle — it ships a lambda "
-            "or nested closure into an RDD operator, closes over an "
-            "unpicklable free variable, or its query instance holds an "
-            "unpicklable attribute (lock, socket, thread, open file). "
-            "EngineConfig(backend='processes') ships tasks to workers "
-            "with stdlib pickle; an unpicklable capture makes every job "
-            "silently fall back to thread/inline execution (counted in "
-            "the process_fallbacks metric), forfeiting the multi-core "
-            "speedup the backend exists for.",
-        ),
-        CodeInfo(
             "UPA015", "stateful-monoid-on-incremental-path",
             Severity.ERROR,
             "A monoid method (or batched kernel) mutates state captured "

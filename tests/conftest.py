@@ -26,14 +26,6 @@ def ctx() -> EngineContext:
     return EngineContext(EngineConfig(default_parallelism=4))
 
 
-@pytest.fixture
-def threaded_ctx() -> EngineContext:
-    """An engine context running tasks on a thread pool."""
-    return EngineContext(
-        EngineConfig(default_parallelism=4, use_threads=True, max_workers=4)
-    )
-
-
 @pytest.fixture(scope="session")
 def tpch_tables():
     """Small deterministic TPC-H tables shared by read-only tests."""

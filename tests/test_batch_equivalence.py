@@ -15,7 +15,7 @@ slice (cold) or per cached block (``append``/``retire``), so the file
 also pins what that rests on: ``map_batch`` is row-stable, the
 structural helpers round-trip, an empty slice folds to ``zero()``, and
 every slice's partial aggregate equals the scalar fold of its records
-bit for bit on all three backends.
+bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import EngineConfig
 from repro.common.errors import DPError, QueryShapeError
 from repro.core import session as session_mod
 from repro.core.batch import column_values
@@ -37,8 +36,6 @@ from repro.core.query import BATCH_METHODS, MapReduceQuery, Tables
 from repro.core.sampling import partition_and_sample
 from repro.core.session import UPAConfig, UPASession
 from repro.core.sqlbridge import compile_sql
-from repro.engine.context import EngineContext
-from repro.engine.metrics import MetricsRegistry
 from repro.mining import (
     KMeansQuery,
     LifeScienceConfig,
@@ -567,13 +564,13 @@ def _release(step) -> None:
 class TestSlicedPhase2:
     """R(M(S')) one task per engine slice == the per-record fold, bitwise."""
 
-    PARTS = 3
+    #: engine slice counts: one task, an uneven split, more slices.
+    PARTS = (1, 3, 5)
 
-    @pytest.mark.parametrize("backend", ["inline", "threads", "processes"])
+    @pytest.mark.parametrize("parts", PARTS)
     @pytest.mark.parametrize("name", [w.name for w in all_workloads()])
-    def test_cold_append_retire_slices_bitwise(
-        self, monkeypatch, name, backend
-    ):
+    def test_cold_append_retire_slices_bitwise(self, monkeypatch, name,
+                                               parts):
         # Small blocks: the base spans several, each append grows the
         # tail block, and retire(20) drops block 0 and cuts block 1.
         monkeypatch.setattr(session_mod, "_INCR_BLOCK_RECORDS", 16)
@@ -584,36 +581,26 @@ class TestSlicedPhase2:
         rows = tables[protected]
         held = max(4, len(rows) // 8)
         tables[protected] = list(rows[:-held])
-        engine = EngineContext(EngineConfig(
-            backend=backend, max_workers=2, default_parallelism=self.PARTS,
-        ))
         session = UPASession(
-            UPAConfig(sample_size=12, seed=77, engine_partitions=self.PARTS),
-            engine=engine,
+            UPAConfig(sample_size=12, seed=77, engine_partitions=parts),
         )
-        try:
-            _release(lambda: session.run(workload.query, tables))
-            _release(lambda: session.append(rows[-held:-held // 2]))
-            _release(lambda: session.append(rows[-held // 2:]))
-            _release(lambda: session.retire(20))
-        finally:
-            engine.stop()
+        _release(lambda: session.run(workload.query, tables))
+        _release(lambda: session.append(rows[-held:-held // 2]))
+        _release(lambda: session.append(rows[-held // 2:]))
+        _release(lambda: session.retire(20))
         assert [entry[3] for entry in captured] == [False, True, True, True]
         for entry in captured:
-            _assert_slices_match_scalar_fold(entry, self.PARTS)
+            _assert_slices_match_scalar_fold(entry, parts)
         stats = session._last_incremental
         assert stats["records_mapped"] + stats["records_reused"] == len(
             tables[protected]
         )
         if workload.query.incremental_safe:
             assert stats["records_mapped"] == 0  # retire maps nothing
-        assert engine.metrics.get(MetricsRegistry.PROCESS_FALLBACKS) == 0
 
-    @pytest.mark.parametrize("backend", ["inline", "threads", "processes"])
-    def test_compiled_sql_slices_bitwise(self, monkeypatch, backend):
-        """A sqlbridge query through the same four steps.  Its compiled
-        closures do not pickle, so ``processes`` runs its tasks on the
-        fallback path — same slices, same bits."""
+    @pytest.mark.parametrize("parts", PARTS)
+    def test_compiled_sql_slices_bitwise(self, monkeypatch, parts):
+        """A sqlbridge query through the same four steps."""
         monkeypatch.setattr(session_mod, "_INCR_BLOCK_RECORDS", 16)
         captured = _spy_phase2(monkeypatch)
         tables = workload_by_name("tpch13").make_tables(2400, 11)
@@ -621,23 +608,16 @@ class TestSlicedPhase2:
         held = max(4, len(rows) // 8)
         tables["customer"] = list(rows[:-held])
         query = _compiled_join(tables)
-        engine = EngineContext(EngineConfig(
-            backend=backend, max_workers=2, default_parallelism=self.PARTS,
-        ))
         session = UPASession(
-            UPAConfig(sample_size=12, seed=77, engine_partitions=self.PARTS),
-            engine=engine,
+            UPAConfig(sample_size=12, seed=77, engine_partitions=parts),
         )
-        try:
-            _release(lambda: session.run(query, tables))
-            _release(lambda: session.append(rows[-held:-held // 2]))
-            _release(lambda: session.append(rows[-held // 2:]))
-            _release(lambda: session.retire(20))
-        finally:
-            engine.stop()
+        _release(lambda: session.run(query, tables))
+        _release(lambda: session.append(rows[-held:-held // 2]))
+        _release(lambda: session.append(rows[-held // 2:]))
+        _release(lambda: session.retire(20))
         assert [entry[3] for entry in captured] == [False, True, True, True]
         for entry in captured:
-            _assert_slices_match_scalar_fold(entry, self.PARTS)
+            _assert_slices_match_scalar_fold(entry, parts)
 
 
 def _release_queries(tables, ml_tables):

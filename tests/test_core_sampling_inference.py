@@ -3,7 +3,6 @@
 import datetime
 import hashlib
 import os
-import pickle
 import random
 import subprocess
 import sys
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 import repro.core.sampling as sampling_mod
 import repro.core.session as session_mod
 from repro.baselines.bruteforce import exact_local_sensitivity
-from repro.common.config import EngineConfig
 from repro.common.errors import DPError
 from repro.common.rng import make_rng
 from repro.core.batch import column_values
@@ -38,7 +36,6 @@ from repro.core.sampling import (
 )
 from repro.core.session import UPAConfig, UPASession
 from repro.engine.columnar import ColumnarPartition, gather_columns
-from repro.engine.context import EngineContext
 from repro.mining.datasets import LifeScienceConfig, domain_point
 from repro.tpch.datagen import NATION_NAMES, PRIORITIES, SHIPMODES
 from repro.tpch.queries import base as samplers
@@ -552,26 +549,6 @@ class TestRecordViews:
                 table=hashed.table,
             )
 
-    def test_a_view_pickles_as_its_own_rows_and_buffer_slices(
-        self, tpch_tables
-    ):
-        records = tpch_tables["lineitem"]
-        sample = _sample_of("tpch6", tpch_tables)
-        view = sample.remaining[0][10:30]
-        view.numpy_column("l_shipdate")  # boxed or not, it ships its slice
-        payload = pickle.dumps(view)
-        assert len(payload) < len(pickle.dumps(records)) / 20
-        clone = pickle.loads(payload)
-        assert list(clone) == list(view) and len(clone) == 20
-        for column, dtype in (
-            ("l_extendedprice", float), ("l_orderkey", float),
-            ("l_shipdate", None), ("l_shipmode", None),
-        ):
-            shipped = clone.numpy_column(column)
-            assert len(shipped) == 20
-            assert column_values(clone, column, dtype).tolist() == \
-                column_values(view, column, dtype).tolist()
-
     def test_boxing_a_column_twice_under_threads_is_harmless(
         self, tpch_tables
     ):
@@ -652,12 +629,6 @@ class TestDomainSamplerContract:
         # ... and both took one draw from the run's rng.
         assert one.getstate() == batch.getstate()
         assert one.getstate() != random.Random(5).getstate()
-
-    def test_pickles_by_name(self, sampler_case):
-        # ... like the module-level function it replaced: a compiled SQL
-        # query carries its sampler to the process backend's workers.
-        sampler, _, _ = sampler_case
-        assert pickle.loads(pickle.dumps(sampler)) is sampler
 
     @pytest.mark.parametrize("name", ["tpch4", "tpch6", "kmeans"])
     def test_same_seed_run_tables_n_same_batch(self, name):
@@ -886,33 +857,6 @@ class TestDomainSamplerContract:
         )
         assert len(calls) == 25
         assert result.addition_outputs.min() >= result.plain_output[0] + 10_000
-
-    def test_backends_agree_bitwise(self):
-        fields = ("noisy_output", "raw_output", "plain_output",
-                  "removal_outputs", "addition_outputs")
-        releases = {}
-        for backend in ("inline", "threads", "processes"):
-            engine = EngineContext(EngineConfig(
-                backend=backend, max_workers=2, default_parallelism=2,
-            ))
-            try:
-                for workload in all_workloads():
-                    tables = workload.make_tables(1200, 11)
-                    session = UPASession(
-                        UPAConfig(sample_size=50, seed=77), engine=engine
-                    )
-                    result = session.run(workload.query, tables, epsilon=0.5)
-                    releases[backend, workload.name] = b"".join(
-                        np.asarray(getattr(result, f), float).tobytes()
-                        for f in fields
-                    ) + np.float64(result.local_sensitivity).tobytes()
-            finally:
-                engine.stop()
-        for workload in all_workloads():
-            assert len({
-                releases[backend, workload.name]
-                for backend in ("inline", "threads", "processes")
-            }) == 1, workload.name
 
     def test_fresh_keys_follow_append_and_retire(self, monkeypatch):
         """max_key was memoised by (id(rows), len(rows)): after append(k)

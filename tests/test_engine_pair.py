@@ -176,15 +176,3 @@ class TestShuffleBehaviour:
                 if other is chunk:
                     continue
                 assert keys_here.isdisjoint({k for k, _v in other})
-
-    def test_threaded_shuffle_matches_sequential(self, ctx, threaded_ctx):
-        data = [(i % 11, i) for i in range(500)]
-        seq = dict(
-            ctx.parallelize(data, 8).reduce_by_key(lambda a, b: a + b).collect()
-        )
-        thr = dict(
-            threaded_ctx.parallelize(data, 8)
-            .reduce_by_key(lambda a, b: a + b)
-            .collect()
-        )
-        assert seq == thr

@@ -1,15 +1,26 @@
 """Tests for engine services: storage, broadcast, accumulators,
-partitioners, metrics, fault injection + lineage recovery."""
+partitioners, metrics, fault injection + lineage recovery, lifecycle,
+the columnar vs row layouts of the SQL scan, and DP releases and SQL
+results under injected faults."""
 
 import pytest
 
 from repro.common.config import EngineConfig
 from repro.common.errors import TaskFailedError
+from repro.core import UPAConfig, UPASession
 from repro.engine import EngineContext, FaultInjector
+from repro.engine.events import JobListener
+from repro.engine.fault import InjectedFault
 from repro.engine.accumulator import int_accumulator
 from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
 from repro.engine.partitioner import HashPartitioner, RangePartitioner, _portable_hash
 from repro.engine.storage import BlockStore
+from repro.mining import LifeScienceConfig, make_life_science_tables
+from repro.sql import SQLSession
+from repro.tpch import TPCHConfig, TPCHGenerator
+from repro.tpch.datagen import register_tables
+from repro.tpch.workload import all_queries
+from repro.workloads import all_workloads
 
 
 class TestBlockStoreAndCaching:
@@ -171,12 +182,17 @@ class TestFaultToleranceAndScheduling:
             clean.parallelize(range(200), 8).map(lambda v: v * 7).sum()
         )
         faulty = EngineContext()
-        faulty.install_fault_injector(
-            FaultInjector(failure_probability=0.4, max_failures=20, seed=3)
+        injector = FaultInjector(
+            failure_probability=0.4, max_failures=20, seed=3
         )
+        faulty.install_fault_injector(injector)
         actual = faulty.parallelize(range(200), 8).map(lambda v: v * 7).sum()
         assert actual == expected
-        assert faulty.metrics.get(MetricsRegistry.TASK_RETRIES) > 0
+        assert injector.failures_injected >= 1
+        assert (
+            faulty.metrics.get(MetricsRegistry.TASK_RETRIES)
+            == injector.failures_injected
+        )
 
     def test_shuffle_survives_faults(self):
         faulty = EngineContext(EngineConfig(max_task_retries=8))
@@ -194,8 +210,12 @@ class TestFaultToleranceAndScheduling:
         config = EngineConfig(max_task_retries=2)
         engine = EngineContext(config)
         engine.install_fault_injector(FaultInjector(failure_probability=1.0, seed=0))
-        with pytest.raises(TaskFailedError):
+        with pytest.raises(TaskFailedError) as err:
             engine.parallelize([1, 2, 3], 1).collect()
+        failure = err.value
+        assert failure.attempts == 3  # max_task_retries + 1
+        assert failure.partition == 0
+        assert isinstance(failure.cause, InjectedFault)
 
     def test_fault_injector_budget(self):
         injector = FaultInjector(failure_probability=1.0, max_failures=2, seed=0)
@@ -211,12 +231,202 @@ class TestFaultToleranceAndScheduling:
         with pytest.raises(ValueError):
             FaultInjector(failure_probability=1.5)
 
-    def test_threaded_results_match_sequential(self, threaded_ctx):
-        expected = sum(v * v for v in range(500))
-        actual = threaded_ctx.parallelize(range(500), 8).map(lambda v: v * v).sum()
-        assert actual == expected
-
     def test_jobs_counted(self, ctx):
         before = ctx.metrics.get(MetricsRegistry.JOBS)
         ctx.parallelize([1], 1).collect()
         assert ctx.metrics.get(MetricsRegistry.JOBS) == before + 1
+
+    def test_generator_partitions_normalized_once(self):
+        """run_job iterates `partitions` twice (dispatch + event record);
+        a generator argument must still yield every result and an
+        accurate num_partitions."""
+        ctx = EngineContext(EngineConfig(default_parallelism=4))
+        listener = JobListener()
+        ctx.install_job_listener(listener)
+        rdd = ctx.parallelize(range(40), 4)
+        results = ctx.scheduler.run_job(
+            rdd, lambda it: sum(1 for _ in it),
+            partitions=(p for p in range(rdd.num_partitions)),
+        )
+        assert sum(results) == 40
+        assert len(results) == 4
+        assert listener.events()[-1].num_partitions == 4
+
+
+def _add(a, b):
+    return a + b
+
+
+#: one job per kind of stage a permanent fault can abort.
+_STAGE_JOBS = {
+    "narrow": (
+        lambda ctx: ctx.parallelize(range(12), 3).map(lambda v: v + 1),
+        lambda rdd: rdd.collect(),
+        list(range(1, 13)),
+    ),
+    "action": (
+        lambda ctx: ctx.parallelize(range(12), 3).map(lambda v: v * v),
+        lambda rdd: rdd.sum(),
+        sum(v * v for v in range(12)),
+    ),
+    "shuffle": (
+        lambda ctx: ctx.parallelize([(i % 3, i) for i in range(12)], 3)
+        .reduce_by_key(_add),
+        lambda rdd: dict(rdd.collect()),
+        {0: 18, 1: 22, 2: 26},
+    ),
+    "cached": (
+        lambda ctx: ctx.parallelize(range(12), 3).map(lambda v: -v).cache(),
+        lambda rdd: rdd.collect(),
+        [-v for v in range(12)],
+    ),
+    "columnar": (
+        lambda ctx: ctx.parallelize_columnar(
+            [{"x": float(i)} for i in range(12)], 3
+        ).map_partitions(lambda it: [sum(r["x"] for r in it)]),
+        lambda rdd: sum(rdd.collect()),
+        66.0,
+    ),
+}
+
+
+class TestPermanentFaults:
+    """A task whose every attempt fails aborts its job, whatever stage
+    it sits in; the engine stays usable and recomputes from lineage."""
+
+    @pytest.mark.parametrize("kind", sorted(_STAGE_JOBS))
+    def test_retry_exhausted_raises_and_lineage_recovers(self, kind):
+        build, action, expected = _STAGE_JOBS[kind]
+        ctx = EngineContext(EngineConfig(max_task_retries=2))
+        rdd = build(ctx)
+        ctx.install_fault_injector(FaultInjector(failure_probability=1.0))
+        with pytest.raises(TaskFailedError) as err:
+            action(rdd)
+        assert err.value.attempts == 3  # max_task_retries + 1
+        assert isinstance(err.value.cause, InjectedFault)
+        assert len(ctx.block_store) == 0  # no attempt stored a block
+        ctx.install_fault_injector(None)
+        assert action(rdd) == expected
+
+
+class TestLifecycle:
+    def test_stop_clears_block_store_and_jobs_recompute(self, ctx):
+        rdd = ctx.parallelize(range(10), 2).map(lambda v: v * 2).cache()
+        assert rdd.collect() == list(range(0, 20, 2))
+        assert len(ctx.block_store) == 2
+        ctx.stop()
+        assert len(ctx.block_store) == 0
+        ctx.stop()  # a second stop is a no-op
+        misses = ctx.metrics.get(MetricsRegistry.CACHE_MISSES)
+        assert rdd.collect() == list(range(0, 20, 2))
+        assert ctx.metrics.get(MetricsRegistry.CACHE_MISSES) == misses + 2
+        assert len(ctx.block_store) == 2
+
+    def test_context_manager_stops_on_exit(self):
+        with EngineContext() as ctx:
+            ctx.parallelize(range(8), 4).cache().collect()
+            assert len(ctx.block_store) == 4
+        assert len(ctx.block_store) == 0
+        assert ctx.stop_generation == 1
+
+
+@pytest.fixture(scope="module")
+def small_tpch():
+    return TPCHGenerator(TPCHConfig(scale_rows=300, seed=11)).generate()
+
+
+@pytest.fixture(scope="module")
+def small_ml():
+    return make_life_science_tables(
+        LifeScienceConfig(num_records=200, dim=4, num_clusters=3, seed=11)
+    )
+
+
+@pytest.mark.parametrize("query", all_queries(), ids=lambda q: q.name)
+def test_tpch_sql_columnar_matches_row_layout(query, small_tpch):
+    outputs = {}
+    for columnar in (False, True):
+        session = SQLSession()
+        register_tables(session, small_tpch, columnar=columnar)
+        outputs[columnar] = query.dataframe(session).collect()
+    assert outputs[False] == outputs[True]
+
+
+def _faulty_engine():
+    """An engine failing about half its task attempts, never past the
+    retry limit, so every job still completes from lineage."""
+    engine = EngineContext(EngineConfig(default_parallelism=2))
+    injector = FaultInjector(failure_probability=0.5, max_failures=3, seed=1)
+    engine.install_fault_injector(injector)
+    return engine, injector
+
+
+def _assert_retried(engine, injector):
+    assert injector.failures_injected >= 1
+    assert (
+        engine.metrics.get(MetricsRegistry.TASK_RETRIES)
+        == injector.failures_injected
+    )
+
+
+def _release(workload, tables, engine=None):
+    session = UPASession(UPAConfig(sample_size=30, seed=77), engine=engine)
+    return session.run(workload.query, tables, epsilon=0.5)
+
+
+def _assert_same_release(a, b):
+    for field in ("noisy_output", "raw_output", "plain_output",
+                  "removal_outputs", "addition_outputs"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), \
+            field
+    assert a.local_sensitivity == b.local_sensitivity
+
+
+class TestWorkloadsUnderFaults:
+    """Retried tasks and engine history never reach a released value."""
+
+    @pytest.mark.parametrize(
+        "workload", all_workloads(), ids=lambda w: w.name
+    )
+    def test_dp_outputs_identical_under_injected_faults(
+        self, workload, small_tpch, small_ml
+    ):
+        tables = small_ml if workload.query_type == "ml" else small_tpch
+        engine, injector = _faulty_engine()
+        faulty = _release(workload, tables, engine)
+        _assert_retried(engine, injector)
+        _assert_same_release(faulty, _release(workload, tables))
+
+    @pytest.mark.parametrize("query", all_queries(), ids=lambda q: q.name)
+    def test_tpch_sql_identical_under_injected_faults(self, query, small_tpch):
+        engine, injector = _faulty_engine()
+        plain = SQLSession(
+            engine=EngineContext(EngineConfig(default_parallelism=2))
+        )
+        faulty = SQLSession(engine=engine)
+        for session in (plain, faulty):
+            register_tables(session, small_tpch)
+        expected = query.dataframe(plain).collect()
+        assert query.dataframe(faulty).collect() == expected
+        _assert_retried(engine, injector)
+
+    @pytest.mark.parametrize(
+        "workload", all_workloads(), ids=lambda w: w.name
+    )
+    def test_dp_outputs_independent_of_engine_history(
+        self, workload, small_tpch, small_ml
+    ):
+        """A release on an engine that already ran every workload and
+        was stopped equals one on a fresh engine: rdd ids, cached
+        blocks and stage ids are not inputs to a release."""
+        tables = small_ml if workload.query_type == "ml" else small_tpch
+        engine = EngineContext(EngineConfig(default_parallelism=2))
+        for other in all_workloads():
+            _release(
+                other, small_ml if other.query_type == "ml" else small_tpch,
+                engine,
+            )
+        engine.stop()
+        _assert_same_release(
+            _release(workload, tables, engine), _release(workload, tables)
+        )

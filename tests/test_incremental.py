@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import EngineConfig
-from repro.common.errors import DPError
+from repro.common.errors import DPError, TaskFailedError
+from repro.core import session as session_mod
+from repro.core.range_enforcer import RangeEnforcer
 from repro.core.session import UPAConfig, UPASession
 from repro.dp.budget import PrivacyAccountant
-from repro.engine.context import EngineContext
+from repro.dp.mechanisms import LaplaceMechanism
 from repro.engine.fault import FaultInjector
 from repro.engine.metrics import MetricsRegistry
 from repro.obs.ledger import PrivacyLedger
@@ -35,19 +36,10 @@ SAMPLE = 60
 SMALL_APPEND_SEED = 12
 
 
-def _engine(backend=None, partitions=2):
-    if backend is None:
-        return None
-    return EngineContext(EngineConfig(
-        backend=backend, max_workers=2, default_parallelism=partitions,
-    ))
-
-
-def _session(backend=None, **config):
+def _session(**config):
     config.setdefault("seed", SEED)
     config.setdefault("sample_size", SAMPLE)
-    cfg = UPAConfig(**config)
-    return UPASession(cfg, engine=_engine(backend))
+    return UPASession(UPAConfig(**config))
 
 
 def _grown_tables(workload, scale_rows, delta_frac=0.1):
@@ -110,7 +102,7 @@ class TestAppendRetireEquivalence:
     )
     def test_bitwise_equal_to_cold_rerun(self, name):
         """run+append+retire == three cold releases, for all nine
-        workloads (inline backend, small scale)."""
+        workloads (small scale)."""
         workload = workload_by_name(name)
         protected = workload.query.protected_table
         tables, delta = _grown_tables(workload, 400)
@@ -138,35 +130,29 @@ class TestAppendRetireEquivalence:
             lambda: cold.run(workload.query, tab_c),
         )
 
-    @pytest.mark.parametrize("backend", ["inline", "threads", "processes"])
-    def test_backends_bitwise_equal(self, backend):
-        """tpch6 append path on every executor backend."""
+    def test_second_append_reuses_blocks_bitwise_equal(self):
+        """tpch6 append path: the second append reuses cached blocks."""
         workload = workload_by_name("tpch6")
         protected = workload.query.protected_table
         tables, delta = _grown_tables(workload, 1500, 0.04)
 
-        incr = _session(backend=backend)
-        cold = _session(backend=backend)
-        try:
-            tab_i = _fresh_copy(tables, protected)
-            tab_c = _fresh_copy(tables, protected)
-            incr.run(workload.query, tab_i)
-            cold.run(workload.query, tab_c)
-            half = len(delta) // 2
-            r_i = incr.append(delta[:half])
-            tab_c[protected].extend(delta[:half])
-            r_c = cold.run(workload.query, tab_c)
-            _assert_results_equal(r_i, r_c)
-            # Second append actually reuses cached element blocks.
-            r_i = incr.append(delta[half:])
-            tab_c[protected].extend(delta[half:])
-            r_c = cold.run(workload.query, tab_c)
-            _assert_results_equal(r_i, r_c)
-            assert incr._last_incremental["records_reused"] > 0
-            assert incr._last_incremental["delta_fraction"] < 0.1
-        finally:
-            incr.engine.stop()
-            cold.engine.stop()
+        incr = _session()
+        cold = _session()
+        tab_i = _fresh_copy(tables, protected)
+        tab_c = _fresh_copy(tables, protected)
+        incr.run(workload.query, tab_i)
+        cold.run(workload.query, tab_c)
+        half = len(delta) // 2
+        r_i = incr.append(delta[:half])
+        tab_c[protected].extend(delta[:half])
+        r_c = cold.run(workload.query, tab_c)
+        _assert_results_equal(r_i, r_c)
+        r_i = incr.append(delta[half:])
+        tab_c[protected].extend(delta[half:])
+        r_c = cold.run(workload.query, tab_c)
+        _assert_results_equal(r_i, r_c)
+        assert incr._last_incremental["records_reused"] > 0
+        assert incr._last_incremental["delta_fraction"] < 0.1
 
     def test_block_reuse_metrics(self, monkeypatch):
         # Shrink the block size so the base spans many blocks and the
@@ -287,11 +273,14 @@ class TestBudgetAndLedger:
 
 
 class TestInvalidation:
-    def test_stop_invalidates_cached_partials(self):
+    @pytest.mark.parametrize(
+        "name", [w.name for w in all_workloads()]
+    )
+    def test_stop_invalidates_cached_partials(self, name):
         """EngineContext.stop() between releases: the next append must
         recompute, never merge pre-stop partials, and stay bitwise
         equal to a cold rerun."""
-        workload = workload_by_name("tpch6")
+        workload = workload_by_name(name)
         protected = workload.query.protected_table
         tables, delta = _grown_tables(workload, 500)
         half = len(delta) // 2
@@ -300,88 +289,58 @@ class TestInvalidation:
         cold = _session()
         tab_i = _fresh_copy(tables, protected)
         tab_c = _fresh_copy(tables, protected)
-        incr.run(workload.query, tab_i)
-        cold.run(workload.query, tab_c)
-        incr.append(delta[:half])
+        _paired_release(
+            lambda: incr.run(workload.query, tab_i),
+            lambda: cold.run(workload.query, tab_c),
+        )
         tab_c[protected].extend(delta[:half])
-        cold.run(workload.query, tab_c)
+        _paired_release(
+            lambda: incr.append(delta[:half]),
+            lambda: cold.run(workload.query, tab_c),
+        )
 
-        incr.engine.stop()  # clears the block store, bumps the epoch
+        incr.engine.stop()  # clears the block store
         invalidations_before = incr.engine.metrics.get(
             MetricsRegistry.INCR_INVALIDATIONS
         )
-        r_i = incr.append(delta[half:])
         tab_c[protected].extend(delta[half:])
-        r_c = cold.run(workload.query, tab_c)
-        _assert_results_equal(r_i, r_c)
+        _paired_release(
+            lambda: incr.append(delta[half:]),
+            lambda: cold.run(workload.query, tab_c),
+        )
         assert incr.engine.metrics.get(
             MetricsRegistry.INCR_INVALIDATIONS
         ) > invalidations_before
         # Everything was remapped: nothing could be reused post-stop.
         assert incr._last_incremental["records_reused"] == 0
 
-    def test_respawn_never_merges_stale_partials(self):
-        """Simulated worker respawn (what the scheduler does after
-        BrokenProcessPool) plus deliberately poisoned pre-respawn
-        blocks: the poison must be unreachable."""
-        workload = workload_by_name("tpch6")
-        protected = workload.query.protected_table
-        tables, delta = _grown_tables(workload, 500)
-        half = len(delta) // 2
-
-        incr = _session()
-        cold = _session()
-        tab_i = _fresh_copy(tables, protected)
-        tab_c = _fresh_copy(tables, protected)
-        incr.run(workload.query, tab_i)
-        cold.run(workload.query, tab_c)
-        incr.append(delta[:half])
-        tab_c[protected].extend(delta[:half])
-        cold.run(workload.query, tab_c)
-
-        # Poison every cached element block under the old epoch, then
-        # respawn.  If the epoch tag failed to invalidate, the poison
-        # would flow into the next release's aggregates.
-        state = incr._incr
-        old_epoch = incr.engine.cache_epoch()
-        store = incr.engine.block_store
-        for b in range(0, 4):
-            if store.contains((state.cache_rdd_id, b)):
-                store.put_tagged(
-                    (state.cache_rdd_id, b), old_epoch,
-                    (b * state.block_records, [1e18] * 8),
-                )
-        incr.engine.metrics.incr(MetricsRegistry.WORKER_RESPAWNS)
-
-        r_i = incr.append(delta[half:])
-        tab_c[protected].extend(delta[half:])
-        r_c = cold.run(workload.query, tab_c)
-        _assert_results_equal(r_i, r_c)
-        assert incr._last_incremental["records_reused"] == 0
-
-    def test_fault_injection_equivalence(self):
-        """Injected task failures (threads backend, retried from
-        lineage) must not perturb an incremental release."""
-        workload = workload_by_name("tpch6")
+    @pytest.mark.parametrize(
+        "name", [w.name for w in all_workloads()]
+    )
+    def test_fault_injection_equivalence(self, name):
+        """Injected task failures (retried from lineage) must not
+        perturb an incremental release."""
+        workload = workload_by_name(name)
         protected = workload.query.protected_table
         tables, delta = _grown_tables(workload, 800, 0.05)
 
-        plain = _session(backend="threads")
-        faulty = _session(backend="threads")
-        faulty.engine.install_fault_injector(
-            FaultInjector(failure_probability=0.25, max_failures=3, seed=5)
+        plain = _session()
+        faulty = _session()
+        injector = FaultInjector(
+            failure_probability=0.25, max_failures=3, seed=5
         )
-        try:
-            tab_p = _fresh_copy(tables, protected)
-            tab_f = _fresh_copy(tables, protected)
-            plain.run(workload.query, tab_p)
-            faulty.run(workload.query, tab_f)
-            r_p = plain.append(delta)
-            r_f = faulty.append(delta)
-            _assert_results_equal(r_p, r_f)
-        finally:
-            plain.engine.stop()
-            faulty.engine.stop()
+        faulty.engine.install_fault_injector(injector)
+        tab_p = _fresh_copy(tables, protected)
+        tab_f = _fresh_copy(tables, protected)
+        _paired_release(
+            lambda: faulty.run(workload.query, tab_f),
+            lambda: plain.run(workload.query, tab_p),
+        )
+        _paired_release(
+            lambda: faulty.append(delta),
+            lambda: plain.append(delta),
+        )
+        assert injector.failures_injected >= 1
 
     def test_external_mutation_falls_back_to_cold_run(self):
         """Mutating the table outside append() must not corrupt run():
@@ -464,6 +423,154 @@ class TestInvalidation:
                 # Both sessions exhausted RANGE ENFORCER identically —
                 # behavior matched; nothing more to compare.
                 break
+
+
+class _Boom(RuntimeError):
+    """The failure injected into one phase of a release."""
+
+
+def _boom(*_args, **_kwargs):
+    raise _Boom("injected")
+
+
+#: where a release is made to fail, and what it then raises: phase 2
+#: through the engine's fault injector (every task attempt fails, so
+#: its retries run out), the later phases by replacing the call.
+_FAILURES = {
+    "map": TaskFailedError,
+    "inference": _Boom,
+    "enforce": _Boom,
+    "noise": _Boom,
+}
+
+
+def _inject(point, sessions, monkeypatch):
+    if point == "map":
+        for session in sessions:
+            session.engine.install_fault_injector(
+                FaultInjector(failure_probability=1.0)
+            )
+        return
+    owner, name = {
+        "inference": (session_mod, "infer_output_range"),
+        "enforce": (RangeEnforcer, "enforce"),
+        "noise": (LaplaceMechanism, "randomize"),
+    }[point]
+    monkeypatch.setattr(owner, name, _boom)
+
+
+def _clear(sessions, monkeypatch):
+    monkeypatch.undo()
+    for session in sessions:
+        session.engine.install_fault_injector(None)
+
+
+def _registry(session):
+    return {
+        shape: (list(prior.ids), prior.rows[:len(prior.ids)].tobytes())
+        for shape, prior in session.enforcer._by_shape.items()
+    }
+
+
+def _cursor(session):
+    incr = session._incr
+    return (
+        incr.query, incr.tables, incr.table, incr.base_offset,
+        incr.cache_rdd_id, incr.primed,
+    )
+
+
+def _assert_spend_is_ledgered(session):
+    assert session.accountant.spent()[0] == pytest.approx(
+        session.ledger.totals()["epsilon_charged"]
+    )
+
+
+#: the appending workload -> another query over the same tables, the
+#: submission that fails in the ``other_query`` case.
+_OTHER_QUERY = {
+    "tpch1": "tpch6",
+    "tpch6": "tpch1",
+    "linreg": "kmeans",
+    "kmeans": "linreg",
+}
+
+
+class TestReleaseAtomicity:
+    """A release that raises leaves budget, ledger and caches agreeing.
+
+    The commit point is RANGE ENFORCER registering the submission: a
+    failure before it (phase 2, inference, enforcement) changes neither
+    the registry, nor the answer cache, nor the append cursor.  The
+    noise draw after it fails before epsilon is charged.  Either way
+    the accountant's spend equals the ledger's total, and the release
+    after the failure still equals its cold mirror, which meets the
+    same failure at the same point so the two sessions' per-run rng
+    streams stay in lockstep.
+    """
+
+    @pytest.mark.parametrize("failing", ["append", "other_query"])
+    @pytest.mark.parametrize("point", sorted(_FAILURES))
+    @pytest.mark.parametrize("name", sorted(_OTHER_QUERY))
+    def test_failed_release_commits_nothing(self, name, point, failing,
+                                            monkeypatch):
+        workload = workload_by_name(name)
+        query = workload.query
+        protected = query.protected_table
+        tables, delta = _grown_tables(workload, 800, 0.06)
+        third = len(delta) // 3
+        chunks = [delta[:third], delta[third:2 * third], delta[2 * third:]]
+
+        def make():
+            return UPASession(
+                UPAConfig(seed=SMALL_APPEND_SEED, sample_size=SAMPLE,
+                          answer_cache=True),
+                accountant=PrivacyAccountant(total_epsilon=100.0),
+                ledger=PrivacyLedger(),
+            )
+
+        incr, cold = make(), make()
+        tab_i = _fresh_copy(tables, protected)
+        tab_c = _fresh_copy(tables, protected)
+        _assert_results_equal(
+            incr.run(query, tab_i), cold.run(query, tab_c)
+        )
+        tab_c[protected].extend(chunks[0])
+        _assert_results_equal(incr.append(chunks[0]), cold.run(query, tab_c))
+
+        registry = _registry(incr)
+        registered = len(incr.enforcer)
+        cache = dict(incr._answer_cache)
+        cursor = _cursor(incr)
+        _inject(point, (incr, cold), monkeypatch)
+        if failing == "append":
+            with pytest.raises(_FAILURES[point]):
+                incr.append(chunks[1])
+            tab_c[protected].extend(chunks[1])
+            with pytest.raises(_FAILURES[point]):
+                cold.run(query, tab_c)
+        else:
+            other = workload_by_name(_OTHER_QUERY[name]).query
+            for session in (incr, cold):
+                with pytest.raises(_FAILURES[point]):
+                    session.run(other, _fresh_copy(tables, protected))
+        _clear((incr, cold), monkeypatch)
+
+        for session in (incr, cold):
+            _assert_spend_is_ledgered(session)
+        assert len(incr.ledger) == 2
+        assert incr._answer_cache.keys() == cache.keys()
+        assert all(incr._answer_cache[k] is v for k, v in cache.items())
+        assert _cursor(incr) == cursor
+        if point == "noise":
+            assert len(incr.enforcer) == registered + 1
+        else:
+            assert _registry(incr) == registry
+
+        tab_c[protected].extend(chunks[2])
+        _assert_results_equal(incr.append(chunks[2]), cold.run(query, tab_c))
+        for session in (incr, cold):
+            _assert_spend_is_ledgered(session)
 
 
 class TestEvictionCounters:

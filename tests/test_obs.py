@@ -1,7 +1,7 @@
 """Tests for the observability subsystem: tracing, metrics, ledger.
 
 Covers the repro.obs package in isolation, its integration with the
-engine (span propagation across pool threads, histogram recording, the
+engine (span parentage, histogram recording, the
 auto-wired JobListener), the UPASession audit trail, and the CLI
 artifact round-trip (``repro run --trace/--ledger`` -> ``repro
 report``).
@@ -472,6 +472,18 @@ class TestPrivacyLedger:
         path.write_text("")
         assert len(PrivacyLedger.read_jsonl(str(path))) == 0
 
+    def test_reads_a_ledger_written_with_executor_fields(self, tmp_path):
+        # Ledgers up to 1.13.0 carried the executor in their header.
+        old = PrivacyLedger(header={"backend": "processes", "max_workers": 2})
+        old.append(_entry(0))
+        path = tmp_path / "old.jsonl"
+        old.write_jsonl(str(path))
+        loaded = PrivacyLedger.read_jsonl(str(path))
+        assert loaded.header["backend"] == "processes"
+        assert len(loaded) == 1
+        report = ObservedRun.from_artifacts(ledger_path=str(path))
+        assert "privacy ledger entries" in report.render_text()
+
 
 # ---------------------------------------------------------------------------
 # Engine integration
@@ -498,7 +510,7 @@ class TestEngineTracing:
         ctx.install_tracer(NULL_TRACER)
         assert ctx.job_listener is None
 
-    def test_jobs_emit_spans_with_parents_across_threads(self):
+    def test_jobs_emit_spans_under_the_driver_span(self):
         ctx = EngineContext()
         tracer = Tracer()
         ctx.install_tracer(tracer)
@@ -507,8 +519,6 @@ class TestEngineTracing:
         jobs = tracer.find("engine.job")
         assert len(jobs) == 1
         driver = tracer.find("driver")[0]
-        # the job span parents under the live driver span even though
-        # tasks execute on pool threads
         assert jobs[0].parent_id == driver.span_id
         assert jobs[0].attributes["partitions"] == 4
 

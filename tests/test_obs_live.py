@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.common.config import EngineConfig
 from repro.dp.budget import PrivacyAccountant
 from repro.engine.context import EngineContext
 from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
@@ -27,25 +26,13 @@ from repro.obs.alerts import (
     ClampRateRule,
     GaugeThresholdRule,
     SensitivityDriftRule,
-    WorkerRssRule,
-    WorkerStarvationRule,
     default_rules,
 )
-from repro.obs.crossproc import (
-    WORKER_RSS_KB,
-    WORKER_TASKS_COMPLETED,
-    WORKER_UPTIME_SECONDS,
-    WorkerTelemetry,
-    merge_telemetry,
-    worker_table,
-)
 from repro.obs.exporters import (
-    labeled_name,
     render_otlp_metrics,
     render_otlp_spans,
     render_prometheus,
     sanitize_metric_name,
-    split_labeled_name,
 )
 from repro.obs.ledger import PrivacyLedger, make_entry
 from repro.obs.profiler import (
@@ -245,184 +232,6 @@ class TestOtlpExport:
 
 
 # ---------------------------------------------------------------------------
-# Cross-process telemetry: labelled series, merge, /workers surfaces
-# ---------------------------------------------------------------------------
-
-
-def _telemetry(pid, counters=None, histograms=None, rss=2048.0,
-               uptime=1.5, completed=2):
-    return WorkerTelemetry(
-        pid=pid, parent_span_id=None, wall_epoch=0.0,
-        counters=counters or {}, histograms=histograms or {},
-        rss_kb=rss, uptime_seconds=uptime, tasks_completed=completed,
-    )
-
-
-class TestLabeledNames:
-    def test_round_trip(self):
-        raw = labeled_name("task_seconds", worker="123")
-        assert raw == "task_seconds#worker=123"
-        assert split_labeled_name(raw) == ("task_seconds",
-                                           {"worker": "123"})
-
-    def test_labels_sorted_for_stable_series_identity(self):
-        assert labeled_name("m", b="2", a="1") == labeled_name("m", a="1",
-                                                               b="2")
-
-    def test_unlabelled_name_passes_through(self):
-        assert split_labeled_name("plain_name") == ("plain_name", None)
-
-
-class TestLabeledExposition:
-    def _snapshot(self):
-        registry = MetricsRegistry()
-        registry.observe("task_seconds", 0.5)
-        registry.incr("rows_scanned", 10.0)
-        merge_telemetry(
-            _telemetry(101, counters={"rows_scanned": 4.0},
-                       histograms={"task_seconds": (0.1, 0.3)}),
-            metrics=registry,
-        )
-        merge_telemetry(
-            _telemetry(102, counters={"rows_scanned": 6.0},
-                       histograms={"task_seconds": (0.2,)}),
-            metrics=registry,
-        )
-        return registry.snapshot()
-
-    def test_labelled_families_pass_the_grammar_checker(self):
-        text = render_prometheus(self._snapshot())
-        typed = assert_valid_exposition(text)
-        # One family declaration covering labelled + unlabelled members.
-        assert typed["upa_task_seconds"] == "summary"
-        assert typed["upa_rows_scanned_total"] == "counter"
-        assert 'upa_rows_scanned_total{worker="101"} 4' in text
-        assert 'quantile="0.5",worker="102"' in text
-        assert f'upa_{WORKER_RSS_KB}{{worker="101"}}' in text
-
-    def test_unlabelled_member_renders_first(self):
-        text = render_prometheus(self._snapshot())
-        lines = [ln for ln in text.splitlines()
-                 if ln.startswith("upa_rows_scanned_total")]
-        assert lines[0] == "upa_rows_scanned_total 10"
-
-    def test_otlp_points_carry_worker_attributes(self):
-        doc = json.loads(json.dumps(render_otlp_metrics(self._snapshot())))
-        scope = doc["resourceMetrics"][0]["scopeMetrics"][0]
-        by_name = {m["name"]: m for m in scope["metrics"]}
-        points = by_name["rows_scanned"]["sum"]["dataPoints"]
-        attrs = [
-            {a["key"]: a["value"]["stringValue"]
-             for a in p.get("attributes", [])}
-            for p in points
-        ]
-        assert {} in attrs  # the driver's unlabelled series
-        assert {"worker": "101"} in attrs
-        assert {"worker": "102"} in attrs
-
-
-class TestTelemetryMerge:
-    def test_merge_is_order_independent_across_workers(self):
-        deltas = [
-            _telemetry(101, counters={"rows_scanned": 4.0},
-                       histograms={"task_seconds": (0.1, 0.3)}),
-            _telemetry(102, counters={"rows_scanned": 6.0},
-                       histograms={"task_seconds": (0.2,)}),
-        ]
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        for delta in deltas:
-            merge_telemetry(delta, metrics=forward)
-        for delta in reversed(deltas):
-            merge_telemetry(delta, metrics=backward)
-        assert render_prometheus(forward.snapshot()) == \
-            render_prometheus(backward.snapshot())
-
-    def test_merge_is_order_independent_within_one_worker(self):
-        # Two deltas from the same pid (completion order is not
-        # submission order): summaries must not depend on which
-        # arrives first.
-        first = _telemetry(101, histograms={"task_seconds": (0.1,)},
-                           completed=1)
-        second = _telemetry(101, histograms={"task_seconds": (0.3, 0.5)},
-                            completed=2)
-        forward, backward = MetricsRegistry(), MetricsRegistry()
-        merge_telemetry(first, metrics=forward)
-        merge_telemetry(second, metrics=forward)
-        merge_telemetry(second, metrics=backward)
-        merge_telemetry(first, metrics=backward)
-        # The additive series (histograms, counters) must agree; the
-        # health gauges are cumulative snapshots where last-write-wins
-        # is the *intended* semantics, so they are excluded.
-        series = labeled_name("task_seconds", worker="101")
-        assert sorted(forward.snapshot().histograms[series]) == \
-            sorted(backward.snapshot().histograms[series])
-
-        def histogram_lines(registry):
-            return [ln for ln in
-                    render_prometheus(registry.snapshot()).splitlines()
-                    if "task_seconds" in ln]
-
-        assert histogram_lines(forward) == histogram_lines(backward)
-
-    def test_none_telemetry_is_a_no_op(self):
-        registry = MetricsRegistry()
-        merge_telemetry(None, metrics=registry)
-        snap = registry.snapshot()
-        assert not snap.counters and not snap.gauges and not snap.histograms
-
-    def test_worker_table_rows(self):
-        registry = MetricsRegistry()
-        merge_telemetry(
-            _telemetry(102, histograms={"task_seconds": (0.2,)},
-                       rss=4096.0, completed=1),
-            metrics=registry,
-        )
-        merge_telemetry(
-            _telemetry(9, histograms={"task_seconds": (0.1, 0.3)},
-                       rss=2048.0, completed=2),
-            metrics=registry,
-        )
-        rows = worker_table(registry.snapshot())
-        assert [r["worker"] for r in rows] == ["9", "102"]  # numeric order
-        nine = rows[0]
-        assert nine["rss_kb"] == 2048.0
-        assert nine["tasks_completed"] == 2.0
-        assert nine["task_seconds"]["count"] == 2
-
-    def test_worker_table_empty_without_labels(self):
-        registry = MetricsRegistry()
-        registry.set_gauge(WORKER_RSS_KB, 1.0)  # unlabelled: not a worker
-        registry.set_gauge(WORKER_UPTIME_SECONDS, 1.0)
-        registry.observe("task_seconds", 0.5)
-        assert worker_table(registry.snapshot()) == []
-
-
-class TestObservedRunWorkers:
-    def test_from_live_renders_worker_table(self):
-        from repro.obs.report import ObservedRun
-
-        registry = MetricsRegistry()
-        merge_telemetry(
-            _telemetry(101, histograms={"task_seconds": (0.1, 0.3)}),
-            metrics=registry,
-        )
-        observed = ObservedRun.from_live(metrics=registry.snapshot())
-        assert observed.to_dict()["workers"][0]["worker"] == "101"
-        text = observed.render_text()
-        assert "worker processes:" in text
-        assert "101" in text
-
-    def test_no_workers_section_without_worker_series(self):
-        from repro.obs.report import ObservedRun
-
-        registry = MetricsRegistry()
-        registry.observe("task_seconds", 0.5)
-        observed = ObservedRun.from_live(metrics=registry.snapshot())
-        assert observed.workers == []
-        assert "worker processes:" not in observed.render_text()
-
-
-# ---------------------------------------------------------------------------
 # Alert rules on synthetic ledgers
 # ---------------------------------------------------------------------------
 
@@ -532,49 +341,6 @@ class TestAlertRules:
         again = engine.observe_metrics(snap)
         assert again == []  # identical firing deduplicated
         assert len(engine.alerts()) == 1
-
-    def test_worker_starvation_fires_when_pool_idles(self):
-        rule = WorkerStarvationRule()
-        snap = MetricsSnapshot(counters={"process_fallbacks": 2.0})
-        alert = rule.on_metrics(snap)
-        assert alert is not None and alert.severity == "warning"
-        assert alert.context["process_fallbacks"] == 2.0
-
-    def test_worker_starvation_silent_when_workers_complete_tasks(self):
-        rule = WorkerStarvationRule()
-        snap = MetricsSnapshot(
-            counters={"process_fallbacks": 2.0},
-            gauges={labeled_name(WORKER_TASKS_COMPLETED, worker="7"): 3.0},
-        )
-        assert rule.on_metrics(snap) is None
-
-    def test_worker_starvation_silent_off_the_process_backend(self):
-        # Thread/inline registries never pre-seed process_fallbacks, so
-        # the rule must not fire on its mere absence.
-        assert WorkerStarvationRule().on_metrics(MetricsSnapshot()) is None
-
-    def test_worker_rss_names_the_worst_offender(self):
-        rule = WorkerRssRule(max_rss_kb=1000.0)
-        snap = MetricsSnapshot(gauges={
-            labeled_name(WORKER_RSS_KB, worker="7"): 1500.0,
-            labeled_name(WORKER_RSS_KB, worker="8"): 2500.0,
-            WORKER_RSS_KB: 9999.0,  # unlabelled: not a worker series
-        })
-        alert = rule.on_metrics(snap)
-        assert alert is not None
-        assert alert.context["worker"] == "8"
-        assert alert.context["rss_kb"] == 2500.0
-
-    def test_worker_rss_silent_under_threshold(self):
-        rule = WorkerRssRule(max_rss_kb=1000.0)
-        snap = MetricsSnapshot(gauges={
-            labeled_name(WORKER_RSS_KB, worker="7"): 999.0,
-        })
-        assert rule.on_metrics(snap) is None
-
-    def test_default_rules_include_worker_health_pair(self):
-        names = {type(r).__name__ for r in default_rules()}
-        assert {"WorkerStarvationRule", "WorkerRssRule"} <= names
 
     def test_replay_synthetic_ledger(self):
         ledger = PrivacyLedger()
@@ -845,41 +611,12 @@ class TestObservabilityServer:
         status, _, _ = _http_get(server.port, "/nope")
         assert status == 404
 
-    def test_workers_endpoint(self):
-        registry = MetricsRegistry()
-        merge_telemetry(
-            _telemetry(101, histograms={"task_seconds": (0.1, 0.3)},
-                       rss=2048.0, uptime=1.5, completed=2),
-            metrics=registry,
-        )
-        server = ObservabilityServer(metrics=registry).start()
-        try:
-            status, ctype, body = _http_get(server.port, "/workers")
-            assert status == 200
-            assert ctype.startswith("application/json")
-            payload = json.loads(body)
-            assert payload["count"] == 1
-            row = payload["workers"][0]
-            assert row["worker"] == "101"
-            assert row["rss_kb"] == 2048.0
-            assert row["task_seconds"]["count"] == 2
-        finally:
-            server.stop()
-
     def test_unwired_sources_404(self):
         server = ObservabilityServer(metrics=MetricsRegistry()).start()
         try:
             for path in ("/ledger", "/traces", "/budget", "/profile"):
                 status, _, _ = _http_get(server.port, path)
                 assert status == 404, path
-        finally:
-            server.stop()
-
-    def test_workers_404_without_metrics(self):
-        server = ObservabilityServer(tracer=Tracer()).start()
-        try:
-            status, _, _ = _http_get(server.port, "/workers")
-            assert status == 404
         finally:
             server.stop()
 
@@ -906,13 +643,13 @@ class TestObservabilityServer:
 
 
 # ---------------------------------------------------------------------------
-# Thread-safety: scheduler pool hammers the registry during scrapes
+# Thread-safety: jobs update the registry while scrape threads read it
 # ---------------------------------------------------------------------------
 
 
 class TestScrapeThreadSafety:
-    def test_metrics_scrape_during_pool_jobs(self):
-        ctx = EngineContext(EngineConfig(use_threads=True, max_workers=4))
+    def test_metrics_scrape_during_jobs(self):
+        ctx = EngineContext()
         server = ctx.serve(port=0)
         errors = []
         bodies = []

@@ -1,9 +1,10 @@
 """Property-based tests: engine operators match Python reference semantics.
 
 These are the "commutativity/associativity" guarantees the UPA paper
-builds on: whatever the partitioning, shuffle order, or thread
-interleaving, the engine must compute the same function of the input
-multiset as a straight-line Python reference.
+builds on: whatever the partitioning, shuffle order or task attempts
+that fail and are retried from lineage, the engine must compute the
+same function of the input multiset as a straight-line Python
+reference.
 """
 
 from collections import Counter, defaultdict
@@ -12,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import EngineConfig
-from repro.engine import EngineContext
+from repro.engine import EngineContext, FaultInjector
 
 SMALL_INTS = st.lists(st.integers(-50, 50), max_size=60)
 PARTS = st.integers(1, 7)
@@ -22,8 +22,18 @@ PAIRS = st.lists(
 )
 
 
-def make_ctx(threads: bool = False) -> EngineContext:
-    return EngineContext(EngineConfig(use_threads=threads, max_workers=3))
+def make_ctx() -> EngineContext:
+    return EngineContext()
+
+
+def faulty_ctx(seed: int) -> EngineContext:
+    """An engine failing a third of its task attempts; the cap keeps
+    every task inside the default retry limit."""
+    ctx = EngineContext()
+    ctx.install_fault_injector(
+        FaultInjector(failure_probability=0.34, max_failures=3, seed=seed)
+    )
+    return ctx
 
 
 class TestReferenceSemantics:
@@ -141,19 +151,57 @@ class TestKeyValueSemantics:
         assert all(k in right_keys for k, _v in semi)
         assert all(k not in right_keys for k, _v in anti)
 
-    @given(pairs=PAIRS, parts=PARTS)
-    @settings(max_examples=25, deadline=None)
-    def test_threaded_equals_sequential(self, pairs, parts):
-        seq = dict(
-            make_ctx(False)
-            .parallelize(pairs, parts)
+
+class TestSemanticsUnderFaults:
+    @given(data=SMALL_INTS, parts=PARTS, seed=st.integers(0, 99))
+    @settings(max_examples=30, deadline=None)
+    def test_map_filter_collect_matches_builtin(self, data, parts, seed):
+        out = (
+            faulty_ctx(seed).parallelize(data, parts)
+            .map(lambda v: v * v)
+            .filter(lambda v: v % 3 != 0)
+            .collect()
+        )
+        assert out == [v * v for v in data if v * v % 3 != 0]
+
+    @given(data=SMALL_INTS, parts=PARTS, seed=st.integers(0, 99))
+    @settings(max_examples=30, deadline=None)
+    def test_sum_count_match_builtin(self, data, parts, seed):
+        rdd = faulty_ctx(seed).parallelize(data, parts)
+        assert rdd.sum() == sum(data)
+        assert rdd.count() == len(data)
+
+    @given(data=SMALL_INTS, parts=PARTS, seed=st.integers(0, 99))
+    @settings(max_examples=30, deadline=None)
+    def test_sort_by_matches_sorted(self, data, parts, seed):
+        out = faulty_ctx(seed).parallelize(data, parts).sort_by(
+            lambda v: v
+        ).collect()
+        assert out == sorted(data)
+
+    @given(pairs=PAIRS, parts=PARTS, seed=st.integers(0, 99))
+    @settings(max_examples=30, deadline=None)
+    def test_reduce_by_key_matches_reference(self, pairs, parts, seed):
+        out = dict(
+            faulty_ctx(seed).parallelize(pairs, parts)
             .reduce_by_key(lambda a, b: a + b)
             .collect()
         )
-        thr = dict(
-            make_ctx(True)
-            .parallelize(pairs, parts)
-            .reduce_by_key(lambda a, b: a + b)
+        expected = defaultdict(int)
+        for k, v in pairs:
+            expected[k] += v
+        assert out == dict(expected)
+
+    @given(left=PAIRS, right=PAIRS, parts=PARTS, seed=st.integers(0, 99))
+    @settings(max_examples=20, deadline=None)
+    def test_join_matches_reference(self, left, right, parts, seed):
+        ctx = faulty_ctx(seed)
+        out = sorted(
+            ctx.parallelize(left, parts)
+            .join(ctx.parallelize(right, parts))
             .collect()
         )
-        assert seq == thr
+        expected = sorted(
+            (k, (lv, rv)) for k, lv in left for k2, rv in right if k == k2
+        )
+        assert out == expected

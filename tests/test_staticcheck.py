@@ -28,7 +28,6 @@ from repro.staticcheck import (
     Severity,
     check_plan,
     check_query,
-    check_query_pickleability,
     check_source,
     lint_workloads,
     render_json,
@@ -663,96 +662,6 @@ class TestBudgetFlowPass:
         assert diags and diags[0].severity == Severity.ERROR
 
 
-class TestPickleabilityPass:
-    """UPA014: will the monoid survive stdlib pickle on the process
-    backend?  (See docs/performance.md, "Execution backends".)"""
-
-    def test_lambda_shipped_into_rdd_operator_flagged(self):
-        class ShipsLambda(_FixtureBase):
-            name = "ships_lambda"
-
-            def build_aux(self, tables: Tables, rng: Any) -> Any:
-                rdd = self._rdd  # whatever RDD the harness handed us
-                return rdd.map_partitions(lambda part: [sum(part)])
-
-        diags = check_query_pickleability(ShipsLambda)
-        (diag,) = [d for d in diags if d.code == "UPA014"]
-        assert diag.severity == Severity.WARNING
-        assert "lambda" in diag.message
-        assert "map_partitions" in diag.message
-
-    def test_nested_def_shipped_into_rdd_operator_flagged(self):
-        class ShipsNestedDef(_FixtureBase):
-            name = "ships_nested"
-
-            def build_aux(self, tables: Tables, rng: Any) -> Any:
-                def per_partition(part):
-                    return [len(list(part))]
-
-                return self._rdd.map_partitions(per_partition)
-
-        diags = check_query_pickleability(ShipsNestedDef)
-        assert any(
-            d.code == "UPA014" and "per_partition" in d.message
-            for d in diags
-        )
-
-    def test_closure_over_unpicklable_value_flagged(self):
-        import threading
-
-        lock = threading.Lock()
-
-        def make_mapper():
-            def map_record(self, record: Row, aux: Any) -> float:
-                with lock:
-                    return float(record["v"])
-
-            return map_record
-
-        class ClosesOverLock(_FixtureBase):
-            name = "closes_over_lock"
-            map_record = make_mapper()
-
-        diags = check_query_pickleability(ClosesOverLock)
-        assert any(
-            d.code == "UPA014" and "lock" in d.message
-            for d in diags
-        )
-
-    def test_unpicklable_instance_attribute_flagged(self):
-        import threading
-
-        query = _FixtureBase()
-        query._guard = threading.Lock()
-        diags = check_query_pickleability(query)
-        (diag,) = [d for d in diags if d.code == "UPA014"]
-        assert "_guard" in diag.message
-        assert diag.severity == Severity.WARNING
-
-    def test_clean_query_instance_has_no_findings(self):
-        assert check_query_pickleability(_FixtureBase()) == []
-
-    def test_module_level_callable_class_is_clean(self):
-        # The documented fix: a __slots__ callable shipped by reference.
-        class UsesModuleHelper(_FixtureBase):
-            name = "uses_helper"
-
-            def build_aux(self, tables: Tables, rng: Any) -> Any:
-                return self._rdd.map_partitions(np.sum)
-
-        assert check_query_pickleability(UsesModuleHelper) == []
-
-    def test_pass_runs_inside_lint_query(self):
-        import threading
-
-        query = _FixtureBase()
-        query._guard = threading.Lock()
-        from repro.staticcheck import lint_query
-
-        diags = lint_query(query, include_plan=False)
-        assert any(d.code == "UPA014" for d in diags)
-
-
 class TestWorkloadsClean:
     def test_all_nine_workloads_have_no_error_diagnostics(self):
         diags = lint_workloads()
@@ -821,7 +730,7 @@ class TestRenderersAndRegistry:
     def test_every_diagnostic_code_is_registered(self):
         assert set(CODE_REGISTRY) == {
             "UPA001", "UPA002", "UPA003", "UPA004", "UPA005", "UPA006",
-            "UPA010", "UPA011", "UPA012", "UPA013", "UPA014", "UPA015",
+            "UPA010", "UPA011", "UPA012", "UPA013", "UPA015",
             "UPA101", "UPA102", "UPA103", "UPA104",
             "UPA201", "UPA202", "UPA203",
             "UPA301", "UPA302", "UPA303", "UPA304", "UPA305",

@@ -25,7 +25,7 @@ from repro.core.session import UPAConfig, UPASession
 from repro.dp.budget import PrivacyAccountant
 from repro.engine.metrics import MetricsRegistry
 from repro.obs.alerts import AlertEngine, BudgetBurnRule, RateRule, TrendRule
-from repro.obs.exporters import labeled_name, render_dashboard, sparkline_svg
+from repro.obs.exporters import render_dashboard, sparkline_svg
 from repro.obs.timeseries import (
     COUNTER,
     GAUGE,
@@ -150,11 +150,9 @@ class TestStoreMechanics:
         assert least_squares_slope([(1.0, 1.0)]) is None
 
     def test_order_series_leads_with_key_series(self):
-        names = ["zzz", "tasks_run", labeled_name("worker_rss_kb", worker="9"),
-                 MetricsRegistry.RELEASES, "aaa"]
+        names = ["zzz", "tasks_run", MetricsRegistry.RELEASES, "aaa"]
         ordered = order_series(names)
-        assert ordered[0] == MetricsRegistry.RELEASES
-        assert ordered.index("worker_rss_kb#worker=9") < ordered.index("aaa")
+        assert ordered == [MetricsRegistry.RELEASES, "tasks_run", "aaa", "zzz"]
         assert set(ordered) == set(names)
         assert MetricsRegistry.RELEASES in KEY_SERIES
 
@@ -307,27 +305,14 @@ class TestWindowedRules:
         assert alert is not None
         assert alert.context["rate_per_second"] == pytest.approx(3.0)
 
-    def test_rate_rule_matches_worker_labelled_series(self):
+    def test_trend_rule_fires_on_growth(self):
         store = _make_store()
-        hot = labeled_name("io_bytes", worker="7")
-        cold = labeled_name("io_bytes", worker="8")
-        for i in range(4):
-            store.record(hot, COUNTER, 100.0 * i, now=float(i))
-            store.record(cold, COUNTER, 1.0 * i, now=float(i))
-        rule = RateRule(metric="io_bytes", max_rate_per_second=50.0,
-                        min_points=3)
-        alert = rule.on_window(store, now=3.0)
-        assert alert is not None
-        assert alert.context["series"] == hot
-
-    def test_trend_rule_fires_on_rss_growth(self):
-        store = _make_store()
-        series = labeled_name("worker_rss_kb", worker="42")
+        series = MetricsRegistry.RELEASE_SENSITIVITY
         for i in range(6):
             store.record(series, GAUGE, 10_000.0 + 2048.0 * i, now=float(i))
-        rule = TrendRule(metric="worker_rss_kb",
+        rule = TrendRule(metric=series,
                          max_slope_per_second=1024.0, window_seconds=120.0,
-                         min_points=5, name="worker-rss-growth")
+                         min_points=5)
         alert = rule.on_window(store, now=5.0)
         assert alert is not None
         assert alert.context["slope_per_second"] == pytest.approx(2048.0)
@@ -335,8 +320,8 @@ class TestWindowedRules:
     def test_trend_rule_quiet_on_flat_series(self):
         store = _make_store()
         for i in range(6):
-            store.record("worker_rss_kb", GAUGE, 10_000.0, now=float(i))
-        rule = TrendRule(metric="worker_rss_kb",
+            store.record("sensitivity", GAUGE, 10_000.0, now=float(i))
+        rule = TrendRule(metric="sensitivity",
                          max_slope_per_second=1024.0, min_points=5)
         assert rule.on_window(store, now=5.0) is None
 
