@@ -12,10 +12,11 @@ runs one session through a cold ``run``, two ``append``s and a
 ``retire`` (108 releases) and hashes, **one digest per field**, what
 phase 1 drew (``sampled_indices``, ``partition_ids``) and what the
 release computed (the names in ``RESULT_FIELDS``, the last three of
-them RANGE ENFORCER's decisions).  The ``resubmit`` lane then puts
-those decisions against a deep registry: ``tpch13`` and ``tpch16``,
-each submitted 40 times to one session, alternately on x and on x minus
-its last record (80 releases).  The ``sql`` lane sends SQL *text*
+them RANGE ENFORCER's decisions).  The ``resubmit`` lane submits
+``tpch13`` and ``tpch16`` 40 times each to one session, alternately on
+x and on x minus its last record (80 releases): the first two of each
+are released, and the other 76 are identical resubmissions that replay
+them.  The ``sql`` lane sends SQL *text*
 through the same four steps, the cold one a ``run_sql``: the four
 queries of ``examples/ad_hoc_sql.py`` and the ``sql_text()`` of every
 workload the bridge accepts (the seven TPC-H ones) — 132 releases whose
@@ -25,15 +26,21 @@ every value went through ``core.sqlbridge``'s compiled plan.  The
 submission (x, x minus its last record, x again, two ``append``s, a
 ``retire``), so it releases from its registered tables and kept aux
 (``core.table``); ``miss`` gets a record-by-record copy of the
-protected table and new public lists each time, so it finds nothing
-registered (324 releases).  Its ``cross`` pairs hand one tables dict to
-``tpch13`` (protects ``customer``, counts ``orders``) and ``tpch4``
-(protects ``orders``) in turn, so ``append`` / ``retire`` under one
-query move a list the other's kept aux was built from (42 releases).
-The two must agree release by release —
-checked on every invocation, exit 1 if not.  A release
-RANGE ENFORCER refuses has ``"DPError"`` for every result field (phase
-1 ran, so its two fields are still digested).
+protected table and new public lists each time, so it registers every
+protected list afresh (324 releases; "x again" replays "x" in both).
+Its ``cross`` pairs hand one tables dict to ``tpch13`` (protects
+``customer``, counts ``orders``) and ``tpch4`` (protects ``orders``) in
+turn, so ``append`` / ``retire`` under one query move a list the
+other's kept aux was built from (42 releases; the second ``tpch4`` run
+replays the ``append`` before it).  The two must agree release by
+release — checked on every invocation, exit 1 if not.
+
+686 releases in all, 136 of them replays.  A replay is a release that
+drew no sample: it carries the sample digests of the release whose
+result it returned, and its result digests must equal that release's
+— also checked on every invocation, exit 1 if not.  A release RANGE
+ENFORCER refuses has ``"DPError"`` for every result field (phase 1 ran,
+so its two fields are still digested).
 ``--against`` names the releases that differ and their fields, counts
 the identical releases per field, and exits 1 on any difference.
 """
@@ -77,6 +84,13 @@ def _digest(*values) -> str:
 def digest(sample, result) -> dict:
     """Field -> digest of one release (``result`` None: it was refused)."""
     out = {name: _digest(getattr(sample, name)) for name in SAMPLE_FIELDS}
+    out.update(result_digest(result))
+    return out
+
+
+def result_digest(result) -> dict:
+    """The ``RESULT_FIELDS`` part of :func:`digest`."""
+    out = {}
     for name in RESULT_FIELDS:
         if result is None:
             out[name] = "DPError"
@@ -113,8 +127,13 @@ def _sql_queries(tables) -> list:
     return queries
 
 
-def release_digests() -> dict:
+def release_digests() -> tuple:
+    """Digests of every release, and which earlier release each replay
+    (a release that drew no sample) returned."""
     out = {}
+    replays = {}
+    #: id of a released result -> (its release, the result kept alive).
+    released = {}
     last = {}  # the latest release's PartitionedSample
     partition_and_sample = session_mod.partition_and_sample
 
@@ -123,11 +142,24 @@ def release_digests() -> dict:
         return last["sample"]
 
     def release(key, call):
+        last["sample"] = None
         try:
             result = call()
         except DPError:
             result = None
-        out[key] = digest(last["sample"], result)
+        if last["sample"] is not None:
+            out[key] = digest(last["sample"], result)
+            if result is not None:
+                released[id(result)] = (key, result)
+            return
+        # A replay: phase 1 did not run.  It took over the sample of
+        # the release it replays, which it must equal field by field.
+        original = released.get(id(result), (None,))[0]
+        replays[key] = original
+        out[key] = {
+            **{name: out.get(original, {}).get(name) for name in SAMPLE_FIELDS},
+            **result_digest(result),
+        }
 
     def four_steps(lane, tables, protected, cold):
         """``cold(session, base)``, two appends and a retire, at
@@ -263,7 +295,15 @@ def release_digests() -> dict:
             )
     finally:
         session_mod.partition_and_sample = partition_and_sample
-    return out
+    return out, replays
+
+
+def replay_differences(digests: dict, replays: dict) -> list:
+    """The replays that are not the release they replay."""
+    return [
+        key for key, original in sorted(replays.items())
+        if original is None or digests[key] != digests[original]
+    ]
 
 
 def shared_lane_differences(digests: dict) -> list:
@@ -278,13 +318,20 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", help="digest JSON of the other tree")
     args = parser.parse_args()
-    digests = release_digests()
+    digests, replays = release_digests()
     unshared = shared_lane_differences(digests)
     for key in unshared:
         print(f"hit differs from miss: {key}", file=sys.stderr)
+    unreplayed = replay_differences(digests, replays)
+    for key in unreplayed:
+        print(f"replay differs from its release: {key} "
+              f"(replays {replays[key]})", file=sys.stderr)
+    print(f"{len(replays)} of {len(digests)} releases replayed",
+          file=sys.stderr)
+    failed = bool(unshared or unreplayed)
     if args.against is None:
         json.dump(digests, sys.stdout, indent=0, sort_keys=True)
-        return 1 if unshared else 0
+        return 1 if failed else 0
     with open(args.against) as handle:
         other = json.load(handle)
     fields = SAMPLE_FIELDS + RESULT_FIELDS
@@ -301,7 +348,7 @@ def main() -> int:
     for field in fields:
         print(f"{field}: {identical[field]} of {len(digests)} identical")
     print(f"{len(digests) - differing} of {len(digests)} releases identical")
-    return 1 if differing or unshared else 0
+    return 1 if differing or failed else 0
 
 
 if __name__ == "__main__":

@@ -143,10 +143,6 @@ class UPAConfig:
     mechanism: str = "laplace"
     #: delta for the Gaussian mechanism.
     delta: float = 1e-6
-    #: return the cached released answer when the *same* query is
-    #: resubmitted over the *same* dataset (costs no extra budget and
-    #: leaks nothing new — the paper's section VI-E reuse idea).
-    answer_cache: bool = False
 
     def __post_init__(self) -> None:
         if self.mechanism not in ("laplace", "gaussian"):
@@ -364,8 +360,8 @@ class UPASession:
         #: privacy audit ledger; None = no auditing.
         self.ledger = ledger
         self._run_counter = 0
-        self._answer_cache: dict = {}
-        #: the protected tables (and public-side aux) already seen.
+        #: the protected tables already seen, with their public-side aux
+        #: and the releases made from them.
         self._tables = TableRegistry()
         #: last-run bookkeeping backing append()/retire(); None until
         #: the first run() completes.
@@ -494,7 +490,16 @@ class UPASession:
         tables: Tables,
         epsilon: Optional[float] = None,
     ) -> UPAResult:
-        """Answer ``query`` on ``tables`` under epsilon-iDP."""
+        """Answer ``query`` on ``tables`` under epsilon-iDP.
+
+        A submission identical to an earlier release — the same query
+        object (``plan_fingerprint`` for compiled SQL), the same
+        epsilon, the same protected content and public tables equal to
+        the ones that release read — gets that release's
+        :class:`UPAResult` back.  The replay is post-processing: it
+        charges nothing and leaves RANGE ENFORCER, the sampler and the
+        per-run rng as they were (DESIGN.md section 5, item 10).
+        """
         epsilon = epsilon if epsilon is not None else self.config.epsilon
         if epsilon <= 0 or not math.isfinite(epsilon):
             raise DPError(
@@ -515,30 +520,6 @@ class UPASession:
             # one tracer sees the pipeline end to end.
             self.engine.install_tracer(tracer)
         self._last_incremental = None
-        cache_key = found = None
-        if self.config.answer_cache:
-            # The key reads the table's stored fingerprints, so the
-            # release's one lookup happens here instead of in phase 1.
-            found = self._lookup(records)
-            cache_key = self._cache_key(query, found[0], epsilon)
-            cached = self._answer_cache.get(cache_key)
-            if cached is not None:
-                self.engine.metrics.incr("answer_cache_hits")
-                self._record_ledger(
-                    query, cached, epsilon_charged=0.0, delta=0.0,
-                    cache_hit=True,
-                )
-                self._observe_release(cached, 0.0, cache_hit=True)
-                return cached
-        delta = self.config.delta if self.config.mechanism == "gaussian" else 0.0
-        if self.accountant is not None:
-            # Only asked here; the charge lands once the release is
-            # certain, below, so a submission that fails or that RANGE
-            # ENFORCER refuses is free.
-            self.accountant.require(epsilon, delta=delta)
-
-        metrics_before = self.engine.metrics.snapshot()
-
         run_span = (
             tracer.span(
                 "upa.run", query=query.name, epsilon=epsilon,
@@ -548,8 +529,48 @@ class UPASession:
             if tracer.enabled
             else NULL_SPAN
         )
-        with run_span, Timer() as timer:
-            reduced = self._sample_and_reduce(query, tables, found)
+        with run_span:
+            # The release's one registry lookup: the replay is found by
+            # the table's stored fingerprints.
+            table, registered = self._lookup(records)
+            replayed = self._tables.replay(query, tables, table, epsilon)
+            run_span.set_attribute("replayed", replayed is not None)
+            if replayed is None:
+                return self._release(query, tables, epsilon, table, registered)
+            self.engine.metrics.incr(MetricsRegistry.RELEASE_REPLAYS)
+            # Like a release, a replay moves the append cursor.
+            self._remember_run(query, tables, table)
+            self._record_ledger(
+                query, replayed, epsilon_charged=0.0, delta=0.0,
+                cache_hit=True,
+            )
+            self._observe_release(replayed, 0.0, cache_hit=True)
+            return replayed
+
+    def _release(
+        self,
+        query: MapReduceQuery,
+        tables: Tables,
+        epsilon: float,
+        table: ProtectedTable,
+        registered: bool,
+    ) -> UPAResult:
+        """A fresh release of a submission :meth:`run` found no replay
+        for, from the session's ``table`` of its protected list."""
+        tracer = self.tracer
+        delta = self.config.delta if self.config.mechanism == "gaussian" else 0.0
+        if self.accountant is not None:
+            # Only asked here; the charge lands once the release is
+            # certain, below, so a submission that fails or that RANGE
+            # ENFORCER refuses is free.
+            self.accountant.require(epsilon, delta=delta)
+
+        metrics_before = self.engine.metrics.snapshot()
+
+        with Timer() as timer:
+            reduced = self._sample_and_reduce(
+                query, tables, (table, registered)
+            )
             neighbours = reduced.neighbours
             with tracer.span("phase:inference") if tracer.enabled \
                     else NULL_SPAN as inference_span:
@@ -580,7 +601,7 @@ class UPASession:
                         # A refusal is an outcome like a release: it is
                         # logged (at zero epsilon) and the append cursor
                         # follows it.
-                        self._remember_run(query, tables, reduced.sample.table)
+                        self._remember_run(query, tables, table)
                         self._record_refusal(
                             query, inferred, estimated_ls,
                             reduced.sample.sample_size,
@@ -622,12 +643,11 @@ class UPASession:
             metrics=metrics,
         )
         # The release is certain: charge it, move the append cursor,
-        # cache and log it together.
+        # keep it for replay and log it together.
         if self.accountant is not None:
             self.accountant.charge(epsilon, delta=delta, label=query.name)
-        self._remember_run(query, tables, reduced.sample.table)
-        if cache_key is not None:
-            self._answer_cache[cache_key] = result
+        self._remember_run(query, tables, table)
+        self._tables.keep(query, tables, table, epsilon, result)
         self._record_ledger(
             query, result, epsilon_charged=epsilon, delta=delta,
             cache_hit=False,
@@ -643,7 +663,8 @@ class UPASession:
         """Grow the last run's protected table and release a new answer.
 
         The appended records are added to the table submitted to the
-        previous :meth:`run` and the same query is answered again over
+        previous :meth:`run` (whether it released, replayed or was
+        refused) and the same query is answered again over
         the grown dataset.  This is a *new release*: it charges a fresh
         ``epsilon`` through the accountant and ledger exactly like a
         cold run, and under fixed seeds the output is bitwise identical
@@ -658,7 +679,7 @@ class UPASession:
         new_records = list(records)
         if not new_records:
             raise DPError("append() needs at least one record")
-        incr.table.append(new_records)
+        self._tables.append(incr.table, new_records)
         incr.primed = True
         self.engine.metrics.incr(MetricsRegistry.INCR_APPENDS)
         return self.run(incr.query, incr.tables, epsilon)
@@ -686,7 +707,7 @@ class UPASession:
                 f"retire({count}) would empty the protected table "
                 f"({len(incr.table.rows)} records)"
             )
-        incr.table.retire(count)
+        self._tables.retire(incr.table, count)
         incr.base_offset += count
         incr.primed = True
         self.engine.metrics.incr(MetricsRegistry.INCR_RETIRES)
@@ -763,7 +784,7 @@ class UPASession:
         delta: float,
         cache_hit: bool,
     ) -> None:
-        """Append one audit entry for a release (or cached re-release)."""
+        """Append one audit entry for a release (or its replay)."""
         enforcement = result.enforcement
         self._append_ledger(
             query, result.inferred_range,
@@ -897,24 +918,6 @@ class UPASession:
             )
         self._lint_cleared.add(key)
 
-    @staticmethod
-    def _cache_key(query: MapReduceQuery, table: ProtectedTable,
-                   epsilon: float) -> tuple:
-        """Identity of a submission: what is computed, on which dataset.
-
-        The dataset fingerprint is the record count and the records'
-        content fingerprints summed mod 2**64.
-
-        Releasing the *same* noisy answer for the same submission is
-        standard DP practice (no new information leaves the curator).
-        A query compiled from SQL is identified by its
-        ``plan_fingerprint`` — its display name is a truncated text (or
-        ``compile_plan``'s default) that distinct queries share — and a
-        hand-written query by its name, unique in the workload registry.
-        """
-        identity = getattr(query, "plan_fingerprint", query.name)
-        return (identity, epsilon, table.dataset_print())
-
     def run_sql(
         self,
         sql_text: str,
@@ -973,7 +976,8 @@ class UPASession:
     def _lookup(self, records: List[Any]) -> Tuple[ProtectedTable, bool]:
         """The session's table of ``records`` and whether it was already
         registered — the one find-or-register of a release."""
-        table, registered = self._tables.lookup(records)
+        with self.tracer.span("sampling.fingerprint"):
+            table, registered = self._tables.lookup(records)
         self.engine.metrics.incr(
             MetricsRegistry.TABLE_REUSES if registered
             else MetricsRegistry.TABLE_REGISTRATIONS
@@ -989,9 +993,11 @@ class UPASession:
         Draws the per-run RNG, partitions & samples the session's table
         of the protected list, builds aux, and runs the
         union-preserving reduce phase.  ``found`` is the
-        :meth:`_lookup` :meth:`run` already made for its answer-cache
-        key.
+        :meth:`_lookup` :meth:`run` already made to look for a replay.
         """
+        table, registered = found or self._lookup(
+            protected_records(query, tables)
+        )
         self._run_counter += 1
         tracer = self.tracer
         metrics = self.engine.metrics
@@ -1000,10 +1006,6 @@ class UPASession:
             "phase:partition_sample", query=query.name,
             sample_size=self.config.sample_size,
         ) if tracer.enabled else NULL_SPAN as sample_span:
-            with tracer.span("sampling.fingerprint"):
-                table, registered = found or self._lookup(
-                    protected_records(query, tables)
-                )
             incr = self._incr
             use_incr = (
                 incr is not None

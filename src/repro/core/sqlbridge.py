@@ -684,8 +684,8 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
 # parts — static subtree execution and index construction — depend only
 # on the plan shape and the *non-protected* tables, so those are cached
 # here keyed by the canonical plan fingerprint.  Entries hold the
-# static row lists as core.table.FixedLists and a hit requires the same
-# list objects with their rows as they were (DESIGN.md section 5,
+# static row lists as core.table.FixedLists and a hit requires static
+# lists equal by value to the ones compiled from (DESIGN.md section 5,
 # item 9 — the session keeps build_aux results by the same guard): a
 # recycled id() can never alias a stale entry, and a list a session's
 # append() / retire() grew under another query is compiled again.

@@ -216,10 +216,13 @@ class MetricsRegistry:
     #: Counter/gauge names recorded per DP release by UPASession so the
     #: time-series store (repro.obs.timeseries) can derive rates and the
     #: windowed alert rules can forecast budget exhaustion.  The epsilon
-    #: counter accumulates *charged* epsilon (cache hits add zero), the
+    #: counter accumulates *charged* epsilon (replays add zero), the
     #: budget gauges mirror the accountant, and the sensitivity gauge is
-    #: the last release's exact local sensitivity.
+    #: the last release's exact local sensitivity.  Replays of an
+    #: identical submission's release count in RELEASES and
+    #: RELEASE_REPLAYS.
     RELEASES = "release.count"
+    RELEASE_REPLAYS = "release.replays"
     RELEASE_CLAMPS = "release.clamps"
     RELEASE_RECORDS_REMOVED = "release.records_removed"
     RELEASE_EPSILON = "release.epsilon_charged"

@@ -112,7 +112,7 @@ class AlertRule:
 
 
 def _charged(history: Sequence[LedgerEntry]) -> List[LedgerEntry]:
-    """Entries that actually spent budget (cache hits and refused
+    """Entries that actually spent budget (replays and refused
     submissions charge nothing)."""
     return [e for e in history if not (e.cache_hit or e.refused)]
 

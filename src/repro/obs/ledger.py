@@ -7,8 +7,9 @@ inspectability more important, not less.  The ledger records, per
 sigma) per output coordinate, the inferred output range ``O_f``, the
 local sensitivity the mechanism was calibrated to, what RANGE ENFORCER
 did (clamping, repeated-query matches, record removals), the epsilon
-charged against the accountant's balance, answer-cache hits, and the
-submissions RANGE ENFORCER refused (``refused``, nothing charged).
+charged against the accountant's balance, replays of an earlier
+release (``cache_hit``, nothing charged), and the submissions RANGE
+ENFORCER refused (``refused``, nothing charged).
 
 The ledger is **append-only**: entries can be recorded and read, never
 edited or removed (``clear`` does not exist by design).  It serializes
@@ -42,7 +43,7 @@ def _as_floats(values: Any) -> Tuple[float, ...]:
 
 @dataclass(frozen=True)
 class LedgerEntry:
-    """One audited release (or cache hit) of a query answer.
+    """One audited release (or replay) of a query answer.
 
     All fields are safe to persist: they describe the *mechanism's
     calibration*, not the raw data (the range and fit are themselves
@@ -75,7 +76,8 @@ class LedgerEntry:
     #: accountant balance after this charge (None: no accountant).
     accountant_spent_epsilon: Optional[float] = None
     accountant_remaining_epsilon: Optional[float] = None
-    #: the answer came from the repeat-submission cache (no new spend).
+    #: the submission was identical to an earlier release, whose result
+    #: was returned unchanged (no new spend).
     cache_hit: bool = False
     #: RANGE ENFORCER ran out of sampled records separating this
     #: submission from a prior one: nothing was released or charged.

@@ -511,7 +511,7 @@ class ObservedRun:
             rows = [
                 [e.sequence, e.query, f"{e.epsilon_charged:g}",
                  f"{e.local_sensitivity:g}",
-                 "cache" if e.cache_hit else
+                 "replay" if e.cache_hit else
                  "refused" if e.refused else
                  ("clamped" if e.clamped else "ok"),
                  e.records_removed]

@@ -431,6 +431,14 @@ class TestEnforcerScaling:
 
 
 @pytest.fixture(scope="module")
+def tpch21_x():
+    """The benchmarks/e2e/README.md reproducer's data: tpch21 at
+    20 000 rows, data seed 3."""
+    workload = workload_by_name("tpch21")
+    return workload.query, workload.make_tables(20_000, 3)
+
+
+@pytest.fixture(scope="module")
 def small_tables():
     return TPCHGenerator(TPCHConfig(scale_rows=3000, seed=13)).generate()
 
@@ -560,19 +568,23 @@ class TestUPASession:
         session = UPASession(
             UPAConfig(sample_size=50, seed=0), accountant=accountant
         )
-        session.run(query_by_name("tpch1"), small_tables, epsilon=0.1)
+        query = query_by_name("tpch1")
+        session.run(query, small_tables, epsilon=0.1)
+        # A neighbour is a fresh release; an identical resubmission
+        # would replay for free.
+        neighbour = dict(small_tables)
+        neighbour["lineitem"] = small_tables["lineitem"][:-1]
         with pytest.raises(PrivacyBudgetExceeded):
-            session.run(query_by_name("tpch1"), small_tables, epsilon=0.1)
+            session.run(query, neighbour, epsilon=0.1)
 
-    @pytest.mark.parametrize("answer_cache", [False, True])
     @pytest.mark.parametrize("tables", [{"lineitem": []}, {}])
-    def test_refused_table_costs_nothing(self, tables, answer_cache):
+    def test_refused_table_costs_nothing(self, tables):
         """An empty or absent protected table is refused before ε is
         charged: accountant, ledger and enforcer registry stay as is."""
         accountant = PrivacyAccountant(total_epsilon=1.0)
         ledger = PrivacyLedger()
         session = UPASession(
-            UPAConfig(sample_size=50, seed=0, answer_cache=answer_cache),
+            UPAConfig(sample_size=50, seed=0),
             accountant=accountant, ledger=ledger,
         )
         with pytest.raises(DPError, match="protected table 'lineitem'"):
@@ -580,18 +592,16 @@ class TestUPASession:
         assert accountant.spent() == (0.0, 0.0)
         assert len(ledger) == 0
         assert len(session.enforcer) == 0
-        assert session._answer_cache == {}
+        assert session._tables._answers == {}
 
-    def test_refused_release_costs_nothing_and_is_logged(self):
-        """The benchmarks/e2e/README.md reproducer: tpch21 resubmitted on
-        x and x minus its last record dead-ends RANGE ENFORCER.  Epsilon
+    def test_refused_release_costs_nothing_and_is_logged(self, tpch21_x):
+        """tpch21 on x, then on x minus its last k records for k = 1,
+        2, ... — every submission a neighbour of the one before, none
+        an identical resubmission — dead-ends RANGE ENFORCER.  Epsilon
         is charged at the commit point, so accountant and ledger agree
         and every refusal leaves a zero-epsilon ``refused`` row."""
-        workload = workload_by_name("tpch21")
-        tables = workload.make_tables(20_000, 3)
-        query = workload.query
-        minus_one = dict(tables)
-        minus_one[query.protected_table] = tables[query.protected_table][:-1]
+        query, tables = tpch21_x
+        rows = tables[query.protected_table]
         accountant = PrivacyAccountant(total_epsilon=1e9)
         ledger = PrivacyLedger()
         session = UPASession(
@@ -599,9 +609,10 @@ class TestUPASession:
             accountant=accountant, ledger=ledger,
         )
         released = 0
-        for i in range(20):
+        for k in range(20):
+            shrunk = {**tables, query.protected_table: rows[:len(rows) - k]}
             try:
-                session.run(query, tables if i % 2 == 0 else minus_one)
+                session.run(query, shrunk)
                 released += 1
             except DPError as error:
                 assert "exhausted sampled records" in str(error)
@@ -618,6 +629,29 @@ class TestUPASession:
         assert accountant.describe()["queries"] == len(session.enforcer) == 5
         assert refused[-1].accountant_spent_epsilon == pytest.approx(0.5)
 
+    def test_resubmitting_x_and_x_minus_one_never_dead_ends(self, tpch21_x):
+        """The benchmarks/e2e/README.md reproducer: tpch21 on x and on
+        x minus its last record, 200 times in turn.  Only the first
+        two are releases; the rest replay them, so RANGE ENFORCER never
+        sees a resubmission and nothing is refused."""
+        query, tables = tpch21_x
+        minus_one = dict(tables)
+        minus_one[query.protected_table] = tables[query.protected_table][:-1]
+        accountant = PrivacyAccountant(total_epsilon=1e9)
+        ledger = PrivacyLedger()
+        session = UPASession(
+            UPAConfig(sample_size=1000, epsilon=0.1, seed=3),
+            accountant=accountant, ledger=ledger,
+        )
+        for i in range(200):
+            session.run(query, tables if i % 2 == 0 else minus_one)
+        totals = ledger.totals()
+        assert totals["refused"] == 0 and totals["cache_hits"] == 198
+        spent = accountant.spent()[0]
+        assert spent == pytest.approx(totals["epsilon_charged"])
+        assert spent == pytest.approx(2 * 0.1)
+        assert len(session.enforcer) == 2
+
     def test_unaffordable_release_is_refused_before_any_work(
         self, small_tables
     ):
@@ -633,12 +667,12 @@ class TestUPASession:
         assert session.engine.metrics.get(MetricsRegistry.JOBS) == 0
         assert accountant.spent() == (0.0, 0.0)
 
-    def test_answer_cache_hashes_a_table_once_per_session(
+    def test_replays_hash_a_table_once_per_session(
         self, small_tables, monkeypatch
     ):
-        """The key reads the registered table's stored fingerprints:
-        one hash for k identical submissions, and every hit still
-        writes its zero-epsilon ledger row."""
+        """A replay is found by the registered table's stored
+        fingerprints: one hash for k identical submissions, and every
+        replay still writes its zero-epsilon ledger row."""
         calls = []
         real = sampling_mod.fingerprint_columns
 
@@ -650,22 +684,19 @@ class TestUPASession:
         query = query_by_name("tpch6")
         rows = len(small_tables["lineitem"])
         ledger = PrivacyLedger()
-        cached = UPASession(
-            UPAConfig(sample_size=50, seed=0, answer_cache=True),
-            ledger=ledger,
-        )
-        first = cached.run(query, small_tables, epsilon=0.5)
+        session = UPASession(UPAConfig(sample_size=50, seed=0), ledger=ledger)
+        first = session.run(query, small_tables, epsilon=0.5)
         for _ in range(3):
-            assert cached.run(query, small_tables, epsilon=0.5) is first
+            assert session.run(query, small_tables, epsilon=0.5) is first
         assert calls == [rows]
         assert [
             (entry.cache_hit, entry.epsilon_charged)
             for entry in ledger.entries()
         ] == [(False, 0.5)] + [(True, 0.0)] * 3
-        metrics = cached.engine.metrics
-        assert metrics.get("answer_cache_hits") == 3
+        metrics = session.engine.metrics
+        assert metrics.get(MetricsRegistry.RELEASE_REPLAYS) == 3
         assert metrics.get(MetricsRegistry.TABLE_REGISTRATIONS) == 1
-        # the first release paid the hash: only the hits reused it.
+        # the first release paid the hash: only the replays reused it.
         assert metrics.get(MetricsRegistry.TABLE_REUSES) == 3
         del calls[:]
         plain = UPASession(UPAConfig(sample_size=50, seed=0)).run(

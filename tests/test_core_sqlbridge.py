@@ -26,6 +26,7 @@ from repro.core.sqlbridge import (
     compile_sql,
 )
 from repro.engine.columnar import ColumnarPartition
+from repro.engine.metrics import MetricsRegistry
 from repro.sql import SQLSession, col, count_star, sum_
 from repro.sql.expr import CaseWhen, lit
 from repro.sql.functions import count
@@ -492,12 +493,16 @@ class TestCompileCacheGuardsItsStaticLists:
         session.append([{"bk": 2, "w": float(j)} for j in range(30)], 0.5)
         assert release("a").plain_output[0] == joined() == 9862
         hits = session.engine.metrics.get("sql.plan_cache.hits")
-        assert release("a").plain_output[0] == 9862
+        # Another epsilon: a fresh release, from the cached compile.
+        again = session.run_sql(
+            text, tables, "a", epsilon=0.4, domain_sampler=samplers["a"],
+        )
+        assert again.plain_output[0] == 9862
         assert session.engine.metrics.get("sql.plan_cache.hits") == hits + 1
 
 
-class TestAnswerCacheIdentity:
-    """The answer cache is keyed on what a query computes, not its name."""
+class TestReplayIdentity:
+    """A replay is keyed on what a query computes, not its name."""
 
     URGENT = ("SELECT COUNT(*) AS n FROM orders "
               "WHERE o_orderpriority = '1-URGENT'")
@@ -505,9 +510,7 @@ class TestAnswerCacheIdentity:
               "WHERE o_orderpriority <> '1-URGENT'")
 
     def _session(self):
-        return UPASession(UPAConfig(
-            sample_size=50, seed=3, answer_cache=True
-        ))
+        return UPASession(UPAConfig(sample_size=50, seed=3))
 
     def test_two_texts_with_one_display_name_do_not_share(self, tpch_tables):
         from repro.tpch.queries.base import random_order
@@ -526,10 +529,11 @@ class TestAnswerCacheIdentity:
         total = len(tpch_tables["orders"])
         assert urgent.plain_output[0] + others.plain_output[0] == total
         assert 0 < urgent.plain_output[0] < others.plain_output[0]
-        # ... and an identical resubmission still hits.
+        # ... and an identical resubmission, compiled again, replays.
         assert release(self.URGENT) is urgent
         assert release(self.OTHERS) is others
-        assert session.engine.metrics.get("answer_cache_hits") == 2
+        metrics = session.engine.metrics
+        assert metrics.get(MetricsRegistry.RELEASE_REPLAYS) == 2
 
     def test_compile_plan_default_name_does_not_share(self, tpch_tables):
         from repro.tpch.queries.base import random_order

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import repro.core.sampling as sampling_mod
-from repro.common.errors import DPError
+import repro.core.session as session_mod
+from repro.common.errors import DPError, PrivacyBudgetExceeded
 from repro.core.session import UPAConfig, UPAResult, UPASession
 from repro.core.table import (
     REGISTRY_BOUND,
@@ -24,7 +25,10 @@ from repro.core.table import (
     ProtectedTable,
     TableRegistry,
 )
+from repro.dp.budget import PrivacyAccountant
 from repro.engine.metrics import MetricsRegistry
+from repro.mining import KMeansQuery
+from repro.obs.ledger import PrivacyLedger
 from repro.obs.report import ObservedRun
 from repro.obs.tracing import Tracer
 from repro.workloads import all_workloads, workload_by_name
@@ -162,12 +166,16 @@ class TestTableRegistry:
 
 
 class TestFixedLists:
-    def test_unchanged_means_the_same_objects_with_the_same_rows(self):
+    def test_unchanged_means_equal_by_value(self):
         orders, parts = _rows(0, 6), _rows(0, 3)
         fixed = FixedLists({"orders": orders, "parts": parts})
         assert fixed.unchanged({"orders": orders, "parts": parts})
         assert not fixed.unchanged({"orders": orders})
-        assert not fixed.unchanged({"orders": list(orders), "parts": parts})
+        # a new list of the same rows, or of equal copies of them
+        assert fixed.unchanged({"orders": list(orders), "parts": parts})
+        assert fixed.unchanged(
+            {"orders": [dict(row) for row in orders], "parts": parts}
+        )
         other = _rows(9, 10)[0]
         orders.append(other)  # grown in place: the same object
         assert not fixed.unchanged({"orders": orders, "parts": parts})
@@ -228,7 +236,10 @@ class TestHitIsMiss:
     """One session is handed the same list objects, so the registry and
     the kept aux serve it; the other gets a record-by-record copy of
     the protected table and new public lists on every submission, so
-    nothing is ever found.  Same seeds, same sequence: same results."""
+    it registers every protected list afresh (equal public lists still
+    find their aux).  Same seeds, same sequence: same results.  Each
+    step has its own epsilon, so every step is a fresh release, not a
+    replay."""
 
     @pytest.mark.parametrize("parts", [1, 2, 3])
     @pytest.mark.parametrize("name", [w.name for w in all_workloads()])
@@ -262,38 +273,38 @@ class TestHitIsMiss:
         hit, miss = UPASession(config), UPASession(config)
         retire_n = max(1, held // 3)
         steps = [
-            ("run x", x, lambda: hit.run(query, x, 0.5)),
-            ("run x-1", minus, lambda: hit.run(query, minus, 0.5)),
-            ("run x again", x, lambda: hit.run(query, x, 0.5)),
-            ("append", x, lambda: hit.append(list(chunks[0]), 0.5)),
-            ("append again", x, lambda: hit.append(list(chunks[1]), 0.5)),
-            ("retire", x, lambda: hit.retire(retire_n, 0.5)),
-            ("run x-1 again", minus, lambda: hit.run(query, minus, 0.5)),
-            ("run grown x", x, lambda: hit.run(query, x, 0.5)),
+            ("run x", x, lambda e: hit.run(query, x, e)),
+            ("run x-1", minus, lambda e: hit.run(query, minus, e)),
+            ("run x again", x, lambda e: hit.run(query, x, e)),
+            ("append", x, lambda e: hit.append(list(chunks[0]), e)),
+            ("append again", x, lambda e: hit.append(list(chunks[1]), e)),
+            ("retire", x, lambda e: hit.retire(retire_n, e)),
+            ("run x-1 again", minus, lambda e: hit.run(query, minus, e)),
+            ("run grown x", x, lambda e: hit.run(query, x, e)),
         ]
-        for step, submitted, call in steps:
-            released = _release(call)
+        for i, (step, submitted, call) in enumerate(steps):
+            epsilon = 0.5 + i / 100
+            released = _release(lambda: call(epsilon))
             # The hit session's lists are the state to mirror: append()
             # and retire() have moved x[protected] by now.
             mirrored = _release(
-                lambda: miss.run(query, copied(submitted), 0.5)
+                lambda: miss.run(query, copied(submitted), epsilon)
             )
             assert (released is None) == (mirrored is None), step
             if released is not None:
                 _assert_identical(released, mirrored, step)
         metrics = hit.engine.metrics
+        assert metrics.get(MetricsRegistry.RELEASE_REPLAYS) == 0
         assert metrics.get(MetricsRegistry.TABLE_REGISTRATIONS) == 2
         assert metrics.get(MetricsRegistry.TABLE_REUSES) == len(steps) - 2
-        assert metrics.get(MetricsRegistry.AUX_REUSES) == (
-            0 if query.aux_reads_protected else len(steps) - 1
-        )
         cold = miss.engine.metrics
         assert cold.get(MetricsRegistry.TABLE_REGISTRATIONS) == len(steps)
         assert cold.get(MetricsRegistry.TABLE_REUSES) == 0
-        # Aux is kept per public tables, and linreg has none to copy.
-        assert cold.get(MetricsRegistry.AUX_REUSES) == (
-            len(steps) - 1 if name == "linreg" else 0
-        )
+        # Aux is kept per public tables, compared by value.
+        for session_metrics in (metrics, cold):
+            assert session_metrics.get(MetricsRegistry.AUX_REUSES) == (
+                0 if query.aux_reads_protected else len(steps) - 1
+            )
 
 
 class TestAuxIsKeptPerPublicTables:
@@ -307,8 +318,10 @@ class TestAuxIsKeptPerPublicTables:
         minus["customer"] = tables["customer"][:-1]
         calls = _count_build_aux(monkeypatch, workload.query)
         session = self._session()
-        for submitted in (tables, minus, tables, minus):
-            _release(lambda: session.run(workload.query, submitted, 0.5))
+        for epsilon, submitted in zip(
+            (0.5, 0.6, 0.7, 0.8), (tables, minus, tables, minus),
+        ):
+            _release(lambda: session.run(workload.query, submitted, epsilon))
         assert len(calls) == 1
         assert session.engine.metrics.get(MetricsRegistry.AUX_REUSES) == 3
 
@@ -344,19 +357,20 @@ class TestAuxIsKeptPerPublicTables:
         config = UPAConfig(sample_size=SAMPLE, seed=SEED)
         session, fresh = UPASession(config), UPASession(config)
         steps = [
-            (q13, lambda: session.run(q13, generated, 0.5)),
-            (q4, lambda: session.run(q4, generated, 0.5)),
-            (q4, lambda: session.append(new_orders, 0.5)),
-            (q13, lambda: session.run(q13, generated, 0.5)),
+            (q13, lambda e: session.run(q13, generated, e)),
+            (q4, lambda e: session.run(q4, generated, e)),
+            (q4, lambda e: session.append(new_orders, e)),
+            (q13, lambda e: session.run(q13, generated, e)),
             # ... and back to the same length: retire what was appended.
-            (q4, lambda: session.run(q4, generated, 0.5)),
-            (q4, lambda: session.append(more_orders, 0.5)),
-            (q4, lambda: session.retire(len(more_orders), 0.5)),
-            (q13, lambda: session.run(q13, generated, 0.5)),
+            (q4, lambda e: session.run(q4, generated, e)),
+            (q4, lambda e: session.append(more_orders, e)),
+            (q4, lambda e: session.retire(len(more_orders), e)),
+            (q13, lambda e: session.run(q13, generated, e)),
         ]
         for step, (query, call) in enumerate(steps):
-            released = _release(call)
-            mirrored = _release(lambda: fresh.run(query, copied(), 0.5))
+            epsilon = 0.5 + step / 100  # a fresh release, not a replay
+            released = _release(lambda: call(epsilon))
+            mirrored = _release(lambda: fresh.run(query, copied(), epsilon))
             assert (released is None) == (mirrored is None), step
             if released is not None:
                 _assert_identical(released, mirrored, step)
@@ -381,8 +395,8 @@ class TestAuxIsKeptPerPublicTables:
         tables = workload.make_tables(400, SEED)
         calls = _count_build_aux(monkeypatch, workload.query)
         session = self._session()
-        for _ in range(3):
-            session.run(workload.query, tables, 0.5)
+        for epsilon in (0.5, 0.6, 0.7):
+            session.run(workload.query, tables, epsilon)
         assert len(calls) == 3
         assert session.engine.metrics.get(MetricsRegistry.AUX_REUSES) == 0
         assert session.engine.metrics.get(MetricsRegistry.TABLE_REUSES) == 2
@@ -493,19 +507,195 @@ class TestTablesAreValues:
         assert session._last_incremental["records_reused"] == 0
 
 
+class TestReplay:
+    """An identical resubmission gets its release back, for free
+    (DESIGN.md section 5, item 10); anything else is released afresh."""
+
+    def _session(self, accountant=None):
+        return UPASession(
+            UPAConfig(sample_size=SAMPLE, seed=SEED),
+            accountant=accountant, ledger=PrivacyLedger(),
+        )
+
+    def _x(self):
+        """tpch13's tables with 20 customers held back, and them."""
+        generated = workload_by_name("tpch13").make_tables(4000, SEED)
+        customers = generated["customer"]
+        return {**generated, "customer": customers[:-20]}, customers[-20:]
+
+    def test_a_replay_is_the_release_at_zero_epsilon(self, monkeypatch):
+        query = workload_by_name("tpch13").query
+        x, _chunk = self._x()
+        accountant = PrivacyAccountant(total_epsilon=10.0)
+        session = self._session(accountant)
+        first = session.run(query, x, 0.5)
+        registry, counter = len(session.enforcer), session._run_counter
+        metrics = session.engine.metrics
+        jobs = metrics.get(MetricsRegistry.JOBS)
+        sampled = []
+        real = session_mod.partition_and_sample
+        monkeypatch.setattr(
+            session_mod, "partition_and_sample",
+            lambda *args, **kwargs: sampled.append(args)
+            or real(*args, **kwargs),
+        )
+        assert session.run(query, x, 0.5) is first
+        assert accountant.spent()[0] == pytest.approx(0.5)
+        assert [
+            (entry.cache_hit, entry.epsilon_charged)
+            for entry in session.ledger.entries()
+        ] == [(False, 0.5), (True, 0.0)]
+        assert len(session.enforcer) == registry
+        assert session._run_counter == counter
+        assert sampled == []
+        assert metrics.get(MetricsRegistry.JOBS) == jobs
+        assert metrics.get(MetricsRegistry.RELEASE_REPLAYS) == 1
+
+    @pytest.mark.parametrize("change", [
+        "neighbour", "epsilon", "query object", "public table", "append",
+        "retire",
+    ])
+    def test_anything_else_is_released_afresh(self, change):
+        query = workload_by_name("tpch13").query
+        x, chunk = self._x()
+        session = self._session()
+        first = session.run(query, x, 0.5)
+        calls = {
+            "neighbour": lambda: session.run(
+                query, {**x, "customer": x["customer"][:-1]}, 0.5,
+            ),
+            "epsilon": lambda: session.run(query, x, 0.4),
+            "query object": lambda: session.run(
+                workload_by_name("tpch13").query, x, 0.5,
+            ),
+            "public table": lambda: session.run(
+                query, {**x, "orders": x["orders"][:-1]}, 0.5,
+            ),
+            "append": lambda: session.append(chunk, 0.5),
+            "retire": lambda: session.retire(5, 0.5),
+        }
+        again = calls[change]()
+        assert again is not first
+        assert session.engine.metrics.get(MetricsRegistry.RELEASE_REPLAYS) == 0
+        assert not session.ledger.entries()[-1].cache_hit
+
+    def test_a_content_equal_copy_replays(self):
+        query = workload_by_name("tpch13").query
+        x, _chunk = self._x()
+        session = self._session()
+        first = session.run(query, x, 0.5)
+        copy = {
+            name: (
+                [dict(row) for row in rows] if name == "customer"
+                else list(rows)
+            )
+            for name, rows in x.items()
+        }
+        assert session.run(query, copy, 0.5) is first
+        metrics = session.engine.metrics
+        assert metrics.get(MetricsRegistry.TABLE_REGISTRATIONS) == 2
+
+    def test_the_kept_releases_stay_bounded(self):
+        """Releases are kept only for the content of the tables the
+        registry holds, so an append/retire loop keeps one."""
+        workload = workload_by_name("tpch6")
+        generated = workload.make_tables(600, SEED)
+        rows = generated["lineitem"]
+        reserve = rows[400:]
+        tables = {**generated, "lineitem": rows[:400]}
+        session = self._session()
+        session.run(workload.query, tables, 0.5)
+        answers = session._tables._answers
+        for pair in range(50):
+            _release(lambda: session.append(
+                reserve[4 * pair:4 * pair + 4], 0.5,
+            ))
+            _release(lambda: session.retire(4, 0.5))
+            assert len(answers) <= REGISTRY_BOUND
+            assert sum(map(len, answers.values())) <= REGISTRY_BOUND
+        assert len(answers) == 1
+
+    def test_an_exhausted_accountant_still_replays(self):
+        query = workload_by_name("tpch13").query
+        x, _chunk = self._x()
+        accountant = PrivacyAccountant(total_epsilon=0.5)
+        session = self._session(accountant)
+        first = session.run(query, x, 0.5)
+        assert session.run(query, x, 0.5) is first
+        with pytest.raises(PrivacyBudgetExceeded):
+            session.run(query, x, 0.4)
+        assert accountant.spent()[0] == pytest.approx(0.5)
+
+    def test_a_changed_public_table_is_not_replayed_stale(self):
+        """A replay keyed on the protected table alone returned 192
+        for tpch4 over public tables cut to their first half: 103."""
+        workload = workload_by_name("tpch4")
+        query = workload.query
+        tables = workload.make_tables(4000, SEED)
+        halved = {
+            name: rows if name == query.protected_table
+            else rows[:len(rows) // 2]
+            for name, rows in tables.items()
+        }
+        session = UPASession(UPAConfig(sample_size=100, seed=1))
+        first = session.run(query, tables)
+        second = session.run(query, halved)
+        assert second is not first
+        assert first.plain_output[0] == 192
+        assert second.plain_output[0] == 103
+        assert session.run(query, halved) is second
+
+    def test_two_queries_of_one_class_do_not_share(self):
+        """A replay keyed on the class-level name gave the 12-value
+        answer of three clusters to the query for two."""
+        tables = workload_by_name("kmeans").make_tables(400, SEED)
+        session = self._session()
+        three = session.run(KMeansQuery(num_clusters=3), tables, 0.5)
+        two = session.run(KMeansQuery(num_clusters=2), tables, 0.5)
+        assert three.noisy_output.shape == (12,)
+        assert two.noisy_output.shape == (8,)
+
+    def test_append_after_a_replay_grows_the_replayed_table(self):
+        """run(x), run(y), run(x) replays, append(chunk): the chunk
+        grows x (it grew y) and the release equals a cold one of
+        x + chunk."""
+        workload = workload_by_name("tpch6")
+        query = workload.query
+        generated = workload.make_tables(600, SEED)
+        rows = generated["lineitem"]
+        chunk = rows[-100:]
+        x = {**generated, "lineitem": rows[:-100]}
+        y = {**generated, "lineitem": rows[:-300]}
+        session, mirror = self._session(), self._session()
+        first = session.run(query, x, 0.5)
+        session.run(query, y, 0.5)
+        assert session.run(query, x, 0.5) is first
+        appended = session.append(chunk, 0.5)
+        assert len(x["lineitem"]) == 600 and len(y["lineitem"]) == 300
+        for submitted in (x["lineitem"][:-100], y["lineitem"]):
+            mirror.run(query, {**generated, "lineitem": list(submitted)}, 0.5)
+        mirror.run(
+            query, {**generated, "lineitem": list(x["lineitem"][:-100])}, 0.5,
+        )
+        cold = mirror.run(
+            query, {**generated, "lineitem": list(x["lineitem"])}, 0.5,
+        )
+        _assert_identical(appended, cold, "append after a replay")
+
+
 class TestObservability:
-    def test_a_first_release_under_answer_cache_reused_nothing(self):
-        """The table is registered for the cache key before phase 1
-        runs; the span and the counter still say this release hashed."""
+    def test_a_first_release_reused_nothing(self):
+        """The table is registered before phase 1 runs, to look for a
+        replay; the span and the counter still say this release
+        hashed."""
         workload = workload_by_name("tpch6")
         tables = workload.make_tables(400, SEED)
         tracer = Tracer()
         session = UPASession(
-            UPAConfig(sample_size=SAMPLE, seed=SEED, answer_cache=True),
-            tracer=tracer,
+            UPAConfig(sample_size=SAMPLE, seed=SEED), tracer=tracer,
         )
         session.run(workload.query, tables, 0.5)
-        session.run(workload.query, tables, 0.4)  # another key: no hit
+        session.run(workload.query, tables, 0.4)  # another epsilon
         assert [
             span.attributes["registered"]
             for span in tracer.find("phase:partition_sample")
@@ -523,8 +713,10 @@ class TestObservability:
         session = UPASession(
             UPAConfig(sample_size=SAMPLE, seed=SEED), tracer=tracer,
         )
-        for submitted in (tables, minus, tables, minus):
-            _release(lambda: session.run(workload.query, submitted, 0.5))
+        for epsilon, submitted in zip(
+            (0.5, 0.6, 0.7, 0.8), (tables, minus, tables, minus),
+        ):
+            _release(lambda: session.run(workload.query, submitted, epsilon))
         spans = [
             span for span in tracer.spans()
             if span.name == "phase:partition_sample"

@@ -78,15 +78,14 @@ class TestTinyDatasets:
 
     def test_enforcer_exhaustion_on_tiny_repeats(self):
         """Repeated attacks on a tiny dataset run out of removable
-        records and fail closed (exception), never open."""
+        records and fail closed (exception), never open.  Each
+        submission is one record short of the last: a neighbour, never
+        an identical resubmission that would be replayed."""
         session = UPASession(UPAConfig(sample_size=10, seed=0))
-        tables = _tables(range(6))
-        session.run(_TinyQuery(), tables, epsilon=1.0)
-        with pytest.raises(DPError):
-            for _ in range(5):
-                neighbour = _tables(range(5))
-                session.run(_TinyQuery(), neighbour, epsilon=1.0)
-                tables = neighbour
+        query = _TinyQuery()
+        with pytest.raises(DPError, match="exhausted sampled records"):
+            for size in range(6, 0, -1):
+                session.run(query, _tables(range(size)), epsilon=1.0)
 
     def test_zero_valued_dataset(self):
         session = UPASession(UPAConfig(sample_size=10, seed=0))

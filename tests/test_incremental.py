@@ -472,6 +472,16 @@ def _registry(session):
     }
 
 
+def _kept_releases(session):
+    """(dataset print, query, epsilon, id of the release) kept for
+    replay."""
+    return {
+        (print_, identity, id(release))
+        for print_, answers in session._tables._answers.items()
+        for identity, (_public, release) in answers.items()
+    }
+
+
 def _cursor(session):
     incr = session._incr
     return (
@@ -501,7 +511,8 @@ class TestReleaseAtomicity:
 
     The commit point is RANGE ENFORCER registering the submission: a
     failure before it (phase 2, inference, enforcement) changes neither
-    the registry, nor the answer cache, nor the append cursor.  The
+    the registry, nor the releases kept for replay, nor the append
+    cursor.  The
     noise draw after it fails before epsilon is charged.  Either way
     the accountant's spend equals the ledger's total, and the release
     after the failure still equals its cold mirror, which meets the
@@ -523,8 +534,7 @@ class TestReleaseAtomicity:
 
         def make():
             return UPASession(
-                UPAConfig(seed=SMALL_APPEND_SEED, sample_size=SAMPLE,
-                          answer_cache=True),
+                UPAConfig(seed=SMALL_APPEND_SEED, sample_size=SAMPLE),
                 accountant=PrivacyAccountant(total_epsilon=100.0),
                 ledger=PrivacyLedger(),
             )
@@ -540,7 +550,7 @@ class TestReleaseAtomicity:
 
         registry = _registry(incr)
         registered = len(incr.enforcer)
-        cache = dict(incr._answer_cache)
+        kept = _kept_releases(incr)
         cursor = _cursor(incr)
         _inject(point, (incr, cold), monkeypatch)
         if failing == "append":
@@ -559,8 +569,10 @@ class TestReleaseAtomicity:
         for session in (incr, cold):
             _assert_spend_is_ledgered(session)
         assert len(incr.ledger) == 2
-        assert incr._answer_cache.keys() == cache.keys()
-        assert all(incr._answer_cache[k] is v for k, v in cache.items())
+        # The failed release kept nothing for replay.  A failed append
+        # still grew the table, so the release of its old content went.
+        assert _kept_releases(incr) == (set() if failing == "append" else kept)
+        assert len(kept) == 1
         assert _cursor(incr) == cursor
         if point == "noise":
             assert len(incr.enforcer) == registered + 1

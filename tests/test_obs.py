@@ -565,13 +565,13 @@ def observed_session():
     ledger = PrivacyLedger()
     accountant = PrivacyAccountant(total_epsilon=10.0)
     session = UPASession(
-        UPAConfig(epsilon=1.0, sample_size=50, seed=1, answer_cache=True),
+        UPAConfig(epsilon=1.0, sample_size=50, seed=1),
         accountant=accountant,
         tracer=tracer,
         ledger=ledger,
     )
     result = session.run(workload.query, tables)
-    cached = session.run(workload.query, tables)  # answer-cache hit
+    cached = session.run(workload.query, tables)  # a replay
     return session, tracer, ledger, result, cached
 
 
@@ -646,14 +646,18 @@ class TestSessionObservability:
         phase = tracer.find("phase:partition_sample")[0]
         steps = [s for s in tracer.spans() if s.parent_id == phase.span_id]
         assert [s.name for s in steps] == [
-            "sampling.fingerprint", "sampling.split",
-            "sampling.domain_sample",
+            "sampling.split", "sampling.domain_sample",
         ]
         # S-bar came from the query's batch sampler, in one call.
         assert steps[-1].attributes == {"records": 50, "batched": True}
+        # The table lookup comes first, before a replay is looked for.
+        run = tracer.find("upa.run")[0]
+        lookup = tracer.find("sampling.fingerprint")[0]
+        assert lookup.parent_id == run.span_id
+        assert lookup.end <= phase.start
         report = ObservedRun.from_live(tracer=tracer)
-        # This release registered the table (for its answer-cache key,
-        # before phase 1 ran): it reused nothing.
+        # This release registered the table (before phase 1 ran): it
+        # reused nothing.
         assert report.domain_sampling_summary() == {
             "releases": 1, "records": 50, "batched": 1, "registered": 0,
         }
@@ -703,6 +707,17 @@ class TestSessionObservability:
         entry = ledger.entries()[0]
         assert entry.accountant_spent_epsilon == pytest.approx(1.0)
         assert entry.accountant_remaining_epsilon == pytest.approx(9.0)
+
+    def test_a_replay_is_a_run_span_with_only_the_lookup(
+        self, observed_session
+    ):
+        _, tracer, _, _, _ = observed_session
+        release, replay = tracer.find("upa.run")
+        assert release.attributes["replayed"] is False
+        assert replay.attributes["replayed"] is True
+        assert [
+            s.name for s in tracer.spans() if s.parent_id == replay.span_id
+        ] == ["sampling.fingerprint"]
 
     def test_cache_hit_audited_without_spend(self, observed_session):
         _, _, ledger, result, cached = observed_session

@@ -37,11 +37,15 @@ class TestMechanismChoice:
                       delta=1e-6),
             accountant=accountant,
         )
-        session.run(query_by_name("tpch1"), tables, epsilon=0.3)
+        query = query_by_name("tpch1")
+        session.run(query, tables, epsilon=0.3)
         _eps, delta = accountant.spent()
         assert delta == pytest.approx(1e-6)
+        # A neighbour is a fresh release (an identical resubmission
+        # would replay for free): its delta no longer fits.
+        neighbour = {**tables, "lineitem": tables["lineitem"][:-1]}
         with pytest.raises(PrivacyBudgetExceeded):
-            session.run(query_by_name("tpch1"), tables, epsilon=0.3)
+            session.run(query, neighbour, epsilon=0.3)
 
     def test_laplace_charges_no_delta(self, tables):
         accountant = PrivacyAccountant(total_epsilon=1.0, total_delta=0.0)

@@ -99,38 +99,33 @@ class TestExtensionQueries:
                 pytest.fail("non-promo part contributed")
 
 
-class TestAnswerCacheAndCheckpoint:
-    def test_answer_cache_returns_identical_result(self, tpch_tables):
+class TestReplayAndCheckpoint:
+    def test_replay_returns_identical_result(self, tpch_tables):
         from repro.tpch.workload import query_by_name
 
-        session = UPASession(
-            UPAConfig(sample_size=60, seed=1, answer_cache=True)
-        )
+        session = UPASession(UPAConfig(sample_size=60, seed=1))
         query = query_by_name("tpch1")
         first = session.run(query, tpch_tables, epsilon=0.5)
         second = session.run(query, tpch_tables, epsilon=0.5)
-        assert second is first  # cached object, no recomputation
+        assert second is first  # replayed object, no recomputation
 
-    def test_answer_cache_spends_budget_once(self, tpch_tables):
+    def test_replay_spends_budget_once(self, tpch_tables):
         from repro.dp import PrivacyAccountant
         from repro.tpch.workload import query_by_name
 
         accountant = PrivacyAccountant(total_epsilon=0.6)
         session = UPASession(
-            UPAConfig(sample_size=60, seed=1, answer_cache=True),
-            accountant=accountant,
+            UPAConfig(sample_size=60, seed=1), accountant=accountant,
         )
         query = query_by_name("tpch1")
         session.run(query, tpch_tables, epsilon=0.5)
         session.run(query, tpch_tables, epsilon=0.5)  # free
         assert accountant.remaining_epsilon() == pytest.approx(0.1)
 
-    def test_answer_cache_misses_on_neighbour(self, tpch_tables):
+    def test_a_neighbour_is_not_replayed(self, tpch_tables):
         from repro.tpch.workload import query_by_name
 
-        session = UPASession(
-            UPAConfig(sample_size=60, seed=1, answer_cache=True)
-        )
+        session = UPASession(UPAConfig(sample_size=60, seed=1))
         query = query_by_name("tpch1")
         first = session.run(query, tpch_tables, epsilon=0.5)
         neighbour = dict(tpch_tables)
