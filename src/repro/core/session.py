@@ -846,6 +846,7 @@ class UPASession:
         ))
         # The CLI pre-fills the header at construction, so these
         # counters must be refreshed on every release, not ensure'd.
+        # sql_plan_cache_* count the SQL bridge's compile cache.
         incremental = self._last_incremental
         ledger.update_header(
             sql_plan_cache_hits=int(

@@ -750,8 +750,9 @@ def compile_plan(
     """Compile a logical plan into a UPA-ready MapReduceQuery.
 
     ``engine`` (an :class:`~repro.engine.context.EngineContext`), when
-    given, receives ``sql.plan_cache.*`` hit/miss counters for the
-    bridge's compile cache.
+    given, receives the hit/miss/eviction counters of the bridge's
+    compile cache.  They keep the names ``sql.plan_cache.*`` although
+    this is the only plan cache: ``SQLSession`` caches no plans.
 
     Raises:
         QueryShapeError: if the plan is not a single COUNT/SUM linear in

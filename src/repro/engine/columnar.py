@@ -159,10 +159,6 @@ class ColumnarPartition:
         }
         return cls(columns, length=len(rows), names=names)
 
-    @classmethod
-    def empty_like(cls, other: "ColumnarPartition") -> "ColumnarPartition":
-        return other.slice(0, 0)
-
     # ------------------------------------------------------------------
     # Column access (no boxing)
     # ------------------------------------------------------------------
@@ -188,16 +184,6 @@ class ColumnarPartition:
         out[:] = buf
         return out
 
-    def memoryview(self, name: str) -> memoryview:
-        """A zero-copy memoryview of a typed column buffer."""
-        buf = self._columns[name]
-        if isinstance(buf, array):
-            return memoryview(buf)
-        if _np is not None and isinstance(buf, _np.ndarray) \
-                and buf.dtype != object:
-            return memoryview(buf)
-        raise TypeError(f"column {name!r} is not buffer-backed")
-
     # ------------------------------------------------------------------
     # Structural operations (zero- or single-copy, never per-row)
     # ------------------------------------------------------------------
@@ -210,21 +196,6 @@ class ColumnarPartition:
         }
         return ColumnarPartition(
             columns, length=max(0, stop - start), names=self.names,
-        )
-
-    def select(
-        self, names: Sequence[Tuple[str, str]]
-    ) -> "ColumnarPartition":
-        """Project to ``[(out_name, source_name), ...]`` — zero-copy.
-
-        The new partition shares the selected column buffers; renames
-        cost nothing because only the name → buffer mapping changes.
-        """
-        names = list(names)
-        return ColumnarPartition(
-            {out: self._columns[src] for out, src in names},
-            length=self._length,
-            names=[out for out, _src in names],
         )
 
     def take(self, indices: Sequence[int]) -> "ColumnarPartition":
@@ -240,24 +211,6 @@ class ColumnarPartition:
                 ) if isinstance(buf, array) else [buf[i] for i in idx]
         return ColumnarPartition(columns, length=len(idx), names=self.names)
 
-    def compress(self, mask: Any) -> "ColumnarPartition":
-        """Keep rows where ``mask`` (boolean array/sequence) is true."""
-        if _np is not None:
-            mask = _np.asarray(mask, dtype=bool)
-            columns = {}
-            for name, buf in self._columns.items():
-                if isinstance(buf, _np.ndarray):
-                    columns[name] = buf[mask]
-                else:
-                    columns[name] = [
-                        v for v, keep in zip(buf, mask) if keep
-                    ]
-            return ColumnarPartition(
-                columns, length=int(mask.sum()), names=self.names,
-            )
-        keep = [i for i, flag in enumerate(mask) if flag]
-        return self.take(keep)
-
     # ------------------------------------------------------------------
     # Row adapters (boxing happens here, lazily, and nowhere else)
     # ------------------------------------------------------------------
@@ -271,9 +224,6 @@ class ColumnarPartition:
         if not names:  # zero columns still yields len() empty rows
             for _ in range(self._length):
                 yield {}
-
-    def rows(self) -> List[Row]:
-        return list(self.iter_rows())
 
     def row(self, index: int) -> Row:
         if index < 0:
@@ -324,10 +274,3 @@ def _python_values(buf: Any) -> Any:
         values = buf.tolist()
         return list(map(tuple, values)) if buf.ndim > 1 else values
     return buf
-
-
-def as_rows(records: Any) -> Sequence[Row]:
-    """Normalize a row sequence or ColumnarPartition to dict rows."""
-    if isinstance(records, ColumnarPartition):
-        return records.rows()
-    return records

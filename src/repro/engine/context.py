@@ -82,23 +82,6 @@ class EngineContext:
             self, list(data), num_partitions or self.config.default_parallelism
         )
 
-    def parallelize_columnar(
-        self, rows: Iterable, num_partitions: Optional[int] = None
-    ) -> RDD:
-        """Distribute dict rows as columnar partition blocks.
-
-        The returned RDD iterates dict rows like :meth:`parallelize`
-        (boxing lazily per partition), but stores data column-major —
-        ``map_partitions`` functions and batch kernels that understand
-        :class:`~repro.engine.columnar.ColumnarPartition` skip per-row
-        boxing.
-        """
-        from repro.engine.rdd import ColumnarCollectionRDD
-
-        return ColumnarCollectionRDD.from_rows(
-            self, list(rows), num_partitions or self.config.default_parallelism
-        )
-
     def empty_rdd(self) -> RDD:
         return ParallelCollectionRDD(self, [], 1)
 

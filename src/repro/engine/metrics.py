@@ -174,20 +174,19 @@ class MetricsRegistry:
     BROADCAST_RECORDS = "broadcast_records"
     NETWORK_COST = "simulated_network_cost"
 
-    #: Counter names used by the SQL layer (plan cache + join planning).
+    #: Counter names of the SQL bridge's compile cache
+    #: (core.sqlbridge.compile_plan), the only plan cache there is.
+    #: The names keep their ``sql.plan_cache`` prefix: the e2e benchmark
+    #: and the ledger header read them.
     SQL_PLAN_CACHE_HITS = "sql.plan_cache.hits"
     SQL_PLAN_CACHE_MISSES = "sql.plan_cache.misses"
-    #: entries pushed out of the bounded plan/bridge caches by the LRU
-    #: cap (lifecycle clears are not evictions, same convention as
+    #: entries pushed out of the bounded bridge cache by the LRU cap
+    #: (lifecycle clears are not evictions, same convention as
     #: CACHE_EVICTIONS).
     SQL_PLAN_CACHE_EVICTIONS = "sql.plan_cache.evictions"
+    #: Counter names of the SQL executor's join planning.
     SQL_JOIN_BROADCAST = "sql.join.broadcast"
     SQL_JOIN_SHUFFLE = "sql.join.shuffle"
-    #: rows entering a columnar fused stage vs rows actually boxed into
-    #: dicts at its row-oriented boundary — their ratio is the per-row
-    #: boxing reduction the vectorized filters bought.
-    SQL_COLUMNAR_ROWS_SCANNED = "sql.columnar.rows_scanned"
-    SQL_COLUMNAR_ROWS_BOXED = "sql.columnar.rows_boxed"
 
     #: Counter names used by the incremental session path
     #: (UPASession.append / retire — see docs/performance.md).

@@ -678,72 +678,6 @@ class ParallelCollectionRDD(RDD):
         return iter(self._data[start:end])
 
 
-class ColumnarCollectionRDD(RDD):
-    """An RDD over pre-transposed :class:`ColumnarPartition` blocks.
-
-    Iteration yields dict rows (boxed lazily by the partition's row
-    adapter), so every row-oriented operator works unchanged; columnar
-    consumers call :meth:`block` — or use :meth:`blocks_rdd`, whose
-    partitions each yield the raw block — and skip boxing entirely.
-    """
-
-    def __init__(self, context, blocks: Sequence["ColumnarPartition"]):
-        from repro.engine.columnar import ColumnarPartition
-
-        blocks = list(blocks) or [ColumnarPartition({}, length=0)]
-        super().__init__(context, len(blocks))
-        self._blocks = blocks
-
-    @classmethod
-    def from_rows(cls, context, rows: Sequence, num_partitions: int
-                  ) -> "ColumnarCollectionRDD":
-        """Transpose once, then zero-copy slice into partition blocks."""
-        from repro.engine.columnar import ColumnarPartition
-
-        whole = ColumnarPartition.from_rows(rows)
-        parts = max(1, num_partitions)
-        total = len(whole)
-        blocks = [
-            whole.slice((i * total) // parts, ((i + 1) * total) // parts)
-            for i in range(parts)
-        ]
-        return cls(context, blocks)
-
-    def block(self, split: int) -> "ColumnarPartition":
-        """The raw columnar block of one partition (no boxing)."""
-        return self._blocks[split]
-
-    def blocks_rdd(self) -> "ColumnarBlocksRDD":
-        """An RDD whose partitions each yield the block itself."""
-        return ColumnarBlocksRDD(self.context, self._blocks)
-
-    def compute(self, split: int) -> Iterator:
-        block = self._blocks[split]
-        self.context.metrics.incr(MetricsRegistry.RECORDS_READ, len(block))
-        return block.iter_rows()
-
-
-class ColumnarBlocksRDD(RDD):
-    """Each partition yields exactly one record: its ColumnarPartition.
-
-    The shape vectorized operators want — a fused SQL stage maps
-    block-to-block (mask, compress) and unboxes to rows only at its
-    row-oriented boundary.
-    """
-
-    def __init__(self, context, blocks: Sequence["ColumnarPartition"]):
-        from repro.engine.columnar import ColumnarPartition
-
-        blocks = list(blocks) or [ColumnarPartition({}, length=0)]
-        super().__init__(context, len(blocks))
-        self._blocks = blocks
-
-    def compute(self, split: int) -> Iterator:
-        block = self._blocks[split]
-        self.context.metrics.incr(MetricsRegistry.RECORDS_READ, len(block))
-        return iter([block])
-
-
 class MapPartitionsRDD(RDD):
     """Narrow transformation: a function of (split, parent iterator)."""
 

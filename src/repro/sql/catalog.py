@@ -10,24 +10,13 @@ from repro.sql.types import Schema
 
 
 class Table:
-    """A named table: schema + rows, materialized as an RDD on demand.
+    """A named table: schema + rows, materialized as an RDD on demand."""
 
-    With ``columnar=True`` the table materializes as a
-    :class:`~repro.engine.rdd.ColumnarCollectionRDD` — per-column
-    buffers instead of row dicts — and the executor's fused stages can
-    run vectorized filters over its blocks before any row is boxed.
-    """
-
-    def __init__(self, name: str, schema: Schema, rows: List[Dict[str, Any]],
-                 columnar: bool = False):
+    def __init__(self, name: str, schema: Schema, rows: List[Dict[str, Any]]):
         self.name = name
         self.schema = schema
         self.rows = rows
-        self.columnar = columnar
         self._rdd: Optional[RDD] = None
-
-    def invalidate(self) -> None:
-        self._rdd = None
 
 
 class Catalog:
@@ -36,29 +25,23 @@ class Catalog:
     def __init__(self, engine):
         self._engine = engine
         self._tables: Dict[str, Table] = {}
-        #: bumped on every register/drop; plan-cache keys include it so
-        #: cached RDDs never outlive the table contents they captured.
-        self.version = 0
 
     def register(
         self,
         name: str,
         rows: Sequence[Dict[str, Any]],
         schema: Optional[Schema] = None,
-        columnar: bool = False,
     ) -> Table:
         """Register (or replace) a table from in-memory rows."""
         rows = list(rows)
         if schema is None:
             schema = Schema.from_rows(rows)
-        table = Table(name, schema, rows, columnar=columnar)
+        table = Table(name, schema, rows)
         self._tables[name] = table
-        self.version += 1
         return table
 
     def drop(self, name: str) -> None:
-        if self._tables.pop(name, None) is not None:
-            self.version += 1
+        self._tables.pop(name, None)
 
     def table(self, name: str) -> Table:
         try:
@@ -75,30 +58,8 @@ class Catalog:
         return sorted(self._tables)
 
     def rdd(self, name: str) -> RDD:
-        """RDD of a table's rows (created lazily, reused afterwards).
-
-        Columnar tables still iterate dict rows here — the columnar
-        block RDD is a view of the same data (see :meth:`block_rdd`).
-        """
+        """RDD of a table's rows (created lazily, reused afterwards)."""
         table = self.table(name)
         if table._rdd is None:
-            if table.columnar:
-                table._rdd = self._engine.parallelize_columnar(table.rows)
-            else:
-                table._rdd = self._engine.parallelize(table.rows)
+            table._rdd = self._engine.parallelize(table.rows)
         return table._rdd
-
-    def is_columnar(self, name: str) -> bool:
-        return self.table(name).columnar
-
-    def block_rdd(self, name: str) -> RDD:
-        """RDD whose partitions yield raw ColumnarPartition blocks.
-
-        Only meaningful for tables registered ``columnar=True``.
-        """
-        table = self.table(name)
-        if not table.columnar:
-            raise AnalysisError(
-                f"table {name!r} is not registered columnar"
-            )
-        return self.rdd(name).blocks_rdd()

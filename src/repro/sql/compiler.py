@@ -1,6 +1,6 @@
 """Expression codegen: lower ``Expression`` trees to Python closures.
 
-The interpreted executor walks the AST once per row per operator — a
+``Expression.eval`` walks the AST once per row per operator — a
 method call, a dict lookup and an isinstance dance per node.  This
 module generates straight-line Python source for an expression (or a
 whole projection / key tuple / predicate), compiles it once with
@@ -11,8 +11,8 @@ Design notes, in the order they bit us:
 
 * **Null semantics are copied verbatim from expr.py** — comparisons
   with ``None`` are ``False``, arithmetic with ``None`` is ``None``,
-  ``LIKE``/``IN`` over ``None`` are ``False`` — so compiled and
-  interpreted paths agree bit for bit (the property tests enforce it).
+  ``LIKE``/``IN`` over ``None`` are ``False`` — so a closure and
+  ``Expression.eval`` agree bit for bit (the property tests enforce it).
 * **Laziness is preserved.**  ``and``/``or`` short-circuit and
   ``CASE WHEN`` evaluates branches in order, so guarded expressions
   like ``CASE WHEN n > 0 THEN s / n END`` must not evaluate the guarded
@@ -126,7 +126,8 @@ def expr_fingerprint(expr: Expression) -> str:
 
 
 def plan_fingerprint(plan) -> str:
-    """Canonical fingerprint of a logical plan (for the plan cache)."""
+    """Canonical fingerprint of a logical plan: the SQL bridge's compile
+    cache and release replay key on it."""
     from repro.sql.logical import (
         Aggregate,
         Distinct,

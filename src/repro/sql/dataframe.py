@@ -23,6 +23,7 @@ from repro.sql.logical import (
     Project,
     Sort,
 )
+from repro.sql.optimizer import optimize
 
 OnClause = Union[str, Sequence[str], Sequence[Tuple[Expression, Expression]]]
 
@@ -147,7 +148,7 @@ class DataFrame:
     # ------------------------------------------------------------------
 
     def to_rdd(self) -> RDD:
-        """Compile (optimized) and return the RDD of dict rows."""
+        """The optimized plan as an RDD of dict rows."""
         return self.session.execute_plan(self.plan)
 
     def collect(self) -> List[Dict[str, Any]]:
@@ -190,7 +191,7 @@ class DataFrame:
 
     def explain(self, optimized: bool = True) -> str:
         """Pretty-print the (optionally optimized) logical plan."""
-        plan = self.session.optimize_plan(self.plan) if optimized else self.plan
+        plan = optimize(self.plan) if optimized else self.plan
         text = plan.pretty()
         print(text)
         return text

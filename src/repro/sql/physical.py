@@ -1,16 +1,10 @@
 """Physical execution: compile logical plans onto engine RDDs.
 
-Two execution modes share this module:
-
-* **compiled + fused** (the default): ``Scan→Filter→Project`` chains —
-  and broadcast-join probes — collapse into a single ``map_partitions``
-  pass running closures generated by :mod:`repro.sql.compiler`, so a
-  whole stage of narrow operators costs one RDD hop instead of one per
-  logical node;
-* **interpreted**: the original row-at-a-time path (one ``map`` /
-  ``filter`` RDD hop per node, ``Expression.eval`` per row), kept as
-  the benchmark baseline and as a safety fallback
-  (``SQLSession(compile_expressions=False)``).
+``Scan→Filter→Project`` chains — and broadcast-join probes — collapse
+into a single ``map_partitions`` pass running closures generated by
+:mod:`repro.sql.compiler`, so a whole stage of narrow operators costs
+one RDD hop instead of one per logical node.  The tests hold every
+result to ``Expression.eval`` over the rows.
 
 Joins and aggregations become shuffles, so the engine's metrics
 directly reflect the plan's shuffle structure (which the Fig. 2(b)
@@ -20,6 +14,10 @@ collected once, shipped via ``engine.broadcast``, and hash-probed in a
 ``map_partitions``, eliminating the shuffle entirely.  The chosen
 strategy is recorded in the ``sql.join.broadcast`` /
 ``sql.join.shuffle`` counters and a ``sql.join.strategy`` span.
+
+An inner join's residual is a filter on the merged row; a semi/anti
+join's residual reads the candidate right row under
+:data:`~repro.sql.logical.Join.RESIDUAL_RIGHT_PREFIX`.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from repro.sql.compiler import (
     compile_projection,
     compiled,
 )
-from repro.sql.expr import Expression, Row
+from repro.sql.expr import Row
 from repro.sql.functions import AggregateSpec
 from repro.sql.logical import (
     Aggregate,
@@ -51,84 +49,9 @@ from repro.sql.logical import (
     Union,
 )
 from repro.sql.optimizer import estimate_rows
-from repro.sql.vectorized import compile_mask
 
 #: fused per-row operator kinds.
 _FILTER, _MAP, _FLAT = "filter", "map", "flat"
-#: fused columnar operator kinds: block → block, block stream → rows.
-_VBLOCK, _UNBOX = "vblock", "unbox"
-
-
-class _CountScanned:
-    """Block-level tap recording rows entering a columnar stage."""
-
-    __slots__ = ("metrics",)
-
-    def __init__(self, metrics: MetricsRegistry):
-        self.metrics = metrics
-
-    def __call__(self, block):
-        self.metrics.incr(
-            MetricsRegistry.SQL_COLUMNAR_ROWS_SCANNED, len(block)
-        )
-        return block
-
-
-class _VectorFilter:
-    """Block → block filter driven by a vectorized predicate mask."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, mask: Callable):
-        self.mask = mask
-
-    def __call__(self, block):
-        return block.compress(self.mask(block))
-
-
-class _VectorProject:
-    """Block → block column selection/rename — shares the buffers."""
-
-    __slots__ = ("names",)
-
-    def __init__(self, names: Sequence[Tuple[str, str]]):
-        self.names = tuple(names)
-
-    def __call__(self, block):
-        return block.select(self.names)
-
-
-def _column_projection(
-    exprs: Sequence[Expression],
-) -> Optional[Tuple[Tuple[str, str], ...]]:
-    """``[(out_name, source_column), ...]`` when every projected
-    expression is a bare or aliased column reference (the shape the
-    optimizer's column pruning emits), else None."""
-    from repro.sql.expr import Alias, Column
-
-    out = []
-    for expr in exprs:
-        target = expr.child if isinstance(expr, Alias) else expr
-        if not isinstance(target, Column):
-            return None
-        out.append((expr.output_name(), target.name))
-    return tuple(out)
-
-
-class _UnboxBlocks:
-    """Columnar → row boundary: box surviving rows into dicts, counted."""
-
-    __slots__ = ("metrics",)
-
-    def __init__(self, metrics: MetricsRegistry):
-        self.metrics = metrics
-
-    def __call__(self, blocks):
-        for block in blocks:
-            self.metrics.incr(
-                MetricsRegistry.SQL_COLUMNAR_ROWS_BOXED, len(block)
-            )
-            yield from block.iter_rows()
 
 
 class _Stage:
@@ -137,69 +60,35 @@ class _Stage:
     ``to_rdd`` materializes the chain as ONE ``map_partitions`` built
     from C-speed ``map``/``filter`` iterators, so stacked narrow
     operators never pay per-node RDD hops.
-
-    A stage over a columnar table starts in **columnar** mode: its
-    partitions yield :class:`~repro.engine.columnar.ColumnarPartition`
-    blocks and ``_VBLOCK`` ops transform whole blocks (vectorized
-    filters).  The first row-oriented op — or ``to_rdd`` itself —
-    inserts the ``_UNBOX`` boundary, which boxes only the rows that
-    survived the vectorized prefix (the ``sql.columnar.rows_scanned`` /
-    ``rows_boxed`` counters quantify the saving).
     """
 
-    __slots__ = ("rdd", "ops", "columnar", "unbox")
+    __slots__ = ("rdd", "ops")
 
-    def __init__(
-        self,
-        rdd: RDD,
-        ops: Tuple[Tuple[str, Callable], ...] = (),
-        columnar: bool = False,
-        unbox: Optional[Callable] = None,
-    ):
+    def __init__(self, rdd: RDD, ops: Tuple[Tuple[str, Callable], ...] = ()):
         self.rdd = rdd
         self.ops = ops
-        self.columnar = columnar
-        self.unbox = unbox
-
-    def rows(self) -> "_Stage":
-        """Row-oriented view: appends the unbox boundary if columnar."""
-        if not self.columnar:
-            return self
-        return _Stage(self.rdd, self.ops + ((_UNBOX, self.unbox),))
 
     def with_op(self, kind: str, fn: Callable) -> "_Stage":
-        stage = self.rows()
-        return _Stage(stage.rdd, stage.ops + ((kind, fn),))
-
-    def with_block_op(self, fn: Callable) -> "_Stage":
-        return _Stage(
-            self.rdd,
-            self.ops + ((_VBLOCK, fn),),
-            columnar=True,
-            unbox=self.unbox,
-        )
+        return _Stage(self.rdd, self.ops + ((kind, fn),))
 
     def to_rdd(self) -> RDD:
-        stage = self.rows()
-        if not stage.ops:
-            return stage.rdd
-        ops = stage.ops
+        if not self.ops:
+            return self.rdd
+        ops = self.ops
 
         def fused(part):
             it = part
             for kind, fn in ops:
                 if kind == _FILTER:
                     it = filter(fn, it)
-                elif kind in (_MAP, _VBLOCK):
+                elif kind == _MAP:
                     it = map(fn, it)
-                elif kind == _UNBOX:
-                    it = fn(it)
                 else:  # _FLAT — map/chain bind fn now (a genexpr would
                     # capture the loop variable and see its last value).
                     it = chain.from_iterable(map(fn, it))
             return it
 
-        return stage.rdd.map_partitions(fused)
+        return self.rdd.map_partitions(fused)
 
 
 class Executor:
@@ -207,10 +96,6 @@ class Executor:
 
     def __init__(self, session):
         self._session = session
-
-    @property
-    def _compile(self) -> bool:
-        return getattr(self._session, "compile_expressions", True)
 
     @property
     def _metrics(self) -> MetricsRegistry:
@@ -226,41 +111,15 @@ class Executor:
 
     def _stage(self, plan: LogicalPlan) -> _Stage:
         if isinstance(plan, Scan):
-            catalog = self._session.catalog
-            if self._compile and catalog.is_columnar(plan.table_name):
-                metrics = self._metrics
-                return _Stage(
-                    catalog.block_rdd(plan.table_name),
-                    ops=((_VBLOCK, _CountScanned(metrics)),),
-                    columnar=True,
-                    unbox=_UnboxBlocks(metrics),
-                )
-            return _Stage(catalog.rdd(plan.table_name))
+            return _Stage(self._session.catalog.rdd(plan.table_name))
         if isinstance(plan, Filter):
-            if self._compile:
-                stage = self._stage(plan.child)
-                if stage.columnar:
-                    mask = compile_mask(plan.condition)
-                    if mask is not None:
-                        return stage.with_block_op(_VectorFilter(mask))
-                return stage.with_op(
-                    _FILTER, compile_predicate(plan.condition)
-                )
-            condition = plan.condition
-            return _Stage(
-                self.execute(plan.child).filter(
-                    lambda row: bool(condition.eval(row))
-                )
+            return self._stage(plan.child).with_op(
+                _FILTER, compile_predicate(plan.condition)
             )
         if isinstance(plan, Project):
-            if self._compile:
-                stage = self._stage(plan.child)
-                if stage.columnar:
-                    cols = _column_projection(plan.exprs)
-                    if cols is not None:
-                        return stage.with_block_op(_VectorProject(cols))
-                return stage.with_op(_MAP, compile_projection(plan.exprs))
-            return _Stage(self._execute_project(plan))
+            return self._stage(plan.child).with_op(
+                _MAP, compile_projection(plan.exprs)
+            )
         if isinstance(plan, Join):
             return self._execute_join(plan)
         if isinstance(plan, Aggregate):
@@ -277,37 +136,11 @@ class Executor:
         raise AnalysisError(f"no physical operator for {type(plan).__name__}")
 
     # ------------------------------------------------------------------
-
-    def _key_fn(
-        self, exprs: Sequence[Expression]
-    ) -> Callable[[Row], Tuple[Any, ...]]:
-        if self._compile:
-            return compile_key(exprs)
-        exprs = list(exprs)
-        return lambda row: tuple(e.eval(row) for e in exprs)
-
-    def _pred_fn(self, expr: Expression) -> Callable[[Row], bool]:
-        if self._compile:
-            return compile_predicate(expr)
-        return lambda row: bool(expr.eval(row))
-
-    def _execute_project(self, plan: Project) -> RDD:
-        exprs: List[Tuple[str, Expression]] = [
-            (e.output_name(), e) for e in plan.exprs
-        ]
-
-        def project_row(row: Row) -> Row:
-            return {name: expr.eval(row) for name, expr in exprs}
-
-        return self.execute(plan.child).map(project_row)
-
-    # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
 
     def _execute_join(self, plan: Join) -> _Stage:
-        broadcast_right = self._should_broadcast(plan)
-        if broadcast_right:
+        if self._should_broadcast(plan):
             return self._broadcast_join(plan)
         self._metrics.incr(MetricsRegistry.SQL_JOIN_SHUFFLE)
         self._record_strategy(plan, "shuffle", None)
@@ -321,11 +154,7 @@ class Executor:
         left side preserves the left-major row order regardless of
         which side is small.
         """
-        if not self._compile:
-            return False
-        threshold = getattr(
-            self._session, "broadcast_join_threshold", 0
-        )
+        threshold = self._session.broadcast_join_threshold
         if threshold <= 0:
             return False
         estimate = estimate_rows(plan.right, self._session.catalog)
@@ -353,7 +182,7 @@ class Executor:
         ``map_partitions`` pass.
         """
         right_rows = self.execute(plan.right).collect()
-        key_right = self._key_fn([rk for _lk, rk in plan.keys])
+        key_right = compile_key([rk for _lk, rk in plan.keys])
         index: Dict[Tuple[Any, ...], List[Row]] = {}
         for row in right_rows:
             index.setdefault(key_right(row), []).append(row)
@@ -362,10 +191,10 @@ class Executor:
         self._metrics.incr(MetricsRegistry.SQL_JOIN_BROADCAST)
         self._record_strategy(plan, "broadcast", len(right_rows))
 
-        key_left = self._key_fn([lk for lk, _rk in plan.keys])
+        key_left = compile_key([lk for lk, _rk in plan.keys])
         residual = plan.residual
         residual_fn = (
-            self._pred_fn(residual) if residual is not None else None
+            compile_predicate(residual) if residual is not None else None
         )
         stage = self._stage(plan.left)
 
@@ -424,8 +253,8 @@ class Executor:
         return stage.with_op(_FILTER, matches_row)
 
     def _shuffle_join(self, plan: Join) -> RDD:
-        left_key = self._key_fn([lk for lk, _rk in plan.keys])
-        right_key = self._key_fn([rk for _lk, rk in plan.keys])
+        left_key = compile_key([lk for lk, _rk in plan.keys])
+        right_key = compile_key([rk for _lk, rk in plan.keys])
         left_rdd = self.execute(plan.left).map(
             lambda row: (left_key(row), row)
         )
@@ -434,17 +263,11 @@ class Executor:
         )
         residual = plan.residual
         residual_fn = (
-            self._pred_fn(residual) if residual is not None else None
+            compile_predicate(residual) if residual is not None else None
         )
         prefix = Join.RESIDUAL_RIGHT_PREFIX
 
         if plan.how == "inner":
-            overlap = set(plan.left.schema.names) & set(plan.right.schema.names)
-            if overlap:
-                raise AnalysisError(
-                    f"inner join output column collision: {sorted(overlap)}; "
-                    "project/rename before joining"
-                )
 
             def merge(kv):
                 _key, (left_row, right_row) = kv
@@ -497,18 +320,12 @@ class Executor:
     # Wide operators
     # ------------------------------------------------------------------
 
-    def _specs(self, plan: Aggregate) -> List[AggregateSpec]:
-        """Aggregate specs with compiled argument expressions."""
-        if not self._compile:
-            return plan.aggregates
-        return [
+    def _execute_aggregate(self, plan: Aggregate) -> RDD:
+        child = self.execute(plan.child)
+        specs = [
             AggregateSpec(spec.func, compiled(spec.expr), spec.alias)
             for spec in plan.aggregates
         ]
-
-    def _execute_aggregate(self, plan: Aggregate) -> RDD:
-        child = self.execute(plan.child)
-        specs = self._specs(plan)
         group_exprs = plan.group_exprs
 
         def init(row: Row) -> List[Any]:
@@ -528,7 +345,7 @@ class Executor:
             return self._session.engine.parallelize([row], 1)
 
         group_names = [e.output_name() for e in group_exprs]
-        group_key = self._key_fn(group_exprs)
+        group_key = compile_key(group_exprs)
 
         def to_output(kv) -> Row:
             key, acc = kv
@@ -547,14 +364,14 @@ class Executor:
         if len(directions) == 1:
             ascending = directions.pop()
             return child.sort_by(
-                self._key_fn([e for e, _a in orders]),
+                compile_key([e for e, _a in orders]),
                 ascending=ascending,
             )
         # Mixed directions: stable multi-pass sort on the driver.  Sorts
         # sit above aggregations in our workloads, so inputs are small.
         rows = child.collect()
         for expr, ascending in reversed(orders):
-            key = self._key_fn([expr])
+            key = compile_key([expr])
             rows.sort(key=key, reverse=not ascending)
         return self._session.engine.parallelize(rows, 1)
 
@@ -565,9 +382,7 @@ class Executor:
         trimmed partitions are chained lazily (``coalesce(1)`` iterates
         parents sequentially, so later partitions are never computed
         once ``n`` rows have been produced), and a final trim caps the
-        global count.  No job runs at plan-compile time — the old
-        implementation eagerly ``take``-materialized the child even
-        when the result was never collected.
+        global count.  No job runs at plan-compile time.
         """
         n = plan.n
         limited = self.execute(plan.child).map_partitions(

@@ -1,16 +1,19 @@
-"""SQLSession: catalog + engine + optimizer + parser in one handle."""
+"""SQLSession: catalog + engine + optimizer + parser in one handle.
+
+A plan runs one way: :func:`~repro.sql.optimizer.optimize`, then the
+compiled, fused row stages of :class:`~repro.sql.physical.Executor`.
+``session.executor.execute(plan)`` runs a plan as written, without the
+optimizer (the tests' reference for optimizer equivalence).
+"""
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Dict, Optional, Sequence
 
 from repro.common.config import EngineConfig
 from repro.engine.context import EngineContext
-from repro.engine.metrics import MetricsRegistry
 from repro.engine.rdd import RDD
 from repro.sql.catalog import Catalog
-from repro.sql.compiler import plan_fingerprint
 from repro.sql.dataframe import DataFrame
 from repro.sql.logical import LogicalPlan, Scan
 from repro.sql.optimizer import optimize
@@ -30,35 +33,22 @@ class SQLSession:
         >>> sess.table("t").select("a").collect()
         [{'a': 1}]
 
-    ``compile_expressions`` selects the compiled + fused executor
-    (default) or the interpreted row-at-a-time baseline.
     ``broadcast_join_threshold`` caps the estimated build-side rows for
     broadcast hash joins; 0 disables them (every join shuffles, and the
     shuffle's deterministic grouping fixes row order — the sqlbridge
     static path relies on that for bitwise stability).
-
-    Physical plans are cached per canonical plan fingerprint, so the
-    ~2n neighbour replays of a single query compile once; hit/miss
-    counts land in ``engine.metrics`` under ``sql.plan_cache.*``.
     """
 
     def __init__(
         self,
         engine: Optional[EngineContext] = None,
         config: Optional[EngineConfig] = None,
-        enable_optimizer: bool = True,
-        compile_expressions: bool = True,
         broadcast_join_threshold: int = DEFAULT_BROADCAST_JOIN_THRESHOLD,
-        plan_cache_size: int = 128,
     ):
         self.engine = engine or EngineContext(config)
         self.catalog = Catalog(self.engine)
         self.executor = Executor(self)
-        self.enable_optimizer = enable_optimizer
-        self.compile_expressions = compile_expressions
         self.broadcast_join_threshold = broadcast_join_threshold
-        self.plan_cache_size = plan_cache_size
-        self._plan_cache: "OrderedDict[tuple, RDD]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Tables
@@ -69,17 +59,9 @@ class SQLSession:
         name: str,
         rows: Sequence[Dict[str, Any]],
         schema: Optional[Schema] = None,
-        columnar: bool = False,
     ) -> DataFrame:
-        """Register in-memory rows as a named table.
-
-        ``columnar=True`` stores the table as per-column buffers; the
-        compiled executor then runs supported filters vectorized over
-        whole blocks, boxing only the surviving rows into dicts.
-        Results are identical either way — it is purely a layout and
-        execution-strategy choice.
-        """
-        self.catalog.register(name, rows, schema, columnar=columnar)
+        """Register in-memory rows as a named table."""
+        self.catalog.register(name, rows, schema)
         return self.table(name)
 
     def table(self, name: str) -> DataFrame:
@@ -91,45 +73,9 @@ class SQLSession:
     # Execution
     # ------------------------------------------------------------------
 
-    def optimize_plan(self, plan: LogicalPlan) -> LogicalPlan:
-        return optimize(plan) if self.enable_optimizer else plan
-
     def execute_plan(self, plan: LogicalPlan) -> RDD:
-        key = self._plan_cache_key(plan)
-        if key is not None:
-            cached = self._plan_cache.get(key)
-            if cached is not None:
-                self.engine.metrics.incr(MetricsRegistry.SQL_PLAN_CACHE_HITS)
-                return cached
-            self.engine.metrics.incr(MetricsRegistry.SQL_PLAN_CACHE_MISSES)
-        rdd = self.executor.execute(self.optimize_plan(plan))
-        if key is not None:
-            self._plan_cache[key] = rdd
-            while len(self._plan_cache) > self.plan_cache_size:
-                self._plan_cache.popitem(last=False)
-                self.engine.metrics.incr(
-                    MetricsRegistry.SQL_PLAN_CACHE_EVICTIONS
-                )
-        return rdd
-
-    def _plan_cache_key(self, plan: LogicalPlan) -> Optional[tuple]:
-        if self.plan_cache_size <= 0:
-            return None
-        fingerprint = plan_fingerprint(plan)
-        # opaque nodes fingerprint by object identity; caching on a
-        # recyclable id() could alias two different plans.
-        if "(opaque" in fingerprint:
-            return None
-        return (
-            self.catalog.version,
-            self.enable_optimizer,
-            self.compile_expressions,
-            self.broadcast_join_threshold,
-            fingerprint,
-        )
-
-    def clear_plan_cache(self) -> None:
-        self._plan_cache.clear()
+        """The optimized plan as an RDD of dict rows."""
+        return self.executor.execute(optimize(plan))
 
     def sql(self, text: str) -> DataFrame:
         """Parse SQL text into a DataFrame (subset grammar, see parser)."""

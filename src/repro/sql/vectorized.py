@@ -2,23 +2,17 @@
 
 A *block* is anything with ``len()`` and ``numpy_column(name)`` — a
 :class:`~repro.engine.columnar.ColumnarPartition`, or the column blocks
-the SQL bridge maps a record batch through.  Two entry levels:
-
-* :func:`compile_mask` turns a predicate
-  :class:`~repro.sql.expr.Expression` of the ufunc subset —
-  comparisons, ``and``/``or``/``not``, arithmetic over columns and
-  literals — into ``block -> bool ndarray``, and returns ``None`` for
-  anything else (LIKE, IN, IS NULL, CASE, function calls): the physical
-  executor keeps its own row-at-a-time path for those.
-* :func:`block_mask` / :func:`block_value` compile *any* expression
-  and promise the row answer.  A node with no ufunc runs its
-  :mod:`~repro.sql.compiler` closure row by row over just the columns
-  it references, and the ufunc tree is guarded: where evaluating whole
-  columns eagerly could differ from evaluating one row lazily (a zero
-  divisor an ``and`` would have short-circuited past, ``int64``
-  arithmetic that could wrap, operands numpy cannot compare) the
-  expression is re-evaluated by its closure, which returns — or raises
-  — exactly what the row interpreter does.
+the SQL bridge maps a record batch through.  :func:`block_mask` /
+:func:`block_value` compile *any* expression and promise the row
+answer.  Comparisons, ``and``/``or``/``not`` and arithmetic over
+columns and literals become a ufunc tree; any other node (LIKE, IN,
+IS NULL, CASE, function calls) runs its :mod:`~repro.sql.compiler`
+closure row by row over just the columns it references.  The ufunc
+tree is guarded: where evaluating whole columns eagerly could differ
+from evaluating one row lazily (a zero divisor an ``and`` would have
+short-circuited past, ``int64`` arithmetic that could wrap, operands
+numpy cannot compare) the expression is re-evaluated by its closure,
+which returns — or raises — exactly what the row interpreter does.
 
 Semantics mirror ``Expression.eval`` exactly, including the SQL-NULL
 rules (comparison with ``None`` is False, arithmetic with ``None`` is
@@ -53,10 +47,6 @@ from repro.sql.expr import (
 
 MaskFn = Callable[[Any], np.ndarray]
 ValueFn = Callable[[Any], Any]
-
-
-class _NotVectorizable(Exception):
-    """Internal: this expression is outside the ufunc subset."""
 
 
 class _Inexact(Exception):
@@ -102,25 +92,16 @@ _INT64_MAX = (1 << 63) - 1
 _FLOAT_EXACT_INT = 1 << 53
 
 
-def compile_mask(expr: Expression) -> Optional[MaskFn]:
-    """A ``block -> bool ndarray`` of ufuncs alone, or None if the
-    predicate has a node outside the ufunc subset."""
-    try:
-        return _compile_bool(expr, total=False)
-    except _NotVectorizable:
-        return None
-
-
 def block_mask(expr: Expression) -> MaskFn:
     """``block -> bool ndarray`` for any predicate: element i is
     ``bool(expr.eval(row i))``."""
-    return _guarded(_compile_bool(expr, total=True), expr, mask=True)
+    return _guarded(_compile_bool(expr), expr, mask=True)
 
 
 def block_value(expr: Expression) -> Callable[[Any], np.ndarray]:
     """``block -> ndarray`` (one value per row, ``None`` for NULL) for
     any expression: element i is ``expr.eval(row i)``."""
-    return _guarded(_compile_value(expr, total=True), expr, mask=False)
+    return _guarded(_compile_value(expr), expr, mask=False)
 
 
 # ----------------------------------------------------------------------
@@ -200,25 +181,23 @@ def _unwrap(expr: Expression) -> Expression:
     return expr
 
 
-def _compile_bool(expr: Expression, total: bool) -> MaskFn:
+def _compile_bool(expr: Expression) -> MaskFn:
     expr = _unwrap(expr)
     if isinstance(expr, BinaryOp):
         if expr.op == "and":
-            return _AndMask(_compile_bool(expr.left, total),
-                            _compile_bool(expr.right, total))
+            return _AndMask(_compile_bool(expr.left),
+                            _compile_bool(expr.right))
         if expr.op == "or":
-            return _OrMask(_compile_bool(expr.left, total),
-                           _compile_bool(expr.right, total))
+            return _OrMask(_compile_bool(expr.left),
+                           _compile_bool(expr.right))
         if expr.op in _NUMPY_CMP:
             return _CompareMask(
-                _compile_value(expr.left, total),
-                _compile_value(expr.right, total), expr.op,
+                _compile_value(expr.left),
+                _compile_value(expr.right), expr.op,
             )
     if isinstance(expr, UnaryOp) and expr.op == "not":
-        return _NotMask(_compile_bool(expr.operand, total))
-    if total:
-        return _Rowwise(expr, mask=True)
-    raise _NotVectorizable(type(expr).__name__)
+        return _NotMask(_compile_bool(expr.operand))
+    return _Rowwise(expr, mask=True)
 
 
 class _AndMask:
@@ -284,7 +263,7 @@ class _CompareMask:
 # ----------------------------------------------------------------------
 
 
-def _compile_value(expr: Expression, total: bool) -> ValueFn:
+def _compile_value(expr: Expression) -> ValueFn:
     expr = _unwrap(expr)
     if isinstance(expr, Column):
         return _ColumnValue(expr.name)
@@ -292,14 +271,11 @@ def _compile_value(expr: Expression, total: bool) -> ValueFn:
         return _LiteralValue(expr.value)
     if isinstance(expr, BinaryOp) and expr.op in _NUMPY_ARITH:
         return _ArithValue(
-            _compile_value(expr.left, total),
-            _compile_value(expr.right, total), expr.op, total,
+            _compile_value(expr.left), _compile_value(expr.right), expr.op,
         )
     if isinstance(expr, UnaryOp) and expr.op == "-":
-        return _NegValue(_compile_value(expr.operand, total))
-    if total:
-        return _Rowwise(expr, mask=False)
-    raise _NotVectorizable(type(expr).__name__)
+        return _NegValue(_compile_value(expr.operand))
+    return _Rowwise(expr, mask=False)
 
 
 class _ColumnValue:
@@ -330,15 +306,15 @@ class _LiteralValue:
 class _ArithValue:
     """Arithmetic with SQL-NULL semantics (NULL propagates).
 
-    ``exact`` refuses (:class:`_Inexact`) what numpy would compute
-    differently from Python: a zero divisor, ``int64`` results that
-    could wrap, int division beyond float64's exact integers.
+    Refuses (:class:`_Inexact`) what numpy would compute differently
+    from Python: a zero divisor, ``int64`` results that could wrap, int
+    division beyond float64's exact integers.
     """
 
-    __slots__ = ("left", "right", "op", "exact")
+    __slots__ = ("left", "right", "op")
 
-    def __init__(self, left: ValueFn, right: ValueFn, op: str, exact: bool):
-        self.left, self.right, self.op, self.exact = left, right, op, exact
+    def __init__(self, left: ValueFn, right: ValueFn, op: str):
+        self.left, self.right, self.op = left, right, op
 
     def __call__(self, block: Any) -> Any:
         a = self.left(block)
@@ -352,7 +328,7 @@ class _ArithValue:
             for i, (x, y) in enumerate(_pairs(a, b, len(block))):
                 out[i] = None if x is None or y is None else arith(x, y)
             return out
-        if self.exact and not (_is_object(a) or _is_object(b)):
+        if not (_is_object(a) or _is_object(b)):
             self._check(a, b)
         return _NUMPY_ARITH[self.op](a, b)
 

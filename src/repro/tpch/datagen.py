@@ -293,17 +293,9 @@ class TPCHGenerator:
         return rows
 
 
-def register_tables(
-    session, tables: Dict[str, List[Row]], columnar: bool = False
-) -> None:
-    """Register every generated table in a SQL session's catalog.
-
-    ``columnar=True`` registers the tables with per-column storage so
-    the compiled executor can vectorize supported filters over blocks.
-    """
+def register_tables(session, tables: Dict[str, List[Row]]) -> None:
+    """Register every generated table in a SQL session's catalog."""
     from repro.tpch.schema import ALL_SCHEMAS
 
     for name, rows in tables.items():
-        session.create_table(
-            name, rows, ALL_SCHEMAS.get(name), columnar=columnar
-        )
+        session.create_table(name, rows, ALL_SCHEMAS.get(name))

@@ -434,7 +434,7 @@ class TestOnePassGather:
     def test_columnar_from_rows_is_the_same_gather(self, tpch_tables):
         rows = tpch_tables["lineitem"][:50]
         block = ColumnarPartition.from_rows(rows)
-        assert block.rows() == rows
+        assert list(block) == rows
         assert ColumnarPartition.from_rows(
             [{"s": "abc"}, {"s": "de"}]
         ).column("s") == ["abc", "de"]
@@ -615,7 +615,7 @@ def _batch_digest(name: str, scale: int, data_seed: int, seed: int,
         make_rng(seed, f"upa-run-{run}"),
     )
     return hashlib.sha256(
-        repr(sample.domain_samples.rows()).encode()
+        repr(list(sample.domain_samples)).encode()
     ).hexdigest()
 
 
@@ -663,7 +663,7 @@ class TestDomainSamplerContract:
                     assert len(value) == len(model[column])
                     assert all(type(v) is float for v in value)
         assert record_fingerprints(batch).tolist() == [
-            record_fingerprint(row) for row in batch.rows()
+            record_fingerprint(row) for row in batch
         ]
 
     @pytest.mark.parametrize("name", [w.name for w in all_workloads()])
@@ -674,7 +674,7 @@ class TestDomainSamplerContract:
         aux = query.build_aux(tables)
         batch = query.sample_domain_batch(random.Random(3), tables, 30)
         columns = list(query.iter_batch(query.map_batch(batch, aux)))
-        boxed = list(query.iter_batch(query.map_batch(batch.rows(), aux)))
+        boxed = list(query.iter_batch(query.map_batch(list(batch), aux)))
         assert len(columns) == 30
         for a, b in zip(columns, boxed):
             for x, y in zip(a if isinstance(a, tuple) else (a,),
@@ -820,7 +820,7 @@ class TestDomainSamplerContract:
     def test_empty_batch(self, sampler_case):
         sampler, context, table = sampler_case
         batch = sampler.batch(random.Random(0), context, 0)
-        assert len(batch) == 0 and batch.rows() == []
+        assert len(batch) == 0 and list(batch) == []
         assert set(batch.names) == set(table[0])
 
     @pytest.mark.parametrize("name", ["tpch6", "tpch13", "kmeans"])

@@ -289,11 +289,12 @@ def _shapes(session):
         "join-left": t.join(d, on=[("k", "dk")]).agg(
             sum_(col("f") * col("g"), "x")
         ),
-        # (An inner join's residual reads the left side only: Join wants
-        # right columns prefixed, the executors merge them unprefixed.)
         "join-left-residual": t.join(
             d, on=[("k", "dk")], residual=col("v") > 0
         ).agg(sum_(col("g"), "x")),
+        "join-right-column-residual": t.join(
+            d, on=[("k", "dk")], residual=col("w") > col("v")
+        ).agg(sum_(col("g") * col("f"), "x")),
         "join-right-residual": d.join(
             t, on=[("dk", "k")], residual=col("w") > 1
         ).filter(col("name") == "ab").agg(count(col("w") + col("v"), "n")),

@@ -128,6 +128,4 @@ class TestUnionAll:
 
     def test_union_all_optimizes_consistently(self, session):
         df = session.table("a").union_all(session.table("b"))
-        optimized = df.collect()
-        session.enable_optimizer = False
-        assert df.collect() == optimized
+        assert df.collect() == session.executor.execute(df.plan).collect()

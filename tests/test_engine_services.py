@@ -1,7 +1,6 @@
 """Tests for engine services: storage, broadcast, accumulators,
 partitioners, metrics, fault injection + lineage recovery, lifecycle,
-the columnar vs row layouts of the SQL scan, and DP releases and SQL
-results under injected faults."""
+and DP releases and SQL results under injected faults."""
 
 import pytest
 
@@ -280,13 +279,6 @@ _STAGE_JOBS = {
         lambda rdd: rdd.collect(),
         [-v for v in range(12)],
     ),
-    "columnar": (
-        lambda ctx: ctx.parallelize_columnar(
-            [{"x": float(i)} for i in range(12)], 3
-        ).map_partitions(lambda it: [sum(r["x"] for r in it)]),
-        lambda rdd: sum(rdd.collect()),
-        66.0,
-    ),
 }
 
 
@@ -340,16 +332,6 @@ def small_ml():
     return make_life_science_tables(
         LifeScienceConfig(num_records=200, dim=4, num_clusters=3, seed=11)
     )
-
-
-@pytest.mark.parametrize("query", all_queries(), ids=lambda q: q.name)
-def test_tpch_sql_columnar_matches_row_layout(query, small_tpch):
-    outputs = {}
-    for columnar in (False, True):
-        session = SQLSession()
-        register_tables(session, small_tpch, columnar=columnar)
-        outputs[columnar] = query.dataframe(session).collect()
-    assert outputs[False] == outputs[True]
 
 
 def _faulty_engine():

@@ -586,19 +586,6 @@ class TestReleaseAtomicity:
 
 
 class TestEvictionCounters:
-    def test_sql_plan_cache_evictions_counted(self):
-        from repro.sql.session import SQLSession
-
-        sql = SQLSession(plan_cache_size=2)
-        rows = [{"v": float(i)} for i in range(8)]
-        sql.create_table("t", rows)
-        for threshold in (1.0, 2.0, 3.0, 4.0):
-            sql.sql(f"SELECT COUNT(*) AS n FROM t WHERE v > {threshold}").collect()
-        m = sql.engine.metrics
-        assert m.get(MetricsRegistry.SQL_PLAN_CACHE_EVICTIONS) >= 1
-        # The cache never holds more than its configured size.
-        assert len(sql._plan_cache) <= 2
-
     def test_bridge_cache_evictions_counted(self, monkeypatch):
         from repro.core import sqlbridge
         from repro.tpch.queries.base import random_lineitem

@@ -89,10 +89,8 @@ class TestOptimizerEquivalence:
             .select("a", "b")
             .filter(col("a") >= -20)
         )
-        optimized = df.collect()
-        session.enable_optimizer = False
-        unoptimized = df.collect()
-        assert optimized == unoptimized
+        unoptimized = session.executor.execute(df.plan).collect()
+        assert df.collect() == unoptimized
 
     @given(rows=ROWS, predicate=predicates())
     @settings(max_examples=50, deadline=None)
@@ -136,9 +134,8 @@ class TestOptimizerEquivalence:
             .filter(predicate)
             .agg(count_star("n"))
         )
-        optimized = df.scalar()
-        session.enable_optimizer = False
-        assert df.scalar() == optimized
+        (row,) = session.executor.execute(df.plan).collect()
+        assert df.scalar() == row["n"]
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +245,18 @@ class TestCompilerEquivalence:
     @given(rows=st.lists(NULLABLE_ROWS, min_size=1, max_size=30),
            predicate=expressions())
     @settings(max_examples=60, deadline=None)
-    def test_sessions_agree_compiled_vs_interpreted(self, rows, predicate):
-        def run(**kwargs):
-            session = SQLSession(**kwargs)
-            session.create_table("t", rows)
-            try:
-                return session.table("t").filter(predicate).collect()
-            except Exception as exc:  # noqa: BLE001 — error parity
-                return ("raise", type(exc))
-
-        compiled = run()
-        interpreted = run(compile_expressions=False)
-        assert compiled == interpreted
+    def test_session_filter_matches_eval(self, rows, predicate):
+        session = SQLSession()
+        session.create_table("t", rows)
+        try:
+            got = session.table("t").filter(predicate).collect()
+        except Exception as exc:  # noqa: BLE001 — error parity
+            got = ("raise", type(exc))
+        try:
+            expected = [row for row in rows if predicate.eval(row)]
+        except Exception as exc:  # noqa: BLE001 — error parity
+            expected = ("raise", type(exc))
+        assert got == expected
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +398,8 @@ _SHAPES = (
 
 
 def _correlated(prefix: str):
-    """Residual conjuncts that read the static side (under ``prefix``)
-    against the probing row."""
+    """Residual conjuncts that read the static side (under ``prefix``:
+    ``""`` for an inner join) against the probing row."""
     da, db, dc = (col(prefix + name) for name in ("da", "db", "dc"))
     return st.sampled_from([
         da > col("a"), dc == col("c"), db.is_null(), da * col("b") != lit(0),
@@ -445,7 +442,15 @@ def bridge_plans(draw):
             condition.alias("c"), col("b"), (col("a") * lit(2)).alias("a"),
         )
     elif shape == "join-left":
-        frame = t.join(d, on=on, residual=draw(expressions(depth=1)))
+        # An inner join's residual reads the merged row: the left
+        # side's columns and, unprefixed, the right side's.
+        inner_residual = draw(expressions(depth=1))
+        if draw(st.booleans()):
+            inner_residual = BinaryOp(
+                draw(st.sampled_from(["and", "or"])),
+                draw(_correlated("")), inner_residual,
+            )
+        frame = t.join(d, on=on, residual=inner_residual)
         frame = frame.filter(col("db").is_not_null() | condition)
     elif shape == "join-right":
         frame = d.join(t, on=[(right, left) for left, right in on])

@@ -1,15 +1,17 @@
 """Tests for compiled, fused SQL execution (repro.sql.compiler + physical).
 
-Covers the four tentpole pieces: expression codegen (shared semantics
-with the interpreter), operator fusion (narrow chains are one RDD hop),
-broadcast hash joins (shuffle elimination, strategy metrics), and the
-plan/closure caches; plus the lazy LIMIT fix.
+Covers expression codegen (the semantics of ``Expression.eval``),
+operator fusion (narrow chains are one RDD hop), broadcast hash joins
+(shuffle elimination, strategy metrics), what a join residual reads,
+the closure cache and lazy LIMIT.  ``Expression.eval`` over the rows is
+the reference every executed result is held to.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.common.errors import AnalysisError
 from repro.engine.metrics import MetricsRegistry
 from repro.sql import SQLSession, col, count_star, lit, sum_
 from repro.sql.compiler import (
@@ -115,35 +117,40 @@ class TestFusion:
         # scan→filter→project→filter fused into ONE map_partitions
         assert rdd.dependencies == (base,)
 
-    def test_fused_results_match_interpreted(self):
-        compiled = (
+    def test_fused_results_match_eval(self):
+        first, second = col("a") > 5, col("b") == 1
+        got = (
             _session()
             .table("t")
-            .filter(col("a") > 5)
+            .filter(first)
             .select("a", "b")
-            .filter(col("b") == 1)
+            .filter(second)
             .collect()
         )
-        interpreted = (
-            _session(compile_expressions=False)
-            .table("t")
-            .filter(col("a") > 5)
-            .select("a", "b")
-            .filter(col("b") == 1)
-            .collect()
-        )
-        assert compiled == interpreted
-        assert compiled  # non-trivial
+        projected = [
+            {"a": col("a").eval(row), "b": col("b").eval(row)}
+            for row in ROWS if first.eval(row)
+        ]
+        assert got == [row for row in projected if second.eval(row)]
+        assert got  # non-trivial
 
-    def test_aggregate_agrees_across_modes(self):
-        query = lambda s: (  # noqa: E731
-            s.table("t")
+    def test_aggregate_matches_eval(self):
+        got = (
+            _session()
+            .table("t")
             .group_by("b")
             .agg(count_star("n"), sum_(col("v"), "sv"))
             .order_by("b")
             .collect()
         )
-        assert query(_session()) == query(_session(compile_expressions=False))
+        groups = {}
+        for row in ROWS:
+            key, value = col("b").eval(row), col("v").eval(row)
+            n, sv = groups.get(key, (0, None))
+            groups[key] = (n + 1, value if sv is None else sv + value)
+        assert got == [
+            {"b": b, "n": n, "sv": sv} for b, (n, sv) in sorted(groups.items())
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -249,38 +256,65 @@ class TestBroadcastJoin:
 
 
 # ---------------------------------------------------------------------------
-# Plan cache
+# Join residuals
 # ---------------------------------------------------------------------------
 
 
-class TestPlanCache:
-    def test_repeat_execution_hits_cache(self):
-        session = _session()
-        df = session.table("t").filter(col("a") > 5).select("a")
-        metrics = session.engine.metrics
-        first = df.to_rdd()
-        assert metrics.get(MetricsRegistry.SQL_PLAN_CACHE_MISSES) == 1
-        second = df.to_rdd()
-        assert second is first
-        assert metrics.get(MetricsRegistry.SQL_PLAN_CACHE_HITS) == 1
+class TestJoinResidual:
+    """An inner join's residual reads the merged row (right columns
+    unprefixed); a left join takes none."""
 
+    RESIDUAL = col("w") > col("v")
+
+    def _reference(self):
+        merged = [
+            {**left, **right} for left in ROWS for right in DIM
+            if left["b"] == right["k"]
+        ]
+        return [row for row in merged if self.RESIDUAL.eval(row)]
+
+    @pytest.mark.parametrize("threshold", [10_000, 0],
+                             ids=["broadcast", "shuffle"])
+    def test_inner_residual_reads_the_right_side(self, threshold):
+        session = _session(broadcast_join_threshold=threshold)
+        joined = session.table("t").join(
+            session.table("d"), on=[("b", "k")], residual=self.RESIDUAL
+        )
+        expected = self._reference()
+        assert 0 < len(expected) < len(ROWS)
+        assert sorted(joined.collect(), key=lambda r: r["a"]) == expected
+        # column pruning keeps the right column the residual reads
+        assert joined.agg(count_star("n")).scalar() == len(expected)
+
+    def test_inner_residual_does_not_take_the_prefix(self):
+        session = _session()
+        with pytest.raises(AnalysisError, match="__r_w"):
+            session.table("t").join(
+                session.table("d"), on=[("b", "k")],
+                residual=col("__r_w") > col("v"),
+            )
+
+    def test_left_join_refuses_a_residual(self):
+        session = _session()
+        with pytest.raises(AnalysisError, match="LEFT JOIN"):
+            session.table("t").join(
+                session.table("d"), on=[("b", "k")], how="left",
+                residual=col("v") > 100.0,
+            )
+
+
+# ---------------------------------------------------------------------------
+# Plans
+# ---------------------------------------------------------------------------
+
+
+class TestPlans:
     def test_table_update_invalidates(self):
         session = _session()
         df = session.table("t").agg(count_star("n"))
         assert df.scalar() == len(ROWS)
         session.create_table("t", ROWS[:10])
         assert session.table("t").agg(count_star("n")).scalar() == 10
-
-    def test_mode_flags_key_the_cache(self):
-        session = _session()
-        df = session.table("t").filter(col("a") > 5)
-        compiled_rdd = df.to_rdd()
-        session.compile_expressions = False
-        interpreted_rdd = df.to_rdd()
-        assert interpreted_rdd is not compiled_rdd
-        assert sorted(r["a"] for r in interpreted_rdd.collect()) == sorted(
-            r["a"] for r in compiled_rdd.collect()
-        )
 
     def test_plan_fingerprint_is_structural(self):
         session = _session()
@@ -305,17 +339,10 @@ class TestLazyLimit:
         assert metrics.get(MetricsRegistry.JOBS) == before  # still lazy
         assert len(rdd.collect()) == 5
 
-    def test_limit_results_match_interpreted(self):
-        compiled = _session().table("t").order_by("a").limit(7).collect()
-        interpreted = (
-            _session(compile_expressions=False)
-            .table("t")
-            .order_by("a")
-            .limit(7)
-            .collect()
-        )
-        assert compiled == interpreted
-        assert len(compiled) == 7
+    def test_limit_results_match_eval(self):
+        got = _session().table("t").order_by("a").limit(7).collect()
+        assert got == sorted(ROWS, key=col("a").eval)[:7]
+        assert len(got) == 7
 
     def test_limit_larger_than_input(self):
         assert len(_session().table("t").limit(999).collect()) == len(ROWS)

@@ -155,10 +155,8 @@ class TestOptimizerRules:
             .agg(count_star("n"), sum_(col("v"), "sv"))
             .order_by("b")
         )
-        optimized = df.collect()
-        session.enable_optimizer = False
-        unoptimized = df.collect()
-        assert optimized == unoptimized
+        unoptimized = session.executor.execute(df.plan).collect()
+        assert df.collect() == unoptimized
 
 
 class TestPhysicalExecution:
