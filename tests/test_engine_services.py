@@ -1,6 +1,7 @@
 """Tests for engine services: storage, broadcast, accumulators,
 partitioners, metrics, fault injection + lineage recovery, lifecycle,
-and DP releases and SQL results under injected faults."""
+TPC-H SQL results with and without the optimizer, and DP releases and
+SQL results under injected faults."""
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
 from repro.engine.partitioner import HashPartitioner, RangePartitioner, _portable_hash
 from repro.engine.storage import BlockStore
 from repro.mining import LifeScienceConfig, make_life_science_tables
-from repro.sql import SQLSession
+from repro.sql import SQLSession, col
 from repro.tpch import TPCHConfig, TPCHGenerator
 from repro.tpch.datagen import register_tables
 from repro.tpch.workload import all_queries
@@ -257,6 +258,12 @@ def _add(a, b):
 
 
 #: one job per kind of stage a permanent fault can abort.
+def _sql_table(ctx):
+    """A SQL table over ``ctx``: its scan and fused row stages run there."""
+    session = SQLSession(engine=ctx)
+    return session.create_table("t", [{"x": float(i)} for i in range(12)])
+
+
 _STAGE_JOBS = {
     "narrow": (
         lambda ctx: ctx.parallelize(range(12), 3).map(lambda v: v + 1),
@@ -278,6 +285,11 @@ _STAGE_JOBS = {
         lambda ctx: ctx.parallelize(range(12), 3).map(lambda v: -v).cache(),
         lambda rdd: rdd.collect(),
         [-v for v in range(12)],
+    ),
+    "sql": (
+        lambda ctx: _sql_table(ctx).filter(col("x") > 3.0).to_rdd(),
+        lambda rdd: sum(r["x"] for r in rdd.collect()),
+        float(sum(range(4, 12))),
     ),
 }
 
@@ -332,6 +344,14 @@ def small_ml():
     return make_life_science_tables(
         LifeScienceConfig(num_records=200, dim=4, num_clusters=3, seed=11)
     )
+
+
+@pytest.mark.parametrize("query", all_queries(), ids=lambda q: q.name)
+def test_tpch_sql_optimized_matches_plan_as_written(query, small_tpch):
+    session = SQLSession()
+    register_tables(session, small_tpch)
+    df = query.dataframe(session)
+    assert df.collect() == session.executor.execute(df.plan).collect()
 
 
 def _faulty_engine():
