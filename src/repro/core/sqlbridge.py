@@ -291,25 +291,18 @@ class _StaticJoin(_DynamicNode):
         child: _DynamicNode,
         child_keys: Sequence[Expression],
         index: _StaticIndex,
-        residual: Optional[Expression],
         static_columns: Dict[str, str],
     ):
         self._child = child
         self._key_of = _row_key(child_keys)
         self._keys = _block_keys(child_keys)
         self._index = index
-        self._residual = (
-            compile_predicate(residual) if residual is not None else None
-        )
-        self._residual_mask = (
-            block_mask(residual) if residual is not None else None
-        )
         self._static_columns = static_columns
 
     def _merged(self, child: _Block,
                 slots: np.ndarray) -> Tuple[np.ndarray, _Block]:
-        """The merged row of every match, residual not yet applied, and
-        the position in ``child`` of the row each one extends."""
+        """The merged row of every match, and the position in ``child``
+        of the row each one extends."""
         probe, row_ids = self._index.expand(slots)
         index, static_columns = self._index, self._static_columns
 
@@ -330,30 +323,22 @@ class _DynJoinStatic(_StaticJoin):
         child: _DynamicNode,
         child_keys: Sequence[Expression],
         index: _StaticIndex,
-        residual: Optional[Expression],
         dynamic_is_left: bool,
         static_names: Sequence[str],
     ):
         # Join refuses sides that share a column name, so which side a
         # merged row's column comes from does not depend on the order.
         super().__init__(
-            child, child_keys, index, residual,
-            {name: name for name in static_names},
+            child, child_keys, index, {name: name for name in static_names},
         )
         self._dynamic_is_left = dynamic_is_left
 
     def block(self, batch: Sequence[Row]) -> _Block:
         child = self._child.block(batch)
-        merged = self._merged(
-            child, self._index.lookup(self._keys(child))
-        )[1]
-        if self._residual_mask is None:
-            return merged
-        return merged.take(np.flatnonzero(self._residual_mask(merged)))
+        return self._merged(child, self._index.lookup(self._keys(child)))[1]
 
     def rows(self, inputs: List[Row]) -> List[Row]:
         out: List[Row] = []
-        residual = self._residual
         for row in self._child.rows(inputs):
             for match in self._index.probe(self._key_of(row)):
                 if self._dynamic_is_left:
@@ -362,8 +347,6 @@ class _DynJoinStatic(_StaticJoin):
                 else:
                     merged = dict(match)
                     merged.update(row)
-                if residual is not None and not residual(merged):
-                    continue
                 out.append(merged)
         return out
 
@@ -383,11 +366,17 @@ class _DynSemiAnti(_StaticJoin):
     ):
         # The residual sees the static side's columns under ``prefix``.
         super().__init__(
-            child, child_keys, index, residual,
+            child, child_keys, index,
             {prefix + name: name for name in static_names},
         )
         self._want_match = want_match
         self._prefix = prefix
+        self._residual = (
+            compile_predicate(residual) if residual is not None else None
+        )
+        self._residual_mask = (
+            block_mask(residual) if residual is not None else None
+        )
 
     def block(self, batch: Sequence[Row]) -> _Block:
         child = self._child.block(batch)
@@ -527,7 +516,6 @@ class _Compiler:
         index = _StaticIndex(self.static_rows(static_side), static_keys)
         return _DynJoinStatic(
             self.compile(dynamic_side), child_keys, index,
-            residual=plan.residual,
             dynamic_is_left=left_dyn,
             static_names=static_side.schema.names,
         )

@@ -4,12 +4,11 @@ Every hot path in the engine historically iterated Python dict rows —
 one heap-allocated ``dict`` per record, one boxed object per field.
 ``ColumnarPartition`` stores a partition column-major instead:
 
-* numeric columns live in compact typed buffers — ``array.array``
-  (``'d'``/``'q'``/``'b'``) by default, promoted to numpy arrays when
-  numpy is importable (``numpy_column`` is then zero-copy);
-* everything else (dates, strings, None-bearing columns) stays in a
-  plain object list; a 2-D numpy buffer is a column of fixed-width
-  vectors, boxed as one tuple per row;
+* a column is the buffer its builder hands in — a numpy array
+  (``numpy_column`` is then zero-copy), an ``array.array``, or a plain
+  object list for dates, strings and None-bearing columns; a 2-D numpy
+  buffer is a column of fixed-width vectors, boxed as one tuple per
+  row;
 * ``slice()`` is zero-copy for numpy-backed columns (views) and
   buffer-protocol cheap for ``array`` columns (``memoryview`` slices);
 * the row adapters (``iter_rows`` / ``__iter__`` / ``__getitem__``)
@@ -38,12 +37,6 @@ except ImportError:  # pragma: no cover - numpy is present in CI
 
 Row = Dict[str, Any]
 
-#: typecodes tried for all-numeric columns, in preference order.
-_INT_TYPECODE = "q"
-_FLOAT_TYPECODE = "d"
-_BOOL_TYPECODE = "b"
-
-
 #: narrowest table gathered in one pass; see :func:`gather_columns`.
 _ONE_PASS_MIN_WIDTH = 8
 
@@ -69,38 +62,6 @@ def gather_columns(rows: Sequence[Row], names: Sequence[Any]) -> List[list]:
         return [list(map(itemgetter(name), rows)) for name in names]
     flat = list(chain.from_iterable(map(itemgetter(*names), rows)))
     return [flat[j::width] for j in range(width)]
-
-
-def _build_buffer(values: List[Any]) -> Any:
-    """Pack ``values`` into the tightest buffer that holds them exactly.
-
-    Homogeneous bools/ints/floats become typed ``array`` buffers (or
-    numpy arrays when available); anything else — None, dates, strings,
-    mixed types — stays a plain list so no value is coerced.
-    """
-    kind = None  # 'b' | 'q' | 'd'
-    for v in values:
-        t = type(v)
-        if t is bool:
-            k = _BOOL_TYPECODE
-        elif t is int:
-            k = _INT_TYPECODE
-        elif t is float:
-            k = _FLOAT_TYPECODE
-        else:
-            return list(values)
-        if kind is None or kind == k:
-            kind = k
-        elif {kind, k} == {_INT_TYPECODE, _FLOAT_TYPECODE}:
-            kind = _FLOAT_TYPECODE
-        else:
-            return list(values)
-    if kind is None:  # empty column
-        kind = _FLOAT_TYPECODE
-    buf = array(kind, values)
-    if _np is not None:
-        return _np.asarray(buf)
-    return buf
 
 
 def _buffer_length(buf: Any) -> int:
@@ -135,29 +96,6 @@ class ColumnarPartition:
                     f"{_buffer_length(self._columns[name])} values, "
                     f"expected {self._length}"
                 )
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Row],
-                  names: Optional[Sequence[str]] = None,
-                  ) -> "ColumnarPartition":
-        """Transpose dict rows into column buffers.
-
-        ``names`` fixes the column set; by default it is taken from the
-        first row (every row must then have the same keys, the same
-        contract ``Schema.from_rows`` enforces in the SQL layer).
-        """
-        rows = rows if isinstance(rows, list) else list(rows)
-        if names is None:
-            names = list(rows[0].keys()) if rows else []
-        columns = {
-            name: _build_buffer(values)
-            for name, values in zip(names, gather_columns(rows, names))
-        }
-        return cls(columns, length=len(rows), names=names)
 
     # ------------------------------------------------------------------
     # Column access (no boxing)

@@ -82,10 +82,15 @@ class DataFrame:
         """Equi-join with ``other``.
 
         ``on`` may be a column name (same on both sides), a list of such
-        names, or a list of ``(left_expr, right_expr)`` pairs.  See
-        :class:`repro.sql.logical.Join` for ``residual`` semantics.
+        names, or a list of ``(left_expr, right_expr)`` pairs.  An inner
+        join's ``residual`` filters the merged row, so it names either
+        side's columns as they are; see :class:`repro.sql.logical.Join`
+        for a semi/anti join's.
         """
         keys = self._normalize_on(on)
+        if how == "inner" and residual is not None:
+            joined = Join(self.plan, other.plan, keys, how)
+            return DataFrame(self.session, Filter(joined, residual))
         return DataFrame(
             self.session, Join(self.plan, other.plan, keys, how, residual=residual)
         )

@@ -157,15 +157,15 @@ class Join(LogicalPlan):
     ``how`` in {'inner', 'left', 'semi', 'anti'}.  Semi/anti output only
     the left side's columns (SQL EXISTS / NOT EXISTS).
 
-    ``residual`` is an extra match condition evaluated per candidate
-    pair *after* the equi-key match.  An inner join's residual reads the
-    merged row, so it names either side's columns as they are (inner
-    joins forbid a name on both sides).  Semi/anti self-joins can have
-    identical column names on both sides (e.g. TPC-H Q21 joins lineitem
-    with lineitem), so their residual sees the right side's columns
-    under the prefix :data:`RESIDUAL_RIGHT_PREFIX` — e.g.
-    ``col("__r_l_suppkey") != col("l_suppkey")``.  A left join takes no
-    residual: no executor NULL-extends a row whose every match fails it.
+    ``residual`` is an extra match condition of a semi/anti join,
+    evaluated per candidate pair *after* the equi-key match.  Because
+    semi/anti self-joins can have identical column names on both sides
+    (e.g. TPC-H Q21 joins lineitem with lineitem), the residual sees the
+    right side's columns under the prefix :data:`RESIDUAL_RIGHT_PREFIX`
+    — e.g. ``col("__r_l_suppkey") != col("l_suppkey")``.  An inner or
+    left join takes no residual: an inner join's is a :class:`Filter`
+    over the join (``DataFrame.join`` builds one), and no executor
+    NULL-extends a left row whose every match fails one.
     """
 
     RESIDUAL_RIGHT_PREFIX = "__r_"
@@ -194,7 +194,22 @@ class Join(LogicalPlan):
                     f"right join key {right_key!r} not in {sorted(right_cols)}"
                 )
         if residual is not None:
-            self._check_residual(residual, how, left_cols, right_cols)
+            if how not in ("semi", "anti"):
+                raise AnalysisError(
+                    f"{how.upper()} JOIN takes no residual; filter "
+                    "after the join, or join on a filtered right side"
+                )
+            prefix = self.RESIDUAL_RIGHT_PREFIX
+            for ref in residual.references():
+                if ref.startswith(prefix):
+                    if ref[len(prefix):] not in right_cols:
+                        raise AnalysisError(
+                            f"residual references unknown right column {ref!r}"
+                        )
+                elif ref not in left_cols:
+                    raise AnalysisError(
+                        f"residual references unknown left column {ref!r}"
+                    )
         self.left = left
         self.right = right
         self.keys = list(keys)
@@ -210,31 +225,6 @@ class Join(LogicalPlan):
                     "project/rename one side before joining"
                 )
             self._schema = left.schema.merge(right.schema)
-
-    @classmethod
-    def _check_residual(cls, residual: Expression, how: str,
-                        left_cols: "set[str]",
-                        right_cols: "set[str]") -> None:
-        if how == "left":
-            raise AnalysisError(
-                "a LEFT JOIN takes no residual; filter after the join, "
-                "or join on a filtered right side"
-            )
-        for ref in residual.references():
-            if how == "inner":
-                if ref not in left_cols and ref not in right_cols:
-                    raise AnalysisError(
-                        f"residual references unknown column {ref!r}"
-                    )
-            elif ref.startswith(cls.RESIDUAL_RIGHT_PREFIX):
-                if ref[len(cls.RESIDUAL_RIGHT_PREFIX):] not in right_cols:
-                    raise AnalysisError(
-                        f"residual references unknown right column {ref!r}"
-                    )
-            elif ref not in left_cols:
-                raise AnalysisError(
-                    f"residual references unknown left column {ref!r}"
-                )
 
     def children(self) -> Sequence[LogicalPlan]:
         return (self.left, self.right)

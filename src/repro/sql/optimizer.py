@@ -181,18 +181,11 @@ def _required_for_node(plan: LogicalPlan, required_out: Set[str]) -> List[Set[st
             left_needed |= left_key.references()
             right_needed |= right_key.references()
         if plan.residual is not None:
-            refs = plan.residual.references()
-            if plan.how == "inner":
-                # the merged row: each side's columns as they are
-                left_needed |= refs & left_cols
-                right_needed |= refs & right_cols
-            else:
-                prefix = Join.RESIDUAL_RIGHT_PREFIX
-                for ref in refs:
-                    if ref.startswith(prefix):
-                        right_needed.add(ref[len(prefix):])
-                    else:
-                        left_needed.add(ref)
+            for ref in plan.residual.references():
+                if ref.startswith(Join.RESIDUAL_RIGHT_PREFIX):
+                    right_needed.add(ref[len(Join.RESIDUAL_RIGHT_PREFIX):])
+                else:
+                    left_needed.add(ref)
         if plan.how in ("semi", "anti"):
             left_needed |= required_out
         return [left_needed, right_needed]

@@ -14,10 +14,6 @@ collected once, shipped via ``engine.broadcast``, and hash-probed in a
 ``map_partitions``, eliminating the shuffle entirely.  The chosen
 strategy is recorded in the ``sql.join.broadcast`` /
 ``sql.join.shuffle`` counters and a ``sql.join.strategy`` span.
-
-An inner join's residual is a filter on the merged row; a semi/anti
-join's residual reads the candidate right row under
-:data:`~repro.sql.logical.Join.RESIDUAL_RIGHT_PREFIX`.
 """
 
 from __future__ import annotations
@@ -208,8 +204,7 @@ class Executor:
                 for match in matches:
                     merged = dict(row)
                     merged.update(match)
-                    if residual_fn is None or residual_fn(merged):
-                        out.append(merged)
+                    out.append(merged)
                 return out
 
             return stage.with_op(_FLAT, probe_inner)
@@ -275,10 +270,7 @@ class Executor:
                 merged.update(right_row)
                 return merged
 
-            joined = left_rdd.join(right_rdd).map(merge)
-            if residual_fn is not None:
-                joined = joined.filter(residual_fn)
-            return joined
+            return left_rdd.join(right_rdd).map(merge)
 
         if plan.how == "left":
             right_names = plan.right.schema.names

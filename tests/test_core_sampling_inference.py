@@ -431,15 +431,16 @@ class TestOnePassGather:
         assert gather_columns([], ["a"]) == [[]]
         assert gather_columns([{}, {}], []) == []
 
-    def test_columnar_from_rows_is_the_same_gather(self, tpch_tables):
+    def test_a_block_of_the_hash_buffers_boxes_the_rows(self, tpch_tables):
         rows = tpch_tables["lineitem"][:50]
-        block = ColumnarPartition.from_rows(rows)
+        buffers = fingerprint_columns(rows)[1]
+        assert buffers["l_quantity"].dtype == np.float64
+        block = ColumnarPartition(buffers)
+        assert set(block.names) == set(rows[0])
         assert list(block) == rows
-        assert ColumnarPartition.from_rows(
-            [{"s": "abc"}, {"s": "de"}]
-        ).column("s") == ["abc", "de"]
-        with pytest.raises(KeyError):
-            ColumnarPartition.from_rows([{"a": 1, "b": 2}, {"a": 1}])
+        assert [type(v) for v in block[3].values()] == [
+            type(rows[3][name]) for name in block.names
+        ]
 
 
 def _flatten(values):

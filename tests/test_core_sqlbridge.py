@@ -329,7 +329,10 @@ def _layouts(query, tables):
         "view+buffers:S'": sample.remaining[0],
         "view+buffers:slice": sample.remaining[1][5:40],
         "view-no-buffers": RecordView(rows, positions, {}),
-        "columnar": ColumnarPartition.from_rows(rows[:50]),
+        "columnar": ColumnarPartition({
+            name: sample.buffers.get(name, [row[name] for row in rows])[:50]
+            for name in rows[0]
+        }),
         "list": rows,
         "one": rows[:1],
         "empty-list": [],

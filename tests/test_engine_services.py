@@ -257,13 +257,13 @@ def _add(a, b):
     return a + b
 
 
-#: one job per kind of stage a permanent fault can abort.
 def _sql_table(ctx):
     """A SQL table over ``ctx``: its scan and fused row stages run there."""
     session = SQLSession(engine=ctx)
     return session.create_table("t", [{"x": float(i)} for i in range(12)])
 
 
+#: one job per kind of stage a permanent fault can abort.
 _STAGE_JOBS = {
     "narrow": (
         lambda ctx: ctx.parallelize(range(12), 3).map(lambda v: v + 1),

@@ -277,6 +277,16 @@ class _RowsBlock:
         return column_values(self.rows, name, dtype=None)
 
 
+def _columnar(rows):
+    """``rows`` as a ColumnarPartition: the hash's typed buffer where it
+    builds one, the value list otherwise."""
+    buffers = fingerprint_columns(rows)[1]
+    return ColumnarPartition({
+        name: buffers.get(name, [row[name] for row in rows])
+        for name in rows[0]
+    })
+
+
 def _row_outcomes(fn, rows):
     """Per-row (value, type), or the type the first failing row raises."""
     out = []
@@ -363,7 +373,7 @@ class TestBlockExpressions:
     def test_typed_columns_match_eval(self, rows, predicate, value):
         """The ufunc subset over typed (int64) buffers, the layout of a
         hashed table and of S-bar."""
-        block = ColumnarPartition.from_rows(rows)
+        block = _columnar(rows)
         assert block.numpy_column("a").dtype == np.int64
         assert _block_outcomes(block_mask(predicate), block) == (
             _row_outcomes(lambda row: bool(predicate.eval(row)), rows)
@@ -487,7 +497,7 @@ class TestBridgeBatchEvaluation:
             "list": rows,
             "view+buffers": RecordView(rows, everything, buffers),
             "view-no-buffers": RecordView(rows, everything, {}),
-            "columnar": ColumnarPartition.from_rows(rows),
+            "columnar": _columnar(rows),
         }
         for layout, batch in layouts.items():
             try:

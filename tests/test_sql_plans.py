@@ -75,6 +75,13 @@ class TestLogicalValidation:
                 how="semi",
                 residual=col("__r_nope") > 1,
             )
+        with pytest.raises(AnalysisError, match="INNER JOIN takes no residual"):
+            Join(
+                session.table("t").plan,
+                session.table("u").plan,
+                [(col("a"), col("k"))],
+                residual=col("a") > 1,
+            )
 
     def test_aggregate_duplicate_aliases(self, session):
         with pytest.raises(AnalysisError):
