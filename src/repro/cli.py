@@ -9,15 +9,10 @@ Commands:
 * ``compare`` — UPA vs FLEX vs brute force sensitivities for one
   workload.
 * ``report`` — render the per-phase time breakdown and privacy-ledger
-  summary from trace/ledger/profile artifacts written by ``run``/
-  ``compare``.
+  summary from trace/ledger artifacts written by ``run``/``compare``.
 * ``serve`` — stand up the live-monitoring endpoints over artifacts
   written by an earlier run (the ledger is replayed through the alert
-  rules, so ``/healthz`` reflects what would have fired; a
-  ``--timeseries`` artifact is served at /timeseries + /dashboard).
-* ``watch`` — refreshing terminal view of a live monitored session
-  (polls ``/timeseries`` + ``/healthz``) or a one-shot replay of a
-  ``--timeseries`` artifact through the windowed alert rules.
+  rules, so ``/healthz`` reflects what would have fired).
 * ``lint`` — the upalint static analyzer: query purity, plan
   stability, and budget-flow diagnostics over the built-in workloads
   and/or analyst scripts; exits non-zero on error-severity findings.
@@ -26,13 +21,9 @@ Observability is opt-in and documented in ``docs/observability.md``:
 ``--trace`` writes a Chrome trace-event JSON (load in
 ``chrome://tracing``), ``--ledger`` writes the append-only privacy
 audit ledger as JSONL, ``--events`` installs a job listener and prints
-the engine's per-job event log, ``--serve PORT`` exposes /metrics,
-/healthz, /ledger, /traces, /budget and /profile over HTTP
-while the command runs (``--serve-grace`` keeps serving after it
-finishes), and ``--profile PATH`` writes collapsed stacks from the
-sampling profiler, and ``--timeseries PATH`` streams the sampled
-metric time series (one JSONL line per tick) for ``repro report
---trend`` / ``repro watch``.
+the engine's per-job event log, and ``--serve PORT`` exposes /metrics,
+/healthz, /ledger, /traces and /budget over HTTP while the command runs
+(``--serve-grace`` keeps serving after it finishes).
 """
 
 from __future__ import annotations
@@ -64,29 +55,13 @@ def _add_observability_args(parser: argparse.ArgumentParser,
     parser.add_argument(
         "--serve", metavar="PORT", type=int,
         help="serve live monitoring endpoints (/metrics /healthz "
-        "/ledger /traces /budget /profile) on 127.0.0.1:PORT while "
-        "the command runs; 0 picks an ephemeral port",
+        "/ledger /traces /budget) on 127.0.0.1:PORT while the command "
+        "runs; 0 picks an ephemeral port",
     )
     parser.add_argument(
         "--serve-grace", metavar="SECONDS", type=float, default=0.0,
         help="with --serve: keep serving this long after the command "
-        "finishes (scrape window for CI and dashboards)",
-    )
-    parser.add_argument(
-        "--profile", metavar="PATH",
-        help="sample the run with the span-attributing profiler and "
-        "write collapsed stacks (flamegraph.pl / speedscope format) "
-        "to PATH",
-    )
-    parser.add_argument(
-        "--profile-hz", metavar="HZ", type=float, default=100.0,
-        help="profiler sampling rate (default: 100)",
-    )
-    parser.add_argument(
-        "--timeseries", metavar="PATH",
-        help="sample the metrics registry on every release and stream "
-        "the time series to PATH (JSONL; replay with `repro report "
-        "--trend` or `repro watch --timeseries`)",
+        "finishes (the scrape window for CI and Prometheus)",
     )
 
 
@@ -151,21 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ledger", metavar="PATH", help="ledger JSONL written by --ledger"
     )
     report.add_argument(
-        "--profile", metavar="PATH",
-        help="collapsed-stack profile written by --profile (renders "
-        "the per-span self-time table)",
-    )
-    report.add_argument(
-        "--timeseries", metavar="PATH",
-        help="time-series JSONL written by --timeseries (renders the "
-        "per-series trend table)",
-    )
-    report.add_argument(
-        "--trend", action="store_true",
-        help="with --timeseries: replay the windowed alert rules over "
-        "the artifact and include what would have fired",
-    )
-    report.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
 
@@ -183,51 +143,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace", metavar="PATH",
         help="Chrome trace JSON to serve at /traces",
     )
-    serve.add_argument(
-        "--timeseries", metavar="PATH",
-        help="time-series JSONL to serve at /timeseries and /dashboard "
-        "(replayed through the windowed alert rules)",
-    )
     serve.add_argument("--port", type=int, default=0,
                        help="port to bind (default: ephemeral)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--duration", type=float, default=None, metavar="SECONDS",
         help="serve this long then exit (default: until ctrl-c)",
-    )
-
-    watch = sub.add_parser(
-        "watch",
-        help="refreshing terminal view of a live monitored session "
-        "(or a one-shot replay of a --timeseries artifact)",
-    )
-    watch.add_argument(
-        "--url", metavar="URL",
-        help="base URL of a live observability server started with "
-        "--serve, e.g. http://127.0.0.1:9464",
-    )
-    watch.add_argument(
-        "--timeseries", metavar="PATH",
-        help="replay a time-series JSONL artifact (render one frame "
-        "with the windowed alert rules re-evaluated) instead of "
-        "polling a server",
-    )
-    watch.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
-        help="poll interval with --url (default: 2)",
-    )
-    watch.add_argument(
-        "--iterations", type=int, default=None, metavar="N",
-        help="render N frames then exit (default: until ctrl-c)",
-    )
-    watch.add_argument(
-        "--series", action="append", metavar="NAME",
-        help="series to display, repeatable (default: key series "
-        "first, then the rest)",
-    )
-    watch.add_argument(
-        "--no-clear", action="store_true",
-        help="do not clear the screen between frames",
     )
 
     lint = sub.add_parser(
@@ -294,19 +215,15 @@ def _setup_observability(args, **config_fields):
 
     Both artifacts share one self-describing header: repro + python
     versions plus the run configuration (epsilon, n, seed, ...).
-    ``--serve`` and ``--profile`` need a live tracer even when no
-    ``--trace`` artifact was requested (the ``/traces`` endpoint and
-    the profiler's span attribution read it), and ``--serve`` needs an
-    in-memory ledger for ``/ledger`` even when none is being written.
+    ``--serve`` needs a live tracer for ``/traces`` even when no
+    ``--trace`` artifact was requested, and an in-memory ledger for
+    ``/ledger`` even when none is being written.
     """
     from repro.obs import PrivacyLedger, Tracer, run_header
 
     header = run_header(**config_fields)
     live = getattr(args, "serve", None) is not None
-    want_tracer = (
-        getattr(args, "trace", None) or live
-        or getattr(args, "profile", None)
-    )
+    want_tracer = getattr(args, "trace", None) or live
     want_ledger = getattr(args, "ledger", None) or (
         live and hasattr(args, "ledger")
     )
@@ -316,40 +233,22 @@ def _setup_observability(args, **config_fields):
 
 
 def _start_live(args, session):
-    """Start --serve / --profile machinery; (server, profiler)."""
-    profiler = None
-    if getattr(args, "profile", None):
-        from repro.obs.profiler import SamplingProfiler
-
-        profiler = SamplingProfiler(hz=args.profile_hz).start()
-    if getattr(args, "timeseries", None):
-        # Attach before the first release so the artifact records the
-        # whole history; every release ticks the store and appends one
-        # JSONL line (--serve additionally starts the wall-clock
-        # sampler in session.serve()).
-        session.attach_timeseries().stream_to(args.timeseries)
+    """Start the --serve server (None without --serve)."""
     server = None
     if getattr(args, "serve", None) is not None:
-        server = session.serve(port=args.serve, profiler=profiler)
+        server = session.serve(port=args.serve)
         print(f"live monitoring on {server.url} (endpoints: /metrics "
-              "/healthz /ledger /traces /budget /profile "
-              "/timeseries /dashboard)")
+              "/healthz /ledger /traces /budget)")
         sys.stdout.flush()
     elif session.ledger is not None and session.alert_engine is None:
         # No server, but alert rules still evaluate on every release
         # so the exit summary (and the ledger header) reflect firings.
         session.attach_alerts()
-    return server, profiler
+    return server
 
 
-def _finish_live(args, session, server, profiler) -> None:
-    """Stop --serve / --profile machinery and print exit summaries."""
-    if profiler is not None:
-        profiler.stop()
-        profiler.write_collapsed(args.profile)
-        print(f"profile written to {args.profile} "
-              f"({profiler.sample_count} samples; collapsed-stack "
-              "format, load at https://www.speedscope.app)")
+def _finish_live(args, session, server) -> None:
+    """Stop the --serve server and print the alert exit summary."""
     if server is not None:
         grace = getattr(args, "serve_grace", 0.0) or 0.0
         if grace > 0:
@@ -372,9 +271,9 @@ def _finish_live(args, session, server, profiler) -> None:
 def _emit_observability(args, engine, tracer, ledger) -> None:
     """Write the requested artifacts and print where they landed.
 
-    ``--serve``/``--profile`` create an in-memory tracer (and possibly
-    a ledger) without an output path, so each artifact is written only
-    when its path flag was actually given.
+    ``--serve`` creates an in-memory tracer (and possibly a ledger)
+    without an output path, so each artifact is written only when its
+    path flag was actually given.
     """
     if tracer is not None and getattr(args, "trace", None):
         tracer.write_chrome_trace(args.trace)
@@ -384,12 +283,6 @@ def _emit_observability(args, engine, tracer, ledger) -> None:
         ledger.write_jsonl(args.ledger)
         print(f"privacy ledger written to {args.ledger} "
               f"({len(ledger)} entries)")
-    store = getattr(engine, "timeseries", None)
-    if store is not None and getattr(args, "timeseries", None):
-        # stream_to already appended every tick; nothing left to flush.
-        print(f"time series written to {args.timeseries} "
-              f"({len(store.tick_times())} tick(s), "
-              f"{len(store.names())} series)")
     if getattr(args, "events", False) and engine.job_listener is not None:
         print("job events:")
         print(engine.job_listener.summary())
@@ -427,7 +320,7 @@ def _cmd_run(args) -> int:
         ledger=ledger,
     )
     _install_events(args, session.engine)
-    server, profiler = _start_live(args, session)
+    server = _start_live(args, session)
     with use_tracer(tracer):
         result = session.run(workload.query, tables, epsilon=args.epsilon)
         for step in range(append_steps):
@@ -454,7 +347,7 @@ def _cmd_run(args) -> int:
     ]
     print(format_table(["field", "value"], rows))
     _emit_observability(args, session.engine, tracer, ledger)
-    _finish_live(args, session, server, profiler)
+    _finish_live(args, session, server)
     return 0
 
 
@@ -489,7 +382,7 @@ def _cmd_run_sql(args) -> int:
         ledger=ledger,
     )
     _install_events(args, session.engine)
-    server, profiler = _start_live(args, session)
+    server = _start_live(args, session)
     with use_tracer(tracer):
         result = session.run_sql(
             args.query, tables, protected_table=args.protect,
@@ -503,7 +396,7 @@ def _cmd_run_sql(args) -> int:
     ]
     print(format_table(["field", "value"], rows))
     _emit_observability(args, session.engine, tracer, ledger)
-    _finish_live(args, session, server, profiler)
+    _finish_live(args, session, server)
     return 0
 
 
@@ -525,7 +418,7 @@ def _cmd_compare(args) -> int:
         UPAConfig(sample_size=1000, seed=args.seed), tracer=tracer
     )
     _install_events(args, session.engine)
-    server, profiler = _start_live(args, session)
+    server = _start_live(args, session)
     # One ambient tracer scope so the UPA pipeline and both baselines
     # emit into the same trace and can be compared span for span.
     with use_tracer(tracer):
@@ -551,7 +444,7 @@ def _cmd_compare(args) -> int:
     ]
     print(format_table(["system", "local sensitivity"], rows))
     _emit_observability(args, session.engine, tracer, None)
-    _finish_live(args, session, server, profiler)
+    _finish_live(args, session, server)
     return 0
 
 
@@ -560,32 +453,17 @@ def _cmd_report(args) -> int:
 
     from repro.obs import ObservedRun
 
-    if not (args.trace or args.ledger or args.profile or args.timeseries):
-        print("repro report: pass --trace, --ledger, --profile and/or "
-              "--timeseries", file=sys.stderr)
-        return 2
-    if args.trend and not args.timeseries:
-        print("repro report: --trend needs --timeseries PATH",
+    if not (args.trace or args.ledger):
+        print("repro report: pass --trace and/or --ledger",
               file=sys.stderr)
         return 2
-    for path in (args.trace, args.ledger, args.profile, args.timeseries):
+    for path in (args.trace, args.ledger):
         if path and not os.path.exists(path):
             print(f"repro report: no such file: {path}", file=sys.stderr)
             return 2
     observed = ObservedRun.from_artifacts(
         trace_path=args.trace, ledger_path=args.ledger,
-        profile_path=args.profile, timeseries_path=args.timeseries,
     )
-    if args.trend and observed.timeseries is not None:
-        from repro.obs import AlertEngine
-
-        alert_engine = AlertEngine()
-        alert_engine.replay(observed.timeseries)
-        seen = {(a.get("rule"), a.get("message")) for a in observed.alerts}
-        observed.alerts.extend(
-            a for a in alert_engine.to_dicts()
-            if (a.get("rule"), a.get("message")) not in seen
-        )
     print(observed.render_json() if args.json else observed.render_text())
     return 0
 
@@ -597,11 +475,11 @@ def _cmd_serve(args) -> int:
 
     from repro.obs import AlertEngine, ObservabilityServer, PrivacyLedger
 
-    if not args.ledger and not args.trace and not args.timeseries:
-        print("repro serve: pass --ledger, --trace and/or --timeseries",
+    if not args.ledger and not args.trace:
+        print("repro serve: pass --ledger and/or --trace",
               file=sys.stderr)
         return 2
-    for path in (args.ledger, args.trace, args.timeseries):
+    for path in (args.ledger, args.trace):
         if path and not os.path.exists(path):
             print(f"repro serve: no such file: {path}", file=sys.stderr)
             return 2
@@ -613,28 +491,15 @@ def _cmd_serve(args) -> int:
         # reflects what a live session would have reported.
         alert_engine = AlertEngine()
         alert_engine.replay(ledger)
-    timeseries = None
-    if args.timeseries:
-        from repro.obs.timeseries import TimeSeriesStore
-
-        timeseries = TimeSeriesStore.read_jsonl(args.timeseries)
-        if alert_engine is None:
-            alert_engine = AlertEngine()
-        # Same replay contract as the ledger: the windowed rules walk
-        # the recorded ticks, so /healthz and /dashboard badges show
-        # what continuous monitoring would have fired.
-        alert_engine.replay(timeseries)
     static_trace = None
     if args.trace:
         with open(args.trace, "r", encoding="utf-8") as handle:
             static_trace = json.load(handle)
     server = ObservabilityServer(
         ledger=ledger, alerts=alert_engine, static_trace=static_trace,
-        timeseries=timeseries, host=args.host, port=args.port,
+        host=args.host, port=args.port,
     ).start()
-    sources = " and ".join(
-        p for p in (args.ledger, args.trace, args.timeseries) if p
-    )
+    sources = " and ".join(p for p in (args.ledger, args.trace) if p)
     print(f"serving {sources} on {server.url}")
     if alert_engine is not None:
         summary = alert_engine.summary()
@@ -650,84 +515,6 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:  # pragma: no cover - interactive
         pass
     server.stop()
-    return 0
-
-
-def _fetch_json(url: str, timeout: float = 10.0):
-    """GET ``url`` and parse JSON; error bodies parse too.
-
-    ``/healthz`` answers 503 with a JSON body when alerts have fired —
-    that is a successful watch poll, not a transport failure, so HTTP
-    errors carrying parseable JSON are returned rather than raised.
-    """
-    import json
-    import urllib.error
-    import urllib.request
-
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
-            return json.loads(resp.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        body = exc.read().decode("utf-8", "replace")
-        try:
-            return json.loads(body)
-        except ValueError:
-            raise exc
-
-
-def _cmd_watch(args) -> int:
-    import os
-    import time
-
-    from repro.obs.watch import CLEAR_SCREEN, render_watch
-
-    if bool(args.url) == bool(args.timeseries):
-        print("repro watch: pass exactly one of --url or --timeseries",
-              file=sys.stderr)
-        return 2
-
-    if args.timeseries:
-        if not os.path.exists(args.timeseries):
-            print(f"repro watch: no such file: {args.timeseries}",
-                  file=sys.stderr)
-            return 2
-        from repro.obs import AlertEngine
-        from repro.obs.timeseries import TimeSeriesStore
-
-        store = TimeSeriesStore.read_jsonl(args.timeseries)
-        alert_engine = AlertEngine()
-        alert_engine.replay(store)
-        fired = alert_engine.to_dicts()
-        health = {"status": "degraded" if fired else "ok",
-                  "alerts": fired}
-        sys.stdout.write(render_watch(
-            store.to_payload(series=args.series), health,
-            series=args.series, source=args.timeseries,
-        ))
-        return 0
-
-    base = args.url.rstrip("/")
-    query = "?series=" + ",".join(args.series) if args.series else ""
-    frame = 0
-    try:
-        while args.iterations is None or frame < args.iterations:
-            if frame:
-                time.sleep(max(0.0, args.interval))
-            frame += 1
-            try:
-                payload = _fetch_json(base + "/timeseries" + query)
-                health = _fetch_json(base + "/healthz")
-            except (OSError, ValueError) as exc:
-                print(f"repro watch: {base}: {exc}", file=sys.stderr)
-                return 1
-            text = render_watch(payload, health, series=args.series,
-                                source=base)
-            if not args.no_clear and sys.stdout.isatty():
-                sys.stdout.write(CLEAR_SCREEN)
-            sys.stdout.write(text)
-            sys.stdout.flush()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
     return 0
 
 
@@ -794,8 +581,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_report(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "watch":
-            return _cmd_watch(args)
         if args.command == "lint":
             return _cmd_lint(args)
     except BrokenPipeError:  # e.g. `repro list | head`

@@ -23,11 +23,13 @@ UPA010 lint guard the contract for third-party kernels.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.core.query import Row
+from repro.engine.columnar import object_column
 
 
 def column_values(
@@ -51,10 +53,7 @@ def column_values(
             values = values.astype(dtype)
         return values
     if dtype is None:
-        out = np.empty(len(records), dtype=object)
-        for i, record in enumerate(records):
-            out[i] = record[name]
-        return out
+        return object_column(map(itemgetter(name), records), len(records))
     return np.asarray([record[name] for record in records], dtype=dtype)
 
 

@@ -36,7 +36,9 @@ import numpy as np
 
 from repro.common.errors import DPError
 from repro.core.query import MapReduceQuery, Row, Tables
-from repro.engine.columnar import ColumnarPartition, gather_columns
+from repro.engine.columnar import (
+    ColumnarPartition, gather_columns, object_column,
+)
 from repro.obs.tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:
@@ -289,7 +291,7 @@ class RecordView:
         if not isinstance(buffer, np.ndarray):
             # A date / str column, boxed on first request.  Two threads
             # may both box it; either array serves every later reader.
-            buffer = self._buffers[name] = np.array(buffer, dtype=object)
+            buffer = self._buffers[name] = object_column(buffer, len(buffer))
         return buffer[self._indices]
 
 

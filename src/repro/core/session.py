@@ -376,9 +376,6 @@ class UPASession:
         self.alert_engine = None
         #: live introspection server, if serve() started one.
         self.obs_server = None
-        #: metric time-series store wired by serve() (or
-        #: attach_timeseries()); None until then.
-        self.timeseries = None
 
     @property
     def tracer(self) -> Tracer:
@@ -407,49 +404,14 @@ class UPASession:
         self.alert_engine = engine
         return engine
 
-    def attach_timeseries(self, store=None, *, interval: float = 1.0,
-                          start: bool = False, alerts: bool = True):
-        """Wire a metric time-series store to this session.
-
-        With no argument, builds a
-        :class:`~repro.obs.timeseries.TimeSeriesStore` over the engine
-        registry.  Every release then ticks the store (so an
-        ``append``/``retire`` loop grows real time series) and — with
-        ``alerts`` (the default) — evaluates the windowed alert rules
-        on each tick.  ``start=True`` also starts the daemon sampler
-        thread, which keeps sampling between releases; the engine's
-        :meth:`~repro.engine.context.EngineContext.stop` stops it.
-        Idempotent: a second call returns the already-attached store
-        (starting its sampler if newly asked to).
-        """
-        from repro.obs.timeseries import TimeSeriesStore
-
-        if self.timeseries is not None:
-            if start:
-                self.timeseries.start()
-            return self.timeseries
-        if store is None:
-            store = TimeSeriesStore(self.engine.metrics, interval=interval)
-        if alerts:
-            self.attach_alerts().attach_timeseries(store)
-        self.engine.install_timeseries(store)
-        self.timeseries = store
-        if start:
-            store.start()
-        return store
-
     def serve(self, port: int = 0, host: str = "127.0.0.1",
-              alerts: bool = True, profiler=None,
-              timeseries: bool = True, timeseries_interval: float = 1.0):
+              alerts: bool = True):
         """Start live monitoring endpoints over this session.
 
         Wires everything the session owns — engine metrics, the
-        effective tracer, the privacy ledger, the accountant, an alert
-        engine (built via :meth:`attach_alerts` unless ``alerts`` is
-        False), a time-series store with a running sampler (built via
-        :meth:`attach_timeseries` unless ``timeseries`` is False; it
-        backs ``/timeseries`` and ``/dashboard``) and an optional
-        :class:`~repro.obs.profiler.SamplingProfiler` — into one
+        effective tracer, the privacy ledger, the accountant and an
+        alert engine (built via :meth:`attach_alerts` unless ``alerts``
+        is False) — into one
         :class:`~repro.obs.server.ObservabilityServer`.  ``port=0``
         binds an ephemeral port; read ``.url`` off the returned server.
         Stop it with ``session.obs_server.stop()`` (or let the daemon
@@ -460,11 +422,6 @@ class UPASession:
         if self.obs_server is not None:
             return self.obs_server
         engine = self.attach_alerts() if alerts else None
-        store = None
-        if timeseries:
-            store = self.attach_timeseries(
-                interval=timeseries_interval, alerts=alerts, start=True,
-            )
         tracer = self.tracer
         self.obs_server = self.engine.serve(
             port=port, host=host,
@@ -475,8 +432,6 @@ class UPASession:
                 if self.accountant is not None else None
             ),
             alerts=engine,
-            profiler=profiler,
-            timeseries=store,
         )
         return self.obs_server
 
@@ -720,14 +675,11 @@ class UPASession:
         *,
         cache_hit: bool,
     ) -> None:
-        """Fold one release into the metric registry and time series.
+        """Fold one release into the metric registry.
 
         Runs after the result (and its per-run metrics diff) is fully
         built, so these counters never appear inside a run's own
-        ``result.metrics`` window.  The final tick pushes the fresh
-        values into the attached time-series store, which evaluates the
-        windowed alert rules through its listeners — this is what makes
-        every ``append``/``retire`` release an alert-evaluation point.
+        ``result.metrics`` window; ``/metrics`` exports them.
         Pure observation: nothing here touches the RNG or the pipeline,
         so DP outputs are bitwise identical with or without it.
         """
@@ -757,8 +709,6 @@ class UPASession:
                 MetricsRegistry.BUDGET_SPENT,
                 float(self.accountant.spent()[0]),
             )
-        if self.timeseries is not None:
-            self.timeseries.tick()
 
     def _require_incremental(self, op: str) -> "_IncrementalState":
         incr = self._incr

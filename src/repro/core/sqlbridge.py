@@ -60,7 +60,7 @@ from repro.common.errors import AnalysisError, QueryShapeError
 from repro.core.batch import ScalarSumBatch, column_values
 from repro.core.query import MapReduceQuery, Row, Tables, sample_batch
 from repro.core.table import FixedLists
-from repro.engine.columnar import gather_columns
+from repro.engine.columnar import gather_columns, object_column
 from repro.engine.metrics import MetricsRegistry
 from repro.sql.compiler import (
     compile_expression,
@@ -245,9 +245,9 @@ class _StaticIndex:
     def column(self, name: str) -> np.ndarray:
         column = self._columns.get(name)
         if column is None:
-            column = np.empty(len(self.rows), dtype=object)
-            column[:] = gather_columns(self.rows, [name])[0]
-            self._columns[name] = column
+            column = self._columns[name] = object_column(
+                gather_columns(self.rows, [name])[0], len(self.rows)
+            )
         return column
 
     def probe(self, key: Any) -> List[Row]:

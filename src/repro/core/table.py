@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core import sampling
 from repro.core.query import MapReduceQuery, Row, Tables
+from repro.engine.columnar import object_column
 
 #: tables (and aux results) one session keeps.  The traffic that needs
 #: more than one is RANGE ENFORCER's: x and x - r submitted in turn.
@@ -54,7 +55,7 @@ def _joined(a: Any, b: Any) -> Any:
         a.extend(b)
         return a
     if a.dtype == object:
-        b = np.array(b, dtype=object)
+        b = object_column(b, len(b))
     return np.concatenate([a, b])
 
 

@@ -46,9 +46,6 @@ class EngineContext:
         self.tracer = self.scheduler.tracer
         #: live introspection server, if serve() started one.
         self.obs_server = None
-        #: time-series store sampling this engine's metrics (None
-        #: unless install_timeseries ran; stop() stops its sampler).
-        self.timeseries = None
         self._rdd_ids = itertools.count(1)
         self._lock = threading.Lock()
         #: bumped by every stop(); a cache of derived data (the
@@ -137,22 +134,6 @@ class EngineContext:
         ):
             self.install_job_listener(JobListener())
 
-    def install_timeseries(self, store) -> None:
-        """Install (or clear, with None) a metric time-series store.
-
-        The store samples this engine's registry (it is read-only over
-        thread-safe snapshots, so it can never influence outputs);
-        installing it here makes :meth:`serve` expose it on
-        ``/timeseries`` + ``/dashboard`` and makes :meth:`stop` stop
-        its sampler thread with the rest of the engine services.
-        """
-        if store is None:
-            if self.timeseries is not None:
-                self.timeseries.stop()
-            self.timeseries = None
-            return
-        self.timeseries = store
-
     @property
     def job_listener(self):
         """The installed job event listener, if any."""
@@ -174,7 +155,7 @@ class EngineContext:
         Exposes the engine's metrics registry (and its tracer, when one
         is installed) on ``/metrics``, ``/healthz``, ``/traces``;
         ``sources`` forwards extra data sources (``ledger=``,
-        ``accountants=``, ``alerts=``, ``profiler=``) straight to
+        ``accountants=``, ``alerts=``) straight to
         :class:`~repro.obs.server.ObservabilityServer`.  ``port=0``
         binds an ephemeral port; the started server is returned and
         also stopped by :meth:`stop`.
@@ -186,7 +167,6 @@ class EngineContext:
             return self.obs_server
         tracer = self.tracer if self.tracer is not NULL_TRACER else None
         sources.setdefault("tracer", tracer)
-        sources.setdefault("timeseries", self.timeseries)
         self.obs_server = ObservabilityServer(
             metrics=self.metrics, host=host, port=port, **sources
         ).start()
@@ -199,7 +179,7 @@ class EngineContext:
     def stop(self) -> None:
         """Release engine resources (idempotent).
 
-        Stops the live server and time-series sampler and drops stored
+        Stops the live server and drops stored
         shuffle outputs *and* cached partition blocks — a stopped
         context must not keep partition data alive between
         experiments.  The context remains usable: a later job
@@ -210,8 +190,6 @@ class EngineContext:
         if self.obs_server is not None:
             self.obs_server.stop()
             self.obs_server = None
-        if self.timeseries is not None:
-            self.timeseries.stop()
         self.shuffle_manager.clear()
         self.block_store.clear()
         self._stop_generation += 1

@@ -212,9 +212,8 @@ class MetricsRegistry:
     TABLE_REUSES = "table.reuses"
     AUX_REUSES = "aux.reuses"
 
-    #: Counter/gauge names recorded per DP release by UPASession so the
-    #: time-series store (repro.obs.timeseries) can derive rates and the
-    #: windowed alert rules can forecast budget exhaustion.  The epsilon
+    #: Counter/gauge names recorded per DP release by UPASession and
+    #: exported on the live server's ``/metrics``.  The epsilon
     #: counter accumulates *charged* epsilon (replays add zero), the
     #: budget gauges mirror the accountant, and the sensitivity gauge is
     #: the last release's exact local sensitivity.  Replays of an

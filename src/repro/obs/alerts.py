@@ -13,7 +13,7 @@ report cannot answer in time:
   attack surface RANGE ENFORCER (Algorithm 2) defends, made observable:
   a later submission of the same query whose inferred sensitivity jumps
   is exactly the signal an operator wants paged on.
-* **Is RANGE ENFORCER clamping too often?**  :class:`ClampRateRule`
+* **Is RANGE ENFORCER clamping too often?**  :class:`ClampFractionRule`
   fires when the fraction of clamped releases exceeds a threshold —
   persistent clamping means the fitted range is systematically tighter
   than the data, i.e. utility is silently degrading.
@@ -24,16 +24,6 @@ Rules are evaluated by an :class:`AlertEngine` on every ledger append
 this per scrape).  Fired alerts land in the ledger header, the
 ``ObservedRun`` report, the ``/healthz`` endpoint (degraded status) and
 the CLI exit summary.
-
-A third hook, ``on_window``, evaluates *windowed* conditions against a
-:class:`~repro.obs.timeseries.TimeSeriesStore` — rates and trends over
-sliding time windows rather than point-in-time snapshots.  The engine
-runs it on every store tick once :meth:`AlertEngine.attach_timeseries`
-is wired (``UPASession.attach_timeseries`` does this), which is how a
-continuous ``append``/``retire`` session gets its budget exhaustion
-*forecast in seconds* (windowed :class:`BudgetBurnRule`), clamp-rate
-spike detection (:class:`RateRule`) and sensitivity growth trends
-(:class:`TrendRule`).
 """
 
 from __future__ import annotations
@@ -42,16 +32,11 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.dp.budget import PrivacyAccountant
-from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
+from repro.engine.metrics import MetricsSnapshot
 from repro.obs.ledger import LedgerEntry, PrivacyLedger
-from repro.obs.timeseries import (
-    TimeSeriesStore,
-    forecast_exhaustion,
-    least_squares_slope,
-)
 
 
 @dataclass(frozen=True)
@@ -82,14 +67,11 @@ class Alert:
 
 
 class AlertRule:
-    """Base rule: override one (or more) evaluation hooks.
+    """Base rule: override one (or both) evaluation hooks.
 
     ``on_entry`` sees the appended entry plus the full prior history
     (the new entry is ``history[-1]``); ``on_metrics`` sees a metrics
-    snapshot; ``on_window`` sees the time-series store as of ``now``
-    (points after ``now`` are excluded, so artifact replay evaluates
-    each historical tick faithfully).  All return an :class:`Alert` to
-    fire or None.
+    snapshot.  Both return an :class:`Alert` to fire or None.
     """
 
     name = "rule"
@@ -105,11 +87,6 @@ class AlertRule:
     def on_metrics(self, snapshot: MetricsSnapshot) -> Optional[Alert]:
         return None
 
-    def on_window(
-        self, store: TimeSeriesStore, now: float
-    ) -> Optional[Alert]:
-        return None
-
 
 def _charged(history: Sequence[LedgerEntry]) -> List[LedgerEntry]:
     """Entries that actually spent budget (replays and refused
@@ -119,20 +96,13 @@ def _charged(history: Sequence[LedgerEntry]) -> List[LedgerEntry]:
 
 @dataclass
 class BudgetBurnRule(AlertRule):
-    """Forecast budget exhaustion from the burn rate, two ways.
+    """Forecast budget exhaustion from the burn rate.
 
-    Per ledger entry (``on_entry``): average the epsilon charged over
-    the last ``window`` charged entries, read the remaining balance
-    (live from the accountant when available, else from the entry's
-    recorded ``accountant_remaining_epsilon``), and fire when
+    Average the epsilon charged over the last ``window`` charged
+    entries, read the remaining balance (live from the accountant when
+    available, else from the entry's recorded
+    ``accountant_remaining_epsilon``), and fire when
     ``remaining / average`` drops below ``min_releases_remaining``.
-
-    Per time-series tick (``on_window``): derive the epsilon charge
-    rate (epsilon/second) over the trailing ``rate_window_seconds`` of
-    the ``release.epsilon_charged`` counter and fire when
-    ``remaining / rate`` forecasts exhaustion within
-    ``min_seconds_remaining`` — a *wall-clock* forecast, which is what
-    a continuous append/retire deployment actually pages on.
 
     Silent when no balance is known — there is nothing to forecast
     against without an accountant.
@@ -140,46 +110,7 @@ class BudgetBurnRule(AlertRule):
 
     min_releases_remaining: float = 5.0
     window: int = 10
-    #: windowed path: fire when exhaustion is forecast within this many
-    #: seconds at the trailing charge rate.
-    min_seconds_remaining: float = 300.0
-    rate_window_seconds: float = 300.0
     name: str = "budget-burn"
-
-    def on_window(self, store, now):
-        forecast = forecast_exhaustion(
-            store, window=self.rate_window_seconds, now=now
-        )
-        if forecast is None:
-            return None
-        seconds = forecast["seconds_to_exhaustion"]
-        if seconds >= self.min_seconds_remaining:
-            return None
-        releases = forecast.get("releases_to_exhaustion")
-        suffix = (
-            f", ~{releases:.0f} release(s)" if releases is not None else ""
-        )
-        return Alert(
-            rule=self.name,
-            severity=(
-                "critical"
-                if seconds < self.min_seconds_remaining / 10.0
-                else "warning"
-            ),
-            message=(
-                f"budget burn-rate: exhaustion forecast in ~{seconds:.0f}s"
-                f"{suffix} at the trailing charge rate "
-                f"({forecast['epsilon_per_second']:g} eps/s over "
-                f"{self.rate_window_seconds:g}s, remaining epsilon "
-                f"{forecast['remaining_epsilon']:g})"
-            ),
-            context={
-                "metric": MetricsRegistry.RELEASE_EPSILON,
-                "forecast_seconds_to_exhaustion": seconds,
-                **forecast,
-            },
-            unix_time=now,
-        )
 
     def on_entry(self, entry, history, accountant):
         if entry.cache_hit or entry.refused:
@@ -281,8 +212,9 @@ class SensitivityDriftRule(AlertRule):
 
 
 @dataclass
-class ClampRateRule(AlertRule):
-    """RANGE ENFORCER clamp-rate threshold over charged releases."""
+class ClampFractionRule(AlertRule):
+    """RANGE ENFORCER clamp-rate threshold: the fraction of charged
+    releases it clamped (the rule fires as ``clamp-rate``)."""
 
     max_rate: float = 0.5
     min_entries: int = 5
@@ -314,105 +246,6 @@ class ClampRateRule(AlertRule):
 
 
 @dataclass
-class RateRule(AlertRule):
-    """Windowed rule: counter rate over a sliding window exceeds a cap.
-
-    The default instance in :func:`default_rules` watches RANGE
-    ENFORCER's clamp counter — a clamp *spike* (many clamps per second)
-    is a different signal from :class:`ClampRateRule`'s clamp
-    *fraction* and catches a burst of tight-range releases inside an
-    otherwise healthy history.
-    """
-
-    metric: str = ""
-    max_rate_per_second: float = math.inf
-    window_seconds: float = 60.0
-    min_points: int = 2
-    severity: str = "warning"
-    name: str = "rate"
-
-    def on_window(self, store, now):
-        pts = store.points(
-            self.metric, since=now - self.window_seconds, until=now
-        )
-        if len(pts) < self.min_points:
-            return None
-        rate = store.rate(self.metric, window=self.window_seconds, now=now)
-        if rate is None or rate <= self.max_rate_per_second:
-            return None
-        return Alert(
-            rule=self.name,
-            severity=self.severity,
-            message=(
-                f"rate spike on {self.metric}: {rate:g}/s over the "
-                f"trailing {self.window_seconds:g}s exceeds "
-                f"{self.max_rate_per_second:g}/s"
-            ),
-            context={
-                "metric": self.metric,
-                "rate_per_second": rate,
-                "max_rate_per_second": self.max_rate_per_second,
-                "window_seconds": self.window_seconds,
-            },
-            unix_time=now,
-        )
-
-
-@dataclass
-class TrendRule(AlertRule):
-    """Windowed rule: least-squares slope over a window exceeds a cap.
-
-    With ``relative=True`` the slope is divided by the window's mean
-    value, making the threshold a *fractional growth rate per second* —
-    the scale-free form suits sensitivity drift, where absolute
-    magnitudes are query-dependent.
-    """
-
-    metric: str = ""
-    max_slope_per_second: float = math.inf
-    window_seconds: float = 120.0
-    min_points: int = 3
-    relative: bool = False
-    severity: str = "warning"
-    name: str = "trend"
-
-    def on_window(self, store, now):
-        pts = store.points(
-            self.metric, since=now - self.window_seconds, until=now
-        )
-        if len(pts) < self.min_points:
-            return None
-        slope = least_squares_slope(pts)
-        if slope is None:
-            return None
-        if self.relative:
-            mean = sum(v for _, v in pts) / len(pts)
-            if mean == 0.0:
-                return None
-            slope = slope / abs(mean)
-        if slope <= self.max_slope_per_second:
-            return None
-        unit = "fraction/s" if self.relative else "units/s"
-        return Alert(
-            rule=self.name,
-            severity=self.severity,
-            message=(
-                f"upward trend on {self.metric}: slope {slope:g} {unit} "
-                f"over the trailing {self.window_seconds:g}s exceeds "
-                f"{self.max_slope_per_second:g} {unit}"
-            ),
-            context={
-                "metric": self.metric,
-                "slope_per_second": slope,
-                "max_slope_per_second": self.max_slope_per_second,
-                "window_seconds": self.window_seconds,
-                "relative": self.relative,
-            },
-            unix_time=now,
-        )
-
-
-@dataclass
 class GaugeThresholdRule(AlertRule):
     """Metrics-tick rule: fire while gauge ``metric`` exceeds ``max_value``."""
 
@@ -439,26 +272,9 @@ class GaugeThresholdRule(AlertRule):
 
 
 def default_rules() -> List[AlertRule]:
-    """The rules every monitored session should run.
-
-    The ledger-driven trio (budget burn, sensitivity drift, clamp
-    rate) and a windowed clamp-rate spike detector that only evaluates
-    once a time-series store is attached.  Sensitivity-drift trends are
-    left to explicit :class:`TrendRule` instances because a useful
-    relative threshold is workload-specific.
-    """
-    return [
-        BudgetBurnRule(),
-        SensitivityDriftRule(),
-        ClampRateRule(),
-        RateRule(
-            metric=MetricsRegistry.RELEASE_CLAMPS,
-            max_rate_per_second=1.0,
-            window_seconds=60.0,
-            min_points=3,
-            name="clamp-spike",
-        ),
-    ]
+    """The rules every monitored session runs: the ledger-driven trio
+    (budget burn, sensitivity drift, clamp rate)."""
+    return [BudgetBurnRule(), SensitivityDriftRule(), ClampFractionRule()]
 
 
 class AlertEngine:
@@ -482,21 +298,13 @@ class AlertEngine:
         self._alerts: List[Alert] = []
         self._history: List[LedgerEntry] = []
         self._metric_fired: set = set()
-        self._window_fired: set = set()
         self._ledger: Optional[PrivacyLedger] = None
-        self._timeseries: Optional[TimeSeriesStore] = None
 
     # -- wiring -------------------------------------------------------
     def attach(self, ledger: PrivacyLedger) -> "AlertEngine":
         """Subscribe to ``ledger`` appends; firings land in its header."""
         self._ledger = ledger
         ledger.add_listener(self.observe_entry)
-        return self
-
-    def attach_timeseries(self, store: TimeSeriesStore) -> "AlertEngine":
-        """Evaluate windowed rules on every tick of ``store``."""
-        self._timeseries = store
-        store.add_listener(lambda s, t: self.observe_window(s, now=t))
         return self
 
     # -- evaluation ---------------------------------------------------
@@ -526,32 +334,6 @@ class AlertEngine:
                 if key in self._metric_fired:
                     continue
                 self._metric_fired.add(key)
-            fired.append(alert)
-        if fired:
-            self._record(fired)
-        return fired
-
-    def observe_window(
-        self, store: TimeSeriesStore, now: Optional[float] = None
-    ) -> List[Alert]:
-        """Evaluate windowed rules against the store as of ``now``.
-
-        Deduplicated per (rule, metric) — the *condition*, not
-        the message, because windowed messages embed numbers that churn
-        every tick.  A rule that keeps being true therefore fires once,
-        same philosophy as the metrics-tick dedupe.
-        """
-        t = time.time() if now is None else float(now)
-        fired: List[Alert] = []
-        for rule in self.rules:
-            alert = rule.on_window(store, t)
-            if alert is None:
-                continue
-            key = (alert.rule, alert.context.get("metric", ""))
-            with self._lock:
-                if key in self._window_fired:
-                    continue
-                self._window_fired.add(key)
             fired.append(alert)
         if fired:
             self._record(fired)
@@ -600,27 +382,10 @@ class AlertEngine:
             )
         return "\n".join(lines)
 
-    def replay(
-        self, source: Union[PrivacyLedger, TimeSeriesStore]
-    ) -> List[Alert]:
-        """Evaluate an existing artifact against the rules.
-
-        A :class:`PrivacyLedger` replays entry by entry; a
-        :class:`TimeSeriesStore` (e.g. rebuilt from a ``--timeseries``
-        JSONL artifact via :meth:`TimeSeriesStore.read_jsonl`) replays
-        tick by tick, evaluating each window *as of* that tick so the
-        replay fires exactly what a live session would have.  Returns
-        everything fired during the replay.
-        """
-        if isinstance(source, TimeSeriesStore):
-            return self.replay_timeseries(source)
+    def replay(self, ledger: PrivacyLedger) -> List[Alert]:
+        """Evaluate an existing ledger against the rules, entry by
+        entry; returns everything fired during the replay."""
         fired: List[Alert] = []
-        for entry in source.entries():
+        for entry in ledger.entries():
             fired.extend(self.observe_entry(entry))
-        return fired
-
-    def replay_timeseries(self, store: TimeSeriesStore) -> List[Alert]:
-        fired: List[Alert] = []
-        for t in store.tick_times():
-            fired.extend(self.observe_window(store, now=t))
         return fired

@@ -138,13 +138,6 @@ class ObservedRun:
     ledger_totals: Dict[str, float] = field(default_factory=dict)
     #: alert firings (dicts shaped like ``Alert.to_dict``).
     alerts: List[Dict[str, Any]] = field(default_factory=list)
-    #: profiler (span, samples, estimated seconds) self-time rows.
-    profile: List[Tuple[str, int, float]] = field(default_factory=list)
-    #: sampled metric history (a
-    #: :class:`~repro.obs.timeseries.TimeSeriesStore`), live or
-    #: reloaded from a ``--timeseries`` JSONL artifact. None when the
-    #: run was not sampled.
-    timeseries: Optional[Any] = None
     #: attributes of every ``sampling.domain_sample`` span: how many
     #: S-bar records each release drew, and whether as one column batch.
     domain_sampling: List[Dict[str, Any]] = field(default_factory=list)
@@ -163,8 +156,6 @@ class ObservedRun:
         metrics: Optional[MetricsSnapshot] = None,
         ledger: Optional[PrivacyLedger] = None,
         alert_engine: Optional[Any] = None,
-        profiler: Optional[Any] = None,
-        timeseries: Optional[Any] = None,
     ) -> "ObservedRun":
         header: Dict[str, Any] = {}
         durations: List[Tuple[str, float]] = []
@@ -194,20 +185,14 @@ class ObservedRun:
         alerts: List[Dict[str, Any]] = []
         if alert_engine is not None:
             alerts = alert_engine.to_dicts()
-        profile: List[Tuple[str, int, float]] = []
-        if profiler is not None:
-            profile = profiler.span_table()
         return cls(header, durations, metrics, entries, totals,
-                   alerts, profile, timeseries, domain_sampling,
-                   enforcement, partition_sampling)
+                   alerts, domain_sampling, enforcement, partition_sampling)
 
     @classmethod
     def from_artifacts(
         cls,
         trace_path: Optional[str] = None,
         ledger_path: Optional[str] = None,
-        profile_path: Optional[str] = None,
-        timeseries_path: Optional[str] = None,
     ) -> "ObservedRun":
         header: Dict[str, Any] = {}
         durations: List[Tuple[str, float]] = []
@@ -252,21 +237,8 @@ class ObservedRun:
             raw = header.pop("alerts", None)
             if isinstance(raw, list):
                 alerts = [a for a in raw if isinstance(a, dict)]
-        profile: List[Tuple[str, int, float]] = []
-        if profile_path is not None:
-            from repro.obs.profiler import span_table_from_collapsed
-            with open(profile_path, "r", encoding="utf-8") as handle:
-                profile = span_table_from_collapsed(handle.read())
-        timeseries = None
-        if timeseries_path is not None:
-            from repro.obs.timeseries import TimeSeriesStore
-
-            timeseries = TimeSeriesStore.read_jsonl(timeseries_path)
-            for key, value in timeseries.header.items():
-                header.setdefault(key, value)
         return cls(header, durations, None, entries, totals,
-                   alerts, profile, timeseries, domain_sampling,
-                   enforcement, partition_sampling)
+                   alerts, domain_sampling, enforcement, partition_sampling)
 
     # -- breakdowns ---------------------------------------------------
     def phase_stats(self) -> List[SpanStat]:
@@ -299,41 +271,6 @@ class ObservedRun:
             for name, value in sorted(self.metrics.counters.items())
             if value
         }
-
-    def timeseries_trends(self) -> List[Dict[str, Any]]:
-        """Per-series trend rows from the sampled metric history.
-
-        One row per series, key series first: point count, first/last
-        values, the trailing per-second change (rate for counters,
-        least-squares slope for gauges) and a unicode sparkline of the
-        whole retained window.  Empty when the run was not sampled.
-        """
-        if self.timeseries is None:
-            return []
-        from repro.obs.timeseries import COUNTER, order_series
-        from repro.obs.watch import spark
-
-        store = self.timeseries
-        rows: List[Dict[str, Any]] = []
-        for name in order_series(store.names()):
-            points = store.points(name)
-            if not points:
-                continue
-            kind = store.kind(name)
-            if kind == COUNTER:
-                change = store.rate(name)
-            else:
-                change = store.slope(name)
-            rows.append({
-                "series": name,
-                "kind": kind,
-                "points": len(points),
-                "first": points[0][1],
-                "last": points[-1][1],
-                "per_second": change,
-                "spark": spark([p[1] for p in points], width=16),
-            })
-        return rows
 
     def domain_sampling_summary(self) -> Dict[str, int]:
         """Releases traced, S-bar records drawn, releases that batched,
@@ -376,14 +313,6 @@ class ObservedRun:
                 "entries": [e.to_dict() for e in self.ledger_entries],
             },
             "alerts": [dict(a) for a in self.alerts],
-            "profile": [
-                {"span": span, "samples": samples, "seconds": seconds}
-                for span, samples, seconds in self.profile
-            ],
-            "timeseries": {
-                "ticks": len(self.timeseries.tick_times()),
-                "trends": [dict(r) for r in self.timeseries_trends()],
-            } if self.timeseries is not None else None,
         }
 
     def render_json(self) -> str:
@@ -464,31 +393,6 @@ class ObservedRun:
                 "metric histograms:\n" + format_table(
                     ["histogram", "count", "min", "mean", "p50", "p90",
                      "p99", "max"], rows)
-            )
-        if self.profile:
-            rows = [
-                [span, samples,
-                 f"{seconds * 1000:.1f}" if seconds else "-"]
-                for span, samples, seconds in self.profile
-            ]
-            sections.append(
-                "profiler span self-time:\n" + format_table(
-                    ["span", "samples", "est ms"], rows)
-            )
-        trends = self.timeseries_trends()
-        if trends:
-            rows = [
-                [r["series"], r["kind"], r["points"],
-                 f"{r['first']:g}", f"{r['last']:g}",
-                 f"{r['per_second']:.4g}"
-                 if r["per_second"] is not None else "-",
-                 r["spark"]]
-                for r in trends
-            ]
-            sections.append(
-                "time-series trends:\n" + format_table(
-                    ["series", "kind", "points", "first", "last",
-                     "per second", "trend"], rows)
             )
         if self.alerts:
             rows = [

@@ -9,29 +9,19 @@ endpoint    serves
 ========== ==========================================================
 ``/``        JSON index of the endpoints below
 ``/metrics`` Prometheus text exposition of the engine registry, plus
-             budget/alert gauges (``?format=otlp`` for OTLP-style
-             JSON)
+             budget/alert gauges
 ``/healthz`` ``{"status": "ok"}`` — or 503 ``"degraded"`` once any
              alert rule has fired
 ``/ledger``  privacy-ledger JSONL tail; ``?n=5`` for the last five
              entries, ``?since=SEQ`` for entries after a sequence
              cursor (combine both)
 ``/traces``  Chrome trace-event JSON of the spans finished so far
-             (``?format=otlp`` for OTLP-style spans)
 ``/budget``  per-accountant balance snapshots
-``/profile`` the sampling profiler's collapsed stacks so far
-``/timeseries`` sampled metric history from the attached
-             :class:`~repro.obs.timeseries.TimeSeriesStore`;
-             ``?series=a,b`` filters by name, ``?since=T`` bounds,
-             ``?step=S`` resamples, ``?window=W`` sets the rate window
-``/dashboard`` self-contained HTML over the same store: inline-SVG
-             sparklines, alert badges, budget forecast; auto-refreshes
-             (``?refresh=S``, ``0`` disables)
 ========== ==========================================================
 
-Every data source (metrics registry, tracer, ledger, accountant,
-profiler, time-series store) is already thread-safe, so scrape threads
-never contend with the pipeline beyond those locks.  Embed via
+Every data source (metrics registry, tracer, ledger, accountant) is
+already thread-safe, so scrape threads never contend with the pipeline
+beyond those locks.  Embed via
 :meth:`repro.engine.context.EngineContext.serve` /
 :meth:`repro.core.session.UPASession.serve`, or the CLI's ``--serve``
 flag / ``repro serve`` command.  Starting a server from inside a
@@ -52,15 +42,8 @@ from urllib.parse import parse_qs, urlsplit
 from repro.dp.budget import PrivacyAccountant
 from repro.engine.metrics import MetricsRegistry
 from repro.obs.alerts import AlertEngine
-from repro.obs.exporters import (
-    prometheus_block,
-    render_otlp_metrics,
-    render_otlp_spans,
-    render_prometheus,
-)
+from repro.obs.exporters import prometheus_block, render_prometheus
 from repro.obs.ledger import PrivacyLedger
-from repro.obs.profiler import SamplingProfiler
-from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracing import Tracer
 
 #: (status, content-type, body) triple every route returns.
@@ -78,44 +61,17 @@ class _BadParam(ValueError):
     """A malformed query parameter; answered as HTTP 400 + JSON."""
 
 
-def _str_param(params: Dict[str, List[str]], key: str) -> Optional[str]:
-    values = params.get(key)
-    return values[0] if values else None
-
-
 def _int_param(params: Dict[str, List[str]], key: str) -> Optional[int]:
-    raw = _str_param(params, key)
-    if raw is None:
+    values = params.get(key)
+    if not values:
         return None
+    raw = values[0]
     try:
         return int(raw)
     except ValueError:
         raise _BadParam(
             f"query parameter {key!r} must be an integer, got {raw!r}"
         ) from None
-
-
-def _float_param(
-    params: Dict[str, List[str]], key: str, positive: bool = False
-) -> Optional[float]:
-    raw = _str_param(params, key)
-    if raw is None:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise _BadParam(
-            f"query parameter {key!r} must be a number, got {raw!r}"
-        ) from None
-    if value != value or value in (float("inf"), float("-inf")):
-        raise _BadParam(
-            f"query parameter {key!r} must be finite, got {raw!r}"
-        )
-    if positive and value <= 0:
-        raise _BadParam(
-            f"query parameter {key!r} must be positive, got {raw!r}"
-        )
-    return value
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -155,9 +111,9 @@ class ObservabilityServer:
 
     All sources are optional — endpoints whose source is absent answer
     404, so the same server class backs a bare engine (metrics only),
-    a full session (metrics + tracer + ledger + accountant + alerts +
-    profiler), and ``repro serve`` over artifacts (a re-loaded ledger
-    and a static trace document).
+    a full session (metrics + tracer + ledger + accountant + alerts),
+    and ``repro serve`` over artifacts (a re-loaded ledger and a static
+    trace document).
 
     ``port=0`` binds an ephemeral port; read :attr:`port`/:attr:`url`
     after :meth:`start`.
@@ -172,8 +128,6 @@ class ObservabilityServer:
             Union[PrivacyAccountant, Mapping[str, PrivacyAccountant]]
         ] = None,
         alerts: Optional[AlertEngine] = None,
-        profiler: Optional[SamplingProfiler] = None,
-        timeseries: Optional[TimeSeriesStore] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         namespace: str = "upa",
@@ -188,8 +142,6 @@ class ObservabilityServer:
             accountants or {}
         )
         self.alerts = alerts
-        self.profiler = profiler
-        self.timeseries = timeseries
         self.namespace = namespace
         #: a pre-rendered Chrome trace document served when no live
         #: tracer is attached (``repro serve --trace artifact.json``).
@@ -259,21 +211,15 @@ class ObservabilityServer:
             if path == "/":
                 return self._index()
             if path == "/metrics":
-                return self._metrics(params)
+                return self._metrics()
             if path == "/healthz":
                 return self._healthz()
             if path == "/ledger":
                 return self._ledger(params)
             if path == "/traces":
-                return self._traces(params)
+                return self._traces()
             if path == "/budget":
                 return self._budget()
-            if path == "/profile":
-                return self._profile()
-            if path == "/timeseries":
-                return self._timeseries(params)
-            if path == "/dashboard":
-                return self._dashboard(params)
         except _BadParam as exc:
             return _json_response({"error": str(exc)}, status=400)
         return (
@@ -291,9 +237,6 @@ class ObservabilityServer:
                 self.tracer is not None or self.static_trace is not None
             ),
             "/budget": bool(self.accountants),
-            "/profile": self.profiler is not None,
-            "/timeseries": self.timeseries is not None,
-            "/dashboard": self.timeseries is not None,
         }
         return _json_response({
             "service": "repro.obs",
@@ -301,21 +244,7 @@ class ObservabilityServer:
         })
 
     def _tick_alerts(self) -> None:
-        """One metrics tick per scrape: evaluate metric-driven rules.
-
-        When a live time-series store is attached this also drives a
-        rate-limited store tick (which in turn evaluates the windowed
-        rules through the store's listeners) — so on an idle-but-
-        serving session the act of scraping keeps the series, and
-        therefore the alert state, fresh between releases.  A store
-        rebuilt from an artifact (``metrics is None``) is never ticked:
-        replayed history must stay exactly as recorded.
-        """
-        if (
-            self.timeseries is not None
-            and self.timeseries.metrics is not None
-        ):
-            self.timeseries.tick_if_due()
+        """One metrics tick per scrape: evaluate metric-driven rules."""
         if self.alerts is not None and self.metrics is not None:
             self.alerts.observe_metrics(self.metrics.snapshot())
 
@@ -352,16 +281,13 @@ class ObservabilityServer:
         ))
         return blocks
 
-    def _metrics(self, params: Dict[str, List[str]]) -> _Response:
+    def _metrics(self) -> _Response:
         if self.metrics is None:
             return (404, "text/plain; charset=utf-8",
                     b"no metrics registry attached\n")
         self._tick_alerts()
-        snapshot = self.metrics.snapshot()
-        if params.get("format", [""])[0] == "otlp":
-            return _json_response(render_otlp_metrics(snapshot))
         body = render_prometheus(
-            snapshot, namespace=self.namespace,
+            self.metrics.snapshot(), namespace=self.namespace,
             extra_blocks=self._extra_prometheus_blocks(),
         )
         return 200, _PROM_CONTENT_TYPE, body.encode("utf-8")
@@ -399,10 +325,8 @@ class ObservabilityServer:
         return (200, "application/x-ndjson; charset=utf-8",
                 body.encode("utf-8"))
 
-    def _traces(self, params: Dict[str, List[str]]) -> _Response:
+    def _traces(self) -> _Response:
         if self.tracer is not None:
-            if params.get("format", [""])[0] == "otlp":
-                return _json_response(render_otlp_spans(self.tracer))
             return _json_response(self.tracer.to_chrome_trace())
         if self.static_trace is not None:
             return _json_response(self.static_trace)
@@ -419,57 +343,3 @@ class ObservabilityServer:
                 for name, accountant in self.accountants.items()
             },
         })
-
-    def _profile(self) -> _Response:
-        if self.profiler is None:
-            return (404, "text/plain; charset=utf-8",
-                    b"no profiler attached\n")
-        body = self.profiler.collapsed_stacks()
-        return 200, "text/plain; charset=utf-8", body.encode("utf-8")
-
-    def _timeseries_params(
-        self, params: Dict[str, List[str]]
-    ) -> Tuple[Optional[List[str]], Optional[float], Optional[float]]:
-        raw_series = _str_param(params, "series")
-        names = None
-        if raw_series:
-            names = [s for s in raw_series.split(",") if s.strip()]
-        since = _float_param(params, "since")
-        step = _float_param(params, "step", positive=True)
-        return names, since, step
-
-    def _timeseries(self, params: Dict[str, List[str]]) -> _Response:
-        if self.timeseries is None:
-            return (404, "text/plain; charset=utf-8",
-                    b"no time-series store attached\n")
-        names, since, step = self._timeseries_params(params)
-        window = _float_param(params, "window", positive=True)
-        self._tick_alerts()
-        return _json_response(self.timeseries.to_payload(
-            series=names, since=since, step=step, rate_window=window,
-        ))
-
-    def _dashboard(self, params: Dict[str, List[str]]) -> _Response:
-        if self.timeseries is None:
-            return (404, "text/plain; charset=utf-8",
-                    b"no time-series store attached\n")
-        from repro.obs.exporters import render_dashboard
-
-        names, since, step = self._timeseries_params(params)
-        refresh = _float_param(params, "refresh")
-        if refresh is not None and refresh < 0:
-            raise _BadParam(
-                f"query parameter 'refresh' must be >= 0, got {refresh!r}"
-            )
-        if refresh is None:
-            refresh = max(2.0, self.timeseries.interval)
-        self._tick_alerts()
-        html = render_dashboard(
-            self.timeseries,
-            alerts=self.alerts.to_dicts() if self.alerts else None,
-            refresh=refresh or None,
-            series=names,
-            since=since,
-            step=step,
-        )
-        return 200, "text/html; charset=utf-8", html.encode("utf-8")

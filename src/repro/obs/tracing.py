@@ -20,8 +20,8 @@ Two export formats:
 Tracing is **zero-cost when disabled**: the module-level default is
 :data:`NULL_TRACER`, whose ``span()`` returns one shared no-op context
 manager — no allocation, no clock reads, no locking.  Hot paths gate
-attribute construction on ``tracer.enabled``; the bench-smoke job
-asserts the residual overhead stays below 5 %.
+attribute construction on ``tracer.enabled``; every untraced row of the
+end-to-end benchmark (``benchmarks/e2e``) pays that residual cost.
 """
 
 from __future__ import annotations
@@ -33,20 +33,12 @@ import json
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 #: innermost live span of the *current* logical context (task, thread).
 _current_span: contextvars.ContextVar[Optional["Span"]] = contextvars.ContextVar(
     "repro_obs_current_span", default=None
 )
-
-#: innermost live span per OS thread (thread ident -> Span).  The
-#: contextvar above answers "what span am *I* inside"; this registry
-#: answers the sampling profiler's cross-thread question "what span is
-#: thread T inside right now".  Maintained by Span.__enter__/__exit__,
-#: so the disabled path (NULL_SPAN) never touches it.  Plain dict ops
-#: on int keys are atomic under the GIL.
-_active_by_thread: Dict[int, "Span"] = {}
 
 
 class Span:
@@ -60,7 +52,7 @@ class Span:
 
     __slots__ = (
         "name", "span_id", "parent_id", "start", "end", "attributes",
-        "thread", "_tracer", "_token", "_prev_active",
+        "thread", "_tracer", "_token",
     )
 
     def __init__(self, tracer: "Tracer", name: str, span_id: int,
@@ -75,10 +67,6 @@ class Span:
         self.end: Optional[float] = None
         self._tracer = tracer
         self._token: Optional[contextvars.Token] = None
-        #: the span this one displaced in the per-thread registry; for
-        #: spans entered and exited on one thread this is the enclosing
-        #: span on that thread, so walking it yields the span chain.
-        self._prev_active: Optional["Span"] = None
 
     @property
     def duration(self) -> float:
@@ -92,19 +80,11 @@ class Span:
 
     def __enter__(self) -> "Span":
         self._token = _current_span.set(self)
-        ident = threading.get_ident()
-        self._prev_active = _active_by_thread.get(ident)
-        _active_by_thread[ident] = self
         self.start = self._tracer._now()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.end = self._tracer._now()
-        ident = threading.get_ident()
-        if self._prev_active is not None:
-            _active_by_thread[ident] = self._prev_active
-        else:
-            _active_by_thread.pop(ident, None)
         if self._token is not None:
             _current_span.reset(self._token)
             self._token = None
@@ -327,30 +307,6 @@ class use_tracer:
 def current_span() -> Optional[Span]:
     """The innermost live span of this context (None outside spans)."""
     return _current_span.get()
-
-
-def active_span_chain(ident: Optional[int] = None) -> List[str]:
-    """Live span names enclosing thread ``ident``, outermost first.
-
-    ``ident`` defaults to the calling thread.  This is the sampling
-    profiler's attribution primitive: it reads the per-thread registry,
-    so it works *across* threads (``sys._current_frames`` style),
-    unlike :func:`current_span` which is context-local.  Best-effort by
-    design — the observed thread may exit spans concurrently, so the
-    walk tolerates a chain mutating underfoot and simply returns what
-    it saw.
-    """
-    if ident is None:
-        ident = threading.get_ident()
-    names: List[str] = []
-    span = _active_by_thread.get(ident)
-    depth = 0
-    while span is not None and depth < 64:
-        names.append(span.name)
-        span = span._prev_active
-        depth += 1
-    names.reverse()
-    return names
 
 
 class _TraceHelper:

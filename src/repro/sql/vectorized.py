@@ -31,6 +31,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from repro.engine.columnar import object_column
 from repro.sql.compiler import (
     CompiledExpression,
     compile_expression,
@@ -164,9 +165,7 @@ def _as_column(value: Any, n: int) -> np.ndarray:
         type(value) is int and -_INT64_MAX <= value <= _INT64_MAX
     ):
         return np.full(n, value)
-    out = np.empty(n, dtype=object)
-    out[:] = [value] * n
-    return out
+    return object_column(repeat(value, n), n)
 
 
 # ----------------------------------------------------------------------

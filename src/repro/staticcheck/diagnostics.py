@@ -130,15 +130,14 @@ CODE_REGISTRY: Dict[str, CodeInfo] = {
         CodeInfo(
             "UPA013", "server-in-monoid", Severity.WARNING,
             "A monoid method (or batched kernel) starts live monitoring "
-            "machinery — an ObservabilityServer, a SamplingProfiler, or "
-            "a .serve() call. These own daemon threads and OS resources "
-            "(a listening socket, a sampling loop); monoid methods "
-            "replay ~2n times across sampled neighbouring datasets, so "
-            "each replay would spawn another server/profiler, leaking "
-            "threads and ports and letting the observer perturb the "
-            "observed run. Start them once, from the session or CLI "
-            "(UPASession.serve / repro run --serve), never from a "
-            "mapper or reducer.",
+            "machinery — an ObservabilityServer or a .serve() call. "
+            "These own a daemon thread and a listening socket; monoid "
+            "methods replay ~2n times across sampled neighbouring "
+            "datasets, so each replay would spawn another server, "
+            "leaking threads and ports and letting the observer "
+            "perturb the observed run. Start it once, from the "
+            "session or CLI (UPASession.serve / repro run --serve), "
+            "never from a mapper or reducer.",
         ),
         CodeInfo(
             "UPA015", "stateful-monoid-on-incremental-path",

@@ -81,10 +81,10 @@ _OBS_NAMES = {
     "Tracer", "PrivacyLedger", "make_entry",
 }
 
-#: live-monitoring machinery that owns threads/sockets (UPA013):
-#: constructing either class, or calling a .serve() method, inside a
-#: monoid method would spawn one server/profiler per neighbour replay.
-_SERVER_NAMES = {"ObservabilityServer", "SamplingProfiler"}
+#: live-monitoring machinery that owns a thread and a socket (UPA013):
+#: constructing the server, or calling a .serve() method, inside a
+#: monoid method would spawn one server per neighbour replay.
+_SERVER_NAMES = {"ObservabilityServer"}
 _SERVER_METHODS = {"serve"}
 
 
@@ -447,11 +447,11 @@ def _server_call_reason(node: ast.Call) -> Optional[str]:
 
 
 def _check_server_calls(src: _MethodSource) -> Iterable[Diagnostic]:
-    """UPA013: monoid methods starting a server or profiler.
+    """UPA013: monoid methods starting a server.
 
     Same contract as UPA011, one level worse: where an obs *call*
-    records a span, a server/profiler owns a daemon thread and (for the
-    server) a listening socket — one per neighbour replay.
+    records a span, a server owns a daemon thread and a listening
+    socket — one per neighbour replay.
     """
     for node in ast.walk(src.node):
         if not isinstance(node, ast.Call):
@@ -462,8 +462,8 @@ def _check_server_calls(src: _MethodSource) -> Iterable[Diagnostic]:
                 "UPA013",
                 f"{src.where()} {reason}; monoid methods replay ~2n "
                 "times across sampled neighbouring datasets, so each "
-                "replay would spawn another server/profiler thread "
-                "(and, for the server, bind another socket)",
+                "replay would spawn another server thread and bind "
+                "another socket",
                 file=src.file,
                 line=src.line_of(node),
                 obj=src.owner_name,

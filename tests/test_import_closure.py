@@ -3,8 +3,7 @@
 ``import repro.core.session`` plus a release and an incremental one
 must load numpy, the standard library and the ``repro`` modules the
 releases execute — not scipy, not the obs surfaces nobody asked for,
-not a thread or process pool — for a TPC-H sum, a TPC-H join count
-and both mining workloads.
+not a thread or process pool — for each of the nine workloads.
 Each check runs in a fresh interpreter, since this test process has
 long since imported everything.
 """
@@ -33,9 +32,6 @@ _NOT_LOADED = (
     "repro.obs.server",
     "repro.obs.alerts",
     "repro.obs.exporters",
-    "repro.obs.profiler",
-    "repro.obs.timeseries",
-    "repro.obs.watch",
 )
 
 _SCRIPT = """
@@ -57,7 +53,10 @@ print(json.dumps([name for name in watched if name in sys.modules]))
 """
 
 
-@pytest.mark.parametrize("workload", ["tpch6", "tpch13", "linreg", "kmeans"])
+@pytest.mark.parametrize("workload", [
+    "tpch1", "tpch4", "tpch6", "tpch11", "tpch13", "tpch16", "tpch21",
+    "kmeans", "linreg",
+])
 def test_a_release_loads_neither_scipy_nor_unused_surfaces(workload):
     env = dict(os.environ, PYTHONPATH=_SRC)
     result = subprocess.run(
@@ -69,7 +68,7 @@ def test_a_release_loads_neither_scipy_nor_unused_surfaces(workload):
 
 
 def test_obs_names_resolve_on_first_access():
-    assert len(repro.obs.__all__) == 44
+    assert len(repro.obs.__all__) == 26
     assert set(repro.obs.__all__) <= set(dir(repro.obs))
     for name, owner in repro.obs._OWNER.items():
         module = importlib.import_module(f"repro.obs.{owner}")

@@ -1,19 +1,19 @@
-"""Tests for the live-monitoring stack: exporters, server, alerts, profiler.
+"""Tests for the live-monitoring stack: exporter, server, alerts.
 
 Complements ``tests/test_obs.py`` (post-hoc tracing/metrics/ledger):
-here we cover the Prometheus/OTLP exporters against a strict
-line-grammar checker, the introspection HTTP server round-tripped
-through ``http.client`` on an ephemeral port, alert rules on synthetic
-ledgers, the sampling profiler's span attribution, and ledger
-crash-safety.
+here we cover the Prometheus exporter against a strict line-grammar
+checker, the introspection HTTP server round-tripped through
+``http.client`` on an ephemeral port, alert rules on synthetic
+ledgers, and ledger crash-safety.
 """
 
+import argparse
 import http.client
 import json
+import os
 import re
 import textwrap
 import threading
-import time
 
 import pytest
 
@@ -23,23 +23,13 @@ from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.alerts import (
     AlertEngine,
     BudgetBurnRule,
-    ClampRateRule,
+    ClampFractionRule,
     GaugeThresholdRule,
     SensitivityDriftRule,
     default_rules,
 )
-from repro.obs.exporters import (
-    render_otlp_metrics,
-    render_otlp_spans,
-    render_prometheus,
-    sanitize_metric_name,
-)
+from repro.obs.exporters import render_prometheus, sanitize_metric_name
 from repro.obs.ledger import PrivacyLedger, make_entry
-from repro.obs.profiler import (
-    SamplingProfiler,
-    parse_collapsed,
-    span_table_from_collapsed,
-)
 from repro.obs.server import ObservabilityServer
 from repro.obs.tracing import Tracer
 
@@ -201,34 +191,30 @@ class TestPrometheusExposition:
         registry.set_gauge("scheduler.pool_size", 8)
         assert_valid_exposition(render_prometheus(registry.snapshot()))
 
+    @pytest.mark.parametrize("value, text", [
+        (float("nan"), "NaN"),
+        (float("inf"), "+Inf"),
+        (float("-inf"), "-Inf"),
+        (3.0, "3"),
+        (0.25, "0.25"),
+    ])
+    def test_sample_values_follow_the_grammar(self, value, text):
+        body = render_prometheus(MetricsSnapshot(gauges={"g": value}))
+        assert body.splitlines()[-1] == f"upa_g {text}"
+        assert_valid_exposition(body)
 
-class TestOtlpExport:
-    def test_metrics_envelope_structure(self):
-        snap = MetricsSnapshot(counters={"jobs_run": 3.0},
-                               histograms={"task_seconds": (1.0,)},
-                               gauges={"g": 2.0})
-        doc = json.loads(json.dumps(render_otlp_metrics(snap)))
-        scope = doc["resourceMetrics"][0]["scopeMetrics"][0]
-        by_name = {m["name"]: m for m in scope["metrics"]}
-        assert by_name["jobs_run"]["sum"]["isMonotonic"] is True
-        point = by_name["task_seconds"]["summary"]["dataPoints"][0]
-        assert point["count"] == 1
-        assert {q["quantile"] for q in point["quantileValues"]} == \
-            {0.5, 0.9, 0.95, 0.99}
-        assert by_name["g"]["gauge"]["dataPoints"][0]["asDouble"] == 2.0
-
-    def test_spans_envelope_structure(self):
-        tracer = Tracer()
-        with tracer.span("upa.run"):
-            with tracer.span("phase:map"):
-                pass
-        doc = json.loads(json.dumps(render_otlp_spans(tracer)))
-        spans = doc["resourceSpans"][0]["scopeSpans"][0]["spans"]
-        by_name = {s["name"]: s for s in spans}
-        assert set(by_name) == {"upa.run", "phase:map"}
-        child = by_name["phase:map"]
-        assert child["parentSpanId"] == by_name["upa.run"]["spanId"]
-        assert re.match(r"^[0-9a-f]{16}$", child["spanId"])
+    def test_accountant_label_is_escaped(self):
+        """Accountant names are the caller's; the budget gauges must
+        stay grammatical whatever they contain."""
+        server = ObservabilityServer(
+            metrics=MetricsRegistry(),
+            accountants={'team "a"\\\n': PrivacyAccountant(total_epsilon=1.0)},
+        )
+        status, _, body = server.handle("/metrics", {})
+        assert status == 200
+        text = body.decode("utf-8")
+        assert_valid_exposition(text)
+        assert 'accountant="team \\"a\\"\\\\\\n"' in text
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +286,7 @@ class TestAlertRules:
 
     def test_clamp_rate_fires_above_threshold(self):
         ledger = PrivacyLedger()
-        engine = AlertEngine(rules=[ClampRateRule()])
+        engine = AlertEngine(rules=[ClampFractionRule()])
         engine.attach(ledger)
         for i in range(4):
             ledger.append(_entry(i, clamped=True))
@@ -311,7 +297,7 @@ class TestAlertRules:
         assert fired[0].context["clamp_rate"] == pytest.approx(0.8)
 
     def test_cache_hits_do_not_count(self):
-        rule = ClampRateRule()
+        rule = ClampFractionRule()
         history = [_entry(i, clamped=True, cache_hit=True)
                    for i in range(10)]
         assert rule.on_entry(history[-1], history, None) is None
@@ -325,7 +311,7 @@ class TestAlertRules:
         for rule in (BudgetBurnRule(), SensitivityDriftRule()):
             assert rule.on_entry(refused, history, None) is None
         clamps = [_entry(i, clamped=True, refused=True) for i in range(10)]
-        assert ClampRateRule().on_entry(clamps[-1], clamps, None) is None
+        assert ClampFractionRule().on_entry(clamps[-1], clamps, None) is None
         ledger = PrivacyLedger()
         ledger.append(refused)
         assert ledger.totals()["refused"] == 1
@@ -341,6 +327,13 @@ class TestAlertRules:
         again = engine.observe_metrics(snap)
         assert again == []  # identical firing deduplicated
         assert len(engine.alerts()) == 1
+
+    def test_gauge_threshold_silent_at_threshold_or_without_gauge(self):
+        rule = GaugeThresholdRule(metric="queue_depth", max_value=10.0)
+        assert rule.on_metrics(
+            MetricsSnapshot(gauges={"queue_depth": 10.0})) is None
+        assert rule.on_metrics(MetricsSnapshot(gauges={"other": 99.0})) \
+            is None
 
     def test_replay_synthetic_ledger(self):
         ledger = PrivacyLedger()
@@ -434,69 +427,6 @@ class TestLedgerCrashSafety:
 
 
 # ---------------------------------------------------------------------------
-# Sampling profiler
-# ---------------------------------------------------------------------------
-
-
-class TestSamplingProfiler:
-    def test_attributes_samples_to_phase_span(self):
-        tracer = Tracer()
-        prof = SamplingProfiler(hz=400.0)
-        prof.start()
-        try:
-            with tracer.span("upa.run"):
-                with tracer.span("phase:reduce"):
-                    deadline = time.monotonic() + 0.4
-                    acc = 0
-                    while time.monotonic() < deadline:
-                        acc += sum(range(200))
-        finally:
-            prof.stop()
-        assert prof.sample_count >= 1
-        table = {name: count for name, count, _ in prof.span_table()}
-        assert any(name.startswith("phase:") for name in table)
-        assert table.get("phase:reduce", 0) >= 1
-        collapsed = prof.collapsed_stacks()
-        assert any(line.startswith("upa.run;phase:reduce;")
-                   for line in collapsed.splitlines())
-
-    def test_collapsed_round_trip(self):
-        text = "upa.run;phase:map;f (m.py:3) 7\nidle (t.py:1) 2\n"
-        stacks = parse_collapsed(text)
-        assert (("upa.run", "phase:map", "f (m.py:3)"), 7) in stacks
-        # samples attribute to the innermost span of the chain
-        table = {name: count for name, count, _ in
-                 span_table_from_collapsed(text)}
-        assert table == {"phase:map": 7}
-        with_rate = span_table_from_collapsed(text, interval=0.01)
-        assert with_rate[0][2] == pytest.approx(0.07)
-
-    def test_parse_collapsed_tolerates_garbage(self):
-        stacks = parse_collapsed("\nnot a count line\nf (a.py:1) 3\n")
-        assert stacks == [(("f (a.py:1)",), 3)]
-
-    def test_write_and_reset(self, tmp_path):
-        prof = SamplingProfiler(hz=500.0, include_idle=True)
-        with prof:
-            time.sleep(0.2)
-        assert prof.sample_count >= 1
-        out = tmp_path / "prof.txt"
-        prof.write_collapsed(str(out))
-        assert out.read_text().strip()
-        prof.reset()
-        assert prof.sample_count == 0
-        assert prof.collapsed_stacks() == ""
-
-    def test_context_manager_and_idempotent_start(self):
-        prof = SamplingProfiler(hz=200.0)
-        assert prof.start() is prof
-        assert prof.start() is prof  # no second thread
-        assert prof.running
-        prof.stop()
-        assert not prof.running
-
-
-# ---------------------------------------------------------------------------
 # Introspection server round-trip over HTTP
 # ---------------------------------------------------------------------------
 
@@ -517,12 +447,9 @@ def full_server():
         ledger.append(_entry(i, sens=1.0))
     accountant = PrivacyAccountant(total_epsilon=10.0)
     accountant.charge(1.0, label="q")
-    profiler = SamplingProfiler(hz=200.0, include_idle=True)
-    with profiler:
-        time.sleep(0.05)
     server = ObservabilityServer(
         metrics=registry, tracer=tracer, ledger=ledger,
-        accountants=accountant, alerts=engine, profiler=profiler,
+        accountants=accountant, alerts=engine,
     ).start()
     yield server, registry, ledger, engine
     server.stop()
@@ -546,13 +473,6 @@ class TestObservabilityServer:
         assert "upa_budget_remaining_epsilon" in typed
         assert "upa_server_requests_total" in typed
         assert "upa_health_degraded" in typed
-
-    def test_metrics_otlp_format(self, full_server):
-        server, _, _, _ = full_server
-        status, ctype, body = _http_get(server.port, "/metrics?format=otlp")
-        assert status == 200
-        assert ctype.startswith("application/json")
-        assert "resourceMetrics" in json.loads(body)
 
     def test_healthz_ok_then_degraded(self, full_server):
         server, _, ledger, engine = full_server
@@ -579,15 +499,12 @@ class TestObservabilityServer:
         lines = [json.loads(ln) for ln in body.decode().splitlines()]
         assert [ln["sequence"] for ln in lines[1:]] == [4, 5]
 
-    def test_traces_chrome_and_otlp(self, full_server):
+    def test_traces_chrome(self, full_server):
         server, _, _, _ = full_server
         status, _, body = _http_get(server.port, "/traces")
         assert status == 200
         events = json.loads(body)["traceEvents"]
         assert any(e.get("name") == "phase:map" for e in events)
-        status, _, body = _http_get(server.port, "/traces?format=otlp")
-        assert status == 200
-        assert "resourceSpans" in json.loads(body)
 
     def test_budget_endpoint(self, full_server):
         server, _, _, _ = full_server
@@ -597,24 +514,51 @@ class TestObservabilityServer:
         assert accountants["default"]["total_epsilon"] == 10.0
         assert accountants["default"]["spent_epsilon"] == pytest.approx(1.0)
 
-    def test_profile_endpoint(self, full_server):
-        server, _, _, _ = full_server
-        status, ctype, body = _http_get(server.port, "/profile")
-        assert status == 200
-        assert ctype.startswith("text/plain")
-        assert body.decode().strip()
-
     def test_index_and_404(self, full_server):
         server, _, _, _ = full_server
         status, _, body = _http_get(server.port, "/")
         assert status == 200
+        assert json.loads(body)["endpoints"] == dict.fromkeys(
+            ("/metrics", "/healthz", "/ledger", "/traces", "/budget"), True
+        )
         status, _, _ = _http_get(server.port, "/nope")
         assert status == 404
+
+    @pytest.mark.parametrize("query", ["n=banana", "since=1.5"])
+    def test_malformed_ledger_param_is_400(self, full_server, query):
+        server, _, _, _ = full_server
+        status, ctype, body = _http_get(server.port, f"/ledger?{query}")
+        assert status == 400
+        assert ctype.startswith("application/json")
+        assert query.split("=")[0] in json.loads(body)["error"]
+
+    def test_ledger_tail_of_zero_is_the_header_alone(self, full_server):
+        server, _, _, _ = full_server
+        status, _, body = _http_get(server.port, "/ledger?n=0")
+        assert status == 200
+        lines = body.decode().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["format"] == PrivacyLedger.FORMAT
+
+    @pytest.mark.parametrize("path", ["/metrics", "/healthz"])
+    def test_scrape_evaluates_metrics_tick_rules(self, path):
+        registry = MetricsRegistry()
+        registry.set_gauge("queue_depth", 50.0)
+        engine = AlertEngine(rules=[
+            GaugeThresholdRule(metric="queue_depth", max_value=10.0)
+        ])
+        server = ObservabilityServer(metrics=registry, alerts=engine)
+        assert not engine.degraded
+        server.handle(path, {})
+        server.handle(path, {})  # a persisting condition fires once
+        assert engine.firing_rules() == ["gauge-threshold"]
+        assert len(engine.alerts()) == 1
+        assert server.handle("/healthz", {})[0] == 503
 
     def test_unwired_sources_404(self):
         server = ObservabilityServer(metrics=MetricsRegistry()).start()
         try:
-            for path in ("/ledger", "/traces", "/budget", "/profile"):
+            for path in ("/ledger", "/traces", "/budget"):
                 status, _, _ = _http_get(server.port, path)
                 assert status == 404, path
         finally:
@@ -680,7 +624,10 @@ class TestScrapeThreadSafety:
             for t in scrapers:
                 t.join(timeout=10)
         ctx.stop()
-        assert not errors
+        assert not errors, (
+            f"{len(errors)} of {len(errors) + len(bodies)} scrapes "
+            f"failed; first: {errors[:5]}"
+        )
         assert bodies
         # every concurrent scrape must still be grammatical
         for body in bodies[-3:]:
@@ -745,3 +692,147 @@ class TestEmbedding:
                              ledger=PrivacyLedger())
         engine = session.attach_alerts()
         assert session.attach_alerts() is engine
+
+
+# ---------------------------------------------------------------------------
+# The CLI's live surfaces: --serve on a command, and `repro serve`
+# ---------------------------------------------------------------------------
+
+#: the commands that take --serve, at a scale that runs in a second.
+_LIVE_COMMANDS = {
+    "run": ["run", "tpch1", "--scale", "300", "--sample-size", "50"],
+    "run-sql": ["run-sql", "SELECT COUNT(*) AS n FROM lineitem",
+                "--protect", "lineitem", "--scale", "300"],
+    "compare": ["compare", "tpch1", "--scale", "300"],
+}
+
+
+class TestServeCLI:
+    @pytest.mark.parametrize("command", sorted(_LIVE_COMMANDS))
+    def test_serve_flag_answers_before_the_command_exits(
+        self, command, monkeypatch, capsys
+    ):
+        from repro import cli
+
+        scraped = {}
+        finish = cli._finish_live
+
+        def scrape_then_finish(args, session, server):
+            for path in ("/metrics", "/healthz", "/ledger?n=5", "/traces"):
+                scraped[path] = _http_get(server.port, path)
+            finish(args, session, server)
+
+        monkeypatch.setattr(cli, "_finish_live", scrape_then_finish)
+        assert cli.main(_LIVE_COMMANDS[command] + ["--serve", "0"]) == 0
+        assert "live monitoring on http://127.0.0.1:" in \
+            capsys.readouterr().out
+        status, _, body = scraped["/metrics"]
+        assert status == 200
+        assert "upa_release_count_total" in \
+            assert_valid_exposition(body.decode("utf-8"))
+        assert scraped["/healthz"][0] == 200
+        assert scraped["/traces"][0] == 200
+        status, _, body = scraped["/ledger?n=5"]
+        if command == "compare":  # compare keeps no ledger
+            assert status == 404
+        else:
+            assert status == 200
+            assert len(body.decode().splitlines()) == 2  # header + release
+
+    def test_serve_command_replays_the_ledger(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro import cli
+
+        ledger = PrivacyLedger()
+        for i in range(6):
+            ledger.append(_entry(i, sens=1.0))
+        ledger.append(_entry(6, sens=9.0))
+        ledger_path = tmp_path / "l.jsonl"
+        ledger.write_jsonl(str(ledger_path))
+        tracer = Tracer()
+        with tracer.span("phase:map"):
+            pass
+        trace_path = tmp_path / "t.json"
+        tracer.write_chrome_trace(str(trace_path))
+
+        scraped = {}
+        stop = ObservabilityServer.stop
+
+        def scrape_then_stop(server):
+            if server.running:
+                for path in ("/healthz", "/ledger", "/traces", "/metrics"):
+                    scraped[path] = _http_get(server.port, path)
+            stop(server)
+
+        monkeypatch.setattr(ObservabilityServer, "stop", scrape_then_stop)
+        assert cli.main([
+            "serve", "--ledger", str(ledger_path),
+            "--trace", str(trace_path), "--duration", "0",
+        ]) == 0
+        assert "sensitivity-drift" in capsys.readouterr().out
+        status, _, body = scraped["/healthz"]
+        assert status == 503
+        assert json.loads(body)["firing_rules"] == ["sensitivity-drift"]
+        assert len(scraped["/ledger"][2].decode().splitlines()) == 8
+        events = json.loads(scraped["/traces"][2])["traceEvents"]
+        assert [e["name"] for e in events] == ["phase:map"]
+        assert scraped["/metrics"][0] == 404  # no live registry
+
+    def test_serve_command_requires_an_artifact(self, capsys):
+        from repro import cli
+
+        assert cli.main(["serve"]) == 2
+        assert "pass --ledger and/or --trace" in capsys.readouterr().err
+
+    def test_serve_command_missing_file(self, tmp_path, capsys):
+        from repro import cli
+
+        assert cli.main(["serve", "--ledger",
+                         str(tmp_path / "nope.jsonl")]) == 2
+        assert "no such file" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Every surface names a consumer (docs/observability.md)
+# ---------------------------------------------------------------------------
+
+_DOC = os.path.join(
+    os.path.dirname(__file__), os.pardir, "docs", "observability.md"
+)
+
+
+def _documented_consumers():
+    """surface -> consumer, from the doc's "What each surface is for"."""
+    with open(_DOC, encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("## What each surface is for", 1)[1]
+    consumers = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        if line.startswith("| `"):
+            surface, consumer = (
+                cell.strip() for cell in line.strip().strip("|").split("|", 1)
+            )
+            for name in re.findall(r"`([^`]+)`", surface):
+                consumers[name] = consumer
+    return consumers
+
+
+def _surfaces():
+    """Every endpoint the server routes and every observability flag."""
+    from repro import cli
+
+    endpoints = json.loads(ObservabilityServer().handle("/", {})[2])
+    parser = argparse.ArgumentParser(add_help=False)
+    cli._add_observability_args(parser)
+    flags = [action.option_strings[0] for action in parser._actions]
+    return sorted(endpoints["endpoints"]) + flags + [
+        "repro report", "repro serve",
+    ]
+
+
+@pytest.mark.parametrize("surface", _surfaces())
+def test_every_surface_names_a_consumer(surface):
+    assert _documented_consumers().get(surface), (
+        f"docs/observability.md names no consumer for {surface}"
+    )

@@ -228,18 +228,6 @@ class ServerInMapperQuery(_FixtureBase):
         return 1.0
 
 
-class ProfilerInCombineQuery(_FixtureBase):
-    """UPA013: combine starts a SamplingProfiler."""
-
-    name = "bad-profiler-combine"
-
-    def combine(self, a: float, b: float) -> float:
-        from repro.obs import profiler
-
-        profiler.SamplingProfiler(hz=10).start()
-        return a + b
-
-
 class ServeInBatchKernelQuery(_FixtureBase):
     """UPA013: batched kernel calls a .serve() method."""
 
@@ -415,14 +403,6 @@ class TestPurityPass:
         assert diags
         assert all(d.severity == Severity.WARNING for d in diags)
         assert "ObservabilityServer" in diags[0].message
-
-    def test_profiler_in_combine_flagged(self):
-        diags = [
-            d for d in check_query(ProfilerInCombineQuery())
-            if d.code == "UPA013"
-        ]
-        assert diags
-        assert "SamplingProfiler" in diags[0].message
 
     def test_serve_call_in_batch_kernel_flagged(self):
         diags = [
