@@ -15,6 +15,7 @@ neighbours.
 
 from __future__ import annotations
 
+import marshal
 import random
 import zlib
 from dataclasses import dataclass
@@ -107,6 +108,79 @@ def _fits_int64(value: int) -> bool:
 # the hash (DESIGN.md section 5).
 
 
+def _hash_array(buffer: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Hash a native int64 / float64 buffer by its values' bit patterns.
+
+    An ``(n, d)`` float64 buffer is a column of float tuples
+    (``features``), hashed position by position like any other tuple.
+    """
+    bits = buffer.view(_U64) ^ (_INT if buffer.dtype == np.int64 else _FLOAT)
+    if buffer.ndim == 1:
+        return bits, buffer
+    h = np.full(len(buffer), _TUPLE + _U64(buffer.shape[1]), dtype=_U64)
+    for position in bits.T:
+        h ^= position
+        _mix(h)
+    return h, buffer
+
+
+# marshal format 2 writes no back-references: a list is b"[" and its
+# length as <i4, then one record per value — b"i" and a <i4 for an int
+# within int32, b"g" and a <f8 for a float, b"(" and its length as <i4
+# and then its elements for a tuple.  Each record's first byte names its
+# value's *exact* type (a bool is b"T" / b"F", an int subclass or a
+# numpy scalar another code or a ValueError), so n records of the
+# expected codes, laid end to end, are n values of one exact type.
+_MARSHAL_VERSION = 2
+#: exact scalar type -> (its record, its code, the native buffer dtype).
+_RECORDS = {
+    int: (np.dtype([("code", "u1"), ("value", "<i4")]), ord("i"), np.int64),
+    float: (np.dtype([("code", "u1"), ("value", "<f8")]), ord("g"),
+            np.float64),
+}
+
+
+def _hash_marshalled(values: list) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Hash an int, float or float-tuple column in one C pass, or None.
+
+    ``marshal.dumps`` both checks every value's exact type and lays out
+    its bytes, where the per-type path needs ``set(map(type, ...))`` and
+    ``np.array``.  The column is accepted only when it is exactly
+    ``len(values)`` records of its first value's kind; None sends it to
+    the per-type path (other types, ints beyond int32, mixed or ragged
+    columns, a marshal layout other than the one above).
+    """
+    first, width = values[0], None
+    if type(first) is tuple and first and type(first[0]) is float:
+        first, width = first[0], len(first)
+    if type(first) not in _RECORDS:
+        return None
+    record, code, native = _RECORDS[type(first)]
+    if width is not None:
+        record = np.dtype([
+            ("code", "u1"), ("width", "<i4"), ("items", record, (width,)),
+        ])
+    try:
+        data = marshal.dumps(values, _MARSHAL_VERSION)
+    except ValueError:  # an unmarshallable value: not one exact type
+        return None
+    head = b"[" + len(values).to_bytes(4, "little")
+    if (len(data) != len(head) + len(values) * record.itemsize
+            or not data.startswith(head)):
+        return None
+    cells = np.frombuffer(data, record, offset=len(head))
+    if width is not None:
+        if not ((cells["code"] == ord("(")).all()
+                and (cells["width"] == width).all()):
+            return None
+        cells = cells["items"]
+    if not (cells["code"] == code).all():
+        return None
+    # Little-endian records to a native, C-contiguous buffer: the hash
+    # reads its bits through a uint64 view.
+    return _hash_array(cells["value"].astype(native, order="C"))
+
+
 def _hash_ints(values: List[int]) -> Tuple[np.ndarray, Any]:
     try:
         buffer = np.array(values, dtype=np.int64)
@@ -118,12 +192,11 @@ def _hash_ints(values: List[int]) -> Tuple[np.ndarray, Any]:
                 _hash_ints(ints) if _fits_int64(ints[0]) else _hash_other(ints)
             ),
         )
-    return buffer.view(_U64) ^ _INT, buffer
+    return _hash_array(buffer)
 
 
 def _hash_floats(values: List[float]) -> Tuple[np.ndarray, np.ndarray]:
-    buffer = np.array(values, dtype=np.float64)
-    return buffer.view(_U64) ^ _FLOAT, buffer
+    return _hash_array(np.array(values, dtype=np.float64))
 
 
 def _hash_dates(values: List[date]) -> Tuple[np.ndarray, list]:
@@ -144,18 +217,14 @@ def _hash_strs(values: List[str]) -> Tuple[np.ndarray, list]:
 
 def _hash_tuples(values: List[tuple]) -> Tuple[np.ndarray, Any]:
     if len(set(map(len, values))) > 1:
-        return _hash_grouped(values, len, _hash_tuples)
+        # Each width's group may take the one-pass path.
+        return _hash_grouped(values, len, _hash_values)
     width = len(values[0])
-    h = np.full(len(values), _TUPLE + _U64(width), dtype=_U64)
     flat = list(chain.from_iterable(values))
     if set(map(type, flat)) == {float}:
-        # A vector column (``features``): one conversion, hashed
-        # position by position like any other tuple.
-        buffer = np.array(flat, dtype=np.float64).reshape(-1, width)
-        for position in (buffer.view(_U64) ^ _FLOAT).T:
-            h ^= position
-            _mix(h)
-        return h, buffer
+        # A vector column (``features``): one conversion.
+        return _hash_array(np.array(flat, dtype=np.float64).reshape(-1, width))
+    h = np.full(len(values), _TUPLE + _U64(width), dtype=_U64)
     for position in zip(*values):
         h ^= _hash_values(list(position))[0]
         _mix(h)
@@ -175,6 +244,9 @@ _HASHERS: Dict[type, Callable[[list], Tuple[np.ndarray, Any]]] = {
 
 def _hash_values(values: list) -> Tuple[np.ndarray, Any]:
     """One ``uint64`` per value of a non-empty column, and its buffer."""
+    marshalled = _hash_marshalled(values)
+    if marshalled is not None:
+        return marshalled
     types = set(map(type, values))
     if len(types) > 1:
         return _hash_grouped(values, type, _hash_values)

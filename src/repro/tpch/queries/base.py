@@ -106,8 +106,14 @@ def _choices(gen: np.random.Generator, options: Sequence[Any],
     return [options[i] for i in gen.integers(len(options), size=n).tolist()]
 
 
+#: the proleptic ordinal of day 0 of ``datetime64[D]``.
+_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
+
+
 def _dates(ordinals: np.ndarray) -> List[datetime.date]:
-    return list(map(datetime.date.fromordinal, ordinals.tolist()))
+    """``datetime.date.fromordinal`` of every ordinal, boxed in C by
+    ``datetime64[D].tolist()`` (a third of the per-date call's cost)."""
+    return (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]").tolist()
 
 
 @BatchSampler

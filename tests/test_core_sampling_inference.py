@@ -1,12 +1,15 @@
 """Tests for Partition & Sample and for sensitivity inference."""
 
 import datetime
+import enum
 import hashlib
 import os
 import random
+import struct
 import subprocess
 import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -459,6 +462,185 @@ def _bits(values):
     ]
 
 
+# An independent reference of the hash contract (DESIGN.md section 5,
+# item 4), one value and one record at a time in Python ints: a value
+# by its exact type, the per-type constants pinned here.
+_MASK = (1 << 64) - 1
+_SALTS = {
+    int: 0x9E3779B97F4A7C15, float: 0xC2B2AE3D27D4EB4F,
+    datetime.date: 0x165667B19E3779F9, str: 0x27D4EB2F165667C5,
+    tuple: 0x85EBCA77C2B2AE63,
+}
+_OTHER_SALT = 0xD6E8FEB86659FD93
+
+
+def _reference_mix(h):
+    h ^= h >> 30
+    h = h * 0xBF58476D1CE4E5B9 & _MASK
+    h ^= h >> 27
+    h = h * 0x94D049BB133111EB & _MASK
+    return h ^ h >> 31
+
+
+def _crc(text):
+    return zlib.crc32(text.encode("utf-8", "surrogatepass"))
+
+
+def _reference_value(value):
+    kind = type(value)
+    if kind is int and -(1 << 63) <= value < 1 << 63:
+        bits = struct.unpack("<Q", struct.pack("<q", value))[0]
+    elif kind is float:
+        bits = struct.unpack("<Q", struct.pack("<d", value))[0]
+    elif kind is datetime.date:
+        bits = value.toordinal()
+    elif kind is str:
+        bits = _crc(value)
+    elif kind is tuple:
+        h = _SALTS[tuple] + len(value) & _MASK
+        for item in value:
+            h = _reference_mix(h ^ _reference_value(item))
+        return h
+    else:
+        return _crc(repr(value)) ^ _OTHER_SALT
+    return bits ^ _SALTS[kind]
+
+
+def _reference_fingerprint(row):
+    h = len(row)
+    for key in sorted(row):
+        h = _reference_mix(
+            (h + _crc(repr(key)) & _MASK) ^ _reference_value(row[key])
+        )
+    return h
+
+
+def _per_type(values):
+    """``_hash_values`` with the one-pass path switched off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling_mod, "_hash_marshalled", lambda values: None)
+        return sampling_mod._hash_values(values)
+
+
+def _assert_same_buffer(mine, theirs):
+    if isinstance(theirs, np.ndarray):
+        assert isinstance(mine, np.ndarray)
+        assert mine.dtype == theirs.dtype and mine.dtype.isnative
+        assert mine.shape == theirs.shape and mine.flags.c_contiguous
+        assert mine.tobytes() == theirs.tobytes()
+    else:  # none, or a date / str column's own values
+        assert mine == theirs
+
+
+def _nan(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Celsius(float):
+    pass
+
+
+class TestHashReference:
+    """Every hash is the reference's; every buffer the per-type path's."""
+
+    def _check(self, rows):
+        fingerprints, buffers = fingerprint_columns(rows)
+        assert fingerprints.tolist() == list(map(_reference_fingerprint, rows))
+        keys = sorted(rows[0])
+        if any(sorted(row) != keys for row in rows):
+            return
+        for key in keys:
+            column = [row[key] for row in rows]
+            hashes, buffer = sampling_mod._hash_values(column)
+            assert hashes.tolist() == list(map(_reference_value, column))
+            per_type = _per_type(column)[1]
+            _assert_same_buffer(buffer, per_type)
+            _assert_same_buffer(buffers.get(key), per_type)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_uniform_tables())
+    def test_uniform_tables(self, rows):
+        self._check(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_rows)
+    def test_rows_of_other_key_sets(self, rows):
+        self._check(rows)
+
+    @pytest.mark.parametrize("column, one_pass", [
+        ([2 ** 31 - 1, -2 ** 31, 0], True),  # the int32 edges
+        ([2 ** 31 - 1, -2 ** 31, 2 ** 31], False),  # one beyond
+        ([2 ** 31, 5], False),
+        ([-2 ** 31 - 1, 5], False),
+        ([2 ** 63, 5, -2 ** 63], False),  # int64 and beyond
+        ([1, True, 2], False),
+        ([True, 1], False),
+        ([1, _Level.LOW, 3], False),
+        ([_Level.LOW, 2], False),
+        ([1.5, _Celsius(2.5)], False),
+        ([_Celsius(2.5), 1.5], False),
+        ([1.5, np.float64(2.5)], False),
+        ([np.float64(2.5), 1.5], False),
+        ([4, np.int64(3)], False),
+        ([np.int64(3), 4], False),
+        ([1, 2.0], False),
+        ([1, None], False),
+        ([1.0, "1.0"], False),
+        ([float("nan"), _nan(0x7FF8000000000001),
+          _nan(0xFFF8000000000000), _nan(0x7FF0000000000001)], True),
+        ([-0.0, 0.0, -0.0], True),
+        ([(-0.0, _nan(0x7FF8000000000002)), (0.0, float("inf"))], True),
+        ([(), ()], False),  # width 0
+        ([(), (1.0,)], False),
+        ([(1.0, 2.0), (3.0,), (4.0, 5.0), ()], False),  # ragged
+        ([(1.0, 2.0), (3.0, 4)], False),
+        ([(1.0, 2.0), (3.0, np.float64(4.0))], False),
+        ([(1.0, 2.0), [3.0, 4.0]], False),
+        ([(1, 2.0), (3, 4.0)], False),
+    ])
+    def test_edge_columns(self, column, one_pass):
+        assert (sampling_mod._hash_marshalled(column) is not None) == one_pass
+        self._check([{"v": value, "w": i} for i, value in enumerate(column)])
+
+    def test_ragged_groups_take_the_one_pass_path(self, monkeypatch):
+        taken = []
+        real = sampling_mod._hash_marshalled
+
+        def spy(values):
+            result = real(values)
+            taken.append((len(values), result is not None))
+            return result
+
+        monkeypatch.setattr(sampling_mod, "_hash_marshalled", spy)
+        column = [(1.0, 2.0), (3.0,), (4.0, 5.0)]
+        self._check([{"v": value} for value in column])
+        # The column fails; then its width-2 and width-1 groups pass.
+        assert taken[:3] == [(3, False), (2, True), (1, True)]
+
+    @pytest.mark.parametrize("table", ["lineitem", "orders", "points"])
+    def test_one_pass_takes_every_numeric_column(
+        self, tpch_tables, ml_tables, table
+    ):
+        rows = (ml_tables if table == "points" else tpch_tables)[table]
+        keys = sorted(rows[0])
+        numeric = []
+        for key, column in zip(keys, gather_columns(rows, keys)):
+            marshalled = sampling_mod._hash_marshalled(column)
+            if type(column[0]) not in (int, float, tuple):
+                assert marshalled is None, key
+                continue
+            assert marshalled is not None, key
+            hashes, buffer = _per_type(column)
+            assert marshalled[0].tolist() == hashes.tolist()
+            _assert_same_buffer(marshalled[1], buffer)
+            numeric.append(key)
+        assert len(numeric) >= 2
+
+
 def _sample_of(name, tables, n=40, **kwargs):
     query = workload_by_name(name).query
     return partition_and_sample(query, tables, n, random.Random(6), **kwargs)
@@ -802,6 +984,15 @@ class TestDomainSamplerContract:
         assert -13.0 <= features.min() and features.max() <= 13.0
         labels = points.column("label")
         assert -40.0 <= labels.min() and labels.max() <= 40.0
+
+    def test_dates_box_like_fromordinal(self):
+        # Every day the TPC-H samplers can draw: orders from 1992-01-01
+        # for 2557 days, lineitem dates up to 150 days after an order.
+        first = datetime.date(1992, 1, 1).toordinal()
+        ordinals = np.arange(first - 400, first + 2557 + 400, dtype=np.int64)
+        dates = samplers._dates(ordinals)
+        assert dates == list(map(datetime.date.fromordinal, ordinals.tolist()))
+        assert all(type(d) is datetime.date for d in dates)
 
     def test_columns_are_uniform(self, tpch_tables):
         # Fixed seeds: these p-values are constants, not flaky draws.
