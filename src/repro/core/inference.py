@@ -224,6 +224,15 @@ class InferredRange:
         return float(np.sum(np.maximum(per_coord, 0.0)))
 
 
+def _distinct_counts(ordered: np.ndarray) -> np.ndarray:
+    """Distinct values per column of an array sorted along axis 0,
+    counted as ``np.unique`` counts them: ``-0.0`` equals ``0.0`` and
+    every NaN (NaNs sort last) is one value."""
+    new = ordered[1:] != ordered[:-1]
+    new &= ~np.isnan(ordered[:-1])
+    return 1 + np.count_nonzero(new, axis=0)
+
+
 def infer_local_sensitivity(
     neighbour_outputs: np.ndarray,
     center: np.ndarray,
@@ -251,10 +260,10 @@ def infer_local_sensitivity(
     center = np.asarray(center, dtype=float).reshape(-1)
     deltas = np.abs(outputs - center).sum(axis=1)
 
-    distinct = np.unique(deltas)
     if (
         config.discrete_fallback
-        and distinct.shape[0] <= config.discrete_distinct_threshold
+        and _distinct_counts(np.sort(deltas))
+        <= config.discrete_distinct_threshold
     ):
         return float(deltas.max())
 
@@ -307,12 +316,16 @@ def infer_output_range(
 
     used_fallback = np.zeros(d, dtype=bool)
     if config.discrete_fallback:
-        for j in range(d):
+        used_fallback = (
+            _distinct_counts(np.sort(outputs, axis=0))
+            <= config.discrete_distinct_threshold
+        )
+        for j in np.flatnonzero(used_fallback):
+            # np.unique's bounds: which zero stands for a run of -0.0
+            # and 0.0 is its choice, and numpy versions choose apart.
             distinct = np.unique(outputs[:, j])
-            if distinct.shape[0] <= config.discrete_distinct_threshold:
-                lower[j] = distinct.min()
-                upper[j] = distinct.max()
-                used_fallback[j] = True
+            lower[j] = distinct.min()
+            upper[j] = distinct.max()
 
     if config.envelope:
         lower = np.minimum(lower, outputs.min(axis=0))

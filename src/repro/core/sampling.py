@@ -16,6 +16,7 @@ neighbours.
 from __future__ import annotations
 
 import marshal
+import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -375,10 +376,11 @@ class PartitionedSample:
         table: the registered protected table the sample was drawn
             from: its rows, their partition ids and the column buffers
             the hash built (:class:`~repro.core.table.ProtectedTable`).
-        sampled_partitions: partition id of each sampled record.
+        sampled_partitions: partition id of each sampled record (uint8).
         domain_samples: n records from D but not in x, as the row batch
             the query's ``sample_domain_batch`` returned.
-        sampled_indices: table-order indices of the sampled records.
+        sampled_indices: table-order indices of the sampled records
+            (an ascending ``intp`` array).
         remaining_indices: table-order indices of S' = x \\ S, per
             partition.
 
@@ -388,9 +390,9 @@ class PartitionedSample:
     """
 
     table: "ProtectedTable"
-    sampled_partitions: List[int]
+    sampled_partitions: np.ndarray
     domain_samples: Sequence[Row]
-    sampled_indices: List[int]
+    sampled_indices: np.ndarray
     remaining_indices: Tuple[np.ndarray, np.ndarray]
 
     @property
@@ -418,7 +420,7 @@ class PartitionedSample:
     @property
     def sampled(self) -> RecordView:
         """The n differing records S, in table order."""
-        return self._view(np.asarray(self.sampled_indices, dtype=np.intp))
+        return self._view(self.sampled_indices)
 
     @property
     def remaining(self) -> Tuple[RecordView, RecordView]:
@@ -450,6 +452,73 @@ def protected_records(query: MapReduceQuery, tables: Tables) -> Sequence[Row]:
             "nothing to protect"
         )
     return records
+
+
+def _stdlib_setsize(k: int) -> int:
+    """``random.Random.sample``'s pool/set threshold for ``k`` picks,
+    computed as the stdlib computes it (4 117 at ``k = 1000``)."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return setsize
+
+
+def _chunk_words(population: int, k: int) -> int:
+    """How many 32-bit words :func:`sorted_sample` draws at a time: the
+    expected number the stdlib uses, sum_i 2**bits / (population - i),
+    plus a few standard deviations.  A shortfall draws another chunk."""
+    expected = (1 << population.bit_length()) * math.log(
+        (population + 0.5) / (population - k + 0.5)
+    )
+    return int(expected + 6 * math.sqrt(expected)) + 32
+
+
+def sorted_sample(rng: random.Random, population: int, k: int) -> np.ndarray:
+    """``sorted(rng.sample(range(population), k))``, drawn in one batch.
+
+    Above the stdlib's pool threshold, CPython's ``random.Random.sample``
+    takes its set branch: ``k`` distinct ``_randbelow(population)``
+    draws, each the top ``population.bit_length()`` bits of one 32-bit
+    Mersenne Twister word, retried when not below ``population`` or
+    already picked.  This reproduces that branch with one
+    ``getrandbits(32 * m)`` call, which lays out the next ``m`` words
+    least significant first; numpy keeps the first ``k`` distinct
+    accepted candidates.  The rng is then restored and advanced by
+    exactly the words the stdlib would have used, so the picks and the
+    rng state afterwards are both bit-identical to the stdlib's.
+
+    Wherever the stdlib does something else — its pool branch, a
+    population of 2**32 or more (more than one word per draw), an rng
+    that is not exactly ``random.Random`` (a subclass may draw
+    differently) — ``rng.sample`` itself runs.  Returns the sorted picks
+    as an ``intp`` array.
+    """
+    if (type(rng) is not random.Random or k < 1
+            or population <= _stdlib_setsize(k) or population >= 1 << 32):
+        return np.array(
+            sorted(rng.sample(range(population), k)), dtype=np.intp
+        )
+    bits = population.bit_length()
+    chunk = _chunk_words(population, k)
+    state = rng.getstate()
+    words = np.empty(0, dtype=np.uint32)
+    while True:
+        drawn = rng.getrandbits(32 * chunk).to_bytes(4 * chunk, "little")
+        words = np.concatenate([words, np.frombuffer(drawn, dtype="<u4")])
+        candidates = words >> np.uint32(32 - bits)
+        if bits <= 16:
+            # np.unique's stable argsort is a radix sort on 16-bit ints.
+            candidates = candidates.astype(np.uint16)
+        accepted = np.flatnonzero(candidates < population)
+        # The distinct candidates in value order, and where each was
+        # first accepted.
+        picks, first = np.unique(candidates[accepted], return_index=True)
+        if len(picks) >= k:
+            break
+    last = np.partition(first, k - 1)[k - 1]
+    rng.setstate(state)
+    rng.getrandbits(32 * (int(accepted[last]) + 1))
+    return picks[first <= last].astype(np.intp)
 
 
 def partition_and_sample(
@@ -489,8 +558,8 @@ def partition_and_sample(
     partition_ids = table.partition_ids
 
     with tracer.span("sampling.split"):
-        sampled_indices = sorted(rng.sample(range(len(records)), n))
-        sampled_parts = partition_ids[sampled_indices].tolist()
+        sampled_indices = sorted_sample(rng, len(records), n)
+        sampled_parts = partition_ids[sampled_indices]
         unsampled = np.ones(len(records), dtype=bool)
         unsampled[sampled_indices] = False
         remaining_indices = tuple(

@@ -145,6 +145,9 @@ class UPAConfig:
     delta: float = 1e-6
 
     def __post_init__(self) -> None:
+        size = self.sample_size
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            raise DPError(f"sample_size must be an int >= 1, got {size!r}")
         if self.mechanism not in ("laplace", "gaussian"):
             raise DPError(f"unknown mechanism {self.mechanism!r}")
 
@@ -520,7 +523,7 @@ class UPASession:
             # ENFORCER refuses is free.
             self.accountant.require(epsilon, delta=delta)
 
-        metrics_before = self.engine.metrics.snapshot()
+        metrics_before = self.engine.metrics.mark()
 
         with Timer() as timer:
             reduced = self._sample_and_reduce(
@@ -580,7 +583,7 @@ class UPASession:
                     "records_removed", enforcement.records_removed
                 )
 
-        metrics = self.engine.metrics.snapshot().diff(metrics_before)
+        metrics = self.engine.metrics.since(metrics_before)
         result = UPAResult(
             noisy_output=np.asarray(noisy, dtype=float).reshape(-1),
             raw_output=enforcement.output,
@@ -979,20 +982,20 @@ class UPASession:
         aux, kept = self._tables.aux(query, tables)
         if kept:
             metrics.incr(MetricsRegistry.AUX_REUSES)
-        remaining_slices = None
+        premapped = None
         self._last_incremental = None
         if use_incr:
             with tracer.span(
                 "phase:incremental_delta", query=query.name,
             ) if tracer.enabled else NULL_SPAN as delta_span:
-                remaining_slices, stats = self._incremental_elements(
+                premapped, stats = self._incremental_elements(
                     incr, query, aux, sample
                 )
                 self._last_incremental = stats
                 for key, value in stats.items():
                     delta_span.set_attribute(key, value)
         state, removal, addition, plain = self._reduce_phase(
-            query, aux, sample, rng, remaining_slices
+            query, aux, sample, rng, premapped
         )
         population = len(sample.records) + sample.sample_size
         return _ReducedRun(
@@ -1028,11 +1031,15 @@ class UPASession:
         query: MapReduceQuery,
         aux: Any,
         sample: PartitionedSample,
-    ) -> Tuple[Tuple[List[Any], List[Any]], dict]:
-        """Assemble the mapped batch of S' from cached blocks.
+    ) -> Tuple[Tuple[Tuple[List[Any], List[Any]], Any], dict]:
+        """Assemble the mapped batches of S' and S from cached blocks.
 
         Returns, per partition, S' cut into the engine slices of
-        :meth:`_reduce_phase`, each slice one ``map_batch`` batch.
+        :meth:`_reduce_phase`, each slice one ``map_batch`` batch; and
+        S's batch.  The window of cached blocks holds every record's
+        element, S's too, and an element does not depend on the batch
+        it was mapped in (DESIGN.md section 5, item 6), so S is selected
+        from it rather than mapped again.
 
         Blocks live in the engine's block store, keyed by ``(cache
         namespace, absolute block index)``; ``stop()`` clears the store,
@@ -1106,6 +1113,7 @@ class UPASession:
             ]
             for indices in sample.remaining_indices
         )
+        mapped_s = query.batch_select(window, sample.sampled_indices)
         stats = {
             "blocks_reused": hits,
             "blocks_recomputed": misses,
@@ -1113,7 +1121,7 @@ class UPASession:
             "records_mapped": mapped,
             "delta_fraction": delta_fraction,
         }
-        return remaining, stats
+        return (remaining, mapped_s), stats
 
     def _randomize(self, value, sensitivity: float, epsilon: float):
         """Noise the output with the configured mechanism.
@@ -1140,7 +1148,7 @@ class UPASession:
         aux: Any,
         sample: PartitionedSample,
         rng: random.Random,
-        remaining_slices: Optional[Tuple[List[Any], List[Any]]] = None,
+        premapped: Optional[Tuple[Tuple[List[Any], List[Any]], Any]] = None,
     ) -> Tuple[_PipelineState, np.ndarray, np.ndarray, np.ndarray]:
         tracer = self.tracer
         metrics = self.engine.metrics
@@ -1154,20 +1162,21 @@ class UPASession:
             # slices, the engine gets one element per slice and every
             # slice is one task returning fold_batch(map_batch(slice));
             # aggregate() combines the partials in slice order.
-            if remaining_slices is None:
+            if premapped is None:
                 task = _MapFoldSlice(query, self.engine.broadcast(aux))
                 sprime = [
                     [part[lo:hi]
                      for lo, hi in _engine_slices(len(part), parts)]
                     for part in sample.remaining
                 ]
+                mapped_s = None
             else:
-                # Incremental fast path: S' is already mapped (cached
-                # blocks) and cut at the same boundaries, one batch per
-                # engine partition, so the per-partition aggregates are
-                # bitwise equal to a cold run's.
+                # Incremental fast path: S' and S are already mapped
+                # (cached blocks), S' cut at the same boundaries, one
+                # batch per engine partition, so the per-partition
+                # aggregates are bitwise equal to a cold run's.
                 task = _FoldSlice(query)
-                sprime = remaining_slices
+                sprime, mapped_s = premapped
             r_sprime_parts: List[Any] = [
                 self.engine.parallelize(part, parts)
                 .map_partitions(task)
@@ -1180,7 +1189,8 @@ class UPASession:
             # the driver, so they go through the batched mapper directly —
             # one vectorized call instead of an engine round-trip per
             # batch.
-            mapped_s = query.map_batch(sample.sampled, aux)
+            if mapped_s is None:
+                mapped_s = query.map_batch(sample.sampled, aux)
             mapped_sbar = query.map_batch(sample.domain_samples, aux)
         metrics.observe(
             MetricsRegistry.NEIGHBOUR_BATCH, query.batch_length(mapped_s)

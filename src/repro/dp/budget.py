@@ -29,6 +29,43 @@ class _Charge:
     label: str
 
 
+#: whether the builtin ``sum`` compensates the rounding of float sums
+#: (CPython 3.12 and later, Neumaier's algorithm), asked of ``sum``.
+_SUM_COMPENSATES = sum([1e16, 1.0, -1e16]) != 0.0
+
+
+class _RunningSum:
+    """``sum()`` of the values added so far, kept one add at a time.
+
+    Bitwise what the builtin returns over the same floats in the same
+    order: left to right, with Neumaier's compensation where the
+    builtin compensates.  Leading ints add exactly, as the builtin's
+    do, until the first float.
+    """
+
+    __slots__ = ("_total", "_error")
+
+    def __init__(self) -> None:
+        self._total = 0
+        self._error = 0.0
+
+    def add(self, value: float) -> None:
+        total = self._total
+        self._total = result = total + value
+        if _SUM_COMPENSATES and type(total) is float and type(value) is float:
+            if abs(total) >= abs(value):
+                self._error += (total - result) + value
+            else:
+                self._error += (value - result) + total
+
+    @property
+    def value(self) -> float:
+        error = self._error
+        if error and math.isfinite(error):
+            return self._total + error
+        return self._total
+
+
 class PrivacyAccountant:
     """Tracks cumulative (epsilon, delta) spend under sequential composition.
 
@@ -45,13 +82,13 @@ class PrivacyAccountant:
         self.total_delta = total_delta
         self._lock = threading.Lock()
         self._charges: List[_Charge] = []
+        #: the charges' running totals, in charge order.
+        self._spent_epsilon = _RunningSum()
+        self._spent_delta = _RunningSum()
 
     def _spent_locked(self) -> Tuple[float, float]:
         """(epsilon, delta) spent so far; caller must hold the lock."""
-        return (
-            sum(c.epsilon for c in self._charges),
-            sum(c.delta for c in self._charges),
-        )
+        return self._spent_epsilon.value, self._spent_delta.value
 
     def spent(self) -> Tuple[float, float]:
         with self._lock:
@@ -87,6 +124,8 @@ class PrivacyAccountant:
         with self._lock:
             self._require_locked(epsilon, delta)
             self._charges.append(_Charge(epsilon, delta, label))
+            self._spent_epsilon.add(epsilon)
+            self._spent_delta.add(delta)
 
     def history(self) -> List[Tuple[float, float, str]]:
         with self._lock:

@@ -157,6 +157,15 @@ class MetricsSnapshot:
         }
 
 
+@dataclass(frozen=True)
+class MetricsMark:
+    """A point in a registry's life: its counters then, and how many
+    observations each histogram held (histograms only grow)."""
+
+    counters: Dict[str, float]
+    lengths: Dict[str, int]
+
+
 class MetricsRegistry:
     """Thread-safe metrics registry attached to an :class:`EngineContext`."""
 
@@ -292,6 +301,33 @@ class MetricsRegistry:
                 {k: tuple(v) for k, v in self._histograms.items()},
                 dict(self._gauges),
             )
+
+    def mark(self) -> MetricsMark:
+        """Where the registry stands now, for :meth:`since`."""
+        with self._lock:
+            return MetricsMark(
+                dict(self._counters),
+                {k: len(v) for k, v in self._histograms.items()},
+            )
+
+    def since(self, mark: MetricsMark) -> MetricsSnapshot:
+        """The metrics accumulated since ``mark``.
+
+        Equal to ``snapshot().diff(earlier)`` for a snapshot taken where
+        the mark was, but copies only the observations made since it —
+        a snapshot copies every observation the registry ever took.
+        """
+        with self._lock:
+            now = MetricsSnapshot(
+                dict(self._counters),
+                {
+                    k: tuple(v[mark.lengths.get(k, 0):])
+                    for k, v in self._histograms.items()
+                },
+                dict(self._gauges),
+            )
+        # The histograms are already cut at the mark.
+        return now.diff(MetricsSnapshot(counters=mark.counters))
 
     def reset(self) -> None:
         with self._lock:

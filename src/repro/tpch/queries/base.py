@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime
 import random
 from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Sequence
 
 import numpy as np
@@ -84,7 +85,7 @@ def lookup_counts(counts: Dict[Any, int], keys: np.ndarray) -> np.ndarray:
 
 def max_key(rows: List[Row], column: str, default: int = 0) -> int:
     """Largest value of an integer key column (``default`` if no rows)."""
-    return max((row[column] for row in rows), default=default)
+    return max(map(itemgetter(column), rows), default=default)
 
 
 def _existing_keys(gen: np.random.Generator, tables: Tables, table: str,
@@ -122,16 +123,21 @@ def random_lineitem(gen: np.random.Generator, tables: Tables,
     """Plausible new lineitem rows (each attached to an existing order)."""
     orders = tables["orders"] or [{"o_orderkey": 1}]
     picked = [orders[i] for i in gen.integers(len(orders), size=n).tolist()]
-    default_date = datetime.date(1995, 6, 1)
+    # dict.get over repeat()ed arguments: no per-row frame, and no
+    # per-call argument packing (a methodcaller reads slower than the
+    # generator it would replace).
+    dates = map(
+        dict.get, picked, repeat("o_orderdate"),
+        repeat(datetime.date(1995, 6, 1)),
+    )
     base = np.fromiter(
-        (o.get("o_orderdate", default_date).toordinal() for o in picked),
-        dtype=np.int64, count=n,
+        map(datetime.date.toordinal, dates), dtype=np.int64, count=n
     )
     ship = base + gen.integers(1, 121, size=n)
     quantity = gen.integers(1, 51, size=n).astype(float)
     return {
         "l_orderkey": np.fromiter(
-            (o["o_orderkey"] for o in picked), dtype=np.int64, count=n
+            map(itemgetter("o_orderkey"), picked), dtype=np.int64, count=n
         ),
         "l_linenumber": np.full(n, 999),
         "l_partkey": _existing_keys(gen, tables, "part", "p_partkey", 100, n),

@@ -724,7 +724,7 @@ class TestRecordViews:
         )
         sample = _sample_of("kmeans", ml_tables, table=hashed.table)
         assert sample.table is hashed.table
-        assert sample.sampled_indices == hashed.sampled_indices
+        assert sample.sampled_indices.tolist() == hashed.sampled_indices.tolist()
         assert sample.buffers is hashed.buffers
         with pytest.raises(DPError, match="not the submitted 'points'"):
             _sample_of(

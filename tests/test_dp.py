@@ -1,6 +1,7 @@
 """Tests for DP foundations: mechanisms, budget accounting, sensitivity."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -96,6 +97,32 @@ class TestAccountant:
         acct.charge(0.3, label="q2")
         assert acct.remaining_epsilon() == pytest.approx(0.4)
         assert [h[2] for h in acct.history()] == ["q1", "q2"]
+
+    def test_balance_is_the_sum_of_the_charges_bit_for_bit(self):
+        # The running totals replace a sum() over every charge, per
+        # read; they must be what that sum returned, on this Python.
+        rng = random.Random(8)
+        epsilons = [rng.uniform(1e-4, 0.3) for _ in range(3000)]
+        epsilons[::97] = [rng.uniform(1e3, 1e6) for _ in epsilons[::97]]
+        epsilons[::89] = [rng.uniform(1e-12, 1e-9) for _ in epsilons[::89]]
+        deltas = [rng.choice([0.0, 1e-9, 3e-7]) for _ in epsilons]
+        acct = PrivacyAccountant(total_epsilon=1e12, total_delta=1.0)
+        for i, (eps, delta) in enumerate(zip(epsilons, deltas)):
+            acct.charge(eps, delta=delta)
+            if i % 500 == 0 or i == len(epsilons) - 1:
+                spent_eps, spent_delta = acct.spent()
+                assert spent_eps.hex() == sum(epsilons[:i + 1]).hex()
+                assert spent_delta.hex() == sum(deltas[:i + 1]).hex()
+        assert acct.describe()["spent_epsilon"] == sum(epsilons)
+        assert acct.remaining_epsilon() == 1e12 - sum(epsilons)
+
+    def test_int_charges_stay_ints_until_a_float(self):
+        acct = PrivacyAccountant(total_epsilon=10)
+        acct.charge(1)
+        acct.charge(2)
+        assert acct.spent() == (3, 0.0) and type(acct.spent()[0]) is int
+        acct.charge(0.1)
+        assert acct.spent()[0] == sum([1, 2, 0.1])
 
     def test_exceeding_budget_raises(self):
         acct = PrivacyAccountant(total_epsilon=0.5)

@@ -1,6 +1,7 @@
 """Edge-case tests across the stack: tiny datasets, degenerate configs,
 boundary conditions the benchmarks never hit."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -8,8 +9,44 @@ import pytest
 
 from repro.common.errors import DPError
 from repro.core import MapReduceQuery, UPAConfig, UPASession
-from repro.core.inference import InferenceConfig, infer_output_range
+from repro.core.inference import (
+    InferenceConfig,
+    InferredRange,
+    infer_local_sensitivity,
+    infer_output_range,
+)
 from repro.core.sampling import partition_and_sample
+
+
+def _per_coordinate_range(outputs, population, config):
+    """``infer_output_range`` as it was: one ``np.unique`` per coordinate."""
+    bare = infer_output_range(outputs, population, dataclasses.replace(
+        config, discrete_fallback=False, envelope=False,
+    ))
+    lower, upper = bare.lower.copy(), bare.upper.copy()
+    used = np.zeros(outputs.shape[1], dtype=bool)
+    for j in range(outputs.shape[1]):
+        distinct = np.unique(outputs[:, j])
+        if distinct.shape[0] <= config.discrete_distinct_threshold:
+            lower[j] = distinct.min()
+            upper[j] = distinct.max()
+            used[j] = True
+    if config.envelope:
+        lower = np.minimum(lower, outputs.min(axis=0))
+        upper = np.maximum(upper, outputs.max(axis=0))
+    return InferredRange(lower, upper, bare.mean, bare.std, used)
+
+
+def _per_coordinate_sensitivity(outputs, center, population):
+    """``infer_local_sensitivity`` as it was: ``np.unique`` of the deltas."""
+    config = InferenceConfig()
+    deltas = np.abs(outputs - center).sum(axis=1)
+    if np.unique(deltas).shape[0] <= config.discrete_distinct_threshold:
+        return float(deltas.max())
+    return infer_local_sensitivity(
+        outputs, center, population,
+        dataclasses.replace(config, discrete_fallback=False),
+    )
 
 
 class _TinyQuery(MapReduceQuery):
@@ -98,6 +135,13 @@ class TestTinyDatasets:
 
 
 class TestSamplingBoundaries:
+    @pytest.mark.parametrize("size", [0, -1, True, False, 10.0, "10", None])
+    def test_sample_size_is_checked_when_the_config_is_built(self, size):
+        # -1 used to escape mid-release as random.sample's ValueError,
+        # and 0 to fail in inference ("zero neighbour outputs").
+        with pytest.raises(DPError, match="sample_size must be an int"):
+            UPAConfig(sample_size=size)
+
     def test_sample_size_one(self):
         sample = partition_and_sample(
             _TinyQuery(), _tables(range(50)), 1, random.Random(0)
@@ -139,6 +183,40 @@ class TestInferenceBoundaries:
         outputs = np.array([[1.0], [2.0], [3.0], [4.0]] * 10)
         inferred = infer_output_range(outputs, 1000, config)
         assert not inferred.used_fallback[0]
+
+    def test_all_coordinates_fit_like_one_unique_per_coordinate(self):
+        threshold = InferenceConfig().discrete_distinct_threshold
+        rng = np.random.default_rng(4)
+        m = 60
+        columns = [
+            np.resize([0.0, -0.0, 1.0], m),  # a signed-zero run at the min
+            np.resize([-0.0, 2.0, 0.0, -3.0], m),
+            np.resize([-1.0, 0.0, -0.0], m),  # ... and at the max
+            np.full(m, 7.5),  # constant
+            np.full(m, -0.0),
+            np.resize(np.arange(threshold, dtype=float), m),  # at the bound
+            np.resize(np.arange(threshold + 1, dtype=float), m),  # above
+            np.resize([1.0, np.nan, 2.0, np.nan], m),
+            rng.normal(size=m),
+            rng.integers(0, 4, size=m).astype(float),
+        ]
+        outputs = np.column_stack([rng.permutation(c) for c in columns])
+        for config in (InferenceConfig(), InferenceConfig(envelope=False)):
+            got = infer_output_range(outputs, 1000, config)
+            want = _per_coordinate_range(outputs, 1000, config)
+            for field in ("lower", "upper", "used_fallback"):
+                assert getattr(got, field).tobytes() \
+                    == getattr(want, field).tobytes(), field
+            assert got.used_fallback.tolist() == [
+                True, True, True, True, True, True, False, True, False, True,
+            ]
+        for column in columns:
+            deltas = column[:, None]
+            assert np.array_equal(
+                infer_local_sensitivity(deltas, np.zeros(1), 1000),
+                _per_coordinate_sensitivity(deltas, np.zeros(1), 1000),
+                equal_nan=True,
+            )
 
     def test_huge_magnitudes(self):
         outputs = np.array([[1e15], [1.1e15]] * 20)

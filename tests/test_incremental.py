@@ -154,6 +154,27 @@ class TestAppendRetireEquivalence:
         assert incr._last_incremental["records_reused"] > 0
         assert incr._last_incremental["delta_fraction"] < 0.1
 
+    def test_an_append_maps_only_the_new_records_and_s_bar(
+        self, monkeypatch
+    ):
+        """S is read from the cached window, not mapped a second time."""
+        workload = workload_by_name("tpch6")
+        tables, delta = _grown_tables(workload, 1500, 0.04)
+        half = len(delta) // 2
+        session = _session()
+        session.run(workload.query, tables)
+        session.append(delta[:half])  # primes the element blocks
+        mapped = []
+        map_batch = type(workload.query).map_batch
+
+        def counting(query, records, aux):
+            mapped.append(len(records))
+            return map_batch(query, records, aux)
+
+        monkeypatch.setattr(type(workload.query), "map_batch", counting)
+        result = session.append(delta[half:])
+        assert sum(mapped) == len(delta) - half + result.sample_size
+
     def test_block_reuse_metrics(self, monkeypatch):
         # Shrink the block size so the base spans many blocks and the
         # second append gets full-coverage hits on all but the tail.

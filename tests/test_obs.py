@@ -358,6 +358,28 @@ class TestMetricsSnapshotDiff:
         registry.delete_gauge("never-existed")  # no-op, no raise
         assert "g" not in registry.snapshot().gauges
 
+    def test_since_a_mark_is_the_snapshot_diff(self):
+        registry = MetricsRegistry()
+        registry.incr("jobs_run")
+        registry.observe("task_seconds", 0.5)
+        registry.observe("old", 1.0)
+        registry.set_gauge("stale", 1.0)
+        registry.set_gauge("g", 1.0)
+        before, mark = registry.snapshot(), registry.mark()
+        registry.incr("jobs_run", 2.0)
+        registry.incr("new_counter")
+        registry.observe("task_seconds", 0.7)
+        registry.observe("task_seconds", 0.9)
+        registry.observe("fresh", 3.0)
+        registry.set_gauge("g", 4.0)
+        registry.delete_gauge("stale")
+        since = registry.since(mark)
+        assert since == registry.snapshot().diff(before)
+        assert since.histogram("task_seconds") == (0.7, 0.9)
+        assert since.histogram("old") == ()
+        assert since.get("jobs_run") == 2.0 and since.get("new_counter") == 1.0
+        assert "stale" not in since.gauges
+
     def test_engine_level_diff(self):
         registry = MetricsRegistry()
         registry.incr("jobs_run")
