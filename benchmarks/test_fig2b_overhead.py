@@ -14,8 +14,9 @@ the O(n) privacy work is amortized over far fewer records — the Fig.
 actual claim).
 
 Also includes the ablation for the paper's core efficiency idea: the
-union-preserving *reuse* of R(M(S')) versus naively re-reducing the
-dataset for every sampled neighbour.
+union-preserving *reuse* of R(M(S')) (a whole release) versus naively
+re-reducing the dataset for every sampled neighbour (the removal
+outputs alone, from the same sample).
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from benchmarks.conftest import (
     emit_report,
 )
 from repro.analysis import format_table
+from repro.common.rng import make_rng
 from repro.common.timing import Timer
 from repro.core import UPAConfig, UPASession
+from repro.core.sampling import partition_and_sample
 from repro.engine.metrics import MetricsRegistry
 
 
@@ -67,22 +70,47 @@ def _measure_all(workloads):
     return rows, ratios
 
 
+def _naive_removal_outputs(query, tables, sample_size, seed):
+    """The sampled removal neighbours without the reuse: phase 1 as a
+    session's first release draws it, then every neighbour re-folds all
+    |x| - 1 mapped elements through the scalar monoid, element by
+    element."""
+    sample = partition_and_sample(
+        query, tables, sample_size, make_rng(seed, "upa-run-1")
+    )
+    aux = query.build_aux(tables)
+    elements = [
+        element
+        for part in sample.remaining
+        for element in query.iter_batch(query.map_batch(part, aux))
+    ]
+    base = len(elements)
+    elements.extend(query.iter_batch(query.map_batch(sample.sampled, aux)))
+    return np.vstack([
+        query.finalize(
+            query.fold(m for j, m in enumerate(elements) if j != skip), aux
+        )
+        for skip in range(base, len(elements))
+    ])
+
+
 def _reuse_ablation(workloads):
     """Reuse vs naive re-reduce, on a smaller setting (naive is O(n*N))."""
-    scale, n = 16_000, 600
+    scale, n, seed = 16_000, 600, 1
     rows = []
     for workload in workloads:
         if workload.name not in ("tpch1", "tpch6", "linreg"):
             continue
         tables = cached_tables(workload, scale, seed=5)
         with Timer() as fast_timer:
-            UPASession(
-                UPAConfig(sample_size=n, seed=1, reuse_intermediate=True)
-            ).run(workload.query, tables, epsilon=0.1)
+            release = UPASession(UPAConfig(sample_size=n, seed=seed)).run(
+                workload.query, tables, epsilon=0.1
+            )
         with Timer() as slow_timer:
-            UPASession(
-                UPAConfig(sample_size=n, seed=1, reuse_intermediate=False)
-            ).run(workload.query, tables, epsilon=0.1)
+            naive = _naive_removal_outputs(workload.query, tables, n, seed)
+        np.testing.assert_allclose(
+            release.removal_outputs, naive, rtol=1e-9, err_msg=workload.name
+        )
         rows.append(
             [workload.name, fast_timer.elapsed, slow_timer.elapsed,
              slow_timer.elapsed / max(fast_timer.elapsed, 1e-9)]

@@ -18,7 +18,6 @@ among *sampled* groups — the envelope still guards the release).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -34,7 +33,10 @@ from repro.core.inference import (
 )
 from repro.core.query import MapReduceQuery, Tables
 from repro.core.sampling import partition_and_sample
+from repro.core.session import reduce_phase
 from repro.dp.mechanisms import LaplaceMechanism
+from repro.engine.context import EngineContext
+from repro.obs.tracing import NULL_TRACER
 
 
 @dataclass
@@ -74,7 +76,8 @@ def sample_group_neighbour_outputs(
 
     Groups are drawn from the sampled differing records; each group's
     output reuses R(M(S')) plus a fold over S minus the group — the same
-    union-preserving trick as the k = 1 case.
+    union-preserving trick as the k = 1 case, on the same phase 1–3
+    functions a release runs.
     """
     if group_size < 1:
         raise DPError(f"group_size must be >= 1, got {group_size}")
@@ -91,20 +94,16 @@ def sample_group_neighbour_outputs(
             f"{sample.sample_size}; raise sample_size"
         )
     aux = query.build_aux(tables)
-    mapped_s = [query.map_record(r, aux) for r in sample.sampled]
-    r_sprime = query.combine(
-        query.fold(query.map_record(r, aux) for r in sample.remaining[0]),
-        query.fold(query.map_record(r, aux) for r in sample.remaining[1]),
+    state = reduce_phase(
+        query, aux, sample, rng, engine=EngineContext(), parts=1,
+        tracer=NULL_TRACER,
     )
-
-    n = len(mapped_s)
+    n = query.batch_length(state.mapped)
     rows: List[np.ndarray] = []
     for _ in range(num_groups):
-        group = set(rng.sample(range(n), group_size))
-        rest = query.fold(
-            m for i, m in enumerate(mapped_s) if i not in group
-        )
-        rows.append(query.finalize(query.combine(r_sprime, rest), aux))
+        keep = np.delete(np.arange(n), rng.sample(range(n), group_size))
+        rest = query.fold_batch(query.batch_select(state.mapped, keep))
+        rows.append(query.finalize(query.combine(state.r_sprime, rest), aux))
     return np.vstack(rows)
 
 

@@ -1,7 +1,7 @@
 """RANGE ENFORCER (paper Algorithm 2).
 
-Detects repeated-query attacks and guarantees the inferred local
-sensitivity upper-bounds the true one:
+Detects repeated-query attacks and clamps a submission's output into
+its inferred range:
 
 1. **Attack detection** — the output of the current query on each of
    the dataset's two stable partitions is compared with every prior
@@ -14,9 +14,12 @@ sensitivity upper-bounds the true one:
 2. **Output-range constraint** — the final output is forced into the
    inferred range [lower, upper]; an out-of-range output is replaced by
    a uniform random value inside the range (Algorithm 2 l.17-18).
-   After clamping, *every* output of this query on x or a neighbour
-   lies in the range, so |f(x) - f(y)| <= width — the inequality the
-   iDP proof (section IV-C) needs.
+   The range is the one inferred for *this* submission: the registry
+   keeps only each submission's two partition outputs, not its range,
+   so a neighbour's release is clamped into its own freshly inferred
+   range.  The paper's proof (section IV-C) assumes one range for the
+   query on x and every neighbour; docs/privacy_analysis.md states
+   what that leaves open.
 """
 
 from __future__ import annotations

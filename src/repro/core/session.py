@@ -15,8 +15,13 @@ One ``run()`` executes the four phases:
    Algorithm 2; Laplace (or, optionally, Gaussian) noise calibrated to
    the sensitivity is added.
 
-``reuse_intermediate=False`` switches phase 3 to a naive re-reduce per
-neighbour (the ablation quantifying the paper's core efficiency claim).
+Phases 2–3 (:func:`reduce_phase`) and the noise draw
+(:func:`add_noise`) are functions of their inputs, so a release can be
+run without a session: ``partition_and_sample → reduce_phase →
+infer_output_range / infer_local_sensitivity → RangeEnforcer.enforce →
+add_noise``.  :class:`UPASession` calls them in that order and keeps
+what outlives one release: the accountant, the ledger, the tracer, the
+replay lookup, the per-run rng counter and the append/retire cursor.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from repro.engine.context import EngineContext
 from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.ledger import PrivacyLedger, make_entry
 from repro.obs.report import run_header
-from repro.obs.tracing import NULL_SPAN, NULL_TRACER, Tracer, get_tracer
+from repro.obs.tracing import NULL_TRACER, Tracer, get_tracer
 
 
 class _MapFoldSlice:
@@ -108,6 +113,12 @@ def _engine_slices(total: int, parts: int) -> List[Tuple[int, int]]:
     ]
 
 
+def _require_count(value: Any, what: str) -> None:
+    """Raise DPError unless ``value`` is an int >= 1 (a bool is not)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise DPError(f"{what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UPAConfig:
     """Session configuration.
@@ -117,25 +128,19 @@ class UPAConfig:
         sample_size: n, the number of sampled differing records (1000).
         seed: master seed (sampling, noise, enforcement randomness).
         inference: sensitivity-inference knobs.
-        reuse_intermediate: UPA's union-preserving reuse of R(M(S'));
-            False = naive re-reduce per neighbour (ablation).
-        validate_queries: check the query's reducer is commutative and
-            associative before running (cheap sampled check).
         strict: the full pre-registration gate — runs validate_monoid
-            AND the upalint purity pass (repro.staticcheck) the first
-            time each query class is submitted; error-severity
-            diagnostics raise StaticAnalysisError before any budget is
-            spent.
+            on every submission and the upalint purity pass
+            (repro.staticcheck) the first time each query class is
+            submitted; error-severity diagnostics raise
+            StaticAnalysisError before any budget is spent.
         engine_partitions: parallelism for map/reduce jobs per dataset
-            partition.
+            partition (an int >= 1).
     """
 
     epsilon: float = 0.1
     sample_size: int = 1000
     seed: int = 0
     inference: InferenceConfig = field(default_factory=InferenceConfig)
-    reuse_intermediate: bool = True
-    validate_queries: bool = False
     strict: bool = False
     engine_partitions: int = 2
     #: 'laplace' (paper) or 'gaussian' ((eps, delta)-DP extension; the
@@ -145,9 +150,8 @@ class UPAConfig:
     delta: float = 1e-6
 
     def __post_init__(self) -> None:
-        size = self.sample_size
-        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-            raise DPError(f"sample_size must be an int >= 1, got {size!r}")
+        for name in ("sample_size", "engine_partitions"):
+            _require_count(getattr(self, name), f"{name} must be an int >= 1")
         if self.mechanism not in ("laplace", "gaussian"):
             raise DPError(f"unknown mechanism {self.mechanism!r}")
 
@@ -186,50 +190,50 @@ class UPAResult:
         return float(np.asarray(self.noisy_output).reshape(-1)[0])
 
 
-@dataclass
-class _ReducedRun:
-    """Everything the shared run/infer_sensitivity preamble produces."""
-
-    state: "_PipelineState"
-    removal: np.ndarray
-    addition: np.ndarray
-    plain: np.ndarray
-    population: int
-    sample: PartitionedSample
-
-    @property
-    def neighbours(self) -> np.ndarray:
-        return np.vstack([self.removal, self.addition])
-
-
 class _PipelineState:
-    """Mutable reduce-side state shared with RANGE ENFORCER's callbacks.
+    """What phases 2–3 computed, and the reduce-side state RANGE
+    ENFORCER's callbacks mutate.
 
-    ``mapped_samples`` is a *batch* in the query's batched-monoid
-    layout (see :class:`~repro.core.query.MapReduceQuery`); all folds
-    go through the batched protocol so vectorized kernels apply to the
-    enforcement callbacks too.
+    ``removal`` / ``addition`` are the sampled neighbours' outputs,
+    ``plain`` is f(x), ``population`` the |x| the estimator
+    extrapolates to and ``r_sprime`` is R(M(S')); they are fixed once
+    :func:`reduce_phase` returns.  ``mapped`` is S's *batch* in the
+    query's batched-monoid layout (see
+    :class:`~repro.core.query.MapReduceQuery`), which RANGE ENFORCER's
+    removals shrink; all folds go through the batched protocol so
+    vectorized kernels apply to the enforcement callbacks too.
     """
 
     def __init__(self, query: MapReduceQuery, aux: Any,
-                 r_sprime_parts: List[Any], mapped_samples: Any,
-                 sample_partitions: Sequence[int], rng: random.Random):
+                 r_sprime_parts: List[Any], r_sprime: Any, mapped: Any,
+                 sample_partitions: Sequence[int], rng: random.Random, *,
+                 removal: np.ndarray, addition: np.ndarray,
+                 plain: np.ndarray, population: int):
         self._query = query
         self._aux = aux
         self._r_sprime_parts = r_sprime_parts
-        self._mapped = mapped_samples
+        self.r_sprime = r_sprime
+        self.mapped = mapped
         self._parts = np.asarray(sample_partitions, dtype=int)
         self._rng = rng
+        self.removal = removal
+        self.addition = addition
+        self.plain = plain
+        self.population = population
         #: f(x1), f(x2) over the current samples; None once a removal
         #: has made them stale.
         self._partition_outputs: Optional[
             Tuple[np.ndarray, np.ndarray]
         ] = None
 
+    @property
+    def neighbours(self) -> np.ndarray:
+        return np.vstack([self.removal, self.addition])
+
     def _fold_samples_in(self, partition: int) -> Any:
         query = self._query
         indices = np.flatnonzero(self._parts == partition)
-        return query.fold_batch(query.batch_select(self._mapped, indices))
+        return query.fold_batch(query.batch_select(self.mapped, indices))
 
     def partition_outputs(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._partition_outputs is None:
@@ -246,25 +250,132 @@ class _PipelineState:
             )
         return self._partition_outputs
 
-    def final_aggregate(self) -> Any:
-        query = self._query
-        agg = query.combine(self._r_sprime_parts[0], self._r_sprime_parts[1])
-        return query.combine(agg, query.fold_batch(self._mapped))
-
     def final_output(self) -> np.ndarray:
-        return self._query.finalize(self.final_aggregate(), self._aux)
+        query = self._query
+        aggregate = query.combine(self.r_sprime, query.fold_batch(self.mapped))
+        return query.finalize(aggregate, self._aux)
 
     def remove_two_records(self) -> bool:
         query = self._query
-        if query.batch_length(self._mapped) < 2:
+        if query.batch_length(self.mapped) < 2:
             return False
-        keep = np.arange(query.batch_length(self._mapped))
+        keep = np.arange(query.batch_length(self.mapped))
         for _ in range(2):
             keep = np.delete(keep, self._rng.randrange(len(keep)))
         self._parts = self._parts[keep]
-        self._mapped = query.batch_select(self._mapped, keep)
+        self.mapped = query.batch_select(self.mapped, keep)
         self._partition_outputs = None
         return True
+
+
+def reduce_phase(
+    query: MapReduceQuery,
+    aux: Any,
+    sample: PartitionedSample,
+    rng: random.Random,
+    *,
+    engine: EngineContext,
+    parts: int,
+    tracer: Tracer,
+    premapped: Optional[Tuple[Tuple[List[Any], List[Any]], Any]] = None,
+) -> _PipelineState:
+    """Phases 2 and 3: Parallel Map and Union Preserving Reduce.
+
+    Each partition's S' is cut into ``parts`` engine slices and mapped
+    and folded on ``engine``; S and S-bar are mapped on the driver.
+    ``premapped`` (the append/retire path) hands over S' already cut
+    into those slices as ``map_batch`` batches, and S's batch.  ``rng``
+    is not drawn from here: the returned state keeps it for RANGE
+    ENFORCER's removals.
+    """
+    metrics = engine.metrics
+    with tracer.span(
+        "phase:map", query=query.name,
+        records=sum(map(len, sample.remaining_indices)), slices=2 * parts,
+    ):
+        # Parallel Map + per-partition reduce of S' (ReduceByPar,
+        # Alg.1 l.7): each partition's S' is cut into ``parts``
+        # slices, the engine gets one element per slice and every
+        # slice is one task returning fold_batch(map_batch(slice));
+        # aggregate() combines the partials in slice order.
+        if premapped is None:
+            task = _MapFoldSlice(query, engine.broadcast(aux))
+            sprime = [
+                [part[lo:hi] for lo, hi in _engine_slices(len(part), parts)]
+                for part in sample.remaining
+            ]
+            mapped_s = None
+        else:
+            # Incremental fast path: S' and S are already mapped
+            # (cached blocks), S' cut at the same boundaries, one batch
+            # per engine partition, so the per-partition aggregates are
+            # bitwise equal to a cold run's.
+            task = _FoldSlice(query)
+            sprime, mapped_s = premapped
+        r_sprime_parts: List[Any] = [
+            engine.parallelize(part, parts)
+            .map_partitions(task)
+            .aggregate(query.zero(), query.combine, query.combine)
+            for part in sprime
+        ]
+        r_sprime = query.combine(r_sprime_parts[0], r_sprime_parts[1])
+
+        # S and S-bar are small (n records each) and already live on
+        # the driver, so they go through the batched mapper directly —
+        # one vectorized call instead of an engine round-trip per
+        # batch.
+        if mapped_s is None:
+            mapped_s = query.map_batch(sample.sampled, aux)
+        mapped_sbar = query.map_batch(sample.domain_samples, aux)
+    metrics.observe(
+        MetricsRegistry.NEIGHBOUR_BATCH, query.batch_length(mapped_s)
+    )
+    metrics.observe(
+        MetricsRegistry.NEIGHBOUR_BATCH, query.batch_length(mapped_sbar)
+    )
+
+    with tracer.span("phase:reduce"):
+        f_x_agg = query.combine(r_sprime, query.fold_batch(mapped_s))
+        plain = query.finalize(f_x_agg, aux)
+        # o_i = finalize(R(S') + fold(S - s_i)): the all-but-one folds,
+        # the combine with R(S') and the n finalizations all run
+        # through the query's batched kernels.
+        removal = np.empty((0, query.output_dim))
+        if query.batch_length(mapped_s):
+            removal = np.asarray(query.finalize_batch(
+                query.combine_batch(
+                    r_sprime, query.prefix_suffix_batch(mapped_s)
+                ),
+                aux,
+            ), dtype=float)
+        addition = np.empty((0, query.output_dim))
+        if query.batch_length(mapped_sbar):
+            addition = np.asarray(query.finalize_batch(
+                query.combine_batch(f_x_agg, mapped_sbar), aux
+            ), dtype=float)
+
+    return _PipelineState(
+        query, aux, r_sprime_parts, r_sprime, mapped_s,
+        sample.sampled_partitions, rng,
+        removal=removal, addition=addition, plain=plain,
+        population=len(sample.records) + sample.sample_size,
+    )
+
+
+def add_noise(value: Any, sensitivity: float, epsilon: float,
+              config: UPAConfig, seed: int) -> Any:
+    """Noise ``value`` with ``config``'s mechanism, seeded by ``seed``.
+
+    A fresh mechanism per release keeps the noise reproducible from the
+    seed alone, whatever was drawn before.
+    """
+    if config.mechanism == "gaussian":
+        mechanism = GaussianMechanism(
+            epsilon=epsilon, delta=config.delta, seed=seed
+        )
+    else:
+        mechanism = LaplaceMechanism(epsilon=epsilon, seed=seed)
+    return mechanism.randomize(value, sensitivity)
 
 
 #: records per cached ``map_batch`` block.  Blocks use *absolute* record
@@ -420,8 +531,6 @@ class UPASession:
         Stop it with ``session.obs_server.stop()`` (or let the daemon
         thread die with the process).
         """
-        from repro.obs.tracing import NULL_TRACER
-
         if self.obs_server is not None:
             return self.obs_server
         engine = self.attach_alerts() if alerts else None
@@ -470,7 +579,6 @@ class UPASession:
         records = protected_records(query, tables)
         if self.config.strict:
             self._static_gate(query)
-        if self.config.validate_queries or self.config.strict:
             query.validate_monoid(tables)
         tracer = self.tracer
         if tracer.enabled and self.engine.tracer is NULL_TRACER:
@@ -478,16 +586,11 @@ class UPASession:
             # one tracer sees the pipeline end to end.
             self.engine.install_tracer(tracer)
         self._last_incremental = None
-        run_span = (
-            tracer.span(
-                "upa.run", query=query.name, epsilon=epsilon,
-                sample_size=self.config.sample_size,
-                mechanism=self.config.mechanism,
-            )
-            if tracer.enabled
-            else NULL_SPAN
-        )
-        with run_span:
+        with tracer.span(
+            "upa.run", query=query.name, epsilon=epsilon,
+            sample_size=self.config.sample_size,
+            mechanism=self.config.mechanism,
+        ) as run_span:
             # The release's one registry lookup: the replay is found by
             # the table's stored fingerprints.
             table, registered = self._lookup(records)
@@ -514,30 +617,67 @@ class UPASession:
         registered: bool,
     ) -> UPAResult:
         """A fresh release of a submission :meth:`run` found no replay
-        for, from the session's ``table`` of its protected list."""
+        for, from the session's ``table`` of its protected list: the
+        phase functions in order."""
+        config = self.config
         tracer = self.tracer
-        delta = self.config.delta if self.config.mechanism == "gaussian" else 0.0
+        metrics = self.engine.metrics
+        delta = config.delta if config.mechanism == "gaussian" else 0.0
         if self.accountant is not None:
             # Only asked here; the charge lands once the release is
             # certain, below, so a submission that fails or that RANGE
             # ENFORCER refuses is free.
             self.accountant.require(epsilon, delta=delta)
 
-        metrics_before = self.engine.metrics.mark()
+        metrics_before = metrics.mark()
 
         with Timer() as timer:
-            reduced = self._sample_and_reduce(
-                query, tables, (table, registered)
+            self._run_counter += 1
+            rng = make_rng(config.seed, f"upa-run-{self._run_counter}")
+            with tracer.span(
+                "phase:partition_sample", query=query.name,
+                sample_size=config.sample_size,
+            ) as sample_span:
+                incr = self._incr
+                primed = incr is not None and incr.primed
+                use_incr = primed and incr.matches(query, tables, table)
+                if primed and not use_incr:
+                    # The cached state no longer describes this
+                    # submission (different query or externally mutated
+                    # table): run cold and rebuild below.
+                    metrics.incr(MetricsRegistry.INCR_INVALIDATIONS)
+                sample = partition_and_sample(
+                    query, tables, config.sample_size, rng,
+                    table=table, tracer=tracer,
+                )
+                sample_span.set_attribute("sampled", sample.sample_size)
+                sample_span.set_attribute("incremental", use_incr)
+                sample_span.set_attribute("registered", registered)
+            aux = self._aux(query, tables)
+            premapped = None
+            if use_incr:
+                with tracer.span(
+                    "phase:incremental_delta", query=query.name,
+                ) as delta_span:
+                    premapped, stats = self._incremental_elements(
+                        incr, query, aux, sample
+                    )
+                    self._last_incremental = stats
+                    for key, value in stats.items():
+                        delta_span.set_attribute(key, value)
+            state = reduce_phase(
+                query, aux, sample, rng, engine=self.engine,
+                parts=config.engine_partitions, tracer=tracer,
+                premapped=premapped,
             )
-            neighbours = reduced.neighbours
-            with tracer.span("phase:inference") if tracer.enabled \
-                    else NULL_SPAN as inference_span:
+            neighbours = state.neighbours
+            with tracer.span("phase:inference") as inference_span:
                 inferred = infer_output_range(
-                    neighbours, reduced.population, self.config.inference
+                    neighbours, state.population, config.inference
                 )
                 estimated_ls = infer_local_sensitivity(
-                    neighbours, reduced.plain, reduced.population,
-                    self.config.inference,
+                    neighbours, state.plain, state.population,
+                    config.inference,
                 )
                 inference_span.set_attribute(
                     "local_sensitivity", inferred.local_sensitivity
@@ -545,24 +685,20 @@ class UPASession:
                 inference_span.set_attribute(
                     "neighbour_outputs", int(neighbours.shape[0])
                 )
-            with tracer.span("phase:noise") if tracer.enabled \
-                    else NULL_SPAN as noise_span:
-                partition_outputs = reduced.state.partition_outputs()
+            with tracer.span("phase:noise") as noise_span:
+                partition_outputs = state.partition_outputs()
                 with tracer.span(
                     "phase:enforce", registry=len(self.enforcer),
-                ) if tracer.enabled else NULL_SPAN as enforce_span:
+                ) as enforce_span:
                     try:
-                        enforcement = self.enforcer.enforce(
-                            reduced.state, inferred
-                        )
+                        enforcement = self.enforcer.enforce(state, inferred)
                     except DPError:
                         # A refusal is an outcome like a release: it is
                         # logged (at zero epsilon) and the append cursor
                         # follows it.
                         self._remember_run(query, tables, table)
                         self._record_refusal(
-                            query, inferred, estimated_ls,
-                            reduced.sample.sample_size,
+                            query, inferred, estimated_ls, sample.sample_size,
                         )
                         raise
                     enforce_span.set_attribute(
@@ -575,30 +711,31 @@ class UPASession:
                 # The commit point: RANGE ENFORCER has registered the
                 # submission.  Only the noise draw can fail after it,
                 # and it runs before epsilon is charged.
-                noisy = self._randomize(
-                    enforcement.output, inferred.local_sensitivity, epsilon
+                noisy = add_noise(
+                    enforcement.output, inferred.local_sensitivity, epsilon,
+                    config,
+                    derive_seed(config.seed, f"noise-{self._run_counter}"),
                 )
                 noise_span.set_attribute("clamped", enforcement.clamped)
                 noise_span.set_attribute(
                     "records_removed", enforcement.records_removed
                 )
 
-        metrics = self.engine.metrics.since(metrics_before)
         result = UPAResult(
             noisy_output=np.asarray(noisy, dtype=float).reshape(-1),
             raw_output=enforcement.output,
-            plain_output=reduced.plain,
+            plain_output=state.plain,
             local_sensitivity=inferred.local_sensitivity,
             estimated_local_sensitivity=estimated_ls,
             inferred_range=inferred,
-            removal_outputs=reduced.removal,
-            addition_outputs=reduced.addition,
+            removal_outputs=state.removal,
+            addition_outputs=state.addition,
             partition_outputs=partition_outputs,
             enforcement=enforcement,
             epsilon=epsilon,
-            sample_size=reduced.sample.sample_size,
+            sample_size=sample.sample_size,
             elapsed_seconds=timer.elapsed,
-            metrics=metrics,
+            metrics=metrics.since(metrics_before),
         )
         # The release is certain: charge it, move the append cursor,
         # keep it for replay and log it together.
@@ -655,11 +792,8 @@ class UPASession:
         Element blocks use absolute indexing, so only the block
         straddling the new window start is remapped.
         """
+        _require_count(count, "retire() count must be a positive int")
         incr = self._require_incremental("retire")
-        if count <= 0:
-            raise DPError(
-                f"retire() count must be a positive int, got {count!r}"
-            )
         if count >= len(incr.table.rows):
             raise DPError(
                 f"retire({count}) would empty the protected table "
@@ -920,11 +1054,23 @@ class UPASession:
         """Sensitivity inference only (no enforcement, no noise).
 
         Used by the accuracy benchmarks; does not register the query
-        with RANGE ENFORCER and spends no budget.
+        with RANGE ENFORCER and spends no budget.  It draws the per-run
+        rng like a release does.
         """
-        reduced = self._sample_and_reduce(query, tables)
+        config = self.config
+        table, _registered = self._lookup(protected_records(query, tables))
+        self._run_counter += 1
+        rng = make_rng(config.seed, f"upa-run-{self._run_counter}")
+        sample = partition_and_sample(
+            query, tables, config.sample_size, rng,
+            table=table, tracer=self.tracer,
+        )
+        state = reduce_phase(
+            query, self._aux(query, tables), sample, rng, engine=self.engine,
+            parts=config.engine_partitions, tracer=self.tracer,
+        )
         return infer_output_range(
-            reduced.neighbours, reduced.population, self.config.inference
+            state.neighbours, state.population, config.inference
         )
 
     def _lookup(self, records: List[Any]) -> Tuple[ProtectedTable, bool]:
@@ -938,74 +1084,12 @@ class UPASession:
         )
         return table, registered
 
-    def _sample_and_reduce(
-        self, query: MapReduceQuery, tables: Tables,
-        found: Optional[Tuple[ProtectedTable, bool]] = None,
-    ) -> _ReducedRun:
-        """Shared preamble of :meth:`run` and :meth:`infer_sensitivity`.
-
-        Draws the per-run RNG, partitions & samples the session's table
-        of the protected list, builds aux, and runs the
-        union-preserving reduce phase.  ``found`` is the
-        :meth:`_lookup` :meth:`run` already made to look for a replay.
-        """
-        table, registered = found or self._lookup(
-            protected_records(query, tables)
-        )
-        self._run_counter += 1
-        tracer = self.tracer
-        metrics = self.engine.metrics
-        rng = make_rng(self.config.seed, f"upa-run-{self._run_counter}")
-        with tracer.span(
-            "phase:partition_sample", query=query.name,
-            sample_size=self.config.sample_size,
-        ) if tracer.enabled else NULL_SPAN as sample_span:
-            incr = self._incr
-            use_incr = (
-                incr is not None
-                and incr.primed
-                and self.config.reuse_intermediate
-                and incr.matches(query, tables, table)
-            )
-            if incr is not None and incr.primed and not use_incr:
-                # The cached state no longer describes this submission
-                # (different query, externally mutated table, or the
-                # no-reuse ablation): run cold and rebuild below.
-                metrics.incr(MetricsRegistry.INCR_INVALIDATIONS)
-            sample = partition_and_sample(
-                query, tables, self.config.sample_size, rng,
-                table=table, tracer=tracer,
-            )
-            sample_span.set_attribute("sampled", sample.sample_size)
-            sample_span.set_attribute("incremental", bool(use_incr))
-            sample_span.set_attribute("registered", registered)
+    def _aux(self, query: MapReduceQuery, tables: Tables) -> Any:
+        """``query``'s aux over ``tables``, kept per public tables."""
         aux, kept = self._tables.aux(query, tables)
         if kept:
-            metrics.incr(MetricsRegistry.AUX_REUSES)
-        premapped = None
-        self._last_incremental = None
-        if use_incr:
-            with tracer.span(
-                "phase:incremental_delta", query=query.name,
-            ) if tracer.enabled else NULL_SPAN as delta_span:
-                premapped, stats = self._incremental_elements(
-                    incr, query, aux, sample
-                )
-                self._last_incremental = stats
-                for key, value in stats.items():
-                    delta_span.set_attribute(key, value)
-        state, removal, addition, plain = self._reduce_phase(
-            query, aux, sample, rng, premapped
-        )
-        population = len(sample.records) + sample.sample_size
-        return _ReducedRun(
-            state=state,
-            removal=removal,
-            addition=addition,
-            plain=plain,
-            population=population,
-            sample=sample,
-        )
+            self.engine.metrics.incr(MetricsRegistry.AUX_REUSES)
+        return aux
 
     def _remember_run(
         self, query: MapReduceQuery, tables: Tables, table: ProtectedTable,
@@ -1035,7 +1119,7 @@ class UPASession:
         """Assemble the mapped batches of S' and S from cached blocks.
 
         Returns, per partition, S' cut into the engine slices of
-        :meth:`_reduce_phase`, each slice one ``map_batch`` batch; and
+        :func:`reduce_phase`, each slice one ``map_batch`` batch; and
         S's batch.  The window of cached blocks holds every record's
         element, S's too, and an element does not depend on the batch
         it was mapped in (DESIGN.md section 5, item 6), so S is selected
@@ -1105,7 +1189,7 @@ class UPASession:
         # split the records themselves, in the slices the engine cuts a
         # cold run's S' into.
         window = query.batch_concat(pieces)
-        parts = max(1, self.config.engine_partitions)
+        parts = self.config.engine_partitions
         remaining = tuple(
             [
                 query.batch_select(window, indices[lo:hi])
@@ -1122,159 +1206,3 @@ class UPASession:
             "delta_fraction": delta_fraction,
         }
         return (remaining, mapped_s), stats
-
-    def _randomize(self, value, sensitivity: float, epsilon: float):
-        """Noise the output with the configured mechanism.
-
-        A fresh mechanism per run keeps noise reproducible from
-        (seed, run counter) regardless of earlier calls.
-        """
-        seed = derive_seed(self.config.seed, f"noise-{self._run_counter}")
-        if self.config.mechanism == "gaussian":
-            mechanism = GaussianMechanism(
-                epsilon=epsilon, delta=self.config.delta, seed=seed
-            )
-            return mechanism.randomize(value, sensitivity)
-        mechanism = LaplaceMechanism(epsilon=epsilon, seed=seed)
-        return mechanism.randomize(value, sensitivity)
-
-    # ------------------------------------------------------------------
-    # Phases 2 + 3
-    # ------------------------------------------------------------------
-
-    def _reduce_phase(
-        self,
-        query: MapReduceQuery,
-        aux: Any,
-        sample: PartitionedSample,
-        rng: random.Random,
-        premapped: Optional[Tuple[Tuple[List[Any], List[Any]], Any]] = None,
-    ) -> Tuple[_PipelineState, np.ndarray, np.ndarray, np.ndarray]:
-        tracer = self.tracer
-        metrics = self.engine.metrics
-        parts = max(1, self.config.engine_partitions)
-        with tracer.span(
-            "phase:map", query=query.name,
-            records=sum(map(len, sample.remaining_indices)), slices=2 * parts,
-        ) if tracer.enabled else NULL_SPAN:
-            # Parallel Map + per-partition reduce of S' (ReduceByPar,
-            # Alg.1 l.7): each partition's S' is cut into ``parts``
-            # slices, the engine gets one element per slice and every
-            # slice is one task returning fold_batch(map_batch(slice));
-            # aggregate() combines the partials in slice order.
-            if premapped is None:
-                task = _MapFoldSlice(query, self.engine.broadcast(aux))
-                sprime = [
-                    [part[lo:hi]
-                     for lo, hi in _engine_slices(len(part), parts)]
-                    for part in sample.remaining
-                ]
-                mapped_s = None
-            else:
-                # Incremental fast path: S' and S are already mapped
-                # (cached blocks), S' cut at the same boundaries, one
-                # batch per engine partition, so the per-partition
-                # aggregates are bitwise equal to a cold run's.
-                task = _FoldSlice(query)
-                sprime, mapped_s = premapped
-            r_sprime_parts: List[Any] = [
-                self.engine.parallelize(part, parts)
-                .map_partitions(task)
-                .aggregate(query.zero(), query.combine, query.combine)
-                for part in sprime
-            ]
-            r_sprime = query.combine(r_sprime_parts[0], r_sprime_parts[1])
-
-            # S and S-bar are small (n records each) and already live on
-            # the driver, so they go through the batched mapper directly —
-            # one vectorized call instead of an engine round-trip per
-            # batch.
-            if mapped_s is None:
-                mapped_s = query.map_batch(sample.sampled, aux)
-            mapped_sbar = query.map_batch(sample.domain_samples, aux)
-        metrics.observe(
-            MetricsRegistry.NEIGHBOUR_BATCH, query.batch_length(mapped_s)
-        )
-        metrics.observe(
-            MetricsRegistry.NEIGHBOUR_BATCH, query.batch_length(mapped_sbar)
-        )
-
-        with tracer.span(
-            "phase:reduce", reuse_intermediate=self.config.reuse_intermediate,
-        ) if tracer.enabled else NULL_SPAN:
-            fold_s = query.fold_batch(mapped_s)
-            f_x_agg = query.combine(r_sprime, fold_s)
-            plain = query.finalize(f_x_agg, aux)
-
-            if self.config.reuse_intermediate:
-                removal = self._removal_outputs_reused(
-                    query, aux, r_sprime, mapped_s
-                )
-            else:
-                removal = self._removal_outputs_naive(
-                    query, aux, sample, mapped_s
-                )
-            if query.batch_length(mapped_sbar) > 0:
-                addition = np.asarray(
-                    query.finalize_batch(
-                        query.combine_batch(f_x_agg, mapped_sbar), aux
-                    ),
-                    dtype=float,
-                )
-            else:
-                addition = np.empty((0, query.output_dim))
-
-        state = _PipelineState(
-            query, aux, r_sprime_parts, mapped_s,
-            sample.sampled_partitions, rng,
-        )
-        return state, removal, addition, plain
-
-    def _removal_outputs_reused(
-        self, query: MapReduceQuery, aux: Any, r_sprime: Any,
-        mapped_s: Any,
-    ) -> np.ndarray:
-        """o_i = finalize(R(S') + fold(S - s_i)) via prefix/suffix folds.
-
-        ``mapped_s`` is a batch; the all-but-one folds, the combine with
-        R(S') and the n finalizations all run through the query's
-        batched kernels (vectorized for the built-in workloads).
-        """
-        n = query.batch_length(mapped_s)
-        if n == 0:
-            return np.empty((0, query.output_dim))
-        all_but_one = query.prefix_suffix_batch(mapped_s)
-        outputs = query.finalize_batch(
-            query.combine_batch(r_sprime, all_but_one), aux
-        )
-        return np.asarray(outputs, dtype=float)
-
-    def _removal_outputs_naive(
-        self, query: MapReduceQuery, aux: Any, sample: PartitionedSample,
-        mapped_s: Any,
-    ) -> np.ndarray:
-        """Ablation: re-reduce the whole dataset for every neighbour.
-
-        Mapping is still done once (the reuse claim is about the
-        *reduce* side); each neighbour re-folds all |x| - 1 elements —
-        deliberately through the scalar monoid, element by element, to
-        measure what the union-preserving reuse (and its batched
-        kernels) buys.
-        """
-        all_mapped = []
-        for p in range(2):
-            all_mapped.extend(
-                query.iter_batch(query.map_batch(sample.remaining[p], aux))
-            )
-        base_count = len(all_mapped)
-        all_mapped.extend(query.iter_batch(mapped_s))
-        rows = []
-        for i in range(len(all_mapped) - base_count):
-            skip = base_count + i
-            agg = query.fold(
-                m for j, m in enumerate(all_mapped) if j != skip
-            )
-            rows.append(query.finalize(agg, aux))
-        if not rows:
-            return np.empty((0, query.output_dim))
-        return np.vstack(rows)

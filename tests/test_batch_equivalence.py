@@ -296,20 +296,6 @@ class TestSessionEquivalence:
                 scalar.local_sensitivity, rel=1e-9
             )
 
-    def test_naive_ablation_still_matches_reused(self, tpch_tables):
-        from repro.tpch import query_by_name
-
-        query = query_by_name("tpch6")
-        reused = UPASession(UPAConfig(**self.CONFIG)).run(
-            query, tpch_tables, epsilon=0.5
-        )
-        naive = UPASession(
-            UPAConfig(reuse_intermediate=False, **self.CONFIG)
-        ).run(query, tpch_tables, epsilon=0.5)
-        np.testing.assert_allclose(
-            reused.removal_outputs, naive.removal_outputs, rtol=1e-9
-        )
-
     def test_tiny_dataset_smaller_than_sample(self):
         """n is lowered to |x|; removal pipeline sees a 3-element batch."""
         from repro.tpch import query_by_name
@@ -506,10 +492,10 @@ def _spy_phase2(monkeypatch):
     partition.
     """
     captured: list = []
-    reduce_phase = UPASession._reduce_phase
+    reduce_phase = session_mod.reduce_phase
 
-    def spy(self, query, aux, sample, rng, remaining_slices=None):
-        scheduler = self.engine.scheduler
+    def spy(query, aux, sample, rng, *, engine, premapped=None, **kwargs):
+        scheduler = engine.scheduler
         run_job = scheduler.run_job
         jobs: list = []
 
@@ -520,19 +506,19 @@ def _spy_phase2(monkeypatch):
 
         scheduler.run_job = recording
         try:
-            out = reduce_phase(self, query, aux, sample, rng,
-                               remaining_slices)
+            out = reduce_phase(query, aux, sample, rng, engine=engine,
+                               premapped=premapped, **kwargs)
         finally:
             del scheduler.run_job
         # ``remaining`` are views of the live table, which the next
         # append()/retire() mutates: take the rows within the release.
         captured.append((
-            query, aux, sample, remaining_slices is not None, jobs,
+            query, aux, sample, premapped is not None, jobs,
             [list(part) for part in sample.remaining],
         ))
         return out
 
-    monkeypatch.setattr(UPASession, "_reduce_phase", spy)
+    monkeypatch.setattr(session_mod, "reduce_phase", spy)
     return captured
 
 

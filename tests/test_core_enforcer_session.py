@@ -8,15 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import DPError, PrivacyBudgetExceeded
+from repro.common.rng import make_rng
 import repro.core.sampling as sampling_mod
 from repro.core import UPAConfig, UPASession
 from repro.core.inference import InferenceConfig, infer_output_range
 from repro.core.query import MapReduceQuery
 from repro.core.range_enforcer import EnforcementResult, RangeEnforcer
-from repro.core.session import _PipelineState
+from repro.core.sampling import partition_and_sample
+from repro.core.session import _PipelineState, reduce_phase
 from repro.dp.budget import PrivacyAccountant
+from repro.engine.context import EngineContext
 from repro.engine.metrics import MetricsRegistry
 from repro.obs.ledger import PrivacyLedger
+from repro.obs.tracing import NULL_TRACER
 from repro.tpch import TPCHConfig, TPCHGenerator
 from repro.tpch.workload import query_by_name
 from repro.workloads import workload_by_name
@@ -488,9 +492,13 @@ class TestPipelineState:
 
     def test_remove_two_records_picks(self, small_tables):
         query = query_by_name("tpch6")
-        session = UPASession(UPAConfig(sample_size=40, seed=9))
-        state = session._sample_and_reduce(query, small_tables).state
-        mapped, parts = state._mapped, state._parts.tolist()
+        rng = make_rng(9, "upa-run-1")
+        sample = partition_and_sample(query, small_tables, 40, rng)
+        state = reduce_phase(
+            query, query.build_aux(small_tables), sample, rng,
+            engine=EngineContext(), parts=2, tracer=NULL_TRACER,
+        )
+        mapped, parts = state.mapped, state._parts.tolist()
         before = state.partition_outputs()
         assert state.partition_outputs() is before
 
@@ -503,7 +511,7 @@ class TestPipelineState:
         assert state.remove_two_records()
         assert state._parts.tolist() == [parts[i] for i in keep]
         assert np.array_equal(
-            np.asarray(state._mapped),
+            np.asarray(state.mapped),
             np.asarray(query.batch_select(mapped, keep)),
         )
         after = state.partition_outputs()
@@ -527,16 +535,10 @@ class TestUPASession:
         assert output[0] == pytest.approx(query.output(small_tables)[0])
         assert elapsed >= 0
 
-    def test_reuse_and_naive_agree(self, small_tables):
-        query = query_by_name("tpch6")
-        fast = UPASession(
-            UPAConfig(sample_size=50, seed=4, reuse_intermediate=True)
-        ).run(query, small_tables)
-        slow = UPASession(
-            UPAConfig(sample_size=50, seed=4, reuse_intermediate=False)
-        ).run(query, small_tables)
-        assert np.allclose(fast.removal_outputs, slow.removal_outputs)
-        assert fast.local_sensitivity == pytest.approx(slow.local_sensitivity)
+    @pytest.mark.parametrize("parts", [0, -2, 2.5, True])
+    def test_engine_partitions_must_be_a_positive_int(self, parts):
+        with pytest.raises(DPError, match="engine_partitions must be an int"):
+            UPAConfig(engine_partitions=parts)
 
     def test_removal_outputs_match_bruteforce_subset(self, small_tables):
         """Every sampled removal output equals f(x - s_i) exactly."""
@@ -746,13 +748,6 @@ class TestUPASession:
         session = UPASession(UPAConfig(sample_size=50, seed=2))
         result = session.run(query, small_tables)
         assert result.metrics.get(MetricsRegistry.JOBS) > 0
-
-    def test_validate_queries_flag(self, small_tables):
-        session = UPASession(
-            UPAConfig(sample_size=30, seed=0, validate_queries=True)
-        )
-        result = session.run(query_by_name("tpch4"), small_tables)
-        assert result.sample_size == 30
 
     def test_vector_query_end_to_end(self, ml_tables):
         from repro.mining import LinearRegressionQuery

@@ -199,16 +199,6 @@ class TestAppendRetireEquivalence:
         # The table grew in place.
         assert len(tables[protected]) == base_len + len(delta)
 
-    def test_reuse_intermediate_ablation_stays_cold(self):
-        """reuse_intermediate=False must bypass the incremental path."""
-        workload = workload_by_name("tpch6")
-        tables, delta = _grown_tables(workload, 300, 0.05)
-        session = _session(reuse_intermediate=False)
-        session.run(workload.query, tables)
-        result = session.append(delta)
-        assert result is not None
-        assert session._last_incremental is None
-
     def test_append_requires_prior_run(self):
         session = _session()
         with pytest.raises(DPError, match="requires a completed run"):
@@ -232,6 +222,19 @@ class TestAppendRetireEquivalence:
             session.retire(0)
         with pytest.raises(DPError, match="empty the protected table"):
             session.retire(size)
+
+    @pytest.mark.parametrize("count", [True, 2.5])
+    def test_retire_count_must_be_a_positive_int(self, count):
+        """Refused before a record leaves the table: ``True`` is not 1."""
+        workload = workload_by_name("tpch6")
+        tables, _ = _grown_tables(workload, 300)
+        rows = tables[workload.query.protected_table]
+        size = len(rows)
+        session = _session()
+        session.run(workload.query, tables)
+        with pytest.raises(DPError, match="positive int"):
+            session.retire(count)
+        assert len(rows) == size
 
     def test_append_after_external_mutation_raises(self):
         workload = workload_by_name("tpch6")
