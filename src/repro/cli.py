@@ -158,8 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "paths", nargs="*",
-        help="Python files/directories for the budget-flow pass "
-        "(e.g. examples/)",
+        help="Python files/directories for the budget-flow and taint "
+        "passes (e.g. examples/)",
     )
     lint.add_argument(
         "--workload", action="append", dest="workloads", metavar="NAME",
@@ -171,18 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--json", action="store_true",
-        help="machine-readable output (alias for --format json)",
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default=None,
-        help="output format (default: text; sarif for code-scanning "
-        "upload)",
-    )
-    lint.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="ratchet mode: filter findings recorded in FILE and fail "
-        "only on new ones; a missing FILE is created from the current "
-        "findings",
+        help="machine-readable output (one JSON document)",
     )
     lint.add_argument(
         "--exclude", action="append", default=[], metavar="PATH",
@@ -191,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--quiet", action="store_true",
-        help="hide info-severity diagnostics in text output",
+        help="drop info-severity diagnostics (from --json output too)",
     )
     return parser
 
@@ -524,8 +513,22 @@ def _cmd_lint(args) -> int:
     from repro.staticcheck import Severity, run_lint
     from repro.workloads import all_workloads
 
-    # Usage errors (typo'd workload, missing path) must not silently
-    # lint nothing and exit 0 — CI would never notice.
+    # Usage errors (typo'd workload, missing path, nothing selected)
+    # must not silently lint nothing and exit 0 — CI would never notice.
+    if args.no_workloads and args.workloads:
+        print(
+            "repro lint: --workload and --no-workloads contradict each "
+            "other",
+            file=sys.stderr,
+        )
+        return 2
+    if args.no_workloads and not args.paths:
+        print(
+            "repro lint: nothing to lint: --no-workloads needs at least "
+            "one path",
+            file=sys.stderr,
+        )
+        return 2
     if args.workloads:
         known = {w.name for w in all_workloads()}
         unknown = [n for n in args.workloads if n not in known]
@@ -553,16 +556,8 @@ def _cmd_lint(args) -> int:
         paths=args.paths,
         min_severity=Severity.WARNING if args.quiet else Severity.INFO,
         exclude=args.exclude,
-        baseline=args.baseline,
     )
-    fmt = args.format or ("json" if args.json else "text")
-    if report.baseline_written and fmt == "text":
-        print(
-            f"repro lint: recorded current findings in {args.baseline}; "
-            "future runs fail only on new findings",
-            file=sys.stderr,
-        )
-    print(report.render(format=fmt))
+    print(report.render(as_json=args.json))
     return report.exit_code
 
 

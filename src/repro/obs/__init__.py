@@ -31,9 +31,9 @@ the one submodule that defines ``X`` (PEP 562).  A release needs
 exporter and the alert engine cost nothing until a caller asks for
 them (DESIGN.md §7 has the layering rule).
 
-Observer code must never influence query outputs: calling into this
-package from a mapper/reducer is flagged by upalint (UPA011), and
-starting a server there by UPA013.
+Observer code must never influence query outputs: the pipeline
+traces the phases around a query's mapper and reducer, which never
+call into this package or start a server themselves.
 """
 
 import importlib

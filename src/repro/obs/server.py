@@ -24,8 +24,7 @@ already thread-safe, so scrape threads never contend with the pipeline
 beyond those locks.  Embed via
 :meth:`repro.engine.context.EngineContext.serve` /
 :meth:`repro.core.session.UPASession.serve`, or the CLI's ``--serve``
-flag / ``repro serve`` command.  Starting a server from inside a
-mapper/reducer is flagged by upalint (UPA013).
+flag / ``repro serve`` command.
 
 Malformed query parameters (``?n=banana``) answer 400 with a JSON
 error body — a scrape must never surface a stack-trace 500 for a typo.

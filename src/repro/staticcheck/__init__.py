@@ -4,7 +4,8 @@ Four diagnostics-producing passes (surfaced as ``repro lint`` and as
 the strict-mode registration gate in :class:`repro.core.UPASession`):
 
 * :mod:`repro.staticcheck.purity` — AST purity checks on every
-  registered :class:`MapReduceQuery`'s monoid methods (UPA001–UPA006);
+  registered :class:`MapReduceQuery`'s monoid methods and batched
+  kernels (UPA001–UPA006, UPA010, UPA015);
 * :mod:`repro.staticcheck.stability` — a stability dataflow over
   :mod:`repro.sql.logical` plans against the paper's Table 2 operator
   matrix, cross-checked with the FLEX baseline (UPA101–UPA104);
@@ -18,10 +19,8 @@ The flow-sensitive passes share one dataflow framework: a CFG builder
 (:mod:`repro.staticcheck.dataflow`).
 
 All passes emit the shared :class:`Diagnostic` record with stable
-codes; ``docs/static_analysis.md`` catalogues them.  Findings can be
-silenced inline (:mod:`repro.staticcheck.suppress`), ratcheted against
-a baseline file (:mod:`repro.staticcheck.baseline`), and rendered as
-SARIF 2.1.0 for code-scanning upload (:mod:`repro.staticcheck.sarif`).
+codes; ``docs/static_analysis.md`` catalogues them, each with a file
+it fires on.  Findings render as text or one JSON document.
 """
 
 from repro.staticcheck.analyzer import (
@@ -30,12 +29,6 @@ from repro.staticcheck.analyzer import (
     lint_query,
     lint_workloads,
     run_lint,
-)
-from repro.staticcheck.baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
 )
 from repro.staticcheck.budgetflow import check_file, check_source
 from repro.staticcheck.cfg import CFG, BasicBlock, Guard, build_cfg
@@ -56,12 +49,7 @@ from repro.staticcheck.diagnostics import (
     render_text,
 )
 from repro.staticcheck.purity import check_query
-from repro.staticcheck.sarif import render_sarif
 from repro.staticcheck.stability import StabilityReport, check_plan
-from repro.staticcheck.suppress import (
-    apply_suppressions,
-    collect_suppressions,
-)
 from repro.staticcheck.taint import (
     check_query_methods as check_query_taint,
     check_file as check_file_taint,
@@ -77,8 +65,6 @@ __all__ = [
     "LintReport",
     "Severity",
     "StabilityReport",
-    "apply_baseline",
-    "apply_suppressions",
     "build_cfg",
     "check_file",
     "check_file_taint",
@@ -87,22 +73,17 @@ __all__ = [
     "check_query_taint",
     "check_source",
     "check_source_taint",
-    "collect_suppressions",
     "dedupe",
     "env_add",
     "env_join",
     "env_set",
-    "fingerprint",
     "has_errors",
     "lint_paths",
     "lint_query",
     "lint_workloads",
-    "load_baseline",
     "make_diagnostic",
     "render_json",
-    "render_sarif",
     "render_text",
     "run_lint",
     "solve_forward",
-    "write_baseline",
 ]

@@ -1,11 +1,12 @@
-"""``upalint`` orchestration: run the three passes and collect a report.
+"""``upalint`` orchestration: run the four passes and collect a report.
 
 The analyzer is deliberately cheap: the purity pass reads source (no
 query execution), the plan pass builds logical plans against
-schema-only catalogs (no data generation), and the budget pass parses
-scripts (no imports).  ``repro lint`` over all nine workloads plus
-``examples/`` completes in well under a second, which is what lets
-strict-mode sessions afford to run it at query registration.
+schema-only catalogs (no data generation), and the budget and taint
+passes parse scripts (no imports).  ``repro lint`` over all nine
+workloads plus ``examples/`` completes in well under a second, which
+is what lets strict-mode sessions afford to run it at query
+registration.
 """
 
 from __future__ import annotations
@@ -29,11 +30,6 @@ from repro.staticcheck import (
     stability,
     taint,
 )
-from repro.staticcheck.sarif import render_sarif
-from repro.staticcheck.suppress import (
-    apply_suppressions,
-    suppressions_for_file,
-)
 
 
 @dataclass
@@ -41,9 +37,6 @@ class LintReport:
     """All diagnostics from one analyzer invocation."""
 
     diagnostics: List[Diagnostic] = field(default_factory=list)
-    #: True when --baseline pointed at a missing file and this run
-    #: recorded the current findings instead of reporting them.
-    baseline_written: bool = False
 
     def extend(self, diags: Iterable[Diagnostic]) -> None:
         self.diagnostics.extend(diags)
@@ -66,16 +59,9 @@ class LintReport:
     def exit_code(self) -> int:
         return 1 if not self.ok else 0
 
-    def render(self, as_json: bool = False, format: str = "") -> str:
-        fmt = format or ("json" if as_json else "text")
-        if fmt == "json":
+    def render(self, as_json: bool = False) -> str:
+        if as_json:
             return render_json(self.diagnostics)
-        if fmt == "sarif":
-            from repro._version import __version__
-
-            return render_sarif(
-                self.diagnostics, tool_version=__version__
-            )
         return render_text(self.diagnostics)
 
 
@@ -163,14 +149,12 @@ def lint_paths(
         )
 
     diagnostics: List[Diagnostic] = []
-    suppressions = {}
     for path in budgetflow.iter_python_files(paths):
         if _is_excluded(path):
             continue
         diagnostics.extend(budgetflow.check_file(path))
         diagnostics.extend(taint.check_file(path))
-        suppressions[os.path.relpath(path)] = suppressions_for_file(path)
-    return apply_suppressions(diagnostics, suppressions)
+    return diagnostics
 
 
 def run_lint(
@@ -179,27 +163,14 @@ def run_lint(
     paths: Sequence[str] = (),
     min_severity: Severity = Severity.INFO,
     exclude: Sequence[str] = (),
-    baseline: Optional[str] = None,
 ) -> LintReport:
-    """The full analyzer: workload passes + script passes.
-
-    With ``baseline`` set, findings recorded in that file are filtered
-    out (ratchet mode); a missing baseline file is created from the
-    current findings and the run reports clean — see
-    :mod:`repro.staticcheck.baseline`.
-    """
+    """The full analyzer: workload passes + script passes."""
     report = LintReport()
     if workloads:
         report.extend(lint_workloads(workload_names))
     if paths:
         report.extend(lint_paths(paths, exclude=exclude))
     report.diagnostics = dedupe(report.diagnostics)
-    if baseline:
-        from repro.staticcheck.baseline import apply_baseline
-
-        report.diagnostics, report.baseline_written = apply_baseline(
-            baseline, report.diagnostics
-        )
     if min_severity > Severity.INFO:
         report.diagnostics = [
             d for d in report.diagnostics if d.severity >= min_severity

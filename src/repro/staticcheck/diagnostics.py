@@ -45,7 +45,8 @@ class CodeInfo:
     summary: str
 
 
-#: The stable code registry (append-only: codes are never renumbered).
+#: The stable code registry (append-only: codes are never renumbered,
+#: and a retired code — UPA011–UPA014 — is never reused).
 CODE_REGISTRY: Dict[str, CodeInfo] = {
     info.code: info
     for info in [
@@ -104,40 +105,6 @@ CODE_REGISTRY: Dict[str, CodeInfo] = {
             "pipeline borrows batches across prefix/suffix folds, so a "
             "kernel with no scalar reference — or one that writes into "
             "its inputs — can silently change released outputs.",
-        ),
-        CodeInfo(
-            "UPA011", "observer-in-monoid", Severity.WARNING,
-            "A monoid method (or batched kernel) calls into repro.obs "
-            "(trace/get_tracer/use_tracer/span/ledger APIs). "
-            "Observability belongs to the pipeline, not the query: "
-            "map/reduce functions replay ~2n times across sampled "
-            "neighbouring datasets, so per-record spans explode trace "
-            "volume, and a ledger touched from a mapper records "
-            "non-private intermediate state.",
-        ),
-        CodeInfo(
-            "UPA012", "eval-loop-in-hot-path", Severity.WARNING,
-            "A monoid method (or batched kernel) calls Expression.eval "
-            "per row — directly in map_record, or inside a loop or "
-            "comprehension. Monoid methods replay ~2n times across "
-            "sampled neighbouring datasets, so per-row AST "
-            "interpretation dominates the replay cost; "
-            "repro.sql.compiler provides semantically identical "
-            "compiled closures (compile_expression/compile_predicate) "
-            "that should be built once in build_aux or __init__ and "
-            "called in the loop.",
-        ),
-        CodeInfo(
-            "UPA013", "server-in-monoid", Severity.WARNING,
-            "A monoid method (or batched kernel) starts live monitoring "
-            "machinery — an ObservabilityServer or a .serve() call. "
-            "These own a daemon thread and a listening socket; monoid "
-            "methods replay ~2n times across sampled neighbouring "
-            "datasets, so each replay would spawn another server, "
-            "leaking threads and ports and letting the observer "
-            "perturb the observed run. Start it once, from the "
-            "session or CLI (UPASession.serve / repro run --serve), "
-            "never from a mapper or reducer.",
         ),
         CodeInfo(
             "UPA015", "stateful-monoid-on-incremental-path",

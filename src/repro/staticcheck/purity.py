@@ -75,18 +75,6 @@ _NON_COMMUTATIVE_OPS = (
     ast.LShift, ast.RShift, ast.MatMult,
 )
 
-#: repro.obs entry points a monoid method has no business calling.
-_OBS_NAMES = {
-    "trace", "get_tracer", "set_tracer", "use_tracer", "current_span",
-    "Tracer", "PrivacyLedger", "make_entry",
-}
-
-#: live-monitoring machinery that owns a thread and a socket (UPA013):
-#: constructing the server, or calling a .serve() method, inside a
-#: monoid method would spawn one server per neighbour replay.
-_SERVER_NAMES = {"ObservabilityServer"}
-_SERVER_METHODS = {"serve"}
-
 
 def _root_name(node: ast.AST) -> Optional[str]:
     """The base Name id of an Attribute/Subscript chain, if any."""
@@ -372,159 +360,6 @@ def _check_combine(src: _MethodSource) -> Iterable[Diagnostic]:
                 )
 
 
-def _obs_call_reason(node: ast.Call) -> Optional[str]:
-    """Why ``node`` looks like a repro.obs call, or None."""
-    func = node.func
-    if isinstance(func, ast.Name) and func.id in _OBS_NAMES:
-        return f"calls {func.id}()"
-    if isinstance(func, ast.Attribute):
-        chain = []
-        probe: ast.AST = func
-        while isinstance(probe, ast.Attribute):
-            chain.append(probe.attr)
-            probe = probe.value
-        chain.reverse()  # e.g. repro.obs.trace -> ["obs", "trace"]
-        if isinstance(probe, ast.Name):
-            dotted = ".".join([probe.id] + chain)
-            if probe.id == "obs" or ".obs." in f".{dotted}.":
-                return f"calls {dotted}()"
-            if chain[-1] in _OBS_NAMES and probe.id in (
-                "tracing", "ledger", "obs",
-            ):
-                return f"calls {dotted}()"
-    return None
-
-
-def _check_obs_calls(src: _MethodSource) -> Iterable[Diagnostic]:
-    """UPA011: monoid methods instrumenting themselves via repro.obs."""
-    suspects: List[Tuple[ast.AST, str]] = []
-    decorator_nodes = {
-        id(n) for deco in src.node.decorator_list for n in ast.walk(deco)
-    }
-    for node in ast.walk(src.node):
-        if isinstance(node, ast.Call) and id(node) not in decorator_nodes:
-            reason = _obs_call_reason(node)
-            if reason:
-                suspects.append((node, reason))
-    for deco in src.node.decorator_list:
-        probe: ast.AST = deco.func if isinstance(deco, ast.Call) else deco
-        name = probe.attr if isinstance(probe, ast.Attribute) else (
-            probe.id if isinstance(probe, ast.Name) else None
-        )
-        if name in _OBS_NAMES:
-            suspects.append((deco, f"is decorated with @{name}"))
-    for node, reason in suspects:
-        yield make_diagnostic(
-            "UPA011",
-            f"{src.where()} {reason}; monoid methods replay ~2n times "
-            "across sampled neighbouring datasets, so per-record "
-            "instrumentation explodes trace volume and can record "
-            "non-private intermediate state",
-            file=src.file,
-            line=src.line_of(node),
-            obj=src.owner_name,
-            hint="remove the repro.obs call — the pipeline already "
-            "traces the map/reduce phases and audits releases",
-            pass_name=PASS,
-        )
-
-
-def _server_call_reason(node: ast.Call) -> Optional[str]:
-    """Why ``node`` looks like it starts live-monitoring machinery."""
-    func = node.func
-    if isinstance(func, ast.Name) and func.id in _SERVER_NAMES:
-        return f"constructs {func.id}()"
-    if isinstance(func, ast.Attribute):
-        if func.attr in _SERVER_NAMES:
-            dotted = _root_name(func)
-            prefix = f"{dotted}." if dotted else ""
-            return f"constructs {prefix}{func.attr}()"
-        if func.attr in _SERVER_METHODS:
-            dotted = _root_name(func)
-            prefix = f"{dotted}." if dotted else ""
-            return f"calls {prefix}{func.attr}()"
-    return None
-
-
-def _check_server_calls(src: _MethodSource) -> Iterable[Diagnostic]:
-    """UPA013: monoid methods starting a server.
-
-    Same contract as UPA011, one level worse: where an obs *call*
-    records a span, a server owns a daemon thread and a listening
-    socket — one per neighbour replay.
-    """
-    for node in ast.walk(src.node):
-        if not isinstance(node, ast.Call):
-            continue
-        reason = _server_call_reason(node)
-        if reason:
-            yield make_diagnostic(
-                "UPA013",
-                f"{src.where()} {reason}; monoid methods replay ~2n "
-                "times across sampled neighbouring datasets, so each "
-                "replay would spawn another server thread and bind "
-                "another socket",
-                file=src.file,
-                line=src.line_of(node),
-                obj=src.owner_name,
-                hint="start live monitoring once, outside the query: "
-                "UPASession.serve(), EngineContext.serve(), or "
-                "`repro run --serve PORT`",
-                pass_name=PASS,
-            )
-
-
-_LOOP_NODES = (
-    ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
-    ast.GeneratorExp,
-)
-
-
-def _eval_calls(node: ast.AST) -> Iterable[ast.Call]:
-    """``X.eval(...)`` attribute calls anywhere under ``node``."""
-    for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr == "eval"
-        ):
-            yield sub
-
-
-def _check_eval_loops(src: _MethodSource) -> Iterable[Diagnostic]:
-    """UPA012: per-row ``Expression.eval`` in a hot path.
-
-    ``map_record`` is itself the body of the ~2n-replay loop, so any
-    ``.eval(`` call there is per-row; in the other monoid methods only
-    calls nested inside a loop or comprehension are flagged.
-    """
-    if src.method_name == "map_record":
-        suspects = list(_eval_calls(src.node))
-    else:
-        suspects = []
-        seen: set = set()
-        for node in ast.walk(src.node):
-            if isinstance(node, _LOOP_NODES):
-                for call in _eval_calls(node):
-                    if id(call) not in seen:
-                        seen.add(id(call))
-                        suspects.append(call)
-    for call in suspects:
-        yield make_diagnostic(
-            "UPA012",
-            f"{src.where()} interprets an expression AST per row "
-            "(.eval() in a replayed hot path); the ~2n neighbour "
-            "replays multiply this cost",
-            file=src.file,
-            line=src.line_of(call),
-            obj=src.owner_name,
-            hint="build a compiled closure once (repro.sql.compiler."
-            "compile_expression / compile_predicate, or "
-            "Expression.compiled()) and call it in the loop",
-            pass_name=PASS,
-        )
-
-
 #: ast default-value nodes that denote a freshly built mutable container.
 _MUTABLE_DEFAULT_NODES = (
     ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp,
@@ -765,8 +600,6 @@ def _check_batch_kernels(
                 pass_name=PASS,
             )
             continue
-        yield from _check_obs_calls(src)
-        yield from _check_server_calls(src)
         yield from _check_captured_state(src)
         if _resolve_method(cls, partner) is None:
             yield make_diagnostic(
@@ -833,9 +666,6 @@ def check_query(query: Any) -> List[Diagnostic]:
         diagnostics.extend(_check_nondeterminism(src))
         diagnostics.extend(_check_state_mutation(src))
         diagnostics.extend(_check_captured_state(src))
-        diagnostics.extend(_check_obs_calls(src))
-        diagnostics.extend(_check_server_calls(src))
-        diagnostics.extend(_check_eval_loops(src))
         if method_name == "combine":
             diagnostics.extend(_check_combine(src))
         if method_name == "build_aux":

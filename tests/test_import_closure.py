@@ -3,7 +3,8 @@
 ``import repro.core.session`` plus a release and an incremental one
 must load numpy, the standard library and the ``repro`` modules the
 releases execute — not scipy, not the obs surfaces nobody asked for,
-not a thread or process pool — for each of the nine workloads.
+not the static analyser (only a strict session loads it), not a
+thread or process pool — for each of the nine workloads.
 Each check runs in a fresh interpreter, since this test process has
 long since imported everything.
 """
@@ -32,6 +33,7 @@ _NOT_LOADED = (
     "repro.obs.server",
     "repro.obs.alerts",
     "repro.obs.exporters",
+    "repro.staticcheck",
 )
 
 _SCRIPT = """

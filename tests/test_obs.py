@@ -958,84 +958,3 @@ class TestObservabilityCLI:
         assert main(["report", "--trace",
                      str(tmp_path / "nope.json")]) == 2
         assert "no such file" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# upalint UPA011
-# ---------------------------------------------------------------------------
-
-
-class TestUPA011ObserverInMonoid:
-    def _check(self, query_cls):
-        from repro.staticcheck.purity import check_query
-
-        return [d for d in check_query(query_cls) if d.code == "UPA011"]
-
-    def test_trace_call_in_mapper_flagged(self):
-        from repro.core.query import MapReduceQuery
-
-        class TracedMapper(MapReduceQuery):
-            name = "traced"
-            protected_table = "t"
-
-            def map_record(self, record, aux):
-                with trace("per-record"):
-                    return record["v"]
-
-            def zero(self):
-                return 0.0
-
-            def combine(self, a, b):
-                return a + b
-
-            def finalize(self, agg, aux):
-                return np.array([agg])
-
-        findings = self._check(TracedMapper)
-        assert len(findings) == 1
-        assert findings[0].severity.name == "WARNING"
-        assert "map_record" in findings[0].message
-
-    def test_qualified_obs_call_flagged(self):
-        from repro.core.query import MapReduceQuery
-
-        class QualifiedObs(MapReduceQuery):
-            name = "qualified"
-            protected_table = "t"
-
-            def combine(self, a, b):
-                import repro.obs as obs
-
-                obs.get_tracer()
-                return a + b
-
-        findings = self._check(QualifiedObs)
-        assert len(findings) == 1
-        assert "combine" in findings[0].message
-
-    def test_trace_decorator_flagged(self):
-        from repro.core.query import MapReduceQuery
-
-        class DecoratedFinalize(MapReduceQuery):
-            name = "decorated"
-            protected_table = "t"
-
-            @trace("finalize")
-            def finalize(self, agg, aux):
-                return np.array([agg])
-
-        findings = self._check(DecoratedFinalize)
-        assert len(findings) == 1
-        assert "decorated with" in findings[0].message
-
-    def test_clean_query_not_flagged(self):
-        from repro.tpch.workload import query_by_name
-
-        assert self._check(type(query_by_name("tpch1"))) == []
-
-    def test_registry_has_upa011(self):
-        from repro.staticcheck.diagnostics import CODE_REGISTRY, Severity
-
-        info = CODE_REGISTRY["UPA011"]
-        assert info.title == "observer-in-monoid"
-        assert info.default_severity == Severity.WARNING

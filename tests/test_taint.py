@@ -1,8 +1,6 @@
 """Tests for the interprocedural taint pass (UPA3xx) and the shared
-dataflow framework (cfg + worklist engine), plus the satellite
-machinery that landed with them: inline suppressions, baseline
-ratcheting, SARIF rendering, deterministic ordering, and the strict
-session gate.
+dataflow framework (cfg + worklist engine), plus deterministic
+ordering and the strict session gate.
 
 The deliberately leaky script ``examples/leaky_pipeline.py`` is the
 ground-truth fixture: every violation line carries a ``# BAD: UPAxxx``
@@ -11,7 +9,6 @@ marker and the tests assert the analyzer reports exactly that set.
 
 import ast
 import functools
-import json
 import os
 import re
 
@@ -30,17 +27,7 @@ from repro.staticcheck import (
     dedupe,
     env_join,
     lint_paths,
-    render_sarif,
     solve_forward,
-)
-from repro.staticcheck.baseline import (
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-)
-from repro.staticcheck.suppress import (
-    apply_suppressions,
-    collect_suppressions,
 )
 from repro.staticcheck import taint
 
@@ -281,6 +268,16 @@ class TestTaintSemantics:
         )
         assert check_source_taint(src, "s.py") == []
 
+    def test_evaluation_field_flow_is_info(self):
+        src = (
+            "result = session.run(q, tables, epsilon=0.5)\n"
+            "raw = result.raw_output\n"
+            "print(raw)\n"
+        )
+        diags = check_source_taint(src, "s.py")
+        assert [(d.code, d.line) for d in diags] == [("UPA305", 3)]
+        assert diags[0].severity == Severity.INFO
+
     def test_branch_only_taints_guarded_release(self):
         src = (
             "tables = make_tables(100)\n"
@@ -450,125 +447,6 @@ class TestOrderingAndDedupe:
         first = lint_paths([LEAKY])
         second = lint_paths([LEAKY])
         assert first == second
-
-
-# ---------------------------------------------------------------------------
-# Suppressions
-# ---------------------------------------------------------------------------
-
-
-class TestSuppressions:
-    SRC = (
-        "tables = make_tables(100)\n"
-        "print(tables['t'][0])  # upalint: disable=UPA301\n"
-        "# upalint: disable=UPA301\n"
-        "print(tables['t'][1])\n"
-        "print(tables['t'][2])\n"
-    )
-
-    def _kept(self, src):
-        diags = check_source_taint(src, "s.py")
-        return apply_suppressions(
-            diags, {"s.py": collect_suppressions(src)}
-        )
-
-    def test_same_line_and_line_above_suppress(self):
-        kept = self._kept(self.SRC)
-        assert [(d.code, d.line) for d in kept] == [("UPA301", 5)]
-
-    def test_disable_all(self):
-        src = self.SRC.replace("disable=UPA301", "disable=all")
-        kept = self._kept(src)
-        assert [(d.code, d.line) for d in kept] == [("UPA301", 5)]
-
-    def test_wrong_code_does_not_suppress(self):
-        src = self.SRC.replace("disable=UPA301", "disable=UPA302")
-        kept = self._kept(src)
-        assert len(kept) == 3
-
-    def test_directive_inside_string_is_ignored(self):
-        src = (
-            "tables = make_tables(100)\n"
-            "note = '# upalint: disable=UPA301'\n"
-            "print(tables['t'][0])\n"
-        )
-        kept = self._kept(src)
-        assert [(d.code, d.line) for d in kept] == [("UPA301", 3)]
-
-    def test_lint_paths_honours_file_suppressions(self, tmp_path):
-        leaky = tmp_path / "leaky.py"
-        leaky.write_text(
-            "tables = make_tables(100)\n"
-            "print(tables['t'][0])  # upalint: disable=UPA301\n"
-        )
-        assert lint_paths([str(leaky)]) == []
-
-
-# ---------------------------------------------------------------------------
-# Baseline ratchet
-# ---------------------------------------------------------------------------
-
-
-class TestBaseline:
-    def test_missing_baseline_records_and_reports_clean(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        diags = taint.check_file(LEAKY)
-        fresh, wrote = apply_baseline(path, diags)
-        assert wrote and fresh == []
-        assert load_baseline(path) == {fingerprint(d) for d in diags}
-
-    def test_existing_baseline_filters_known_only(self, tmp_path):
-        path = str(tmp_path / "base.json")
-        diags = taint.check_file(LEAKY)
-        apply_baseline(path, diags[:-1])  # all but the last are known
-        fresh, wrote = apply_baseline(path, diags)
-        assert not wrote
-        assert fresh == [diags[-1]]
-
-    def test_fingerprint_is_line_independent(self):
-        import dataclasses
-
-        diags = taint.check_file(LEAKY)
-        moved = dataclasses.replace(diags[0], line=diags[0].line + 7)
-        assert fingerprint(moved) == fingerprint(diags[0])
-
-
-# ---------------------------------------------------------------------------
-# SARIF
-# ---------------------------------------------------------------------------
-
-
-class TestSarif:
-    def test_sarif_document_shape(self):
-        diags = taint.check_file(LEAKY)
-        doc = json.loads(render_sarif(diags, tool_version="1.3.0"))
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "upalint"
-        assert run["tool"]["driver"]["version"] == "1.3.0"
-        rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"UPA301", "UPA302", "UPA303", "UPA304",
-                "UPA305"} <= rule_ids
-        assert len(run["results"]) == len(dedupe(diags))
-
-    def test_sarif_result_levels_and_locations(self):
-        diags = taint.check_file(LEAKY)
-        doc = json.loads(render_sarif(diags))
-        by_rule = {}
-        for result in doc["runs"][0]["results"]:
-            by_rule.setdefault(result["ruleId"], result)
-            loc = result["locations"][0]["physicalLocation"]
-            assert loc["artifactLocation"]["uri"].endswith(
-                "leaky_pipeline.py"
-            )
-            assert loc["region"]["startLine"] >= 1
-            assert loc["region"]["startColumn"] >= 1
-        assert by_rule["UPA301"]["level"] == "error"
-        assert by_rule["UPA302"]["level"] == "warning"
-
-    def test_empty_findings_render_valid_sarif(self):
-        doc = json.loads(render_sarif([]))
-        assert doc["runs"][0]["results"] == []
 
 
 # ---------------------------------------------------------------------------
