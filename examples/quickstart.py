@@ -7,11 +7,14 @@ Walks the whole pipeline on a generated TPC-H dataset:
 2. run TPC-H Q1 (a count) under UPA with automatically inferred
    sensitivity;
 3. compare the noisy answer to the true one;
-4. show the low-level Table I operator API doing the same thing.
+4. show the low-level Table I operator API doing the same thing;
+5. rerun it on an engine that fails task attempts: the engine retries
+   them from lineage and the result does not change.
 """
 
 from repro import EngineContext, UPAConfig, UPASession, dpread
 from repro.dp import PrivacyAccountant
+from repro.engine import FaultInjector
 from repro.tpch import TPCHConfig, TPCHGenerator, query_by_name
 
 
@@ -50,6 +53,16 @@ def main() -> None:
     )
     print(f"\ndpread/mapDP/reduceDP         : result={total}, "
           f"neighbour outputs all equal {neighbours[0]}")
+
+    # -- 5. the same operators under task failures ----------------------------
+    with EngineContext() as faulty:
+        faulty.install_fault_injector(
+            FaultInjector(failure_probability=0.3, max_failures=3, seed=0)
+        )
+        dpo = dpread(faulty.parallelize(tables["lineitem"]), 100, seed=1)
+        _, retried = dpo.map_dp(lambda _rec: 1).reduce_dp(lambda a, b: a + b)
+    print(f"reduceDP with failed tasks    : result={retried}, "
+          f"identical={retried == total}")
 
 
 if __name__ == "__main__":

@@ -90,22 +90,32 @@ class DPObject(Generic[T]):
         if not self.remaining.is_empty():
             r_sprime = self.remaining.reduce(f)
 
-        def fold_with_base(values: List[T]) -> T:
-            acc = r_sprime
-            for value in values:
-                acc = value if acc is None else f(acc, value)
-            return acc  # type: ignore[return-value]
+        def combine(acc: Optional[T], value: Optional[T]) -> Optional[T]:
+            # f has no identity: None stands for an empty fold.
+            if acc is None:
+                return value
+            if value is None:
+                return acc
+            return f(acc, value)
 
-        # Prefix/suffix folds over S so each "S minus one record" costs O(1).
-        n = len(self.sampled)
+        # Prefix/suffix folds over S so each "S minus one record" costs
+        # O(1): prefix[i] folds R(S') with s_0..s_{i-1} and suffix[i]
+        # folds s_i..s_{n-1}, so S minus s_i is prefix[i] (+) suffix[i+1].
+        sampled = self.sampled
+        n = len(sampled)
+        prefix: List[Optional[T]] = [r_sprime]
+        for value in sampled:
+            prefix.append(combine(prefix[-1], value))
+        suffix: List[Optional[T]] = [None] * (n + 1)
+        for i in range(n - 1, 0, -1):
+            suffix[i] = combine(sampled[i], suffix[i + 1])
         neighbour_outputs: List[T] = []
         for i in range(n):
-            rest = self.sampled[:i] + self.sampled[i + 1:]
-            if not rest and r_sprime is None:
+            output = combine(prefix[i], suffix[i + 1])
+            if output is None:
                 raise DPError("cannot reduce an empty neighbouring dataset")
-            neighbour_outputs.append(fold_with_base(rest))
-        result = fold_with_base(self.sampled)
-        return (neighbour_outputs, result)
+            neighbour_outputs.append(output)
+        return (neighbour_outputs, prefix[n])  # type: ignore[return-value]
 
 
 class DPObjectKV(DPObject[Tuple[K, V]]):
@@ -122,24 +132,22 @@ class DPObjectKV(DPObject[Tuple[K, V]]):
     ) -> Tuple[List[Dict[K, Optional[V]]], Dict[K, V]]:
         """Table I ``reduceByKeyDP`` (section V-B).
 
-        Reduces S' by key on the engine, broadcasts the reduced map
-        B(R_S') and the sampled map B(S), then derives, for each sampled
-        record s, the affected key's reduced value without s.  Returns
+        Reduces S' by key on the engine, keeps the reduced map R_S' and
+        the sampled map S by key on the driver (the paper broadcasts
+        both), then derives, for each sampled record s, the affected
+        key's reduced value without s.  Returns
         ``(per-sample {key: value-without-s}, full reduced map)``;
         a value of None means the key vanishes without s.
         """
-        ctx = self.remaining.context
         reduced_remaining = dict(self.remaining.reduce_by_key(f).collect())
-        b_remaining = ctx.broadcast(reduced_remaining)
 
         sampled_by_key: Dict[K, List[V]] = {}
         for key, value in self.sampled:
             sampled_by_key.setdefault(key, []).append(value)
-        b_sampled = ctx.broadcast(sampled_by_key)
 
         def key_value_without(key: K, skip_index: int) -> Optional[V]:
-            acc: Optional[V] = b_remaining.value.get(key)
-            for i, value in enumerate(b_sampled.value.get(key, [])):
+            acc: Optional[V] = reduced_remaining.get(key)
+            for i, value in enumerate(sampled_by_key.get(key, [])):
                 if i == skip_index:
                     continue
                 acc = value if acc is None else f(acc, value)

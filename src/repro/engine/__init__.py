@@ -1,21 +1,23 @@
 """A from-scratch, partitioned MapReduce engine (the "vanilla Spark" stand-in).
 
 The engine provides lazy, lineage-tracked RDDs with narrow and wide
-(shuffle) dependencies, a DAG scheduler that retries failed tasks by
-recomputing from lineage, an LRU block store for ``cache()``, broadcast
-variables, accumulators, and a metrics registry that counts tasks,
-shuffled records and simulated network cost.
+(shuffle) dependencies, a scheduler that retries failed tasks by
+recomputing from lineage, an LRU block store for the incremental
+session's element cache, and a metrics registry that counts jobs, tasks
+and shuffled records.
 
 The UPA paper's claims rest on two semantic properties of MapReduce
-operators — commutativity and associativity — plus the observable cost
+operators — commutativity and associativity — plus the observable
 structure of jobs (number of shuffles, records exchanged).  This engine
-exposes both: operator semantics match Spark's RDD API closely, and
-every shuffle/broadcast is counted by :class:`repro.engine.metrics.MetricsRegistry`.
+exposes both: the operators it keeps are the ones a release, the SQL
+executor and :mod:`repro.core.dpobject` run, with Spark's semantics, and
+every shuffle is counted by :class:`repro.engine.metrics.MetricsRegistry`.
 
 Example:
     >>> from repro.engine import EngineContext
     >>> ctx = EngineContext()
-    >>> ctx.parallelize(range(10)).map(lambda v: v * v).sum()
+    >>> ctx.parallelize(range(10)).map(lambda v: v * v).aggregate(
+    ...     0, lambda acc, v: acc + v, lambda a, b: a + b)
     285
 """
 

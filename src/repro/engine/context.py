@@ -1,18 +1,19 @@
 """EngineContext: entry point to the MapReduce engine.
 
 Owns the scheduler, shuffle manager, block store and metrics — the
-moral equivalent of a ``SparkContext``.
+moral equivalent of a ``SparkContext``.  The block store holds the
+incremental session's mapped-element blocks, in namespaces drawn with
+:meth:`EngineContext.reserve_cache_id`.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Any, Iterable, Optional, Sequence, TypeVar
 
 from repro.common.config import DEFAULT_CONFIG, EngineConfig
-from repro.engine.accumulator import Accumulator
-from repro.engine.broadcast import Broadcast
+from repro.common.errors import EngineError
 from repro.engine.fault import FaultInjector
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.rdd import RDD, ParallelCollectionRDD
@@ -36,7 +37,7 @@ class EngineContext:
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config or DEFAULT_CONFIG
         self.metrics = MetricsRegistry()
-        self.block_store = BlockStore(self.config.cache_capacity_blocks, self.metrics)
+        self.block_store = BlockStore(self.metrics)
         self.scheduler = TaskScheduler(
             self.metrics, max_task_retries=self.config.max_task_retries
         )
@@ -60,10 +61,9 @@ class EngineContext:
     def reserve_cache_id(self) -> int:
         """Reserve a block-store namespace id.
 
-        Drawn from the same counter as RDD ids, so callers that cache
-        derived data directly in the block store (e.g. the incremental
-        session's mapped-element blocks) can never collide with a
-        cached RDD's partitions.
+        Every call returns a fresh id (from the RDD id counter), so two
+        caches of derived data in the block store (the incremental
+        session's mapped-element blocks) never share a namespace.
         """
         return self._next_rdd_id()
 
@@ -74,36 +74,36 @@ class EngineContext:
     def parallelize(
         self, data: Iterable[T], num_partitions: Optional[int] = None
     ) -> RDD:
-        """Distribute an in-memory collection into an RDD."""
-        return ParallelCollectionRDD(
-            self, list(data), num_partitions or self.config.default_parallelism
-        )
+        """Distribute an in-memory collection into an RDD.
 
-    def empty_rdd(self) -> RDD:
-        return ParallelCollectionRDD(self, [], 1)
+        ``num_partitions`` is ``None`` (the configured default
+        parallelism) or an int >= 1; anything else, a bool included,
+        raises :class:`EngineError`.
+        """
+        if num_partitions is None:
+            num_partitions = self.config.default_parallelism
+        elif (
+            isinstance(num_partitions, bool)
+            or not isinstance(num_partitions, int)
+            or num_partitions < 1
+        ):
+            raise EngineError(
+                f"num_partitions must be None or an int >= 1, "
+                f"got {num_partitions!r}"
+            )
+        return ParallelCollectionRDD(self, list(data), num_partitions)
 
     def union(self, rdds: Sequence[RDD]) -> RDD:
         """Union of several RDDs."""
         if not rdds:
-            return self.empty_rdd()
+            return ParallelCollectionRDD(self, [], 1)
         result = rdds[0]
         for rdd in rdds[1:]:
             result = result.union(rdd)
         return result
 
     # ------------------------------------------------------------------
-    # Shared variables
-    # ------------------------------------------------------------------
-
-    def broadcast(self, value: T) -> Broadcast:
-        """Ship a read-only value to all tasks (counted by the cost model)."""
-        return Broadcast(value, self.metrics, self.config.broadcast_record_cost)
-
-    def accumulator(self, zero: T, combine: Callable[[T, T], T]) -> Accumulator:
-        return Accumulator(zero, combine)
-
-    # ------------------------------------------------------------------
-    # Fault injection (tests / chaos benchmarks)
+    # Fault injection
     # ------------------------------------------------------------------
 
     def install_fault_injector(self, injector: Optional[FaultInjector]) -> None:
@@ -144,10 +144,6 @@ class EngineContext:
         """How many times this context has been stop()ped."""
         return self._stop_generation
 
-    def clear_shuffle_state(self) -> None:
-        """Drop stored shuffle outputs (frees memory between experiments)."""
-        self.shuffle_manager.clear()
-
     def serve(self, port: int = 0, host: str = "127.0.0.1",
               **sources: Any):
         """Start a live introspection server over this engine.
@@ -179,11 +175,10 @@ class EngineContext:
     def stop(self) -> None:
         """Release engine resources (idempotent).
 
-        Stops the live server and drops stored
-        shuffle outputs *and* cached partition blocks — a stopped
-        context must not keep partition data alive between
-        experiments.  The context remains usable: a later job
-        repopulates caches from lineage, mirroring how
+        Stops the live server and drops stored shuffle outputs *and*
+        every block-store block — a stopped context must not keep
+        partition data alive between experiments.  The context remains
+        usable: a later job recomputes from lineage, mirroring how
         ``SparkContext`` users call ``stop()`` when an application
         finishes.
         """

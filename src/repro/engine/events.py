@@ -37,11 +37,6 @@ class JobListener:
         # which compounds when a long session overflows the capacity
         # on every job.
         self._events: Deque[JobEvent] = deque(maxlen=capacity)
-        self._capacity = capacity
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
 
     def record(self, event: JobEvent) -> None:
         with self._lock:
@@ -54,13 +49,6 @@ class JobListener:
     def clear(self) -> None:
         with self._lock:
             self._events.clear()
-
-    def total_duration(self) -> float:
-        return sum(e.duration_seconds for e in self.events())
-
-    def jobs_over(self, seconds: float) -> List[JobEvent]:
-        """Slow-job report: every job longer than ``seconds``."""
-        return [e for e in self.events() if e.duration_seconds > seconds]
 
     def summary(self) -> str:
         """One-line-per-job text report."""

@@ -4,9 +4,8 @@ The reproduction uses metrics in three ways:
 
 * tests assert structural facts (e.g. "UPA's joinDP triggers exactly two
   shuffles where vanilla join triggers one", paper section V-C);
-* benchmarks report a deterministic cost model (records shuffled times a
-  per-record cost) alongside wall-clock time, because wall-clock on a
-  laptop does not reflect a 40 Gbps cluster but the *structure* does;
+* benchmarks and the per-run report read job, task and shuffled-record
+  counts alongside wall-clock time;
 * the observability layer (:mod:`repro.obs`) summarizes distributions —
   task durations, neighbour batch sizes, shuffle record counts — as
   percentile summaries in the per-run report.
@@ -179,9 +178,6 @@ class MetricsRegistry:
     CACHE_HITS = "cache_hits"
     CACHE_MISSES = "cache_misses"
     CACHE_EVICTIONS = "cache_evictions"
-    BROADCASTS = "broadcasts"
-    BROADCAST_RECORDS = "broadcast_records"
-    NETWORK_COST = "simulated_network_cost"
 
     #: Counter names of the SQL bridge's compile cache
     #: (core.sqlbridge.compile_plan), the only plan cache there is.

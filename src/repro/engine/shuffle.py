@@ -102,10 +102,6 @@ class ShuffleManager:
                 records = sum(len(bucket) for bucket in buckets)
                 metrics.incr(MetricsRegistry.SHUFFLES)
                 metrics.incr(MetricsRegistry.RECORDS_SHUFFLED, records)
-                metrics.incr(
-                    MetricsRegistry.NETWORK_COST,
-                    records * self._context.config.shuffle_record_cost,
-                )
                 metrics.observe(MetricsRegistry.SHUFFLE_RECORDS, records)
 
     def _run_map_side(

@@ -1,10 +1,10 @@
-"""Block store: LRU cache of materialized RDD partitions.
+"""Block store: LRU cache of derived partition blocks.
 
-``rdd.cache()`` marks an RDD persistent; the first computation of each
-partition stores the realized record list here, and later computations
-are served from memory.  Eviction follows LRU with a block-count
-capacity.  Losing a block is always safe: the scheduler recomputes it
-from lineage (this is exercised by the fault-injection tests).
+The incremental session keeps its mapped-element blocks here, keyed by a
+namespace from ``EngineContext.reserve_cache_id`` and a partition index.
+Eviction follows LRU with a block-count capacity.  Losing a block is
+always safe: its owner recomputes it (``EngineContext.stop`` drops them
+all).
 """
 
 from __future__ import annotations
@@ -15,13 +15,20 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.engine.metrics import MetricsRegistry
 
-BlockId = Tuple[int, int]  # (rdd_id, partition_index)
+BlockId = Tuple[int, int]  # (namespace id, partition_index)
+
+#: blocks kept before LRU eviction.
+CACHE_CAPACITY_BLOCKS = 4096
 
 
 class BlockStore:
     """Thread-safe LRU store of partition blocks."""
 
-    def __init__(self, capacity_blocks: int, metrics: MetricsRegistry):
+    def __init__(
+        self,
+        metrics: MetricsRegistry,
+        capacity_blocks: int = CACHE_CAPACITY_BLOCKS,
+    ):
         if capacity_blocks <= 0:
             raise ValueError("capacity_blocks must be positive")
         self._capacity = capacity_blocks
@@ -50,7 +57,7 @@ class BlockStore:
                 self._metrics.incr(MetricsRegistry.CACHE_EVICTIONS)
 
     def evict_rdd(self, rdd_id: int) -> int:
-        """Drop every block of an RDD (``unpersist``); returns count dropped."""
+        """Drop every block of one namespace; returns count dropped."""
         with self._lock:
             victims = [bid for bid in self._blocks if bid[0] == rdd_id]
             for bid in victims:
@@ -60,11 +67,6 @@ class BlockStore:
     def contains(self, block_id: BlockId) -> bool:
         with self._lock:
             return block_id in self._blocks
-
-    def drop(self, block_id: BlockId) -> bool:
-        """Drop one block (used by fault-injection tests). True if present."""
-        with self._lock:
-            return self._blocks.pop(block_id, None) is not None
 
     def clear(self) -> int:
         """Drop every block (``EngineContext.stop``); returns count dropped.

@@ -11,7 +11,7 @@ original operated on SQL query plans.
 Example:
     >>> from repro.sql import SQLSession
     >>> sess = SQLSession()
-    >>> sess.create_table("t", [{"a": 1}, {"a": 2}, {"a": 2}])
+    >>> _ = sess.create_table("t", [{"a": 1}, {"a": 2}, {"a": 2}])
     >>> sess.sql("SELECT COUNT(*) AS n FROM t WHERE a = 2").collect()
     [{'n': 2}]
 """

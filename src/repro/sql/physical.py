@@ -10,7 +10,7 @@ Joins and aggregations become shuffles, so the engine's metrics
 directly reflect the plan's shuffle structure (which the Fig. 2(b)
 benchmark reports) — except when one join side's estimated cardinality
 fits under ``SQLSession.broadcast_join_threshold``: that side is
-collected once, shipped via ``engine.broadcast``, and hash-probed in a
+collected once, indexed on the driver, and hash-probed in a
 ``map_partitions``, eliminating the shuffle entirely.  The chosen
 strategy is recorded in the ``sql.join.broadcast`` /
 ``sql.join.shuffle`` counters and a ``sql.join.strategy`` span.
@@ -172,18 +172,14 @@ class Executor:
     def _broadcast_join(self, plan: Join) -> _Stage:
         """Hash-join against a broadcast right side — no shuffle.
 
-        The collected right rows are indexed once on the driver,
-        shipped via ``engine.broadcast`` (so the cost model counts the
-        replication), and probed inside the left stage's fused
-        ``map_partitions`` pass.
+        The collected right rows are indexed once on the driver and
+        probed inside the left stage's fused ``map_partitions`` pass.
         """
         right_rows = self.execute(plan.right).collect()
         key_right = compile_key([rk for _lk, rk in plan.keys])
-        index: Dict[Tuple[Any, ...], List[Row]] = {}
+        table: Dict[Tuple[Any, ...], List[Row]] = {}
         for row in right_rows:
-            index.setdefault(key_right(row), []).append(row)
-        broadcast = self._session.engine.broadcast(index)
-        table = broadcast.value
+            table.setdefault(key_right(row), []).append(row)
         self._metrics.incr(MetricsRegistry.SQL_JOIN_BROADCAST)
         self._record_strategy(plan, "broadcast", len(right_rows))
 

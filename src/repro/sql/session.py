@@ -29,7 +29,7 @@ class SQLSession:
 
     Example:
         >>> sess = SQLSession()
-        >>> sess.create_table("t", [{"a": 1, "b": 2}])
+        >>> _ = sess.create_table("t", [{"a": 1, "b": 2}])
         >>> sess.table("t").select("a").collect()
         [{'a': 1}]
 

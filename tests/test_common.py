@@ -59,11 +59,6 @@ class TestConfig:
         assert config.default_parallelism == 4
         assert config.max_task_retries == 3
 
-    def test_with_overrides(self):
-        config = EngineConfig().with_overrides(default_parallelism=16)
-        assert config.default_parallelism == 16
-        assert EngineConfig().default_parallelism == 4  # original untouched
-
     def test_frozen(self):
         with pytest.raises(Exception):
             EngineConfig().default_parallelism = 99  # type: ignore[misc]

@@ -72,6 +72,27 @@ class TestReduceDP:
         assert total == 7
         assert sorted(neighbours) == [3, 4]
 
+    def test_single_record_has_empty_neighbour(self, engine):
+        dpo = dpread(engine.parallelize([5]), 1, seed=0)
+        with pytest.raises(DPError):
+            dpo.reduce_dp(lambda a, b: a + b)
+
+    @pytest.mark.parametrize("n, total", [(1, 40), (7, 7), (50, 400)])
+    def test_calls_f_linearly(self, engine, n, total):
+        """Prefix/suffix folds: at most 3n + |S'| calls of f, not the
+        n(n-1) of refolding S minus each record."""
+        calls = [0]
+
+        def add(a, b):
+            calls[0] += 1
+            return a + b
+
+        dpo = dpread(engine.parallelize(range(total), 3), n, seed=5)
+        neighbours, result = dpo.reduce_dp(add)
+        assert calls[0] <= 3 * n + (total - n)
+        assert result == sum(range(total))
+        assert neighbours == [result - s for s in dpo.sampled]
+
 
 class TestReduceByKeyDP:
     def test_full_map_correct(self, engine):
@@ -104,13 +125,6 @@ class TestReduceByKeyDP:
         doubled = kv.map_dp_kv(lambda kv_: (kv_[0], kv_[1] * 2))
         _neigh, full = doubled.reduce_by_key_dp(lambda a, b: a + b)
         assert full == {"a": 2, "b": 4}
-
-    def test_broadcasts_counted(self, engine):
-        pairs = [("a", i) for i in range(10)]
-        kv = dpread(engine.parallelize(pairs), 2, seed=0).as_kv()
-        before = engine.metrics.get(MetricsRegistry.BROADCASTS)
-        kv.reduce_by_key_dp(lambda a, b: a + b)
-        assert engine.metrics.get(MetricsRegistry.BROADCASTS) == before + 2
 
 
 class TestJoinDP:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.errors import EngineError
 from repro.engine import EngineContext
+from repro.engine.partitioner import HashPartitioner
 
 
 class TestBasicTransformations:
@@ -28,13 +29,10 @@ class TestBasicTransformations:
         assert sum(sums) == sum(range(8))
         assert len(sums) == 4
 
-    def test_map_partitions_with_index(self, ctx):
-        rdd = ctx.parallelize(range(8), 4)
-        out = rdd.map_partitions_with_index(lambda i, it: [(i, len(list(it)))])
-        assert dict(out.collect()) == {0: 2, 1: 2, 2: 2, 3: 2}
-
-    def test_glom(self, ctx):
-        chunks = ctx.parallelize(range(6), 3).glom().collect()
+    def test_parallelize_slices_contiguously(self, ctx):
+        chunks = ctx.parallelize(range(6), 3).map_partitions(
+            lambda it: [list(it)]
+        ).collect()
         assert chunks == [[0, 1], [2, 3], [4, 5]]
 
     def test_key_by(self, ctx):
@@ -52,25 +50,15 @@ class TestBasicTransformations:
         out = sorted(ctx.parallelize([3, 1, 3, 2, 1]).distinct().collect())
         assert out == [1, 2, 3]
 
-    def test_sample_is_deterministic(self, ctx):
-        rdd = ctx.parallelize(range(1000), 4)
-        first = rdd.sample(0.1, seed=7).collect()
-        second = rdd.sample(0.1, seed=7).collect()
-        assert first == second
-        assert 40 < len(first) < 200
-
-    def test_sample_fraction_bounds(self, ctx):
-        with pytest.raises(EngineError):
-            ctx.parallelize([1]).sample(1.5)
-
     def test_zip_with_index(self, ctx):
         out = ctx.parallelize(list("abcd"), 3).zip_with_index().collect()
         assert out == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
 
-    def test_repartition_preserves_records(self, ctx):
-        rdd = ctx.parallelize(range(50), 2).repartition(7)
+    def test_partition_by_preserves_records(self, ctx):
+        pairs = [(v, v * v) for v in range(50)]
+        rdd = ctx.parallelize(pairs, 2).partition_by(HashPartitioner(7))
         assert rdd.num_partitions == 7
-        assert sorted(rdd.collect()) == list(range(50))
+        assert sorted(rdd.collect()) == pairs
 
     def test_coalesce(self, ctx):
         rdd = ctx.parallelize(range(10), 5).coalesce(2)
@@ -91,9 +79,20 @@ class TestBasicTransformations:
         out = ctx.parallelize(data, 4).sort_by(lambda v: v, ascending=False)
         assert out.collect() == sorted(data, reverse=True)
 
+    def test_sort_by_descending_take(self, ctx):
+        """ORDER BY ... DESC LIMIT: a descending sort, then a prefix."""
+        rdd = ctx.parallelize([3, 9, 1, 7], 2)
+        assert rdd.sort_by(lambda v: v, ascending=False).take(2) == [9, 7]
+
+    def test_sort_by_key_func(self, ctx):
+        rdd = ctx.parallelize(["bb", "a", "ccc"], 2)
+        assert rdd.sort_by(len, ascending=False).take(1) == ["ccc"]
+        assert rdd.sort_by(len).collect() == ["a", "bb", "ccc"]
+
     def test_empty_rdd(self, ctx):
-        assert ctx.empty_rdd().collect() == []
-        assert ctx.empty_rdd().count() == 0
+        assert ctx.parallelize([]).collect() == []
+        assert ctx.parallelize([]).count() == 0
+        assert ctx.union([]).collect() == []
 
 
 class TestActions:
@@ -109,10 +108,7 @@ class TestActions:
 
     def test_reduce_empty_raises(self, ctx):
         with pytest.raises(EngineError):
-            ctx.empty_rdd().reduce(lambda a, b: a + b)
-
-    def test_fold(self, ctx):
-        assert ctx.parallelize(range(5), 3).fold(0, lambda a, b: a + b) == 10
+            ctx.parallelize([]).reduce(lambda a, b: a + b)
 
     def test_aggregate(self, ctx):
         total, count = ctx.parallelize(range(10), 3).aggregate(
@@ -122,16 +118,32 @@ class TestActions:
         )
         assert (total, count) == (45, 10)
 
+    def test_aggregate_over_empty_partitions(self, ctx):
+        """More partitions than records: empty tasks return the zero."""
+        rdd = ctx.parallelize(range(3), 5)
+        assert rdd.aggregate(0, lambda a, v: a + v, lambda a, b: a + b) == 3
+        tasks = rdd.aggregate([], lambda a, v: a, lambda a, b: a + [b])
+        assert tasks == [[]] * 5
+
+    def test_aggregate_empty_returns_zero(self, ctx):
+        out = ctx.parallelize([]).aggregate(
+            (0, 0),
+            lambda acc, v: (acc[0] + v, acc[1] + 1),
+            lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        )
+        assert out == (0, 0)
+
     def test_sum_min_max_mean(self, ctx):
         rdd = ctx.parallelize([4, 1, 9, 2], 2)
-        assert rdd.sum() == 16
-        assert rdd.min() == 1
-        assert rdd.max() == 9
-        assert rdd.mean() == 4.0
-
-    def test_mean_empty_raises(self, ctx):
-        with pytest.raises(EngineError):
-            ctx.empty_rdd().mean()
+        total, count = rdd.aggregate(
+            (0, 0),
+            lambda acc, v: (acc[0] + v, acc[1] + 1),
+            lambda a, b: (a[0] + b[0], a[1] + b[1]),
+        )
+        assert total == 16
+        assert rdd.reduce(min) == 1
+        assert rdd.reduce(max) == 9
+        assert total / count == 4.0
 
     def test_take(self, ctx):
         rdd = ctx.parallelize(range(100), 10)
@@ -142,31 +154,20 @@ class TestActions:
     def test_first(self, ctx):
         assert ctx.parallelize([7, 8]).first() == 7
         with pytest.raises(EngineError):
-            ctx.empty_rdd().first()
+            ctx.parallelize([]).first()
 
     def test_is_empty(self, ctx):
-        assert ctx.empty_rdd().is_empty()
+        assert ctx.parallelize([]).is_empty()
         assert not ctx.parallelize([1]).is_empty()
-
-    def test_count_by_value(self, ctx):
-        out = ctx.parallelize(["a", "b", "a"], 2).count_by_value()
-        assert out == {"a": 2, "b": 1}
-
-    def test_top(self, ctx):
-        assert ctx.parallelize([3, 9, 1, 7], 2).top(2) == [9, 7]
-
-    def test_top_with_key(self, ctx):
-        out = ctx.parallelize(["bb", "a", "ccc"], 2).top(1, key=len)
-        assert out == ["ccc"]
-
-    def test_foreach_with_accumulator(self, ctx):
-        acc = ctx.accumulator(0, lambda a, b: a + b)
-        ctx.parallelize(range(10), 4).foreach(lambda v: acc.add(v))
-        assert acc.value == 45
 
     def test_invalid_partition_count(self, ctx):
         with pytest.raises(EngineError):
             ctx.parallelize([1], 1).map(lambda v: v).coalesce(0).collect()
+        for bad in (0, -2, 2.5, True, False, "3"):
+            with pytest.raises(EngineError):
+                ctx.parallelize([1], bad)
+        assert ctx.parallelize([1], 1).num_partitions == 1
+        assert ctx.parallelize([1]).num_partitions == 4
 
 
 class TestLineage:

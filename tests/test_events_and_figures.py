@@ -26,9 +26,8 @@ class TestJobListener:
         ctx.install_job_listener(listener)
         rdd = ctx.parallelize(range(10), 2)
         rdd.count()
-        rdd.sum()
+        rdd.collect()
         assert len(listener.events()) == 2
-        assert listener.total_duration() >= 0
 
     def test_shuffle_produces_extra_jobs(self, ctx):
         listener = JobListener()
@@ -62,7 +61,6 @@ class TestJobListener:
         assert len(listener.events()) == 3
         # strictly the newest events, oldest first
         assert [e.stage_id for e in listener.events()] == [7, 8, 9]
-        assert listener.capacity == 3
 
     def test_capacity_eviction_under_concurrent_record(self):
         """Eviction stays ordered and bounded with racing writers."""
@@ -107,7 +105,6 @@ class TestJobListener:
         ctx.install_job_listener(listener)
         ctx.parallelize(range(5), 1).collect()
         assert "stage=" in listener.summary()
-        assert listener.jobs_over(3600.0) == []
 
     def test_clear(self, ctx):
         listener = JobListener()

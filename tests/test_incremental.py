@@ -24,6 +24,7 @@ from repro.dp.budget import PrivacyAccountant
 from repro.dp.mechanisms import LaplaceMechanism
 from repro.engine.fault import FaultInjector
 from repro.engine.metrics import MetricsRegistry
+from repro.engine.storage import BlockStore
 from repro.obs.ledger import PrivacyLedger
 from repro.workloads import all_workloads, workload_by_name
 
@@ -336,6 +337,38 @@ class TestInvalidation:
             MetricsRegistry.INCR_INVALIDATIONS
         ) > invalidations_before
         # Everything was remapped: nothing could be reused post-stop.
+        assert incr._last_incremental["records_reused"] == 0
+
+    def test_evicted_blocks_are_remapped(self, monkeypatch):
+        """A block store too small for the window evicts element blocks
+        (LRU); the next append remaps them and stays bitwise equal to a
+        cold rerun."""
+        monkeypatch.setattr(session_mod, "_INCR_BLOCK_RECORDS", 128)
+        workload = workload_by_name("tpch6")
+        protected = workload.query.protected_table
+        tables, delta = _grown_tables(workload, 800, 0.05)
+        half = len(delta) // 2
+
+        incr = _session(seed=SMALL_APPEND_SEED)
+        cold = _session(seed=SMALL_APPEND_SEED)
+        incr.engine.block_store = BlockStore(
+            incr.engine.metrics, capacity_blocks=2
+        )
+        tab_i = _fresh_copy(tables, protected)
+        tab_c = _fresh_copy(tables, protected)
+        incr.run(workload.query, tab_i)
+        cold.run(workload.query, tab_c)
+        for part in (delta[:half], delta[half:]):
+            tab_c[protected].extend(part)
+            _assert_results_equal(
+                incr.append(part), cold.run(workload.query, tab_c)
+            )
+        metrics = incr.engine.metrics
+        assert metrics.get(MetricsRegistry.CACHE_EVICTIONS) > 0
+        assert len(incr.engine.block_store) == 2
+        # The window is scanned block by block, so an LRU store two
+        # blocks deep has evicted every block before it is read again:
+        # the second append remapped all of them.
         assert incr._last_incremental["records_reused"] == 0
 
     @pytest.mark.parametrize(

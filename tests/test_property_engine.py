@@ -22,6 +22,20 @@ PAIRS = st.lists(
 )
 
 
+def _add(a, b):
+    return a + b
+
+
+def _append(acc, v):
+    acc.append(v)
+    return acc
+
+
+def _extend(a, b):
+    a.extend(b)
+    return a
+
+
 def make_ctx() -> EngineContext:
     return EngineContext()
 
@@ -56,7 +70,7 @@ class TestReferenceSemantics:
     def test_sum_count_invariant_to_partitioning(self, data, parts):
         ctx = make_ctx()
         rdd = ctx.parallelize(data, parts)
-        assert rdd.sum() == sum(data)
+        assert rdd.aggregate(0, _add, _add) == sum(data)
         assert rdd.count() == len(data)
 
     @given(data=st.lists(st.integers(-50, 50), min_size=1, max_size=60),
@@ -65,8 +79,8 @@ class TestReferenceSemantics:
     def test_reduce_min_max(self, data, parts):
         ctx = make_ctx()
         rdd = ctx.parallelize(data, parts)
-        assert rdd.min() == min(data)
-        assert rdd.max() == max(data)
+        assert rdd.reduce(min) == min(data)
+        assert rdd.reduce(max) == max(data)
 
     @given(data=SMALL_INTS, parts=PARTS)
     @settings(max_examples=40, deadline=None)
@@ -91,8 +105,14 @@ class TestReferenceSemantics:
     @given(data=SMALL_INTS, parts=PARTS)
     @settings(max_examples=40, deadline=None)
     def test_count_by_value_matches_counter(self, data, parts):
+        """COUNT(*) GROUP BY: ``(v, 1)`` pairs summed by key."""
         ctx = make_ctx()
-        out = ctx.parallelize(data, parts).count_by_value()
+        out = dict(
+            ctx.parallelize(data, parts)
+            .map(lambda v: (v, 1))
+            .reduce_by_key(_add)
+            .collect()
+        )
         assert out == dict(Counter(data))
 
 
@@ -115,10 +135,10 @@ class TestKeyValueSemantics:
     @settings(max_examples=40, deadline=None)
     def test_group_by_key_matches_reference(self, pairs, parts):
         ctx = make_ctx()
-        out = {
-            k: sorted(v)
-            for k, v in ctx.parallelize(pairs, parts).group_by_key().collect()
-        }
+        grouped = ctx.parallelize(pairs, parts).combine_by_key(
+            lambda v: [v], _append, _extend
+        )
+        out = {k: sorted(v) for k, v in grouped.collect()}
         expected = defaultdict(list)
         for k, v in pairs:
             expected[k].append(v)
@@ -141,11 +161,22 @@ class TestKeyValueSemantics:
     @given(left=PAIRS, right=PAIRS)
     @settings(max_examples=30, deadline=None)
     def test_semi_anti_partition_left(self, left, right):
+        """The SQL semi/anti join's cogroup split: every left pair lands
+        on exactly one side, by whether the right has its key."""
         ctx = make_ctx()
-        left_rdd = ctx.parallelize(left, 3)
-        right_rdd = ctx.parallelize(right, 3)
-        semi = sorted(left_rdd.semi_join(right_rdd).collect())
-        anti = sorted(left_rdd.anti_join(right_rdd).collect())
+        grouped = ctx.parallelize(left, 3).cogroup(
+            ctx.parallelize(right, 3)
+        )
+        semi = sorted(
+            grouped.flat_map(
+                lambda kvw: ((kvw[0], v) for v in kvw[1][0] if kvw[1][1])
+            ).collect()
+        )
+        anti = sorted(
+            grouped.flat_map(
+                lambda kvw: ((kvw[0], v) for v in kvw[1][0] if not kvw[1][1])
+            ).collect()
+        )
         assert sorted(semi + anti) == sorted(left)
         right_keys = {k for k, _v in right}
         assert all(k in right_keys for k, _v in semi)
@@ -168,7 +199,7 @@ class TestSemanticsUnderFaults:
     @settings(max_examples=30, deadline=None)
     def test_sum_count_match_builtin(self, data, parts, seed):
         rdd = faulty_ctx(seed).parallelize(data, parts)
-        assert rdd.sum() == sum(data)
+        assert rdd.aggregate(0, _add, _add) == sum(data)
         assert rdd.count() == len(data)
 
     @given(data=SMALL_INTS, parts=PARTS, seed=st.integers(0, 99))

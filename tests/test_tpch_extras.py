@@ -99,7 +99,7 @@ class TestExtensionQueries:
                 pytest.fail("non-promo part contributed")
 
 
-class TestReplayAndCheckpoint:
+class TestReplay:
     def test_replay_returns_identical_result(self, tpch_tables):
         from repro.tpch.workload import query_by_name
 
@@ -133,13 +133,3 @@ class TestReplayAndCheckpoint:
         second = session.run(query, neighbour, epsilon=0.5)
         assert second is not first
         assert second.enforcement.matched_prior  # enforcer still fires
-
-    def test_checkpoint_truncates_lineage(self, ctx):
-        rdd = ctx.parallelize(range(20), 4).map(lambda v: v + 1)
-        checkpointed = rdd.checkpoint()
-        assert checkpointed.dependencies == ()
-        assert sorted(checkpointed.collect()) == sorted(rdd.collect())
-
-    def test_checkpoint_preserves_partitioning(self, ctx):
-        rdd = ctx.parallelize(range(20), 4)
-        assert rdd.checkpoint().num_partitions == 4
