@@ -12,8 +12,7 @@ One ``run()`` executes the four phases:
    neighbours combine one extra mapped record with f(x)'s aggregate.
 4. **iDP Enforcement** — :mod:`repro.core.inference` fits the output
    range and local sensitivity; :mod:`repro.core.range_enforcer` runs
-   Algorithm 2; Laplace (or, optionally, Gaussian) noise calibrated to
-   the sensitivity is added.
+   Algorithm 2; Laplace noise calibrated to the sensitivity is added.
 
 Phases 2–3 (:func:`reduce_phase`) and the noise draw
 (:func:`add_noise`) are functions of their inputs, so a release can be
@@ -50,9 +49,11 @@ from repro.core.sampling import (
     partition_and_sample,
     protected_records,
 )
-from repro.core.table import ProtectedTable, TableRegistry
+from repro.core.table import (
+    FixedLists, ProtectedTable, TableReads, TableRegistry,
+)
 from repro.dp.budget import PrivacyAccountant
-from repro.dp.mechanisms import GaussianMechanism, LaplaceMechanism
+from repro.dp.mechanisms import LaplaceMechanism
 from repro.engine.context import EngineContext
 from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.ledger import PrivacyLedger, make_entry
@@ -162,17 +163,10 @@ class UPAConfig:
     inference: InferenceConfig = field(default_factory=InferenceConfig)
     strict: bool = False
     engine_partitions: int = 2
-    #: 'laplace' (paper) or 'gaussian' ((eps, delta)-DP extension; the
-    #: L1 range width is used as a conservative L2 bound).
-    mechanism: str = "laplace"
-    #: delta for the Gaussian mechanism.
-    delta: float = 1e-6
 
     def __post_init__(self) -> None:
         for name in ("sample_size", "engine_partitions"):
             _require_count(getattr(self, name), f"{name} must be an int >= 1")
-        if self.mechanism not in ("laplace", "gaussian"):
-            raise DPError(f"unknown mechanism {self.mechanism!r}")
 
 
 @dataclass
@@ -382,19 +376,15 @@ def reduce_phase(
 
 
 def add_noise(value: Any, sensitivity: float, epsilon: float,
-              config: UPAConfig, seed: int) -> Any:
-    """Noise ``value`` with ``config``'s mechanism, seeded by ``seed``.
+              seed: int) -> Any:
+    """Laplace noise on ``value``, seeded by ``seed``.
 
     A fresh mechanism per release keeps the noise reproducible from the
     seed alone, whatever was drawn before.
     """
-    if config.mechanism == "gaussian":
-        mechanism = GaussianMechanism(
-            epsilon=epsilon, delta=config.delta, seed=seed
-        )
-    else:
-        mechanism = LaplaceMechanism(epsilon=epsilon, seed=seed)
-    return mechanism.randomize(value, sensitivity)
+    return LaplaceMechanism(epsilon=epsilon, seed=seed).randomize(
+        value, sensitivity
+    )
 
 
 #: records per cached ``map_batch`` block.  Blocks use *absolute* record
@@ -591,8 +581,6 @@ class UPASession:
             raise DPError(
                 f"epsilon must be positive and finite, got {epsilon}"
             )
-        if self.config.mechanism == "gaussian":
-            GaussianMechanism.check_parameters(epsilon, self.config.delta)
         # A refused submission must cost nothing: the table is checked
         # before the accountant is charged.
         records = protected_records(query, tables)
@@ -608,7 +596,6 @@ class UPASession:
         with tracer.span(
             "upa.run", query=query.name, epsilon=epsilon,
             sample_size=self.config.sample_size,
-            mechanism=self.config.mechanism,
         ) as run_span:
             # The release's one registry lookup: the replay is found by
             # the table's stored fingerprints.
@@ -621,8 +608,7 @@ class UPASession:
             # Like a release, a replay moves the append cursor.
             self._remember_run(query, tables, table)
             self._record_ledger(
-                query, replayed, epsilon_charged=0.0, delta=0.0,
-                cache_hit=True,
+                query, replayed, epsilon_charged=0.0, cache_hit=True,
             )
             self._observe_release(replayed, 0.0, cache_hit=True)
             return replayed
@@ -641,12 +627,11 @@ class UPASession:
         config = self.config
         tracer = self.tracer
         metrics = self.engine.metrics
-        delta = config.delta if config.mechanism == "gaussian" else 0.0
         if self.accountant is not None:
             # Only asked here; the charge lands once the release is
             # certain, below, so a submission that fails or that RANGE
             # ENFORCER refuses is free.
-            self.accountant.require(epsilon, delta=delta)
+            self.accountant.require(epsilon)
 
         metrics_before = metrics.mark()
 
@@ -665,14 +650,18 @@ class UPASession:
                     # submission (different query or externally mutated
                     # table): run cold and rebuild below.
                     metrics.incr(MetricsRegistry.INCR_INVALIDATIONS)
+                # Besides the protected table, aux and a compiled
+                # plan's scans, a release depends on what the sampler
+                # reads.
+                reads = TableReads(tables)
                 sample = partition_and_sample(
-                    query, tables, config.sample_size, rng,
+                    query, reads, config.sample_size, rng,
                     table=table, tracer=tracer,
                 )
                 sample_span.set_attribute("sampled", sample.sample_size)
                 sample_span.set_attribute("incremental", use_incr)
                 sample_span.set_attribute("registered", registered)
-            aux = self._aux(query, tables)
+            aux, aux_read = self._aux(query, tables)
             premapped = None
             if use_incr:
                 with tracer.span(
@@ -732,7 +721,6 @@ class UPASession:
                 # and it runs before epsilon is charged.
                 noisy = add_noise(
                     enforcement.output, inferred.local_sensitivity, epsilon,
-                    config,
                     derive_seed(config.seed, f"noise-{self._run_counter}"),
                 )
                 noise_span.set_attribute("clamped", enforcement.clamped)
@@ -759,12 +747,11 @@ class UPASession:
         # The release is certain: charge it, move the append cursor,
         # keep it for replay and log it together.
         if self.accountant is not None:
-            self.accountant.charge(epsilon, delta=delta, label=query.name)
+            self.accountant.charge(epsilon, label=query.name)
         self._remember_run(query, tables, table)
-        self._tables.keep(query, tables, table, epsilon, result)
+        self._tables.keep(query, reads, aux_read, table, epsilon, result)
         self._record_ledger(
-            query, result, epsilon_charged=epsilon, delta=delta,
-            cache_hit=False,
+            query, result, epsilon_charged=epsilon, cache_hit=False,
         )
         self._observe_release(result, epsilon, cache_hit=False)
         return result
@@ -887,7 +874,6 @@ class UPASession:
         result: UPAResult,
         *,
         epsilon_charged: float,
-        delta: float,
         cache_hit: bool,
     ) -> None:
         """Append one audit entry for a release (or its replay)."""
@@ -895,7 +881,6 @@ class UPASession:
         self._append_ledger(
             query, result.inferred_range,
             epsilon_charged=epsilon_charged,
-            delta=delta,
             sample_size=result.sample_size,
             local_sensitivity=result.local_sensitivity,
             estimated_local_sensitivity=result.estimated_local_sensitivity,
@@ -923,7 +908,6 @@ class UPASession:
         self._append_ledger(
             query, inferred,
             epsilon_charged=0.0,
-            delta=0.0,
             sample_size=sample_size,
             local_sensitivity=inferred.local_sensitivity,
             estimated_local_sensitivity=estimated_ls,
@@ -948,7 +932,7 @@ class UPASession:
             epsilon=self.config.epsilon,
             sample_size=self.config.sample_size,
             seed=self.config.seed,
-            mechanism=self.config.mechanism,
+            mechanism="laplace",
         ))
         # The CLI pre-fills the header at construction, so these
         # counters must be refreshed on every release, not ensure'd.
@@ -982,7 +966,8 @@ class UPASession:
         ledger.append(make_entry(
             sequence=ledger.next_sequence(),
             query=query.name,
-            mechanism=self.config.mechanism,
+            delta=0.0,
+            mechanism="laplace",
             mean=inferred.mean,
             std=inferred.std,
             lower=inferred.lower,
@@ -1085,8 +1070,9 @@ class UPASession:
             table=table, tracer=self.tracer,
         )
         state = reduce_phase(
-            query, self._aux(query, tables), sample, rng, engine=self.engine,
-            parts=config.engine_partitions, tracer=self.tracer,
+            query, self._aux(query, tables)[0], sample, rng,
+            engine=self.engine, parts=config.engine_partitions,
+            tracer=self.tracer,
         )
         return infer_output_range(
             state.neighbours, state.population, config.inference
@@ -1103,12 +1089,14 @@ class UPASession:
         )
         return table, registered
 
-    def _aux(self, query: MapReduceQuery, tables: Tables) -> Any:
-        """``query``'s aux over ``tables``, kept per public tables."""
-        aux, kept = self._tables.aux(query, tables)
+    def _aux(self, query: MapReduceQuery,
+             tables: Tables) -> Tuple[Any, FixedLists]:
+        """``query``'s aux over ``tables``, kept per the public tables
+        it read, and those tables as they were read."""
+        aux, read, kept = self._tables.aux(query, tables)
         if kept:
             self.engine.metrics.incr(MetricsRegistry.AUX_REUSES)
-        return aux
+        return aux, read
 
     def _remember_run(
         self, query: MapReduceQuery, tables: Tables, table: ProtectedTable,

@@ -421,19 +421,20 @@ def _reads_protected(plan: LogicalPlan, protected: str) -> bool:
 
 
 class _Compiler:
-    def __init__(self, tables: Tables, protected: str):
-        self.tables = tables
+    def __init__(self, tables: Tables, protected: str,
+                 scanned: Sequence[str]):
         self.protected = protected
         # A throwaway SQL session evaluates the static subtrees with the
-        # ordinary (tested) executor.  Broadcast joins are disabled:
-        # the shuffle join's deterministic grouping fixes static row
-        # order, and :class:`_StaticIndex` bucket order decides float
-        # summation order — bitwise golden outputs depend on it.
+        # ordinary (tested) executor, over the tables they scan and no
+        # other.  Broadcast joins are disabled: the shuffle join's
+        # deterministic grouping fixes static row order, and
+        # :class:`_StaticIndex` bucket order decides float summation
+        # order — bitwise golden outputs depend on it.
         from repro.sql.session import SQLSession
 
         self._session = SQLSession(broadcast_join_threshold=0)
-        for name, rows in tables.items():
-            self._session.create_table(name, rows)
+        for name in scanned:
+            self._session.create_table(name, tables[name])
 
     def static_rows(self, plan: LogicalPlan) -> List[Row]:
         return self._session.execute_plan(plan).collect()
@@ -548,7 +549,9 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
     The compiled static structures are built from the tables given at
     compile time; neighbouring datasets may vary the *protected* table
     freely (that is the whole point), but the other tables are fixed —
-    the same assumption every hand-written workload makes.  COUNT/SUM
+    the same assumption every hand-written workload makes.  Which of
+    them a release depends on is ``scanned_tables``: the static tables
+    the plan scans, read when it was compiled.  COUNT/SUM
     reducers are scalar addition, so the fold kernels come from
     :class:`~repro.core.batch.ScalarSumBatch`; ``map_batch`` runs the
     compiled plan over the batch as column blocks, and ``map_record``
@@ -565,9 +568,11 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
         spec: AggregateSpec,
         domain_sampler: Optional[DomainSampler],
         fingerprint: str,
+        scanned_tables: Tuple[str, ...],
     ):
         self.name = name
         self.protected_table = protected_table
+        self.scanned_tables = scanned_tables
         #: what the query computes, as opposed to what it is called: two
         #: queries with equal fingerprints release the same thing.  An
         #: opaque node fingerprints by id(), which a later plan may
@@ -670,13 +675,14 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
 # (sessions, baselines, comparisons) routinely re-invoke compile_sql /
 # compile_plan for the same plan against the same tables.  The expensive
 # parts — static subtree execution and index construction — depend only
-# on the plan shape and the *non-protected* tables, so those are cached
-# here keyed by the canonical plan fingerprint.  Entries hold the
-# static row lists as core.table.FixedLists and a hit requires static
-# lists equal by value to the ones compiled from (DESIGN.md section 5,
-# item 9 — the session keeps build_aux results by the same guard): a
-# recycled id() can never alias a stale entry, and a list a session's
-# append() / retire() grew under another query is compiled again.
+# on the plan shape and the static tables the plan scans, so those are
+# cached here keyed by the canonical plan fingerprint.  Entries hold
+# the scanned lists as core.table.FixedLists and a hit requires them
+# equal by value to the ones compiled from (DESIGN.md section 5, item 9
+# — the session keeps build_aux results by the same guard): a recycled
+# id() can never alias a stale entry, a list a session's append() /
+# retire() grew under another query is compiled again, and a table the
+# plan never scans neither misses nor hits.
 
 _BRIDGE_CACHE_SIZE = 64
 _bridge_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -692,34 +698,28 @@ def _compile_dynamic(
     plan_child: LogicalPlan,
     tables: Tables,
     protected_table: str,
+    scanned: Tuple[str, ...],
     engine=None,
 ) -> _DynamicNode:
     fingerprint = plan_fingerprint(plan_child)
-    static_names = tuple(
-        sorted(name for name in tables if name != protected_table)
-    )
     cacheable = "(opaque" not in fingerprint
     metrics = engine.metrics if engine is not None else None
     if cacheable:
-        key = (fingerprint, protected_table, static_names)
+        key = (fingerprint, protected_table, scanned)
         with _bridge_lock:
             entry = _bridge_cache.get(key)
         if entry is not None:
             dynamic, fixed = entry
-            if fixed.unchanged({n: tables[n] for n in static_names}):
+            if fixed.unchanged(tables):
                 if metrics is not None:
                     metrics.incr(MetricsRegistry.SQL_PLAN_CACHE_HITS)
                 return dynamic
         if metrics is not None:
             metrics.incr(MetricsRegistry.SQL_PLAN_CACHE_MISSES)
-    compiler = _Compiler(tables, protected_table)
-    dynamic = compiler.compile(plan_child)
+    dynamic = _Compiler(tables, protected_table, scanned).compile(plan_child)
     if cacheable:
         with _bridge_lock:
-            _bridge_cache[key] = (
-                dynamic,
-                FixedLists({n: tables[n] for n in static_names}),
-            )
+            _bridge_cache[key] = (dynamic, FixedLists(tables, scanned))
             while len(_bridge_cache) > _BRIDGE_CACHE_SIZE:
                 _bridge_cache.popitem(last=False)
                 if metrics is not None:
@@ -757,10 +757,18 @@ def compile_plan(
             f"the query never reads the protected table "
             f"{protected_table!r}; its sensitivity would be zero"
         )
-    dynamic = _compile_dynamic(child, tables, protected_table, engine)
+    scanned = tuple(sorted(child.base_tables() - {protected_table}))
+    for table_name in scanned:
+        if table_name not in tables:
+            raise AnalysisError(
+                f"unknown table {table_name!r}; registered: {sorted(tables)}"
+            )
+    dynamic = _compile_dynamic(
+        child, tables, protected_table, scanned, engine,
+    )
     return CompiledSQLQuery(
         name, protected_table, dynamic, aggregate.aggregates[0],
-        domain_sampler, plan_fingerprint(plan),
+        domain_sampler, plan_fingerprint(plan), scanned,
     )
 
 

@@ -7,10 +7,12 @@ partition id, the typed column buffers the hash builds — is derived
 once, when a session first sees the table, and kept on a
 :class:`ProtectedTable`.  A session's :class:`TableRegistry` finds the
 table again on the next submission of the same list, keeps what
-``query.build_aux`` computed from the unchanged public tables, and
-keeps the releases made from the tables it holds, so that an identical
+``query.build_aux`` computed from the public tables it read, and keeps
+the releases made from the tables it holds, so that an identical
 resubmission is answered by replaying its release (DESIGN.md section
-5, item 10).
+5, item 10).  What a release depends on is what it read: a
+:class:`TableReads` records the names ``build_aux`` and the domain
+sampler look up, and a table nothing read may change freely.
 
 Tables are values for the life of a session (DESIGN.md section 5,
 item 9): a registered list changes only through :meth:`append` and
@@ -23,7 +25,10 @@ derived again.  :class:`FixedLists` is that guard for public tables.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -144,38 +149,87 @@ class ProtectedTable:
                 self.buffers[key] = buffer[count:]
 
 
+class TableReads(Mapping):
+    """``tables`` as one release sees them: the names it reads.
+
+    ``[]``, ``get`` and ``in`` record the name asked for, found or not
+    (a sampler's ``tables.get("customer", [])`` depends on the table
+    being absent); iterating or sizing the mapping records every name,
+    and that the set of names itself was read (``listed``).
+    """
+
+    __slots__ = ("tables", "names", "listed")
+
+    def __init__(self, tables: Tables):
+        self.tables = tables
+        self.names: Set[str] = set()
+        self.listed = False
+
+    def __getitem__(self, name: str) -> Any:
+        self.names.add(name)
+        return self.tables[name]
+
+    def __iter__(self) -> Iterator[str]:
+        self._list()
+        return iter(self.tables)
+
+    def __len__(self) -> int:
+        self._list()
+        return len(self.tables)
+
+    def _list(self) -> None:
+        self.names.update(self.tables)
+        self.listed = True
+
+
+#: what :class:`FixedLists` holds for a name that was read and absent.
+_ABSENT = object()
+
+
 class FixedLists:
     """Named public row lists as they were when something was computed
-    from them: a shallow copy of each.
+    from them: a shallow copy of each, or that it was absent.
 
     One list is public to one query and protected under another, so a
     session's own ``append()`` / ``retire()`` move it in place; object
     identity alone would keep serving what was computed before.
     """
 
-    __slots__ = ("_lists",)
+    __slots__ = ("_lists", "_names")
 
-    def __init__(self, lists: Mapping[str, Sequence[Row]]):
-        self._lists = {name: rows[:] for name, rows in lists.items()}
+    def __init__(self, tables: Mapping[str, Sequence[Row]],
+                 names: Iterable[str],
+                 kept: Optional["FixedLists"] = None,
+                 listed: bool = False):
+        """``kept``'s copies, and a copy of each of ``tables``' lists
+        ``names`` that ``kept`` does not hold; ``listed`` (or ``kept``
+        holding it) also fixes the set of names in ``tables``."""
+        self._lists = dict(kept._lists) if kept is not None else {}
+        self._names = (
+            frozenset(tables) if listed
+            else kept._names if kept is not None else None
+        )
+        for name in names:
+            if name not in self._lists:
+                self._lists[name] = (
+                    tables[name][:] if name in tables else _ABSENT
+                )
 
-    def unchanged(self, lists: Mapping[str, Sequence[Row]]) -> bool:
-        """True iff ``lists`` equal the copies by value.
+    def unchanged(self, tables: Mapping[str, Sequence[Row]]) -> bool:
+        """True iff each held name is in ``tables`` equal to its copy by
+        value, or absent from it as before, and the set of names is the
+        one fixed, if one was; other names are not looked at.
 
         List equality compares pointers before contents, so the same
         list, or a new one holding the same row objects, costs a
         pointer walk (as in :meth:`ProtectedTable.matches`).
         """
-        seen = self._lists
-        return lists.keys() == seen.keys() and all(
-            lists[name] == copy for name, copy in seen.items()
+        if self._names is not None and tables.keys() != self._names:
+            return False
+        return all(
+            tables.get(name, _ABSENT) == copy
+            for name, copy in self._lists.items()
         )
-
-
-def _public(query: MapReduceQuery, tables: Tables) -> Dict[str, Any]:
-    return {
-        name: rows for name, rows in tables.items()
-        if name != query.protected_table
-    }
 
 
 def _identity(query: MapReduceQuery, epsilon: float) -> Tuple[Any, float]:
@@ -189,11 +243,11 @@ class TableRegistry:
 
     def __init__(self) -> None:
         self._tables: List[ProtectedTable] = []
-        #: (query, its public tables, what build_aux returned from them).
+        #: (query, the public tables build_aux read, what it returned).
         self._aux: List[Tuple[MapReduceQuery, FixedLists, Any]] = []
         #: dataset print -> (query identity, epsilon) -> (the public
-        #: tables, the release made from them); only the prints of the
-        #: tables held in ``_tables`` are kept.
+        #: tables read, the release made from them); only the prints of
+        #: the tables held in ``_tables`` are kept.
         self._answers: Dict[
             Tuple[int, int], Dict[Tuple[Any, float], Tuple[FixedLists, Any]]
         ] = {}
@@ -227,24 +281,29 @@ class TableRegistry:
         table.retire(count)
         self._prune()
 
-    def aux(self, query: MapReduceQuery, tables: Tables) -> Tuple[Any, bool]:
-        """``query.build_aux(tables)``, and whether it was a kept one.
+    def aux(self, query: MapReduceQuery,
+            tables: Tables) -> Tuple[Any, FixedLists, bool]:
+        """``query.build_aux(tables)``, the public lists it read, and
+        whether it was a kept one.
 
-        Aux is a function of the public tables unless the query
-        declares ``aux_reads_protected``, so the same query over equal
-        public tables gets the same aux.
+        Aux is a function of the public tables ``build_aux`` reads
+        unless the query declares ``aux_reads_protected``, so the same
+        query over those tables, equal, gets the same aux.
         """
-        if query.aux_reads_protected:
-            return query.build_aux(tables), False
-        public = _public(query, tables)
-        for i, (seen_query, fixed, aux) in enumerate(self._aux):
-            if seen_query is query and fixed.unchanged(public):
-                self._aux.append(self._aux.pop(i))
-                return aux, True
-        aux = query.build_aux(tables)
-        self._aux.append((query, FixedLists(public), aux))
-        del self._aux[:-REGISTRY_BOUND]
-        return aux, False
+        keepable = not query.aux_reads_protected
+        if keepable:
+            for i, (seen_query, fixed, aux) in enumerate(self._aux):
+                if seen_query is query and fixed.unchanged(tables):
+                    self._aux.append(self._aux.pop(i))
+                    return aux, fixed, True
+        reads = TableReads(tables)
+        aux = query.build_aux(reads)
+        reads.names.discard(query.protected_table)
+        fixed = FixedLists(tables, reads.names, listed=reads.listed)
+        if keepable:
+            self._aux.append((query, fixed, aux))
+            del self._aux[:-REGISTRY_BOUND]
+        return aux, fixed, False
 
     def replay(self, query: MapReduceQuery, tables: Tables,
                table: ProtectedTable, epsilon: float) -> Optional[Any]:
@@ -252,34 +311,32 @@ class TableRegistry:
 
         Identical means the same query (the object, or the
         ``plan_fingerprint`` of compiled SQL), the same ``epsilon``,
-        ``table``'s content and public tables equal to the ones the
-        release read.
+        ``table``'s content and the public tables the release read
+        equal to what they were; a table it did not read may differ.
         """
         kept = self._answers.get(table.dataset_print(), {}).get(
             _identity(query, epsilon)
         )
-        if kept is not None and kept[0].unchanged(_public(query, tables)):
+        if kept is not None and kept[0].unchanged(tables):
             return kept[1]
         return None
 
-    def keep(self, query: MapReduceQuery, tables: Tables,
-             table: ProtectedTable, epsilon: float, release: Any) -> None:
-        """Remember ``release`` for :meth:`replay`.
-
-        The public tables are snapshotted once per release: the kept
-        aux entry the release read them through already holds them.
+    def keep(self, query: MapReduceQuery, reads: TableReads,
+             aux_read: FixedLists, table: ProtectedTable, epsilon: float,
+             release: Any) -> None:
+        """Remember ``release`` for :meth:`replay`, with the public
+        tables it read: what ``build_aux`` read (``aux_read``, whose
+        copies are reused), what the sampler read through ``reads`` and
+        what a compiled plan scanned when it was compiled.
         """
-        public = _public(query, tables)
-        fixed = next(
-            (
-                fixed for seen, fixed, _aux in reversed(self._aux)
-                if seen is query and fixed.unchanged(public)
-            ),
-            None,
-        ) or FixedLists(public)
+        names = reads.names.union(getattr(query, "scanned_tables", ()))
+        names.discard(query.protected_table)
         self._answers.setdefault(table.dataset_print(), {})[
             _identity(query, epsilon)
-        ] = (fixed, release)
+        ] = (
+            FixedLists(reads.tables, names, aux_read, listed=reads.listed),
+            release,
+        )
 
     def _prune(self) -> None:
         held = {table.dataset_print() for table in self._tables}

@@ -1,16 +1,15 @@
-"""Differential-privacy foundations: mechanisms, sensitivity, budget.
+"""Differential-privacy foundations: mechanism, sensitivity, budget.
 
-These are the textbook building blocks UPA composes: Laplace/Gaussian
-noise calibrated to a sensitivity value, and an epsilon accountant with
+These are the textbook building blocks UPA composes: Laplace noise
+calibrated to a sensitivity value, and an epsilon accountant with
 sequential composition.
 """
 
 from repro.dp.budget import PrivacyAccountant
-from repro.dp.mechanisms import GaussianMechanism, LaplaceMechanism, laplace_noise
+from repro.dp.mechanisms import LaplaceMechanism, laplace_noise
 from repro.dp.sensitivity import SensitivityEstimate
 
 __all__ = [
-    "GaussianMechanism",
     "LaplaceMechanism",
     "PrivacyAccountant",
     "SensitivityEstimate",

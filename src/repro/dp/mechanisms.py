@@ -1,15 +1,12 @@
-"""Noise mechanisms.
+"""The noise mechanism.
 
-UPA uses the Laplace mechanism (paper, Algorithm 1 output line); the
-Gaussian mechanism is included as an extension for (epsilon, delta)
-accounting.  All mechanisms accept scalar or vector outputs; vectors
-are noised per-coordinate with the sensitivity interpreted as an
-L1 bound (Laplace) or L2 bound (Gaussian).
+UPA uses the Laplace mechanism (paper, Algorithm 1 output line).  It
+accepts scalar or vector outputs; vectors are noised per coordinate
+with the sensitivity interpreted as an L1 bound.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Union
 
 import numpy as np
@@ -59,38 +56,3 @@ class LaplaceMechanism:
             return float(value) + float(laplace_noise(b, rng=self._rng))
         array = np.asarray(value, dtype=float)
         return array + laplace_noise(b, size=array.shape[0], rng=self._rng)
-
-
-class GaussianMechanism:
-    """(epsilon, delta)-DP Gaussian mechanism (analytic classic form).
-
-    sigma = sensitivity * sqrt(2 ln(1.25/delta)) / epsilon, valid for
-    epsilon in (0, 1).
-    """
-
-    def __init__(self, epsilon: float, delta: float, seed: Optional[int] = None):
-        self.check_parameters(epsilon, delta)
-        self.epsilon = epsilon
-        self.delta = delta
-        self._rng = make_numpy_rng(seed, "gaussian-mechanism")
-
-    @staticmethod
-    def check_parameters(epsilon: float, delta: float) -> None:
-        """Raise :class:`DPError` unless (epsilon, delta) is valid here."""
-        if not 0 < epsilon < 1:
-            raise DPError(f"Gaussian mechanism requires 0 < epsilon < 1, got {epsilon}")
-        if not 0 < delta < 1:
-            raise DPError(f"delta must be in (0, 1), got {delta}")
-
-    def sigma(self, sensitivity: float) -> float:
-        if sensitivity < 0:
-            raise DPError(f"sensitivity must be non-negative, got {sensitivity}")
-        return sensitivity * math.sqrt(2.0 * math.log(1.25 / self.delta)) / self.epsilon
-
-    def randomize(self, value: ArrayLike, sensitivity: float) -> ArrayLike:
-        """Add Gaussian noise calibrated to an L2 ``sensitivity``."""
-        sigma = self.sigma(sensitivity)
-        if np.isscalar(value):
-            return float(value) + float(self._rng.normal(0.0, sigma))
-        array = np.asarray(value, dtype=float)
-        return array + self._rng.normal(0.0, sigma, size=array.shape[0])

@@ -162,6 +162,16 @@ class TestRejections:
         with pytest.raises(QueryShapeError):
             compile_sql("SELECT COUNT(DISTINCT v) AS n FROM t", tables, "t")
 
+    def test_a_scanned_table_missing_from_tables(self, tables):
+        session = SQLSession()
+        for name, rows in tables.items():
+            session.create_table(name, rows)
+        plan = session.sql(
+            "SELECT COUNT(*) AS n FROM t, d WHERE g = k"
+        ).plan
+        with pytest.raises(AnalysisError, match="unknown table 'd'"):
+            compile_plan(plan, {"t": tables["t"]}, "t")
+
 
 class TestAgainstHandWrittenQueries:
     @pytest.mark.parametrize("handwritten", all_queries(), ids=lambda q: q.name)
@@ -503,6 +513,48 @@ class TestCompileCacheGuardsItsStaticLists:
         )
         assert again.plain_output[0] == 9862
         assert session.engine.metrics.get("sql.plan_cache.hits") == hits + 1
+
+
+    TEXT = "SELECT COUNT(*) AS n FROM a, b WHERE k = bk"
+
+    def _tables(self):
+        return {
+            "a": [{"k": i % 7, "v": float(i)} for i in range(300)],
+            "b": [{"bk": i % 7, "w": float(i)} for i in range(200)],
+            "c": [{"ck": i} for i in range(50)],
+        }
+
+    def _compiles(self, first, second):
+        """Hits and misses of compiling TEXT over ``first``, then over
+        ``second``."""
+        from repro.core import sqlbridge
+        from repro.engine.context import EngineContext
+
+        sqlbridge.clear_bridge_cache()
+        engine = EngineContext()
+        compile_sql(self.TEXT, first, "a", engine=engine)
+        query = compile_sql(self.TEXT, second, "a", engine=engine)
+        assert query.scanned_tables == ("b",)
+        metrics = engine.metrics
+        return (
+            metrics.get(MetricsRegistry.SQL_PLAN_CACHE_HITS),
+            metrics.get(MetricsRegistry.SQL_PLAN_CACHE_MISSES),
+        )
+
+    def test_an_extra_list_hits(self):
+        """The key held every non-protected name, so one more table in
+        the dict recompiled and re-ran the static subtree."""
+        tables = self._tables()
+        extra = {**tables, "e": [{"x": 1}]}
+        assert self._compiles(tables, extra) == (1, 1)
+
+    def test_a_change_to_an_unscanned_list_hits(self):
+        tables = self._tables()
+        changed = {**tables, "c": tables["c"][:-1]}
+        assert self._compiles(tables, changed) == (1, 1)
+        # ... and a change to the scanned one still misses.
+        grown = {**tables, "b": tables["b"] + [{"bk": 1, "w": 0.5}]}
+        assert self._compiles(tables, grown) == (0, 2)
 
 
 class TestReplayIdentity:

@@ -168,7 +168,9 @@ class TestTableRegistry:
 class TestFixedLists:
     def test_unchanged_means_equal_by_value(self):
         orders, parts = _rows(0, 6), _rows(0, 3)
-        fixed = FixedLists({"orders": orders, "parts": parts})
+        fixed = FixedLists(
+            {"orders": orders, "parts": parts}, ("orders", "parts"),
+        )
         assert fixed.unchanged({"orders": orders, "parts": parts})
         assert not fixed.unchanged({"orders": orders})
         # a new list of the same rows, or of equal copies of them
@@ -681,6 +683,162 @@ class TestReplay:
             query, {**generated, "lineitem": list(x["lineitem"])}, 0.5,
         )
         _assert_identical(appended, cold, "append after a replay")
+
+
+class _SpyList(list):
+    """A row list that counts the comparisons made with it."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.compared = 0
+
+    def __eq__(self, other):
+        self.compared += 1
+        return super().__eq__(other)
+
+    __hash__ = None
+
+
+class TestReadScope:
+    """A release depends on the public tables it read: what
+    ``build_aux`` and the domain sampler looked up, and what a compiled
+    plan scanned.  Only those are compared on a replay."""
+
+    def _session(self):
+        return UPASession(
+            UPAConfig(sample_size=SAMPLE, seed=SEED), ledger=PrivacyLedger(),
+        )
+
+    def _x(self):
+        # tpch13 protects customer and reads orders; lineitem is unread.
+        return workload_by_name("tpch13").make_tables(1000, SEED)
+
+    def test_an_unread_public_list_may_change(self):
+        query = workload_by_name("tpch13").query
+        x = self._x()
+        accountant = PrivacyAccountant(total_epsilon=10.0)
+        session = UPASession(
+            UPAConfig(sample_size=SAMPLE, seed=SEED),
+            accountant=accountant, ledger=PrivacyLedger(),
+        )
+        first = session.run(query, x, 0.5)
+        changed = {
+            **x, "lineitem": x["lineitem"][::-1][:10], "extra": [{"e": 1}],
+        }
+        assert session.run(query, changed, 0.5) is first
+        assert accountant.spent()[0] == pytest.approx(0.5)
+        assert [
+            (entry.cache_hit, entry.epsilon_charged)
+            for entry in session.ledger.entries()
+        ] == [(False, 0.5), (True, 0.0)]
+
+    def test_a_read_public_list_grown_in_place_re_releases(self):
+        query = workload_by_name("tpch13").query
+        x = self._x()
+        session = self._session()
+        first = session.run(query, x, 0.5)
+        customers = {row["c_custkey"] for row in x["customer"]}
+        counted = next(
+            order for order in x["orders"]
+            if order["o_custkey"] in customers
+            and query.build_aux({"orders": [order]}).order_counts
+        )
+        x["orders"].append(dict(counted, o_orderkey=10**9))
+        again = session.run(query, x, 0.5)
+        assert again is not first
+        assert not session.ledger.entries()[-1].cache_hit
+        assert again.plain_output[0] == first.plain_output[0] + 1
+
+    def test_a_table_probed_absent_then_added_re_releases(self):
+        """tpch4's sampler draws o_custkey from ``tables.get("customer",
+        [])``: the release depends on customer being absent."""
+        workload = workload_by_name("tpch4")
+        generated = workload.make_tables(1000, SEED)
+        x = {
+            name: rows for name, rows in generated.items()
+            if name != "customer"
+        }
+        session = self._session()
+        first = session.run(workload.query, x, 0.5)
+        assert session.run(workload.query, dict(x), 0.5) is first
+        x["customer"] = generated["customer"]
+        assert session.run(workload.query, x, 0.5) is not first
+        assert session.engine.metrics.get(
+            MetricsRegistry.RELEASE_REPLAYS
+        ) == 1
+
+    def test_listing_the_tables_reads_their_names(self, monkeypatch):
+        """Iterating ``tables`` reads the set of names too: a table
+        added afterwards rebuilds aux and re-releases."""
+        query = workload_by_name("tpch13").query
+        real = type(query).build_aux
+        calls = []
+
+        def listing(self, tables):
+            calls.append(sorted(tables))
+            return real(self, tables)
+
+        monkeypatch.setattr(type(query), "build_aux", listing)
+        x = self._x()
+        session = self._session()
+        first = session.run(query, x, 0.5)
+        assert session.run(query, dict(x), 0.5) is first
+        assert session.run(query, {**x, "extra": []}, 0.5) is not first
+        assert len(calls) == 2
+        assert session.engine.metrics.get(MetricsRegistry.AUX_REUSES) == 0
+
+    def test_compiled_sql_depends_on_the_tables_it_scans(self):
+        text = "SELECT COUNT(*) AS n FROM a, b WHERE k = bk"
+        x = {
+            "a": [{"k": i % 7, "v": float(i)} for i in range(300)],
+            "b": [{"bk": i % 7, "w": float(i)} for i in range(200)],
+            "c": [{"ck": i} for i in range(50)],
+        }
+        session = self._session()
+
+        def release(tables):
+            return session.run_sql(
+                text, tables, "a", epsilon=0.5,
+                domain_sampler=lambda rng, _tables: {
+                    "k": rng.randrange(7), "v": rng.random(),
+                },
+            )
+
+        first = release(x)
+        assert release({**x, "c": x["c"][:10]}) is first
+        grown = release({**x, "b": x["b"] + [{"bk": 3, "w": 0.5}]})
+        assert grown is not first
+        assert grown.plain_output[0] == first.plain_output[0] + 43
+
+    def test_a_replay_never_compares_an_unread_list(self):
+        query = workload_by_name("tpch13").query
+        x = self._x()
+        x["lineitem"] = _SpyList(x["lineitem"])
+        x["orders"] = _SpyList(x["orders"])
+        session = self._session()
+        first = session.run(query, x, 0.5)
+        for _ in range(3):
+            assert session.run(query, x, 0.5) is first
+        assert x["lineitem"].compared == 0
+        assert x["orders"].compared == 3
+
+    def test_kmeans_rebuilds_aux_on_every_release(self, monkeypatch):
+        """kmeans' aux reads its protected table, so it is never kept;
+        a replay builds nothing, and reads no public table."""
+        workload = workload_by_name("kmeans")
+        tables = workload.make_tables(400, SEED)
+        calls = _count_build_aux(monkeypatch, workload.query)
+        session = self._session()
+        first = session.run(workload.query, tables, 0.5)
+        session.run(workload.query, tables, 0.6)
+        minus = {**tables, "points": tables["points"][:-1]}
+        session.run(workload.query, minus, 0.5)
+        assert len(calls) == 3
+        assert session.run(
+            workload.query, {**tables, "other": [{"o": 1}]}, 0.5,
+        ) is first
+        assert len(calls) == 3
+        assert session.engine.metrics.get(MetricsRegistry.AUX_REUSES) == 0
 
 
 class TestObservability:

@@ -8,7 +8,6 @@ import pytest
 
 from repro.common.errors import DPError, PrivacyBudgetExceeded
 from repro.dp import (
-    GaussianMechanism,
     LaplaceMechanism,
     PrivacyAccountant,
     SensitivityEstimate,
@@ -65,29 +64,6 @@ class TestLaplace:
             [loose.randomize(0.0, 1.0) for _ in range(500)]
         )
         assert loose_spread > 50 * tight_spread
-
-
-class TestGaussian:
-    def test_sigma_formula(self):
-        mech = GaussianMechanism(0.5, 1e-5)
-        expected = 1.0 * math.sqrt(2 * math.log(1.25 / 1e-5)) / 0.5
-        assert mech.sigma(1.0) == pytest.approx(expected)
-
-    def test_epsilon_range_enforced(self):
-        with pytest.raises(DPError):
-            GaussianMechanism(1.5, 1e-5)
-        with pytest.raises(DPError):
-            GaussianMechanism(0.5, 0.0)
-
-    def test_vector_randomize(self):
-        mech = GaussianMechanism(0.5, 1e-5, seed=1)
-        out = mech.randomize(np.ones(3), 1.0)
-        assert out.shape == (3,)
-
-    def test_scalar_randomize_deterministic(self):
-        a = GaussianMechanism(0.5, 1e-5, seed=9).randomize(1.0, 1.0)
-        b = GaussianMechanism(0.5, 1e-5, seed=9).randomize(1.0, 1.0)
-        assert a == b
 
 
 class TestAccountant:

@@ -134,6 +134,49 @@ class TestTinyDatasets:
         assert result.noisy_scalar() == result.raw_output[0]
 
 
+class TestNoiselessRelease:
+    """tpch21's x - r* has f = 0 and an inferred local sensitivity of 0,
+    so its release carries no noise: an output of exactly 0.0 tells x
+    - r* from x, which releases 1 + Lap(10).  r* is the record whose
+    removal moves f most."""
+
+    EPSILON = 0.1
+
+    @pytest.fixture(scope="class")
+    def minus_extreme(self):
+        from repro.workloads import workload_by_name
+
+        workload = workload_by_name("tpch21")
+        query = workload.query
+        tables = workload.make_tables(2000, 3)
+        rows = tables[query.protected_table]
+        f = query.output(tables)[0]
+        moves = [
+            abs(query.output_without(tables, i)[0] - f)
+            for i in range(len(rows))
+        ]
+        extreme = int(np.argmax(moves))
+        minus = {
+            **tables,
+            query.protected_table: rows[:extreme] + rows[extreme + 1:],
+        }
+        return query, minus, extreme
+
+    def test_the_extreme_record_is_found_by_brute_force(self, minus_extreme):
+        query, minus, extreme = minus_extreme
+        assert extreme == 27
+        assert query.output(minus)[0] == 0.0
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(b)")
+    @pytest.mark.parametrize("seed", [3, 17, 99])
+    def test_a_release_is_never_noiseless(self, minus_extreme, seed):
+        query, minus, _extreme = minus_extreme
+        result = UPASession(UPAConfig(seed=seed)).run(
+            query, minus, epsilon=self.EPSILON,
+        )
+        assert not np.array_equal(result.noisy_output, result.raw_output)
+
+
 class TestSamplingBoundaries:
     @pytest.mark.parametrize("size", [0, -1, True, False, 10.0, "10", None])
     def test_sample_size_is_checked_when_the_config_is_built(self, size):

@@ -58,7 +58,7 @@ def _release_without_session(query, tables, seed, epsilon):
     partition_outputs = state.partition_outputs()
     enforcement = enforcer.enforce(state, inferred)
     noisy = add_noise(
-        enforcement.output, inferred.local_sensitivity, epsilon, config,
+        enforcement.output, inferred.local_sensitivity, epsilon,
         derive_seed(seed, "noise-1"),
     )
     return sample, {

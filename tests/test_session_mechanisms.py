@@ -1,9 +1,8 @@
-"""Tests for the mechanism choice in UPASession (Laplace vs Gaussian)."""
+"""Tests for UPASession's noise mechanism: Laplace, charged at delta 0."""
 
-import numpy as np
 import pytest
 
-from repro.common.errors import DPError, PrivacyBudgetExceeded
+from repro.common.errors import DPError
 from repro.core import UPAConfig, UPASession
 from repro.dp import PrivacyAccountant
 from repro.obs.ledger import PrivacyLedger
@@ -18,34 +17,11 @@ def tables():
 
 
 class TestMechanismChoice:
-    def test_invalid_mechanism_rejected(self):
-        with pytest.raises(DPError):
-            UPAConfig(mechanism="exponential")
-
-    def test_gaussian_runs(self, tables):
-        session = UPASession(
-            UPAConfig(sample_size=60, seed=1, mechanism="gaussian",
-                      delta=1e-6)
-        )
-        result = session.run(query_by_name("tpch1"), tables, epsilon=0.5)
-        assert np.isfinite(result.noisy_scalar())
-
-    def test_gaussian_charges_delta(self, tables):
-        accountant = PrivacyAccountant(total_epsilon=1.0, total_delta=1.5e-6)
-        session = UPASession(
-            UPAConfig(sample_size=60, seed=1, mechanism="gaussian",
-                      delta=1e-6),
-            accountant=accountant,
-        )
-        query = query_by_name("tpch1")
-        session.run(query, tables, epsilon=0.3)
-        _eps, delta = accountant.spent()
-        assert delta == pytest.approx(1e-6)
-        # A neighbour is a fresh release (an identical resubmission
-        # would replay for free): its delta no longer fits.
-        neighbour = {**tables, "lineitem": tables["lineitem"][:-1]}
-        with pytest.raises(PrivacyBudgetExceeded):
-            session.run(query, neighbour, epsilon=0.3)
+    def test_config_has_no_mechanism_choice(self):
+        with pytest.raises(TypeError):
+            UPAConfig(mechanism="gaussian")
+        with pytest.raises(TypeError):
+            UPAConfig(delta=1e-6)
 
     def test_laplace_charges_no_delta(self, tables):
         accountant = PrivacyAccountant(total_epsilon=1.0, total_delta=0.0)
@@ -55,56 +31,38 @@ class TestMechanismChoice:
         session.run(query_by_name("tpch1"), tables, epsilon=0.3)
         assert accountant.spent()[1] == 0.0
 
-    def test_noise_reproducible_per_mechanism(self, tables):
-        def release(mechanism):
-            session = UPASession(
-                UPAConfig(sample_size=60, seed=9, mechanism=mechanism)
-            )
+    def test_noise_reproducible_from_the_seed(self, tables):
+        def release(seed):
+            session = UPASession(UPAConfig(sample_size=60, seed=seed))
             return session.run(
                 query_by_name("tpch1"), tables, epsilon=0.5
             ).noisy_scalar()
 
-        assert release("laplace") == release("laplace")
-        assert release("gaussian") == release("gaussian")
-        assert release("laplace") != release("gaussian")
+        assert release(9) == release(9)
+        assert release(9) != release(10)
 
-    def test_gaussian_epsilon_must_be_subunit(self, tables):
-        session = UPASession(
-            UPAConfig(sample_size=60, seed=1, mechanism="gaussian")
-        )
-        with pytest.raises(DPError):
-            session.run(query_by_name("tpch1"), tables, epsilon=2.0)
-
-    @pytest.mark.parametrize("epsilon, delta, message", [
-        (1.5, 1e-6, "0 < epsilon < 1"),
-        (1.0, 1e-6, "0 < epsilon < 1"),
-        (0.5, 0.0, "delta must be in"),
-        (0.5, 1.0, "delta must be in"),
+    @pytest.mark.parametrize("epsilon", [
+        0.0, -0.5, float("nan"), float("inf"),
     ])
-    def test_invalid_gaussian_release_charges_nothing(
-        self, epsilon, delta, message
-    ):
-        """The Gaussian parameters are checked before the accountant is
-        asked, so a release the mechanism rejects spends no epsilon or
-        delta and leaves no ledger row."""
+    def test_invalid_release_charges_nothing(self, epsilon):
+        """epsilon is checked before the accountant is asked, so a
+        release the session rejects spends nothing and leaves no ledger
+        row."""
         workload = workload_by_name("tpch6")
-        accountant = PrivacyAccountant(10.0, 1e-3)
+        accountant = PrivacyAccountant(10.0)
         ledger = PrivacyLedger()
         session = UPASession(
-            UPAConfig(mechanism="gaussian", delta=delta, sample_size=200,
-                      seed=77),
+            UPAConfig(sample_size=200, seed=77),
             accountant=accountant, ledger=ledger,
         )
-        with pytest.raises(DPError, match=message):
+        with pytest.raises(DPError, match="positive and finite"):
             session.run(workload.query, workload.make_tables(4000, 11),
                         epsilon=epsilon)
         assert accountant.spent() == (0.0, 0.0)
         assert len(ledger) == 0
 
     @pytest.mark.parametrize("step", ["append", "retire"])
-    def test_invalid_gaussian_incremental_release_charges_nothing(
-        self, step
-    ):
+    def test_invalid_incremental_release_charges_nothing(self, step):
         """append() and retire() answer through run(), so the same check
         guards them: only the valid first release is charged."""
         workload = workload_by_name("tpch6")
@@ -112,19 +70,18 @@ class TestMechanismChoice:
         rows = tables["lineitem"]
         held = rows[-40:]
         del rows[-40:]
-        accountant = PrivacyAccountant(10.0, 1e-3)
+        accountant = PrivacyAccountant(10.0)
         ledger = PrivacyLedger()
         session = UPASession(
-            UPAConfig(mechanism="gaussian", delta=1e-6, sample_size=200,
-                      seed=77),
+            UPAConfig(sample_size=200, seed=77),
             accountant=accountant, ledger=ledger,
         )
         session.run(workload.query, tables, epsilon=0.5)
-        with pytest.raises(DPError, match="0 < epsilon < 1"):
+        with pytest.raises(DPError, match="positive and finite"):
             if step == "append":
-                session.append(held, epsilon=1.5)
+                session.append(held, epsilon=-1.0)
             else:
-                session.retire(40, epsilon=1.5)
-        assert accountant.spent() == (0.5, 1e-6)
+                session.retire(40, epsilon=-1.0)
+        assert accountant.spent() == (0.5, 0.0)
         assert len(ledger) == 1
         assert ledger.totals()["epsilon_charged"] == 0.5
