@@ -16,7 +16,6 @@ Public surface:
 """
 
 from repro._version import __version__
-from repro.common.release import declassify
 from repro.core import MapReduceQuery, UPAConfig, UPAResult, UPASession
 from repro.core.dpobject import DPObject, DPObjectKV, dpread
 from repro.engine import EngineContext
@@ -31,7 +30,6 @@ __all__ = [
     "UPAConfig",
     "UPAResult",
     "UPASession",
-    "declassify",
     "dpread",
     "__version__",
 ]

@@ -76,9 +76,8 @@ def flex_fragment_reason(plan: LogicalPlan) -> Optional[str]:
     Runs the same structural checks as :func:`flex_local_sensitivity`
     (single global COUNT, Scan/Filter/Project/Join operators,
     raw-column join keys rooted in base tables) but without column
-    metadata, so it needs no data.  The static analyzer's UPA103
-    cross-check uses this to keep every workload's declared
-    ``flex_supported`` flag honest.
+    metadata, so it needs no data.  ``tests/test_tpch.py`` checks every
+    TPC-H query's declared ``flex_supported`` flag against it.
     """
     try:
         aggregate = _find_count_aggregate(plan)

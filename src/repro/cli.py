@@ -13,9 +13,6 @@ Commands:
 * ``serve`` — stand up the live-monitoring endpoints over artifacts
   written by an earlier run (the ledger is replayed through the alert
   rules, so ``/healthz`` reflects what would have fired).
-* ``lint`` — the upalint static analyzer: query purity, plan
-  stability, and budget-flow diagnostics over the built-in workloads
-  and/or analyst scripts; exits non-zero on error-severity findings.
 
 Observability is opt-in and documented in ``docs/observability.md``:
 ``--trace`` writes a Chrome trace-event JSON (load in
@@ -149,38 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--duration", type=float, default=None, metavar="SECONDS",
         help="serve this long then exit (default: until ctrl-c)",
-    )
-
-    lint = sub.add_parser(
-        "lint",
-        help="static safety analysis (query purity, plan stability, "
-        "budget flow)",
-    )
-    lint.add_argument(
-        "paths", nargs="*",
-        help="Python files/directories for the budget-flow and taint "
-        "passes (e.g. examples/)",
-    )
-    lint.add_argument(
-        "--workload", action="append", dest="workloads", metavar="NAME",
-        help="lint only this workload (repeatable; default: all nine)",
-    )
-    lint.add_argument(
-        "--no-workloads", action="store_true",
-        help="skip the built-in workload registry",
-    )
-    lint.add_argument(
-        "--json", action="store_true",
-        help="machine-readable output (one JSON document)",
-    )
-    lint.add_argument(
-        "--exclude", action="append", default=[], metavar="PATH",
-        help="skip this file/directory in the script passes "
-        "(repeatable; e.g. deliberately-leaky lint fixtures)",
-    )
-    lint.add_argument(
-        "--quiet", action="store_true",
-        help="drop info-severity diagnostics (from --json output too)",
     )
     return parser
 
@@ -507,60 +472,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    import os
-
-    from repro.staticcheck import Severity, run_lint
-    from repro.workloads import all_workloads
-
-    # Usage errors (typo'd workload, missing path, nothing selected)
-    # must not silently lint nothing and exit 0 — CI would never notice.
-    if args.no_workloads and args.workloads:
-        print(
-            "repro lint: --workload and --no-workloads contradict each "
-            "other",
-            file=sys.stderr,
-        )
-        return 2
-    if args.no_workloads and not args.paths:
-        print(
-            "repro lint: nothing to lint: --no-workloads needs at least "
-            "one path",
-            file=sys.stderr,
-        )
-        return 2
-    if args.workloads:
-        known = {w.name for w in all_workloads()}
-        unknown = [n for n in args.workloads if n not in known]
-        if unknown:
-            print(
-                f"repro lint: unknown workload(s) {', '.join(unknown)}; "
-                f"available: {', '.join(sorted(known))}",
-                file=sys.stderr,
-            )
-            return 2
-    for path in args.paths:
-        if not os.path.exists(path):
-            print(f"repro lint: path does not exist: {path}", file=sys.stderr)
-            return 2
-        if not os.path.isdir(path) and not path.endswith(".py"):
-            print(
-                f"repro lint: not a directory or .py file: {path}",
-                file=sys.stderr,
-            )
-            return 2
-
-    report = run_lint(
-        workloads=not args.no_workloads,
-        workload_names=args.workloads,
-        paths=args.paths,
-        min_severity=Severity.WARNING if args.quiet else Severity.INFO,
-        exclude=args.exclude,
-    )
-    print(report.render(as_json=args.json))
-    return report.exit_code
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -576,8 +487,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_report(args)
         if args.command == "serve":
             return _cmd_serve(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
     except BrokenPipeError:  # e.g. `repro list | head`
         return 0
     return 1  # pragma: no cover

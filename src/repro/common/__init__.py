@@ -15,7 +15,6 @@ from repro.common.errors import (
     ReproError,
     SQLError,
 )
-from repro.common.release import declassify
 from repro.common.rng import derive_seed, make_rng
 from repro.common.timing import Timer
 
@@ -28,7 +27,6 @@ __all__ = [
     "ReproError",
     "SQLError",
     "Timer",
-    "declassify",
     "derive_seed",
     "make_rng",
 ]

@@ -71,14 +71,3 @@ class FlexUnsupportedError(DPError):
 class QueryShapeError(DPError):
     """A query does not expose the Mapper/Reducer decomposition UPA needs."""
 
-
-class StaticAnalysisError(DPError):
-    """The static analyzer (upalint) found error-severity diagnostics.
-
-    Raised by strict-mode sessions at query registration; carries the
-    diagnostics so callers can render or log them.
-    """
-
-    def __init__(self, message: str, diagnostics=()):
-        super().__init__(message)
-        self.diagnostics = list(diagnostics)

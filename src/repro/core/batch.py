@@ -17,8 +17,8 @@ released outputs flow through these folds, so the kernels reproduce the
 *same association order* as the scalar path (``np.cumsum`` accumulates
 sequentially, exactly like the Python prefix/suffix loops).  The
 batched results are therefore bitwise-identical for sum monoids — the
-golden-regression seeds do not move — and ``validate_monoid`` plus the
-UPA010 lint guard the contract for third-party kernels.
+golden-regression seeds do not move — and ``validate_monoid`` guards
+the contract for third-party kernels.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ whatever lookup structures the mapper needs from them.
 
 from __future__ import annotations
 
+import copy
 import functools
 import random
 from typing import Any, Callable, Dict, Iterable, List, Sequence
@@ -35,8 +36,7 @@ Row = Dict[str, Any]
 Tables = Dict[str, List[Row]]
 
 #: the batched-protocol methods a query may override with vectorized
-#: kernels.  ``overrides_batch_kernels`` and the upalint purity pass
-#: both key off this tuple.
+#: kernels; ``overrides_batch_kernels`` keys off this tuple.
 BATCH_METHODS = (
     "map_batch",
     "prefix_suffix_batch",
@@ -49,9 +49,8 @@ BATCH_METHODS = (
 def overrides_batch_kernels(query_or_cls: Any) -> bool:
     """True when the class overrides any batched-protocol method.
 
-    Used by ``validate_monoid`` (to decide whether the batch kernels
-    need a cross-check against the scalar monoid) and by the static
-    analyzer.
+    Used by ``validate_monoid`` to decide whether the batch kernels
+    need a cross-check against the scalar monoid.
     """
     cls = query_or_cls if isinstance(query_or_cls, type) else type(query_or_cls)
     return any(
@@ -149,26 +148,6 @@ class MapReduceQuery:
     protected_table: str = ""
     #: dimension of the finalized output vector.
     output_dim: int = 1
-    #: declare True when build_aux legitimately reads the protected
-    #: table (the query's semantics must stay linear in it — document
-    #: why).  The static analyzer (repro.staticcheck) downgrades its
-    #: UPA005 finding to info for declared queries.
-    aux_reads_protected: bool = False
-
-    @property
-    def incremental_safe(self) -> bool:
-        """Whether mapped elements may be cached across appends.
-
-        The incremental session path (``UPASession.append``) reuses
-        ``map_record`` outputs from earlier releases.  That is sound
-        only when aux — the other mapper input — is unchanged by a data
-        change, i.e. when ``build_aux`` never reads the protected
-        table.  Queries declaring ``aux_reads_protected`` still work
-        with ``append`` but are re-mapped in full every release.  The
-        monoid-purity preconditions (no captured mutable state in
-        ``map``/``combine``) are checked statically by upalint's UPA015.
-        """
-        return not self.aux_reads_protected
 
     # ------------------------------------------------------------------
     # Monoid interface
@@ -177,8 +156,10 @@ class MapReduceQuery:
     def build_aux(self, tables: Tables) -> Any:
         """Precompute lookup structures from the non-protected tables.
 
-        Must not read the protected table unless the query's semantics
-        are still linear in it (document any such use).
+        A session keeps the result per the public tables it read.  An
+        aux that reads the protected table is rebuilt, and every record
+        mapped again, on each release; the query's semantics must stay
+        linear in that table (document any such use).
         """
         return None
 
@@ -226,8 +207,7 @@ class MapReduceQuery:
     # **row-stable** — element i depends on record i alone, bit for
     # bit, because the session maps one record under several batch
     # boundaries (engine slices, cached blocks, S) and releases must
-    # not depend on which (guarded by ``validate_monoid`` and upalint's
-    # UPA010).
+    # not depend on which (guarded by ``validate_monoid``).
 
     def map_batch(self, records: Sequence[Row], aux: Any) -> Any:
         """Mapper over a record sequence -> batch of monoid elements."""
@@ -395,18 +375,44 @@ class MapReduceQuery:
 
     def validate_monoid(self, tables: Tables, sample: int = 16,
                         seed: int = 0) -> None:
-        """Assert commutativity/associativity on sampled elements.
+        """Check, by running them, what a release assumes of the methods.
 
-        Cheap sanity check used by tests and by UPASession in strict
-        mode: folds a sample of mapped records in shuffled orders and
-        groupings and compares results.
+        Used by tests and by UPASession in strict mode.  On a sample of
+        the protected records: the scalar monoid is implemented (the
+        batch kernels are checked against it); a record mapped twice
+        gives the same element, bit for bit, since the reduce reuses one
+        element across neighbours and releases; ``combine`` leaves its
+        right argument as it was; and folds in shuffled orders and
+        groupings agree.  Overridden batch kernels are then checked
+        against the scalar path.  Raises QueryShapeError.
         """
+        for method in ("map_record", "zero", "combine", "finalize"):
+            if getattr(type(self), method) is getattr(MapReduceQuery, method):
+                raise QueryShapeError(
+                    f"query {self.name!r}: {method} is not implemented "
+                    "(the batch kernels are checked against it)"
+                )
         aux = self.build_aux(tables)
         records = tables[self.protected_table]
         rng = random.Random(seed)
         chosen = records if len(records) <= sample else rng.sample(records, sample)
         elements = [self.map_record(r, aux) for r in chosen]
-        baseline = self.finalize(self.fold(elements), aux)
+        again = [self.map_record(r, aux) for r in chosen]
+        if not all(map(_same_bits, elements, again)):
+            raise QueryShapeError(
+                f"query {self.name!r}: map_record is not deterministic "
+                "(a record mapped twice gave two elements)"
+            )
+        acc = self.zero()
+        for element in elements:
+            kept = copy.deepcopy(element)
+            acc = self.combine(acc, element)
+            if not _same_bits(element, kept):
+                raise QueryShapeError(
+                    f"query {self.name!r}: combine wrote into its right "
+                    "argument, a mapped element the reduce reuses"
+                )
+        baseline = self.finalize(acc, aux)
         shuffled = list(elements)
         rng.shuffle(shuffled)
         commuted = self.finalize(self.fold(shuffled), aux)
@@ -426,15 +432,31 @@ class MapReduceQuery:
         if overrides_batch_kernels(self):
             self._validate_batch_kernels(chosen, aux)
 
+    def _same_batch(self, a: Any, b: Any) -> bool:
+        """Two batches hold the same elements, bit for bit."""
+        return self.batch_length(a) == self.batch_length(b) and all(
+            map(_same_bits, self.iter_batch(a), self.iter_batch(b))
+        )
+
+    def _require_unwritten(self, batch: Any, kept: Any, kernel: str) -> None:
+        if not self._same_batch(batch, kept):
+            raise QueryShapeError(
+                f"query {self.name!r}: {kernel} wrote into the batch it "
+                "was given, a mapped batch the reduce reuses"
+            )
+
     def _validate_batch_kernels(self, records: List[Row], aux: Any) -> None:
         """Cross-check overridden batch kernels against the scalar path.
 
         The scalar reference is the base-class default implementation
         (which loops over map_record/combine/finalize), so a subclass
         kernel that diverges from its own scalar monoid is caught here
-        even when both are internally consistent.  ``map_batch`` is
-        also checked for row stability: each element must equal, bit
-        for bit, the one its record maps to in a batch of its own.
+        even when both are internally consistent.  ``map_batch`` must
+        give the same batch when run twice, and be row-stable: each
+        element equals, bit for bit, the one its record maps to in a
+        batch of its own.  ``fold_batch``, ``prefix_suffix_batch`` and
+        ``combine_batch`` must leave the batch they are given as it was,
+        because the session hands them one mapped batch after another.
         """
         base = MapReduceQuery
         batch = self.map_batch(records, aux)
@@ -445,6 +467,11 @@ class MapReduceQuery:
                 f"query {self.name!r}: map_batch returned {n} elements "
                 f"for {len(ref_batch)} records"
             )
+        if not self._same_batch(batch, self.map_batch(records, aux)):
+            raise QueryShapeError(
+                f"query {self.name!r}: map_batch is not deterministic "
+                "(a batch mapped twice gave two batches)"
+            )
         for record, element in zip(records, self.iter_batch(batch)):
             (alone,) = self.iter_batch(self.map_batch([record], aux))
             if not _same_bits(element, alone):
@@ -452,7 +479,15 @@ class MapReduceQuery:
                     f"query {self.name!r}: map_batch is not row-stable "
                     "(an element depends on the records mapped with it)"
                 )
-        total = self.finalize(self.fold_batch(batch), aux)
+        kept = copy.deepcopy(batch)
+        folded = self.fold_batch(batch)
+        self._require_unwritten(batch, kept, "fold_batch")
+        leave_one_out = self.prefix_suffix_batch(batch)
+        self._require_unwritten(batch, kept, "prefix_suffix_batch")
+        # A non-zero aggregate: ``elements += 0.0`` would hide a write.
+        self.combine_batch(folded, batch)
+        self._require_unwritten(batch, kept, "combine_batch")
+        total = self.finalize(folded, aux)
         ref_total = self.finalize(base.fold_batch(self, ref_batch), aux)
         if not np.allclose(total, ref_total):
             raise QueryShapeError(
@@ -460,8 +495,7 @@ class MapReduceQuery:
                 "with the scalar map_record/fold path"
             )
         loo = self.finalize_batch(
-            self.combine_batch(self.zero(), self.prefix_suffix_batch(batch)),
-            aux,
+            self.combine_batch(self.zero(), leave_one_out), aux,
         )
         ref_loo = base.finalize_batch(
             self,

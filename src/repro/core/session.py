@@ -148,11 +148,9 @@ class UPAConfig:
         sample_size: n, the number of sampled differing records (1000).
         seed: master seed (sampling, noise, enforcement randomness).
         inference: sensitivity-inference knobs.
-        strict: the full pre-registration gate — runs validate_monoid
-            on every submission and the upalint purity pass
-            (repro.staticcheck) the first time each query class is
-            submitted; error-severity diagnostics raise
-            StaticAnalysisError before any budget is spent.
+        strict: run ``validate_monoid`` on every submission: a query
+            whose mapper or reducer fails it raises QueryShapeError
+            before any budget is spent.
         engine_partitions: parallelism for map/reduce jobs per dataset
             partition (an int >= 1).
     """
@@ -408,7 +406,7 @@ class _IncrementalState:
 
     __slots__ = (
         "query", "tables", "table", "base_offset", "cache_rdd_id",
-        "stop_generation", "block_records", "primed",
+        "stop_generation", "block_records", "primed", "aux",
     )
 
     def __init__(
@@ -433,6 +431,8 @@ class _IncrementalState:
         #: calls stay on the cold path so their cost profile is
         #: unchanged.
         self.primed = False
+        #: the aux the cached blocks were mapped under.
+        self.aux: Any = None
 
     def matches(self, query: MapReduceQuery, tables: Tables,
                 table: ProtectedTable) -> bool:
@@ -492,8 +492,6 @@ class UPASession:
         #: stats of the last release's incremental phase (None when the
         #: release ran cold); surfaced through the ledger header.
         self._last_incremental: Optional[dict] = None
-        #: query classes already cleared by the strict-mode static gate.
-        self._lint_cleared: set = set()
         #: alert engine wired by serve() (or attach_alerts()); None
         #: until then.
         self.alert_engine = None
@@ -585,7 +583,6 @@ class UPASession:
         # before the accountant is charged.
         records = protected_records(query, tables)
         if self.config.strict:
-            self._static_gate(query)
             query.validate_monoid(tables)
         tracer = self.tracer
         if tracer.enabled and self.engine.tracer is NULL_TRACER:
@@ -661,14 +658,14 @@ class UPASession:
                 sample_span.set_attribute("sampled", sample.sample_size)
                 sample_span.set_attribute("incremental", use_incr)
                 sample_span.set_attribute("registered", registered)
-            aux, aux_read = self._aux(query, tables)
+            aux, aux_read, aux_public = self._aux(query, tables)
             premapped = None
             if use_incr:
                 with tracer.span(
                     "phase:incremental_delta", query=query.name,
                 ) as delta_span:
                     premapped, stats = self._incremental_elements(
-                        incr, query, aux, sample
+                        incr, query, aux, aux_public, sample
                     )
                     self._last_incremental = stats
                     for key, value in stats.items():
@@ -772,9 +769,8 @@ class UPASession:
         to re-running the query cold over the grown table.  What the
         incremental path saves is recomputation — cached content-hash
         partition ids and ``map_batch`` blocks mean only the appended
-        records are fingerprinted and mapped (for queries with
-        ``incremental_safe``; others recompute elements but still skip
-        nothing else of the pipeline).
+        records are fingerprinted and mapped (when ``build_aux`` read no
+        protected row; otherwise every element is mapped again).
         """
         incr = self._require_incremental("append")
         new_records = list(records)
@@ -977,39 +973,6 @@ class UPASession:
             **fields,
         ))
 
-    def _static_gate(self, query: MapReduceQuery) -> None:
-        """Strict mode: upalint's purity + taint passes at registration.
-
-        Runs once per (query class, name); error-severity diagnostics
-        abort the submission before any budget is charged.  Imported
-        lazily — the analyzer depends on nothing in this module, but
-        sessions should not pay its import cost unless strict.
-        """
-        key = (type(query).__module__, type(query).__qualname__,
-               query.name)
-        if key in self._lint_cleared:
-            return
-        from repro.common.errors import StaticAnalysisError
-        from repro.staticcheck import (
-            Severity,
-            check_query,
-            check_query_taint,
-            render_text,
-        )
-
-        diagnostics = check_query(query)
-        diagnostics.extend(check_query_taint(query))
-        errors = [
-            d for d in diagnostics if d.severity == Severity.ERROR
-        ]
-        if errors:
-            raise StaticAnalysisError(
-                f"query {query.name!r} failed static analysis "
-                f"({len(errors)} error(s)):\n{render_text(errors)}",
-                errors,
-            )
-        self._lint_cleared.add(key)
-
     def run_sql(
         self,
         sql_text: str,
@@ -1090,13 +1053,14 @@ class UPASession:
         return table, registered
 
     def _aux(self, query: MapReduceQuery,
-             tables: Tables) -> Tuple[Any, FixedLists]:
+             tables: Tables) -> Tuple[Any, FixedLists, bool]:
         """``query``'s aux over ``tables``, kept per the public tables
-        it read, and those tables as they were read."""
-        aux, read, kept = self._tables.aux(query, tables)
+        it read, those tables as they were read, and whether it read
+        only public tables."""
+        aux, read, kept, public = self._tables.aux(query, tables)
         if kept:
             self.engine.metrics.incr(MetricsRegistry.AUX_REUSES)
-        return aux, read
+        return aux, read, public
 
     def _remember_run(
         self, query: MapReduceQuery, tables: Tables, table: ProtectedTable,
@@ -1121,6 +1085,7 @@ class UPASession:
         incr: "_IncrementalState",
         query: MapReduceQuery,
         aux: Any,
+        cacheable: bool,
         sample: PartitionedSample,
     ) -> Tuple[Tuple[Tuple[List[Any], List[Any]], Any], dict]:
         """Assemble the mapped batches of S' and S from cached blocks.
@@ -1135,20 +1100,24 @@ class UPASession:
         Blocks live in the engine's block store, keyed by ``(cache
         namespace, absolute block index)``; ``stop()`` clears the store,
         so a block is never read across a stop and is remapped instead.
-        Only ``incremental_safe`` queries reuse blocks; others (aux
-        reads the protected table, so old elements may be wrong under
-        the new aux) remap everything each release, which still yields
-        the bitwise-identical answer, just without the speedup.
+        Blocks are reused only when ``cacheable`` (aux read no protected
+        row) and were mapped under this same ``aux``.  Otherwise (old elements may be wrong under the new aux)
+        everything is remapped each release, which still yields the
+        bitwise-identical answer, just without the speedup.
         """
         engine = self.engine
         metrics = engine.metrics
         store = engine.block_store
         records = incr.table.rows
-        cacheable = query.incremental_safe
         generation = engine.stop_generation
         if incr.stop_generation not in (None, generation):
             metrics.incr(MetricsRegistry.INCR_INVALIDATIONS)
         incr.stop_generation = generation
+        if cacheable and incr.aux is not aux:
+            # A public table build_aux read has changed since the
+            # blocks were mapped: they describe another aux.
+            store.evict_rdd(incr.cache_rdd_id)
+            incr.aux = aux
         base = incr.base_offset
         total = len(records)
         size = incr.block_records

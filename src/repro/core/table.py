@@ -282,28 +282,28 @@ class TableRegistry:
         self._prune()
 
     def aux(self, query: MapReduceQuery,
-            tables: Tables) -> Tuple[Any, FixedLists, bool]:
-        """``query.build_aux(tables)``, the public lists it read, and
-        whether it was a kept one.
+            tables: Tables) -> Tuple[Any, FixedLists, bool, bool]:
+        """``query.build_aux(tables)``, the public lists it read, whether
+        it was a kept one, and whether it read only public lists.
 
-        Aux is a function of the public tables ``build_aux`` reads
-        unless the query declares ``aux_reads_protected``, so the same
-        query over those tables, equal, gets the same aux.
+        Aux is a function of the public tables ``build_aux`` reads, so
+        the same query over those tables, equal, gets the same aux.  An
+        aux that read the protected table (iterating ``tables`` reads
+        every name) moves with the protected rows and is not kept.
         """
-        keepable = not query.aux_reads_protected
-        if keepable:
-            for i, (seen_query, fixed, aux) in enumerate(self._aux):
-                if seen_query is query and fixed.unchanged(tables):
-                    self._aux.append(self._aux.pop(i))
-                    return aux, fixed, True
+        for i, (seen_query, fixed, aux) in enumerate(self._aux):
+            if seen_query is query and fixed.unchanged(tables):
+                self._aux.append(self._aux.pop(i))
+                return aux, fixed, True, True
         reads = TableReads(tables)
         aux = query.build_aux(reads)
+        public = query.protected_table not in reads.names
         reads.names.discard(query.protected_table)
         fixed = FixedLists(tables, reads.names, listed=reads.listed)
-        if keepable:
+        if public:
             self._aux.append((query, fixed, aux))
             del self._aux[:-REGISTRY_BOUND]
-        return aux, fixed, False
+        return aux, fixed, False, public
 
     def replay(self, query: MapReduceQuery, tables: Tables,
                table: ProtectedTable, epsilon: float) -> Optional[Any]:

@@ -33,10 +33,6 @@ class KMeansQuery(MapReduceQuery):
     protected_table = "points"
     query_type = "ml"
     flex_supported = False
-    # build_aux's deterministic center init scans the points table; the
-    # output stays linear in records (each contributes to one cluster),
-    # see the build_aux comment.  Acknowledged for upalint's UPA005.
-    aux_reads_protected = True
 
     def __init__(
         self,

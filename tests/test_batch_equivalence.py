@@ -5,17 +5,17 @@ The batched kernels (``map_batch`` / ``prefix_suffix_batch`` /
 performance overlay — every value they produce must match what the
 scalar monoid methods produce, element for element.  These tests check
 that property for all nine shipped workloads (7 TPC-H + KMeans +
-Linear Regression) plus Logistic Regression and a sqlbridge-compiled
-query, across batch sizes including the empty batch, and then compare
-two full UPA sessions — one batched, one forced through the scalar
-defaults — end to end.
+Linear Regression) plus a sqlbridge-compiled query, across batch sizes
+including the empty batch, and then compare two full UPA sessions — one
+batched, one forced through the scalar defaults — end to end.
 
 Phase 2 maps and folds S' through the same kernels, one call per engine
 slice (cold) or per cached block (``append``/``retire``), so the file
 also pins what that rests on: ``map_batch`` is row-stable, the
 structural helpers round-trip, an empty slice folds to ``zero()``, and
 every slice's partial aggregate equals the scalar fold of its records
-bit for bit.
+bit for bit.  ``TestValidateMonoid`` hands ``validate_monoid`` queries
+that each break one thing the reuse of mapped elements rests on.
 """
 
 from __future__ import annotations
@@ -36,13 +36,14 @@ from repro.core.query import BATCH_METHODS, MapReduceQuery, Tables
 from repro.core.sampling import partition_and_sample
 from repro.core.session import UPAConfig, UPASession
 from repro.core.sqlbridge import compile_sql
+from repro.core.table import TableReads
+from repro.dp import PrivacyAccountant
 from repro.mining import (
     KMeansQuery,
     LifeScienceConfig,
     LinearRegressionQuery,
     make_life_science_tables,
 )
-from repro.mining.logreg import LogisticRegressionQuery
 from repro.tpch import TPCHConfig, TPCHGenerator
 from repro.tpch.queries import base as samplers
 from repro.tpch.workload import all_queries as tpch_queries
@@ -71,7 +72,6 @@ def _all_queries(tpch_tables: Tables, ml_tables: Tables
     ]
     pairs.append((KMeansQuery(num_clusters=3, dim=4), ml_tables))
     pairs.append((LinearRegressionQuery(dim=4), ml_tables))
-    pairs.append((LogisticRegressionQuery(dim=4), ml_tables))
     return pairs
 
 
@@ -277,7 +277,6 @@ class TestSessionEquivalence:
         for query in (
             KMeansQuery(num_clusters=2, dim=3),
             LinearRegressionQuery(dim=3),
-            LogisticRegressionQuery(dim=3),
         ):
             batched, scalar = self._run_pair(query, ml_tables)
             np.testing.assert_allclose(
@@ -337,10 +336,6 @@ class TestRowStability:
         weights = np.random.default_rng(5).normal(size=5)
         pairs.append(
             (LinearRegressionQuery(dim=4, initial_weights=weights), ml_tables)
-        )
-        pairs.append(
-            (LogisticRegressionQuery(dim=4, initial_weights=weights),
-             ml_tables)
         )
         # A compiled plan: each customer's orders are summed by
         # np.bincount, whose slots must not feel their neighbours.
@@ -581,7 +576,11 @@ class TestSlicedPhase2:
         assert stats["records_mapped"] + stats["records_reused"] == len(
             tables[protected]
         )
-        if workload.query.incremental_safe:
+        reads = TableReads(tables)
+        workload.query.build_aux(reads)
+        if protected in reads.names:  # kmeans: aux moves with the rows
+            assert stats["records_reused"] == 0
+        else:
             assert stats["records_mapped"] == 0  # retire maps nothing
 
     @pytest.mark.parametrize("parts", PARTS)
@@ -735,3 +734,203 @@ class TestViewsMapLikeRows:
             assert _bits(getattr(appended, field)) == _bits(
                 getattr(rerun, field)
             ), field
+
+
+class _CountQuery(MapReduceQuery):
+    """A well-behaved count over ``t``; each fixture below breaks one
+    thing a release assumes of it."""
+
+    name = "count"
+    protected_table = "t"
+    output_dim = 1
+
+    def map_record(self, record, aux):
+        return 1.0
+
+    def zero(self):
+        return 0.0
+
+    def combine(self, a, b):
+        return a + b
+
+    def finalize(self, agg, aux):
+        return np.asarray([float(agg)], dtype=float)
+
+    def sample_domain_record(self, rng, tables):
+        return {"v": float(rng.randrange(10))}
+
+
+class _RandomMapper(_CountQuery):
+    refusal = "map_record is not deterministic"
+
+    def map_record(self, record, aux):
+        return random.random()
+
+
+#: the captured state ``_CapturedStateMapper`` mutates.
+_SEEN: list = []
+
+
+class _CapturedStateMapper(_CountQuery):
+    refusal = "map_record is not deterministic"
+
+    def map_record(self, record, aux):
+        _SEEN.append(record)
+        return float(len(_SEEN))
+
+
+#: the captured dict ``_CapturedDictMapper`` writes into.
+_COUNTS: dict = {}
+
+
+class _CapturedDictMapper(_CountQuery):
+    refusal = "map_record is not deterministic"
+
+    def map_record(self, record, aux):
+        key = record["v"]
+        _COUNTS[key] = _COUNTS.get(key, 0) + 1
+        return float(_COUNTS[key])
+
+
+class _MutableDefaultMapper(_CountQuery):
+    refusal = "map_record is not deterministic"
+
+    def map_record(self, record, aux, _seen=[]):  # noqa: B006
+        _seen.append(record)
+        return float(len(_seen))
+
+
+class _WritesRightOperand(_CountQuery):
+    refusal = "combine wrote into its right argument"
+
+    def map_record(self, record, aux):
+        return [1.0]
+
+    def zero(self):
+        return [0.0]
+
+    def combine(self, a, b):
+        b.extend(a)
+        return b
+
+    def finalize(self, agg, aux):
+        return np.asarray([float(sum(agg))], dtype=float)
+
+
+class _NonCommutative(_CountQuery):
+    refusal = "not commutative"
+
+    def map_record(self, record, aux):
+        return float(record["v"])
+
+    def combine(self, a, b):
+        return 2.0 * a + b
+
+
+class _ArrayBatches(_CountQuery):
+    """Batch kernels with their scalar partners, on float arrays."""
+
+    def map_batch(self, records, aux):
+        return np.ones(len(records), dtype=float)
+
+
+class _NoisyMapBatch(_ArrayBatches):
+    refusal = "map_batch is not deterministic"
+
+    def map_batch(self, records, aux):
+        return np.full(len(records), random.random())
+
+
+class _FoldsInPlace(_ArrayBatches):
+    refusal = "fold_batch wrote into the batch"
+
+    def fold_batch(self, elements):
+        if len(elements) == 0:
+            return 0.0
+        return float(np.cumsum(elements, out=elements)[-1])
+
+
+class _LeavesOneOutInPlace(_ArrayBatches):
+    refusal = "prefix_suffix_batch wrote into the batch"
+
+    def prefix_suffix_batch(self, elements):
+        return np.subtract(np.sum(elements), elements, out=elements)
+
+
+class _CombinesInPlace(_ArrayBatches):
+    refusal = "combine_batch wrote into the batch"
+
+    def combine_batch(self, agg, elements):
+        elements += agg
+        return elements
+
+
+class _OrphanMapBatch(MapReduceQuery):
+    """``map_batch`` without the ``map_record`` it is checked against."""
+
+    name = "orphan"
+    protected_table = "t"
+    refusal = "map_record is not implemented"
+
+    def zero(self):
+        return 0.0
+
+    def combine(self, a, b):
+        return a + b
+
+    def finalize(self, agg, aux):
+        return np.asarray([float(agg)], dtype=float)
+
+    def map_batch(self, records, aux):
+        return np.ones(len(records), dtype=float)
+
+
+def _tiny_tables() -> Tables:
+    return {"t": [{"v": float(i)} for i in range(8)]}
+
+
+class TestValidateMonoid:
+    """validate_monoid runs the query and refuses what a release cannot
+    reuse: each fixture is one such query."""
+
+    @pytest.mark.parametrize("fixture", [
+        _RandomMapper, _CapturedStateMapper, _CapturedDictMapper,
+        _MutableDefaultMapper, _NoisyMapBatch,
+        _WritesRightOperand, _NonCommutative, _FoldsInPlace,
+        _LeavesOneOutInPlace, _CombinesInPlace, _OrphanMapBatch,
+    ], ids=lambda fixture: fixture.__name__.strip("_"))
+    def test_rejects(self, fixture):
+        with pytest.raises(QueryShapeError, match=fixture.refusal):
+            fixture().validate_monoid(_tiny_tables())
+
+    def test_clean_fixtures_pass(self):
+        for query in (_CountQuery(), _ArrayBatches()):
+            query.validate_monoid(_tiny_tables())
+
+    def test_strict_gate_rejects_impure_query_before_spend(self):
+        acct = PrivacyAccountant(total_epsilon=1.0)
+        session = UPASession(
+            UPAConfig(sample_size=4, seed=0, strict=True), accountant=acct
+        )
+        with pytest.raises(QueryShapeError, match="not deterministic"):
+            session.run(_RandomMapper(), _tiny_tables(), epsilon=0.5)
+        assert acct.spent() == (0.0, 0.0)  # rejected before charging
+
+    def test_strict_gate_runs_validate_monoid(self):
+        class RuntimeNonCommutative(_CountQuery):
+            name = "sneaky"
+
+            def map_record(self, record, aux):
+                return float(record["v"])
+
+            def combine(self, a, b):
+                return a + b * 0.5
+
+        session = UPASession(UPAConfig(sample_size=4, seed=0, strict=True))
+        with pytest.raises(QueryShapeError):
+            session.run(RuntimeNonCommutative(), _tiny_tables(), epsilon=0.5)
+
+    def test_strict_mode_passes_clean_query(self):
+        session = UPASession(UPAConfig(sample_size=4, seed=0, strict=True))
+        result = session.run(_CountQuery(), _tiny_tables(), epsilon=0.5)
+        assert result.plain_output[0] == 8.0

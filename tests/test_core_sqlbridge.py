@@ -89,6 +89,18 @@ class TestCompileBasics:
         expected = sum(1 for i in range(30) if (i % 3) * 10 > 5)
         assert query.output(tables)[0] == expected
 
+    @pytest.mark.parametrize("text, protected", [
+        ("SELECT COUNT(*) AS n FROM t", "t"),
+        ("SELECT COUNT(*) AS n FROM t WHERE v >= 10", "t"),
+        ("SELECT SUM(v * 2) AS s FROM t WHERE g = 0", "t"),
+        ("SELECT COUNT(*) AS n FROM t, d WHERE g = k AND w > 5", "t"),
+        ("SELECT COUNT(*) AS n FROM t, d WHERE g = k", "d"),
+        ("SELECT COUNT(*) AS n FROM t WHERE EXISTS "
+         "(SELECT * FROM d WHERE d.k = t.g AND d.w > 5)", "t"),
+    ])
+    def test_validate_monoid_passes(self, tables, text, protected):
+        compile_sql(text, tables, protected).validate_monoid(tables)
+
     def test_domain_sampler_used(self, tables):
         query = compile_sql(
             "SELECT COUNT(*) AS n FROM t", tables, "t",
@@ -142,6 +154,17 @@ class TestRejections:
         with pytest.raises(QueryShapeError):
             compile_plan(joined.plan, tables, "t")
 
+    def test_distinct_and_union_on_the_protected_path_rejected(self, tables):
+        session = SQLSession()
+        session.create_table("t", tables["t"])
+        frame = session.table("t")
+        for plan in (
+            frame.distinct().agg(count_star("n")).plan,
+            frame.union_all(frame).agg(count_star("n")).plan,
+        ):
+            with pytest.raises(QueryShapeError):
+                compile_plan(plan, tables, "t")
+
     def test_exists_over_protected_rejected(self, tables):
         with pytest.raises(QueryShapeError):
             compile_sql(
@@ -192,6 +215,7 @@ class TestAgainstHandWrittenQueries:
         assert compiled.output(tpch_tables)[0] == pytest.approx(
             handwritten.output(tpch_tables)[0]
         )
+        compiled.validate_monoid(tpch_tables)
 
     def test_run_sql_end_to_end(self, tpch_tables):
         from repro.tpch.queries.base import random_lineitem
@@ -380,6 +404,10 @@ class TestBatchEvaluator:
             )
             for layout, batch in _layouts(query, tables).items():
                 _assert_batch_is_the_rows(query, batch, (shape, layout))
+
+    def test_validate_monoid_passes_every_shape(self, tables, session):
+        for shape, frame in _shapes(session).items():
+            compile_plan(frame.plan, tables, "t").validate_monoid(tables)
 
     def test_output_is_the_plain_sql_answer(self, tables, session):
         for shape, frame in _shapes(session).items():

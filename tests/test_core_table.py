@@ -18,11 +18,13 @@ import pytest
 import repro.core.sampling as sampling_mod
 import repro.core.session as session_mod
 from repro.common.errors import DPError, PrivacyBudgetExceeded
+from repro.core.query import MapReduceQuery
 from repro.core.session import UPAConfig, UPAResult, UPASession
 from repro.core.table import (
     REGISTRY_BOUND,
     FixedLists,
     ProtectedTable,
+    TableReads,
     TableRegistry,
 )
 from repro.dp.budget import PrivacyAccountant
@@ -302,10 +304,13 @@ class TestHitIsMiss:
         cold = miss.engine.metrics
         assert cold.get(MetricsRegistry.TABLE_REGISTRATIONS) == len(steps)
         assert cold.get(MetricsRegistry.TABLE_REUSES) == 0
-        # Aux is kept per public tables, compared by value.
+        # Aux is kept per public tables, compared by value, unless it
+        # read the protected table (kmeans).
+        reads = TableReads(x)
+        query.build_aux(reads)
         for session_metrics in (metrics, cold):
             assert session_metrics.get(MetricsRegistry.AUX_REUSES) == (
-                0 if query.aux_reads_protected else len(steps) - 1
+                0 if protected in reads.names else len(steps) - 1
             )
 
 
@@ -393,8 +398,10 @@ class TestAuxIsKeptPerPublicTables:
         self, monkeypatch
     ):
         workload = workload_by_name("kmeans")
-        assert workload.query.aux_reads_protected
         tables = workload.make_tables(400, SEED)
+        reads = TableReads(tables)
+        workload.query.build_aux(reads)
+        assert "points" in reads.names
         calls = _count_build_aux(monkeypatch, workload.query)
         session = self._session()
         for epsilon in (0.5, 0.6, 0.7):
@@ -699,6 +706,32 @@ class _SpyList(list):
     __hash__ = None
 
 
+class _MeanQuery(MapReduceQuery):
+    """The mean of ``t.v``: each record contributes ``v / |t|``, so aux
+    reads the protected table, and nothing says so."""
+
+    name = "mean"
+    protected_table = "t"
+
+    def build_aux(self, tables):
+        return len(tables["t"])
+
+    def map_record(self, record, aux):
+        return record["v"] / aux
+
+    def zero(self):
+        return 0.0
+
+    def combine(self, a, b):
+        return a + b
+
+    def finalize(self, agg, aux):
+        return np.asarray([float(agg)])
+
+    def sample_domain_record(self, rng, tables):
+        return {"v": float(rng.randrange(100))}
+
+
 class TestReadScope:
     """A release depends on the public tables it read: what
     ``build_aux`` and the domain sampler looked up, and what a compiled
@@ -821,6 +854,56 @@ class TestReadScope:
             assert session.run(query, x, 0.5) is first
         assert x["lineitem"].compared == 0
         assert x["orders"].compared == 3
+
+    def test_aux_that_reads_the_protected_table_follows_it(self):
+        """An aux normalised by ``len(tables["t"])``, with nothing
+        declared: released on x, then on x minus 10 rows, in one
+        session, the second release uses the aux of x minus 10 rows."""
+        query = _MeanQuery()
+        x = {"t": [{"v": float(i % 10)} for i in range(50)]}
+        minus = {"t": x["t"][:-10]}
+        config = UPAConfig(sample_size=SAMPLE, seed=SEED)
+        session = UPASession(config)
+        session.run(query, x, 0.5)
+        again = session.run(query, minus, 0.5)
+        fresh = UPASession(config).run(query, minus, 0.5)
+        assert again.plain_output[0] == pytest.approx(4.5)  # not 3.6
+        assert _flat(again.plain_output) == _flat(fresh.plain_output)
+        assert session.engine.metrics.get(MetricsRegistry.AUX_REUSES) == 0
+
+    def test_append_remaps_under_the_new_aux(self):
+        """append() maps no element under the aux of the smaller table:
+        the release is a fresh session's over the grown table."""
+        query = _MeanQuery()
+        rows = [{"v": float(i % 10)} for i in range(60)]
+        config = UPAConfig(sample_size=SAMPLE, seed=SEED)
+        session = UPASession(config)
+        session.run(query, {"t": rows[:50]}, 0.5)
+        grown = session.append(rows[50:], 0.6)
+        assert session._last_incremental["records_reused"] == 0
+        fresh = UPASession(config)
+        fresh.run(query, {"t": rows[:50]}, 0.5)
+        assert grown.plain_output[0] == pytest.approx(4.5)  # not 5.4
+        assert _flat(grown.plain_output) == _flat(
+            fresh.run(query, {"t": list(rows)}, 0.6).plain_output
+        )
+
+    def test_append_after_a_read_public_list_changed_remaps(self):
+        """tpch13's aux counts ``orders``; halving that list between two
+        appends makes the cached elements those of another aux."""
+        workload = workload_by_name("tpch13")
+        generated = workload.make_tables(4000, SEED)
+        rows = generated["customer"]
+        k = len(rows) // 10
+        x = {**generated, "customer": rows[:-2 * k],
+             "orders": list(generated["orders"])}
+        session = self._session()
+        session.run(workload.query, x, 0.5)
+        session.append(rows[-2 * k:-k], 0.6)
+        del x["orders"][: len(x["orders"]) // 2]
+        grown = session.append(rows[-k:], 0.7)
+        assert session._last_incremental["records_reused"] == 0
+        assert grown.plain_output[0] == workload.query.output(x)[0]
 
     def test_kmeans_rebuilds_aux_on_every_release(self, monkeypatch):
         """kmeans' aux reads its protected table, so it is never kept;

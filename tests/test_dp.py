@@ -148,6 +148,40 @@ class TestAccountant:
             acct.charge(0.1, delta=-1e-9)
 
 
+class TestAccountantHardening:
+    def test_repr_shows_spend_and_remaining(self):
+        from repro.dp import PrivacyAccountant
+
+        acct = PrivacyAccountant(total_epsilon=1.0)
+        acct.charge(0.25, label="q")
+        text = repr(acct)
+        assert "0.25" in text and "0.75" in text and "queries=1" in text
+
+    def test_non_finite_parameters_rejected(self):
+        from repro.common.errors import DPError
+        from repro.dp import PrivacyAccountant
+
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DPError):
+                PrivacyAccountant(total_epsilon=bad)
+        acct = PrivacyAccountant(total_epsilon=1.0, total_delta=1e-6)
+        with pytest.raises(DPError):
+            acct.charge(float("nan"))
+        with pytest.raises(DPError):
+            acct.charge(0.1, delta=float("inf"))
+
+    def test_spent_and_charge_agree(self):
+        from repro.dp import PrivacyAccountant
+
+        acct = PrivacyAccountant(total_epsilon=1.0, total_delta=1e-5)
+        acct.charge(0.3, delta=2e-6, label="a")
+        acct.charge(0.2, delta=3e-6, label="b")
+        eps, delta = acct.spent()
+        assert eps == pytest.approx(0.5)
+        assert delta == pytest.approx(5e-6)
+        assert acct.remaining_epsilon() == pytest.approx(0.5)
+
+
 class TestSensitivityHelpers:
     def test_estimate_validation(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,6 @@ _NOT_LOADED = (
     "repro.obs.server",
     "repro.obs.alerts",
     "repro.obs.exporters",
-    "repro.staticcheck",
 )
 
 _SCRIPT = """

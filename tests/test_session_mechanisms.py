@@ -31,6 +31,12 @@ class TestMechanismChoice:
         session.run(query_by_name("tpch1"), tables, epsilon=0.3)
         assert accountant.spent()[1] == 0.0
 
+    def test_non_finite_epsilon_rejected(self, tables):
+        session = UPASession(UPAConfig(sample_size=4, seed=0))
+        with pytest.raises(Exception, match="finite"):
+            session.run(query_by_name("tpch1"), tables,
+                        epsilon=float("inf"))
+
     def test_noise_reproducible_from_the_seed(self, tables):
         def release(seed):
             session = UPASession(UPAConfig(sample_size=60, seed=seed))

@@ -10,8 +10,11 @@ import datetime
 import numpy as np
 import pytest
 
+from repro.baselines.flex.analysis import flex_fragment_reason
+from repro.sql.session import SQLSession
 from repro.tpch import TPCHConfig, TPCHGenerator, all_queries, query_by_name
 from repro.tpch.datagen import NATION_NAMES, TPCHGenerator as Gen
+from repro.tpch.queries.extras import Q12, Q14
 from repro.tpch.schema import ALL_SCHEMAS
 
 
@@ -127,7 +130,10 @@ class TestQueryConsistency:
             query_by_name("tpch99")
 
     def test_support_matrix(self):
-        support = {q.name: q.flex_supported for q in all_queries()}
+        """Each query's declared ``flex_supported`` is what FLEX's
+        fragment check says of its DataFrame plan (Q12 and Q14 too)."""
+        queries = all_queries() + [Q12(), Q14()]
+        support = {q.name: q.flex_supported for q in queries}
         assert support == {
             "tpch1": True,
             "tpch4": True,
@@ -136,7 +142,18 @@ class TestQueryConsistency:
             "tpch21": True,
             "tpch6": False,
             "tpch11": False,
+            "tpch12": False,
+            "tpch14": False,
         }
+        # Plans need schemas, not rows.
+        session = SQLSession()
+        for name, schema in ALL_SCHEMAS.items():
+            session.create_table(name, [], schema)
+        for query in queries:
+            plan = query.dataframe(session).plan
+            assert query.flex_supported == (
+                flex_fragment_reason(plan) is None
+            ), query.name
 
 
 class TestQuerySemantics:
