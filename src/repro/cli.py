@@ -286,8 +286,8 @@ def _cmd_run(args) -> int:
                 f"released in {result.elapsed_seconds:.3f}s "
                 f"(delta fraction "
                 f"{stats.get('delta_fraction', 1.0):.4f}, "
-                f"{stats.get('records_reused', 0)} mapped records reused, "
-                f"{stats.get('blocks_recomputed', 0)} block(s) recomputed)"
+                f"{stats.get('records_mapped', 0)} records mapped, "
+                f"{stats.get('records_reused', 0)} reused)"
             )
     truth = workload.query.output(tables)
     rows = [

@@ -206,8 +206,9 @@ class MapReduceQuery:
     # values ``allclose`` to the scalar path, and ``map_batch`` must be
     # **row-stable** — element i depends on record i alone, bit for
     # bit, because the session maps one record under several batch
-    # boundaries (engine slices, cached blocks, S) and releases must
-    # not depend on which (guarded by ``validate_monoid``).
+    # boundaries (engine slices, the incremental window, S) and
+    # releases must not depend on which (guarded by
+    # ``validate_monoid``).
 
     def map_batch(self, records: Sequence[Row], aux: Any) -> Any:
         """Mapper over a record sequence -> batch of monoid elements."""

@@ -317,10 +317,10 @@ def reduce_phase(
             ]
             mapped_s = None
         else:
-            # Incremental fast path: S' and S are already mapped
-            # (cached blocks), S' cut at the same boundaries, one batch
-            # per engine partition, so the per-partition aggregates are
-            # bitwise equal to a cold run's.
+            # Incremental fast path: S' and S are already mapped (the
+            # session's window), S' cut at the same boundaries, one
+            # batch per engine partition, so the per-partition
+            # aggregates are bitwise equal to a cold run's.
             task = _FoldSlice(query)
             sprime, mapped_s = premapped
         r_sprime_parts: List[Any] = [
@@ -385,58 +385,42 @@ def add_noise(value: Any, sensitivity: float, epsilon: float,
     )
 
 
-#: records per cached ``map_batch`` block.  Blocks use *absolute* record
-#: indexing (index since the session first saw the table), so retire()
-#: — a prefix deletion — leaves every untouched block addressable and
-#: only boundary blocks are remapped.
-_INCR_BLOCK_RECORDS = 4096
-
-
 class _IncrementalState:
-    """The block-store cursor append()/retire() carry between runs.
+    """The mapped window append()/retire() carry between runs.
 
     One instance describes the *last* submission: which query ran over
-    which tables, the registered protected table among them, and the
-    block-store namespace holding the cached ``map_batch`` blocks.  The
-    per-run sample S is redrawn every release, so per-partition
-    *aggregates* are never reusable — the cache instead holds the
-    mapped elements and replays the identical fold, which is what makes
-    an incremental release bitwise-equal to a cold one.
+    which tables, the registered protected table among them, and
+    ``window``, one ``map_batch`` batch holding the elements of the
+    table's first rows, in order.  The per-run sample S is redrawn
+    every release, so per-partition *aggregates* are never reusable —
+    the window instead holds the mapped elements and replays the
+    identical fold, which is what makes an incremental release
+    bitwise-equal to a cold one.
     """
 
-    __slots__ = (
-        "query", "tables", "table", "base_offset", "cache_rdd_id",
-        "stop_generation", "block_records", "primed", "aux",
-    )
+    __slots__ = ("query", "tables", "table", "primed", "aux", "window")
 
     def __init__(
         self,
         query: MapReduceQuery,
         tables: Tables,
         table: ProtectedTable,
-        cache_rdd_id: int,
     ):
         self.query = query
         self.tables = tables
         self.table = table
-        #: absolute index of the table's first row (grows with every
-        #: retire()).
-        self.base_offset = 0
-        self.cache_rdd_id = cache_rdd_id
-        #: engine stop generation the blocks were written under; a
-        #: stop() since (which dropped them) counts an invalidation.
-        self.stop_generation: Optional[int] = None
-        self.block_records = _INCR_BLOCK_RECORDS
         #: set by the first append()/retire(); plain repeated run()
         #: calls stay on the cold path so their cost profile is
         #: unchanged.
         self.primed = False
-        #: the aux the cached blocks were mapped under.
+        #: the aux the window was mapped under.
         self.aux: Any = None
+        #: elements of ``table.rows[:n]`` (one batch), or None.
+        self.window: Any = None
 
     def matches(self, query: MapReduceQuery, tables: Tables,
                 table: ProtectedTable) -> bool:
-        """True iff the blocks still describe the submission."""
+        """True iff the window still describes the submission."""
         return (
             query is self.query
             and tables is self.tables
@@ -768,7 +752,7 @@ class UPASession:
         cold run, and under fixed seeds the output is bitwise identical
         to re-running the query cold over the grown table.  What the
         incremental path saves is recomputation — cached content-hash
-        partition ids and ``map_batch`` blocks mean only the appended
+        partition ids and the mapped window mean only the appended
         records are fingerprinted and mapped (when ``build_aux`` read no
         protected row; otherwise every element is mapped again).
         """
@@ -791,8 +775,7 @@ class UPASession:
         The complement of :meth:`append`: the oldest ``count`` records
         leave the protected table and the query is answered again over
         the shrunk dataset, charging a fresh ``epsilon`` per release.
-        Element blocks use absolute indexing, so only the block
-        straddling the new window start is remapped.
+        The mapped window loses the same head, so nothing is remapped.
         """
         _require_count(count, "retire() count must be a positive int")
         incr = self._require_incremental("retire")
@@ -802,7 +785,11 @@ class UPASession:
                 f"({len(incr.table.rows)} records)"
             )
         self._tables.retire(incr.table, count)
-        incr.base_offset += count
+        if incr.window is not None:
+            incr.window = incr.query.batch_select(
+                incr.window,
+                range(count, incr.query.batch_length(incr.window)),
+            )
         incr.primed = True
         self.engine.metrics.incr(MetricsRegistry.INCR_RETIRES)
         return self.run(incr.query, incr.tables, epsilon)
@@ -945,11 +932,11 @@ class UPASession:
                 metrics.get(MetricsRegistry.SQL_PLAN_CACHE_EVICTIONS)
             ),
             incremental=incremental is not None,
-            incremental_blocks_reused=(
-                int(incremental["blocks_reused"]) if incremental else 0
+            incremental_records_reused=(
+                int(incremental["records_reused"]) if incremental else 0
             ),
-            incremental_partitions_recomputed=(
-                int(incremental["blocks_recomputed"]) if incremental else 0
+            incremental_records_mapped=(
+                int(incremental["records_mapped"]) if incremental else 0
             ),
             incremental_delta_fraction=(
                 float(incremental["delta_fraction"]) if incremental else 0.0
@@ -1069,16 +1056,11 @@ class UPASession:
 
         A matching cursor continues; anything else — first run, new
         query, new tables, a table registered afresh — replaces it and
-        evicts the old element blocks.
+        its mapped window.
         """
         incr = self._incr
-        if incr is not None and incr.matches(query, tables, table):
-            return
-        if incr is not None:
-            self.engine.block_store.evict_rdd(incr.cache_rdd_id)
-        self._incr = _IncrementalState(
-            query, tables, table, self.engine.reserve_cache_id(),
-        )
+        if incr is None or not incr.matches(query, tables, table):
+            self._incr = _IncrementalState(query, tables, table)
 
     def _incremental_elements(
         self,
@@ -1088,74 +1070,34 @@ class UPASession:
         cacheable: bool,
         sample: PartitionedSample,
     ) -> Tuple[Tuple[Tuple[List[Any], List[Any]], Any], dict]:
-        """Assemble the mapped batches of S' and S from cached blocks.
+        """Assemble the mapped batches of S' and S from the window.
 
         Returns, per partition, S' cut into the engine slices of
         :func:`reduce_phase`, each slice one ``map_batch`` batch; and
-        S's batch.  The window of cached blocks holds every record's
-        element, S's too, and an element does not depend on the batch
-        it was mapped in (DESIGN.md section 5, item 6), so S is selected
-        from it rather than mapped again.
+        S's batch.  The window holds every record's element, S's too,
+        and an element does not depend on the batch it was mapped in
+        (DESIGN.md section 5, item 6), so S is selected from it rather
+        than mapped again, and only the rows past the window's tail are
+        mapped.
 
-        Blocks live in the engine's block store, keyed by ``(cache
-        namespace, absolute block index)``; ``stop()`` clears the store,
-        so a block is never read across a stop and is remapped instead.
-        Blocks are reused only when ``cacheable`` (aux read no protected
-        row) and were mapped under this same ``aux``.  Otherwise (old elements may be wrong under the new aux)
-        everything is remapped each release, which still yields the
+        The window is kept only when ``cacheable`` (aux read no
+        protected row) and was mapped under this same ``aux``.
+        Otherwise (old elements may be wrong under the new aux) every
+        record is mapped each release, which still yields the
         bitwise-identical answer, just without the speedup.
         """
-        engine = self.engine
-        metrics = engine.metrics
-        store = engine.block_store
+        metrics = self.engine.metrics
         records = incr.table.rows
-        generation = engine.stop_generation
-        if incr.stop_generation not in (None, generation):
-            metrics.incr(MetricsRegistry.INCR_INVALIDATIONS)
-        incr.stop_generation = generation
-        if cacheable and incr.aux is not aux:
-            # A public table build_aux read has changed since the
-            # blocks were mapped: they describe another aux.
-            store.evict_rdd(incr.cache_rdd_id)
-            incr.aux = aux
-        base = incr.base_offset
         total = len(records)
-        size = incr.block_records
-        pieces: List[Any] = []
-        hits = misses = reused = mapped = 0
-        for b in range(base // size, (base + total - 1) // size + 1):
-            lo = max(b * size, base)
-            hi = min((b + 1) * size, base + total)
-            key = (incr.cache_rdd_id, b)
-            stored = store.get(key) if cacheable else None
-            start, cached = stored or (lo, None)
-            covered = start
-            if cached is not None:
-                covered += query.batch_length(cached)
-            if not start <= lo < covered:
-                start, cached, covered = lo, None, lo
-            # The cached batch holds the elements of [start, covered);
-            # the window wants [lo, hi) — retire() may have cut into the
-            # block's head, append() may have grown past its tail.
-            kept = min(covered, hi)
-            if kept > lo:
-                reused += kept - lo
-                pieces.append(
-                    query.batch_select(cached, range(lo - start, kept - start))
-                )
-            if kept == hi:
-                hits += 1
-                continue
-            misses += 1
-            mapped += hi - kept
-            fresh = query.map_batch(records[kept - base:hi - base], aux)
-            pieces.append(fresh)
-            if cacheable:
-                if cached is not None:
-                    fresh = query.batch_concat([cached, fresh])
-                store.put(key, (start, fresh))
-        metrics.incr(MetricsRegistry.INCR_BLOCK_HITS, hits)
-        metrics.incr(MetricsRegistry.INCR_BLOCK_MISSES, misses)
+        window = incr.window if cacheable and incr.aux is aux else None
+        reused = 0 if window is None else query.batch_length(window)
+        mapped = total - reused
+        if mapped:
+            fresh = query.map_batch(records[reused:], aux)
+            window = fresh if window is None else query.batch_concat(
+                [window, fresh]
+            )
+        incr.window, incr.aux = (window, aux) if cacheable else (None, None)
         metrics.incr(MetricsRegistry.INCR_RECORDS_REUSED, reused)
         metrics.incr(MetricsRegistry.INCR_RECORDS_MAPPED, mapped)
         delta_fraction = mapped / total if total else 0.0
@@ -1164,7 +1106,6 @@ class UPASession:
         # Take S' out of the window exactly as partition_and_sample
         # split the records themselves, in the slices the engine cuts a
         # cold run's S' into.
-        window = query.batch_concat(pieces)
         parts = self.config.engine_partitions
         remaining = tuple(
             [
@@ -1175,8 +1116,6 @@ class UPASession:
         )
         mapped_s = query.batch_select(window, sample.sampled_indices)
         stats = {
-            "blocks_reused": hits,
-            "blocks_recomputed": misses,
             "records_reused": reused,
             "records_mapped": mapped,
             "delta_fraction": delta_fraction,

@@ -2,9 +2,8 @@
 
 The engine provides lazy, lineage-tracked RDDs with narrow and wide
 (shuffle) dependencies, a scheduler that retries failed tasks by
-recomputing from lineage, an LRU block store for the incremental
-session's element cache, and a metrics registry that counts jobs, tasks
-and shuffled records.
+recomputing from lineage, and a metrics registry that counts jobs,
+tasks and shuffled records.
 
 The UPA paper's claims rest on two semantic properties of MapReduce
 operators — commutativity and associativity — plus the observable

@@ -1,9 +1,7 @@
 """EngineContext: entry point to the MapReduce engine.
 
-Owns the scheduler, shuffle manager, block store and metrics — the
-moral equivalent of a ``SparkContext``.  The block store holds the
-incremental session's mapped-element blocks, in namespaces drawn with
-:meth:`EngineContext.reserve_cache_id`.
+Owns the scheduler, shuffle manager and metrics — the moral
+equivalent of a ``SparkContext``.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from repro.engine.metrics import MetricsRegistry
 from repro.engine.rdd import RDD, ParallelCollectionRDD
 from repro.engine.scheduler import TaskScheduler
 from repro.engine.shuffle import ShuffleManager
-from repro.engine.storage import BlockStore
 
 T = TypeVar("T")
 
@@ -37,7 +34,6 @@ class EngineContext:
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config or DEFAULT_CONFIG
         self.metrics = MetricsRegistry()
-        self.block_store = BlockStore(self.metrics)
         self.scheduler = TaskScheduler(
             self.metrics, max_task_retries=self.config.max_task_retries
         )
@@ -49,23 +45,10 @@ class EngineContext:
         self.obs_server = None
         self._rdd_ids = itertools.count(1)
         self._lock = threading.Lock()
-        #: bumped by every stop(); a cache of derived data (the
-        #: incremental session's element blocks) compares it to tell a
-        #: stop() between its releases.
-        self._stop_generation = 0
 
     def _next_rdd_id(self) -> int:
         with self._lock:
             return next(self._rdd_ids)
-
-    def reserve_cache_id(self) -> int:
-        """Reserve a block-store namespace id.
-
-        Every call returns a fresh id (from the RDD id counter), so two
-        caches of derived data in the block store (the incremental
-        session's mapped-element blocks) never share a namespace.
-        """
-        return self._next_rdd_id()
 
     # ------------------------------------------------------------------
     # RDD creation
@@ -139,11 +122,6 @@ class EngineContext:
         """The installed job event listener, if any."""
         return self.scheduler.job_listener
 
-    @property
-    def stop_generation(self) -> int:
-        """How many times this context has been stop()ped."""
-        return self._stop_generation
-
     def serve(self, port: int = 0, host: str = "127.0.0.1",
               **sources: Any):
         """Start a live introspection server over this engine.
@@ -175,19 +153,16 @@ class EngineContext:
     def stop(self) -> None:
         """Release engine resources (idempotent).
 
-        Stops the live server and drops stored shuffle outputs *and*
-        every block-store block — a stopped context must not keep
-        partition data alive between experiments.  The context remains
-        usable: a later job recomputes from lineage, mirroring how
-        ``SparkContext`` users call ``stop()`` when an application
-        finishes.
+        Stops the live server and drops stored shuffle outputs — a
+        stopped context must not keep partition data alive between
+        experiments.  The context remains usable: a later job
+        recomputes from lineage, mirroring how ``SparkContext`` users
+        call ``stop()`` when an application finishes.
         """
         if self.obs_server is not None:
             self.obs_server.stop()
             self.obs_server = None
         self.shuffle_manager.clear()
-        self.block_store.clear()
-        self._stop_generation += 1
 
     def __enter__(self) -> "EngineContext":
         return self

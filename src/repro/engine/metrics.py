@@ -175,9 +175,6 @@ class MetricsRegistry:
     SHUFFLES = "shuffles"
     RECORDS_SHUFFLED = "records_shuffled"
     RECORDS_READ = "records_read"
-    CACHE_HITS = "cache_hits"
-    CACHE_MISSES = "cache_misses"
-    CACHE_EVICTIONS = "cache_evictions"
 
     #: Counter names of the SQL bridge's compile cache
     #: (core.sqlbridge.compile_plan), the only plan cache there is.
@@ -186,8 +183,7 @@ class MetricsRegistry:
     SQL_PLAN_CACHE_HITS = "sql.plan_cache.hits"
     SQL_PLAN_CACHE_MISSES = "sql.plan_cache.misses"
     #: entries pushed out of the bounded bridge cache by the LRU cap
-    #: (lifecycle clears are not evictions, same convention as
-    #: CACHE_EVICTIONS).
+    #: (lifecycle clears are not evictions).
     SQL_PLAN_CACHE_EVICTIONS = "sql.plan_cache.evictions"
     #: Counter names of the SQL executor's join planning.
     SQL_JOIN_BROADCAST = "sql.join.broadcast"
@@ -197,13 +193,10 @@ class MetricsRegistry:
     #: (UPASession.append / retire — see docs/performance.md).
     INCR_APPENDS = "incremental.appends"
     INCR_RETIRES = "incremental.retires"
-    #: element blocks served from / recomputed into the block store.
-    INCR_BLOCK_HITS = "incremental.block_hits"
-    INCR_BLOCK_MISSES = "incremental.block_misses"
     #: records whose mapped element was reused vs freshly mapped.
     INCR_RECORDS_REUSED = "incremental.records_reused"
     INCR_RECORDS_MAPPED = "incremental.records_mapped"
-    #: whole-cache invalidations (engine epoch change, external table
+    #: appended-to windows a release could not continue (external table
     #: mutation, query switch).
     INCR_INVALIDATIONS = "incremental.invalidations"
     #: gauge: freshly mapped records / total records of the last
@@ -330,14 +323,4 @@ class MetricsRegistry:
             self._counters.clear()
             self._histograms.clear()
             self._gauges.clear()
-
-    def cache_hit_rate(self) -> float:
-        """Fraction of block lookups served from cache (0.0 if none)."""
-        with self._lock:
-            hits = self._counters.get(self.CACHE_HITS, 0.0)
-            misses = self._counters.get(self.CACHE_MISSES, 0.0)
-        total = hits + misses
-        if total == 0:
-            return 0.0
-        return hits / total
 

@@ -552,9 +552,6 @@ class TestSlicedPhase2:
     @pytest.mark.parametrize("name", [w.name for w in all_workloads()])
     def test_cold_append_retire_slices_bitwise(self, monkeypatch, name,
                                                parts):
-        # Small blocks: the base spans several, each append grows the
-        # tail block, and retire(20) drops block 0 and cuts block 1.
-        monkeypatch.setattr(session_mod, "_INCR_BLOCK_RECORDS", 16)
         captured = _spy_phase2(monkeypatch)
         workload = workload_by_name(name)
         tables = workload.make_tables(1200, 11)
@@ -586,7 +583,6 @@ class TestSlicedPhase2:
     @pytest.mark.parametrize("parts", PARTS)
     def test_compiled_sql_slices_bitwise(self, monkeypatch, parts):
         """A sqlbridge query through the same four steps."""
-        monkeypatch.setattr(session_mod, "_INCR_BLOCK_RECORDS", 16)
         captured = _spy_phase2(monkeypatch)
         tables = workload_by_name("tpch13").make_tables(2400, 11)
         rows = tables["customer"]

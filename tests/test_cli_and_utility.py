@@ -27,6 +27,27 @@ class TestCli:
         assert "released (noisy)" in out
         assert "2000" in out  # the true count appears
 
+    def test_run_append_prints_records_mapped_and_reused(self, capsys):
+        assert main(
+            ["run", "tpch6", "--scale", "2000", "--sample-size", "100",
+             "--append", "40", "--append-steps", "2"]
+        ) == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("append ")
+        ]
+        assert len(lines) == 2
+        # The first append maps the whole window, the second only the
+        # 40 records it appended.
+        assert lines[0].startswith("append 1/2: +40 records, released in ")
+        assert lines[0].endswith(
+            "(delta fraction 1.0000, 2040 records mapped, 0 reused)"
+        )
+        assert lines[1].startswith("append 2/2: +40 records, released in ")
+        assert lines[1].endswith(
+            "(delta fraction 0.0192, 40 records mapped, 2040 reused)"
+        )
+
     def test_run_vector_workload(self, capsys):
         assert main(
             ["run", "linreg", "--scale", "500", "--sample-size", "50"]

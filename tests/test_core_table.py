@@ -493,16 +493,16 @@ class TestTablesAreValues:
 
     def test_eviction_beyond_the_bound_runs_cold(self):
         session, query, tables, _victim, _other, chunk = self._primed()
-        namespace = session._incr.cache_rdd_id
-        store = session.engine.block_store
-        assert store.contains((namespace, 0))
+        primed = session._incr
+        assert primed.window is not None
         others = [
             {**tables, "lineitem": tables["lineitem"][:-300 * (k + 1)]}
             for k in range(REGISTRY_BOUND)
         ]
         for submitted in others:
             session.run(query, submitted, 0.5)
-        assert not store.contains((namespace, 0))
+        assert session._incr is not primed
+        assert session._incr.window is None
         metrics = session.engine.metrics
         registrations = metrics.get(MetricsRegistry.TABLE_REGISTRATIONS)
         reuses = metrics.get(MetricsRegistry.TABLE_REUSES)

@@ -1,4 +1,4 @@
-"""Tests for engine services: storage, partitioners, metrics, fault
+"""Tests for engine services: partitioners, metrics, fault
 injection + lineage recovery, lifecycle,
 TPC-H SQL results with and without the optimizer, and DP releases and
 SQL results under injected faults."""
@@ -13,54 +13,12 @@ from repro.engine.events import JobListener
 from repro.engine.fault import InjectedFault
 from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
 from repro.engine.partitioner import HashPartitioner, RangePartitioner, _portable_hash
-from repro.engine.storage import CACHE_CAPACITY_BLOCKS, BlockStore
 from repro.mining import LifeScienceConfig, make_life_science_tables
 from repro.sql import SQLSession, col
 from repro.tpch import TPCHConfig, TPCHGenerator
 from repro.tpch.datagen import register_tables
 from repro.tpch.workload import all_queries
 from repro.workloads import all_workloads
-
-
-class TestBlockStoreAndCaching:
-    def test_lru_eviction(self):
-        store = BlockStore(MetricsRegistry(), capacity_blocks=2)
-        store.put((1, 0), [1])
-        store.put((1, 1), [2])
-        store.get((1, 0))  # refresh block (1,0)
-        store.put((1, 2), [3])  # evicts LRU block (1,1)
-        assert store.contains((1, 0))
-        assert not store.contains((1, 1))
-        assert store.contains((1, 2))
-
-    def test_default_capacity(self):
-        store = BlockStore(MetricsRegistry())
-        for i in range(CACHE_CAPACITY_BLOCKS + 1):
-            store.put((1, i), [i])
-        assert len(store) == CACHE_CAPACITY_BLOCKS
-        assert not store.contains((1, 0))
-        assert store.contains((1, CACHE_CAPACITY_BLOCKS))
-
-    def test_get_counts_hits_and_misses(self):
-        metrics = MetricsRegistry()
-        store = BlockStore(metrics)
-        store.put((3, 0), [7])
-        assert store.get((3, 0)) == [7]
-        assert store.get((3, 1)) is None
-        assert metrics.get(MetricsRegistry.CACHE_HITS) == 1
-        assert metrics.get(MetricsRegistry.CACHE_MISSES) == 1
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            BlockStore(MetricsRegistry(), capacity_blocks=0)
-
-    def test_evict_rdd_counts(self):
-        store = BlockStore(MetricsRegistry(), capacity_blocks=10)
-        store.put((5, 0), [])
-        store.put((5, 1), [])
-        store.put((6, 0), [])
-        assert store.evict_rdd(5) == 2
-        assert store.contains((6, 0))
 
 
 class TestPartitioners:
@@ -116,13 +74,6 @@ class TestMetrics:
         delta = metrics.snapshot().diff(first)
         assert delta.get("x") == 2
         assert delta.get("y") == 1
-
-    def test_cache_hit_rate(self):
-        metrics = MetricsRegistry()
-        assert metrics.cache_hit_rate() == 0.0
-        metrics.incr(MetricsRegistry.CACHE_HITS, 3)
-        metrics.incr(MetricsRegistry.CACHE_MISSES, 1)
-        assert metrics.cache_hit_rate() == 0.75
 
     def test_reset(self):
         metrics = MetricsRegistry()
@@ -269,32 +220,29 @@ class TestPermanentFaults:
             action(rdd)
         assert err.value.attempts == 3  # max_task_retries + 1
         assert isinstance(err.value.cause, InjectedFault)
-        assert len(ctx.block_store) == 0  # no attempt stored a block
         ctx.install_fault_injector(None)
         assert action(rdd) == expected
 
 
 class TestLifecycle:
-    def test_stop_clears_block_store_and_jobs_recompute(self, ctx):
-        namespace = ctx.reserve_cache_id()
-        for split in range(2):
-            ctx.block_store.put((namespace, split), [split])
-        rdd = ctx.parallelize(range(10), 2).map(lambda v: v * 2)
-        assert rdd.collect() == list(range(0, 20, 2))
+    def test_stop_drops_shuffle_outputs_and_jobs_recompute(self, ctx):
+        rdd = ctx.parallelize([("a", 1), ("b", 2), ("a", 3)], 2)
+        rdd = rdd.reduce_by_key(lambda x, y: x + y)
+        assert sorted(rdd.collect()) == [("a", 4), ("b", 2)]
+        shuffles = ctx.metrics.get(MetricsRegistry.SHUFFLES)
+        rdd.collect()  # the stored shuffle output is read back
+        assert ctx.metrics.get(MetricsRegistry.SHUFFLES) == shuffles
         ctx.stop()
-        assert len(ctx.block_store) == 0
-        assert ctx.stop_generation == 1
-        ctx.stop()  # a second stop drops nothing more
-        assert ctx.stop_generation == 2
-        assert rdd.collect() == list(range(0, 20, 2))
-        assert ctx.block_store.get((namespace, 0)) is None
+        ctx.stop()  # idempotent
+        assert sorted(rdd.collect()) == [("a", 4), ("b", 2)]
+        assert ctx.metrics.get(MetricsRegistry.SHUFFLES) == shuffles + 1
 
     def test_context_manager_stops_on_exit(self):
         with EngineContext() as ctx:
-            ctx.block_store.put((ctx.reserve_cache_id(), 0), [1])
-            assert len(ctx.block_store) == 1
-        assert len(ctx.block_store) == 0
-        assert ctx.stop_generation == 1
+            rdd = ctx.parallelize([("a", 1)], 1).reduce_by_key(max)
+            rdd.collect()
+        rdd.collect()
+        assert ctx.metrics.get(MetricsRegistry.SHUFFLES) == 2
 
 
 @pytest.fixture(scope="module")

@@ -62,10 +62,6 @@ CONTEXT_CALLERS = {
     "serve": "src/repro/core/session.py::UPASession.serve",
     "install_job_listener": "src/repro/cli.py::_install_events",
     "job_listener": "src/repro/cli.py::_emit_observability",
-    # the incremental session's element cache
-    "reserve_cache_id": "src/repro/core/session.py::UPASession._remember_run",
-    "stop_generation":
-        "src/repro/core/session.py::UPASession._incremental_elements",
     "stop": "src/repro/engine/context.py::EngineContext.__exit__",
     # fault injection with lineage retry
     "install_fault_injector": "examples/quickstart.py::main",

@@ -20,11 +20,11 @@ from repro.common.errors import DPError, TaskFailedError
 from repro.core import session as session_mod
 from repro.core.range_enforcer import RangeEnforcer
 from repro.core.session import UPAConfig, UPASession
+from repro.core.table import TableReads
 from repro.dp.budget import PrivacyAccountant
 from repro.dp.mechanisms import LaplaceMechanism
 from repro.engine.fault import FaultInjector
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.storage import BlockStore
 from repro.obs.ledger import PrivacyLedger
 from repro.workloads import all_workloads, workload_by_name
 
@@ -131,8 +131,55 @@ class TestAppendRetireEquivalence:
             lambda: cold.run(workload.query, tab_c),
         )
 
+    @pytest.mark.parametrize(
+        "name", [w.name for w in all_workloads()]
+    )
+    def test_retire_slices_the_window_and_maps_nothing(self, name):
+        """retire(k) drops the window's head: the window stays aligned
+        with the protected rows, and the release after it maps no
+        record (every record when aux reads the protected table)."""
+        workload = workload_by_name(name)
+        protected = workload.query.protected_table
+        tables, delta = _grown_tables(workload, 400)
+        retire_n = max(1, len(delta) // 2)
+
+        incr = _session()
+        cold = _session()
+        tab_i = _fresh_copy(tables, protected)
+        tab_c = _fresh_copy(tables, protected)
+        _paired_release(
+            lambda: incr.run(workload.query, tab_i),
+            lambda: cold.run(workload.query, tab_c),
+        )
+        tab_c[protected].extend(delta)
+        _paired_release(
+            lambda: incr.append(delta),
+            lambda: cold.run(workload.query, tab_c),
+        )
+        del tab_c[protected][:retire_n]
+        _paired_release(
+            lambda: incr.retire(retire_n),
+            lambda: cold.run(workload.query, tab_c),
+        )
+
+        reads = TableReads(tab_i)
+        workload.query.build_aux(reads)
+        stats = incr._last_incremental
+        window = incr._incr.window
+        if protected in reads.names:  # aux moves with the rows
+            assert window is None
+            assert stats["records_reused"] == 0
+            assert stats["records_mapped"] == len(tab_i[protected])
+        else:
+            assert workload.query.batch_length(window) == len(
+                tab_i[protected]
+            )
+            assert stats["records_mapped"] == 0
+            assert stats["records_reused"] == len(tab_i[protected])
+            assert stats["delta_fraction"] == 0.0
+
     def test_second_append_reuses_blocks_bitwise_equal(self):
-        """tpch6 append path: the second append reuses cached blocks."""
+        """tpch6 append path: the second append reuses the mapped window."""
         workload = workload_by_name("tpch6")
         protected = workload.query.protected_table
         tables, delta = _grown_tables(workload, 1500, 0.04)
@@ -164,7 +211,7 @@ class TestAppendRetireEquivalence:
         half = len(delta) // 2
         session = _session()
         session.run(workload.query, tables)
-        session.append(delta[:half])  # primes the element blocks
+        session.append(delta[:half])  # primes the window
         mapped = []
         map_batch = type(workload.query).map_batch
 
@@ -176,12 +223,7 @@ class TestAppendRetireEquivalence:
         result = session.append(delta[half:])
         assert sum(mapped) == len(delta) - half + result.sample_size
 
-    def test_block_reuse_metrics(self, monkeypatch):
-        # Shrink the block size so the base spans many blocks and the
-        # second append gets full-coverage hits on all but the tail.
-        from repro.core import session as session_mod
-
-        monkeypatch.setattr(session_mod, "_INCR_BLOCK_RECORDS", 128)
+    def test_window_reuse_metrics(self):
         workload = workload_by_name("tpch6")
         protected = workload.query.protected_table
         tables, delta = _grown_tables(workload, 800, 0.05)
@@ -189,11 +231,10 @@ class TestAppendRetireEquivalence:
         half = len(delta) // 2
         session = _session(seed=SMALL_APPEND_SEED)
         session.run(workload.query, tables)
-        session.append(delta[:half])  # primes the element blocks
+        session.append(delta[:half])  # primes the window
         session.append(delta[half:])
         m = session.engine.metrics
         assert m.get(MetricsRegistry.INCR_APPENDS) == 2
-        assert m.get(MetricsRegistry.INCR_BLOCK_HITS) >= 1
         assert m.get(MetricsRegistry.INCR_RECORDS_REUSED) >= base_len
         assert m.get(MetricsRegistry.INCR_RECORDS_MAPPED) >= len(delta)
         assert 0.0 < m.get_gauge(MetricsRegistry.INCR_DELTA_FRACTION) < 0.1
@@ -289,7 +330,13 @@ class TestBudgetAndLedger:
         session.append(delta[:half], epsilon=0.1)
         session.append(delta[half:], epsilon=0.1)
         assert ledger.header["incremental"] is True
-        assert ledger.header["incremental_partitions_recomputed"] >= 1
+        # The second append maps what it appended and reuses the rest.
+        assert ledger.header["incremental_records_mapped"] == (
+            len(delta) - half
+        )
+        assert ledger.header["incremental_records_reused"] == (
+            len(tables[workload.query.protected_table]) - (len(delta) - half)
+        )
         assert 0.0 < ledger.header["incremental_delta_fraction"] < 0.1
         assert "sql_plan_cache_evictions" in ledger.header
         entries = ledger.entries()
@@ -301,10 +348,11 @@ class TestInvalidation:
     @pytest.mark.parametrize(
         "name", [w.name for w in all_workloads()]
     )
-    def test_stop_invalidates_cached_partials(self, name):
-        """EngineContext.stop() between releases: the next append must
-        recompute, never merge pre-stop partials, and stay bitwise
-        equal to a cold rerun."""
+    def test_stop_keeps_the_window(self, name):
+        """EngineContext.stop() between two appends: the window is the
+        session's, not the engine's, so the second append maps only the
+        appended records (all of them when aux reads the protected
+        table) and stays bitwise equal to a cold rerun."""
         workload = workload_by_name(name)
         protected = workload.query.protected_table
         tables, delta = _grown_tables(workload, 500)
@@ -324,7 +372,7 @@ class TestInvalidation:
             lambda: cold.run(workload.query, tab_c),
         )
 
-        incr.engine.stop()  # clears the block store
+        incr.engine.stop()
         invalidations_before = incr.engine.metrics.get(
             MetricsRegistry.INCR_INVALIDATIONS
         )
@@ -335,41 +383,18 @@ class TestInvalidation:
         )
         assert incr.engine.metrics.get(
             MetricsRegistry.INCR_INVALIDATIONS
-        ) > invalidations_before
-        # Everything was remapped: nothing could be reused post-stop.
-        assert incr._last_incremental["records_reused"] == 0
-
-    def test_evicted_blocks_are_remapped(self, monkeypatch):
-        """A block store too small for the window evicts element blocks
-        (LRU); the next append remaps them and stays bitwise equal to a
-        cold rerun."""
-        monkeypatch.setattr(session_mod, "_INCR_BLOCK_RECORDS", 128)
-        workload = workload_by_name("tpch6")
-        protected = workload.query.protected_table
-        tables, delta = _grown_tables(workload, 800, 0.05)
-        half = len(delta) // 2
-
-        incr = _session(seed=SMALL_APPEND_SEED)
-        cold = _session(seed=SMALL_APPEND_SEED)
-        incr.engine.block_store = BlockStore(
-            incr.engine.metrics, capacity_blocks=2
-        )
-        tab_i = _fresh_copy(tables, protected)
-        tab_c = _fresh_copy(tables, protected)
-        incr.run(workload.query, tab_i)
-        cold.run(workload.query, tab_c)
-        for part in (delta[:half], delta[half:]):
-            tab_c[protected].extend(part)
-            _assert_results_equal(
-                incr.append(part), cold.run(workload.query, tab_c)
+        ) == invalidations_before
+        stats = incr._last_incremental
+        reads = TableReads(tab_i)
+        workload.query.build_aux(reads)
+        if protected in reads.names:  # aux moves with the rows
+            assert stats["records_reused"] == 0
+            assert stats["records_mapped"] == len(tab_i[protected])
+        else:
+            assert stats["records_mapped"] == len(delta) - half
+            assert stats["records_reused"] == len(tab_i[protected]) - (
+                len(delta) - half
             )
-        metrics = incr.engine.metrics
-        assert metrics.get(MetricsRegistry.CACHE_EVICTIONS) > 0
-        assert len(incr.engine.block_store) == 2
-        # The window is scanned block by block, so an LRU store two
-        # blocks deep has evicted every block before it is read again:
-        # the second append remapped all of them.
-        assert incr._last_incremental["records_reused"] == 0
 
     @pytest.mark.parametrize(
         "name", [w.name for w in all_workloads()]
@@ -542,8 +567,7 @@ def _kept_releases(session):
 def _cursor(session):
     incr = session._incr
     return (
-        incr.query, incr.tables, incr.table, incr.base_offset,
-        incr.cache_rdd_id, incr.primed,
+        incr.query, incr.tables, incr.table, incr.primed,
     )
 
 
