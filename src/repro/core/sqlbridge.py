@@ -205,6 +205,11 @@ def _row_key(exprs: Sequence[Expression]) -> Callable[[Row], Any]:
     return compile_key(exprs)
 
 
+def _holds_null(key: Any) -> bool:
+    """True for a :func:`_row_key` key that is, or holds, NULL."""
+    return key is None or (isinstance(key, tuple) and None in key)
+
+
 def _block_keys(exprs: Sequence[Expression]) -> Callable[[_Block], list]:
     """:func:`_row_key` of every row of a block."""
     values = [block_value(expr) for expr in exprs]
@@ -223,6 +228,9 @@ class _StaticIndex:
     end to end in ``row_ids`` (bucket ``slot`` is ``row_ids[starts[slot]
     : starts[slot] + counts[slot]]``).  Bucket order decides float
     summation order downstream, so both probes keep it.
+
+    A key holding NULL matches nothing, as in the SQL executor: such
+    rows get no bucket, so a probe key holding NULL finds none either.
     """
 
     def __init__(self, rows: List[Row], key_exprs: Sequence[Expression]):
@@ -233,11 +241,19 @@ class _StaticIndex:
         n = len(rows)
         keys = _block_keys(key_exprs)(_Block(np.arange(n), self.column))
         #: key -> slot, slots numbered in first-seen key order.
-        self.slots = dict(zip(dict.fromkeys(keys), count()))
+        self.slots = dict(zip(
+            (key for key in dict.fromkeys(keys) if not _holds_null(key)),
+            count(),
+        ))
+        # Rows without a bucket take slot ``len(slots)``, past every
+        # bucket, so no ``starts``/``counts`` range reaches them.
         slot_of_row = np.fromiter(
-            map(self.slots.__getitem__, keys), dtype=np.intp, count=n
+            map(self.slots.get, keys, repeat(len(self.slots))),
+            dtype=np.intp, count=n,
         )
-        self.counts = np.bincount(slot_of_row, minlength=len(self.slots))
+        self.counts = np.bincount(
+            slot_of_row, minlength=len(self.slots) + 1
+        )[:len(self.slots)]
         self.starts = np.cumsum(self.counts) - self.counts
         # Row ids by (slot, row id): a stable sort of ``slot_of_row``.
         self.row_ids = np.sort(slot_of_row * n + np.arange(n)) % max(n, 1)
@@ -426,13 +442,12 @@ class _Compiler:
         self.protected = protected
         # A throwaway SQL session evaluates the static subtrees with the
         # ordinary (tested) executor, over the tables they scan and no
-        # other.  Broadcast joins are disabled: the shuffle join's
-        # deterministic grouping fixes static row order, and
-        # :class:`_StaticIndex` bucket order decides float summation
-        # order — bitwise golden outputs depend on it.
+        # other.  Its row order is a contract (DESIGN.md §5), and
+        # :class:`_StaticIndex` bucket order, which follows it, decides
+        # float summation order.
         from repro.sql.session import SQLSession
 
-        self._session = SQLSession(broadcast_join_threshold=0)
+        self._session = SQLSession()
         for name in scanned:
             self._session.create_table(name, tables[name])
 

@@ -9,8 +9,10 @@ The UPA paper's claims rest on two semantic properties of MapReduce
 operators — commutativity and associativity — plus the observable
 structure of jobs (number of shuffles, records exchanged).  This engine
 exposes both: the operators it keeps are the ones a release, the SQL
-executor and :mod:`repro.core.dpobject` run, with Spark's semantics, and
-every shuffle is counted by :class:`repro.engine.metrics.MetricsRegistry`.
+executor and :mod:`repro.core.dpobject` run, with Spark's semantics.
+Only dpobject's key-value operators (the paper's Table I) shuffle — the
+SQL executor never does — and every shuffle is counted by
+:class:`repro.engine.metrics.MetricsRegistry`.
 
 Example:
     >>> from repro.engine import EngineContext
@@ -23,7 +25,7 @@ Example:
 from repro.engine.context import EngineContext
 from repro.engine.fault import FaultInjector
 from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
-from repro.engine.partitioner import HashPartitioner, Partitioner, RangePartitioner
+from repro.engine.partitioner import HashPartitioner
 from repro.engine.rdd import RDD
 
 __all__ = [
@@ -32,7 +34,5 @@ __all__ = [
     "HashPartitioner",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "Partitioner",
     "RDD",
-    "RangePartitioner",
 ]

@@ -185,9 +185,6 @@ class MetricsRegistry:
     #: entries pushed out of the bounded bridge cache by the LRU cap
     #: (lifecycle clears are not evictions).
     SQL_PLAN_CACHE_EVICTIONS = "sql.plan_cache.evictions"
-    #: Counter names of the SQL executor's join planning.
-    SQL_JOIN_BROADCAST = "sql.join.broadcast"
-    SQL_JOIN_SHUFFLE = "sql.join.shuffle"
 
     #: Counter names used by the incremental session path
     #: (UPASession.append / retire — see docs/performance.md).

@@ -1,10 +1,9 @@
-"""Partitioners decide which reduce partition a key belongs to."""
+"""The partitioner decides which reduce partition a key belongs to."""
 
 from __future__ import annotations
 
-import bisect
 import datetime
-from typing import Any, List, Sequence
+from typing import Any
 
 
 def _portable_hash(key: Any) -> int:
@@ -41,8 +40,8 @@ def _portable_hash(key: Any) -> int:
     return hash(key)
 
 
-class Partitioner:
-    """Base partitioner interface."""
+class HashPartitioner:
+    """Partition by stable hash of the key (Spark's default)."""
 
     def __init__(self, num_partitions: int):
         if num_partitions <= 0:
@@ -50,46 +49,13 @@ class Partitioner:
         self.num_partitions = num_partitions
 
     def partition(self, key: Any) -> int:
-        raise NotImplementedError
-
-    def __eq__(self, other: object) -> bool:
-        return type(self) is type(other) and self.num_partitions == other.num_partitions  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.num_partitions))
-
-
-class HashPartitioner(Partitioner):
-    """Partition by stable hash of the key (Spark's default)."""
-
-    def partition(self, key: Any) -> int:
         return _portable_hash(key) % self.num_partitions
-
-
-class RangePartitioner(Partitioner):
-    """Partition by key ranges, given sorted split bounds.
-
-    ``bounds`` has ``num_partitions - 1`` entries; keys <= bounds[i] go to
-    partition i, larger keys to later partitions.  Used by ``sortBy``.
-    """
-
-    def __init__(self, bounds: Sequence[Any], ascending: bool = True):
-        super().__init__(len(bounds) + 1)
-        self.bounds: List[Any] = list(bounds)
-        self.ascending = ascending
-
-    def partition(self, key: Any) -> int:
-        idx = bisect.bisect_left(self.bounds, key)
-        if not self.ascending:
-            idx = self.num_partitions - 1 - idx
-        return idx
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, RangePartitioner)
-            and self.bounds == other.bounds
-            and self.ascending == other.ascending
+            isinstance(other, HashPartitioner)
+            and self.num_partitions == other.num_partitions
         )
 
     def __hash__(self) -> int:
-        return hash(("RangePartitioner", tuple(self.bounds), self.ascending))
+        return hash(("HashPartitioner", self.num_partitions))

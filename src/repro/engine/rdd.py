@@ -4,8 +4,9 @@ The API mirrors the part of Spark's RDD that this package runs — a
 release, the SQL executor and :mod:`repro.core.dpobject` — in
 snake_case (``tests/test_engine_surface.py`` names the caller of each
 public method).  All transformations are lazy — they build a lineage
-graph — and actions trigger jobs on the context's scheduler.  Key-value operations that need
-a shuffle live here too but construct their shuffle RDDs from
+graph — and actions trigger jobs on the context's scheduler.  The
+key-value operations that shuffle serve :mod:`repro.core.dpobject`
+alone; they live here but construct their shuffle RDDs from
 :mod:`repro.engine.shuffle` (imported locally to keep the module graph
 acyclic, the same layering Spark uses between ``RDD`` and
 ``ShuffledRDD``).
@@ -27,7 +28,7 @@ from typing import (
 
 from repro.common.errors import EngineError
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.partitioner import HashPartitioner, Partitioner, RangePartitioner
+from repro.engine.partitioner import HashPartitioner
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -92,21 +93,9 @@ class RDD:
         """Apply ``f`` to each whole partition iterator."""
         return MapPartitionsRDD(self, lambda _split, it: f(it))
 
-    def key_by(self, f: Callable[[T], K]) -> "RDD":
-        """Produce ``(f(rec), rec)`` pairs."""
-        return self.map(lambda rec: (f(rec), rec))
-
     def union(self, other: "RDD") -> "RDD":
         """Concatenate two RDDs (no shuffle; partitions are appended)."""
         return UnionRDD(self.context, [self, other])
-
-    def distinct(self) -> "RDD":
-        """Remove duplicate records (requires hashable records; shuffles)."""
-        return (
-            self.map(lambda rec: (rec, None))
-            .reduce_by_key(lambda a, _b: a)
-            .map(lambda kv: kv[0])
-        )
 
     def zip_with_index(self) -> "RDD":
         """Pair each record with a global 0-based index (triggers a job)."""
@@ -121,47 +110,9 @@ class RDD:
             ),
         )
 
-    def coalesce(self, num_partitions: int) -> "RDD":
-        """Reduce the partition count without a shuffle."""
-        if num_partitions >= self.num_partitions:
-            return self
-        return CoalescedRDD(self, num_partitions)
-
-    def sort_by(
-        self, key_func: Callable[[T], Any], ascending: bool = True
-    ) -> "RDD":
-        """Globally sort by ``key_func`` using range partitioning."""
-        parts = self.num_partitions
-        keys = self.map(key_func).collect()
-        if not keys:
-            return self
-        sorted_keys = sorted(keys)
-        if parts <= 1 or len(sorted_keys) <= 1:
-            bounds: List[Any] = []
-        else:
-            step = len(sorted_keys) / parts
-            bounds = [
-                sorted_keys[min(len(sorted_keys) - 1, max(0, int(step * i) - 1))]
-                for i in range(1, parts)
-            ]
-        partitioner = RangePartitioner(bounds, ascending=ascending)
-        keyed = self.key_by(key_func).partition_by(partitioner)
-        return keyed.map_partitions(
-            lambda it: (
-                kv[1]
-                for kv in sorted(it, key=lambda kv: kv[0], reverse=not ascending)
-            )
-        )
-
     # ------------------------------------------------------------------
     # Key-value transformations (records must be (key, value) tuples)
     # ------------------------------------------------------------------
-
-    def partition_by(self, partitioner: Partitioner) -> "RDD":
-        """Shuffle pairs so each key lands on ``partitioner.partition(key)``."""
-        from repro.engine.shuffle import ShuffledRDD
-
-        return ShuffledRDD(self, partitioner, aggregator=None)
 
     def combine_by_key(
         self,
@@ -196,17 +147,6 @@ class RDD:
                 (kvw[0], (v, w)) for v in kvw[1][0] for w in kvw[1][1]
             )
         )
-
-    def left_outer_join(self, other: "RDD") -> "RDD":
-        """Left outer join: unmatched left rows pair with ``None``."""
-
-        def emit(kvw):
-            key, (left_vals, right_vals) = kvw
-            if not right_vals:
-                return ((key, (v, None)) for v in left_vals)
-            return ((key, (v, w)) for v in left_vals for w in right_vals)
-
-        return self.cogroup(other).flat_map(emit)
 
     # ------------------------------------------------------------------
     # Actions
@@ -352,19 +292,3 @@ class UnionRDD(RDD):
             split -= parent.num_partitions
         raise EngineError(f"split {split} out of range for UnionRDD")
 
-
-class CoalescedRDD(RDD):
-    """Merge parent partitions into fewer output partitions (no shuffle)."""
-
-    def __init__(self, parent: RDD, num_partitions: int):
-        super().__init__(parent.context, num_partitions, [parent])
-        self._parent = parent
-
-    def compute(self, split: int) -> Iterator:
-        parent_parts = self._parent.num_partitions
-        mine = [
-            p for p in range(parent_parts)
-            if p * self.num_partitions // parent_parts == split
-        ]
-        for p in mine:
-            yield from self._parent.iterator(p)

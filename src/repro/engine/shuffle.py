@@ -1,22 +1,21 @@
 """Shuffle machinery: wide dependencies between stages.
 
 A shuffle runs a map-side job that buckets every ``(key, value)`` pair
-by the target partitioner (optionally pre-aggregating with map-side
-combine, as Spark does for ``reduce_by_key``), records the exchanged
-record count in the metrics registry, and stores the buckets so reduce
-tasks can fetch them.  ``ShuffledRDD`` and ``CoGroupedRDD`` are the two
-wide RDDs everything else (joins, aggregations, repartitioning) builds
-on.
+by the target partitioner, combining values per key map-side as Spark
+does for ``reduce_by_key``, records the exchanged record count in the
+metrics registry, and stores the buckets so reduce tasks can fetch
+them.  ``ShuffledRDD`` and ``CoGroupedRDD`` are the two wide RDDs the
+key-value operations :mod:`repro.core.dpobject` runs build on.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple, TypeVar
 
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.partitioner import Partitioner
+from repro.engine.partitioner import HashPartitioner
 from repro.engine.rdd import RDD
 
 K = TypeVar("K")
@@ -60,8 +59,8 @@ class ShuffleManager:
         self,
         shuffle_id: int,
         parent: RDD,
-        partitioner: Partitioner,
-        aggregator: Optional[Aggregator],
+        partitioner: HashPartitioner,
+        aggregator: Aggregator,
         reduce_split: int,
     ) -> List[Tuple[Any, Any]]:
         """Run the shuffle if needed, then return one reduce bucket."""
@@ -72,8 +71,8 @@ class ShuffleManager:
         self,
         shuffle_id: int,
         parent: RDD,
-        partitioner: Partitioner,
-        aggregator: Optional[Aggregator],
+        partitioner: HashPartitioner,
+        aggregator: Aggregator,
     ) -> None:
         with self._lock:
             if shuffle_id in self._outputs:
@@ -81,8 +80,7 @@ class ShuffleManager:
         tracer = self._context.tracer
         span = (
             tracer.span("engine.shuffle", shuffle_id=shuffle_id,
-                        partitions=partitioner.num_partitions,
-                        combined=aggregator is not None)
+                        partitions=partitioner.num_partitions)
             if tracer.enabled
             else None
         )
@@ -107,8 +105,8 @@ class ShuffleManager:
     def _run_map_side(
         self,
         parent: RDD,
-        partitioner: Partitioner,
-        aggregator: Optional[Aggregator],
+        partitioner: HashPartitioner,
+        aggregator: Aggregator,
     ) -> List[List[Tuple[Any, Any]]]:
         num_out = partitioner.num_partitions
         map_task = _ShuffleMapTask(partitioner, aggregator, num_out)
@@ -121,15 +119,11 @@ class ShuffleManager:
 
 
 class ShuffledRDD(RDD):
-    """Wide RDD produced by ``partition_by`` / ``combine_by_key``.
-
-    With an aggregator, partition contents are key-merged combiners;
-    without one, they are raw ``(key, value)`` pairs routed to the
-    partitioner's target split.
-    """
+    """Wide RDD produced by ``combine_by_key``: each partition holds
+    its keys' merged combiners."""
 
     def __init__(
-        self, parent: RDD, partitioner: Partitioner, aggregator: Optional[Aggregator]
+        self, parent: RDD, partitioner: HashPartitioner, aggregator: Aggregator
     ):
         super().__init__(parent.context, partitioner.num_partitions, [parent])
         self._parent = parent
@@ -141,8 +135,6 @@ class ShuffledRDD(RDD):
         bucket = self.context.shuffle_manager.fetch(
             self._shuffle_id, self._parent, self.partitioner, self._aggregator, split
         )
-        if self._aggregator is None:
-            return iter(bucket)
         merged: Dict[Any, Any] = {}
         merge = self._aggregator.merge_combiners
         for key, combiner in bucket:
@@ -160,7 +152,7 @@ class CoGroupedRDD(RDD):
     side aligns the per-parent groups by key.
     """
 
-    def __init__(self, parents: Sequence[RDD], partitioner: Partitioner):
+    def __init__(self, parents: Sequence[RDD], partitioner: HashPartitioner):
         if not parents:
             raise ValueError("CoGroupedRDD needs at least one parent")
         super().__init__(parents[0].context, partitioner.num_partitions, parents)
@@ -193,14 +185,14 @@ class CoGroupedRDD(RDD):
 
 
 class _ShuffleMapTask:
-    """Map-side shuffle task: bucket (and optionally combine) pairs."""
+    """Map-side shuffle task: combine pairs per key into buckets."""
 
     __slots__ = ("partitioner", "aggregator", "num_out")
 
     def __init__(
         self,
-        partitioner: Partitioner,
-        aggregator: Optional[Aggregator],
+        partitioner: HashPartitioner,
+        aggregator: Aggregator,
         num_out: int,
     ):
         self.partitioner = partitioner
@@ -209,13 +201,6 @@ class _ShuffleMapTask:
 
     def __call__(self, it: Iterator[Tuple[Any, Any]]):
         partitioner, aggregator = self.partitioner, self.aggregator
-        if aggregator is None:
-            local: List[List[Tuple[Any, Any]]] = [
-                [] for _ in range(self.num_out)
-            ]
-            for key, value in it:
-                local[partitioner.partition(key)].append((key, value))
-            return local
         combined: List[Dict[Any, Any]] = [{} for _ in range(self.num_out)]
         for key, value in it:
             bucket = combined[partitioner.partition(key)]

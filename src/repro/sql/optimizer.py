@@ -17,7 +17,7 @@ unoptimized results row-for-row on randomized plans.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.sql.expr import (
     Alias,
@@ -44,7 +44,6 @@ from repro.sql.logical import (
     Project,
     Scan,
     Sort,
-    Union,
 )
 
 
@@ -217,47 +216,6 @@ def prune_columns(plan: LogicalPlan, required: Optional[Set[str]] = None) -> Log
         for child, child_req in zip(plan.children(), child_required)
     ]
     return plan.with_children(new_children)
-
-
-def estimate_rows(plan: LogicalPlan, catalog) -> Optional[int]:
-    """Conservative upper bound on ``plan``'s output cardinality.
-
-    Used by the physical planner to decide whether a join side is small
-    enough to broadcast, so estimates only ever err high: filters are
-    assumed to pass everything, inner/left joins multiply.  ``None``
-    means "unknown" (e.g. an unregistered table) and disables the
-    broadcast path for that side.
-    """
-    if isinstance(plan, Scan):
-        if not catalog.has(plan.table_name):
-            return None
-        return len(catalog.table(plan.table_name).rows)
-    if isinstance(plan, (Filter, Project, Sort, Distinct)):
-        return estimate_rows(plan.child, catalog)
-    if isinstance(plan, Limit):
-        child = estimate_rows(plan.child, catalog)
-        return plan.n if child is None else min(plan.n, child)
-    if isinstance(plan, Aggregate):
-        if not plan.group_exprs:
-            return 1
-        return estimate_rows(plan.child, catalog)
-    if isinstance(plan, Join):
-        left = estimate_rows(plan.left, catalog)
-        if plan.how in ("semi", "anti"):
-            return left
-        right = estimate_rows(plan.right, catalog)
-        if left is None or right is None:
-            return None
-        return left * right
-    if isinstance(plan, Union):
-        total = 0
-        for child in plan.inputs:
-            est = estimate_rows(child, catalog)
-            if est is None:
-                return None
-            total += est
-        return total
-    return None
 
 
 _REWRITE_RULES = (combine_filters, push_filter_through_project, push_filter_into_join)

@@ -20,9 +20,6 @@ from repro.sql.optimizer import optimize
 from repro.sql.physical import Executor
 from repro.sql.types import Schema
 
-#: default cardinality (rows) below which a join side is broadcast.
-DEFAULT_BROADCAST_JOIN_THRESHOLD = 10_000
-
 
 class SQLSession:
     """Entry point to the SQL layer.
@@ -32,23 +29,16 @@ class SQLSession:
         >>> _ = sess.create_table("t", [{"a": 1, "b": 2}])
         >>> sess.table("t").select("a").collect()
         [{'a': 1}]
-
-    ``broadcast_join_threshold`` caps the estimated build-side rows for
-    broadcast hash joins; 0 disables them (every join shuffles, and the
-    shuffle's deterministic grouping fixes row order — the sqlbridge
-    static path relies on that for bitwise stability).
     """
 
     def __init__(
         self,
         engine: Optional[EngineContext] = None,
         config: Optional[EngineConfig] = None,
-        broadcast_join_threshold: int = DEFAULT_BROADCAST_JOIN_THRESHOLD,
     ):
         self.engine = engine or EngineContext(config)
         self.catalog = Catalog(self.engine)
         self.executor = Executor(self)
-        self.broadcast_join_threshold = broadcast_join_threshold
 
     # ------------------------------------------------------------------
     # Tables

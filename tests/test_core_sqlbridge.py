@@ -418,7 +418,8 @@ class TestBatchEvaluator:
                 expected, rel=1e-12
             ), shape
 
-    def test_none_keys_match_none_as_the_plain_executor_does(self):
+    def test_none_keys_match_nothing_as_the_plain_executor_does(self):
+        # NULL = NULL is not true: a key holding NULL joins no row.
         tables = {
             "t": [{"k": None, "x": 1}, {"k": 1, "x": 2}, {"k": None, "x": 3}],
             "d": [{"dk": None, "w": 10}, {"dk": None, "w": 20}, {"dk": 1, "w": 5}],
@@ -430,8 +431,29 @@ class TestBatchEvaluator:
             session.table("d"), on=[("k", "dk")]
         ).agg(sum_(col("w") * col("x"), "s"))
         query = compile_plan(frame.plan, tables, "t")
-        assert query.map_batch(tables["t"], None).tolist() == [30.0, 10.0, 90.0]
-        assert query.output(tables)[0] == frame.scalar() == 130.0
+        assert query.map_batch(tables["t"], None).tolist() == [0.0, 10.0, 0.0]
+        assert query.map_record(tables["t"][0], None) == 0.0
+        assert query.output(tables)[0] == frame.scalar() == 10.0
+
+    @pytest.mark.parametrize("negated, expected", [
+        (False, [0.0, 1.0, 0.0]), (True, [1.0, 0.0, 1.0]),
+    ])
+    def test_none_keys_in_a_subquery_match_nothing(self, negated, expected):
+        tables = {
+            "t": [{"a": 1, "b": None}, {"a": 2, "b": 3}, {"a": 3, "b": 1}],
+            "u": [{"k": None, "v": 1}, {"k": 3, "v": 2}],
+        }
+        text = (
+            "SELECT COUNT(*) AS n FROM t WHERE b "
+            f"{'NOT IN' if negated else 'IN'} (SELECT k FROM u)"
+        )
+        session = SQLSession()
+        for name, rows in tables.items():
+            session.create_table(name, rows)
+        query = compile_plan(session.sql(text).plan, tables, "t")
+        assert query.map_batch(tables["t"], None).tolist() == expected
+        assert [query.map_record(r, None) for r in tables["t"]] == expected
+        assert query.output(tables)[0] == session.sql(text).scalar()
 
     def test_map_batch_never_enters_the_row_interpreter(
         self, tables, session, monkeypatch

@@ -25,7 +25,7 @@ class TestAggregationsByKey:
         assert dict(out.collect()) == {"a": 4, "b": 7, "c": 4}
 
     def test_combine_by_key_groups_values(self, pairs):
-        """GROUP BY's list combiners: every value lands under its key."""
+        """List combiners (cogroup's): every value lands under its key."""
 
         def append(acc, v):
             acc.append(v)
@@ -66,14 +66,6 @@ class TestJoins:
         out = sorted(left.join(right).collect())
         assert out == [(1, ("a", "x")), (1, ("c", "x"))]
 
-    def test_left_outer_join(self, left, right):
-        out = sorted(left.left_outer_join(right).collect())
-        assert out == [(1, ("a", "x")), (1, ("c", "x")), (2, ("b", None))]
-
-    def test_left_outer_join_from_right_side(self, left, right):
-        out = sorted(right.left_outer_join(left).collect())
-        assert out == [(1, ("x", "a")), (1, ("x", "c")), (3, ("y", None))]
-
     def test_cogroup(self, left, right):
         out = {
             k: (sorted(a), sorted(b))
@@ -111,13 +103,6 @@ class TestShuffleBehaviour:
         shuffled = ctx.metrics.get(MetricsRegistry.RECORDS_SHUFFLED) - before
         assert shuffled <= 4
 
-    def test_partition_by_no_combine_sends_everything(self, ctx):
-        pairs = ctx.parallelize([("k", 1)] * 100, 4)
-        before = ctx.metrics.get(MetricsRegistry.RECORDS_SHUFFLED)
-        pairs.partition_by(HashPartitioner(2)).collect()
-        shuffled = ctx.metrics.get(MetricsRegistry.RECORDS_SHUFFLED) - before
-        assert shuffled == 100
-
     def test_shuffle_executed_once_per_shuffled_rdd(self, ctx):
         pairs = ctx.parallelize([("a", 1), ("b", 2)], 2)
         reduced = pairs.reduce_by_key(lambda a, b: a + b)
@@ -128,11 +113,9 @@ class TestShuffleBehaviour:
 
     def test_same_key_lands_in_same_partition(self, ctx):
         pairs = ctx.parallelize([(i % 5, i) for i in range(100)], 4)
-        located = pairs.partition_by(HashPartitioner(3))
-        chunks = located.map_partitions(lambda it: [list(it)]).collect()
-        for chunk in chunks:
-            keys_here = {k for k, _v in chunk}
-            for other in chunks:
-                if other is chunk:
-                    continue
-                assert keys_here.isdisjoint({k for k, _v in other})
+        grouped = pairs.cogroup(ctx.parallelize([(2, "x")], 1))
+        partitioner = HashPartitioner(grouped.num_partitions)
+        chunks = grouped.map_partitions(lambda it: [list(it)]).collect()
+        assert sorted(k for chunk in chunks for k, _v in chunk) == [0, 1, 2, 3, 4]
+        for split, chunk in enumerate(chunks):
+            assert all(partitioner.partition(k) == split for k, _v in chunk)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.errors import EngineError
 from repro.engine import EngineContext
-from repro.engine.partitioner import HashPartitioner
 
 
 class TestBasicTransformations:
@@ -35,10 +34,6 @@ class TestBasicTransformations:
         ).collect()
         assert chunks == [[0, 1], [2, 3], [4, 5]]
 
-    def test_key_by(self, ctx):
-        out = ctx.parallelize(["ab", "c"]).key_by(len).collect()
-        assert out == [(2, "ab"), (1, "c")]
-
     def test_union(self, ctx):
         left = ctx.parallelize([1, 2], 2)
         right = ctx.parallelize([3], 1)
@@ -46,48 +41,9 @@ class TestBasicTransformations:
         assert union.collect() == [1, 2, 3]
         assert union.num_partitions == 3
 
-    def test_distinct(self, ctx):
-        out = sorted(ctx.parallelize([3, 1, 3, 2, 1]).distinct().collect())
-        assert out == [1, 2, 3]
-
     def test_zip_with_index(self, ctx):
         out = ctx.parallelize(list("abcd"), 3).zip_with_index().collect()
         assert out == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
-
-    def test_partition_by_preserves_records(self, ctx):
-        pairs = [(v, v * v) for v in range(50)]
-        rdd = ctx.parallelize(pairs, 2).partition_by(HashPartitioner(7))
-        assert rdd.num_partitions == 7
-        assert sorted(rdd.collect()) == pairs
-
-    def test_coalesce(self, ctx):
-        rdd = ctx.parallelize(range(10), 5).coalesce(2)
-        assert rdd.num_partitions == 2
-        assert sorted(rdd.collect()) == list(range(10))
-
-    def test_coalesce_no_op_when_growing(self, ctx):
-        rdd = ctx.parallelize(range(4), 2)
-        assert rdd.coalesce(8) is rdd
-
-    def test_sort_by_ascending(self, ctx):
-        data = [5, 3, 8, 1, 9, 2]
-        out = ctx.parallelize(data, 3).sort_by(lambda v: v).collect()
-        assert out == sorted(data)
-
-    def test_sort_by_descending(self, ctx):
-        data = list(range(40))
-        out = ctx.parallelize(data, 4).sort_by(lambda v: v, ascending=False)
-        assert out.collect() == sorted(data, reverse=True)
-
-    def test_sort_by_descending_take(self, ctx):
-        """ORDER BY ... DESC LIMIT: a descending sort, then a prefix."""
-        rdd = ctx.parallelize([3, 9, 1, 7], 2)
-        assert rdd.sort_by(lambda v: v, ascending=False).take(2) == [9, 7]
-
-    def test_sort_by_key_func(self, ctx):
-        rdd = ctx.parallelize(["bb", "a", "ccc"], 2)
-        assert rdd.sort_by(len, ascending=False).take(1) == ["ccc"]
-        assert rdd.sort_by(len).collect() == ["a", "bb", "ccc"]
 
     def test_empty_rdd(self, ctx):
         assert ctx.parallelize([]).collect() == []
@@ -161,8 +117,6 @@ class TestActions:
         assert not ctx.parallelize([1]).is_empty()
 
     def test_invalid_partition_count(self, ctx):
-        with pytest.raises(EngineError):
-            ctx.parallelize([1], 1).map(lambda v: v).coalesce(0).collect()
         for bad in (0, -2, 2.5, True, False, "3"):
             with pytest.raises(EngineError):
                 ctx.parallelize([1], bad)

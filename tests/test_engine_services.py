@@ -12,7 +12,7 @@ from repro.engine import EngineContext, FaultInjector
 from repro.engine.events import JobListener
 from repro.engine.fault import InjectedFault
 from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
-from repro.engine.partitioner import HashPartitioner, RangePartitioner, _portable_hash
+from repro.engine.partitioner import HashPartitioner, _portable_hash
 from repro.mining import LifeScienceConfig, make_life_science_tables
 from repro.sql import SQLSession, col
 from repro.tpch import TPCHConfig, TPCHGenerator
@@ -42,22 +42,9 @@ class TestPartitioners:
         d = datetime.date(1995, 6, 1)
         assert _portable_hash(d) == d.toordinal()
 
-    def test_range_partitioner(self):
-        p = RangePartitioner([10, 20])
-        assert p.num_partitions == 3
-        assert p.partition(5) == 0
-        assert p.partition(15) == 1
-        assert p.partition(25) == 2
-
-    def test_range_partitioner_descending(self):
-        p = RangePartitioner([10, 20], ascending=False)
-        assert p.partition(5) == 2
-        assert p.partition(25) == 0
-
     def test_partitioner_equality(self):
         assert HashPartitioner(4) == HashPartitioner(4)
         assert HashPartitioner(4) != HashPartitioner(5)
-        assert RangePartitioner([1]) != HashPartitioner(2)
 
     def test_invalid_partition_count(self):
         with pytest.raises(ValueError):

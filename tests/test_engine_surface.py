@@ -27,15 +27,6 @@ RDD_CALLERS = {
     "aggregate": "src/repro/core/session.py::reduce_phase",
     "map": "src/repro/core/session.py::UPASession.run_vanilla",
     # the SQL executor
-    "flat_map": "src/repro/sql/physical.py::Executor._shuffle_join",
-    "coalesce": "src/repro/sql/physical.py::Executor._execute_limit",
-    "distinct": "src/repro/sql/physical.py::Executor._execute_distinct",
-    "sort_by": "src/repro/sql/physical.py::Executor._execute_sort",
-    "combine_by_key":
-        "src/repro/sql/physical.py::Executor._execute_aggregate",
-    "cogroup": "src/repro/sql/physical.py::Executor._shuffle_join",
-    "join": "src/repro/sql/physical.py::Executor._shuffle_join",
-    "left_outer_join": "src/repro/sql/physical.py::Executor._shuffle_join",
     "first": "src/repro/sql/dataframe.py::DataFrame.first",
     # the Table I operators
     "zip_with_index": "src/repro/core/dpobject.py::dpread",
@@ -46,11 +37,13 @@ RDD_CALLERS = {
     "reduce": "src/repro/core/dpobject.py::DPObject.reduce_dp",
     "reduce_by_key":
         "src/repro/core/dpobject.py::DPObjectKV.reduce_by_key_dp",
+    "join": "src/repro/core/dpobject.py::DPObjectKV.join_dp",
     # kept engine methods and the scheduler
     "compute": "src/repro/engine/rdd.py::RDD.iterator",
     "iterator": "src/repro/engine/scheduler.py::TaskScheduler._run_task",
-    "key_by": "src/repro/engine/rdd.py::RDD.sort_by",
-    "partition_by": "src/repro/engine/rdd.py::RDD.sort_by",
+    "combine_by_key": "src/repro/engine/rdd.py::RDD.reduce_by_key",
+    "cogroup": "src/repro/engine/rdd.py::RDD.join",
+    "flat_map": "src/repro/engine/rdd.py::RDD.join",
     "take": "src/repro/engine/rdd.py::RDD.first",
     "union": "src/repro/engine/context.py::EngineContext.union",
 }

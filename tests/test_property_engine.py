@@ -82,20 +82,6 @@ class TestReferenceSemantics:
         assert rdd.reduce(min) == min(data)
         assert rdd.reduce(max) == max(data)
 
-    @given(data=SMALL_INTS, parts=PARTS)
-    @settings(max_examples=40, deadline=None)
-    def test_distinct_matches_set(self, data, parts):
-        ctx = make_ctx()
-        out = ctx.parallelize(data, parts).distinct().collect()
-        assert sorted(out) == sorted(set(data))
-
-    @given(data=SMALL_INTS, parts=PARTS)
-    @settings(max_examples=40, deadline=None)
-    def test_sort_by_matches_sorted(self, data, parts):
-        ctx = make_ctx()
-        out = ctx.parallelize(data, parts).sort_by(lambda v: v).collect()
-        assert out == sorted(data)
-
     @given(data=SMALL_INTS, parts=PARTS, n=st.integers(0, 70))
     @settings(max_examples=40, deadline=None)
     def test_take_is_prefix(self, data, parts, n):
@@ -201,14 +187,6 @@ class TestSemanticsUnderFaults:
         rdd = faulty_ctx(seed).parallelize(data, parts)
         assert rdd.aggregate(0, _add, _add) == sum(data)
         assert rdd.count() == len(data)
-
-    @given(data=SMALL_INTS, parts=PARTS, seed=st.integers(0, 99))
-    @settings(max_examples=30, deadline=None)
-    def test_sort_by_matches_sorted(self, data, parts, seed):
-        out = faulty_ctx(seed).parallelize(data, parts).sort_by(
-            lambda v: v
-        ).collect()
-        assert out == sorted(data)
 
     @given(pairs=PAIRS, parts=PARTS, seed=st.integers(0, 99))
     @settings(max_examples=30, deadline=None)

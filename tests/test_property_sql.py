@@ -11,6 +11,7 @@ exactness is then required of whole-column evaluation
 ``map_batch`` must be ``map_record`` of every record bit for bit.
 """
 
+import functools
 from typing import List
 
 import numpy as np
@@ -33,10 +34,12 @@ from repro.sql.expr import (
     IsNullOp,
     LikeOp,
     UnaryOp,
+    combine_conjuncts,
     lit,
 )
 from repro.sql.functions import count
 from repro.sql.logical import Join
+from repro.sql.types import Schema
 from repro.sql.vectorized import block_mask, block_value
 
 ROWS = st.lists(
@@ -523,3 +526,193 @@ class TestBridgeBatchEvaluation:
             ])
             assert pieces.tobytes() == query.map_batch(rows, None).tobytes()
             assert len(query.map_batch([], None)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Row order contract (DESIGN.md §5): joins against a nested-loop oracle
+# ---------------------------------------------------------------------------
+
+#: small key ranges so keys repeat, and NULL keys on both sides.
+_KEY = st.one_of(st.none(), st.integers(0, 3))
+LEFT_ROWS = st.lists(
+    st.fixed_dictionaries({"a": _KEY, "b": _KEY, "x": st.integers(0, 9)}),
+    max_size=14,
+)
+RIGHT_ROWS = st.lists(
+    st.fixed_dictionaries({"k": _KEY, "j": _KEY, "y": st.integers(0, 9)}),
+    max_size=10,
+)
+_ON = {
+    "one key": [("a", "k")],
+    "two keys": [("a", "k"), ("b", "j")],
+}
+
+
+def _order_session(left, right) -> SQLSession:
+    """``t`` and ``u`` registered with their schemas, even when empty."""
+    session = SQLSession()
+    session.create_table(
+        "t", left, Schema.from_rows([{"a": 0, "b": 0, "x": 0}])
+    )
+    session.create_table(
+        "u", right, Schema.from_rows([{"k": 0, "j": 0, "y": 0}])
+    )
+    return session
+
+
+def _nested_loop(left, right, on, how, residual=None):
+    """The join by ``Expression.eval``, one (left, right) pair at a
+    time: left-major, a left row's matches in right-table order."""
+    condition = combine_conjuncts([col(l) == col(r) for l, r in on])
+    prefix = Join.RESIDUAL_RIGHT_PREFIX
+    out = []
+    for lrow in left:
+        matches = [
+            rrow for rrow in right if condition.eval({**lrow, **rrow})
+        ]
+        if residual is not None:
+            matches = [
+                rrow for rrow in matches
+                if residual.eval(
+                    {**lrow, **{prefix + n: v for n, v in rrow.items()}}
+                )
+            ]
+        if how == "inner":
+            out += [{**lrow, **rrow} for rrow in matches]
+        elif how == "left":
+            out += [{**lrow, **rrow} for rrow in matches] or [
+                {**lrow, "k": None, "j": None, "y": None}
+            ]
+        elif bool(matches) == (how == "semi"):
+            out.append(lrow)
+    return out
+
+
+class TestJoinOracle:
+    """Every join kind equals the nested-loop oracle row for row, in the
+    contract order, over NULL keys and duplicate keys on both sides."""
+
+    @pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+    @given(left=LEFT_ROWS, right=RIGHT_ROWS, on=st.sampled_from(sorted(_ON)))
+    @settings(max_examples=60, deadline=None)
+    def test_join_matches_nested_loop(self, how, left, right, on):
+        session = _order_session(left, right)
+        frame = session.table("t").join(
+            session.table("u"), on=_ON[on], how=how
+        )
+        expected = _nested_loop(left, right, _ON[on], how)
+        assert frame.collect() == expected
+        assert session.executor.execute(frame.plan).collect() == expected
+
+    @pytest.mark.parametrize("how", ["semi", "anti"])
+    @given(left=LEFT_ROWS, right=RIGHT_ROWS, on=st.sampled_from(sorted(_ON)))
+    @settings(max_examples=60, deadline=None)
+    def test_residual_join_matches_nested_loop(self, how, left, right, on):
+        residual = col(Join.RESIDUAL_RIGHT_PREFIX + "y") > col("x")
+        session = _order_session(left, right)
+        frame = session.table("t").join(
+            session.table("u"), on=_ON[on], how=how, residual=residual
+        )
+        assert frame.collect() == _nested_loop(
+            left, right, _ON[on], how, residual
+        )
+
+
+def _sorted_nulls_first(rows, keys):
+    """A stable sort by ``(name, ascending)`` keys, NULL below every
+    value: one comparison over all keys (the executor sorts one pass
+    per key)."""
+
+    def compare(r1, r2):
+        for name, ascending in keys:
+            v1, v2 = r1[name], r2[name]
+            if v1 == v2:
+                continue
+            if v1 is None or (v2 is not None and v1 < v2):
+                order = -1
+            else:
+                order = 1
+            return order if ascending else -order
+        return 0
+
+    return sorted(rows, key=functools.cmp_to_key(compare))
+
+
+class TestWideOperatorOrder:
+    @given(left=LEFT_ROWS)
+    @settings(max_examples=60, deadline=None)
+    def test_group_by_keeps_first_seen_order(self, left):
+        session = _order_session(left, [])
+        got = (
+            session.table("t").group_by("a", "b")
+            .agg(count_star("n"), sum_(col("x"), "s")).collect()
+        )
+        groups = {}
+        for row in left:
+            n, s = groups.get((row["a"], row["b"]), (0, 0))
+            groups[(row["a"], row["b"])] = (n + 1, s + row["x"])
+        assert got == [
+            {"a": a, "b": b, "n": n, "s": s}
+            for (a, b), (n, s) in groups.items()
+        ]
+
+    @given(left=LEFT_ROWS)
+    @settings(max_examples=60, deadline=None)
+    def test_distinct_keeps_first_seen_order(self, left):
+        session = _order_session(left, [])
+        got = session.table("t").select("a", "b").distinct().collect()
+        assert got == [
+            {"a": a, "b": b}
+            for a, b in dict.fromkeys((r["a"], r["b"]) for r in left)
+        ]
+
+    @given(left=LEFT_ROWS,
+           keys=st.lists(
+               st.tuples(st.sampled_from(["a", "b"]), st.booleans()),
+               min_size=1, max_size=2, unique_by=lambda k: k[0],
+           ))
+    @settings(max_examples=80, deadline=None)
+    def test_order_by_is_stable_with_nulls_first(self, left, keys):
+        session = _order_session(left, [])
+        got = session.table("t").order_by(
+            *[name for name, _asc in keys],
+            ascending=[asc for _name, asc in keys],
+        ).collect()
+        assert got == _sorted_nulls_first(left, keys)
+
+    @given(left=LEFT_ROWS, right=RIGHT_ROWS, n=st.integers(0, 20),
+           shape=st.sampled_from(["scan", "join", "order", "group"]))
+    @settings(max_examples=80, deadline=None)
+    def test_limit_is_a_prefix(self, left, right, n, shape):
+        session = _order_session(left, right)
+        t = session.table("t")
+        frame = {
+            "scan": t.filter(col("x") > 2),
+            "join": t.join(session.table("u"), on=_ON["one key"]),
+            "order": t.order_by("b", "x", ascending=[False, True]),
+            "group": t.group_by("b").agg(count_star("n")),
+        }[shape]
+        assert frame.limit(n).collect() == frame.collect()[:n]
+
+
+class TestBridgeAgreesWithPlainSQL:
+    """The bridge's output is the plain SQL answer, NULL keys included
+    (a key holding NULL matches nothing on either path)."""
+
+    @given(case=bridge_plans())
+    @settings(max_examples=150, deadline=None)
+    def test_output_is_the_plain_answer(self, case):
+        tables, plan = case
+        query = compile_plan(plan, tables, "t")
+        session = SQLSession()
+        for name, rows in tables.items():
+            session.create_table(name, rows)
+        try:
+            (row,) = session.execute_plan(plan).collect()
+            expected = query.output(tables)[0]
+        except Exception:  # noqa: BLE001 — a raising plan has no answer
+            return
+        (plain,) = row.values()
+        assert expected == pytest.approx(
+            0.0 if plain is None else float(plain), rel=1e-9, abs=1e-9
+        )

@@ -1,9 +1,9 @@
 """Tests for compiled, fused SQL execution (repro.sql.compiler + physical).
 
 Covers expression codegen (the semantics of ``Expression.eval``),
-operator fusion (narrow chains are one RDD hop), broadcast hash joins
-(shuffle elimination, strategy metrics), what a join residual reads,
-the closure cache and lazy LIMIT.  ``Expression.eval`` over the rows is
+operator fusion (narrow chains are one RDD hop), that no shipped query
+shuffles, what a join residual reads, the closure cache and LIMIT
+reading no partition past its rows.  ``Expression.eval`` over the rows is
 the reference every executed result is held to.
 """
 
@@ -23,7 +23,6 @@ from repro.sql.compiler import (
     expr_fingerprint,
     plan_fingerprint,
 )
-from repro.sql.optimizer import estimate_rows
 
 ROWS = [
     {"a": i, "b": i % 3, "c": f"s{i % 5}", "v": float(i)} for i in range(40)
@@ -31,8 +30,8 @@ ROWS = [
 DIM = [{"k": i, "w": i * 10} for i in range(3)]
 
 
-def _session(**kwargs) -> SQLSession:
-    session = SQLSession(**kwargs)
+def _session() -> SQLSession:
+    session = SQLSession()
     session.create_table("t", ROWS)
     session.create_table("d", DIM)
     return session
@@ -154,104 +153,112 @@ class TestFusion:
 
 
 # ---------------------------------------------------------------------------
-# Broadcast hash join
+# No shuffle
 # ---------------------------------------------------------------------------
 
 
-class TestBroadcastJoin:
-    def _join(self, session):
-        return (
-            session.table("t")
-            .join(session.table("d"), on=[("b", "k")])
-            .agg(sum_(col("w") + col("v"), "s"))
-        )
+def _tpch_session():
+    from repro.tpch import TPCHConfig, TPCHGenerator
 
-    def test_small_side_broadcasts_without_shuffle(self):
-        session = _session()
+    session = SQLSession()
+    tables = TPCHGenerator(TPCHConfig(scale_rows=300, seed=7)).generate()
+    for name, rows in tables.items():
+        session.create_table(name, rows)
+    return session
+
+
+def _tpch_plans():
+    from benchmarks.e2e.workloads import SQL_QUERIES
+    from repro.tpch.queries.extras import Q12, Q14
+    from repro.tpch.workload import all_queries
+
+    queries = all_queries() + [Q12(), Q14()]
+    plans = [
+        pytest.param(q.dataframe, id=f"{q.name}-dataframe") for q in queries
+    ]
+    plans += [
+        pytest.param(lambda s, q=q: s.sql(q.sql_text()), id=f"{q.name}-sql")
+        for q in queries
+    ]
+    plans += [
+        pytest.param(lambda s, text=text: s.sql(text), id=f"adhoc-{group}")
+        for group, text, _protected, _sampler in SQL_QUERIES
+    ]
+    return plans
+
+
+class TestNoShuffle:
+    """SQL joins by hash probe and runs its other wide operators on the
+    driver: no query the package ships shuffles."""
+
+    @pytest.mark.parametrize("frame", _tpch_plans())
+    def test_query_runs_without_a_shuffle(self, frame):
+        session = _tpch_session()
         before = session.engine.metrics.snapshot()
-        result = self._join(session).collect()
+        rows = frame(session).collect()
         delta = session.engine.metrics.snapshot().diff(before)
+        assert rows
+        assert delta.get(MetricsRegistry.SHUFFLES) == 0
         assert delta.get(MetricsRegistry.RECORDS_SHUFFLED) == 0
-        assert delta.get(MetricsRegistry.SQL_JOIN_BROADCAST) == 1
-        assert delta.get(MetricsRegistry.SQL_JOIN_SHUFFLE) == 0
-        assert result
 
-    def test_threshold_zero_forces_shuffle(self):
-        session = _session(broadcast_join_threshold=0)
-        before = session.engine.metrics.snapshot()
-        result = self._join(session).collect()
-        delta = session.engine.metrics.snapshot().diff(before)
-        assert delta.get(MetricsRegistry.RECORDS_SHUFFLED) > 0
-        assert delta.get(MetricsRegistry.SQL_JOIN_SHUFFLE) == 1
-        assert delta.get(MetricsRegistry.SQL_JOIN_BROADCAST) == 0
-        assert result
 
-    def test_strategies_agree_row_for_row(self):
-        def rows(threshold):
-            session = _session(broadcast_join_threshold=threshold)
-            return sorted(
-                session.table("t")
-                .join(session.table("d"), on=[("b", "k")])
-                .collect(),
-                key=lambda r: (r["a"],),
-            )
+# ---------------------------------------------------------------------------
+# NULL keys and NULL sort keys
+# ---------------------------------------------------------------------------
 
-        assert rows(10_000) == rows(0)
+NULL_T = [{"a": 1, "b": None}, {"a": 2, "b": 3}, {"a": 3, "b": 1}]
+NULL_U = [{"k": None, "v": 1}, {"k": 3, "v": 2}]
 
-    @pytest.mark.parametrize("how", ["left", "semi", "anti"])
-    def test_non_inner_joins_agree(self, how):
-        def rows(threshold):
-            session = _session(broadcast_join_threshold=threshold)
-            left = session.table("t")
-            right = session.table("d")
-            if how == "left":
-                df = left.join(right, on=[("b", "k")], how="left")
-            elif how == "semi":
-                df = left.semi_join(right, on=[("b", "k")])
-            else:
-                df = left.anti_join(right, on=[("b", "k")])
-            return sorted(df.collect(), key=lambda r: r["a"])
 
-        assert rows(10_000) == rows(0)
+class TestNullSemantics:
+    """``NULL = x`` is not true, so a key holding NULL matches nothing;
+    a sort orders NULL below every value."""
 
-    def test_tpch_q13_broadcast_eliminates_shuffle(self):
-        from repro.tpch import TPCHConfig, TPCHGenerator, query_by_name
+    @pytest.fixture
+    def session(self):
+        session = SQLSession()
+        session.create_table("t", NULL_T)
+        session.create_table("u", NULL_U)
+        return session
 
-        tables = TPCHGenerator(TPCHConfig(scale_rows=300, seed=7)).generate()
-        q13 = query_by_name("tpch13")
+    def test_inner_join_drops_null_keys(self, session):
+        got = session.sql("SELECT a, v FROM t, u WHERE b = k").collect()
+        assert got == [{"a": 2, "v": 2}]
 
-        def run(threshold):
-            session = SQLSession(broadcast_join_threshold=threshold)
-            for name, rows in tables.items():
-                session.create_table(name, rows)
-            before = session.engine.metrics.snapshot()
-            value = q13.dataframe(session).scalar()
-            delta = session.engine.metrics.snapshot().diff(before)
-            return value, delta
+    def test_in_subquery_matches_no_null(self, session):
+        got = session.sql(
+            "SELECT a FROM t WHERE b IN (SELECT k FROM u)"
+        ).collect()
+        assert got == [{"a": 2}]
 
-        broadcast_value, broadcast_delta = run(1_000_000)
-        shuffle_value, shuffle_delta = run(0)
-        assert broadcast_value == shuffle_value
-        # the shuffle is demonstrably eliminated
-        assert broadcast_delta.get(MetricsRegistry.RECORDS_SHUFFLED) == 0
-        assert broadcast_delta.get(MetricsRegistry.SQL_JOIN_BROADCAST) >= 1
-        assert shuffle_delta.get(MetricsRegistry.RECORDS_SHUFFLED) > 0
+    def test_not_in_is_planned_as_not_exists(self, session):
+        # SQL's three-valued NOT IN would keep no row here (u.k holds a
+        # NULL); NOT EXISTS keeps every row without a match.
+        got = session.sql(
+            "SELECT a FROM t WHERE b NOT IN (SELECT k FROM u)"
+        ).collect()
+        assert got == [{"a": 1}, {"a": 3}]
 
-    def test_estimate_rows_bounds(self):
-        session = _session()
-        catalog = session.catalog
-        scan_t = session.table("t").plan
-        scan_d = session.table("d").plan
-        assert estimate_rows(scan_t, catalog) == len(ROWS)
-        filtered = session.table("t").filter(col("a") > 5).plan
-        assert estimate_rows(filtered, catalog) == len(ROWS)
-        joined = session.table("t").join(
-            session.table("d"), on=[("b", "k")]
-        ).plan
-        assert estimate_rows(joined, catalog) == len(ROWS) * len(DIM)
-        agg = session.table("t").agg(count_star("n")).plan
-        assert estimate_rows(agg, catalog) == 1
-        assert estimate_rows(scan_d, catalog) == len(DIM)
+    def test_left_join_null_extends_a_null_key(self, session):
+        got = session.table("t").join(
+            session.table("u"), on=[("b", "k")], how="left"
+        ).collect()
+        assert got == [
+            {"a": 1, "b": None, "k": None, "v": None},
+            {"a": 2, "b": 3, "k": 3, "v": 2},
+            {"a": 3, "b": 1, "k": None, "v": None},
+        ]
+
+    @pytest.mark.parametrize("order, expected", [
+        ("b", [1, 3, 2]),
+        ("b DESC", [2, 3, 1]),
+        ("b DESC, a ASC", [2, 3, 1]),
+        ("b ASC, a DESC", [1, 3, 2]),
+    ])
+    def test_order_by_puts_null_first_ascending(self, session, order,
+                                                expected):
+        got = session.sql(f"SELECT a, b FROM t ORDER BY {order}").collect()
+        assert [row["a"] for row in got] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +279,8 @@ class TestJoinResidual:
         ]
         return [row for row in merged if self.RESIDUAL.eval(row)]
 
-    @pytest.mark.parametrize("threshold", [10_000, 0],
-                             ids=["broadcast", "shuffle"])
-    def test_inner_residual_reads_the_right_side(self, threshold):
-        session = _session(broadcast_join_threshold=threshold)
+    def test_inner_residual_reads_the_right_side(self):
+        session = _session()
         joined = session.table("t").join(
             session.table("d"), on=[("b", "k")], residual=self.RESIDUAL
         )
@@ -330,13 +335,17 @@ class TestPlans:
 
 
 class TestLazyLimit:
-    def test_limit_runs_no_job_at_plan_time(self):
+    def test_later_partitions_are_never_computed(self):
         session = _session()
         metrics = session.engine.metrics
-        before = metrics.get(MetricsRegistry.JOBS)
+        parts = session.catalog.rdd("t").num_partitions
+        assert parts > 1
+        before = metrics.get(MetricsRegistry.RECORDS_READ)
         rdd = session.table("t").limit(5).to_rdd()
-        assert metrics.get(MetricsRegistry.JOBS) == before  # still lazy
-        assert len(rdd.collect()) == 5
+        # of the table, only the first partition is read
+        read = metrics.get(MetricsRegistry.RECORDS_READ) - before
+        assert read == len(ROWS) // parts
+        assert rdd.collect() == ROWS[:5]
 
     def test_limit_results_match_eval(self):
         got = _session().table("t").order_by("a").limit(7).collect()
