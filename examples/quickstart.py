@@ -7,7 +7,9 @@ Walks the whole pipeline on a generated TPC-H dataset:
 2. run TPC-H Q1 (a count) under UPA with automatically inferred
    sensitivity;
 3. compare the noisy answer to the true one;
-4. show the low-level Table I operator API doing the same thing;
+4. show the low-level Table I operator API doing the same thing, then
+   reduceByKeyDP (lineitems per return flag) and joinDP (orders joined
+   with their lineitems);
 5. rerun it on an engine that fails task attempts: the engine retries
    them from lineage and the result does not change.
 """
@@ -53,6 +55,22 @@ def main() -> None:
     )
     print(f"\ndpread/mapDP/reduceDP         : result={total}, "
           f"neighbour outputs all equal {neighbours[0]}")
+
+    flags = dpo.map_dp(lambda rec: (rec["l_returnflag"], 1)).as_kv()
+    without, per_flag = flags.reduce_by_key_dp(lambda a, b: a + b)
+    exact = all(
+        neighbour == {flag: per_flag[flag] - 1}
+        for (flag, _one), neighbour in zip(flags.sampled, without)
+    )
+    print(f"reduceByKeyDP (return flag)   : {dict(sorted(per_flag.items()))}, "
+          f"each neighbour one lower on its flag: {exact}")
+
+    orders = dpread(engine.parallelize(tables["orders"]), 100, seed=2)
+    by_order = orders.map_dp(lambda o: (o["o_orderkey"], o["o_orderdate"]))
+    items = dpo.map_dp(lambda rec: (rec["l_orderkey"], rec["l_quantity"]))
+    joined = by_order.as_kv().join_dp(items.as_kv())
+    print(f"joinDP (orders x lineitem)    : {joined.count()} joined tuples, "
+          f"{len(joined.differing)} with a sampled record")
 
     # -- 5. the same operators under task failures ----------------------------
     with EngineContext() as faulty:

@@ -10,7 +10,7 @@ class ReproError(Exception):
 
 
 class EngineError(ReproError):
-    """Raised by the MapReduce engine (scheduling, shuffle, storage)."""
+    """Raised by the MapReduce engine (partitioning, scheduling)."""
 
 
 class TaskFailedError(EngineError):

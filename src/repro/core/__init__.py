@@ -13,12 +13,11 @@
   Table I (dpread / DPObject / DPObjectKV).
 """
 
-from repro.core.query import MapReduceQuery, QueryOutput
+from repro.core.query import MapReduceQuery
 from repro.core.session import UPAConfig, UPAResult, UPASession
 
 __all__ = [
     "MapReduceQuery",
-    "QueryOutput",
     "UPAConfig",
     "UPAResult",
     "UPASession",

@@ -5,8 +5,14 @@ map/reduce state of the sampled records S and the remaining records S';
 ``reduce_dp`` returns both the query result and the outputs on the
 sampled neighbouring datasets.  :class:`DPObjectKV` adds the key-value
 operators ``reduce_by_key_dp`` and ``join_dp`` (section V-B/V-C),
-including joinDP's two-round shuffle and differing-tuple index
-tracking.
+including joinDP's two join rounds and differing-tuple index tracking.
+
+The operators run on what a release runs: S is drawn by
+:func:`repro.core.sampling.sorted_sample`, S' is folded with the
+engine's ``aggregate`` (per key in each partition, merged on the
+driver, for ``reduceByKeyDP``), every leave-one-out value comes from
+:func:`repro.core.query.leave_one_out`, and joinDP's rounds are hash
+joins whose build side is indexed on the driver, as SQL's join is.
 
 This is the low-level surface a Spark program would port to; the
 high-level :class:`repro.core.session.UPASession` wraps the same logic
@@ -21,14 +27,31 @@ Example:
     100
     >>> sorted(set(neighbours))
     [99]
+    >>> pairs = ctx.parallelize([("a", 1), ("b", 2), ("a", 3)])
+    >>> dpread(pairs, 3, seed=0).as_kv().reduce_by_key_dp(lambda a, b: a + b)
+    ([{'a': 3}, {'b': None}, {'a': 1}], {'a': 4, 'b': 2})
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import (
+    Callable,
+    Dict,
+    Generic,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
+
+import numpy as np
 
 from repro.common.errors import DPError
 from repro.common.rng import make_rng
+from repro.core.query import leave_one_out
+from repro.core.sampling import sorted_sample
 from repro.engine.rdd import RDD
 
 T = TypeVar("T")
@@ -41,22 +64,39 @@ W = TypeVar("W")
 def dpread(rdd: RDD, sample_size: int = 1000, seed: int = 0) -> "DPObject":
     """Partition an RDD's records into sampled S and remaining S'.
 
-    Table I: ``dpread[T](RDD[T])``.
+    Table I: ``dpread[T](RDD[T])``.  S is drawn as phase 1 draws it
+    and S' is split off on the driver, over as many partitions as
+    ``rdd`` has.
     """
     if sample_size <= 0:
         raise DPError(f"sample_size must be positive, got {sample_size}")
-    indexed = rdd.zip_with_index()
-    total = rdd.count()
-    n = min(sample_size, total)
-    rng = make_rng(seed, "dpread")
-    chosen = frozenset(rng.sample(range(total), n))
-    sampled = (
-        indexed.filter(lambda pair: pair[1] in chosen).map(lambda pair: pair[0])
+    records = rdd.collect()
+    picks = sorted_sample(
+        make_rng(seed, "dpread"), len(records), min(sample_size, len(records))
     )
-    remaining = (
-        indexed.filter(lambda pair: pair[1] not in chosen).map(lambda pair: pair[0])
+    unsampled = np.ones(len(records), dtype=bool)
+    unsampled[picks] = False
+    remaining = [records[i] for i in np.flatnonzero(unsampled)]
+    return DPObject(
+        [records[i] for i in picks],
+        rdd.context.parallelize(remaining, rdd.num_partitions),
     )
-    return DPObject(sampled.collect(), remaining)
+
+
+def _or_none(
+    f: Callable[[T, T], T],
+) -> Callable[[Optional[T], Optional[T]], Optional[T]]:
+    """``f`` over values that may be None, which stands for an empty fold
+    (a Table I reducer has no identity)."""
+
+    def combine(acc: Optional[T], value: Optional[T]) -> Optional[T]:
+        if acc is None:
+            return value
+        if value is None:
+            return acc
+        return f(acc, value)
+
+    return combine
 
 
 class DPObject(Generic[T]):
@@ -82,40 +122,19 @@ class DPObject(Generic[T]):
 
         Returns ``(neighbour_outputs, result)``: the reduced value of
         the whole dataset with each sampled record excluded (computed by
-        reusing R(S'), section V-A), and the full result.
+        reusing R(S'), section V-A), and the full result.  ``f`` runs at
+        most 3n + |S'| times.
         """
-        if not self.sampled:
-            return ([], self.remaining.reduce(f))
-        r_sprime: Optional[T] = None
-        if not self.remaining.is_empty():
-            r_sprime = self.remaining.reduce(f)
-
-        def combine(acc: Optional[T], value: Optional[T]) -> Optional[T]:
-            # f has no identity: None stands for an empty fold.
-            if acc is None:
-                return value
-            if value is None:
-                return acc
-            return f(acc, value)
-
-        # Prefix/suffix folds over S so each "S minus one record" costs
-        # O(1): prefix[i] folds R(S') with s_0..s_{i-1} and suffix[i]
-        # folds s_i..s_{n-1}, so S minus s_i is prefix[i] (+) suffix[i+1].
-        sampled = self.sampled
-        n = len(sampled)
-        prefix: List[Optional[T]] = [r_sprime]
-        for value in sampled:
-            prefix.append(combine(prefix[-1], value))
-        suffix: List[Optional[T]] = [None] * (n + 1)
-        for i in range(n - 1, 0, -1):
-            suffix[i] = combine(sampled[i], suffix[i + 1])
-        neighbour_outputs: List[T] = []
-        for i in range(n):
-            output = combine(prefix[i], suffix[i + 1])
-            if output is None:
-                raise DPError("cannot reduce an empty neighbouring dataset")
-            neighbour_outputs.append(output)
-        return (neighbour_outputs, prefix[n])  # type: ignore[return-value]
+        combine = _or_none(f)
+        r_sprime = self.remaining.aggregate(None, combine, combine)
+        neighbours, result = leave_one_out(
+            self.sampled, combine, None, r_sprime
+        )
+        if result is None:
+            raise DPError("cannot reduce an empty dataset")
+        if any(output is None for output in neighbours):
+            raise DPError("cannot reduce an empty neighbouring dataset")
+        return (neighbours, result)
 
 
 class DPObjectKV(DPObject[Tuple[K, V]]):
@@ -132,76 +151,91 @@ class DPObjectKV(DPObject[Tuple[K, V]]):
     ) -> Tuple[List[Dict[K, Optional[V]]], Dict[K, V]]:
         """Table I ``reduceByKeyDP`` (section V-B).
 
-        Reduces S' by key on the engine, keeps the reduced map R_S' and
-        the sampled map S by key on the driver (the paper broadcasts
-        both), then derives, for each sampled record s, the affected
-        key's reduced value without s.  Returns
-        ``(per-sample {key: value-without-s}, full reduced map)``;
-        a value of None means the key vanishes without s.
+        Each partition of S' folds its pairs by key and the driver
+        merges the partial maps into R_S'; the sampled values of each
+        key are then folded onto R_S'(key) once, which gives the key's
+        full value and its value without each of its sampled records.
+        Returns ``(per-sample {key: value-without-s}, full reduced
+        map)``; a value of None means the key vanishes without s.
+        ``f`` runs at most 3n + |S'| times.
         """
-        reduced_remaining = dict(self.remaining.reduce_by_key(f).collect())
+        combine = _or_none(f)
 
-        sampled_by_key: Dict[K, List[V]] = {}
-        for key, value in self.sampled:
-            sampled_by_key.setdefault(key, []).append(value)
-
-        def key_value_without(key: K, skip_index: int) -> Optional[V]:
-            acc: Optional[V] = reduced_remaining.get(key)
-            for i, value in enumerate(sampled_by_key.get(key, [])):
-                if i == skip_index:
-                    continue
-                acc = value if acc is None else f(acc, value)
+        def fold(acc: Dict[K, V], pair: Tuple[K, V]) -> Dict[K, V]:
+            key, value = pair
+            acc[key] = combine(acc.get(key), value)
             return acc
 
-        neighbour_maps: List[Dict[K, Optional[V]]] = []
-        position_in_key: Dict[K, int] = {}
-        for key, _value in self.sampled:
-            idx = position_in_key.get(key, 0)
-            position_in_key[key] = idx + 1
-            neighbour_maps.append({key: key_value_without(key, idx)})
+        def merge(acc: Dict[K, V], part: Dict[K, V]) -> Dict[K, V]:
+            for pair in part.items():
+                fold(acc, pair)
+            return acc
 
-        full: Dict[K, V] = dict(reduced_remaining)
+        full: Dict[K, V] = self.remaining.aggregate({}, fold, merge)
+        sampled_by_key = _index(self.sampled)
+        without: Dict[K, Iterator[Optional[V]]] = {}
         for key, values in sampled_by_key.items():
-            acc: Optional[V] = full.get(key)
-            for value in values:
-                acc = value if acc is None else f(acc, value)
-            full[key] = acc  # type: ignore[assignment]
+            folds, full[key] = leave_one_out(
+                values, combine, None, full.get(key)
+            )
+            without[key] = iter(folds)
+        neighbour_maps = [{key: next(without[key])} for key, _ in self.sampled]
         return (neighbour_maps, full)
 
     def join_dp(self, other: "DPObjectKV") -> "JoinDPResult":
         """Table I ``joinDP`` (section V-C).
 
-        Performs two rounds of join/shuffle: S'1 x S'2 on the engine
-        (round one), then the differing combinations S1 x S'2, S'1 x S2
-        and S1 x S2 (round two).  Differing tuples are indexed so the
-        influence of each sampled record on the joined output is
-        tracked exactly.
+        Two rounds of hash joins, each build side indexed on the
+        driver.  Round one joins the remaining (overlapped) records,
+        S'1 probing S'2's index, as a lazy RDD.  Round two computes the
+        differing combinations: S1 probes S'2's index, S'1 probes S2's
+        index on the engine, and S1 x S2 pairs up on the driver.
+        Differing tuples carry the index of each sampled record in
+        them, so the influence of each sampled record on the joined
+        output is tracked exactly.
         """
-        ctx = self.remaining.context
-        # Round one: join of the remaining (overlapped) records.
-        remaining_join = self.remaining.join(other.remaining)
+        right_remaining = _index(other.remaining.collect())
+        remaining_join = self.remaining.map_partitions(
+            lambda pairs: _probe(pairs, right_remaining)
+        )
 
-        # Round two: joins involving sampled (differing) records.
-        left_sampled = ctx.parallelize(
-            [(k, (i, v)) for i, (k, v) in enumerate(self.sampled)], 1
+        right_sampled = _index(
+            (key, (j, w)) for j, (key, w) in enumerate(other.sampled)
         )
-        right_sampled = ctx.parallelize(
-            [(k, (j, w)) for j, (k, w) in enumerate(other.sampled)], 1
+        differing = [
+            (key, (i, None, v, w))
+            for i, (key, v) in enumerate(self.sampled)
+            for w in right_remaining.get(key, ())
+        ]
+        differing.extend(
+            (key, (None, j, v, w))
+            for key, (v, (j, w)) in self.remaining.map_partitions(
+                lambda pairs: _probe(pairs, right_sampled)
+            ).collect()
         )
-        ls_rr = left_sampled.join(other.remaining).map(
-            lambda kv: (kv[0], (kv[1][0][0], None, kv[1][0][1], kv[1][1]))
+        differing.extend(
+            (key, (i, j, v, w))
+            for i, (key, v) in enumerate(self.sampled)
+            for j, w in right_sampled.get(key, ())
         )
-        rr_rs = self.remaining.join(right_sampled).map(
-            lambda kv: (kv[0], (None, kv[1][1][0], kv[1][0], kv[1][1][1]))
-        )
-        ls_rs = left_sampled.join(right_sampled).map(
-            lambda kv: (
-                kv[0],
-                (kv[1][0][0], kv[1][1][0], kv[1][0][1], kv[1][1][1]),
-            )
-        )
-        differing = ctx.union([ls_rr, rr_rs, ls_rs]).collect()
         return JoinDPResult(remaining_join, differing)
+
+
+def _index(pairs: Iterable[Tuple[K, V]]) -> Dict[K, List[V]]:
+    """A join's build side: each key's values, in order."""
+    index: Dict[K, List[V]] = {}
+    for key, value in pairs:
+        index.setdefault(key, []).append(value)
+    return index
+
+
+def _probe(
+    pairs: Iterable[Tuple[K, V]], index: Dict[K, List[W]]
+) -> Iterator[Tuple[K, Tuple[V, W]]]:
+    """``(key, (v, w))`` for every pair and every matching build value."""
+    return (
+        (key, (v, w)) for key, v in pairs for w in index.get(key, ())
+    )
 
 
 class JoinDPResult:

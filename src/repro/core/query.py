@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 import functools
 import random
-from typing import Any, Callable, Dict, Iterable, List, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +70,34 @@ def _same_bits(a: Any, b: Any) -> bool:
     return bool(np.array_equal(a, b))
 
 
+def leave_one_out(
+    items: Sequence[Any], combine: Callable[[Any, Any], Any],
+    zero: Any, base: Any,
+) -> Tuple[List[Any], Any]:
+    """For each item, the fold of ``base`` with every other item.
+
+    ``prefix[i]`` folds ``base`` with ``items[:i]`` and ``suffix[i]``
+    folds ``items[i:]`` onto ``zero``, so leaving item i out is
+    ``prefix[i] (+) suffix[i + 1]``: 3n - 1 calls of ``combine`` in
+    all, not the n(n - 1) of refolding each remainder.  Returns those n
+    folds and ``prefix[n]``, the fold of ``base`` with every item.
+    :meth:`MapReduceQuery.prefix_suffix_batch` folds from ``zero``; the
+    Table I operators (:mod:`repro.core.dpobject`) fold from R(S').
+
+    Example:
+        >>> leave_one_out([1, 2, 3], lambda a, b: a + b, 0, 10)
+        ([15, 14, 13], 16)
+    """
+    prefix = [base]
+    for item in items:
+        prefix.append(combine(prefix[-1], item))
+    n = len(items)
+    suffix: List[Any] = [None] * n + [zero]
+    for i in range(n - 1, 0, -1):
+        suffix[i] = combine(items[i], suffix[i + 1])
+    return [combine(prefix[i], suffix[i + 1]) for i in range(n)], prefix[n]
+
+
 class BatchSampler:
     """A domain sampler defined once, column-wise.
 
@@ -108,28 +136,6 @@ def sample_batch(sampler: Callable[[random.Random, Any], Row],
     if isinstance(sampler, BatchSampler):
         return sampler.batch(rng, context, n)
     return [sampler(rng, context) for _ in range(n)]
-
-
-class QueryOutput:
-    """Normalizes query outputs to float vectors.
-
-    Scalar queries have ``dim == 1``; ML queries return model vectors.
-    """
-
-    @staticmethod
-    def as_vector(value: Any) -> np.ndarray:
-        if np.isscalar(value):
-            return np.asarray([float(value)], dtype=float)
-        return np.asarray(value, dtype=float).reshape(-1)
-
-    @staticmethod
-    def as_scalar(vector: np.ndarray) -> float:
-        vector = np.asarray(vector).reshape(-1)
-        if vector.shape[0] != 1:
-            raise QueryShapeError(
-                f"expected scalar output, got vector of dim {vector.shape[0]}"
-            )
-        return float(vector[0])
 
 
 class MapReduceQuery:
@@ -221,20 +227,11 @@ class MapReduceQuery:
         every element except the i-th — the reduce-side core of both
         removal-neighbour evaluation and brute-force sensitivity.
         """
-        items = list(self.iter_batch(elements))
-        prefix = [self.zero()]
-        for element in items:
-            prefix.append(self.combine(prefix[-1], element))
-        suffix = [self.zero()]
-        for element in reversed(items):
-            suffix.append(self.combine(element, suffix[-1]))
-        suffix.reverse()
-        return self.batch_stack(
-            [
-                self.combine(prefix[i], suffix[i + 1])
-                for i in range(len(items))
-            ]
+        folds, _total = leave_one_out(
+            list(self.iter_batch(elements)), self.combine,
+            self.zero(), self.zero(),
         )
+        return self.batch_stack(folds)
 
     def combine_batch(self, agg: Any, elements: Any) -> Any:
         """Broadcasted combine: ``agg (+) e`` for every batch element."""

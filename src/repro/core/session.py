@@ -373,6 +373,18 @@ def reduce_phase(
     )
 
 
+def noise_floor(query: MapReduceQuery) -> float:
+    """The least width a release's noise is calibrated to (DESIGN.md §5).
+
+    A count moves by a whole number whenever removing a record moves it
+    at all, so a count query is noised as if its width were at least 1,
+    even where every sampled neighbour agrees with x and the inferred
+    width is 0.  Other queries have no public floor, and their noise
+    can still be 0 in principle.
+    """
+    return 1.0 if getattr(query, "query_type", None) == "count" else 0.0
+
+
 def add_noise(value: Any, sensitivity: float, epsilon: float,
               seed: int) -> Any:
     """Laplace noise on ``value``, seeded by ``seed``.
@@ -701,7 +713,9 @@ class UPASession:
                 # submission.  Only the noise draw can fail after it,
                 # and it runs before epsilon is charged.
                 noisy = add_noise(
-                    enforcement.output, inferred.local_sensitivity, epsilon,
+                    enforcement.output,
+                    max(inferred.local_sensitivity, noise_floor(query)),
+                    epsilon,
                     derive_seed(config.seed, f"noise-{self._run_counter}"),
                 )
                 noise_span.set_attribute("clamped", enforcement.clamped)

@@ -596,6 +596,9 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
             self if "(opaque" in fingerprint
             else (protected_table, fingerprint)
         )
+        #: Table II's kind: a COUNT is a count query, whose noise
+        #: never falls below width 1 (``core.session.noise_floor``).
+        self.query_type = "count" if spec.func == "count" else "arithmetic"
         self._dynamic = dynamic
         self._spec = spec
         if spec.expr is None:

@@ -1,4 +1,4 @@
-"""Differential-privacy foundations: mechanism, sensitivity, budget.
+"""Differential-privacy foundations: mechanism and budget.
 
 These are the textbook building blocks UPA composes: Laplace noise
 calibrated to a sensitivity value, and an epsilon accountant with
@@ -7,11 +7,9 @@ sequential composition.
 
 from repro.dp.budget import PrivacyAccountant
 from repro.dp.mechanisms import LaplaceMechanism, laplace_noise
-from repro.dp.sensitivity import SensitivityEstimate
 
 __all__ = [
     "LaplaceMechanism",
     "PrivacyAccountant",
-    "SensitivityEstimate",
     "laplace_noise",
 ]

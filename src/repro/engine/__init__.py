@@ -1,18 +1,18 @@
 """A from-scratch, partitioned MapReduce engine (the "vanilla Spark" stand-in).
 
-The engine provides lazy, lineage-tracked RDDs with narrow and wide
-(shuffle) dependencies, a scheduler that retries failed tasks by
-recomputing from lineage, and a metrics registry that counts jobs,
-tasks and shuffled records.
+The engine provides lazy, lineage-tracked RDDs with narrow
+dependencies, a scheduler that retries failed tasks by recomputing
+from lineage, and a metrics registry that counts jobs, tasks and
+records read.
 
 The UPA paper's claims rest on two semantic properties of MapReduce
-operators — commutativity and associativity — plus the observable
-structure of jobs (number of shuffles, records exchanged).  This engine
-exposes both: the operators it keeps are the ones a release, the SQL
-executor and :mod:`repro.core.dpobject` run, with Spark's semantics.
-Only dpobject's key-value operators (the paper's Table I) shuffle — the
-SQL executor never does — and every shuffle is counted by
-:class:`repro.engine.metrics.MetricsRegistry`.
+operators — commutativity and associativity.  The engine runs what a
+release, the SQL executor and :mod:`repro.core.dpobject` (the paper's
+Table I) need of Spark, with Spark's semantics: ``parallelize``, then
+``map`` / ``map_partitions``, then ``aggregate``, plus ``collect``,
+``take``, ``first``, ``count`` and ``union``.  Nothing shuffles: a
+fold by key or a join folds or probes each partition and merges on the
+driver.
 
 Example:
     >>> from repro.engine import EngineContext
@@ -25,13 +25,11 @@ Example:
 from repro.engine.context import EngineContext
 from repro.engine.fault import FaultInjector
 from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
-from repro.engine.partitioner import HashPartitioner
 from repro.engine.rdd import RDD
 
 __all__ = [
     "EngineContext",
     "FaultInjector",
-    "HashPartitioner",
     "MetricsRegistry",
     "MetricsSnapshot",
     "RDD",

@@ -1,7 +1,7 @@
 """EngineContext: entry point to the MapReduce engine.
 
-Owns the scheduler, shuffle manager and metrics — the moral
-equivalent of a ``SparkContext``.
+Owns the scheduler and metrics — the moral equivalent of a
+``SparkContext``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.engine.fault import FaultInjector
 from repro.engine.metrics import MetricsRegistry
 from repro.engine.rdd import RDD, ParallelCollectionRDD
 from repro.engine.scheduler import TaskScheduler
-from repro.engine.shuffle import ShuffleManager
 
 T = TypeVar("T")
 
@@ -37,8 +36,7 @@ class EngineContext:
         self.scheduler = TaskScheduler(
             self.metrics, max_task_retries=self.config.max_task_retries
         )
-        self.shuffle_manager = ShuffleManager(self)
-        #: span tracer shared with the scheduler and shuffle manager
+        #: span tracer shared with the scheduler
         #: (disabled by default; see install_tracer).
         self.tracer = self.scheduler.tracer
         #: live introspection server, if serve() started one.
@@ -100,7 +98,7 @@ class EngineContext:
     def install_tracer(self, tracer, events: bool = True) -> None:
         """Install (or clear, with None) a span tracer on the engine.
 
-        Engine jobs and shuffles then emit spans into it.  With
+        Engine jobs then emit spans into it.  With
         ``events=True`` (the default) a :class:`JobListener` is
         auto-wired alongside — traces and the job event log describe
         the same executions — unless one is already installed.
@@ -151,18 +149,14 @@ class EngineContext:
     # ------------------------------------------------------------------
 
     def stop(self) -> None:
-        """Release engine resources (idempotent).
+        """Stop the live server, if :meth:`serve` started one (idempotent).
 
-        Stops the live server and drops stored shuffle outputs — a
-        stopped context must not keep partition data alive between
-        experiments.  The context remains usable: a later job
-        recomputes from lineage, mirroring how ``SparkContext`` users
-        call ``stop()`` when an application finishes.
+        The engine stores no partition data, so the context remains
+        usable: a later job computes from lineage, as every job does.
         """
         if self.obs_server is not None:
             self.obs_server.stop()
             self.obs_server = None
-        self.shuffle_manager.clear()
 
     def __enter__(self) -> "EngineContext":
         return self

@@ -2,13 +2,13 @@
 
 The reproduction uses metrics in three ways:
 
-* tests assert structural facts (e.g. "UPA's joinDP triggers exactly two
-  shuffles where vanilla join triggers one", paper section V-C);
-* benchmarks and the per-run report read job, task and shuffled-record
-  counts alongside wall-clock time;
+* tests assert structural facts (jobs, task attempts and retries,
+  records read);
+* benchmarks and the per-run report read job, task and record counts
+  alongside wall-clock time;
 * the observability layer (:mod:`repro.obs`) summarizes distributions —
-  task durations, neighbour batch sizes, shuffle record counts — as
-  percentile summaries in the per-run report.
+  task and job durations, neighbour batch sizes — as percentile
+  summaries in the per-run report.
 
 Counters accumulate, histograms record individual observations (so
 snapshots can diff them), gauges hold the latest value.
@@ -172,8 +172,6 @@ class MetricsRegistry:
     JOBS = "jobs_run"
     TASKS = "tasks_run"
     TASK_RETRIES = "task_retries"
-    SHUFFLES = "shuffles"
-    RECORDS_SHUFFLED = "records_shuffled"
     RECORDS_READ = "records_read"
 
     #: Counter names of the SQL bridge's compile cache
@@ -228,7 +226,6 @@ class MetricsRegistry:
     #: Histogram names used by the engine and the UPA pipeline.
     TASK_SECONDS = "task_seconds"
     JOB_SECONDS = "job_seconds"
-    SHUFFLE_RECORDS = "shuffle_records"
     NEIGHBOUR_BATCH = "neighbour_batch_size"
 
     def __init__(self) -> None:

@@ -3,20 +3,17 @@
 The API mirrors the part of Spark's RDD that this package runs — a
 release, the SQL executor and :mod:`repro.core.dpobject` — in
 snake_case (``tests/test_engine_surface.py`` names the caller of each
-public method).  All transformations are lazy — they build a lineage
-graph — and actions trigger jobs on the context's scheduler.  The
-key-value operations that shuffle serve :mod:`repro.core.dpobject`
-alone; they live here but construct their shuffle RDDs from
-:mod:`repro.engine.shuffle` (imported locally to keep the module graph
-acyclic, the same layering Spark uses between ``RDD`` and
-``ShuffledRDD``).
+public method).  Every transformation is narrow and lazy — it builds a
+lineage graph — and actions trigger jobs on the context's scheduler.
+Nothing shuffles: a key-value fold or a join folds or probes each
+partition and merges on the driver (the SQL executor's GROUP BY and
+join, Table I's reduceByKeyDP and joinDP).
 """
 
 from __future__ import annotations
 
 import copy
 from typing import (
-    Any,
     Callable,
     Iterable,
     Iterator,
@@ -28,12 +25,9 @@ from typing import (
 
 from repro.common.errors import EngineError
 from repro.engine.metrics import MetricsRegistry
-from repro.engine.partitioner import HashPartitioner
 
 T = TypeVar("T")
 U = TypeVar("U")
-K = TypeVar("K")
-V = TypeVar("V")
 C = TypeVar("C")
 
 
@@ -73,80 +67,15 @@ class RDD:
 
     def map(self, f: Callable[[T], U]) -> "RDD":
         """Apply ``f`` to every record."""
-        return MapPartitionsRDD(
-            self, lambda _split, it: (f(rec) for rec in it)
-        )
-
-    def flat_map(self, f: Callable[[T], Iterable[U]]) -> "RDD":
-        """Apply ``f`` and flatten the resulting iterables."""
-        return MapPartitionsRDD(
-            self, lambda _split, it: (out for rec in it for out in f(rec))
-        )
-
-    def filter(self, predicate: Callable[[T], bool]) -> "RDD":
-        """Keep records where ``predicate`` is true."""
-        return MapPartitionsRDD(
-            self, lambda _split, it: (rec for rec in it if predicate(rec))
-        )
+        return MapPartitionsRDD(self, lambda it: (f(rec) for rec in it))
 
     def map_partitions(self, f: Callable[[Iterator[T]], Iterable[U]]) -> "RDD":
         """Apply ``f`` to each whole partition iterator."""
-        return MapPartitionsRDD(self, lambda _split, it: f(it))
+        return MapPartitionsRDD(self, f)
 
     def union(self, other: "RDD") -> "RDD":
         """Concatenate two RDDs (no shuffle; partitions are appended)."""
         return UnionRDD(self.context, [self, other])
-
-    def zip_with_index(self) -> "RDD":
-        """Pair each record with a global 0-based index (triggers a job)."""
-        sizes = self.context.scheduler.run_job(self, _count_iter)
-        offsets = [0]
-        for size in sizes[:-1]:
-            offsets.append(offsets[-1] + size)
-        return MapPartitionsRDD(
-            self,
-            lambda split, it: (
-                (rec, offsets[split] + i) for i, rec in enumerate(it)
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # Key-value transformations (records must be (key, value) tuples)
-    # ------------------------------------------------------------------
-
-    def combine_by_key(
-        self,
-        create_combiner: Callable[[V], C],
-        merge_value: Callable[[C, V], C],
-        merge_combiners: Callable[[C, C], C],
-    ) -> "RDD":
-        """The generic shuffle aggregation ``reduce_by_key`` builds on."""
-        from repro.engine.shuffle import Aggregator, ShuffledRDD
-
-        partitioner = HashPartitioner(self.num_partitions)
-        aggregator = Aggregator(create_combiner, merge_value, merge_combiners)
-        return ShuffledRDD(self, partitioner, aggregator)
-
-    def reduce_by_key(self, f: Callable[[V, V], V]) -> "RDD":
-        """Merge values per key with a commutative, associative function."""
-        return self.combine_by_key(lambda v: v, f, f)
-
-    def cogroup(self, other: "RDD") -> "RDD":
-        """Group both RDDs by key: ``(k, ([vs from self], [ws from other]))``."""
-        from repro.engine.shuffle import CoGroupedRDD
-
-        partitioner = HashPartitioner(
-            max(self.num_partitions, other.num_partitions)
-        )
-        return CoGroupedRDD([self, other], partitioner)
-
-    def join(self, other: "RDD") -> "RDD":
-        """Inner join: ``(k, (v, w))`` for every matching pair."""
-        return self.cogroup(other).flat_map(
-            lambda kvw: (
-                (kvw[0], (v, w)) for v in kvw[1][0] for w in kvw[1][1]
-            )
-        )
 
     # ------------------------------------------------------------------
     # Actions
@@ -160,9 +89,6 @@ class RDD:
     def count(self) -> int:
         """Number of records."""
         return sum(self.context.scheduler.run_job(self, _count_iter))
-
-    def is_empty(self) -> bool:
-        return self.take(1) == []
 
     def first(self) -> T:
         taken = self.take(1)
@@ -185,28 +111,6 @@ class RDD:
             )[0]
             out.extend(chunk)
         return out[:n]
-
-    def reduce(self, f: Callable[[T, T], T]) -> T:
-        """Combine all records with a commutative, associative ``f``."""
-        def reduce_partition(it: Iterator) -> Tuple[bool, Any]:
-            acc = None
-            seen = False
-            for rec in it:
-                acc = rec if not seen else f(acc, rec)
-                seen = True
-            return (seen, acc)
-
-        partials = self.context.scheduler.run_job(self, reduce_partition)
-        acc = None
-        seen = False
-        for has, part in partials:
-            if not has:
-                continue
-            acc = part if not seen else f(acc, part)
-            seen = True
-        if not seen:
-            raise EngineError("reduce() on an empty RDD")
-        return acc
 
     def aggregate(
         self, zero: C, seq_op: Callable[[C, T], C], comb_op: Callable[[C, C], C]
@@ -266,15 +170,15 @@ class ParallelCollectionRDD(RDD):
 
 
 class MapPartitionsRDD(RDD):
-    """Narrow transformation: a function of (split, parent iterator)."""
+    """Narrow transformation: a function of the parent's partition iterator."""
 
-    def __init__(self, parent: RDD, f: Callable[[int, Iterator], Iterable]):
+    def __init__(self, parent: RDD, f: Callable[[Iterator], Iterable]):
         super().__init__(parent.context, parent.num_partitions, [parent])
         self._parent = parent
         self._f = f
 
     def compute(self, split: int) -> Iterator:
-        return iter(self._f(split, self._parent.iterator(split)))
+        return iter(self._f(self._parent.iterator(split)))
 
 
 class UnionRDD(RDD):

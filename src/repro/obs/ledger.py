@@ -4,8 +4,9 @@ FLEX-style systems are auditable because their sensitivity derivation
 is inspectable; UPA's sensitivity is *sampled and fitted*, which makes
 inspectability more important, not less.  The ledger records, per
 ``UPASession.run``/``run_sql``, the fitted normal parameters (mu,
-sigma) per output coordinate, the inferred output range ``O_f``, the
-local sensitivity the mechanism was calibrated to, what RANGE ENFORCER
+sigma) per output coordinate, the inferred output range ``O_f``, its
+width (the mechanism's noise is calibrated to it, or to the query's
+noise floor if that is larger), what RANGE ENFORCER
 did (clamping, repeated-query matches, record removals), the epsilon
 charged against the accountant's balance, replays of an earlier
 release (``cache_hit``, nothing charged), and the submissions RANGE
@@ -65,7 +66,8 @@ class LedgerEntry:
     #: the inferred output range O_f per coordinate.
     range_lower: Tuple[float, ...]
     range_upper: Tuple[float, ...]
-    #: range width the mechanism's noise was calibrated to.
+    #: the inferred range width; the noise is calibrated to
+    #: max(this, core.session.noise_floor(query)).
     local_sensitivity: float
     #: the Definition II.1 estimate (Fig. 2(a) comparison).
     estimated_local_sensitivity: float

@@ -4,10 +4,9 @@ The paper's efficiency claims are about *phases* — partition & sample,
 parallel map, union-preserving reduce, sensitivity inference, noise —
 so the tracer's unit is a :class:`Span`: a named interval with a parent
 link, wall time, and typed attributes.  Spans nest through a
-``contextvars.ContextVar``, so code deep inside the engine (a shuffle
-running on a pool thread) parents correctly under the session phase
-that triggered it, provided the scheduler propagates the context (see
-``TaskScheduler.run_job``).
+``contextvars.ContextVar``, so code deep inside the engine (an
+``engine.job`` span) parents correctly under the session phase that
+triggered it.
 
 Two export formats:
 

@@ -1,6 +1,5 @@
-"""Tests for DP foundations: mechanisms, budget accounting, sensitivity."""
+"""Tests for DP foundations: the Laplace mechanism and budget accounting."""
 
-import math
 import random
 
 import numpy as np
@@ -10,10 +9,8 @@ from repro.common.errors import DPError, PrivacyBudgetExceeded
 from repro.dp import (
     LaplaceMechanism,
     PrivacyAccountant,
-    SensitivityEstimate,
     laplace_noise,
 )
-from repro.dp.sensitivity import l1_range_width, smooth_sensitivity
 
 
 class TestLaplace:
@@ -180,33 +177,3 @@ class TestAccountantHardening:
         assert eps == pytest.approx(0.5)
         assert delta == pytest.approx(5e-6)
         assert acct.remaining_epsilon() == pytest.approx(0.5)
-
-
-class TestSensitivityHelpers:
-    def test_estimate_validation(self):
-        with pytest.raises(ValueError):
-            SensitivityEstimate(-1.0)
-        with pytest.raises(ValueError):
-            SensitivityEstimate(1.0, kind="weird")
-
-    def test_estimate_fields(self):
-        est = SensitivityEstimate(2.0, kind="local", method="upa")
-        assert est.value == 2.0
-
-    def test_smooth_sensitivity(self):
-        # LS_k constant: smoothing picks k=0.
-        assert smooth_sensitivity([5, 5, 5], beta=0.1) == 5.0
-        # rapidly growing LS_k can dominate despite decay
-        grown = smooth_sensitivity([1.0, 100.0], beta=0.1)
-        assert grown == pytest.approx(math.exp(-0.1) * 100.0)
-
-    def test_smooth_sensitivity_negative_beta(self):
-        with pytest.raises(ValueError):
-            smooth_sensitivity([1.0], beta=-1.0)
-
-    def test_l1_range_width(self):
-        assert l1_range_width([0, 0], [1, 3]) == 4.0
-        with pytest.raises(ValueError):
-            l1_range_width([1], [0])
-        with pytest.raises(ValueError):
-            l1_range_width([0, 0], [1])

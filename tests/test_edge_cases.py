@@ -125,19 +125,27 @@ class TestTinyDatasets:
                 session.run(query, _tables(range(size)), epsilon=1.0)
 
     def test_zero_valued_dataset(self):
-        session = UPASession(UPAConfig(sample_size=10, seed=0))
-        result = session.run(
-            _ZeroDomainQuery(), _tables([0, 0, 0]), epsilon=1.0
-        )
-        assert result.local_sensitivity == 0.0
-        # zero sensitivity => zero noise
-        assert result.noisy_scalar() == result.raw_output[0]
+        """DESIGN.md §5: a query with no public noise floor (this sum
+        has no ``query_type``) is noised at its inferred width, which
+        can be 0; the same data under a count query is noised at width
+        1.  Neither moves the inferred local sensitivity."""
+        for query_type in (None, "count"):
+            query = _ZeroDomainQuery()
+            if query_type is not None:
+                query.query_type = query_type
+            result = UPASession(UPAConfig(sample_size=10, seed=0)).run(
+                query, _tables([0, 0, 0]), epsilon=1.0
+            )
+            assert result.local_sensitivity == 0.0
+            noised = bool(result.noisy_scalar() != result.raw_output[0])
+            assert noised == (query_type == "count")
 
 
 class TestNoiselessRelease:
-    """tpch21's x - r* has f = 0 and an inferred local sensitivity of 0,
-    so its release carries no noise: an output of exactly 0.0 tells x
-    - r* from x, which releases 1 + Lap(10).  r* is the record whose
+    """tpch21's x - r* has f = 0 and an inferred local sensitivity of 0.
+    Noised at that width, an output of exactly 0.0 would tell x - r*
+    from x, which releases 1 + Lap(10); a count query's noise floor of
+    width 1 noises both at the same scale.  r* is the record whose
     removal moves f most."""
 
     EPSILON = 0.1
@@ -167,7 +175,6 @@ class TestNoiselessRelease:
         assert extreme == 27
         assert query.output(minus)[0] == 0.0
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(b)")
     @pytest.mark.parametrize("seed", [3, 17, 99])
     def test_a_release_is_never_noiseless(self, minus_extreme, seed):
         query, minus, _extreme = minus_extreme
@@ -175,6 +182,47 @@ class TestNoiselessRelease:
             query, minus, epsilon=self.EPSILON,
         )
         assert not np.array_equal(result.noisy_output, result.raw_output)
+
+
+class TestNoiseFloor:
+    """DESIGN.md §5: a count query's noise is calibrated to a width of
+    at least 1; every other query has floor 0.  The floor follows the
+    query's Table II kind, whether it is a hand-written TPC-H query or
+    its SQL text compiled by the bridge (the ``sql`` digest lane)."""
+
+    COUNTS = {"tpch1", "tpch4", "tpch13", "tpch16", "tpch21"}
+
+    @pytest.mark.parametrize("name", [
+        "tpch1", "tpch4", "tpch13", "tpch16", "tpch21", "tpch6", "tpch11",
+        "kmeans", "linreg",
+    ])
+    def test_shipped_workload_floor(self, name):
+        from repro.core.session import noise_floor
+        from repro.workloads import workload_by_name
+
+        expected = 1.0 if name in self.COUNTS else 0.0
+        assert noise_floor(workload_by_name(name).query) == expected
+
+    @pytest.fixture(scope="class")
+    def tpch_tables(self):
+        from repro.workloads import workload_by_name
+
+        return workload_by_name("tpch1").make_tables(300, 0)
+
+    @pytest.mark.parametrize("name", [
+        "tpch1", "tpch4", "tpch13", "tpch16", "tpch21", "tpch6", "tpch11",
+    ])
+    def test_compiled_sql_text_has_the_same_floor(self, tpch_tables, name):
+        from repro.core.session import noise_floor
+        from repro.core.sqlbridge import compile_sql
+        from repro.tpch import query_by_name
+
+        query = query_by_name(name)
+        compiled = compile_sql(
+            query.sql_text(), tpch_tables, query.protected_table
+        )
+        assert compiled.query_type == query.query_type
+        assert noise_floor(compiled) == noise_floor(query)
 
 
 class TestSamplingBoundaries:

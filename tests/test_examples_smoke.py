@@ -30,6 +30,9 @@ class TestExamples:
         out = _run_example("quickstart.py")
         assert "noisy count (released)" in out
         assert "dpread/mapDP/reduceDP" in out
+        assert "each neighbour one lower on its flag: True" in out
+        assert "joinDP (orders x lineitem)    : 20000 joined tuples" in out
+        assert "identical=True" in out
 
     def test_attack_defense_runs(self):
         out = _run_example("attack_defense.py")

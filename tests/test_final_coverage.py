@@ -5,7 +5,6 @@ import pytest
 
 from repro.common.errors import QueryShapeError
 from repro.core.sqlbridge import compile_sql
-from repro.engine.metrics import MetricsRegistry
 from repro.sql import SQLSession, col, count_star
 from repro.sql.logical import Union
 from repro.sql.optimizer import optimize
@@ -109,13 +108,3 @@ class TestEngineMisc:
 
     def test_union_of_none(self, ctx):
         assert ctx.union([]).collect() == []
-
-    def test_stop_drops_shuffle_state(self, ctx):
-        pairs = ctx.parallelize([("a", 1)], 1)
-        reduced = pairs.reduce_by_key(lambda a, b: a + b)
-        reduced.collect()
-        shuffles = ctx.metrics.get(MetricsRegistry.SHUFFLES)
-        ctx.stop()
-        # shuffle state dropped: recomputes transparently
-        assert reduced.collect() == [("a", 1)]
-        assert ctx.metrics.get(MetricsRegistry.SHUFFLES) == shuffles + 1

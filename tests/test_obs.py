@@ -551,19 +551,6 @@ class TestEngineTracing:
         assert len(snap.histogram(MetricsRegistry.JOB_SECONDS)) == 1
         assert len(snap.histogram(MetricsRegistry.TASK_SECONDS)) == 2
 
-    def test_shuffle_span_and_histogram(self):
-        ctx = EngineContext()
-        tracer = Tracer()
-        ctx.install_tracer(tracer)
-        ctx.parallelize([("a", 1), ("b", 2), ("a", 3)], 2).reduce_by_key(
-            lambda a, b: a + b
-        ).collect()
-        shuffles = tracer.find("engine.shuffle")
-        assert len(shuffles) == 1
-        assert shuffles[0].attributes["records"] == 3
-        snap = ctx.metrics.snapshot()
-        assert snap.histogram(MetricsRegistry.SHUFFLE_RECORDS) == (3.0,)
-
     def test_disabled_tracer_records_nothing(self):
         ctx = EngineContext()
         ctx.parallelize(range(10), 2).collect()

@@ -14,6 +14,7 @@ import os
 import re
 import textwrap
 import threading
+import time
 
 import pytest
 
@@ -597,16 +598,24 @@ class TestScrapeThreadSafety:
         server = ctx.serve(port=0)
         errors = []
         bodies = []
+        # bodies of scrapes that began after the last job finished;
+        # the order in which threads append is not the order in which
+        # the server answered, so only these must show the jobs.
+        after_jobs = []
+        jobs_done = threading.Event()
         stop = threading.Event()
 
         def scrape():
             while not stop.is_set():
+                began_after_jobs = jobs_done.is_set()
                 try:
                     status, _, body = _http_get(server.port, "/metrics")
                     if status != 200:
                         errors.append(f"status {status}")
                     else:
                         bodies.append(body.decode("utf-8"))
+                        if began_after_jobs:
+                            after_jobs.append(bodies[-1])
                 except Exception as exc:  # noqa: BLE001
                     errors.append(repr(exc))
 
@@ -619,6 +628,10 @@ class TestScrapeThreadSafety:
                     lambda v: v * 2
                 ).collect()
                 assert len(out) == 200
+            jobs_done.set()
+            deadline = time.monotonic() + 10
+            while not after_jobs and time.monotonic() < deadline:
+                time.sleep(0.005)
         finally:
             stop.set()
             for t in scrapers:
@@ -632,7 +645,9 @@ class TestScrapeThreadSafety:
         # every concurrent scrape must still be grammatical
         for body in bodies[-3:]:
             assert_valid_exposition(body)
-        assert "upa_jobs_run_total" in bodies[-1]
+        assert after_jobs, "no scrape began after the jobs finished"
+        assert_valid_exposition(after_jobs[-1])
+        assert "upa_jobs_run_total 8" in after_jobs[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """A release run from the phase functions alone, without a session.
 
 ``partition_and_sample → reduce_phase → infer_output_range /
-infer_local_sensitivity → RangeEnforcer.enforce → add_noise`` over a
+infer_local_sensitivity → RangeEnforcer.enforce → add_noise`` (at
+``max(local sensitivity, noise_floor(query))``) over a
 ``ProtectedTable``, the first per-run rng and a fresh RANGE ENFORCER is
 what ``UPASession(UPAConfig(seed=seed)).run`` releases on its first
 submission, bit for bit, in every field ``benchmarks/release_digests.py``
@@ -20,7 +21,13 @@ from repro.core import session as session_mod
 from repro.core.inference import infer_local_sensitivity, infer_output_range
 from repro.core.range_enforcer import RangeEnforcer
 from repro.core.sampling import partition_and_sample
-from repro.core.session import UPAConfig, UPASession, add_noise, reduce_phase
+from repro.core.session import (
+    UPAConfig,
+    UPASession,
+    add_noise,
+    noise_floor,
+    reduce_phase,
+)
 from repro.core.table import ProtectedTable
 from repro.engine.context import EngineContext
 from repro.obs.tracing import NULL_TRACER
@@ -58,7 +65,9 @@ def _release_without_session(query, tables, seed, epsilon):
     partition_outputs = state.partition_outputs()
     enforcement = enforcer.enforce(state, inferred)
     noisy = add_noise(
-        enforcement.output, inferred.local_sensitivity, epsilon,
+        enforcement.output,
+        max(inferred.local_sensitivity, noise_floor(query)),
+        epsilon,
         derive_seed(seed, "noise-1"),
     )
     return sample, {
