@@ -5,9 +5,10 @@ For each query the harness enumerates *every* removal neighbour plus a
 1000-record addition pool (brute force; the paper's scatter plots), then
 overlays UPA's inferred min/max lines for n in {100, 1000, 5000} and
 reports per-query coverage, plus the estimator ablation: the paper's
-verbatim Algorithm 1 (fixed 1/99 normal percentiles, no envelope)
-versus this reproduction's default (population-extrapolated percentiles
-+ sampled-output envelope + discrete fallback).
+verbatim Algorithm 1 (fixed 1/99 normal percentiles of the same fit, no
+envelope, no discrete fallback) versus UPA's estimator
+(population-extrapolated percentiles + sampled-output envelope +
+discrete fallback).
 
 Expected shape (paper): with n = 1000 the inferred range covers
 >= 98.9 % of all neighbour outputs for eight of the nine queries;
@@ -22,23 +23,26 @@ import pytest
 from benchmarks.conftest import cached_ground_truth, cached_tables, emit_report
 from repro.analysis import format_table
 from repro.core import UPAConfig, UPASession
-from repro.core.inference import InferenceConfig
+from repro.core.inference import InferredRange, ndtri
 
 SCALE = 20_000
 SAMPLE_SIZES = (100, 1000, 5000)
 
-DEFAULT = InferenceConfig()
-PAPER_VERBATIM = InferenceConfig(
-    extrapolate=False, envelope=False, discrete_fallback=False
-)
+
+def _inferred(workload, tables, sample_size):
+    session = UPASession(UPAConfig(sample_size=sample_size, seed=31))
+    return session.infer_sensitivity(workload.query, tables)
 
 
-def _coverage(workload, tables, truth, sample_size, inference):
-    session = UPASession(
-        UPAConfig(sample_size=sample_size, seed=31, inference=inference)
+def _paper_verbatim(inferred):
+    """Algorithm 1 l.17-21 as printed: the 1st and 99th percentiles of
+    the normal fitted to the sampled outputs, nothing else."""
+    spread = ndtri(0.99) * inferred.std
+    return InferredRange(
+        lower=inferred.mean - spread, upper=inferred.mean + spread,
+        mean=inferred.mean, std=inferred.std,
+        used_fallback=np.zeros_like(inferred.used_fallback),
     )
-    inferred = session.infer_sensitivity(workload.query, tables)
-    return inferred.coverage(truth.neighbour_outputs)
 
 
 def _study(workloads):
@@ -47,11 +51,14 @@ def _study(workloads):
     for workload in workloads:
         tables = cached_tables(workload, SCALE, seed=3)
         truth = cached_ground_truth(workload, SCALE, seed=3)
+        inferred = {n: _inferred(workload, tables, n) for n in SAMPLE_SIZES}
         per_n = [
-            _coverage(workload, tables, truth, n, DEFAULT)
+            inferred[n].coverage(truth.neighbour_outputs)
             for n in SAMPLE_SIZES
         ]
-        verbatim = _coverage(workload, tables, truth, 1000, PAPER_VERBATIM)
+        verbatim = _paper_verbatim(inferred[1000]).coverage(
+            truth.neighbour_outputs
+        )
         coverages[workload.name] = per_n[1]  # n = 1000
         rows.append([workload.name] + [c * 100 for c in per_n]
                     + [verbatim * 100, truth.range_width])
@@ -96,7 +103,7 @@ def test_fig3_neighbourhood_coverage(benchmark, workloads):
 
     well_covered = sum(1 for c in coverages.values() if c >= 0.989)
     assert well_covered >= 8, coverages
-    # the default estimator is never worse than the paper-verbatim one
+    # UPA's estimator is never worse than the paper-verbatim one
     for row in rows:
         assert row[2] >= row[4] - 1e-9, row
 
@@ -109,8 +116,9 @@ def test_fig3_sample_size_monotonicity(benchmark, workloads):
         for workload in workloads:
             tables = cached_tables(workload, SCALE, seed=3)
             truth = cached_ground_truth(workload, SCALE, seed=3)
-            small = _coverage(workload, tables, truth, 100, DEFAULT)
-            large = _coverage(workload, tables, truth, 5000, DEFAULT)
+            outputs = truth.neighbour_outputs
+            small = _inferred(workload, tables, 100).coverage(outputs)
+            large = _inferred(workload, tables, 5000).coverage(outputs)
             deltas.append((workload.name, small, large))
         return deltas
 

@@ -9,12 +9,12 @@ lines versus the blue ground-truth lines in Figure 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.baselines.bruteforce import BruteForceResult, exact_local_sensitivity
-from repro.core.inference import InferenceConfig, InferredRange
+from repro.core.inference import InferredRange
 from repro.core.query import MapReduceQuery, Tables
 from repro.core.session import UPAConfig, UPASession
 
@@ -44,7 +44,6 @@ def study_neighbourhood(
     sample_sizes: Sequence[int] = (100, 1000, 10_000),
     addition_samples: int = 1000,
     seed: int = 0,
-    inference: Optional[InferenceConfig] = None,
 ) -> NeighbourhoodStudy:
     """Run the Fig. 3 experiment for one query."""
     truth = exact_local_sensitivity(
@@ -53,13 +52,7 @@ def study_neighbourhood(
     study = NeighbourhoodStudy(query_name=query.name, truth=truth)
     true_width = max(truth.range_width, 1e-12)
     for n in sample_sizes:
-        session = UPASession(
-            UPAConfig(
-                sample_size=n,
-                seed=seed,
-                inference=inference or InferenceConfig(),
-            )
-        )
+        session = UPASession(UPAConfig(sample_size=n, seed=seed))
         inferred = session.infer_sensitivity(query, tables)
         study.ranges.append(
             RangeAtSampleSize(

@@ -19,14 +19,13 @@ among *sampled* groups — the envelope still guards the release).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.common.errors import DPError
 from repro.common.rng import derive_seed, make_rng
 from repro.core.inference import (
-    InferenceConfig,
     InferredRange,
     infer_local_sensitivity,
     infer_output_range,
@@ -115,19 +114,17 @@ def run_group_private_query(
     num_groups: int = 1000,
     sample_size: int = 1000,
     seed: int = 0,
-    inference: Optional[InferenceConfig] = None,
 ) -> GroupPrivacyResult:
     """Answer ``query`` with DP protection for groups of ``group_size``."""
     if epsilon <= 0:
         raise DPError(f"epsilon must be positive, got {epsilon}")
-    inference = inference or InferenceConfig()
 
     outputs = sample_group_neighbour_outputs(
         query, tables, group_size, num_groups, sample_size, seed
     )
     plain = query.output(tables)
     population = len(tables[query.protected_table])
-    inferred = infer_output_range(outputs, population, inference)
+    inferred = infer_output_range(outputs, population)
     # include f(x) itself in the enforced range
     lower = np.minimum(inferred.lower, plain)
     upper = np.maximum(inferred.upper, plain)
@@ -135,14 +132,13 @@ def run_group_private_query(
         lower=lower, upper=upper, mean=inferred.mean, std=inferred.std,
         used_fallback=inferred.used_fallback,
     )
-    estimated = infer_local_sensitivity(outputs, plain, population, inference)
+    estimated = infer_local_sensitivity(outputs, plain, population)
 
     individual = infer_output_range(
         sample_group_neighbour_outputs(
             query, tables, 1, num_groups, sample_size, seed
         ),
         population,
-        inference,
     )
     naive = group_size * individual.local_sensitivity
 

@@ -2,38 +2,46 @@
 
 Given the outputs of the query on the sampled neighbouring datasets
 ({o_i} for removals, {o-bar_i} for additions), UPA fits a normal
-distribution per output coordinate by MLE and takes low/high percentiles
-as the inferred output range; the local sensitivity is the (L1) width
-of that range.
+distribution per output coordinate by MLE and reads a low and a high
+tail of it as the inferred output range; the local sensitivity is the
+(L1) width of that range.  There is one estimator, which differs from
+the paper's bare description in three ways:
 
-Two refinements over the paper's bare description, both selectable:
-
-* **population extrapolation** (default on): the paper's fixed 1st/99th
+* **population-extrapolated tail**: the paper's fixed 1st/99th
   percentiles estimate where ~98 % of *sampled* neighbours fall, but the
   ground-truth local sensitivity (Definition II.1) is a max over *all*
-  |x| neighbours.  With ``extrapolate=True`` the percentile level is
-  set to the expected extreme of ``population`` draws from the fitted
-  normal (level 1/(2(N+1))), which is what makes UPA's estimate land
-  within a few percent of the brute-force value, as Figure 2(a) reports.
-* **discrete fallback** (default on): when a coordinate's sampled
-  outputs take only a few distinct values (counting queries: TPCH1's
-  neighbours are exactly {C-1, C+1}), a normal fit is meaningless and
-  grossly over-covers; the empirical min/max is exact there.  This is
-  why the paper's TPCH1 error is ~1e-9 rather than ~2x.
+  |x| neighbours.  The tail level is the expected extreme of
+  ``population`` draws from the fitted normal, ``1/(2 max(N, m, 2))``,
+  never above 1 %, which is what makes UPA's estimate land within a few
+  percent of the brute-force value, as Figure 2(a) reports.
+* **discrete fallback**: when a coordinate's sampled outputs take at
+  most ten distinct values (counting queries: TPCH1's neighbours are
+  exactly {C-1, C+1}), a normal fit is meaningless and grossly
+  over-covers; the empirical min/max is exact there.  This is why the
+  paper's TPCH1 error is ~1e-9 rather than ~2x.
+* **envelope**: the range covers every *sampled* neighbour output.
+  Those are genuine neighbour outputs, so a range excluding them would
+  make RANGE ENFORCER clamp legitimate answers; the envelope also
+  rescues heavy-tailed coordinates the normal fit under-covers.
 
-Both off reproduces Algorithm 1 verbatim (the Fig. 3 bench compares the
-estimators).
+Algorithm 1 verbatim (``mean ± ndtri(0.99) std`` of the same fit) lives
+in the Fig. 3 bench, which compares the two.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.common.errors import DPError
+
+# The range is never narrower than the paper's 1st/99th percentiles.
+MAX_TAIL_LEVEL = 0.01
+# A count's neighbours take a handful of values, too few to fit.
+DISCRETE_DISTINCT_MAX = 10
 
 # Coefficient tables of the cephes ``ndtri`` routine (the kernel behind
 # ``scipy.special.ndtri`` and ``scipy.stats.norm.ppf``), leading
@@ -104,9 +112,10 @@ def ndtri(y: float) -> float:
     A scalar port of the cephes routine, operation for operation, so
     it returns the bits ``scipy.special.ndtri`` returns (the tests pin
     that over every level :func:`infer_output_range` can ask for).  It
-    lives here because the two calls below are its only callers and one
-    scalar per release is not worth importing scipy for.  ``0`` and
-    ``1`` map to ``-inf`` / ``inf``, anything outside ``[0, 1]`` to nan.
+    lives here because that function is its one caller in the package,
+    and one scalar per release is not worth importing scipy for.
+    ``0`` and ``1`` map to ``-inf`` / ``inf``, anything outside
+    ``[0, 1]`` to nan.
     """
     if y == 0.0:
         return -math.inf
@@ -132,41 +141,6 @@ def ndtri(y: float) -> float:
         x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
     x = x0 - x1
     return -x if negate else x
-
-
-@dataclass(frozen=True)
-class InferenceConfig:
-    """Knobs for the sensitivity inference step.
-
-    Attributes:
-        percentile_low/high: percentile pair from the paper (1, 99),
-            used when ``extrapolate`` is off.
-        extrapolate: extend percentiles to the population size (see
-            module docstring).
-        discrete_fallback: use empirical min/max for near-discrete
-            coordinates.
-        discrete_distinct_threshold: max distinct values for a
-            coordinate to count as discrete.
-        envelope: widen the range to cover every *sampled* neighbour
-            output.  The sampled outputs are genuine neighbour outputs,
-            so a range excluding them would make RANGE ENFORCER clamp
-            legitimate answers; the envelope also rescues heavy-tailed
-            coordinates the normal fit under-covers.
-    """
-
-    percentile_low: float = 1.0
-    percentile_high: float = 99.0
-    extrapolate: bool = True
-    discrete_fallback: bool = True
-    discrete_distinct_threshold: int = 10
-    envelope: bool = True
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.percentile_low < self.percentile_high < 100.0:
-            raise DPError(
-                f"invalid percentile pair "
-                f"({self.percentile_low}, {self.percentile_high})"
-            )
 
 
 @dataclass(frozen=True)
@@ -237,54 +211,30 @@ def infer_local_sensitivity(
     neighbour_outputs: np.ndarray,
     center: np.ndarray,
     population: int,
-    config: Optional[InferenceConfig] = None,
 ) -> float:
     """Estimate Definition II.1's local sensitivity from sampled neighbours.
 
     The paper treats local sensitivity "as a random variable that
     follows a normal distribution" (section IV-A): here that variable is
-    the per-neighbour L1 deviation ``delta_i = |f(x) - f(y_i)|_1``.  A
-    normal is fitted to the sampled deltas by MLE and the estimate is
-    its extreme upper quantile (extrapolated to the population size,
-    like :func:`infer_output_range`), with the same discrete fallback
-    and never below the largest sampled delta.
+    the per-neighbour L1 deviation ``delta_i = |f(x) - f(y_i)|_1``, and
+    the estimate is the upper bound :func:`infer_output_range` infers
+    for the one column of deltas — the same tail level, discrete
+    fallback and envelope.
 
     This scalar estimate is what the Fig. 2(a) accuracy comparison uses;
     the *mechanism* keeps using the (conservative) output-range width,
     which RANGE ENFORCER makes a guaranteed upper bound.
     """
-    config = config or InferenceConfig()
     outputs = np.atleast_2d(np.asarray(neighbour_outputs, dtype=float))
     if outputs.size == 0:
         raise DPError("cannot infer sensitivity from zero neighbour outputs")
     center = np.asarray(center, dtype=float).reshape(-1)
     deltas = np.abs(outputs - center).sum(axis=1)
-
-    if (
-        config.discrete_fallback
-        and _distinct_counts(np.sort(deltas))
-        <= config.discrete_distinct_threshold
-    ):
-        return float(deltas.max())
-
-    mean = float(deltas.mean())
-    std = float(deltas.std())
-    if config.extrapolate:
-        level = 1.0 / (2.0 * max(population, deltas.shape[0], 2))
-        level = min(level, config.percentile_low / 100.0)
-    else:
-        level = config.percentile_low / 100.0
-    z = ndtri(1.0 - level)
-    estimate = mean + z * std
-    if config.envelope:
-        estimate = max(estimate, float(deltas.max()))
-    return float(estimate)
+    return float(infer_output_range(deltas[:, None], population).upper[0])
 
 
 def infer_output_range(
-    neighbour_outputs: np.ndarray,
-    population: int,
-    config: Optional[InferenceConfig] = None,
+    neighbour_outputs: np.ndarray, population: int
 ) -> InferredRange:
     """Fit per-coordinate normals and derive the output range.
 
@@ -292,44 +242,34 @@ def infer_output_range(
         neighbour_outputs: array of shape (m, d) — one row per sampled
             neighbouring dataset's output.
         population: number of neighbouring datasets in the full
-            population (|x| removals + additions), used when
-            extrapolating.
+            population (|x| removals + additions); sets the tail level.
     """
-    config = config or InferenceConfig()
     outputs = np.atleast_2d(np.asarray(neighbour_outputs, dtype=float))
     if outputs.size == 0:
         raise DPError("cannot infer a range from zero neighbour outputs")
-    m, d = outputs.shape
+    m = outputs.shape[0]
 
     mean = outputs.mean(axis=0)
     std = outputs.std(axis=0)  # MLE (ddof=0)
 
-    if config.extrapolate:
-        level = 1.0 / (2.0 * max(population, m, 2))
-        level = min(level, config.percentile_low / 100.0)
-    else:
-        level = config.percentile_low / 100.0
+    level = min(1.0 / (2.0 * max(population, m, 2)), MAX_TAIL_LEVEL)
     z = ndtri(1.0 - level)
-
     lower = mean - z * std
     upper = mean + z * std
 
-    used_fallback = np.zeros(d, dtype=bool)
-    if config.discrete_fallback:
-        used_fallback = (
-            _distinct_counts(np.sort(outputs, axis=0))
-            <= config.discrete_distinct_threshold
-        )
-        for j in np.flatnonzero(used_fallback):
-            # np.unique's bounds: which zero stands for a run of -0.0
-            # and 0.0 is its choice, and numpy versions choose apart.
-            distinct = np.unique(outputs[:, j])
-            lower[j] = distinct.min()
-            upper[j] = distinct.max()
+    used_fallback = (
+        _distinct_counts(np.sort(outputs, axis=0)) <= DISCRETE_DISTINCT_MAX
+    )
+    for j in np.flatnonzero(used_fallback):
+        # np.unique's bounds: which zero stands for a run of -0.0
+        # and 0.0 is its choice, and numpy versions choose apart.
+        distinct = np.unique(outputs[:, j])
+        lower[j] = distinct.min()
+        upper[j] = distinct.max()
 
-    if config.envelope:
-        lower = np.minimum(lower, outputs.min(axis=0))
-        upper = np.maximum(upper, outputs.max(axis=0))
+    # The envelope: every sampled output is a genuine neighbour output.
+    lower = np.minimum(lower, outputs.min(axis=0))
+    upper = np.maximum(upper, outputs.max(axis=0))
 
     return InferredRange(
         lower=lower, upper=upper, mean=mean, std=std, used_fallback=used_fallback

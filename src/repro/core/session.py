@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +37,6 @@ from repro.common.errors import DPError
 from repro.common.rng import derive_seed, make_rng
 from repro.common.timing import Timer
 from repro.core.inference import (
-    InferenceConfig,
     InferredRange,
     infer_local_sensitivity,
     infer_output_range,
@@ -147,7 +146,6 @@ class UPAConfig:
         epsilon: default privacy budget per query (paper evaluation: 0.1).
         sample_size: n, the number of sampled differing records (1000).
         seed: master seed (sampling, noise, enforcement randomness).
-        inference: sensitivity-inference knobs.
         strict: run ``validate_monoid`` on every submission: a query
             whose mapper or reducer fails it raises QueryShapeError
             before any budget is spent.
@@ -158,7 +156,6 @@ class UPAConfig:
     epsilon: float = 0.1
     sample_size: int = 1000
     seed: int = 0
-    inference: InferenceConfig = field(default_factory=InferenceConfig)
     strict: bool = False
     engine_partitions: int = 2
 
@@ -183,6 +180,9 @@ class UPAResult:
     local_sensitivity: float
     #: Definition II.1 estimate reported in the Fig. 2(a) comparison.
     estimated_local_sensitivity: float
+    #: the Laplace scale b the noise was drawn at:
+    #: max(local_sensitivity, noise_floor(query)) / epsilon.
+    noise_scale: float
     inferred_range: InferredRange
     removal_outputs: np.ndarray
     addition_outputs: np.ndarray
@@ -673,12 +673,9 @@ class UPASession:
             )
             neighbours = state.neighbours
             with tracer.span("phase:inference") as inference_span:
-                inferred = infer_output_range(
-                    neighbours, state.population, config.inference
-                )
+                inferred = infer_output_range(neighbours, state.population)
                 estimated_ls = infer_local_sensitivity(
-                    neighbours, state.plain, state.population,
-                    config.inference,
+                    neighbours, state.plain, state.population
                 )
                 inference_span.set_attribute(
                     "local_sensitivity", inferred.local_sensitivity
@@ -712,9 +709,12 @@ class UPASession:
                 # The commit point: RANGE ENFORCER has registered the
                 # submission.  Only the noise draw can fail after it,
                 # and it runs before epsilon is charged.
+                sensitivity = max(
+                    inferred.local_sensitivity, noise_floor(query)
+                )
                 noisy = add_noise(
                     enforcement.output,
-                    max(inferred.local_sensitivity, noise_floor(query)),
+                    sensitivity,
                     epsilon,
                     derive_seed(config.seed, f"noise-{self._run_counter}"),
                 )
@@ -729,6 +729,7 @@ class UPASession:
             plain_output=state.plain,
             local_sensitivity=inferred.local_sensitivity,
             estimated_local_sensitivity=estimated_ls,
+            noise_scale=sensitivity / epsilon,
             inferred_range=inferred,
             removal_outputs=state.removal,
             addition_outputs=state.addition,
@@ -881,6 +882,7 @@ class UPASession:
             sample_size=result.sample_size,
             local_sensitivity=result.local_sensitivity,
             estimated_local_sensitivity=result.estimated_local_sensitivity,
+            noise_scale=result.noise_scale,
             clamped=enforcement.clamped,
             matched_prior=enforcement.matched_prior,
             records_removed=enforcement.records_removed,
@@ -1038,9 +1040,7 @@ class UPASession:
             engine=self.engine, parts=config.engine_partitions,
             tracer=self.tracer,
         )
-        return infer_output_range(
-            state.neighbours, state.population, config.inference
-        )
+        return infer_output_range(state.neighbours, state.population)
 
     def _lookup(self, records: List[Any]) -> Tuple[ProtectedTable, bool]:
         """The session's table of ``records`` and whether it was already

@@ -69,7 +69,7 @@ from repro.sql.compiler import (
     compile_projection,
     plan_fingerprint,
 )
-from repro.sql.expr import Expression
+from repro.sql.expr import CaseWhen, Expression, Literal
 from repro.sql.functions import AggregateSpec
 from repro.sql.logical import (
     Aggregate,
@@ -558,6 +558,24 @@ def _find_aggregate(plan: LogicalPlan) -> Tuple[Aggregate, LogicalPlan]:
     return node, node.child
 
 
+def _counts(spec: AggregateSpec) -> bool:
+    """Whether each record moves the answer by a whole number: a COUNT,
+    or a SUM of an integer literal or of a CASE whose every branch and
+    default is one (``SUM(CASE WHEN ... THEN 1 ELSE 0 END)``)."""
+    if spec.func == "count":
+        return True
+    if spec.func != "sum":
+        return False
+    values = [spec.expr]
+    if isinstance(spec.expr, CaseWhen):
+        values = [value for _, value in spec.expr.branches]
+        values.append(spec.expr.default)
+    return all(
+        isinstance(value, Literal) and type(value.value) is int
+        for value in values
+    )
+
+
 class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
     """A MapReduceQuery derived from a SQL plan by provenance analysis.
 
@@ -596,9 +614,9 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
             self if "(opaque" in fingerprint
             else (protected_table, fingerprint)
         )
-        #: Table II's kind: a COUNT is a count query, whose noise
-        #: never falls below width 1 (``core.session.noise_floor``).
-        self.query_type = "count" if spec.func == "count" else "arithmetic"
+        #: Table II's kind: a count query's noise never falls below
+        #: width 1 (``core.session.noise_floor``).
+        self.query_type = "count" if _counts(spec) else "arithmetic"
         self._dynamic = dynamic
         self._spec = spec
         if spec.expr is None:

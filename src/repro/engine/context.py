@@ -72,7 +72,7 @@ class EngineContext:
                 f"num_partitions must be None or an int >= 1, "
                 f"got {num_partitions!r}"
             )
-        return ParallelCollectionRDD(self, list(data), num_partitions)
+        return ParallelCollectionRDD(self, data, num_partitions)
 
     def union(self, rdds: Sequence[RDD]) -> RDD:
         """Union of several RDDs."""

@@ -156,8 +156,10 @@ def _count_iter(it: Iterator) -> int:
 class ParallelCollectionRDD(RDD):
     """An RDD over an in-memory sequence, split into even slices."""
 
-    def __init__(self, context, data: Sequence, num_partitions: int):
+    def __init__(self, context, data: Iterable, num_partitions: int):
         super().__init__(context, num_partitions)
+        # its own copy: a retry from lineage rereads what was handed in,
+        # whatever the caller has done to its list since
         self._data = list(data)
 
     def compute(self, split: int) -> Iterator:

@@ -6,7 +6,8 @@ inspectability more important, not less.  The ledger records, per
 ``UPASession.run``/``run_sql``, the fitted normal parameters (mu,
 sigma) per output coordinate, the inferred output range ``O_f``, its
 width (the mechanism's noise is calibrated to it, or to the query's
-noise floor if that is larger), what RANGE ENFORCER
+noise floor if that is larger), the Laplace scale the noise was drawn
+at, what RANGE ENFORCER
 did (clamping, repeated-query matches, record removals), the epsilon
 charged against the accountant's balance, replays of an earlier
 release (``cache_hit``, nothing charged), and the submissions RANGE
@@ -75,6 +76,11 @@ class LedgerEntry:
     clamped: bool
     matched_prior: bool
     records_removed: int
+    #: the Laplace scale b the released noise was drawn at,
+    #: max(local_sensitivity, noise floor) / epsilon; a replay carries
+    #: its release's.  None: a refusal (nothing drawn), or a line
+    #: written before the field existed.
+    noise_scale: Optional[float] = None
     #: accountant balance after this charge (None: no accountant).
     accountant_spent_epsilon: Optional[float] = None
     accountant_remaining_epsilon: Optional[float] = None
@@ -313,6 +319,7 @@ def make_entry(
     clamped: bool,
     matched_prior: bool,
     records_removed: int,
+    noise_scale: Optional[float] = None,
     accountant_spent_epsilon: Optional[float] = None,
     accountant_remaining_epsilon: Optional[float] = None,
     cache_hit: bool = False,
@@ -336,6 +343,7 @@ def make_entry(
         clamped=bool(clamped),
         matched_prior=bool(matched_prior),
         records_removed=int(records_removed),
+        noise_scale=None if noise_scale is None else float(noise_scale),
         accountant_spent_epsilon=accountant_spent_epsilon,
         accountant_remaining_epsilon=accountant_remaining_epsilon,
         cache_hit=bool(cache_hit),

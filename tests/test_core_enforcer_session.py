@@ -11,7 +11,7 @@ from repro.common.errors import DPError, PrivacyBudgetExceeded
 from repro.common.rng import make_rng
 import repro.core.sampling as sampling_mod
 from repro.core import UPAConfig, UPASession
-from repro.core.inference import InferenceConfig, infer_output_range
+from repro.core.inference import infer_output_range
 from repro.core.query import MapReduceQuery
 from repro.core.range_enforcer import EnforcementResult, RangeEnforcer
 from repro.core.sampling import partition_and_sample
@@ -623,7 +623,12 @@ class TestUPASession:
         assert len(ledger) == 20 and len(refused) == 15
         assert all(
             entry.epsilon_charged == 0.0 and entry.matched_prior
+            and entry.noise_scale is None
             for entry in refused
+        )
+        assert all(
+            entry.noise_scale == max(entry.local_sensitivity, 1.0) / 0.1
+            for entry in ledger if not entry.refused
         )
         spent = accountant.spent()[0]
         assert spent == pytest.approx(0.5)

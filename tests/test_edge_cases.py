@@ -1,52 +1,68 @@
 """Edge-case tests across the stack: tiny datasets, degenerate configs,
 boundary conditions the benchmarks never hit."""
 
-import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import DPError
 from repro.core import MapReduceQuery, UPAConfig, UPASession
 from repro.core.inference import (
-    InferenceConfig,
     InferredRange,
     infer_local_sensitivity,
     infer_output_range,
+    ndtri,
 )
 from repro.core.sampling import partition_and_sample
 
+# The estimator's discrete-fallback bound, written out for the oracles.
+THRESHOLD = 10
 
-def _per_coordinate_range(outputs, population, config):
-    """``infer_output_range`` as it was: one ``np.unique`` per coordinate."""
-    bare = infer_output_range(outputs, population, dataclasses.replace(
-        config, discrete_fallback=False, envelope=False,
-    ))
-    lower, upper = bare.lower.copy(), bare.upper.copy()
+
+def _tail_z(population, m):
+    """The normal quantile of the population-extrapolated tail level."""
+    return ndtri(1.0 - min(1.0 / (2.0 * max(population, m, 2)), 0.01))
+
+
+def _per_coordinate_range(outputs, population):
+    """``infer_output_range`` written out: a normal fit, one
+    ``np.unique`` per coordinate, then the envelope."""
+    mean, std = outputs.mean(axis=0), outputs.std(axis=0)
+    z = _tail_z(population, outputs.shape[0])
+    lower, upper = mean - z * std, mean + z * std
     used = np.zeros(outputs.shape[1], dtype=bool)
     for j in range(outputs.shape[1]):
         distinct = np.unique(outputs[:, j])
-        if distinct.shape[0] <= config.discrete_distinct_threshold:
+        if distinct.shape[0] <= THRESHOLD:
             lower[j] = distinct.min()
             upper[j] = distinct.max()
             used[j] = True
-    if config.envelope:
-        lower = np.minimum(lower, outputs.min(axis=0))
-        upper = np.maximum(upper, outputs.max(axis=0))
-    return InferredRange(lower, upper, bare.mean, bare.std, used)
+    lower = np.minimum(lower, outputs.min(axis=0))
+    upper = np.maximum(upper, outputs.max(axis=0))
+    return InferredRange(lower, upper, mean, std, used)
 
 
 def _per_coordinate_sensitivity(outputs, center, population):
-    """``infer_local_sensitivity`` as it was: ``np.unique`` of the deltas."""
-    config = InferenceConfig()
+    """``infer_local_sensitivity`` written out on the 1-D deltas:
+    ``np.unique`` of them, else their normal tail, never below their
+    largest."""
     deltas = np.abs(outputs - center).sum(axis=1)
-    if np.unique(deltas).shape[0] <= config.discrete_distinct_threshold:
+    if np.unique(deltas).shape[0] <= THRESHOLD:
         return float(deltas.max())
-    return infer_local_sensitivity(
-        outputs, center, population,
-        dataclasses.replace(config, discrete_fallback=False),
-    )
+    tail = float(deltas.mean()) + _tail_z(
+        population, deltas.shape[0]
+    ) * float(deltas.std())
+    return max(tail, float(deltas.max()))
+
+
+def _same_bits(a, b):
+    """Both NaN (a NaN's payload is the platform's), or the same bits."""
+    if np.isnan(a) or np.isnan(b):
+        return bool(np.isnan(a) and np.isnan(b))
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
 class _TinyQuery(MapReduceQuery):
@@ -175,6 +191,23 @@ class TestNoiselessRelease:
         assert extreme == 27
         assert query.output(minus)[0] == 0.0
 
+    def test_the_ledger_carries_the_noise_scale(self, minus_extreme):
+        # logged at width 0, noised at Lap(1/epsilon); the replay too
+        from repro.obs.ledger import PrivacyLedger
+
+        query, minus, _extreme = minus_extreme
+        ledger = PrivacyLedger()
+        session = UPASession(UPAConfig(seed=3), ledger=ledger)
+        first = session.run(query, minus, epsilon=self.EPSILON)
+        again = session.run(query, minus, epsilon=self.EPSILON)
+        assert again is first
+        assert first.local_sensitivity == 0.0
+        assert first.noise_scale == 1.0 / self.EPSILON
+        release, replay = ledger.entries()
+        assert (release.cache_hit, replay.cache_hit) == (False, True)
+        assert release.local_sensitivity == replay.local_sensitivity == 0.0
+        assert release.noise_scale == replay.noise_scale == 10.0
+
     @pytest.mark.parametrize("seed", [3, 17, 99])
     def test_a_release_is_never_noiseless(self, minus_extreme, seed):
         query, minus, _extreme = minus_extreme
@@ -211,18 +244,41 @@ class TestNoiseFloor:
 
     @pytest.mark.parametrize("name", [
         "tpch1", "tpch4", "tpch13", "tpch16", "tpch21", "tpch6", "tpch11",
+        "tpch12", "tpch14",
     ])
     def test_compiled_sql_text_has_the_same_floor(self, tpch_tables, name):
         from repro.core.session import noise_floor
         from repro.core.sqlbridge import compile_sql
         from repro.tpch import query_by_name
+        from repro.tpch.queries.extras import extension_queries
 
-        query = query_by_name(name)
+        extras = {query.name: query for query in extension_queries()}
+        query = extras[name] if name in extras else query_by_name(name)
         compiled = compile_sql(
             query.sql_text(), tpch_tables, query.protected_table
         )
         assert compiled.query_type == query.query_type
         assert noise_floor(compiled) == noise_floor(query)
+
+    @pytest.mark.parametrize("aggregate, kind", [
+        ("COUNT(*)", "count"),
+        ("SUM(1)", "count"),
+        ("SUM(CASE WHEN o_orderstatus = 'F' THEN 2 ELSE 0 END)", "count"),
+        ("SUM(CASE WHEN o_orderstatus = 'F' THEN 1.5 ELSE 0 END)",
+         "arithmetic"),
+        ("SUM(CASE WHEN o_orderstatus = 'F' THEN o_custkey ELSE 0 END)",
+         "arithmetic"),
+        ("SUM(o_custkey)", "arithmetic"),
+    ])
+    def test_whole_number_sums_are_counts(self, tpch_tables, aggregate,
+                                          kind):
+        # each record moves a SUM of integer literals by a whole number
+        from repro.core.sqlbridge import compile_sql
+
+        compiled = compile_sql(
+            f"SELECT {aggregate} AS r FROM orders", tpch_tables, "orders"
+        )
+        assert compiled.query_type == kind
 
 
 class TestSamplingBoundaries:
@@ -265,18 +321,19 @@ class TestInferenceBoundaries:
         assert np.isfinite(inferred.local_sensitivity)
 
     def test_distinct_threshold_boundary(self):
-        # exactly `threshold` distinct values still uses the fallback
-        config = InferenceConfig(discrete_distinct_threshold=3)
-        outputs = np.array([[1.0], [2.0], [3.0]] * 10)
-        inferred = infer_output_range(outputs, 1000, config)
+        # exactly ten distinct values still uses the fallback
+        outputs = np.arange(10.0).repeat(3)[:, None]
+        inferred = infer_output_range(outputs, 1000)
         assert inferred.used_fallback[0]
-        # one more distinct value switches to the normal fit
-        outputs = np.array([[1.0], [2.0], [3.0], [4.0]] * 10)
-        inferred = infer_output_range(outputs, 1000, config)
+        assert (inferred.lower[0], inferred.upper[0]) == (0.0, 9.0)
+        # an eleventh switches to the normal fit, whose tail lies past them
+        outputs = np.arange(11.0).repeat(3)[:, None]
+        inferred = infer_output_range(outputs, 1000)
         assert not inferred.used_fallback[0]
+        assert inferred.lower[0] < 0.0 and inferred.upper[0] > 10.0
 
     def test_all_coordinates_fit_like_one_unique_per_coordinate(self):
-        threshold = InferenceConfig().discrete_distinct_threshold
+        threshold = THRESHOLD
         rng = np.random.default_rng(4)
         m = 60
         columns = [
@@ -292,15 +349,14 @@ class TestInferenceBoundaries:
             rng.integers(0, 4, size=m).astype(float),
         ]
         outputs = np.column_stack([rng.permutation(c) for c in columns])
-        for config in (InferenceConfig(), InferenceConfig(envelope=False)):
-            got = infer_output_range(outputs, 1000, config)
-            want = _per_coordinate_range(outputs, 1000, config)
-            for field in ("lower", "upper", "used_fallback"):
-                assert getattr(got, field).tobytes() \
-                    == getattr(want, field).tobytes(), field
-            assert got.used_fallback.tolist() == [
-                True, True, True, True, True, True, False, True, False, True,
-            ]
+        got = infer_output_range(outputs, 1000)
+        want = _per_coordinate_range(outputs, 1000)
+        for field in ("lower", "upper", "mean", "std", "used_fallback"):
+            assert getattr(got, field).tobytes() \
+                == getattr(want, field).tobytes(), field
+        assert got.used_fallback.tolist() == [
+            True, True, True, True, True, True, False, True, False, True,
+        ]
         for column in columns:
             deltas = column[:, None]
             assert np.array_equal(
@@ -308,6 +364,38 @@ class TestInferenceBoundaries:
                 _per_coordinate_sensitivity(deltas, np.zeros(1), 1000),
                 equal_nan=True,
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        dim=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_sensitivity_is_the_deltas_column_bound(self, rows, dim, data):
+        """``infer_local_sensitivity`` is the upper bound
+        ``infer_output_range`` infers for the column of L1 deltas, bit
+        for bit, and the 1-D oracle agrees — NaN, signed-zero, few- and
+        many-valued columns included."""
+        value = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -2.0, np.nan]),
+            st.floats(-1e6, 1e6, allow_nan=False, width=64),
+        )
+        outputs = np.array(
+            data.draw(st.lists(
+                st.lists(value, min_size=dim, max_size=dim),
+                min_size=rows, max_size=rows,
+            )),
+            dtype=float,
+        )
+        center = np.array(data.draw(
+            st.lists(value, min_size=dim, max_size=dim)
+        ))
+        population = data.draw(st.integers(1, 10**6))
+        got = infer_local_sensitivity(outputs, center, population)
+        deltas = np.abs(outputs - center).sum(axis=1)[:, None]
+        bound = infer_output_range(deltas, population).upper[0]
+        want = _per_coordinate_sensitivity(outputs, center, population)
+        assert _same_bits(got, bound) and _same_bits(got, want)
 
     def test_huge_magnitudes(self):
         outputs = np.array([[1e15], [1.1e15]] * 20)

@@ -26,6 +26,13 @@ class TestBasicTransformations:
         ).collect()
         assert chunks == [[0, 1], [2, 3], [4, 5]]
 
+    def test_parallelize_keeps_its_own_copy(self, ctx):
+        data = [1, 2, 3, 4]
+        rdd = ctx.parallelize(data, 2)
+        data.append(5)
+        data[0] = 99
+        assert rdd.collect() == [1, 2, 3, 4]
+
     def test_union(self, ctx):
         left = ctx.parallelize([1, 2], 2)
         right = ctx.parallelize([3], 1)

@@ -9,6 +9,7 @@ report``).
 
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -398,7 +399,7 @@ class TestMetricsSnapshotDiff:
 
 
 def _entry(sequence=0, query="q", epsilon=0.1, cache_hit=False,
-           clamped=False, matched_prior=False, removed=0):
+           clamped=False, matched_prior=False, removed=0, noise_scale=None):
     return make_entry(
         sequence=sequence,
         query=query,
@@ -415,6 +416,7 @@ def _entry(sequence=0, query="q", epsilon=0.1, cache_hit=False,
         clamped=clamped,
         matched_prior=matched_prior,
         records_removed=removed,
+        noise_scale=noise_scale,
         cache_hit=cache_hit,
         elapsed_seconds=0.01,
     )
@@ -488,6 +490,30 @@ class TestPrivacyLedger:
         assert first.fitted_mean == (1.0, 2.0)
         assert first.local_sensitivity == 2.0
         assert loaded.entries()[1].cache_hit is True
+
+    def test_noise_scale_round_trips(self, tmp_path):
+        ledger = PrivacyLedger()
+        ledger.append(_entry(0, noise_scale=20.0))
+        ledger.append(_entry(1))  # a refusal: no noise was drawn
+        path = tmp_path / "ledger.jsonl"
+        ledger.write_jsonl(str(path))
+        loaded = PrivacyLedger.read_jsonl(str(path))
+        assert [e.noise_scale for e in loaded] == [20.0, None]
+
+    def test_reads_a_line_written_without_noise_scale(self, tmp_path):
+        ledger = PrivacyLedger()
+        ledger.append(_entry(0, noise_scale=20.0))
+        path = tmp_path / "old.jsonl"
+        ledger.write_jsonl(str(path))
+        header, line = path.read_text().splitlines()
+        data = json.loads(line)
+        del data["noise_scale"]
+        path.write_text(header + "\n" + json.dumps(data) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (entry,) = PrivacyLedger.read_jsonl(str(path)).entries()
+        assert entry.noise_scale is None
+        assert entry.local_sensitivity == 2.0
 
     def test_read_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -21,7 +21,7 @@ from repro.baselines.bruteforce import (
     exact_local_sensitivity,
     literal_local_sensitivity,
 )
-from repro.core.inference import InferenceConfig, infer_output_range
+from repro.core.inference import infer_output_range
 from repro.core.query import MapReduceQuery, Tables
 from repro.mining import LifeScienceConfig, make_life_science_tables
 from repro.tpch import TPCHConfig, TPCHGenerator

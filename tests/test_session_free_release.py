@@ -56,11 +56,9 @@ def _release_without_session(query, tables, seed, epsilon):
         query, query.build_aux(tables), sample, rng, engine=EngineContext(),
         parts=config.engine_partitions, tracer=NULL_TRACER,
     )
-    inferred = infer_output_range(
-        state.neighbours, state.population, config.inference
-    )
+    inferred = infer_output_range(state.neighbours, state.population)
     estimated = infer_local_sensitivity(
-        state.neighbours, state.plain, state.population, config.inference
+        state.neighbours, state.plain, state.population
     )
     partition_outputs = state.partition_outputs()
     enforcement = enforcer.enforce(state, inferred)
