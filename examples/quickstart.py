@@ -73,12 +73,12 @@ def main() -> None:
           f"{len(joined.differing)} with a sampled record")
 
     # -- 5. the same operators under task failures ----------------------------
-    with EngineContext() as faulty:
-        faulty.install_fault_injector(
-            FaultInjector(failure_probability=0.3, max_failures=3, seed=0)
-        )
-        dpo = dpread(faulty.parallelize(tables["lineitem"]), 100, seed=1)
-        _, retried = dpo.map_dp(lambda _rec: 1).reduce_dp(lambda a, b: a + b)
+    faulty = EngineContext()
+    faulty.install_fault_injector(
+        FaultInjector(failure_probability=0.3, max_failures=3, seed=0)
+    )
+    dpo = dpread(faulty.parallelize(tables["lineitem"]), 100, seed=1)
+    _, retried = dpo.map_dp(lambda _rec: 1).reduce_dp(lambda a, b: a + b)
     print(f"reduceDP with failed tasks    : result={retried}, "
           f"identical={retried == total}")
 

@@ -9,18 +9,15 @@ Commands:
 * ``compare`` — UPA vs FLEX vs brute force sensitivities for one
   workload.
 * ``report`` — render the per-phase time breakdown and privacy-ledger
-  summary from trace/ledger artifacts written by ``run``/``compare``.
-* ``serve`` — stand up the live-monitoring endpoints over artifacts
-  written by an earlier run (the ledger is replayed through the alert
-  rules, so ``/healthz`` reflects what would have fired).
+  summary (per query: releases, replays, refusals, how the inferred
+  sensitivity spread and how often the range clamped) from
+  trace/ledger artifacts written by ``run``/``compare``.
 
 Observability is opt-in and documented in ``docs/observability.md``:
 ``--trace`` writes a Chrome trace-event JSON (load in
 ``chrome://tracing``), ``--ledger`` writes the append-only privacy
-audit ledger as JSONL, ``--events`` installs a job listener and prints
-the engine's per-job event log, and ``--serve PORT`` exposes /metrics,
-/healthz, /ledger, /traces and /budget over HTTP while the command runs
-(``--serve-grace`` keeps serving after it finishes).
+audit ledger as JSONL, and ``--events`` installs a job listener and
+prints the engine's per-job event log.
 """
 
 from __future__ import annotations
@@ -48,17 +45,6 @@ def _add_observability_args(parser: argparse.ArgumentParser,
     parser.add_argument(
         "--events", action="store_true",
         help="install a JobListener and print the engine job event log",
-    )
-    parser.add_argument(
-        "--serve", metavar="PORT", type=int,
-        help="serve live monitoring endpoints (/metrics /healthz "
-        "/ledger /traces /budget) on 127.0.0.1:PORT while the command "
-        "runs; 0 picks an ephemeral port",
-    )
-    parser.add_argument(
-        "--serve-grace", metavar="SECONDS", type=float, default=0.0,
-        help="with --serve: keep serving this long after the command "
-        "finishes (the scrape window for CI and Prometheus)",
     )
 
 
@@ -126,27 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable output"
     )
 
-    serve = sub.add_parser(
-        "serve",
-        help="serve the live-monitoring endpoints over run artifacts "
-        "(the ledger is replayed through the alert rules)",
-    )
-    serve.add_argument(
-        "--ledger", metavar="PATH",
-        help="ledger JSONL to serve at /ledger and replay through the "
-        "alert rules (drives /healthz)",
-    )
-    serve.add_argument(
-        "--trace", metavar="PATH",
-        help="Chrome trace JSON to serve at /traces",
-    )
-    serve.add_argument("--port", type=int, default=0,
-                       help="port to bind (default: ephemeral)")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--duration", type=float, default=None, metavar="SECONDS",
-        help="serve this long then exit (default: until ctrl-c)",
-    )
     return parser
 
 
@@ -165,75 +130,29 @@ def _cmd_list() -> int:
 
 
 def _setup_observability(args, **config_fields):
-    """(tracer, ledger) per the command's observability flags.
+    """(tracer, ledger) per the command's ``--trace`` / ``--ledger``.
 
     Both artifacts share one self-describing header: repro + python
     versions plus the run configuration (epsilon, n, seed, ...).
-    ``--serve`` needs a live tracer for ``/traces`` even when no
-    ``--trace`` artifact was requested, and an in-memory ledger for
-    ``/ledger`` even when none is being written.
     """
     from repro.obs import PrivacyLedger, Tracer, run_header
 
     header = run_header(**config_fields)
-    live = getattr(args, "serve", None) is not None
-    want_tracer = getattr(args, "trace", None) or live
-    want_ledger = getattr(args, "ledger", None) or (
-        live and hasattr(args, "ledger")
+    tracer = Tracer(header=header) if getattr(args, "trace", None) else None
+    ledger = (
+        PrivacyLedger(header=header) if getattr(args, "ledger", None)
+        else None
     )
-    tracer = Tracer(header=header) if want_tracer else None
-    ledger = PrivacyLedger(header=header) if want_ledger else None
     return tracer, ledger
 
 
-def _start_live(args, session):
-    """Start the --serve server (None without --serve)."""
-    server = None
-    if getattr(args, "serve", None) is not None:
-        server = session.serve(port=args.serve)
-        print(f"live monitoring on {server.url} (endpoints: /metrics "
-              "/healthz /ledger /traces /budget)")
-        sys.stdout.flush()
-    elif session.ledger is not None and session.alert_engine is None:
-        # No server, but alert rules still evaluate on every release
-        # so the exit summary (and the ledger header) reflect firings.
-        session.attach_alerts()
-    return server
-
-
-def _finish_live(args, session, server) -> None:
-    """Stop the --serve server and print the alert exit summary."""
-    if server is not None:
-        grace = getattr(args, "serve_grace", 0.0) or 0.0
-        if grace > 0:
-            import time
-
-            print(f"serving for {grace:g}s more (--serve-grace); "
-                  "ctrl-c to stop early")
-            sys.stdout.flush()
-            try:
-                time.sleep(grace)
-            except KeyboardInterrupt:
-                pass
-        server.stop()
-    if session.alert_engine is not None:
-        summary = session.alert_engine.summary()
-        if summary:
-            print(summary)
-
-
 def _emit_observability(args, engine, tracer, ledger) -> None:
-    """Write the requested artifacts and print where they landed.
-
-    ``--serve`` creates an in-memory tracer (and possibly a ledger)
-    without an output path, so each artifact is written only when its
-    path flag was actually given.
-    """
-    if tracer is not None and getattr(args, "trace", None):
+    """Write the requested artifacts and print where they landed."""
+    if tracer is not None:
         tracer.write_chrome_trace(args.trace)
         print(f"trace written to {args.trace} "
               f"({len(tracer)} spans; open in chrome://tracing)")
-    if ledger is not None and getattr(args, "ledger", None):
+    if ledger is not None:
         ledger.write_jsonl(args.ledger)
         print(f"privacy ledger written to {args.ledger} "
               f"({len(ledger)} entries)")
@@ -274,7 +193,6 @@ def _cmd_run(args) -> int:
         ledger=ledger,
     )
     _install_events(args, session.engine)
-    server = _start_live(args, session)
     with use_tracer(tracer):
         result = session.run(workload.query, tables, epsilon=args.epsilon)
         for step in range(append_steps):
@@ -301,7 +219,6 @@ def _cmd_run(args) -> int:
     ]
     print(format_table(["field", "value"], rows))
     _emit_observability(args, session.engine, tracer, ledger)
-    _finish_live(args, session, server)
     return 0
 
 
@@ -336,7 +253,6 @@ def _cmd_run_sql(args) -> int:
         ledger=ledger,
     )
     _install_events(args, session.engine)
-    server = _start_live(args, session)
     with use_tracer(tracer):
         result = session.run_sql(
             args.query, tables, protected_table=args.protect,
@@ -350,7 +266,6 @@ def _cmd_run_sql(args) -> int:
     ]
     print(format_table(["field", "value"], rows))
     _emit_observability(args, session.engine, tracer, ledger)
-    _finish_live(args, session, server)
     return 0
 
 
@@ -372,7 +287,6 @@ def _cmd_compare(args) -> int:
         UPAConfig(sample_size=1000, seed=args.seed), tracer=tracer
     )
     _install_events(args, session.engine)
-    server = _start_live(args, session)
     # One ambient tracer scope so the UPA pipeline and both baselines
     # emit into the same trace and can be compared span for span.
     with use_tracer(tracer):
@@ -398,7 +312,6 @@ def _cmd_compare(args) -> int:
     ]
     print(format_table(["system", "local sensitivity"], rows))
     _emit_observability(args, session.engine, tracer, None)
-    _finish_live(args, session, server)
     return 0
 
 
@@ -422,56 +335,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    import json
-    import os
-    import time
-
-    from repro.obs import AlertEngine, ObservabilityServer, PrivacyLedger
-
-    if not args.ledger and not args.trace:
-        print("repro serve: pass --ledger and/or --trace",
-              file=sys.stderr)
-        return 2
-    for path in (args.ledger, args.trace):
-        if path and not os.path.exists(path):
-            print(f"repro serve: no such file: {path}", file=sys.stderr)
-            return 2
-    ledger = None
-    alert_engine = None
-    if args.ledger:
-        ledger = PrivacyLedger.read_jsonl(args.ledger)
-        # Re-evaluate the rules over the recorded releases so /healthz
-        # reflects what a live session would have reported.
-        alert_engine = AlertEngine()
-        alert_engine.replay(ledger)
-    static_trace = None
-    if args.trace:
-        with open(args.trace, "r", encoding="utf-8") as handle:
-            static_trace = json.load(handle)
-    server = ObservabilityServer(
-        ledger=ledger, alerts=alert_engine, static_trace=static_trace,
-        host=args.host, port=args.port,
-    ).start()
-    sources = " and ".join(p for p in (args.ledger, args.trace) if p)
-    print(f"serving {sources} on {server.url}")
-    if alert_engine is not None:
-        summary = alert_engine.summary()
-        if summary:
-            print(summary)
-    sys.stdout.flush()
-    try:
-        if args.duration is not None:
-            time.sleep(args.duration)
-        else:  # pragma: no cover - interactive
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
-    server.stop()
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -485,8 +348,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_compare(args)
         if args.command == "report":
             return _cmd_report(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
     except BrokenPipeError:  # e.g. `repro list | head`
         return 0
     return 1  # pragma: no cover

@@ -488,67 +488,11 @@ class UPASession:
         #: stats of the last release's incremental phase (None when the
         #: release ran cold); surfaced through the ledger header.
         self._last_incremental: Optional[dict] = None
-        #: alert engine wired by serve() (or attach_alerts()); None
-        #: until then.
-        self.alert_engine = None
-        #: live introspection server, if serve() started one.
-        self.obs_server = None
 
     @property
     def tracer(self) -> Tracer:
         """The effective tracer: explicit if given, else the ambient one."""
         return self._tracer if self._tracer is not None else get_tracer()
-
-    def attach_alerts(self, engine=None):
-        """Wire an alert engine to this session's ledger and accountant.
-
-        With no argument, builds one over the default rules (budget
-        burn rate, sensitivity drift, clamp rate).  Firings then land
-        in the ledger header, the live ``/healthz`` endpoint, and the
-        CLI's exit summary.  Idempotent: a second call returns the
-        already-attached engine.
-        """
-        from repro.obs.alerts import AlertEngine
-
-        if self.alert_engine is not None:
-            return self.alert_engine
-        if engine is None:
-            engine = AlertEngine(accountant=self.accountant)
-        elif engine.accountant is None:
-            engine.accountant = self.accountant
-        if self.ledger is not None:
-            engine.attach(self.ledger)
-        self.alert_engine = engine
-        return engine
-
-    def serve(self, port: int = 0, host: str = "127.0.0.1",
-              alerts: bool = True):
-        """Start live monitoring endpoints over this session.
-
-        Wires everything the session owns — engine metrics, the
-        effective tracer, the privacy ledger, the accountant and an
-        alert engine (built via :meth:`attach_alerts` unless ``alerts``
-        is False) — into one
-        :class:`~repro.obs.server.ObservabilityServer`.  ``port=0``
-        binds an ephemeral port; read ``.url`` off the returned server.
-        Stop it with ``session.obs_server.stop()`` (or let the daemon
-        thread die with the process).
-        """
-        if self.obs_server is not None:
-            return self.obs_server
-        engine = self.attach_alerts() if alerts else None
-        tracer = self.tracer
-        self.obs_server = self.engine.serve(
-            port=port, host=host,
-            tracer=tracer if tracer is not NULL_TRACER else None,
-            ledger=self.ledger,
-            accountants=(
-                {"session": self.accountant}
-                if self.accountant is not None else None
-            ),
-            alerts=engine,
-        )
-        return self.obs_server
 
     # ------------------------------------------------------------------
     # Public API
@@ -603,7 +547,6 @@ class UPASession:
             self._record_ledger(
                 query, replayed, epsilon_charged=0.0, cache_hit=True,
             )
-            self._observe_release(replayed, 0.0, cache_hit=True)
             return replayed
 
     def _release(
@@ -749,7 +692,6 @@ class UPASession:
         self._record_ledger(
             query, result, epsilon_charged=epsilon, cache_hit=False,
         )
-        self._observe_release(result, epsilon, cache_hit=False)
         return result
 
     def append(
@@ -808,48 +750,6 @@ class UPASession:
         incr.primed = True
         self.engine.metrics.incr(MetricsRegistry.INCR_RETIRES)
         return self.run(incr.query, incr.tables, epsilon)
-
-    def _observe_release(
-        self,
-        result: UPAResult,
-        epsilon_charged: float,
-        *,
-        cache_hit: bool,
-    ) -> None:
-        """Fold one release into the metric registry.
-
-        Runs after the result (and its per-run metrics diff) is fully
-        built, so these counters never appear inside a run's own
-        ``result.metrics`` window; ``/metrics`` exports them.
-        Pure observation: nothing here touches the RNG or the pipeline,
-        so DP outputs are bitwise identical with or without it.
-        """
-        metrics = self.engine.metrics
-        metrics.incr(MetricsRegistry.RELEASES)
-        if epsilon_charged > 0:
-            metrics.incr(MetricsRegistry.RELEASE_EPSILON, epsilon_charged)
-        if not cache_hit:
-            enforcement = result.enforcement
-            if enforcement.clamped:
-                metrics.incr(MetricsRegistry.RELEASE_CLAMPS)
-            if enforcement.records_removed:
-                metrics.incr(
-                    MetricsRegistry.RELEASE_RECORDS_REMOVED,
-                    float(enforcement.records_removed),
-                )
-            metrics.set_gauge(
-                MetricsRegistry.RELEASE_SENSITIVITY,
-                result.local_sensitivity,
-            )
-        if self.accountant is not None:
-            metrics.set_gauge(
-                MetricsRegistry.BUDGET_REMAINING,
-                float(self.accountant.remaining_epsilon()),
-            )
-            metrics.set_gauge(
-                MetricsRegistry.BUDGET_SPENT,
-                float(self.accountant.spent()[0]),
-            )
 
     def _require_incremental(self, op: str) -> "_IncrementalState":
         incr = self._incr

@@ -69,7 +69,7 @@ from repro.sql.compiler import (
     compile_projection,
     plan_fingerprint,
 )
-from repro.sql.expr import CaseWhen, Expression, Literal
+from repro.sql.expr import CaseWhen, Expression, Literal, UnaryOp
 from repro.sql.functions import AggregateSpec
 from repro.sql.logical import (
     Aggregate,
@@ -561,7 +561,9 @@ def _find_aggregate(plan: LogicalPlan) -> Tuple[Aggregate, LogicalPlan]:
 def _counts(spec: AggregateSpec) -> bool:
     """Whether each record moves the answer by a whole number: a COUNT,
     or a SUM of an integer literal or of a CASE whose every branch and
-    default is one (``SUM(CASE WHEN ... THEN 1 ELSE 0 END)``)."""
+    default is one (``SUM(CASE WHEN ... THEN 1 ELSE 0 END)``).  A
+    negated literal (``THEN -1``) is one too, and so is a missing ELSE,
+    whose NULL the SUM skips."""
     if spec.func == "count":
         return True
     if spec.func != "sum":
@@ -569,11 +571,16 @@ def _counts(spec: AggregateSpec) -> bool:
     values = [spec.expr]
     if isinstance(spec.expr, CaseWhen):
         values = [value for _, value in spec.expr.branches]
-        values.append(spec.expr.default)
-    return all(
-        isinstance(value, Literal) and type(value.value) is int
-        for value in values
-    )
+        if spec.expr.default is not None:
+            values.append(spec.expr.default)
+    return all(_is_int_literal(value) for value in values)
+
+
+def _is_int_literal(value: Expression) -> bool:
+    """An integer literal, or one negated (``-1`` parses as a UnaryOp)."""
+    if isinstance(value, UnaryOp) and value.op == "-":
+        value = value.operand
+    return isinstance(value, Literal) and type(value.value) is int
 
 
 class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):

@@ -134,10 +134,9 @@ class PrivacyAccountant:
     def describe(self) -> dict:
         """One consistent JSON-friendly balance snapshot.
 
-        Used by the observability layer (the ``/budget`` endpoint and
-        the budget burn-rate alert): total/spent/remaining epsilon and
-        delta plus the number of charged queries, all read under one
-        lock acquisition so the numbers are mutually consistent.
+        Total/spent/remaining epsilon and delta plus the number of
+        charged queries, all read under one lock acquisition so the
+        numbers are mutually consistent.
         """
         with self._lock:
             spent_eps, spent_delta = self._spent_locked()

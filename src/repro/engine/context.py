@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Any, Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Optional, Sequence, TypeVar
 
 from repro.common.config import DEFAULT_CONFIG, EngineConfig
 from repro.common.errors import EngineError
@@ -39,8 +39,6 @@ class EngineContext:
         #: span tracer shared with the scheduler
         #: (disabled by default; see install_tracer).
         self.tracer = self.scheduler.tracer
-        #: live introspection server, if serve() started one.
-        self.obs_server = None
         self._rdd_ids = itertools.count(1)
         self._lock = threading.Lock()
 
@@ -119,47 +117,3 @@ class EngineContext:
     def job_listener(self):
         """The installed job event listener, if any."""
         return self.scheduler.job_listener
-
-    def serve(self, port: int = 0, host: str = "127.0.0.1",
-              **sources: Any):
-        """Start a live introspection server over this engine.
-
-        Exposes the engine's metrics registry (and its tracer, when one
-        is installed) on ``/metrics``, ``/healthz``, ``/traces``;
-        ``sources`` forwards extra data sources (``ledger=``,
-        ``accountants=``, ``alerts=``) straight to
-        :class:`~repro.obs.server.ObservabilityServer`.  ``port=0``
-        binds an ephemeral port; the started server is returned and
-        also stopped by :meth:`stop`.
-        """
-        from repro.obs.server import ObservabilityServer
-        from repro.obs.tracing import NULL_TRACER
-
-        if self.obs_server is not None:
-            return self.obs_server
-        tracer = self.tracer if self.tracer is not NULL_TRACER else None
-        sources.setdefault("tracer", tracer)
-        self.obs_server = ObservabilityServer(
-            metrics=self.metrics, host=host, port=port, **sources
-        ).start()
-        return self.obs_server
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def stop(self) -> None:
-        """Stop the live server, if :meth:`serve` started one (idempotent).
-
-        The engine stores no partition data, so the context remains
-        usable: a later job computes from lineage, as every job does.
-        """
-        if self.obs_server is not None:
-            self.obs_server.stop()
-            self.obs_server = None
-
-    def __enter__(self) -> "EngineContext":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()

@@ -62,9 +62,8 @@ class HistogramSummary:
     p50: float
     p90: float
     p99: float
-    #: p95 and the population standard deviation feed the Prometheus
-    #: exporter's quantile gauges; they default so older positional
-    #: constructions (and pickles) keep working.
+    #: p95 and the population standard deviation; they default so
+    #: older positional constructions (and pickles) keep working.
     p95: float = 0.0
     stddev: float = 0.0
 
@@ -205,23 +204,9 @@ class MetricsRegistry:
     TABLE_REUSES = "table.reuses"
     AUX_REUSES = "aux.reuses"
 
-    #: Counter/gauge names recorded per DP release by UPASession and
-    #: exported on the live server's ``/metrics``.  The epsilon
-    #: counter accumulates *charged* epsilon (replays add zero), the
-    #: budget gauges mirror the accountant, and the sensitivity gauge is
-    #: the last release's exact local sensitivity.  Replays of an
-    #: identical submission's release count in RELEASES and
-    #: RELEASE_REPLAYS.
-    RELEASES = "release.count"
+    #: Counter of replays: identical submissions answered with an
+    #: earlier release's result (DESIGN.md §5 item 10).
     RELEASE_REPLAYS = "release.replays"
-    RELEASE_CLAMPS = "release.clamps"
-    RELEASE_RECORDS_REMOVED = "release.records_removed"
-    RELEASE_EPSILON = "release.epsilon_charged"
-    RELEASE_SENSITIVITY = "release.local_sensitivity"
-    # "session." prefix keeps the sanitized Prometheus families clear
-    # of the accountant-labelled upa_budget_* gauges the server emits.
-    BUDGET_REMAINING = "session.budget_remaining_epsilon"
-    BUDGET_SPENT = "session.budget_spent_epsilon"
 
     #: Histogram names used by the engine and the UPA pipeline.
     TASK_SECONDS = "task_seconds"
@@ -257,9 +242,8 @@ class MetricsRegistry:
 
         A gauge is a "latest value", and some latest values stop being
         meaningful — a per-run gauge after the run, a per-session gauge
-        after the session.  Deleting it keeps it out of later snapshots
-        and out of every ``/metrics`` scrape, instead of exporting a
-        stale reading forever.
+        after the session.  Deleting it keeps it out of later
+        snapshots, instead of reporting a stale reading forever.
         """
         with self._lock:
             self._gauges.pop(name, None)

@@ -28,9 +28,7 @@ import threading
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple,
-)
+from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
 
 def _as_floats(values: Any) -> Tuple[float, ...]:
@@ -119,15 +117,6 @@ class PrivacyLedger:
         self._lock = threading.Lock()
         self._entries: List[LedgerEntry] = []
         self.header: Dict[str, Any] = dict(header or {})
-        #: observers called with each appended entry (alert engines,
-        #: incremental JSONL flushers).  Observer code must never break
-        #: a release, so exceptions are swallowed with a warning.
-        self._listeners: List[Callable[[LedgerEntry], None]] = []
-
-    def add_listener(self, listener: Callable[[LedgerEntry], None]) -> None:
-        """Register ``listener`` to be called after every append."""
-        with self._lock:
-            self._listeners.append(listener)
 
     def ensure_header(self, header: Dict[str, Any]) -> None:
         """Fill the header once; later calls are no-ops (the first
@@ -147,20 +136,6 @@ class PrivacyLedger:
     def append(self, entry: LedgerEntry) -> None:
         with self._lock:
             self._entries.append(entry)
-            listeners = list(self._listeners)
-        # Outside the lock: a listener may read the ledger (entries(),
-        # update_header()) without deadlocking.
-        for listener in listeners:
-            try:
-                listener(entry)
-            except Exception as exc:  # noqa: BLE001 - observer isolation
-                warnings.warn(
-                    f"ledger listener {listener!r} raised "
-                    f"{type(exc).__name__}: {exc}; entry {entry.sequence} "
-                    "was recorded, the listener was skipped",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
 
     def next_sequence(self) -> int:
         with self._lock:
@@ -233,8 +208,8 @@ class PrivacyLedger:
         Writes the self-describing header line first when the file does
         not exist yet (or is empty), then appends the entry — so a
         ledger being recorded release by release is valid JSONL at
-        every instant, and ``repro report`` / the ``/ledger`` endpoint
-        can read it while the run is still in flight.  Contrast with
+        every instant, and ``repro report`` can read it while the run
+        is still in flight.  Contrast with
         :meth:`write_jsonl`, which rewrites the whole file.
         """
         with self._lock:
@@ -259,9 +234,8 @@ class PrivacyLedger:
         Crash-safe by design: blank lines are skipped, and a truncated
         or otherwise corrupt line — the normal state of the *final*
         line while another process is appending — produces a
-        :class:`RuntimeWarning` and is dropped instead of raising, so
-        live readers (``/ledger``, ``repro report``) always get the
-        longest valid prefix.
+        :class:`RuntimeWarning` and is dropped instead of raising, so a
+        reader (``repro report``) always gets the longest valid prefix.
         """
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line for line in handle if line.strip()]

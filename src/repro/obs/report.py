@@ -52,6 +52,9 @@ PARTITION_SAMPLE_SPAN = "phase:partition_sample"
 #: ``records_removed`` attributes get their own report line.
 ENFORCE_SPAN = "phase:enforce"
 
+#: title of ``repro report``'s per-query table (CI greps for it).
+QUERY_TABLE_TITLE = "per-query releases"
+
 #: PHASE_ORDER plus optional phases that only some runs emit
 #: (``phase:incremental_delta`` appears on append/retire releases);
 #: used to sort phase tables without changing the cold-run contract.
@@ -136,8 +139,6 @@ class ObservedRun:
     metrics: Optional[MetricsSnapshot] = None
     ledger_entries: List[LedgerEntry] = field(default_factory=list)
     ledger_totals: Dict[str, float] = field(default_factory=dict)
-    #: alert firings (dicts shaped like ``Alert.to_dict``).
-    alerts: List[Dict[str, Any]] = field(default_factory=list)
     #: attributes of every ``sampling.domain_sample`` span: how many
     #: S-bar records each release drew, and whether as one column batch.
     domain_sampling: List[Dict[str, Any]] = field(default_factory=list)
@@ -155,7 +156,6 @@ class ObservedRun:
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsSnapshot] = None,
         ledger: Optional[PrivacyLedger] = None,
-        alert_engine: Optional[Any] = None,
     ) -> "ObservedRun":
         header: Dict[str, Any] = {}
         durations: List[Tuple[str, float]] = []
@@ -182,11 +182,8 @@ class ObservedRun:
             header.update(ledger.header)
             entries = ledger.entries()
             totals = ledger.totals()
-        alerts: List[Dict[str, Any]] = []
-        if alert_engine is not None:
-            alerts = alert_engine.to_dicts()
         return cls(header, durations, metrics, entries, totals,
-                   alerts, domain_sampling, enforcement, partition_sampling)
+                   domain_sampling, enforcement, partition_sampling)
 
     @classmethod
     def from_artifacts(
@@ -225,20 +222,13 @@ class ObservedRun:
             ]
         entries: List[LedgerEntry] = []
         totals: Dict[str, float] = {}
-        alerts: List[Dict[str, Any]] = []
         if ledger_path is not None:
             ledger = PrivacyLedger.read_jsonl(ledger_path)
             header.update(ledger.header)
             entries = ledger.entries()
             totals = ledger.totals()
-            # alert firings travel in the ledger header (AlertEngine
-            # pushes them there on every firing); don't render them as
-            # a header blob too.
-            raw = header.pop("alerts", None)
-            if isinstance(raw, list):
-                alerts = [a for a in raw if isinstance(a, dict)]
         return cls(header, durations, None, entries, totals,
-                   alerts, domain_sampling, enforcement, partition_sampling)
+                   domain_sampling, enforcement, partition_sampling)
 
     # -- breakdowns ---------------------------------------------------
     def phase_stats(self) -> List[SpanStat]:
@@ -299,6 +289,42 @@ class ObservedRun:
             ),
         }
 
+    def query_summary(self) -> List[Dict[str, Any]]:
+        """One row per ledger query, in first-seen order.
+
+        ``releases`` counts the charged releases, which are neither a
+        replay nor a refusal.  The sensitivity and clamp columns are
+        over those alone: a replay repeats its release's numbers and a
+        refusal released nothing.  ``sensitivity_max_over_median`` is
+        1 when every release inferred the same width and grows when one
+        jumped; it is None without a charged release or at a median of
+        0, and so is ``clamp_fraction`` without a charged release.
+        """
+        groups: Dict[str, List[LedgerEntry]] = {}
+        for entry in self.ledger_entries:
+            groups.setdefault(entry.query, []).append(entry)
+        rows = []
+        for query, entries in groups.items():
+            charged = [e for e in entries if not (e.cache_hit or e.refused)]
+            widths = [e.local_sensitivity for e in charged]
+            clamped = sum(1 for e in charged if e.clamped)
+            median = percentile(widths, 50.0) if widths else None
+            peak = max(widths, default=None)
+            rows.append({
+                "query": query,
+                "releases": len(charged),
+                "replays": sum(1 for e in entries if e.cache_hit),
+                "refused": sum(1 for e in entries if e.refused),
+                "sensitivity_median": median,
+                "sensitivity_max": peak,
+                "sensitivity_max_over_median": (
+                    peak / median if median else None
+                ),
+                "clamped": clamped,
+                "clamp_fraction": clamped / len(charged) if charged else None,
+            })
+        return rows
+
     # -- rendering ----------------------------------------------------
     def to_dict(self) -> dict:
         return {
@@ -312,7 +338,7 @@ class ObservedRun:
                 "totals": dict(self.ledger_totals),
                 "entries": [e.to_dict() for e in self.ledger_entries],
             },
-            "alerts": [dict(a) for a in self.alerts],
+            "queries": self.query_summary(),
         }
 
     def render_json(self) -> str:
@@ -394,22 +420,30 @@ class ObservedRun:
                     ["histogram", "count", "min", "mean", "p50", "p90",
                      "p99", "max"], rows)
             )
-        if self.alerts:
-            rows = [
-                [a.get("severity", "?"), a.get("rule", "?"),
-                 a.get("message", "")]
-                for a in self.alerts
-            ]
-            sections.append(
-                "alerts fired:\n" + format_table(
-                    ["severity", "rule", "message"], rows)
-            )
         if self.ledger_totals:
             rows = [[k, f"{v:g}"] for k, v in
                     sorted(self.ledger_totals.items())]
             sections.append(
                 "privacy ledger totals:\n"
                 + format_table(["field", "value"], rows)
+            )
+        queries = self.query_summary()
+        if queries:
+            def _num(value: Optional[float]) -> str:
+                return "-" if value is None else f"{value:g}"
+
+            rows = [
+                [q["query"], q["releases"], q["replays"], q["refused"],
+                 _num(q["sensitivity_median"]), _num(q["sensitivity_max"]),
+                 _num(q["sensitivity_max_over_median"]), q["clamped"],
+                 _num(q["clamp_fraction"])]
+                for q in queries
+            ]
+            sections.append(
+                f"{QUERY_TABLE_TITLE}:\n" + format_table(
+                    ["query", "releases", "replays", "refused",
+                     "sensitivity median", "sensitivity max", "max/median",
+                     "clamped", "clamp fraction"], rows)
             )
         if self.ledger_entries:
             rows = [

@@ -264,8 +264,21 @@ class TestNoiseFloor:
         ("COUNT(*)", "count"),
         ("SUM(1)", "count"),
         ("SUM(CASE WHEN o_orderstatus = 'F' THEN 2 ELSE 0 END)", "count"),
+        ("SUM(CASE WHEN o_orderstatus = 'F' THEN 1 END)", "count"),
+        ("SUM(CASE WHEN o_orderstatus = 'F' THEN -1 ELSE 0 END)", "count"),
+        ("SUM(-1)", "count"),
         ("SUM(CASE WHEN o_orderstatus = 'F' THEN 1.5 ELSE 0 END)",
          "arithmetic"),
+        ("SUM(CASE WHEN o_orderstatus = 'F' THEN -1.5 ELSE 0 END)",
+         "arithmetic"),
+        ("SUM(CASE WHEN o_orderstatus = 'F' THEN 1 "
+         "WHEN o_orderstatus = 'O' THEN -1 END)", "count"),
+        ("SUM(CASE WHEN o_orderstatus = 'F' THEN 1 ELSE -1.5 END)",
+         "arithmetic"),
+        ("SUM(CASE WHEN o_orderstatus = 'F' THEN -o_custkey ELSE 0 END)",
+         "arithmetic"),
+        ("SUM(-o_custkey)", "arithmetic"),
+        ("COUNT(o_custkey)", "count"),
         ("SUM(CASE WHEN o_orderstatus = 'F' THEN o_custkey ELSE 0 END)",
          "arithmetic"),
         ("SUM(o_custkey)", "arithmetic"),
@@ -279,6 +292,53 @@ class TestNoiseFloor:
             f"SELECT {aggregate} AS r FROM orders", tpch_tables, "orders"
         )
         assert compiled.query_type == kind
+
+    _NO_ELSE = [
+        ("THEN 1 END", "THEN 1 ELSE 0 END"),
+        ("THEN -1 END", "THEN -1 ELSE 0 END"),
+        ("THEN 2 WHEN o_orderstatus = 'O' THEN -1 END",
+         "THEN 2 WHEN o_orderstatus = 'O' THEN -1 ELSE 0 END"),
+    ]
+
+    @pytest.mark.parametrize("no_else, twin", _NO_ELSE)
+    def test_a_count_without_else_maps_as_its_else_zero_twin(
+        self, tpch_tables, no_else, twin
+    ):
+        # SUM skips the NULL a CASE with no ELSE yields: every record
+        # contributes what it does with ELSE 0
+        from repro.core.sqlbridge import compile_sql
+
+        rows = tpch_tables["orders"]
+        mapped = [
+            compile_sql(
+                "SELECT SUM(CASE WHEN o_orderstatus = 'F' "
+                f"{branches}) AS r FROM orders", tpch_tables, "orders",
+            ).map_batch(rows, None)
+            for branches in (no_else, twin)
+        ]
+        assert mapped[0].tobytes() == mapped[1].tobytes()
+
+    @pytest.mark.parametrize("branches", [
+        "THEN 1 END", "THEN -1 END", "THEN -1 ELSE 0 END",
+    ])
+    def test_a_count_that_no_record_moves_is_still_noised(
+        self, tpch_tables, branches
+    ):
+        # no order has this status: the inferred width is 0, and the
+        # count's floor of 1 is what the noise is drawn at
+        from repro.core.session import UPAConfig, UPASession
+        from repro.tpch.queries.base import random_order
+
+        epsilon = 0.5
+        result = UPASession(UPAConfig(sample_size=50, seed=3)).run_sql(
+            "SELECT SUM(CASE WHEN o_orderstatus = 'no such status' "
+            f"{branches}) AS r FROM orders", tpch_tables,
+            protected_table="orders", epsilon=epsilon,
+            domain_sampler=random_order,
+        )
+        assert result.local_sensitivity == 0.0
+        assert result.noise_scale == 1.0 / epsilon
+        assert result.noisy_scalar() != result.plain_output[0]
 
 
 class TestSamplingBoundaries:

@@ -182,23 +182,6 @@ class TestPermanentFaults:
         assert action(rdd) == expected
 
 
-class TestLifecycle:
-    def test_stop_stops_the_server_and_jobs_still_run(self, ctx):
-        rdd = ctx.parallelize([1, 2, 3], 2).map(lambda v: v * 2)
-        ctx.serve(port=0)
-        ctx.stop()
-        assert ctx.obs_server is None
-        ctx.stop()  # idempotent
-        assert rdd.collect() == [2, 4, 6]
-
-    def test_context_manager_stops_on_exit(self):
-        with EngineContext() as ctx:
-            ctx.serve(port=0)
-            rdd = ctx.parallelize([("a", 1)], 1)
-        assert ctx.obs_server is None
-        assert rdd.collect() == [("a", 1)]
-
-
 @pytest.fixture(scope="module")
 def small_tpch():
     return TPCHGenerator(TPCHConfig(scale_rows=300, seed=11)).generate()
@@ -283,9 +266,9 @@ class TestWorkloadsUnderFaults:
     def test_dp_outputs_independent_of_engine_history(
         self, workload, small_tpch, small_ml
     ):
-        """A release on an engine that already ran every workload and
-        was stopped equals one on a fresh engine: rdd ids, cached
-        blocks and stage ids are not inputs to a release."""
+        """A release on an engine that already ran every workload
+        equals one on a fresh engine: rdd ids and stage ids are not
+        inputs to a release."""
         tables = small_ml if workload.query_type == "ml" else small_tpch
         engine = EngineContext(EngineConfig(default_parallelism=2))
         for other in all_workloads():
@@ -293,7 +276,6 @@ class TestWorkloadsUnderFaults:
                 other, small_ml if other.query_type == "ml" else small_tpch,
                 engine,
             )
-        engine.stop()
         _assert_same_release(
             _release(workload, tables, engine), _release(workload, tables)
         )

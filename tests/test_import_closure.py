@@ -2,9 +2,9 @@
 
 ``import repro.core.session`` plus a release and an incremental one
 must load numpy, the standard library and the ``repro`` modules the
-releases execute — not scipy, not the obs surfaces nobody asked for,
-not the static analyser (only a strict session loads it), not a
-thread or process pool — for each of the nine workloads.
+releases execute — not scipy, not an HTTP server or the live-monitoring
+modules that once wrapped one, not a thread or process pool — for each
+of the nine workloads.
 Each check runs in a fresh interpreter, since this test process has
 long since imported everything.
 """
@@ -68,12 +68,15 @@ def test_a_release_loads_neither_scipy_nor_unused_surfaces(workload):
     assert json.loads(result.stdout.splitlines()[-1]) == []
 
 
-def test_obs_names_resolve_on_first_access():
-    assert len(repro.obs.__all__) == 26
-    assert set(repro.obs.__all__) <= set(dir(repro.obs))
-    for name, owner in repro.obs._OWNER.items():
-        module = importlib.import_module(f"repro.obs.{owner}")
-        assert getattr(repro.obs, name) is getattr(module, name), name
-    assert repro.obs.server is importlib.import_module("repro.obs.server")
-    with pytest.raises(AttributeError, match="no_such_name"):
-        repro.obs.no_such_name
+def test_obs_exports_what_its_three_modules_define():
+    modules = [
+        importlib.import_module(f"repro.obs.{name}")
+        for name in ("tracing", "ledger", "report")
+    ]
+    assert len(repro.obs.__all__) == 15
+    for name in repro.obs.__all__:
+        value = getattr(repro.obs, name)
+        assert any(getattr(m, name, None) is value for m in modules), name
+    for gone in ("server", "alerts", "exporters"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.obs.{gone}")

@@ -348,11 +348,10 @@ class TestInvalidation:
     @pytest.mark.parametrize(
         "name", [w.name for w in all_workloads()]
     )
-    def test_stop_keeps_the_window(self, name):
-        """EngineContext.stop() between two appends: the window is the
-        session's, not the engine's, so the second append maps only the
-        appended records (all of them when aux reads the protected
-        table) and stays bitwise equal to a cold rerun."""
+    def test_second_append_maps_only_what_it_appended(self, name):
+        """Two appends: the second maps only the records it appended
+        (all of them when aux reads the protected table), invalidates
+        nothing and stays bitwise equal to a cold rerun."""
         workload = workload_by_name(name)
         protected = workload.query.protected_table
         tables, delta = _grown_tables(workload, 500)
@@ -372,7 +371,6 @@ class TestInvalidation:
             lambda: cold.run(workload.query, tab_c),
         )
 
-        incr.engine.stop()
         invalidations_before = incr.engine.metrics.get(
             MetricsRegistry.INCR_INVALIDATIONS
         )
@@ -458,15 +456,14 @@ class TestInvalidation:
             st.one_of(
                 st.tuples(st.just("append"), st.integers(1, 30)),
                 st.tuples(st.just("retire"), st.integers(1, 40)),
-                st.tuples(st.just("stop"), st.just(0)),
             ),
             min_size=1, max_size=5,
         )
     )
     def test_random_append_retire_sequences_bitwise_equal(self, ops):
-        """Property: any interleaving of append/retire/engine-stop
-        produces the same releases as a cold mirror session that only
-        ever mutates the table externally and reruns."""
+        """Property: any interleaving of append/retire produces the
+        same releases as a cold mirror session that only ever mutates
+        the table externally and reruns."""
         workload = workload_by_name("tpch6")
         protected = workload.query.protected_table
         tables, pool = _grown_tables(workload, 500, 0.4)
@@ -481,9 +478,6 @@ class TestInvalidation:
         )
         taken = 0
         for kind, n in ops:
-            if kind == "stop":
-                incr.engine.stop()
-                continue
             if kind == "append":
                 chunk = pool[taken:taken + n]
                 if not chunk:  # held-back pool exhausted

@@ -7,14 +7,22 @@ artifact round-trip (``repro run --trace/--ledger`` -> ``repro
 report``).
 """
 
+import argparse
 import json
+import os
+import re
 import threading
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.common.errors import DPError
+from repro.core import UPAConfig, UPASession
+from repro.dp import PrivacyAccountant
 from repro.engine import EngineContext
 from repro.engine.metrics import (
     HistogramSummary,
@@ -36,7 +44,11 @@ from repro.obs import (
     trace,
     use_tracer,
 )
-from repro.obs.report import PHASE_ORDER
+from repro.obs.report import PHASE_ORDER, QUERY_TABLE_TITLE
+from repro.tpch import TPCHConfig, TPCHGenerator, query_by_name
+from repro.workloads import all_workloads, workload_by_name
+
+_HERE = os.path.dirname(__file__)
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +411,8 @@ class TestMetricsSnapshotDiff:
 
 
 def _entry(sequence=0, query="q", epsilon=0.1, cache_hit=False,
-           clamped=False, matched_prior=False, removed=0, noise_scale=None):
+           clamped=False, matched_prior=False, removed=0, noise_scale=None,
+           sensitivity=2.0, refused=False):
     return make_entry(
         sequence=sequence,
         query=query,
@@ -411,13 +424,14 @@ def _entry(sequence=0, query="q", epsilon=0.1, cache_hit=False,
         std=np.array([0.1, 0.2]),
         lower=np.array([0.5, 1.5]),
         upper=np.array([1.5, 2.5]),
-        local_sensitivity=2.0,
+        local_sensitivity=sensitivity,
         estimated_local_sensitivity=1.8,
         clamped=clamped,
         matched_prior=matched_prior,
         records_removed=removed,
         noise_scale=noise_scale,
         cache_hit=cache_hit,
+        refused=refused,
         elapsed_seconds=0.01,
     )
 
@@ -463,6 +477,17 @@ class TestPrivacyLedger:
         assert totals["clamp_count"] == 1
         assert totals["records_removed"] == 2
         assert totals["cache_hits"] == 1
+
+    def test_totals_count_refusals_apart(self):
+        ledger = PrivacyLedger()
+        ledger.append(_entry(0, epsilon=0.1))
+        ledger.append(_entry(1, epsilon=0.0, refused=True))
+        ledger.append(_entry(2, epsilon=0.0, cache_hit=True))
+        totals = ledger.totals()
+        assert totals["entries"] == 3
+        assert totals["refused"] == 1
+        assert totals["cache_hits"] == 1
+        assert totals["epsilon_charged"] == pytest.approx(0.1)
 
     def test_ensure_header_fills_once(self):
         ledger = PrivacyLedger()
@@ -531,6 +556,60 @@ class TestPrivacyLedger:
         assert len(loaded) == 1
         report = ObservedRun.from_artifacts(ledger_path=str(path))
         assert "privacy ledger entries" in report.render_text()
+
+
+class TestLedgerCrashSafety:
+    def _write_ledger(self, path, n=3):
+        ledger = PrivacyLedger()
+        for i in range(n):
+            ledger.append(_entry(i))
+        ledger.write_jsonl(str(path))
+        return ledger
+
+    def test_truncated_final_line_skipped_with_warning(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        self._write_ledger(path)
+        raw = path.read_text()
+        path.write_text(raw[: len(raw) - 40])  # chop mid-JSON
+        with pytest.warns(RuntimeWarning):
+            recovered = PrivacyLedger.read_jsonl(str(path))
+        assert len(recovered) == 2
+        assert [e.sequence for e in recovered.entries()] == [0, 1]
+
+    def test_blank_lines_skipped_silently(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        self._write_ledger(path)
+        lines = path.read_text().splitlines()
+        lines.insert(2, "")
+        lines.append("   ")
+        path.write_text("\n".join(lines) + "\n")
+        recovered = PrivacyLedger.read_jsonl(str(path))
+        assert len(recovered) == 3
+
+    def test_corrupt_middle_line_skipped_with_warning(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        self._write_ledger(path)
+        lines = path.read_text().splitlines()
+        lines[2] = '{"sequence": 1, "query": '  # corrupt entry 1
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.warns(RuntimeWarning):
+            recovered = PrivacyLedger.read_jsonl(str(path))
+        assert [e.sequence for e in recovered.entries()] == [0, 2]
+
+    def test_append_jsonl_incremental_round_trip(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = PrivacyLedger()
+        for i in range(3):
+            entry = _entry(i)
+            ledger.append(entry)
+            ledger.append_jsonl(str(path), entry)
+        recovered = PrivacyLedger.read_jsonl(str(path))
+        assert len(recovered) == 3
+        assert recovered.header.get("format") or True  # header present
+        # header must be written exactly once
+        headers = [ln for ln in path.read_text().splitlines()
+                   if '"entries"' not in ln and '"sequence"' not in ln]
+        assert len(headers) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -846,6 +925,85 @@ class TestObservedRun:
     def test_render_text_empty(self):
         assert "nothing to report" in ObservedRun().render_text()
 
+    def test_per_query_table_shows_a_clamp_and_a_jump(self):
+        ledger = PrivacyLedger()
+        steady = [(2.0, False), (2.0, True), (2.0, False), (2.0, True)]
+        for width, clamped in steady:
+            ledger.append(_entry(len(ledger), query="clamps",
+                                 sensitivity=width, clamped=clamped))
+        # a replay and a refusal count beside the releases, not in them
+        ledger.append(_entry(len(ledger), query="clamps", epsilon=0.0,
+                             cache_hit=True, sensitivity=50.0))
+        ledger.append(_entry(len(ledger), query="clamps", epsilon=0.0,
+                             refused=True, sensitivity=50.0))
+        for width in (3.0, 3.0, 3.0, 3.0, 30.0):
+            ledger.append(_entry(len(ledger), query="jumps",
+                                 sensitivity=width))
+        observed = ObservedRun.from_live(ledger=ledger)
+        clamps, jumps = observed.query_summary()
+        assert clamps == {
+            "query": "clamps", "releases": 4, "replays": 1, "refused": 1,
+            "clamped": 2, "clamp_fraction": 0.5, "sensitivity_median": 2.0,
+            "sensitivity_max": 2.0, "sensitivity_max_over_median": 1.0,
+        }
+        assert jumps == {
+            "query": "jumps", "releases": 5, "replays": 0, "refused": 0,
+            "clamped": 0, "clamp_fraction": 0.0, "sensitivity_median": 3.0,
+            "sensitivity_max": 30.0, "sensitivity_max_over_median": 10.0,
+        }
+        table = observed.render_text().split(QUERY_TABLE_TITLE + ":\n")[1]
+        rows = [line.split()[::2] for line in table.splitlines()[2:4]]
+        assert rows == [
+            ["clamps", "4", "1", "1", "2", "2", "1", "2", "0.5"],
+            ["jumps", "5", "0", "0", "3", "30", "10", "0", "0"],
+        ]
+        assert json.loads(observed.render_json())["queries"] == [
+            clamps, jumps,
+        ]
+
+    def test_per_query_table_without_a_charged_release(self):
+        ledger = PrivacyLedger()
+        ledger.append(_entry(0, refused=True, epsilon=0.0))
+        ledger.append(_entry(1, query="zero", sensitivity=0.0))
+        refused, zero = ObservedRun.from_live(ledger=ledger).query_summary()
+        assert refused["releases"] == 0 and refused["refused"] == 1
+        assert refused["sensitivity_median"] is None
+        assert refused["sensitivity_max_over_median"] is None
+        assert refused["clamp_fraction"] is None
+        assert zero["sensitivity_median"] == 0.0
+        assert zero["sensitivity_max_over_median"] is None
+
+    def test_a_ledger_with_alerts_in_its_header_still_reports(self, capsys):
+        # written by 1.28.0, whose alert rules kept their firings in
+        # the ledger header; a later reader keeps the header as it is
+        path = os.path.join(_HERE, "data", "ledger_1.28.0_alerts.jsonl")
+        observed = ObservedRun.from_artifacts(ledger_path=path)
+        assert observed.header["alerts"][0]["rule"] == "sensitivity-drift"
+        (row,) = observed.query_summary()
+        assert row["query"] == "tpch1" and row["releases"] == 2
+        assert row["sensitivity_max_over_median"] == pytest.approx(9 / 5.5)
+        assert main(["report", "--ledger", path]) == 0
+        out = capsys.readouterr().out
+        assert QUERY_TABLE_TITLE in out
+        assert "privacy ledger entries" in out
+        assert main(["report", "--ledger", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["queries"] == [row]
+
+    def test_a_truncated_ledger_reports_its_valid_prefix(self, tmp_path):
+        ledger = PrivacyLedger()
+        for sequence in range(3):
+            ledger.append(_entry(sequence, clamped=sequence == 0))
+        path = tmp_path / "ledger.jsonl"
+        ledger.write_jsonl(str(path))
+        raw = path.read_text()
+        path.write_text(raw[: len(raw) - 40])  # the last entry cut mid-line
+        with pytest.warns(RuntimeWarning):
+            observed = ObservedRun.from_artifacts(ledger_path=str(path))
+        (row,) = observed.query_summary()
+        assert row["releases"] == 2
+        assert row["clamp_fraction"] == 0.5
+
     def test_render_json_round_trips(self, observed_session):
         session, tracer, ledger, _, _ = observed_session
         observed = ObservedRun.from_live(
@@ -869,6 +1027,200 @@ class TestObservedRun:
         text = observed.render_text()
         assert "pipeline phases" in text
         assert "privacy ledger totals" in text
+
+
+# ---------------------------------------------------------------------------
+# The per-query table over real releases
+# ---------------------------------------------------------------------------
+
+_WORKLOADS = [w.name for w in all_workloads()]
+
+
+def _released_ledger(workload):
+    """Ledger and accountant of x, x again (a replay) and x minus 1, 2
+    and 3 records, which RANGE ENFORCER releases or refuses."""
+    tables = workload.make_tables(400, 5)
+    protected = workload.query.protected_table
+    ledger = PrivacyLedger()
+    accountant = PrivacyAccountant(total_epsilon=100.0)
+    session = UPASession(
+        UPAConfig(sample_size=50, seed=7), ledger=ledger,
+        accountant=accountant,
+    )
+    session.run(workload.query, tables, epsilon=0.4)
+    session.run(workload.query, tables, epsilon=0.4)
+    for removed in (1, 2, 3):
+        neighbour = dict(tables)
+        neighbour[protected] = tables[protected][:-removed]
+        try:
+            session.run(workload.query, neighbour, epsilon=0.4)
+        except DPError:
+            pass  # refused: a row with nothing charged
+    return ledger, accountant
+
+
+class TestPerQueryTableOnReleases:
+    @pytest.mark.parametrize("name", _WORKLOADS)
+    def test_row_recounts_the_ledger_and_the_accountant(self, name):
+        workload = workload_by_name(name)
+        ledger, accountant = _released_ledger(workload)
+        charged = [
+            e for e in ledger.entries() if not (e.cache_hit or e.refused)
+        ]
+        (row,) = ObservedRun.from_live(ledger=ledger).query_summary()
+        assert row["query"] == workload.query.name
+        assert row["replays"] == 1
+        assert row["releases"] + row["refused"] == 4
+        assert row["releases"] == len(charged)
+        assert row["releases"] == accountant.describe()["queries"]
+        widths = [e.local_sensitivity for e in charged]
+        assert row["sensitivity_median"] == pytest.approx(np.median(widths))
+        assert row["sensitivity_max"] == max(widths)
+        assert row["clamped"] == sum(e.clamped for e in charged)
+        assert row["clamp_fraction"] == row["clamped"] / len(charged)
+
+    @pytest.mark.parametrize("name", _WORKLOADS)
+    def test_row_reads_back_from_the_jsonl(self, name, tmp_path):
+        ledger, _ = _released_ledger(workload_by_name(name))
+        path = tmp_path / "ledger.jsonl"
+        ledger.write_jsonl(str(path))
+        read_back = ObservedRun.from_artifacts(ledger_path=str(path))
+        assert read_back.query_summary() == (
+            ObservedRun.from_live(ledger=ledger).query_summary()
+        )
+
+    @pytest.mark.parametrize("name", _WORKLOADS)
+    def test_repro_report_prints_the_row_of_a_run(
+        self, name, tmp_path, capsys
+    ):
+        trace_path = tmp_path / "t.json"
+        ledger_path = tmp_path / "l.jsonl"
+        assert main([
+            "run", name, "--scale", "400", "--sample-size", "50",
+            "--trace", str(trace_path), "--ledger", str(ledger_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["report", "--ledger", str(ledger_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # CI greps this line of `repro report --ledger BENCH_ledger.jsonl`
+        title = lines.index(QUERY_TABLE_TITLE + ":")
+        row = lines[title + 3].split("|")
+        assert [cell.strip() for cell in row[:4]] == [
+            workload_by_name(name).query.name, "1", "0", "0",
+        ]
+        assert main([
+            "report", "--trace", str(trace_path),
+            "--ledger", str(ledger_path), "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [p["name"] for p in payload["phases"]] == list(PHASE_ORDER)
+        (entry,) = PrivacyLedger.read_jsonl(str(ledger_path)).entries()
+        assert payload["queries"] == [{
+            "query": entry.query, "releases": 1, "replays": 0,
+            "refused": 0, "clamped": int(entry.clamped),
+            "clamp_fraction": float(entry.clamped),
+            "sensitivity_median": entry.local_sensitivity,
+            "sensitivity_max": entry.local_sensitivity,
+            "sensitivity_max_over_median": (
+                1.0 if entry.local_sensitivity else None
+            ),
+        }]
+
+    @pytest.mark.parametrize("name", [
+        "tpch1", "tpch4", "tpch6", "tpch11", "tpch13", "tpch16", "tpch21",
+        "tpch12", "tpch14",
+    ])
+    def test_sql_text_and_its_replay_share_one_row(self, name):
+        from repro.tpch.queries.extras import extension_queries
+
+        extras = {query.name: query for query in extension_queries()}
+        query = extras[name] if name in extras else query_by_name(name)
+        tables = TPCHGenerator(TPCHConfig(scale_rows=400, seed=5)).generate()
+        ledger = PrivacyLedger()
+        session = UPASession(UPAConfig(sample_size=50, seed=7), ledger=ledger)
+        for _ in range(2):  # the second compiles to the same plan: a replay
+            result = session.run_sql(
+                query.sql_text(), tables,
+                protected_table=query.protected_table, epsilon=0.4,
+                domain_sampler=query.sample_domain_record,
+            )
+        (row,) = ObservedRun.from_live(ledger=ledger).query_summary()
+        assert row["query"].startswith("sql:")
+        assert (row["releases"], row["replays"], row["refused"]) == (1, 1, 0)
+        assert row["sensitivity_median"] == result.local_sensitivity
+        assert row["clamped"] == int(result.enforcement.clamped)
+
+    @pytest.mark.parametrize("name", ["tpch1", "tpch6", "kmeans", "linreg"])
+    def test_repro_report_counts_the_appends_of_a_run(
+        self, name, tmp_path, capsys
+    ):
+        trace_path = tmp_path / "t.json"
+        ledger_path = tmp_path / "l.jsonl"
+        assert main([
+            "run", name, "--scale", "400", "--sample-size", "100",
+            "--append", "40", "--append-steps", "2",
+            "--trace", str(trace_path), "--ledger", str(ledger_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "report", "--trace", str(trace_path),
+            "--ledger", str(ledger_path), "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        (row,) = payload["queries"]
+        assert (row["releases"], row["replays"], row["refused"]) == (3, 0, 0)
+        counts = {p["name"]: p["count"] for p in payload["phases"]}
+        assert counts["phase:incremental_delta"] == 2
+        assert counts["phase:partition_sample"] == 3
+
+    def test_queries_keep_first_seen_order(self):
+        ledger = PrivacyLedger()
+        for sequence, query in enumerate(["b", "a", "b", "c", "a"]):
+            ledger.append(_entry(sequence, query=query))
+        rows = ObservedRun.from_live(ledger=ledger).query_summary()
+        assert [r["query"] for r in rows] == ["b", "a", "c"]
+        assert [r["releases"] for r in rows] == [2, 2, 1]
+
+    def test_no_ledger_no_table(self):
+        observed = ObservedRun(span_durations=[("phase:map", 0.001)])
+        assert observed.query_summary() == []
+        assert QUERY_TABLE_TITLE not in observed.render_text()
+        assert json.loads(observed.render_json())["queries"] == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(
+            st.sampled_from(["q1", "q2", "q3"]),
+            st.sampled_from(["release", "replay", "refused"]),
+            st.floats(0.0, 1e6, allow_nan=False),
+            st.booleans(),
+        ),
+        max_size=30,
+    ))
+    def test_columns_hold_their_invariants(self, rows):
+        ledger = PrivacyLedger()
+        for sequence, (query, kind, width, clamped) in enumerate(rows):
+            ledger.append(_entry(
+                sequence, query=query, sensitivity=width,
+                clamped=clamped and kind == "release",
+                cache_hit=kind == "replay", refused=kind == "refused",
+            ))
+        summary = ObservedRun.from_live(ledger=ledger).query_summary()
+        assert sum(
+            r["releases"] + r["replays"] + r["refused"] for r in summary
+        ) == len(rows)
+        for r in summary:
+            if not r["releases"]:
+                assert r["sensitivity_median"] is None
+                assert r["clamp_fraction"] is None
+                continue
+            # the median interpolates: allow it one rounding
+            slack = 1.0 + 1e-12
+            assert r["sensitivity_median"] <= r["sensitivity_max"] * slack
+            assert 0.0 <= r["clamp_fraction"] <= 1.0
+            ratio = r["sensitivity_max_over_median"]
+            assert (ratio is None) == (r["sensitivity_median"] == 0.0)
+            assert ratio is None or ratio * slack >= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -955,6 +1307,7 @@ class TestObservabilityCLI:
         assert "pipeline phases" in out
         assert "phase:partition_sample" in out
         assert "privacy ledger totals" in out
+        assert QUERY_TABLE_TITLE in out
 
         assert main([
             "report", "--trace", str(trace_path),
@@ -962,6 +1315,44 @@ class TestObservabilityCLI:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["phases"]) == len(PHASE_ORDER)
+        (row,) = payload["queries"]
+        assert row["query"] == "tpch1" and row["releases"] == 1
+
+    def test_report_of_a_trace_alone_has_no_query_table(
+        self, tmp_path, capsys
+    ):
+        trace_path = tmp_path / "t.json"
+        assert main([
+            "compare", "tpch1", "--scale", "300", "--trace", str(trace_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["report", "--trace", str(trace_path)]) == 0
+        out = capsys.readouterr().out
+        assert "pipeline phases" in out
+        assert QUERY_TABLE_TITLE not in out
+
+    def test_report_of_an_empty_ledger(self, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert main(["report", "--ledger", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "privacy ledger totals" in out
+        assert QUERY_TABLE_TITLE not in out
+        assert main(["report", "--ledger", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["queries"] == []
+
+    def test_run_sql_ledger_reports_its_row(self, tmp_path, capsys):
+        ledger_path = tmp_path / "l.jsonl"
+        text = "SELECT COUNT(*) AS n FROM lineitem"
+        assert main([
+            "run-sql", text, "--protect", "lineitem", "--scale", "300",
+            "--ledger", str(ledger_path),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["report", "--ledger", str(ledger_path), "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["queries"]
+        assert row["query"] == "sql:" + text
+        assert row["releases"] == 1
 
     def test_report_requires_artifacts(self, capsys):
         assert main(["report"]) == 2
@@ -971,3 +1362,43 @@ class TestObservabilityCLI:
         assert main(["report", "--trace",
                      str(tmp_path / "nope.json")]) == 2
         assert "no such file" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Every surface names a consumer (docs/observability.md)
+# ---------------------------------------------------------------------------
+
+_DOC = os.path.join(_HERE, os.pardir, "docs", "observability.md")
+
+
+def _documented_consumers():
+    """surface -> consumer, from the doc's "What each surface is for"."""
+    with open(_DOC, encoding="utf-8") as handle:
+        text = handle.read()
+    section = text.split("## What each surface is for", 1)[1]
+    consumers = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        if line.startswith("| `"):
+            surface, consumer = (
+                cell.strip() for cell in line.strip().strip("|").split("|", 1)
+            )
+            for name in re.findall(r"`([^`]+)`", surface):
+                consumers[name] = consumer
+    return consumers
+
+
+def _surfaces():
+    """Every observability flag of the CLI, and ``repro report``."""
+    from repro import cli
+
+    parser = argparse.ArgumentParser(add_help=False)
+    cli._add_observability_args(parser)
+    flags = [action.option_strings[0] for action in parser._actions]
+    return flags + ["repro report"]
+
+
+@pytest.mark.parametrize("surface", _surfaces())
+def test_every_surface_names_a_consumer(surface):
+    assert _documented_consumers().get(surface), (
+        f"docs/observability.md names no consumer for {surface}"
+    )
