@@ -8,16 +8,16 @@ Commands:
   generated TPC-H dataset (compiled by the provenance bridge).
 * ``compare`` — UPA vs FLEX vs brute force sensitivities for one
   workload.
-* ``report`` — render the per-phase time breakdown and privacy-ledger
-  summary (per query: releases, replays, refusals, how the inferred
-  sensitivity spread and how often the range clamped) from
-  trace/ledger artifacts written by ``run``/``compare``.
+* ``report`` — render the per-phase time breakdown, the engine jobs
+  with their tasks and retries, and the privacy-ledger summary (per
+  query: releases, replays, refusals, how the inferred sensitivity
+  spread and how often the range clamped) from trace/ledger artifacts
+  written by ``run``/``run-sql``/``compare``.
 
 Observability is opt-in and documented in ``docs/observability.md``:
 ``--trace`` writes a Chrome trace-event JSON (load in
-``chrome://tracing``), ``--ledger`` writes the append-only privacy
-audit ledger as JSONL, and ``--events`` installs a job listener and
-prints the engine's per-job event log.
+``chrome://tracing``) and ``--ledger`` writes the append-only privacy
+audit ledger as JSONL.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from typing import List, Optional
 from repro._version import __version__
 from repro.analysis import format_table
 from repro.core import UPAConfig, UPASession
+from repro.engine.metrics import MetricsRegistry
 
 
 def _add_observability_args(parser: argparse.ArgumentParser,
@@ -42,10 +43,6 @@ def _add_observability_args(parser: argparse.ArgumentParser,
             "--ledger", metavar="PATH",
             help="write the privacy audit ledger (JSONL) to PATH",
         )
-    parser.add_argument(
-        "--events", action="store_true",
-        help="install a JobListener and print the engine job event log",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,7 +143,7 @@ def _setup_observability(args, **config_fields):
     return tracer, ledger
 
 
-def _emit_observability(args, engine, tracer, ledger) -> None:
+def _emit_observability(args, tracer, ledger) -> None:
     """Write the requested artifacts and print where they landed."""
     if tracer is not None:
         tracer.write_chrome_trace(args.trace)
@@ -156,16 +153,6 @@ def _emit_observability(args, engine, tracer, ledger) -> None:
         ledger.write_jsonl(args.ledger)
         print(f"privacy ledger written to {args.ledger} "
               f"({len(ledger)} entries)")
-    if getattr(args, "events", False) and engine.job_listener is not None:
-        print("job events:")
-        print(engine.job_listener.summary())
-
-
-def _install_events(args, engine) -> None:
-    from repro.engine.events import JobListener
-
-    if getattr(args, "events", False) and engine.job_listener is None:
-        engine.install_job_listener(JobListener())
 
 
 def _cmd_run(args) -> int:
@@ -176,13 +163,21 @@ def _cmd_run(args) -> int:
     append_n = max(0, args.append)
     append_steps = max(1, args.append_steps) if append_n else 0
     # Appended records come from generating the *grown* dataset once
-    # and holding back the tail, so every step appends realistic rows.
-    tables = workload.make_tables(
-        args.scale + append_n * append_steps, args.seed
-    )
+    # and holding back the last N*K protected rows, so every step
+    # appends realistic rows whatever the protected table's size.
+    held = append_n * append_steps
+    tables = workload.make_tables(args.scale + held, args.seed)
     protected = workload.query.protected_table
-    held_back = tables[protected][args.scale:]
-    del tables[protected][args.scale:]
+    protected_rows = tables[protected]
+    if held and len(protected_rows) <= held:
+        print(f"error: --append {append_n} x {append_steps} steps holds "
+              f"back {held} {protected} rows, but {args.workload} at "
+              f"--scale {args.scale} generates only "
+              f"{len(protected_rows)}",
+              file=sys.stderr)
+        return 2
+    held_back = protected_rows[len(protected_rows) - held:]
+    del protected_rows[len(protected_rows) - held:]
     tracer, ledger = _setup_observability(
         args, command="run", workload=args.workload, epsilon=args.epsilon,
         sample_size=args.sample_size, seed=args.seed, scale=args.scale,
@@ -192,20 +187,25 @@ def _cmd_run(args) -> int:
         tracer=tracer,
         ledger=ledger,
     )
-    _install_events(args, session.engine)
     with use_tracer(tracer):
         result = session.run(workload.query, tables, epsilon=args.epsilon)
         for step in range(append_steps):
             chunk = held_back[step * append_n:(step + 1) * append_n]
             result = session.append(chunk, epsilon=args.epsilon)
-            stats = session._last_incremental or {}
+            mapped = int(result.metrics.get(
+                MetricsRegistry.INCR_RECORDS_MAPPED
+            ))
+            reused = int(result.metrics.get(
+                MetricsRegistry.INCR_RECORDS_REUSED
+            ))
+            # A release that could not continue the window ran cold:
+            # it counts neither, and its delta fraction is 1.
+            fraction = mapped / (mapped + reused) if mapped + reused else 1.0
             print(
                 f"append {step + 1}/{append_steps}: +{len(chunk)} records, "
                 f"released in {result.elapsed_seconds:.3f}s "
-                f"(delta fraction "
-                f"{stats.get('delta_fraction', 1.0):.4f}, "
-                f"{stats.get('records_mapped', 0)} records mapped, "
-                f"{stats.get('records_reused', 0)} reused)"
+                f"(delta fraction {fraction:.4f}, "
+                f"{mapped} records mapped, {reused} reused)"
             )
     truth = workload.query.output(tables)
     rows = [
@@ -218,7 +218,7 @@ def _cmd_run(args) -> int:
         ["elapsed seconds", result.elapsed_seconds],
     ]
     print(format_table(["field", "value"], rows))
-    _emit_observability(args, session.engine, tracer, ledger)
+    _emit_observability(args, tracer, ledger)
     return 0
 
 
@@ -252,7 +252,6 @@ def _cmd_run_sql(args) -> int:
         UPAConfig(sample_size=1000, seed=args.seed), tracer=tracer,
         ledger=ledger,
     )
-    _install_events(args, session.engine)
     with use_tracer(tracer):
         result = session.run_sql(
             args.query, tables, protected_table=args.protect,
@@ -265,7 +264,7 @@ def _cmd_run_sql(args) -> int:
         ["inferred sensitivity", result.local_sensitivity],
     ]
     print(format_table(["field", "value"], rows))
-    _emit_observability(args, session.engine, tracer, ledger)
+    _emit_observability(args, tracer, ledger)
     return 0
 
 
@@ -286,7 +285,6 @@ def _cmd_compare(args) -> int:
     session = UPASession(
         UPAConfig(sample_size=1000, seed=args.seed), tracer=tracer
     )
-    _install_events(args, session.engine)
     # One ambient tracer scope so the UPA pipeline and both baselines
     # emit into the same trace and can be compared span for span.
     with use_tracer(tracer):
@@ -311,7 +309,7 @@ def _cmd_compare(args) -> int:
         ["FLEX (static)", flex_text],
     ]
     print(format_table(["system", "local sensitivity"], rows))
-    _emit_observability(args, session.engine, tracer, None)
+    _emit_observability(args, tracer, None)
     return 0
 
 

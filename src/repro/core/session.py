@@ -299,7 +299,6 @@ def reduce_phase(
     is not drawn from here: the returned state keeps it for RANGE
     ENFORCER's removals.
     """
-    metrics = engine.metrics
     with tracer.span(
         "phase:map", query=query.name,
         records=sum(map(len, sample.remaining_indices)), slices=2 * parts,
@@ -338,12 +337,6 @@ def reduce_phase(
         if mapped_s is None:
             mapped_s = query.map_batch(sample.sampled, aux)
         mapped_sbar = query.map_batch(sample.domain_samples, aux)
-    metrics.observe(
-        MetricsRegistry.NEIGHBOUR_BATCH, query.batch_length(mapped_s)
-    )
-    metrics.observe(
-        MetricsRegistry.NEIGHBOUR_BATCH, query.batch_length(mapped_sbar)
-    )
 
     with tracer.span("phase:reduce"):
         f_x_agg = query.combine(r_sprime, query.fold_batch(mapped_s))
@@ -485,9 +478,6 @@ class UPASession:
         #: last-run bookkeeping backing append()/retire(); None until
         #: the first run() completes.
         self._incr: Optional[_IncrementalState] = None
-        #: stats of the last release's incremental phase (None when the
-        #: release ran cold); surfaced through the ledger header.
-        self._last_incremental: Optional[dict] = None
 
     @property
     def tracer(self) -> Tracer:
@@ -526,10 +516,9 @@ class UPASession:
             query.validate_monoid(tables)
         tracer = self.tracer
         if tracer.enabled and self.engine.tracer is NULL_TRACER:
-            # Auto-wire the engine (scheduler spans + job listener) so
+            # Auto-wire the engine (its engine.job spans) so
             # one tracer sees the pipeline end to end.
             self.engine.install_tracer(tracer)
-        self._last_incremental = None
         with tracer.span(
             "upa.run", query=query.name, epsilon=epsilon,
             sample_size=self.config.sample_size,
@@ -606,7 +595,6 @@ class UPASession:
                     premapped, stats = self._incremental_elements(
                         incr, query, aux, aux_public, sample
                     )
-                    self._last_incremental = stats
                     for key, value in stats.items():
                         delta_span.set_attribute(key, value)
             state = reduce_phase(
@@ -822,42 +810,16 @@ class UPASession:
         inferred: InferredRange,
         **fields: Any,
     ) -> None:
-        """Refresh the ledger header and append one entry."""
+        """Append one ledger entry (and fill an empty header once)."""
         ledger = self.ledger
         if ledger is None:
             return
-        metrics = self.engine.metrics
         ledger.ensure_header(run_header(
             epsilon=self.config.epsilon,
             sample_size=self.config.sample_size,
             seed=self.config.seed,
             mechanism="laplace",
         ))
-        # The CLI pre-fills the header at construction, so these
-        # counters must be refreshed on every release, not ensure'd.
-        # sql_plan_cache_* count the SQL bridge's compile cache.
-        incremental = self._last_incremental
-        ledger.update_header(
-            sql_plan_cache_hits=int(
-                metrics.get(MetricsRegistry.SQL_PLAN_CACHE_HITS)
-            ),
-            sql_plan_cache_misses=int(
-                metrics.get(MetricsRegistry.SQL_PLAN_CACHE_MISSES)
-            ),
-            sql_plan_cache_evictions=int(
-                metrics.get(MetricsRegistry.SQL_PLAN_CACHE_EVICTIONS)
-            ),
-            incremental=incremental is not None,
-            incremental_records_reused=(
-                int(incremental["records_reused"]) if incremental else 0
-            ),
-            incremental_records_mapped=(
-                int(incremental["records_mapped"]) if incremental else 0
-            ),
-            incremental_delta_fraction=(
-                float(incremental["delta_fraction"]) if incremental else 0.0
-            ),
-        )
         spent = remaining = None
         if self.accountant is not None:
             spent = float(self.accountant.spent()[0])
@@ -1015,7 +977,6 @@ class UPASession:
         metrics.incr(MetricsRegistry.INCR_RECORDS_REUSED, reused)
         metrics.incr(MetricsRegistry.INCR_RECORDS_MAPPED, mapped)
         delta_fraction = mapped / total if total else 0.0
-        metrics.set_gauge(MetricsRegistry.INCR_DELTA_FRACTION, delta_fraction)
 
         # Take S' out of the window exactly as partition_and_sample
         # split the records themselves, in the slices the engine cuts a

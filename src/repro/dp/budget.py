@@ -131,26 +131,6 @@ class PrivacyAccountant:
         with self._lock:
             return [(c.epsilon, c.delta, c.label) for c in self._charges]
 
-    def describe(self) -> dict:
-        """One consistent JSON-friendly balance snapshot.
-
-        Total/spent/remaining epsilon and delta plus the number of
-        charged queries, all read under one lock acquisition so the
-        numbers are mutually consistent.
-        """
-        with self._lock:
-            spent_eps, spent_delta = self._spent_locked()
-            queries = len(self._charges)
-        return {
-            "total_epsilon": self.total_epsilon,
-            "spent_epsilon": spent_eps,
-            "remaining_epsilon": self.total_epsilon - spent_eps,
-            "total_delta": self.total_delta,
-            "spent_delta": spent_delta,
-            "remaining_delta": self.total_delta - spent_delta,
-            "queries": queries,
-        }
-
     def __repr__(self) -> str:
         with self._lock:
             spent_eps, spent_delta = self._spent_locked()

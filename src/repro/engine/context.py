@@ -82,38 +82,17 @@ class EngineContext:
         return result
 
     # ------------------------------------------------------------------
-    # Fault injection
+    # Fault injection and tracing
     # ------------------------------------------------------------------
 
     def install_fault_injector(self, injector: Optional[FaultInjector]) -> None:
         """Install (or clear, with None) a task-level fault injector."""
         self.scheduler.fault_injector = injector
 
-    def install_job_listener(self, listener) -> None:
-        """Install (or clear, with None) a job event listener."""
-        self.scheduler.job_listener = listener
-
-    def install_tracer(self, tracer, events: bool = True) -> None:
-        """Install (or clear, with None) a span tracer on the engine.
-
-        Engine jobs then emit spans into it.  With
-        ``events=True`` (the default) a :class:`JobListener` is
-        auto-wired alongside — traces and the job event log describe
-        the same executions — unless one is already installed.
-        """
-        from repro.engine.events import JobListener
+    def install_tracer(self, tracer) -> None:
+        """Install (or clear, with None) a span tracer on the engine:
+        each job then emits an ``engine.job`` span into it."""
         from repro.obs.tracing import NULL_TRACER
 
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.scheduler.tracer = self.tracer
-        if (
-            events
-            and self.tracer.enabled
-            and self.scheduler.job_listener is None
-        ):
-            self.install_job_listener(JobListener())
-
-    @property
-    def job_listener(self):
-        """The installed job event listener, if any."""
-        return self.scheduler.job_listener

@@ -8,9 +8,10 @@ thread — but it implements the behaviours the reproduction depends on:
   retried by recomputing the partition from scratch, which is only
   correct because RDD computation is deterministic and side-effect
   free;
-* **observable task counts**: every job, task attempt and retry is
-  counted in the metrics registry, traced as an ``engine.job`` span
-  when a tracer is installed, and reported to the job listener.
+* **observable task counts**: every job, task and retry is counted in
+  the metrics registry, and with a tracer installed each job is an
+  ``engine.job`` span whose ``task_attempts`` counts its tasks plus
+  their retries.
 
 Partition boundaries are fixed by the RDD, not by the scheduler, so the
 order tasks run in never changes a job's results (DESIGN.md §7 records
@@ -19,7 +20,6 @@ why there is one executor).
 
 from __future__ import annotations
 
-import time
 from typing import (
     Callable,
     Iterator,
@@ -30,8 +30,6 @@ from typing import (
 )
 
 from repro.common.errors import TaskFailedError
-from repro.common.timing import Timer
-from repro.engine.events import JobEvent, JobListener
 from repro.engine.fault import FaultInjector, InjectedFault
 from repro.engine.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_SPAN, NULL_TRACER, Tracer
@@ -47,7 +45,6 @@ class TaskScheduler:
         self._metrics = metrics
         self._max_retries = max_task_retries
         self.fault_injector: Optional[FaultInjector] = None
-        self.job_listener: Optional[JobListener] = None
         #: span tracer (NULL_TRACER = disabled, the zero-cost default);
         #: installed via EngineContext.install_tracer.
         self.tracer: Tracer = NULL_TRACER
@@ -70,8 +67,7 @@ class TaskScheduler:
         partitions = tuple(partitions)
         stage_id = next(self._stage_ids)
         self._metrics.incr(MetricsRegistry.JOBS)
-        attempts_before = self._metrics.get(MetricsRegistry.TASKS) + \
-            self._metrics.get(MetricsRegistry.TASK_RETRIES)
+        retries_before = self._metrics.get(MetricsRegistry.TASK_RETRIES)
 
         tracer = self.tracer
         job_span = (
@@ -85,24 +81,17 @@ class TaskScheduler:
             if tracer.enabled
             else NULL_SPAN
         )
-        with job_span, Timer() as timer:
+        with job_span:
             results = [
                 self._run_task(rdd, func, stage_id, split)
                 for split in partitions
             ]
-        self._metrics.observe(MetricsRegistry.JOB_SECONDS, timer.elapsed)
-        if self.job_listener is not None:
-            attempts_after = self._metrics.get(MetricsRegistry.TASKS) + \
+            retries = (
                 self._metrics.get(MetricsRegistry.TASK_RETRIES)
-            self.job_listener.record(
-                JobEvent(
-                    stage_id=stage_id,
-                    rdd_id=rdd.rdd_id,
-                    rdd_type=type(rdd).__name__,
-                    num_partitions=len(partitions),
-                    duration_seconds=timer.elapsed,
-                    task_attempts=int(attempts_after - attempts_before),
-                )
+                - retries_before
+            )
+            job_span.set_attribute(
+                "task_attempts", len(partitions) + int(retries)
             )
         return results
 
@@ -115,13 +104,8 @@ class TaskScheduler:
             try:
                 if self.fault_injector is not None:
                     self.fault_injector.maybe_fail(stage_id, split, attempts)
-                started = time.perf_counter()
                 result = func(rdd.iterator(split))
                 self._metrics.incr(MetricsRegistry.TASKS)
-                self._metrics.observe(
-                    MetricsRegistry.TASK_SECONDS,
-                    time.perf_counter() - started,
-                )
                 return result
             except InjectedFault as fault:
                 self._metrics.incr(MetricsRegistry.TASK_RETRIES)

@@ -125,14 +125,6 @@ class PrivacyLedger:
             if not self.header:
                 self.header = dict(header)
 
-    def update_header(self, **fields: Any) -> None:
-        """Overwrite individual header fields.  For counters that grow
-        over the ledger's life (plan-cache hits), where the header is
-        written at export time and should carry the final value even
-        when a CLI pre-filled it at construction."""
-        with self._lock:
-            self.header.update(fields)
-
     def append(self, entry: LedgerEntry) -> None:
         with self._lock:
             self._entries.append(entry)

@@ -1,14 +1,14 @@
-"""ObservedRun: one report object tying trace + metrics + ledger together.
+"""ObservedRun: one report object tying a run's trace and ledger together.
 
-Consumed two ways:
+Built two ways, through one reader:
 
-* **live** — the CLI (or a test) builds it from the session's
-  :class:`~repro.obs.tracing.Tracer`, the engine's
-  :class:`~repro.engine.metrics.MetricsSnapshot` and the
-  :class:`~repro.obs.ledger.PrivacyLedger` right after a run;
 * **from artifacts** — ``repro report --trace t.json --ledger l.jsonl``
   reloads the Chrome-trace JSON and the ledger JSONL written by an
-  earlier ``repro run`` and renders the same breakdown.
+  earlier ``repro run``;
+* **live** — a test or a script hands over the session's
+  :class:`~repro.obs.tracing.Tracer` and
+  :class:`~repro.obs.ledger.PrivacyLedger`; the tracer's Chrome trace
+  is read exactly as its file would be.
 """
 
 from __future__ import annotations
@@ -19,12 +19,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro._version import __version__
-from repro.engine.metrics import (
-    HistogramSummary,
-    MetricsRegistry,
-    MetricsSnapshot,
-    percentile,
-)
 from repro.obs.ledger import LedgerEntry, PrivacyLedger
 from repro.obs.tracing import Tracer
 
@@ -52,6 +46,10 @@ PARTITION_SAMPLE_SPAN = "phase:partition_sample"
 #: ``records_removed`` attributes get their own report line.
 ENFORCE_SPAN = "phase:enforce"
 
+#: the scheduler's span per engine job; its ``partitions`` /
+#: ``task_attempts`` attributes make the "engine jobs" line.
+ENGINE_JOB_SPAN = "engine.job"
+
 #: title of ``repro report``'s per-query table (CI greps for it).
 QUERY_TABLE_TITLE = "per-query releases"
 
@@ -77,6 +75,30 @@ def run_header(**extra: Any) -> Dict[str, Any]:
     }
     header.update(extra)
     return header
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) with linear interpolation.
+
+    Matches numpy's default ("linear") method but works on plain
+    sequences without an array round-trip.  A single sample is every
+    percentile of itself; tied values interpolate to the tie.
+
+    Raises:
+        ValueError: on an empty sequence or ``q`` outside [0, 100].
+    """
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    data = sorted(float(v) for v in values)
+    if not data:
+        raise ValueError("cannot take a percentile of zero samples")
+    if len(data) == 1:
+        return data[0]
+    rank = (q / 100.0) * (len(data) - 1)
+    low = int(rank)
+    high = min(low + 1, len(data) - 1)
+    fraction = rank - low
+    return data[low] + (data[high] - data[low]) * fraction
 
 
 @dataclass(frozen=True)
@@ -136,7 +158,6 @@ class ObservedRun:
     header: Dict[str, Any] = field(default_factory=dict)
     #: (span name, duration seconds) pairs in start order.
     span_durations: List[Tuple[str, float]] = field(default_factory=list)
-    metrics: Optional[MetricsSnapshot] = None
     ledger_entries: List[LedgerEntry] = field(default_factory=list)
     ledger_totals: Dict[str, float] = field(default_factory=dict)
     #: attributes of every ``sampling.domain_sample`` span: how many
@@ -148,42 +169,21 @@ class ObservedRun:
     enforcement: List[Dict[str, Any]] = field(default_factory=list)
     #: attributes of every ``phase:partition_sample`` span.
     partition_sampling: List[Dict[str, Any]] = field(default_factory=list)
+    #: attributes of every ``engine.job`` span: the tasks each job ran
+    #: and the attempts they took.
+    engine_jobs: List[Dict[str, Any]] = field(default_factory=list)
 
     # -- constructors -------------------------------------------------
     @classmethod
     def from_live(
         cls,
         tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsSnapshot] = None,
         ledger: Optional[PrivacyLedger] = None,
     ) -> "ObservedRun":
-        header: Dict[str, Any] = {}
-        durations: List[Tuple[str, float]] = []
-        domain_sampling: List[Dict[str, Any]] = []
-        enforcement: List[Dict[str, Any]] = []
-        partition_sampling: List[Dict[str, Any]] = []
-        if tracer is not None:
-            header.update(tracer.header)
-            spans = sorted(tracer.spans(), key=lambda s: s.start)
-            durations = [(s.name, s.duration) for s in spans]
-            domain_sampling = [
-                s.attributes for s in spans if s.name == DOMAIN_SAMPLE_SPAN
-            ]
-            enforcement = [
-                s.attributes for s in spans if s.name == ENFORCE_SPAN
-            ]
-            partition_sampling = [
-                s.attributes for s in spans
-                if s.name == PARTITION_SAMPLE_SPAN
-            ]
-        entries: List[LedgerEntry] = []
-        totals: Dict[str, float] = {}
-        if ledger is not None:
-            header.update(ledger.header)
-            entries = ledger.entries()
-            totals = ledger.totals()
-        return cls(header, durations, metrics, entries, totals,
-                   domain_sampling, enforcement, partition_sampling)
+        """The report of a run still in memory, read as its artifacts
+        would be."""
+        trace = tracer.to_chrome_trace() if tracer is not None else None
+        return cls._read(trace, ledger)
 
     @classmethod
     def from_artifacts(
@@ -191,44 +191,46 @@ class ObservedRun:
         trace_path: Optional[str] = None,
         ledger_path: Optional[str] = None,
     ) -> "ObservedRun":
-        header: Dict[str, Any] = {}
-        durations: List[Tuple[str, float]] = []
-        domain_sampling: List[Dict[str, Any]] = []
-        enforcement: List[Dict[str, Any]] = []
-        partition_sampling: List[Dict[str, Any]] = []
+        trace = None
         if trace_path is not None:
             with open(trace_path, "r", encoding="utf-8") as handle:
                 trace = json.load(handle)
-            header.update(trace.get("metadata") or {})
+        ledger = (
+            PrivacyLedger.read_jsonl(ledger_path)
+            if ledger_path is not None else None
+        )
+        return cls._read(trace, ledger)
+
+    @classmethod
+    def _read(
+        cls, trace: Optional[dict], ledger: Optional[PrivacyLedger],
+    ) -> "ObservedRun":
+        """Build the report from a Chrome trace document and a ledger."""
+        run = cls()
+        if trace is not None:
+            run.header.update(trace.get("metadata") or {})
             events = sorted(
                 (e for e in trace.get("traceEvents", ())
                  if e.get("ph") == "X"),
                 key=lambda e: e.get("ts", 0.0),
             )
-            durations = [
+            run.span_durations = [
                 (e["name"], float(e.get("dur", 0.0)) / 1e6) for e in events
             ]
-            domain_sampling = [
-                e.get("args") or {} for e in events
-                if e["name"] == DOMAIN_SAMPLE_SPAN
-            ]
-            enforcement = [
-                e.get("args") or {} for e in events
-                if e["name"] == ENFORCE_SPAN
-            ]
-            partition_sampling = [
-                e.get("args") or {} for e in events
-                if e["name"] == PARTITION_SAMPLE_SPAN
-            ]
-        entries: List[LedgerEntry] = []
-        totals: Dict[str, float] = {}
-        if ledger_path is not None:
-            ledger = PrivacyLedger.read_jsonl(ledger_path)
-            header.update(ledger.header)
-            entries = ledger.entries()
-            totals = ledger.totals()
-        return cls(header, durations, None, entries, totals,
-                   domain_sampling, enforcement, partition_sampling)
+
+            def attributes(name: str) -> List[Dict[str, Any]]:
+                return [e.get("args") or {} for e in events
+                        if e["name"] == name]
+
+            run.domain_sampling = attributes(DOMAIN_SAMPLE_SPAN)
+            run.enforcement = attributes(ENFORCE_SPAN)
+            run.partition_sampling = attributes(PARTITION_SAMPLE_SPAN)
+            run.engine_jobs = attributes(ENGINE_JOB_SPAN)
+        if ledger is not None:
+            run.header.update(ledger.header)
+            run.ledger_entries = ledger.entries()
+            run.ledger_totals = ledger.totals()
+        return run
 
     # -- breakdowns ---------------------------------------------------
     def phase_stats(self) -> List[SpanStat]:
@@ -243,24 +245,6 @@ class ObservedRun:
 
     def span_stats(self) -> List[SpanStat]:
         return _aggregate(self.span_durations)
-
-    def histogram_summaries(self) -> Dict[str, HistogramSummary]:
-        if self.metrics is None:
-            return {}
-        return {
-            name: self.metrics.summary(name)
-            for name in sorted(self.metrics.histograms)
-        }
-
-    def counter_values(self) -> Dict[str, float]:
-        """Non-zero engine/SQL counters (plan cache, join strategy, …)."""
-        if self.metrics is None:
-            return {}
-        return {
-            name: value
-            for name, value in sorted(self.metrics.counters.items())
-            if value
-        }
 
     def domain_sampling_summary(self) -> Dict[str, int]:
         """Releases traced, S-bar records drawn, releases that batched,
@@ -287,6 +271,21 @@ class ObservedRun:
             "records_removed": sum(
                 int(a.get("records_removed", 0)) for a in enforced
             ),
+        }
+
+    def engine_summary(self) -> Dict[str, int]:
+        """Engine jobs traced, their tasks, the task attempts (tasks
+        plus retries) and the retries among those attempts."""
+        jobs = self.engine_jobs
+        tasks = sum(int(a.get("partitions", 0)) for a in jobs)
+        attempts = sum(
+            int(a.get("task_attempts", a.get("partitions", 0))) for a in jobs
+        )
+        return {
+            "jobs": len(jobs),
+            "tasks": tasks,
+            "attempts": attempts,
+            "retried": attempts - tasks,
         }
 
     def query_summary(self) -> List[Dict[str, Any]]:
@@ -333,7 +332,7 @@ class ObservedRun:
             "spans": [s.to_dict() for s in self.span_stats()],
             "domain_sampling": self.domain_sampling_summary(),
             "enforcement": self.enforcement_summary(),
-            "metrics": self.metrics.to_dict() if self.metrics else None,
+            "engine": self.engine_summary(),
             "ledger": {
                 "totals": dict(self.ledger_totals),
                 "entries": [e.to_dict() for e in self.ledger_entries],
@@ -379,20 +378,12 @@ class ObservedRun:
             )
         if self.domain_sampling:
             drawn = self.domain_sampling_summary()
-            line = (
+            sections.append(
                 f"domain sampling: {drawn['records']} S-bar records over "
                 f"{drawn['releases']} releases, {drawn['batched']} of them "
                 f"as one column batch, {drawn['registered']} of them from "
                 "a registered table"
             )
-            if self.metrics is not None:
-                line += " (" + " ".join(
-                    f"{name}={self.metrics.get(name):g}"
-                    for name in (MetricsRegistry.TABLE_REGISTRATIONS,
-                                 MetricsRegistry.TABLE_REUSES,
-                                 MetricsRegistry.AUX_REUSES)
-                ) + ")"
-            sections.append(line)
         if self.enforcement:
             enforced = self.enforcement_summary()
             sections.append(
@@ -401,24 +392,12 @@ class ObservedRun:
                 f"{enforced['sweeps']} sweeps, "
                 f"{enforced['records_removed']} records removed"
             )
-        counters = self.counter_values()
-        if counters:
-            rows = [[name, f"{value:g}"] for name, value in counters.items()]
+        if self.engine_jobs:
+            engine = self.engine_summary()
             sections.append(
-                "engine counters:\n" + format_table(["counter", "value"],
-                                                    rows)
-            )
-        histograms = self.histogram_summaries()
-        if histograms:
-            rows = [
-                [name, s.count, f"{s.minimum:g}", f"{s.mean:g}",
-                 f"{s.p50:g}", f"{s.p90:g}", f"{s.p99:g}", f"{s.maximum:g}"]
-                for name, s in histograms.items()
-            ]
-            sections.append(
-                "metric histograms:\n" + format_table(
-                    ["histogram", "count", "min", "mean", "p50", "p90",
-                     "p99", "max"], rows)
+                f"engine jobs: {engine['jobs']} jobs, {engine['tasks']} "
+                f"tasks, {engine['attempts']} attempts "
+                f"({engine['retried']} retried)"
             )
         if self.ledger_totals:
             rows = [[k, f"{v:g}"] for k, v in

@@ -38,6 +38,7 @@ from repro.core.session import UPAConfig, UPASession
 from repro.core.sqlbridge import compile_sql
 from repro.core.table import TableReads
 from repro.dp import PrivacyAccountant
+from repro.engine.metrics import MetricsRegistry
 from repro.mining import (
     KMeansQuery,
     LifeScienceConfig,
@@ -565,20 +566,23 @@ class TestSlicedPhase2:
         _release(lambda: session.run(workload.query, tables))
         _release(lambda: session.append(rows[-held:-held // 2]))
         _release(lambda: session.append(rows[-held // 2:]))
+        metrics = session.engine.metrics
+        mark = metrics.mark()
         _release(lambda: session.retire(20))
         assert [entry[3] for entry in captured] == [False, True, True, True]
         for entry in captured:
             _assert_slices_match_scalar_fold(entry, parts)
-        stats = session._last_incremental
-        assert stats["records_mapped"] + stats["records_reused"] == len(
-            tables[protected]
-        )
+        # the retire's incremental phase, counted even if refused
+        counted = metrics.since(mark)
+        mapped = counted.get(MetricsRegistry.INCR_RECORDS_MAPPED)
+        reused = counted.get(MetricsRegistry.INCR_RECORDS_REUSED)
+        assert mapped + reused == len(tables[protected])
         reads = TableReads(tables)
         workload.query.build_aux(reads)
         if protected in reads.names:  # kmeans: aux moves with the rows
-            assert stats["records_reused"] == 0
+            assert reused == 0
         else:
-            assert stats["records_mapped"] == 0  # retire maps nothing
+            assert mapped == 0  # retire maps nothing
 
     @pytest.mark.parametrize("parts", PARTS)
     def test_compiled_sql_slices_bitwise(self, monkeypatch, parts):

@@ -48,6 +48,54 @@ class TestCli:
             "(delta fraction 0.0192, 40 records mapped, 2040 reused)"
         )
 
+    @pytest.mark.parametrize(
+        "name", ["tpch4", "tpch11", "tpch13", "tpch16", "tpch21"]
+    )
+    def test_run_append_holds_back_the_tail_of_a_small_table(
+        self, name, capsys
+    ):
+        """Their protected tables hold far fewer rows than --scale: the
+        appended rows are the last N*K of the table generated at the
+        grown scale.  (At this sample size and seed RANGE ENFORCER
+        refuses none of the five appends' releases.)"""
+        from repro.workloads import workload_by_name
+
+        assert main(
+            ["run", name, "--scale", "2000", "--sample-size", "200",
+             "--seed", "1", "--append", "20", "--append-steps", "2"]
+        ) == 0
+        lines = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("append ")
+        ]
+        workload = workload_by_name(name)
+        grown = len(workload.make_tables(2040, 1)[
+            workload.query.protected_table
+        ])
+        assert len(lines) == 2
+        assert lines[0].startswith("append 1/2: +20 records, released in ")
+        assert lines[0].endswith(
+            f"(delta fraction 1.0000, {grown - 20} records mapped, 0 reused)"
+        )
+        assert lines[1].startswith("append 2/2: +20 records, released in ")
+        assert lines[1].endswith(
+            f"(delta fraction {20 / grown:.4f}, 20 records mapped, "
+            f"{grown - 20} reused)"
+        )
+
+    def test_run_append_past_the_protected_table_exits_2(self, capsys):
+        # tpch21's supplier table has 12 rows at --scale 400 + 80
+        assert main(
+            ["run", "tpch21", "--scale", "400", "--append", "40",
+             "--append-steps", "2"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: --append 40 x 2 steps holds back 80 supplier rows"
+        )
+        assert len(captured.err.splitlines()) == 1
+        assert "released" not in captured.out
+
     def test_run_vector_workload(self, capsys):
         assert main(
             ["run", "linreg", "--scale", "500", "--sample-size", "50"]

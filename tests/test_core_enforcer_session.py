@@ -633,7 +633,7 @@ class TestUPASession:
         spent = accountant.spent()[0]
         assert spent == pytest.approx(0.5)
         assert spent == pytest.approx(ledger.totals()["epsilon_charged"])
-        assert accountant.describe()["queries"] == len(session.enforcer) == 5
+        assert len(accountant.history()) == len(session.enforcer) == 5
         assert refused[-1].accountant_spent_epsilon == pytest.approx(0.5)
 
     def test_resubmitting_x_and_x_minus_one_never_dead_ends(self, tpch21_x):

@@ -215,6 +215,15 @@ def _assert_identical(hit, miss, step):
         )
 
 
+def _continued_no_window(counted) -> bool:
+    """The counts ``counted`` mapped and reused no window record: no
+    incremental phase ran (a cold release, or a replay)."""
+    return not (
+        counted.get(MetricsRegistry.INCR_RECORDS_MAPPED)
+        or counted.get(MetricsRegistry.INCR_RECORDS_REUSED)
+    )
+
+
 def _release(call):
     """The release, or the RANGE ENFORCER refusal it ended in."""
     try:
@@ -462,8 +471,9 @@ class TestTablesAreValues:
         metrics = session.engine.metrics
         invalidations = metrics.get(MetricsRegistry.INCR_INVALIDATIONS)
         registrations = metrics.get(MetricsRegistry.TABLE_REGISTRATIONS)
+        mark = metrics.mark()
         result = session.run(query, tables, 0.5)
-        assert session._last_incremental is None  # ran cold
+        assert _continued_no_window(metrics.since(mark))
         assert metrics.get(
             MetricsRegistry.INCR_INVALIDATIONS
         ) == invalidations + 1
@@ -488,8 +498,9 @@ class TestTablesAreValues:
         session, query, tables, victim, _other, _chunk = self._primed()
         rows = tables["lineitem"]
         rows[victim], rows[victim + 1] = rows[victim + 1], rows[victim]
+        mark = session.engine.metrics.mark()
         session.run(query, tables, 0.5)
-        assert session._last_incremental is None
+        assert _continued_no_window(session.engine.metrics.since(mark))
 
     def test_eviction_beyond_the_bound_runs_cold(self):
         session, query, tables, _victim, _other, chunk = self._primed()
@@ -506,14 +517,16 @@ class TestTablesAreValues:
         metrics = session.engine.metrics
         registrations = metrics.get(MetricsRegistry.TABLE_REGISTRATIONS)
         reuses = metrics.get(MetricsRegistry.TABLE_REUSES)
+        mark = metrics.mark()
         session.run(query, tables, 0.5)
-        assert session._last_incremental is None
+        assert _continued_no_window(metrics.since(mark))
         assert metrics.get(
             MetricsRegistry.TABLE_REGISTRATIONS
         ) == registrations + 1
         assert metrics.get(MetricsRegistry.TABLE_REUSES) == reuses
-        session.append(chunk, 0.5)  # primes the new registration
-        assert session._last_incremental["records_reused"] == 0
+        # primes the new registration
+        appended = session.append(chunk, 0.5)
+        assert appended.metrics.get(MetricsRegistry.INCR_RECORDS_REUSED) == 0
 
 
 class TestReplay:
@@ -880,7 +893,7 @@ class TestReadScope:
         session = UPASession(config)
         session.run(query, {"t": rows[:50]}, 0.5)
         grown = session.append(rows[50:], 0.6)
-        assert session._last_incremental["records_reused"] == 0
+        assert grown.metrics.get(MetricsRegistry.INCR_RECORDS_REUSED) == 0
         fresh = UPASession(config)
         fresh.run(query, {"t": rows[:50]}, 0.5)
         assert grown.plain_output[0] == pytest.approx(4.5)  # not 5.4
@@ -902,7 +915,7 @@ class TestReadScope:
         session.append(rows[-2 * k:-k], 0.6)
         del x["orders"][: len(x["orders"]) // 2]
         grown = session.append(rows[-k:], 0.7)
-        assert session._last_incremental["records_reused"] == 0
+        assert grown.metrics.get(MetricsRegistry.INCR_RECORDS_REUSED) == 0
         assert grown.plain_output[0] == workload.query.output(x)[0]
 
     def test_kmeans_rebuilds_aux_on_every_release(self, monkeypatch):
@@ -965,9 +978,7 @@ class TestObservability:
         assert [span.attributes["registered"] for span in spans] == [
             False, False, True, True,
         ]
-        report = ObservedRun.from_live(
-            tracer=tracer, metrics=session.engine.metrics.snapshot(),
-        )
+        report = ObservedRun.from_live(tracer)
         assert report.domain_sampling_summary()["registered"] == 2
         assert report.to_dict()["domain_sampling"]["registered"] == 2
         line = next(
@@ -975,6 +986,11 @@ class TestObservability:
             if line.startswith("domain sampling:")
         )
         assert "2 of them from a registered table" in line
-        assert (
-            "table.registrations=2 table.reuses=2 aux.reuses=3" in line
-        )
+        metrics = session.engine.metrics
+        assert [
+            metrics.get(name) for name in (
+                MetricsRegistry.TABLE_REGISTRATIONS,
+                MetricsRegistry.TABLE_REUSES,
+                MetricsRegistry.AUX_REUSES,
+            )
+        ] == [2, 2, 3]

@@ -86,7 +86,7 @@ class TestAccountant:
                 spent_eps, spent_delta = acct.spent()
                 assert spent_eps.hex() == sum(epsilons[:i + 1]).hex()
                 assert spent_delta.hex() == sum(deltas[:i + 1]).hex()
-        assert acct.describe()["spent_epsilon"] == sum(epsilons)
+        assert acct.spent()[0] == sum(epsilons)
         assert acct.remaining_epsilon() == 1e12 - sum(epsilons)
 
     def test_int_charges_stay_ints_until_a_float(self):

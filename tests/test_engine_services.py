@@ -10,10 +10,10 @@ from repro.common.errors import TaskFailedError
 from repro.core import UPAConfig, UPASession
 from repro.core.dpobject import dpread
 from repro.engine import EngineContext, FaultInjector
-from repro.engine.events import JobListener
 from repro.engine.fault import InjectedFault
 from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
 from repro.mining import LifeScienceConfig, make_life_science_tables
+from repro.obs import Tracer
 from repro.sql import SQLSession, col
 from repro.tpch import TPCHConfig, TPCHGenerator
 from repro.tpch.datagen import register_tables
@@ -93,12 +93,12 @@ class TestFaultToleranceAndScheduling:
         assert ctx.metrics.get(MetricsRegistry.JOBS) == before + 1
 
     def test_generator_partitions_normalized_once(self):
-        """run_job iterates `partitions` twice (dispatch + event record);
-        a generator argument must still yield every result and an
-        accurate num_partitions."""
+        """run_job iterates `partitions` twice (span attribute +
+        dispatch); a generator argument must still yield every result
+        and an accurate partition count."""
         ctx = EngineContext(EngineConfig(default_parallelism=4))
-        listener = JobListener()
-        ctx.install_job_listener(listener)
+        tracer = Tracer()
+        ctx.install_tracer(tracer)
         rdd = ctx.parallelize(range(40), 4)
         results = ctx.scheduler.run_job(
             rdd, lambda it: sum(1 for _ in it),
@@ -106,7 +106,9 @@ class TestFaultToleranceAndScheduling:
         )
         assert sum(results) == 40
         assert len(results) == 4
-        assert listener.events()[-1].num_partitions == 4
+        (job,) = tracer.find("engine.job")
+        assert job.attributes["partitions"] == 4
+        assert job.attributes["task_attempts"] == 4
 
 
 def _add(a, b):

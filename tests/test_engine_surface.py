@@ -45,8 +45,6 @@ CONTEXT_CALLERS = {
     "parallelize": "src/repro/core/session.py::reduce_phase",
     "union": "src/repro/sql/physical.py::Executor._stage",
     "install_tracer": "src/repro/core/session.py::UPASession.run",
-    "install_job_listener": "src/repro/cli.py::_install_events",
-    "job_listener": "src/repro/cli.py::_emit_observability",
     # fault injection with lineage retry
     "install_fault_injector": "examples/quickstart.py::main",
 }

@@ -68,6 +68,27 @@ def _fresh_copy(tables, protected):
     }
 
 
+def _counted(session, release):
+    """Run ``release()``; the records its incremental phase mapped and
+    reused (both 0 when it ran cold), read from ``session``'s counters
+    so that a release RANGE ENFORCER refuses is counted too."""
+    metrics = session.engine.metrics
+    mark = metrics.mark()
+    release()
+    counted = metrics.since(mark)
+    return {
+        "records_mapped": counted.get(MetricsRegistry.INCR_RECORDS_MAPPED),
+        "records_reused": counted.get(MetricsRegistry.INCR_RECORDS_REUSED),
+    }
+
+
+def _delta_fraction(result):
+    """Records mapped / records in the window of an incremental release."""
+    mapped = result.metrics.get(MetricsRegistry.INCR_RECORDS_MAPPED)
+    reused = result.metrics.get(MetricsRegistry.INCR_RECORDS_REUSED)
+    return mapped / (mapped + reused)
+
+
 def _assert_results_equal(a, b):
     np.testing.assert_array_equal(a.noisy_output, b.noisy_output)
     np.testing.assert_array_equal(a.plain_output, b.plain_output)
@@ -157,14 +178,13 @@ class TestAppendRetireEquivalence:
             lambda: cold.run(workload.query, tab_c),
         )
         del tab_c[protected][:retire_n]
-        _paired_release(
+        stats = _counted(incr, lambda: _paired_release(
             lambda: incr.retire(retire_n),
             lambda: cold.run(workload.query, tab_c),
-        )
+        ))
 
         reads = TableReads(tab_i)
         workload.query.build_aux(reads)
-        stats = incr._last_incremental
         window = incr._incr.window
         if protected in reads.names:  # aux moves with the rows
             assert window is None
@@ -176,7 +196,6 @@ class TestAppendRetireEquivalence:
             )
             assert stats["records_mapped"] == 0
             assert stats["records_reused"] == len(tab_i[protected])
-            assert stats["delta_fraction"] == 0.0
 
     def test_second_append_reuses_blocks_bitwise_equal(self):
         """tpch6 append path: the second append reuses the mapped window."""
@@ -199,8 +218,8 @@ class TestAppendRetireEquivalence:
         tab_c[protected].extend(delta[half:])
         r_c = cold.run(workload.query, tab_c)
         _assert_results_equal(r_i, r_c)
-        assert incr._last_incremental["records_reused"] > 0
-        assert incr._last_incremental["delta_fraction"] < 0.1
+        assert r_i.metrics.get(MetricsRegistry.INCR_RECORDS_REUSED) > 0
+        assert _delta_fraction(r_i) < 0.1
 
     def test_an_append_maps_only_the_new_records_and_s_bar(
         self, monkeypatch
@@ -232,12 +251,12 @@ class TestAppendRetireEquivalence:
         session = _session(seed=SMALL_APPEND_SEED)
         session.run(workload.query, tables)
         session.append(delta[:half])  # primes the window
-        session.append(delta[half:])
+        last = session.append(delta[half:])
         m = session.engine.metrics
         assert m.get(MetricsRegistry.INCR_APPENDS) == 2
         assert m.get(MetricsRegistry.INCR_RECORDS_REUSED) >= base_len
         assert m.get(MetricsRegistry.INCR_RECORDS_MAPPED) >= len(delta)
-        assert 0.0 < m.get_gauge(MetricsRegistry.INCR_DELTA_FRACTION) < 0.1
+        assert 0.0 < _delta_fraction(last) < 0.1
         # The table grew in place.
         assert len(tables[protected]) == base_len + len(delta)
 
@@ -326,19 +345,22 @@ class TestBudgetAndLedger:
             UPAConfig(seed=SMALL_APPEND_SEED, sample_size=SAMPLE), ledger=ledger,
         )
         session.run(workload.query, tables, epsilon=0.1)
-        assert ledger.header["incremental"] is False
+        header = dict(ledger.header)
         session.append(delta[:half], epsilon=0.1)
-        session.append(delta[half:], epsilon=0.1)
-        assert ledger.header["incremental"] is True
+        last = session.append(delta[half:], epsilon=0.1)
+        # The header is written once, by the first release.
+        assert ledger.header == header
+        assert not any(
+            key.startswith(("incremental", "sql_plan_cache"))
+            for key in header
+        )
         # The second append maps what it appended and reuses the rest.
-        assert ledger.header["incremental_records_mapped"] == (
+        assert last.metrics.get(MetricsRegistry.INCR_RECORDS_MAPPED) == (
             len(delta) - half
         )
-        assert ledger.header["incremental_records_reused"] == (
+        assert last.metrics.get(MetricsRegistry.INCR_RECORDS_REUSED) == (
             len(tables[workload.query.protected_table]) - (len(delta) - half)
         )
-        assert 0.0 < ledger.header["incremental_delta_fraction"] < 0.1
-        assert "sql_plan_cache_evictions" in ledger.header
         entries = ledger.entries()
         assert len(entries) == 3
         assert all(e.epsilon_charged == 0.1 for e in entries)
@@ -375,14 +397,13 @@ class TestInvalidation:
             MetricsRegistry.INCR_INVALIDATIONS
         )
         tab_c[protected].extend(delta[half:])
-        _paired_release(
+        stats = _counted(incr, lambda: _paired_release(
             lambda: incr.append(delta[half:]),
             lambda: cold.run(workload.query, tab_c),
-        )
+        ))
         assert incr.engine.metrics.get(
             MetricsRegistry.INCR_INVALIDATIONS
         ) == invalidations_before
-        stats = incr._last_incremental
         reads = TableReads(tab_i)
         workload.query.build_aux(reads)
         if protected in reads.names:  # aux moves with the rows
@@ -445,7 +466,8 @@ class TestInvalidation:
         r_i = incr.run(workload.query, tab_i)
         r_c = cold.run(workload.query, tab_c)
         _assert_results_equal(r_i, r_c)
-        assert incr._last_incremental is None  # ran cold
+        assert r_i.metrics.get(MetricsRegistry.INCR_RECORDS_MAPPED) == 0
+        assert r_i.metrics.get(MetricsRegistry.INCR_RECORDS_REUSED) == 0
         assert incr.engine.metrics.get(
             MetricsRegistry.INCR_INVALIDATIONS
         ) >= 1
