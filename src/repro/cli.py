@@ -18,6 +18,15 @@ Observability is opt-in and documented in ``docs/observability.md``:
 ``--trace`` writes a Chrome trace-event JSON (load in
 ``chrome://tracing``) and ``--ledger`` writes the append-only privacy
 audit ledger as JSONL.
+
+Exit status: 0 on success; 2 on a usage error (a bad argument, a
+missing artifact, ``--append`` holding back the whole protected
+table); 3 when RANGE ENFORCER refuses a release of ``run --append``
+(a small append can look neighbouring to the release before it).  A
+refusal still writes ``--ledger`` and ``--trace``, the ledger ending
+in the ``refused`` row, and prints one ``refused:`` line to stderr.
+``run-sql`` and ``compare`` make one release on a fresh session, which
+RANGE ENFORCER cannot refuse (it has no prior), so they never exit 3.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from typing import List, Optional
 from repro._version import __version__
 from repro.analysis import format_table
 from repro.core import UPAConfig, UPASession
+from repro.core.session import ReleaseRefused
 from repro.engine.metrics import MetricsRegistry
 
 
@@ -187,26 +197,37 @@ def _cmd_run(args) -> int:
         tracer=tracer,
         ledger=ledger,
     )
-    with use_tracer(tracer):
-        result = session.run(workload.query, tables, epsilon=args.epsilon)
-        for step in range(append_steps):
-            chunk = held_back[step * append_n:(step + 1) * append_n]
-            result = session.append(chunk, epsilon=args.epsilon)
-            mapped = int(result.metrics.get(
-                MetricsRegistry.INCR_RECORDS_MAPPED
-            ))
-            reused = int(result.metrics.get(
-                MetricsRegistry.INCR_RECORDS_REUSED
-            ))
-            # A release that could not continue the window ran cold:
-            # it counts neither, and its delta fraction is 1.
-            fraction = mapped / (mapped + reused) if mapped + reused else 1.0
-            print(
-                f"append {step + 1}/{append_steps}: +{len(chunk)} records, "
-                f"released in {result.elapsed_seconds:.3f}s "
-                f"(delta fraction {fraction:.4f}, "
-                f"{mapped} records mapped, {reused} reused)"
+    try:
+        with use_tracer(tracer):
+            result = session.run(
+                workload.query, tables, epsilon=args.epsilon
             )
+            for step in range(append_steps):
+                chunk = held_back[step * append_n:(step + 1) * append_n]
+                result = session.append(chunk, epsilon=args.epsilon)
+                mapped = int(result.metrics.get(
+                    MetricsRegistry.INCR_RECORDS_MAPPED
+                ))
+                reused = int(result.metrics.get(
+                    MetricsRegistry.INCR_RECORDS_REUSED
+                ))
+                # A release that could not continue the window ran
+                # cold: it counts neither, and its delta fraction is 1.
+                fraction = (
+                    mapped / (mapped + reused) if mapped + reused else 1.0
+                )
+                print(
+                    f"append {step + 1}/{append_steps}: +{len(chunk)} "
+                    f"records, released in {result.elapsed_seconds:.3f}s "
+                    f"(delta fraction {fraction:.4f}, "
+                    f"{mapped} records mapped, {reused} reused)"
+                )
+    except ReleaseRefused as refusal:
+        # Nothing was released or charged; the ledger ends in the
+        # refused row, so the artifacts are written all the same.
+        _emit_observability(args, tracer, ledger)
+        print(f"refused: {refusal}", file=sys.stderr)
+        return 3
     truth = workload.query.output(tables)
     rows = [
         ["true answer", truth[0] if truth.shape[0] == 1 else list(truth)],

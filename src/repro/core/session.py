@@ -1,6 +1,6 @@
 """UPASession: the end-to-end UPA pipeline (paper Figure 1).
 
-One ``run()`` executes the four phases:
+One release runs five phases:
 
 1. **Partition & Sample** — :mod:`repro.core.sampling`.
 2. **Parallel Map** — the query's mapper applied to S, S-bar and S'
@@ -10,17 +10,19 @@ One ``run()`` executes the four phases:
    removal neighbours come from prefix/suffix folds over the n mapped
    samples (O(n) combines total instead of O(n * |x|)); addition
    neighbours combine one extra mapped record with f(x)'s aggregate.
-4. **iDP Enforcement** — :mod:`repro.core.inference` fits the output
-   range and local sensitivity; :mod:`repro.core.range_enforcer` runs
-   Algorithm 2; Laplace noise calibrated to the sensitivity is added.
+4. **Range inference** — :mod:`repro.core.inference` fits the output
+   range and local sensitivity to the sampled neighbours' outputs.
+5. **iDP Enforcement** — :mod:`repro.core.range_enforcer` runs
+   Algorithm 2, and Laplace noise calibrated to the sensitivity is
+   added.
 
-Phases 2–3 (:func:`reduce_phase`) and the noise draw
-(:func:`add_noise`) are functions of their inputs, so a release can be
-run without a session: ``partition_and_sample → reduce_phase →
-infer_output_range / infer_local_sensitivity → RangeEnforcer.enforce →
-add_noise``.  :class:`UPASession` calls them in that order and keeps
-what outlives one release: the accountant, the ledger, the tracer, the
-replay lookup, the per-run rng counter and the append/retire cursor.
+:func:`release` is that sequence, a function of its inputs: the
+session-free entry point, and one trial of the mechanism for an
+empirical privacy audit.  A submission RANGE ENFORCER refuses leaves it
+as :class:`ReleaseRefused`, carrying the fit it was refused under.
+:class:`UPASession` calls :func:`release` and keeps what outlives one
+release: the accountant, the ledger, the tracer, the replay lookup, the
+per-run rng counter and the append/retire window.
 """
 
 from __future__ import annotations
@@ -288,14 +290,15 @@ def reduce_phase(
     engine: EngineContext,
     parts: int,
     tracer: Tracer,
-    premapped: Optional[Tuple[Tuple[List[Any], List[Any]], Any]] = None,
+    window: Any = None,
 ) -> _PipelineState:
     """Phases 2 and 3: Parallel Map and Union Preserving Reduce.
 
     Each partition's S' is cut into ``parts`` engine slices and mapped
     and folded on ``engine``; S and S-bar are mapped on the driver.
-    ``premapped`` (the append/retire path) hands over S' already cut
-    into those slices as ``map_batch`` batches, and S's batch.  ``rng``
+    ``window`` (the append/retire path) is one ``map_batch`` batch of
+    every record of the sampled table, in row order, mapped under this
+    ``aux``: S' and S are selected from it instead of mapped.  ``rng``
     is not drawn from here: the returned state keeps it for RANGE
     ENFORCER's removals.
     """
@@ -308,7 +311,7 @@ def reduce_phase(
         # slices, the engine gets one element per slice and every
         # slice is one task returning fold_batch(map_batch(slice));
         # aggregate() combines the partials in slice order.
-        if premapped is None:
+        if window is None:
             task = _MapFoldSlice(query, aux)
             sprime = [
                 [part[lo:hi] for lo, hi in _engine_slices(len(part), parts)]
@@ -316,12 +319,21 @@ def reduce_phase(
             ]
             mapped_s = None
         else:
-            # Incremental fast path: S' and S are already mapped (the
-            # session's window), S' cut at the same boundaries, one
-            # batch per engine partition, so the per-partition
-            # aggregates are bitwise equal to a cold run's.
+            # Incremental fast path: S' is taken out of the window
+            # exactly as partition_and_sample split the records, in
+            # the same slices, so the per-partition aggregates are
+            # bitwise equal to a cold run's.  An element does not
+            # depend on the batch it was mapped in (DESIGN.md section
+            # 5, item 6), so S is selected too rather than mapped.
             task = _FoldSlice(query)
-            sprime, mapped_s = premapped
+            sprime = [
+                [
+                    query.batch_select(window, indices[lo:hi])
+                    for lo, hi in _engine_slices(len(indices), parts)
+                ]
+                for indices in sample.remaining_indices
+            ]
+            mapped_s = query.batch_select(window, sample.sampled_indices)
         r_sprime_parts: List[Any] = [
             engine.parallelize(part, parts)
             .map_partitions(task)
@@ -387,6 +399,137 @@ def add_noise(value: Any, sensitivity: float, epsilon: float,
     """
     return LaplaceMechanism(epsilon=epsilon, seed=seed).randomize(
         value, sensitivity
+    )
+
+
+class ReleaseRefused(DPError):
+    """RANGE ENFORCER refused a submission: nothing was released.
+
+    It ran out of sampled records separating the submission from a
+    prior one.  The refusal carries the fit it was made under —
+    ``inferred``, the ``estimated_local_sensitivity`` and the
+    ``sample_size`` — which is what a ``refused`` ledger row records.
+    """
+
+    def __init__(self, message: str, inferred: InferredRange,
+                 estimated_local_sensitivity: float, sample_size: int):
+        super().__init__(message)
+        self.inferred = inferred
+        self.estimated_local_sensitivity = estimated_local_sensitivity
+        self.sample_size = sample_size
+
+
+def _fit(
+    query: MapReduceQuery, tables: Tables, table: ProtectedTable, *,
+    seed: int, run: int, sample_size: int, parts: int,
+    engine: EngineContext, aux: Any, window: Any = None,
+    registered: bool = False, tracer: Tracer = NULL_TRACER,
+) -> Tuple[PartitionedSample, _PipelineState, InferredRange, float]:
+    """Phases 1-4 of :func:`release`: the sample, the reduce-side
+    state, the inferred range and the estimated local sensitivity."""
+    rng = make_rng(seed, f"upa-run-{run}")
+    with tracer.span(
+        "phase:partition_sample", query=query.name, sample_size=sample_size,
+    ) as sample_span:
+        sample = partition_and_sample(
+            query, tables, sample_size, rng, table=table, tracer=tracer,
+        )
+        sample_span.set_attribute("sampled", sample.sample_size)
+        sample_span.set_attribute("incremental", window is not None)
+        sample_span.set_attribute("registered", registered)
+    state = reduce_phase(
+        query, aux, sample, rng, engine=engine, parts=parts, tracer=tracer,
+        window=window,
+    )
+    neighbours = state.neighbours
+    with tracer.span("phase:inference") as inference_span:
+        inferred = infer_output_range(neighbours, state.population)
+        estimated_ls = infer_local_sensitivity(
+            neighbours, state.plain, state.population
+        )
+        inference_span.set_attribute(
+            "local_sensitivity", inferred.local_sensitivity
+        )
+        inference_span.set_attribute(
+            "neighbour_outputs", int(neighbours.shape[0])
+        )
+    return sample, state, inferred, estimated_ls
+
+
+def release(
+    query: MapReduceQuery, tables: Tables, table: ProtectedTable,
+    epsilon: float, *, seed: int, run: int, sample_size: int, parts: int,
+    enforcer: RangeEnforcer, engine: EngineContext, aux: Any,
+    window: Any = None, registered: bool = False,
+    tracer: Tracer = NULL_TRACER,
+) -> UPAResult:
+    """One release of ``query`` over ``table``, the protected list of
+    ``tables``: sample, map, reduce, infer, enforce and add noise.
+
+    The sample and RANGE ENFORCER's removals draw from
+    ``make_rng(seed, f"upa-run-{run}")`` and the noise is seeded by
+    ``derive_seed(seed, f"noise-{run}")``, so the same arguments and an
+    ``enforcer`` in the same state give the same bits — what a session
+    releases as its ``run``-th.  ``aux`` is ``query.build_aux(tables)``;
+    ``window`` (see :func:`reduce_phase`) skips mapping S' and S;
+    ``registered`` is only written onto the ``phase:partition_sample``
+    span.  ``parts`` is the engine slices per partition.
+
+    RANGE ENFORCER registering the submission is the commit point: a
+    refusal raises :class:`ReleaseRefused` and registers nothing, and
+    after the registration only the noise draw can fail.
+    ``elapsed_seconds`` and ``metrics`` cover this call.
+    """
+    metrics_before = engine.metrics.mark()
+    with Timer() as timer:
+        sample, state, inferred, estimated_ls = _fit(
+            query, tables, table, seed=seed, run=run,
+            sample_size=sample_size, parts=parts, engine=engine, aux=aux,
+            window=window, registered=registered, tracer=tracer,
+        )
+        with tracer.span("phase:noise") as noise_span:
+            partition_outputs = state.partition_outputs()
+            with tracer.span(
+                "phase:enforce", registry=len(enforcer),
+            ) as enforce_span:
+                try:
+                    enforcement = enforcer.enforce(state, inferred)
+                except DPError as exc:
+                    raise ReleaseRefused(
+                        str(exc), inferred, estimated_ls, sample.sample_size,
+                    ) from exc
+                enforce_span.set_attribute(
+                    "matched_prior", enforcement.matched_prior
+                )
+                enforce_span.set_attribute("sweeps", enforcement.sweeps)
+                enforce_span.set_attribute(
+                    "records_removed", enforcement.records_removed
+                )
+            sensitivity = max(inferred.local_sensitivity, noise_floor(query))
+            noisy = add_noise(
+                enforcement.output, sensitivity, epsilon,
+                derive_seed(seed, f"noise-{run}"),
+            )
+            noise_span.set_attribute("clamped", enforcement.clamped)
+            noise_span.set_attribute(
+                "records_removed", enforcement.records_removed
+            )
+    return UPAResult(
+        noisy_output=np.asarray(noisy, dtype=float).reshape(-1),
+        raw_output=enforcement.output,
+        plain_output=state.plain,
+        local_sensitivity=inferred.local_sensitivity,
+        estimated_local_sensitivity=estimated_ls,
+        noise_scale=sensitivity / epsilon,
+        inferred_range=inferred,
+        removal_outputs=state.removal,
+        addition_outputs=state.addition,
+        partition_outputs=partition_outputs,
+        enforcement=enforcement,
+        epsilon=epsilon,
+        sample_size=sample.sample_size,
+        elapsed_seconds=timer.elapsed,
+        metrics=engine.metrics.since(metrics_before),
     )
 
 
@@ -548,9 +691,8 @@ class UPASession:
     ) -> UPAResult:
         """A fresh release of a submission :meth:`run` found no replay
         for, from the session's ``table`` of its protected list: the
-        phase functions in order."""
+        bookkeeping around one :func:`release`."""
         config = self.config
-        tracer = self.tracer
         metrics = self.engine.metrics
         if self.accountant is not None:
             # Only asked here; the charge lands once the release is
@@ -559,118 +701,31 @@ class UPASession:
             self.accountant.require(epsilon)
 
         metrics_before = metrics.mark()
-
         with Timer() as timer:
             self._run_counter += 1
-            rng = make_rng(config.seed, f"upa-run-{self._run_counter}")
-            with tracer.span(
-                "phase:partition_sample", query=query.name,
-                sample_size=config.sample_size,
-            ) as sample_span:
-                incr = self._incr
-                primed = incr is not None and incr.primed
-                use_incr = primed and incr.matches(query, tables, table)
-                if primed and not use_incr:
-                    # The cached state no longer describes this
-                    # submission (different query or externally mutated
-                    # table): run cold and rebuild below.
-                    metrics.incr(MetricsRegistry.INCR_INVALIDATIONS)
-                # Besides the protected table, aux and a compiled
-                # plan's scans, a release depends on what the sampler
-                # reads.
-                reads = TableReads(tables)
-                sample = partition_and_sample(
-                    query, reads, config.sample_size, rng,
-                    table=table, tracer=tracer,
-                )
-                sample_span.set_attribute("sampled", sample.sample_size)
-                sample_span.set_attribute("incremental", use_incr)
-                sample_span.set_attribute("registered", registered)
+            # Besides the protected table, aux and a compiled plan's
+            # scans, a release depends on what the sampler reads.
+            reads = TableReads(tables)
             aux, aux_read, aux_public = self._aux(query, tables)
-            premapped = None
-            if use_incr:
-                with tracer.span(
-                    "phase:incremental_delta", query=query.name,
-                ) as delta_span:
-                    premapped, stats = self._incremental_elements(
-                        incr, query, aux, aux_public, sample
-                    )
-                    for key, value in stats.items():
-                        delta_span.set_attribute(key, value)
-            state = reduce_phase(
-                query, aux, sample, rng, engine=self.engine,
-                parts=config.engine_partitions, tracer=tracer,
-                premapped=premapped,
-            )
-            neighbours = state.neighbours
-            with tracer.span("phase:inference") as inference_span:
-                inferred = infer_output_range(neighbours, state.population)
-                estimated_ls = infer_local_sensitivity(
-                    neighbours, state.plain, state.population
+            window = self._window(query, tables, table, aux, aux_public)
+            try:
+                result = release(
+                    query, reads, table, epsilon,
+                    seed=config.seed, run=self._run_counter,
+                    sample_size=config.sample_size,
+                    parts=config.engine_partitions,
+                    enforcer=self.enforcer, engine=self.engine, aux=aux,
+                    window=window, registered=registered, tracer=self.tracer,
                 )
-                inference_span.set_attribute(
-                    "local_sensitivity", inferred.local_sensitivity
-                )
-                inference_span.set_attribute(
-                    "neighbour_outputs", int(neighbours.shape[0])
-                )
-            with tracer.span("phase:noise") as noise_span:
-                partition_outputs = state.partition_outputs()
-                with tracer.span(
-                    "phase:enforce", registry=len(self.enforcer),
-                ) as enforce_span:
-                    try:
-                        enforcement = self.enforcer.enforce(state, inferred)
-                    except DPError:
-                        # A refusal is an outcome like a release: it is
-                        # logged (at zero epsilon) and the append cursor
-                        # follows it.
-                        self._remember_run(query, tables, table)
-                        self._record_refusal(
-                            query, inferred, estimated_ls, sample.sample_size,
-                        )
-                        raise
-                    enforce_span.set_attribute(
-                        "matched_prior", enforcement.matched_prior
-                    )
-                    enforce_span.set_attribute("sweeps", enforcement.sweeps)
-                    enforce_span.set_attribute(
-                        "records_removed", enforcement.records_removed
-                    )
-                # The commit point: RANGE ENFORCER has registered the
-                # submission.  Only the noise draw can fail after it,
-                # and it runs before epsilon is charged.
-                sensitivity = max(
-                    inferred.local_sensitivity, noise_floor(query)
-                )
-                noisy = add_noise(
-                    enforcement.output,
-                    sensitivity,
-                    epsilon,
-                    derive_seed(config.seed, f"noise-{self._run_counter}"),
-                )
-                noise_span.set_attribute("clamped", enforcement.clamped)
-                noise_span.set_attribute(
-                    "records_removed", enforcement.records_removed
-                )
-
-        result = UPAResult(
-            noisy_output=np.asarray(noisy, dtype=float).reshape(-1),
-            raw_output=enforcement.output,
-            plain_output=state.plain,
-            local_sensitivity=inferred.local_sensitivity,
-            estimated_local_sensitivity=estimated_ls,
-            noise_scale=sensitivity / epsilon,
-            inferred_range=inferred,
-            removal_outputs=state.removal,
-            addition_outputs=state.addition,
-            partition_outputs=partition_outputs,
-            enforcement=enforcement,
-            epsilon=epsilon,
-            sample_size=sample.sample_size,
-            elapsed_seconds=timer.elapsed,
-            metrics=metrics.since(metrics_before),
-        )
+            except ReleaseRefused as refusal:
+                # A refusal is an outcome like a release: it is logged
+                # (at zero epsilon) and the append cursor follows it.
+                self._remember_run(query, tables, table)
+                self._record_refusal(query, refusal)
+                raise
+        # The aux lookup and the window upkeep count in the release.
+        result.elapsed_seconds = timer.elapsed
+        result.metrics = metrics.since(metrics_before)
         # The release is certain: charge it, move the append cursor,
         # keep it for replay and log it together.
         if self.accountant is not None:
@@ -707,7 +762,6 @@ class UPASession:
             raise DPError("append() needs at least one record")
         self._tables.append(incr.table, new_records)
         incr.primed = True
-        self.engine.metrics.incr(MetricsRegistry.INCR_APPENDS)
         return self.run(incr.query, incr.tables, epsilon)
 
     def retire(
@@ -736,7 +790,6 @@ class UPASession:
                 range(count, incr.query.batch_length(incr.window)),
             )
         incr.primed = True
-        self.engine.metrics.incr(MetricsRegistry.INCR_RETIRES)
         return self.run(incr.query, incr.tables, epsilon)
 
     def _require_incremental(self, op: str) -> "_IncrementalState":
@@ -779,11 +832,7 @@ class UPASession:
         )
 
     def _record_refusal(
-        self,
-        query: MapReduceQuery,
-        inferred: InferredRange,
-        estimated_ls: float,
-        sample_size: int,
+        self, query: MapReduceQuery, refusal: ReleaseRefused,
     ) -> None:
         """Append the audit entry of a submission RANGE ENFORCER refused.
 
@@ -792,12 +841,13 @@ class UPASession:
         is charged, and the row carries the fit the refusal was made
         under.
         """
+        inferred = refusal.inferred
         self._append_ledger(
             query, inferred,
             epsilon_charged=0.0,
-            sample_size=sample_size,
+            sample_size=refusal.sample_size,
             local_sensitivity=inferred.local_sensitivity,
-            estimated_local_sensitivity=estimated_ls,
+            estimated_local_sensitivity=refusal.estimated_local_sensitivity,
             clamped=False,
             matched_prior=True,
             records_removed=0,
@@ -883,26 +933,21 @@ class UPASession:
     def infer_sensitivity(
         self, query: MapReduceQuery, tables: Tables
     ) -> InferredRange:
-        """Sensitivity inference only (no enforcement, no noise).
+        """Sensitivity inference only: phases 1-4 of :func:`release`.
 
         Used by the accuracy benchmarks; does not register the query
         with RANGE ENFORCER and spends no budget.  It draws the per-run
         rng like a release does.
         """
         config = self.config
-        table, _registered = self._lookup(protected_records(query, tables))
+        table, registered = self._lookup(protected_records(query, tables))
         self._run_counter += 1
-        rng = make_rng(config.seed, f"upa-run-{self._run_counter}")
-        sample = partition_and_sample(
-            query, tables, config.sample_size, rng,
-            table=table, tracer=self.tracer,
-        )
-        state = reduce_phase(
-            query, self._aux(query, tables)[0], sample, rng,
-            engine=self.engine, parts=config.engine_partitions,
-            tracer=self.tracer,
-        )
-        return infer_output_range(state.neighbours, state.population)
+        return _fit(
+            query, tables, table, seed=config.seed, run=self._run_counter,
+            sample_size=config.sample_size, parts=config.engine_partitions,
+            engine=self.engine, aux=self._aux(query, tables)[0],
+            registered=registered, tracer=self.tracer,
+        )[2]
 
     def _lookup(self, records: List[Any]) -> Tuple[ProtectedTable, bool]:
         """The session's table of ``records`` and whether it was already
@@ -938,61 +983,53 @@ class UPASession:
         if incr is None or not incr.matches(query, tables, table):
             self._incr = _IncrementalState(query, tables, table)
 
-    def _incremental_elements(
+    def _window(
         self,
-        incr: "_IncrementalState",
         query: MapReduceQuery,
+        tables: Tables,
+        table: ProtectedTable,
         aux: Any,
         cacheable: bool,
-        sample: PartitionedSample,
-    ) -> Tuple[Tuple[Tuple[List[Any], List[Any]], Any], dict]:
-        """Assemble the mapped batches of S' and S from the window.
+    ) -> Any:
+        """The mapped window of ``table.rows`` an append()/retire()
+        release folds, or None for a cold release.
 
-        Returns, per partition, S' cut into the engine slices of
-        :func:`reduce_phase`, each slice one ``map_batch`` batch; and
-        S's batch.  The window holds every record's element, S's too,
-        and an element does not depend on the batch it was mapped in
-        (DESIGN.md section 5, item 6), so S is selected from it rather
-        than mapped again, and only the rows past the window's tail are
-        mapped.
-
-        The window is kept only when ``cacheable`` (aux read no
-        protected row) and was mapped under this same ``aux``.
-        Otherwise (old elements may be wrong under the new aux) every
-        record is mapped each release, which still yields the
-        bitwise-identical answer, just without the speedup.
+        A release continues the window when the cursor is primed and
+        still describes the submission; only the rows past the
+        window's tail are mapped.  The window is kept only when
+        ``cacheable`` (aux read no protected row) and was mapped under
+        this same ``aux``.  Otherwise (old elements may be wrong under
+        the new aux) every record is mapped each release, which still
+        yields the bitwise-identical answer, just without the speedup.
         """
+        incr = self._incr
+        if not (
+            incr is not None and incr.primed
+            and incr.matches(query, tables, table)
+        ):
+            return None
         metrics = self.engine.metrics
-        records = incr.table.rows
-        total = len(records)
-        window = incr.window if cacheable and incr.aux is aux else None
-        reused = 0 if window is None else query.batch_length(window)
-        mapped = total - reused
-        if mapped:
-            fresh = query.map_batch(records[reused:], aux)
-            window = fresh if window is None else query.batch_concat(
-                [window, fresh]
+        with self.tracer.span(
+            "phase:incremental_delta", query=query.name,
+        ) as delta_span:
+            records = table.rows
+            total = len(records)
+            window = incr.window if cacheable and incr.aux is aux else None
+            reused = 0 if window is None else query.batch_length(window)
+            mapped = total - reused
+            if mapped:
+                fresh = query.map_batch(records[reused:], aux)
+                window = fresh if window is None else query.batch_concat(
+                    [window, fresh]
+                )
+            incr.window, incr.aux = (
+                (window, aux) if cacheable else (None, None)
             )
-        incr.window, incr.aux = (window, aux) if cacheable else (None, None)
-        metrics.incr(MetricsRegistry.INCR_RECORDS_REUSED, reused)
-        metrics.incr(MetricsRegistry.INCR_RECORDS_MAPPED, mapped)
-        delta_fraction = mapped / total if total else 0.0
-
-        # Take S' out of the window exactly as partition_and_sample
-        # split the records themselves, in the slices the engine cuts a
-        # cold run's S' into.
-        parts = self.config.engine_partitions
-        remaining = tuple(
-            [
-                query.batch_select(window, indices[lo:hi])
-                for lo, hi in _engine_slices(len(indices), parts)
-            ]
-            for indices in sample.remaining_indices
-        )
-        mapped_s = query.batch_select(window, sample.sampled_indices)
-        stats = {
-            "records_reused": reused,
-            "records_mapped": mapped,
-            "delta_fraction": delta_fraction,
-        }
-        return (remaining, mapped_s), stats
+            metrics.incr(MetricsRegistry.INCR_RECORDS_REUSED, reused)
+            metrics.incr(MetricsRegistry.INCR_RECORDS_MAPPED, mapped)
+            delta_span.set_attribute("records_reused", reused)
+            delta_span.set_attribute("records_mapped", mapped)
+            delta_span.set_attribute(
+                "delta_fraction", mapped / total if total else 0.0
+            )
+        return window

@@ -757,16 +757,12 @@ def _compile_dynamic(
                 if metrics is not None:
                     metrics.incr(MetricsRegistry.SQL_PLAN_CACHE_HITS)
                 return dynamic
-        if metrics is not None:
-            metrics.incr(MetricsRegistry.SQL_PLAN_CACHE_MISSES)
     dynamic = _Compiler(tables, protected_table, scanned).compile(plan_child)
     if cacheable:
         with _bridge_lock:
             _bridge_cache[key] = (dynamic, FixedLists(tables, scanned))
             while len(_bridge_cache) > _BRIDGE_CACHE_SIZE:
                 _bridge_cache.popitem(last=False)
-                if metrics is not None:
-                    metrics.incr(MetricsRegistry.SQL_PLAN_CACHE_EVICTIONS)
     return dynamic
 
 
@@ -781,9 +777,9 @@ def compile_plan(
     """Compile a logical plan into a UPA-ready MapReduceQuery.
 
     ``engine`` (an :class:`~repro.engine.context.EngineContext`), when
-    given, receives the hit/miss/eviction counters of the bridge's
-    compile cache.  They keep the names ``sql.plan_cache.*`` although
-    this is the only plan cache: ``SQLSession`` caches no plans.
+    given, counts the hits of the bridge's compile cache.  The counter
+    keeps the name ``sql.plan_cache.hits`` although this is the only
+    plan cache: ``SQLSession`` caches no plans.
 
     Raises:
         QueryShapeError: if the plan is not a single COUNT/SUM linear in

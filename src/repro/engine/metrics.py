@@ -44,26 +44,17 @@ class MetricsRegistry:
     TASK_RETRIES = "task_retries"
     RECORDS_READ = "records_read"
 
-    #: Counter names of the SQL bridge's compile cache
+    #: Counter of the SQL bridge's compile cache
     #: (core.sqlbridge.compile_plan), the only plan cache there is.
-    #: The names keep their ``sql.plan_cache`` prefix: the e2e benchmark
-    #: reads them.
+    #: The name keeps its ``sql.plan_cache`` prefix: the e2e benchmark
+    #: reads it.
     SQL_PLAN_CACHE_HITS = "sql.plan_cache.hits"
-    SQL_PLAN_CACHE_MISSES = "sql.plan_cache.misses"
-    #: entries pushed out of the bounded bridge cache by the LRU cap
-    #: (lifecycle clears are not evictions).
-    SQL_PLAN_CACHE_EVICTIONS = "sql.plan_cache.evictions"
 
-    #: Counter names used by the incremental session path
-    #: (UPASession.append / retire — see docs/performance.md).
-    INCR_APPENDS = "incremental.appends"
-    INCR_RETIRES = "incremental.retires"
-    #: records whose mapped element was reused vs freshly mapped.
+    #: Counter names of the incremental session path
+    #: (UPASession.append / retire — see docs/performance.md): records
+    #: whose mapped element was reused vs freshly mapped.
     INCR_RECORDS_REUSED = "incremental.records_reused"
     INCR_RECORDS_MAPPED = "incremental.records_mapped"
-    #: appended-to windows a release could not continue (external table
-    #: mutation, query switch).
-    INCR_INVALIDATIONS = "incremental.invalidations"
 
     #: Counter names of the session's table registry (core.table):
     #: protected lists hashed at first sight, phase 1s released from a

@@ -490,7 +490,7 @@ def _spy_phase2(monkeypatch):
     captured: list = []
     reduce_phase = session_mod.reduce_phase
 
-    def spy(query, aux, sample, rng, *, engine, premapped=None, **kwargs):
+    def spy(query, aux, sample, rng, *, engine, window=None, **kwargs):
         scheduler = engine.scheduler
         run_job = scheduler.run_job
         jobs: list = []
@@ -503,13 +503,13 @@ def _spy_phase2(monkeypatch):
         scheduler.run_job = recording
         try:
             out = reduce_phase(query, aux, sample, rng, engine=engine,
-                               premapped=premapped, **kwargs)
+                               window=window, **kwargs)
         finally:
             del scheduler.run_job
         # ``remaining`` are views of the live table, which the next
         # append()/retire() mutates: take the rows within the release.
         captured.append((
-            query, aux, sample, premapped is not None, jobs,
+            query, aux, sample, window is not None, jobs,
             [list(part) for part in sample.remaining],
         ))
         return out

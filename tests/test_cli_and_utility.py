@@ -96,6 +96,33 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1
         assert "released" not in captured.out
 
+    def test_a_refused_append_keeps_the_ledger_and_exits_3(
+        self, capsys, tmp_path
+    ):
+        """tpch21's second 20-record append looks neighbouring to the
+        first; RANGE ENFORCER refuses it, and the artifacts of the two
+        releases before it, and of the refusal, are written."""
+        from repro.obs import ObservedRun
+
+        ledger, trace = tmp_path / "l.jsonl", tmp_path / "t.json"
+        assert main(
+            ["run", "tpch21", "--scale", "2000", "--sample-size", "100",
+             "--seed", "0", "--append", "20", "--append-steps", "2",
+             "--ledger", str(ledger), "--trace", str(trace)]
+        ) == 3
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("refused: RANGE ENFORCER exhausted")
+        assert trace.exists()
+        observed = ObservedRun.from_artifacts(
+            trace_path=str(trace), ledger_path=str(ledger)
+        )
+        entries = observed.ledger_entries
+        assert [entry.refused for entry in entries] == [False, False, True]
+        assert [entry.epsilon_charged for entry in entries] == [0.1, 0.1, 0.0]
+        (row,) = observed.query_summary()
+        assert (row["releases"], row["refused"]) == (2, 1)
+
     def test_run_vector_workload(self, capsys):
         assert main(
             ["run", "linreg", "--scale", "500", "--sample-size", "50"]

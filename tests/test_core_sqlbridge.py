@@ -574,37 +574,44 @@ class TestCompileCacheGuardsItsStaticLists:
             "c": [{"ck": i} for i in range(50)],
         }
 
-    def _compiles(self, first, second):
-        """Hits and misses of compiling TEXT over ``first``, then over
-        ``second``."""
+    def _compiles(self, first, second, monkeypatch):
+        """Cache hits, and plans compiled, of compiling TEXT over
+        ``first``, then over ``second`` (a miss compiles)."""
         from repro.core import sqlbridge
         from repro.engine.context import EngineContext
 
+        compiled = []
+        init = sqlbridge._Compiler.__init__
+
+        def counting(self, *args):
+            compiled.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(sqlbridge._Compiler, "__init__", counting)
         sqlbridge.clear_bridge_cache()
         engine = EngineContext()
         compile_sql(self.TEXT, first, "a", engine=engine)
         query = compile_sql(self.TEXT, second, "a", engine=engine)
         assert query.scanned_tables == ("b",)
-        metrics = engine.metrics
         return (
-            metrics.get(MetricsRegistry.SQL_PLAN_CACHE_HITS),
-            metrics.get(MetricsRegistry.SQL_PLAN_CACHE_MISSES),
+            engine.metrics.get(MetricsRegistry.SQL_PLAN_CACHE_HITS),
+            len(compiled),
         )
 
-    def test_an_extra_list_hits(self):
+    def test_an_extra_list_hits(self, monkeypatch):
         """The key held every non-protected name, so one more table in
         the dict recompiled and re-ran the static subtree."""
         tables = self._tables()
         extra = {**tables, "e": [{"x": 1}]}
-        assert self._compiles(tables, extra) == (1, 1)
+        assert self._compiles(tables, extra, monkeypatch) == (1, 1)
 
-    def test_a_change_to_an_unscanned_list_hits(self):
+    def test_a_change_to_an_unscanned_list_hits(self, monkeypatch):
         tables = self._tables()
         changed = {**tables, "c": tables["c"][:-1]}
-        assert self._compiles(tables, changed) == (1, 1)
+        assert self._compiles(tables, changed, monkeypatch) == (1, 1)
         # ... and a change to the scanned one still misses.
         grown = {**tables, "b": tables["b"] + [{"bk": 1, "w": 0.5}]}
-        assert self._compiles(tables, grown) == (0, 2)
+        assert self._compiles(tables, grown, monkeypatch) == (0, 2)
 
 
 class TestReplayIdentity:

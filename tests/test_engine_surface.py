@@ -60,7 +60,7 @@ EXPORT_CALLERS = {
             "src/repro/baselines/bruteforce.py::exact_local_sensitivity",
         "SQLSession": "src/repro/core/sqlbridge.py::compile_sql",
         "UPAConfig": "src/repro/cli.py::_cmd_run",
-        "UPAResult": "src/repro/core/session.py::UPASession._release",
+        "UPAResult": "src/repro/core/session.py::release",
         "UPASession": "src/repro/cli.py::_cmd_run",
         "dpread": "examples/quickstart.py::main",
         "__version__": "src/repro/cli.py::_build_parser",
@@ -69,7 +69,7 @@ EXPORT_CALLERS = {
         "MapReduceQuery":
             "src/repro/baselines/bruteforce.py::exact_local_sensitivity",
         "UPAConfig": "src/repro/cli.py::_cmd_run",
-        "UPAResult": "src/repro/core/session.py::UPASession._release",
+        "UPAResult": "src/repro/core/session.py::release",
         "UPASession": "src/repro/cli.py::_cmd_run",
     },
     "repro.dp": {

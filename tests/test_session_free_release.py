@@ -1,39 +1,41 @@
-"""A release run from the phase functions alone, without a session.
+"""A release made by :func:`repro.core.session.release`, without a session.
 
-``partition_and_sample → reduce_phase → infer_output_range /
-infer_local_sensitivity → RangeEnforcer.enforce → add_noise`` (at
-``max(local sensitivity, noise_floor(query))``) over a
-``ProtectedTable``, the first per-run rng and a fresh RANGE ENFORCER is
-what ``UPASession(UPAConfig(seed=seed)).run`` releases on its first
-submission, bit for bit, in every field ``benchmarks/release_digests.py``
-hashes.  This is the entry point for running many independent trials of
-the mechanism (an empirical privacy audit) without a session's state.
+``release`` over a ``ProtectedTable``, the session's per-run counter
+and its RANGE ENFORCER is what ``UPASession(UPAConfig(seed=seed))``
+releases, bit for bit, in every field ``benchmarks/release_digests.py``
+hashes: on a first submission, on a second one against the enforcer
+the first left, and on an ``append`` handed the mapped window.  Called
+with a fresh enforcer and the same ``run`` it gives the same bits —
+one trial of the mechanism, the unit of an empirical privacy audit.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
 
 from repro.baselines import exact_local_sensitivity
-from repro.common.rng import derive_seed, make_rng
+from repro.common.rng import make_rng
 from repro.core import session as session_mod
-from repro.core.inference import infer_local_sensitivity, infer_output_range
 from repro.core.range_enforcer import RangeEnforcer
 from repro.core.sampling import partition_and_sample
 from repro.core.session import (
+    ReleaseRefused,
     UPAConfig,
     UPASession,
-    add_noise,
-    noise_floor,
     reduce_phase,
+    release,
 )
 from repro.core.table import ProtectedTable
 from repro.engine.context import EngineContext
+from repro.obs.ledger import PrivacyLedger
 from repro.obs.tracing import NULL_TRACER
 from repro.workloads import all_workloads, workload_by_name
 
 SEED, SCALE, EPSILON = 3, 2000, 0.1
+CONFIG = UPAConfig(seed=SEED)
 
 
 def _bits(*values) -> bytes:
@@ -42,51 +44,24 @@ def _bits(*values) -> bytes:
     )
 
 
-def _release_without_session(query, tables, seed, epsilon):
-    """(sample, fields) of one release made from the phase functions."""
-    config = UPAConfig(seed=seed)
-    table = ProtectedTable(tables[query.protected_table])
-    rng = make_rng(seed, "upa-run-1")
-    enforcer = RangeEnforcer(rng=make_rng(seed, "range-enforcer"))
-
-    sample = partition_and_sample(
-        query, tables, config.sample_size, rng, table=table,
-    )
-    state = reduce_phase(
-        query, query.build_aux(tables), sample, rng, engine=EngineContext(),
-        parts=config.engine_partitions, tracer=NULL_TRACER,
-    )
-    inferred = infer_output_range(state.neighbours, state.population)
-    estimated = infer_local_sensitivity(
-        state.neighbours, state.plain, state.population
-    )
-    partition_outputs = state.partition_outputs()
-    enforcement = enforcer.enforce(state, inferred)
-    noisy = add_noise(
-        enforcement.output,
-        max(inferred.local_sensitivity, noise_floor(query)),
-        epsilon,
-        derive_seed(seed, "noise-1"),
-    )
-    return sample, {
-        "plain_output": state.plain,
-        "removal_outputs": state.removal,
-        "partition_outputs": partition_outputs,
-        "addition_outputs": state.addition,
-        "inferred_range": (
-            inferred.lower, inferred.upper, inferred.mean, inferred.std,
-        ),
-        "local_sensitivity": inferred.local_sensitivity,
-        "estimated_local_sensitivity": estimated,
-        "raw_output": enforcement.output,
-        "noisy_output": np.asarray(noisy, dtype=float).reshape(-1),
-        "matched_prior": enforcement.matched_prior,
-        "records_removed": enforcement.records_removed,
-        "clamped": enforcement.clamped,
-    }
+def _enforcer(config=CONFIG) -> RangeEnforcer:
+    """A fresh RANGE ENFORCER, seeded as a session seeds its own."""
+    return RangeEnforcer(rng=make_rng(config.seed, "range-enforcer"))
 
 
-def _session_fields(result) -> dict:
+def _release(query, tables, enforcer, *, run=1, window=None,
+             config=CONFIG, epsilon=EPSILON):
+    """``release`` of ``query`` over ``tables`` as a session's
+    ``run``-th release under ``config``."""
+    return release(
+        query, tables, ProtectedTable(tables[query.protected_table]),
+        epsilon, seed=config.seed, run=run, sample_size=config.sample_size,
+        parts=config.engine_partitions, enforcer=enforcer,
+        engine=EngineContext(), aux=query.build_aux(tables), window=window,
+    )
+
+
+def _fields(result) -> dict:
     inferred = result.inferred_range
     enforcement = result.enforcement
     return {
@@ -99,6 +74,7 @@ def _session_fields(result) -> dict:
         ),
         "local_sensitivity": result.local_sensitivity,
         "estimated_local_sensitivity": result.estimated_local_sensitivity,
+        "noise_scale": result.noise_scale,
         "raw_output": result.raw_output,
         "noisy_output": result.noisy_output,
         "matched_prior": enforcement.matched_prior,
@@ -107,12 +83,17 @@ def _session_fields(result) -> dict:
     }
 
 
-@pytest.mark.parametrize("name", [w.name for w in all_workloads()])
-def test_phase_functions_release_what_a_session_releases(monkeypatch, name):
-    workload = workload_by_name(name)
-    query = workload.query
-    tables = workload.make_tables(SCALE, SEED)
+def _assert_same_bits(mine, theirs, label) -> None:
+    mine, theirs = _fields(mine), _fields(theirs)
+    for field, value in mine.items():
+        other = theirs[field]
+        if not isinstance(value, tuple):
+            value, other = (value,), (other,)
+        assert _bits(*value) == _bits(*other), (label, field)
 
+
+def _record_samples(monkeypatch) -> list:
+    """Every PartitionedSample phase 1 draws from now on."""
     drawn = []
     real = session_mod.partition_and_sample
 
@@ -121,22 +102,141 @@ def test_phase_functions_release_what_a_session_releases(monkeypatch, name):
         return drawn[-1]
 
     monkeypatch.setattr(session_mod, "partition_and_sample", recording)
-    result = UPASession(UPAConfig(seed=SEED)).run(query, tables, EPSILON)
+    return drawn
+
+
+@pytest.mark.parametrize("name", [w.name for w in all_workloads()])
+def test_release_is_what_a_session_releases(monkeypatch, name):
+    workload = workload_by_name(name)
+    query = workload.query
+    tables = workload.make_tables(SCALE, SEED)
+
+    drawn = _record_samples(monkeypatch)
+    result = UPASession(CONFIG).run(query, tables, EPSILON)
+    mine = _release(query, tables, _enforcer())
     monkeypatch.undo()
 
-    sample, fields = _release_without_session(query, tables, SEED, EPSILON)
-    (session_sample,) = drawn
+    session_sample, sample = drawn
     for attr in ("sampled_indices", "partition_ids"):
         assert _bits(getattr(sample, attr)) == _bits(
             getattr(session_sample, attr)
         ), (name, attr)
-    expected = _session_fields(result)
-    assert fields.keys() == expected.keys()
-    for field, mine in fields.items():
-        theirs = expected[field]
-        if not isinstance(mine, tuple):
-            mine, theirs = (mine,), (theirs,)
-        assert _bits(*mine) == _bits(*theirs), (name, field)
+    _assert_same_bits(mine, result, name)
+
+
+@pytest.mark.parametrize("name", ["tpch6", "tpch13", "kmeans"])
+def test_a_second_submission_meets_the_enforcer_the_first_left(name):
+    """x, then x minus its last record: the second release reads the
+    registry the first one wrote, in the session and out of it."""
+    workload = workload_by_name(name)
+    query = workload.query
+    tables = workload.make_tables(SCALE, SEED)
+    protected = query.protected_table
+    minus = {**tables, protected: tables[protected][:-1]}
+
+    session = UPASession(CONFIG)
+    enforcer = _enforcer()
+    for run, submitted in enumerate((tables, minus), start=1):
+        _assert_same_bits(
+            _release(query, submitted, enforcer, run=run),
+            session.run(query, submitted, EPSILON),
+            (name, run),
+        )
+    assert len(enforcer) == len(session.enforcer) == 2
+
+
+@pytest.mark.parametrize("name", ["tpch1", "tpch13", "linreg"])
+def test_an_append_is_a_release_over_the_window(name):
+    """``session.append`` releases what ``release(..., window=...)``
+    does over the grown table — and what a cold ``release`` does."""
+    workload = workload_by_name(name)
+    query = workload.query
+    protected = query.protected_table
+    tables = workload.make_tables(SCALE, SEED)
+    rows = tables[protected]
+    held = len(rows) // 10
+    base = {**tables, protected: rows[:-held]}
+    grown = {**tables, protected: list(rows)}
+
+    enforcer = _enforcer()
+    _release(query, base, enforcer)
+    session = UPASession(CONFIG)
+    session.run(query, base, EPSILON)
+    appended = session.append(rows[-held:], EPSILON)  # grows base
+
+    cold_enforcer = copy.deepcopy(enforcer)
+    window = query.map_batch(grown[protected], query.build_aux(grown))
+    mine = _release(query, grown, enforcer, run=2, window=window)
+    _assert_same_bits(mine, appended, name)
+    _assert_same_bits(
+        _release(query, grown, cold_enforcer, run=2), appended, name
+    )
+
+
+def test_a_refusal_carries_the_fit_of_its_ledger_row():
+    """tpch21 appended to twice in small steps: the second append looks
+    neighbouring to the first and RANGE ENFORCER refuses it."""
+    workload = workload_by_name("tpch21")
+    query = workload.query
+    protected = query.protected_table
+    config = UPAConfig(sample_size=100, seed=0)
+    tables = workload.make_tables(2040, 0)
+    rows = tables[protected]
+    held = rows[-40:]
+    del rows[-40:]
+    snapshots = [
+        {**tables, protected: rows + held[:k]} for k in (0, 20, 40)
+    ]
+
+    ledger = PrivacyLedger()
+    session = UPASession(config, ledger=ledger)
+    session.run(query, tables, EPSILON)
+    session.append(held[:20], EPSILON)
+    with pytest.raises(ReleaseRefused) as refused:
+        session.append(held[20:], EPSILON)
+    *released, row = ledger.entries()
+    assert [entry.refused for entry in released] == [False, False]
+    assert row.refused and row.epsilon_charged == 0.0
+
+    refusal = refused.value
+    inferred = refusal.inferred
+    assert row.range_lower == tuple(inferred.lower)
+    assert row.range_upper == tuple(inferred.upper)
+    assert row.fitted_mean == tuple(inferred.mean)
+    assert row.fitted_std == tuple(inferred.std)
+    assert row.local_sensitivity == inferred.local_sensitivity
+    assert row.estimated_local_sensitivity == (
+        refusal.estimated_local_sensitivity
+    )
+    assert row.sample_size == refusal.sample_size
+
+    # Out of the session, the third release is refused with that fit.
+    enforcer = _enforcer(config)
+    for run, snapshot in enumerate(snapshots[:2], start=1):
+        _release(query, snapshot, enforcer, run=run, config=config)
+    with pytest.raises(ReleaseRefused) as mine:
+        _release(query, snapshots[2], enforcer, run=3, config=config)
+    assert _bits(
+        mine.value.inferred.lower, mine.value.inferred.upper,
+        mine.value.estimated_local_sensitivity,
+    ) == _bits(
+        inferred.lower, inferred.upper, refusal.estimated_local_sensitivity,
+    )
+    assert str(mine.value) == str(refusal)
+
+
+def test_a_trial_is_reproducible_from_its_run():
+    """Two calls with fresh enforcers and the same ``run`` give the same
+    bits; another ``run`` draws another sample and other noise."""
+    workload = workload_by_name("tpch6")
+    query = workload.query
+    tables = workload.make_tables(SCALE, SEED)
+    first = _release(query, tables, _enforcer(), run=5)
+    _assert_same_bits(
+        _release(query, tables, _enforcer(), run=5), first, "run 5",
+    )
+    other = _release(query, tables, _enforcer(), run=6)
+    assert _bits(other.noisy_output) != _bits(first.noisy_output)
 
 
 @pytest.mark.parametrize("name", ["tpch6", "linreg"])
