@@ -54,13 +54,13 @@ def _run_trials(workloads):
             result = session.run(workload.query, tables, epsilon=0.1)
             upa_estimates.append(result.estimated_local_sensitivity)
 
-            if flex_ok and hasattr(workload.query, "dataframe"):
+            if flex_ok and hasattr(workload.query, "sql_text"):
                 sql = SQLSession()
                 register_tables(sql, tables)
                 try:
                     flex_estimates.append(
                         flex_local_sensitivity(
-                            workload.query.dataframe(sql).plan, tables
+                            sql.sql(workload.query.sql_text()).plan, tables
                         ).sensitivity
                     )
                 except FlexUnsupportedError:

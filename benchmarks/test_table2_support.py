@@ -35,12 +35,12 @@ def _build_matrix(workloads):
         except Exception:  # pragma: no cover - support must not fail
             upa_ok = False
 
-        if hasattr(workload.query, "dataframe"):
+        if hasattr(workload.query, "sql_text"):
             sql = SQLSession()
             register_tables(sql, tables)
             try:
                 flex_local_sensitivity(
-                    workload.query.dataframe(sql).plan, tables
+                    sql.sql(workload.query.sql_text()).plan, tables
                 )
                 flex_ok = True
             except FlexUnsupportedError:

@@ -37,7 +37,7 @@ def _measure():
     sql = SQLSession()
     register_tables(sql, tables)
     flex_sens = flex_local_sensitivity(
-        workload.query.dataframe(sql).plan, tables
+        sql.sql(workload.query.sql_text()).plan, tables
     ).sensitivity
 
     rows = []

@@ -41,12 +41,12 @@ def main() -> None:
             break
 
         flex_text = "unsupported"
-        if hasattr(workload.query, "dataframe"):
+        if hasattr(workload.query, "sql_text"):
             sql = SQLSession()
             register_tables(sql, tables)
             try:
                 flex = flex_local_sensitivity(
-                    workload.query.dataframe(sql).plan, tables
+                    sql.sql(workload.query.sql_text()).plan, tables
                 )
                 flex_text = f"{flex.sensitivity:.3g}"
             except FlexUnsupportedError:

@@ -6,4 +6,4 @@ the version — can import it without triggering the full top-level
 import graph.
 """
 
-__version__ = "1.31.0"
+__version__ = "1.32.0"

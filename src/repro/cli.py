@@ -315,12 +315,12 @@ def _cmd_compare(args) -> int:
         result = session.run(workload.query, tables, epsilon=0.1)
 
         flex_text = "unsupported"
-        if hasattr(workload.query, "dataframe"):
+        if hasattr(workload.query, "sql_text"):
             sql = SQLSession()
             register_tables(sql, tables)
             try:
                 flex_text = flex_local_sensitivity(
-                    workload.query.dataframe(sql).plan, tables
+                    sql.sql(workload.query.sql_text()).plan, tables
                 ).sensitivity
             except FlexUnsupportedError:
                 pass

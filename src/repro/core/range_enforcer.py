@@ -47,6 +47,23 @@ class EnforcerRuntime(Protocol):
         """Drop two sampled records from the input; False if exhausted."""
 
 
+class EnforcementRefused(DPError):
+    """The removal loop ran out of sampled records: the submission
+    still looks neighbouring to a prior one, and is not registered.
+
+    ``records_removed`` is what the loop took out before it gave up,
+    and ``sweeps`` the passes over the registry it made.
+    """
+
+    #: a refusal always follows a match.
+    matched_prior = True
+
+    def __init__(self, message: str, records_removed: int, sweeps: int):
+        super().__init__(message)
+        self.records_removed = records_removed
+        self.sweeps = sweeps
+
+
 @dataclass
 class EnforcementResult:
     """What RANGE ENFORCER did to one submission.
@@ -169,13 +186,14 @@ class RangeEnforcer:
             prior = priors.rows[pos:pos + 1]
             while True:
                 if not runtime.remove_two_records():
-                    raise DPError(
+                    raise EnforcementRefused(
                         "RANGE ENFORCER exhausted sampled records while "
                         "separating neighbouring submissions: after "
                         f"removing {removed} records the submission still "
                         "looks neighbouring to registered submission "
                         f"{priors.ids[pos]} of {self._count}, and fewer "
-                        "than two sampled records are left"
+                        "than two sampled records are left",
+                        removed, sweeps,
                     )
                 removed += 2
                 current = self._read(runtime, shape)[1]

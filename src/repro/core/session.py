@@ -44,7 +44,9 @@ from repro.core.inference import (
     infer_output_range,
 )
 from repro.core.query import MapReduceQuery, Tables
-from repro.core.range_enforcer import EnforcementResult, RangeEnforcer
+from repro.core.range_enforcer import (
+    EnforcementRefused, EnforcementResult, RangeEnforcer,
+)
 from repro.core.sampling import (
     PartitionedSample,
     partition_and_sample,
@@ -408,15 +410,20 @@ class ReleaseRefused(DPError):
     It ran out of sampled records separating the submission from a
     prior one.  The refusal carries the fit it was made under —
     ``inferred``, the ``estimated_local_sensitivity`` and the
-    ``sample_size`` — which is what a ``refused`` ledger row records.
+    ``sample_size`` — and what its removal loop did, as
+    :class:`EnforcementRefused` has it: ``records_removed`` and
+    ``sweeps``.  A ``refused`` ledger row records all but ``sweeps``.
     """
 
     def __init__(self, message: str, inferred: InferredRange,
-                 estimated_local_sensitivity: float, sample_size: int):
+                 estimated_local_sensitivity: float, sample_size: int,
+                 records_removed: int, sweeps: int):
         super().__init__(message)
         self.inferred = inferred
         self.estimated_local_sensitivity = estimated_local_sensitivity
         self.sample_size = sample_size
+        self.records_removed = records_removed
+        self.sweeps = sweeps
 
 
 def _fit(
@@ -493,18 +500,19 @@ def release(
                 "phase:enforce", registry=len(enforcer),
             ) as enforce_span:
                 try:
-                    enforcement = enforcer.enforce(state, inferred)
-                except DPError as exc:
+                    outcome = enforcer.enforce(state, inferred)
+                except EnforcementRefused as exc:
+                    enforce_span.set_attribute("refused", True)
+                    outcome = exc
+                for name in ("matched_prior", "sweeps", "records_removed"):
+                    enforce_span.set_attribute(name, getattr(outcome, name))
+                if isinstance(outcome, EnforcementRefused):
                     raise ReleaseRefused(
-                        str(exc), inferred, estimated_ls, sample.sample_size,
-                    ) from exc
-                enforce_span.set_attribute(
-                    "matched_prior", enforcement.matched_prior
-                )
-                enforce_span.set_attribute("sweeps", enforcement.sweeps)
-                enforce_span.set_attribute(
-                    "records_removed", enforcement.records_removed
-                )
+                        str(outcome), inferred, estimated_ls,
+                        sample.sample_size, outcome.records_removed,
+                        outcome.sweeps,
+                    ) from outcome
+                enforcement = outcome
             sensitivity = max(inferred.local_sensitivity, noise_floor(query))
             noisy = add_noise(
                 enforcement.output, sensitivity, epsilon,
@@ -703,8 +711,8 @@ class UPASession:
         metrics_before = metrics.mark()
         with Timer() as timer:
             self._run_counter += 1
-            # Besides the protected table, aux and a compiled plan's
-            # scans, a release depends on what the sampler reads.
+            # Besides the protected table and aux, a release depends on
+            # what the sampler reads.
             reads = TableReads(tables)
             aux, aux_read, aux_public = self._aux(query, tables)
             window = self._window(query, tables, table, aux, aux_public)
@@ -839,7 +847,7 @@ class UPASession:
         It ran out of sampled records separating the submission from a
         prior one (so a prior matched); nothing was released, nothing
         is charged, and the row carries the fit the refusal was made
-        under.
+        under and the records its removal loop took out.
         """
         inferred = refusal.inferred
         self._append_ledger(
@@ -850,7 +858,7 @@ class UPASession:
             estimated_local_sensitivity=refusal.estimated_local_sensitivity,
             clamped=False,
             matched_prior=True,
-            records_removed=0,
+            records_removed=refusal.records_removed,
             refused=True,
         )
 

@@ -9,20 +9,22 @@ is single-rooted).
 
 The compiler splits the logical plan at the protected table:
 
-* subtrees that never read the protected table are **static** — they
-  are evaluated once (through the ordinary SQL executor) and, where a
-  join needs them, turned into hash indexes on the join key;
+* subtrees that never read the protected table are **static** — the
+  query's ``build_aux(tables)`` evaluates them (through the ordinary SQL
+  executor) over the tables it is given and turns each into a hash
+  index on its join key;
 * the path from the protected table's scan to the aggregate is
   **dynamic** — it is compiled into a plan over column blocks that,
-  given a batch of protected records, produces every record's
-  joined/filtered rows (filter masks, key-array joins) and folds them
-  per record with the aggregate.
+  given a batch of protected records and those indexes, produces every
+  record's joined/filtered rows (filter masks, key-array joins) and
+  folds them per record with the aggregate.  The compiled plan holds
+  no table data.
 
-``contribution(record) = aggregate(dynamic_rows([record]))`` — element
-i of ``map_batch`` — is then a valid Mapper for UPA, and the reducer is
-scalar addition — exactly the monoid UPA's reuse requires.  Non-linear
-shapes (self-joins on the protected table, EXISTS over it, GROUP BY,
-DISTINCT, AVG/MIN/MAX) are rejected with
+``map_record(record, aux) = aggregate(dynamic_rows([record]))`` —
+element i of ``map_batch`` — is then a valid Mapper for UPA, and the
+reducer is scalar addition — exactly the monoid UPA's reuse requires.
+Non-linear shapes (self-joins on the protected table, EXISTS over it,
+GROUP BY, DISTINCT, AVG/MIN/MAX) are rejected with
 :class:`repro.common.errors.QueryShapeError`.
 
 Example:
@@ -59,7 +61,6 @@ import numpy as np
 from repro.common.errors import AnalysisError, QueryShapeError
 from repro.core.batch import ScalarSumBatch, column_values
 from repro.core.query import MapReduceQuery, Row, Tables, sample_batch
-from repro.core.table import FixedLists
 from repro.engine.columnar import gather_columns, object_column
 from repro.engine.metrics import MetricsRegistry
 from repro.sql.compiler import (
@@ -85,18 +86,22 @@ from repro.sql.logical import (
 from repro.sql.vectorized import block_mask, block_value
 
 DomainSampler = Callable[[random.Random, Tables], Row]
+#: a compiled query's aux: one index per static join, by slot.
+Aux = Sequence["_StaticIndex"]
 
 
 # ---------------------------------------------------------------------------
 # Dynamic-path nodes
 # ---------------------------------------------------------------------------
 #
-# Every node answers two ways.  ``block(batch)`` is the production
+# Every node answers two ways.  ``block(batch, aux)`` is the production
 # path: the whole record batch flows through the plan as columns, and
-# the aggregate folds each record's rows by ``origin``.  ``rows([r])``
-# is the row interpreter — one record, dict rows — kept as the scalar
-# reference (``map_record``) that ``output``, ``validate_monoid`` and
-# the equivalence tests hold the batch path to, bit for bit.
+# the aggregate folds each record's rows by ``origin``.  ``rows([r],
+# aux)`` is the row interpreter — one record, dict rows — kept as the
+# scalar reference (``map_record``) that ``output``, ``validate_monoid``
+# and the equivalence tests hold the batch path to, bit for bit.
+# ``aux`` is the query's ``build_aux``: the static joins' indexes, which
+# a static join reads at its ``slot``.
 
 
 class _Block:
@@ -146,11 +151,11 @@ class _Block:
 class _DynamicNode:
     """A plan fragment over the protected table's records."""
 
-    def block(self, batch: Sequence[Row]) -> _Block:
+    def block(self, batch: Sequence[Row], aux: Aux) -> _Block:
         """The fragment's rows for a whole batch of records."""
         raise NotImplementedError
 
-    def rows(self, inputs: List[Row]) -> List[Row]:
+    def rows(self, inputs: List[Row], aux: Aux) -> List[Row]:
         """The fragment's rows, by the row interpreter."""
         raise NotImplementedError
 
@@ -158,13 +163,13 @@ class _DynamicNode:
 class _DynScan(_DynamicNode):
     """The protected table's scan: passes the probe record(s) through."""
 
-    def block(self, batch: Sequence[Row]) -> _Block:
+    def block(self, batch: Sequence[Row], aux: Aux) -> _Block:
         return _Block(
             np.arange(len(batch)),
             lambda name: column_values(batch, name, dtype=None),
         )
 
-    def rows(self, inputs: List[Row]) -> List[Row]:
+    def rows(self, inputs: List[Row], aux: Aux) -> List[Row]:
         return inputs
 
 
@@ -174,12 +179,12 @@ class _DynFilter(_DynamicNode):
         self._mask = block_mask(condition)
         self._condition = compile_predicate(condition)
 
-    def block(self, batch: Sequence[Row]) -> _Block:
-        child = self._child.block(batch)
+    def block(self, batch: Sequence[Row], aux: Aux) -> _Block:
+        child = self._child.block(batch, aux)
         return child.take(np.flatnonzero(self._mask(child)))
 
-    def rows(self, inputs: List[Row]) -> List[Row]:
-        return list(filter(self._condition, self._child.rows(inputs)))
+    def rows(self, inputs: List[Row], aux: Aux) -> List[Row]:
+        return list(filter(self._condition, self._child.rows(inputs, aux)))
 
 
 class _DynProject(_DynamicNode):
@@ -188,13 +193,13 @@ class _DynProject(_DynamicNode):
         self._values = [(e.output_name(), block_value(e)) for e in exprs]
         self._project = compile_projection(exprs)
 
-    def block(self, batch: Sequence[Row]) -> _Block:
-        child = self._child.block(batch)
+    def block(self, batch: Sequence[Row], aux: Aux) -> _Block:
+        child = self._child.block(batch, aux)
         columns = {name: value(child) for name, value in self._values}
         return _Block(child.origin, columns.__getitem__)
 
-    def rows(self, inputs: List[Row]) -> List[Row]:
-        return list(map(self._project, self._child.rows(inputs)))
+    def rows(self, inputs: List[Row], aux: Aux) -> List[Row]:
+        return list(map(self._project, self._child.rows(inputs, aux)))
 
 
 def _row_key(exprs: Sequence[Expression]) -> Callable[[Row], Any]:
@@ -296,7 +301,7 @@ class _StaticIndex:
 
 
 class _StaticJoin(_DynamicNode):
-    """A dynamic child probing an indexed static side.
+    """A dynamic child probing an indexed static side, ``aux[slot]``.
 
     ``static_columns`` maps a merged row's column name to the static
     column it reads; every other name reads the child's row.
@@ -306,21 +311,21 @@ class _StaticJoin(_DynamicNode):
         self,
         child: _DynamicNode,
         child_keys: Sequence[Expression],
-        index: _StaticIndex,
+        slot: int,
         static_columns: Dict[str, str],
     ):
         self._child = child
         self._key_of = _row_key(child_keys)
         self._keys = _block_keys(child_keys)
-        self._index = index
+        self._slot = slot
         self._static_columns = static_columns
 
-    def _merged(self, child: _Block,
+    def _merged(self, child: _Block, index: _StaticIndex,
                 slots: np.ndarray) -> Tuple[np.ndarray, _Block]:
         """The merged row of every match, and the position in ``child``
         of the row each one extends."""
-        probe, row_ids = self._index.expand(slots)
-        index, static_columns = self._index, self._static_columns
+        probe, row_ids = index.expand(slots)
+        static_columns = self._static_columns
 
         def load(name: str) -> np.ndarray:
             source = static_columns.get(name)
@@ -338,25 +343,27 @@ class _DynJoinStatic(_StaticJoin):
         self,
         child: _DynamicNode,
         child_keys: Sequence[Expression],
-        index: _StaticIndex,
+        slot: int,
         dynamic_is_left: bool,
         static_names: Sequence[str],
     ):
         # Join refuses sides that share a column name, so which side a
         # merged row's column comes from does not depend on the order.
         super().__init__(
-            child, child_keys, index, {name: name for name in static_names},
+            child, child_keys, slot, {name: name for name in static_names},
         )
         self._dynamic_is_left = dynamic_is_left
 
-    def block(self, batch: Sequence[Row]) -> _Block:
-        child = self._child.block(batch)
-        return self._merged(child, self._index.lookup(self._keys(child)))[1]
+    def block(self, batch: Sequence[Row], aux: Aux) -> _Block:
+        child = self._child.block(batch, aux)
+        index = aux[self._slot]
+        return self._merged(child, index, index.lookup(self._keys(child)))[1]
 
-    def rows(self, inputs: List[Row]) -> List[Row]:
+    def rows(self, inputs: List[Row], aux: Aux) -> List[Row]:
+        index = aux[self._slot]
         out: List[Row] = []
-        for row in self._child.rows(inputs):
-            for match in self._index.probe(self._key_of(row)):
+        for row in self._child.rows(inputs, aux):
+            for match in index.probe(self._key_of(row)):
                 if self._dynamic_is_left:
                     merged = dict(row)
                     merged.update(match)
@@ -374,7 +381,7 @@ class _DynSemiAnti(_StaticJoin):
         self,
         child: _DynamicNode,
         child_keys: Sequence[Expression],
-        index: _StaticIndex,
+        slot: int,
         want_match: bool,
         residual: Optional[Expression],
         prefix: str,
@@ -382,7 +389,7 @@ class _DynSemiAnti(_StaticJoin):
     ):
         # The residual sees the static side's columns under ``prefix``.
         super().__init__(
-            child, child_keys, index,
+            child, child_keys, slot,
             {prefix + name: name for name in static_names},
         )
         self._want_match = want_match
@@ -394,19 +401,20 @@ class _DynSemiAnti(_StaticJoin):
             block_mask(residual) if residual is not None else None
         )
 
-    def block(self, batch: Sequence[Row]) -> _Block:
-        child = self._child.block(batch)
-        slots = self._index.lookup(self._keys(child))
+    def block(self, batch: Sequence[Row], aux: Aux) -> _Block:
+        child = self._child.block(batch, aux)
+        index = aux[self._slot]
+        slots = index.lookup(self._keys(child))
         if self._residual_mask is None:
             matched = slots >= 0
         else:
-            probe, merged = self._merged(child, slots)
+            probe, merged = self._merged(child, index, slots)
             matched = np.zeros(len(child), dtype=bool)
             matched[probe[self._residual_mask(merged)]] = True
         return child.take(np.flatnonzero(matched == self._want_match))
 
-    def _row_matches(self, row: Row) -> bool:
-        candidates = self._index.probe(self._key_of(row))
+    def _row_matches(self, index: _StaticIndex, row: Row) -> bool:
+        candidates = index.probe(self._key_of(row))
         if self._residual is None:
             return bool(candidates)
         for candidate in candidates:
@@ -417,10 +425,11 @@ class _DynSemiAnti(_StaticJoin):
                 return True
         return False
 
-    def rows(self, inputs: List[Row]) -> List[Row]:
+    def rows(self, inputs: List[Row], aux: Aux) -> List[Row]:
+        index = aux[self._slot]
         return [
-            row for row in self._child.rows(inputs)
-            if self._row_matches(row) == self._want_match
+            row for row in self._child.rows(inputs, aux)
+            if self._row_matches(index, row) == self._want_match
         ]
 
 
@@ -437,22 +446,15 @@ def _reads_protected(plan: LogicalPlan, protected: str) -> bool:
 
 
 class _Compiler:
-    def __init__(self, tables: Tables, protected: str,
-                 scanned: Sequence[str]):
+    def __init__(self, protected: str):
         self.protected = protected
-        # A throwaway SQL session evaluates the static subtrees with the
-        # ordinary (tested) executor, over the tables they scan and no
-        # other.  Its row order is a contract (DESIGN.md §5), and
-        # :class:`_StaticIndex` bucket order, which follows it, decides
-        # float summation order.
-        from repro.sql.session import SQLSession
+        #: (static subplan, its join keys) of each static join, by slot.
+        self.statics: List[Tuple[LogicalPlan, List[Expression]]] = []
 
-        self._session = SQLSession()
-        for name in scanned:
-            self._session.create_table(name, tables[name])
-
-    def static_rows(self, plan: LogicalPlan) -> List[Row]:
-        return self._session.execute_plan(plan).collect()
+    def static_slot(self, plan: LogicalPlan,
+                    keys: List[Expression]) -> int:
+        self.statics.append((plan, keys))
+        return len(self.statics) - 1
 
     def compile(self, plan: LogicalPlan) -> _DynamicNode:
         """Compile the dynamic path rooted at ``plan``."""
@@ -501,9 +503,8 @@ class _Compiler:
             child = self.compile(plan.left)
             child_keys = [lk for lk, _rk in plan.keys]
             static_keys = [rk for _lk, rk in plan.keys]
-            index = _StaticIndex(self.static_rows(plan.right), static_keys)
             return _DynSemiAnti(
-                child, child_keys, index,
+                child, child_keys, self.static_slot(plan.right, static_keys),
                 want_match=(plan.how == "semi"),
                 residual=plan.residual,
                 prefix=Join.RESIDUAL_RIGHT_PREFIX,
@@ -529,9 +530,9 @@ class _Compiler:
             dynamic_side, static_side = plan.right, plan.left
             child_keys = [rk for _lk, rk in plan.keys]
             static_keys = [lk for lk, _rk in plan.keys]
-        index = _StaticIndex(self.static_rows(static_side), static_keys)
+        slot = self.static_slot(static_side, static_keys)
         return _DynJoinStatic(
-            self.compile(dynamic_side), child_keys, index,
+            self.compile(dynamic_side), child_keys, slot,
             dynamic_is_left=left_dyn,
             static_names=static_side.schema.names,
         )
@@ -586,16 +587,15 @@ def _is_int_literal(value: Expression) -> bool:
 class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
     """A MapReduceQuery derived from a SQL plan by provenance analysis.
 
-    The compiled static structures are built from the tables given at
-    compile time; neighbouring datasets may vary the *protected* table
-    freely (that is the whole point), but the other tables are fixed —
-    the same assumption every hand-written workload makes.  Which of
-    them a release depends on is ``scanned_tables``: the static tables
-    the plan scans, read when it was compiled.  COUNT/SUM
-    reducers are scalar addition, so the fold kernels come from
-    :class:`~repro.core.batch.ScalarSumBatch`; ``map_batch`` runs the
-    compiled plan over the batch as column blocks, and ``map_record``
-    (the row interpreter) is the scalar reference it equals bit for bit.
+    The query holds no table data.  Like a hand-written query, it reads
+    the public tables in :meth:`build_aux`, whichever tables it is
+    given: neighbouring datasets vary the *protected* table, and a
+    session keeps the aux per the public tables it read (DESIGN.md
+    section 5, item 9).  COUNT/SUM reducers are scalar addition, so the
+    fold kernels come from :class:`~repro.core.batch.ScalarSumBatch`;
+    ``map_batch`` runs the compiled plan over the batch as column
+    blocks, and ``map_record`` (the row interpreter) is the scalar
+    reference it equals bit for bit.
     """
 
     output_dim = 1
@@ -605,14 +605,13 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
         name: str,
         protected_table: str,
         dynamic: _DynamicNode,
+        statics: Sequence[Tuple[LogicalPlan, List[Expression]]],
         spec: AggregateSpec,
         domain_sampler: Optional[DomainSampler],
         fingerprint: str,
-        scanned_tables: Tuple[str, ...],
     ):
         self.name = name
         self.protected_table = protected_table
-        self.scanned_tables = scanned_tables
         #: what the query computes, as opposed to what it is called: two
         #: queries with equal fingerprints release the same thing.  An
         #: opaque node fingerprints by id(), which a later plan may
@@ -625,6 +624,10 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
         #: width 1 (``core.session.noise_floor``).
         self.query_type = "count" if _counts(spec) else "arithmetic"
         self._dynamic = dynamic
+        self._statics = statics
+        self._static_tables = sorted(
+            {name for plan, _keys in statics for name in plan.base_tables()}
+        )
         self._spec = spec
         if spec.expr is None:
             self._value_fn = self._value = None
@@ -635,17 +638,35 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
 
     # -- monoid -------------------------------------------------------------
 
-    def build_aux(self, tables: Tables) -> Any:
-        return None
+    def build_aux(self, tables: Tables) -> Tuple[_StaticIndex, ...]:
+        """Each static join's index: its subplan run over ``tables``.
 
-    def map_batch(self, records: Sequence[Row], aux: Any) -> np.ndarray:
+        A throwaway SQL session runs the subplans with the ordinary
+        (tested) executor, over the tables they scan, each looked up by
+        name, and no other.  Its row order is a contract (DESIGN.md
+        section 5, item 12), and :class:`_StaticIndex` bucket order,
+        which follows it, decides float summation order.
+        """
+        if not self._statics:
+            return ()
+        from repro.sql.session import SQLSession
+
+        session = SQLSession()
+        for name in self._static_tables:
+            session.create_table(name, tables[name])
+        return tuple(
+            _StaticIndex(session.execute_plan(plan).collect(), keys)
+            for plan, keys in self._statics
+        )
+
+    def map_batch(self, records: Sequence[Row], aux: Aux) -> np.ndarray:
         """Every record's contribution, from one pass over the plan.
 
         ``np.bincount`` adds a record's rows to its slot in row order,
-        starting from 0.0 — the additions :meth:`contribution` performs,
+        starting from 0.0 — the additions :meth:`map_record` performs,
         in the same order, so each element has the same bits.
         """
-        block = self._dynamic.block(records)
+        block = self._dynamic.block(records, aux)
         origin, weights = block.origin, None
         if self._value is not None:
             values = self._value(block)
@@ -663,10 +684,10 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
             origin, weights=weights, minlength=len(records)
         ).astype(float, copy=False)
 
-    def contribution(self, record: Row) -> float:
+    def map_record(self, record: Row, aux: Aux) -> float:
         """One record's contribution, by the row interpreter: the
         scalar reference :meth:`map_batch` is held to."""
-        rows = self._dynamic.rows([record])
+        rows = self._dynamic.rows([record], aux)
         value_fn = self._value_fn
         if self._spec.func == "count":
             if value_fn is None:
@@ -680,9 +701,6 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
             if value is not None:
                 total += value
         return total
-
-    def map_record(self, record: Row, aux: Any) -> float:
-        return self.contribution(record)
 
     def zero(self) -> float:
         return 0.0
@@ -716,16 +734,12 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
 #
 # A UPA run replays one compiled query over ~2n neighbours, but callers
 # (sessions, baselines, comparisons) routinely re-invoke compile_sql /
-# compile_plan for the same plan against the same tables.  The expensive
-# parts — static subtree execution and index construction — depend only
-# on the plan shape and the static tables the plan scans, so those are
-# cached here keyed by the canonical plan fingerprint.  Entries hold
-# the scanned lists as core.table.FixedLists and a hit requires them
-# equal by value to the ones compiled from (DESIGN.md section 5, item 9
-# — the session keeps build_aux results by the same guard): a recycled
-# id() can never alias a stale entry, a list a session's append() /
-# retire() grew under another query is compiled again, and a table the
-# plan never scans neither misses nor hits.
+# compile_plan for the same plan.  The compiled dynamic tree depends
+# only on the plan and the protected table, and holds no table data, so
+# it is cached here keyed by the canonical plan fingerprint.  What the
+# static side read is the query's aux, and which public tables a
+# release depends on is decided in one place: the session's aux cache
+# (core.table.TableRegistry.aux, DESIGN.md section 5, item 9).
 
 _BRIDGE_CACHE_SIZE = 64
 _bridge_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -738,32 +752,28 @@ def clear_bridge_cache() -> None:
 
 
 def _compile_dynamic(
-    plan_child: LogicalPlan,
-    tables: Tables,
-    protected_table: str,
-    scanned: Tuple[str, ...],
-    engine=None,
-) -> _DynamicNode:
+    plan_child: LogicalPlan, protected_table: str, engine=None,
+) -> Tuple[_DynamicNode, Tuple[Tuple[LogicalPlan, List[Expression]], ...]]:
+    """The dynamic tree of ``plan_child`` and its static joins' subplans
+    and keys, by slot."""
     fingerprint = plan_fingerprint(plan_child)
     cacheable = "(opaque" not in fingerprint
-    metrics = engine.metrics if engine is not None else None
+    key = (fingerprint, protected_table)
     if cacheable:
-        key = (fingerprint, protected_table, scanned)
         with _bridge_lock:
             entry = _bridge_cache.get(key)
         if entry is not None:
-            dynamic, fixed = entry
-            if fixed.unchanged(tables):
-                if metrics is not None:
-                    metrics.incr(MetricsRegistry.SQL_PLAN_CACHE_HITS)
-                return dynamic
-    dynamic = _Compiler(tables, protected_table, scanned).compile(plan_child)
+            if engine is not None:
+                engine.metrics.incr(MetricsRegistry.SQL_PLAN_CACHE_HITS)
+            return entry
+    compiler = _Compiler(protected_table)
+    entry = compiler.compile(plan_child), tuple(compiler.statics)
     if cacheable:
         with _bridge_lock:
-            _bridge_cache[key] = (dynamic, FixedLists(tables, scanned))
+            _bridge_cache[key] = entry
             while len(_bridge_cache) > _BRIDGE_CACHE_SIZE:
                 _bridge_cache.popitem(last=False)
-    return dynamic
+    return entry
 
 
 def compile_plan(
@@ -776,8 +786,10 @@ def compile_plan(
 ) -> CompiledSQLQuery:
     """Compile a logical plan into a UPA-ready MapReduceQuery.
 
-    ``engine`` (an :class:`~repro.engine.context.EngineContext`), when
-    given, counts the hits of the bridge's compile cache.  The counter
+    ``tables`` must hold every table the plan scans; the query reads
+    none of them until :meth:`CompiledSQLQuery.build_aux`.  ``engine``
+    (an :class:`~repro.engine.context.EngineContext`), when given,
+    counts the hits of the bridge's compile cache.  The counter
     keeps the name ``sql.plan_cache.hits`` although this is the only
     plan cache: ``SQLSession`` caches no plans.
 
@@ -796,18 +808,15 @@ def compile_plan(
             f"the query never reads the protected table "
             f"{protected_table!r}; its sensitivity would be zero"
         )
-    scanned = tuple(sorted(child.base_tables() - {protected_table}))
-    for table_name in scanned:
+    for table_name in sorted(child.base_tables()):
         if table_name not in tables:
             raise AnalysisError(
                 f"unknown table {table_name!r}; registered: {sorted(tables)}"
             )
-    dynamic = _compile_dynamic(
-        child, tables, protected_table, scanned, engine,
-    )
+    dynamic, statics = _compile_dynamic(child, protected_table, engine)
     return CompiledSQLQuery(
-        name, protected_table, dynamic, aggregate.aggregates[0],
-        domain_sampler, plan_fingerprint(plan), scanned,
+        name, protected_table, dynamic, statics, aggregate.aggregates[0],
+        domain_sampler, plan_fingerprint(plan),
     )
 
 

@@ -232,10 +232,10 @@ class FixedLists:
         )
 
 
-def _identity(query: MapReduceQuery, epsilon: float) -> Tuple[Any, float]:
-    """A submission's query and epsilon.  Compiled SQL is identified by
-    what it computes, so one text compiled twice is one query."""
-    return getattr(query, "plan_fingerprint", query), epsilon
+def _identity(query: MapReduceQuery) -> Any:
+    """What identifies a query: compiled SQL by what it computes, so
+    one text compiled twice is one query; any other query by itself."""
+    return getattr(query, "plan_fingerprint", query)
 
 
 class TableRegistry:
@@ -243,8 +243,9 @@ class TableRegistry:
 
     def __init__(self) -> None:
         self._tables: List[ProtectedTable] = []
-        #: (query, the public tables build_aux read, what it returned).
-        self._aux: List[Tuple[MapReduceQuery, FixedLists, Any]] = []
+        #: (query identity, the public tables build_aux read, what it
+        #: returned).
+        self._aux: List[Tuple[Any, FixedLists, Any]] = []
         #: dataset print -> (query identity, epsilon) -> (the public
         #: tables read, the release made from them); only the prints of
         #: the tables held in ``_tables`` are kept.
@@ -287,12 +288,14 @@ class TableRegistry:
         it was a kept one, and whether it read only public lists.
 
         Aux is a function of the public tables ``build_aux`` reads, so
-        the same query over those tables, equal, gets the same aux.  An
+        the same query (the object, or the ``plan_fingerprint`` of
+        compiled SQL) over those tables, equal, gets the same aux.  An
         aux that read the protected table (iterating ``tables`` reads
         every name) moves with the protected rows and is not kept.
         """
-        for i, (seen_query, fixed, aux) in enumerate(self._aux):
-            if seen_query is query and fixed.unchanged(tables):
+        identity = _identity(query)
+        for i, (seen, fixed, aux) in enumerate(self._aux):
+            if seen == identity and fixed.unchanged(tables):
                 self._aux.append(self._aux.pop(i))
                 return aux, fixed, True, True
         reads = TableReads(tables)
@@ -301,7 +304,7 @@ class TableRegistry:
         reads.names.discard(query.protected_table)
         fixed = FixedLists(tables, reads.names, listed=reads.listed)
         if public:
-            self._aux.append((query, fixed, aux))
+            self._aux.append((identity, fixed, aux))
             del self._aux[:-REGISTRY_BOUND]
         return aux, fixed, False, public
 
@@ -315,7 +318,7 @@ class TableRegistry:
         equal to what they were; a table it did not read may differ.
         """
         kept = self._answers.get(table.dataset_print(), {}).get(
-            _identity(query, epsilon)
+            (_identity(query), epsilon)
         )
         if kept is not None and kept[0].unchanged(tables):
             return kept[1]
@@ -326,13 +329,11 @@ class TableRegistry:
              release: Any) -> None:
         """Remember ``release`` for :meth:`replay`, with the public
         tables it read: what ``build_aux`` read (``aux_read``, whose
-        copies are reused), what the sampler read through ``reads`` and
-        what a compiled plan scanned when it was compiled.
+        copies are reused) and what the sampler read through ``reads``.
         """
-        names = reads.names.union(getattr(query, "scanned_tables", ()))
-        names.discard(query.protected_table)
+        names = reads.names - {query.protected_table}
         self._answers.setdefault(table.dataset_print(), {})[
-            _identity(query, epsilon)
+            (_identity(query), epsilon)
         ] = (
             FixedLists(reads.tables, names, aux_read, listed=reads.listed),
             release,

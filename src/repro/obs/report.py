@@ -43,7 +43,8 @@ DOMAIN_SAMPLE_SPAN = "sampling.domain_sample"
 PARTITION_SAMPLE_SPAN = "phase:partition_sample"
 
 #: RANGE ENFORCER's span; its ``registry`` / ``sweeps`` /
-#: ``records_removed`` attributes get their own report line.
+#: ``records_removed`` / ``refused`` attributes get their own report
+#: line.
 ENFORCE_SPAN = "phase:enforce"
 
 #: the scheduler's span per engine job; its ``partitions`` /
@@ -164,8 +165,8 @@ class ObservedRun:
     #: S-bar records each release drew, and whether as one column batch.
     domain_sampling: List[Dict[str, Any]] = field(default_factory=list)
     #: attributes of every ``phase:enforce`` span: the registry length
-    #: each release was compared against, the sweeps that took and the
-    #: records it removed.
+    #: each release (or refusal) was compared against, the sweeps that
+    #: took and the records it removed.
     enforcement: List[Dict[str, Any]] = field(default_factory=list)
     #: attributes of every ``phase:partition_sample`` span.
     partition_sampling: List[Dict[str, Any]] = field(default_factory=list)
@@ -260,17 +261,25 @@ class ObservedRun:
         }
 
     def enforcement_summary(self) -> Dict[str, int]:
-        """Releases traced, deepest registry, sweeps and removals summed."""
+        """Releases traced, deepest registry, and sweeps and removals
+        summed; refusals are counted, and summed, apart."""
         enforced = self.enforcement
+        refused = [a for a in enforced if a.get("refused")]
+        released = [a for a in enforced if not a.get("refused")]
+
+        def total(spans: List[Dict[str, Any]], name: str) -> int:
+            return sum(int(a.get(name, 0)) for a in spans)
+
         return {
-            "releases": len(enforced),
+            "releases": len(released),
             "registry": max(
                 (int(a.get("registry", 0)) for a in enforced), default=0
             ),
-            "sweeps": sum(int(a.get("sweeps", 0)) for a in enforced),
-            "records_removed": sum(
-                int(a.get("records_removed", 0)) for a in enforced
-            ),
+            "sweeps": total(released, "sweeps"),
+            "records_removed": total(released, "records_removed"),
+            "refused": len(refused),
+            "refused_sweeps": total(refused, "sweeps"),
+            "refused_records_removed": total(refused, "records_removed"),
         }
 
     def engine_summary(self) -> Dict[str, int]:
@@ -386,12 +395,19 @@ class ObservedRun:
             )
         if self.enforcement:
             enforced = self.enforcement_summary()
-            sections.append(
+            line = (
                 f"range enforcer: {enforced['releases']} releases against "
                 f"a registry of up to {enforced['registry']} submissions, "
                 f"{enforced['sweeps']} sweeps, "
                 f"{enforced['records_removed']} records removed"
             )
+            if enforced["refused"]:
+                line += (
+                    f"; {enforced['refused']} refused after "
+                    f"{enforced['refused_sweeps']} sweeps and "
+                    f"{enforced['refused_records_removed']} records removed"
+                )
+            sections.append(line)
         if self.engine_jobs:
             engine = self.engine_summary()
             sections.append(

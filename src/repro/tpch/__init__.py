@@ -7,14 +7,13 @@ order, orders per customer, lineitems per supplier), date ranges,
 selective filters, and comment strings that match/miss the LIKE
 patterns.
 
-Each query is available in three equivalent forms:
+Each query is defined twice, and tests assert the two agree on the
+same generated tables:
 
-* SQL text (``sql_text()``) executed by :mod:`repro.sql`;
-* a DataFrame builder (``dataframe(session)``);
-* a :class:`repro.core.query.MapReduceQuery` (``mapreduce()``) used by
-  UPA, brute force and the benchmarks.
-
-Tests assert the three forms agree on the same generated tables.
+* as SQL text (``sql_text()``), which :mod:`repro.sql` executes, FLEX
+  analyses and :mod:`repro.core.sqlbridge` compiles;
+* as a :class:`repro.core.query.MapReduceQuery` (the query object
+  itself) that UPA, brute force and the benchmarks run.
 """
 
 from repro.tpch.datagen import TPCHConfig, TPCHGenerator

@@ -16,7 +16,7 @@ from repro.tpch.datagen import NATION_NAMES, PRIORITIES, SHIPMODES
 
 
 class TPCHQuery(ScalarSumBatch, MapReduceQuery):
-    """A TPC-H query: MapReduceQuery plus SQL/DataFrame forms.
+    """A TPC-H query: a MapReduceQuery and its SQL text.
 
     All seven queries share the scalar-sum monoid, so the vectorized
     batch kernels come from :class:`~repro.core.batch.ScalarSumBatch`;
@@ -39,10 +39,6 @@ class TPCHQuery(ScalarSumBatch, MapReduceQuery):
 
     def sql_text(self) -> str:
         """The query as SQL text for :meth:`repro.sql.SQLSession.sql`."""
-        raise NotImplementedError
-
-    def dataframe(self, session):
-        """The query as a DataFrame plan over the session's catalog."""
         raise NotImplementedError
 
     # Count/sum queries share the scalar-sum monoid.

@@ -20,11 +20,9 @@ from __future__ import annotations
 import datetime
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Set
+from typing import Dict, Set
 
 from repro.core.query import Row, Tables
-from repro.sql.expr import CaseWhen, col, lit
-from repro.sql.functions import sum_
 from repro.tpch.queries.base import TPCHQuery, random_lineitem, random_order
 
 _Q12_DATE_LO = datetime.date(1994, 1, 1)
@@ -61,21 +59,6 @@ class Q12(TPCHQuery):
             "AND l_receiptdate >= DATE '1994-01-01' "
             "AND l_receiptdate < DATE '1995-01-01'"
         )
-
-    def dataframe(self, session):
-        lineitems = session.table("lineitem").filter(
-            col("l_shipmode").isin(list(_Q12_MODES))
-            & (col("l_receiptdate") >= lit(_Q12_DATE_LO))
-            & (col("l_receiptdate") < lit(_Q12_DATE_HI))
-        )
-        joined = session.table("orders").join(
-            lineitems, on=[("o_orderkey", "l_orderkey")]
-        )
-        high = CaseWhen(
-            [(col("o_orderpriority").isin(list(_HIGH_PRIORITIES)), lit(1))],
-            lit(0),
-        )
-        return joined.agg(sum_(high, "result"))
 
     def build_aux(self, tables: Tables) -> _Q12Aux:
         counts: Counter = Counter()
@@ -116,23 +99,6 @@ class Q14(TPCHQuery):
             "AND l_shipdate >= DATE '1995-01-01' "
             "AND l_shipdate < DATE '1996-01-01'"
         )
-
-    def dataframe(self, session):
-        lineitems = session.table("lineitem").filter(
-            (col("l_shipdate") >= lit(_Q14_DATE_LO))
-            & (col("l_shipdate") < lit(_Q14_DATE_HI))
-        )
-        joined = lineitems.join(
-            session.table("part"), on=[("l_partkey", "p_partkey")]
-        )
-        promo = CaseWhen(
-            [(
-                col("p_type").like("PROMO%"),
-                col("l_extendedprice") * (1 - col("l_discount")),
-            )],
-            lit(0),
-        )
-        return joined.agg(sum_(promo, "result"))
 
     def build_aux(self, tables: Tables) -> _Q14Aux:
         return _Q14Aux(

@@ -12,7 +12,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.query import Row, Tables
-from repro.sql.functions import count_star
 from repro.tpch.queries.base import TPCHQuery, random_lineitem
 
 
@@ -27,9 +26,6 @@ class Q1(TPCHQuery):
 
     def sql_text(self) -> str:
         return "SELECT COUNT(*) AS result FROM lineitem"
-
-    def dataframe(self, session):
-        return session.table("lineitem").agg(count_star("result"))
 
     def build_aux(self, tables: Tables) -> Any:
         return None

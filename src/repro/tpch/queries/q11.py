@@ -10,14 +10,12 @@ continuous component.  FLEX does not support SUM (Table II).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence, Set
+from typing import Sequence, Set
 
 import numpy as np
 
 from repro.core.batch import column_values
 from repro.core.query import Row, Tables
-from repro.sql.expr import col, lit
-from repro.sql.functions import sum_
 from repro.tpch.queries.base import TPCHQuery, each, random_partsupp
 
 _NATION = "GERMANY"
@@ -43,18 +41,6 @@ class Q11(TPCHQuery):
             "FROM partsupp, supplier, nation "
             "WHERE ps_suppkey = s_suppkey AND s_nationkey = n_nationkey "
             f"AND n_name = '{_NATION}'"
-        )
-
-    def dataframe(self, session):
-        nation = session.table("nation").filter(col("n_name") == lit(_NATION))
-        suppliers = session.table("supplier").join(
-            nation, on=[("s_nationkey", "n_nationkey")]
-        )
-        joined = session.table("partsupp").join(
-            suppliers, on=[("ps_suppkey", "s_suppkey")]
-        )
-        return joined.agg(
-            sum_(col("ps_supplycost") * col("ps_availqty"), "result")
         )
 
     def build_aux(self, tables: Tables) -> _Aux:

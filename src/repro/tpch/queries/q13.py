@@ -19,7 +19,6 @@ import numpy as np
 from repro.core.batch import column_values
 from repro.core.query import Row, Tables
 from repro.sql.expr import col
-from repro.sql.functions import count_star
 from repro.tpch.queries.base import (
     TPCHQuery,
     lookup_counts,
@@ -49,15 +48,6 @@ class Q13(TPCHQuery):
             "WHERE c_custkey = o_custkey "
             f"AND o_comment NOT LIKE '{_PATTERN}'"
         )
-
-    def dataframe(self, session):
-        orders = session.table("orders").filter(
-            col("o_comment").not_like(_PATTERN)
-        )
-        joined = session.table("customer").join(
-            orders, on=[("c_custkey", "o_custkey")]
-        )
-        return joined.agg(count_star("result"))
 
     def build_aux(self, tables: Tables) -> _Aux:
         matches = col("o_comment").not_like(_PATTERN).compiled()

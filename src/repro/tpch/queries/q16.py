@@ -18,8 +18,7 @@ import numpy as np
 
 from repro.core.batch import column_values
 from repro.core.query import Row, Tables
-from repro.sql.expr import col, lit
-from repro.sql.functions import count_star
+from repro.sql.expr import col
 from repro.tpch.queries.base import (
     TPCHQuery,
     each,
@@ -59,21 +58,6 @@ class Q16(TPCHQuery):
             "SELECT s_suppkey FROM supplier "
             f"WHERE s_comment LIKE '{_COMPLAINT_PATTERN}')"
         )
-
-    def dataframe(self, session):
-        parts = session.table("part").filter(
-            (col("p_brand") != lit(_BAD_BRAND))
-            & col("p_type").not_like(_BAD_TYPE_PREFIX)
-            & col("p_size").isin(_SIZES)
-        )
-        complainers = session.table("supplier").filter(
-            col("s_comment").like(_COMPLAINT_PATTERN)
-        )
-        partsupp = session.table("partsupp").anti_join(
-            complainers, on=[("ps_suppkey", "s_suppkey")]
-        )
-        joined = parts.join(partsupp, on=[("p_partkey", "ps_partkey")])
-        return joined.agg(count_star("result"))
 
     def build_aux(self, tables: Tables) -> _Aux:
         matches = col("s_comment").like(_COMPLAINT_PATTERN).compiled()

@@ -20,8 +20,6 @@ import numpy as np
 
 from repro.core.batch import column_values
 from repro.core.query import Row, Tables
-from repro.sql.expr import col, lit
-from repro.sql.functions import count_star
 from repro.tpch.queries.base import (
     TPCHQuery,
     each,
@@ -65,35 +63,6 @@ class Q21(TPCHQuery):
             "AND l3.l_suppkey <> l1.l_suppkey "
             "AND l3.l_receiptdate > l3.l_commitdate)"
         )
-
-    def dataframe(self, session):
-        saudi_nation = session.table("nation").filter(col("n_name") == lit(_NATION))
-        suppliers = session.table("supplier").join(
-            saudi_nation, on=[("s_nationkey", "n_nationkey")]
-        )
-        late_l1 = session.table("lineitem").filter(
-            col("l_receiptdate") > col("l_commitdate")
-        )
-        f_orders = session.table("orders").filter(
-            col("o_orderstatus") == lit("F")
-        ).select("o_orderkey")
-        l1 = late_l1.semi_join(f_orders, on=[("l_orderkey", "o_orderkey")])
-        other_supp = col("__r_l_suppkey") != col("l_suppkey")
-        l1 = l1.semi_join(
-            session.table("lineitem"),
-            on=[("l_orderkey", "l_orderkey")],
-            residual=other_supp,
-        )
-        late_others = (col("__r_l_suppkey") != col("l_suppkey")) & (
-            col("__r_l_receiptdate") > col("__r_l_commitdate")
-        )
-        l1 = l1.anti_join(
-            session.table("lineitem"),
-            on=[("l_orderkey", "l_orderkey")],
-            residual=late_others,
-        )
-        joined = suppliers.join(l1, on=[("s_suppkey", "l_suppkey")])
-        return joined.agg(count_star("result"))
 
     def build_aux(self, tables: Tables) -> _Aux:
         f_orders: Set[int] = {

@@ -13,14 +13,12 @@ from __future__ import annotations
 import datetime
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.core.batch import column_values
 from repro.core.query import Row, Tables
-from repro.sql.expr import col, lit
-from repro.sql.functions import count_star
 from repro.tpch.queries.base import TPCHQuery, lookup_counts, random_order
 
 _DATE_LO = datetime.date(1993, 1, 1)
@@ -49,17 +47,6 @@ class Q4(TPCHQuery):
             "AND o_orderdate < DATE '1994-01-01' "
             "AND l_commitdate < l_receiptdate"
         )
-
-    def dataframe(self, session):
-        orders = session.table("orders").filter(
-            (col("o_orderdate") >= lit(_DATE_LO))
-            & (col("o_orderdate") < lit(_DATE_HI))
-        )
-        late = session.table("lineitem").filter(
-            col("l_commitdate") < col("l_receiptdate")
-        )
-        joined = orders.join(late, on=[("o_orderkey", "l_orderkey")])
-        return joined.agg(count_star("result"))
 
     def build_aux(self, tables: Tables) -> _Aux:
         counts: Counter = Counter()

@@ -15,8 +15,6 @@ import numpy as np
 
 from repro.core.batch import column_values
 from repro.core.query import Row, Tables
-from repro.sql.expr import col, lit
-from repro.sql.functions import sum_
 from repro.tpch.queries.base import TPCHQuery, random_lineitem
 
 _DATE_LO = datetime.date(1994, 1, 1)
@@ -40,16 +38,6 @@ class Q6(TPCHQuery):
             "AND l_discount BETWEEN 0.03 AND 0.08 "
             "AND l_quantity < 40"
         )
-
-    def dataframe(self, session):
-        filtered = session.table("lineitem").filter(
-            (col("l_shipdate") >= lit(_DATE_LO))
-            & (col("l_shipdate") < lit(_DATE_HI))
-            & col("l_discount").between(0.03, 0.08)
-            & (col("l_quantity") < 40)
-        )
-        return filtered.agg(sum_(col("l_extendedprice") * col("l_discount"),
-                                 "result"))
 
     def build_aux(self, tables: Tables) -> Any:
         return None

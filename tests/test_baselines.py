@@ -105,7 +105,7 @@ class TestFlexAnalysis:
         """FLEX supports exactly the five counting TPC-H queries."""
         supported = {}
         for query in all_queries():
-            plan = query.dataframe(sql_session).plan
+            plan = sql_session.sql(query.sql_text()).plan
             try:
                 flex_local_sensitivity(plan, tpch_tables)
                 supported[query.name] = True
@@ -125,19 +125,36 @@ class TestFlexAnalysis:
         """The paper's Fig. 2(a) ordering: FLEX >> truth on Q16/Q21."""
         for name in ("tpch16", "tpch21"):
             query = query_by_name(name)
-            plan = query.dataframe(sql_session).plan
+            plan = sql_session.sql(query.sql_text()).plan
             flex = flex_local_sensitivity(plan, tpch_tables).sensitivity
             truth = exact_local_sensitivity(query, tpch_tables).local_sensitivity
             assert flex >= 10 * max(truth, 1.0), name
 
     def test_flex_exact_on_q1(self, tpch_tables, sql_session):
         query = query_by_name("tpch1")
-        plan = query.dataframe(sql_session).plan
+        plan = sql_session.sql(query.sql_text()).plan
         flex = flex_local_sensitivity(plan, tpch_tables).sensitivity
         truth = exact_local_sensitivity(
             query, tpch_tables, addition_samples=10
         ).local_sensitivity
         assert flex == truth == 1.0
+
+    @pytest.mark.parametrize("name, expected", [
+        ("tpch1", 1.0), ("tpch4", 13.0), ("tpch13", 15.0),
+        ("tpch16", 52.0), ("tpch21", 1_189_622_772.0),
+    ])
+    def test_flex_on_the_sql_text(self, name, expected):
+        """FLEX's value on each supported query's SQL text over
+        generated tables of scale 2000, seed 3: what the DataFrame plans
+        the queries had until 1.31.0 gave, query by query."""
+        from repro.tpch import TPCHConfig, TPCHGenerator
+        from repro.tpch.datagen import register_tables
+
+        tables = TPCHGenerator(TPCHConfig(scale_rows=2000, seed=3)).generate()
+        sql = SQLSession()
+        register_tables(sql, tables)
+        plan = sql.sql(query_by_name(name).sql_text()).plan
+        assert flex_local_sensitivity(plan, tables).sensitivity == expected
 
 
 class TestSmoothSensitivity:

@@ -194,7 +194,7 @@ class TestUtility:
         sql = SQLSession()
         register_tables(sql, tables)
         flex_sens = flex_local_sensitivity(
-            query.dataframe(sql).plan, tables
+            sql.sql(query.sql_text()).plan, tables
         ).sensitivity
         flex_error = noise_with_sensitivity(
             truth, flex_sens, epsilon=0.1, trials=200

@@ -45,15 +45,16 @@ class TestCompileBasics:
     def test_plain_count(self, tables):
         query = compile_sql("SELECT COUNT(*) AS n FROM t", tables, "t")
         assert query.output(tables)[0] == 30
-        assert query.contribution(tables["t"][0]) == 1.0
+        assert query.map_record(tables["t"][0], query.build_aux(tables)) == 1.0
 
     def test_filtered_count(self, tables):
         query = compile_sql(
             "SELECT COUNT(*) AS n FROM t WHERE v >= 10", tables, "t"
         )
         assert query.output(tables)[0] == 20
-        assert query.contribution({"v": 3, "g": 0}) == 0.0
-        assert query.contribution({"v": 25, "g": 1}) == 1.0
+        aux = query.build_aux(tables)
+        assert query.map_record({"v": 3, "g": 0}, aux) == 0.0
+        assert query.map_record({"v": 25, "g": 1}, aux) == 1.0
 
     def test_sum_query(self, tables):
         query = compile_sql(
@@ -77,8 +78,9 @@ class TestCompileBasics:
             "SELECT COUNT(*) AS n FROM t, d WHERE g = k", tables, "d"
         )
         assert query.output(tables)[0] == 30
-        assert query.contribution({"k": 0, "w": 0}) == 10.0
-        assert query.contribution({"k": 99, "w": 0}) == 0.0
+        aux = query.build_aux(tables)
+        assert query.map_record({"k": 0, "w": 0}, aux) == 10.0
+        assert query.map_record({"k": 99, "w": 0}, aux) == 0.0
 
     def test_exists_over_static_side(self, tables):
         query = compile_sql(
@@ -207,9 +209,10 @@ class TestAgainstHandWrittenQueries:
             name=f"compiled-{handwritten.name}",
         )
         aux = handwritten.build_aux(tpch_tables)
+        compiled_aux = compiled.build_aux(tpch_tables)
         records = tpch_tables[handwritten.protected_table]
         for record in records[:300]:
-            assert compiled.contribution(record) == pytest.approx(
+            assert compiled.map_record(record, compiled_aux) == pytest.approx(
                 handwritten.map_record(record, aux)
             ), (handwritten.name, record)
         assert compiled.output(tpch_tables)[0] == pytest.approx(
@@ -374,10 +377,11 @@ def _layouts(query, tables):
     }
 
 
-def _assert_batch_is_the_rows(query, batch, label):
-    mapped = query.map_batch(batch, None)
+def _assert_batch_is_the_rows(query, tables, batch, label):
+    aux = query.build_aux(tables)
+    mapped = query.map_batch(batch, aux)
     reference = np.asarray(
-        [query.map_record(record, None) for record in batch], dtype=float
+        [query.map_record(record, aux) for record in batch], dtype=float
     )
     assert mapped.dtype == np.float64 and mapped.shape == reference.shape, label
     assert (
@@ -403,7 +407,9 @@ class TestBatchEvaluator:
                 frame.plan, tables, "t", domain_sampler=_random_t
             )
             for layout, batch in _layouts(query, tables).items():
-                _assert_batch_is_the_rows(query, batch, (shape, layout))
+                _assert_batch_is_the_rows(
+                    query, tables, batch, (shape, layout)
+                )
 
     def test_validate_monoid_passes_every_shape(self, tables, session):
         for shape, frame in _shapes(session).items():
@@ -431,8 +437,9 @@ class TestBatchEvaluator:
             session.table("d"), on=[("k", "dk")]
         ).agg(sum_(col("w") * col("x"), "s"))
         query = compile_plan(frame.plan, tables, "t")
-        assert query.map_batch(tables["t"], None).tolist() == [0.0, 10.0, 0.0]
-        assert query.map_record(tables["t"][0], None) == 0.0
+        aux = query.build_aux(tables)
+        assert query.map_batch(tables["t"], aux).tolist() == [0.0, 10.0, 0.0]
+        assert query.map_record(tables["t"][0], aux) == 0.0
         assert query.output(tables)[0] == frame.scalar() == 10.0
 
     @pytest.mark.parametrize("negated, expected", [
@@ -451,8 +458,9 @@ class TestBatchEvaluator:
         for name, rows in tables.items():
             session.create_table(name, rows)
         query = compile_plan(session.sql(text).plan, tables, "t")
-        assert query.map_batch(tables["t"], None).tolist() == expected
-        assert [query.map_record(r, None) for r in tables["t"]] == expected
+        aux = query.build_aux(tables)
+        assert query.map_batch(tables["t"], aux).tolist() == expected
+        assert [query.map_record(r, aux) for r in tables["t"]] == expected
         assert query.output(tables)[0] == session.sql(text).scalar()
 
     def test_map_batch_never_enters_the_row_interpreter(
@@ -460,21 +468,27 @@ class TestBatchEvaluator:
     ):
         for shape, frame in _shapes(session).items():
             query = compile_plan(frame.plan, tables, "t")
+            aux = query.build_aux(tables)
             with monkeypatch.context() as patch:
                 for node in (
                     _DynScan, _DynFilter, _DynProject, _DynJoinStatic,
                     _DynSemiAnti,
                 ):
                     patch.setattr(node, "rows", None)
-                patch.setattr(CompiledSQLQuery, "contribution", None)
-                assert len(query.map_batch(tables["t"], None)) == 120, shape
+                patch.setattr(CompiledSQLQuery, "map_record", None)
+                assert len(query.map_batch(tables["t"], aux)) == 120, shape
 
     def test_static_side_is_stored_once(self, tables, session):
+        """A session keeps the index its release built, once; the
+        index holds the static table's own rows, not copies."""
         frame = session.table("t").join(
             session.table("d"), on=[("k", "dk")]
         ).agg(count_star("n"))
-        query = compile_plan(frame.plan, tables, "t")
-        index = query._dynamic._index
+        query = compile_plan(frame.plan, tables, "t", domain_sampler=_random_t)
+        upa = UPASession(UPAConfig(sample_size=20, seed=3))
+        upa.run(query, tables, 0.5)
+        (index,), _read, kept, _public = upa._tables.aux(query, tables)
+        assert kept
         assert all(a is b for a, b in zip(index.rows, tables["d"]))
         assert sorted(index.row_ids.tolist()) == list(range(len(tables["d"])))
         for key, slot in index.slots.items():
@@ -490,40 +504,46 @@ class TestBatchEvaluator:
             {"a": -big, "b": 5, "z": 1},
         ]}
         wrap = compile_sql("SELECT SUM(a * 4) AS s FROM t", tables, "t")
-        assert wrap.map_batch(tables["t"], None).tolist() == [
+        aux = wrap.build_aux(tables)
+        assert wrap.map_batch(tables["t"], aux).tolist() == [
             float(big * 4), 12.0, float(-big * 4),
         ]
         guarded = compile_sql(
             "SELECT SUM(a / b) AS s FROM t WHERE b <> 0 AND a / b > 0",
             tables, "t",
         )
-        _assert_batch_is_the_rows(guarded, tables["t"], "guarded division")
+        _assert_batch_is_the_rows(
+            guarded, tables, tables["t"], "guarded division"
+        )
         unguarded = compile_sql("SELECT SUM(a / b) AS s FROM t", tables, "t")
+        aux = unguarded.build_aux(tables)
         with pytest.raises(ZeroDivisionError):
-            unguarded.map_batch(tables["t"], None)
+            unguarded.map_batch(tables["t"], aux)
         with pytest.raises(ZeroDivisionError):
-            [unguarded.map_record(r, None) for r in tables["t"]]
+            [unguarded.map_record(r, aux) for r in tables["t"]]
 
     def test_sum_of_text_raises_like_the_rows(self):
         tables = {"t": [{"c": "12"}, {"c": "7"}]}
         query = compile_sql("SELECT SUM(c) AS s FROM t", tables, "t")
+        aux = query.build_aux(tables)
         with pytest.raises(TypeError):
-            query.map_batch(tables["t"], None)
+            query.map_batch(tables["t"], aux)
         with pytest.raises(TypeError):
-            query.map_record(tables["t"][0], None)
+            query.map_record(tables["t"][0], aux)
 
     def test_missing_column_is_an_analysis_error_either_way(self, tables):
         query = compile_sql(
             "SELECT COUNT(*) AS n FROM t WHERE v > 1", tables, "t"
         )
         stray = [{"other": 1}]
+        aux = query.build_aux(tables)
         with pytest.raises(AnalysisError):
-            query.map_record(stray[0], None)
+            query.map_record(stray[0], aux)
         with pytest.raises(AnalysisError):
-            query.map_batch(stray, None)
+            query.map_batch(stray, aux)
 
 
-class TestCompileCacheGuardsItsStaticLists:
+class TestAuxCacheGuardsItsStaticLists:
     def test_a_static_list_grown_by_append_is_compiled_again(self):
         """``b`` is static when ``a`` is protected and protected the
         other way round, so the session's own append() grows the list
@@ -564,7 +584,6 @@ class TestCompileCacheGuardsItsStaticLists:
         assert again.plain_output[0] == 9862
         assert session.engine.metrics.get("sql.plan_cache.hits") == hits + 1
 
-
     TEXT = "SELECT COUNT(*) AS n FROM a, b WHERE k = bk"
 
     def _tables(self):
@@ -574,44 +593,106 @@ class TestCompileCacheGuardsItsStaticLists:
             "c": [{"ck": i} for i in range(50)],
         }
 
-    def _compiles(self, first, second, monkeypatch):
-        """Cache hits, and plans compiled, of compiling TEXT over
-        ``first``, then over ``second`` (a miss compiles)."""
-        from repro.core import sqlbridge
-        from repro.engine.context import EngineContext
+    def _builds(self, first, second, monkeypatch):
+        """Kept aux reused, and static sides built, of releasing TEXT
+        over ``first``, then over ``second`` (another epsilon, so it
+        does not replay) in one session."""
+        built = []
+        build = CompiledSQLQuery.build_aux
 
-        compiled = []
-        init = sqlbridge._Compiler.__init__
+        def counting(self, tables):
+            built.append(tables)
+            return build(self, tables)
 
-        def counting(self, *args):
-            compiled.append(args)
-            init(self, *args)
-
-        monkeypatch.setattr(sqlbridge._Compiler, "__init__", counting)
-        sqlbridge.clear_bridge_cache()
-        engine = EngineContext()
-        compile_sql(self.TEXT, first, "a", engine=engine)
-        query = compile_sql(self.TEXT, second, "a", engine=engine)
-        assert query.scanned_tables == ("b",)
-        return (
-            engine.metrics.get(MetricsRegistry.SQL_PLAN_CACHE_HITS),
-            len(compiled),
-        )
+        monkeypatch.setattr(CompiledSQLQuery, "build_aux", counting)
+        session = UPASession(UPAConfig(sample_size=20, seed=3))
+        for tables, epsilon in ((first, 0.5), (second, 0.4)):
+            session.run_sql(
+                self.TEXT, tables, "a", epsilon,
+                domain_sampler=lambda rng, _t: {"k": 1, "v": 0.0},
+            )
+        assert [t.names for t in built] == [{"b"}] * len(built)
+        reuses = session.engine.metrics.get(MetricsRegistry.AUX_REUSES)
+        return reuses, len(built)
 
     def test_an_extra_list_hits(self, monkeypatch):
-        """The key held every non-protected name, so one more table in
-        the dict recompiled and re-ran the static subtree."""
+        """One more table in the dict is not read, so the static side
+        is not run again."""
         tables = self._tables()
         extra = {**tables, "e": [{"x": 1}]}
-        assert self._compiles(tables, extra, monkeypatch) == (1, 1)
+        assert self._builds(tables, extra, monkeypatch) == (1, 1)
 
     def test_a_change_to_an_unscanned_list_hits(self, monkeypatch):
         tables = self._tables()
         changed = {**tables, "c": tables["c"][:-1]}
-        assert self._compiles(tables, changed, monkeypatch) == (1, 1)
-        # ... and a change to the scanned one still misses.
+        assert self._builds(tables, changed, monkeypatch) == (1, 1)
+        # ... and a change to the scanned one rebuilds the index.
         grown = {**tables, "b": tables["b"] + [{"bk": 1, "w": 0.5}]}
-        assert self._compiles(tables, grown, monkeypatch) == (0, 2)
+        assert self._builds(tables, grown, monkeypatch) == (0, 2)
+
+
+class TestStaticSideFollowsTheTables:
+    """A compiled query reads its public tables in ``build_aux``, so it
+    answers over the tables it is run with, like a hand-written one."""
+
+    TEXT = "SELECT COUNT(*) AS n FROM t, p WHERE k = pk"
+
+    def _tables(self, parts):
+        return {
+            "t": [{"k": i % 25} for i in range(100)],
+            "p": [{"pk": i % 25} for i in range(parts)],
+        }
+
+    def _compile(self, tables):
+        return compile_sql(
+            self.TEXT, tables, "t",
+            domain_sampler=lambda rng, _t: {"k": rng.randrange(25)},
+        )
+
+    def test_a_query_compiled_over_one_public_list_runs_over_another(self):
+        """Compiled over a ``p`` of 25 rows and run over one of 50, the
+        query joins the 50: up to 1.31.0 it answered from the 25 it was
+        compiled over (100 joined rows, not 200), in ``output``, in a
+        release and in the replay of that release."""
+        small, large = self._tables(25), self._tables(50)
+        large["t"] = small["t"]
+        query = self._compile(small)
+        assert query.output(small)[0] == 100
+        assert query.output(large)[0] == 200
+        assert self._compile(large).output(large)[0] == 200
+        session = UPASession(UPAConfig(sample_size=20, seed=3))
+        first = session.run(query, small, 0.5)
+        assert first.plain_output[0] == 100
+        # The same query, protected rows and epsilon over another public
+        # list is no replay ...
+        second = session.run(query, large, 0.5)
+        assert second is not first
+        assert second.plain_output[0] == 200
+        # ... and over that list again, it is.
+        assert session.run(query, large, 0.5) is second
+
+    def test_one_text_run_twice_reuses_its_static_indexes(self):
+        tables = self._tables(25)
+        sampler = lambda rng, _t: {"k": rng.randrange(25)}  # noqa: E731
+        session = UPASession(UPAConfig(sample_size=20, seed=3))
+        metrics = session.engine.metrics
+        session.run_sql(self.TEXT, tables, "t", 0.5, domain_sampler=sampler)
+        reuses = metrics.get(MetricsRegistry.AUX_REUSES)
+        session.run_sql(self.TEXT, tables, "t", 0.4, domain_sampler=sampler)
+        assert metrics.get(MetricsRegistry.AUX_REUSES) == reuses + 1
+
+    def test_a_change_to_a_scanned_list_rebuilds_the_indexes(self):
+        tables = self._tables(25)
+        query = self._compile(tables)
+        session = UPASession(UPAConfig(sample_size=20, seed=3))
+        metrics = session.engine.metrics
+        assert session.run(query, tables, 0.5).plain_output[0] == 100
+        tables["p"].extend({"pk": i} for i in range(25))
+        reuses = metrics.get(MetricsRegistry.AUX_REUSES)
+        assert session.run(query, tables, 0.4).plain_output[0] == 200
+        assert metrics.get(MetricsRegistry.AUX_REUSES) == reuses
+        assert session.run(query, tables, 0.3).plain_output[0] == 200
+        assert metrics.get(MetricsRegistry.AUX_REUSES) == reuses + 1
 
 
 class TestReplayIdentity:

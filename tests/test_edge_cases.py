@@ -309,12 +309,16 @@ class TestNoiseFloor:
         from repro.core.sqlbridge import compile_sql
 
         rows = tpch_tables["orders"]
-        mapped = [
+        queries = [
             compile_sql(
                 "SELECT SUM(CASE WHEN o_orderstatus = 'F' "
                 f"{branches}) AS r FROM orders", tpch_tables, "orders",
-            ).map_batch(rows, None)
+            )
             for branches in (no_else, twin)
+        ]
+        mapped = [
+            query.map_batch(rows, query.build_aux(tpch_tables))
+            for query in queries
         ]
         assert mapped[0].tobytes() == mapped[1].tobytes()
 

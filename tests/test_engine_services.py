@@ -200,7 +200,7 @@ def small_ml():
 def test_tpch_sql_optimized_matches_plan_as_written(query, small_tpch):
     session = SQLSession()
     register_tables(session, small_tpch)
-    df = query.dataframe(session)
+    df = session.sql(query.sql_text())
     assert df.collect() == session.executor.execute(df.plan).collect()
 
 
@@ -258,8 +258,8 @@ class TestWorkloadsUnderFaults:
         faulty = SQLSession(engine=engine)
         for session in (plain, faulty):
             register_tables(session, small_tpch)
-        expected = query.dataframe(plain).collect()
-        assert query.dataframe(faulty).collect() == expected
+        expected = plain.sql(query.sql_text()).collect()
+        assert faulty.sql(query.sql_text()).collect() == expected
         _assert_retried(engine, injector)
 
     @pytest.mark.parametrize(

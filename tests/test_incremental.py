@@ -688,7 +688,12 @@ class TestReleaseAtomicity:
 
 class TestBridgeCacheEviction:
     def test_an_evicted_plan_is_compiled_again(self, monkeypatch):
+        """The bridge keeps one compiled tree here and the session two
+        static sides (``REGISTRY_BOUND``): an evicted plan is compiled
+        again, and its static side built again once the session has
+        evicted it too."""
         from repro.core import sqlbridge
+        from repro.core.table import REGISTRY_BOUND
         from repro.tpch.queries.base import random_lineitem
 
         monkeypatch.setattr(sqlbridge, "_BRIDGE_CACHE_SIZE", 1)
@@ -696,18 +701,23 @@ class TestBridgeCacheEviction:
         workload = workload_by_name("tpch6")
         tables = workload.make_tables(300, SEED)
         session = _session()
-        hits = []
-        for cutoff in (24, 10, 24):
+        metrics = session.engine.metrics
+        hits, reuses = [], []
+        # Another epsilon each time, so nothing replays.
+        for run, cutoff in enumerate((24, 10, 24, 5, 10)):
             session.run_sql(
-                "SELECT COUNT(*) AS n FROM lineitem "
-                f"WHERE l_quantity < {cutoff}",
+                "SELECT COUNT(*) AS n FROM lineitem, orders "
+                f"WHERE l_orderkey = o_orderkey AND l_quantity < {cutoff}",
                 tables, protected_table="lineitem",
-                domain_sampler=random_lineitem,
+                epsilon=0.5 + run / 10, domain_sampler=random_lineitem,
             )
-            hits.append(session.engine.metrics.get(
-                MetricsRegistry.SQL_PLAN_CACHE_HITS
-            ))
+            hits.append(metrics.get(MetricsRegistry.SQL_PLAN_CACHE_HITS))
+            reuses.append(metrics.get(MetricsRegistry.AUX_REUSES))
         sqlbridge.clear_bridge_cache()
-        # The second plan pushed the first out of the one-entry cache,
-        # so the first was compiled again rather than hit.
-        assert hits == [0, 0, 0]
+        # Each plan pushed the one before out of the one-entry cache,
+        # so none was hit.
+        assert hits == [0, 0, 0, 0, 0]
+        # The session held the last two static sides: 24 was kept for
+        # its second run; 10 was not, after 24 and 5.
+        assert REGISTRY_BOUND == 2
+        assert reuses == [0, 0, 1, 1, 1]

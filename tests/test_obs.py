@@ -677,6 +677,7 @@ class TestSessionObservability:
         report = ObservedRun.from_live(tracer=tracer)
         assert report.enforcement_summary() == {
             "releases": 1, "registry": 0, "sweeps": 0, "records_removed": 0,
+            "refused": 0, "refused_sweeps": 0, "refused_records_removed": 0,
         }
         assert "1 releases against a registry of up to 0" in (
             report.render_text()

@@ -490,9 +490,10 @@ class TestBridgeBatchEvaluation:
     def test_map_batch_is_map_record_bitwise(self, case):
         tables, plan = case
         query = compile_plan(plan, tables, "t")
+        aux = query.build_aux(tables)
         rows = tables["t"]
         reference = _row_outcomes(
-            lambda row: query.map_record(row, None), rows
+            lambda row: query.map_record(row, aux), rows
         )
         _fingerprints, buffers = fingerprint_columns(rows)
         everything = np.arange(len(rows))
@@ -504,7 +505,7 @@ class TestBridgeBatchEvaluation:
         }
         for layout, batch in layouts.items():
             try:
-                mapped = query.map_batch(batch, None)
+                mapped = query.map_batch(batch, aux)
             except Exception as exc:  # noqa: BLE001 — parity includes errors
                 # Some record raises in the row interpreter too (it
                 # meets records one at a time, the plan stage by stage,
@@ -521,11 +522,11 @@ class TestBridgeBatchEvaluation:
             # Row-stable: element i is record i's, under any slicing.
             cut = max(1, len(rows) // 3)
             pieces = np.concatenate([
-                query.map_batch(rows[lo:lo + cut], None)
+                query.map_batch(rows[lo:lo + cut], aux)
                 for lo in range(0, len(rows), cut)
             ])
-            assert pieces.tobytes() == query.map_batch(rows, None).tobytes()
-            assert len(query.map_batch([], None)) == 0
+            assert pieces.tobytes() == query.map_batch(rows, aux).tobytes()
+            assert len(query.map_batch([], aux)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ from repro.core.session import (
 )
 from repro.core.table import ProtectedTable
 from repro.engine.context import EngineContext
+from repro.obs import ObservedRun
 from repro.obs.ledger import PrivacyLedger
-from repro.obs.tracing import NULL_TRACER
+from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.workloads import all_workloads, workload_by_name
 
 SEED, SCALE, EPSILON = 3, 2000, 0.1
@@ -173,13 +174,16 @@ def test_an_append_is_a_release_over_the_window(name):
     )
 
 
-def test_a_refusal_carries_the_fit_of_its_ledger_row():
+REFUSED_CONFIG = UPAConfig(sample_size=100, seed=0)
+
+
+def _refused_append(tracer=None):
     """tpch21 appended to twice in small steps: the second append looks
-    neighbouring to the first and RANGE ENFORCER refuses it."""
+    neighbouring to the first and RANGE ENFORCER refuses it.  The
+    session's ledger, the refusal, and the three tables released from."""
     workload = workload_by_name("tpch21")
     query = workload.query
     protected = query.protected_table
-    config = UPAConfig(sample_size=100, seed=0)
     tables = workload.make_tables(2040, 0)
     rows = tables[protected]
     held = rows[-40:]
@@ -189,16 +193,22 @@ def test_a_refusal_carries_the_fit_of_its_ledger_row():
     ]
 
     ledger = PrivacyLedger()
-    session = UPASession(config, ledger=ledger)
+    session = UPASession(REFUSED_CONFIG, ledger=ledger, tracer=tracer)
     session.run(query, tables, EPSILON)
     session.append(held[:20], EPSILON)
     with pytest.raises(ReleaseRefused) as refused:
         session.append(held[20:], EPSILON)
+    return ledger, refused.value, snapshots
+
+
+def test_a_refusal_carries_the_fit_of_its_ledger_row():
+    query = workload_by_name("tpch21").query
+    config = REFUSED_CONFIG
+    ledger, refusal, snapshots = _refused_append()
     *released, row = ledger.entries()
     assert [entry.refused for entry in released] == [False, False]
     assert row.refused and row.epsilon_charged == 0.0
 
-    refusal = refused.value
     inferred = refusal.inferred
     assert row.range_lower == tuple(inferred.lower)
     assert row.range_upper == tuple(inferred.upper)
@@ -223,6 +233,34 @@ def test_a_refusal_carries_the_fit_of_its_ledger_row():
         inferred.lower, inferred.upper, refusal.estimated_local_sensitivity,
     )
     assert str(mine.value) == str(refusal)
+
+
+def test_a_refusal_counts_the_records_its_removal_loop_took_out():
+    """The refusal, its ledger row, its ``phase:enforce`` span and the
+    report's range-enforcer line say how many sampled records RANGE
+    ENFORCER removed before it gave up (the row used to say 0, and the
+    report to count only the releases' removals)."""
+    tracer = Tracer()
+    ledger, refusal, _ = _refused_append(tracer)
+    removed = refusal.records_removed
+    assert removed > 0 and refusal.sweeps >= 1
+    assert f"after removing {removed} records" in str(refusal)
+    row = ledger.entries()[-1]
+    assert row.refused and row.matched_prior
+    assert row.records_removed == removed
+    *_, enforce = tracer.find("phase:enforce")
+    assert enforce.attributes["refused"] is True
+    assert enforce.attributes["matched_prior"] is True
+    assert enforce.attributes["sweeps"] == refusal.sweeps
+    assert enforce.attributes["records_removed"] == removed
+    report = ObservedRun.from_live(tracer=tracer, ledger=ledger)
+    summary = report.enforcement_summary()
+    assert (summary["releases"], summary["refused"]) == (2, 1)
+    assert summary["refused_records_removed"] == removed
+    assert (
+        f"; 1 refused after {refusal.sweeps} sweeps and {removed} records "
+        "removed"
+    ) in report.render_text()
 
 
 def test_a_trial_is_reproducible_from_its_run():

@@ -174,9 +174,6 @@ def _tpch_plans():
 
     queries = all_queries() + [Q12(), Q14()]
     plans = [
-        pytest.param(q.dataframe, id=f"{q.name}-dataframe") for q in queries
-    ]
-    plans += [
         pytest.param(lambda s, q=q: s.sql(q.sql_text()), id=f"{q.name}-sql")
         for q in queries
     ]
@@ -188,8 +185,8 @@ def _tpch_plans():
 
 
 class TestShippedPlans:
-    """Every plan the package ships — TPC-H as DataFrames and as SQL
-    text, and the ad-hoc benchmark queries — runs and returns rows."""
+    """Every plan the package ships — TPC-H as SQL text and the
+    ad-hoc benchmark queries — runs and returns rows."""
 
     @pytest.mark.parametrize("frame", _tpch_plans())
     def test_query_returns_rows(self, frame):

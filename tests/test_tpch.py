@@ -102,13 +102,13 @@ class TestDatagen:
 
 class TestQueryConsistency:
     @pytest.mark.parametrize("query", all_queries(), ids=lambda q: q.name)
-    def test_three_forms_agree(self, query, tpch_tables, sql_session):
+    def test_sql_and_mapreduce_forms_agree(
+        self, query, tpch_tables, sql_session
+    ):
         mr_value = query.output(tpch_tables)[0]
-        df_value = query.dataframe(sql_session).collect()[0]["result"] or 0.0
         sql_value = (
             sql_session.sql(query.sql_text()).collect()[0]["result"] or 0.0
         )
-        assert mr_value == pytest.approx(df_value)
         assert mr_value == pytest.approx(sql_value)
 
     @pytest.mark.parametrize("query", all_queries(), ids=lambda q: q.name)
@@ -131,7 +131,8 @@ class TestQueryConsistency:
 
     def test_support_matrix(self):
         """Each query's declared ``flex_supported`` is what FLEX's
-        fragment check says of its DataFrame plan (Q12 and Q14 too)."""
+        fragment check says of the plan of its SQL text (Q12 and Q14
+        too)."""
         queries = all_queries() + [Q12(), Q14()]
         support = {q.name: q.flex_supported for q in queries}
         assert support == {
@@ -150,7 +151,7 @@ class TestQueryConsistency:
         for name, schema in ALL_SCHEMAS.items():
             session.create_table(name, [], schema)
         for query in queries:
-            plan = query.dataframe(session).plan
+            plan = session.sql(query.sql_text()).plan
             assert query.flex_supported == (
                 flex_fragment_reason(plan) is None
             ), query.name
