@@ -10,7 +10,8 @@ Public surface:
 * :func:`repro.core.dpobject.dpread` + ``DPObject``/``DPObjectKV`` —
   the paper's Table I operator API.
 * :class:`repro.engine.EngineContext` — the MapReduce engine substrate.
-* :class:`repro.sql.SQLSession` — the SQL/DataFrame layer.
+* :class:`repro.sql.SQLSession` — the SQL layer: SQL text in, plans and
+  rows out.
 * :mod:`repro.workloads` — the paper's nine evaluated queries.
 * :mod:`repro.baselines` — FLEX and brute-force comparators.
 """

@@ -25,7 +25,6 @@ from repro.common.errors import FlexUnsupportedError
 from repro.sql.expr import Column, Expression
 from repro.sql.logical import (
     Aggregate,
-    Distinct,
     Filter,
     Join,
     Limit,
@@ -119,8 +118,8 @@ def _walk(node: LogicalPlan, metadata: Optional[TableMetadata],
         analysis.ignored_filters.append(repr(node.condition))
         _walk(node.child, metadata, analysis)
         return
-    if isinstance(node, (Project, Distinct)):
-        _walk(node.children()[0], metadata, analysis)
+    if isinstance(node, Project):
+        _walk(node.child, metadata, analysis)
         return
     if isinstance(node, Join):
         for left_key, right_key in node.keys:

@@ -21,8 +21,10 @@ audit ledger as JSONL.
 
 Exit status: 0 on success; 2 on a usage error (a bad argument, a
 missing artifact, ``--append`` holding back the whole protected
-table); 3 when RANGE ENFORCER refuses a release of ``run --append``
-(a small append can look neighbouring to the release before it).  A
+table, a ``run-sql`` text that does not parse or that the bridge
+refuses; each prints one ``error:`` line to stderr); 3 when RANGE
+ENFORCER refuses a release of ``run --append`` (a small append can
+look neighbouring to the release before it).  A
 refusal still writes ``--ledger`` and ``--trace``, the ledger ending
 in the ``refused`` row, and prints one ``refused:`` line to stderr.
 ``run-sql`` and ``compare`` make one release on a fresh session, which
@@ -37,6 +39,7 @@ from typing import List, Optional
 
 from repro._version import __version__
 from repro.analysis import format_table
+from repro.common.errors import AnalysisError, ParseError, QueryShapeError
 from repro.core import UPAConfig, UPASession
 from repro.core.session import ReleaseRefused
 from repro.engine.metrics import MetricsRegistry
@@ -273,11 +276,17 @@ def _cmd_run_sql(args) -> int:
         UPAConfig(sample_size=1000, seed=args.seed), tracer=tracer,
         ledger=ledger,
     )
-    with use_tracer(tracer):
-        result = session.run_sql(
-            args.query, tables, protected_table=args.protect,
-            epsilon=args.epsilon, domain_sampler=sampler,
-        )
+    try:
+        with use_tracer(tracer):
+            result = session.run_sql(
+                args.query, tables, protected_table=args.protect,
+                epsilon=args.epsilon, domain_sampler=sampler,
+            )
+    except (ParseError, AnalysisError, QueryShapeError) as exc:
+        # Text that does not parse, names what the tables lack, or
+        # that the bridge cannot release: nothing ran, nothing was spent.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = [
         ["query", args.query],
         ["true answer", result.plain_output[0]],

@@ -18,14 +18,15 @@ The compiler splits the logical plan at the protected table:
   given a batch of protected records and those indexes, produces every
   record's joined/filtered rows (filter masks, key-array joins) and
   folds them per record with the aggregate.  The compiled plan holds
-  no table data.
+  no table rows; a scalar subquery (over public tables only) was
+  evaluated once, when the text was parsed, and is a literal in it.
 
 ``map_record(record, aux) = aggregate(dynamic_rows([record]))`` —
 element i of ``map_batch`` — is then a valid Mapper for UPA, and the
 reducer is scalar addition — exactly the monoid UPA's reuse requires.
 Non-linear shapes (self-joins on the protected table, EXISTS over it,
-GROUP BY, DISTINCT, AVG/MIN/MAX) are rejected with
-:class:`repro.common.errors.QueryShapeError`.
+a scalar subquery over it, GROUP BY, COUNT(DISTINCT ...), AVG/MIN/MAX)
+are rejected with :class:`repro.common.errors.QueryShapeError`.
 
 Example:
     >>> from repro.core.sqlbridge import compile_sql
@@ -74,7 +75,6 @@ from repro.sql.expr import CaseWhen, Expression, Literal, UnaryOp
 from repro.sql.functions import AggregateSpec
 from repro.sql.logical import (
     Aggregate,
-    Distinct,
     Filter,
     Join,
     Limit,
@@ -471,7 +471,7 @@ class _Compiler:
             return _DynProject(self.compile(plan.child), plan.exprs)
         if isinstance(plan, Join):
             return self._compile_join(plan)
-        if isinstance(plan, (Distinct, Sort, Limit)):
+        if isinstance(plan, (Sort, Limit)):
             raise QueryShapeError(
                 f"{type(plan).__name__} over the protected table is not "
                 "linear in individual records"
@@ -509,17 +509,6 @@ class _Compiler:
                 residual=plan.residual,
                 prefix=Join.RESIDUAL_RIGHT_PREFIX,
                 static_names=plan.right.schema.names,
-            )
-
-        if plan.how == "left" and right_dyn:
-            raise QueryShapeError(
-                "LEFT JOIN with the protected table on the right is not "
-                "linear: adding a record flips NULL-extended rows"
-            )
-        if plan.how == "left" and left_dyn:
-            raise QueryShapeError(
-                "LEFT JOIN on the protected path is not supported by the "
-                "bridge (NULL-extension mixes static and dynamic rows)"
             )
 
         if left_dyn:
@@ -587,7 +576,10 @@ def _is_int_literal(value: Expression) -> bool:
 class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
     """A MapReduceQuery derived from a SQL plan by provenance analysis.
 
-    The query holds no table data.  Like a hand-written query, it reads
+    The query holds no table rows.  A scalar subquery in the text, which
+    may read public tables only, was evaluated once, at parse time, over
+    the tables :func:`compile_sql` was given, and the plan holds its
+    value as a literal.  Otherwise, like a hand-written query, it reads
     the public tables in :meth:`build_aux`, whichever tables it is
     given: neighbouring datasets vary the *protected* table, and a
     session keeps the aux per the public tables it read (DESIGN.md
@@ -735,10 +727,11 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
 # A UPA run replays one compiled query over ~2n neighbours, but callers
 # (sessions, baselines, comparisons) routinely re-invoke compile_sql /
 # compile_plan for the same plan.  The compiled dynamic tree depends
-# only on the plan and the protected table, and holds no table data, so
-# it is cached here keyed by the canonical plan fingerprint.  What the
-# static side read is the query's aux, and which public tables a
-# release depends on is decided in one place: the session's aux cache
+# only on the plan and the protected table, and holds no table rows (a
+# scalar subquery's value is a literal in the plan), so it is cached
+# here keyed by the canonical plan fingerprint.  What the static side
+# read is the query's aux, and which public tables a release depends on
+# is decided in one place: the session's aux cache
 # (core.table.TableRegistry.aux, DESIGN.md section 5, item 9).
 
 _BRIDGE_CACHE_SIZE = 64
@@ -838,7 +831,15 @@ def compile_sql(
         session = SQLSession()
         for table_name, rows in tables.items():
             session.create_table(table_name, rows)
-        plan = parse_sql(sql_text, session)
+        scalar_tables: set = set()
+        plan = parse_sql(sql_text, session, scalar_tables)
+        if protected_table in scalar_tables:
+            # The parser ran the subquery and left only its value: a
+            # constant to the compiled plan, though every record moves it.
+            raise QueryShapeError(
+                f"a scalar subquery over the protected table "
+                f"{protected_table!r} is not linear in its records"
+            )
         return compile_plan(
             plan, tables, protected_table, domain_sampler,
             name=name or f"sql:{sql_text[:40]}",

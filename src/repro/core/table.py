@@ -246,11 +246,13 @@ class TableRegistry:
         #: (query identity, the public tables build_aux read, what it
         #: returned).
         self._aux: List[Tuple[Any, FixedLists, Any]] = []
-        #: dataset print -> (query identity, epsilon) -> (the public
-        #: tables read, the release made from them); only the prints of
-        #: the tables held in ``_tables`` are kept.
+        #: dataset print -> (query identity, epsilon) -> up to
+        #: REGISTRY_BOUND (the public tables read, the release made from
+        #: them), most recent last; only the prints of the tables held
+        #: in ``_tables`` are kept.
         self._answers: Dict[
-            Tuple[int, int], Dict[Tuple[Any, float], Tuple[FixedLists, Any]]
+            Tuple[int, int],
+            Dict[Tuple[Any, float], List[Tuple[FixedLists, Any]]],
         ] = {}
 
     def lookup(self, rows: List[Row]) -> Tuple[ProtectedTable, bool]:
@@ -318,10 +320,11 @@ class TableRegistry:
         equal to what they were; a table it did not read may differ.
         """
         kept = self._answers.get(table.dataset_print(), {}).get(
-            (_identity(query), epsilon)
+            (_identity(query), epsilon), ()
         )
-        if kept is not None and kept[0].unchanged(tables):
-            return kept[1]
+        for fixed, release in reversed(kept):
+            if fixed.unchanged(tables):
+                return release
         return None
 
     def keep(self, query: MapReduceQuery, reads: TableReads,
@@ -330,14 +333,19 @@ class TableRegistry:
         """Remember ``release`` for :meth:`replay`, with the public
         tables it read: what ``build_aux`` read (``aux_read``, whose
         copies are reused) and what the sampler read through ``reads``.
+        The last REGISTRY_BOUND releases of one query at one epsilon on
+        one dataset are kept, so x's release over public tables A, then
+        over B, then over A again replays the first.
         """
         names = reads.names - {query.protected_table}
-        self._answers.setdefault(table.dataset_print(), {})[
-            (_identity(query), epsilon)
-        ] = (
+        kept = self._answers.setdefault(table.dataset_print(), {}).setdefault(
+            (_identity(query), epsilon), []
+        )
+        kept.append((
             FixedLists(reads.tables, names, aux_read, listed=reads.listed),
             release,
-        )
+        ))
+        del kept[:-REGISTRY_BOUND]
 
     def _prune(self) -> None:
         held = {table.dataset_print() for table in self._tables}

@@ -10,7 +10,7 @@ operators — commutativity and associativity.  The engine runs what a
 release, the SQL executor and :mod:`repro.core.dpobject` (the paper's
 Table I) need of Spark, with Spark's semantics: ``parallelize``, then
 ``map`` / ``map_partitions``, then ``aggregate``, plus ``collect``,
-``take``, ``first``, ``count`` and ``union``.  Nothing shuffles: a
+``take``, ``count`` and ``union``.  Nothing shuffles: a
 fold by key or a join folds or probes each partition and merges on the
 driver.
 

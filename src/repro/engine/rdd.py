@@ -90,12 +90,6 @@ class RDD:
         """Number of records."""
         return sum(self.context.scheduler.run_job(self, _count_iter))
 
-    def first(self) -> T:
-        taken = self.take(1)
-        if not taken:
-            raise EngineError("first() on an empty RDD")
-        return taken[0]
-
     def take(self, n: int) -> List[T]:
         """Return up to ``n`` records, scanning partitions in order."""
         if n <= 0:

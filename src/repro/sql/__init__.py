@@ -1,17 +1,20 @@
-"""A small SQL/DataFrame layer compiled onto the MapReduce engine.
+"""The SQL layer: SQL text, planned and run on the MapReduce engine.
 
-This is the "SparkSQL" stand-in: expression AST, logical plans, a
-rule-based optimizer, physical execution over RDDs, a DataFrame builder
-API, and a text parser for the SQL subset used by the TPC-H workloads.
+This is the "SparkSQL" stand-in, kept to what SQL text reaches: a text
+parser for the subset the TPC-H workloads use, logical plans, a
+rule-based optimizer, and physical execution over RDDs.  There is no
+DataFrame builder: a plan comes from :meth:`SQLSession.sql`, or from
+the plan constructors of :mod:`repro.sql.logical`.
 
 The FLEX baseline (:mod:`repro.baselines.flex`) performs its static
 analysis directly on the logical plans produced here, exactly as the
-original operated on SQL query plans.
+original operated on SQL query plans, and :mod:`repro.core.sqlbridge`
+compiles them into UPA queries.
 
 Example:
     >>> from repro.sql import SQLSession
     >>> sess = SQLSession()
-    >>> _ = sess.create_table("t", [{"a": 1}, {"a": 2}, {"a": 2}])
+    >>> sess.create_table("t", [{"a": 1}, {"a": 2}, {"a": 2}])
     >>> sess.sql("SELECT COUNT(*) AS n FROM t WHERE a = 2").collect()
     [{'n': 2}]
 """
@@ -20,30 +23,17 @@ from repro.sql.compiler import (
     compile_expression,
     compile_predicate,
     compile_projection,
-    expr_fingerprint,
     plan_fingerprint,
 )
-from repro.sql.dataframe import DataFrame
-from repro.sql.expr import Expression, col, lit
-from repro.sql.functions import avg, count, count_distinct, count_star, max_, min_, sum_
+from repro.sql.expr import Expression, col
 from repro.sql.session import SQLSession
 
 __all__ = [
-    "DataFrame",
     "Expression",
     "SQLSession",
-    "avg",
     "col",
     "compile_expression",
     "compile_predicate",
     "compile_projection",
-    "count",
-    "count_distinct",
-    "count_star",
-    "expr_fingerprint",
-    "lit",
-    "max_",
-    "min_",
     "plan_fingerprint",
-    "sum_",
 ]

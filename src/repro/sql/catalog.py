@@ -31,17 +31,12 @@ class Catalog:
         name: str,
         rows: Sequence[Dict[str, Any]],
         schema: Optional[Schema] = None,
-    ) -> Table:
+    ) -> None:
         """Register (or replace) a table from in-memory rows."""
         rows = list(rows)
         if schema is None:
             schema = Schema.from_rows(rows)
-        table = Table(name, schema, rows)
-        self._tables[name] = table
-        return table
-
-    def drop(self, name: str) -> None:
-        self._tables.pop(name, None)
+        self._tables[name] = Table(name, schema, rows)
 
     def table(self, name: str) -> Table:
         try:
@@ -50,12 +45,6 @@ class Catalog:
             raise AnalysisError(
                 f"unknown table {name!r}; registered: {sorted(self._tables)}"
             ) from None
-
-    def has(self, name: str) -> bool:
-        return name in self._tables
-
-    def names(self) -> List[str]:
-        return sorted(self._tables)
 
     def rdd(self, name: str) -> RDD:
         """RDD of a table's rows (created lazily, reused afterwards)."""

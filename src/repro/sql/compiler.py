@@ -130,7 +130,6 @@ def plan_fingerprint(plan) -> str:
     cache and release replay key on it."""
     from repro.sql.logical import (
         Aggregate,
-        Distinct,
         Filter,
         Join,
         Limit,
@@ -182,8 +181,6 @@ def plan_fingerprint(plan) -> str:
     if isinstance(plan, Union):
         inputs = " ".join(plan_fingerprint(c) for c in plan.inputs)
         return f"(union {inputs})"
-    if isinstance(plan, Distinct):
-        return f"(distinct {plan_fingerprint(plan.child)})"
     return f"(opaque {type(plan).__qualname__} {id(plan)})"
 
 

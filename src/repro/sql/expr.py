@@ -10,7 +10,7 @@ NULL comparison being unknown-vs-false).
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.common.errors import AnalysisError
 
@@ -44,9 +44,6 @@ class Expression:
         return ()
 
     # -- naming --------------------------------------------------------
-
-    def alias(self, name: str) -> "Alias":
-        return Alias(self, name)
 
     def output_name(self) -> str:
         """Name this expression produces in a projection."""
@@ -124,21 +121,6 @@ class Expression:
 
     def not_like(self, pattern: str) -> "LikeOp":
         return LikeOp(self, pattern, negated=True)
-
-    def isin(self, values: Iterable[Any]) -> "InOp":
-        return InOp(self, list(values), negated=False)
-
-    def not_in(self, values: Iterable[Any]) -> "InOp":
-        return InOp(self, list(values), negated=True)
-
-    def between(self, low: Any, high: Any) -> "Expression":
-        return (self >= low) & (self <= high)
-
-    def is_null(self) -> "IsNullOp":
-        return IsNullOp(self, negated=False)
-
-    def is_not_null(self) -> "IsNullOp":
-        return IsNullOp(self, negated=True)
 
 
 class Column(Expression):

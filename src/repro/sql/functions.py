@@ -9,13 +9,12 @@ relies on (paper section II-C).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Optional, Set
 
 from repro.common.errors import AnalysisError
 from repro.sql.expr import Expression, Row
 
-_SUPPORTED = ("count", "count_distinct", "sum", "avg", "min", "max",
-              "var", "stddev")
+_SUPPORTED = ("count", "count_distinct", "sum", "avg", "min", "max")
 
 
 @dataclass
@@ -54,8 +53,6 @@ class AggregateSpec:
             return None  # SQL SUM of no rows is NULL
         if self.func in ("avg",):
             return (0.0, 0)
-        if self.func in ("var", "stddev"):
-            return (0.0, 0.0, 0)  # (sum, sum of squares, count)
         return None  # min/max of no rows is NULL
 
     def add(self, acc: Any, row: Row) -> Any:
@@ -74,9 +71,6 @@ class AggregateSpec:
         if self.func == "avg":
             total, n = acc
             return (total + value, n + 1)
-        if self.func in ("var", "stddev"):
-            total, squares, n = acc
-            return (total + value, squares + value * value, n + 1)
         if self.func == "min":
             return value if acc is None or value < acc else acc
         return value if acc is None or value > acc else acc  # max
@@ -95,8 +89,6 @@ class AggregateSpec:
             return a + b
         if self.func == "avg":
             return (a[0] + b[0], a[1] + b[1])
-        if self.func in ("var", "stddev"):
-            return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
         if self.func == "min":
             if a is None:
                 return b
@@ -115,54 +107,9 @@ class AggregateSpec:
         if self.func == "avg":
             total, n = acc
             return None if n == 0 else total / n
-        if self.func in ("var", "stddev"):
-            total, squares, n = acc
-            if n == 0:
-                return None
-            variance = max(0.0, squares / n - (total / n) ** 2)
-            return variance if self.func == "var" else variance ** 0.5
         return acc
 
     def __repr__(self) -> str:
         arg = "*" if self.expr is None else repr(self.expr)
         return f"{self.func}({arg}) AS {self.alias}"
 
-
-def count_star(alias: str = "count") -> AggregateSpec:
-    """``COUNT(*)``."""
-    return AggregateSpec("count", None, alias)
-
-
-def count(expr: Expression, alias: str = "count") -> AggregateSpec:
-    """``COUNT(expr)`` (non-null values)."""
-    return AggregateSpec("count", expr, alias)
-
-
-def count_distinct(expr: Expression, alias: str = "count_distinct") -> AggregateSpec:
-    return AggregateSpec("count_distinct", expr, alias)
-
-
-def sum_(expr: Expression, alias: str = "sum") -> AggregateSpec:
-    return AggregateSpec("sum", expr, alias)
-
-
-def avg(expr: Expression, alias: str = "avg") -> AggregateSpec:
-    return AggregateSpec("avg", expr, alias)
-
-
-def var(expr: Expression, alias: str = "var") -> AggregateSpec:
-    """Population variance."""
-    return AggregateSpec("var", expr, alias)
-
-
-def stddev(expr: Expression, alias: str = "stddev") -> AggregateSpec:
-    """Population standard deviation."""
-    return AggregateSpec("stddev", expr, alias)
-
-
-def min_(expr: Expression, alias: str = "min") -> AggregateSpec:
-    return AggregateSpec("min", expr, alias)
-
-
-def max_(expr: Expression, alias: str = "max") -> AggregateSpec:
-    return AggregateSpec("max", expr, alias)

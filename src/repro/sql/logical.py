@@ -1,21 +1,21 @@
 """Logical query plans.
 
 Plan nodes are immutable-ish trees that carry an output schema.  They
-are built by the DataFrame API or the SQL parser, rewritten by the
-optimizer, and executed by :mod:`repro.sql.physical`.  The FLEX
-baseline walks these trees for its static sensitivity analysis.
+are built by the SQL parser, rewritten by the optimizer, and executed
+by :mod:`repro.sql.physical`.  The FLEX baseline walks these trees for
+its static sensitivity analysis.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.common.errors import AnalysisError
 from repro.sql.expr import Expression
 from repro.sql.functions import AggregateSpec
 from repro.sql.types import ANY, Field, Schema
 
-JOIN_TYPES = ("inner", "left", "semi", "anti")
+JOIN_TYPES = ("inner", "semi", "anti")
 
 
 class LogicalPlan:
@@ -154,18 +154,17 @@ class Project(LogicalPlan):
 class Join(LogicalPlan):
     """Equi-join on key expression pairs, with an optional residual.
 
-    ``how`` in {'inner', 'left', 'semi', 'anti'}.  Semi/anti output only
-    the left side's columns (SQL EXISTS / NOT EXISTS).
+    ``how`` in {'inner', 'semi', 'anti'}.  Semi/anti output only the
+    left side's columns (SQL EXISTS / NOT EXISTS, and [NOT] IN).
 
     ``residual`` is an extra match condition of a semi/anti join,
     evaluated per candidate pair *after* the equi-key match.  Because
     semi/anti self-joins can have identical column names on both sides
     (e.g. TPC-H Q21 joins lineitem with lineitem), the residual sees the
     right side's columns under the prefix :data:`RESIDUAL_RIGHT_PREFIX`
-    — e.g. ``col("__r_l_suppkey") != col("l_suppkey")``.  An inner or
-    left join takes no residual: an inner join's is a :class:`Filter`
-    over the join (``DataFrame.join`` builds one), and no executor
-    NULL-extends a left row whose every match fails one.
+    — e.g. ``col("__r_l_suppkey") != col("l_suppkey")``.  An inner
+    join takes no residual: its extra conditions are a :class:`Filter`
+    over the join, as the parser plans WHERE.
     """
 
     RESIDUAL_RIGHT_PREFIX = "__r_"
@@ -194,10 +193,9 @@ class Join(LogicalPlan):
                     f"right join key {right_key!r} not in {sorted(right_cols)}"
                 )
         if residual is not None:
-            if how not in ("semi", "anti"):
+            if how == "inner":
                 raise AnalysisError(
-                    f"{how.upper()} JOIN takes no residual; filter "
-                    "after the join, or join on a filtered right side"
+                    "INNER JOIN takes no residual; filter after the join"
                 )
             prefix = self.RESIDUAL_RIGHT_PREFIX
             for ref in residual.references():
@@ -369,20 +367,3 @@ class Union(LogicalPlan):
     def _describe(self) -> str:
         return f"Union({len(self.inputs)} inputs)"
 
-
-class Distinct(LogicalPlan):
-    """Remove duplicate rows."""
-
-    def __init__(self, child: LogicalPlan):
-        self.child = child
-
-    def children(self) -> Sequence[LogicalPlan]:
-        return (self.child,)
-
-    @property
-    def schema(self) -> Schema:
-        return self.child.schema
-
-    def with_children(self, children: Sequence[LogicalPlan]) -> "Distinct":
-        (child,) = children
-        return Distinct(child)

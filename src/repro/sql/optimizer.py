@@ -36,7 +36,6 @@ from repro.sql.expr import (
 )
 from repro.sql.logical import (
     Aggregate,
-    Distinct,
     Filter,
     Join,
     Limit,
@@ -193,10 +192,7 @@ def _required_for_node(plan: LogicalPlan, required_out: Set[str]) -> List[Set[st
         for expr, _asc in plan.orders:
             needed |= expr.references()
         return [needed]
-    if isinstance(plan, (Limit, Distinct)):
-        # Distinct semantics depend on every column, so keep them all.
-        if isinstance(plan, Distinct):
-            return [set(plan.child.schema.names)]
+    if isinstance(plan, Limit):
         return [set(required_out)]
     return [set(c.schema.names) for c in plan.children()]
 

@@ -20,7 +20,9 @@ Joins are expressed TPC-H style: tables in the FROM list with equality
 predicates in WHERE.  The planner extracts equi-join edges, builds a
 join tree, converts EXISTS/NOT EXISTS into semi/anti joins (including
 non-equality correlated residuals, as TPC-H Q21 needs), and evaluates
-uncorrelated scalar subqueries eagerly.
+uncorrelated scalar subqueries eagerly: each runs once, while planning,
+and reaches the plan as a literal.  DISTINCT is accepted only inside
+``COUNT(DISTINCT ...)``, and joins are inner, semi or anti.
 """
 
 from __future__ import annotations
@@ -620,9 +622,12 @@ def _expr_sides(expr: Expression, scope: _Scope) -> Set[str]:
 class _Planner:
     """Builds a logical plan from a parsed query."""
 
-    def __init__(self, session):
+    def __init__(self, session, scalar_tables: Set[str]):
         self.session = session
         self._agg_counter = 0
+        #: receives the base tables of every scalar subquery evaluated
+        #: while planning.
+        self.scalar_tables = scalar_tables
 
     # -- public ----------------------------------------------------------
 
@@ -856,6 +861,7 @@ class _Planner:
 
     def _execute_scalar(self, query: _ParsedQuery) -> Any:
         sub_plan = self.plan(query)
+        self.scalar_tables |= sub_plan.base_tables()
         rows = self.session.execute_plan(sub_plan).collect()
         if len(rows) != 1 or len(rows[0]) != 1:
             raise AnalysisError("scalar subquery must produce one row, one column")
@@ -1011,12 +1017,20 @@ def _contains_aggregate(expr: Expression) -> bool:
     return any(_contains_aggregate(c) for c in expr.children())
 
 
-def parse_sql(text: str, session) -> LogicalPlan:
-    """Parse SQL text (including UNION ALL chains) and plan it."""
+def parse_sql(text: str, session,
+              scalar_tables: Optional[Set[str]] = None) -> LogicalPlan:
+    """Parse SQL text (including UNION ALL chains) and plan it.
+
+    An uncorrelated scalar subquery runs here, over ``session``'s
+    tables, and the plan holds its value as a literal; pass a set as
+    ``scalar_tables`` to learn which tables those subqueries read.
+    """
     from repro.sql.logical import Union
 
     parser = _Parser(tokenize(text))
-    planner = _Planner(session)
+    planner = _Planner(
+        session, set() if scalar_tables is None else scalar_tables
+    )
     plans = [planner.plan(parser.parse_query())]
     while parser._accept_keyword("union"):
         parser._expect_keyword("all")

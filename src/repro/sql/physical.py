@@ -5,11 +5,10 @@ collapse into a single ``map_partitions`` pass running closures
 generated by :mod:`repro.sql.compiler`, so a whole stage of narrow
 operators costs one RDD hop instead of one per logical node.  A join
 collects and indexes its right side on the driver; an aggregate folds
-each partition on the engine and merges on the driver; ORDER BY,
-DISTINCT and LIMIT run on the driver over the child's rows.  Nothing
-shuffles.  Row order is a contract (DESIGN.md §5), not a by-product of
-the algorithm, and the tests hold every result to ``Expression.eval``
-over the rows.
+each partition on the engine and merges on the driver; ORDER BY and
+LIMIT run on the driver over the child's rows.  Nothing shuffles.  Row
+order is a contract (DESIGN.md §5), not a by-product of the algorithm,
+and the tests hold every result to ``Expression.eval`` over the rows.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.sql.expr import Row
 from repro.sql.functions import AggregateSpec
 from repro.sql.logical import (
     Aggregate,
-    Distinct,
     Filter,
     Join,
     Limit,
@@ -115,8 +113,6 @@ class Executor:
             return _Stage(self._execute_sort(plan))
         if isinstance(plan, Limit):
             return _Stage(self._execute_limit(plan))
-        if isinstance(plan, Distinct):
-            return _Stage(self._execute_distinct(plan))
         if isinstance(plan, Union):
             rdds = [self.execute(child) for child in plan.inputs]
             return _Stage(self._session.engine.union(rdds))
@@ -134,8 +130,8 @@ class Executor:
 
         A key holding NULL matches nothing (``NULL = x`` is not true):
         such right rows are never indexed, so a left row whose key holds
-        NULL finds no match — inner and semi joins drop it, a left join
-        NULL-extends it and an anti join keeps it (NOT EXISTS).
+        NULL finds no match — inner and semi joins drop it and an anti
+        join keeps it (NOT EXISTS).
         """
         key_right = compile_key([rk for _lk, rk in plan.keys])
         table: Dict[Tuple[Any, ...], List[Row]] = {}
@@ -165,24 +161,6 @@ class Executor:
                 return out
 
             return stage.with_op(_FLAT, probe_inner)
-
-        if plan.how == "left":
-            right_names = plan.right.schema.names
-
-            def probe_left(row: Row) -> Iterable[Row]:
-                matches = table.get(key_left(row))
-                if not matches:
-                    merged = dict(row)
-                    merged.update({n: None for n in right_names})
-                    return (merged,)
-                out = []
-                for match in matches:
-                    merged = dict(row)
-                    merged.update(match)
-                    out.append(merged)
-                return out
-
-            return stage.with_op(_FLAT, probe_left)
 
         # semi / anti, possibly with a residual condition.
         want_match = plan.how == "semi"
@@ -269,12 +247,6 @@ class Executor:
     def _execute_limit(self, plan: Limit) -> RDD:
         """The first ``n`` rows; ``take`` computes no partition past them."""
         return self._rows(self.execute(plan.child).take(plan.n))
-
-    def _execute_distinct(self, plan: Distinct) -> RDD:
-        names = plan.schema.names
-        rows = self.execute(plan.child).collect()
-        distinct = dict.fromkeys(tuple(row[n] for n in names) for row in rows)
-        return self._rows([dict(zip(names, values)) for values in distinct])
 
 
 def _nulls_first(expr) -> Callable[[Row], Tuple[bool, Any]]:

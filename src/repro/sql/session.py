@@ -1,24 +1,38 @@
 """SQLSession: catalog + engine + optimizer + parser in one handle.
 
-A plan runs one way: :func:`~repro.sql.optimizer.optimize`, then the
-compiled, fused row stages of :class:`~repro.sql.physical.Executor`.
-``session.executor.execute(plan)`` runs a plan as written, without the
-optimizer (the tests' reference for optimizer equivalence).
+SQL text is the one way in: :meth:`SQLSession.sql` parses it into a
+:class:`SQLQuery`, whose plan FLEX analyses and ``core.sqlbridge``
+compiles.  A plan runs one way: :func:`~repro.sql.optimizer.optimize`,
+then the compiled, fused row stages of
+:class:`~repro.sql.physical.Executor`.  ``session.executor.execute(plan)``
+runs a plan as written, without the optimizer (the tests' reference for
+optimizer equivalence).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.common.config import EngineConfig
 from repro.engine.context import EngineContext
 from repro.engine.rdd import RDD
 from repro.sql.catalog import Catalog
-from repro.sql.dataframe import DataFrame
-from repro.sql.logical import LogicalPlan, Scan
+from repro.sql.logical import LogicalPlan
 from repro.sql.optimizer import optimize
 from repro.sql.physical import Executor
 from repro.sql.types import Schema
+
+
+class SQLQuery:
+    """SQL text parsed into a logical plan, and the session that runs it."""
+
+    def __init__(self, session: "SQLSession", plan: LogicalPlan):
+        self.session = session
+        self.plan = plan
+
+    def collect(self) -> List[Dict[str, Any]]:
+        """The optimized plan's rows."""
+        return self.session.execute_plan(self.plan).collect()
 
 
 class SQLSession:
@@ -26,8 +40,8 @@ class SQLSession:
 
     Example:
         >>> sess = SQLSession()
-        >>> _ = sess.create_table("t", [{"a": 1, "b": 2}])
-        >>> sess.table("t").select("a").collect()
+        >>> sess.create_table("t", [{"a": 1, "b": 2}])
+        >>> sess.sql("SELECT a FROM t").collect()
         [{'a': 1}]
     """
 
@@ -40,35 +54,21 @@ class SQLSession:
         self.catalog = Catalog(self.engine)
         self.executor = Executor(self)
 
-    # ------------------------------------------------------------------
-    # Tables
-    # ------------------------------------------------------------------
-
     def create_table(
         self,
         name: str,
         rows: Sequence[Dict[str, Any]],
         schema: Optional[Schema] = None,
-    ) -> DataFrame:
+    ) -> None:
         """Register in-memory rows as a named table."""
         self.catalog.register(name, rows, schema)
-        return self.table(name)
-
-    def table(self, name: str) -> DataFrame:
-        """DataFrame scanning a registered table."""
-        table = self.catalog.table(name)
-        return DataFrame(self, Scan(name, table.schema))
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
 
     def execute_plan(self, plan: LogicalPlan) -> RDD:
         """The optimized plan as an RDD of dict rows."""
         return self.executor.execute(optimize(plan))
 
-    def sql(self, text: str) -> DataFrame:
-        """Parse SQL text into a DataFrame (subset grammar, see parser)."""
+    def sql(self, text: str) -> SQLQuery:
+        """Parse SQL text (subset grammar, see parser) into a plan."""
         from repro.sql.parser import parse_sql
 
-        return DataFrame(self, parse_sql(text, self))
+        return SQLQuery(self, parse_sql(text, self))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 
 class DataType:
@@ -95,10 +95,6 @@ class Schema:
             names = [f.name for f in self.fields]
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate column names in schema: {dupes}")
-
-    @classmethod
-    def from_names(cls, names: Iterable[str]) -> "Schema":
-        return cls([Field(n) for n in names])
 
     @classmethod
     def from_rows(cls, rows: Sequence[Dict[str, Any]]) -> "Schema":

@@ -14,7 +14,7 @@ from repro.baselines.flex import (
     max_frequency,
 )
 from repro.common.errors import FlexUnsupportedError
-from repro.sql import SQLSession, col, count_star, sum_
+from repro.sql import SQLSession
 from repro.tpch.workload import all_queries, query_by_name
 
 
@@ -51,53 +51,49 @@ class TestFlexAnalysis:
     def _tables(self, session):
         return {
             name: session.catalog.table(name).rows
-            for name in session.catalog.names()
+            for name in ("fact", "dim")
         }
 
     def test_plain_count_sensitivity_one(self, star_session):
-        plan = star_session.table("fact").agg(count_star("n")).plan
+        plan = star_session.sql("SELECT COUNT(*) AS n FROM fact").plan
         result = flex_local_sensitivity(plan, self._tables(star_session))
         assert result.sensitivity == 1.0
         assert result.factors == []
 
     def test_join_multiplies_max_frequencies(self, star_session):
-        df = star_session.table("fact").join(
-            star_session.table("dim"), on=[("fk", "dk")]
-        ).agg(count_star("n"))
+        df = star_session.sql("SELECT COUNT(*) AS n FROM fact, dim WHERE fk = dk")
         result = flex_local_sensitivity(df.plan, self._tables(star_session))
         # mf(fact.fk) = 4, mf(dim.dk) = 1
         assert result.sensitivity == 4.0
         assert len(result.factors) == 1
 
     def test_filters_ignored_and_recorded(self, star_session):
-        df = (
-            star_session.table("fact")
-            .filter(col("val") > 100)  # filters out everything
-            .agg(count_star("n"))
+        df = star_session.sql(  # the filter drops every row
+            "SELECT COUNT(*) AS n FROM fact WHERE val > 100"
         )
         result = flex_local_sensitivity(df.plan, self._tables(star_session))
         assert result.sensitivity == 1.0  # blind to the filter
         assert len(result.ignored_filters) == 1
 
     def test_sum_unsupported(self, star_session):
-        df = star_session.table("fact").agg(sum_(col("val"), "s"))
+        df = star_session.sql("SELECT SUM(val) AS s FROM fact")
         with pytest.raises(FlexUnsupportedError):
             flex_local_sensitivity(df.plan, self._tables(star_session))
 
     def test_group_by_unsupported(self, star_session):
-        df = star_session.table("fact").group_by("fk").agg(count_star("n"))
+        df = star_session.sql("SELECT fk, COUNT(*) AS n FROM fact GROUP BY fk")
         with pytest.raises(FlexUnsupportedError):
             flex_local_sensitivity(df.plan, self._tables(star_session))
 
     def test_no_aggregate_unsupported(self, star_session):
-        df = star_session.table("fact").select("val")
+        df = star_session.sql("SELECT val FROM fact")
         with pytest.raises(FlexUnsupportedError):
             flex_local_sensitivity(df.plan, self._tables(star_session))
 
     def test_computed_join_key_unsupported(self, star_session):
-        df = star_session.table("fact").join(
-            star_session.table("dim"), on=[(col("fk") + 0, col("dk"))]
-        ).agg(count_star("n"))
+        df = star_session.sql(
+            "SELECT COUNT(*) AS n FROM fact, dim WHERE fk + 0 = dk"
+        )
         with pytest.raises(FlexUnsupportedError):
             flex_local_sensitivity(df.plan, self._tables(star_session))
 

@@ -143,6 +143,29 @@ class TestCli:
         ) == 2
         assert "no domain sampler" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        # refused by the bridge: a scalar subquery over the protected
+        # table, and an aggregate that is not linear
+        ("SELECT COUNT(*) AS n FROM lineitem WHERE l_quantity > "
+         "(SELECT AVG(l_quantity) FROM lineitem)", "scalar subquery"),
+        ("SELECT MAX(l_quantity) AS n FROM lineitem", "MAX is not linear"),
+        # does not parse; names what the tables lack
+        ("SELECT COUNT(*) AS n FROM lineitem WHERE", "unexpected token"),
+        ("SELECT COUNT(*) AS n FROM nowhere", "unknown table 'nowhere'"),
+    ], ids=["scalar-subquery", "max", "parse", "analysis"])
+    def test_run_sql_refused_or_bad_text_exits_2(self, capsys, text,
+                                                 message):
+        """One error line and exit 2, the usage error: up to 1.32.0 the
+        first released, and the others ended in a traceback."""
+        assert main(
+            ["run-sql", text, "--protect", "lineitem", "--scale", "2000"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert "released" not in captured.out
+
     def test_compare(self, capsys):
         assert main(["compare", "tpch1", "--scale", "2000"]) == 0
         out = capsys.readouterr().out

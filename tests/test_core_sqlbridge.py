@@ -25,12 +25,15 @@ from repro.core.sqlbridge import (
     compile_plan,
     compile_sql,
 )
+from repro.dp import PrivacyAccountant
 from repro.engine.columnar import ColumnarPartition
 from repro.engine.metrics import MetricsRegistry
-from repro.sql import SQLSession, col, count_star, sum_
-from repro.sql.expr import CaseWhen, lit
-from repro.sql.functions import count
-from repro.sql.logical import Join
+from repro.sql import SQLSession, col
+from repro.sql.expr import Alias, IsNullOp, Literal
+from repro.sql.functions import AggregateSpec
+from repro.sql.logical import Aggregate, Filter, Join, Project, Scan, Union
+from repro.sql.session import SQLQuery
+from repro.sql.types import Schema
 from repro.tpch.workload import all_queries
 
 
@@ -147,25 +150,47 @@ class TestRejections:
             compile_sql("SELECT v FROM t", tables, "t")
 
     def test_self_join_rejected(self, tables):
-        session = SQLSession()
-        session.create_table("t", tables["t"])
-        df = session.table("t").select(col("v").alias("v1"), "g")
-        other = session.table("t").select(col("v").alias("v2"),
-                                          col("g").alias("g2"))
-        joined = df.join(other, on=[("g", "g2")]).agg(count_star("n"))
-        with pytest.raises(QueryShapeError):
-            compile_plan(joined.plan, tables, "t")
+        with pytest.raises(QueryShapeError, match="self-join"):
+            compile_sql(
+                "SELECT COUNT(*) AS n FROM t WHERE EXISTS "
+                "(SELECT * FROM t u WHERE u.g = t.g AND u.v <> t.v)",
+                tables, "t",
+            )
 
-    def test_distinct_and_union_on_the_protected_path_rejected(self, tables):
-        session = SQLSession()
-        session.create_table("t", tables["t"])
-        frame = session.table("t")
-        for plan in (
-            frame.distinct().agg(count_star("n")).plan,
-            frame.union_all(frame).agg(count_star("n")).plan,
-        ):
-            with pytest.raises(QueryShapeError):
-                compile_plan(plan, tables, "t")
+    def test_union_on_the_protected_path_rejected(self, tables):
+        """SQL text puts UNION ALL above the aggregates, never under
+        one; a plan built with the constructors is refused."""
+        scan = Scan("t", Schema.from_rows(tables["t"]))
+        plan = Aggregate(
+            Union([scan, scan]), [], [AggregateSpec("count", None, "n")]
+        )
+        with pytest.raises(QueryShapeError, match="Union"):
+            compile_plan(plan, tables, "t")
+        with pytest.raises(QueryShapeError):
+            compile_sql(
+                "SELECT COUNT(*) AS n FROM t UNION ALL "
+                "SELECT COUNT(*) AS n FROM t", tables, "t",
+            )
+
+    def test_scalar_subquery_over_the_protected_table_rejected(self, tables):
+        """The parser evaluates a scalar subquery once, so the plan
+        holds AVG(v) as a constant, though every record moves it: up to
+        1.32.0 the bridge compiled this as a linear count and released
+        it.  Over a public table it stays a constant, and compiles."""
+        text = "SELECT COUNT(*) AS n FROM t WHERE v > (SELECT AVG(v) FROM {})"
+        with pytest.raises(QueryShapeError, match="scalar subquery"):
+            compile_sql(text.format("t"), tables, "t")
+        query = compile_sql(
+            "SELECT COUNT(*) AS n FROM t WHERE v > (SELECT SUM(k) FROM d)",
+            tables, "t",
+        )
+        assert query.output(tables)[0] == 8  # v > 1
+        nested = (
+            "SELECT COUNT(*) AS n FROM d WHERE k < "
+            "(SELECT COUNT(*) FROM t WHERE v > (SELECT AVG(v) FROM t))"
+        )
+        with pytest.raises(QueryShapeError, match="scalar subquery"):
+            compile_sql(nested, tables, "t")
 
     def test_exists_over_protected_rejected(self, tables):
         with pytest.raises(QueryShapeError):
@@ -298,59 +323,63 @@ def _random_t(gen, tables, n):
     }
 
 
+_SHAPE_TEXTS = {
+    "count": "SELECT COUNT(*) AS n FROM t",
+    "filter-count":
+        "SELECT COUNT(*) AS n FROM t WHERE v > 0 AND d >= DATE '1995-06-01'",
+    "filter-sum-float": "SELECT SUM(f * (1 - f)) AS x FROM t WHERE s <> 'zz'",
+    "sum-null-bearing": "SELECT SUM(v * 2 + k) AS x FROM t",
+    "sum-mixed-column": "SELECT SUM(m * f) AS x FROM t WHERE m < 3",
+    "count-expr-null-bearing": "SELECT COUNT(v + k) AS n FROM t",
+    "like-in-isnull-case":
+        "SELECT SUM(CASE WHEN v > 0 THEN f ELSE 1 END) AS x FROM t "
+        "WHERE s LIKE 'ab%' OR k IN (1, 2) OR v IS NULL",
+    "join-left": "SELECT SUM(f * g) AS x FROM t, d WHERE k = dk",
+    "join-left-residual": "SELECT SUM(g) AS x FROM t, d WHERE k = dk AND v > 0",
+    "join-right-column-residual":
+        "SELECT SUM(g * f) AS x FROM t, d WHERE k = dk AND w > v",
+    "join-right-residual":
+        "SELECT COUNT(w + v) AS n FROM d, t "
+        "WHERE dk = k AND w > 1 AND name = 'ab'",
+    "semi": "SELECT SUM(f) AS x FROM t WHERE EXISTS "
+            "(SELECT * FROM d WHERE d.dk = t.k)",
+    "anti": "SELECT COUNT(*) AS n FROM t WHERE NOT EXISTS "
+            "(SELECT * FROM d WHERE d.dk = t.k)",
+    "semi-residual": "SELECT SUM(f) AS x FROM t WHERE EXISTS "
+                     "(SELECT * FROM d WHERE d.dk = t.k AND d.w > t.v)",
+    "anti-residual": "SELECT COUNT(*) AS n FROM t WHERE NOT EXISTS "
+                     "(SELECT * FROM d WHERE d.dk = t.k "
+                     "AND (d.name = t.s OR d.w < 5))",
+    "filter-after-join":
+        "SELECT SUM(g - f) AS x FROM t, d WHERE k = dk AND g > 0 AND f < 1",
+}
+
+
 def _shapes(session):
-    """Every plan shape the bridge accepts, by name."""
-    t, d = session.table("t"), session.table("d")
-    r = Join.RESIDUAL_RIGHT_PREFIX
-    return {
-        "count": t.agg(count_star("n")),
-        "filter-count": t.filter(
-            (col("v") > 0) & (col("d") >= datetime.date(1995, 6, 1))
-        ).agg(count_star("n")),
-        "filter-sum-float": t.filter(col("s") != "zz").agg(
-            sum_(col("f") * (1 - col("f")), "x")
-        ),
-        "sum-null-bearing": t.agg(sum_(col("v") * 2 + col("k"), "x")),
-        "sum-mixed-column": t.filter(col("m") < 3).agg(
-            sum_(col("m") * col("f"), "x")
-        ),
-        "count-expr-null-bearing": t.agg(count(col("v") + col("k"), "n")),
-        "like-in-isnull-case": t.filter(
-            col("s").like("ab%") | col("k").isin([1, 2]) | col("v").is_null()
-        ).agg(sum_(
-            CaseWhen([(col("v") > 0, col("f"))], lit(1)), "x"
-        )),
-        "project-sum": t.select(
-            (col("f") * 3).alias("f3"), col("v"), lit(2).alias("two")
-        ).filter(col("v").is_not_null()).agg(sum_(col("f3") * col("two"), "x")),
-        "join-left": t.join(d, on=[("k", "dk")]).agg(
-            sum_(col("f") * col("g"), "x")
-        ),
-        "join-left-residual": t.join(
-            d, on=[("k", "dk")], residual=col("v") > 0
-        ).agg(sum_(col("g"), "x")),
-        "join-right-column-residual": t.join(
-            d, on=[("k", "dk")], residual=col("w") > col("v")
-        ).agg(sum_(col("g") * col("f"), "x")),
-        "join-right-residual": d.join(
-            t, on=[("dk", "k")], residual=col("w") > 1
-        ).filter(col("name") == "ab").agg(count(col("w") + col("v"), "n")),
-        "join-two-keys": t.join(
-            d, on=[("k", "dk"), ("s", "name")]
-        ).agg(count_star("n")),
-        "semi": t.semi_join(d, on=[("k", "dk")]).agg(sum_(col("f"), "x")),
-        "anti": t.anti_join(d, on=[("k", "dk")]).agg(count_star("n")),
-        "semi-residual": t.semi_join(
-            d, on=[("k", "dk")], residual=col(r + "w") > col("v")
-        ).agg(sum_(col("f"), "x")),
-        "anti-residual": t.anti_join(
-            d, on=[("k", "dk")],
-            residual=(col(r + "name") == col("s")) | (col(r + "w") < 5),
-        ).agg(count_star("n")),
-        "filter-after-join": t.join(d, on=[("k", "dk")]).filter(
-            (col("g") > 0) & (col("f") < 1)
-        ).agg(sum_(col("g") - col("f"), "x")),
-    }
+    """Every plan shape the bridge accepts, by name: SQL text, and the
+    plan constructors for the two shapes the parser does not build (a
+    projection under the aggregate, an inner join on two keys)."""
+    shapes = {name: session.sql(text) for name, text in _SHAPE_TEXTS.items()}
+    t, d = (Scan(name, session.catalog.table(name).schema)
+            for name in ("t", "d"))
+    projected = Project(t, [
+        Alias(col("f") * 3, "f3"), col("v"), Alias(Literal(2), "two"),
+    ])
+    shapes["project-sum"] = SQLQuery(session, Aggregate(
+        Filter(projected, IsNullOp(col("v"), negated=True)), [],
+        [AggregateSpec("sum", col("f3") * col("two"), "x")],
+    ))
+    shapes["join-two-keys"] = SQLQuery(session, Aggregate(
+        Join(t, d, [(col("k"), col("dk")), (col("s"), col("name"))]), [],
+        [AggregateSpec("count", None, "n")],
+    ))
+    return shapes
+
+
+def _scalar(query):
+    """The one value of a one-row, one-column result."""
+    ((value,),) = (row.values() for row in query.collect())
+    return value
 
 
 def _layouts(query, tables):
@@ -418,7 +447,7 @@ class TestBatchEvaluator:
     def test_output_is_the_plain_sql_answer(self, tables, session):
         for shape, frame in _shapes(session).items():
             query = compile_plan(frame.plan, tables, "t")
-            plain = frame.scalar()
+            plain = _scalar(frame)
             expected = 0.0 if plain is None else float(plain)
             assert query.output(tables)[0] == pytest.approx(
                 expected, rel=1e-12
@@ -433,14 +462,12 @@ class TestBatchEvaluator:
         session = SQLSession()
         for name, rows in tables.items():
             session.create_table(name, rows)
-        frame = session.table("t").join(
-            session.table("d"), on=[("k", "dk")]
-        ).agg(sum_(col("w") * col("x"), "s"))
+        frame = session.sql("SELECT SUM(w * x) AS s FROM t, d WHERE k = dk")
         query = compile_plan(frame.plan, tables, "t")
         aux = query.build_aux(tables)
         assert query.map_batch(tables["t"], aux).tolist() == [0.0, 10.0, 0.0]
         assert query.map_record(tables["t"][0], aux) == 0.0
-        assert query.output(tables)[0] == frame.scalar() == 10.0
+        assert query.output(tables)[0] == _scalar(frame) == 10.0
 
     @pytest.mark.parametrize("negated, expected", [
         (False, [0.0, 1.0, 0.0]), (True, [1.0, 0.0, 1.0]),
@@ -461,7 +488,7 @@ class TestBatchEvaluator:
         aux = query.build_aux(tables)
         assert query.map_batch(tables["t"], aux).tolist() == expected
         assert [query.map_record(r, aux) for r in tables["t"]] == expected
-        assert query.output(tables)[0] == session.sql(text).scalar()
+        assert query.output(tables)[0] == _scalar(session.sql(text))
 
     def test_map_batch_never_enters_the_row_interpreter(
         self, tables, session, monkeypatch
@@ -481,9 +508,7 @@ class TestBatchEvaluator:
     def test_static_side_is_stored_once(self, tables, session):
         """A session keeps the index its release built, once; the
         index holds the static table's own rows, not copies."""
-        frame = session.table("t").join(
-            session.table("d"), on=[("k", "dk")]
-        ).agg(count_star("n"))
+        frame = session.sql("SELECT COUNT(*) AS n FROM t, d WHERE k = dk")
         query = compile_plan(frame.plan, tables, "t", domain_sampler=_random_t)
         upa = UPASession(UPAConfig(sample_size=20, seed=3))
         upa.run(query, tables, 0.5)
@@ -671,6 +696,25 @@ class TestStaticSideFollowsTheTables:
         # ... and over that list again, it is.
         assert session.run(query, large, 0.5) is second
 
+    def test_a_release_replays_after_one_over_other_public_tables(self):
+        """x over ``p`` of 25, then of 50, then of 25 again at one
+        epsilon: the third replays the first.  Up to 1.32.0 the second
+        release overwrote the first, so the third was released afresh:
+        1.5 spent, and three RANGE ENFORCER registrations."""
+        small, large = self._tables(25), self._tables(50)
+        large["t"] = small["t"]
+        sampler = lambda rng, _t: {"k": rng.randrange(25)}  # noqa: E731
+        session = UPASession(UPAConfig(sample_size=20, seed=3),
+                             accountant=PrivacyAccountant(10.0))
+        first, second, third = (
+            session.run_sql(self.TEXT, tables, "t", 0.5,
+                            domain_sampler=sampler)
+            for tables in (small, large, small)
+        )
+        assert second is not first and third is first
+        assert session.accountant.spent()[0] == pytest.approx(1.0)
+        assert len(session.enforcer) == 2
+
     def test_one_text_run_twice_reuses_its_static_indexes(self):
         tables = self._tables(25)
         sampler = lambda rng, _t: {"k": rng.randrange(25)}  # noqa: E731
@@ -734,15 +778,13 @@ class TestReplayIdentity:
 
         sql = SQLSession()
         sql.create_table("orders", tpch_tables["orders"])
-        orders = sql.table("orders")
+        text = "SELECT COUNT(*) AS n FROM orders WHERE o_orderstatus {} 'F'"
         queries = [
             compile_plan(
-                orders.filter(condition).agg(count_star("n")).plan,
+                sql.sql(text.format(op)).plan,
                 tpch_tables, "orders", domain_sampler=random_order,
             )
-            for condition in (
-                col("o_orderstatus") == "F", col("o_orderstatus") != "F",
-            )
+            for op in ("=", "<>")
         ]
         assert queries[0].name == queries[1].name == "sql-query"
         session = self._session()
@@ -752,8 +794,7 @@ class TestReplayIdentity:
         assert second is not first
         assert first.plain_output[0] != second.plain_output[0]
         again = compile_plan(
-            orders.filter(col("o_orderstatus") == "F")
-            .agg(count_star("n")).plan,
+            sql.sql(text.format("=")).plan,
             tpch_tables, "orders", domain_sampler=random_order,
         )
         assert session.run(again, tpch_tables, 0.5) is first

@@ -636,6 +636,10 @@ class TestReplay:
             _release(lambda: session.retire(4, 0.5))
             assert len(answers) <= REGISTRY_BOUND
             assert sum(map(len, answers.values())) <= REGISTRY_BOUND
+            assert all(
+                len(kept) <= REGISTRY_BOUND
+                for keyed in answers.values() for kept in keyed.values()
+            )
         assert len(answers) == 1
 
     def test_an_exhausted_accountant_still_replays(self):

@@ -4,6 +4,8 @@ import pytest
 
 from repro.common.errors import AnalysisError
 from repro.sql import SQLSession
+from repro.sql.functions import AggregateSpec
+from repro.sql.logical import Aggregate, Scan, Union
 
 
 class TestAggregateZero:
@@ -36,10 +38,6 @@ class TestUnionAll:
         sess.create_table("b", [{"x": 10, "y": "r"}])
         return sess
 
-    def test_dataframe_union_all(self, session):
-        df = session.table("a").union_all(session.table("b"))
-        assert df.count() == 3
-
     def test_sql_union_all(self, session):
         rows = session.sql(
             "SELECT x FROM a UNION ALL SELECT x FROM b"
@@ -47,15 +45,18 @@ class TestUnionAll:
         assert sorted(r["x"] for r in rows) == [1, 2, 10]
 
     def test_union_all_then_aggregate(self, session):
-        total = session.table("a").union_all(session.table("b"))
-        from repro.sql import count_star
-
-        assert total.agg(count_star("n")).scalar() == 3
+        """An aggregate over a union: a shape SQL text does not build
+        (it puts UNION ALL on top), run from the plan constructors."""
+        scans = [Scan(n, session.catalog.table(n).schema) for n in "ab"]
+        plan = Aggregate(
+            Union(scans), [], [AggregateSpec("count", None, "n")]
+        )
+        assert session.execute_plan(plan).collect() == [{"n": 3}]
 
     def test_union_all_schema_mismatch(self, session):
         session.create_table("c", [{"z": 1}])
-        with pytest.raises(AnalysisError):
-            session.table("a").union_all(session.table("c"))
+        with pytest.raises(AnalysisError, match="UNION ALL column mismatch"):
+            session.sql("SELECT x, y FROM a UNION ALL SELECT z FROM c")
 
     def test_three_way_sql_union(self, session):
         session.create_table("c", [{"x": 99, "y": "s"}])
@@ -66,5 +67,5 @@ class TestUnionAll:
         assert len(rows) == 4
 
     def test_union_all_optimizes_consistently(self, session):
-        df = session.table("a").union_all(session.table("b"))
+        df = session.sql("SELECT x, y FROM a UNION ALL SELECT x, y FROM b")
         assert df.collect() == session.executor.execute(df.plan).collect()

@@ -91,11 +91,6 @@ class TestActions:
         assert rdd.take(0) == []
         assert rdd.take(1000) == list(range(100))
 
-    def test_first(self, ctx):
-        assert ctx.parallelize([7, 8]).first() == 7
-        with pytest.raises(EngineError):
-            ctx.parallelize([]).first()
-
     def test_invalid_partition_count(self, ctx):
         for bad in (0, -2, 2.5, True, False, "3"):
             with pytest.raises(EngineError):

@@ -14,7 +14,7 @@ from repro.engine.fault import InjectedFault
 from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
 from repro.mining import LifeScienceConfig, make_life_science_tables
 from repro.obs import Tracer
-from repro.sql import SQLSession, col
+from repro.sql import SQLSession
 from repro.tpch import TPCHConfig, TPCHGenerator
 from repro.tpch.datagen import register_tables
 from repro.tpch.workload import all_queries
@@ -115,10 +115,14 @@ def _add(a, b):
     return a + b
 
 
-def _sql_table(ctx):
-    """A SQL table over ``ctx``: its scan and fused row stages run there."""
+def _sql_rdd(ctx):
+    """A SQL text's rows over ``ctx``: its scan and fused row stages
+    run there."""
     session = SQLSession(engine=ctx)
-    return session.create_table("t", [{"x": float(i)} for i in range(12)])
+    session.create_table("t", [{"x": float(i)} for i in range(12)])
+    return session.execute_plan(
+        session.sql("SELECT x FROM t WHERE x > 3.0").plan
+    )
 
 
 def _dpread_kv(ctx, pairs, parts):
@@ -159,7 +163,7 @@ _STAGE_JOBS = {
         sorted((i % 3, (i, -(i % 3))) for i in range(12)),
     ),
     "sql": (
-        lambda ctx: _sql_table(ctx).filter(col("x") > 3.0).to_rdd(),
+        _sql_rdd,
         lambda rdd: sum(r["x"] for r in rdd.collect()),
         float(sum(range(4, 12))),
     ),

@@ -1,14 +1,16 @@
-"""The engine and the packages keep what their callers run.
+"""The engine, the SQL layer and the packages keep what their callers run.
 
-Every public method of :class:`RDD` and :class:`EngineContext`, and
-every name in the ``__all__`` of ``repro``, ``repro.core``, ``repro.dp``
-and ``repro.mining``, is listed here with one caller outside ``tests/``
-that needs it: a function under ``src/``, ``examples/`` or
+Every public method of :class:`RDD` and :class:`EngineContext`, of
+:class:`SQLSession`, its :class:`Catalog` and the :class:`SQLQuery`
+that ``SQLSession.sql`` returns, and every name in the ``__all__`` of
+``repro``, ``repro.core``, ``repro.dp``, ``repro.mining`` and
+``repro.sql``, is listed here with one caller outside ``tests/`` that
+needs it: a function under ``src/``, ``examples/`` or
 ``benchmarks/``, or a kept engine method that calls it (which is listed
 in turn).  A public method or exported name with no named caller fails,
 and so does a named caller that no longer uses it — so what only tests
 reach is deleted, not kept (DESIGN.md §7, "The engine keeps what its
-callers run").
+callers run" and "The SQL layer keeps what SQL text reaches").
 """
 
 import ast
@@ -20,6 +22,8 @@ import pytest
 
 from repro.engine.context import EngineContext
 from repro.engine.rdd import RDD
+from repro.sql.catalog import Catalog
+from repro.sql.session import SQLQuery, SQLSession
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,11 +34,10 @@ RDD_CALLERS = {
     "aggregate": "src/repro/core/session.py::reduce_phase",
     "map": "src/repro/core/session.py::UPASession.run_vanilla",
     # the SQL executor
-    "first": "src/repro/sql/dataframe.py::DataFrame.first",
     "take": "src/repro/sql/physical.py::Executor._execute_limit",
-    "count": "src/repro/sql/dataframe.py::DataFrame.count",
     # the Table I operators
     "collect": "src/repro/core/dpobject.py::dpread",
+    "count": "src/repro/core/dpobject.py::JoinDPResult.count",
     # kept engine methods and the scheduler
     "compute": "src/repro/engine/rdd.py::RDD.iterator",
     "iterator": "src/repro/engine/scheduler.py::TaskScheduler._run_task",
@@ -47,6 +50,23 @@ CONTEXT_CALLERS = {
     "install_tracer": "src/repro/core/session.py::UPASession.run",
     # fault injection with lineage retry
     "install_fault_injector": "examples/quickstart.py::main",
+}
+
+#: the SQL layer: text in (``sql``), a plan's rows out (``collect``).
+SQL_SESSION_CALLERS = {
+    "create_table": "benchmarks/e2e/workloads.py::_plain_sql",
+    "execute_plan": "src/repro/core/sqlbridge.py::CompiledSQLQuery.build_aux",
+    "sql": "src/repro/cli.py::_cmd_compare",
+}
+
+CATALOG_CALLERS = {
+    "register": "src/repro/sql/session.py::SQLSession.create_table",
+    "table": "src/repro/sql/parser.py::_Scope.__init__",
+    "rdd": "src/repro/sql/physical.py::Executor._stage",
+}
+
+SQL_QUERY_CALLERS = {
+    "collect": "benchmarks/e2e/workloads.py::_plain_sql",
 }
 
 #: package -> {name in its ``__all__``: "path::qualname" of a function
@@ -84,11 +104,29 @@ EXPORT_CALLERS = {
         "LinearRegressionQuery": "src/repro/workloads.py::all_workloads",
         "make_life_science_tables": "src/repro/workloads.py::_ml_tables",
     },
+    "repro.sql": {
+        "Expression": "src/repro/core/sqlbridge.py::_DynFilter.__init__",
+        "SQLSession": "src/repro/cli.py::_cmd_compare",
+        "col": "src/repro/tpch/queries/q13.py::Q13.build_aux",
+        "compile_expression": "src/repro/core/sqlbridge.py::_row_key",
+        "compile_predicate": "src/repro/core/sqlbridge.py::_DynFilter.__init__",
+        "compile_projection":
+            "src/repro/core/sqlbridge.py::_DynProject.__init__",
+        "plan_fingerprint": "src/repro/core/sqlbridge.py::compile_plan",
+    },
 }
+
+_CLASSES = [
+    (RDD, RDD_CALLERS),
+    (EngineContext, CONTEXT_CALLERS),
+    (SQLSession, SQL_SESSION_CALLERS),
+    (Catalog, CATALOG_CALLERS),
+    (SQLQuery, SQL_QUERY_CALLERS),
+]
 
 _CASES = [
     (cls, name, caller)
-    for cls, table in ((RDD, RDD_CALLERS), (EngineContext, CONTEXT_CALLERS))
+    for cls, table in _CLASSES
     for name, caller in sorted(table.items())
 ]
 
@@ -125,9 +163,7 @@ def _function(path: str, qualname: str) -> ast.AST:
 
 
 @pytest.mark.parametrize(
-    "cls, table",
-    [(RDD, RDD_CALLERS), (EngineContext, CONTEXT_CALLERS)],
-    ids=["RDD", "EngineContext"],
+    "cls, table", _CLASSES, ids=[cls.__name__ for cls, _ in _CLASSES],
 )
 def test_every_public_method_has_a_named_caller(cls, table):
     public = _public_methods(cls)
@@ -139,6 +175,14 @@ def test_every_public_method_has_a_named_caller(cls, table):
         f"listed but not {cls.__name__} methods: "
         f"{sorted(set(table) - public)}"
     )
+
+
+def test_sql_returns_the_listed_class():
+    """What ``SQLSession.sql`` returns is the class whose methods are
+    listed, so a builder method added to it fails above."""
+    session = SQLSession()
+    session.create_table("t", [{"a": 1}])
+    assert type(session.sql("SELECT a FROM t")) is SQLQuery
 
 
 @pytest.mark.parametrize(

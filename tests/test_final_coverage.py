@@ -5,8 +5,10 @@ import pytest
 
 from repro.common.errors import QueryShapeError
 from repro.core.sqlbridge import compile_sql
-from repro.sql import SQLSession, col, count_star
-from repro.sql.logical import Union
+from repro.sql import SQLSession
+from repro.sql.functions import AggregateSpec
+from repro.sql.logical import Aggregate, Limit, Scan, Union
+from repro.sql.types import Schema
 from repro.sql.optimizer import optimize
 
 
@@ -27,22 +29,16 @@ class TestSqlBridgeMore:
             )
 
     def test_limit_over_protected_rejected(self, tables):
-        session = SQLSession()
-        session.create_table("t", tables["t"])
-        df = session.table("t").limit(3).agg(count_star("n"))
+        """SQL text puts LIMIT above the aggregate; under it (from the
+        plan constructors) the bridge refuses it."""
         from repro.core.sqlbridge import compile_plan
 
-        with pytest.raises(QueryShapeError):
-            compile_plan(df.plan, tables, "t")
-
-    def test_distinct_over_protected_rejected(self, tables):
-        session = SQLSession()
-        session.create_table("t", tables["t"])
-        df = session.table("t").select("g").distinct().agg(count_star("n"))
-        from repro.core.sqlbridge import compile_plan
-
-        with pytest.raises(QueryShapeError):
-            compile_plan(df.plan, tables, "t")
+        scan = Scan("t", Schema.from_rows(tables["t"]))
+        plan = Aggregate(
+            Limit(scan, 3), [], [AggregateSpec("count", None, "n")]
+        )
+        with pytest.raises(QueryShapeError, match="Limit"):
+            compile_plan(plan, tables, "t")
 
     def test_sum_of_expression_on_protected_path(self, tables):
         query = compile_sql(
@@ -57,7 +53,7 @@ class TestOptimizerUnion:
         session = SQLSession()
         session.create_table("a", [{"x": 1, "y": 2}])
         session.create_table("b", [{"x": 3, "y": 4}])
-        df = session.table("a").union_all(session.table("b")).select("x")
+        df = session.sql("SELECT x FROM a UNION ALL SELECT x FROM b")
         plan = optimize(df.plan)
         assert any(isinstance(node, Union) for node in plan.walk())
         assert df.collect() == [{"x": 1}, {"x": 3}]

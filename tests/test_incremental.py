@@ -580,7 +580,8 @@ def _kept_releases(session):
     return {
         (print_, identity, id(release))
         for print_, answers in session._tables._answers.items()
-        for identity, (_public, release) in answers.items()
+        for identity, kept in answers.items()
+        for _public, release in kept
     }
 
 

@@ -1,8 +1,5 @@
-"""Tests for CSV persistence and whole-system behaviours:
-fault injection through UPA, shared enforcer across sessions,
-parser precedence properties."""
-
-import datetime
+"""Tests for whole-system behaviours: fault injection through UPA,
+shared enforcer across sessions, parser precedence properties."""
 
 import numpy as np
 import pytest
@@ -14,53 +11,13 @@ from repro.core import UPAConfig, UPASession
 from repro.core.range_enforcer import RangeEnforcer
 from repro.engine import EngineContext, FaultInjector
 from repro.sql import SQLSession
-from repro.tpch.loader import load_table, load_tables, save_table, save_tables
 from repro.tpch.workload import query_by_name
 
 
-class TestCsvLoader:
-    def test_round_trip_single_table(self, tmp_path):
-        rows = [
-            {"i": 7, "f": 3.14159, "s": "hello, world", "d":
-             datetime.date(1994, 5, 1)},
-            {"i": -2, "f": 1e-9, "s": "quote'inside", "d":
-             datetime.date(1998, 12, 31)},
-        ]
-        path = tmp_path / "t.csv"
-        save_table(rows, str(path))
-        assert load_table(str(path)) == rows
-
-    def test_round_trip_generated_dataset(self, tmp_path, tpch_tables):
-        save_tables(tpch_tables, str(tmp_path / "data"))
-        loaded = load_tables(str(tmp_path / "data"))
-        assert set(loaded) == set(tpch_tables)
-        assert loaded["lineitem"] == tpch_tables["lineitem"]
-        assert loaded["nation"] == tpch_tables["nation"]
-
-    def test_float_exact_round_trip(self, tmp_path):
-        value = 0.1 + 0.2  # not representable prettily
-        path = tmp_path / "f.csv"
-        save_table([{"x": value}], str(path))
-        assert load_table(str(path))[0]["x"] == value
-
-    def test_empty_table_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_table([], str(tmp_path / "e.csv"))
-
-    def test_unsupported_type_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_table([{"x": [1, 2]}], str(tmp_path / "bad.csv"))
-
-    def test_empty_directory_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            load_tables(str(tmp_path))
-
-    def test_loaded_dataset_runs_under_upa(self, tmp_path, tpch_tables):
-        save_tables(tpch_tables, str(tmp_path / "d"))
-        loaded = load_tables(str(tmp_path / "d"))
-        session = UPASession(UPAConfig(sample_size=50, seed=1))
-        result = session.run(query_by_name("tpch1"), loaded, epsilon=1.0)
-        assert result.plain_output[0] == len(tpch_tables["lineitem"])
+def _scalar(query):
+    """The one value of a one-row, one-column result."""
+    ((value,),) = (row.values() for row in query.collect())
+    return value
 
 
 class TestSystemBehaviours:
@@ -130,9 +87,9 @@ class TestParserPrecedenceProperties:
     def test_arithmetic_precedence_matches_python(self, a, b, c):
         session = SQLSession()
         session.create_table("one", [{"x": 1}])
-        got = session.sql(
+        got = _scalar(session.sql(
             f"SELECT {a} + {b} * {c} AS v FROM one"
-        ).scalar()
+        ))
         assert got == a + b * c
 
     @given(a=st.integers(-9, 9), b=st.integers(-9, 9), c=st.integers(-9, 9))
@@ -140,9 +97,9 @@ class TestParserPrecedenceProperties:
     def test_parenthesized_expressions(self, a, b, c):
         session = SQLSession()
         session.create_table("one", [{"x": 1}])
-        got = session.sql(
+        got = _scalar(session.sql(
             f"SELECT ({a} + {b}) * {c} AS v FROM one"
-        ).scalar()
+        ))
         assert got == (a + b) * c
 
     @given(v=st.integers(-20, 20), lo=st.integers(-10, 10),
@@ -151,10 +108,10 @@ class TestParserPrecedenceProperties:
     def test_and_binds_tighter_than_or(self, v, lo, hi):
         session = SQLSession()
         session.create_table("t", [{"x": v}])
-        got = session.sql(
+        got = _scalar(session.sql(
             f"SELECT COUNT(*) AS n FROM t "
             f"WHERE x = 0 OR x > {lo} AND x < {hi}"
-        ).scalar()
+        ))
         expected = 1 if (v == 0 or (v > lo and v < hi)) else 0
         assert got == expected
 
@@ -163,4 +120,4 @@ class TestParserPrecedenceProperties:
     def test_unary_minus(self, v):
         session = SQLSession()
         session.create_table("t", [{"x": v}])
-        assert session.sql("SELECT -x AS n FROM t").scalar() == -v
+        assert _scalar(session.sql("SELECT -x AS n FROM t")) == -v

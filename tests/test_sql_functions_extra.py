@@ -1,75 +1,7 @@
-"""Tests for var/stddev aggregates and remaining scalar functions."""
+"""Tests for the scalar functions the other suites do not reach."""
 
-import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.sql import SQLSession, col
+from repro.sql import col
 from repro.sql.expr import FuncCall, lit
-from repro.sql.functions import AggregateSpec, stddev, var
-
-
-class TestVarianceAggregates:
-    @pytest.fixture
-    def session(self):
-        sess = SQLSession()
-        sess.create_table(
-            "t", [{"v": float(v), "g": i % 3}
-                  for i, v in enumerate([2, 4, 4, 4, 5, 5, 7, 9])]
-        )
-        return sess
-
-    def test_var_global(self, session):
-        assert session.table("t").agg(var(col("v"), "x")).scalar() == 4.0
-
-    def test_stddev_global(self, session):
-        assert session.table("t").agg(stddev(col("v"), "x")).scalar() == 2.0
-
-    def test_var_of_constant_is_zero(self):
-        sess = SQLSession()
-        sess.create_table("c", [{"v": 5.0}] * 10)
-        assert sess.table("c").agg(var(col("v"), "x")).scalar() == 0.0
-
-    def test_var_empty_is_null(self):
-        spec = var(col("v"), "x")
-        assert spec.finish(spec.zero()) is None
-
-    def test_var_skips_nulls(self):
-        spec = var(col("v"), "x")
-        acc = spec.zero()
-        for value in (1.0, None, 3.0):
-            acc = spec.add(acc, {"v": value})
-        assert spec.finish(acc) == pytest.approx(1.0)
-
-    @given(
-        left=st.lists(st.floats(-100, 100), min_size=1, max_size=20),
-        right=st.lists(st.floats(-100, 100), min_size=1, max_size=20),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_var_merge_matches_whole(self, left, right):
-        spec = var(col("v"), "x")
-
-        def fold(values):
-            acc = spec.zero()
-            for value in values:
-                acc = spec.add(acc, {"v": value})
-            return acc
-
-        merged = spec.finish(spec.merge(fold(left), fold(right)))
-        whole = spec.finish(fold(left + right))
-        assert merged == pytest.approx(whole, abs=1e-6)
-
-    @given(values=st.lists(st.floats(-50, 50), min_size=2, max_size=30))
-    @settings(max_examples=40, deadline=None)
-    def test_var_matches_numpy(self, values):
-        spec = var(col("v"), "x")
-        acc = spec.zero()
-        for value in values:
-            acc = spec.add(acc, {"v": value})
-        assert spec.finish(acc) == pytest.approx(
-            float(np.var(values)), abs=1e-6
-        )
 
 
 class TestScalarFunctions:

@@ -30,6 +30,12 @@ def session():
     return sess
 
 
+def _scalar(query):
+    """The one value of a one-row, one-column result."""
+    ((value,),) = (row.values() for row in query.collect())
+    return value
+
+
 class TestTokenizer:
     def test_basic_tokens(self):
         tokens = tokenize("SELECT a FROM t WHERE a >= 1.5")
@@ -63,54 +69,54 @@ class TestBasicQueries:
         assert rows == [{"eid": 0, "double_pay": 2000.0}]
 
     def test_where_comparison(self, session):
-        n = session.sql("SELECT COUNT(*) AS n FROM emp WHERE salary > 3500").scalar()
+        n = _scalar(session.sql("SELECT COUNT(*) AS n FROM emp WHERE salary > 3500"))
         assert n == sum(1 for i in range(30) if 1000 + 100 * i > 3500)
 
     def test_where_and_or_not(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp "
             "WHERE (dept = 0 OR dept = 1) AND NOT eid = 0"
-        ).scalar()
+        ))
         assert n == sum(1 for i in range(1, 30) if i % 3 in (0, 1))
 
     def test_between(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp WHERE eid BETWEEN 5 AND 7"
-        ).scalar()
+        ))
         assert n == 3
 
     def test_not_between(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp WHERE eid NOT BETWEEN 0 AND 27"
-        ).scalar()
+        ))
         assert n == 2
 
     def test_in_list(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp WHERE eid IN (1, 2, 99)"
-        ).scalar()
+        ))
         assert n == 2
 
     def test_like(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp WHERE name LIKE 'emp1%'"
-        ).scalar()
+        ))
         assert n == 11  # emp1, emp10..emp19
 
     def test_is_null(self, session):
         session.create_table("nulls", [{"x": None}, {"x": 3}])
-        assert session.sql(
+        assert _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM nulls WHERE x IS NULL"
-        ).scalar() == 1
-        assert session.sql(
+        )) == 1
+        assert _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM nulls WHERE x IS NOT NULL"
-        ).scalar() == 1
+        )) == 1
 
     def test_date_literal_and_interval(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp "
             "WHERE hired < DATE '2003-01-01' - INTERVAL '30' DAY"
-        ).scalar()
+        ))
         assert n == sum(1 for i in range(30) if 2000 + i % 5 <= 2002)
 
     def test_order_by_and_limit(self, session):
@@ -146,7 +152,7 @@ class TestBasicQueries:
 
 class TestAggregates:
     def test_global_count(self, session):
-        assert session.sql("SELECT COUNT(*) AS n FROM emp").scalar() == 30
+        assert _scalar(session.sql("SELECT COUNT(*) AS n FROM emp")) == 30
 
     def test_group_by_with_having(self, session):
         rows = session.sql(
@@ -166,14 +172,14 @@ class TestAggregates:
         assert row["s"] == sum(1000.0 + 100 * i for i in range(30))
 
     def test_count_distinct(self, session):
-        assert session.sql(
+        assert _scalar(session.sql(
             "SELECT COUNT(DISTINCT dept) AS n FROM emp"
-        ).scalar() == 3
+        )) == 3
 
     def test_aggregate_of_expression(self, session):
-        value = session.sql(
+        value = _scalar(session.sql(
             "SELECT SUM(salary * 0.1) AS s FROM emp WHERE dept = 0"
-        ).scalar()
+        ))
         expected = sum(
             (1000.0 + 100 * i) * 0.1 for i in range(30) if i % 3 == 0
         )
@@ -190,23 +196,23 @@ class TestAggregates:
 
 class TestJoinsAndSubqueries:
     def test_comma_join(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp, dept WHERE dept = did"
-        ).scalar()
+        ))
         assert n == 30
 
     def test_three_way_join(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp, dept, bonus "
             "WHERE dept = did AND eid = beid"
-        ).scalar()
+        ))
         assert n == 10
 
     def test_join_with_alias_qualified_columns(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp e, dept d "
             "WHERE e.dept = d.did AND d.did = 1"
-        ).scalar()
+        ))
         assert n == 10
 
     def test_disconnected_tables_rejected(self, session):
@@ -214,39 +220,39 @@ class TestJoinsAndSubqueries:
             session.sql("SELECT COUNT(*) AS n FROM emp, dept")
 
     def test_exists(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp WHERE EXISTS "
             "(SELECT * FROM bonus WHERE beid = eid AND amount > 100)"
-        ).scalar()
+        ))
         assert n == sum(1 for i in range(0, 30, 3) if 50 * i > 100)
 
     def test_not_exists(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp WHERE NOT EXISTS "
             "(SELECT * FROM bonus WHERE beid = eid)"
-        ).scalar()
+        ))
         assert n == 20
 
     def test_in_subquery(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp WHERE eid IN "
             "(SELECT beid FROM bonus)"
-        ).scalar()
+        ))
         assert n == 10
 
     def test_not_in_subquery(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp WHERE eid NOT IN "
             "(SELECT beid FROM bonus WHERE amount > 500)"
-        ).scalar()
+        ))
         big_bonus = {i for i in range(0, 30, 3) if 50 * i > 500}
         assert n == 30 - len(big_bonus)
 
     def test_scalar_subquery(self, session):
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM emp "
             "WHERE salary > (SELECT AVG(salary) FROM emp)"
-        ).scalar()
+        ))
         assert n == 15
 
     def test_correlated_residual_inequality(self, session):
@@ -254,10 +260,10 @@ class TestJoinsAndSubqueries:
             "li",
             [{"ok": 1, "sk": 1}, {"ok": 1, "sk": 2}, {"ok": 2, "sk": 9}],
         )
-        n = session.sql(
+        n = _scalar(session.sql(
             "SELECT COUNT(*) AS n FROM li l1 WHERE EXISTS "
             "(SELECT * FROM li l2 WHERE l2.ok = l1.ok AND l2.sk <> l1.sk)"
-        ).scalar()
+        ))
         assert n == 2
 
     def test_uncorrelated_exists_rejected(self, session):
@@ -270,3 +276,53 @@ class TestJoinsAndSubqueries:
     def test_exists_outside_where_rejected(self, session):
         with pytest.raises(ParseError):
             session.sql("SELECT EXISTS (SELECT * FROM dept) FROM emp")
+
+
+class TestWhatTheGrammarRefuses:
+    """The plans hold only what SQL text reaches, and the grammar does
+    not reach what they no longer hold."""
+
+    @pytest.mark.parametrize("text", [
+        "SELECT DISTINCT dept FROM emp",
+        "SELECT SUM(DISTINCT salary) AS s FROM emp",
+        "SELECT COUNT(*) AS n FROM emp LEFT JOIN dept ON dept = did",
+    ])
+    def test_parse_errors(self, session, text):
+        with pytest.raises(ParseError):
+            session.sql(text)
+
+    @pytest.mark.parametrize("func", ["VAR", "STDDEV"])
+    def test_no_variance_aggregates(self, session, func):
+        with pytest.raises(AnalysisError, match="unknown scalar function"):
+            session.sql(f"SELECT {func}(salary) AS v FROM emp")
+
+    def test_count_distinct_is_the_one_distinct(self, session):
+        assert _scalar(session.sql(
+            "SELECT COUNT(DISTINCT dept) AS n FROM emp"
+        )) == 3
+
+
+class TestScalarSubqueryTables:
+    def test_the_tables_each_scalar_subquery_read(self, session):
+        from repro.sql.parser import parse_sql
+
+        read = set()
+        plan = parse_sql(
+            "SELECT COUNT(*) AS n FROM emp WHERE salary > "
+            "(SELECT AVG(amount) FROM bonus) AND dept < "
+            "(SELECT COUNT(*) FROM dept WHERE did > "
+            "(SELECT MIN(eid) FROM emp))",
+            session, read,
+        )
+        assert read == {"bonus", "dept", "emp"}
+        assert plan.base_tables() == {"emp"}
+
+    def test_none_read_without_a_scalar_subquery(self, session):
+        from repro.sql.parser import parse_sql
+
+        read = set()
+        parse_sql(
+            "SELECT COUNT(*) AS n FROM emp WHERE EXISTS "
+            "(SELECT * FROM bonus WHERE beid = eid)", session, read,
+        )
+        assert read == set()
