@@ -77,7 +77,7 @@ def main() -> None:
             rows,
         )
     )
-    spent_eps, _ = accountant.spent()
+    spent_eps = accountant.spent()
     print(f"\nprivacy budget spent: {spent_eps:.2f} of "
           f"{accountant.total_epsilon:.2f}")
     print("note: FLEX supports 5/9 queries and wildly overestimates the "

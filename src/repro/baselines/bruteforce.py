@@ -140,23 +140,3 @@ def _exact_local_sensitivity(
         range_lower=range_lower,
         range_upper=range_upper,
     )
-
-
-def literal_local_sensitivity(
-    query: MapReduceQuery, tables: Tables, max_removals: Optional[int] = None
-) -> float:
-    """Definition II.1 by literally re-running the query per neighbour.
-
-    O(N^2); only for small test datasets, to validate the prefix/suffix
-    implementation above.
-    """
-    records = tables[query.protected_table]
-    output = query.output(tables)
-    n = len(records) if max_removals is None else min(len(records), max_removals)
-    worst = 0.0
-    for i in range(n):
-        reduced = dict(tables)
-        reduced[query.protected_table] = records[:i] + records[i + 1:]
-        neighbour = query.output(reduced)
-        worst = max(worst, float(np.abs(neighbour - output).sum()))
-    return worst

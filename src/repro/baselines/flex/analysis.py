@@ -69,23 +69,6 @@ def flex_local_sensitivity(
         return analysis
 
 
-def flex_fragment_reason(plan: LogicalPlan) -> Optional[str]:
-    """Why FLEX's fragment rejects ``plan`` — None if it is supported.
-
-    Runs the same structural checks as :func:`flex_local_sensitivity`
-    (single global COUNT, Scan/Filter/Project/Join operators,
-    raw-column join keys rooted in base tables) but without column
-    metadata, so it needs no data.  ``tests/test_tpch.py`` checks every
-    TPC-H query's declared ``flex_supported`` flag against it.
-    """
-    try:
-        aggregate = _find_count_aggregate(plan)
-        _walk(aggregate.child, None, FlexAnalysis(sensitivity=1.0))
-    except FlexUnsupportedError as exc:
-        return str(exc)
-    return None
-
-
 def _find_count_aggregate(plan: LogicalPlan) -> Aggregate:
     """Locate the single global COUNT; reject anything else."""
     node = plan
@@ -110,7 +93,7 @@ def _find_count_aggregate(plan: LogicalPlan) -> Aggregate:
     return node
 
 
-def _walk(node: LogicalPlan, metadata: Optional[TableMetadata],
+def _walk(node: LogicalPlan, metadata: TableMetadata,
           analysis: FlexAnalysis) -> None:
     if isinstance(node, Scan):
         return
@@ -140,13 +123,12 @@ def _walk(node: LogicalPlan, metadata: Optional[TableMetadata],
 
 
 def _key_max_frequency(
-    key: Expression, side: LogicalPlan, metadata: Optional[TableMetadata]
+    key: Expression, side: LogicalPlan, metadata: TableMetadata
 ) -> int:
     """Max frequency of a join-key column in its *base* table.
 
     FLEX's metadata is per raw column; computed join keys are outside
-    its fragment.  With ``metadata=None`` (fragment check only) the
-    structural requirements are still enforced and 1 is returned.
+    its fragment.
     """
     if not isinstance(key, Column):
         raise FlexUnsupportedError(
@@ -157,8 +139,6 @@ def _key_max_frequency(
         raise FlexUnsupportedError(
             f"join key {key.name!r} does not come from a base table"
         )
-    if metadata is None:
-        return 1
     return metadata.max_frequency(scan.table_name, key.name)
 
 

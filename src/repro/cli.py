@@ -284,7 +284,8 @@ def _cmd_run_sql(args) -> int:
             )
     except (ParseError, AnalysisError, QueryShapeError) as exc:
         # Text that does not parse, names what the tables lack, or
-        # that the bridge cannot release: nothing ran, nothing was spent.
+        # that the bridge cannot release: compile_sql raised before the
+        # release began, so nothing ran and nothing was spent.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = [

@@ -185,18 +185,6 @@ class InferredRange:
         )
         return float(np.mean(inside))
 
-    def max_deviation(self, center: np.ndarray) -> float:
-        """Largest L1 move from ``center`` to a range corner.
-
-        For ``center = f(x)`` this is the inferred bound on
-        ``max_y |f(x) - f(y)|`` — the quantity Definition II.1 defines
-        and the Fig. 2(a) comparison uses (the range *width* double
-        counts when the neighbour outputs straddle f(x) symmetrically).
-        """
-        center = np.asarray(center, dtype=float).reshape(-1)
-        per_coord = np.maximum(self.upper - center, center - self.lower)
-        return float(np.sum(np.maximum(per_coord, 0.0)))
-
 
 def _distinct_counts(ordered: np.ndarray) -> np.ndarray:
     """Distinct values per column of an array sorted along axis 0,

@@ -360,17 +360,6 @@ class MapReduceQuery:
         )
         return self.finalize(agg, aux)
 
-    def output_without(self, tables: Tables, index: int) -> np.ndarray:
-        """f(x - record_i): reference implementation for tests."""
-        aux = self.build_aux(tables)
-        records = tables[self.protected_table]
-        agg = self.fold(
-            self.map_record(r, aux)
-            for i, r in enumerate(records)
-            if i != index
-        )
-        return self.finalize(agg, aux)
-
     def validate_monoid(self, tables: Tables, sample: int = 16,
                         seed: int = 0) -> None:
         """Check, by running them, what a release assumes of the methods.

@@ -306,19 +306,9 @@ def record_fingerprint(record: Row) -> int:
     return int(record_fingerprints([record])[0])
 
 
-def partition_of(record: Row, num_partitions: int = 2) -> int:
-    """The stable partition a record belongs to."""
-    return record_fingerprint(record) % num_partitions
-
-
 def partition_id_bits(fingerprints: np.ndarray) -> np.ndarray:
     """The two-partition id of every fingerprint: its low bit, as uint8."""
     return (fingerprints & _U64(1)).astype(np.uint8)
-
-
-def partition_ids_of(records: Sequence[Row]) -> np.ndarray:
-    """:func:`partition_of` (two partitions) of every record, as uint8."""
-    return partition_id_bits(record_fingerprints(records))
 
 
 class RecordView:

@@ -880,7 +880,7 @@ class UPASession:
         ))
         spent = remaining = None
         if self.accountant is not None:
-            spent = float(self.accountant.spent()[0])
+            spent = float(self.accountant.spent())
             remaining = float(self.accountant.remaining_epsilon())
         ledger.append(make_entry(
             sequence=ledger.next_sequence(),

@@ -1,13 +1,14 @@
-"""SQL-to-UPA bridge: compile a SQL plan into a MapReduceQuery.
+"""SQL-to-UPA bridge: compile SQL text into a MapReduceQuery.
 
-The paper's pitch is that analysts submit *unmodified* queries.  The
+The paper's pitch is that analysts submit *unmodified* queries, and a
+query is its SQL text: :func:`compile_sql` is the one way in.  The
 hand-written TPC-H workloads show the Mapper/Reducer decomposition; this
-module derives it **automatically** for any counting/sum SQL plan that
+module derives it **automatically** for any counting/sum SQL text that
 is *linear* in the chosen protected table — i.e. every result row's
 existence and value depend on at most one protected record (provenance
 is single-rooted).
 
-The compiler splits the logical plan at the protected table:
+The compiler splits the text's logical plan at the protected table:
 
 * subtrees that never read the protected table are **static** — the
   query's ``build_aux(tables)`` evaluates them (through the ordinary SQL
@@ -17,8 +18,10 @@ The compiler splits the logical plan at the protected table:
   **dynamic** — it is compiled into a plan over column blocks that,
   given a batch of protected records and those indexes, produces every
   record's joined/filtered rows (filter masks, key-array joins) and
-  folds them per record with the aggregate.  The compiled plan holds
-  no table rows; a scalar subquery (over public tables only) was
+  folds them per record with the aggregate.  The parser plans a
+  projection, ORDER BY, LIMIT and UNION ALL only above the aggregate,
+  so the dynamic path is scans, filters and joins.  The compiled plan
+  holds no table rows; a scalar subquery (over public tables only) was
   evaluated once, when the text was parsed, and is a literal in it.
 
 ``map_record(record, aux) = aggregate(dynamic_rows([record]))`` —
@@ -68,7 +71,6 @@ from repro.sql.compiler import (
     compile_expression,
     compile_key,
     compile_predicate,
-    compile_projection,
     plan_fingerprint,
 )
 from repro.sql.expr import CaseWhen, Expression, Literal, UnaryOp
@@ -185,21 +187,6 @@ class _DynFilter(_DynamicNode):
 
     def rows(self, inputs: List[Row], aux: Aux) -> List[Row]:
         return list(filter(self._condition, self._child.rows(inputs, aux)))
-
-
-class _DynProject(_DynamicNode):
-    def __init__(self, child: _DynamicNode, exprs: Sequence[Expression]):
-        self._child = child
-        self._values = [(e.output_name(), block_value(e)) for e in exprs]
-        self._project = compile_projection(exprs)
-
-    def block(self, batch: Sequence[Row], aux: Aux) -> _Block:
-        child = self._child.block(batch, aux)
-        columns = {name: value(child) for name, value in self._values}
-        return _Block(child.origin, columns.__getitem__)
-
-    def rows(self, inputs: List[Row], aux: Aux) -> List[Row]:
-        return list(map(self._project, self._child.rows(inputs, aux)))
 
 
 def _row_key(exprs: Sequence[Expression]) -> Callable[[Row], Any]:
@@ -467,15 +454,8 @@ class _Compiler:
             return _DynScan()
         if isinstance(plan, Filter):
             return _DynFilter(self.compile(plan.child), plan.condition)
-        if isinstance(plan, Project):
-            return _DynProject(self.compile(plan.child), plan.exprs)
         if isinstance(plan, Join):
             return self._compile_join(plan)
-        if isinstance(plan, (Sort, Limit)):
-            raise QueryShapeError(
-                f"{type(plan).__name__} over the protected table is not "
-                "linear in individual records"
-            )
         raise QueryShapeError(
             f"cannot compile operator {type(plan).__name__} on the "
             "protected path"
@@ -574,7 +554,7 @@ def _is_int_literal(value: Expression) -> bool:
 
 
 class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
-    """A MapReduceQuery derived from a SQL plan by provenance analysis.
+    """A MapReduceQuery derived from SQL text by provenance analysis.
 
     The query holds no table rows.  A scalar subquery in the text, which
     may read public tables only, was evaluated once, at parse time, over
@@ -605,13 +585,8 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
         self.name = name
         self.protected_table = protected_table
         #: what the query computes, as opposed to what it is called: two
-        #: queries with equal fingerprints release the same thing.  An
-        #: opaque node fingerprints by id(), which a later plan may
-        #: reuse, so such a query equals only itself.
-        self.plan_fingerprint: Hashable = (
-            self if "(opaque" in fingerprint
-            else (protected_table, fingerprint)
-        )
+        #: queries with equal fingerprints release the same thing.
+        self.plan_fingerprint: Hashable = (protected_table, fingerprint)
         #: Table II's kind: a count query's noise never falls below
         #: width 1 (``core.session.noise_floor``).
         self.query_type = "count" if _counts(spec) else "arithmetic"
@@ -707,7 +682,7 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
         if self._domain_sampler is None:
             raise QueryShapeError(
                 f"query {self.name!r} has no domain sampler; pass "
-                "domain_sampler= to compile_plan/compile_sql to enable "
+                "domain_sampler= to compile_sql to enable "
                 "'+1 record' neighbours"
             )
         return self._domain_sampler
@@ -725,8 +700,8 @@ class CompiledSQLQuery(ScalarSumBatch, MapReduceQuery):
 # ---------------------------------------------------------------------------
 #
 # A UPA run replays one compiled query over ~2n neighbours, but callers
-# (sessions, baselines, comparisons) routinely re-invoke compile_sql /
-# compile_plan for the same plan.  The compiled dynamic tree depends
+# (sessions, baselines, comparisons) routinely re-invoke compile_sql
+# for the same text.  The compiled dynamic tree depends
 # only on the plan and the protected table, and holds no table rows (a
 # scalar subquery's value is a literal in the plan), so it is cached
 # here keyed by the canonical plan fingerprint.  What the static side
@@ -749,68 +724,20 @@ def _compile_dynamic(
 ) -> Tuple[_DynamicNode, Tuple[Tuple[LogicalPlan, List[Expression]], ...]]:
     """The dynamic tree of ``plan_child`` and its static joins' subplans
     and keys, by slot."""
-    fingerprint = plan_fingerprint(plan_child)
-    cacheable = "(opaque" not in fingerprint
-    key = (fingerprint, protected_table)
-    if cacheable:
-        with _bridge_lock:
-            entry = _bridge_cache.get(key)
-        if entry is not None:
-            if engine is not None:
-                engine.metrics.incr(MetricsRegistry.SQL_PLAN_CACHE_HITS)
-            return entry
+    key = (plan_fingerprint(plan_child), protected_table)
+    with _bridge_lock:
+        entry = _bridge_cache.get(key)
+    if entry is not None:
+        if engine is not None:
+            engine.metrics.incr(MetricsRegistry.SQL_PLAN_CACHE_HITS)
+        return entry
     compiler = _Compiler(protected_table)
     entry = compiler.compile(plan_child), tuple(compiler.statics)
-    if cacheable:
-        with _bridge_lock:
-            _bridge_cache[key] = entry
-            while len(_bridge_cache) > _BRIDGE_CACHE_SIZE:
-                _bridge_cache.popitem(last=False)
+    with _bridge_lock:
+        _bridge_cache[key] = entry
+        while len(_bridge_cache) > _BRIDGE_CACHE_SIZE:
+            _bridge_cache.popitem(last=False)
     return entry
-
-
-def compile_plan(
-    plan: LogicalPlan,
-    tables: Tables,
-    protected_table: str,
-    domain_sampler: Optional[DomainSampler] = None,
-    name: str = "sql-query",
-    engine=None,
-) -> CompiledSQLQuery:
-    """Compile a logical plan into a UPA-ready MapReduceQuery.
-
-    ``tables`` must hold every table the plan scans; the query reads
-    none of them until :meth:`CompiledSQLQuery.build_aux`.  ``engine``
-    (an :class:`~repro.engine.context.EngineContext`), when given,
-    counts the hits of the bridge's compile cache.  The counter
-    keeps the name ``sql.plan_cache.hits`` although this is the only
-    plan cache: ``SQLSession`` caches no plans.
-
-    Raises:
-        QueryShapeError: if the plan is not a single COUNT/SUM linear in
-            ``protected_table``.
-    """
-    if protected_table not in tables:
-        raise QueryShapeError(
-            f"unknown protected table {protected_table!r}; "
-            f"have {sorted(tables)}"
-        )
-    aggregate, child = _find_aggregate(plan)
-    if not _reads_protected(child, protected_table):
-        raise QueryShapeError(
-            f"the query never reads the protected table "
-            f"{protected_table!r}; its sensitivity would be zero"
-        )
-    for table_name in sorted(child.base_tables()):
-        if table_name not in tables:
-            raise AnalysisError(
-                f"unknown table {table_name!r}; registered: {sorted(tables)}"
-            )
-    dynamic, statics = _compile_dynamic(child, protected_table, engine)
-    return CompiledSQLQuery(
-        name, protected_table, dynamic, statics, aggregate.aggregates[0],
-        domain_sampler, plan_fingerprint(plan),
-    )
 
 
 def compile_sql(
@@ -821,13 +748,31 @@ def compile_sql(
     name: Optional[str] = None,
     engine=None,
 ) -> CompiledSQLQuery:
-    """Parse SQL text and compile it for UPA (see :func:`compile_plan`)."""
+    """Parse SQL text and compile it into a UPA-ready MapReduceQuery.
+
+    ``tables`` must hold every table the text scans; the parser reads
+    their schemas (and a scalar subquery's public rows), and the query
+    reads them again only in :meth:`CompiledSQLQuery.build_aux`.
+    ``engine`` (an :class:`~repro.engine.context.EngineContext`), when
+    given, counts the hits of the bridge's compile cache.  The counter
+    keeps the name ``sql.plan_cache.hits`` although this is the only
+    plan cache: ``SQLSession`` caches no plans.
+
+    Raises:
+        QueryShapeError: if the text is not a single COUNT/SUM linear in
+            ``protected_table``.
+    """
     from repro.obs.tracing import trace
     from repro.sql.parser import parse_sql
     from repro.sql.session import SQLSession
 
     with trace("sqlbridge.compile", sql=sql_text[:120],
                protected_table=protected_table):
+        if protected_table not in tables:
+            raise QueryShapeError(
+                f"unknown protected table {protected_table!r}; "
+                f"have {sorted(tables)}"
+            )
         session = SQLSession()
         for table_name, rows in tables.items():
             session.create_table(table_name, rows)
@@ -840,8 +785,29 @@ def compile_sql(
                 f"a scalar subquery over the protected table "
                 f"{protected_table!r} is not linear in its records"
             )
-        return compile_plan(
-            plan, tables, protected_table, domain_sampler,
-            name=name or f"sql:{sql_text[:40]}",
-            engine=engine,
+        return _compile_plan(
+            plan, protected_table, domain_sampler,
+            name or f"sql:{sql_text[:40]}", engine,
         )
+
+
+def _compile_plan(
+    plan: LogicalPlan,
+    protected_table: str,
+    domain_sampler: Optional[DomainSampler] = None,
+    name: str = "sql-query",
+    engine=None,
+) -> CompiledSQLQuery:
+    """The query of a parsed text's plan (the property tests also hand
+    it random plans built from :mod:`repro.sql.logical`)."""
+    aggregate, child = _find_aggregate(plan)
+    if not _reads_protected(child, protected_table):
+        raise QueryShapeError(
+            f"the query never reads the protected table "
+            f"{protected_table!r}; its sensitivity would be zero"
+        )
+    dynamic, statics = _compile_dynamic(child, protected_table, engine)
+    return CompiledSQLQuery(
+        name, protected_table, dynamic, statics, aggregate.aggregates[0],
+        domain_sampler, plan_fingerprint(plan),
+    )

@@ -4,29 +4,17 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.common.errors import DPError, PrivacyBudgetExceeded
 
 
-def _validate(epsilon: float, delta: float, *, what: str) -> None:
-    """Shared epsilon/delta validation (positive/finite, delta in range)."""
+def _validate(epsilon: float, *, what: str) -> None:
+    """Shared epsilon validation: finite and positive."""
     if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)):
         raise DPError(f"{what} epsilon must be finite, got {epsilon!r}")
     if epsilon <= 0:
         raise DPError(f"{what} epsilon must be positive, got {epsilon}")
-    if not (isinstance(delta, (int, float)) and math.isfinite(delta)):
-        raise DPError(f"{what} delta must be finite, got {delta!r}")
-    if delta < 0:
-        raise DPError(f"{what} delta must be non-negative, got {delta}")
-
-
-@dataclass
-class _Charge:
-    epsilon: float
-    delta: float
-    label: str
 
 
 #: whether the builtin ``sum`` compensates the rounding of float sums
@@ -67,7 +55,10 @@ class _RunningSum:
 
 
 class PrivacyAccountant:
-    """Tracks cumulative (epsilon, delta) spend under sequential composition.
+    """Tracks cumulative epsilon spend under sequential composition.
+
+    Every mechanism a release uses is pure epsilon-DP (Laplace), so
+    there is no delta to account.
 
     Example:
         >>> acct = PrivacyAccountant(total_epsilon=1.0)
@@ -76,72 +67,58 @@ class PrivacyAccountant:
         0.6
     """
 
-    def __init__(self, total_epsilon: float, total_delta: float = 0.0):
-        _validate(total_epsilon, total_delta, what="total")
+    def __init__(self, total_epsilon: float):
+        _validate(total_epsilon, what="total")
         self.total_epsilon = total_epsilon
-        self.total_delta = total_delta
         self._lock = threading.Lock()
-        self._charges: List[_Charge] = []
-        #: the charges' running totals, in charge order.
-        self._spent_epsilon = _RunningSum()
-        self._spent_delta = _RunningSum()
+        #: (epsilon, label) of every charge, in charge order.
+        self._charges: List[Tuple[float, str]] = []
+        #: the charges' running total, in charge order.
+        self._spent = _RunningSum()
 
-    def _spent_locked(self) -> Tuple[float, float]:
-        """(epsilon, delta) spent so far; caller must hold the lock."""
-        return self._spent_epsilon.value, self._spent_delta.value
-
-    def spent(self) -> Tuple[float, float]:
+    def spent(self) -> float:
+        """Epsilon spent so far."""
         with self._lock:
-            return self._spent_locked()
+            return self._spent.value
 
     def remaining_epsilon(self) -> float:
-        return self.total_epsilon - self.spent()[0]
+        return self.total_epsilon - self.spent()
 
-    def remaining_delta(self) -> float:
-        return self.total_delta - self.spent()[1]
-
-    def _require_locked(self, epsilon: float, delta: float) -> None:
+    def _require_locked(self, epsilon: float) -> None:
         """Raise unless the balance covers the spend; caller holds the lock."""
-        spent_eps, spent_delta = self._spent_locked()
-        if spent_eps + epsilon > self.total_epsilon + 1e-12:
-            raise PrivacyBudgetExceeded(epsilon, self.total_epsilon - spent_eps)
-        if spent_delta + delta > self.total_delta + 1e-15:
-            raise PrivacyBudgetExceeded(delta, self.total_delta - spent_delta)
+        spent = self._spent.value
+        if spent + epsilon > self.total_epsilon + 1e-12:
+            raise PrivacyBudgetExceeded(epsilon, self.total_epsilon - spent)
 
-    def require(self, epsilon: float, delta: float = 0.0) -> None:
+    def require(self, epsilon: float) -> None:
         """Raise what :meth:`charge` would raise, recording nothing.
 
         A release asks this before it does any work and charges only
         once it is certain to answer, so a refused submission is free.
         """
-        _validate(epsilon, delta, what="charged")
+        _validate(epsilon, what="charged")
         with self._lock:
-            self._require_locked(epsilon, delta)
+            self._require_locked(epsilon)
 
-    def charge(self, epsilon: float, delta: float = 0.0, label: str = "") -> None:
+    def charge(self, epsilon: float, label: str = "") -> None:
         """Record a query's spend; raises if the budget would be exceeded."""
-        _validate(epsilon, delta, what="charged")
+        _validate(epsilon, what="charged")
         with self._lock:
-            self._require_locked(epsilon, delta)
-            self._charges.append(_Charge(epsilon, delta, label))
-            self._spent_epsilon.add(epsilon)
-            self._spent_delta.add(delta)
+            self._require_locked(epsilon)
+            self._charges.append((epsilon, label))
+            self._spent.add(epsilon)
 
-    def history(self) -> List[Tuple[float, float, str]]:
+    def history(self) -> List[Tuple[float, str]]:
+        """(epsilon, label) of every charge, in charge order."""
         with self._lock:
-            return [(c.epsilon, c.delta, c.label) for c in self._charges]
+            return list(self._charges)
 
     def __repr__(self) -> str:
         with self._lock:
-            spent_eps, spent_delta = self._spent_locked()
+            spent = self._spent.value
             queries = len(self._charges)
-        parts = [
-            f"spent_epsilon={spent_eps:g}/{self.total_epsilon:g}",
-            f"remaining_epsilon={self.total_epsilon - spent_eps:g}",
-        ]
-        if self.total_delta or spent_delta:
-            parts.append(
-                f"spent_delta={spent_delta:g}/{self.total_delta:g}"
-            )
-        parts.append(f"queries={queries}")
-        return f"<PrivacyAccountant {' '.join(parts)}>"
+        return (
+            f"<PrivacyAccountant spent_epsilon={spent:g}/"
+            f"{self.total_epsilon:g} remaining_epsilon="
+            f"{self.total_epsilon - spent:g} queries={queries}>"
+        )

@@ -45,7 +45,7 @@ class MetricsRegistry:
     RECORDS_READ = "records_read"
 
     #: Counter of the SQL bridge's compile cache
-    #: (core.sqlbridge.compile_plan), the only plan cache there is.
+    #: (core.sqlbridge.compile_sql), the only plan cache there is.
     #: The name keeps its ``sql.plan_cache`` prefix: the e2e benchmark
     #: reads it.
     SQL_PLAN_CACHE_HITS = "sql.plan_cache.hits"

@@ -162,24 +162,3 @@ class KMeansQuery(MapReduceQuery):
     def sample_domain_batch(self, rng: random.Random, tables: Tables,
                             n: int) -> Sequence[Row]:
         return domain_point.batch(rng, self._dataset_config, n)
-
-    # -- convenience: full clustering loop ----------------------------------
-
-    def fit(self, tables: Tables, iterations: int = 10) -> np.ndarray:
-        """Plain Lloyd iterations (reference/testing); returns centers."""
-        centers = self.build_aux(tables)
-        for _ in range(iterations):
-            step = KMeansQuery(
-                self.num_clusters, self.dim, centers, self._dataset_config
-            )
-            centers = step.output(tables).reshape(self.num_clusters, self.dim)
-        return centers
-
-    @staticmethod
-    def inertia(tables: Tables, centers: np.ndarray) -> float:
-        """Sum of squared distances to nearest centers (utility metric)."""
-        total = 0.0
-        for record in tables["points"]:
-            point = np.asarray(record["features"], dtype=float)
-            total += float(np.min(np.sum((centers - point) ** 2, axis=1)))
-        return total

@@ -24,15 +24,15 @@ Design notes, in the order they bit us:
   subtree that evaluates cleanly against the empty row becomes a
   literal.  Folding failures (e.g. ``1/0``) fall through so the error
   still surfaces at run time, exactly as interpreted.
-* **Everything falls back.**  Unknown ``Expression`` subclasses compile
-  to a per-node ``expr.eval(row)`` call, and any codegen failure at all
-  returns a closure over the interpreted ``eval`` — compilation is an
+* **Codegen falls back.**  Any codegen failure at all returns a
+  closure over the interpreted ``eval`` — compilation is an
   optimization, never a semantics change.
 
 Closures are cached by a structural fingerprint (``repr`` is *not*
 structural: a column named ``"(a + b)"`` must not unify with the
 arithmetic node it shadows), so the ~2n neighbour replays of one query
-compile exactly once.
+compile exactly once.  Every node the parser plans has one; a node
+class the fingerprints do not know raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ from repro.sql.expr import (
 
 __all__ = [
     "CompiledExpression",
-    "clear_closure_cache",
-    "closure_cache_stats",
     "compile_expression",
     "compile_key",
     "compile_predicate",
@@ -80,8 +78,10 @@ def expr_fingerprint(expr: Expression) -> str:
     """A structural identity for ``expr``, usable as a cache/CSE key.
 
     Two expressions with equal fingerprints evaluate identically on
-    every row.  Unknown subclasses fingerprint by object identity, so
-    they are never unified with anything else.
+    every row.
+
+    Raises:
+        TypeError: for an expression class this module does not know.
     """
     if isinstance(expr, Column):
         return f"(col {expr.name!r})"
@@ -122,12 +122,18 @@ def expr_fingerprint(expr: Expression) -> str:
         return f"(func {expr.name} {args})"
     if isinstance(expr, CompiledExpression):
         return expr_fingerprint(expr.expr)
-    return f"(opaque {type(expr).__qualname__} {id(expr)})"
+    raise TypeError(
+        f"cannot fingerprint expression {type(expr).__name__}"
+    )
 
 
 def plan_fingerprint(plan) -> str:
     """Canonical fingerprint of a logical plan: the SQL bridge's compile
-    cache and release replay key on it."""
+    cache and release replay key on it.
+
+    Raises:
+        TypeError: for a plan node class this module does not know.
+    """
     from repro.sql.logical import (
         Aggregate,
         Filter,
@@ -181,7 +187,7 @@ def plan_fingerprint(plan) -> str:
     if isinstance(plan, Union):
         inputs = " ".join(plan_fingerprint(c) for c in plan.inputs)
         return f"(union {inputs})"
-    return f"(opaque {type(plan).__qualname__} {id(plan)})"
+    raise TypeError(f"cannot fingerprint plan node {type(plan).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +438,7 @@ class _CodeGen:
             return f"{impl}({args})"
         if isinstance(expr, CompiledExpression):
             return self.emit(expr.expr, lazy)
-        # Unknown subclass: per-node interpreted fallback.
-        node = self.const(expr)
-        return f"{node}.eval(row)"
+        raise _Uncompilable(f"unknown expression {type(expr).__name__}")
 
     def _gen_binary(self, expr: BinaryOp, lazy: bool) -> str:
         op = expr.op
@@ -508,41 +512,14 @@ class _CodeGen:
 _CACHE_LIMIT = 512
 _cache_lock = threading.Lock()
 _closure_cache: "OrderedDict[str, Callable]" = OrderedDict()
-_cache_hits = 0
-_cache_misses = 0
-
-
-def closure_cache_stats() -> Dict[str, int]:
-    """Hit/miss/size counters for the module-level closure cache."""
-    with _cache_lock:
-        return {
-            "hits": _cache_hits,
-            "misses": _cache_misses,
-            "size": len(_closure_cache),
-        }
-
-
-def clear_closure_cache() -> None:
-    global _cache_hits, _cache_misses
-    with _cache_lock:
-        _closure_cache.clear()
-        _cache_hits = 0
-        _cache_misses = 0
 
 
 def _cached(key: str, build: Callable[[], Callable]) -> Callable:
-    global _cache_hits, _cache_misses
-    if "(opaque" in key:
-        # Identity-fingerprinted nodes: id() can be recycled after GC,
-        # so these closures are never shared across calls.
-        return build()
     with _cache_lock:
         fn = _closure_cache.get(key)
         if fn is not None:
-            _cache_hits += 1
             _closure_cache.move_to_end(key)
             return fn
-        _cache_misses += 1
     fn = build()
     with _cache_lock:
         _closure_cache[key] = fn

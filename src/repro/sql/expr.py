@@ -451,11 +451,6 @@ def col(name: str) -> Column:
     return Column(name)
 
 
-def lit(value: Any) -> Literal:
-    """Shorthand for a literal."""
-    return Literal(value)
-
-
 def split_conjuncts(expr: Expression) -> List[Expression]:
     """Flatten nested ANDs into a list of conjuncts."""
     if isinstance(expr, BinaryOp) and expr.op == "and":

@@ -122,6 +122,8 @@ class _SubquerySpec:
 
     query: "_ParsedQuery"
     negated: bool
+    #: where the predicate starts in the text.
+    position: int
     # for IN subqueries: the outer expression being tested.
     in_expr: Optional[Expression] = None
 
@@ -281,15 +283,15 @@ class _Parser:
         return self._parse_predicate(query)
 
     def _parse_exists(self, query, negated: bool) -> Expression:
+        position = self._peek().position
         if query is None:
-            raise ParseError("EXISTS only allowed in WHERE clauses",
-                             self._peek().position)
+            raise ParseError("EXISTS only allowed in WHERE clauses", position)
         self._expect_keyword("exists")
         self._expect_op("(")
         sub = self._parse_subquery()
         self._expect_op(")")
         marker = _SubqueryMarker(len(query.subqueries))
-        query.subqueries.append(_SubquerySpec(sub, negated))
+        query.subqueries.append(_SubquerySpec(sub, negated, position))
         return marker
 
     def _parse_subquery(self) -> _ParsedQuery:
@@ -336,6 +338,7 @@ class _Parser:
         return expr
 
     def _parse_in(self, query, expr: Expression, negated: bool) -> Expression:
+        position = self._peek().position
         self._expect_op("(")
         if self._peek().kind == "keyword" and self._peek().value == "select":
             if query is None:
@@ -344,7 +347,9 @@ class _Parser:
             sub = self._parse_subquery()
             self._expect_op(")")
             marker = _SubqueryMarker(len(query.subqueries))
-            query.subqueries.append(_SubquerySpec(sub, negated, in_expr=expr))
+            query.subqueries.append(
+                _SubquerySpec(sub, negated, position, in_expr=expr)
+            )
             return marker
         values = [self._parse_literal_value()]
         while self._accept_op(","):
@@ -481,8 +486,9 @@ class _Parser:
 class _SubqueryMarker(Expression):
     """Placeholder for an EXISTS/IN-subquery predicate inside WHERE.
 
-    Markers must appear as top-level conjuncts; the planner replaces
-    them with semi/anti joins.
+    The planner replaces each marker that is a top-level conjunct of
+    WHERE with a semi/anti join, and refuses the text if any other
+    marker is left.
     """
 
     def __init__(self, index: int):
@@ -594,6 +600,7 @@ def _resolve_expr(expr: Expression, scope: _Scope,
     build residual-join conditions where right-side columns carry the
     ``__r_`` prefix.
     """
+    _refuse_placeholders(expr)
     mapping: Dict[str, Expression] = {}
     for raw in _collect_columns(expr):
         side = scope.classify(raw)
@@ -603,6 +610,23 @@ def _resolve_expr(expr: Expression, scope: _Scope,
             assert scope.parent is not None
             mapping[raw] = Column(outer_prefix + scope.parent.resolve_local(raw))
     return substitute(expr, mapping)
+
+
+def _refuse_placeholders(expr: Expression) -> None:
+    """Raise unless ``expr`` is free of the parser's placeholders: the
+    planner turns an aggregate into a column only in SELECT and HAVING,
+    and runs a scalar subquery only in the main query."""
+    if isinstance(expr, _RawAggregate):
+        raise AnalysisError(
+            f"aggregate {expr!r} is allowed only in SELECT and HAVING"
+        )
+    if isinstance(expr, _ScalarSubquery):
+        raise AnalysisError(
+            "a scalar subquery inside an EXISTS or IN subquery is not "
+            "supported"
+        )
+    for child in expr.children():
+        _refuse_placeholders(child)
 
 
 def _collect_columns(expr: Expression) -> Set[str]:
@@ -646,10 +670,20 @@ class _Planner:
         )
         join_edges: List[Tuple[str, str, Expression, Expression]] = []
         filters: List[Expression] = []
-        markers: List[_SubqueryMarker] = []
+        markers = [c for c in conjuncts if isinstance(c, _SubqueryMarker)]
+        if len(markers) < len(query.subqueries):
+            planned = {marker.index for marker in markers}
+            stray = next(
+                spec for index, spec in enumerate(query.subqueries)
+                if index not in planned
+            )
+            raise ParseError(
+                "an IN or EXISTS subquery is allowed only as a top-level "
+                "AND conjunct of WHERE; to negate one write NOT IN or "
+                "NOT EXISTS", stray.position,
+            )
         for conjunct in conjuncts:
             if isinstance(conjunct, _SubqueryMarker):
-                markers.append(conjunct)
                 continue
             edge = self._as_join_edge(conjunct, scope)
             if edge is not None:

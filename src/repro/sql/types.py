@@ -132,9 +132,6 @@ class Schema:
         """Schema of a join output (column names must not collide)."""
         return Schema(list(self.fields) + list(other.fields))
 
-    def select(self, names: Sequence[str]) -> "Schema":
-        return Schema([self.field(n) for n in names])
-
     def __len__(self) -> int:
         return len(self.fields)
 

@@ -320,6 +320,10 @@ class _ArithValue:
         b = self.right(block)
         if a is None or b is None:
             return None
+        if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            # Two constants: Python's operator is the row answer (numpy's
+            # would return a numpy scalar, ``np.str_`` for two strings).
+            return _PY_ARITH[self.op](a, b)
         if (_operand_has_null(self.left, block, a)
                 or _operand_has_null(self.right, block, b)):
             arith = _PY_ARITH[self.op]

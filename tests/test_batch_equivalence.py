@@ -914,7 +914,7 @@ class TestValidateMonoid:
         )
         with pytest.raises(QueryShapeError, match="not deterministic"):
             session.run(_RandomMapper(), _tiny_tables(), epsilon=0.5)
-        assert acct.spent() == (0.0, 0.0)  # rejected before charging
+        assert acct.spent() == 0  # rejected before charging
 
     def test_strict_gate_runs_validate_monoid(self):
         class RuntimeNonCommutative(_CountQuery):

@@ -152,11 +152,17 @@ class TestCli:
         # does not parse; names what the tables lack
         ("SELECT COUNT(*) AS n FROM lineitem WHERE", "unexpected token"),
         ("SELECT COUNT(*) AS n FROM nowhere", "unknown table 'nowhere'"),
-    ], ids=["scalar-subquery", "max", "parse", "analysis"])
+        # a subquery predicate the planner cannot turn into a join
+        ("SELECT COUNT(*) AS n FROM lineitem WHERE l_orderkey IN "
+         "(SELECT o_orderkey FROM orders) OR l_quantity < 5",
+         "top-level AND conjunct"),
+    ], ids=["scalar-subquery", "max", "parse", "analysis", "subquery-or"])
     def test_run_sql_refused_or_bad_text_exits_2(self, capsys, text,
                                                  message):
         """One error line and exit 2, the usage error: up to 1.32.0 the
-        first released, and the others ended in a traceback."""
+        first released, and the others ended in a traceback; up to
+        1.33.0 the last started a release and printed the parser's
+        internal "subquery marker" message."""
         assert main(
             ["run-sql", text, "--protect", "lineitem", "--scale", "2000"]
         ) == 2

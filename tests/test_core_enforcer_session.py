@@ -591,7 +591,7 @@ class TestUPASession:
         )
         with pytest.raises(DPError, match="protected table 'lineitem'"):
             session.run(query_by_name("tpch6"), tables, epsilon=0.1)
-        assert accountant.spent() == (0.0, 0.0)
+        assert accountant.spent() == 0
         assert len(ledger) == 0
         assert len(session.enforcer) == 0
         assert session._tables._answers == {}
@@ -630,7 +630,7 @@ class TestUPASession:
             entry.noise_scale == max(entry.local_sensitivity, 1.0) / 0.1
             for entry in ledger if not entry.refused
         )
-        spent = accountant.spent()[0]
+        spent = accountant.spent()
         assert spent == pytest.approx(0.5)
         assert spent == pytest.approx(ledger.totals()["epsilon_charged"])
         assert len(accountant.history()) == len(session.enforcer) == 5
@@ -654,7 +654,7 @@ class TestUPASession:
             session.run(query, tables if i % 2 == 0 else minus_one)
         totals = ledger.totals()
         assert totals["refused"] == 0 and totals["cache_hits"] == 198
-        spent = accountant.spent()[0]
+        spent = accountant.spent()
         assert spent == pytest.approx(totals["epsilon_charged"])
         assert spent == pytest.approx(2 * 0.1)
         assert len(session.enforcer) == 2
@@ -672,7 +672,7 @@ class TestUPASession:
             session.run(query_by_name("tpch1"), small_tables, epsilon=0.1)
         assert len(session.enforcer) == 0
         assert session.engine.metrics.get(MetricsRegistry.JOBS) == 0
-        assert accountant.spent() == (0.0, 0.0)
+        assert accountant.spent() == 0
 
     def test_replays_hash_a_table_once_per_session(
         self, small_tables, monkeypatch

@@ -32,8 +32,7 @@ from repro.core.query import MapReduceQuery
 from repro.core.sampling import (
     fingerprint_columns,
     partition_and_sample,
-    partition_ids_of,
-    partition_of,
+    partition_id_bits,
     record_fingerprint,
     record_fingerprints,
 )
@@ -93,7 +92,8 @@ class TestPartitionAndSample:
 
     def test_partition_is_stable_per_record(self):
         record = {"v": 3.0}
-        assert partition_of(record) == partition_of(dict(record))
+        ids = partition_id_bits(record_fingerprints([record, dict(record)]))
+        assert ids[0] == ids[1]
 
     def test_fingerprint_order_insensitive(self):
         a = {"x": 1, "y": "s"}
@@ -131,8 +131,8 @@ class TestPartitionAndSample:
         sample = partition_and_sample(
             _IdentityQuery(), _tables(100), 20, random.Random(2)
         )
-        for record, pid in zip(sample.sampled, sample.sampled_partitions):
-            assert partition_of(record) == pid
+        ids = partition_id_bits(record_fingerprints(list(sample.sampled)))
+        assert ids.tolist() == list(sample.sampled_partitions)
 
     def test_empty_table_raises(self):
         with pytest.raises(DPError):
@@ -251,7 +251,8 @@ class TestFingerprintContract:
         workload = workload_by_name(name)
         scale = 8_000 if name == "kmeans" else 20_000
         records = workload.make_tables(scale, 3)[workload.query.protected_table]
-        assert 0.4 <= partition_ids_of(records).mean() <= 0.6
+        ids = partition_id_bits(record_fingerprints(records))
+        assert 0.4 <= ids.mean() <= 0.6
 
     def test_one_field_changes_the_fingerprint(self):
         workload = workload_by_name("tpch6")
@@ -1148,12 +1149,6 @@ class TestRangeInference:
         assert not inferred.contains(np.array([50.0]))
         cover = inferred.coverage(np.array([[5.0], [50.0]]))
         assert cover == 0.5
-
-    def test_max_deviation(self):
-        outputs = np.array([[0.0], [10.0]] * 50)
-        inferred = infer_output_range(outputs, 100)
-        assert inferred.max_deviation(np.array([10.0])) == pytest.approx(10.0)
-        assert inferred.max_deviation(np.array([5.0])) == pytest.approx(5.0)
 
     def test_tail_quantile_is_norm_ppf_bit_for_bit(self):
         """``ndtri`` replaced ``stats.norm.ppf``: same bits at every

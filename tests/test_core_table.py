@@ -563,7 +563,7 @@ class TestReplay:
             or real(*args, **kwargs),
         )
         assert session.run(query, x, 0.5) is first
-        assert accountant.spent()[0] == pytest.approx(0.5)
+        assert accountant.spent() == pytest.approx(0.5)
         assert [
             (entry.cache_hit, entry.epsilon_charged)
             for entry in session.ledger.entries()
@@ -651,7 +651,7 @@ class TestReplay:
         assert session.run(query, x, 0.5) is first
         with pytest.raises(PrivacyBudgetExceeded):
             session.run(query, x, 0.4)
-        assert accountant.spent()[0] == pytest.approx(0.5)
+        assert accountant.spent() == pytest.approx(0.5)
 
     def test_a_changed_public_table_is_not_replayed_stale(self):
         """A replay keyed on the protected table alone returned 192
@@ -777,7 +777,7 @@ class TestReadScope:
             **x, "lineitem": x["lineitem"][::-1][:10], "extra": [{"e": 1}],
         }
         assert session.run(query, changed, 0.5) is first
-        assert accountant.spent()[0] == pytest.approx(0.5)
+        assert accountant.spent() == pytest.approx(0.5)
         assert [
             (entry.cache_hit, entry.epsilon_charged)
             for entry in session.ledger.entries()

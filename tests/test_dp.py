@@ -69,7 +69,7 @@ class TestAccountant:
         acct.charge(0.3, label="q1")
         acct.charge(0.3, label="q2")
         assert acct.remaining_epsilon() == pytest.approx(0.4)
-        assert [h[2] for h in acct.history()] == ["q1", "q2"]
+        assert acct.history() == [(0.3, "q1"), (0.3, "q2")]
 
     def test_balance_is_the_sum_of_the_charges_bit_for_bit(self):
         # The running totals replace a sum() over every charge, per
@@ -78,24 +78,21 @@ class TestAccountant:
         epsilons = [rng.uniform(1e-4, 0.3) for _ in range(3000)]
         epsilons[::97] = [rng.uniform(1e3, 1e6) for _ in epsilons[::97]]
         epsilons[::89] = [rng.uniform(1e-12, 1e-9) for _ in epsilons[::89]]
-        deltas = [rng.choice([0.0, 1e-9, 3e-7]) for _ in epsilons]
-        acct = PrivacyAccountant(total_epsilon=1e12, total_delta=1.0)
-        for i, (eps, delta) in enumerate(zip(epsilons, deltas)):
-            acct.charge(eps, delta=delta)
+        acct = PrivacyAccountant(total_epsilon=1e12)
+        for i, eps in enumerate(epsilons):
+            acct.charge(eps)
             if i % 500 == 0 or i == len(epsilons) - 1:
-                spent_eps, spent_delta = acct.spent()
-                assert spent_eps.hex() == sum(epsilons[:i + 1]).hex()
-                assert spent_delta.hex() == sum(deltas[:i + 1]).hex()
-        assert acct.spent()[0] == sum(epsilons)
+                assert acct.spent().hex() == sum(epsilons[:i + 1]).hex()
+        assert acct.spent() == sum(epsilons)
         assert acct.remaining_epsilon() == 1e12 - sum(epsilons)
 
     def test_int_charges_stay_ints_until_a_float(self):
         acct = PrivacyAccountant(total_epsilon=10)
         acct.charge(1)
         acct.charge(2)
-        assert acct.spent() == (3, 0.0) and type(acct.spent()[0]) is int
+        assert acct.spent() == 3 and type(acct.spent()) is int
         acct.charge(0.1)
-        assert acct.spent()[0] == sum([1, 2, 0.1])
+        assert acct.spent() == sum([1, 2, 0.1])
 
     def test_exceeding_budget_raises(self):
         acct = PrivacyAccountant(total_epsilon=0.5)
@@ -113,36 +110,35 @@ class TestAccountant:
         assert acct.remaining_epsilon() == pytest.approx(0.1)
 
     def test_require_raises_what_charge_would_and_records_nothing(self):
-        acct = PrivacyAccountant(total_epsilon=0.5, total_delta=1e-5)
-        acct.require(0.5, delta=1e-5)
-        assert acct.spent() == (0.0, 0.0) and acct.history() == []
+        acct = PrivacyAccountant(total_epsilon=0.5)
+        acct.require(0.5)
+        assert acct.spent() == 0 and acct.history() == []
         acct.charge(0.4)
         with pytest.raises(PrivacyBudgetExceeded):
             acct.require(0.2)
-        with pytest.raises(PrivacyBudgetExceeded):
-            acct.require(0.1, delta=2e-5)
         with pytest.raises(DPError):
             acct.require(0.0)
         assert acct.remaining_epsilon() == pytest.approx(0.1)
 
-    def test_delta_budget(self):
-        acct = PrivacyAccountant(total_epsilon=10.0, total_delta=1e-5)
-        acct.charge(1.0, delta=5e-6)
-        with pytest.raises(PrivacyBudgetExceeded):
-            acct.charge(1.0, delta=6e-6)
+    def test_there_is_no_delta(self):
+        """Every mechanism is pure epsilon-DP: no delta is settable."""
+        with pytest.raises(TypeError):
+            PrivacyAccountant(1.0, total_delta=1e-5)
+        acct = PrivacyAccountant(1.0)
+        with pytest.raises(TypeError):
+            acct.charge(0.1, delta=1e-9)
+        with pytest.raises(TypeError):
+            acct.require(0.1, delta=1e-9)
+        assert not hasattr(acct, "remaining_delta")
 
     def test_invalid_budgets(self):
         with pytest.raises(DPError):
             PrivacyAccountant(total_epsilon=0.0)
-        with pytest.raises(DPError):
-            PrivacyAccountant(1.0, total_delta=-1.0)
 
     def test_invalid_charges(self):
         acct = PrivacyAccountant(1.0)
         with pytest.raises(DPError):
             acct.charge(0.0)
-        with pytest.raises(DPError):
-            acct.charge(0.1, delta=-1e-9)
 
 
 class TestAccountantHardening:
@@ -161,19 +157,16 @@ class TestAccountantHardening:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(DPError):
                 PrivacyAccountant(total_epsilon=bad)
-        acct = PrivacyAccountant(total_epsilon=1.0, total_delta=1e-6)
-        with pytest.raises(DPError):
-            acct.charge(float("nan"))
-        with pytest.raises(DPError):
-            acct.charge(0.1, delta=float("inf"))
+        acct = PrivacyAccountant(total_epsilon=1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DPError):
+                acct.charge(bad)
 
     def test_spent_and_charge_agree(self):
         from repro.dp import PrivacyAccountant
 
-        acct = PrivacyAccountant(total_epsilon=1.0, total_delta=1e-5)
-        acct.charge(0.3, delta=2e-6, label="a")
-        acct.charge(0.2, delta=3e-6, label="b")
-        eps, delta = acct.spent()
-        assert eps == pytest.approx(0.5)
-        assert delta == pytest.approx(5e-6)
+        acct = PrivacyAccountant(total_epsilon=1.0)
+        acct.charge(0.3, label="a")
+        acct.charge(0.2, label="b")
+        assert acct.spent() == pytest.approx(0.5)
         assert acct.remaining_epsilon() == pytest.approx(0.5)

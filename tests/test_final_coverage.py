@@ -31,14 +31,14 @@ class TestSqlBridgeMore:
     def test_limit_over_protected_rejected(self, tables):
         """SQL text puts LIMIT above the aggregate; under it (from the
         plan constructors) the bridge refuses it."""
-        from repro.core.sqlbridge import compile_plan
+        from repro.core.sqlbridge import _compile_plan
 
         scan = Scan("t", Schema.from_rows(tables["t"]))
         plan = Aggregate(
             Limit(scan, 3), [], [AggregateSpec("count", None, "n")]
         )
         with pytest.raises(QueryShapeError, match="Limit"):
-            compile_plan(plan, tables, "t")
+            _compile_plan(plan, "t")
 
     def test_sum_of_expression_on_protected_path(self, tables):
         query = compile_sql(

@@ -87,7 +87,7 @@ class TestGoldenUPA:
     def test_partition_split_stable(self, tables):
         """The content-hash values are a contract (DESIGN.md section 5):
         a change here moves every record's partition."""
-        from repro.core.sampling import partition_of, record_fingerprints
+        from repro.core.sampling import partition_id_bits, record_fingerprints
 
         rows = tables["lineitem"][:10]
         assert record_fingerprints(rows).tolist() == [
@@ -96,11 +96,11 @@ class TestGoldenUPA:
             0x8B4E4F45E265B8DE, 0x50F9251A86A52CF5, 0xE4D488BB0A93686F,
             0xDBA09B8961BF976C,
         ]
-        assert [partition_of(r) for r in rows] == [
+        assert partition_id_bits(record_fingerprints(rows)).tolist() == [
             0, 1, 1, 0, 1, 1, 0, 1, 1, 0,
         ]
         point = make_life_science_tables(
             LifeScienceConfig(num_records=100, dim=2, num_clusters=2, seed=5)
         )["points"][0]
         assert record_fingerprints([point]).tolist() == [0xA7F43E2B31D0076D]
-        assert partition_of(point) == 1
+        assert partition_id_bits(record_fingerprints([point])).tolist() == [1]

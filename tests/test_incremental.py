@@ -325,7 +325,7 @@ class TestBudgetAndLedger:
         session.run(workload.query, tables, epsilon=0.1)
         session.append(delta[:half], epsilon=0.2)
         session.append(delta[half:], epsilon=0.3)
-        assert accountant.spent()[0] == pytest.approx(0.6)
+        assert accountant.spent() == pytest.approx(0.6)
         assert accountant.remaining_epsilon() == pytest.approx(0.4)
 
     def test_budget_exhaustion_stops_append(self):
@@ -593,7 +593,7 @@ def _cursor(session):
 
 
 def _assert_spend_is_ledgered(session):
-    assert session.accountant.spent()[0] == pytest.approx(
+    assert session.accountant.spent() == pytest.approx(
         session.ledger.totals()["epsilon_charged"]
     )
 

@@ -1172,18 +1172,23 @@ class TestPerQueryTableOnReleases:
         "tpch12", "tpch14",
     ])
     def test_sql_text_and_its_replay_share_one_row(self, name):
-        from repro.tpch.queries.extras import extension_queries
+        from tests.sql_extensions import EXTENSIONS
 
-        extras = {query.name: query for query in extension_queries()}
-        query = extras[name] if name in extras else query_by_name(name)
+        if name in EXTENSIONS:
+            text, protected, sampler = EXTENSIONS[name]
+        else:
+            query = query_by_name(name)
+            text, protected, sampler = (
+                query.sql_text(), query.protected_table,
+                query.sample_domain_record,
+            )
         tables = TPCHGenerator(TPCHConfig(scale_rows=400, seed=5)).generate()
         ledger = PrivacyLedger()
         session = UPASession(UPAConfig(sample_size=50, seed=7), ledger=ledger)
         for _ in range(2):  # the second compiles to the same plan: a replay
             result = session.run_sql(
-                query.sql_text(), tables,
-                protected_table=query.protected_table, epsilon=0.4,
-                domain_sampler=query.sample_domain_record,
+                text, tables, protected_table=protected, epsilon=0.4,
+                domain_sampler=sampler,
             )
         (row,) = ObservedRun.from_live(ledger=ledger).query_summary()
         assert row["query"].startswith("sql:")

@@ -17,15 +17,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.bruteforce import (
-    exact_local_sensitivity,
-    literal_local_sensitivity,
-)
+from repro.baselines.bruteforce import exact_local_sensitivity
 from repro.core.inference import infer_output_range
 from repro.core.query import MapReduceQuery, Tables
 from repro.mining import LifeScienceConfig, make_life_science_tables
 from repro.tpch import TPCHConfig, TPCHGenerator
 from repro.workloads import all_workloads
+
+
+def literal_local_sensitivity(query, tables, max_removals=None):
+    """Definition II.1 by literally re-running the query per neighbour:
+    O(N^2), the oracle the prefix/suffix folds are held to."""
+    records = tables[query.protected_table]
+    output = query.output(tables)
+    n = len(records) if max_removals is None else min(len(records), max_removals)
+    worst = 0.0
+    for i in range(n):
+        reduced = dict(tables)
+        reduced[query.protected_table] = records[:i] + records[i + 1:]
+        neighbour = query.output(reduced)
+        worst = max(worst, float(np.abs(neighbour - output).sum()))
+    return worst
 
 
 class _SumQuery(MapReduceQuery):

@@ -24,12 +24,19 @@ class TestMechanismChoice:
             UPAConfig(delta=1e-6)
 
     def test_laplace_charges_no_delta(self, tables):
-        accountant = PrivacyAccountant(total_epsilon=1.0, total_delta=0.0)
+        """Every mechanism is pure epsilon-DP: the accountant has no
+        delta to take, and a ledger row's ``delta`` stays 0."""
+        with pytest.raises(TypeError):
+            PrivacyAccountant(total_epsilon=1.0, total_delta=0.0)
+        accountant = PrivacyAccountant(total_epsilon=1.0)
+        ledger = PrivacyLedger()
         session = UPASession(
-            UPAConfig(sample_size=60, seed=1), accountant=accountant
+            UPAConfig(sample_size=60, seed=1), accountant=accountant,
+            ledger=ledger,
         )
         session.run(query_by_name("tpch1"), tables, epsilon=0.3)
-        assert accountant.spent()[1] == 0.0
+        assert accountant.spent() == 0.3
+        assert [entry.delta for entry in ledger] == [0.0]
 
     def test_non_finite_epsilon_rejected(self, tables):
         session = UPASession(UPAConfig(sample_size=4, seed=0))
@@ -64,7 +71,7 @@ class TestMechanismChoice:
         with pytest.raises(DPError, match="positive and finite"):
             session.run(workload.query, workload.make_tables(4000, 11),
                         epsilon=epsilon)
-        assert accountant.spent() == (0.0, 0.0)
+        assert accountant.spent() == 0
         assert len(ledger) == 0
 
     @pytest.mark.parametrize("step", ["append", "retire"])
@@ -88,6 +95,6 @@ class TestMechanismChoice:
                 session.append(held, epsilon=-1.0)
             else:
                 session.retire(40, epsilon=-1.0)
-        assert accountant.spent() == (0.5, 0.0)
+        assert accountant.spent() == 0.5
         assert len(ledger) == 1
         assert ledger.totals()["epsilon_charged"] == 0.5

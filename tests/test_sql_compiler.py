@@ -16,15 +16,13 @@ from repro.engine.metrics import MetricsRegistry
 from repro.sql import SQLSession, col
 from repro.sql.compiler import (
     CompiledExpression,
-    closure_cache_stats,
     compile_expression,
-    compile_predicate,
     compile_projection,
     expr_fingerprint,
     plan_fingerprint,
 )
-from repro.sql.expr import Alias, lit
-from repro.sql.logical import Filter, Project, Scan
+from repro.sql.expr import Alias, Expression, Literal
+from repro.sql.logical import Filter, LogicalPlan, Project, Scan
 
 ROWS = [
     {"a": i, "b": i % 3, "c": f"s{i % 5}", "v": float(i)} for i in range(40)
@@ -47,18 +45,18 @@ def _session() -> SQLSession:
 class TestCompiler:
     def test_closures_are_cached_by_fingerprint(self):
         # structurally identical expressions share one compiled closure
-        f1 = compile_expression(col("a") + lit(1))
-        f2 = compile_expression(col("a") + lit(1))
+        f1 = compile_expression(col("a") + Literal(1))
+        f2 = compile_expression(col("a") + Literal(1))
         assert f1 is f2
 
     def test_fingerprint_distinguishes_column_from_expression(self):
         # a column literally named "(a + 1)" must not unify with a + 1
         assert expr_fingerprint(col("(a + 1)")) != expr_fingerprint(
-            col("a") + lit(1)
+            col("a") + Literal(1)
         )
 
     def test_constant_folding(self):
-        fn = compile_expression(lit(2) + lit(3) * lit(4))
+        fn = compile_expression(Literal(2) + Literal(3) * Literal(4))
         assert fn({}) == 14
         assert "14" in fn._source
 
@@ -69,7 +67,7 @@ class TestCompiler:
         assert fn({"a": 3, "b": 4}) == 49
 
     def test_compiled_expression_wrapper_delegates(self):
-        expr = col("a") + lit(1)
+        expr = col("a") + Literal(1)
         wrapped = CompiledExpression(expr)
         assert wrapped.eval({"a": 2}) == 3
         assert wrapped.references() == {"a"}
@@ -81,22 +79,31 @@ class TestCompiler:
         )
         assert project({"a": 1, "b": 2}) == {"a": 1, "s": 3}
 
-    def test_fallback_for_unknown_expression_type(self):
-        class Weird(type(col("a")).__mro__[1]):  # Expression subclass
+    def test_an_unknown_expression_type_has_no_fingerprint(self):
+        """No node fingerprints by identity: one the fingerprints do not
+        know is refused, in the cache key and in a plan's."""
+
+        class Weird(Expression):
             def eval(self, row):
                 return 42
 
             def references(self):
                 return set()
 
-        fn = compile_expression(Weird())
-        assert fn({}) == 42
+        with pytest.raises(TypeError, match="Weird"):
+            expr_fingerprint(col("a") + Weird())
+        with pytest.raises(TypeError, match="Weird"):
+            compile_expression(Weird())
+        scan = Scan("t", _session().catalog.table("t").schema)
+        with pytest.raises(TypeError, match="Weird"):
+            plan_fingerprint(Filter(scan, Weird()))
 
-    def test_cache_stats_move(self):
-        before = closure_cache_stats()
-        compile_predicate(col("zz") > lit(before["hits"]))
-        after = closure_cache_stats()
-        assert after["misses"] >= before["misses"]
+    def test_an_unknown_plan_node_has_no_fingerprint(self):
+        class Opaque(LogicalPlan):
+            pass
+
+        with pytest.raises(TypeError, match="Opaque"):
+            plan_fingerprint(Opaque())
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +172,14 @@ def _tpch_session():
 
 def _tpch_plans():
     from benchmarks.e2e.workloads import SQL_QUERIES
-    from repro.tpch.queries.extras import Q12, Q14
     from repro.tpch.workload import all_queries
+    from tests.sql_extensions import EXTENSIONS
 
-    queries = all_queries() + [Q12(), Q14()]
+    texts = [(q.name, q.sql_text()) for q in all_queries()]
+    texts += [(name, text) for name, (text, _, _) in EXTENSIONS.items()]
     plans = [
-        pytest.param(lambda s, q=q: s.sql(q.sql_text()), id=f"{q.name}-sql")
-        for q in queries
+        pytest.param(lambda s, text=text: s.sql(text), id=f"{name}-sql")
+        for name, text in texts
     ]
     plans += [
         pytest.param(lambda s, text=text: s.sql(text), id=f"adhoc-{group}")

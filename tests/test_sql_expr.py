@@ -11,9 +11,9 @@ from repro.sql.expr import (
     FuncCall,
     InOp,
     IsNullOp,
+    Literal,
     col,
     combine_conjuncts,
-    lit,
     split_conjuncts,
 )
 from repro.sql.functions import AggregateSpec
@@ -31,7 +31,7 @@ class TestEvaluation:
             col("zzz").eval(ROW)
 
     def test_literal(self):
-        assert lit(42).eval(ROW) == 42
+        assert Literal(42).eval(ROW) == 42
 
     def test_arithmetic(self):
         assert (col("a") + col("b")).eval(ROW) == 13
@@ -86,14 +86,14 @@ class TestEvaluation:
         assert IsNullOp(col("a"), negated=True).eval(ROW)
 
     def test_date_comparison(self):
-        assert (col("d") < lit(datetime.date(1995, 1, 1))).eval(ROW)
+        assert (col("d") < Literal(datetime.date(1995, 1, 1))).eval(ROW)
 
     def test_func_call(self):
-        assert FuncCall("abs", [lit(-4)]).eval(ROW) == 4
+        assert FuncCall("abs", [Literal(-4)]).eval(ROW) == 4
         assert FuncCall("upper", [col("s")]).eval(ROW) == "HELLO"
         assert FuncCall("year", [col("d")]).eval(ROW) == 1994
         assert FuncCall("length", [col("s")]).eval(ROW) == 5
-        assert FuncCall("coalesce", [col("n"), lit(7)]).eval(ROW) == 7
+        assert FuncCall("coalesce", [col("n"), Literal(7)]).eval(ROW) == 7
 
     def test_func_null_safe(self):
         assert FuncCall("abs", [col("n")]).eval(ROW) is None
@@ -104,7 +104,7 @@ class TestEvaluation:
 
     def test_unknown_operator(self):
         with pytest.raises(AnalysisError):
-            BinaryOp("%%", lit(1), lit(2))
+            BinaryOp("%%", Literal(1), Literal(2))
 
 
 class TestStructure:

@@ -1,31 +1,31 @@
 """Tests for the scalar functions the other suites do not reach."""
 
 from repro.sql import col
-from repro.sql.expr import FuncCall, lit
+from repro.sql.expr import FuncCall, Literal
 
 
 class TestScalarFunctions:
     ROW = {"s": "Hello", "d": None}
 
     def test_substring(self):
-        expr = FuncCall("substring", [lit("abcdef"), lit(2), lit(3)])
+        expr = FuncCall("substring", [Literal("abcdef"), Literal(2), Literal(3)])
         assert expr.eval({}) == "bcd"
 
     def test_lower_upper_roundtrip(self):
-        lowered = FuncCall("lower", [lit("MiXeD")])
+        lowered = FuncCall("lower", [Literal("MiXeD")])
         assert FuncCall("upper", [lowered]).eval({}) == "MIXED"
 
     def test_round(self):
-        assert FuncCall("round", [lit(3.14159), lit(2)]).eval({}) == 3.14
+        assert FuncCall("round", [Literal(3.14159), Literal(2)]).eval({}) == 3.14
 
     def test_month(self):
         import datetime
 
-        expr = FuncCall("month", [lit(datetime.date(1995, 7, 4))])
+        expr = FuncCall("month", [Literal(datetime.date(1995, 7, 4))])
         assert expr.eval({}) == 7
 
     def test_coalesce_takes_first_non_null(self):
-        expr = FuncCall("coalesce", [col("d"), lit(None), lit(9)])
+        expr = FuncCall("coalesce", [col("d"), Literal(None), Literal(9)])
         assert expr.eval(self.ROW) == 9
 
     def test_coalesce_all_null(self):

@@ -326,3 +326,63 @@ class TestScalarSubqueryTables:
             "(SELECT * FROM bonus WHERE beid = eid)", session, read,
         )
         assert read == set()
+
+
+class TestPlaceholdersDoNotReachThePlan:
+    """The parser's placeholders are planned away or refused: a plan
+    holds only nodes the fingerprints know (``repro.sql.compiler``)."""
+
+    @pytest.mark.parametrize("text", [
+        "SELECT COUNT(*) AS n FROM emp "
+        "WHERE eid IN (SELECT beid FROM bonus) OR dept = 0",
+        "SELECT COUNT(*) AS n FROM emp "
+        "WHERE NOT (eid IN (SELECT beid FROM bonus))",
+        "SELECT COUNT(*) AS n FROM emp "
+        "WHERE NOT EXISTS (SELECT * FROM bonus WHERE beid = eid) "
+        "OR dept = 0",
+        "SELECT COUNT(*) AS n FROM emp WHERE CASE WHEN EXISTS "
+        "(SELECT * FROM bonus WHERE beid = eid) THEN 1 ELSE 0 END = 1",
+        "SELECT dept, COUNT(*) AS n FROM emp GROUP BY dept "
+        "HAVING dept IN (SELECT did FROM dept)",
+    ], ids=["or", "not", "not-exists-or", "case", "having"])
+    def test_a_subquery_predicate_off_the_top_level_is_refused(
+        self, session, text
+    ):
+        """Up to 1.33.0 these parsed, and every row then raised
+        "subquery marker cannot be evaluated directly"."""
+        with pytest.raises(ParseError, match="top-level AND conjunct"):
+            session.sql(text)
+
+    def test_the_error_points_at_the_subquery(self, session):
+        text = ("SELECT COUNT(*) AS n FROM emp "
+                "WHERE dept = 0 OR eid IN (SELECT beid FROM bonus)")
+        with pytest.raises(ParseError) as refused:
+            session.sql(text)
+        assert refused.value.position == text.index("(SELECT")
+
+    def test_the_allowed_forms_still_plan(self, session):
+        assert _scalar(session.sql(
+            "SELECT COUNT(*) AS n FROM emp WHERE dept = 1 "
+            "AND eid NOT IN (SELECT beid FROM bonus) "
+            "AND NOT EXISTS (SELECT * FROM dept WHERE did = eid)"
+        )) == 9  # eid 4, 7, ..., 28
+
+    @pytest.mark.parametrize("text", [
+        "SELECT COUNT(*) AS n FROM emp WHERE SUM(salary) > 1",
+        "SELECT COUNT(*) AS n FROM emp GROUP BY COUNT(eid)",
+        "SELECT dept, COUNT(*) AS n FROM emp GROUP BY dept "
+        "ORDER BY COUNT(*)",
+    ], ids=["where", "group-by", "order-by"])
+    def test_an_aggregate_outside_select_and_having_is_refused(
+        self, session, text
+    ):
+        with pytest.raises(AnalysisError, match="only in SELECT and HAVING"):
+            session.sql(text)
+
+    def test_a_scalar_subquery_inside_a_subquery_is_refused(self, session):
+        with pytest.raises(AnalysisError, match="scalar subquery inside"):
+            session.sql(
+                "SELECT COUNT(*) AS n FROM emp WHERE EXISTS (SELECT * "
+                "FROM bonus WHERE beid = eid "
+                "AND amount > (SELECT AVG(amount) FROM bonus))"
+            )

@@ -10,12 +10,14 @@ import datetime
 import numpy as np
 import pytest
 
-from repro.baselines.flex.analysis import flex_fragment_reason
+from repro.baselines import flex_local_sensitivity
+from repro.common.errors import FlexUnsupportedError
 from repro.sql.session import SQLSession
 from repro.tpch import TPCHConfig, TPCHGenerator, all_queries, query_by_name
 from repro.tpch.datagen import NATION_NAMES, TPCHGenerator as Gen
-from repro.tpch.queries.extras import Q12, Q14
+from repro.tpch.datagen import register_tables
 from repro.tpch.schema import ALL_SCHEMAS
+from tests.sql_extensions import EXTENSIONS
 
 
 class TestDatagen:
@@ -129,12 +131,11 @@ class TestQueryConsistency:
         with pytest.raises(KeyError):
             query_by_name("tpch99")
 
-    def test_support_matrix(self):
-        """Each query's declared ``flex_supported`` is what FLEX's
-        fragment check says of the plan of its SQL text (Q12 and Q14
-        too)."""
-        queries = all_queries() + [Q12(), Q14()]
-        support = {q.name: q.flex_supported for q in queries}
+    def test_support_matrix(self, tpch_tables):
+        """Each query's declared ``flex_supported`` is whether FLEX
+        analyzes the plan of its SQL text; Q12's and Q14's texts (SUM of
+        a CASE) are outside its fragment too."""
+        support = {q.name: q.flex_supported for q in all_queries()}
         assert support == {
             "tpch1": True,
             "tpch4": True,
@@ -143,18 +144,19 @@ class TestQueryConsistency:
             "tpch21": True,
             "tpch6": False,
             "tpch11": False,
-            "tpch12": False,
-            "tpch14": False,
         }
-        # Plans need schemas, not rows.
         session = SQLSession()
-        for name, schema in ALL_SCHEMAS.items():
-            session.create_table(name, [], schema)
-        for query in queries:
-            plan = session.sql(query.sql_text()).plan
-            assert query.flex_supported == (
-                flex_fragment_reason(plan) is None
-            ), query.name
+        register_tables(session, tpch_tables)
+        texts = {q.name: q.sql_text() for q in all_queries()}
+        texts.update((name, text) for name, (text, _, _) in EXTENSIONS.items())
+        for name, text in texts.items():
+            plan = session.sql(text).plan
+            try:
+                flex_local_sensitivity(plan, tpch_tables)
+                analyzed = True
+            except FlexUnsupportedError:
+                analyzed = False
+            assert analyzed == support.get(name, False), name
 
 
 class TestQuerySemantics:

@@ -1,25 +1,27 @@
-"""Tests for the extension workloads (Q12/Q14) and CASE WHEN plumbing."""
+"""Tests for the extension workloads (Q12/Q14 as SQL text) and CASE
+WHEN plumbing."""
+
+import datetime
 
 import pytest
 
 from repro.core import UPAConfig, UPASession
-from repro.core.sqlbridge import compile_sql
-from repro.sql.expr import CaseWhen, col, lit
-from repro.tpch.queries.extras import Q12, Q14, extension_queries
+from repro.sql.expr import CaseWhen, Literal, col
+from tests.sql_extensions import EXTENSIONS, compile_extension
 
 
 class TestCaseWhenExpression:
     def test_first_matching_branch_wins(self):
         expr = CaseWhen(
-            [(col("v") < 0, lit("neg")), (col("v") < 10, lit("small"))],
-            lit("big"),
+            [(col("v") < 0, Literal("neg")), (col("v") < 10, Literal("small"))],
+            Literal("big"),
         )
         assert expr.eval({"v": -1}) == "neg"
         assert expr.eval({"v": 5}) == "small"
         assert expr.eval({"v": 50}) == "big"
 
     def test_no_match_no_default_is_null(self):
-        expr = CaseWhen([(col("v") < 0, lit(1))])
+        expr = CaseWhen([(col("v") < 0, Literal(1))])
         assert expr.eval({"v": 3}) is None
 
     def test_references(self):
@@ -47,53 +49,99 @@ class TestCaseWhenExpression:
         assert all(r["x"] is None for r in rows)
 
 
+def _q12_reference(tables):
+    """Each order's contribution to Q12, written out in Python: its
+    qualifying lineitems if its priority is high, else 0."""
+    lo, hi = datetime.date(1994, 1, 1), datetime.date(1995, 1, 1)
+    qualifying = {}
+    for item in tables["lineitem"]:
+        if (item["l_shipmode"] in ("MAIL", "SHIP")
+                and lo <= item["l_receiptdate"] < hi):
+            key = item["l_orderkey"]
+            qualifying[key] = qualifying.get(key, 0) + 1
+
+    def contribution(order):
+        if order["o_orderpriority"] not in ("1-URGENT", "2-HIGH"):
+            return 0.0
+        return float(qualifying.get(order["o_orderkey"], 0))
+
+    return contribution
+
+
+def _q14_reference(tables):
+    """Each lineitem's contribution to Q14, written out in Python: its
+    discounted price if shipped in 1995 and its part is promotional."""
+    lo, hi = datetime.date(1995, 1, 1), datetime.date(1996, 1, 1)
+    promo = {
+        p["p_partkey"] for p in tables["part"]
+        if p["p_type"].startswith("PROMO")
+    }
+
+    def contribution(item):
+        if not lo <= item["l_shipdate"] < hi:
+            return 0.0
+        if item["l_partkey"] not in promo:
+            return 0.0
+        return item["l_extendedprice"] * (1 - item["l_discount"])
+
+    return contribution
+
+
+_REFERENCES = {"tpch12": _q12_reference, "tpch14": _q14_reference}
+
+
 class TestExtensionQueries:
-    @pytest.mark.parametrize("query", extension_queries(),
-                             ids=lambda q: q.name)
-    def test_sql_and_mapreduce_forms_agree(
-        self, query, tpch_tables, sql_session
+    @pytest.mark.parametrize("name", sorted(EXTENSIONS))
+    def test_compiled_output_is_the_plain_sql_answer(
+        self, name, tpch_tables, sql_session
     ):
-        mr = query.output(tpch_tables)[0]
-        sql = sql_session.sql(query.sql_text()).collect()[0]["result"] or 0.0
-        assert mr == pytest.approx(sql)
+        text = EXTENSIONS[name][0]
+        compiled = compile_extension(name, tpch_tables).output(tpch_tables)
+        sql = sql_session.sql(text).collect()[0]["result"] or 0.0
+        assert compiled[0] == pytest.approx(sql)
 
-    @pytest.mark.parametrize("query", extension_queries(),
-                             ids=lambda q: q.name)
-    def test_monoid(self, query, tpch_tables):
-        query.validate_monoid(tpch_tables, sample=20)
-
-    @pytest.mark.parametrize("query", extension_queries(),
-                             ids=lambda q: q.name)
-    def test_provenance_compiler_matches(self, query, tpch_tables):
-        compiled = compile_sql(
-            query.sql_text(), tpch_tables, query.protected_table,
-            domain_sampler=query.sample_domain_record,
+    @pytest.mark.parametrize("name", sorted(EXTENSIONS))
+    def test_monoid(self, name, tpch_tables):
+        compile_extension(name, tpch_tables).validate_monoid(
+            tpch_tables, sample=20
         )
-        aux = query.build_aux(tpch_tables)
-        compiled_aux = compiled.build_aux(tpch_tables)
-        for record in tpch_tables[query.protected_table][:200]:
-            assert compiled.map_record(record, compiled_aux) == pytest.approx(
-                query.map_record(record, aux)
+
+    @pytest.mark.parametrize("name", sorted(EXTENSIONS))
+    def test_contributions_match_a_python_reference(self, name, tpch_tables):
+        compiled = compile_extension(name, tpch_tables)
+        aux = compiled.build_aux(tpch_tables)
+        reference = _REFERENCES[name](tpch_tables)
+        records = tpch_tables[compiled.protected_table]
+        assert sum(map(reference, records)) > 0
+        for record in records[:200]:
+            assert compiled.map_record(record, aux) == pytest.approx(
+                reference(record)
             )
 
-    @pytest.mark.parametrize("query", extension_queries(),
-                             ids=lambda q: q.name)
-    def test_runs_under_upa(self, query, tpch_tables):
+    @pytest.mark.parametrize("name", sorted(EXTENSIONS))
+    def test_runs_under_upa(self, name, tpch_tables):
+        text, protected, sampler = EXTENSIONS[name]
         session = UPASession(UPAConfig(sample_size=80, seed=2))
-        result = session.run(query, tpch_tables, epsilon=0.5)
+        result = session.run_sql(
+            text, tpch_tables, protected, epsilon=0.5,
+            domain_sampler=sampler,
+        )
         assert result.local_sensitivity >= 0
 
     def test_q12_counts_only_high_priority(self, tpch_tables):
-        query = Q12()
+        query = compile_extension("tpch12", tpch_tables)
         aux = query.build_aux(tpch_tables)
         for order in tpch_tables["orders"][:100]:
             if order["o_orderpriority"] not in ("1-URGENT", "2-HIGH"):
                 assert query.map_record(order, aux) == 0.0
 
     def test_q14_only_promo_parts_contribute(self, tpch_tables):
-        query = Q14()
+        query = compile_extension("tpch14", tpch_tables)
         aux = query.build_aux(tpch_tables)
-        promo = aux.promo_partkeys
+        promo = {
+            p["p_partkey"] for p in tpch_tables["part"]
+            if p["p_type"].startswith("PROMO")
+        }
         for item in tpch_tables["lineitem"][:200]:
             value = query.map_record(item, aux)
             if item["l_partkey"] not in promo and value != 0.0:

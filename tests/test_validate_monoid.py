@@ -5,7 +5,8 @@ and across releases, so it rests on ``map_record`` / ``map_batch``
 giving the same element every time and on ``combine`` and the batch
 kernels leaving their operands as they were.  ``validate_monoid``
 checks that by running the query.  Each test here takes one shipped
-query (the nine workloads, TPC-H Q12 and Q14), breaks one of those
+query (the nine workloads, and TPC-H Q12 and Q14 compiled from their
+SQL text), breaks one of those
 properties in a copy of it, and expects ``QueryShapeError`` naming
 what broke; the unbroken query passes.
 
@@ -28,11 +29,11 @@ from repro.core.session import UPAConfig, UPASession
 from repro.core.table import TableReads
 from repro.mining import LifeScienceConfig, make_life_science_tables
 from repro.tpch import TPCHConfig, TPCHGenerator
-from repro.tpch.queries.extras import Q12, Q14
 from repro.workloads import all_workloads, workload_by_name
+from tests.sql_extensions import EXTENSIONS, compile_extension
 
 ML = ("kmeans", "linreg")
-NAMES = [w.name for w in all_workloads()] + ["tpch12", "tpch14"]
+NAMES = [w.name for w in all_workloads()] + sorted(EXTENSIONS)
 KERNELS = ("fold_batch", "prefix_suffix_batch", "combine_batch")
 
 
@@ -46,11 +47,10 @@ def catalog() -> Dict[str, Tables]:
     }
 
 
-def _shipped(name: str) -> MapReduceQuery:
+def _shipped(catalog: Dict[str, Tables], name: str) -> MapReduceQuery:
     """A fresh instance of the shipped query called ``name``."""
-    extras = {"tpch12": Q12, "tpch14": Q14}
-    if name in extras:
-        return extras[name]()
+    if name in EXTENSIONS:
+        return compile_extension(name, catalog["tpch"])
     return workload_by_name(name).query
 
 
@@ -93,7 +93,7 @@ def _drifting(real: Callable) -> Callable:
 class TestShippedQueries:
     @pytest.mark.parametrize("name", NAMES)
     def test_passes(self, catalog, name):
-        _shipped(name).validate_monoid(_tables(catalog, name))
+        _shipped(catalog, name).validate_monoid(_tables(catalog, name))
 
     @pytest.mark.parametrize("name", NAMES)
     def test_strict_session_releases_what_a_lax_one_does(self, catalog,
@@ -101,7 +101,7 @@ class TestShippedQueries:
         """The strict gate draws from no session RNG and maps under its
         own aux: turning it on moves no released bit."""
         tables = _tables(catalog, name)
-        query = _shipped(name)
+        query = _shipped(catalog, name)
         results = [
             UPASession(UPAConfig(sample_size=40, seed=5, strict=strict))
             .run(query, tables, epsilon=0.5)
@@ -120,7 +120,7 @@ class TestReplay:
 
     @pytest.mark.parametrize("name", NAMES)
     def test_map_record_drift_refused(self, catalog, name):
-        query = _shipped(name)
+        query = _shipped(catalog, name)
         broken = _with(query, map_record=_drifting(type(query).map_record))
         with pytest.raises(QueryShapeError,
                            match="map_record is not deterministic"):
@@ -128,7 +128,7 @@ class TestReplay:
 
     @pytest.mark.parametrize("name", NAMES)
     def test_map_batch_drift_refused(self, catalog, name):
-        query = _shipped(name)
+        query = _shipped(catalog, name)
         broken = _with(query, map_batch=_drifting(type(query).map_batch))
         with pytest.raises(QueryShapeError,
                            match="map_batch is not deterministic"):
@@ -142,7 +142,7 @@ class TestBorrowedOperands:
 
     @pytest.mark.parametrize("name", ML)
     def test_combine_writing_its_right_argument_refused(self, catalog, name):
-        query = _shipped(name)
+        query = _shipped(catalog, name)
         real = type(query).combine
 
         def combine(self, a, b):
@@ -164,7 +164,7 @@ class TestBorrowedBatches:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("name", NAMES)
     def test_kernel_writing_its_batch_refused(self, catalog, name, kernel):
-        query = _shipped(name)
+        query = _shipped(catalog, name)
         real = getattr(type(query), kernel)
 
         def writes(self, *args):
@@ -226,7 +226,7 @@ class TestMissingScalarPartner:
 class TestObservedAuxReads:
     @pytest.mark.parametrize("name", NAMES)
     def test_only_kmeans_aux_reads_its_protected_table(self, catalog, name):
-        query = _shipped(name)
+        query = _shipped(catalog, name)
         reads = TableReads(_tables(catalog, name))
         query.build_aux(reads)
         assert (query.protected_table in reads.names) == (name == "kmeans")
@@ -236,7 +236,7 @@ class TestObservedAuxReads:
         """Released on x, then on x minus 10 protected rows, in one
         session: the second plain output is a fresh session's, whether
         the aux was kept (it read public tables only) or rebuilt."""
-        query = _shipped(name)
+        query = _shipped(catalog, name)
         x = _tables(catalog, name)
         protected = query.protected_table
         minus = {**x, protected: x[protected][: len(x[protected]) // 2]}
