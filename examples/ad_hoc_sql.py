@@ -6,11 +6,12 @@ An analyst types SQL; UPA parses it, checks it is linear in the table
 being protected, derives the Mapper/Reducer decomposition automatically
 (provenance compilation), infers the sensitivity and releases a noisy
 answer — no per-query code, no manual bounds.  Queries that are *not*
-linear in the protected table are rejected with an explanation rather
-than silently under-protected.
+linear in the protected table, or that ask for more than one aggregate
+row, are rejected with an explanation rather than silently
+under-protected.
 """
 
-from repro.common.errors import QueryShapeError
+from repro.common.errors import ParseError, QueryShapeError
 from repro.core import UPAConfig, UPASession
 from repro.dp import PrivacyAccountant
 from repro.tpch import TPCHConfig, TPCHGenerator
@@ -33,7 +34,7 @@ QUERIES = [
 ]
 
 REJECTED = [
-    # GROUP BY is not a scalar release
+    # GROUP BY is not a scalar release: the parser refuses it
     ("SELECT o_orderpriority, COUNT(*) AS n FROM orders "
      "GROUP BY o_orderpriority", "orders"),
     # AVG is not linear in records
@@ -59,11 +60,12 @@ def main() -> None:
         print(f"released : {result.noisy_scalar():.2f} "
               f"(sensitivity {result.local_sensitivity:.3f})\n")
 
-    print("queries UPA refuses (non-linear in the protected records):")
+    print("queries UPA refuses (not one aggregate linear in the protected "
+          "records):")
     for sql, protect in REJECTED:
         try:
             session.run_sql(sql, tables, protected_table=protect, epsilon=0.5)
-        except QueryShapeError as exc:
+        except (ParseError, QueryShapeError) as exc:
             print(f"  {sql!r}\n    -> {exc}")
 
 

@@ -9,8 +9,6 @@ inferred sensitivity, and what FLEX would have said (including the
 queries it cannot handle at all).
 """
 
-import numpy as np
-
 from repro.analysis import format_table
 from repro.baselines import flex_local_sensitivity
 from repro.common.errors import FlexUnsupportedError, PrivacyBudgetExceeded

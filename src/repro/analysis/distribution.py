@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.baselines.bruteforce import BruteForceResult, exact_local_sensitivity
 from repro.core.inference import InferredRange
 from repro.core.query import MapReduceQuery, Tables

@@ -12,7 +12,6 @@ re-evaluation in tests).  ``neighbour_outputs`` feeds Fig. 3.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 

@@ -2,8 +2,8 @@
 
 Support check (UPA paper, Table II): the plan must be a single global
 ``COUNT(*)`` (or ``COUNT(col)``) over a tree of Scan / Filter / Project
-/ Join operators.  Grouping, non-count aggregates (SUM/AVG/MIN/MAX),
-and non-SQL queries are unsupported.
+/ Join operators.  Non-count aggregates (SUM/AVG/MIN/MAX) and non-SQL
+queries are unsupported, and the parser refuses GROUP BY text.
 
 Sensitivity rule (UPA paper, section II-B): for each join the analysis
 "multiplies the frequencies of the most frequently-occurring item from
@@ -24,14 +24,12 @@ from typing import Dict, List, Optional
 from repro.common.errors import FlexUnsupportedError
 from repro.sql.expr import Column, Expression
 from repro.sql.logical import (
-    Aggregate,
     Filter,
     Join,
-    Limit,
     LogicalPlan,
     Project,
     Scan,
-    Sort,
+    single_aggregate,
 )
 from repro.baselines.flex.metadata import TableMetadata
 
@@ -63,34 +61,16 @@ def flex_local_sensitivity(
 
     with trace("baseline.flex"):
         metadata = TableMetadata(tables)
-        aggregate = _find_count_aggregate(plan)
+        aggregate = single_aggregate(plan, FlexUnsupportedError)
+        func = aggregate.aggregates[0].func
+        if func != "count":
+            raise FlexUnsupportedError(
+                f"FLEX supports COUNT only, not {func.upper()} "
+                "(arithmetic and ML queries are out of scope)"
+            )
         analysis = FlexAnalysis(sensitivity=1.0)
         _walk(aggregate.child, metadata, analysis)
         return analysis
-
-
-def _find_count_aggregate(plan: LogicalPlan) -> Aggregate:
-    """Locate the single global COUNT; reject anything else."""
-    node = plan
-    while isinstance(node, (Project, Sort, Limit)):
-        node = node.children()[0]
-    if not isinstance(node, Aggregate):
-        raise FlexUnsupportedError(
-            "FLEX supports only counting queries; no aggregate found"
-        )
-    if node.group_exprs:
-        raise FlexUnsupportedError("FLEX does not support GROUP BY")
-    if len(node.aggregates) != 1:
-        raise FlexUnsupportedError(
-            "FLEX supports a single COUNT aggregate per query"
-        )
-    spec = node.aggregates[0]
-    if spec.func != "count":
-        raise FlexUnsupportedError(
-            f"FLEX supports COUNT only, not {spec.func.upper()} "
-            "(arithmetic and ML queries are out of scope)"
-        )
-    return node
 
 
 def _walk(node: LogicalPlan, metadata: TableMetadata,

@@ -18,9 +18,9 @@ The compiler splits the text's logical plan at the protected table:
   **dynamic** — it is compiled into a plan over column blocks that,
   given a batch of protected records and those indexes, produces every
   record's joined/filtered rows (filter masks, key-array joins) and
-  folds them per record with the aggregate.  The parser plans a
-  projection, ORDER BY, LIMIT and UNION ALL only above the aggregate,
-  so the dynamic path is scans, filters and joins.  The compiled plan
+  folds them per record with the aggregate.  SQL text plans one
+  aggregate row, with only a projection above the aggregate, so the
+  dynamic path is scans, filters and joins.  The compiled plan
   holds no table rows; a scalar subquery (over public tables only) was
   evaluated once, when the text was parsed, and is a literal in it.
 
@@ -28,8 +28,9 @@ The compiler splits the text's logical plan at the protected table:
 element i of ``map_batch`` — is then a valid Mapper for UPA, and the
 reducer is scalar addition — exactly the monoid UPA's reuse requires.
 Non-linear shapes (self-joins on the protected table, EXISTS over it,
-a scalar subquery over it, GROUP BY, COUNT(DISTINCT ...), AVG/MIN/MAX)
-are rejected with :class:`repro.common.errors.QueryShapeError`.
+a scalar subquery over it, COUNT(DISTINCT ...), AVG/MIN/MAX) are
+rejected with :class:`repro.common.errors.QueryShapeError`; the parser
+refuses GROUP BY, HAVING, ORDER BY, LIMIT and UNION ALL before that.
 
 Example:
     >>> from repro.core.sqlbridge import compile_sql
@@ -76,14 +77,11 @@ from repro.sql.compiler import (
 from repro.sql.expr import CaseWhen, Expression, Literal, UnaryOp
 from repro.sql.functions import AggregateSpec
 from repro.sql.logical import (
-    Aggregate,
     Filter,
     Join,
-    Limit,
     LogicalPlan,
-    Project,
     Scan,
-    Sort,
+    single_aggregate,
 )
 from repro.sql.vectorized import block_mask, block_value
 
@@ -507,27 +505,6 @@ class _Compiler:
         )
 
 
-def _find_aggregate(plan: LogicalPlan) -> Tuple[Aggregate, LogicalPlan]:
-    node = plan
-    while isinstance(node, (Project, Sort, Limit)):
-        node = node.children()[0]
-    if not isinstance(node, Aggregate):
-        raise QueryShapeError(
-            "the bridge compiles aggregate queries; no global aggregate found"
-        )
-    if node.group_exprs:
-        raise QueryShapeError("GROUP BY output is not a scalar query")
-    if len(node.aggregates) != 1:
-        raise QueryShapeError("exactly one aggregate is required")
-    spec = node.aggregates[0]
-    if spec.func not in ("count", "sum"):
-        raise QueryShapeError(
-            f"{spec.func.upper()} is not linear in individual records; "
-            "only COUNT and SUM are supported"
-        )
-    return node, node.child
-
-
 def _counts(spec: AggregateSpec) -> bool:
     """Whether each record moves the answer by a whole number: a COUNT,
     or a SUM of an integer literal or of a CASE whose every branch and
@@ -751,8 +728,9 @@ def compile_sql(
     """Parse SQL text and compile it into a UPA-ready MapReduceQuery.
 
     ``tables`` must hold every table the text scans; the parser reads
-    their schemas (and a scalar subquery's public rows), and the query
-    reads them again only in :meth:`CompiledSQLQuery.build_aux`.
+    the schemas of those the text names (and a scalar subquery's public
+    rows), and the query reads them again only in
+    :meth:`CompiledSQLQuery.build_aux`.
     ``engine`` (an :class:`~repro.engine.context.EngineContext`), when
     given, counts the hits of the bridge's compile cache.  The counter
     keeps the name ``sql.plan_cache.hits`` although this is the only
@@ -763,7 +741,7 @@ def compile_sql(
             ``protected_table``.
     """
     from repro.obs.tracing import trace
-    from repro.sql.parser import parse_sql
+    from repro.sql.parser import parse_sql, tokenize
     from repro.sql.session import SQLSession
 
     with trace("sqlbridge.compile", sql=sql_text[:120],
@@ -773,9 +751,16 @@ def compile_sql(
                 f"unknown protected table {protected_table!r}; "
                 f"have {sorted(tables)}"
             )
+        # The parser reads the schema of each table the text names (and
+        # a scalar subquery's rows), so only those are registered.
+        named = {
+            token.value for token in tokenize(sql_text)
+            if token.kind == "ident"
+        }
         session = SQLSession()
         for table_name, rows in tables.items():
-            session.create_table(table_name, rows)
+            if table_name in named:
+                session.create_table(table_name, rows)
         scalar_tables: set = set()
         plan = parse_sql(sql_text, session, scalar_tables)
         if protected_table in scalar_tables:
@@ -800,7 +785,13 @@ def _compile_plan(
 ) -> CompiledSQLQuery:
     """The query of a parsed text's plan (the property tests also hand
     it random plans built from :mod:`repro.sql.logical`)."""
-    aggregate, child = _find_aggregate(plan)
+    aggregate = single_aggregate(plan, QueryShapeError)
+    spec, child = aggregate.aggregates[0], aggregate.child
+    if spec.func not in ("count", "sum"):
+        raise QueryShapeError(
+            f"{spec.func.upper()} is not linear in individual records; "
+            "only COUNT and SUM are supported"
+        )
     if not _reads_protected(child, protected_table):
         raise QueryShapeError(
             f"the query never reads the protected table "
@@ -808,6 +799,6 @@ def _compile_plan(
         )
     dynamic, statics = _compile_dynamic(child, protected_table, engine)
     return CompiledSQLQuery(
-        name, protected_table, dynamic, statics, aggregate.aggregates[0],
-        domain_sampler, plan_fingerprint(plan),
+        name, protected_table, dynamic, statics, spec, domain_sampler,
+        plan_fingerprint(plan),
     )

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Optional, TypeVar
 
 from repro.common.config import DEFAULT_CONFIG, EngineConfig
 from repro.common.errors import EngineError
@@ -71,15 +71,6 @@ class EngineContext:
                 f"got {num_partitions!r}"
             )
         return ParallelCollectionRDD(self, data, num_partitions)
-
-    def union(self, rdds: Sequence[RDD]) -> RDD:
-        """Union of several RDDs."""
-        if not rdds:
-            return ParallelCollectionRDD(self, [], 1)
-        result = rdds[0]
-        for rdd in rdds[1:]:
-            result = result.union(rdd)
-        return result
 
     # ------------------------------------------------------------------
     # Fault injection and tracing

@@ -6,8 +6,8 @@ snake_case (``tests/test_engine_surface.py`` names the caller of each
 public method).  Every transformation is narrow and lazy — it builds a
 lineage graph — and actions trigger jobs on the context's scheduler.
 Nothing shuffles: a key-value fold or a join folds or probes each
-partition and merges on the driver (the SQL executor's GROUP BY and
-join, Table I's reduceByKeyDP and joinDP).
+partition and merges on the driver (the SQL executor's join, Table I's
+reduceByKeyDP and joinDP).
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ class RDD:
         """Apply ``f`` to each whole partition iterator."""
         return MapPartitionsRDD(self, f)
 
-    def union(self, other: "RDD") -> "RDD":
-        """Concatenate two RDDs (no shuffle; partitions are appended)."""
-        return UnionRDD(self.context, [self, other])
-
     # ------------------------------------------------------------------
     # Actions
     # ------------------------------------------------------------------
@@ -89,22 +85,6 @@ class RDD:
     def count(self) -> int:
         """Number of records."""
         return sum(self.context.scheduler.run_job(self, _count_iter))
-
-    def take(self, n: int) -> List[T]:
-        """Return up to ``n`` records, scanning partitions in order."""
-        if n <= 0:
-            return []
-        out: List[T] = []
-        for split in range(self.num_partitions):
-            needed = n - len(out)
-            if needed <= 0:
-                break
-            chunk = self.context.scheduler.run_job(
-                self, lambda it, n=needed: list(_take_iter(it, n)),
-                partitions=[split],
-            )[0]
-            out.extend(chunk)
-        return out[:n]
 
     def aggregate(
         self, zero: C, seq_op: Callable[[C, T], C], comb_op: Callable[[C, C], C]
@@ -127,13 +107,6 @@ class RDD:
             f"<{type(self).__name__} id={self.rdd_id} "
             f"partitions={self.num_partitions}>"
         )
-
-
-def _take_iter(it: Iterator[T], n: int) -> Iterator[T]:
-    for i, rec in enumerate(it):
-        if i >= n:
-            return
-        yield rec
 
 
 def _fold_iter(it: Iterator[T], zero: C, op: Callable[[C, T], C]) -> C:
@@ -175,20 +148,3 @@ class MapPartitionsRDD(RDD):
 
     def compute(self, split: int) -> Iterator:
         return iter(self._f(self._parent.iterator(split)))
-
-
-class UnionRDD(RDD):
-    """Concatenation: partitions of all parents, in order."""
-
-    def __init__(self, context, parents: Sequence[RDD]):
-        total = sum(p.num_partitions for p in parents)
-        super().__init__(context, total, parents)
-        self._parents = list(parents)
-
-    def compute(self, split: int) -> Iterator:
-        for parent in self._parents:
-            if split < parent.num_partitions:
-                return parent.iterator(split)
-            split -= parent.num_partitions
-        raise EngineError(f"split {split} out of range for UnionRDD")
-

@@ -20,14 +20,7 @@ why there is one executor).
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    TypeVar,
-)
+from typing import Callable, Iterator, List, Optional, TypeVar
 
 from repro.common.errors import TaskFailedError
 from repro.engine.fault import FaultInjector, InjectedFault
@@ -50,21 +43,12 @@ class TaskScheduler:
         self.tracer: Tracer = NULL_TRACER
         self._stage_ids = iter(range(1, 1 << 62))
 
-    def run_job(
-        self,
-        rdd,
-        func: Callable[[Iterator[T]], U],
-        partitions: Optional[Sequence[int]] = None,
-    ) -> List[U]:
+    def run_job(self, rdd, func: Callable[[Iterator[T]], U]) -> List[U]:
         """Apply ``func`` to each partition iterator of ``rdd``.
 
         Returns one result per partition, in partition order.
         """
-        if partitions is None:
-            partitions = range(rdd.num_partitions)
-        # Normalize once: callers may pass any iterable (including a
-        # generator), and we iterate it twice (len + map) below.
-        partitions = tuple(partitions)
+        partitions = range(rdd.num_partitions)
         stage_id = next(self._stage_ids)
         self._metrics.incr(MetricsRegistry.JOBS)
         retries_before = self._metrics.get(MetricsRegistry.TASK_RETRIES)

@@ -17,7 +17,7 @@ notes the KMeans distribution is nearly identical to LR's).
 from __future__ import annotations
 
 import random
-from typing import Any, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -17,7 +17,7 @@ per-coordinate output range and uses the L1 width as sensitivity.
 from __future__ import annotations
 
 import random
-from typing import Any, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

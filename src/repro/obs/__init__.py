@@ -26,7 +26,6 @@ from repro.obs.tracing import (
     NullTracer,
     Span,
     Tracer,
-    current_span,
     get_tracer,
     set_tracer,
     trace,
@@ -42,7 +41,6 @@ __all__ = [
     "Span",
     "SpanStat",
     "Tracer",
-    "current_span",
     "get_tracer",
     "make_entry",
     "run_header",

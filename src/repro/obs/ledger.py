@@ -23,7 +23,6 @@ report``.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 import warnings
@@ -194,38 +193,13 @@ class PrivacyLedger:
                 + "\n"
             )
 
-    def append_jsonl(self, path: str, entry: LedgerEntry) -> None:
-        """Flush one entry to ``path`` incrementally (append mode).
-
-        Writes the self-describing header line first when the file does
-        not exist yet (or is empty), then appends the entry — so a
-        ledger being recorded release by release is valid JSONL at
-        every instant, and ``repro report`` can read it while the run
-        is still in flight.  Contrast with
-        :meth:`write_jsonl`, which rewrites the whole file.
-        """
-        with self._lock:
-            header = {"format": self.FORMAT, **self.header}
-        needs_header = (
-            not os.path.exists(path) or os.path.getsize(path) == 0
-        )
-        with open(path, "a", encoding="utf-8") as handle:
-            if needs_header:
-                handle.write(json.dumps(header, sort_keys=True, default=str)
-                             + "\n")
-            handle.write(
-                json.dumps(entry.to_dict(), sort_keys=True, default=str)
-                + "\n"
-            )
-            handle.flush()
-
     @classmethod
     def read_jsonl(cls, path: str) -> "PrivacyLedger":
-        """Load a ledger written by :meth:`write_jsonl`/:meth:`append_jsonl`.
+        """Load a ledger written by :meth:`write_jsonl`.
 
         Crash-safe by design: blank lines are skipped, and a truncated
-        or otherwise corrupt line — the normal state of the *final*
-        line while another process is appending — produces a
+        or otherwise corrupt line — the state of the *final* line of a
+        file still being written, or of a run killed mid-write — produces a
         :class:`RuntimeWarning` and is dropped instead of raising, so a
         reader (``repro report``) always gets the longest valid prefix.
         """

@@ -1,14 +1,10 @@
 """ObservedRun: one report object tying a run's trace and ledger together.
 
-Built two ways, through one reader:
-
-* **from artifacts** — ``repro report --trace t.json --ledger l.jsonl``
-  reloads the Chrome-trace JSON and the ledger JSONL written by an
-  earlier ``repro run``;
-* **live** — a test or a script hands over the session's
-  :class:`~repro.obs.tracing.Tracer` and
-  :class:`~repro.obs.ledger.PrivacyLedger`; the tracer's Chrome trace
-  is read exactly as its file would be.
+Built from artifacts: ``repro report --trace t.json --ledger l.jsonl``
+reloads the Chrome-trace JSON and the ledger JSONL written by an
+earlier ``repro run``.  One reader (``ObservedRun._read``) takes the
+trace document and the ledger, so a run still in memory reads the same
+through its tracer's :meth:`~repro.obs.tracing.Tracer.to_chrome_trace`.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro._version import __version__
 from repro.obs.ledger import LedgerEntry, PrivacyLedger
-from repro.obs.tracing import Tracer
 
 #: canonical pipeline-phase order (paper Figure 1) — the phases every
 #: cold run emits exactly once.  ``phase:enforce`` (RANGE ENFORCER) runs
@@ -175,17 +170,6 @@ class ObservedRun:
     engine_jobs: List[Dict[str, Any]] = field(default_factory=list)
 
     # -- constructors -------------------------------------------------
-    @classmethod
-    def from_live(
-        cls,
-        tracer: Optional[Tracer] = None,
-        ledger: Optional[PrivacyLedger] = None,
-    ) -> "ObservedRun":
-        """The report of a run still in memory, read as its artifacts
-        would be."""
-        trace = tracer.to_chrome_trace() if tracer is not None else None
-        return cls._read(trace, ledger)
-
     @classmethod
     def from_artifacts(
         cls,

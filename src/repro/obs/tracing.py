@@ -8,13 +8,10 @@ link, wall time, and typed attributes.  Spans nest through a
 ``engine.job`` span) parents correctly under the session phase that
 triggered it.
 
-Two export formats:
-
-* **span-tree JSON** (:meth:`Tracer.to_dict`) — every span with parent
-  ids, for programmatic consumers (``repro report``, tests);
-* **Chrome trace-event JSON** (:meth:`Tracer.to_chrome_trace`) — load
-  it in ``chrome://tracing`` or https://ui.perfetto.dev to see the
-  pipeline phases on a timeline.
+One export format: **Chrome trace-event JSON**
+(:meth:`Tracer.to_chrome_trace`), which ``repro report`` reads and
+``chrome://tracing`` or https://ui.perfetto.dev shows as a timeline of
+the pipeline phases.
 
 Tracing is **zero-cost when disabled**: the module-level default is
 :data:`NULL_TRACER`, whose ``span()`` returns one shared no-op context
@@ -92,17 +89,6 @@ class Span:
         self._tracer._record(self)
         return False
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "start_seconds": self.start,
-            "duration_seconds": self.duration,
-            "thread": self.thread,
-            "attributes": dict(self.attributes),
-        }
-
     def __repr__(self) -> str:
         return (
             f"<Span {self.name!r} id={self.span_id} "
@@ -175,14 +161,6 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def find(self, name: str) -> List[Span]:
-        return [s for s in self.spans() if s.name == name]
-
-    def phase_spans(self) -> List[Span]:
-        """The pipeline-phase spans, in start order."""
-        phases = [s for s in self.spans() if s.name.startswith("phase:")]
-        return sorted(phases, key=lambda s: s.start)
-
     def clear(self) -> None:
         with self._lock:
             self._spans.clear()
@@ -191,14 +169,7 @@ class Tracer:
         with self._lock:
             return len(self._spans)
 
-    # -- exports -----------------------------------------------------
-    def to_dict(self) -> dict:
-        """Span-tree JSON: ``{"header": ..., "spans": [...]}``."""
-        return {
-            "header": dict(self.header),
-            "spans": [s.to_dict() for s in self.spans()],
-        }
-
+    # -- export ------------------------------------------------------
     def to_chrome_trace(self) -> dict:
         """Chrome trace-event format (the ``chrome://tracing`` JSON).
 
@@ -234,12 +205,6 @@ class Tracer:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.to_chrome_trace(), handle, indent=2,
                       sort_keys=True, default=str)
-            handle.write("\n")
-
-    def write_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True,
-                      default=str)
             handle.write("\n")
 
 
@@ -287,8 +252,8 @@ class use_tracer:
         >>> with use_tracer(t):
         ...     with trace("scoped"):
         ...         pass
-        >>> len(t.find("scoped"))
-        1
+        >>> [span.name for span in t.spans()]
+        ['scoped']
     """
 
     def __init__(self, tracer: Optional[Tracer]):
@@ -301,11 +266,6 @@ class use_tracer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         set_tracer(self._previous)
-
-
-def current_span() -> Optional[Span]:
-    """The innermost live span of this context (None outside spans)."""
-    return _current_span.get()
 
 
 class _TraceHelper:

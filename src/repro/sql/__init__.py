@@ -1,10 +1,14 @@
 """The SQL layer: SQL text, planned and run on the MapReduce engine.
 
-This is the "SparkSQL" stand-in, kept to what SQL text reaches: a text
-parser for the subset the TPC-H workloads use, logical plans, a
-rule-based optimizer, and physical execution over RDDs.  There is no
-DataFrame builder: a plan comes from :meth:`SQLSession.sql`, or from
-the plan constructors of :mod:`repro.sql.logical`.
+This is the "SparkSQL" stand-in, kept to what a release computes: a
+text parser for the subset the TPC-H workloads use, logical plans, a
+rule-based optimizer, and physical execution over RDDs.  A query is
+one ``SELECT … FROM … [WHERE …]`` that yields plain rows or one global
+aggregate row; GROUP BY, HAVING, ORDER BY, LIMIT and UNION ALL are
+refused with a :class:`~repro.common.errors.ParseError` that names the
+clause.  There is no DataFrame builder: a plan comes from
+:meth:`SQLSession.sql`, or from the plan constructors of
+:mod:`repro.sql.logical`.
 
 The FLEX baseline (:mod:`repro.baselines.flex`) performs its static
 analysis directly on the logical plans produced here, exactly as the

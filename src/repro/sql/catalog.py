@@ -42,9 +42,7 @@ class Catalog:
         try:
             return self._tables[name]
         except KeyError:
-            raise AnalysisError(
-                f"unknown table {name!r}; registered: {sorted(self._tables)}"
-            ) from None
+            raise AnalysisError(f"unknown table {name!r}") from None
 
     def rdd(self, name: str) -> RDD:
         """RDD of a table's rows (created lazily, reused afterwards)."""

@@ -134,16 +134,7 @@ def plan_fingerprint(plan) -> str:
     Raises:
         TypeError: for a plan node class this module does not know.
     """
-    from repro.sql.logical import (
-        Aggregate,
-        Filter,
-        Join,
-        Limit,
-        Project,
-        Scan,
-        Sort,
-        Union,
-    )
+    from repro.sql.logical import Aggregate, Filter, Join, Project, Scan
 
     if isinstance(plan, Scan):
         return f"(scan {plan.table_name!r})"
@@ -169,24 +160,13 @@ def plan_fingerprint(plan) -> str:
             f"{plan_fingerprint(plan.left)} {plan_fingerprint(plan.right)})"
         )
     if isinstance(plan, Aggregate):
-        groups = " ".join(expr_fingerprint(e) for e in plan.group_exprs)
         aggs = " ".join(
             f"{s.func}:"
             f"{expr_fingerprint(s.expr) if s.expr is not None else '*'}:"
             f"{s.alias!r}"
             for s in plan.aggregates
         )
-        return f"(agg [{groups}] [{aggs}] {plan_fingerprint(plan.child)})"
-    if isinstance(plan, Sort):
-        orders = " ".join(
-            f"{expr_fingerprint(e)}:{asc}" for e, asc in plan.orders
-        )
-        return f"(sort [{orders}] {plan_fingerprint(plan.child)})"
-    if isinstance(plan, Limit):
-        return f"(limit {plan.n} {plan_fingerprint(plan.child)})"
-    if isinstance(plan, Union):
-        inputs = " ".join(plan_fingerprint(c) for c in plan.inputs)
-        return f"(union {inputs})"
+        return f"(agg [{aggs}] {plan_fingerprint(plan.child)})"
     raise TypeError(f"cannot fingerprint plan node {type(plan).__name__}")
 
 

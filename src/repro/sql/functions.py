@@ -19,7 +19,7 @@ _SUPPORTED = ("count", "count_distinct", "sum", "avg", "min", "max")
 
 @dataclass
 class AggregateSpec:
-    """One aggregate in a GROUP BY's output.
+    """One aggregate of a global aggregate's row.
 
     Attributes:
         func: one of count / count_distinct / sum / avg / min / max.

@@ -3,12 +3,14 @@
 Plan nodes are immutable-ish trees that carry an output schema.  They
 are built by the SQL parser, rewritten by the optimizer, and executed
 by :mod:`repro.sql.physical`.  The FLEX baseline walks these trees for
-its static sensitivity analysis.
+its static sensitivity analysis.  A plan yields plain rows (scans,
+filters, projections and joins) or one global aggregate row over them:
+what SQL text reaches (:mod:`repro.sql.parser`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Type
 
 from repro.common.errors import AnalysisError
 from repro.sql.expr import Expression
@@ -242,29 +244,19 @@ class Join(LogicalPlan):
 
 
 class Aggregate(LogicalPlan):
-    """GROUP BY with aggregate outputs (empty group list = global agg)."""
+    """A global aggregate: one output row, one column per aggregate."""
 
-    def __init__(
-        self,
-        child: LogicalPlan,
-        group_exprs: Sequence[Expression],
-        aggregates: Sequence[AggregateSpec],
-    ):
+    def __init__(self, child: LogicalPlan,
+                 aggregates: Sequence[AggregateSpec]):
         child_cols = set(child.schema.names)
-        for expr in group_exprs:
-            if expr.references() - child_cols:
-                raise AnalysisError(f"group expression {expr!r} references unknown columns")
         for agg in aggregates:
             if agg.references() - child_cols:
                 raise AnalysisError(f"aggregate {agg!r} references unknown columns")
-        if not aggregates and not group_exprs:
-            raise AnalysisError("aggregate needs group expressions or aggregates")
+        if not aggregates:
+            raise AnalysisError("aggregate needs at least one aggregate")
         self.child = child
-        self.group_exprs = list(group_exprs)
         self.aggregates = list(aggregates)
-        names = [e.output_name() for e in self.group_exprs] + [
-            a.alias for a in self.aggregates
-        ]
+        names = [a.alias for a in self.aggregates]
         if len(set(names)) != len(names):
             raise AnalysisError(f"duplicate output names in aggregate: {names}")
         self._schema = Schema([Field(n, ANY) for n in names])
@@ -278,92 +270,29 @@ class Aggregate(LogicalPlan):
 
     def with_children(self, children: Sequence[LogicalPlan]) -> "Aggregate":
         (child,) = children
-        return Aggregate(child, self.group_exprs, self.aggregates)
+        return Aggregate(child, self.aggregates)
 
     def _describe(self) -> str:
-        groups = ", ".join(e.output_name() for e in self.group_exprs)
         aggs = ", ".join(repr(a) for a in self.aggregates)
-        return f"Aggregate(by=[{groups}], aggs=[{aggs}])"
+        return f"Aggregate({aggs})"
 
 
-class Sort(LogicalPlan):
-    """ORDER BY one or more (expression, ascending) pairs."""
+def single_aggregate(plan: LogicalPlan, error: Type[Exception]) -> Aggregate:
+    """The one aggregate a release computes, under the projections SQL
+    text plans over it: the SQL bridge and FLEX each check a plan's
+    shape here, then which aggregate function it is.
 
-    def __init__(self, child: LogicalPlan, orders: Sequence[Tuple[Expression, bool]]):
-        child_cols = set(child.schema.names)
-        for expr, _asc in orders:
-            if expr.references() - child_cols:
-                raise AnalysisError(f"sort key {expr!r} references unknown columns")
-        self.child = child
-        self.orders = list(orders)
-
-    def children(self) -> Sequence[LogicalPlan]:
-        return (self.child,)
-
-    @property
-    def schema(self) -> Schema:
-        return self.child.schema
-
-    def with_children(self, children: Sequence[LogicalPlan]) -> "Sort":
-        (child,) = children
-        return Sort(child, self.orders)
-
-    def _describe(self) -> str:
-        keys = ", ".join(
-            f"{e!r} {'asc' if asc else 'desc'}" for e, asc in self.orders
+    Raises:
+        error: if the plan computes no aggregate, or more than one.
+    """
+    node = plan
+    while isinstance(node, Project):
+        node = node.child
+    if not isinstance(node, Aggregate):
+        raise error("a release is one aggregate; the query computes none")
+    if len(node.aggregates) != 1:
+        raise error(
+            f"a release is one aggregate; the query computes "
+            f"{len(node.aggregates)}"
         )
-        return f"Sort({keys})"
-
-
-class Limit(LogicalPlan):
-    """Keep the first N rows."""
-
-    def __init__(self, child: LogicalPlan, n: int):
-        if n < 0:
-            raise AnalysisError("limit must be non-negative")
-        self.child = child
-        self.n = n
-
-    def children(self) -> Sequence[LogicalPlan]:
-        return (self.child,)
-
-    @property
-    def schema(self) -> Schema:
-        return self.child.schema
-
-    def with_children(self, children: Sequence[LogicalPlan]) -> "Limit":
-        (child,) = children
-        return Limit(child, self.n)
-
-    def _describe(self) -> str:
-        return f"Limit({self.n})"
-
-
-class Union(LogicalPlan):
-    """UNION ALL: concatenate plans with identical column names."""
-
-    def __init__(self, inputs: Sequence[LogicalPlan]):
-        if len(inputs) < 2:
-            raise AnalysisError("UNION ALL needs at least two inputs")
-        names = inputs[0].schema.names
-        for child in inputs[1:]:
-            if child.schema.names != names:
-                raise AnalysisError(
-                    f"UNION ALL column mismatch: {names} vs "
-                    f"{child.schema.names}"
-                )
-        self.inputs = list(inputs)
-
-    def children(self) -> Sequence[LogicalPlan]:
-        return tuple(self.inputs)
-
-    @property
-    def schema(self) -> Schema:
-        return self.inputs[0].schema
-
-    def with_children(self, children: Sequence[LogicalPlan]) -> "Union":
-        return Union(list(children))
-
-    def _describe(self) -> str:
-        return f"Union({len(self.inputs)} inputs)"
-
+    return node

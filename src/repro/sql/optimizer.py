@@ -34,16 +34,7 @@ from repro.sql.expr import (
     combine_conjuncts,
     split_conjuncts,
 )
-from repro.sql.logical import (
-    Aggregate,
-    Filter,
-    Join,
-    Limit,
-    LogicalPlan,
-    Project,
-    Scan,
-    Sort,
-)
+from repro.sql.logical import Aggregate, Filter, Join, LogicalPlan, Project, Scan
 
 
 def substitute(expr: Expression, mapping: Dict[str, Expression]) -> Expression:
@@ -165,8 +156,6 @@ def _required_for_node(plan: LogicalPlan, required_out: Set[str]) -> List[Set[st
         return [needed]
     if isinstance(plan, Aggregate):
         needed = set()
-        for expr in plan.group_exprs:
-            needed |= expr.references()
         for agg in plan.aggregates:
             needed |= agg.references()
         return [needed]
@@ -187,13 +176,6 @@ def _required_for_node(plan: LogicalPlan, required_out: Set[str]) -> List[Set[st
         if plan.how in ("semi", "anti"):
             left_needed |= required_out
         return [left_needed, right_needed]
-    if isinstance(plan, Sort):
-        needed = set(required_out)
-        for expr, _asc in plan.orders:
-            needed |= expr.references()
-        return [needed]
-    if isinstance(plan, Limit):
-        return [set(required_out)]
     return [set(c.schema.names) for c in plan.children()]
 
 

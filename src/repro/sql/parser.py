@@ -5,16 +5,17 @@ Supported grammar (case-insensitive keywords)::
     SELECT item [, item ...]
     FROM table [alias] [, table [alias] ...]
     [WHERE predicate]
-    [GROUP BY expr [, expr ...]]
-    [HAVING predicate]
-    [ORDER BY expr [ASC|DESC] [, ...]]
-    [LIMIT n]
 
 with expressions covering arithmetic, comparisons, AND/OR/NOT, LIKE,
 BETWEEN, IN (value list or subquery), IS [NOT] NULL, EXISTS / NOT
 EXISTS correlated subqueries, uncorrelated scalar subqueries, ``DATE
 'yyyy-mm-dd'`` literals, ``INTERVAL 'n' DAY`` arithmetic, and the
 aggregates COUNT(*)/COUNT/COUNT(DISTINCT)/SUM/AVG/MIN/MAX.
+
+A query yields plain rows or, when a select item holds an aggregate,
+one global aggregate row: what a release computes (DESIGN.md section
+7).  GROUP BY, HAVING, ORDER BY, LIMIT and UNION ALL are refused with a
+:class:`~repro.common.errors.ParseError` that names the clause.
 
 Joins are expressed TPC-H style: tables in the FROM list with equality
 predicates in WHERE.  The planner extracts equi-join edges, builds a
@@ -48,16 +49,7 @@ from repro.sql.expr import (
     split_conjuncts,
 )
 from repro.sql.functions import AggregateSpec
-from repro.sql.logical import (
-    Aggregate,
-    Filter,
-    Join,
-    Limit,
-    LogicalPlan,
-    Project,
-    Scan,
-    Sort,
-)
+from repro.sql.logical import Aggregate, Filter, Join, LogicalPlan, Project, Scan
 from repro.sql.optimizer import substitute
 
 _KEYWORDS = {
@@ -69,6 +61,19 @@ _KEYWORDS = {
 }
 
 _AGG_FUNCS = {"count", "sum", "avg", "min", "max"}
+
+#: clause keyword -> why the grammar refuses it: a query plans one
+#: aggregate row (or plain rows), so nothing groups, filters groups,
+#: orders, truncates or concatenates what it yields.
+_REFUSED_CLAUSES = {
+    "group": "GROUP BY output is not a scalar query",
+    "having": "HAVING filters groups, and a query has no GROUP BY",
+    "order": "ORDER BY is not supported: a query yields one aggregate "
+             "row or unordered rows",
+    "limit": "LIMIT is not supported: a query yields one aggregate row "
+             "or all its rows",
+    "union": "UNION ALL is not supported: a query is one SELECT",
+}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -133,10 +138,6 @@ class _ParsedQuery:
     select_items: List[_SelectItem]
     tables: List[Tuple[str, str]]  # (table_name, alias)
     where: Optional[Expression]
-    group_by: List[Expression]
-    having: Optional[Expression]
-    order_by: List[Tuple[Expression, bool]]
-    limit: Optional[int]
     subqueries: List[_SubquerySpec] = field(default_factory=list)
 
 
@@ -202,27 +203,13 @@ class _Parser:
         while self._accept_op(","):
             tables.append(self._parse_table_ref())
 
-        query = _ParsedQuery(items, tables, None, [], None, [], None)
+        query = _ParsedQuery(items, tables, None)
 
         if self._accept_keyword("where"):
             query.where = self._parse_expr(query)
-        if self._accept_keyword("group"):
-            self._expect_keyword("by")
-            query.group_by.append(self._parse_expr(query))
-            while self._accept_op(","):
-                query.group_by.append(self._parse_expr(query))
-        if self._accept_keyword("having"):
-            query.having = self._parse_expr(query)
-        if self._accept_keyword("order"):
-            self._expect_keyword("by")
-            query.order_by.append(self._parse_order_item(query))
-            while self._accept_op(","):
-                query.order_by.append(self._parse_order_item(query))
-        if self._accept_keyword("limit"):
-            token = self._next()
-            if token.kind != "number":
-                raise ParseError("LIMIT expects a number", token.position)
-            query.limit = int(token.value)
+        token = self._peek()
+        if token.kind == "keyword" and token.value in _REFUSED_CLAUSES:
+            raise ParseError(_REFUSED_CLAUSES[token.value], token.position)
         return query
 
     def _parse_select_item(self) -> _SelectItem:
@@ -244,15 +231,6 @@ class _Parser:
         elif self._peek().kind == "ident":
             alias = self._expect_ident()
         return (name, alias)
-
-    def _parse_order_item(self, query: Optional[_ParsedQuery]) -> Tuple[Expression, bool]:
-        expr = self._parse_expr(query)
-        ascending = True
-        if self._accept_keyword("desc"):
-            ascending = False
-        else:
-            self._accept_keyword("asc")
-        return (expr, ascending)
 
     # -- expressions -------------------------------------------------------
     # Column references are kept *raw* here ("alias.col" or "col"); the
@@ -614,12 +592,10 @@ def _resolve_expr(expr: Expression, scope: _Scope,
 
 def _refuse_placeholders(expr: Expression) -> None:
     """Raise unless ``expr`` is free of the parser's placeholders: the
-    planner turns an aggregate into a column only in SELECT and HAVING,
-    and runs a scalar subquery only in the main query."""
+    planner turns an aggregate into a column only in SELECT, and runs a
+    scalar subquery only in the main query."""
     if isinstance(expr, _RawAggregate):
-        raise AnalysisError(
-            f"aggregate {expr!r} is allowed only in SELECT and HAVING"
-        )
+        raise AnalysisError(f"aggregate {expr!r} is allowed only in SELECT")
     if isinstance(expr, _ScalarSubquery):
         raise AnalysisError(
             "a scalar subquery inside an EXISTS or IN subquery is not "
@@ -904,41 +880,9 @@ class _Planner:
     def _plan_aggregation_and_select(
         self, query: _ParsedQuery, scope: _Scope, plan: LogicalPlan
     ) -> LogicalPlan:
-        has_aggregates = any(
-            _contains_aggregate(item.expr)
-            for item in query.select_items
-            if not item.is_star
-        ) or (query.having is not None and _contains_aggregate(query.having))
-
-        if not query.group_by and not has_aggregates:
-            plan = self._plan_plain_select(query, scope, plan)
-        else:
-            plan = self._plan_aggregate_select(query, scope, plan)
-
-        if query.order_by:
-            orders = []
-            out_cols = set(plan.schema.names)
-            for expr, ascending in query.order_by:
-                resolved = self._resolve_order_key(expr, scope, out_cols)
-                orders.append((resolved, ascending))
-            plan = Sort(plan, orders)
-        if query.limit is not None:
-            plan = Limit(plan, query.limit)
-        return plan
-
-    def _resolve_order_key(self, expr: Expression, scope: _Scope,
-                           out_cols: Set[str]) -> Expression:
-        # Prefer output column names (aliases) over source columns.
-        if isinstance(expr, Column) and expr.name in out_cols:
-            return expr
-        resolved = self._resolve_main(expr, scope)
-        missing = resolved.references() - out_cols
-        if missing:
-            raise AnalysisError(
-                f"ORDER BY references {sorted(missing)} which are not in the "
-                f"output columns {sorted(out_cols)}"
-            )
-        return resolved
+        if any(_contains_aggregate(item.expr) for item in query.select_items):
+            return self._plan_aggregate_select(query, scope, plan)
+        return self._plan_plain_select(query, scope, plan)
 
     def _plan_plain_select(self, query: _ParsedQuery, scope: _Scope,
                            plan: LogicalPlan) -> LogicalPlan:
@@ -955,9 +899,8 @@ class _Planner:
 
     def _plan_aggregate_select(self, query: _ParsedQuery, scope: _Scope,
                                plan: LogicalPlan) -> LogicalPlan:
-        group_exprs = [self._resolve_main(e, scope) for e in query.group_by]
-        group_names = {e.output_name() for e in group_exprs}
-
+        """One global aggregate row: every select item is a function of
+        the aggregates."""
         specs: List[AggregateSpec] = []
         final_exprs: List[Expression] = []
         for item in query.select_items:
@@ -967,26 +910,14 @@ class _Planner:
             specs.extend(new_specs)
             if item.alias is not None:
                 output = Alias(output, item.alias)
-            missing = output.references() - group_names - {
-                s.alias for s in specs
-            }
+            missing = output.references() - {s.alias for s in specs}
             if missing:
                 raise AnalysisError(
-                    f"select expression references non-grouped columns "
-                    f"{sorted(missing)}"
+                    f"select expression references columns outside an "
+                    f"aggregate: {sorted(missing)}"
                 )
             final_exprs.append(output)
-
-        having_expr: Optional[Expression] = None
-        if query.having is not None:
-            having_expr, having_specs = self._lower_aggregates(query.having, scope)
-            specs.extend(having_specs)
-
-        agg_plan = Aggregate(plan, group_exprs, specs)
-        out: LogicalPlan = agg_plan
-        if having_expr is not None:
-            out = Filter(out, having_expr)
-        return Project(out, final_exprs)
+        return Project(Aggregate(plan, specs), final_exprs)
 
     def _lower_aggregates(self, expr: Expression, scope: _Scope
                           ) -> Tuple[Expression, List[AggregateSpec]]:
@@ -1053,26 +984,19 @@ def _contains_aggregate(expr: Expression) -> bool:
 
 def parse_sql(text: str, session,
               scalar_tables: Optional[Set[str]] = None) -> LogicalPlan:
-    """Parse SQL text (including UNION ALL chains) and plan it.
+    """Parse one SELECT and plan it.
 
     An uncorrelated scalar subquery runs here, over ``session``'s
     tables, and the plan holds its value as a literal; pass a set as
     ``scalar_tables`` to learn which tables those subqueries read.
     """
-    from repro.sql.logical import Union
-
     parser = _Parser(tokenize(text))
-    planner = _Planner(
-        session, set() if scalar_tables is None else scalar_tables
-    )
-    plans = [planner.plan(parser.parse_query())]
-    while parser._accept_keyword("union"):
-        parser._expect_keyword("all")
-        plans.append(planner.plan(parser.parse_query()))
+    query = parser.parse_query()
     trailing = parser._peek()
     if trailing.kind != "eof":
         raise ParseError(f"unexpected trailing input {trailing.value!r}",
                          trailing.position)
-    if len(plans) == 1:
-        return plans[0]
-    return Union(plans)
+    planner = _Planner(
+        session, set() if scalar_tables is None else scalar_tables
+    )
+    return planner.plan(query)

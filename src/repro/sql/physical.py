@@ -4,11 +4,11 @@ SQL runs one way.  ``Scan→Filter→Project`` chains and hash-join probes
 collapse into a single ``map_partitions`` pass running closures
 generated by :mod:`repro.sql.compiler`, so a whole stage of narrow
 operators costs one RDD hop instead of one per logical node.  A join
-collects and indexes its right side on the driver; an aggregate folds
-each partition on the engine and merges on the driver; ORDER BY and
-LIMIT run on the driver over the child's rows.  Nothing shuffles.  Row
-order is a contract (DESIGN.md §5), not a by-product of the algorithm,
-and the tests hold every result to ``Expression.eval`` over the rows.
+collects and indexes its right side on the driver; the global aggregate
+folds each partition on the engine and merges on the driver.  Nothing
+shuffles.  Row order is a contract (DESIGN.md §5), not a by-product of
+the algorithm, and the tests hold every result to ``Expression.eval``
+over the rows.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Any, Callable, Dict, Iterable, List, Tuple
 from repro.common.errors import AnalysisError
 from repro.engine.rdd import RDD
 from repro.sql.compiler import (
-    compile_expression,
     compile_key,
     compile_predicate,
     compile_projection,
@@ -27,17 +26,7 @@ from repro.sql.compiler import (
 )
 from repro.sql.expr import Row
 from repro.sql.functions import AggregateSpec
-from repro.sql.logical import (
-    Aggregate,
-    Filter,
-    Join,
-    Limit,
-    LogicalPlan,
-    Project,
-    Scan,
-    Sort,
-    Union,
-)
+from repro.sql.logical import Aggregate, Filter, Join, LogicalPlan, Project, Scan
 
 #: fused per-row operator kinds.
 _FILTER, _MAP, _FLAT = "filter", "map", "flat"
@@ -109,13 +98,6 @@ class Executor:
             return self._join(plan)
         if isinstance(plan, Aggregate):
             return _Stage(self._execute_aggregate(plan))
-        if isinstance(plan, Sort):
-            return _Stage(self._execute_sort(plan))
-        if isinstance(plan, Limit):
-            return _Stage(self._execute_limit(plan))
-        if isinstance(plan, Union):
-            rdds = [self.execute(child) for child in plan.inputs]
-            return _Stage(self._session.engine.union(rdds))
         raise AnalysisError(f"no physical operator for {type(plan).__name__}")
 
     # ------------------------------------------------------------------
@@ -183,16 +165,12 @@ class Executor:
         return stage.with_op(_FILTER, matches_row)
 
     # ------------------------------------------------------------------
-    # Wide operators
+    # The global aggregate
     # ------------------------------------------------------------------
-
-    def _rows(self, rows: List[Row]) -> RDD:
-        """Rows computed on the driver, as a one-partition RDD."""
-        return self._session.engine.parallelize(rows, 1)
 
     def _execute_aggregate(self, plan: Aggregate) -> RDD:
         """Each partition folds its rows, the driver merges the partial
-        results in partition order; groups come out in first-seen order."""
+        results in partition order into one row."""
         child = self.execute(plan.child)
         specs = [
             AggregateSpec(spec.func, compiled(spec.expr), spec.alias)
@@ -205,56 +183,6 @@ class Executor:
         def merge(a: List[Any], b: List[Any]) -> List[Any]:
             return [spec.merge(x, y) for spec, x, y in zip(specs, a, b)]
 
-        if not plan.group_exprs:
-            acc = child.aggregate([spec.zero() for spec in specs], add, merge)
-            row = {
-                spec.alias: spec.finish(value) for spec, value in zip(specs, acc)
-            }
-            return self._rows([row])
-
-        group_names = [e.output_name() for e in plan.group_exprs]
-        group_key = compile_key(plan.group_exprs)
-
-        def add_row(groups: Dict[Tuple[Any, ...], List[Any]], row: Row):
-            key = group_key(row)
-            acc = groups.get(key)
-            if acc is None:
-                acc = [spec.zero() for spec in specs]
-            groups[key] = add(acc, row)
-            return groups
-
-        def merge_groups(groups, other):
-            for key, acc in other.items():
-                mine = groups.get(key)
-                groups[key] = acc if mine is None else merge(mine, acc)
-            return groups
-
-        out = []
-        for key, acc in child.aggregate({}, add_row, merge_groups).items():
-            row = dict(zip(group_names, key))
-            for spec, value in zip(specs, acc):
-                row[spec.alias] = spec.finish(value)
-            out.append(row)
-        return self._rows(out)
-
-    def _execute_sort(self, plan: Sort) -> RDD:
-        """A stable sort on the driver, one pass per key, last key first."""
-        rows = self.execute(plan.child).collect()
-        for expr, ascending in reversed(plan.orders):
-            rows.sort(key=_nulls_first(expr), reverse=not ascending)
-        return self._rows(rows)
-
-    def _execute_limit(self, plan: Limit) -> RDD:
-        """The first ``n`` rows; ``take`` computes no partition past them."""
-        return self._rows(self.execute(plan.child).take(plan.n))
-
-
-def _nulls_first(expr) -> Callable[[Row], Tuple[bool, Any]]:
-    """A sort key ordering NULL below every value."""
-    value = compile_expression(expr)
-
-    def key(row: Row) -> Tuple[bool, Any]:
-        v = value(row)
-        return (v is not None, v)
-
-    return key
+        acc = child.aggregate([spec.zero() for spec in specs], add, merge)
+        row = {spec.alias: spec.finish(value) for spec, value in zip(specs, acc)}
+        return self._session.engine.parallelize([row], 1)

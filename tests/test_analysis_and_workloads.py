@@ -10,7 +10,7 @@ from repro.analysis import (
     rmse,
     study_neighbourhood,
 )
-from repro.workloads import Workload, all_workloads, workload_by_name
+from repro.workloads import all_workloads, workload_by_name
 
 
 class TestRmse:

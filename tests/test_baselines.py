@@ -13,7 +13,7 @@ from repro.baselines.flex import (
     flex_smooth_sensitivity,
     max_frequency,
 )
-from repro.common.errors import FlexUnsupportedError
+from repro.common.errors import FlexUnsupportedError, ParseError
 from repro.sql import SQLSession
 from repro.tpch.workload import all_queries, query_by_name
 
@@ -80,9 +80,17 @@ class TestFlexAnalysis:
         with pytest.raises(FlexUnsupportedError):
             flex_local_sensitivity(df.plan, self._tables(star_session))
 
-    def test_group_by_unsupported(self, star_session):
-        df = star_session.sql("SELECT fk, COUNT(*) AS n FROM fact GROUP BY fk")
-        with pytest.raises(FlexUnsupportedError):
+    def test_group_by_never_reaches_flex(self, star_session):
+        """The parser refuses GROUP BY, so FLEX has no grouped plan to
+        analyse."""
+        with pytest.raises(ParseError, match="GROUP BY"):
+            star_session.sql("SELECT fk, COUNT(*) AS n FROM fact GROUP BY fk")
+
+    def test_two_aggregates_unsupported(self, star_session):
+        df = star_session.sql(
+            "SELECT COUNT(*) AS n, COUNT(val) AS m FROM fact"
+        )
+        with pytest.raises(FlexUnsupportedError, match="one aggregate"):
             flex_local_sensitivity(df.plan, self._tables(star_session))
 
     def test_no_aggregate_unsupported(self, star_session):

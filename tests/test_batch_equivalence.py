@@ -495,8 +495,8 @@ def _spy_phase2(monkeypatch):
         run_job = scheduler.run_job
         jobs: list = []
 
-        def recording(rdd, func, partitions=None):
-            results = run_job(rdd, func, partitions)
+        def recording(rdd, func):
+            results = run_job(rdd, func)
             jobs.append(results)
             return results
 

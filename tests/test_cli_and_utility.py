@@ -156,13 +156,24 @@ class TestCli:
         ("SELECT COUNT(*) AS n FROM lineitem WHERE l_orderkey IN "
          "(SELECT o_orderkey FROM orders) OR l_quantity < 5",
          "top-level AND conjunct"),
-    ], ids=["scalar-subquery", "max", "parse", "analysis", "subquery-or"])
+        # more than one aggregate row: the parser names the clause
+        ("SELECT l_returnflag, COUNT(*) AS n FROM lineitem "
+         "GROUP BY l_returnflag", "GROUP BY output is not a scalar query"),
+        ("SELECT COUNT(*) AS n FROM lineitem HAVING COUNT(*) > 1",
+         "HAVING"),
+        ("SELECT COUNT(*) AS n FROM lineitem ORDER BY n", "ORDER BY"),
+        ("SELECT COUNT(*) AS n FROM lineitem LIMIT 1", "LIMIT"),
+        ("SELECT COUNT(*) AS n FROM lineitem UNION ALL "
+         "SELECT COUNT(*) AS n FROM lineitem", "UNION ALL"),
+    ], ids=["scalar-subquery", "max", "parse", "analysis", "subquery-or",
+            "group-by", "having", "order-by", "limit", "union-all"])
     def test_run_sql_refused_or_bad_text_exits_2(self, capsys, text,
                                                  message):
         """One error line and exit 2, the usage error: up to 1.32.0 the
         first released, and the others ended in a traceback; up to
-        1.33.0 the last started a release and printed the parser's
-        internal "subquery marker" message."""
+        1.33.0 the fifth started a release and printed the parser's
+        internal "subquery marker" message; up to 1.34.0 the ORDER BY
+        and LIMIT texts were released as if the clause were absent."""
         assert main(
             ["run-sql", text, "--protect", "lineitem", "--scale", "2000"]
         ) == 2

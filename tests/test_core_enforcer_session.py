@@ -12,7 +12,6 @@ from repro.common.rng import make_rng
 import repro.core.sampling as sampling_mod
 from repro.core import UPAConfig, UPASession
 from repro.core.inference import infer_output_range
-from repro.core.query import MapReduceQuery
 from repro.core.range_enforcer import EnforcementResult, RangeEnforcer
 from repro.core.sampling import partition_and_sample
 from repro.core.session import _PipelineState, reduce_phase

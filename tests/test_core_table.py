@@ -31,9 +31,9 @@ from repro.dp.budget import PrivacyAccountant
 from repro.engine.metrics import MetricsRegistry
 from repro.mining import KMeansQuery
 from repro.obs.ledger import PrivacyLedger
-from repro.obs.report import ObservedRun
 from repro.obs.tracing import Tracer, use_tracer
 from repro.workloads import all_workloads, workload_by_name
+from tests.spans import find, from_live
 
 SEED = 11
 SAMPLE = 60
@@ -476,7 +476,7 @@ class TestTablesAreValues:
             result = session.run(query, tables, 0.5)
         # The appended-to window was dropped: the release ran cold.
         assert _continued_no_window(metrics.since(mark))
-        (sampled,) = tracer.find("phase:partition_sample")
+        (sampled,) = find(tracer, "phase:partition_sample")
         assert sampled.attributes["incremental"] is False
         assert metrics.get(
             MetricsRegistry.TABLE_REGISTRATIONS
@@ -957,7 +957,7 @@ class TestObservability:
         session.run(workload.query, tables, 0.4)  # another epsilon
         assert [
             span.attributes["registered"]
-            for span in tracer.find("phase:partition_sample")
+            for span in find(tracer, "phase:partition_sample")
         ] == [False, True]
         metrics = session.engine.metrics
         assert metrics.get(MetricsRegistry.TABLE_REGISTRATIONS) == 1
@@ -983,7 +983,7 @@ class TestObservability:
         assert [span.attributes["registered"] for span in spans] == [
             False, False, True, True,
         ]
-        report = ObservedRun.from_live(tracer)
+        report = from_live(tracer)
         assert report.domain_sampling_summary()["registered"] == 2
         assert report.to_dict()["domain_sampling"]["registered"] == 2
         line = next(

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.errors import EngineError
-from repro.engine import EngineContext
 
 
 class TestBasicTransformations:
@@ -33,17 +32,9 @@ class TestBasicTransformations:
         data[0] = 99
         assert rdd.collect() == [1, 2, 3, 4]
 
-    def test_union(self, ctx):
-        left = ctx.parallelize([1, 2], 2)
-        right = ctx.parallelize([3], 1)
-        union = left.union(right)
-        assert union.collect() == [1, 2, 3]
-        assert union.num_partitions == 3
-
     def test_empty_rdd(self, ctx):
         assert ctx.parallelize([]).collect() == []
         assert ctx.parallelize([]).count() == 0
-        assert ctx.union([]).collect() == []
 
 
 class TestActions:
@@ -84,12 +75,6 @@ class TestActions:
         assert rdd.aggregate(float("inf"), min, min) == 1
         assert rdd.aggregate(float("-inf"), max, max) == 9
         assert total / count == 4.0
-
-    def test_take(self, ctx):
-        rdd = ctx.parallelize(range(100), 10)
-        assert rdd.take(3) == [0, 1, 2]
-        assert rdd.take(0) == []
-        assert rdd.take(1000) == list(range(100))
 
     def test_invalid_partition_count(self, ctx):
         for bad in (0, -2, 2.5, True, False, "3"):

@@ -11,7 +11,7 @@ from repro.core import UPAConfig, UPASession
 from repro.core.dpobject import dpread
 from repro.engine import EngineContext, FaultInjector
 from repro.engine.fault import InjectedFault
-from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
+from repro.engine.metrics import MetricsRegistry
 from repro.mining import LifeScienceConfig, make_life_science_tables
 from repro.obs import Tracer
 from repro.sql import SQLSession
@@ -19,6 +19,7 @@ from repro.tpch import TPCHConfig, TPCHGenerator
 from repro.tpch.datagen import register_tables
 from repro.tpch.workload import all_queries
 from repro.workloads import all_workloads
+from tests.spans import find
 
 
 class TestMetrics:
@@ -92,21 +93,17 @@ class TestFaultToleranceAndScheduling:
         ctx.parallelize([1], 1).collect()
         assert ctx.metrics.get(MetricsRegistry.JOBS) == before + 1
 
-    def test_generator_partitions_normalized_once(self):
-        """run_job iterates `partitions` twice (span attribute +
-        dispatch); a generator argument must still yield every result
-        and an accurate partition count."""
+    def test_a_job_runs_every_partition_once(self):
+        """run_job returns one result per partition, in order, and its
+        span counts the partitions and the task attempts."""
         ctx = EngineContext(EngineConfig(default_parallelism=4))
         tracer = Tracer()
         ctx.install_tracer(tracer)
         rdd = ctx.parallelize(range(40), 4)
-        results = ctx.scheduler.run_job(
-            rdd, lambda it: sum(1 for _ in it),
-            partitions=(p for p in range(rdd.num_partitions)),
-        )
-        assert sum(results) == 40
+        results = ctx.scheduler.run_job(rdd, lambda it: sum(1 for _ in it))
+        assert results == [10, 10, 10, 10]
         assert len(results) == 4
-        (job,) = tracer.find("engine.job")
+        (job,) = find(tracer, "engine.job")
         assert job.attributes["partitions"] == 4
         assert job.attributes["task_attempts"] == 4
 

@@ -12,15 +12,15 @@ and so does a named caller that no longer uses it — so what only tests
 reach is deleted, not kept (DESIGN.md §7, "The engine keeps what its
 callers run" and "The SQL layer keeps what SQL text reaches").
 
-The packages the paper's pipeline and its comparisons live in
-(``repro.core``, ``tpch``, ``baselines``, ``dp``, ``mining``,
-``analysis`` and ``repro.workloads``) are held to the same rule by a
+Every package (``repro.core``, ``tpch``, ``baselines``, ``dp``,
+``mining``, ``analysis``, ``sql``, ``engine``, ``common``, ``obs``,
+``repro.workloads`` and ``repro.cli``) is held to the same rule by a
 scan instead of a table: each public function, class and method there
 must be named somewhere in ``src/`` outside its own definition, or
 anywhere in ``examples/`` or ``benchmarks/``; a re-export in an
 ``__init__.py`` is not a use.  ``KEPT_WITHOUT_CALLER`` lists the few
-that stay unnamed, each with its reason.  ``repro.obs`` is governed by
-``tests/test_obs.py``'s consumer table instead.
+that stay unnamed, each with its reason.  ``repro.obs``'s surfaces
+also need a consumer in ``tests/test_obs.py``'s table.
 """
 
 import ast
@@ -44,20 +44,16 @@ RDD_CALLERS = {
     "map_partitions": "src/repro/core/session.py::reduce_phase",
     "aggregate": "src/repro/core/session.py::reduce_phase",
     "map": "src/repro/core/session.py::UPASession.run_vanilla",
-    # the SQL executor
-    "take": "src/repro/sql/physical.py::Executor._execute_limit",
     # the Table I operators
     "collect": "src/repro/core/dpobject.py::dpread",
     "count": "src/repro/core/dpobject.py::JoinDPResult.count",
     # kept engine methods and the scheduler
     "compute": "src/repro/engine/rdd.py::RDD.iterator",
     "iterator": "src/repro/engine/scheduler.py::TaskScheduler._run_task",
-    "union": "src/repro/engine/context.py::EngineContext.union",
 }
 
 CONTEXT_CALLERS = {
     "parallelize": "src/repro/core/session.py::reduce_phase",
-    "union": "src/repro/sql/physical.py::Executor._stage",
     "install_tracer": "src/repro/core/session.py::UPASession.run",
     # fault injection with lineage retry
     "install_fault_injector": "examples/quickstart.py::main",
@@ -250,7 +246,7 @@ def test_named_caller_still_uses_the_export(package, name, caller):
 
 #: what the scan below holds to the rule, under ``src/repro``.
 SCANNED = ("core", "tpch", "baselines", "dp", "mining", "analysis",
-           "workloads.py")
+           "workloads.py", "sql", "engine", "common", "obs", "cli.py")
 
 #: "path::qualname" (or a whole module's path) -> why it stays with no
 #: caller in the program.

@@ -73,7 +73,7 @@ def test_obs_exports_what_its_three_modules_define():
         importlib.import_module(f"repro.obs.{name}")
         for name in ("tracing", "ledger", "report")
     ]
-    assert len(repro.obs.__all__) == 15
+    assert len(repro.obs.__all__) == 14
     for name in repro.obs.__all__:
         value = getattr(repro.obs, name)
         assert any(getattr(m, name, None) is value for m in modules), name

@@ -28,6 +28,7 @@ from repro.engine.metrics import MetricsRegistry
 from repro.obs.ledger import PrivacyLedger
 from repro.obs.tracing import Tracer, use_tracer
 from repro.workloads import all_workloads, workload_by_name
+from tests.spans import find
 
 SEED = 11
 SAMPLE = 60
@@ -473,7 +474,7 @@ class TestInvalidation:
         _assert_results_equal(r_i, r_c)
         assert r_i.metrics.get(MetricsRegistry.INCR_RECORDS_MAPPED) == 0
         assert r_i.metrics.get(MetricsRegistry.INCR_RECORDS_REUSED) == 0
-        (sampled,) = tracer.find("phase:partition_sample")
+        (sampled,) = find(tracer, "phase:partition_sample")
         assert sampled.attributes["incremental"] is False
 
     @settings(max_examples=10, deadline=None)

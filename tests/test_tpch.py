@@ -7,7 +7,6 @@ same tables.
 
 import datetime
 
-import numpy as np
 import pytest
 
 from repro.baselines import flex_local_sensitivity
