@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.common.errors import FlexUnsupportedError
-from repro.sql.expr import Column, Expression
+from repro.sql.expr import Column, Expression, split_conjuncts
 from repro.sql.logical import (
     Filter,
     Join,
@@ -41,7 +41,8 @@ class FlexAnalysis:
     Attributes:
         sensitivity: the inferred local sensitivity of the count.
         factors: human-readable per-join factors (for reports/tests).
-        ignored_filters: filter predicates the analysis skipped.
+        ignored_filters: the WHERE conjuncts the analysis skipped, one
+            entry each, however the planner groups them into filters.
     """
 
     sensitivity: float
@@ -78,7 +79,9 @@ def _walk(node: LogicalPlan, metadata: TableMetadata,
     if isinstance(node, Scan):
         return
     if isinstance(node, Filter):
-        analysis.ignored_filters.append(repr(node.condition))
+        analysis.ignored_filters.extend(
+            repr(conjunct) for conjunct in split_conjuncts(node.condition)
+        )
         _walk(node.child, metadata, analysis)
         return
     if isinstance(node, Project):

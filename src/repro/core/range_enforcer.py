@@ -220,8 +220,3 @@ class RangeEnforcer:
             clamped=clamped,
             sweeps=sweeps,
         )
-
-    def reset(self) -> None:
-        """Forget all registered queries (new dataset / new epoch)."""
-        self._by_shape.clear()
-        self._count = 0

@@ -197,10 +197,6 @@ class UPAResult:
     elapsed_seconds: float
     metrics: MetricsSnapshot
 
-    @property
-    def neighbour_outputs(self) -> np.ndarray:
-        return np.vstack([self.removal_outputs, self.addition_outputs])
-
     def noisy_scalar(self) -> float:
         return float(np.asarray(self.noisy_output).reshape(-1)[0])
 

@@ -117,10 +117,6 @@ class ColumnarPartition:
     # Column access (no boxing)
     # ------------------------------------------------------------------
 
-    def column(self, name: str) -> Any:
-        """The raw buffer of one column (array/ndarray/list)."""
-        return self._columns[name]
-
     def numpy_column(self, name: str):
         """A numpy view of one column (zero-copy for typed buffers).
 

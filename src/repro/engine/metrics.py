@@ -31,9 +31,6 @@ class MetricsSnapshot:
             for k in keys
         })
 
-    def to_dict(self) -> dict:
-        return {"counters": dict(self.counters)}
-
 
 class MetricsRegistry:
     """Thread-safe metrics registry attached to an :class:`EngineContext`."""
@@ -91,7 +88,3 @@ class MetricsRegistry:
     def since(self, mark: MetricsSnapshot) -> MetricsSnapshot:
         """The counts accumulated since ``mark``."""
         return self.snapshot().diff(mark)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()

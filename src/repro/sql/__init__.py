@@ -1,8 +1,9 @@
 """The SQL layer: SQL text, planned and run on the MapReduce engine.
 
 This is the "SparkSQL" stand-in, kept to what a release computes: a
-text parser for the subset the TPC-H workloads use, logical plans, a
-rule-based optimizer, and physical execution over RDDs.  A query is
+text parser for the subset the TPC-H workloads use, whose planner
+places each WHERE conjunct where it reads, logical plans, column
+pruning, and physical execution over RDDs.  A query is
 one ``SELECT … FROM … [WHERE …]`` that yields plain rows or one global
 aggregate row; GROUP BY, HAVING, ORDER BY, LIMIT and UNION ALL are
 refused with a :class:`~repro.common.errors.ParseError` that names the

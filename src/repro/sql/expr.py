@@ -37,7 +37,7 @@ class Expression:
         return compile_expression(self)
 
     def references(self) -> Set[str]:
-        """Column names this expression reads (for pruning/pushdown)."""
+        """Column names this expression reads (for placement and pruning)."""
         raise NotImplementedError
 
     def children(self) -> Sequence["Expression"]:

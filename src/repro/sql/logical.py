@@ -1,7 +1,7 @@
 """Logical query plans.
 
 Plan nodes are immutable-ish trees that carry an output schema.  They
-are built by the SQL parser, rewritten by the optimizer, and executed
+are built by the SQL parser, column-pruned by the optimizer, and executed
 by :mod:`repro.sql.physical`.  The FLEX baseline walks these trees for
 its static sensitivity analysis.  A plan yields plain rows (scans,
 filters, projections and joins) or one global aggregate row over them:
@@ -31,7 +31,7 @@ class LogicalPlan:
         raise NotImplementedError
 
     def with_children(self, children: Sequence["LogicalPlan"]) -> "LogicalPlan":
-        """Rebuild this node with new children (for optimizer rewrites)."""
+        """Rebuild this node with new children (for column pruning)."""
         raise NotImplementedError
 
     # -- pretty printing --------------------------------------------------

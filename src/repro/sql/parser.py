@@ -19,7 +19,10 @@ one global aggregate row: what a release computes (DESIGN.md section
 
 Joins are expressed TPC-H style: tables in the FROM list with equality
 predicates in WHERE.  The planner extracts equi-join edges, builds a
-join tree, converts EXISTS/NOT EXISTS into semi/anti joins (including
+join tree and places every other WHERE conjunct where it reads: one
+filter on each table's scan, and a conjunct over several tables right
+above the join that first brings them together.  It converts
+EXISTS/NOT EXISTS into semi/anti joins (including
 non-equality correlated residuals, as TPC-H Q21 needs), and evaluates
 uncorrelated scalar subqueries eagerly: each runs once, while planning,
 and reaches the plan as a literal.  DISTINCT is accepted only inside
@@ -37,6 +40,7 @@ from repro.common.errors import AnalysisError, ParseError
 from repro.sql.expr import (
     Alias,
     BinaryOp,
+    CaseWhen,
     Column,
     Expression,
     FuncCall,
@@ -50,7 +54,6 @@ from repro.sql.expr import (
 )
 from repro.sql.functions import AggregateSpec
 from repro.sql.logical import Aggregate, Filter, Join, LogicalPlan, Project, Scan
-from repro.sql.optimizer import substitute
 
 _KEYWORDS = {
     "select", "from", "where", "group", "by", "having", "order", "limit",
@@ -587,7 +590,14 @@ def _resolve_expr(expr: Expression, scope: _Scope,
         else:
             assert scope.parent is not None
             mapping[raw] = Column(outer_prefix + scope.parent.resolve_local(raw))
-    return substitute(expr, mapping)
+    return _substitute(expr, mapping)
+
+
+def _substitute(expr: Expression, mapping: Dict[str, Expression]) -> Expression:
+    """Rebuild ``expr`` with column references replaced via ``mapping``."""
+    if isinstance(expr, Column):
+        return mapping.get(expr.name, expr)
+    return _map_children(expr, lambda child: _substitute(child, mapping))
 
 
 def _refuse_placeholders(expr: Expression) -> None:
@@ -614,6 +624,24 @@ def _collect_columns(expr: Expression) -> Set[str]:
     return refs
 
 
+def _aliases(expr: Expression, scope: _Scope) -> Optional[Set[str]]:
+    """The FROM aliases an expression reads, or None when a column
+    reference names no alias, or no single one."""
+    aliases: Set[str] = set()
+    for raw in _collect_columns(expr):
+        if "." in raw:
+            alias = raw.split(".", 1)[0]
+            if alias not in scope.aliases:
+                return None
+            aliases.add(alias)
+        else:
+            hits = [a for a, t in scope.aliases.items() if t.schema.has(raw)]
+            if len(hits) != 1:
+                return None
+            aliases.add(hits[0])
+    return aliases
+
+
 def _expr_sides(expr: Expression, scope: _Scope) -> Set[str]:
     """Which scopes ({'local', 'outer'}) an expression's columns live in."""
     return {scope.classify(raw) for raw in _collect_columns(expr)}
@@ -631,9 +659,8 @@ class _Planner:
 
     # -- public ----------------------------------------------------------
 
-    def plan(self, query: _ParsedQuery, parent_scope: Optional[_Scope] = None
-             ) -> LogicalPlan:
-        scope = _Scope(self.session, query.tables, parent_scope)
+    def plan(self, query: _ParsedQuery) -> LogicalPlan:
+        scope = _Scope(self.session, query.tables)
         plan = self._plan_from_where(query, scope)
         plan = self._plan_aggregation_and_select(query, scope, plan)
         return plan
@@ -644,8 +671,6 @@ class _Planner:
         conjuncts: List[Expression] = (
             split_conjuncts(query.where) if query.where is not None else []
         )
-        join_edges: List[Tuple[str, str, Expression, Expression]] = []
-        filters: List[Expression] = []
         markers = [c for c in conjuncts if isinstance(c, _SubqueryMarker)]
         if len(markers) < len(query.subqueries):
             planned = {marker.index for marker in markers}
@@ -658,21 +683,9 @@ class _Planner:
                 "AND conjunct of WHERE; to negate one write NOT IN or "
                 "NOT EXISTS", stray.position,
             )
-        for conjunct in conjuncts:
-            if isinstance(conjunct, _SubqueryMarker):
-                continue
-            edge = self._as_join_edge(conjunct, scope)
-            if edge is not None:
-                join_edges.append(edge)
-            else:
-                filters.append(conjunct)
-
-        plan = self._build_join_tree(query, scope, join_edges)
-
-        for filter_expr in filters:
-            resolved = self._resolve_main(filter_expr, scope)
-            plan = Filter(plan, resolved)
-
+        plan = self._build_join_tree(query, scope, [
+            c for c in conjuncts if not isinstance(c, _SubqueryMarker)
+        ])
         for marker in markers:
             spec = query.subqueries[marker.index]
             plan = self._apply_subquery(plan, spec, scope)
@@ -691,19 +704,8 @@ class _Planner:
 
     def _single_alias(self, expr: Expression, scope: _Scope) -> Optional[str]:
         """The unique FROM alias an expression references, if exactly one."""
-        aliases: Set[str] = set()
-        for raw in _collect_columns(expr):
-            if "." in raw:
-                alias = raw.split(".", 1)[0]
-                if alias not in scope.aliases:
-                    return None
-                aliases.add(alias)
-            else:
-                hits = [a for a, t in scope.aliases.items() if t.schema.has(raw)]
-                if len(hits) != 1:
-                    return None
-                aliases.add(hits[0])
-        if len(aliases) != 1:
+        aliases = _aliases(expr, scope)
+        if aliases is None or len(aliases) != 1:
             return None
         return next(iter(aliases))
 
@@ -711,56 +713,78 @@ class _Planner:
         self,
         query: _ParsedQuery,
         scope: _Scope,
-        edges: List[Tuple[str, str, Expression, Expression]],
+        conjuncts: List[Expression],
     ) -> LogicalPlan:
-        plans: Dict[str, LogicalPlan] = {}
-        for table_name, alias in query.tables:
-            table = self.session.catalog.table(table_name)
-            plans[alias] = Scan(table_name, table.schema)
-        if len(plans) == 1:
-            return next(iter(plans.values()))
-
-        joined: Set[str] = {query.tables[0][1]}
-        plan = plans[query.tables[0][1]]
-        remaining = list(edges)
+        """Join the FROM tables along the WHERE equalities between two of
+        them, and place every other conjunct where it reads: one
+        ``Filter`` on each table's scan (a conjunct that reads no column
+        goes with the first FROM table), and a conjunct over several
+        tables directly above the join that first brings them all
+        together.  Each ``Filter`` keeps its conjuncts in WHERE order."""
+        first = query.tables[0][1]
+        edges = {}
+        for index, conjunct in enumerate(conjuncts):
+            edge = self._as_join_edge(conjunct, scope)
+            if edge is not None:
+                edges[index] = edge
+        # The join order: each step joins one new table along the first
+        # edge, in WHERE order, that reaches it from the joined ones.
+        joined: List[str] = [first]
+        steps: List[Tuple[str, Expression, Expression]] = []
+        keys_used: Set[int] = set()
         progress = True
-        while remaining and progress:
+        while progress:
             progress = False
-            for edge in list(remaining):
-                left_alias, right_alias, left_expr, right_expr = edge
-                if left_alias in joined and right_alias in joined:
-                    # Both sides already joined: becomes a post-join filter.
-                    resolved = self._resolve_main(
-                        BinaryOp("=", left_expr, right_expr), scope
-                    )
-                    plan = Filter(plan, resolved)
-                    remaining.remove(edge)
-                    progress = True
-                elif left_alias in joined or right_alias in joined:
-                    if left_alias in joined:
-                        new_alias = right_alias
-                        joined_key, new_key = left_expr, right_expr
-                    else:
-                        new_alias = left_alias
-                        joined_key, new_key = right_expr, left_expr
-                    plan = Join(
-                        plan,
-                        plans[new_alias],
-                        [(
-                            self._resolve_main(joined_key, scope),
-                            self._resolve_main(new_key, scope),
-                        )],
-                        how="inner",
-                    )
-                    joined.add(new_alias)
-                    remaining.remove(edge)
-                    progress = True
-        unjoined = set(plans) - joined
+            for index, (left, right, left_expr, right_expr) in edges.items():
+                if index in keys_used or (left in joined) == (right in joined):
+                    continue
+                if left in joined:
+                    steps.append((right, left_expr, right_expr))
+                else:
+                    steps.append((left, right_expr, left_expr))
+                joined.append(steps[-1][0])
+                keys_used.add(index)
+                progress = True
+        unjoined = {alias for _name, alias in query.tables} - set(joined)
         if unjoined:
             raise AnalysisError(
                 f"tables {sorted(unjoined)} are not connected by join "
                 "predicates (cross joins are not supported)"
             )
+
+        # Where each other conjunct goes: the position in ``joined`` of
+        # the last table it reads, and whether it reads several.
+        placed: Dict[Tuple[str, bool], List[Expression]] = {}
+        for index, conjunct in enumerate(conjuncts):
+            if index in keys_used:
+                continue
+            resolved = self._resolve_main(conjunct, scope)
+            reads = _aliases(conjunct, scope) or {first}
+            last = max(reads, key=joined.index)
+            placed.setdefault((last, len(reads) > 1), []).append(resolved)
+
+        def filtered(plan: LogicalPlan, at: Tuple[str, bool]) -> LogicalPlan:
+            condition = combine_conjuncts(placed.get(at, []))
+            return plan if condition is None else Filter(plan, condition)
+
+        def scan(alias: str) -> LogicalPlan:
+            table_name = scope.aliases[alias].name
+            return filtered(
+                Scan(table_name, scope.aliases[alias].schema), (alias, False)
+            )
+
+        plan = scan(first)
+        for alias, joined_key, new_key in steps:
+            plan = Join(
+                plan,
+                scan(alias),
+                [(
+                    self._resolve_main(joined_key, scope),
+                    self._resolve_main(new_key, scope),
+                )],
+                how="inner",
+            )
+            plan = filtered(plan, (alias, True))
         return plan
 
     def _apply_subquery(self, plan: LogicalPlan, spec: _SubquerySpec,
@@ -966,8 +990,6 @@ def _map_children(expr: Expression, f) -> Expression:
         return FuncCall(expr.name, [f(a) for a in expr.args])
     if isinstance(expr, Alias):
         return Alias(f(expr.child), expr.name)
-    from repro.sql.expr import CaseWhen
-
     if isinstance(expr, CaseWhen):
         return CaseWhen(
             [(f(c), f(v)) for c, v in expr.branches],

@@ -1,12 +1,13 @@
-"""SQLSession: catalog + engine + optimizer + parser in one handle.
+"""SQLSession: catalog + engine + parser + executor in one handle.
 
 SQL text is the one way in: :meth:`SQLSession.sql` parses it into a
-:class:`SQLQuery`, whose plan FLEX analyses and ``core.sqlbridge``
-compiles.  A plan runs one way: :func:`~repro.sql.optimizer.optimize`,
+:class:`SQLQuery`, whose plan — each WHERE conjunct already placed
+where it reads — FLEX analyses and ``core.sqlbridge`` compiles.  A plan
+runs one way: :func:`~repro.sql.optimizer.optimize` prunes its columns,
 then the compiled, fused row stages of
-:class:`~repro.sql.physical.Executor`.  ``session.executor.execute(plan)``
-runs a plan as written, without the optimizer (the tests' reference for
-optimizer equivalence).
+:class:`~repro.sql.physical.Executor` run it.
+``session.executor.execute(plan)`` runs a plan as written, unpruned
+(the tests' reference for pruning).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class SQLQuery:
         self.plan = plan
 
     def collect(self) -> List[Dict[str, Any]]:
-        """The optimized plan's rows."""
+        """The plan's rows, its columns pruned."""
         return self.session.execute_plan(self.plan).collect()
 
 
@@ -64,7 +65,7 @@ class SQLSession:
         self.catalog.register(name, rows, schema)
 
     def execute_plan(self, plan: LogicalPlan) -> RDD:
-        """The optimized plan as an RDD of dict rows."""
+        """The plan, its columns pruned, as an RDD of dict rows."""
         return self.executor.execute(optimize(plan))
 
     def sql(self, text: str) -> SQLQuery:

@@ -1,8 +1,9 @@
 """TPC-H Q12 and Q14 beyond the paper's seven, as SQL text only.
 
 Both are scalar forms of the official queries, and both exercise
-``SUM(CASE WHEN ...)`` through the whole stack: parser, optimizer,
-physical execution, the provenance bridge and UPA.
+``SUM(CASE WHEN ...)`` through the whole stack: the parser and its
+filter placement, column pruning, physical execution, the provenance
+bridge and UPA.
 
 * **tpch12** — lineitems of high-priority orders shipped by MAIL/SHIP
   and received in 1994, over the orders x lineitem join.  Protected

@@ -75,6 +75,16 @@ class TestFlexAnalysis:
         assert result.sensitivity == 1.0  # blind to the filter
         assert len(result.ignored_filters) == 1
 
+    def test_filters_recorded_one_per_conjunct(self, star_session):
+        """The planner groups a table's conjuncts into one filter; FLEX
+        still lists each."""
+        df = star_session.sql(
+            "SELECT COUNT(*) AS n FROM fact, dim "
+            "WHERE fk = dk AND val > 1 AND val < 9"
+        )
+        result = flex_local_sensitivity(df.plan, self._tables(star_session))
+        assert result.ignored_filters == ["(val > 1)", "(val < 9)"]
+
     def test_sum_unsupported(self, star_session):
         df = star_session.sql("SELECT SUM(val) AS s FROM fact")
         with pytest.raises(FlexUnsupportedError):

@@ -121,12 +121,6 @@ class TestRangeEnforcer:
         assert not result.clamped
         assert result.output[0] == 12.0
 
-    def test_reset(self):
-        enforcer = RangeEnforcer()
-        enforcer.enforce(_FakeRuntime([[1.0], [2.0]], [3.0]), _range(0, 5))
-        enforcer.reset()
-        assert len(enforcer) == 0
-
 
 class _PerPriorEnforcer:
     """Reference oracle: Algorithm 2 as one Python loop over the priors.

@@ -869,7 +869,7 @@ class TestDomainSamplerContract:
     def test_lineitem_support(self, tpch_tables):
         n = 3000
         batch = samplers.random_lineitem.batch(random.Random(1), tpch_tables, n)
-        col = batch.column
+        col = batch.numpy_column
         order_dates = {
             o["o_orderkey"]: o["o_orderdate"] for o in tpch_tables["orders"]
         }
@@ -915,12 +915,12 @@ class TestDomainSamplerContract:
         sampler, _ = _SAMPLERS[table]
         batch = sampler.batch(random.Random(1), tpch_tables, 2000)
         top = max(row[key] for row in tpch_tables[table])
-        keys = batch.column(key)
+        keys = batch.numpy_column(key)
         assert top < keys.min() and keys.max() <= top + 1000
         assert len(set(keys.tolist())) > 800  # spread over the 1000 slots
         if name is not None:
             column, pattern = name
-            assert batch.column(column) == [
+            assert batch.numpy_column(column).tolist() == [
                 pattern.format(k) for k in keys.tolist()
             ]
 
@@ -932,58 +932,58 @@ class TestDomainSamplerContract:
             return max(row[column] for row in tpch_tables[table])
 
         orders = samplers.random_order.batch(rng, tpch_tables, n)
-        custkeys = orders.column("o_custkey")
+        custkeys = orders.numpy_column("o_custkey")
         assert 1 <= custkeys.min()
         assert custkeys.max() <= top("customer", "c_custkey")
-        assert set(orders.column("o_orderstatus")) == {"F", "O", "P"}
-        assert set(orders.column("o_orderpriority")) == set(PRIORITIES)
-        dates = orders.column("o_orderdate")
+        assert set(orders.numpy_column("o_orderstatus")) == {"F", "O", "P"}
+        assert set(orders.numpy_column("o_orderpriority")) == set(PRIORITIES)
+        dates = orders.numpy_column("o_orderdate")
         assert datetime.date(1992, 1, 1) <= min(dates)
         assert max(dates) <= datetime.date(1998, 12, 31)
-        special = [c for c in orders.column("o_comment") if "special" in c]
+        special = [c for c in orders.numpy_column("o_comment") if "special" in c]
         assert 0.10 < len(special) / n < 0.20
-        assert len(set(orders.column("o_comment"))) == 2
+        assert len(set(orders.numpy_column("o_comment"))) == 2
 
         customers = samplers.random_customer.batch(rng, tpch_tables, n)
-        assert set(customers.column("c_nationkey").tolist()) == set(
+        assert set(customers.numpy_column("c_nationkey").tolist()) == set(
             range(len(NATION_NAMES))
         )
-        assert set(customers.column("c_mktsegment")) == {"BUILDING"}
+        assert set(customers.numpy_column("c_mktsegment")) == {"BUILDING"}
 
         parts = samplers.random_part.batch(rng, tpch_tables, n)
-        assert set(parts.column("p_size").tolist()) == set(range(1, 51))
-        assert set(parts.column("p_brand")) == {
+        assert set(parts.numpy_column("p_size").tolist()) == set(range(1, 51))
+        assert set(parts.numpy_column("p_brand")) == {
             f"Brand#{a}{b}" for a in range(1, 6) for b in range(1, 6)
         }
-        assert set(parts.column("p_type")) == {"STANDARD ANODIZED TIN"}
+        assert set(parts.numpy_column("p_type")) == {"STANDARD ANODIZED TIN"}
 
         partsupp = samplers.random_partsupp.batch(rng, tpch_tables, n)
         for key, table, column in (("ps_partkey", "part", "p_partkey"),
                                    ("ps_suppkey", "supplier", "s_suppkey")):
-            keys = partsupp.column(key)
+            keys = partsupp.numpy_column(key)
             assert 1 <= keys.min() and keys.max() <= top(table, column)
-        qty = partsupp.column("ps_availqty")
+        qty = partsupp.numpy_column("ps_availqty")
         assert 1 <= qty.min() and qty.max() <= 9999
-        cost = partsupp.column("ps_supplycost")
+        cost = partsupp.numpy_column("ps_supplycost")
         assert 1.0 <= cost.min() and cost.max() <= 1000.0
         assert np.array_equal(cost, np.round(cost, 2))
 
         suppliers = samplers.random_supplier.batch(rng, tpch_tables, n)
-        assert set(suppliers.column("s_nationkey").tolist()) == set(
+        assert set(suppliers.numpy_column("s_nationkey").tolist()) == set(
             range(len(NATION_NAMES))
         )
-        balance = suppliers.column("s_acctbal")
+        balance = suppliers.numpy_column("s_acctbal")
         assert -999.99 <= balance.min() and balance.max() <= 9999.99
         complaints = [
-            c for c in suppliers.column("s_comment") if "Complaints" in c
+            c for c in suppliers.numpy_column("s_comment") if "Complaints" in c
         ]
         assert 0.02 < len(complaints) / n < 0.09
 
         points = domain_point.batch(rng, _ML_CONFIG, n)
-        features = points.column("features")
+        features = points.numpy_column("features")
         assert features.shape == (n, _ML_CONFIG.dim)
         assert -13.0 <= features.min() and features.max() <= 13.0
-        labels = points.column("label")
+        labels = points.numpy_column("label")
         assert -40.0 <= labels.min() and labels.max() <= 40.0
 
     def test_dates_box_like_fromordinal(self):
@@ -1002,12 +1002,12 @@ class TestDomainSamplerContract:
             random.Random(8), tpch_tables, 5000
         )
         counts = np.bincount(
-            lineitems.column("l_quantity").astype(int), minlength=51
+            lineitems.numpy_column("l_quantity").astype(int), minlength=51
         )[1:]
         assert stats.chisquare(counts).pvalue > 0.01
         labels = domain_point.batch(random.Random(8), _ML_CONFIG, 5000)
         assert stats.kstest(
-            labels.column("label"), "uniform", args=(-40.0, 80.0)
+            labels.numpy_column("label"), "uniform", args=(-40.0, 80.0)
         ).pvalue > 0.01
 
     def test_empty_batch(self, sampler_case):
@@ -1082,7 +1082,7 @@ class TestDomainSamplerContract:
             except DPError as exc:  # S-bar is drawn before enforcement
                 assert "RANGE ENFORCER" in str(exc)
             in_x = {o["o_orderkey"] for o in orders}
-            fresh = samples[-1].domain_samples.column("o_orderkey").tolist()
+            fresh = samples[-1].domain_samples.numpy_column("o_orderkey").tolist()
             assert len(fresh) == 500 and not in_x & set(fresh)
         assert len(samples) == 3
 

@@ -33,12 +33,6 @@ class TestMetrics:
         assert delta.get("x") == 2
         assert delta.get("y") == 1
 
-    def test_reset(self):
-        metrics = MetricsRegistry()
-        metrics.incr("a")
-        metrics.reset()
-        assert metrics.get("a") == 0.0
-
 
 class TestFaultToleranceAndScheduling:
     def test_results_identical_under_faults(self):

@@ -18,8 +18,13 @@ Every package (``repro.core``, ``tpch``, ``baselines``, ``dp``,
 scan instead of a table: each public function, class and method there
 must be named somewhere in ``src/`` outside its own definition, or
 anywhere in ``examples/`` or ``benchmarks/``; a re-export in an
-``__init__.py`` is not a use.  ``KEPT_WITHOUT_CALLER`` lists the few
-that stay unnamed, each with its reason.  ``repro.obs``'s surfaces
+``__init__.py`` is not a use.  A bare name does not tell two classes'
+methods apart, so a method whose name a class outside its own
+hierarchy under ``src/`` also defines is judged by its root (the
+base-class method it overrides, else itself): the root is listed in
+``SHARED_NAME_CALLERS`` with a caller that is checked, as the tables
+above are.  ``KEPT_WITHOUT_CALLER`` lists the few that stay unnamed,
+each with its reason.  ``repro.obs``'s surfaces
 also need a consumer in ``tests/test_obs.py``'s table.
 """
 
@@ -265,6 +270,118 @@ KEPT_WITHOUT_CALLER = {
         "FLEX's smooth bound, the form ROADMAP item 1(c)(i) names",
 }
 
+#: "path::Class.method" -> "path::qualname" of a function that calls it,
+#: for each root method whose bare name another root under ``src/``
+#: shares (the methods of the classes in ``_CLASSES`` are listed there).
+SHARED_NAME_CALLERS = {
+    "src/repro/core/batch.py::ScalarSumBatch.combine_batch":
+        "src/repro/core/session.py::reduce_phase",
+    "src/repro/core/batch.py::ScalarSumBatch.finalize_batch":
+        "src/repro/core/session.py::_PipelineState.partition_outputs",
+    "src/repro/core/batch.py::ScalarSumBatch.fold_batch":
+        "src/repro/core/session.py::_PipelineState._fold_samples_in",
+    "src/repro/core/batch.py::ScalarSumBatch.map_batch":
+        "src/repro/core/session.py::_MapFoldSlice.__call__",
+    "src/repro/core/batch.py::ScalarSumBatch.prefix_suffix_batch":
+        "src/repro/core/session.py::reduce_phase",
+    "src/repro/core/dpobject.py::JoinDPResult.count":
+        "examples/quickstart.py::main",
+    "src/repro/core/query.py::MapReduceQuery.combine_batch":
+        "src/repro/core/session.py::reduce_phase",
+    "src/repro/core/query.py::MapReduceQuery.finalize_batch":
+        "src/repro/core/session.py::reduce_phase",
+    "src/repro/core/query.py::MapReduceQuery.fold_batch":
+        "src/repro/core/session.py::_MapFoldSlice.__call__",
+    "src/repro/core/query.py::MapReduceQuery.map_batch":
+        "src/repro/core/session.py::_MapFoldSlice.__call__",
+    "src/repro/core/query.py::MapReduceQuery.prefix_suffix_batch":
+        "src/repro/core/session.py::reduce_phase",
+    "src/repro/core/query.py::MapReduceQuery.zero":
+        "src/repro/core/session.py::reduce_phase",
+    "src/repro/core/range_enforcer.py::EnforcerRuntime.final_output":
+        "src/repro/core/range_enforcer.py::RangeEnforcer.enforce",
+    "src/repro/core/range_enforcer.py::EnforcerRuntime.partition_outputs":
+        "src/repro/core/range_enforcer.py::RangeEnforcer._read",
+    "src/repro/core/range_enforcer.py::EnforcerRuntime.remove_two_records":
+        "src/repro/core/range_enforcer.py::RangeEnforcer.enforce",
+    "src/repro/core/range_enforcer.py::_ShapeRegistry.append":
+        "src/repro/core/range_enforcer.py::RangeEnforcer.enforce",
+    "src/repro/core/sampling.py::RecordView.numpy_column":
+        "src/repro/core/batch.py::column_values",
+    "src/repro/core/session.py::UPASession.append":
+        "src/repro/cli.py::_cmd_run",
+    "src/repro/core/session.py::UPASession.retire":
+        "benchmarks/e2e/workloads.py::IncrWindow.round",
+    "src/repro/core/session.py::_IncrementalState.matches":
+        "src/repro/core/session.py::UPASession._remember_run",
+    "src/repro/core/session.py::_PipelineState.final_output":
+        "src/repro/core/range_enforcer.py::RangeEnforcer.enforce",
+    "src/repro/core/session.py::_PipelineState.partition_outputs":
+        "src/repro/core/range_enforcer.py::RangeEnforcer._read",
+    "src/repro/core/session.py::_PipelineState.remove_two_records":
+        "src/repro/core/range_enforcer.py::RangeEnforcer.enforce",
+    "src/repro/core/session.py::_VanillaAux.value":
+        "src/repro/core/session.py::UPASession.run_vanilla",
+    "src/repro/core/sqlbridge.py::_Block.numpy_column":
+        "src/repro/sql/vectorized.py::_ColumnValue.__call__",
+    "src/repro/core/sqlbridge.py::_Block.take":
+        "src/repro/core/sqlbridge.py::_DynFilter.block",
+    "src/repro/core/sqlbridge.py::_StaticIndex.lookup":
+        "src/repro/core/sqlbridge.py::_DynJoinStatic.block",
+    "src/repro/core/table.py::ProtectedTable.append":
+        "src/repro/core/table.py::TableRegistry.append",
+    "src/repro/core/table.py::ProtectedTable.matches":
+        "src/repro/core/table.py::TableRegistry.lookup",
+    "src/repro/core/table.py::ProtectedTable.retire":
+        "src/repro/core/table.py::TableRegistry.retire",
+    "src/repro/core/table.py::TableRegistry.append":
+        "src/repro/core/session.py::UPASession.append",
+    "src/repro/core/table.py::TableRegistry.lookup":
+        "src/repro/core/session.py::UPASession._lookup",
+    "src/repro/core/table.py::TableRegistry.retire":
+        "src/repro/core/session.py::UPASession.retire",
+    "src/repro/dp/budget.py::_RunningSum.add":
+        "src/repro/dp/budget.py::PrivacyAccountant.charge",
+    "src/repro/dp/budget.py::_RunningSum.value":
+        "src/repro/dp/budget.py::PrivacyAccountant.spent",
+    "src/repro/engine/columnar.py::ColumnarPartition.numpy_column":
+        "src/repro/core/batch.py::column_values",
+    "src/repro/engine/columnar.py::ColumnarPartition.take":
+        "src/repro/engine/columnar.py::ColumnarPartition.__getitem__",
+    "src/repro/engine/metrics.py::MetricsRegistry.get":
+        "src/repro/engine/scheduler.py::TaskScheduler.run_job",
+    "src/repro/engine/metrics.py::MetricsSnapshot.get":
+        "src/repro/cli.py::_cmd_run",
+    "src/repro/obs/ledger.py::LedgerEntry.to_dict":
+        "src/repro/obs/ledger.py::PrivacyLedger.dump_jsonl",
+    "src/repro/obs/ledger.py::PrivacyLedger.append":
+        "src/repro/core/session.py::UPASession._append_ledger",
+    "src/repro/obs/report.py::ObservedRun.to_dict":
+        "src/repro/obs/report.py::ObservedRun.render_json",
+    "src/repro/obs/report.py::SpanStat.to_dict":
+        "src/repro/obs/report.py::ObservedRun.to_dict",
+    "src/repro/obs/tracing.py::Span.set_attribute":
+        "src/repro/core/session.py::_fit",
+    "src/repro/obs/tracing.py::_NullSpan.set_attribute":
+        "src/repro/core/session.py::_fit",
+    "src/repro/sql/expr.py::Expression.children":
+        "src/repro/sql/parser.py::_refuse_placeholders",
+    "src/repro/sql/expr.py::Expression.references":
+        "src/repro/sql/optimizer.py::_required_for_node",
+    "src/repro/sql/functions.py::AggregateSpec.add":
+        "src/repro/sql/physical.py::Executor._execute_aggregate",
+    "src/repro/sql/functions.py::AggregateSpec.merge":
+        "src/repro/sql/physical.py::Executor._execute_aggregate",
+    "src/repro/sql/functions.py::AggregateSpec.references":
+        "src/repro/sql/logical.py::Aggregate.__init__",
+    "src/repro/sql/functions.py::AggregateSpec.zero":
+        "src/repro/sql/physical.py::Executor._execute_aggregate",
+    "src/repro/sql/logical.py::LogicalPlan.children":
+        "src/repro/sql/logical.py::LogicalPlan.walk",
+    "src/repro/sql/types.py::Schema.merge":
+        "src/repro/sql/logical.py::Join.__init__",
+}
+
 _DOTTED = re.compile(r"[A-Za-z_][A-Za-z_0-9]*(\.[A-Za-z_][A-Za-z_0-9]*)*")
 
 
@@ -325,6 +442,74 @@ def _names(node: ast.AST, skip: ast.AST = None, strings: bool = False):
     return names
 
 
+_METHOD = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+@functools.lru_cache(maxsize=None)
+def _classes():
+    """Bare name -> ["path::qualname", ClassDef] of each class under
+    ``src/`` (outside function bodies)."""
+    found = {}
+
+    def walk(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                qualname = prefix + child.name
+                found.setdefault(child.name, []).append(
+                    (f"{path}::{qualname}", child)
+                )
+                walk(path, child, qualname + ".")
+
+    for file in sorted((ROOT / "src").rglob("*.py")):
+        path = str(file.relative_to(ROOT))
+        walk(path, _tree(path), "")
+    return found
+
+
+def _roots(where: str, cls: ast.ClassDef, name: str, seen=()) -> frozenset:
+    """The methods ``name`` that ``cls`` (at ``where``) inherits or
+    overrides and that override nothing themselves: ``cls``'s own when
+    no base class under ``src/`` defines ``name``."""
+    found = set()
+    for base in cls.bases:
+        base_name = getattr(base, "attr", getattr(base, "id", None))
+        for base_where, base_cls in _classes().get(base_name, ()):
+            if base_cls is not cls and base_cls not in seen:
+                found |= _roots(base_where, base_cls, name, seen + (cls,))
+    if not found and any(
+        isinstance(child, _METHOD) and child.name == name
+        for child in cls.body
+    ):
+        found.add(f"{where}.{name}")
+    return frozenset(found)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_roots() -> frozenset:
+    """Every root method whose bare name another root under ``src/``
+    shares."""
+    by_name = {}
+    for entries in _classes().values():
+        for where, cls in entries:
+            for child in cls.body:
+                if isinstance(child, _METHOD) and not child.name.startswith("_"):
+                    by_name.setdefault(child.name, set()).update(
+                        _roots(where, cls, child.name)
+                    )
+    return frozenset(
+        root for roots in by_name.values() if len(roots) > 1
+        for root in roots
+    )
+
+
+def _class_table_methods() -> set:
+    """"path::Class.method" of each method ``_CLASSES`` lists."""
+    return {
+        f"src/{cls.__module__.replace('.', '/')}.py::{cls.__name__}.{name}"
+        for cls, table in _CLASSES for name in table
+    }
+
+
 @functools.lru_cache(maxsize=None)
 def _unnamed():
     """"path::qualname" of every definition nothing in the program names."""
@@ -340,9 +525,18 @@ def _unnamed():
         if file.name != "__init__.py"
     ]
     by_source = {source: _names(_tree(source)) for source in sources}
+    listed = set(SHARED_NAME_CALLERS) | _class_table_methods()
     unnamed = []
     for path, qualname, node in _definitions():
         name = node.name
+        owner = qualname.rpartition(".")[0]
+        if owner:
+            roots = _roots(f"{path}::{owner}", _function(path, owner), name)
+            if roots & _shared_roots():
+                # A use of the bare name may be another class's method.
+                if not roots & listed:
+                    unnamed.append(f"{path}::{qualname}")
+                continue
         if name in elsewhere or any(
             name in names for source, names in by_source.items()
             if source != path
@@ -350,6 +544,32 @@ def _unnamed():
             continue
         unnamed.append(f"{path}::{qualname}")
     return tuple(unnamed)
+
+
+def test_shared_name_callers_lists_shared_roots():
+    """Each entry is a root whose name another root shares, listed once."""
+    keys = set(SHARED_NAME_CALLERS)
+    assert not keys - _shared_roots(), sorted(keys - _shared_roots())
+    assert not keys & _class_table_methods(), sorted(
+        keys & _class_table_methods()
+    )
+
+
+@pytest.mark.parametrize(
+    "method, caller", sorted(SHARED_NAME_CALLERS.items()),
+    ids=sorted(SHARED_NAME_CALLERS),
+)
+def test_shared_name_caller_still_calls_it(method, caller):
+    """The caller reads the method as an attribute, or by name through
+    ``getattr``."""
+    name = method.rpartition(".")[2]
+    path, qualname = caller.split("::")
+    assert path.split("/")[0] in ("src", "examples", "benchmarks"), caller
+    assert any(
+        (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.Constant) and node.value == name)
+        for node in ast.walk(_function(path, qualname))
+    ), f"{caller} no longer uses .{name}"
 
 
 def _exemption(entry: str):

@@ -1,8 +1,10 @@
 """Property-based tests for the SQL layer.
 
-The optimizer must be semantics-preserving on randomized plans, the
-physical executor must match a straight-line Python reference for
-randomized filter/project/aggregate pipelines, and the expression
+Column pruning must be semantics-preserving on randomized plans, the
+rows of WHERE text over two or three tables must be a nested loop's
+wherever the planner places each conjunct, the physical executor must
+match a straight-line Python reference for randomized
+filter/project/aggregate pipelines, and the expression
 compiler (repro.sql.compiler) must agree with interpreted ``eval``
 *exactly* — value, None-ness and raised-exception behaviour — on
 randomized expression trees over rows containing NULLs.  The same
@@ -11,6 +13,10 @@ exactness is then required of whole-column evaluation
 ``map_batch`` must be ``map_record`` of every record bit for bit.
 """
 
+import itertools
+import operator
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.batch import column_values
 from repro.core.sampling import RecordView, fingerprint_columns
-from repro.core.sqlbridge import _Block, _compile_plan
+from repro.core.sqlbridge import _Block, _compile_plan, compile_sql
 from repro.engine.columnar import ColumnarPartition
 from repro.sql import SQLSession, col
 from repro.sql.compiler import compile_expression, compile_predicate
@@ -92,7 +98,7 @@ def _aggregate(child, *specs):
 
 
 def _rows(session, plan):
-    """The optimized plan's rows, as ``SQLSession.sql(...).collect()``
+    """The pruned plan's rows, as ``SQLSession.sql(...).collect()``
     runs a parsed one."""
     return session.execute_plan(plan).collect()
 
@@ -662,3 +668,110 @@ class TestBridgeAgreesWithPlainSQL:
         assert expected == pytest.approx(
             0.0 if plain is None else float(plain), rel=1e-9, abs=1e-9
         )
+
+
+# ---------------------------------------------------------------------------
+# WHERE placement: SQL text over two or three tables
+# ---------------------------------------------------------------------------
+
+#: table -> its columns; no name repeats across the three.
+_PLACED = {"t": ("a", "b", "x"), "u": ("k", "j", "y"), "w": ("m", "n", "z")}
+_PLACED_ROWS = {
+    name: st.lists(
+        st.fixed_dictionaries(
+            {column: st.sampled_from([0, 1, 2, None]) for column in columns}
+        ),
+        min_size=1, max_size=8,
+    )
+    for name, columns in _PLACED.items()
+}
+_ORDER = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+          ">=": operator.ge, "<>": operator.ne, "=": operator.eq}
+
+
+def _holds(op, left, right) -> bool:
+    """A comparison as WHERE keeps it: a NULL side is not true."""
+    return left is not None and right is not None and _ORDER[op](left, right)
+
+
+def _plus(*values):
+    return None if None in values else sum(values)
+
+
+@st.composite
+def _placed_conjunct(draw, names):
+    """(text, Python oracle over the merged row) of one WHERE conjunct:
+    over one table, across tables, over no column, or an equality
+    between two tables that the join tree may already have joined."""
+    kind = draw(st.sampled_from(["one", "across", "constant", "edge"]))
+    if kind == "constant":
+        op = draw(st.sampled_from(sorted(_ORDER)))
+        left, right = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        return f"{left} {op} {right}", lambda row: _ORDER[op](left, right)
+    if kind == "one":
+        table = draw(st.sampled_from(names))
+        column = draw(st.sampled_from(_PLACED[table]))
+        op = draw(st.sampled_from(sorted(_ORDER)))
+        value = draw(st.integers(0, 2))
+        return (f"{table}.{column} {op} {value}",
+                lambda row: _holds(op, row[column], value))
+    tables = draw(st.lists(st.sampled_from(names), min_size=2,
+                           max_size=len(names), unique=True))
+    columns = [draw(st.sampled_from(_PLACED[table])) for table in tables]
+    refs = [f"{table}.{column}" for table, column in zip(tables, columns)]
+    if kind == "edge":
+        return (f"{refs[0]} = {refs[1]}",
+                lambda row: _holds("=", row[columns[0]], row[columns[1]]))
+    op = draw(st.sampled_from(["<", "<=", ">", ">=", "<>"]))
+    value = draw(st.integers(0, 5))
+    return (f"{' + '.join(refs)} {op} {value}",
+            lambda row: _holds(op, _plus(*(row[c] for c in columns)), value))
+
+
+@st.composite
+def placed_queries(draw):
+    """(tables, FROM list, WHERE conjuncts as (text, oracle), protected
+    table) of a join of two or three tables."""
+    names = ["t", "u", "w"][:draw(st.integers(2, 3))]
+    tables = {name: draw(_PLACED_ROWS[name]) for name in names}
+    edges = [("u.k = t.a", lambda row: _holds("=", row["k"], row["a"]))]
+    if "w" in names:
+        edges.append(draw(st.sampled_from([
+            ("w.m = t.b", lambda row: _holds("=", row["m"], row["b"])),
+            ("w.m = u.j", lambda row: _holds("=", row["m"], row["j"])),
+        ])))
+    others = draw(st.lists(_placed_conjunct(names), max_size=4))
+    conjuncts = draw(st.permutations(edges + others))
+    return (tables, draw(st.permutations(names)), conjuncts,
+            draw(st.sampled_from(names)))
+
+
+class TestPlacementMatchesNestedLoop:
+    """Wherever the planner places a conjunct, the rows are those of a
+    nested loop over the FROM tables that keeps a combination when
+    every conjunct holds, and the compiled query counts them."""
+
+    @given(case=placed_queries())
+    @settings(max_examples=120, deadline=None)
+    def test_rows_and_compiled_count(self, case):
+        tables, names, conjuncts, protected = case
+        merged = [
+            {key: value for row in combination for key, value in row.items()}
+            for combination in itertools.product(
+                *(tables[name] for name in names)
+            )
+        ]
+        expected = Counter(
+            tuple(sorted(row.items())) for row in merged
+            if all(holds(row) for _text, holds in conjuncts)
+        )
+        where = " AND ".join(text for text, _holds in conjuncts)
+        source = f"FROM {', '.join(names)} WHERE {where}"
+        session = SQLSession()
+        for name, rows in tables.items():
+            session.create_table(name, rows)
+        got = session.sql(f"SELECT * {source}").collect()
+        assert Counter(tuple(sorted(row.items())) for row in got) == expected
+        query = compile_sql(f"SELECT COUNT(*) AS n {source}", tables,
+                            protected)
+        assert query.output(tables)[0] == sum(expected.values())

@@ -2,7 +2,8 @@
 
 Covers expression codegen (the semantics of ``Expression.eval``),
 operator fusion (narrow chains are one RDD hop), that every shipped
-plan runs, what a join residual reads and the closure cache.
+plan runs and places each WHERE conjunct where it reads, what a join
+residual reads and the closure cache.
 ``Expression.eval`` over the rows is the reference every executed result
 is held to.
 """
@@ -20,8 +21,8 @@ from repro.sql.compiler import (
     expr_fingerprint,
     plan_fingerprint,
 )
-from repro.sql.expr import Alias, Expression, Literal
-from repro.sql.logical import Filter, LogicalPlan, Project, Scan
+from repro.sql.expr import Alias, Expression, Literal, split_conjuncts
+from repro.sql.logical import Filter, Join, LogicalPlan, Project, Scan
 
 ROWS = [
     {"a": i, "b": i % 3, "c": f"s{i % 5}", "v": float(i)} for i in range(40)
@@ -193,6 +194,23 @@ class TestShippedPlans:
     @pytest.mark.parametrize("frame", _tpch_plans())
     def test_query_returns_rows(self, frame):
         assert frame(_tpch_session()).collect()
+
+    @pytest.mark.parametrize("frame", _tpch_plans())
+    def test_each_conjunct_is_planned_where_it_reads(self, frame):
+        """As parsed, no filter stacks on a filter, and a filter right
+        above a join holds no conjunct that one side could evaluate."""
+        plan = frame(_tpch_session()).plan
+        for node in plan.walk():
+            if not isinstance(node, Filter):
+                continue
+            assert not isinstance(node.child, Filter), plan.pretty()
+            if isinstance(node.child, Join):
+                sides = (node.child.left, node.child.right)
+                for conjunct in split_conjuncts(node.condition):
+                    assert not any(
+                        conjunct.references() <= set(side.schema.names)
+                        for side in sides
+                    ), f"{conjunct!r} reads one side of\n{plan.pretty()}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Tests for logical plans, the optimizer, and physical execution."""
+"""Tests for logical plans, filter placement, column pruning, and
+physical execution."""
 
 import pytest
 
 from repro.common.errors import AnalysisError
 from repro.sql import SQLSession, col
-from repro.sql.expr import Alias
 from repro.sql.functions import AggregateSpec
 from repro.sql.logical import (
     Aggregate,
@@ -14,7 +14,7 @@ from repro.sql.logical import (
     Scan,
     single_aggregate,
 )
-from repro.sql.optimizer import optimize, prune_columns, substitute
+from repro.sql.optimizer import prune_columns
 from repro.sql.types import Field, Schema
 
 
@@ -134,46 +134,42 @@ class TestLogicalValidation:
         assert "Project" in text and "Filter" in text and "Scan(t)" in text
 
 
-class TestOptimizerRules:
-    def test_substitute(self):
-        expr = (col("x") + 1) > col("y")
-        replaced = substitute(expr, {"x": col("a")})
-        assert replaced.references() == {"a", "y"}
+class TestPlacement:
+    """The parser places each WHERE conjunct where it reads."""
 
-    def test_combined_filters(self, session):
-        df = session.sql("SELECT a, b FROM t WHERE a > 1 AND b < 3")
-        assert sum(isinstance(n, Filter) for n in df.plan.walk()) == 2
-        plan = optimize(df.plan)
-        filters = [n for n in plan.walk() if isinstance(n, Filter)]
-        assert len(filters) == 1
-
-    def test_filter_pushed_through_rename_project(self, session):
-        renamed = Project(_scan(session, "t"), [Alias(col("a"), "x"), col("b")])
-        plan = optimize(Filter(renamed, col("x") > 5))
-        # The filter must now sit below the projection.
-        node = plan
-        assert isinstance(node, Project)
-
-    def test_filter_not_pushed_through_computed_project(self, session):
-        computed = Project(_scan(session, "t"), [Alias(col("a") + 1, "x")])
-        plan = optimize(Filter(computed, col("x") > 5))
-        assert isinstance(plan, Filter)  # stays above the projection
+    def test_one_filter_per_table(self, session):
+        plan = session.sql("SELECT a, b FROM t WHERE a > 1 AND b < 3").plan
+        (node,) = [n for n in plan.walk() if isinstance(n, Filter)]
+        assert isinstance(node.child, Scan)
+        assert repr(node.condition) == "((a > 1) and (b < 3))"
 
     def test_filter_split_into_join_sides(self, session):
-        df = session.sql("SELECT * FROM t, u WHERE a = k AND b = 1 AND v > 10")
-        plan = optimize(df.plan)
+        plan = session.sql(
+            "SELECT * FROM t, u WHERE a = k AND b = 1 AND v > 10"
+        ).plan
         join = next(n for n in plan.walk() if isinstance(n, Join))
-        assert isinstance(join.left, Filter) or isinstance(
-            join.left, Project
-        )  # pushed left (possibly under pruning projection)
-        left_filters = [
-            n for n in join.left.walk() if isinstance(n, Filter)
-        ]
-        right_filters = [
-            n for n in join.right.walk() if isinstance(n, Filter)
-        ]
-        assert left_filters and right_filters
+        for side, condition in ((join.left, "(b = 1)"),
+                                (join.right, "(v > 10)")):
+            assert isinstance(side, Filter) and isinstance(side.child, Scan)
+            assert repr(side.condition) == condition
 
+    def test_cross_table_conjuncts_sit_on_their_join(self, session):
+        plan = session.sql(
+            "SELECT * FROM t, u WHERE a = k AND b < v AND a + v > 3"
+        ).plan
+        node = plan.child
+        assert isinstance(node, Filter) and isinstance(node.child, Join)
+        assert repr(node.condition) == "((b < v) and ((a + v) > 3))"
+
+    def test_a_constant_conjunct_goes_with_the_first_table(self, session):
+        plan = session.sql("SELECT * FROM u, t WHERE k = a AND 1 = 2").plan
+        join = next(n for n in plan.walk() if isinstance(n, Join))
+        assert isinstance(join.left, Filter)
+        assert join.left.child.table_name == "u"
+        assert not isinstance(join.right, Filter)
+
+
+class TestPruning:
     def test_prune_columns_inserts_projection(self, session):
         plan = prune_columns(session.sql("SELECT a FROM t").plan)
         scans_children = [
